@@ -426,15 +426,19 @@ func (c *Chain) Step() *Block {
 	for step := uint64(0); weight < need && step < 16; step++ {
 		comSeed := committeeSeed(prev.Seed, roundNum, step)
 		committee := runSortition(c.participants, c.totalStake, comSeed, c.cfg.ExpectedCommittee)
-		for _, cred := range committee {
-			p := c.partsByAddr[cred.Participant]
-			msg := append(append([]byte("vote:"), blk.Hash[:]...), comSeed...)
-			cert.Votes = append(cert.Votes, Vote{
+		msg := append(append([]byte("vote:"), blk.Hash[:]...), comSeed...)
+		base := len(cert.Votes)
+		cert.Votes = append(cert.Votes, make([]Vote, len(committee))...)
+		chain.FanOut(len(committee), len(committee), func(i int) {
+			cred := committee[i]
+			cert.Votes[base+i] = Vote{
 				Credential: cred,
 				BlockHash:  blk.Hash,
 				Step:       step,
-				Signature:  p.Key.Sign(msg),
-			})
+				Signature:  c.partsByAddr[cred.Participant].Key.Sign(msg),
+			}
+		})
+		for _, cred := range committee {
 			weight += cred.SubUsers
 		}
 	}

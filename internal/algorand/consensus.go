@@ -55,19 +55,27 @@ func sortitionSeed(prevSeed chain.Hash32, round uint64, role string) []byte {
 }
 
 // runSortition evaluates every participant's VRF for a role and returns the
-// credentials with j > 0.
+// credentials with j > 0 in participant order. The evaluations are
+// independent and deterministic, so they fan out across cores into
+// participant-indexed slots; the result does not depend on GOMAXPROCS.
 func runSortition(parts []*Participant, totalStake uint64, seed []byte, expected float64) []Credential {
-	var out []Credential
-	for _, p := range parts {
+	creds := make([]Credential, len(parts))
+	chain.FanOut(len(parts), len(parts), func(i int) {
+		p := parts[i]
 		vrfOut, proof := polcrypto.VRFEvaluate(p.Key, seed)
-		j := polcrypto.Sortition(vrfOut, p.Stake, totalStake, expected)
-		if j > 0 {
-			out = append(out, Credential{
+		if j := polcrypto.Sortition(vrfOut, p.Stake, totalStake, expected); j > 0 {
+			creds[i] = Credential{
 				Participant: p.Address,
 				Output:      vrfOut,
 				Proof:       proof,
 				SubUsers:    j,
-			})
+			}
+		}
+	})
+	out := creds[:0]
+	for _, cred := range creds {
+		if cred.SubUsers > 0 {
+			out = append(out, cred)
 		}
 	}
 	return out

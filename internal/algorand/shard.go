@@ -3,9 +3,7 @@ package algorand
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
@@ -338,50 +336,17 @@ func (c *Chain) applyRound(sel []*pendingGroup, blk *Block) ([]*chain.Receipt, [
 func (c *Chain) SubmitBatch(gs []Group) ([]chain.Hash32, []error) {
 	hashes := make([]chain.Hash32, len(gs))
 	errs := make([]error, len(gs))
-	verr := make([]error, len(gs))
-	verify := func(i int) error {
+	chain.FanOut(len(gs), c.Shards(), func(i int) {
 		for _, tx := range gs[i] {
-			if err := tx.Verify(); err != nil {
-				return err
+			if errs[i] = tx.Verify(); errs[i] != nil {
+				return
 			}
 		}
-		return nil
-	}
-	workers := c.Shards()
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(gs) {
-		workers = len(gs)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(gs) {
-						return
-					}
-					verr[i] = verify(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range gs {
-			verr[i] = verify(i)
-		}
-	}
+	})
 	for i, g := range gs {
-		if verr[i] != nil {
-			errs[i] = verr[i]
-			continue
+		if errs[i] == nil {
+			hashes[i], errs[i] = c.submitVerified(g)
 		}
-		hashes[i], errs[i] = c.submitVerified(g)
 	}
 	return hashes, errs
 }

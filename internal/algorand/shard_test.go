@@ -1,6 +1,8 @@
 package algorand
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -221,6 +223,46 @@ func TestShardedRoundBitIdentity(t *testing.T) {
 		if d := c.Digest(); d != refDigest {
 			t.Fatalf("shards=%d: ledger digest diverges from serial run", shards)
 		}
+	}
+}
+
+// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, committee voting and
+// batch admission fan out across cores, and the rounds must not show it —
+// the same seeded chain stepped on one core and on four elects the same
+// proposers, carries the same votes in the same order with the same bytes,
+// ends in the same digest, and every certificate still verifies.
+func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	ref := runShardedRounds(t, 2)
+	runtime.GOMAXPROCS(4)
+	c := runShardedRounds(t, 2)
+
+	if len(c.blocks) != len(ref.blocks) {
+		t.Fatalf("%d rounds on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
+	}
+	for i, blk := range c.blocks {
+		if blk.Hash != ref.blocks[i].Hash {
+			t.Fatalf("round %d hash depends on GOMAXPROCS", i)
+		}
+		if i == 0 {
+			continue // genesis is not certified
+		}
+		if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
+			t.Fatalf("round %d proposer depends on GOMAXPROCS", i)
+		}
+		if len(blk.Cert.Votes) == 0 {
+			t.Fatalf("round %d has no votes", i)
+		}
+		if !reflect.DeepEqual(blk.Cert.Votes, ref.blocks[i].Cert.Votes) {
+			t.Fatalf("round %d votes depend on GOMAXPROCS", i)
+		}
+		if err := c.VerifyCertificate(blk.Round, blk.PrevSeed, blk.Cert); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if c.Digest() != ref.Digest() {
+		t.Fatal("digest depends on GOMAXPROCS")
 	}
 }
 

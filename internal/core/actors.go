@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -562,17 +561,7 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 	if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
 		return v.rejected(prover, ErrSelfSigned.Error()), nil
 	}
-	signed := false
-	for _, pub := range v.sys.CA.WitnessList() {
-		if bytes.Equal(pub, proverKey) {
-			continue
-		}
-		if v.sys.verifySig(pub, parsed.Hash[:], parsed.Signature) {
-			signed = true
-			break
-		}
-	}
-	if !signed {
+	if !v.sys.witnessSigned(proverKey, parsed.Hash[:], parsed.Signature) {
 		return v.rejected(prover, ErrUnknownWitness.Error()), nil
 	}
 

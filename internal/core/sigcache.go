@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -20,20 +21,33 @@ const defaultSigCacheSize = polcrypto.DefaultSigCacheSize
 // cache. Quorum validation re-checks the same (witness, hash, signature)
 // triple at bundle collection, submission and on-chain verification; the
 // scalar math runs once and every re-check is a map hit. Hits and misses
-// feed core_sigcache_total when the system is instrumented.
+// (a miss is a real ed25519 verification) feed core_sigcache_total when the
+// system is instrumented.
 func (s *System) verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
-	key, cacheable := polcrypto.SigKeyFor(pub, msg, sig)
-	if !cacheable {
-		return polcrypto.Verify(pub, msg, sig)
-	}
-	if ok, hit := s.sigs.Get(key); hit {
-		s.countSigCache(true)
-		return ok
-	}
-	s.countSigCache(false)
-	ok := polcrypto.Verify(pub, msg, sig)
-	s.sigs.Put(key, ok)
+	ok, hit := s.sigs.Verify(pub, msg, sig)
+	s.countSigCache(hit)
 	return ok
+}
+
+// witnessSigned reports whether sig opens hash under a CA-registered
+// witness key other than the prover's own. The signature cache is asked
+// first which key it already saw the signature verify under — the prover's
+// certificate check in RequestProof put that verdict there — and the hinted
+// key is accepted only if it passes the very conditions the scan applies:
+// not the prover's key, registered with the CA, signature valid. A cold or
+// evicted cache, or a hint that fails any of them, falls back to trying
+// every registered key in registration order.
+func (s *System) witnessSigned(proverKey ed25519.PublicKey, hash, sig []byte) bool {
+	if pub, ok := s.sigs.Signer(hash, sig); ok && !bytes.Equal(pub, proverKey) &&
+		s.CA.IsKnownWitness(pub) && s.verifySig(pub, hash, sig) {
+		return true
+	}
+	for _, pub := range s.CA.WitnessList() {
+		if !bytes.Equal(pub, proverKey) && s.verifySig(pub, hash, sig) {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyProof is LocationProof.Verify routed through the signature cache.

@@ -179,45 +179,49 @@ func (s *System) PublishContract(via uint64, code string, h *Handle) (int, error
 // CertificationAuthority keeps the witness public-key list delivered to
 // verifiers (§2.1) and designates who may act as a verifier.
 type CertificationAuthority struct {
-	mu        sync.Mutex
-	witnesses map[string]ed25519.PublicKey
+	mu sync.Mutex
+	// witnesses holds the keys in registration order, so the list a
+	// verifier scans — and with it the scan's cost and the signature-cache
+	// counters — is the same on every run of a seed; isWitness answers
+	// membership without walking it.
+	witnesses []ed25519.PublicKey
+	isWitness map[string]bool
 	verifiers map[did.DID]bool
 }
 
 // NewCertificationAuthority returns an empty CA.
 func NewCertificationAuthority() *CertificationAuthority {
 	return &CertificationAuthority{
-		witnesses: make(map[string]ed25519.PublicKey),
+		isWitness: make(map[string]bool),
 		verifiers: make(map[did.DID]bool),
 	}
 }
 
 // RegisterWitness records a witness public key; every new witness
-// communicates its key to the CA.
+// communicates its key to the CA. Registering a key again keeps its place.
 func (ca *CertificationAuthority) RegisterWitness(pub ed25519.PublicKey) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
-	ca.witnesses[string(pub)] = append(ed25519.PublicKey(nil), pub...)
+	if ca.isWitness[string(pub)] {
+		return
+	}
+	ca.isWitness[string(pub)] = true
+	ca.witnesses = append(ca.witnesses, append(ed25519.PublicKey(nil), pub...))
 }
 
-// WitnessList delivers the current witness keys (what verifiers iterate
-// during signature checks).
+// WitnessList delivers the current witness keys in registration order (what
+// verifiers iterate during signature checks).
 func (ca *CertificationAuthority) WitnessList() []ed25519.PublicKey {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
-	out := make([]ed25519.PublicKey, 0, len(ca.witnesses))
-	for _, pub := range ca.witnesses {
-		out = append(out, pub)
-	}
-	return out
+	return append([]ed25519.PublicKey(nil), ca.witnesses...)
 }
 
 // IsKnownWitness reports whether a key belongs to a registered witness.
 func (ca *CertificationAuthority) IsKnownWitness(pub ed25519.PublicKey) bool {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
-	_, ok := ca.witnesses[string(pub)]
-	return ok
+	return ca.isWitness[string(pub)]
 }
 
 // DesignateVerifier marks a DID as a trusted verifier ("permissioned

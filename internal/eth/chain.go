@@ -606,16 +606,19 @@ func (c *Chain) pickProposer(parentHash chain.Hash32, slot uint64) *Validator {
 
 // attest collects the slot committee's signatures over the block hash. The
 // simulator's validators are honest, so a supermajority always attests; the
-// signatures are real and verified by VerifyBlock.
+// signatures are real and verified by VerifyBlock. Members sign
+// concurrently into their committee-order slot: ed25519 is deterministic,
+// so the attestations are the same bytes at any GOMAXPROCS.
 func (c *Chain) attest(blk *Block) []Attestation {
 	committee := c.committee(blk.ParentHash, blk.Number)
-	out := make([]Attestation, 0, len(committee))
-	for _, v := range committee {
-		out = append(out, Attestation{
+	out := make([]Attestation, len(committee))
+	chain.FanOut(len(committee), len(committee), func(i int) {
+		v := committee[i]
+		out[i] = Attestation{
 			Validator: v.Address,
 			Signature: v.Key.Sign(blk.Hash[:]),
-		})
-	}
+		}
+	})
 	return out
 }
 

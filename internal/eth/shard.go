@@ -2,9 +2,7 @@ package eth
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
@@ -193,42 +191,11 @@ func (c *Chain) applyBatch(sel []*pendingTx, blk *Block) ([]*chain.Receipt, []tx
 func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
 	hashes := make([]chain.Hash32, len(txs))
 	errs := make([]error, len(txs))
-	verr := make([]error, len(txs))
-	workers := c.Shards()
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(txs) {
-						return
-					}
-					verr[i] = txs[i].Verify()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, tx := range txs {
-			verr[i] = tx.Verify()
-		}
-	}
+	chain.FanOut(len(txs), c.Shards(), func(i int) { errs[i] = txs[i].Verify() })
 	for i, tx := range txs {
-		if verr[i] != nil {
-			errs[i] = verr[i]
-			continue
+		if errs[i] == nil {
+			hashes[i], errs[i] = c.submitVerified(tx)
 		}
-		hashes[i], errs[i] = c.submitVerified(tx)
 	}
 	return hashes, errs
 }

@@ -2,6 +2,8 @@ package eth
 
 import (
 	"math/big"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"agnopol/internal/chain"
@@ -234,6 +236,43 @@ func TestShardedBlockBitIdentity(t *testing.T) {
 		if d := c.Digest(); d != refDigest {
 			t.Fatalf("shards=%d: state digest diverges from serial run", shards)
 		}
+	}
+}
+
+// TestConsensusBitIdentityAcrossGOMAXPROCS: committee attestation and batch
+// admission fan out across cores, and the blocks must not show it — the
+// same seeded chain stepped on one core and on four carries the same
+// hashes, the same attestations in the same order, and the same digest, and
+// every block still verifies.
+func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	ref := runShardedWorkload(t, 2)
+	runtime.GOMAXPROCS(4)
+	c := runShardedWorkload(t, 2)
+
+	if len(c.blocks) != len(ref.blocks) {
+		t.Fatalf("%d blocks on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
+	}
+	for i, blk := range c.blocks {
+		if blk.Hash != ref.blocks[i].Hash {
+			t.Fatalf("block %d hash depends on GOMAXPROCS", i)
+		}
+		if !reflect.DeepEqual(blk.Attestations, ref.blocks[i].Attestations) {
+			t.Fatalf("block %d attestations depend on GOMAXPROCS", i)
+		}
+		if i == 0 {
+			continue // genesis carries no attestations
+		}
+		if len(blk.Attestations) == 0 {
+			t.Fatalf("block %d has no attestations", i)
+		}
+		if err := c.VerifyBlock(blk); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+	}
+	if c.Digest() != ref.Digest() {
+		t.Fatal("digest depends on GOMAXPROCS")
 	}
 }
 

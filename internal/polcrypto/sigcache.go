@@ -40,15 +40,29 @@ type sigEntry struct {
 	ok  bool
 }
 
+// signed is the part of a SigKey a verifier holds before it knows the
+// signer: the 32-byte hash and the signature over it.
+type signed struct {
+	hash [32]byte
+	sig  [ed25519.SignatureSize]byte
+}
+
 // SigCache memoizes (pubkey, hash, signature) → valid under a bounded LRU.
 // Both outcomes are cached: a forged signature stays invalid forever, and
-// re-rejecting it should be as cheap as re-accepting a genuine one. It is
-// safe for concurrent use.
+// re-rejecting it should be as cheap as re-accepting a genuine one. Valid
+// entries are additionally indexed by (hash, signature), so a verifier that
+// has to find which of many registered keys signed can ask Signer instead
+// of trying every key. It is safe for concurrent use.
 type SigCache struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List
 	idx map[SigKey]*list.Element
+	// signers maps (hash, sig) to the valid entry that carries it. Only
+	// entries with ok == true appear, each removed together with its LRU
+	// element, so the index never outgrows cap and never names a key whose
+	// cached verdict is negative.
+	signers map[signed]*list.Element
 }
 
 // NewSigCache returns an empty cache bounded to capacity entries.
@@ -57,9 +71,10 @@ func NewSigCache(capacity int) *SigCache {
 		capacity = 1
 	}
 	return &SigCache{
-		cap: capacity,
-		ll:  list.New(),
-		idx: make(map[SigKey]*list.Element, capacity),
+		cap:     capacity,
+		ll:      list.New(),
+		idx:     make(map[SigKey]*list.Element, capacity),
+		signers: make(map[signed]*list.Element),
 	}
 }
 
@@ -76,20 +91,64 @@ func (c *SigCache) Get(k SigKey) (ok, hit bool) {
 }
 
 // Put records a verdict, evicting the least-recently-used entry at capacity.
+// Overwriting an existing key's verdict moves it into or out of the signer
+// index accordingly.
 func (c *SigCache) Put(k SigKey, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.idx[k]; found {
+		c.unindexSigner(el)
 		el.Value.(*sigEntry).ok = ok
+		c.indexSigner(el)
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.idx[k] = c.ll.PushFront(&sigEntry{key: k, ok: ok})
+	el := c.ll.PushFront(&sigEntry{key: k, ok: ok})
+	c.idx[k] = el
+	c.indexSigner(el)
 	if c.ll.Len() > c.cap {
 		back := c.ll.Back()
+		c.unindexSigner(back)
 		c.ll.Remove(back)
 		delete(c.idx, back.Value.(*sigEntry).key)
 	}
+}
+
+// indexSigner makes a valid entry findable by its (hash, signature).
+func (c *SigCache) indexSigner(el *list.Element) {
+	if e := el.Value.(*sigEntry); e.ok {
+		c.signers[signed{e.key.hash, e.key.sig}] = el
+	}
+}
+
+// unindexSigner drops the signer-index slot that points at el, if any.
+func (c *SigCache) unindexSigner(el *list.Element) {
+	e := el.Value.(*sigEntry)
+	if s := (signed{e.key.hash, e.key.sig}); c.signers[s] == el {
+		delete(c.signers, s)
+	}
+}
+
+// Signer returns the public key under which sig is already known to be a
+// valid signature of the 32-byte hash msg, if such a verdict is cached.
+// Negative verdicts are never returned. The answer is a hint about which
+// key to try, not a verification: callers that restrict who may sign check
+// the key against their own registry and confirm with Verify (a cache hit).
+func (c *SigCache) Signer(msg, sig []byte) (ed25519.PublicKey, bool) {
+	if len(msg) != 32 || len(sig) != ed25519.SignatureSize {
+		return nil, false
+	}
+	var s signed
+	copy(s.hash[:], msg)
+	copy(s.sig[:], sig)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, found := c.signers[s]
+	if !found {
+		return nil, false
+	}
+	pub := el.Value.(*sigEntry).key.pub
+	return pub[:], true
 }
 
 // Len reports the number of cached verdicts.

@@ -21,6 +21,13 @@ go vet ./...
 echo "== tests (race, shuffled) =="
 go test -race -shuffle=on ./...
 
+echo "== benchmark module tests =="
+# bench/ is a nested module (replace agnopol => ../) that ./... skips. Its
+# tests drive every workload at 1 % scale through the same public functions
+# the repository benchmark calls, so renaming or breaking one fails here
+# instead of in a benchmark run.
+(cd bench && go test ./...)
+
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
     echo "-- examples/$ex"
