@@ -100,6 +100,16 @@ func (tx *Tx) Verify() error {
 // Group is an atomic transaction group.
 type Group []*Tx
 
+// Verify checks every member's signature.
+func (g Group) Verify() error {
+	for _, tx := range g {
+		if err := tx.Verify(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Hash identifies the group.
 func (g Group) Hash() chain.Hash32 {
 	var buf []byte
@@ -126,14 +136,6 @@ type Block struct {
 	Hash      chain.Hash32
 }
 
-type pendingGroup struct {
-	group     Group
-	submitted time.Duration
-	// delayed marks a group whose propagation was pushed back by an
-	// injected tx_delay fault; inclusion counts as the recovery.
-	delayed bool
-}
-
 // Chain is the simulated Algorand network.
 type Chain struct {
 	cfg   Config
@@ -145,30 +147,19 @@ type Chain struct {
 	partsByAddr  map[chain.Address]*Participant
 	totalStake   uint64
 
-	blocks   []*Block
-	pending  []*pendingGroup
-	receipts map[chain.Hash32]*chain.Receipt
-	feeSink  chain.Address
+	blocks  []*Block
+	feeSink chain.Address
 
-	// rcptAcc / rcptCount accumulate every included receipt in round
-	// order; Digest folds them in so pruned receipts still count.
-	rcptAcc   chain.Hash32
-	rcptCount uint64
-	// retention bounds how many certified rounds (and their receipts)
-	// stay resident; <=0 keeps everything.
-	retention int
+	// The family-independent half of round building lives in package
+	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
+	// the pending pool with its admission pipeline, and the receipts with
+	// their rolling digest and retention window.
+	chain.Sharder
+	pool  *chain.Pool[Group]
+	rcpts chain.Receipts
 
 	// obs holds the chain's instrumentation; nil when uninstrumented.
 	obs *chainObs
-
-	// flt injects deterministic faults at the pending pool; nil when
-	// fault injection is off.
-	flt *faults.Injector
-
-	// shards is the execution fan-out Step may use; <=1 means serial.
-	// shardStats tallies per-shard work once SetShards configures it.
-	shards     int
-	shardStats *chain.ShardStats
 
 	// clientRng is the pre-forked stream clients draw their simulated
 	// RPC/indexer latencies from; see newChain for why it is not forked
@@ -195,9 +186,10 @@ func newChain(cfg Config, seed uint64) *Chain {
 		rng:         chain.NewRand(seed).Fork("algorand:" + cfg.Name),
 		led:         newLedger(),
 		partsByAddr: make(map[chain.Address]*Participant),
-		receipts:    make(map[chain.Hash32]*chain.Receipt),
 		feeSink:     chain.AddressFromBytes([]byte("algorand-fee-sink")),
 	}
+	// An injected tx_delay stalls propagation for up to three rounds.
+	c.pool = chain.NewPool(c.clock, "algorand.pending", 3*cfg.RoundDuration, admit)
 	// Pre-fork the client stream at a fixed point in construction:
 	// forking consumes a draw from the chain rng, and a lazy fork in
 	// NewClient would make the chain's stream position depend on whether
@@ -231,10 +223,10 @@ func newChain(cfg Config, seed uint64) *Chain {
 func (c *Chain) Config() Config { return c.cfg }
 
 // SetFaults attaches a fault injector to the pending pool.
-func (c *Chain) SetFaults(inj *faults.Injector) { c.flt = inj }
+func (c *Chain) SetFaults(inj *faults.Injector) { c.pool.SetFaults(inj) }
 
 // Faults returns the attached fault injector, nil when off.
-func (c *Chain) Faults() *faults.Injector { return c.flt }
+func (c *Chain) Faults() *faults.Injector { return c.pool.Faults() }
 
 // Now returns current simulated time.
 func (c *Chain) Now() time.Duration { return c.clock.Now() }
@@ -263,7 +255,7 @@ func (c *Chain) StateRoot() chain.Hash32 { return c.led.root() }
 // receipts) stay resident; n <= 0 keeps everything. Digest is unaffected:
 // receipts fold into a rolling accumulator at inclusion time and the
 // world state enters through the Merkle root.
-func (c *Chain) SetRetention(n int) { c.retention = n }
+func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 
 // AppAddress returns the escrow address of an application.
 func (c *Chain) AppAddress(appID uint64) chain.Address { return c.led.AppAddress(appID) }
@@ -283,58 +275,36 @@ func (c *Chain) App(appID uint64) (*App, bool) {
 }
 
 // Submit queues a signed group for the next round.
-func (c *Chain) Submit(g Group) (chain.Hash32, error) {
-	for _, tx := range g {
-		if err := tx.Verify(); err != nil {
-			return chain.Hash32{}, err
-		}
-	}
-	return c.submitVerified(g)
+func (c *Chain) Submit(g Group) (chain.Hash32, error) { return c.pool.Submit(g) }
+
+// SubmitBatch validates and queues a batch of signed groups in one call:
+// signatures verify concurrently when sharding is configured, admission
+// stays serial in slice order, so the pending pool and fault streams are
+// identical to len(gs) Submit calls. Result slot i is the hash or error
+// for gs[i].
+func (c *Chain) SubmitBatch(gs []Group) ([]chain.Hash32, []error) {
+	return c.pool.SubmitBatch(gs, c.Shards())
 }
 
-// submitVerified runs the admission checks past signature verification and
-// queues the group. SubmitBatch calls it after verifying signatures
-// concurrently; the checks and fault draws here must stay serial, in
-// submission order, so batched and one-by-one submission build the same
-// pending pool and consume the same fault streams.
-func (c *Chain) submitVerified(g Group) (chain.Hash32, error) {
+// PendingCount reports the pending-pool depth.
+func (c *Chain) PendingCount() int { return c.pool.Len() }
+
+// admit is the pending pool's admission check for a group whose signatures
+// already verified: it must be non-empty and pay the minimum fee.
+func admit(g Group) error {
 	if len(g) == 0 {
-		return chain.Hash32{}, errors.New("algorand: empty group")
+		return errors.New("algorand: empty group")
 	}
 	for _, tx := range g {
 		if tx.Fee < MinFee {
-			return chain.Hash32{}, fmt.Errorf("algorand: fee %d below min fee %d", tx.Fee, MinFee)
+			return fmt.Errorf("algorand: fee %d below min fee %d", tx.Fee, MinFee)
 		}
 	}
-	if err := c.flt.Try(faults.ClassTxDrop, "algorand.pending"); err != nil {
-		// The node accepted the RPC but the group never propagates; the
-		// submitter's retry layer recovers by resubmitting.
-		return chain.Hash32{}, err
-	}
-	p := &pendingGroup{group: g, submitted: c.clock.Now()}
-	if hit, mag := c.flt.Draw(faults.ClassTxDelay, "algorand.pending"); hit {
-		// Propagation stalls for up to three rounds; inclusion is the
-		// recovery.
-		stall := time.Duration(mag * float64(3*c.cfg.RoundDuration))
-		p.submitted += stall
-		p.delayed = true
-		if c.obs != nil {
-			c.obs.faultDelay.ObserveDuration(stall)
-		}
-	}
-	c.pending = append(c.pending, p)
-	if c.obs != nil {
-		c.obs.groupsSubmitted.Inc()
-		c.obs.pendingDepth.Set(float64(len(c.pending)))
-	}
-	return g.Hash(), nil
+	return nil
 }
 
 // Receipt returns the receipt of a processed group.
-func (c *Chain) Receipt(h chain.Hash32) (*chain.Receipt, bool) {
-	r, ok := c.receipts[h]
-	return r, ok
-}
+func (c *Chain) Receipt(h chain.Hash32) (*chain.Receipt, bool) { return c.rcpts.Get(h) }
 
 // Step runs one consensus round: sortition selects the proposer and
 // committee, the proposer assembles the block from all propagated groups
@@ -374,39 +344,40 @@ func (c *Chain) Step() *Block {
 	blk.Seed = chain.Hash32(polcrypto.Hash(prev.Seed[:], leader.Output[:]))
 
 	// Selection: every propagated group is included (capacity is never the
-	// bottleneck at our scale); execution fans out across shards when the
-	// round allows it, then the merge applies deferred effects in
-	// canonical order.
-	var remaining, sel []*pendingGroup
-	for _, p := range c.pending {
-		if p.submitted >= roundTime {
-			remaining = append(remaining, p)
-			continue
-		}
-		sel = append(sel, p)
-	}
-	c.pending = remaining
-
-	receipts, effects := c.applyRound(sel, blk)
+	// bottleneck at our scale). Execution fans out across shards when the
+	// round's conflict keys allow it (roundConflictKeys); the merge then
+	// applies the deferred effects in canonical order.
+	sel := c.pool.Take(func(p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
+	receipts := make([]*chain.Receipt, len(sel))
+	effects := make([]groupEffects, len(sel))
+	chain.RunSharded(&c.Sharder, len(sel), roundConflictKeys(sel),
+		func(i int) uint64 { return uint64(len(sel[i].Item)) },
+		ledgerView(c.led),
+		func() (ledgerView, func()) {
+			o := c.led.fork()
+			return o, func() { c.led.adopt(o) }
+		},
+		func(st ledgerView, i int) uint64 {
+			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, blk)
+			return receipts[i].GasUsed
+		})
 	for i, p := range sel {
 		rcpt := receipts[i]
-		rcpt.Submitted = p.submitted
-		c.receipts[p.group.Hash()] = rcpt
-		c.foldReceipt(p.group.Hash(), rcpt)
-		blk.Groups = append(blk.Groups, p.group.Hash())
-		// Deferred globals from the sharded executor; zero on the serial
-		// path, which applies them inline.
+		rcpt.Submitted = p.Submitted
+		// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
+		// magnitude is an unambiguous encoding.
+		c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes())
+		blk.Groups = append(blk.Groups, rcpt.TxHash)
+		// The fee-sink credit and the fee counter touch state every group
+		// shares, so the executor defers them to here.
 		c.led.credit(c.feeSink, effects[i].feeSink)
 		if c.obs != nil && effects[i].fees > 0 {
 			c.obs.fees.Add(effects[i].fees)
 		}
-		if p.delayed {
-			c.flt.Recover(faults.ClassTxDelay)
-		}
 		if c.obs != nil {
 			c.obs.groupsIncluded.Inc()
-			c.obs.inclusionLatency.Observe((blk.Time - p.submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.submitted).Seconds())
+			c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
+			c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
 			if rcpt.Reverted {
 				c.obs.groupsRejected.Inc()
 				c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
@@ -448,7 +419,7 @@ func (c *Chain) Step() *Block {
 	if c.obs != nil {
 		c.obs.roundsCertified.Inc()
 		c.obs.certVotes.Add(uint64(len(cert.Votes)))
-		c.obs.pendingDepth.Set(float64(len(c.pending)))
+		c.obs.pendingDepth.Set(float64(c.pool.Len()))
 		if c.obs.log.Enabled(obs.LevelDebug) {
 			c.obs.log.Debug("round certified", "chain", c.cfg.Name,
 				"round", blk.Round, "groups", len(blk.Groups), "votes", len(cert.Votes))
@@ -462,18 +433,7 @@ func (c *Chain) Step() *Block {
 // trie — so memory is bounded by live accounts and app state, not by how
 // long the chain has run.
 func (c *Chain) pruneRetention() {
-	if c.retention <= 0 || len(c.blocks) <= c.retention {
-		return
-	}
-	drop := len(c.blocks) - c.retention
-	for _, blk := range c.blocks[:drop] {
-		for _, h := range blk.Groups {
-			delete(c.receipts, h)
-		}
-	}
-	kept := make([]*Block, c.retention)
-	copy(kept, c.blocks[drop:])
-	c.blocks = kept
+	c.blocks = chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.Groups })
 }
 
 func hashGroups(hs []chain.Hash32) []byte {
@@ -485,38 +445,53 @@ func hashGroups(hs []chain.Hash32) []byte {
 	return sum[:]
 }
 
-// executeGroup applies one atomic group. On any failure the whole group is
-// rolled back; fees are charged regardless (the network did the work).
-func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
+// groupEffects carries a group's deferred globals out of the executor: the
+// fee-sink credit and the fee-counter increment touch state shared by
+// every group of the round, so Step applies them at merge time in
+// canonical order.
+type groupEffects struct {
+	// feeSink is the µAlgo credit owed to the fee sink (the fees actually
+	// collected — on a revert, only from senders who could still pay).
+	feeSink uint64
+	// fees is the group's total fee for the obs counter; zero when the
+	// initial fee debit failed and nothing was charged.
+	fees uint64
+}
+
+// executeGroup applies one atomic group on top of parent — the canonical
+// ledger on the serial path, a shard's overlay on the concurrent one. The
+// group runs on an overlay forked off parent: on any failure that overlay
+// is dropped, so the whole group rolls back, and the fees are charged on a
+// fresh fork (the network did the work). Creations, which only reach here
+// on the serial path, additionally hand their sequence numbers back.
+func (c *Chain) executeGroup(parent ledgerView, g Group, blk *Block) (*chain.Receipt, groupEffects) {
 	rcpt := &chain.Receipt{
 		TxHash:      g.Hash(),
 		BlockNumber: blk.Round,
 		Included:    blk.Time,
 	}
-	snap := c.led.snapshot()
+	var eff groupEffects
 
 	totalFee := uint64(0)
 	for _, tx := range g {
 		totalFee += tx.Fee
 	}
 
+	o := parent.fork()
+	appSeq, assetSeq := c.led.appSeq, c.led.assetSeq
+
 	// Fees first; insufficient fee balance fails the group outright.
 	for _, tx := range g {
-		bal := c.led.Balance(tx.Sender)
+		bal := o.Balance(tx.Sender)
 		if bal < tx.Fee {
-			c.led.restore(snap)
 			rcpt.Reverted = true
 			rcpt.RevertMsg = "insufficient balance for fee"
 			rcpt.Fee = chain.NewAmount(microToBig(0), c.cfg.Unit)
-			return rcpt
+			return rcpt, eff
 		}
-		c.led.setBalance(tx.Sender, bal-tx.Fee)
-		c.led.credit(c.feeSink, tx.Fee)
+		o.setBalance(tx.Sender, bal-tx.Fee)
 	}
-
-	if c.obs != nil {
-		c.obs.fees.Add(totalFee)
-	}
+	eff.fees = totalFee
 
 	// The group's payment (if any) feeds `gtxn 0 Amount`.
 	payAmount := uint64(0)
@@ -530,7 +505,7 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 		for _, tx := range g {
 			switch tx.Type {
 			case TxPay:
-				if err := c.led.Pay(tx.Sender, tx.Receiver, tx.Amount); err != nil {
+				if err := o.Pay(tx.Sender, tx.Receiver, tx.Amount); err != nil {
 					return err
 				}
 				payAmount = tx.Amount
@@ -539,8 +514,8 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 				if err != nil {
 					return fmt.Errorf("algorand: approval program: %w", err)
 				}
-				id := c.led.createApp(tx.Sender, tx.Source, prog, blk.Round)
-				res := avm.Execute(prog, c.led, avm.TxContext{
+				id := o.createApp(tx.Sender, tx.Source, prog, blk.Round)
+				res := avm.Execute(prog, o, avm.TxContext{
 					Sender: tx.Sender, AppID: id, CreateMode: true,
 					Args: tx.Args, PayAmount: payAmount, Fee: tx.Fee,
 					BudgetTxns: len(g), Profiler: prof,
@@ -552,26 +527,26 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 				}
 				rcpt.ReturnValue = appIDBytes(id)
 			case TxAssetCreate:
-				a := c.led.assetCreate(tx.Sender, tx.AssetName, tx.AssetUnit, tx.Amount, tx.AssetDecimals, blk.Round)
+				a := o.assetCreate(tx.Sender, tx.AssetName, tx.AssetUnit, tx.Amount, tx.AssetDecimals, blk.Round)
 				rcpt.ReturnValue = avm.Itob(a.ID)
 			case TxAssetOptIn:
-				if !c.led.assetExists(tx.AssetID) {
+				if !o.assetExists(tx.AssetID) {
 					return fmt.Errorf("%w: %d", ErrAssetNotFound, tx.AssetID)
 				}
-				if c.led.assetOptedIn(tx.Sender, tx.AssetID) {
+				if o.assetOptedIn(tx.Sender, tx.AssetID) {
 					return fmt.Errorf("%w: %s / asset %d", ErrAlreadyOptedIn, tx.Sender, tx.AssetID)
 				}
-				c.led.assetOptIn(tx.Sender, tx.AssetID)
+				o.assetOptIn(tx.Sender, tx.AssetID)
 			case TxAssetTransfer:
-				if err := c.led.assetTransfer(tx.AssetID, tx.Sender, tx.Receiver, tx.Amount); err != nil {
+				if err := o.assetTransfer(tx.AssetID, tx.Sender, tx.Receiver, tx.Amount); err != nil {
 					return err
 				}
 			case TxAppCall:
-				app := c.led.app(tx.AppID)
+				app := o.app(tx.AppID)
 				if app == nil {
 					return fmt.Errorf("algorand: no application %d", tx.AppID)
 				}
-				res := avm.Execute(app.Program, c.led, avm.TxContext{
+				res := avm.Execute(app.Program, o, avm.TxContext{
 					Sender: tx.Sender, AppID: tx.AppID,
 					Args: tx.Args, OnCompletion: tx.OnCompletion,
 					PayAmount: payAmount, Fee: tx.Fee,
@@ -591,23 +566,28 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 	}()
 
 	if err != nil {
-		// Roll back everything except the fees.
+		// Drop the group's overlay — everything except the fees rolls
+		// back — then re-charge fees where the pre-group balance allows.
+		c.led.uncreate(appSeq, assetSeq)
 		fees := make(map[chain.Address]uint64)
 		for _, tx := range g {
 			fees[tx.Sender] += tx.Fee
 		}
-		c.led.restore(snap)
+		o = parent.fork()
 		for addr, fee := range fees {
-			if bal := c.led.Balance(addr); bal >= fee {
-				c.led.setBalance(addr, bal-fee)
-				c.led.credit(c.feeSink, fee)
+			if bal := o.Balance(addr); bal >= fee {
+				o.setBalance(addr, bal-fee)
+				eff.feeSink += fee
 			}
 		}
 		rcpt.Reverted = true
 		rcpt.RevertMsg = err.Error()
+	} else {
+		eff.feeSink = totalFee
 	}
+	parent.adopt(o)
 	rcpt.Fee = chain.NewAmount(microToBig(totalFee), c.cfg.Unit)
-	return rcpt
+	return rcpt, eff
 }
 
 func errOf(res avm.Result) error {

@@ -147,7 +147,7 @@ func (cl *Client) CallApp(acct *Account, appID uint64, args [][]byte, pay, escro
 	return cl.SubmitAndWait(g)
 }
 
-// Simulate executes an application call against a snapshot without fees,
+// Simulate executes an application call against an overlay without fees,
 // rounds or state effects — how the connector evaluates Views (§4.1.2:
 // views read state at no cost).
 func (cl *Client) Simulate(appID uint64, sender chain.Address, args [][]byte) (avm.Result, error) {
@@ -155,10 +155,9 @@ func (cl *Client) Simulate(appID uint64, sender chain.Address, args [][]byte) (a
 	if app == nil {
 		return avm.Result{}, fmt.Errorf("algorand: no application %d", appID)
 	}
-	snap := cl.chain.led.snapshot()
-	res := avm.Execute(app.Program, cl.chain.led, avm.TxContext{
+	// The overlay absorbs the call's writes and is dropped.
+	res := avm.Execute(app.Program, cl.chain.led.fork(), avm.TxContext{
 		Sender: sender, AppID: appID, Args: args, BudgetTxns: 4,
 	})
-	cl.chain.led.restore(snap)
 	return res, nil
 }

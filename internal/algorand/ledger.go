@@ -2,6 +2,7 @@ package algorand
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"agnopol/internal/avm"
@@ -86,12 +87,19 @@ func encodeAppMeta(a *App) []byte {
 	return append(enc, a.Source...)
 }
 
-func decodeAppMeta(id uint64, enc []byte) *App {
+// ErrCorruptState reports a ledger leaf — loaded from an external node
+// store — that is too short for the entry its key says it holds.
+var ErrCorruptState = errors.New("algorand: corrupt ledger state")
+
+func decodeAppMeta(id uint64, enc []byte) (*App, error) {
+	if len(enc) < 29 {
+		return nil, fmt.Errorf("%w: app %d metadata is %d bytes", ErrCorruptState, id, len(enc))
+	}
 	a := &App{ID: id, Deleted: enc[0] == 1}
 	copy(a.Creator[:], enc[1:21])
 	a.CreateAt = binary.BigEndian.Uint64(enc[21:29])
 	a.Source = string(enc[29:])
-	return a
+	return a, nil
 }
 
 func encodeAssetMeta(a *Asset) []byte {
@@ -109,7 +117,10 @@ func encodeAssetMeta(a *Asset) []byte {
 	return append(enc, a.UnitName...)
 }
 
-func decodeAssetMeta(id uint64, enc []byte) *Asset {
+func decodeAssetMeta(id uint64, enc []byte) (*Asset, error) {
+	if len(enc) < 44 || uint64(binary.BigEndian.Uint32(enc[40:44])) > uint64(len(enc)-44) {
+		return nil, fmt.Errorf("%w: asset %d metadata is %d bytes", ErrCorruptState, id, len(enc))
+	}
 	a := &Asset{ID: id}
 	copy(a.Creator[:], enc[:20])
 	a.Total = binary.BigEndian.Uint64(enc[20:28])
@@ -118,7 +129,7 @@ func decodeAssetMeta(id uint64, enc []byte) *Asset {
 	nl := binary.BigEndian.Uint32(enc[40:44])
 	a.Name = string(enc[44 : 44+nl])
 	a.UnitName = string(enc[44+nl:])
-	return a
+	return a, nil
 }
 
 // stateKV is the key/value surface the accessor layer runs on — the
@@ -144,12 +155,11 @@ type ledgerKV struct {
 // materializing the metadata.
 func (v *ledgerKV) appExists(id uint64) bool {
 	enc, ok := v.kv.Get(appMetaKey(id))
-	return ok && enc[0] == 0
+	return ok && len(enc) > 0 && enc[0] == 0
 }
 
 func (v *ledgerKV) app(id uint64) *App {
-	enc, ok := v.kv.Get(appMetaKey(id))
-	if !ok || enc[0] == 1 {
+	if !v.appExists(id) {
 		return nil
 	}
 	if a, ok := v.led.progs[id]; ok {
@@ -157,12 +167,14 @@ func (v *ledgerKV) app(id uint64) *App {
 	}
 	// Cache miss: rebuild from the trie. Shard workers may run this
 	// concurrently, so parse without touching the shared cache.
-	a := decodeAppMeta(id, enc)
-	prog, err := avm.Parse(a.Source)
+	enc, _ := v.kv.Get(appMetaKey(id))
+	a, err := decodeAppMeta(id, enc)
 	if err != nil {
 		return nil
 	}
-	a.Program = prog
+	if a.Program, err = avm.Parse(a.Source); err != nil {
+		return nil
+	}
 	return a
 }
 
@@ -300,7 +312,11 @@ func (v *ledgerKV) asset(id uint64) *Asset {
 	if !ok {
 		return nil
 	}
-	return decodeAssetMeta(id, enc)
+	a, err := decodeAssetMeta(id, enc)
+	if err != nil {
+		return nil
+	}
+	return a
 }
 
 func (v *ledgerKV) assetExists(id uint64) bool {
@@ -360,9 +376,9 @@ type ledger struct {
 	ledgerKV
 	t *mstate.Trie
 	// progs caches each live app's parsed Program (the trie metadata
-	// stores only the source); assets caches ASA descriptions. Both
-	// prune on restore so a rolled-back creation never leaves a stale
-	// entry behind.
+	// stores only the source); assets caches ASA descriptions. uncreate
+	// prunes both so a rolled-back creation never leaves a stale entry
+	// behind.
 	progs  map[uint64]*App
 	assets map[uint64]*Asset
 
@@ -387,58 +403,45 @@ var _ avm.Ledger = (*ledger)(nil)
 // root is the Merkle root of the ledger state.
 func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 
-// createApp registers a new application and returns its ID.
-func (l *ledger) createApp(creator chain.Address, source string, prog *avm.Program, round uint64) uint64 {
+// createApp registers a new application and returns its ID; assetCreate
+// below mints an asset. Both advance the canonical ledger's sequence
+// counter and fill its cache even when they write through an overlay —
+// which is why groups carrying them never run concurrently (shardable) —
+// and uncreate takes both back when the group fails.
+func (v *ledgerKV) createApp(creator chain.Address, source string, prog *avm.Program, round uint64) uint64 {
+	l := v.led
 	l.appSeq++
 	a := &App{ID: l.appSeq, Creator: creator, Program: prog, Source: source, CreateAt: round}
-	l.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
+	v.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
 	l.progs[a.ID] = a
 	return a.ID
 }
 
 // assetCreate mints a new asset; the creator holds the entire supply and
 // is implicitly opted in.
-func (l *ledger) assetCreate(creator chain.Address, name, unit string, total uint64, decimals uint32, round uint64) *Asset {
+func (v *ledgerKV) assetCreate(creator chain.Address, name, unit string, total uint64, decimals uint32, round uint64) *Asset {
+	l := v.led
 	l.assetSeq++
 	a := &Asset{
 		ID: l.assetSeq, Creator: creator, Name: name, UnitName: unit,
 		Total: total, Decimals: decimals, CreateAt: round,
 	}
-	l.kv.Put(assetMetaKey(a.ID), encodeAssetMeta(a))
+	v.kv.Put(assetMetaKey(a.ID), encodeAssetMeta(a))
 	l.assets[a.ID] = a
-	l.setHolding(creator, a.ID, total)
+	v.setHolding(creator, a.ID, total)
 	return a
 }
 
-// snapshot captures the ledger in O(1) — a trie fork plus the sequence
-// counters — so a failed group can roll back atomically no matter how
-// large the world is.
-type snapshot struct {
-	t        *mstate.Trie
-	appSeq   uint64
-	assetSeq uint64
-}
-
-func (l *ledger) snapshot() snapshot {
-	return snapshot{t: l.t.Snapshot(), appSeq: l.appSeq, assetSeq: l.assetSeq}
-}
-
-func (l *ledger) restore(s snapshot) {
-	l.t = s.t
-	l.kv = l.t
-	// Drop cache entries for creations being rolled back; their trie
-	// entries vanish with the root swap, and a later re-creation of the
-	// same ID may carry different source.
-	for id := range l.progs {
-		if id > s.appSeq {
-			delete(l.progs, id)
-		}
+// uncreate rewinds the sequence counters to an earlier reading and drops
+// the cache entries of the creations in between: their trie entries went
+// with the failed group's overlay, and a later creation reusing an ID may
+// carry different source. It writes nothing when no creation happened, so
+// concurrent shard workers — whose groups never create — may call it.
+func (l *ledger) uncreate(appSeq, assetSeq uint64) {
+	for ; l.appSeq > appSeq; l.appSeq-- {
+		delete(l.progs, l.appSeq)
 	}
-	for id := range l.assets {
-		if id > s.assetSeq {
-			delete(l.assets, id)
-		}
+	for ; l.assetSeq > assetSeq; l.assetSeq-- {
+		delete(l.assets, l.assetSeq)
 	}
-	l.appSeq = s.appSeq
-	l.assetSeq = s.assetSeq
 }

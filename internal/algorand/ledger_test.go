@@ -34,44 +34,54 @@ func TestCreditZeroNoPhantom(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestorePrunesCaches pins rollback of a failed group ("snapshot"
+// is the fork, "restore" is dropping it + uncreate): a group's creations
+// write through an overlay but advance the ledger's own sequence counters
+// and caches, so dropping the overlay and calling uncreate — what
+// executeGroup does for a failed group — must leave the ledger exactly as
+// it was.
 func TestSnapshotRestorePrunesCaches(t *testing.T) {
 	l := newLedger()
 	alice := chain.AddressFromBytes([]byte("alice"))
 	l.setBalance(alice, 100)
 
-	snap := l.snapshot()
+	appSeq, assetSeq := l.appSeq, l.assetSeq
 	rootBefore := l.root()
 
 	prog, err := avm.Parse("int 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := l.createApp(alice, "int 1", prog, 1)
-	l.GlobalPut(id, "k", avm.Uint64Value(9))
-	a := l.assetCreate(alice, "GREEN", "GRN", 1000, 2, 1)
-	l.setBalance(alice, 40)
+	o := l.fork()
+	id := o.createApp(alice, "int 1", prog, 1)
+	o.GlobalPut(id, "k", avm.Uint64Value(9))
+	a := o.assetCreate(alice, "GREEN", "GRN", 1000, 2, 1)
+	o.setBalance(alice, 40)
+	if !o.appExists(id) || !o.assetExists(a.ID) || l.appSeq != appSeq+1 || l.assetSeq != assetSeq+1 {
+		t.Fatal("creations must be visible through the overlay and counted on the ledger")
+	}
 
-	l.restore(snap)
+	l.uncreate(appSeq, assetSeq)
 	if l.root() != rootBefore {
-		t.Fatal("restore must return to the snapshot root")
+		t.Fatal("a dropped fork must leave the root alone")
 	}
 	if l.Balance(alice) != 100 {
-		t.Fatal("balance not restored")
+		t.Fatal("a dropped fork's balance write reached the ledger")
 	}
 	if l.appExists(id) || l.app(id) != nil {
-		t.Fatal("rolled-back app still visible")
+		t.Fatal("app still visible after fork drop + uncreate")
 	}
 	if _, cached := l.progs[id]; cached {
-		t.Fatal("program cache kept a rolled-back app")
+		t.Fatal("uncreate left the app's program in the cache")
 	}
 	if l.assetExists(a.ID) {
-		t.Fatal("rolled-back asset still visible")
+		t.Fatal("asset still visible after fork drop + uncreate")
 	}
 	if _, cached := l.assets[a.ID]; cached {
-		t.Fatal("asset cache kept a rolled-back asset")
+		t.Fatal("uncreate left the asset in the cache")
 	}
-	if l.appSeq != snap.appSeq || l.assetSeq != snap.assetSeq {
-		t.Fatal("sequence counters not restored")
+	if l.appSeq != appSeq || l.assetSeq != assetSeq {
+		t.Fatal("uncreate did not rewind the sequence counters")
 	}
 }
 
@@ -107,18 +117,18 @@ func TestLedgerDifferentialOverlay(t *testing.T) {
 			b := addrs[rng.Intn(len(addrs))]
 			key := fmt.Sprintf("k%d", rng.Intn(4))
 			amt := uint64(rng.Intn(500))
-			ops := []func(v ledgerView){
-				func(v ledgerView) {
+			ops := []func(v avm.Ledger){
+				func(v avm.Ledger) {
 					if v.Balance(a) >= amt {
 						if err := v.Pay(a, b, amt); err != nil {
 							t.Fatal(err)
 						}
 					}
 				},
-				func(v ledgerView) { v.GlobalPut(1, key, avm.Uint64Value(amt)) },
-				func(v ledgerView) { v.GlobalDel(1, key) },
-				func(v ledgerView) { v.LocalPut(1, a, key, avm.Uint64Value(amt)) },
-				func(v ledgerView) { v.LocalDel(1, a, key) },
+				func(v avm.Ledger) { v.GlobalPut(1, key, avm.Uint64Value(amt)) },
+				func(v avm.Ledger) { v.GlobalDel(1, key) },
+				func(v avm.Ledger) { v.LocalPut(1, a, key, avm.Uint64Value(amt)) },
+				func(v avm.Ledger) { v.LocalDel(1, a, key) },
 			}
 			op := rng.Intn(len(ops))
 			// Same op through the overlay and against the canonical

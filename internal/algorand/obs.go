@@ -34,6 +34,7 @@ type chainObs struct {
 func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger) {
 	if reg == nil {
 		c.obs = nil
+		c.pool.Instrument(nil, nil, nil)
 		return
 	}
 	name := obs.L("chain", c.cfg.Name)
@@ -51,6 +52,7 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 		prof:             prof,
 		log:              log,
 	}
+	c.pool.Instrument(c.obs.groupsSubmitted, c.obs.pendingDepth, c.obs.faultDelay)
 	reg.Help("algorand_rounds_certified_total", "Consensus rounds certified.")
 	reg.Help("algorand_groups_submitted_total", "Transaction groups accepted into the pending pool.")
 	reg.Help("algorand_groups_included_total", "Transaction groups included in a certified round.")

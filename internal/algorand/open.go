@@ -62,10 +62,11 @@ type Checkpoint struct {
 // checkpoint: injector stream positions are not captured, so a resumed
 // run could not replay identically.
 func (c *Chain) Checkpoint() (*Checkpoint, error) {
-	if c.flt != nil {
+	if c.Faults() != nil {
 		return nil, errors.New("algorand: cannot checkpoint with fault injection attached")
 	}
 	head := c.Head()
+	acc, count := c.rcpts.Position()
 	ck := &Checkpoint{
 		Name:      c.cfg.Name,
 		HeadRound: head.Round,
@@ -75,14 +76,14 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		StateRoot: c.led.root(),
 		AppSeq:    c.led.appSeq,
 		AssetSeq:  c.led.assetSeq,
-		RcptAcc:   c.rcptAcc,
-		RcptCount: c.rcptCount,
+		RcptAcc:   acc,
+		RcptCount: count,
 		Clock:     c.clock.Now(),
 		Rng:       c.rng.State(),
-		Retention: c.retention,
+		Retention: c.rcpts.Retention,
 	}
-	for _, p := range c.pending {
-		ck.Pending = append(ck.Pending, PendingGroup{Group: p.group, Submitted: p.submitted, Delayed: p.delayed})
+	for _, p := range c.pool.Entries() {
+		ck.Pending = append(ck.Pending, PendingGroup{Group: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
 	}
 	return ck, nil
 }
@@ -143,30 +144,34 @@ func (c *Chain) restore(ck *Checkpoint) error {
 	c.led.assetSeq = ck.AssetSeq
 	c.led.round = ck.HeadRound
 	c.led.time = uint64(ck.HeadTime / time.Second)
-	c.rcptAcc = ck.RcptAcc
-	c.rcptCount = ck.RcptCount
+	c.rcpts.SetPosition(ck.RcptAcc, ck.RcptCount)
+	c.rcpts.Retention = ck.Retention
 	c.clock.AdvanceTo(ck.Clock)
 	c.rng.SetState(ck.Rng)
-	c.retention = ck.Retention
-	c.pending = nil
-	for i := range ck.Pending {
-		p := &ck.Pending[i]
-		c.pending = append(c.pending, &pendingGroup{group: p.Group, submitted: p.Submitted, delayed: p.Delayed})
+	pending := make([]*chain.Pending[Group], len(ck.Pending))
+	for i, p := range ck.Pending {
+		pending[i] = &chain.Pending[Group]{Item: p.Group, Submitted: p.Submitted, Delayed: p.Delayed}
 	}
+	c.pool.Restore(pending)
 	// Warm the program and asset caches so post-restart app calls do
 	// not re-parse TEAL on every execution (ledgerKV.app's fallback is
-	// correct but parses per call).
+	// correct but parses per call). The leaves come from an external
+	// store, so this is also where a malformed one is reported.
 	for id := uint64(1); id <= c.led.appSeq; id++ {
 		enc, ok := c.led.kv.Get(appMetaKey(id))
-		if !ok || enc[0] == 1 {
+		if !ok {
 			continue
 		}
-		a := decodeAppMeta(id, enc)
-		prog, err := avm.Parse(a.Source)
+		a, err := decodeAppMeta(id, enc)
 		if err != nil {
+			return err
+		}
+		if a.Deleted {
+			continue
+		}
+		if a.Program, err = avm.Parse(a.Source); err != nil {
 			return fmt.Errorf("algorand: reparse app %d from state: %w", id, err)
 		}
-		a.Program = prog
 		c.led.progs[id] = a
 	}
 	for id := uint64(1); id <= c.led.assetSeq; id++ {
@@ -174,7 +179,11 @@ func (c *Chain) restore(ck *Checkpoint) error {
 		if !ok {
 			continue
 		}
-		c.led.assets[id] = decodeAssetMeta(id, enc)
+		a, err := decodeAssetMeta(id, enc)
+		if err != nil {
+			return err
+		}
+		c.led.assets[id] = a
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package algorand
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"agnopol/internal/chain"
@@ -164,5 +165,43 @@ func TestOpenRejectsMisuse(t *testing.T) {
 	c.SetFaults(faults.NewInjector(faults.Uniform(0.1), 4, nil))
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with fault injection must be refused")
+	}
+}
+
+// TestOpenRejectsCorruptState: app and asset metadata leaves come out of an
+// external node store; one that is too short for its layout must surface
+// as ErrCorruptState from Open, not as an index-out-of-range panic while
+// the caches warm.
+func TestOpenRejectsCorruptState(t *testing.T) {
+	goodApp := encodeAppMeta(&App{ID: 1, Source: approveAll})
+	goodAsset := encodeAssetMeta(&Asset{ID: 1, Name: "GREEN", UnitName: "GRN"})
+	for _, tc := range []struct {
+		name       string
+		app, asset []byte
+	}{
+		{"empty app leaf", []byte{}, goodAsset},
+		{"truncated app leaf", goodApp[:20], goodAsset},
+		{"truncated asset leaf", goodApp, goodAsset[:30]},
+		{"asset name length past the leaf", goodApp, goodAsset[:45]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trie := mstate.New()
+			trie.Put(appMetaKey(1), tc.app)
+			trie.Put(assetMetaKey(1), tc.asset)
+			store := mstate.NewMemStore()
+			root, err := trie.Commit(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(Options{
+				Config: Testnet(), Seed: 1, Store: store, Root: root,
+				Checkpoint: &Checkpoint{
+					Name: Testnet().Name, StateRoot: chain.Hash32(root), AppSeq: 1, AssetSeq: 1,
+				},
+			})
+			if !errors.Is(err, ErrCorruptState) {
+				t.Fatalf("Open returned %v, want ErrCorruptState", err)
+			}
+		})
 	}
 }

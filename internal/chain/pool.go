@@ -1,0 +1,151 @@
+package chain
+
+import (
+	"sort"
+	"time"
+
+	"agnopol/internal/faults"
+	"agnopol/internal/obs"
+)
+
+// Item is what a family queues for inclusion: a signed transaction (eth) or
+// an atomic group (algorand).
+type Item interface {
+	// Verify checks the signatures; it must be safe to call concurrently
+	// with other items' Verify.
+	Verify() error
+	// Hash identifies the eventual receipt.
+	Hash() Hash32
+}
+
+// Pending is one queued item.
+type Pending[T Item] struct {
+	Item T
+	// Submitted is when the item becomes includable: its admission time,
+	// pushed back by any injected propagation stall.
+	Submitted time.Duration
+	// Delayed marks an item stalled by an injected tx_delay fault;
+	// inclusion counts as the recovery.
+	Delayed bool
+}
+
+// Pool is a chain's pending pool (eth's mempool, algorand's pending
+// groups): signature verification, the family's admission check, the
+// tx_drop / tx_delay fault draws and the queue itself. Admission past
+// signature verification is strictly serial in submission order, so
+// batched and one-by-one submission build the same pool and consume the
+// same fault streams.
+type Pool[T Item] struct {
+	clock *Clock
+	// site labels the pool's fault draws; maxStall is the longest injected
+	// propagation stall.
+	site     string
+	maxStall time.Duration
+	// admit is the family's admission check (fees, nonces, balances),
+	// run on a verified item before it is queued.
+	admit func(T) error
+
+	entries []*Pending[T]
+	flt     *faults.Injector
+
+	submitted *obs.Counter
+	depth     *obs.Gauge
+	stall     *obs.QuantileSketch
+}
+
+// NewPool builds an empty pool on the chain's clock.
+func NewPool[T Item](clock *Clock, site string, maxStall time.Duration, admit func(T) error) *Pool[T] {
+	return &Pool[T]{clock: clock, site: site, maxStall: maxStall, admit: admit}
+}
+
+// SetFaults attaches a fault injector; nil turns injection off.
+func (p *Pool[T]) SetFaults(inj *faults.Injector) { p.flt = inj }
+
+// Faults returns the attached fault injector, nil when off.
+func (p *Pool[T]) Faults() *faults.Injector { return p.flt }
+
+// Instrument attaches the family's admission counter, depth gauge and
+// injected-stall sketch; nil instruments are no-ops.
+func (p *Pool[T]) Instrument(submitted *obs.Counter, depth *obs.Gauge, stall *obs.QuantileSketch) {
+	p.submitted, p.depth, p.stall = submitted, depth, stall
+}
+
+// Len reports the pool depth.
+func (p *Pool[T]) Len() int { return len(p.entries) }
+
+// Entries is the queue in its current order; callers must not modify it.
+func (p *Pool[T]) Entries() []*Pending[T] { return p.entries }
+
+// Submit verifies, admits and queues one item.
+func (p *Pool[T]) Submit(item T) (Hash32, error) {
+	if err := item.Verify(); err != nil {
+		return Hash32{}, err
+	}
+	return p.queue(item)
+}
+
+// SubmitBatch is Submit for a batch: signature verification — the dominant
+// per-item cost — fans out over up to width goroutines, then admission
+// runs serially in slice order. Result slot i is the hash or error of
+// items[i].
+func (p *Pool[T]) SubmitBatch(items []T, width int) ([]Hash32, []error) {
+	hashes := make([]Hash32, len(items))
+	errs := make([]error, len(items))
+	FanOut(len(items), width, func(i int) { errs[i] = items[i].Verify() })
+	for i, item := range items {
+		if errs[i] == nil {
+			hashes[i], errs[i] = p.queue(item)
+		}
+	}
+	return hashes, errs
+}
+
+// queue runs admission past signature verification.
+func (p *Pool[T]) queue(item T) (Hash32, error) {
+	if err := p.admit(item); err != nil {
+		return Hash32{}, err
+	}
+	if err := p.flt.Try(faults.ClassTxDrop, p.site); err != nil {
+		// The node accepted the RPC but the item never propagates; the
+		// submitter's retry layer recovers by resubmitting.
+		return Hash32{}, err
+	}
+	e := &Pending[T]{Item: item, Submitted: p.clock.Now()}
+	if hit, mag := p.flt.Draw(faults.ClassTxDelay, p.site); hit {
+		stall := time.Duration(mag * float64(p.maxStall))
+		e.Submitted += stall
+		e.Delayed = true
+		p.stall.ObserveDuration(stall)
+	}
+	p.entries = append(p.entries, e)
+	p.submitted.Inc()
+	p.depth.Set(float64(len(p.entries)))
+	return item.Hash(), nil
+}
+
+// Sort stably reorders the queue.
+func (p *Pool[T]) Sort(less func(a, b *Pending[T]) bool) {
+	sort.SliceStable(p.entries, func(i, j int) bool { return less(p.entries[i], p.entries[j]) })
+}
+
+// Take removes and returns, in queue order, the entries pick accepts — the
+// ones going into the block being built, which for a delayed entry is the
+// recovery of its fault; the rest stay queued in order.
+func (p *Pool[T]) Take(pick func(*Pending[T]) bool) []*Pending[T] {
+	var sel, rest []*Pending[T]
+	for _, e := range p.entries {
+		if !pick(e) {
+			rest = append(rest, e)
+			continue
+		}
+		sel = append(sel, e)
+		if e.Delayed {
+			p.flt.Recover(faults.ClassTxDelay)
+		}
+	}
+	p.entries = rest
+	return sel
+}
+
+// Restore replaces the queue with checkpointed entries.
+func (p *Pool[T]) Restore(entries []*Pending[T]) { p.entries = entries }

@@ -7,59 +7,57 @@ package chain
 // different shards touch disjoint state, the merged block is bit-identical
 // to a serial execution in canonical order — regardless of GOMAXPROCS or
 // the shard count. Both chain simulators (internal/eth, internal/algorand)
-// build on the key/partition/assign machinery here.
+// embed a Sharder and apply their blocks through RunSharded; what a family
+// supplies is its conflict keys, a weight, and an executor over a forkable
+// state view.
 
-// ConflictKind namespaces conflict keys so that, e.g., an account key and a
+// conflictKind namespaces conflict keys so that, e.g., an account key and a
 // contract key for the same 20-byte value stay distinct resources.
-type ConflictKind uint8
+type conflictKind uint8
 
 // Conflict-key namespaces.
 const (
-	// ConflictAccount is a balance/nonce-bearing account (sender or
-	// value receiver).
-	ConflictAccount ConflictKind = iota
-	// ConflictContract is a contract's code and storage, keyed by address.
-	ConflictContract
-	// ConflictApp is an Algorand application, keyed by ID.
-	ConflictApp
-	// ConflictAsset is an Algorand standard asset, keyed by ID.
-	ConflictAsset
-	// ConflictGlobal is chain-global state (creation sequence counters);
-	// any transaction carrying it conflicts with every other one that does.
-	ConflictGlobal
+	conflictAccount conflictKind = iota
+	conflictContract
+	conflictApp
+	conflictAsset
+	conflictGlobal
 )
 
 // ConflictKey names one state resource a transaction may touch. Two
 // transactions sharing any key must execute serially in canonical order;
 // transactions sharing no key commute and may run on different shards.
 type ConflictKey struct {
-	Kind ConflictKind
-	Addr Address // set for account/contract keys
-	ID   uint64  // set for app/asset keys
+	kind conflictKind
+	addr Address // set for account/contract keys
+	id   uint64  // set for app/asset keys
 }
 
-// AccountKey is the conflict key of an account's balance and nonce.
-func AccountKey(a Address) ConflictKey { return ConflictKey{Kind: ConflictAccount, Addr: a} }
+// AccountKey is the conflict key of an account's balance and nonce (a
+// sender or a value receiver).
+func AccountKey(a Address) ConflictKey { return ConflictKey{kind: conflictAccount, addr: a} }
 
 // ContractKey is the conflict key of a contract's code and storage.
-func ContractKey(a Address) ConflictKey { return ConflictKey{Kind: ConflictContract, Addr: a} }
+func ContractKey(a Address) ConflictKey { return ConflictKey{kind: conflictContract, addr: a} }
 
 // AppKey is the conflict key of an Algorand application's state.
-func AppKey(id uint64) ConflictKey { return ConflictKey{Kind: ConflictApp, ID: id} }
+func AppKey(id uint64) ConflictKey { return ConflictKey{kind: conflictApp, id: id} }
 
 // AssetKey is the conflict key of an Algorand standard asset.
-func AssetKey(id uint64) ConflictKey { return ConflictKey{Kind: ConflictAsset, ID: id} }
+func AssetKey(id uint64) ConflictKey { return ConflictKey{kind: conflictAsset, id: id} }
 
-// GlobalKey is the conflict key of chain-global sequences.
-func GlobalKey() ConflictKey { return ConflictKey{Kind: ConflictGlobal} }
+// GlobalKey is the conflict key of chain-global state (creation sequence
+// counters): every transaction carrying it conflicts with every other one
+// that does.
+func GlobalKey() ConflictKey { return ConflictKey{kind: conflictGlobal} }
 
-// Partition groups n items (canonically ordered transactions) into conflict
+// partition groups n items (canonically ordered transactions) into conflict
 // components: the connected components of the graph whose edges join items
 // sharing a conflict key. Components are returned ordered by their smallest
 // member index, and each component lists its members in ascending index
 // order — so executing components in slice order, members in order,
 // reproduces the canonical serial order within every component.
-func Partition(n int, keysOf func(i int) []ConflictKey) [][]int {
+func partition(n int, keysOf func(i int) []ConflictKey) [][]int {
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -112,13 +110,13 @@ func Partition(n int, keysOf func(i int) []ConflictKey) [][]int {
 	return out
 }
 
-// Assign packs conflict components onto at most shards bins, balancing the
+// assign packs conflict components onto at most shards bins, balancing the
 // total weight per bin. Components are placed in descending-weight order
 // (ties broken by smaller first-member index) onto the currently lightest
 // bin (ties broken by lower bin index) — the classic LPT heuristic, made
 // deterministic by the tie-breaks. The returned slice has exactly shards
 // entries; a bin holds its components in the order assigned.
-func Assign(components [][]int, shards int, weight func(i int) uint64) [][][]int {
+func assign(components [][]int, shards int, weight func(i int) uint64) [][][]int {
 	if shards < 1 {
 		shards = 1
 	}
@@ -168,21 +166,33 @@ type ShardStats struct {
 	ParallelBatches uint64
 }
 
-// NewShardStats sizes the tallies for n shards.
-func NewShardStats(n int) *ShardStats {
+// newShardStats sizes the tallies for n shards.
+func newShardStats(n int) *ShardStats {
 	if n < 1 {
 		n = 1
 	}
 	return &ShardStats{Txs: make([]uint64, n), Gas: make([]uint64, n)}
 }
 
-// Record adds one shard's tallies for a block.
-func (s *ShardStats) Record(shard int, txs, gas uint64) {
+// record adds one shard's tallies for a block.
+func (s *ShardStats) record(shard int, txs, gas uint64) {
 	if s == nil || shard < 0 || shard >= len(s.Txs) {
 		return
 	}
 	s.Txs[shard] += txs
 	s.Gas[shard] += gas
+}
+
+// Clone copies the tallies; a nil receiver clones to nil.
+func (s *ShardStats) Clone() *ShardStats {
+	if s == nil {
+		return nil
+	}
+	return &ShardStats{
+		Txs:             append([]uint64(nil), s.Txs...),
+		Gas:             append([]uint64(nil), s.Gas...),
+		ParallelBatches: s.ParallelBatches,
+	}
 }
 
 // Utilization returns each shard's share of the total executed
@@ -200,4 +210,77 @@ func (s *ShardStats) Utilization() []float64 {
 		out[i] = float64(t) / float64(total)
 	}
 	return out
+}
+
+// Sharder is a chain's execution fan-out setting plus the tallies of what
+// each shard ran. Chains embed it, which gives them SetShards, Shards and
+// ShardStats; the zero value is the serial configuration.
+type Sharder struct {
+	shards int
+	stats  *ShardStats
+}
+
+// SetShards configures how many execution shards a block may fan out to;
+// n <= 1 keeps the serial path. The setting changes scheduling only —
+// block contents are identical at every value.
+func (s *Sharder) SetShards(n int) {
+	s.shards = max(n, 1)
+	s.stats = newShardStats(s.shards)
+}
+
+// Shards returns the configured shard count.
+func (s *Sharder) Shards() int { return max(s.shards, 1) }
+
+// ShardStats returns a copy of the per-shard execution tallies accumulated
+// since SetShards, or nil when sharding was never configured.
+func (s *Sharder) ShardStats() *ShardStats { return s.stats.Clone() }
+
+// RunSharded applies one block's n selected items. exec(st, i) executes
+// item i against the state view st and returns the gas it used; it must
+// write only to st and to slot i of slices sized before the call. With
+// more than one shard configured and more than one conflict component
+// among the items, components are packed onto shards, every shard gets a
+// fork() of the state — a private view plus the function that merges it
+// back — shards run concurrently (each its components in canonical order)
+// and the forks are merged one by one; otherwise every item runs in order
+// against canon. Either way the Sharder's tallies record what ran where.
+func RunSharded[S any](sh *Sharder, n int, keysOf func(i int) []ConflictKey, weightOf func(i int) uint64,
+	canon S, fork func() (st S, merge func()), exec func(st S, i int) uint64) {
+	if n == 0 {
+		return
+	}
+	var bins [][][]int
+	if sh.shards > 1 && n > 1 {
+		if comps := partition(n, keysOf); len(comps) > 1 {
+			bins = assign(comps, min(sh.shards, len(comps)), weightOf)
+		}
+	}
+	if bins == nil {
+		var gas uint64
+		for i := 0; i < n; i++ {
+			gas += exec(canon, i)
+		}
+		sh.stats.record(0, uint64(n), gas)
+		return
+	}
+	forks := make([]S, len(bins))
+	merges := make([]func(), len(bins))
+	for si := range forks {
+		forks[si], merges[si] = fork()
+	}
+	txs := make([]uint64, len(bins))
+	gas := make([]uint64, len(bins))
+	FanOut(len(bins), len(bins), func(si int) {
+		for _, comp := range bins[si] {
+			for _, i := range comp {
+				gas[si] += exec(forks[si], i)
+				txs[si]++
+			}
+		}
+	})
+	for si, merge := range merges {
+		merge()
+		sh.stats.record(si, txs[si], gas[si])
+	}
+	sh.stats.ParallelBatches++
 }

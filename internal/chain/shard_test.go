@@ -98,7 +98,7 @@ func TestPartitionTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Partition(len(tc.keys), func(i int) []ConflictKey { return tc.keys[i] })
+			got := partition(len(tc.keys), func(i int) []ConflictKey { return tc.keys[i] })
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("Partition = %v, want %v", got, tc.want)
 			}
@@ -107,8 +107,8 @@ func TestPartitionTable(t *testing.T) {
 }
 
 func TestPartitionEmpty(t *testing.T) {
-	if got := Partition(0, func(int) []ConflictKey { return nil }); len(got) != 0 {
-		t.Fatalf("Partition(0) = %v, want empty", got)
+	if got := partition(0, func(int) []ConflictKey { return nil }); len(got) != 0 {
+		t.Fatalf("partition(0) = %v, want empty", got)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestAssignBalancesAndIsDeterministic(t *testing.T) {
 	weights := []uint64{100, 90, 10, 10, 10, 10}
 	w := func(i int) uint64 { return weights[i] }
 
-	bins := Assign(comps, 2, w)
+	bins := assign(comps, 2, w)
 	if len(bins) != 2 {
 		t.Fatalf("got %d bins, want 2", len(bins))
 	}
@@ -135,7 +135,7 @@ func TestAssignBalancesAndIsDeterministic(t *testing.T) {
 		t.Fatalf("loads = %d/%d, want 120/110", load(bins[0]), load(bins[1]))
 	}
 	for i := 0; i < 10; i++ {
-		again := Assign(comps, 2, w)
+		again := assign(comps, 2, w)
 		if !reflect.DeepEqual(bins, again) {
 			t.Fatalf("Assign not deterministic: %v vs %v", bins, again)
 		}
@@ -144,7 +144,7 @@ func TestAssignBalancesAndIsDeterministic(t *testing.T) {
 
 func TestAssignFewerComponentsThanShards(t *testing.T) {
 	comps := [][]int{{0, 1}}
-	bins := Assign(comps, 4, func(int) uint64 { return 1 })
+	bins := assign(comps, 4, func(int) uint64 { return 1 })
 	if len(bins) != 4 {
 		t.Fatalf("got %d bins, want 4", len(bins))
 	}
@@ -160,19 +160,19 @@ func TestAssignFewerComponentsThanShards(t *testing.T) {
 }
 
 func TestShardStatsUtilization(t *testing.T) {
-	s := NewShardStats(4)
-	s.Record(0, 30, 300)
-	s.Record(1, 10, 100)
-	s.Record(1, 0, 0)
+	s := newShardStats(4)
+	s.record(0, 30, 300)
+	s.record(1, 10, 100)
+	s.record(1, 0, 0)
 	u := s.Utilization()
 	if u[0] != 0.75 || u[1] != 0.25 || u[2] != 0 || u[3] != 0 {
 		t.Fatalf("utilization = %v", u)
 	}
 	// Out-of-range and nil receivers are no-ops, not panics.
-	s.Record(9, 1, 1)
+	s.record(9, 1, 1)
 	var nilStats *ShardStats
-	nilStats.Record(0, 1, 1)
-	empty := NewShardStats(2).Utilization()
+	nilStats.record(0, 1, 1)
+	empty := newShardStats(2).Utilization()
 	if empty[0] != 0 || empty[1] != 0 {
 		t.Fatalf("empty utilization = %v", empty)
 	}

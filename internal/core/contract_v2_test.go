@@ -83,19 +83,19 @@ func TestPoLV2LifecycleBothChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := conn.CallWithEscrowFunding(creator, h, "insert_data", 0,
+			if _, _, err := conn.Invoke(creator, h, "insert_data", CallOpts{EscrowFund: true},
 				lang.BytesValue([]byte("proof-data")), lang.Uint64Value(111)); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 
 			// Funding then verify_with_witness: both parties get paid.
-			if _, _, err := conn.Call(verifier, h, "insert_money",
-				2*(proverReward+witnessReward), lang.Uint64Value(2*(proverReward+witnessReward))); err != nil {
+			if _, _, err := conn.Invoke(verifier, h, "insert_money",
+				CallOpts{Pay: 2 * (proverReward + witnessReward)}, lang.Uint64Value(2*(proverReward+witnessReward))); err != nil {
 				t.Fatal(err)
 			}
 			creatorBefore := conn.Balance(creator).Base.Uint64()
 			witnessBefore := conn.Balance(witness).Base.Uint64()
-			v, _, err := conn.Call(verifier, h, "verify_with_witness", 0,
+			v, _, err := conn.Invoke(verifier, h, "verify_with_witness", CallOpts{},
 				lang.Uint64Value(111),
 				lang.AddressValue(creator.Address()),
 				lang.AddressValue(witness.Address()))
@@ -113,13 +113,13 @@ func TestPoLV2LifecycleBothChains(t *testing.T) {
 			}
 
 			// Premature timeout close is rejected.
-			if _, _, err := conn.Call(stranger, h, "close_timeout", 0); err == nil {
+			if _, _, err := conn.Invoke(stranger, h, "close_timeout", CallOpts{}); err == nil {
 				t.Fatal("close_timeout before deadline accepted")
 			}
 
 			// After the deadline: inserts rejected, anyone can close.
 			advance(t, conn, time.Duration(deadline)*time.Second+time.Minute)
-			if _, _, err := conn.Call(stranger, h, "insert_data", 0,
+			if _, _, err := conn.Invoke(stranger, h, "insert_data", CallOpts{},
 				lang.BytesValue([]byte("late")), lang.Uint64Value(999)); err == nil {
 				t.Fatal("insert after deadline accepted")
 			}
@@ -128,7 +128,7 @@ func TestPoLV2LifecycleBothChains(t *testing.T) {
 			if remaining == 0 {
 				t.Fatal("expected leftover funds before timeout close")
 			}
-			if _, _, err := conn.Call(stranger, h, "close_timeout", 0); err != nil {
+			if _, _, err := conn.Invoke(stranger, h, "close_timeout", CallOpts{}); err != nil {
 				t.Fatalf("close_timeout after deadline: %v", err)
 			}
 			if got := conn.Balance(creator).Base.Uint64() - creatorBefore; got != remaining {
@@ -160,16 +160,16 @@ func TestPoLV2UnfundedWitnessVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conn.CallWithEscrowFunding(creator, h, "insert_data", 0,
+	if _, _, err := conn.Invoke(creator, h, "insert_data", CallOpts{EscrowFund: true},
 		lang.BytesValue([]byte("d")), lang.Uint64Value(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Fund only the prover's share: the pool does not cover both rewards,
 	// so the call takes the issue branch and pays nobody.
-	if _, _, err := conn.Call(creator, h, "insert_money", 1000, lang.Uint64Value(1000)); err != nil {
+	if _, _, err := conn.Invoke(creator, h, "insert_money", CallOpts{Pay: 1000}, lang.Uint64Value(1000)); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := conn.Call(creator, h, "verify_with_witness", 0,
+	v, _, err := conn.Invoke(creator, h, "verify_with_witness", CallOpts{},
 		lang.Uint64Value(1), lang.AddressValue(creator.Address()), lang.AddressValue(creator.Address()))
 	if err != nil {
 		t.Fatal(err)

@@ -140,20 +140,3 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedCallMatchesInvoke keeps the old entry points honest: Call
-// must be exactly Invoke with CallOpts{Pay}.
-func TestDeprecatedCallMatchesInvoke(t *testing.T) {
-	_, conn, acct, h := newPingWorld(t, 6)
-	vOld, _, err := conn.Call(acct, h, "ping", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vNew, _, err := conn.Invoke(acct, h, "ping", CallOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vOld.Uint != 1 || vNew.Uint != 2 {
-		t.Fatalf("counter sequence %d,%d — want 1,2", vOld.Uint, vNew.Uint)
-	}
-}

@@ -101,14 +101,6 @@ type Validator struct {
 	Stake   uint64
 }
 
-type pendingTx struct {
-	tx        *Tx
-	submitted time.Duration
-	// delayed marks a transaction whose propagation was pushed back by an
-	// injected tx_delay fault; inclusion counts as the recovery.
-	delayed bool
-}
-
 // Chain is one simulated Ethereum-family network.
 type Chain struct {
 	cfg        Config
@@ -116,8 +108,6 @@ type Chain struct {
 	rng        *chain.Rand
 	st         *state
 	blocks     []*Block
-	mempool    []*pendingTx
-	receipts   map[chain.Hash32]*chain.Receipt
 	validators []*Validator
 	baseFee    *big.Int
 
@@ -131,31 +121,19 @@ type Chain struct {
 	// the recovery.
 	faultSpike bool
 
-	// flt injects deterministic faults at the mempool and demand model;
-	// nil when fault injection is off.
-	flt *faults.Injector
-
 	// history is the explorer's transaction log (Fig. 3.1).
 	history []TxRecord
 
 	burned *big.Int
 	tipped *big.Int
 
-	// rcptAcc is the rolling hash of every receipt ever included, folded
-	// in canonical block order (foldReceipt); rcptCount is how many.
-	// Together with the state root they let Digest stay O(1) and let
-	// retention pruning drop old receipts without changing the digest.
-	rcptAcc   chain.Hash32
-	rcptCount uint64
-
-	// retention caps how many recent blocks keep their receipts and
-	// explorer rows; <= 0 retains everything.
-	retention int
-
-	// shards is the execution fan-out Step may use; <=1 means serial.
-	// shardStats tallies per-shard work once SetShards configures it.
-	shards     int
-	shardStats *chain.ShardStats
+	// The family-independent half of block building lives in package
+	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
+	// the mempool with its admission pipeline, and the receipts with their
+	// rolling digest and retention window.
+	chain.Sharder
+	pool  *chain.Pool[*Tx]
+	rcpts chain.Receipts
 
 	// clientRng is the pre-forked stream clients draw their simulated
 	// RPC/API latencies from; see newChain for why it is not forked
@@ -180,15 +158,16 @@ func NewChain(cfg Config, seed uint64) *Chain {
 
 func newChain(cfg Config, seed uint64) *Chain {
 	c := &Chain{
-		cfg:      cfg,
-		clock:    chain.NewClock(),
-		rng:      chain.NewRand(seed).Fork("eth:" + cfg.Name),
-		st:       newState(),
-		receipts: make(map[chain.Hash32]*chain.Receipt),
-		baseFee:  new(big.Int).Set(cfg.InitialBaseFee),
-		burned:   new(big.Int),
-		tipped:   new(big.Int),
+		cfg:     cfg,
+		clock:   chain.NewClock(),
+		rng:     chain.NewRand(seed).Fork("eth:" + cfg.Name),
+		st:      newState(),
+		baseFee: new(big.Int).Set(cfg.InitialBaseFee),
+		burned:  new(big.Int),
+		tipped:  new(big.Int),
 	}
+	// An injected tx_delay stalls propagation for up to three slots.
+	c.pool = chain.NewPool(c.clock, "eth.mempool", 3*cfg.SlotDuration, c.admit)
 	// The client stream is forked here, at a fixed point in construction,
 	// rather than lazily in NewClient: forking consumes a draw from the
 	// chain rng, and a lazy fork would make the chain's stream position
@@ -215,10 +194,10 @@ func newChain(cfg Config, seed uint64) *Chain {
 func (c *Chain) Config() Config { return c.cfg }
 
 // SetFaults attaches a fault injector to the mempool and demand model.
-func (c *Chain) SetFaults(inj *faults.Injector) { c.flt = inj }
+func (c *Chain) SetFaults(inj *faults.Injector) { c.pool.SetFaults(inj) }
 
 // Faults returns the attached fault injector, nil when off.
-func (c *Chain) Faults() *faults.Injector { return c.flt }
+func (c *Chain) Faults() *faults.Injector { return c.pool.Faults() }
 
 // Now returns the current simulated time.
 func (c *Chain) Now() time.Duration { return c.clock.Now() }
@@ -271,7 +250,7 @@ func (c *Chain) StateRoot() chain.Hash32 { return c.st.Root() }
 // Long soaks set a small window so memory is bounded by live state, not
 // by rounds: the digest is unaffected because receipts fold into the
 // rolling accumulator at inclusion time.
-func (c *Chain) SetRetention(n int) { c.retention = n }
+func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 
 // Submit errors.
 var (
@@ -284,68 +263,51 @@ var (
 
 // Submit validates a signed transaction and queues it. The returned hash
 // identifies the eventual receipt.
-func (c *Chain) Submit(tx *Tx) (chain.Hash32, error) {
-	if err := tx.Verify(); err != nil {
-		return chain.Hash32{}, err
-	}
-	return c.submitVerified(tx)
+func (c *Chain) Submit(tx *Tx) (chain.Hash32, error) { return c.pool.Submit(tx) }
+
+// SubmitBatch validates and queues a batch of signed transactions in one
+// call: signatures verify concurrently when sharding is configured,
+// admission stays serial in slice order, so the mempool and fault streams
+// are identical to len(txs) Submit calls. Result slot i is the hash or
+// error for txs[i].
+func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
+	return c.pool.SubmitBatch(txs, c.Shards())
 }
 
-// submitVerified runs the admission checks past signature verification and
-// queues the transaction. SubmitBatch calls it after verifying signatures
-// concurrently; the checks and fault draws here must stay serial, in
-// submission order, so batched and one-by-one submission build the same
-// mempool and consume the same fault streams.
-func (c *Chain) submitVerified(tx *Tx) (chain.Hash32, error) {
+// PendingCount reports the mempool depth.
+func (c *Chain) PendingCount() int { return c.pool.Len() }
+
+// admit is the mempool's admission check for a transaction whose signature
+// already verified: gas bounds, fee floor, nonce and balance.
+func (c *Chain) admit(tx *Tx) error {
 	if tx.GasLimit > c.cfg.BlockGasLimit {
-		return chain.Hash32{}, ErrGasAboveBlockCap
+		return ErrGasAboveBlockCap
 	}
 	intrinsic := evm.IntrinsicGas(tx.Data, tx.To == nil)
 	if tx.GasLimit < intrinsic {
-		return chain.Hash32{}, fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasLimitTooLow, tx.GasLimit, intrinsic)
+		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasLimitTooLow, tx.GasLimit, intrinsic)
 	}
 	if tx.MaxFee.Cmp(c.cfg.MinBaseFee) < 0 {
-		return chain.Hash32{}, ErrUnderpriced
+		return ErrUnderpriced
 	}
 	if n := c.st.Nonce(tx.From); tx.Nonce < n {
-		return chain.Hash32{}, fmt.Errorf("%w: %d < %d", ErrNonceTooLow, tx.Nonce, n)
+		return fmt.Errorf("%w: %d < %d", ErrNonceTooLow, tx.Nonce, n)
 	}
 	upfront := new(big.Int).Mul(tx.MaxFee, new(big.Int).SetUint64(tx.GasLimit))
 	upfront.Add(upfront, tx.Value)
 	if c.st.GetBalance(tx.From).Cmp(upfront) < 0 {
-		return chain.Hash32{}, ErrInsufficientEth
+		return ErrInsufficientEth
 	}
-	if err := c.flt.Try(faults.ClassTxDrop, "eth.mempool"); err != nil {
-		// The node accepted the RPC but the transaction never propagates;
-		// the submitter's retry layer recovers by resubmitting.
-		return chain.Hash32{}, err
-	}
-	p := &pendingTx{tx: tx, submitted: c.clock.Now()}
-	if hit, mag := c.flt.Draw(faults.ClassTxDelay, "eth.mempool"); hit {
-		// Propagation stalls for up to three slots before the transaction
-		// becomes includable; inclusion is the recovery.
-		stall := time.Duration(mag * float64(3*c.cfg.SlotDuration))
-		p.submitted += stall
-		p.delayed = true
-		if c.obs != nil {
-			c.obs.faultDelay.ObserveDuration(stall)
-		}
-	}
-	c.mempool = append(c.mempool, p)
-	if c.obs != nil {
-		c.obs.txsSubmitted.Inc()
-		c.obs.mempoolDepth.Set(float64(len(c.mempool)))
-	}
-	return tx.Hash(), nil
+	return nil
 }
 
 // PendingNonce is the next usable nonce for an account: the state nonce,
 // advanced past any transactions already queued in the mempool.
 func (c *Chain) PendingNonce(addr chain.Address) uint64 {
 	n := c.st.Nonce(addr)
-	for _, p := range c.mempool {
-		if p.tx.From == addr && p.tx.Nonce >= n {
-			n = p.tx.Nonce + 1
+	for _, p := range c.pool.Entries() {
+		if p.Item.From == addr && p.Item.Nonce >= n {
+			n = p.Item.Nonce + 1
 		}
 	}
 	return n
@@ -353,8 +315,7 @@ func (c *Chain) PendingNonce(addr chain.Address) uint64 {
 
 // Receipt returns the receipt for a transaction hash once included.
 func (c *Chain) Receipt(h chain.Hash32) (*chain.Receipt, bool) {
-	r, ok := c.receipts[h]
-	return r, ok
+	return c.rcpts.Get(h)
 }
 
 // nextSlotTime is the production time of the next block.
@@ -383,13 +344,11 @@ func (c *Chain) Step() *Block {
 
 	// Highest tips first; FIFO within equal tips; nonces must be in order
 	// per sender.
-	sort.SliceStable(c.mempool, func(i, j int) bool {
-		ti := effectiveTip(c.mempool[i].tx, c.baseFee)
-		tj := effectiveTip(c.mempool[j].tx, c.baseFee)
-		if cmp := ti.Cmp(tj); cmp != 0 {
+	c.pool.Sort(func(a, b *chain.Pending[*Tx]) bool {
+		if cmp := effectiveTip(a.Item, c.baseFee).Cmp(effectiveTip(b.Item, c.baseFee)); cmp != 0 {
 			return cmp > 0
 		}
-		return c.mempool[i].submitted < c.mempool[j].submitted
+		return a.Submitted < b.Submitted
 	})
 	// Selection pass: decide the block's transaction set before executing
 	// anything. Capacity is reserved by gas limit, not actual usage, so
@@ -401,8 +360,6 @@ func (c *Chain) Step() *Block {
 	// transactions than the balance covers — is deferred instead of being
 	// executed into an overdraft.
 	var (
-		sel       []*pendingTx
-		remaining []*pendingTx
 		reserved  uint64
 		selNonces map[chain.Address]uint64
 		selSpend  map[chain.Address]*big.Int
@@ -421,12 +378,13 @@ func (c *Chain) Step() *Block {
 		}
 		return upfront, upfront.Cmp(c.st.GetBalance(tx.From)) <= 0
 	}
-	for _, p := range c.mempool {
-		tx := p.tx
+	sel := c.pool.Take(func(p *chain.Pending[*Tx]) bool {
+		tx := p.Item
 		spend, affordable := covered(tx)
 		switch {
-		case p.submitted >= blockTime:
+		case p.Submitted >= blockTime:
 			// Not yet propagated when the block was built.
+			return false
 		case tx.MaxFee.Cmp(c.baseFee) < 0:
 			// Base fee above the cap: wait for it to drop.
 		case tx.Nonce != nextNonce(tx.From):
@@ -445,30 +403,40 @@ func (c *Chain) Step() *Block {
 				selNonces[tx.From] = tx.Nonce + 1
 				selSpend[tx.From] = spend
 				reserved += tx.GasLimit
-				sel = append(sel, p)
-				continue
+				return true
 			}
 		}
-		if c.obs != nil && p.submitted < blockTime {
+		if c.obs != nil {
 			// Propagated but priced out (or nonce-gapped) this block.
 			c.obs.txsDeferred.Inc()
 		}
-		remaining = append(remaining, p)
-	}
-	c.mempool = remaining
+		return false
+	})
 
-	// Execution (serial or sharded — applyBatch decides), then the
+	// Execution (serial or sharded — chain.RunSharded decides), then the
 	// serialized merge in canonical order: receipts, proposer tip, burn
 	// tally and explorer rows are applied exactly as the serial path would.
-	receipts, effects := c.applyBatch(sel, blk)
+	receipts := make([]*chain.Receipt, len(sel))
+	effects := make([]txEffects, len(sel))
+	chain.RunSharded(&c.Sharder, len(sel),
+		func(i int) []chain.ConflictKey { return sel[i].Item.ConflictKeys() },
+		func(i int) uint64 { return sel[i].Item.GasLimit },
+		execState(c.st),
+		func() (execState, func()) {
+			ss := newShardState(c.st)
+			return ss, ss.commit
+		},
+		func(st execState, i int) uint64 {
+			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, blk)
+			return receipts[i].GasUsed
+		})
 	userGas := uint64(0)
 	for i, p := range sel {
-		tx := p.tx
+		tx := p.Item
 		rcpt := receipts[i]
-		rcpt.Submitted = p.submitted
-		c.receipts[tx.Hash()] = rcpt
-		c.foldReceipt(tx.Hash(), rcpt)
-		blk.TxHashes = append(blk.TxHashes, tx.Hash())
+		rcpt.Submitted = p.Submitted
+		c.rcpts.Include(rcpt, encodeBalance(rcpt.Fee.Base))
+		blk.TxHashes = append(blk.TxHashes, rcpt.TxHash)
 		userGas += rcpt.GasUsed
 		eff := effects[i]
 		c.st.AddBalance(blk.Proposer, eff.tip)
@@ -477,13 +445,10 @@ func (c *Chain) Step() *Block {
 		if eff.record {
 			c.recordTx(tx, rcpt, eff.target, eff.isCreate)
 		}
-		if p.delayed {
-			c.flt.Recover(faults.ClassTxDelay)
-		}
 		if c.obs != nil {
 			c.obs.txsIncluded.Inc()
-			c.obs.inclusionLatency.Observe((blk.Time - p.submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.submitted).Seconds())
+			c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
+			c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
 		}
 	}
 
@@ -505,7 +470,7 @@ func (c *Chain) Step() *Block {
 		c.obs.blockGasUsed.Add(blk.GasUsed)
 		bf, _ := new(big.Float).SetInt(c.baseFee).Float64()
 		c.obs.baseFee.Set(bf)
-		c.obs.mempoolDepth.Set(float64(len(c.mempool)))
+		c.obs.mempoolDepth.Set(float64(c.pool.Len()))
 		if c.obs.log.Enabled(obs.LevelDebug) {
 			c.obs.log.Debug("block produced", "chain", c.cfg.Name,
 				"number", blk.Number, "txs", len(blk.TxHashes),
@@ -547,7 +512,7 @@ func (c *Chain) backgroundDemand() float64 {
 	}
 	d := mean * math.Exp(c.cfg.CongestionSigma*c.rng.NormFloat64()-c.cfg.CongestionSigma*c.cfg.CongestionSigma/2)
 	if c.spikeBlocksLeft == 0 {
-		if hit, mag := c.flt.Draw(faults.ClassCongestion, "eth.demand"); hit {
+		if hit, mag := c.Faults().Draw(faults.ClassCongestion, "eth.demand"); hit {
 			// Injected storm: blocks fill for one to five blocks; the
 			// episode's end is the recovery.
 			c.spikeBlocksLeft = 1 + int(mag*4)
@@ -561,7 +526,7 @@ func (c *Chain) backgroundDemand() float64 {
 		c.spikeBlocksLeft--
 		if c.spikeBlocksLeft == 0 && c.faultSpike {
 			c.faultSpike = false
-			c.flt.Recover(faults.ClassCongestion)
+			c.Faults().Recover(faults.ClassCongestion)
 		}
 		return d * c.cfg.SpikeFactor
 	}
@@ -687,18 +652,12 @@ func blockHash(b *Block) chain.Hash32 {
 // than the retention window. Everything digest-relevant already lives in
 // the rolling accumulators, so pruning never changes Digest.
 func (c *Chain) pruneRetention() {
-	if c.retention <= 0 || len(c.blocks) <= c.retention {
+	kept := chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.TxHashes })
+	if len(kept) == len(c.blocks) {
 		return
 	}
-	for _, old := range c.blocks[:len(c.blocks)-c.retention] {
-		for _, h := range old.TxHashes {
-			delete(c.receipts, h)
-		}
-	}
-	kept := make([]*Block, c.retention)
-	copy(kept, c.blocks[len(c.blocks)-c.retention:])
 	c.blocks = kept
-	cutoff := c.Head().Number + 1 - uint64(c.retention)
+	cutoff := kept[0].Number
 	first := sort.Search(len(c.history), func(i int) bool {
 		return c.history[i].Block >= cutoff
 	})

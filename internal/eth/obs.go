@@ -37,6 +37,7 @@ type chainObs struct {
 func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger) {
 	if reg == nil {
 		c.obs = nil
+		c.pool.Instrument(nil, nil, nil)
 		return
 	}
 	name := obs.L("chain", c.cfg.Name)
@@ -55,6 +56,7 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 		prof:             prof,
 		log:              log,
 	}
+	c.pool.Instrument(c.obs.txsSubmitted, c.obs.mempoolDepth, c.obs.faultDelay)
 	reg.Help("eth_blocks_produced_total", "Blocks produced by the simulated EVM chain.")
 	reg.Help("eth_txs_submitted_total", "Transactions accepted into the mempool.")
 	reg.Help("eth_txs_included_total", "Transactions included in a block.")

@@ -70,10 +70,11 @@ type Checkpoint struct {
 // refuse to checkpoint: injector stream positions are not captured, so
 // a resumed run could not replay identically.
 func (c *Chain) Checkpoint() (*Checkpoint, error) {
-	if c.flt != nil {
+	if c.Faults() != nil {
 		return nil, errors.New("eth: cannot checkpoint with fault injection attached")
 	}
 	head := c.Head()
+	acc, count := c.rcpts.Position()
 	ck := &Checkpoint{
 		Name:            c.cfg.Name,
 		HeadNumber:      head.Number,
@@ -87,14 +88,14 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Justified:       c.justified,
 		Finalized:       c.finalized,
 		SpikeBlocksLeft: c.spikeBlocksLeft,
-		RcptAcc:         c.rcptAcc,
-		RcptCount:       c.rcptCount,
+		RcptAcc:         acc,
+		RcptCount:       count,
 		Clock:           c.clock.Now(),
 		Rng:             c.rng.State(),
-		Retention:       c.retention,
+		Retention:       c.rcpts.Retention,
 	}
-	for _, p := range c.mempool {
-		ck.Mempool = append(ck.Mempool, PendingTx{Tx: p.tx, Submitted: p.submitted, Delayed: p.delayed})
+	for _, p := range c.pool.Entries() {
+		ck.Mempool = append(ck.Mempool, PendingTx{Tx: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
 	}
 	return ck, nil
 }
@@ -155,16 +156,15 @@ func (c *Chain) restore(ck *Checkpoint) error {
 	c.justified = ck.Justified
 	c.finalized = ck.Finalized
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
-	c.rcptAcc = ck.RcptAcc
-	c.rcptCount = ck.RcptCount
+	c.rcpts.SetPosition(ck.RcptAcc, ck.RcptCount)
+	c.rcpts.Retention = ck.Retention
 	c.clock.AdvanceTo(ck.Clock)
 	c.rng.SetState(ck.Rng)
-	c.retention = ck.Retention
-	c.mempool = nil
-	for i := range ck.Mempool {
-		p := &ck.Mempool[i]
-		c.mempool = append(c.mempool, &pendingTx{tx: p.Tx, submitted: p.Submitted, delayed: p.Delayed})
+	mempool := make([]*chain.Pending[*Tx], len(ck.Mempool))
+	for i, p := range ck.Mempool {
+		mempool[i] = &chain.Pending[*Tx]{Item: p.Tx, Submitted: p.Submitted, Delayed: p.Delayed}
 	}
+	c.pool.Restore(mempool)
 	return nil
 }
 

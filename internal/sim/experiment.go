@@ -95,9 +95,8 @@ func rewardFor(c core.Connector) uint64 {
 	return 1e15 // 0.001 ETH / MATIC
 }
 
-// Spec describes one experiment for Execute, the single entry point the
-// historical Run* family now wraps. The zero value of every optional field
-// selects the historical behaviour: no observability, no verification
+// Spec describes one experiment for Execute. The zero value of every
+// optional field selects the plain run: no observability, no verification
 // phase, no fault injection.
 type Spec struct {
 	// Chain selects the network preset (see AllChains).
@@ -118,32 +117,16 @@ type Spec struct {
 	Faults *faults.Plan
 }
 
-// Run executes the thesis experiment: users provers in groups of
-// UsersPerContract per location, arriving sequentially. Every group's first
-// prover deploys the area contract, the rest attach. The verification phase
-// is excluded from the measurements, matching §5.1 ("we decided to measure
+// Execute runs the thesis experiment described by spec: spec.Users provers
+// in groups of UsersPerContract per location, arriving sequentially. Every
+// group's first prover deploys the area contract, the rest attach. With an
+// observability bundle the connector's chain and the core system are
+// instrumented, and every user interaction runs under a sim.user span
+// inside a sim.experiment span. The verification phase runs — and
+// VerifySummary, VerifyFees and Accepted are set — only with spec.Verify:
+// the paper's own measurements exclude it (§5.1: "we decided to measure
 // only the deploy and attach phases … the verify operation is similar to
 // the attachment").
-func Run(name ChainName, users int, seed uint64) (*Result, error) {
-	return RunObserved(name, users, seed, nil)
-}
-
-// RunObserved is Run with an observability bundle attached: the
-// connector's chain and the core system are instrumented, and every user
-// interaction runs under a sim.user span inside a sim.experiment span.
-// A nil bundle reproduces Run exactly.
-func RunObserved(name ChainName, users int, seed uint64, o *obs.Obs) (*Result, error) {
-	vr, err := Execute(Spec{Chain: name, Users: users, Seed: seed, Obs: o})
-	if err != nil {
-		return nil, err
-	}
-	return vr.Result, nil
-}
-
-// Execute runs one experiment described by spec and returns the result;
-// VerifySummary, VerifyFees and Accepted stay zero unless spec.Verify is
-// set. It subsumes Run, RunObserved, RunWithVerify and
-// RunWithVerifyObserved, which remain as thin wrappers.
 func Execute(spec Spec) (*VerifyResult, error) {
 	conn, sys, err := newExperiment(spec)
 	if err != nil {
@@ -276,9 +259,9 @@ var userFault func(seq int) error
 // provers are created up front (§4.3: generation must not affect the
 // delay times), then every user uploads a report, obtains a location
 // proof and submits it on-chain — all deployers first, then the
-// attachers, sequentially, matching the thesis script. Run and
-// RunWithVerify both build on this one loop, so instrumentation covers
-// the verify flavour too. The returned staging slice is indexed by
+// attachers, sequentially, matching the thesis script. Runs with and
+// without Spec.Verify both build on this one loop, so instrumentation
+// covers the verify flavour too. The returned staging slice is indexed by
 // prover, in creation order.
 func collect(name ChainName, conn core.Connector, sys *core.System, users int) (*Result, []staged, error) {
 	contracts := users / UsersPerContract
@@ -404,28 +387,13 @@ func submitUser(sc *obs.Scope, conn core.Connector, p *core.Prover, w *core.Witn
 	return sub, proof.Request.OLC, nil
 }
 
-// VerifyResult extends Run with the verification phase the paper excluded
-// from its measurements (§5.1: "the verify operation is similar to the
-// attachment since it is a basic API call to the contract") — RunWithVerify
-// measures it so that claim is checkable.
+// VerifyResult extends Result with the verification phase the paper
+// excluded from its measurements (§5.1: "the verify operation is similar to
+// the attachment since it is a basic API call to the contract") —
+// Spec.Verify measures it so that claim is checkable.
 type VerifyResult struct {
 	*Result
 	VerifySummary stats.Summary
 	VerifyFees    chain.Amount
 	Accepted      int
-}
-
-// RunWithVerify runs the standard experiment, then has a verifier fund
-// every contract and validate every prover, measuring the verify-operation
-// latency.
-func RunWithVerify(name ChainName, users int, seed uint64) (*VerifyResult, error) {
-	return RunWithVerifyObserved(name, users, seed, nil)
-}
-
-// RunWithVerifyObserved is RunWithVerify with an observability bundle
-// attached. The collection phase is the exact code path RunObserved uses,
-// so the verify flavour gets the same spans and histograms, plus the
-// pol.verify instrumentation of the verification phase.
-func RunWithVerifyObserved(name ChainName, users int, seed uint64, o *obs.Obs) (*VerifyResult, error) {
-	return Execute(Spec{Chain: name, Users: users, Seed: seed, Obs: o, Verify: true})
 }

@@ -7,11 +7,11 @@ import (
 
 func run16(t *testing.T, c ChainName) *Result {
 	t.Helper()
-	r, err := Run(c, 16, 7)
+	r, err := Execute(Spec{Chain: c, Users: 16, Seed: 7})
 	if err != nil {
-		t.Fatalf("Run(%s): %v", c, err)
+		t.Fatalf("Execute(%s): %v", c, err)
 	}
-	return r
+	return r.Result
 }
 
 func TestRunStructure(t *testing.T) {
@@ -43,10 +43,10 @@ func TestRunStructure(t *testing.T) {
 }
 
 func TestRunValidatesParameters(t *testing.T) {
-	if _, err := Run(ChainGoerli, 5, 1); err == nil {
+	if _, err := Execute(Spec{Chain: ChainGoerli, Users: 5, Seed: 1}); err == nil {
 		t.Fatal("non-multiple-of-4 user count accepted")
 	}
-	if _, err := Run(ChainGoerli, 64, 1); err == nil {
+	if _, err := Execute(Spec{Chain: ChainGoerli, Users: 64, Seed: 1}); err == nil {
 		t.Fatal("more contracts than thesis locations accepted")
 	}
 	if _, err := NewConnector("fantasy", 1); err == nil {
@@ -55,11 +55,11 @@ func TestRunValidatesParameters(t *testing.T) {
 }
 
 func TestRunIsDeterministicPerSeed(t *testing.T) {
-	a, err := Run(ChainAlgorand, 8, 3)
+	a, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(ChainAlgorand, 8, 3)
+	b, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFigureSpecsCoverPaper(t *testing.T) {
 // the attachment since it is a basic API call to the contract".
 func TestVerifySimilarToAttach(t *testing.T) {
 	for _, c := range []ChainName{ChainAlgorand, ChainPolygon} {
-		r, err := RunWithVerify(c, 8, 7)
+		r, err := Execute(Spec{Chain: c, Users: 8, Seed: 7, Verify: true})
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
@@ -230,11 +230,11 @@ func TestRunFigureSpec(t *testing.T) {
 	// 8-user run is noisy, so compare aggregates over several seeds.
 	var ropsten, goerli float64
 	for seed := uint64(1); seed <= 4; seed++ {
-		rr, err := Run(ChainRopsten, 8, seed)
+		rr, err := Execute(Spec{Chain: ChainRopsten, Users: 8, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gg, err := Run(ChainGoerli, 8, seed)
+		gg, err := Execute(Spec{Chain: ChainGoerli, Users: 8, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestMatrixDeterministicAcrossParallelismWithFaults(t *testing.T) {
 // when nothing fails.
 func TestZeroRateFaultPlanMatchesNoFaultRun(t *testing.T) {
 	for _, chain := range AllChains {
-		plain, err := Run(chain, 8, 21)
+		plain, err := Execute(Spec{Chain: chain, Users: 8, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}

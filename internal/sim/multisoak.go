@@ -146,13 +146,10 @@ func multiSoakSeed(seed uint64, name ChainName) uint64 {
 func multiSoakHandle(name ChainName, seed uint64, localIdx int) (*core.Handle, error) {
 	switch name {
 	case ChainRopsten, ChainGoerli, ChainPolygon:
-		deployer := soakAccountEVM(soakKeyStream(seed))
-		return &core.Handle{
-			Connector: string(name),
-			EVMAddr:   chain.ContractAddress(deployer.Address, uint64(localIdx)),
-		}, nil
+		deployer := nextSoakAccount(soakKeyStream(seed))
+		return soakHandleEVM(string(name), deployer.Address, localIdx, nil), nil
 	case ChainAlgorand:
-		return &core.Handle{Connector: string(name), AppID: uint64(localIdx) + 1}, nil
+		return soakHandleAlgorand(string(name), localIdx, nil), nil
 	default:
 		return nil, fmt.Errorf("sim: unknown chain %q", name)
 	}

@@ -168,7 +168,7 @@ func TestMultiSoakHandleMatchesDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deployer := soakAccountEVM(soakKeyStream(seed))
+	deployer := nextSoakAccount(soakKeyStream(seed))
 	if want := chain.ContractAddress(deployer.Address, 3); h.EVMAddr != want {
 		t.Fatalf("derived addr %x, deployment would use %x", h.EVMAddr, want)
 	}

@@ -62,11 +62,11 @@ func DefaultSLORules() []obs.Rule {
 // RunFigureObserved is RunFigure with an observability bundle threaded
 // through the underlying run.
 func RunFigureObserved(spec FigureSpec, seed uint64, o *obs.Obs) (*Figure, *Result, error) {
-	r, err := RunObserved(spec.Chain, spec.Users, seed, o)
+	r, err := Execute(Spec{Chain: spec.Chain, Users: spec.Users, Seed: seed, Obs: o})
 	if err != nil {
 		return nil, nil, err
 	}
-	return FigureFromResult(spec.ID, r), r, nil
+	return FigureFromResult(spec.ID, r.Result), r.Result, nil
 }
 
 // RunTablesObserved is RunTables with an observability bundle threaded
@@ -76,11 +76,11 @@ func RunTablesObserved(seed uint64, o *obs.Obs) ([]*Table, map[int]map[ChainName
 	byUsers := map[int]map[ChainName]*Result{16: {}, 32: {}}
 	for _, users := range []int{16, 32} {
 		for _, c := range AllChains {
-			r, err := RunObserved(c, users, seed, o)
+			r, err := Execute(Spec{Chain: c, Users: users, Seed: seed, Obs: o})
 			if err != nil {
 				return nil, nil, fmt.Errorf("sim: %s/%d users: %w", c, users, err)
 			}
-			byUsers[users][c] = r
+			byUsers[users][c] = r.Result
 		}
 	}
 	tables := []*Table{

@@ -154,11 +154,7 @@ var FigureSpecs = []FigureSpec{
 
 // RunFigure executes the run behind one figure spec.
 func RunFigure(spec FigureSpec, seed uint64) (*Figure, *Result, error) {
-	r, err := Run(spec.Chain, spec.Users, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return FigureFromResult(spec.ID, r), r, nil
+	return RunFigureObserved(spec, seed, nil)
 }
 
 // RunTables executes the runs behind Tables 5.1–5.4 and returns them in

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"agnopol/internal/algorand"
 	"agnopol/internal/chain"
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
@@ -154,79 +153,45 @@ func soakAreaCode(i int) string { return fmt.Sprintf("7H36SOAK+%03X", i) }
 // million-user run's memory is set by live state, not by history.
 const soakRetention = 16
 
-// Per-user funding. Check-ins move zero value, so funding minus final
-// balance is exactly the fees a user paid — the identity FeesPaid is
-// computed from, which is why funding is a named constant and not an inline
-// literal at the Fund call.
-var soakFundEVM = big.NewInt(1e18)
-
-const soakFundAlgorand uint64 = 10_000_000
-
-// newSoakConnector builds the chain under soak. EVM presets get their
-// ambient congestion traffic trimmed so the measured workload — not the
-// synthetic background — fills the blocks; the congestion stream stays on,
-// seeded, and deterministic. The block gas limit scales with the user
-// count so a round's check-ins fit a bounded number of blocks — at the
-// paper's scales (≤ a few hundred users) the preset limit already
-// dominates and nothing changes.
-func newSoakConnector(spec SoakSpec, run *soakRun) (core.Connector, error) {
-	trim := func(cfg eth.Config) eth.Config {
-		cfg.CongestionMeanGas = 1_000_000
-		cfg.SpikeProb = 0
-		if scaled := uint64(spec.Users) * 200_000; scaled > cfg.BlockGasLimit {
-			cfg.BlockGasLimit = scaled
-		}
-		return cfg
+// newSoakBackend builds the chain under soak — fresh, or reopened from the
+// run's committed root and manifest checkpoint — behind its family's
+// adapter. EVM presets get their ambient congestion traffic trimmed so the
+// measured workload — not the synthetic background — fills the blocks; the
+// congestion stream stays on, seeded, and deterministic. The block gas
+// limit scales with the user count so a round's check-ins fit a bounded
+// number of blocks — at the paper's scales (≤ a few hundred users) the
+// preset limit already dominates and nothing changes.
+func newSoakBackend(spec SoakSpec, run *soakRun, deployer soakAccount, compiled *lang.Compiled) (soakBackend, error) {
+	api := compiled.Program.FindAPI("checkin")
+	if api == nil {
+		return nil, fmt.Errorf("sim: checkin API missing from compiled contract")
 	}
-	openEVM := func(cfg eth.Config) (core.Connector, error) {
-		if run.resumed {
-			if run.eth == nil {
-				return nil, fmt.Errorf("sim: soak manifest for %s carries no EVM checkpoint", spec.Chain)
-			}
-			c, err := eth.Open(eth.Options{
-				Config: cfg, Seed: spec.Seed,
-				Store: run.store, Root: run.root, Checkpoint: run.eth,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return core.NewEVMConnector(c), nil
-		}
-		return core.NewEVMConnector(eth.NewChain(cfg, spec.Seed)), nil
-	}
+	var cfg eth.Config
 	switch spec.Chain {
 	case ChainRopsten:
-		return openEVM(trim(eth.Ropsten()))
+		cfg = eth.Ropsten()
 	case ChainGoerli:
-		return openEVM(trim(eth.Goerli()))
+		cfg = eth.Goerli()
 	case ChainPolygon:
-		return openEVM(trim(eth.PolygonMumbai()))
+		cfg = eth.PolygonMumbai()
 	case ChainAlgorand:
-		if run.resumed {
-			if run.algo == nil {
-				return nil, fmt.Errorf("sim: soak manifest for %s carries no Algorand checkpoint", spec.Chain)
-			}
-			c, err := algorand.Open(algorand.Options{
-				Config: algorand.Testnet(), Seed: spec.Seed,
-				Store: run.store, Root: run.root, Checkpoint: run.algo,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return core.NewAlgorandConnector(c), nil
-		}
-		return core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), spec.Seed)), nil
+		return newAlgorandSoak(spec, run, deployer, compiled, api)
 	default:
 		return nil, fmt.Errorf("sim: unknown chain %q", spec.Chain)
 	}
+	cfg.CongestionMeanGas = 1_000_000
+	cfg.SpikeProb = 0
+	cfg.BlockGasLimit = max(cfg.BlockGasLimit, uint64(spec.Users)*200_000)
+	return newEVMSoak(cfg, spec, run, deployer, compiled, api)
 }
 
 // RunSoak drives the sustained-load harness: deploy one check-in contract
-// per area through the Connector, register the handles in an AreaRegistry,
-// then have every user check in to their home area every round through the
-// chain's batched submission path. The load phase is wall-clock timed; the
-// returned digest lets callers assert that shard count and scheduling never
-// change the chain's final state.
+// per area, register the handles in an AreaRegistry, then have every user
+// check in to their home area every round through the chain's batched
+// submission path. The load phase is wall-clock timed; the returned digest
+// lets callers assert that shard count and scheduling never change the
+// chain's final state. Everything here is family-independent: what differs
+// between the chain families sits behind soakBackend.
 func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	if spec.Resume {
 		if spec.StateDir == "" {
@@ -268,8 +233,18 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		}
 	}
 
+	compiled, err := core.CompileCheckin()
+	if err != nil {
+		return nil, err
+	}
+	// Every key comes from the soak-owned stream — the deployer first, then
+	// one per user index — so a resumed process re-derives the identical
+	// accounts.
+	keys := soakKeyStream(spec.Seed)
+	deployer := nextSoakAccount(keys)
+
 	reopenStart := time.Now()
-	conn, err := newSoakConnector(spec, run)
+	b, err := newSoakBackend(spec, run, deployer, compiled)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +252,7 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	if run.resumed {
 		reopenWall = time.Since(reopenStart)
 	}
-	InstrumentConnector(conn, spec.Obs)
+	InstrumentConnector(b.connector(), spec.Obs)
 
 	var sc *obs.Scope
 	if spec.Obs != nil {
@@ -290,32 +265,26 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		obs.L("shards", fmt.Sprint(spec.Shards)))
 	defer sp.End()
 
-	compiled, err := core.CompileCheckin()
-	if err != nil {
-		return nil, err
-	}
-
 	// Deployment phase: one contract per area, registered for routing.
 	// This happens before the clock starts — the soak measures sustained
-	// load, not setup. EVM chains deploy through the batched submission
-	// path: at 100k+ areas, one signed deployment per block (the
-	// connector's submit-and-wait) would take days of wall clock. A
-	// resumed run skips deployment entirely — the contracts are already in
-	// the loaded state, and their identities re-derive from the spec.
+	// load, not setup. Contract identities are a pure function of the spec
+	// (soakBackend.handle), so a resumed run skips deployment entirely —
+	// the contracts are already in the loaded state — and only spot-checks
+	// that the derived handles exist there.
+	b.SetRetention(soakRetention)
 	reg := core.NewAreaRegistry(spec.Shards)
-	if run.resumed {
-		err = rebuildSoakRegistry(spec, conn, reg, compiled)
-	} else {
-		switch c := conn.(type) {
-		case *core.EVMConnector:
-			err = deployAreasEVM(spec, c, reg, compiled)
-		case *core.AlgorandConnector:
-			err = deployAreasAlgorand(spec, c, reg, compiled)
-		default:
-			err = fmt.Errorf("sim: soak does not support connector %T", conn)
+	for i := 0; i < spec.Areas; i++ {
+		if err := reg.Register(soakAreaCode(i), b.handle(i)); err != nil {
+			return nil, err
 		}
 	}
-	if err != nil {
+	if run.resumed {
+		for _, i := range []int{0, spec.Areas - 1} {
+			if h := b.handle(i); !b.deployed(h) {
+				return nil, fmt.Errorf("sim: resumed state holds no contract %s for area %s", h.ID(), soakAreaCode(i))
+			}
+		}
+	} else if err := b.deploy(spec.Areas); err != nil {
 		return nil, err
 	}
 
@@ -324,15 +293,7 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		Rounds: spec.Rounds, Shards: spec.Shards, Seed: spec.Seed,
 		Resumed: run.resumed, ReopenWall: reopenWall,
 	}
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		err = soakEVM(spec, c, reg, compiled, res, run)
-	case *core.AlgorandConnector:
-		err = soakAlgorand(spec, c, reg, res, run)
-	default:
-		err = fmt.Errorf("sim: soak does not support connector %T", conn)
-	}
-	if err != nil {
+	if err := soakLoad(spec, b, keys, reg, res, run); err != nil {
 		return nil, err
 	}
 	// Live-heap measurement, outside the timed window: force a collection
@@ -345,171 +306,37 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	runtime.ReadMemStats(&m)
 	res.HeapBytes = m.HeapAlloc
 	res.BytesPerUser = float64(m.HeapAlloc) / float64(spec.Users)
-	runtime.KeepAlive(conn)
+	runtime.KeepAlive(b)
 	runtime.KeepAlive(reg)
 	return res, nil
 }
 
-// checkinGasLimit mirrors the connector's gas sizing for an API call: the
-// conservative static analysis plus 25% headroom.
-func checkinGasLimit(compiled *lang.Compiled) uint64 {
-	for i := range compiled.Analysis.Methods {
-		if compiled.Analysis.Methods[i].Name == "checkin" {
-			g := compiled.Analysis.Methods[i].TotalEVMGas()
-			return g + g/4
-		}
-	}
-	return eth.DefaultGasLimit
-}
+// soakLoad runs the load phase: every user checks in once per round, a
+// block is sealed per round, checkpoints are written at the configured
+// cadence, and the pool is drained at the end.
+func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegistry, res *SoakResult, run *soakRun) error {
+	b.SetShards(spec.Shards)
 
-// deployAreasEVM publishes one check-in contract per area through the
-// chain's batched submission path: sequential deployer nonces keep the
-// deterministic contract addresses computable up front, so handles are
-// registered before the transactions even land. The deployer's key comes
-// from the soak-owned stream and is funded via Fund — proportionally to
-// the area count, since selection reserves maxFee×gasLimit per pending
-// deployment up front.
-func deployAreasEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	c := conn.Chain()
-	c.SetRetention(soakRetention)
-	deployer := soakAccountEVM(soakKeyStream(spec.Seed))
-	c.Fund(deployer.Address, new(big.Int).Mul(big.NewInt(int64(spec.Areas)+100), big.NewInt(1e18)))
-	gasLimit := compiled.Analysis.EVMDeployGas + compiled.Analysis.EVMDeployGas/4
-	tip := big.NewInt(2_000_000_000)
-	// Headroom for the base-fee climb across the (few) full deploy blocks.
-	maxFee := new(big.Int).Add(new(big.Int).Mul(c.BaseFee(), big.NewInt(8)), tip)
-
-	const deployBatch = 4096
-	txs := make([]*eth.Tx, 0, deployBatch)
-	flush := func() error {
-		if len(txs) == 0 {
-			return nil
-		}
-		_, errs := c.SubmitBatch(txs)
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sim: deploy tx %d: %w", i, err)
-			}
-		}
-		txs = txs[:0]
-		return nil
-	}
-	for i := 0; i < spec.Areas; i++ {
-		area := soakAreaCode(i)
-		ctorData, err := lang.EncodeArgsEVM(lang.CtorMethodName, compiled.Program.Ctor.Params,
-			[]lang.Value{lang.BytesValue([]byte(area))})
-		if err != nil {
-			return err
-		}
-		nonce := uint64(i)
-		tx := &eth.Tx{
-			From: deployer.Address, Nonce: nonce,
-			Value: big.NewInt(0), Data: eth.PackDeployData(compiled.EVMCode, ctorData),
-			GasLimit: gasLimit, MaxFee: maxFee, MaxTip: tip,
-		}
-		tx.Sign(deployer)
-		txs = append(txs, tx)
-		if len(txs) == deployBatch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		h := &core.Handle{
-			Connector: conn.Name(),
-			EVMAddr:   chain.ContractAddress(deployer.Address, nonce),
-			Compiled:  compiled,
-		}
-		if err := reg.Register(area, h); err != nil {
-			return err
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	for i := 0; i < spec.Areas+200 && c.PendingCount() > 0; i++ {
-		c.Step()
-	}
-	if n := c.PendingCount(); n != 0 {
-		return fmt.Errorf("sim: %d deployments never included", n)
-	}
-	// Every registered handle must actually hold code.
-	for _, area := range reg.Areas() {
-		h, _ := reg.Lookup(area)
-		if _, ok := c.ContractCode(h.EVMAddr); !ok {
-			return fmt.Errorf("sim: deployment of area %s reverted", area)
-		}
-	}
-	return nil
-}
-
-// deployAreasAlgorand publishes one check-in application per area through
-// the connector's submit-and-wait path. Sequential creation pins app ids
-// to 1..Areas, which is what lets a resumed run re-derive its registry
-// without replaying the deployment.
-func deployAreasAlgorand(spec SoakSpec, conn *core.AlgorandConnector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	c := conn.Chain()
-	c.SetRetention(soakRetention)
-	dep := soakAccountAlgorand(soakKeyStream(spec.Seed))
-	c.Fund(dep.Address, 100_000_000+uint64(spec.Areas)*2*algorand.MinFee)
-	deployer := core.AlgorandAccount(dep)
-	for i := 0; i < spec.Areas; i++ {
-		area := soakAreaCode(i)
-		h, _, err := conn.Deploy(deployer, compiled, []lang.Value{
-			lang.BytesValue([]byte(area)),
-		})
-		if err != nil {
-			return fmt.Errorf("sim: deploy area %s: %w", area, err)
-		}
-		if h.AppID != uint64(i)+1 {
-			return fmt.Errorf("sim: area %s deployed as app %d, want %d (resume derivation relies on sequential ids)",
-				area, h.AppID, i+1)
-		}
-		if err := reg.Register(area, h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// soakEVM runs the load phase against an Ethereum-family chain.
-func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, compiled *lang.Compiled, res *SoakResult, run *soakRun) error {
-	c := conn.Chain()
-	c.SetShards(spec.Shards)
-	c.SetRetention(soakRetention)
-	api := compiled.Program.FindAPI("checkin")
-	if api == nil {
-		return fmt.Errorf("sim: checkin API missing from compiled contract")
-	}
-	gasLimit := checkinGasLimit(compiled)
-
-	// User keys come from the soak-owned stream (deployer first, then one
-	// key per user index), so a resumed process re-derives the identical
-	// accounts; only a fresh run funds them. Each user submits exactly one
-	// transaction per round, which pins their nonce at round start to the
-	// number of completed rounds.
-	keys := soakKeyStream(spec.Seed)
-	_ = soakAccountEVM(keys) // skip the deployer's draw
-	users := make([]*eth.Account, spec.Users)
-	nonces := make([]uint64, spec.Users)
-	targets := make([]chain.Address, spec.Users)
+	// Only a fresh run funds the users. Each user submits exactly one
+	// check-in per round, which backends rely on (an EVM user's nonce is
+	// the round number).
+	users := make([]soakAccount, spec.Users)
+	targets := make([]*core.Handle, spec.Users)
 	areas := reg.Areas()
 	for ui := range users {
-		u := soakAccountEVM(keys)
+		users[ui] = nextSoakAccount(keys)
 		if !run.resumed {
-			c.Fund(u.Address, new(big.Int).Set(soakFundEVM))
+			b.fund(users[ui].Address)
 		}
-		users[ui] = u
-		nonces[ui] = uint64(run.startRound)
 		h, ok := reg.Lookup(areas[ui%len(areas)])
 		if !ok {
 			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
 		}
-		targets[ui] = h.EVMAddr
+		targets[ui] = h
 	}
 
-	tip := big.NewInt(2_000_000_000)
-	blocksBefore := c.Head().Number
-	simStart := c.Now()
+	blocksBefore := b.height()
+	simStart := b.Now()
 	if run.resumed {
 		blocksBefore = run.blocksAtLoadStart
 		simStart = run.simStart
@@ -518,7 +345,7 @@ func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, com
 		run.persist.meta.BlocksAtLoadStart = blocksBefore
 		run.persist.meta.SimStart = simStart
 		if !run.resumed {
-			if err := run.persist.commitEVM(c, 0, 0, false); err != nil {
+			if err := run.persist.commit(b, 0, 0, false); err != nil {
 				return err
 			}
 		}
@@ -527,55 +354,35 @@ func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, com
 	start := time.Now()
 	finish := func() {
 		res.Wall = time.Since(start)
-		res.Simulated = c.Now() - simStart
-		res.Blocks = c.Head().Number - blocksBefore
-		if st := c.ShardStats(); st != nil {
+		res.Simulated = b.Now() - simStart
+		res.Blocks = b.height() - blocksBefore
+		if st := b.ShardStats(); st != nil {
 			res.Utilization = st.Utilization()
-			res.ShardTxs = append([]uint64(nil), st.Txs...)
+			res.ShardTxs = st.Txs
 			res.ParallelBatches = st.ParallelBatches
 		}
-		res.Digest = c.Digest()
-		res.StateRoot = c.StateRoot()
+		res.Digest = b.Digest()
+		res.StateRoot = b.StateRoot()
+		// Check-ins move zero value, so funding minus final balance is
+		// exactly the fees a user paid.
 		fees := new(big.Int)
 		for _, u := range users {
-			bal := c.Balance(u.Address)
-			fees.Add(fees, new(big.Int).Sub(soakFundEVM, bal.Base))
+			bal := b.Balance(u.Address)
+			fees.Add(fees, new(big.Int).Sub(b.funding(), bal.Base))
 			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
 		}
 	}
 	for round := run.startRound; round < spec.Rounds; round++ {
-		maxFee := new(big.Int).Add(new(big.Int).Mul(c.BaseFee(), big.NewInt(2)), tip)
-		txs := make([]*eth.Tx, 0, spec.Users)
-		for ui, u := range users {
-			data, err := lang.EncodeArgsEVM("checkin", api.Params, []lang.Value{
-				lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
-			})
-			if err != nil {
-				return err
-			}
-			to := targets[ui]
-			tx := &eth.Tx{
-				From: u.Address, Nonce: nonces[ui], To: &to,
-				Value: big.NewInt(0), Data: data, GasLimit: gasLimit,
-				MaxFee: maxFee, MaxTip: tip,
-			}
-			tx.Sign(u)
-			nonces[ui]++
-			txs = append(txs, tx)
+		if err := b.submitRound(round, users, targets); err != nil {
+			return fmt.Errorf("sim: soak round %d: %w", round, err)
 		}
-		_, errs := c.SubmitBatch(txs)
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sim: soak round %d tx %d: %w", round, i, err)
-			}
-		}
-		res.Submitted += uint64(len(txs))
-		c.Step()
+		res.Submitted += uint64(len(users))
+		b.step()
 		spec.Telemetry.Tick()
 		roundsDone := round + 1
 		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
 		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
-			if err := run.persist.commitEVM(c, roundsDone, res.Submitted, false); err != nil {
+			if err := run.persist.commit(b, roundsDone, res.Submitted, false); err != nil {
 				return err
 			}
 		}
@@ -585,12 +392,12 @@ func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, com
 			return nil
 		}
 	}
-	for i := 0; i < spec.Rounds*10+50 && c.PendingCount() > 0; i++ {
-		c.Step()
+	for i := 0; i < spec.Rounds*10+50 && b.PendingCount() > 0; i++ {
+		b.step()
 	}
 	spec.Telemetry.Tick()
-	if n := c.PendingCount(); n != 0 {
-		return fmt.Errorf("sim: soak drain incomplete: %d transactions pending", n)
+	if n := b.PendingCount(); n != 0 {
+		return fmt.Errorf("sim: soak drain incomplete: %d submissions pending", n)
 	}
 	finish()
 	res.Included = res.Submitted
@@ -598,133 +405,7 @@ func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, com
 		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
 	}
 	if run.persist != nil {
-		if err := run.persist.commitEVM(c, spec.Rounds, res.Submitted, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// soakAlgorand runs the load phase against the Algorand chain.
-func soakAlgorand(spec SoakSpec, conn *core.AlgorandConnector, reg *core.AreaRegistry, res *SoakResult, run *soakRun) error {
-	c := conn.Chain()
-	c.SetShards(spec.Shards)
-	c.SetRetention(soakRetention)
-
-	keys := soakKeyStream(spec.Seed)
-	_ = soakAccountAlgorand(keys) // skip the deployer's draw
-	users := make([]*algorand.Account, spec.Users)
-	targets := make([]uint64, spec.Users)
-	areas := reg.Areas()
-	var api *lang.API
-	for ui := range users {
-		u := soakAccountAlgorand(keys)
-		if !run.resumed {
-			c.Fund(u.Address, soakFundAlgorand)
-		}
-		users[ui] = u
-		h, ok := reg.Lookup(areas[ui%len(areas)])
-		if !ok {
-			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
-		}
-		targets[ui] = h.AppID
-		if api == nil {
-			api = h.Compiled.Program.FindAPI("checkin")
-		}
-	}
-	if api == nil {
-		return fmt.Errorf("sim: checkin API missing from compiled contract")
-	}
-
-	blocksBefore := c.Head().Round
-	simStart := c.Now()
-	if run.resumed {
-		blocksBefore = run.blocksAtLoadStart
-		simStart = run.simStart
-	}
-	if run.persist != nil {
-		run.persist.meta.BlocksAtLoadStart = blocksBefore
-		run.persist.meta.SimStart = simStart
-		if !run.resumed {
-			if err := run.persist.commitAlgorand(c, 0, 0, false); err != nil {
-				return err
-			}
-		}
-	}
-	res.Submitted = run.submitted0
-	start := time.Now()
-	finish := func() {
-		res.Wall = time.Since(start)
-		res.Simulated = c.Now() - simStart
-		res.Blocks = c.Head().Round - blocksBefore
-		if st := c.ShardStats(); st != nil {
-			res.Utilization = st.Utilization()
-			res.ShardTxs = append([]uint64(nil), st.Txs...)
-			res.ParallelBatches = st.ParallelBatches
-		}
-		res.Digest = c.Digest()
-		res.StateRoot = c.StateRoot()
-		fees := new(big.Int)
-		for _, u := range users {
-			bal := c.Balance(u.Address)
-			fees.Add(fees, new(big.Int).Sub(new(big.Int).SetUint64(soakFundAlgorand), bal.Base))
-			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
-		}
-	}
-	for round := run.startRound; round < spec.Rounds; round++ {
-		groups := make([]algorand.Group, 0, spec.Users)
-		for ui, u := range users {
-			appArgs, err := lang.EncodeArgsTEAL("checkin", api.Params, []lang.Value{
-				lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
-			})
-			if err != nil {
-				return err
-			}
-			call := &algorand.Tx{
-				Type: algorand.TxAppCall, Sender: u.Address,
-				Fee: algorand.MinFee, AppID: targets[ui], Args: appArgs,
-			}
-			call.Sign(u)
-			groups = append(groups, algorand.Group{call})
-		}
-		_, errs := c.SubmitBatch(groups)
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sim: soak round %d group %d: %w", round, i, err)
-			}
-		}
-		res.Submitted += uint64(len(groups))
-		c.Step()
-		spec.Telemetry.Tick()
-		roundsDone := round + 1
-		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
-		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
-			if err := run.persist.commitAlgorand(c, roundsDone, res.Submitted, false); err != nil {
-				return err
-			}
-		}
-		if stop {
-			res.Stopped = true
-			finish()
-			return nil
-		}
-	}
-	for i := 0; i < spec.Rounds*10+50 && c.PendingCount() > 0; i++ {
-		c.Step()
-	}
-	spec.Telemetry.Tick()
-	if n := c.PendingCount(); n != 0 {
-		return fmt.Errorf("sim: soak drain incomplete: %d groups pending", n)
-	}
-	finish()
-	res.Included = res.Submitted
-	if res.Included > 0 {
-		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
-	}
-	if run.persist != nil {
-		if err := run.persist.commitAlgorand(c, spec.Rounds, res.Submitted, true); err != nil {
-			return err
-		}
+		return run.persist.commit(b, spec.Rounds, res.Submitted, true)
 	}
 	return nil
 }

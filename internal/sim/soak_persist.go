@@ -7,9 +7,7 @@ import (
 
 	"agnopol/internal/algorand"
 	"agnopol/internal/chain"
-	"agnopol/internal/core"
 	"agnopol/internal/eth"
-	"agnopol/internal/lang"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
 	"agnopol/internal/polcrypto"
@@ -63,42 +61,25 @@ type soakPersist struct {
 	meta  soakCheckpoint
 }
 
-func (p *soakPersist) commit(root mstate.Hash, roundsDone int, submitted uint64, drained bool) error {
+// commit captures the backend's chain checkpoint, commits its world state
+// and publishes both — with the progress fields — in one manifest write.
+func (p *soakPersist) commit(b soakBackend, roundsDone int, submitted uint64, drained bool) error {
 	m := p.meta
 	m.RoundsDone = roundsDone
 	m.Submitted = submitted
 	m.Drained = drained
+	if err := b.checkpoint(&m); err != nil {
+		return err
+	}
+	root, err := b.CommitState(p.store)
+	if err != nil {
+		return err
+	}
 	blob, err := json.Marshal(&m)
 	if err != nil {
 		return fmt.Errorf("sim: encode soak checkpoint: %w", err)
 	}
 	return p.store.Commit(root, blob)
-}
-
-func (p *soakPersist) commitEVM(c *eth.Chain, roundsDone int, submitted uint64, drained bool) error {
-	ck, err := c.Checkpoint()
-	if err != nil {
-		return err
-	}
-	root, err := c.CommitState(p.store)
-	if err != nil {
-		return err
-	}
-	p.meta.Eth, p.meta.Algo = ck, nil
-	return p.commit(root, roundsDone, submitted, drained)
-}
-
-func (p *soakPersist) commitAlgorand(c *algorand.Chain, roundsDone int, submitted uint64, drained bool) error {
-	ck, err := c.Checkpoint()
-	if err != nil {
-		return err
-	}
-	root, err := c.CommitState(p.store)
-	if err != nil {
-		return err
-	}
-	p.meta.Eth, p.meta.Algo = nil, ck
-	return p.commit(root, roundsDone, submitted, drained)
 }
 
 // soakRun carries the restart position through RunSoak's setup into the
@@ -182,58 +163,14 @@ func loadSoakManifest(store *diskstore.Store, spec SoakSpec) (SoakSpec, *soakRun
 // Draw order is fixed — the deployer first, then one user per index.
 func soakKeyStream(seed uint64) *chain.Rand { return chain.NewRand(seed).Fork("soak:keys") }
 
-func soakAccountEVM(rng *chain.Rand) *eth.Account {
-	kp := polcrypto.MustGenerateKeyPair(rng)
-	return &eth.Account{Key: kp, Address: chain.AddressFromPublicKey(kp.Public)}
+// soakAccount is a key pair the soak derived for itself; it converts to
+// either family's account type.
+type soakAccount struct {
+	Key     *polcrypto.KeyPair
+	Address chain.Address
 }
 
-func soakAccountAlgorand(rng *chain.Rand) *algorand.Account {
+func nextSoakAccount(rng *chain.Rand) soakAccount {
 	kp := polcrypto.MustGenerateKeyPair(rng)
-	return &algorand.Account{Key: kp, Address: chain.AddressFromPublicKey(kp.Public)}
-}
-
-// rebuildSoakRegistry reconstructs the area→contract directory of a
-// resumed run without replaying the deployment: contract identities are a
-// pure function of the spec — the i-th EVM contract lives at
-// ContractAddress(deployer, i) because the deployer's nonces were
-// sequential, and the i-th Algorand app is id i+1 because app ids are
-// allocated sequentially from 1. A spot check verifies the derived
-// handles actually exist in the loaded state.
-func rebuildSoakRegistry(spec SoakSpec, conn core.Connector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		deployer := soakAccountEVM(soakKeyStream(spec.Seed))
-		for i := 0; i < spec.Areas; i++ {
-			h := &core.Handle{
-				Connector: conn.Name(),
-				EVMAddr:   chain.ContractAddress(deployer.Address, uint64(i)),
-				Compiled:  compiled,
-			}
-			if err := reg.Register(soakAreaCode(i), h); err != nil {
-				return err
-			}
-		}
-		for _, i := range []int{0, spec.Areas - 1} {
-			h, _ := reg.Lookup(soakAreaCode(i))
-			if _, ok := c.Chain().ContractCode(h.EVMAddr); !ok {
-				return fmt.Errorf("sim: resumed state holds no contract for area %s at %s", soakAreaCode(i), h.EVMAddr)
-			}
-		}
-	case *core.AlgorandConnector:
-		for i := 0; i < spec.Areas; i++ {
-			h := &core.Handle{Connector: conn.Name(), AppID: uint64(i) + 1, Compiled: compiled}
-			if err := reg.Register(soakAreaCode(i), h); err != nil {
-				return err
-			}
-		}
-		for _, i := range []int{0, spec.Areas - 1} {
-			h, _ := reg.Lookup(soakAreaCode(i))
-			if _, ok := c.Chain().App(h.AppID); !ok {
-				return fmt.Errorf("sim: resumed state holds no app %d for area %s", h.AppID, soakAreaCode(i))
-			}
-		}
-	default:
-		return fmt.Errorf("sim: soak resume does not support connector %T", conn)
-	}
-	return nil
+	return soakAccount{Key: kp, Address: chain.AddressFromPublicKey(kp.Public)}
 }

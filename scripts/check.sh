@@ -28,6 +28,12 @@ echo "== benchmark module tests =="
 # instead of in a benchmark run.
 (cd bench && go test ./...)
 
+echo "== code size =="
+# Non-test code lines and exported symbols per package — the "least code"
+# trend line; leaves LOC_report.txt for CI to upload as an artifact.
+bash scripts/loc.sh > LOC_report.txt
+tail -n 1 LOC_report.txt
+
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
     echo "-- examples/$ex"
