@@ -358,7 +358,7 @@ func (c *Chain) Step() *Block {
 			return o, func() { c.led.adopt(o) }
 		},
 		func(st ledgerView, i int) uint64 {
-			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, blk)
+			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, sel[i].Hash, blk)
 			return receipts[i].GasUsed
 		})
 	for i, p := range sel {
@@ -458,15 +458,16 @@ type groupEffects struct {
 	fees uint64
 }
 
-// executeGroup applies one atomic group on top of parent — the canonical
-// ledger on the serial path, a shard's overlay on the concurrent one. The
-// group runs on an overlay forked off parent: on any failure that overlay
-// is dropped, so the whole group rolls back, and the fees are charged on a
-// fresh fork (the network did the work). Creations, which only reach here
-// on the serial path, additionally hand their sequence numbers back.
-func (c *Chain) executeGroup(parent ledgerView, g Group, blk *Block) (*chain.Receipt, groupEffects) {
+// executeGroup applies one atomic group (hash is its pool-computed
+// g.Hash()) on top of parent — the canonical ledger on the serial path, a
+// shard's overlay on the concurrent one. The group runs on an overlay
+// forked off parent: on any failure that overlay is dropped, so the whole
+// group rolls back, and the fees are charged on a fresh fork (the network
+// did the work). Creations, which only reach here on the serial path,
+// additionally hand their sequence numbers back.
+func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk *Block) (*chain.Receipt, groupEffects) {
 	rcpt := &chain.Receipt{
-		TxHash:      g.Hash(),
+		TxHash:      hash,
 		BlockNumber: blk.Round,
 		Included:    blk.Time,
 	}

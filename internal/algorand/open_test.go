@@ -111,6 +111,11 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			if resumed.Digest() != ref.Digest() {
 				t.Fatal("digest diverges immediately after restore")
 			}
+			for i, p := range resumed.pool.Entries() {
+				if p.Hash != p.Item.Hash() || p.Hash != ref.pool.Entries()[i].Hash {
+					t.Fatalf("restored pending group %d carries hash %x", i, p.Hash[:8])
+				}
+			}
 			// The warm cache must hold the app's re-parsed program.
 			if a, ok := resumed.App(appID); !ok || a.Program == nil {
 				t.Fatal("program cache not warmed on open")

@@ -150,9 +150,9 @@ func admitPoolItem(it poolItem) error {
 }
 
 // TestPoolBatchMatchesOneByOne: batch admission under a seeded fault
-// injector returns the same hashes and errors, builds the same pool and
-// leaves the injector's streams where len(items) Submit calls leave them —
-// at any verification width.
+// injector returns the same hashes and errors, builds the same pool — every
+// entry carrying its item's hash — and leaves the injector's streams where
+// len(items) Submit calls leave them, at any verification width.
 func TestPoolBatchMatchesOneByOne(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	items := make([]poolItem, 200)
@@ -179,6 +179,9 @@ func TestPoolBatchMatchesOneByOne(t *testing.T) {
 			out.errs = append(out.errs, fmt.Sprint(err))
 		}
 		for _, e := range p.Entries() {
+			if e.Hash != e.Item.Hash() {
+				t.Fatalf("item %d queued with hash %x", e.Item.id, e.Hash[:2])
+			}
 			out.entries = append(out.entries, *e)
 		}
 		if p.Len() != len(out.entries) {
@@ -250,6 +253,13 @@ func TestPoolSortTake(t *testing.T) {
 	}
 	if got := ids(p.Entries()); !reflect.DeepEqual(got, []int{2, 5}) {
 		t.Fatalf("kept %v", got)
+	}
+	// Restore hashes what a checkpoint hands back without hashes.
+	p.Restore([]*Pending[poolItem]{{Item: poolItem{id: 300}}, {Item: poolItem{id: 7}}})
+	for _, e := range p.Entries() {
+		if e.Hash != e.Item.Hash() {
+			t.Fatalf("restored item %d has hash %x", e.Item.id, e.Hash[:2])
+		}
 	}
 	for _, st := range inj.Snapshot() {
 		if st.Class == faults.ClassTxDelay && (st.Injected != 6 || st.Recovered != 4) {

@@ -21,6 +21,9 @@ type Item interface {
 // Pending is one queued item.
 type Pending[T Item] struct {
 	Item T
+	// Hash is Item.Hash(), computed once at submission (or Restore) so
+	// that block building never re-hashes the item.
+	Hash Hash32
 	// Submitted is when the item becomes includable: its admission time,
 	// pushed back by any injected propagation stall.
 	Submitted time.Duration
@@ -81,27 +84,31 @@ func (p *Pool[T]) Submit(item T) (Hash32, error) {
 	if err := item.Verify(); err != nil {
 		return Hash32{}, err
 	}
-	return p.queue(item)
+	return p.queue(item, item.Hash())
 }
 
 // SubmitBatch is Submit for a batch: signature verification — the dominant
-// per-item cost — fans out over up to width goroutines, then admission
-// runs serially in slice order. Result slot i is the hash or error of
-// items[i].
+// per-item cost — and hashing fan out over up to width goroutines, then
+// admission runs serially in slice order. Result slot i is the hash or
+// error of items[i].
 func (p *Pool[T]) SubmitBatch(items []T, width int) ([]Hash32, []error) {
 	hashes := make([]Hash32, len(items))
 	errs := make([]error, len(items))
-	FanOut(len(items), width, func(i int) { errs[i] = items[i].Verify() })
+	FanOut(len(items), width, func(i int) {
+		if errs[i] = items[i].Verify(); errs[i] == nil {
+			hashes[i] = items[i].Hash()
+		}
+	})
 	for i, item := range items {
 		if errs[i] == nil {
-			hashes[i], errs[i] = p.queue(item)
+			hashes[i], errs[i] = p.queue(item, hashes[i])
 		}
 	}
 	return hashes, errs
 }
 
-// queue runs admission past signature verification.
-func (p *Pool[T]) queue(item T) (Hash32, error) {
+// queue runs admission past signature verification; hash is item.Hash().
+func (p *Pool[T]) queue(item T, hash Hash32) (Hash32, error) {
 	if err := p.admit(item); err != nil {
 		return Hash32{}, err
 	}
@@ -110,7 +117,7 @@ func (p *Pool[T]) queue(item T) (Hash32, error) {
 		// submitter's retry layer recovers by resubmitting.
 		return Hash32{}, err
 	}
-	e := &Pending[T]{Item: item, Submitted: p.clock.Now()}
+	e := &Pending[T]{Item: item, Hash: hash, Submitted: p.clock.Now()}
 	if hit, mag := p.flt.Draw(faults.ClassTxDelay, p.site); hit {
 		stall := time.Duration(mag * float64(p.maxStall))
 		e.Submitted += stall
@@ -120,7 +127,7 @@ func (p *Pool[T]) queue(item T) (Hash32, error) {
 	p.entries = append(p.entries, e)
 	p.submitted.Inc()
 	p.depth.Set(float64(len(p.entries)))
-	return item.Hash(), nil
+	return hash, nil
 }
 
 // Sort stably reorders the queue.
@@ -147,5 +154,10 @@ func (p *Pool[T]) Take(pick func(*Pending[T]) bool) []*Pending[T] {
 	return sel
 }
 
-// Restore replaces the queue with checkpointed entries.
-func (p *Pool[T]) Restore(entries []*Pending[T]) { p.entries = entries }
+// Restore replaces the queue with checkpointed entries, hashing each.
+func (p *Pool[T]) Restore(entries []*Pending[T]) {
+	for _, e := range entries {
+		e.Hash = e.Item.Hash()
+	}
+	p.entries = entries
+}

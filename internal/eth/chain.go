@@ -37,7 +37,8 @@ func (tx *Tx) Hash() chain.Hash32 {
 }
 
 func (tx *Tx) sigMessage() []byte {
-	var buf []byte
+	value, maxFee, maxTip := tx.Value.Bytes(), tx.MaxFee.Bytes(), tx.MaxTip.Bytes()
+	buf := make([]byte, 0, 2*len(tx.From)+16+len(value)+len(tx.Data)+len(maxFee)+len(maxTip))
 	buf = append(buf, tx.From[:]...)
 	var n [8]byte
 	binary.BigEndian.PutUint64(n[:], tx.Nonce)
@@ -45,12 +46,12 @@ func (tx *Tx) sigMessage() []byte {
 	if tx.To != nil {
 		buf = append(buf, tx.To[:]...)
 	}
-	buf = append(buf, tx.Value.Bytes()...)
+	buf = append(buf, value...)
 	buf = append(buf, tx.Data...)
 	binary.BigEndian.PutUint64(n[:], tx.GasLimit)
 	buf = append(buf, n[:]...)
-	buf = append(buf, tx.MaxFee.Bytes()...)
-	buf = append(buf, tx.MaxTip.Bytes()...)
+	buf = append(buf, maxFee...)
+	buf = append(buf, maxTip...)
 	h := polcrypto.Hash(buf)
 	return h[:]
 }
@@ -121,8 +122,9 @@ type Chain struct {
 	// the recovery.
 	faultSpike bool
 
-	// history is the explorer's transaction log (Fig. 3.1).
-	history []TxRecord
+	// history is the explorer's transaction log (Fig. 3.1), one entry per
+	// block that executed transactions, oldest first.
+	history [][]TxRecord
 
 	burned *big.Int
 	tipped *big.Int
@@ -427,29 +429,39 @@ func (c *Chain) Step() *Block {
 			return ss, ss.commit
 		},
 		func(st execState, i int) uint64 {
-			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, blk)
+			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, sel[i].Hash, blk)
 			return receipts[i].GasUsed
 		})
 	userGas := uint64(0)
+	tips := new(big.Int)
+	rows := make([]TxRecord, 0, len(sel))
 	for i, p := range sel {
-		tx := p.Item
 		rcpt := receipts[i]
 		rcpt.Submitted = p.Submitted
 		c.rcpts.Include(rcpt, encodeBalance(rcpt.Fee.Base))
 		blk.TxHashes = append(blk.TxHashes, rcpt.TxHash)
 		userGas += rcpt.GasUsed
 		eff := effects[i]
-		c.st.AddBalance(blk.Proposer, eff.tip)
+		tips.Add(tips, eff.tip)
 		c.burned.Add(c.burned, eff.burn)
-		c.tipped.Add(c.tipped, eff.tip)
 		if eff.record {
-			c.recordTx(tx, rcpt, eff.target, eff.isCreate)
+			rows = append(rows, newTxRecord(p.Item, rcpt, eff.target, eff.isCreate))
 		}
 		if c.obs != nil {
 			c.obs.txsIncluded.Inc()
 			c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
 			c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
 		}
+	}
+	// Tips were always credited after every shard finished, so nothing in
+	// the block can read the proposer's balance in between: one credit of
+	// the sum leaves the same state as one credit per transaction.
+	if tips.Sign() > 0 {
+		c.st.AddBalance(blk.Proposer, tips)
+		c.tipped.Add(c.tipped, tips)
+	}
+	if len(rows) > 0 {
+		c.history = append(c.history, rows)
 	}
 
 	bg := uint64(demand)
@@ -659,11 +671,12 @@ func (c *Chain) pruneRetention() {
 	c.blocks = kept
 	cutoff := kept[0].Number
 	first := sort.Search(len(c.history), func(i int) bool {
-		return c.history[i].Block >= cutoff
+		return c.history[i][0].Block >= cutoff
 	})
-	if first > 0 {
-		c.history = append([]TxRecord(nil), c.history[first:]...)
-	}
+	// Release the dropped blocks' rows now; the outer slice sheds its dead
+	// prefix the next time append reallocates it.
+	clear(c.history[:first])
+	c.history = c.history[first:]
 }
 
 // updateBaseFee applies the EIP-1559 adjustment: ±1/8 of the deviation from
@@ -715,17 +728,18 @@ type txEffects struct {
 	record bool
 }
 
-// executeOn runs a transaction against st — the canonical state on the
-// serial path, a shard overlay on the parallel one — and builds its
-// receipt. State changes of reverted executions are undone inside the EVM;
-// fees are charged regardless, as on the real network. The sender is
-// debited on st; the burn/tip split is returned for the caller to apply.
-func (c *Chain) executeOn(st execState, tx *Tx, blk *Block) (*chain.Receipt, txEffects) {
+// executeOn runs a transaction (hash is its pool-computed tx.Hash())
+// against st — the canonical state on the serial path, a shard overlay on
+// the parallel one — and builds its receipt. State changes of reverted
+// executions are undone inside the EVM; fees are charged regardless, as on
+// the real network. The sender is debited on st; the burn/tip split is
+// returned for the caller to apply.
+func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (*chain.Receipt, txEffects) {
 	tip := effectiveTip(tx, blk.BaseFee)
 	price := new(big.Int).Add(blk.BaseFee, tip)
 
 	rcpt := &chain.Receipt{
-		TxHash:      tx.Hash(),
+		TxHash:      hash,
 		BlockNumber: blk.Number,
 		Included:    blk.Time,
 	}

@@ -30,10 +30,11 @@ type TxRecord struct {
 	Reverted bool
 }
 
-// recordTx is called by execute() to append to the history log.
-func (c *Chain) recordTx(tx *Tx, rcpt *chain.Receipt, target chain.Address, isCreate bool) {
+// newTxRecord is the history row of an executed transaction; Step appends
+// a block's rows to the log in canonical order.
+func newTxRecord(tx *Tx, rcpt *chain.Receipt, target chain.Address, isCreate bool) TxRecord {
 	rec := TxRecord{
-		Hash:     tx.Hash(),
+		Hash:     rcpt.TxHash,
 		Block:    rcpt.BlockNumber,
 		Time:     rcpt.Included,
 		From:     tx.From,
@@ -50,15 +51,17 @@ func (c *Chain) recordTx(tx *Tx, rcpt *chain.Receipt, target chain.Address, isCr
 	} else {
 		rec.Method = "Transfer"
 	}
-	c.history = append(c.history, rec)
+	return rec
 }
 
 // HistoryOf returns every transaction touching an address, oldest first.
 func (c *Chain) HistoryOf(addr chain.Address) []TxRecord {
 	var out []TxRecord
-	for _, r := range c.history {
-		if r.From == addr || r.To == addr {
-			out = append(out, r)
+	for _, rows := range c.history {
+		for _, r := range rows {
+			if r.From == addr || r.To == addr {
+				out = append(out, r)
+			}
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package eth
 
 import (
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,5 +87,52 @@ func TestExplorerRecordsReverted(t *testing.T) {
 	}
 	if !strings.Contains(FormatHistory(addr, records, c.cfg.Unit), "(reverted)") {
 		t.Fatal("reverted marker missing from rendering")
+	}
+}
+
+// TestExplorerHistoryPrunesWholeBlocks: with a retention window the
+// explorer keeps exactly the rows of the retained blocks — in block order,
+// then inclusion order — equal to the tail of an unpruned chain's history,
+// across blocks with several transactions and blocks with none.
+func TestExplorerHistoryPrunesWholeBlocks(t *testing.T) {
+	const retention = 4
+	run := func(retain int) (*Chain, *Account) {
+		c := newTestChain(t)
+		c.SetRetention(retain)
+		alice, bob, carol := c.NewAccount(eth(1)), c.NewAccount(eth(1)), c.NewAccount(eth(1))
+		nonces := map[*Account]uint64{}
+		for round := 0; round < 12; round++ {
+			if round%3 != 2 { // every third block stays empty
+				for _, from := range []*Account{alice, carol, alice} {
+					transfer(t, c, from, bob, nonces[from])
+					nonces[from]++
+				}
+			}
+			c.Step()
+		}
+		return c, bob
+	}
+	full, bob := run(0)
+	pruned, _ := run(retention)
+	if full.Digest() != pruned.Digest() {
+		t.Fatal("retention changed the digest")
+	}
+	all := full.HistoryOf(bob.Address)
+	if len(all) != 8*3 {
+		t.Fatalf("unpruned history has %d rows, want 24", len(all))
+	}
+	cutoff := pruned.Head().Number - retention + 1
+	var want []TxRecord
+	for _, r := range all {
+		if r.Block >= cutoff {
+			want = append(want, r)
+		}
+	}
+	got := pruned.HistoryOf(bob.Address)
+	if len(want) == 0 || len(want) == len(all) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("pruned history has %d rows, want the last %d of %d", len(got), len(want), len(all))
+	}
+	if len(pruned.history) > retention {
+		t.Fatalf("explorer holds %d blocks of rows with retention %d", len(pruned.history), retention)
 	}
 }

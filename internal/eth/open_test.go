@@ -113,6 +113,11 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			if resumed.Digest() != ref.Digest() {
 				t.Fatal("digest diverges immediately after restore")
 			}
+			for i, p := range resumed.pool.Entries() {
+				if p.Hash != p.Item.Hash() || p.Hash != ref.pool.Entries()[i].Hash {
+					t.Fatalf("restored mempool entry %d carries hash %x", i, p.Hash[:8])
+				}
+			}
 
 			// Identical continuation on both chains.
 			for i := 0; i < 5; i++ {

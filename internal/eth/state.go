@@ -208,9 +208,3 @@ var _ evm.StateDB = (*state)(nil)
 func (s *state) Root() chain.Hash32 {
 	return chain.Hash32(s.t.Root())
 }
-
-// snapshot forks the state in O(1); both sides may keep mutating.
-func (s *state) snapshot() *state {
-	t := s.t.Snapshot()
-	return &state{stateView: stateView{kv: t}, t: t}
-}

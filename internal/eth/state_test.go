@@ -158,7 +158,8 @@ func TestDifferentialStateBackends(t *testing.T) {
 	ovBase := newState()
 	ov := newShardState(ovBase)
 	snapBase := newState()
-	snap := snapBase.snapshot() // fork immediately; mutate the fork only
+	snapTrie := snapBase.t.Snapshot() // fork immediately; mutate the fork only
+	snap := &state{stateView: stateView{kv: snapTrie}, t: snapTrie}
 
 	targets := []execState{flat, ov, snap}
 

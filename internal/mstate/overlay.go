@@ -10,20 +10,16 @@ package mstate
 // via Adopt(), which is how a per-group transaction rolls back inside a
 // per-shard overlay without disturbing the shard's other groups.
 type Overlay struct {
-	fork   *Trie
-	writes map[Key]write
-}
-
-// write is the journaled final state of one key: a value, or a delete.
-type write struct {
-	val []byte
-	del bool
+	fork *Trie
+	// writes journals the final state of every touched key: the leaf now
+	// in the fork, or nil for a delete.
+	writes map[Key]*leaf
 }
 
 // NewOverlay opens an overlay over base. The base must not be mutated
 // while the overlay is live (snapshot it first if needed).
 func NewOverlay(base *Trie) *Overlay {
-	return &Overlay{fork: base.Snapshot(), writes: make(map[Key]write)}
+	return &Overlay{fork: base.Snapshot(), writes: make(map[Key]*leaf)}
 }
 
 // Get reads through the overlay (own writes shadow the base).
@@ -37,15 +33,15 @@ func (o *Overlay) Len() int { return o.fork.Len() }
 
 // Put writes k=v into the overlay only.
 func (o *Overlay) Put(k Key, v []byte) {
-	o.fork.Put(k, v)
-	stored, _ := o.fork.Get(k) // journal the trie-owned copy
-	o.writes[k] = write{val: stored}
+	lf := newLeaf(k, v)
+	o.fork.putLeaf(lf)
+	o.writes[k] = lf
 }
 
 // Delete removes k in the overlay only.
 func (o *Overlay) Delete(k Key) {
 	o.fork.Delete(k)
-	o.writes[k] = write{del: true}
+	o.writes[k] = nil
 }
 
 // Fork opens a child overlay whose writes are invisible to o until
@@ -53,24 +49,26 @@ func (o *Overlay) Delete(k Key) {
 func (o *Overlay) Fork() *Overlay { return NewOverlay(o.fork) }
 
 // Adopt folds a committed child overlay's writes into o. The child must
-// have been created by o.Fork and must not be used afterwards.
+// have been created by o.Fork and must not be used afterwards: o takes
+// over its trie handle, and with it the branches the child wrote.
 func (o *Overlay) Adopt(child *Overlay) {
-	o.fork = child.fork.Snapshot()
-	for k, w := range child.writes {
-		o.writes[k] = w
+	o.fork = child.fork
+	for k, lf := range child.writes {
+		o.writes[k] = lf
 	}
 }
 
 // CommitTo replays the journal onto dst, which is normally the base the
 // overlay was opened on (after any sibling overlays were checked for
 // disjointness). Replay order does not matter: the journal holds final
-// values, one entry per key.
+// values, one entry per key — and dst links the journaled leaves
+// themselves, so a committed value is copied once, at Put.
 func (o *Overlay) CommitTo(dst *Trie) {
-	for k, w := range o.writes {
-		if w.del {
+	for k, lf := range o.writes {
+		if lf == nil {
 			dst.Delete(k)
 		} else {
-			dst.Put(k, w.val)
+			dst.putLeaf(lf)
 		}
 	}
 }

@@ -1,0 +1,330 @@
+package mstate
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"unsafe"
+)
+
+// Tests of the ownership rule: a handle mutates in place only the branches
+// it created since its last Snapshot, so no write can be seen through
+// another handle.
+
+// deepKeys is a key universe with long shared prefixes (every byte is one
+// of four values, the rest zero), so writes split leaves into branch
+// chains, collapse them again and keep hitting the same interior branches.
+func deepKeys() []Key {
+	alphabet := []byte{0x00, 0x01, 0x10, 0x11}
+	var keys []Key
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			for _, c := range alphabet {
+				keys = append(keys, Key{a, b, c})
+			}
+		}
+	}
+	return keys
+}
+
+// kvHandle is what a Trie and an Overlay have in common.
+type kvHandle interface {
+	Get(Key) ([]byte, bool)
+	Put(Key, []byte)
+	Delete(Key)
+	Len() int
+}
+
+// modeled pairs a handle with the map it must equal.
+type modeled struct {
+	kv kvHandle
+	m  map[Key][]byte
+}
+
+// forkOf models a handle just forked off from: it starts with from's contents.
+func forkOf(from *modeled, kv kvHandle) *modeled {
+	h := &modeled{kv: kv, m: make(map[Key][]byte, len(from.m))}
+	for k, v := range from.m {
+		h.m[k] = v
+	}
+	return h
+}
+
+// write applies one random Put or Delete to the handle and its model.
+func (h *modeled) write(rng *rand.Rand, keys []Key) Key {
+	k := keys[rng.Intn(len(keys))]
+	if rng.Intn(3) == 0 {
+		h.kv.Delete(k)
+		delete(h.m, k)
+	} else {
+		v := []byte(fmt.Sprintf("v%d", rng.Int63()))
+		h.kv.Put(k, v)
+		h.m[k] = v
+	}
+	return k
+}
+
+func (h *modeled) check(t *testing.T, what string, keys []Key) {
+	t.Helper()
+	if h.kv.Len() != len(h.m) {
+		t.Fatalf("%s: Len %d, model has %d", what, h.kv.Len(), len(h.m))
+	}
+	for _, k := range keys {
+		got, ok := h.kv.Get(k)
+		want, wantOK := h.m[k]
+		if ok != wantOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: key %x = %q/%v, model %q/%v", what, k[:3], got, ok, want, wantOK)
+		}
+	}
+}
+
+// checkRoot compares a trie's root with a trie freshly built from its model.
+func checkRoot(t *testing.T, what string, tr *Trie, m map[Key][]byte) {
+	t.Helper()
+	fresh := New()
+	for k, v := range m {
+		fresh.Put(k, v)
+	}
+	if tr.Root() != fresh.Root() {
+		t.Fatalf("%s: root diverges from a freshly built trie of the same contents", what)
+	}
+}
+
+// TestOwnershipRandomized walks chains of Snapshot / NewOverlay / Fork /
+// Adopt / CommitTo / discard with writes on both sides of every snapshot,
+// and holds every live handle to its own model after every round.
+func TestOwnershipRandomized(t *testing.T) {
+	keys := deepKeys()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// burst applies a few random writes to h, noting the keys in
+		// journal when one is given.
+		burst := func(h *modeled, journal map[Key]bool) {
+			for n := rng.Intn(12); n > 0; n-- {
+				if k := h.write(rng, keys); journal != nil {
+					journal[k] = true
+				}
+			}
+		}
+		root := New()
+		tries := []*modeled{{kv: root, m: map[Key][]byte{}}}
+		for round := 0; round < 150; round++ {
+			h := tries[rng.Intn(len(tries))]
+			tr := h.kv.(*Trie)
+			burst(h, nil)
+			if round%3 == 0 {
+				tr.Root() // fill hash caches that in-place writes must clear
+			}
+			switch rng.Intn(4) {
+			case 0: // snapshot, then write both sides
+				snap := forkOf(h, tr.Snapshot())
+				burst(h, nil)
+				burst(snap, nil)
+				burst(h, nil)
+				if len(tries) < 6 {
+					tries = append(tries, snap)
+				} else {
+					snap.check(t, "discarded snapshot", keys)
+					tries[rng.Intn(len(tries))] = snap // discard an older handle
+				}
+			case 1, 2: // overlay over tr, optionally nested, committed or dropped
+				ovl := NewOverlay(tr)
+				ov := forkOf(h, ovl)
+				journal := map[Key]bool{}
+				burst(ov, journal)
+				burst(h, nil) // the base moves on under the live overlay
+				for nest := rng.Intn(3); nest > 0; nest-- {
+					childOvl := ovl.Fork()
+					child := forkOf(ov, childOvl)
+					childJournal := map[Key]bool{}
+					burst(child, childJournal)
+					ov.check(t, "overlay under a live child", keys)
+					if rng.Intn(2) == 0 {
+						ovl.Adopt(childOvl)
+						ov.m = child.m
+						for k := range childJournal {
+							journal[k] = true
+						}
+					}
+					burst(ov, journal)
+				}
+				ov.check(t, "overlay", keys)
+				if ovl.Touched() != len(journal) {
+					t.Fatalf("overlay journal has %d keys, wrote %d", ovl.Touched(), len(journal))
+				}
+				if rng.Intn(3) != 0 {
+					ovl.CommitTo(tr)
+					for k := range journal {
+						if v, ok := ov.m[k]; ok {
+							h.m[k] = v
+						} else {
+							delete(h.m, k)
+						}
+					}
+				}
+			}
+			for i, h := range tries {
+				what := fmt.Sprintf("seed %d round %d handle %d", seed, round, i)
+				h.check(t, what, keys)
+				checkRoot(t, what, h.kv.(*Trie), h.m)
+			}
+		}
+	}
+}
+
+var snapshotSink *Trie
+
+// TestOwnedPutAllocatesNoBranch pins the cost model: a Put along a path the
+// handle already owns allocates the leaf and its value and nothing else;
+// the first Put after Snapshot additionally draws a token and copies every
+// branch on the path exactly once.
+func TestOwnedPutAllocatesNoBranch(t *testing.T) {
+	const depth = 6 // the two keys share five nibbles: a chain of six branches
+	a, b := Key{0x12, 0x34, 0x50}, Key{0x12, 0x34, 0x5F}
+	tr := New()
+	tr.Put(a, []byte("aaaaaaaa"))
+	tr.Put(b, []byte("bbbbbbbb"))
+	branches := 0
+	for n := tr.root; ; branches++ {
+		br, ok := n.(*branch)
+		if !ok {
+			break
+		}
+		n = br.children[nibble(a, branches)]
+	}
+	if branches != depth {
+		t.Fatalf("path to the key has %d branches, want %d", branches, depth)
+	}
+	val := []byte("cccccccc")
+	owned := testing.AllocsPerRun(200, func() { tr.Put(a, val) })
+	if owned != 2 {
+		t.Fatalf("Put on an owned path: %v allocations, want 2 (leaf and value)", owned)
+	}
+	frozen := testing.AllocsPerRun(200, func() {
+		snapshotSink = tr.Snapshot()
+		tr.Put(a, val)
+	})
+	// The snapshot handle, the fresh token, one copy per branch, then the
+	// leaf and value as before.
+	if want := float64(1 + 1 + depth + 2); frozen != want {
+		t.Fatalf("Put after Snapshot: %v allocations, want %v", frozen, want)
+	}
+	if got := tr.Root(); got != snapshotSink.Root() {
+		t.Fatal("handle and snapshot hold the same contents but hash differently")
+	}
+}
+
+// TestBranchSizeClass: the owner pointer must not push a branch out of the
+// 288-byte allocation class it was in before, or live heap grows.
+func TestBranchSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(branch{}); sz > 288 {
+		t.Fatalf("branch is %d bytes; more than 288 moves it to the next size class", sz)
+	}
+}
+
+// TestConcurrentOverlaysOverOneBase is the sharded block shape under the
+// race detector: overlays opened over one base are written from their own
+// goroutines — reading shared frozen nodes, copying and then owning their
+// own — and are committed to the base one after the other.
+func TestConcurrentOverlaysOverOneBase(t *testing.T) {
+	const shards, perShard = 8, 400
+	base := New()
+	want := map[Key][]byte{}
+	key := func(shard, i int) Key { return KeyOf("conc", []byte{byte(shard)}, []byte{byte(i), byte(i >> 8)}) }
+	for s := 0; s < shards; s++ {
+		for i := 0; i < perShard; i += 2 {
+			v := []byte(fmt.Sprintf("base %d/%d", s, i))
+			base.Put(key(s, i), v)
+			want[key(s, i)] = v
+		}
+	}
+	base.Root()
+	overlays := make([]*Overlay, shards)
+	for s := range overlays {
+		overlays[s] = NewOverlay(base)
+	}
+	var wg sync.WaitGroup
+	for s, ov := range overlays {
+		wg.Add(1)
+		go func(s int, ov *Overlay) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for i := 0; i < perShard; i++ {
+					if i%5 == 0 {
+						ov.Delete(key(s, i))
+					} else {
+						ov.Put(key(s, i), []byte(fmt.Sprintf("shard %d/%d pass %d", s, i, pass)))
+					}
+				}
+			}
+			if v, ok := ov.Get(key((s+1)%shards, 0)); !ok || !bytes.HasPrefix(v, []byte("base ")) {
+				t.Errorf("shard %d sees a sibling's write: %q", s, v)
+			}
+		}(s, ov)
+	}
+	wg.Wait()
+	for s, ov := range overlays {
+		ov.CommitTo(base)
+		for i := 0; i < perShard; i++ {
+			if i%5 == 0 {
+				delete(want, key(s, i))
+			} else {
+				want[key(s, i)] = []byte(fmt.Sprintf("shard %d/%d pass 2", s, i))
+			}
+		}
+	}
+	if base.Len() != len(want) {
+		t.Fatalf("base has %d keys, want %d", base.Len(), len(want))
+	}
+	checkRoot(t, "base after committing every overlay", base, want)
+}
+
+// The two write shapes of a sharded block, 2000 writes over a 10k-key
+// base per op: a handle rewriting paths it owns after one snapshot, and an
+// overlay written and then committed. allocs/op ÷ 2000 is the number to
+// watch: leaf and value per write, plus one branch copy per distinct dirty
+// branch per layer.
+const (
+	benchBaseKeys = 10000
+	benchWrites   = 2000
+)
+
+func benchBase() (*Trie, []Key) {
+	tr := New()
+	keys := make([]Key, benchBaseKeys)
+	for i := range keys {
+		keys[i] = KeyOf("bench", []byte{byte(i), byte(i >> 8)})
+		tr.Put(keys[i], []byte("12345678"))
+	}
+	tr.Root()
+	return tr, keys[:benchWrites]
+}
+
+func BenchmarkTriePutOwned(b *testing.B) {
+	tr, keys := benchBase()
+	val := []byte("abcdefgh")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = tr.Snapshot()
+		for _, k := range keys {
+			tr.Put(k, val)
+		}
+	}
+}
+
+func BenchmarkOverlayPutCommit(b *testing.B) {
+	tr, keys := benchBase()
+	val := []byte("abcdefgh")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ov := NewOverlay(tr)
+		for _, k := range keys {
+			ov.Put(k, val)
+		}
+		ov.CommitTo(tr)
+	}
+}

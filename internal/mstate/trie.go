@@ -1,15 +1,23 @@
-// Package mstate is the Merkle snapshot state layer: an immutable
-// copy-on-write trie over 32-byte hashed keys that gives every chain
-// backend O(1) snapshots, an authenticated state root per block, and a
-// disk-shaped persistence seam (NodeStore).
+// Package mstate is the Merkle snapshot state layer: a copy-on-write
+// trie over 32-byte hashed keys that gives every chain backend O(1)
+// snapshots, an authenticated state root per block, and a disk-shaped
+// persistence seam (NodeStore).
 //
 // The trie is a 16-ary radix tree over the nibbles of the (already
 // hashed, uniformly distributed) key. Leaves store the full key and
 // value, so lookups terminate as soon as the path is unambiguous;
-// interior branch chains exist only along shared key prefixes. Every
-// mutation copies the nodes on the touched path and shares the rest,
-// which is what makes Snapshot a root-pointer copy and keeps forks
-// cheap: two tries diverging by k keys share all but O(k·depth) nodes.
+// interior branch chains exist only along shared key prefixes.
+//
+// Ownership rule: a Trie handle owns the branches it created since its
+// last Snapshot and mutates those in place; every other branch on a
+// written path is copied once and the copy becomes owned. Snapshot
+// retires the receiver's ownership, so afterwards both sides see only
+// frozen nodes and neither observes the other — a write costs one
+// branch copy per distinct dirty branch between snapshots, and two
+// tries diverging by k keys still share all but O(k·depth) nodes.
+// Ownership lives in the handle: a Trie must not be copied by value
+// (the copy would own the same branches), and Snapshot must not run
+// concurrently with the receiver's own writes.
 //
 // The structure — and therefore the root hash — is a pure function of
 // the key/value set, independent of insertion or deletion order:
@@ -44,8 +52,8 @@ func KeyOf(tag string, parts ...[]byte) Key {
 	return k
 }
 
-// node is either a *leaf or a *branch. Nodes are immutable once linked
-// into a trie; mutation always copies.
+// node is either a *leaf or a *branch. Leaves are immutable once linked
+// into a trie; a branch is mutable only through the handle that owns it.
 type node interface {
 	hash() Hash
 }
@@ -58,11 +66,23 @@ type leaf struct {
 	cached atomic.Pointer[Hash]
 }
 
+// newLeaf builds a leaf over a private copy of v.
+func newLeaf(k Key, v []byte) *leaf {
+	return &leaf{key: k, val: append(make([]byte, 0, len(v)), v...)}
+}
+
+// owner is an ownership token, compared by address. It has a size so
+// that every live token has an address of its own.
+type owner struct{ _ byte }
+
 // branch fans out on one nibble of the key. children[i] covers keys
-// whose nibble at this depth is i.
+// whose nibble at this depth is i. owner is the token of the handle that
+// created the branch and is never rewritten; the handle may mutate the
+// branch in place for as long as it still holds that token.
 type branch struct {
 	children [16]node
 	cached   atomic.Pointer[Hash]
+	owner    *owner
 }
 
 // Node-encoding tags, shared by hashing and persistence so that a
@@ -119,10 +139,15 @@ func (b *branch) mask() uint16 {
 	return m
 }
 
-// clone returns a mutable copy of the branch with an unset hash cache.
-func (b *branch) clone() *branch {
-	nb := &branch{children: b.children}
-	return nb
+// mutable returns the branch to write through on behalf of the handle
+// holding own (non-nil): b itself with its hash cache cleared when that
+// handle created it, otherwise a copy that the handle now owns.
+func (b *branch) mutable(own *owner) *branch {
+	if b.owner != own {
+		return &branch{children: b.children, owner: own}
+	}
+	b.cached.Store(nil)
+	return b
 }
 
 // nibble returns the depth-th nibble of k, high nibble first.
@@ -137,18 +162,39 @@ func nibble(k Key, depth int) int {
 // Trie is one version of the state. The zero value is not usable; call
 // New. A Trie is not safe for concurrent mutation, but any number of
 // snapshots may be read (and hashed) concurrently because all shared
-// nodes are immutable.
+// nodes are frozen.
 type Trie struct {
 	root  node
 	count int
+	// own is the token of the branches this handle may mutate in place;
+	// nil until the first write after New, Load or Snapshot.
+	own *owner
 }
 
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
 
 // Snapshot returns an independent fork sharing all nodes with t. Both
-// sides may continue to mutate; neither observes the other. O(1).
-func (t *Trie) Snapshot() *Trie { return &Trie{root: t.root, count: t.count} }
+// sides may continue to mutate; neither observes the other. O(1). It
+// drops t's token, which freezes every branch t owned: the token stays
+// referenced by those branches, so no later token can compare equal to
+// it, and both handles draw a fresh one on their next write. A handle
+// already without a token is not written, so a quiescent trie may be
+// snapshotted from several goroutines.
+func (t *Trie) Snapshot() *Trie {
+	if t.own != nil {
+		t.own = nil
+	}
+	return &Trie{root: t.root, count: t.count}
+}
+
+// token returns the handle's ownership token, drawing one if retired.
+func (t *Trie) token() *owner {
+	if t.own == nil {
+		t.own = new(owner)
+	}
+	return t.own
+}
 
 // Len is the number of live keys.
 func (t *Trie) Len() int { return t.count }
@@ -194,11 +240,13 @@ func (t *Trie) Has(k Key) bool {
 
 // Put stores v under k, copying v so later caller-side mutation cannot
 // alias into the trie.
-func (t *Trie) Put(k Key, v []byte) {
-	cp := make([]byte, len(v))
-	copy(cp, v)
+func (t *Trie) Put(k Key, v []byte) { t.putLeaf(newLeaf(k, v)) }
+
+// putLeaf links lf, which the caller must never modify again, under its
+// key. Leaves are immutable, so one leaf may sit in several tries.
+func (t *Trie) putLeaf(lf *leaf) {
 	var added bool
-	t.root, added = insert(t.root, k, 0, cp)
+	t.root, added = insert(t.root, lf, 0, t.token())
 	if added {
 		t.count++
 	}
@@ -206,21 +254,21 @@ func (t *Trie) Put(k Key, v []byte) {
 
 // insert returns the new subtree root and whether the key was newly
 // added (vs overwritten).
-func insert(n node, k Key, depth int, v []byte) (node, bool) {
+func insert(n node, lf *leaf, depth int, own *owner) (node, bool) {
 	switch cur := n.(type) {
 	case nil:
-		return &leaf{key: k, val: v}, true
+		return lf, true
 	case *leaf:
-		if cur.key == k {
-			return &leaf{key: k, val: v}, false
+		if cur.key == lf.key {
+			return lf, false
 		}
 		// Grow a branch chain down to the first diverging nibble.
-		return splitLeaf(cur, &leaf{key: k, val: v}, depth), true
+		return splitLeaf(cur, lf, depth, own), true
 	case *branch:
-		nb := cur.clone()
-		idx := nibble(k, depth)
-		child, added := insert(cur.children[idx], k, depth+1, v)
-		nb.children[idx] = child
+		nb := cur.mutable(own)
+		idx := nibble(lf.key, depth)
+		var added bool
+		nb.children[idx], added = insert(nb.children[idx], lf, depth+1, own)
 		return nb, added
 	}
 	panic("mstate: unknown node type")
@@ -228,11 +276,11 @@ func insert(n node, k Key, depth int, v []byte) (node, bool) {
 
 // splitLeaf builds the branch chain separating two distinct keys that
 // share a prefix from depth onward.
-func splitLeaf(a, b *leaf, depth int) node {
+func splitLeaf(a, b *leaf, depth int, own *owner) node {
 	ia, ib := nibble(a.key, depth), nibble(b.key, depth)
-	br := &branch{}
+	br := &branch{owner: own}
 	if ia == ib {
-		br.children[ia] = splitLeaf(a, b, depth+1)
+		br.children[ia] = splitLeaf(a, b, depth+1, own)
 	} else {
 		br.children[ia] = a
 		br.children[ib] = b
@@ -242,7 +290,7 @@ func splitLeaf(a, b *leaf, depth int) node {
 
 // Delete removes k if present.
 func (t *Trie) Delete(k Key) {
-	root, removed := remove(t.root, k, 0)
+	root, removed := remove(t.root, k, 0, t.token())
 	t.root = root
 	if removed {
 		t.count--
@@ -252,7 +300,7 @@ func (t *Trie) Delete(k Key) {
 // remove returns the new subtree root and whether a key was removed.
 // Branches left with a single leaf child collapse to that leaf so the
 // structure stays a pure function of the surviving key set.
-func remove(n node, k Key, depth int) (node, bool) {
+func remove(n node, k Key, depth int, own *owner) (node, bool) {
 	switch cur := n.(type) {
 	case nil:
 		return nil, false
@@ -263,11 +311,11 @@ func remove(n node, k Key, depth int) (node, bool) {
 		return cur, false
 	case *branch:
 		idx := nibble(k, depth)
-		child, removed := remove(cur.children[idx], k, depth+1)
+		child, removed := remove(cur.children[idx], k, depth+1, own)
 		if !removed {
 			return cur, false
 		}
-		nb := cur.clone()
+		nb := cur.mutable(own)
 		nb.children[idx] = child
 		// Collapse: count survivors; a lone leaf replaces the branch.
 		var only node

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -11,39 +12,54 @@ import (
 // workload for overhead measurements.
 var fig52 = FigureSpecs[0]
 
-func timeRun(tb testing.TB, o *obs.Obs) time.Duration {
+// cpuRun executes fig 5.2 once and returns the process CPU time it took.
+func cpuRun(tb testing.TB, o *obs.Obs) time.Duration {
 	tb.Helper()
-	start := time.Now()
+	start := processCPU(tb)
 	if _, err := Execute(Spec{Chain: fig52.Chain, Users: fig52.Users, Seed: 7, Obs: o}); err != nil {
 		tb.Fatal(err)
 	}
-	return time.Since(start)
+	return processCPU(tb) - start
 }
 
 // TestNoOpObservabilityOverhead checks that the uninstrumented (nil-obs)
 // path through the instrumented code is not slower than the fully
 // instrumented one. The no-op path does strictly less work — only nil
 // checks — so comparing against the instrumented run gives a stable
-// direction: if the nil path ever exceeded instrumented wall time by more
+// direction: if the nil path ever exceeded the instrumented one by more
 // than the 5% noise allowance, the "observability off costs nothing"
-// claim would be broken. Min-of-N damps scheduler noise.
+// claim would be broken. Each repetition runs the two back to back, in
+// alternating order, and yields one ratio of process CPU time (which time
+// spent descheduled under a loaded test run does not enter); the verdict
+// is the median ratio, which a disturbed pair cannot move. A run is only
+// ~15 ms, so single ratios scatter by ±10%; over 41 pairs the median stays
+// within 0.93–1.02 on a loaded 2-CPU host (the instrumented side really is
+// a few percent dearer).
 func TestNoOpObservabilityOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
 	}
-	const rounds = 4
-	minNoop, minObs := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < rounds; i++ {
-		if d := timeRun(t, nil); d < minNoop {
-			minNoop = d
+	const pairs = 41
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var cpu [2]time.Duration // no-op, instrumented
+		first := i % 2
+		for _, side := range []int{first, 1 - first} {
+			var o *obs.Obs
+			if side == 1 {
+				o = obs.New()
+			}
+			cpu[side] = cpuRun(t, o)
 		}
-		if d := timeRun(t, obs.New()); d < minObs {
-			minObs = d
-		}
+		ratios[i] = float64(cpu[0]) / float64(cpu[1])
 	}
-	t.Logf("fig 5.2 wall time: no-op %v, instrumented %v", minNoop, minObs)
-	if float64(minNoop) > 1.05*float64(minObs) {
-		t.Errorf("no-op path took %v, more than 5%% over the instrumented %v", minNoop, minObs)
+	sort.Float64s(ratios)
+	median := ratios[pairs/2]
+	t.Logf("fig 5.2 no-op/instrumented CPU time over %d pairs: median %.3f, range %.3f..%.3f",
+		pairs, median, ratios[0], ratios[pairs-1])
+	if median > 1.05 {
+		t.Errorf("no-op path costs %.1f%% more CPU than the instrumented one (median of %d pairs); the allowance is 5%%",
+			100*(median-1), pairs)
 	}
 }
 
