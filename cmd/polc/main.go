@@ -15,33 +15,34 @@ import (
 	"agnopol/internal/lang"
 )
 
+// compileFile compiles a .pol source file the way core compiles the shipped
+// contracts.
+func compileFile(path string) (*lang.Compiled, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := lang.ParseSource(string(data))
+	if err != nil {
+		return nil, err
+	}
+	return lang.Compile(prog, lang.Options{MaxBytesLen: 512, Precompiles: true})
+}
+
 func main() {
 	var (
 		showEVM  = flag.Bool("evm", false, "print the EVM disassembly")
 		showTEAL = flag.Bool("teal", false, "print the generated TEAL source")
 		analyze  = flag.Bool("analyze", true, "print the conservative analysis (Fig 5.1)")
-		v2       = flag.Bool("v2", false, "compile the extended contract (deadline + witness rewards)")
-		src      = flag.String("src", "", "compile a .pol source file instead of the built-in contract")
+		src      = flag.String("src", "", "compile a .pol source file instead of the shipped contracts/pol-report.pol")
 	)
 	flag.Parse()
 
 	var compiled *lang.Compiled
 	var err error
-	switch {
-	case *src != "":
-		data, rerr := os.ReadFile(*src)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "polc: %v\n", rerr)
-			os.Exit(1)
-		}
-		var prog *lang.Program
-		prog, err = lang.ParseSource(string(data))
-		if err == nil {
-			compiled, err = lang.Compile(prog, lang.Options{MaxBytesLen: 512, Precompiles: true})
-		}
-	case *v2:
-		compiled, err = core.CompilePoLV2()
-	default:
+	if *src != "" {
+		compiled, err = compileFile(*src)
+	} else {
 		compiled, err = core.CompilePoL()
 	}
 	if err != nil {

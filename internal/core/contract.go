@@ -8,140 +8,64 @@ package core
 import (
 	"fmt"
 
+	"agnopol/contracts"
 	"agnopol/internal/lang"
 )
 
-// Contract constants from §4.1: every per-location contract accepts at most
+// MaxUsers is the §4.1 seat cap: every per-location contract accepts at most
 // MaxUsers provers (creator included) — the thesis tests with 4 per
-// contract — and pays RewardPerProver to each verified prover.
+// contract. It mirrors the literal in contracts/pol-report.pol and
+// pol-report-v2.pol (TestPoLProgramShape holds the two together).
 const MaxUsers = 4
 
-// BuildPoLProgram writes the thesis smart contract (§4.1, Fig. 2.8) in the
-// agnostic language:
-//
-//   - the Creator participant deploys with (position, did, data), which
-//     stores the first prover's concatenated values in the Map;
-//   - attacherAPI.insert_data(data, did) lets up to MaxUsers provers attach
-//     (the ParallelReduce over availableSits);
-//   - verifierAPI.insert_money(money) funds the reward pool;
-//   - verifierAPI.verify(did, wallet) pays the reward when funded, deletes
-//     the map entry, and reports the outcome (reportVerification /
-//     issueDuringVerification events);
-//   - close() sends the remaining balance back to the creator (the timeout
-//     step that lets the contract exit with an empty balance — the token-
-//     linearity obligation).
-//
-// rewardPerProver is in the chain's base units (wei / µAlgo) and becomes a
-// constructor argument so the same compiled program runs on every connector.
-func BuildPoLProgram() *lang.Program {
-	p := lang.NewProgram("pol-report")
-
-	p.DeclareGlobal("position", lang.TBytes)
-	p.DeclareGlobal("creator", lang.TAddress)
-	p.DeclareGlobal("creatorDid", lang.TUInt)
-	p.DeclareGlobal("availableSits", lang.TUInt)
-	p.DeclareGlobal("reward", lang.TUInt)
-	p.DeclareMap("easy_map", lang.TUInt, lang.TBytes)
-
-	// Deployment is two transactions, exactly as the Etherscan trace in
-	// Fig. 3.1 shows: the creation transaction publishes position, DID
-	// and reward, then the creator inserts its data through insert_data
-	// like every other prover.
-	p.SetConstructor(
-		[]lang.Param{
-			{Name: "position", Type: lang.TBytes},
-			{Name: "did", Type: lang.TUInt},
-			{Name: "rewardPerProver", Type: lang.TUInt},
-		},
-		&lang.SetGlobal{Name: "position", Value: lang.A(0)},
-		&lang.SetGlobal{Name: "creator", Value: &lang.Caller{}},
-		&lang.SetGlobal{Name: "creatorDid", Value: lang.A(1)},
-		&lang.SetGlobal{Name: "reward", Value: lang.A(2)},
-		&lang.SetGlobal{Name: "availableSits", Value: lang.U(MaxUsers)},
-	)
-
-	p.AddAPI(&lang.API{
-		Name: "insert_data",
-		Params: []lang.Param{
-			{Name: "data", Type: lang.TBytes},
-			{Name: "did", Type: lang.TUInt},
-		},
-		Returns: lang.TUInt,
-		Body: []lang.Stmt{
-			&lang.Assume{Cond: lang.Gt(lang.G("availableSits"), lang.U(0)), Msg: "contract is full"},
-			&lang.Assume{Cond: &lang.Not{A: &lang.MapHas{Map: "easy_map", Key: lang.A(1)}}, Msg: "DID already attached"},
-			&lang.MapSet{Map: "easy_map", Key: lang.A(1), Value: lang.A(0)},
-			&lang.SetGlobal{Name: "availableSits", Value: lang.Sub(lang.G("availableSits"), lang.U(1))},
-			&lang.Emit{Event: "reportData", Value: lang.A(1)},
-			&lang.Return{Value: lang.G("availableSits")},
-		},
-	})
-
-	p.AddAPI(&lang.API{
-		Name:    "insert_money",
-		Params:  []lang.Param{{Name: "money", Type: lang.TUInt}},
-		Returns: lang.TUInt,
-		Pay:     lang.A(0),
-		Body: []lang.Stmt{
-			&lang.Assume{Cond: lang.Gt(lang.A(0), lang.U(0)), Msg: "deposit must be positive"},
-			&lang.Return{Value: &lang.Balance{}},
-		},
-	})
-
-	p.AddAPI(&lang.API{
-		Name: "verify",
-		Params: []lang.Param{
-			{Name: "did", Type: lang.TUInt},
-			{Name: "walletAddress", Type: lang.TAddress},
-		},
-		Returns: lang.TAddress,
-		Body: []lang.Stmt{
-			&lang.Assume{Cond: &lang.MapHas{Map: "easy_map", Key: lang.A(0)}, Msg: "no data for DID"},
-			&lang.If{
-				Cond: lang.Ge(&lang.Balance{}, lang.G("reward")),
-				Then: []lang.Stmt{
-					&lang.Transfer{Amount: lang.G("reward"), To: lang.A(1)},
-					&lang.MapDel{Map: "easy_map", Key: lang.A(0)},
-					&lang.Emit{Event: "reportVerification", Value: lang.A(0)},
-					&lang.Return{Value: lang.A(1)},
-				},
-				Else: []lang.Stmt{
-					&lang.Emit{Event: "issueDuringVerification", Value: lang.A(0)},
-					&lang.Return{Value: lang.A(1)},
-				},
-			},
-		},
-	})
-
-	p.AddAPI(&lang.API{
-		Name:    "close",
-		Params:  []lang.Param{},
-		Returns: lang.TUInt,
-		Body: []lang.Stmt{
-			// Only the creator can trigger the timeout close; the
-			// remaining tokens go back to them (§4.1.5).
-			&lang.Assume{Cond: lang.Eq(&lang.Caller{}, lang.G("creator")), Msg: "only creator closes"},
-			&lang.Transfer{Amount: &lang.Balance{}, To: lang.G("creator")},
-			&lang.Return{Value: lang.U(1)},
-		},
-	})
-
-	p.AddView("getCtcBalance", lang.TUInt, &lang.Balance{})
-	p.AddView("getReward", lang.TUInt, lang.G("reward"))
-	p.AddView("getAvailableSits", lang.TUInt, lang.G("availableSits"))
-	p.AddView("getPosition", lang.TBytes, lang.G("position"))
-	return p
+// shipped is every contract core deploys: the source is the .pol file in
+// package contracts (the one definition a reader or auditor opens), and
+// maxBytesLen its Bytes bound for the conservative analysis. All of them
+// compile onto the precompiled lowering.
+var shipped = map[string]struct {
+	src         string
+	maxBytesLen int
+}{
+	"pol-report":    {contracts.PoLReport, 512},
+	"pol-report-v2": {contracts.PoLReportV2, 512},
+	"pol-verify":    {contracts.PoLVerify, 512},
+	"did-registry":  {contracts.DIDRegistry, 64},
+	"area-checkin":  {contracts.AreaCheckin, 512},
 }
 
-// CompilePoL compiles the PoL contract for both backends; the single
-// compiled artifact drives every connector.
-func CompilePoL() (*lang.Compiled, error) {
-	c, err := lang.Compile(BuildPoLProgram(), lang.Options{MaxBytesLen: 512, Precompiles: true})
+// compileShipped parses and compiles one row of shipped for both backends;
+// the single compiled artifact drives every connector.
+func compileShipped(name string) (*lang.Compiled, error) {
+	row := shipped[name]
+	prog, err := lang.ParseSource(row.src)
 	if err != nil {
-		return nil, fmt.Errorf("core: compile PoL contract: %w", err)
+		return nil, fmt.Errorf("core: parse %s: %w", name, err)
+	}
+	c, err := lang.Compile(prog, lang.Options{MaxBytesLen: row.maxBytesLen, Precompiles: true})
+	if err != nil {
+		return nil, fmt.Errorf("core: compile %s: %w", name, err)
 	}
 	return c, nil
 }
+
+// CompilePoL compiles the thesis PoL contract (contracts/pol-report.pol).
+func CompilePoL() (*lang.Compiled, error) { return compileShipped("pol-report") }
+
+// CompilePoLV2 compiles the extended contract with a deadline and witness
+// rewards (contracts/pol-report-v2.pol).
+func CompilePoLV2() (*lang.Compiled, error) { return compileShipped("pol-report-v2") }
+
+// CompileVerify compiles the proof-verification hot-path contract
+// (contracts/pol-verify.pol).
+func CompileVerify() (*lang.Compiled, error) { return compileShipped("pol-verify") }
+
+// CompileDIDRegistry compiles the DID anchoring contract
+// (contracts/did-registry.pol).
+func CompileDIDRegistry() (*lang.Compiled, error) { return compileShipped("did-registry") }
+
+// CompileCheckin compiles the soak harness's check-in contract
+// (contracts/area-checkin.pol).
+func CompileCheckin() (*lang.Compiled, error) { return compileShipped("area-checkin") }
 
 // Map and global indices for off-chain state reads (Reach frontends read
 // contract state through the node; the connectors mirror that via

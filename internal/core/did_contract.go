@@ -13,45 +13,8 @@ import (
 // DIDs for users that required it". On-chain it anchors the binding
 // DID → authentication-key digest, making the verifiable data registry's
 // content tamper-evident on the ledger: anyone can check that the document
-// they resolved off-chain matches the digest the subject anchored.
-
-// BuildDIDRegistryProgram returns the anchoring contract: a map from the
-// DID's UInt compression to the digest of (DID string ‖ authentication
-// key), first-come-first-served per key — DIDs are unique by construction,
-// so one anchor per identifier.
-func BuildDIDRegistryProgram() *lang.Program {
-	p := lang.NewProgram("did-registry")
-	p.DeclareGlobal("count", lang.TUInt)
-	p.DeclareMap("anchors", lang.TUInt, lang.TBytes)
-	p.SetConstructor(nil)
-
-	p.AddAPI(&lang.API{
-		Name: "register",
-		Params: []lang.Param{
-			{Name: "didKey", Type: lang.TUInt},
-			{Name: "digest", Type: lang.TBytes},
-		},
-		Returns: lang.TUInt,
-		Body: []lang.Stmt{
-			&lang.Assume{Cond: &lang.Not{A: &lang.MapHas{Map: "anchors", Key: lang.A(0)}}, Msg: "DID already anchored"},
-			&lang.MapSet{Map: "anchors", Key: lang.A(0), Value: lang.A(1)},
-			&lang.SetGlobal{Name: "count", Value: lang.Add(lang.G("count"), lang.U(1))},
-			&lang.Emit{Event: "didRegistered", Value: lang.A(0)},
-			&lang.Return{Value: lang.G("count")},
-		},
-	})
-	p.AddView("getCount", lang.TUInt, lang.G("count"))
-	return p
-}
-
-// CompileDIDRegistry compiles the anchoring contract for both backends.
-func CompileDIDRegistry() (*lang.Compiled, error) {
-	c, err := lang.Compile(BuildDIDRegistryProgram(), lang.Options{MaxBytesLen: 64, Precompiles: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: compile DID registry: %w", err)
-	}
-	return c, nil
-}
+// they resolved off-chain matches the digest the subject anchored. The
+// contract itself is contracts/did-registry.pol (CompileDIDRegistry).
 
 // AnchorDigest is the 32-byte commitment anchored on-chain for a DID.
 func AnchorDigest(d did.DID, doc *did.Document) ([32]byte, error) {

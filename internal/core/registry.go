@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"agnopol/internal/chain"
-	"agnopol/internal/lang"
 )
 
 // AreaRegistry is the factory-pattern directory of per-area contracts: one
@@ -102,55 +101,4 @@ func (r *AreaRegistry) ConflictKey(area string) (chain.ConflictKey, bool) {
 		return chain.AppKey(h.AppID), true
 	}
 	return chain.ContractKey(h.EVMAddr), true
-}
-
-// BuildCheckinProgram is the soak-harness workload contract: a minimal
-// per-area check-in counter. Unlike the full PoL contract it has no seat
-// cap, so M areas × K users can hammer it for T simulated time without
-// business-rule rejections — the measured cost is almost purely the
-// submit→execute→block pipeline under test.
-//
-//   - the constructor stores the area code;
-//   - checkin(uid, round) records the user's latest round and bumps the
-//     per-area counter;
-//   - getCheckins / getArea expose state for cheap off-chain assertions.
-func BuildCheckinProgram() *lang.Program {
-	p := lang.NewProgram("area-checkin")
-
-	p.DeclareGlobal("area", lang.TBytes)
-	p.DeclareGlobal("checkins", lang.TUInt)
-	p.DeclareMap("last_seen", lang.TUInt, lang.TUInt)
-
-	p.SetConstructor(
-		[]lang.Param{{Name: "area", Type: lang.TBytes}},
-		&lang.SetGlobal{Name: "area", Value: lang.A(0)},
-		&lang.SetGlobal{Name: "checkins", Value: lang.U(0)},
-	)
-
-	p.AddAPI(&lang.API{
-		Name: "checkin",
-		Params: []lang.Param{
-			{Name: "uid", Type: lang.TUInt},
-			{Name: "round", Type: lang.TUInt},
-		},
-		Returns: lang.TUInt,
-		Body: []lang.Stmt{
-			&lang.MapSet{Map: "last_seen", Key: lang.A(0), Value: lang.A(1)},
-			&lang.SetGlobal{Name: "checkins", Value: lang.Add(lang.G("checkins"), lang.U(1))},
-			&lang.Return{Value: lang.G("checkins")},
-		},
-	})
-
-	p.AddView("getCheckins", lang.TUInt, lang.G("checkins"))
-	p.AddView("getArea", lang.TBytes, lang.G("area"))
-	return p
-}
-
-// CompileCheckin compiles the check-in contract for both backends.
-func CompileCheckin() (*lang.Compiled, error) {
-	c, err := lang.Compile(BuildCheckinProgram(), lang.Options{MaxBytesLen: 512, Precompiles: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: compile checkin contract: %w", err)
-	}
-	return c, nil
 }

@@ -41,16 +41,38 @@ func Check(p *Program) error {
 		}
 	}
 
+	// The constructor, APIs and views are dispatched through one method
+	// namespace (Selector(name) on the EVM, APIs first), so a name reused
+	// across kinds would run different bodies on the two backends.
+	methods := map[string]string{CtorMethodName: "constructor"}
+	declare := func(kind, name string) {
+		switch prev := methods[name]; prev {
+		case "":
+			methods[name] = kind
+		case kind:
+			errs = append(errs, fmt.Errorf("%w: duplicate %s %q", ErrType, kind, name))
+		default:
+			errs = append(errs, fmt.Errorf("%w: %s %q shares its method name with the %s", ErrType, kind, name, prev))
+		}
+	}
+	uniqueParams := func(where string, params []Param) {
+		names := map[string]bool{}
+		for _, pr := range params {
+			if names[pr.Name] {
+				errs = append(errs, fmt.Errorf("%w: %s: duplicate parameter %q", ErrType, where, pr.Name))
+			}
+			names[pr.Name] = true
+		}
+	}
+
 	c := &checker{p: p, params: p.Ctor.Params}
+	uniqueParams("constructor", p.Ctor.Params)
 	c.stmts(p.Ctor.Body, TInvalid, "constructor")
 	errs = append(errs, c.errs...)
 
-	apiNames := map[string]bool{}
 	for _, a := range p.APIs {
-		if apiNames[a.Name] {
-			errs = append(errs, fmt.Errorf("%w: duplicate API %q", ErrType, a.Name))
-		}
-		apiNames[a.Name] = true
+		declare("API", a.Name)
+		uniqueParams("API "+a.Name, a.Params)
 		c := &checker{p: p, params: a.Params}
 		if a.Pay != nil {
 			c.expect(a.Pay, TUInt, "API "+a.Name+" pay")
@@ -65,6 +87,7 @@ func Check(p *Program) error {
 	}
 
 	for _, v := range p.Views {
+		declare("view", v.Name)
 		c := &checker{p: p}
 		c.expect(v.Expr, v.Type, "view "+v.Name)
 		errs = append(errs, c.errs...)

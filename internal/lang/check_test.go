@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,48 @@ func TestCheckRejectsTypeErrors(t *testing.T) {
 		p.AddView("v", TBytes, U(1))
 		expectCheckError(t, p, "want Bytes")
 	})
+}
+
+// namespaceClashes are the shapes Check refuses because the constructor,
+// APIs and views dispatch through one Selector(name) namespace on the EVM
+// (APIs first) while the AVM keeps views apart: before these rules an API
+// and a view both named v compiled cleanly and View("v") ran different
+// bodies on the two backends, and duplicate views surfaced only as a
+// backend label error. FuzzParseSource seeds its corpus with them.
+var namespaceClashes = []struct{ name, src, want string }{
+	{"view-shares-api-name",
+		`contract "t" { global a: UInt ctor() {} api v(): UInt { return 1 } view v: UInt = a }`,
+		`view "v" shares its method name with the API`},
+	{"duplicate-view",
+		`contract "t" { global a: UInt ctor() {} view v: UInt = a view v: UInt = a }`,
+		`duplicate view "v"`},
+	{"api-named-ctor",
+		`contract "t" { ctor() {} api ctor(): UInt { return 1 } }`,
+		`API "ctor" shares its method name with the constructor`},
+	{"view-named-ctor",
+		`contract "t" { global a: UInt ctor() {} view ctor: UInt = a }`,
+		`view "ctor" shares its method name with the constructor`},
+	{"duplicate-api-param",
+		`contract "t" { ctor() {} api f(b: UInt, b: UInt): UInt { return b } }`,
+		`API f: duplicate parameter "b"`},
+	{"duplicate-ctor-param",
+		`contract "t" { global a: UInt ctor(b: UInt, b: UInt) { set a = b } }`,
+		`constructor: duplicate parameter "b"`},
+}
+
+func TestCheckRejectsMethodNamespaceClashes(t *testing.T) {
+	for _, tc := range namespaceClashes {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := ParseSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectCheckError(t, p, tc.want)
+			if _, err := Compile(p, Options{}); !errors.Is(err, ErrType) {
+				t.Fatalf("Compile error %v is not ErrType", err)
+			}
+		})
+	}
 }
 
 func TestCheckAcceptsWellTyped(t *testing.T) {

@@ -549,7 +549,7 @@ func (c *evmCompiler) expr(e Expr) {
 	case *SigVerify:
 		// Precompile-only: signature math has no interpreted lowering.
 		if !c.pre {
-			c.fail("sigok requires precompile lowering (Options.Precompiles)")
+			c.fail("%w: sigok requires precompile lowering (Options.Precompiles)", ErrType)
 			return
 		}
 		c.expr(e.Pub)

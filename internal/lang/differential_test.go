@@ -516,6 +516,21 @@ func diffScript(t *testing.T, name string) []diffStep {
 			{method: "check_in", args: []Value{Uint64Value(7), BytesValue(loc), BytesValue(nonce), BytesValue(cid), BytesValue([]byte("9FXXXXXX+XX"))}},           // outside area
 			{method: "check_in", args: []Value{Uint64Value(8), BytesValue(loc), BytesValue(nonce), BytesValue(cid), BytesValue([]byte("8FQFCXGV+XX"))}},           // unknown DID
 		}
+	case "did-registry":
+		anchor := polcrypto.Hash([]byte("did:pol:prover"), []byte("authentication-key"))
+		return []diffStep{
+			{method: CtorMethodName, mustPass: true},
+			{method: "register", args: []Value{Uint64Value(7), BytesValue(anchor[:])}, mustPass: true},
+			{method: "register", args: []Value{Uint64Value(7), BytesValue(anchor[:])}}, // DID already anchored
+			{method: "register", args: []Value{Uint64Value(8), BytesValue(anchor[:])}, mustPass: true},
+		}
+	case "area-checkin":
+		return []diffStep{
+			{method: CtorMethodName, args: []Value{BytesValue([]byte("8FQFCX"))}, mustPass: true},
+			{method: "checkin", args: []Value{Uint64Value(1), Uint64Value(1)}, mustPass: true},
+			{method: "checkin", args: []Value{Uint64Value(2), Uint64Value(1)}, mustPass: true},
+			{method: "checkin", args: []Value{Uint64Value(1), Uint64Value(2)}, mustPass: true}, // overwrites last_seen[1]
+		}
 	default:
 		t.Fatalf("no differential script for contract %q — add one when shipping a new .pol file", name)
 		return nil

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -76,8 +77,11 @@ func newLexer(src string) *lexer {
 	return &lexer{src: src, line: 1, col: 1}
 }
 
+// ErrSyntax reports source text ParseSource cannot lex or parse.
+var ErrSyntax = errors.New("lang: syntax error")
+
 func (l *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("lang: %d:%d: %s", l.line, l.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: %d:%d: %s", ErrSyntax, l.line, l.col, fmt.Sprintf(format, args...))
 }
 
 func (l *lexer) next() (token, error) {

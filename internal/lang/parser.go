@@ -49,7 +49,7 @@ func (p *parser) advance() token {
 }
 
 func (p *parser) errf(t token, format string, args ...any) error {
-	return fmt.Errorf("lang: %d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: %d:%d: %s", ErrSyntax, t.line, t.col, fmt.Sprintf(format, args...))
 }
 
 // expectPunct consumes the given punctuation or fails.

@@ -7,7 +7,8 @@ import (
 
 // polSource is the thesis contract in the textual syntax — the index.rsh
 // analogue. It must compile to exactly the artifacts the embedded builder
-// produces (asserted below against internal/core's program shape).
+// produces (asserted below against builderTwin): the AST API stays public
+// for generated contracts, so the parser and the builder must agree.
 const polSource = `
 // The proof-of-location report contract (§4.1).
 contract "pol-report" {
@@ -87,8 +88,7 @@ func TestParsePoLSourceCompiles(t *testing.T) {
 }
 
 // TestParsedSourceMatchesBuilder: the textual contract and the
-// builder-built twin (core.BuildPoLProgram's shape, reconstructed here)
-// must compile to byte-identical backends.
+// builder-built twin must compile to byte-identical backends.
 func TestParsedSourceMatchesBuilder(t *testing.T) {
 	parsed, err := ParseSource(polSource)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"agnopol/contracts"
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
 	"agnopol/internal/core"
@@ -171,7 +172,11 @@ func addProofVerify(rep *Report, keep func(string) bool) error {
 	if !wanted {
 		return nil
 	}
-	interp, err := lang.Compile(core.BuildVerifyProgram(), lang.Options{MaxBytesLen: 512})
+	prog, err := lang.ParseSource(contracts.PoLVerify)
+	if err != nil {
+		return fmt.Errorf("vmbench: parse pol-verify: %w", err)
+	}
+	interp, err := lang.Compile(prog, lang.Options{MaxBytesLen: 512})
 	if err != nil {
 		return fmt.Errorf("vmbench: compile pol-verify (interpreted): %w", err)
 	}

@@ -48,8 +48,11 @@ for ex in quickstart crowdsensing geofence badgehunt greentoken; do
 done
 
 echo "== tools =="
-go run ./cmd/polc > /dev/null
-go run ./cmd/polc -v2 > /dev/null
+# Every shipped source must compile from its file the way core compiles the
+# embedded copy.
+for src in contracts/*.pol; do
+    go run ./cmd/polc -src "$src" > /dev/null
+done
 go run ./cmd/polsim -chain algorand > /dev/null
 
 echo "== parallel matrix =="
