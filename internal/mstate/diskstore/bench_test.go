@@ -1,0 +1,69 @@
+package diskstore
+
+import (
+	"fmt"
+	"testing"
+
+	"agnopol/internal/mstate"
+)
+
+// The two benchmarks share the shape of the persist_evm workload's store:
+// a trie of benchKeys leaves (≈ 8 k nodes with its branches) whose every
+// value changes each round, so each commit appends the whole trie again
+// and benchRounds commits leave ≈ 200 k records in the log. openT sets
+// NoSync: they time the store's own work, not the host's fsync.
+const (
+	benchKeys   = 6000
+	benchRounds = 25
+)
+
+// churn rewrites every value of the benchmark trie for the given round.
+func churn(tr *mstate.Trie, round int) {
+	for i := 0; i < benchKeys; i++ {
+		tr.Put(tk(fmt.Sprintf("bench-%d", i)), []byte(fmt.Sprintf("round-%d-value-%d", round, i)))
+	}
+}
+
+// BenchmarkOpen measures recovery: reopening a store of ≈ 200 k records,
+// i.e. the index rebuild.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	s := openT(b, dir, Options{})
+	tr := mstate.New()
+	for round := 0; round < benchRounds; round++ {
+		churn(tr, round)
+		commit(b, tr, s, nil)
+	}
+	records := s.Len()
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := openT(b, dir, Options{})
+		if s.Len() != records {
+			b.Fatalf("reopen indexed %d records, wrote %d", s.Len(), records)
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(records), "records")
+}
+
+// BenchmarkCommitRound measures one round's write side: Trie.Commit of a
+// fully rewritten trie into the store plus the store's own Commit. The
+// churn itself is outside the timer.
+func BenchmarkCommitRound(b *testing.B) {
+	s := openT(b, b.TempDir(), Options{})
+	defer s.Close()
+	tr := mstate.New()
+	churn(tr, 0)
+	commit(b, tr, s, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		churn(tr, i+1)
+		tr.Root() // hashing is the trie's cost, paid before any store sees the nodes
+		b.StartTimer()
+		commit(b, tr, s, nil)
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,6 +69,9 @@ const (
 	recHeaderLen  = 4 + 32 // len + hash
 	recTrailerLen = 4      // crc
 	manifestName  = "MANIFEST"
+	// scanBufBytes is the read-ahead Open walks segments through: recovery
+	// costs one read per MiB of log, not one per record.
+	scanBufBytes = 1 << 20
 )
 
 // Options tunes a Store. The zero value picks sensible defaults.
@@ -75,9 +79,6 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it crosses this size.
 	// Default 64 MiB.
 	SegmentBytes int64
-	// CacheNodes bounds the LRU node cache (entries). Default 4096;
-	// negative disables caching.
-	CacheNodes int
 	// NoSync skips every fsync. Only for tests that measure logic, not
 	// durability.
 	NoSync bool
@@ -86,9 +87,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.CacheNodes == 0 {
-		o.CacheNodes = 4096
 	}
 	return o
 }
@@ -108,7 +106,6 @@ type Store struct {
 	opts Options
 
 	index map[mstate.Hash]ref
-	cache *lruCache
 
 	files      map[int]*os.File // open segment files, keyed by number
 	active     int              // active (append) segment number
@@ -147,7 +144,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:   dir,
 		opts:  opts,
 		index: make(map[mstate.Hash]ref),
-		cache: newLRUCache(opts.CacheNodes),
 		files: make(map[int]*os.File),
 	}
 
@@ -181,17 +177,37 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
+	// Open and size every segment first: the durable bytes bound how many
+	// records the log can hold, so the manifest's node count pre-sizes the
+	// index without a wrong count being able to over-allocate.
+	sizes := make([]int64, man.Segment+1)
+	var durable int64
 	for n := 1; n <= man.Segment; n++ {
 		f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_RDWR, 0o644)
 		if err != nil {
+			s.closeFiles()
 			return nil, fmt.Errorf("diskstore: open %s: %w", segName(n), err)
 		}
 		s.files[n] = f
-		limit := int64(-1) // sealed segments scan to their full size
+		st, err := f.Stat()
+		if err != nil {
+			s.closeFiles()
+			return nil, fmt.Errorf("diskstore: stat %s: %w", segName(n), err)
+		}
+		sizes[n] = st.Size()
+		durable += sizes[n]
+	}
+	durable -= max(0, sizes[man.Segment]-man.Offset) // the tail past the manifest is not durable
+	s.index = make(map[mstate.Hash]ref, max(0, min(int64(man.Nodes), durable/(recHeaderLen+recTrailerLen))))
+
+	br := bufio.NewReaderSize(nil, scanBufBytes)
+	for n := 1; n <= man.Segment; n++ {
+		f := s.files[n]
+		limit := sizes[n] // sealed segments scan to their full size
 		if n == man.Segment {
 			limit = man.Offset
 		}
-		end, err := s.scanSegment(n, f, limit)
+		end, err := s.scanSegment(n, br, sizes[n], limit)
 		if err != nil {
 			s.closeFiles()
 			return nil, err
@@ -219,18 +235,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// scanSegment validates the header and walks records up to limit (or
-// the file size when limit < 0), adding each to the index. It returns
-// the byte offset where the durable region ends.
-func (s *Store) scanSegment(n int, f *os.File, limit int64) (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("diskstore: stat %s: %w", segName(n), err)
-	}
-	size := st.Size()
-	if limit < 0 {
-		limit = size
-	}
+// scanSegment validates the header of segment n (size bytes on disk) and
+// walks the records in [segHeaderLen, limit) once, sequentially through
+// br, adding each to the index. Only framing is checked here: payloads
+// and CRCs are skipped (GetNode verifies them on every read) and no byte
+// past limit is parsed. It returns the byte offset where the durable
+// region ends.
+func (s *Store) scanSegment(n int, br *bufio.Reader, size, limit int64) (int64, error) {
 	if size < limit {
 		return 0, fmt.Errorf("%w: %s is %d bytes but the manifest requires %d",
 			ErrTruncatedRecord, segName(n), size, limit)
@@ -238,21 +249,22 @@ func (s *Store) scanSegment(n int, f *os.File, limit int64) (int64, error) {
 	if limit < segHeaderLen {
 		return 0, fmt.Errorf("%w: %s shorter than its header", ErrTruncatedRecord, segName(n))
 	}
-	var magic [8]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
+	br.Reset(io.NewSectionReader(s.files[n], 0, limit))
+	var hdr [recHeaderLen]byte
+	magic := hdr[:segHeaderLen]
+	if _, err := io.ReadFull(br, magic); err != nil {
 		return 0, fmt.Errorf("diskstore: read %s header: %w", segName(n), err)
 	}
-	if string(magic[:]) != segMagic {
-		return 0, fmt.Errorf("%w: %s has bad magic %q", ErrChecksum, segName(n), magic[:])
+	if string(magic) != segMagic {
+		return 0, fmt.Errorf("%w: %s has bad magic %q", ErrChecksum, segName(n), magic)
 	}
 	off := segHeaderLen
-	var hdr [recHeaderLen]byte
 	for off < limit {
 		if off+recHeaderLen+recTrailerLen > limit {
 			return 0, fmt.Errorf("%w: %s record header at %d runs past %d",
 				ErrTruncatedRecord, segName(n), off, limit)
 		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return 0, fmt.Errorf("diskstore: read %s at %d: %w", segName(n), off, err)
 		}
 		ln := int64(binary.BigEndian.Uint32(hdr[:4]))
@@ -260,6 +272,9 @@ func (s *Store) scanSegment(n int, f *os.File, limit int64) (int64, error) {
 		if recEnd > limit {
 			return 0, fmt.Errorf("%w: %s record at %d ends at %d, past %d",
 				ErrTruncatedRecord, segName(n), off, recEnd, limit)
+		}
+		if _, err := br.Discard(int(ln) + recTrailerLen); err != nil {
+			return 0, fmt.Errorf("diskstore: read %s at %d: %w", segName(n), off, err)
 		}
 		var h mstate.Hash
 		copy(h[:], hdr[4:])
@@ -336,22 +351,18 @@ func (s *Store) PutBatch(nodes []mstate.Node) error {
 		}
 		s.index[n.Hash] = ref{seg: s.active, off: s.curOff, ln: len(n.Enc)}
 		s.curOff += recHeaderLen + int64(len(n.Enc)) + recTrailerLen
-		s.cache.put(n.Hash, append([]byte(nil), n.Enc...))
 	}
 	return nil
 }
 
-// GetNode implements mstate.NodeStore: LRU cache first, then a CRC-
-// checked read from the segment the index points at. The returned slice
-// is owned by the caller.
+// GetNode implements mstate.NodeStore: one read of the record the index
+// points at, checked against the indexed length, the record's CRC and its
+// stored hash. The returned slice is owned by the caller.
 func (s *Store) GetNode(h mstate.Hash) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
-	}
-	if enc, ok := s.cache.get(h); ok {
-		return append([]byte(nil), enc...), nil
 	}
 	r, ok := s.index[h]
 	if !ok {
@@ -383,9 +394,7 @@ func (s *Store) GetNode(h mstate.Hash) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s at %d: stored hash %x, want %x",
 			ErrChecksum, segName(r.seg), r.off, stored[:8], h[:8])
 	}
-	enc := append([]byte(nil), buf[recHeaderLen:len(buf)-recTrailerLen]...)
-	s.cache.put(h, append([]byte(nil), enc...))
-	return enc, nil
+	return buf[recHeaderLen : len(buf)-recTrailerLen], nil
 }
 
 // Has implements mstate.NodeStore.

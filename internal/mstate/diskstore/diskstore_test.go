@@ -23,7 +23,7 @@ func buildTrie(n int, salt string) *mstate.Trie {
 }
 
 // commit writes tr into s and publishes its root with meta.
-func commit(t *testing.T, tr *mstate.Trie, s *Store, meta []byte) mstate.Hash {
+func commit(t testing.TB, tr *mstate.Trie, s *Store, meta []byte) mstate.Hash {
 	t.Helper()
 	root, err := tr.Commit(s)
 	if err != nil {
@@ -35,7 +35,7 @@ func commit(t *testing.T, tr *mstate.Trie, s *Store, meta []byte) mstate.Hash {
 	return root
 }
 
-func openT(t *testing.T, dir string, opts Options) *Store {
+func openT(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	opts.NoSync = true // logic tests; durability fsyncs just slow them down
 	s, err := Open(dir, opts)
@@ -81,7 +81,7 @@ func TestFreshCommitReopenRoundTrip(t *testing.T) {
 func TestIncrementalCommitsAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force many rolls; reopen must scan them all.
-	s := openT(t, dir, Options{SegmentBytes: 2048, CacheNodes: 8})
+	s := openT(t, dir, Options{SegmentBytes: 2048})
 	tr := buildTrie(200, "s")
 	var root mstate.Hash
 	for step := 0; step < 5; step++ {
@@ -97,7 +97,7 @@ func TestIncrementalCommitsAcrossSegments(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openT(t, dir, Options{SegmentBytes: 2048, CacheNodes: 8})
+	s2 := openT(t, dir, Options{SegmentBytes: 2048})
 	defer s2.Close()
 	got, _ := s2.Root()
 	if got != root {
@@ -212,6 +212,137 @@ func TestRandomizedCrashPointRecovery(t *testing.T) {
 			t.Fatalf("iter %d: post-recovery commit lost", iter)
 		}
 		s3.Close()
+	}
+}
+
+// resetDir replaces dir's contents with exactly files.
+func resetDir(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Exhaustive crash points of one commit: the segment append cut at every
+// byte from the durable offset to the staged end, and the manifest temp
+// file cut at every prefix length beside the still-valid manifest. Each
+// must reopen at the previous root with a loadable trie and keep working;
+// only the completed rename moves to the new root. Never a third state.
+func TestEveryCutPointRecovers(t *testing.T) {
+	src := t.TempDir()
+	s := openT(t, src, Options{})
+	tr := buildTrie(16, "cut")
+	root1 := commit(t, tr, s, []byte("durable"))
+	durable := s.curOff
+	man1, err := os.ReadFile(filepath.Join(src, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2 := tr.Snapshot()
+	tr2.Put(tk("staged-0"), []byte("staged"))
+	tr2.Put(tk("staged-1"), []byte("staged"))
+	root2 := commit(t, tr2, s, []byte("next"))
+	s.Close()
+	seg, err := os.ReadFile(filepath.Join(src, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man2, err := os.ReadFile(filepath.Join(src, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root2 == root1 || int64(len(seg)) <= durable {
+		t.Fatal("second commit staged nothing")
+	}
+
+	dir := filepath.Join(t.TempDir(), "crashed")
+	recoversRoot1 := func(label string, files map[string][]byte) {
+		resetDir(t, dir, files)
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		if got, ok := s.Root(); !ok || got != root1 {
+			t.Fatalf("%s: recovered root %x ok=%v, want %x", label, got[:8], ok, root1[:8])
+		}
+		loaded, err := mstate.Load(s, root1)
+		if err != nil {
+			t.Fatalf("%s: load recovered root: %v", label, err)
+		}
+		loaded.Put(tk("after-recovery"), []byte("ok"))
+		root3 := commit(t, loaded, s, nil)
+		s.Close()
+		s3 := openT(t, dir, Options{})
+		if got, _ := s3.Root(); got != root3 {
+			t.Fatalf("%s: post-recovery commit lost", label)
+		}
+		s3.Close()
+	}
+	for cut := durable; cut <= int64(len(seg)); cut++ {
+		recoversRoot1(fmt.Sprintf("segment cut at %d", cut),
+			map[string][]byte{segName(1): seg[:cut], manifestName: man1})
+	}
+	for cut := 0; cut <= len(man2); cut++ {
+		recoversRoot1(fmt.Sprintf("manifest temp cut at %d", cut),
+			map[string][]byte{segName(1): seg, manifestName: man1, manifestName + ".tmp": man2[:cut]})
+	}
+
+	resetDir(t, dir, map[string][]byte{segName(1): seg, manifestName: man2})
+	s2 := openT(t, dir, Options{})
+	defer s2.Close()
+	if got, _ := s2.Root(); got != root2 {
+		t.Fatalf("after the rename: root %x, want %x", got[:8], root2[:8])
+	}
+	if _, err := mstate.Load(s2, root2); err != nil {
+		t.Fatalf("load committed root: %v", err)
+	}
+}
+
+// The recovery scan reads through a fixed buffer: a log several times its
+// size, with records straddling every refill, must index exactly what was
+// written — as one segment, and as sealed segments smaller than the buffer
+// that are each scanned to their full size.
+func TestScanAcrossBufferBoundaries(t *testing.T) {
+	for _, segBytes := range []int64{0, scanBufBytes / 4} {
+		t.Run(fmt.Sprintf("SegmentBytes=%d", segBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, Options{SegmentBytes: segBytes})
+			tr := mstate.New()
+			val := bytes.Repeat([]byte{0xA5}, 200)
+			for i := 0; i < 12000; i++ {
+				tr.Put(tk(fmt.Sprintf("big-%d", i)), append(val, byte(i), byte(i>>8)))
+			}
+			root := commit(t, tr, s, nil)
+			if segBytes == 0 && s.curOff < 3*scanBufBytes {
+				t.Fatalf("log is %d bytes, want several %d-byte buffers", s.curOff, scanBufBytes)
+			}
+			if segBytes != 0 && s.active < 8 {
+				t.Fatalf("expected many sealed segments, active = %d", s.active)
+			}
+			want := s.Len()
+			s.Close()
+
+			s2 := openT(t, dir, Options{SegmentBytes: segBytes})
+			defer s2.Close()
+			if got := s2.Len(); got != want {
+				t.Fatalf("reopen indexed %d records, wrote %d", got, want)
+			}
+			loaded, err := mstate.Load(s2, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Root() != root || loaded.Len() != tr.Len() {
+				t.Fatalf("loaded root/len %x/%d, want %x/%d", loaded.Root(), loaded.Len(), root, tr.Len())
+			}
+		})
 	}
 }
 
@@ -365,32 +496,11 @@ func TestClosedStoreIsTyped(t *testing.T) {
 	}
 }
 
-func TestReadThroughTinyCache(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Options{CacheNodes: 2})
-	tr := buildTrie(120, "lru")
-	root := commit(t, tr, s, nil)
-	s.Close()
-
-	s2 := openT(t, dir, Options{CacheNodes: 2})
-	defer s2.Close()
-	loaded, err := mstate.Load(s2, root) // every read a near-miss
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Root() != tr.Root() {
-		t.Fatal("tiny-cache load diverged")
-	}
-	if s2.cache.len() > 2 {
-		t.Fatalf("cache grew to %d entries past its bound", s2.cache.len())
-	}
-}
-
 func TestGetNodeSeesUnflushedAppends(t *testing.T) {
 	dir := t.TempDir()
-	// Cache disabled so the read must go through the file, exercising
-	// the flush-before-ReadAt path.
-	s := openT(t, dir, Options{CacheNodes: -1})
+	// The root was only just appended: the read must flush the append
+	// buffer before ReadAt can see it.
+	s := openT(t, dir, Options{})
 	defer s.Close()
 	tr := buildTrie(10, "uf")
 	root, err := tr.Commit(s)

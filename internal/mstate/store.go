@@ -12,6 +12,12 @@ import (
 // I/O or corruption failures with errors.Is(err, ErrNodeMissing).
 var ErrNodeMissing = errors.New("mstate: node missing")
 
+// ErrRootMismatch is returned (wrapped) by Load when the nodes the store
+// served are well-formed but do not hash to the requested root: stores
+// check their own framing, only the rebuilt trie can check the content
+// address.
+var ErrRootMismatch = errors.New("mstate: loaded trie does not hash to the requested root")
+
 // Node is one content-addressed trie node ready for persistence: Enc is
 // the self-contained encoding and Hash its sha256 content address.
 type Node struct {
@@ -174,7 +180,8 @@ func appendNode(store NodeStore, batch *[]Node, n Node) error {
 	return nil
 }
 
-// Load reconstructs the trie rooted at root from store. The empty root
+// Load reconstructs the trie rooted at root from store and verifies that
+// what it built hashes to root (ErrRootMismatch otherwise). The empty root
 // loads as an empty trie. A node absent from the store surfaces as an
 // error wrapping ErrNodeMissing.
 func Load(store NodeStore, root Hash) (*Trie, error) {
@@ -185,7 +192,11 @@ func Load(store NodeStore, root Hash) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trie{root: n, count: count}, nil
+	t := &Trie{root: n, count: count}
+	if got := t.Root(); got != root {
+		return nil, fmt.Errorf("%w: got %x, want %x", ErrRootMismatch, got[:8], root[:8])
+	}
+	return t, nil
 }
 
 func loadNode(store NodeStore, h Hash) (node, int, error) {

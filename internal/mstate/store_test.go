@@ -49,6 +49,46 @@ func TestMemStoreMissReturnsTypedError(t *testing.T) {
 	}
 }
 
+// swapStore answers a request for the hash under with the encoding stored
+// at serve: every node it returns is well-formed, one is not the node that
+// was asked for.
+type swapStore struct {
+	NodeStore
+	under, serve Hash
+}
+
+func (s swapStore) GetNode(h Hash) ([]byte, error) {
+	if h == s.under {
+		h = s.serve
+	}
+	return s.NodeStore.GetNode(h)
+}
+
+// Regression: Load used to trust the store's bytes, so a node graph that
+// parses but does not hash to the requested root loaded without error.
+func TestLoadRejectsWrongButWellFormedNode(t *testing.T) {
+	tr := New()
+	for i := 0; i < 40; i++ {
+		tr.Put(k(fmt.Sprintf("n%d", i)), []byte(fmt.Sprintf("v%d", i)))
+	}
+	store := NewMemStore()
+	root, err := tr.Commit(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(store, root); err != nil {
+		t.Fatalf("honest store: %v", err)
+	}
+	lying := swapStore{
+		NodeStore: store,
+		under:     newLeaf(k("n7"), []byte("v7")).hash(),
+		serve:     newLeaf(k("n8"), []byte("v8")).hash(),
+	}
+	if _, err := Load(lying, root); !errors.Is(err, ErrRootMismatch) {
+		t.Fatalf("leaf served under a sibling's hash: got %v, want ErrRootMismatch", err)
+	}
+}
+
 // The commit hot path — Has probes and re-puts of already-present
 // nodes — must not allocate on MemStore. Enforced here (not just
 // benchmarked) so a regression fails CI.

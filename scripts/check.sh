@@ -34,12 +34,14 @@ echo "== code size =="
 bash scripts/loc.sh > LOC_report.txt
 tail -n 1 LOC_report.txt
 
-echo "== state write microbenchmarks =="
+echo "== state layer microbenchmarks =="
 # 2000 writes over a 10k-key trie per op, straight and through an overlay
 # commit: allocs/op / 2000 is the allocations one state write costs (leaf
 # and value, plus one branch copy per distinct dirty branch and layer).
+# diskstore: BenchmarkOpen is recovery of a ~200k-record log,
+# BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie.
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
-go test -run '^$' -bench 'Trie|Overlay' -benchmem -benchtime 50x ./internal/mstate | tee BENCH_mstate.txt
+go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
 
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
