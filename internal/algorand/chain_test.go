@@ -1,11 +1,14 @@
 package algorand
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
+	"agnopol/internal/polcrypto"
 )
 
 func newTestChain(t *testing.T) *Chain {
@@ -207,12 +210,15 @@ func TestImmediateFinalityNoForks(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Step()
 	}
+	if cert := c.Certificate(c.blocks[0]); cert != nil {
+		t.Fatalf("genesis has a certificate with %d votes", len(cert.Votes))
+	}
 	for i := 1; i < len(c.blocks); i++ {
 		blk := c.blocks[i]
 		if blk.PrevSeed != c.blocks[i-1].Seed {
 			t.Fatalf("block %d not chained to parent", i)
 		}
-		if err := c.VerifyCertificate(blk.Round, blk.PrevSeed, blk.Cert); err != nil {
+		if err := c.VerifyCertificate(blk, c.Certificate(blk)); err != nil {
 			t.Fatalf("block %d certificate: %v", i, err)
 		}
 	}
@@ -221,25 +227,172 @@ func TestImmediateFinalityNoForks(t *testing.T) {
 func TestCertificateRejectsForgery(t *testing.T) {
 	c := newTestChain(t)
 	blk := c.Step()
+	cert := c.Certificate(blk)
 	// Tamper with a vote's credential weight.
-	forged := &Certificate{BlockHash: blk.Cert.BlockHash}
-	for _, v := range blk.Cert.Votes {
+	forged := &Certificate{BlockHash: cert.BlockHash}
+	for _, v := range cert.Votes {
 		v.Credential.SubUsers++ // claim more weight than sortition gave
 		forged.Votes = append(forged.Votes, v)
 	}
-	if err := c.VerifyCertificate(blk.Round, blk.PrevSeed, forged); err == nil {
-		t.Fatal("inflated sortition weight accepted")
+	if err := c.VerifyCertificate(blk, forged); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("inflated sortition weight: %v", err)
 	}
 	// Certificate from a non-participant.
 	outsider := c.NewAccount(0)
-	forged2 := &Certificate{BlockHash: blk.Cert.BlockHash}
-	for _, v := range blk.Cert.Votes {
+	forged2 := &Certificate{BlockHash: cert.BlockHash}
+	for _, v := range cert.Votes {
 		v.Credential.Participant = outsider.Address
 		forged2.Votes = append(forged2.Votes, v)
 		break
 	}
-	if err := c.VerifyCertificate(blk.Round, blk.PrevSeed, forged2); err == nil {
-		t.Fatal("outsider vote accepted")
+	if err := c.VerifyCertificate(blk, forged2); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("outsider vote: %v", err)
+	}
+	if err := c.VerifyCertificate(blk, nil); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("no certificate: %v", err)
+	}
+}
+
+// TestCertificateRejectsRepeatedVote: the threshold counts each
+// participant once per step, not list entries — one valid vote repeated
+// until its weight adds up to the threshold is one vote.
+func TestCertificateRejectsRepeatedVote(t *testing.T) {
+	c := newTestChain(t)
+	blk := c.Step()
+	cert := c.Certificate(blk)
+	forged := &Certificate{BlockHash: cert.BlockHash}
+	for w := uint64(0); w < c.certWeight(); w += cert.Votes[0].Credential.SubUsers {
+		forged.Votes = append(forged.Votes, cert.Votes[0])
+	}
+	if err := c.VerifyCertificate(blk, forged); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("forged quorum: %v", err)
+	}
+	padded := &Certificate{BlockHash: cert.BlockHash, Votes: append(cert.Votes[:len(cert.Votes):len(cert.Votes)], cert.Votes[0])}
+	if err := c.VerifyCertificate(blk, padded); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("honest certificate plus a repeat: %v", err)
+	}
+}
+
+// TestCertificateRejectsOutOfRangeStep: Certificate never runs a voting step
+// at or past maxVoteSteps, so a quorum assembled from later steps — every
+// credential and signature in it valid for its step's seed — is not one the
+// protocol could have produced.
+func TestCertificateRejectsOutOfRangeStep(t *testing.T) {
+	c := newTestChain(t)
+	blk := c.Step()
+	forged := &Certificate{BlockHash: blk.Hash}
+	weight := uint64(0)
+	for step := uint64(maxVoteSteps); weight < c.certWeight(); step++ {
+		seed := committeeSeed(blk.PrevSeed, blk.Round, step)
+		for _, cred := range c.selectCredentials(c.evaluateVRFs(seed), c.cfg.ExpectedCommittee) {
+			forged.Votes = append(forged.Votes, Vote{
+				Credential: cred,
+				BlockHash:  blk.Hash,
+				Step:       step,
+				Signature:  c.partsByAddr[cred.Participant].Key.Sign(voteMessage(blk.Hash, seed)),
+			})
+			weight += cred.SubUsers
+		}
+	}
+	if err := c.VerifyCertificate(blk, forged); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("quorum from steps ≥ %d: %v", maxVoteSteps, err)
+	}
+}
+
+// TestCertificateRejectsOtherBlocksCertificate: two blocks of the same round
+// over the same parent seed share every committee credential; what tells
+// their certificates apart is the block hash the votes name and sign.
+func TestCertificateRejectsOtherBlocksCertificate(t *testing.T) {
+	a, b := newTestChain(t), newTestChain(t)
+	alice := b.NewAccount(10_000_000)
+	tx := &Tx{Type: TxPay, Sender: alice.Address, Fee: MinFee, Receiver: chain.Address{1}, Amount: 1}
+	tx.Sign(alice)
+	if _, err := b.Submit(Group{tx}); err != nil {
+		t.Fatal(err)
+	}
+	blkA, blkB := a.Step(), b.Step()
+	if blkA.Round != blkB.Round || blkA.PrevSeed != blkB.PrevSeed || blkA.Hash == blkB.Hash {
+		t.Fatal("want two different blocks of one round over one parent seed")
+	}
+	certA := a.Certificate(blkA)
+	if err := a.VerifyCertificate(blkA, certA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.VerifyCertificate(blkB, certA); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("the other block's certificate: %v", err)
+	}
+	// Relabelling does not help: the votes still name and sign block A.
+	relabelled := &Certificate{BlockHash: blkB.Hash, Votes: certA.Votes}
+	if err := b.VerifyCertificate(blkB, relabelled); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("relabelled certificate: %v", err)
+	}
+	// Nor does a vote whose BlockHash field alone disagrees pass.
+	mixed := &Certificate{BlockHash: blkA.Hash, Votes: append([]Vote(nil), certA.Votes...)}
+	mixed.Votes[0].BlockHash = blkB.Hash
+	if err := a.VerifyCertificate(blkA, mixed); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("vote naming another block: %v", err)
+	}
+}
+
+// TestCertificateDerivesWhileChainSteps: evidence reads only the immutable
+// participant set and the block it is given, so an auditor can derive and
+// check it while the chain goes on certifying rounds (the race leg's job).
+func TestCertificateDerivesWhileChainSteps(t *testing.T) {
+	c := newTestChain(t)
+	blk := c.Step()
+	want := c.Certificate(blk)
+	done := make(chan error, 1)
+	go func() {
+		cert := c.Certificate(blk)
+		if !reflect.DeepEqual(cert, want) {
+			done <- errors.New("certificate changed while the chain stepped")
+			return
+		}
+		done <- c.VerifyCertificate(blk, cert)
+	}()
+	for i := 0; i < 5; i++ {
+		c.Step()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProposerFallbackReusesEvaluations forces the round nobody wins at the
+// nominal proposer expectation: Step widens selection over the VRF outputs
+// it already has, and must elect exactly the leader a second, independent
+// evaluation pass elects.
+func TestProposerFallbackReusesEvaluations(t *testing.T) {
+	cfg := Testnet()
+	cfg.ExpectedProposers = 1e-9
+	c := NewChain(cfg, 1)
+	for i := 0; i < 5; i++ {
+		prev := c.Head()
+		blk := c.Step()
+		seed := sortitionSeed(prev.Seed, blk.Round, "propose")
+		if got := c.selectCredentials(c.evaluateVRFs(seed), cfg.ExpectedProposers); len(got) != 0 {
+			t.Fatalf("round %d: the fallback was not forced (%d proposers drawn)", blk.Round, len(got))
+		}
+		candidates := c.selectCredentials(c.evaluateVRFs(seed), float64(len(c.participants)))
+		want := candidates[0]
+		for _, cand := range candidates[1:] {
+			p, best := proposalPriority(cand), proposalPriority(want)
+			if lessBytes(p[:], best[:]) {
+				want = cand
+			}
+		}
+		if !reflect.DeepEqual(blk.Proposer, want) {
+			t.Fatalf("round %d: leader %s, two-pass result %s", blk.Round, blk.Proposer.Participant, want.Participant)
+		}
+		if blk.Seed != chain.Hash32(polcrypto.Hash(prev.Seed[:], want.Output[:])) {
+			t.Fatalf("round %d: seed does not follow the fallback leader", blk.Round)
+		}
+		if err := VerifyCredential(blk.Proposer, c.partsByAddr, c.totalStake, seed, float64(len(c.participants))); err != nil {
+			t.Fatalf("round %d: fallback leader's credential: %v", blk.Round, err)
+		}
+		if err := c.VerifyCertificate(blk, c.Certificate(blk)); err != nil {
+			t.Fatalf("round %d: %v", blk.Round, err)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@
 // the paper uses it: pure proof-of-stake rounds with VRF-based cryptographic
 // sortition for leader and committee selection (Gilad et al., SOSP'17),
 // BA-style certification with immediate finality, flat 1000-µAlgo fees, and
-// stateful applications executed by the AVM (package avm).
+// stateful applications executed by the AVM (package avm). A round (Step)
+// runs the proposer sortition its seed chain needs; the committee's
+// certificate is evidence anyone can ask for afterwards (Certificate) and
+// check against the block (VerifyCertificate).
 package algorand
 
 import (

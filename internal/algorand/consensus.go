@@ -2,6 +2,7 @@ package algorand
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"agnopol/internal/chain"
@@ -46,6 +47,13 @@ type Certificate struct {
 	Votes     []Vote
 }
 
+// maxVoteSteps bounds the BA voting steps of one round: Certificate stops
+// there and VerifyCertificate accepts no vote from a later step.
+const maxVoteSteps = 16
+
+// ErrBadCertificate is wrapped by every VerifyCertificate failure.
+var ErrBadCertificate = errors.New("algorand: bad certificate")
+
 // sortitionSeed derives the per-round, per-role VRF seed.
 func sortitionSeed(prevSeed chain.Hash32, round uint64, role string) []byte {
 	var buf [8]byte
@@ -54,27 +62,28 @@ func sortitionSeed(prevSeed chain.Hash32, round uint64, role string) []byte {
 	return h[:]
 }
 
-// runSortition evaluates every participant's VRF for a role and returns the
-// credentials with j > 0 in participant order. The evaluations are
-// independent and deterministic, so they fan out across cores into
-// participant-indexed slots; the result does not depend on GOMAXPROCS.
-func runSortition(parts []*Participant, totalStake uint64, seed []byte, expected float64) []Credential {
-	creds := make([]Credential, len(parts))
-	chain.FanOut(len(parts), len(parts), func(i int) {
-		p := parts[i]
-		vrfOut, proof := polcrypto.VRFEvaluate(p.Key, seed)
-		if j := polcrypto.Sortition(vrfOut, p.Stake, totalStake, expected); j > 0 {
-			creds[i] = Credential{
-				Participant: p.Address,
-				Output:      vrfOut,
-				Proof:       proof,
-				SubUsers:    j,
-			}
-		}
+// evaluateVRFs evaluates every participant's VRF on a role seed and returns
+// the participant-indexed credentials with no sub-users selected yet. The
+// evaluations are independent and deterministic, so they fan out across
+// cores into their slots; the result does not depend on GOMAXPROCS.
+func (c *Chain) evaluateVRFs(seed []byte) []Credential {
+	evals := make([]Credential, len(c.participants))
+	chain.FanOut(len(evals), len(evals), func(i int) {
+		p := c.participants[i]
+		out, proof := polcrypto.VRFEvaluate(p.Key, seed)
+		evals[i] = Credential{Participant: p.Address, Output: out, Proof: proof}
 	})
-	out := creds[:0]
-	for _, cred := range creds {
-		if cred.SubUsers > 0 {
+	return evals
+}
+
+// selectCredentials runs sortition at one expected size over evaluated
+// outputs and returns the credentials with j > 0 in participant order. evals
+// is left untouched, so one evaluation can be selected from more than once.
+func (c *Chain) selectCredentials(evals []Credential, expected float64) []Credential {
+	var out []Credential
+	for i, cred := range evals {
+		if j := polcrypto.Sortition(cred.Output, c.participants[i].Stake, c.totalStake, expected); j > 0 {
+			cred.SubUsers = j
 			out = append(out, cred)
 		}
 	}
@@ -135,26 +144,90 @@ func committeeSeed(prevSeed chain.Hash32, round, step uint64) []byte {
 	return sortitionSeed(prevSeed, round, fmt.Sprintf("committee/%d", step))
 }
 
-// VerifyCertificate checks a block certificate: every vote carries a valid
-// committee credential for its step and a valid signature, and the weighted
-// votes reach the threshold.
-func (c *Chain) VerifyCertificate(round uint64, prevSeed chain.Hash32, cert *Certificate) error {
+// voteMessage is what a committee member of the step with seed signs.
+func voteMessage(blockHash chain.Hash32, seed []byte) []byte {
+	return append(append([]byte("vote:"), blockHash[:]...), seed...)
+}
+
+// certWeight is the sortition weight a certificate must carry.
+func (c *Chain) certWeight() uint64 {
+	return uint64(c.cfg.CertThreshold * c.cfg.ExpectedCommittee)
+}
+
+// Certificate produces the committee certificate of a block this chain
+// certified: BA voting steps run, each with a fresh sortition seed, until
+// the accumulated weight reaches the certification threshold. It is a pure
+// function of the participant set and the block — Step does not wait on it
+// and nothing is cached — so the same block yields the same bytes whenever
+// and at whatever GOMAXPROCS it is asked for. Blocks the chain did not
+// produce (genesis, a checkpoint-restored head) have no certificate.
+func (c *Chain) Certificate(blk *Block) *Certificate {
+	if blk.Proposer.SubUsers == 0 {
+		return nil
+	}
+	cert := &Certificate{BlockHash: blk.Hash}
+	need := c.certWeight()
+	weight := uint64(0)
+	for step := uint64(0); weight < need && step < maxVoteSteps; step++ {
+		comSeed := committeeSeed(blk.PrevSeed, blk.Round, step)
+		committee := c.selectCredentials(c.evaluateVRFs(comSeed), c.cfg.ExpectedCommittee)
+		msg := voteMessage(blk.Hash, comSeed)
+		base := len(cert.Votes)
+		cert.Votes = append(cert.Votes, make([]Vote, len(committee))...)
+		chain.FanOut(len(committee), len(committee), func(i int) {
+			cred := committee[i]
+			cert.Votes[base+i] = Vote{
+				Credential: cred,
+				BlockHash:  blk.Hash,
+				Step:       step,
+				Signature:  c.partsByAddr[cred.Participant].Key.Sign(msg),
+			}
+		})
+		for _, cred := range committee {
+			weight += cred.SubUsers
+		}
+	}
+	return cert
+}
+
+// VerifyCertificate checks a certificate against the block it claims to
+// finalize: it and every vote name the block's hash, every vote carries a
+// valid committee credential for its step (below the step bound) and a
+// valid signature, no participant votes twice in a step, and the weighted
+// votes reach the threshold. Failures wrap ErrBadCertificate.
+func (c *Chain) VerifyCertificate(blk *Block, cert *Certificate) error {
+	if cert == nil || cert.BlockHash != blk.Hash {
+		return fmt.Errorf("%w: not a certificate of block %s", ErrBadCertificate, blk.Hash)
+	}
+	type ballot struct {
+		voter chain.Address
+		step  uint64
+	}
+	seen := make(map[ballot]bool, len(cert.Votes))
 	weight := uint64(0)
 	for _, v := range cert.Votes {
-		seed := committeeSeed(prevSeed, round, v.Step)
-		if err := VerifyCredential(v.Credential, c.partsByAddr, c.totalStake, seed, c.cfg.ExpectedCommittee); err != nil {
-			return err
+		who := v.Credential.Participant
+		if v.BlockHash != blk.Hash {
+			return fmt.Errorf("%w: vote from %s is for block %s", ErrBadCertificate, who, v.BlockHash)
 		}
-		p := c.partsByAddr[v.Credential.Participant]
-		msg := append(append([]byte("vote:"), cert.BlockHash[:]...), seed...)
-		if !polcrypto.Verify(p.Key.Public, msg, v.Signature) {
-			return fmt.Errorf("algorand: bad vote signature from %s", v.Credential.Participant)
+		if v.Step >= maxVoteSteps {
+			return fmt.Errorf("%w: vote from %s in step %d, past the bound %d", ErrBadCertificate, who, v.Step, maxVoteSteps)
+		}
+		if seen[ballot{who, v.Step}] {
+			return fmt.Errorf("%w: %s votes twice in step %d", ErrBadCertificate, who, v.Step)
+		}
+		seen[ballot{who, v.Step}] = true
+		seed := committeeSeed(blk.PrevSeed, blk.Round, v.Step)
+		if err := VerifyCredential(v.Credential, c.partsByAddr, c.totalStake, seed, c.cfg.ExpectedCommittee); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadCertificate, err)
+		}
+		if !polcrypto.Verify(c.partsByAddr[who].Key.Public, voteMessage(blk.Hash, seed), v.Signature) {
+			return fmt.Errorf("%w: bad vote signature from %s", ErrBadCertificate, who)
 		}
 		weight += v.Credential.SubUsers
 	}
-	need := uint64(c.cfg.CertThreshold * c.cfg.ExpectedCommittee)
-	if weight < need {
-		return fmt.Errorf("algorand: certificate weight %d below threshold %d", weight, need)
+	if need := c.certWeight(); weight < need {
+		return fmt.Errorf("%w: weight %d below threshold %d", ErrBadCertificate, weight, need)
 	}
 	return nil
 }

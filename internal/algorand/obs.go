@@ -16,7 +16,6 @@ type chainObs struct {
 	groupsSubmitted  *obs.Counter
 	groupsIncluded   *obs.Counter
 	groupsRejected   *obs.Counter
-	certVotes        *obs.Counter
 	fees             *obs.Counter
 	pendingDepth     *obs.Gauge
 	inclusionLatency *obs.Histogram
@@ -43,7 +42,6 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 		groupsSubmitted:  reg.Counter("algorand_groups_submitted_total", name),
 		groupsIncluded:   reg.Counter("algorand_groups_included_total", name),
 		groupsRejected:   reg.Counter("algorand_groups_rejected_total", name),
-		certVotes:        reg.Counter("algorand_cert_votes_total", name),
 		fees:             reg.Counter("algorand_fees_microalgo_total", name),
 		pendingDepth:     reg.Gauge("algorand_pending_depth", name),
 		inclusionLatency: reg.Histogram("algorand_inclusion_latency_seconds", InclusionLatencyBuckets, name),
@@ -57,7 +55,6 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 	reg.Help("algorand_groups_submitted_total", "Transaction groups accepted into the pending pool.")
 	reg.Help("algorand_groups_included_total", "Transaction groups included in a certified round.")
 	reg.Help("algorand_groups_rejected_total", "Included groups whose execution was rejected and rolled back.")
-	reg.Help("algorand_cert_votes_total", "Sortition committee votes collected across certificates.")
 	reg.Help("algorand_fees_microalgo_total", "Fees charged, in microAlgos.")
 	reg.Help("algorand_pending_depth", "Transaction groups currently awaiting a round.")
 	reg.Help("algorand_inclusion_latency_seconds", "Simulated submit-to-certification latency.")

@@ -3,6 +3,7 @@ package algorand
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"agnopol/internal/chain"
@@ -111,6 +112,11 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			if resumed.Digest() != ref.Digest() {
 				t.Fatal("digest diverges immediately after restore")
 			}
+			// The restored head is a position, not a round this chain
+			// certified: it has no evidence to derive.
+			if cert := resumed.Certificate(resumed.Head()); cert != nil {
+				t.Fatalf("restored head has a certificate with %d votes", len(cert.Votes))
+			}
 			for i, p := range resumed.pool.Entries() {
 				if p.Hash != p.Item.Hash() || p.Hash != ref.pool.Entries()[i].Hash {
 					t.Fatalf("restored pending group %d carries hash %x", i, p.Hash[:8])
@@ -135,6 +141,15 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			}
 			if ref.StateRoot() != resumed.StateRoot() {
 				t.Fatal("state root diverged")
+			}
+			// Evidence is a function of the participant set and the block,
+			// so the resumed chain derives the same certificate.
+			cert := resumed.Certificate(resumed.Head())
+			if !reflect.DeepEqual(cert, ref.Certificate(ref.Head())) {
+				t.Fatal("certificate diverged")
+			}
+			if err := resumed.VerifyCertificate(resumed.Head(), cert); err != nil {
+				t.Fatal(err)
 			}
 			refCount, _ := ref.AppGlobal(appID, "count")
 			resCount, _ := resumed.AppGlobal(appID, "count")

@@ -232,11 +232,23 @@ func TestShardedRoundBitIdentity(t *testing.T) {
 // proposers, carries the same votes in the same order with the same bytes,
 // ends in the same digest, and every certificate still verifies.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
+	// certifyAll asks for every round's certificate at the current
+	// GOMAXPROCS: evidence is derived on request, so the committee fan-out
+	// under test runs here.
+	certifyAll := func(c *Chain) []*Certificate {
+		out := make([]*Certificate, len(c.blocks))
+		for i, blk := range c.blocks {
+			out[i] = c.Certificate(blk)
+		}
+		return out
+	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	ref := runShardedRounds(t, 2)
+	refCerts := certifyAll(ref)
 	runtime.GOMAXPROCS(4)
 	c := runShardedRounds(t, 2)
+	certs := certifyAll(c)
 
 	if len(c.blocks) != len(ref.blocks) {
 		t.Fatalf("%d rounds on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
@@ -251,13 +263,13 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 		if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
 			t.Fatalf("round %d proposer depends on GOMAXPROCS", i)
 		}
-		if len(blk.Cert.Votes) == 0 {
+		if len(certs[i].Votes) == 0 {
 			t.Fatalf("round %d has no votes", i)
 		}
-		if !reflect.DeepEqual(blk.Cert.Votes, ref.blocks[i].Cert.Votes) {
+		if !reflect.DeepEqual(certs[i].Votes, refCerts[i].Votes) {
 			t.Fatalf("round %d votes depend on GOMAXPROCS", i)
 		}
-		if err := c.VerifyCertificate(blk.Round, blk.PrevSeed, blk.Cert); err != nil {
+		if err := c.VerifyCertificate(blk, certs[i]); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}

@@ -79,6 +79,9 @@ type Attestation struct {
 	Signature []byte
 }
 
+// ErrBadAttestations is wrapped by every VerifyBlock failure.
+var ErrBadAttestations = errors.New("eth: bad attestations")
+
 // Block is a produced block.
 type Block struct {
 	Number     uint64
@@ -90,9 +93,8 @@ type Block struct {
 	GasUsed    uint64
 	// StateRoot is the Merkle root of the world state after executing
 	// this block; it is part of the block hash.
-	StateRoot    chain.Hash32
-	TxHashes     []chain.Hash32
-	Attestations []Attestation
+	StateRoot chain.Hash32
+	TxHashes  []chain.Hash32
 }
 
 // Validator is a staked consensus participant.
@@ -327,7 +329,9 @@ func (c *Chain) nextSlotTime() time.Duration {
 
 // Step produces the next block: selects the proposer, fills the block with
 // background demand plus the queued client transactions that outbid it,
-// executes them, collects committee attestations and updates the base fee.
+// executes them and updates the base fee. The slot committee's attestations
+// are evidence derived from the block on request (Attestations); Step does
+// not wait on them.
 func (c *Chain) Step() *Block {
 	blockTime := c.nextSlotTime()
 	c.clock.AdvanceTo(blockTime)
@@ -472,7 +476,6 @@ func (c *Chain) Step() *Block {
 
 	blk.StateRoot = c.st.Root()
 	blk.Hash = blockHash(blk)
-	blk.Attestations = c.attest(blk)
 	c.blocks = append(c.blocks, blk)
 	c.updateBaseFee(blk)
 	c.updateFinality()
@@ -581,12 +584,19 @@ func (c *Chain) pickProposer(parentHash chain.Hash32, slot uint64) *Validator {
 	return c.validators[len(c.validators)-1]
 }
 
-// attest collects the slot committee's signatures over the block hash. The
-// simulator's validators are honest, so a supermajority always attests; the
-// signatures are real and verified by VerifyBlock. Members sign
-// concurrently into their committee-order slot: ed25519 is deterministic,
-// so the attestations are the same bytes at any GOMAXPROCS.
-func (c *Chain) attest(blk *Block) []Attestation {
+// Attestations produces the slot committee's signatures over the hash of a
+// block this chain produced. The simulator's validators are honest, so a
+// supermajority always attests; the signatures are real and checked by
+// VerifyBlock. It is a pure function of the validator set and the block —
+// Step does not wait on it and nothing is cached — and members sign
+// concurrently into their committee-order slot with deterministic ed25519,
+// so the same block yields the same bytes whenever and at whatever
+// GOMAXPROCS it is asked for. Blocks the chain did not produce (genesis, a
+// checkpoint-restored head) have no attestations.
+func (c *Chain) Attestations(blk *Block) []Attestation {
+	if blk.Proposer == (chain.Address{}) {
+		return nil
+	}
 	committee := c.committee(blk.ParentHash, blk.Number)
 	out := make([]Attestation, len(committee))
 	chain.FanOut(len(committee), len(committee), func(i int) {
@@ -620,27 +630,32 @@ func (c *Chain) committee(parentHash chain.Hash32, slot uint64) []*Validator {
 	return out
 }
 
-// VerifyBlock checks a block's attestations: at least 2/3 of its slot
-// committee must have signed its hash.
-func (c *Chain) VerifyBlock(blk *Block) error {
+// VerifyBlock checks attestations against the block they claim to vote
+// for: every one is a valid signature over its hash by a member of its slot
+// committee, no member attests twice, and at least 2/3 of the committee
+// attested. Failures wrap ErrBadAttestations.
+func (c *Chain) VerifyBlock(blk *Block, atts []Attestation) error {
 	committee := c.committee(blk.ParentHash, blk.Number)
+	// A member's entry goes nil once its attestation is counted.
 	byAddr := make(map[chain.Address]*Validator, len(committee))
 	for _, v := range committee {
 		byAddr[v.Address] = v
 	}
-	valid := 0
-	for _, at := range blk.Attestations {
+	for _, at := range atts {
 		v, ok := byAddr[at.Validator]
 		if !ok {
-			return fmt.Errorf("eth: attestation from non-committee validator %s", at.Validator)
+			return fmt.Errorf("%w: from non-committee validator %s", ErrBadAttestations, at.Validator)
+		}
+		if v == nil {
+			return fmt.Errorf("%w: %s attests twice", ErrBadAttestations, at.Validator)
 		}
 		if !polcrypto.Verify(v.Key.Public, blk.Hash[:], at.Signature) {
-			return fmt.Errorf("eth: bad attestation from %s: %w", at.Validator, polcrypto.ErrBadSignature)
+			return fmt.Errorf("%w: from %s: %w", ErrBadAttestations, at.Validator, polcrypto.ErrBadSignature)
 		}
-		valid++
+		byAddr[at.Validator] = nil
 	}
-	if valid*3 < len(committee)*2 {
-		return fmt.Errorf("eth: only %d/%d committee attestations", valid, len(committee))
+	if len(atts)*3 < len(committee)*2 {
+		return fmt.Errorf("%w: only %d/%d of the committee", ErrBadAttestations, len(atts), len(committee))
 	}
 	return nil
 }

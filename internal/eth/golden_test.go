@@ -1,6 +1,7 @@
 package eth
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/big"
 	"testing"
@@ -18,7 +19,24 @@ const (
 	goldenDigest    = "b313c736ee79fc8be1f19d2447944c0d89cada8fe13277baf75ac63913431df4"
 	goldenStateRoot = "c56fa27e7c1decc9d96b369bbaf645eb6199e79282ebf942e1826f277b28c93e"
 	goldenHeadHash  = "2af0b722ba21c7fc92cd0728b56f82bff34dc465a0b7be0a5ddf348db8c12fc7"
+	// goldenEvidence is evidenceHash of the same run, captured on commit
+	// f24153e (the last one where Step signed the attestations into a Block
+	// field): what Attestations derives on request is what Step stored.
+	goldenEvidence = "e15ff81688e2fde34882c858c9311e0b8615ab4c6e6cf8dba54b1fd5a78a8087"
 )
+
+// evidenceHash folds every block's attestations (validator, signature) in
+// chain and committee order into one hash.
+func evidenceHash(c *Chain) string {
+	h := sha256.New()
+	for _, blk := range c.blocks {
+		for _, at := range c.Attestations(blk) {
+			h.Write(at.Validator[:])
+			h.Write(at.Signature)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
 
 // pickyCode is a contract that reverts every call carrying calldata and
 // accepts everything else — so it deploys (empty constructor data) and
@@ -180,6 +198,7 @@ func TestGoldenDigest(t *testing.T) {
 				{"digest", fmt.Sprintf("%x", d[:]), goldenDigest},
 				{"state root", fmt.Sprintf("%x", root[:]), goldenStateRoot},
 				{"head hash", fmt.Sprintf("%x", head[:]), goldenHeadHash},
+				{"evidence", evidenceHash(c), goldenEvidence},
 			} {
 				if g.got != g.want {
 					t.Errorf("%s = %s, want %s", g.name, g.got, g.want)

@@ -3,6 +3,7 @@ package eth
 import (
 	"encoding/json"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"agnopol/internal/chain"
@@ -113,6 +114,11 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			if resumed.Digest() != ref.Digest() {
 				t.Fatal("digest diverges immediately after restore")
 			}
+			// The restored head is a position, not a block this chain
+			// produced: it has no evidence to derive.
+			if atts := resumed.Attestations(resumed.Head()); atts != nil {
+				t.Fatalf("restored head has %d attestations", len(atts))
+			}
 			for i, p := range resumed.pool.Entries() {
 				if p.Hash != p.Item.Hash() || p.Hash != ref.pool.Entries()[i].Hash {
 					t.Fatalf("restored mempool entry %d carries hash %x", i, p.Hash[:8])
@@ -137,6 +143,15 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			}
 			if ref.StateRoot() != resumed.StateRoot() {
 				t.Fatal("state root diverged")
+			}
+			// Evidence is a function of the validator set and the block, so
+			// the resumed chain derives the same attestations.
+			atts := resumed.Attestations(resumed.Head())
+			if !reflect.DeepEqual(atts, ref.Attestations(ref.Head())) {
+				t.Fatal("attestations diverged")
+			}
+			if err := resumed.VerifyBlock(resumed.Head(), atts); err != nil {
+				t.Fatal(err)
 			}
 			if ref.Balance(bob.Address).Base.Cmp(resumed.Balance(bob.Address).Base) != 0 {
 				t.Fatal("balances diverged")

@@ -245,11 +245,23 @@ func TestShardedBlockBitIdentity(t *testing.T) {
 // hashes, the same attestations in the same order, and the same digest, and
 // every block still verifies.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
+	// attestAll asks for every block's attestations at the current
+	// GOMAXPROCS: evidence is derived on request, so the fan-out under test
+	// runs here.
+	attestAll := func(c *Chain) [][]Attestation {
+		out := make([][]Attestation, len(c.blocks))
+		for i, blk := range c.blocks {
+			out[i] = c.Attestations(blk)
+		}
+		return out
+	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	ref := runShardedWorkload(t, 2)
+	refAtts := attestAll(ref)
 	runtime.GOMAXPROCS(4)
 	c := runShardedWorkload(t, 2)
+	atts := attestAll(c)
 
 	if len(c.blocks) != len(ref.blocks) {
 		t.Fatalf("%d blocks on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
@@ -258,16 +270,16 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 		if blk.Hash != ref.blocks[i].Hash {
 			t.Fatalf("block %d hash depends on GOMAXPROCS", i)
 		}
-		if !reflect.DeepEqual(blk.Attestations, ref.blocks[i].Attestations) {
+		if !reflect.DeepEqual(atts[i], refAtts[i]) {
 			t.Fatalf("block %d attestations depend on GOMAXPROCS", i)
 		}
 		if i == 0 {
 			continue // genesis carries no attestations
 		}
-		if len(blk.Attestations) == 0 {
+		if len(atts[i]) == 0 {
 			t.Fatalf("block %d has no attestations", i)
 		}
-		if err := c.VerifyBlock(blk); err != nil {
+		if err := c.VerifyBlock(blk, atts[i]); err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
 	}

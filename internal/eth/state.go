@@ -3,7 +3,10 @@
 // fee dynamics, a priority-fee-ordered mempool competing with background
 // traffic, 12-second proof-of-stake slots with proposer/committee selection,
 // contract execution through the EVM (package evm), and a client layer whose
-// submit-to-confirmation latency is what the paper's figures plot.
+// submit-to-confirmation latency is what the paper's figures plot. Producing
+// a block (Step) computes what the hash chain needs; the slot committee's
+// attestations are evidence anyone can ask for afterwards (Attestations) and
+// check against the block (VerifyBlock).
 package eth
 
 import (

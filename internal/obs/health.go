@@ -176,27 +176,24 @@ func (m *HealthMonitor) Breaches() uint64 {
 	return m.breaches
 }
 
-// Evaluate runs every rule against the current sampler/registry state,
-// records anomalies for breaches, and returns the evaluations. Callers
-// normally reach it through Telemetry.Tick, which samples first.
-func (m *HealthMonitor) Evaluate() []Evaluation {
+// Evaluate runs every rule against the sampler's history and snap — the
+// registry snapshot of the sample just taken, nil when there is no
+// registry — records anomalies for breaches, and returns the evaluations.
+// Callers normally reach it through Telemetry.Tick, which samples first.
+func (m *HealthMonitor) Evaluate(snap *Snapshot) []Evaluation {
 	if m == nil {
 		return nil
 	}
 	samples := m.sampler.Samples()
-	var reg *Registry
-	if m.o != nil {
-		reg = m.o.Registry
-	}
 	evals := make([]Evaluation, 0, len(m.rules))
 	for _, r := range m.rules {
 		ev := Evaluation{Rule: r}
 		if samples > r.Grace {
-			ev.Evaluated, ev.Value, ev.Breached = m.check(r, reg)
+			ev.Evaluated, ev.Value, ev.Breached = m.check(r, snap)
 		}
 		evals = append(evals, ev)
 		if ev.Breached {
-			m.recordBreach(ev, samples)
+			m.recordBreach(ev, samples, snap)
 		}
 	}
 	m.mu.Lock()
@@ -206,7 +203,7 @@ func (m *HealthMonitor) Evaluate() []Evaluation {
 }
 
 // check evaluates one rule; breached is meaningful only when evaluated.
-func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value float64, breached bool) {
+func (m *HealthMonitor) check(r Rule, snap *Snapshot) (evaluated bool, value float64, breached bool) {
 	switch r.Kind {
 	case RuleRateMin, RuleRateMax:
 		delta, dt, ok := m.sampler.FamilyDelta(r.Series, int(r.Window))
@@ -219,10 +216,9 @@ func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value floa
 		}
 		return true, rate, rate > r.Threshold
 	case RuleGaugeMax:
-		if reg == nil {
+		if snap == nil {
 			return false, 0, false
 		}
-		snap := reg.Snapshot()
 		found := false
 		maxV := 0.0
 		for id, v := range snap.Gauges {
@@ -238,20 +234,16 @@ func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value floa
 		}
 		return true, maxV, maxV > r.Threshold
 	case RuleQuantileMax:
-		if reg == nil {
-			return false, 0, false
-		}
-		merged, ok := reg.MergedSketch(r.Series)
+		merged, ok := snap.MergedSketch(r.Series)
 		if !ok || merged.Count == 0 {
 			return false, 0, false
 		}
 		v := merged.Quantile(r.Quantile)
 		return true, v, v > r.Threshold
 	case RuleRatioMin:
-		if reg == nil {
+		if snap == nil {
 			return false, 0, false
 		}
-		snap := reg.Snapshot()
 		var num, den uint64
 		for id, v := range snap.Counters {
 			switch familyOf(id) {
@@ -272,7 +264,7 @@ func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value floa
 
 // recordBreach counts the breach and captures the flight-recorder
 // bundle, bounded to maxAnomalies full bundles per run.
-func (m *HealthMonitor) recordBreach(ev Evaluation, sample uint64) {
+func (m *HealthMonitor) recordBreach(ev Evaluation, sample uint64, snap *Snapshot) {
 	if m.o != nil && m.o.Registry != nil {
 		m.o.Registry.Counter("obs_slo_breaches_total", L("rule", ev.Rule.Name)).Inc()
 	}
@@ -306,14 +298,13 @@ func (m *HealthMonitor) recordBreach(ev Evaluation, sample uint64) {
 			a.Deltas[id] = ds
 		}
 	}
-	if m.o != nil && m.o.Registry != nil {
-		snap := m.o.Registry.Snapshot()
+	if snap != nil {
 		families := make(map[string]bool)
 		for id := range snap.Sketches {
 			families[familyOf(id)] = true
 		}
 		for fam := range families {
-			if merged, ok := m.o.Registry.MergedSketch(fam); ok && merged.Count > 0 {
+			if merged, ok := snap.MergedSketch(fam); ok && merged.Count > 0 {
 				qs := make(map[string]float64, len(SketchQuantiles))
 				for _, q := range SketchQuantiles {
 					qs[percentileName(q)] = merged.Quantile(q)
@@ -413,14 +404,15 @@ func NewTelemetry(o *Obs, capacity int, rules []Rule) *Telemetry {
 	}
 }
 
-// Tick takes one sample and evaluates the SLO rules — the per-round hook
-// the sim harnesses call. Nil-safe.
+// Tick takes one sample and evaluates the SLO rules on the registry
+// snapshot that sample read — one registry read per tick, however many
+// rules there are. It is the per-round hook the sim harnesses call.
+// Nil-safe.
 func (t *Telemetry) Tick() {
 	if t == nil {
 		return
 	}
-	t.Sampler.Sample()
-	t.Health.Evaluate()
+	t.Health.Evaluate(t.Sampler.Sample())
 }
 
 // percentileName renders 0.5 -> "p50", 0.99 -> "p99", 0.999 -> "p999".

@@ -191,7 +191,7 @@ func TestNilTelemetryIsNoOp(t *testing.T) {
 	var tel *Telemetry
 	tel.Tick() // must not panic
 	var m *HealthMonitor
-	if !m.Healthy() || m.Breaches() != 0 || m.Rules() != nil || m.Evaluate() != nil {
+	if !m.Healthy() || m.Breaches() != 0 || m.Rules() != nil || m.Evaluate(nil) != nil {
 		t.Error("nil monitor is not a clean no-op")
 	}
 	rep := m.Report()

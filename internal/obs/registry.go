@@ -318,34 +318,6 @@ func (r *Registry) Sketch(name string, labels ...Label) *QuantileSketch {
 	return sk
 }
 
-// MergedSketch merges every registered sketch of the given family (the
-// metric name, label sets ignored) into one queryable snapshot — the
-// cross-shard / cross-chain view of a latency distribution. The second
-// return is false when the family has no sketches.
-func (r *Registry) MergedSketch(family string) (SketchSnapshot, bool) {
-	if r == nil {
-		return SketchSnapshot{}, false
-	}
-	r.mu.Lock()
-	parts := make([]*QuantileSketch, 0, 4)
-	for id, sk := range r.sketches {
-		if familyOf(id) == family {
-			parts = append(parts, sk)
-		}
-	}
-	r.mu.Unlock()
-	if len(parts) == 0 {
-		return SketchSnapshot{}, false
-	}
-	merged := NewQuantileSketch()
-	for _, sk := range parts {
-		// Same package-default layout everywhere; a mismatch is impossible
-		// for registry-created sketches.
-		_ = merged.Merge(sk)
-	}
-	return merged.Snapshot(), true
-}
-
 // familyOf strips the label set from a series id: `name{labels}` -> name.
 func familyOf(id string) string {
 	if i := strings.IndexByte(id, '{'); i >= 0 {
@@ -405,6 +377,35 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Sketches[id] = sk.Snapshot()
 	}
 	return s
+}
+
+// MergedSketch merges every sketch of the given family (the metric name,
+// label sets ignored) in the snapshot into one queryable snapshot — the
+// cross-shard / cross-chain view of a latency distribution. The second
+// return is false when the family has no sketches. Nil-safe.
+func (s *Snapshot) MergedSketch(family string) (SketchSnapshot, bool) {
+	if s == nil {
+		return SketchSnapshot{}, false
+	}
+	var parts []SketchSnapshot
+	for id, sk := range s.Sketches {
+		if familyOf(id) == family {
+			parts = append(parts, sk)
+		}
+	}
+	switch len(parts) {
+	case 0:
+		return SketchSnapshot{}, false
+	case 1:
+		return parts[0], true
+	}
+	merged := NewQuantileSketch()
+	for _, sk := range parts {
+		// Same package-default layout everywhere; a mismatch is impossible
+		// for registry-created sketches.
+		_ = merged.MergeSnapshot(sk)
+	}
+	return merged.Snapshot(), true
 }
 
 // Diff returns the change from earlier to s: counter and histogram/sketch

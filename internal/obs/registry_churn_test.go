@@ -75,14 +75,14 @@ func TestMergedSketchAcrossLabelSets(t *testing.T) {
 	r := NewRegistry()
 	r.Sketch("lat", L("shard", "0")).Observe(1)
 	r.Sketch("lat", L("shard", "1")).Observe(100)
-	merged, ok := r.MergedSketch("lat")
+	merged, ok := r.Snapshot().MergedSketch("lat")
 	if !ok || merged.Count != 2 {
 		t.Fatalf("merged = %+v, %v; want both shards", merged, ok)
 	}
 	if merged.Min != 1 || merged.Max != 100 {
 		t.Errorf("merged extremes = %v/%v, want 1/100", merged.Min, merged.Max)
 	}
-	if _, ok := r.MergedSketch("missing"); ok {
+	if _, ok := r.Snapshot().MergedSketch("missing"); ok {
 		t.Error("MergedSketch of an absent family reported ok")
 	}
 }

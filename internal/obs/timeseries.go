@@ -40,6 +40,14 @@ func (h *seriesHistory) push(p SamplePoint, capacity int) {
 	h.full = true
 }
 
+// at returns the i-th point, oldest first.
+func (h *seriesHistory) at(i int) SamplePoint {
+	if h.full {
+		i = (h.next + i) % len(h.pts)
+	}
+	return h.pts[i]
+}
+
 // ordered returns the ring oldest-first.
 func (h *seriesHistory) ordered() []SamplePoint {
 	if !h.full {
@@ -107,11 +115,14 @@ func idWithSuffix(id, suffix string) string {
 	return id + suffix
 }
 
-// Sample takes one sample of every registry series. Safe to call
-// concurrently with metric writes and with itself.
-func (s *Sampler) Sample() {
+// Sample takes one sample of every registry series and returns the
+// registry snapshot it recorded, so a caller that goes on to judge the same
+// instant (Telemetry.Tick) does not read the registry a second time; nil
+// without a registry. Safe to call concurrently with metric writes and with
+// itself.
+func (s *Sampler) Sample() *Snapshot {
 	if s == nil || s.reg == nil {
-		return
+		return nil
 	}
 	snap := s.reg.Snapshot() // outside the sampler lock: snapshotting is the slow part
 	t := time.Since(s.epoch).Seconds()
@@ -136,6 +147,7 @@ func (s *Sampler) Sample() {
 			s.record(idWithSuffix(id, "_p99"), "gauge", t, sk.Quantile(0.99))
 		}
 	}
+	return snap
 }
 
 func (s *Sampler) record(id, kind string, t, v float64) {
@@ -262,15 +274,11 @@ func (s *Sampler) WindowDelta(id string, window int) (delta, dt float64, ok bool
 	if !found {
 		return 0, 0, false
 	}
-	pts := h.ordered()
-	if len(pts) < 2 {
+	n := len(h.pts)
+	if n < 2 {
 		return 0, 0, false
 	}
-	fi := len(pts) - 1 - window
-	if fi < 0 {
-		fi = 0
-	}
-	first, last := pts[fi], pts[len(pts)-1]
+	first, last := h.at(max(0, n-1-window)), h.at(n-1)
 	if h.kind == "counter" {
 		return counterDelta(first.V, last.V), last.T - first.T, true
 	}

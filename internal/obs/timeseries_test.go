@@ -59,6 +59,13 @@ func TestSamplerRingBounds(t *testing.T) {
 			t.Fatal("ring points out of time order")
 		}
 	}
+	// Window deltas index the wrapped ring in place: the newest point minus
+	// the one `window` back, clamped to the oldest point kept.
+	for window, wantDelta := range map[int]float64{1: 10, 2: 19, 3: 27, 9: 27} {
+		if d, _, ok := s.WindowDelta("c_total", window); !ok || d != wantDelta {
+			t.Errorf("WindowDelta(window=%d) = %v, %v; want %v", window, d, ok, wantDelta)
+		}
+	}
 }
 
 func TestSamplerDeltasAndCounterReset(t *testing.T) {

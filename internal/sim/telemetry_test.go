@@ -258,6 +258,24 @@ func TestTelemetryOverheadOnSoak(t *testing.T) {
 	}
 }
 
+// BenchmarkTick prices one Telemetry.Tick — a sample plus the stock SLO
+// rules — on the registry the overhead test's soak leaves behind.
+func BenchmarkTick(b *testing.B) {
+	o := obs.New()
+	if _, err := RunSoak(SoakSpec{
+		Chain: ChainGoerli, Areas: 4, Users: 16, Rounds: 40,
+		Shards: 2, Seed: 7, Obs: o,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	tel := obs.NewTelemetry(o, 0, DefaultSLORules())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tel.Tick()
+	}
+}
+
 func BenchmarkSoakWithTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := obs.New()

@@ -43,6 +43,14 @@ echo "== state layer microbenchmarks =="
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
 go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
 
+echo "== consensus + telemetry microbenchmarks =="
+# What a block costs before it carries a transaction (StepEmpty: Goerli's
+# proposer pick, Testnet's 60-VRF proposer sortition), what asking for its
+# evidence costs (Attestations, Certificate — not paid by Step), and one
+# Telemetry.Tick on a soak's registry (bytes/op is the per-tick registry
+# copy). Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
+go test -run '^$' -bench 'StepEmpty|Attestations|Certificate|Tick$' -benchmem -benchtime 500x -cpu 2 ./internal/eth ./internal/algorand ./internal/sim | tee BENCH_consensus.txt
+
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
     echo "-- examples/$ex"
