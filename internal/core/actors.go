@@ -558,11 +558,15 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 	if err != nil {
 		return nil, err
 	}
-	if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
-		return v.rejected(prover, ErrSelfSigned.Error()), nil
-	}
 	if !v.sys.witnessSigned(proverKey, parsed.Hash[:], parsed.Signature) {
-		return v.rejected(prover, ErrUnknownWitness.Error()), nil
+		// No registered witness other than the prover opened the signature.
+		// Verifying under the prover's own key only names the rejection, so
+		// it is paid here and not on the accept path.
+		reason := ErrUnknownWitness
+		if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
+			reason = ErrSelfSigned
+		}
+		return v.rejected(prover, reason.Error()), nil
 	}
 
 	// Retrieve and integrity-check the report content.

@@ -29,8 +29,10 @@ func newHintWorld(t *testing.T, seed uint64, caKeys int) *hintWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &hintWorld{sys: sys, obs: obs.New(), conn: NewEVMConnector(eth.NewChain(eth.Goerli(), seed))}
+	c := eth.NewChain(eth.Goerli(), seed)
+	w := &hintWorld{sys: sys, obs: obs.New(), conn: NewEVMConnector(c)}
 	sys.Instrument(w.obs)
+	c.Instrument(w.obs.Registry, nil, nil) // eth_txs_submitted_total: one admission verification each
 	pad := sys.Rand.Fork("ca-padding")
 	for i := 1; i < caKeys; i++ {
 		sys.CA.RegisterWitness(polcrypto.MustGenerateKeyPair(pad).Public)
@@ -90,9 +92,9 @@ func (w *hintWorld) verify(t *testing.T, proof *LocationProof) (*Verification, u
 }
 
 // TestVerifyProverAcceptPathIsConstantInWitnessCount: with the prover's
-// certificate check still in the cache, accepting a proof costs the
-// self-signing check plus at most one more real verification — however many
-// witnesses the CA lists.
+// certificate check still in the cache, accepting a proof costs no real
+// verification at all — however many witnesses the CA lists. The check
+// under the prover's own key runs only to name a rejection.
 func TestVerifyProverAcceptPathIsConstantInWitnessCount(t *testing.T) {
 	for _, caKeys := range []int{8, 64, 512} {
 		t.Run(fmt.Sprint(caKeys), func(t *testing.T) {
@@ -104,8 +106,8 @@ func TestVerifyProverAcceptPathIsConstantInWitnessCount(t *testing.T) {
 			if !ver.Accepted {
 				t.Fatalf("honest proof rejected: %s", ver.Reason)
 			}
-			if real > 2 {
-				t.Fatalf("accept path ran %d real verifications, want at most 2", real)
+			if real != 0 {
+				t.Fatalf("accept path ran %d real verifications, want none", real)
 			}
 		})
 	}
@@ -125,9 +127,10 @@ func TestVerifyProverColdCacheAcceptsThroughScan(t *testing.T) {
 			if !ver.Accepted {
 				t.Fatalf("honest proof rejected on a cold cache: %s", ver.Reason)
 			}
-			// Self-signing check + every padding key + the witness itself.
-			if real != caKeys+1 {
-				t.Fatalf("cold scan ran %d real verifications, want %d", real, caKeys+1)
+			// Every padding key + the witness itself; the prover's own key
+			// is never tried once a witness has opened the signature.
+			if real != caKeys {
+				t.Fatalf("cold scan ran %d real verifications, want %d", real, caKeys)
 			}
 		})
 	}
@@ -188,6 +191,21 @@ func TestVerifyProverRejectionReasonsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, ErrSelfSigned},
+		{"prover-signed, prover CA-registered, cold cache", func(t *testing.T, w *hintWorld, p *LocationProof) {
+			w.sys.CA.RegisterWitness(w.prover.Key.Public)
+			p.WitnessPub = w.prover.Key.Public
+			p.Signature = w.prover.Key.Sign(p.Hash[:])
+			w.sys.sigs = polcrypto.NewSigCache(defaultSigCacheSize) // the scan must pass the prover's key over
+		}, ErrSelfSigned},
+		{"prover-signed, prover not registered", func(t *testing.T, w *hintWorld, p *LocationProof) {
+			p.WitnessPub = w.prover.Key.Public
+			p.Signature = w.prover.Key.Sign(p.Hash[:])
+		}, ErrSelfSigned},
+		{"unregistered third key", func(t *testing.T, w *hintWorld, p *LocationProof) {
+			rogue := polcrypto.MustGenerateKeyPair(w.sys.Rand.Fork("rogue"))
+			p.WitnessPub = rogue.Public
+			p.Signature = rogue.Sign(p.Hash[:])
+		}, ErrUnknownWitness},
 		{"flipped concat data", func(t *testing.T, w *hintWorld, p *LocationProof) {
 			p.Request.Nonce ^= 1 // staged fields no longer hash to the signed value
 		}, ErrHashMismatch},
@@ -202,6 +220,63 @@ func TestVerifyProverRejectionReasonsUnchanged(t *testing.T) {
 				t.Fatalf("accepted=%v reason=%q, want %q", ver.Accepted, ver.Reason, tc.want)
 			}
 		})
+	}
+}
+
+// TestRealVerificationsPerAcceptedProof states what one accepted proof costs
+// in ed25519 verifications, phase by phase, and that nothing is verified
+// twice. Three places verify: did.Authenticator.VerifyResponse (the
+// challenge response; never cached, its nonce is fresh per exchange), the
+// system's signature cache (a miss is a real verification), and the chain's
+// pool, once per transaction it admits. So a proof costs 1 + 1 + one per
+// submitted transaction: the certificate is checked for real once, by the
+// prover on receipt, and the verifier's witness lookup is answered from
+// that verdict.
+func TestRealVerificationsPerAcceptedProof(t *testing.T) {
+	w := newHintWorld(t, 66, 64)
+	admitted := w.obs.Registry.Counter("eth_txs_submitted_total", obs.L("chain", eth.Goerli().Name))
+	var proof *LocationProof
+	var handle *Handle
+	for _, phase := range []struct {
+		name string
+		run  func() error
+		// real and cached are the system cache's misses and hits; txs is
+		// how many transactions the pool verified and admitted.
+		real, cached, txs uint64
+	}{
+		{"RequestProof: challenge response (uncounted here) + certificate", func() error {
+			proof = w.witnessedProof(t)
+			return nil
+		}, 1, 0, 0},
+		{"SubmitProof: deploy + insert_data", func() error {
+			res, err := w.prover.SubmitProof(w.conn, proof, rewardFor(w.conn))
+			if err == nil {
+				handle = res.Handle
+			}
+			return err
+		}, 0, 0, 2},
+		{"FundContract: insert_money", func() error {
+			_, err := w.verifier.FundContract(w.conn, handle, rewardFor(w.conn))
+			return err
+		}, 0, 0, 1},
+		{"VerifyProver: hinted witness lookup + verify", func() error {
+			ver, err := w.verifier.VerifyProver(w.conn, handle, w.prover.DID)
+			if err == nil && !ver.Accepted {
+				err = fmt.Errorf("honest proof rejected: %s", ver.Reason)
+			}
+			return err
+		}, 0, 1, 1},
+	} {
+		hits0, misses0 := sigCacheCounters(t, w.obs)
+		txs0 := admitted.Value()
+		if err := phase.run(); err != nil {
+			t.Fatalf("%s: %v", phase.name, err)
+		}
+		hits1, misses1 := sigCacheCounters(t, w.obs)
+		if real, cached, txs := misses1-misses0, hits1-hits0, admitted.Value()-txs0; real != phase.real || cached != phase.cached || txs != phase.txs {
+			t.Errorf("%s: %d real + %d cached verifications, %d transactions; want %d + %d, %d",
+				phase.name, real, cached, txs, phase.real, phase.cached, phase.txs)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@
 //
 // with the CRC (IEEE) taken over len‖hash‖payload. Records are never
 // rewritten; the hash is the content address (sha256 of the payload per
-// the mstate node encoding), so equal nodes are stored once.
+// the mstate node encoding). The log does not deduplicate — a writer
+// (mstate.Trie.Commit) appends what is new to it — so equal nodes may
+// appear more than once, and reads serve the first copy.
 //
 // Durability protocol: PutBatch appends records to the active segment
 // through a buffered writer; Commit flushes, fsyncs the segment, and
@@ -69,8 +71,9 @@ const (
 	recHeaderLen  = 4 + 32 // len + hash
 	recTrailerLen = 4      // crc
 	manifestName  = "MANIFEST"
-	// scanBufBytes is the read-ahead Open walks segments through: recovery
-	// costs one read per MiB of log, not one per record.
+	// scanBufBytes is the read-ahead segments are scanned through (less for
+	// a log that is smaller): recovery costs one read per MiB of log, not
+	// one per record.
 	scanBufBytes = 1 << 20
 )
 
@@ -105,13 +108,19 @@ type Store struct {
 	dir  string
 	opts Options
 
-	index map[mstate.Hash]ref
+	// index maps a hash to the first record carrying it. It is a recovery
+	// structure, not a write-path one: Open builds it for the Load that
+	// follows, PutBatch releases it (appends never consult it, so a
+	// long-running store holds nothing per record), and a read that finds
+	// it gone rebuilds it with the same scan.
+	index   map[mstate.Hash]ref
+	records int         // records in the log, duplicates included
+	last    mstate.Hash // hash of the newest record: a Trie.Commit appends its root last
 
-	files      map[int]*os.File // open segment files, keyed by number
-	active     int              // active (append) segment number
-	w          *bufio.Writer    // buffers appends to files[active]
-	curOff     int64            // logical end of the active segment
-	flushedOff int64            // bytes of the active segment visible to ReadAt
+	files  map[int]*os.File // open segment files, keyed by number
+	active int              // active (append) segment number
+	w      *bufio.Writer    // buffers appends to files[active]
+	curOff int64            // logical end of the active segment
 
 	root    mstate.Hash
 	hasRoot bool
@@ -121,7 +130,7 @@ type Store struct {
 }
 
 // Open opens (or creates) the store in dir, recovering to the last
-// committed manifest: the index is rebuilt by scanning segments up to
+// committed manifest: the index is built by scanning segments up to
 // the manifest's (segment, offset), any torn tail past it is truncated,
 // and uncommitted newer segments are removed. An empty or absent dir
 // initialises a fresh store; segments without a manifest are corruption
@@ -143,7 +152,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		index: make(map[mstate.Hash]ref),
 		files: make(map[int]*os.File),
 	}
 
@@ -177,11 +185,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
-	// Open and size every segment first: the durable bytes bound how many
-	// records the log can hold, so the manifest's node count pre-sizes the
-	// index without a wrong count being able to over-allocate.
-	sizes := make([]int64, man.Segment+1)
-	var durable int64
 	for n := 1; n <= man.Segment; n++ {
 		f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_RDWR, 0o644)
 		if err != nil {
@@ -189,58 +192,75 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("diskstore: open %s: %w", segName(n), err)
 		}
 		s.files[n] = f
-		st, err := f.Stat()
-		if err != nil {
-			s.closeFiles()
-			return nil, fmt.Errorf("diskstore: stat %s: %w", segName(n), err)
-		}
-		sizes[n] = st.Size()
-		durable += sizes[n]
 	}
-	durable -= max(0, sizes[man.Segment]-man.Offset) // the tail past the manifest is not durable
-	s.index = make(map[mstate.Hash]ref, max(0, min(int64(man.Nodes), durable/(recHeaderLen+recTrailerLen))))
-
-	br := bufio.NewReaderSize(nil, scanBufBytes)
-	for n := 1; n <= man.Segment; n++ {
-		f := s.files[n]
-		limit := sizes[n] // sealed segments scan to their full size
-		if n == man.Segment {
-			limit = man.Offset
-		}
-		end, err := s.scanSegment(n, br, sizes[n], limit)
-		if err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		if n == man.Segment {
-			// Torn tail from a crash after flush but before commit:
-			// drop everything past the durable offset.
-			if err := f.Truncate(end); err != nil {
-				s.closeFiles()
-				return nil, fmt.Errorf("diskstore: truncate torn tail of %s: %w", segName(n), err)
-			}
-			if _, err := f.Seek(end, 0); err != nil {
-				s.closeFiles()
-				return nil, fmt.Errorf("diskstore: seek %s: %w", segName(n), err)
-			}
-			s.active = n
-			s.curOff = end
-			s.flushedOff = end
-			s.w = bufio.NewWriterSize(f, 1<<20)
-		}
+	end, err := s.loadIndex(man.Segment, man.Offset, man.Nodes)
+	if err != nil {
+		s.closeFiles()
+		return nil, err
 	}
+	// Torn tail from a crash after flush but before commit: drop
+	// everything past the durable offset.
+	f := s.files[man.Segment]
+	if err := f.Truncate(end); err != nil {
+		s.closeFiles()
+		return nil, fmt.Errorf("diskstore: truncate torn tail of %s: %w", segName(man.Segment), err)
+	}
+	if _, err := f.Seek(end, 0); err != nil {
+		s.closeFiles()
+		return nil, fmt.Errorf("diskstore: seek %s: %w", segName(man.Segment), err)
+	}
+	s.active = man.Segment
+	s.curOff = end
+	s.w = bufio.NewWriterSize(f, 1<<20)
 	s.root = man.Root
 	s.hasRoot = true
 	s.meta = man.Meta
 	return s, nil
 }
 
+// loadIndex builds the index, the record count and the newest hash with one
+// sequential pass over segments 1..last: sealed ones to their full size,
+// the last one up to limit. It returns the offset where that region ends.
+// hint pre-sizes the map; the bytes to scan bound how many records there
+// can be, so a wrong hint cannot over-allocate. On failure the store keeps
+// no index rather than half of one.
+func (s *Store) loadIndex(last int, limit int64, hint int) (int64, error) {
+	sizes := make([]int64, last+1)
+	var durable int64
+	for n := 1; n <= last; n++ {
+		st, err := s.files[n].Stat()
+		if err != nil {
+			return 0, fmt.Errorf("diskstore: stat %s: %w", segName(n), err)
+		}
+		sizes[n] = st.Size()
+		durable += sizes[n]
+	}
+	durable -= max(0, sizes[last]-limit) // the tail past limit is not scanned
+	records, newest := s.records, s.last
+	s.index = make(map[mstate.Hash]ref, max(0, min(int64(hint), durable/(recHeaderLen+recTrailerLen))))
+	s.records = 0
+	br := bufio.NewReaderSize(nil, int(min(scanBufBytes, durable)))
+	var end int64
+	for n := 1; n <= last; n++ {
+		to := sizes[n]
+		if n == last {
+			to = limit
+		}
+		var err error
+		if end, err = s.scanSegment(n, br, sizes[n], to); err != nil {
+			s.index, s.records, s.last = nil, records, newest
+			return 0, err
+		}
+	}
+	return end, nil
+}
+
 // scanSegment validates the header of segment n (size bytes on disk) and
 // walks the records in [segHeaderLen, limit) once, sequentially through
-// br, adding each to the index. Only framing is checked here: payloads
-// and CRCs are skipped (GetNode verifies them on every read) and no byte
-// past limit is parsed. It returns the byte offset where the durable
-// region ends.
+// br, counting each and adding it to the index unless an earlier record
+// carries the same hash. Only framing is checked here: payloads and CRCs
+// are skipped (GetNode verifies them on every read) and no byte past limit
+// is parsed. It returns the byte offset where the scanned region ends.
 func (s *Store) scanSegment(n int, br *bufio.Reader, size, limit int64) (int64, error) {
 	if size < limit {
 		return 0, fmt.Errorf("%w: %s is %d bytes but the manifest requires %d",
@@ -276,11 +296,11 @@ func (s *Store) scanSegment(n int, br *bufio.Reader, size, limit int64) (int64, 
 		if _, err := br.Discard(int(ln) + recTrailerLen); err != nil {
 			return 0, fmt.Errorf("diskstore: read %s at %d: %w", segName(n), off, err)
 		}
-		var h mstate.Hash
-		copy(h[:], hdr[4:])
-		if _, ok := s.index[h]; !ok {
-			s.index[h] = ref{seg: n, off: off, ln: int(ln)}
+		copy(s.last[:], hdr[4:])
+		if _, ok := s.index[s.last]; !ok {
+			s.index[s.last] = ref{seg: n, off: off, ln: int(ln)}
 		}
+		s.records++
 		off = recEnd
 	}
 	return off, nil
@@ -300,7 +320,6 @@ func (s *Store) startSegment(n int) error {
 	s.active = n
 	s.w = bufio.NewWriterSize(f, 1<<20)
 	s.curOff = segHeaderLen
-	s.flushedOff = segHeaderLen
 	return nil
 }
 
@@ -315,21 +334,19 @@ func (s *Store) roll() error {
 	return s.startSegment(s.active + 1)
 }
 
-// PutBatch implements mstate.NodeStore: appends every unknown node to
-// the active segment, rolling segments as they fill. Records become
-// durable only at the next Commit.
+// PutBatch implements mstate.NodeStore: appends every node to the active
+// segment, rolling segments as they fill, and releases the index. Records
+// become durable only at the next Commit.
 func (s *Store) PutBatch(nodes []mstate.Node) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	s.index = nil
 	var hdr [recHeaderLen]byte
 	var tail [recTrailerLen]byte
 	for _, n := range nodes {
-		if _, ok := s.index[n.Hash]; ok {
-			continue
-		}
 		if s.curOff >= s.opts.SegmentBytes {
 			if err := s.roll(); err != nil {
 				return err
@@ -349,10 +366,27 @@ func (s *Store) PutBatch(nodes []mstate.Node) error {
 		if _, err := s.w.Write(tail[:]); err != nil {
 			return fmt.Errorf("diskstore: append: %w", err)
 		}
-		s.index[n.Hash] = ref{seg: s.active, off: s.curOff, ln: len(n.Enc)}
 		s.curOff += recHeaderLen + int64(len(n.Enc)) + recTrailerLen
+		s.records++
+		s.last = n.Hash
 	}
 	return nil
+}
+
+// indexLocked returns the index, rebuilding it over the flushed log when an
+// append has released it since the last read.
+func (s *Store) indexLocked() (map[mstate.Hash]ref, error) {
+	if s.index == nil {
+		// The scan reads the files, which cannot see bytes still sitting
+		// in the append buffer — push them down first.
+		if err := s.flushLocked(); err != nil {
+			return nil, err
+		}
+		if _, err := s.loadIndex(s.active, s.curOff, s.records); err != nil {
+			return nil, err
+		}
+	}
+	return s.index, nil
 }
 
 // GetNode implements mstate.NodeStore: one read of the record the index
@@ -364,16 +398,13 @@ func (s *Store) GetNode(h mstate.Hash) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	r, ok := s.index[h]
+	index, err := s.indexLocked()
+	if err != nil {
+		return nil, err
+	}
+	r, ok := index[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %x", mstate.ErrNodeMissing, h[:8])
-	}
-	// Reads hit the file through ReadAt, which cannot see bytes still
-	// sitting in the append buffer — push them down first.
-	if r.seg == s.active && r.off+recHeaderLen+int64(r.ln)+recTrailerLen > s.flushedOff {
-		if err := s.flushLocked(); err != nil {
-			return nil, err
-		}
 	}
 	buf := make([]byte, recHeaderLen+r.ln+recTrailerLen)
 	if _, err := s.files[r.seg].ReadAt(buf, r.off); err != nil {
@@ -397,17 +428,6 @@ func (s *Store) GetNode(h mstate.Hash) ([]byte, error) {
 	return buf[recHeaderLen : len(buf)-recTrailerLen], nil
 }
 
-// Has implements mstate.NodeStore.
-func (s *Store) Has(h mstate.Hash) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	_, ok := s.index[h]
-	return ok, nil
-}
-
 // Flush implements mstate.NodeStore: pushes buffered appends to the OS.
 // Durability still requires Commit.
 func (s *Store) Flush() error {
@@ -423,7 +443,6 @@ func (s *Store) flushLocked() error {
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("diskstore: flush %s: %w", segName(s.active), err)
 	}
-	s.flushedOff = s.curOff
 	return nil
 }
 
@@ -431,17 +450,17 @@ func (s *Store) flushLocked() error {
 // publishes root (with an opaque meta blob, e.g. a chain checkpoint) as
 // the store's committed state: flush, fsync the active segment, then
 // replace MANIFEST via temp-file + rename. On reopen the store recovers
-// exactly to this point.
+// exactly to this point. A non-empty root must be the newest record (a
+// Trie.Commit appends its root last) or the root already committed:
+// anything else is a root this log was not just given.
 func (s *Store) Commit(root mstate.Hash, meta []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if root != (mstate.Hash{}) {
-		if _, ok := s.index[root]; !ok {
-			return fmt.Errorf("diskstore: commit of root %x not present in the log", root[:8])
-		}
+	if root != (mstate.Hash{}) && root != s.last && !(s.hasRoot && root == s.root) {
+		return fmt.Errorf("diskstore: commit of root %x, which is neither the newest record nor the committed root", root[:8])
 	}
 	if err := s.flushLocked(); err != nil {
 		return err
@@ -453,7 +472,7 @@ func (s *Store) Commit(root mstate.Hash, meta []byte) error {
 		Root:    root,
 		Segment: s.active,
 		Offset:  s.curOff,
-		Nodes:   len(s.index),
+		Nodes:   s.records,
 		Meta:    meta,
 	}
 	if err := writeManifest(s.dir, man, s.opts.NoSync); err != nil {
@@ -479,11 +498,12 @@ func (s *Store) Meta() []byte {
 	return append([]byte(nil), s.meta...)
 }
 
-// Len is the number of indexed nodes (committed or staged).
+// Len is the number of records in the log (committed or staged), a node
+// appended twice counted twice.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.records
 }
 
 // Dir returns the store directory.

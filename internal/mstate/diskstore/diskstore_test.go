@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"agnopol/internal/mstate"
@@ -33,6 +34,16 @@ func commit(t testing.TB, tr *mstate.Trie, s *Store, meta []byte) mstate.Hash {
 		t.Fatal(err)
 	}
 	return root
+}
+
+// heapAfterGC is the live heap: what is still reachable after a full
+// collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 func openT(t testing.TB, dir string, opts Options) *Store {
@@ -231,6 +242,39 @@ func resetDir(t *testing.T, dir string, files map[string][]byte) {
 	}
 }
 
+// resumeAfterCrash makes files the whole content of dir — what a crash left
+// — and requires the store to reopen at root1 with a loadable trie and to
+// keep working: every step is applied and committed in turn, and a further
+// reopen must find the last of those commits, loadable. It returns that
+// root.
+func resumeAfterCrash(t *testing.T, label, dir string, files map[string][]byte, opts Options, root1 mstate.Hash, steps ...func(*mstate.Trie)) mstate.Hash {
+	t.Helper()
+	resetDir(t, dir, files)
+	s := openT(t, dir, opts)
+	if got, ok := s.Root(); !ok || got != root1 {
+		t.Fatalf("%s: recovered root %x ok=%v, want %x", label, got[:8], ok, root1[:8])
+	}
+	loaded, err := mstate.Load(s, root1)
+	if err != nil {
+		t.Fatalf("%s: load recovered root: %v", label, err)
+	}
+	last := root1
+	for _, step := range steps {
+		step(loaded)
+		last = commit(t, loaded, s, nil)
+	}
+	s.Close()
+	s = openT(t, dir, opts)
+	defer s.Close()
+	if got, _ := s.Root(); got != last {
+		t.Fatalf("%s: post-recovery commit lost: reopened at %x, committed %x", label, got[:8], last[:8])
+	}
+	if _, err := mstate.Load(s, last); err != nil {
+		t.Fatalf("%s: load of the post-recovery commit: %v", label, err)
+	}
+	return last
+}
+
 // Exhaustive crash points of one commit: the segment append cut at every
 // byte from the durable offset to the staged end, and the manifest temp
 // file cut at every prefix length beside the still-valid manifest. Each
@@ -265,26 +309,8 @@ func TestEveryCutPointRecovers(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "crashed")
 	recoversRoot1 := func(label string, files map[string][]byte) {
-		resetDir(t, dir, files)
-		s, err := Open(dir, Options{NoSync: true})
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", label, err)
-		}
-		if got, ok := s.Root(); !ok || got != root1 {
-			t.Fatalf("%s: recovered root %x ok=%v, want %x", label, got[:8], ok, root1[:8])
-		}
-		loaded, err := mstate.Load(s, root1)
-		if err != nil {
-			t.Fatalf("%s: load recovered root: %v", label, err)
-		}
-		loaded.Put(tk("after-recovery"), []byte("ok"))
-		root3 := commit(t, loaded, s, nil)
-		s.Close()
-		s3 := openT(t, dir, Options{})
-		if got, _ := s3.Root(); got != root3 {
-			t.Fatalf("%s: post-recovery commit lost", label)
-		}
-		s3.Close()
+		resumeAfterCrash(t, label, dir, files, Options{}, root1,
+			func(tr *mstate.Trie) { tr.Put(tk("after-recovery"), []byte("ok")) })
 	}
 	for cut := durable; cut <= int64(len(seg)); cut++ {
 		recoversRoot1(fmt.Sprintf("segment cut at %d", cut),
@@ -304,6 +330,223 @@ func TestEveryCutPointRecovers(t *testing.T) {
 	if _, err := mstate.Load(s2, root2); err != nil {
 		t.Fatalf("load committed root: %v", err)
 	}
+}
+
+// The same exhaustive cut, over a commit that rolls a segment: its first
+// records fill segment 1 past SegmentBytes, the roll seals it and creates
+// segment 2 (header first), the rest lands there. A crash leaves segment 1
+// cut anywhere past the durable offset and no segment 2, or segment 1 whole
+// and segment 2 cut anywhere from zero bytes on — always beside the first
+// manifest. Each state must reopen at the first root and, after redoing the
+// lost commit and two more (which roll again, recreating the segment Open
+// removed), end at the root an uninterrupted run reaches.
+func TestEveryCutPointAcrossASegmentRollRecovers(t *testing.T) {
+	steps := []func(tr *mstate.Trie){
+		func(tr *mstate.Trie) {
+			for i := 0; i < 3; i++ {
+				tr.Put(tk(fmt.Sprintf("roll-%d", i)), []byte("staged"))
+			}
+		},
+		func(tr *mstate.Trie) { tr.Delete(tk("cut-3")); tr.Put(tk("roll-1"), []byte("again")) },
+		func(tr *mstate.Trie) { tr.Put(tk("cut-5"), []byte("last")) },
+	}
+	src := t.TempDir()
+	s := openT(t, src, Options{})
+	tr := buildTrie(16, "cut")
+	root1 := commit(t, tr, s, []byte("durable"))
+	durable := s.curOff
+	man1, err := os.ReadFile(filepath.Join(src, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// Reopened with a limit two records past the durable offset, the next
+	// commit starts in segment 1 and rolls mid-way.
+	opts := Options{SegmentBytes: durable + 100}
+	s = openT(t, src, opts)
+	tr, err = mstate.Load(s, root1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps[0](tr)
+	commit(t, tr, s, []byte("next"))
+	if s.active != 2 {
+		t.Fatalf("the second commit ended in segment %d, want a single roll into 2", s.active)
+	}
+	rolled := s.curOff // how much of segment 2 the rolling commit wrote
+	for _, step := range steps[1:] {
+		step(tr)
+		commit(t, tr, s, nil)
+	}
+	want := tr.Root() // where the uninterrupted run ends
+	s.Close()
+	seg1, err := os.ReadFile(filepath.Join(src, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg2, err := os.ReadFile(filepath.Join(src, segName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(seg1)) <= durable || rolled <= segHeaderLen || int64(len(seg2)) < rolled {
+		t.Fatalf("the rolling commit wrote %d bytes into segment 1 and %d of %d into segment 2",
+			int64(len(seg1))-durable, rolled, len(seg2))
+	}
+	t.Logf("%d + %d cut points", int64(len(seg1))-durable+1, rolled+1)
+
+	dir := filepath.Join(t.TempDir(), "crashed")
+	recovers := func(label string, files map[string][]byte) {
+		files[manifestName] = man1
+		if got := resumeAfterCrash(t, label, dir, files, opts, root1, steps...); got != want {
+			t.Fatalf("%s: resumed run ended at %x, the uninterrupted one at %x", label, got[:8], want[:8])
+		}
+	}
+	for cut := durable; cut <= int64(len(seg1)); cut++ {
+		recovers(fmt.Sprintf("segment 1 cut at %d, no segment 2", cut),
+			map[string][]byte{segName(1): seg1[:cut]})
+	}
+	for cut := int64(0); cut <= rolled; cut++ {
+		recovers(fmt.Sprintf("segment 2 cut at %d", cut),
+			map[string][]byte{segName(1): seg1, segName(2): seg2[:cut]})
+	}
+}
+
+// Equal content appended twice is legal: the log counts both records, reads
+// serve the first, before and after recovery.
+func TestDuplicateRecordsKeepTheFirstCopy(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	// Same hash, told apart by payload: GetNode checks framing and CRC, the
+	// content address is Load's to verify.
+	h := mstate.Hash{0xD0}
+	other := mstate.Node{Hash: mstate.Hash{0x07}, Enc: []byte("between")}
+	if err := s.PutBatch([]mstate.Node{{Hash: h, Enc: []byte("first copy")}, other}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]mstate.Node{{Hash: h, Enc: []byte("second copy")}}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if got := s.Len(); got != 3 {
+			t.Fatalf("%s: Len() = %d, want all 3 records", when, got)
+		}
+		if enc, err := s.GetNode(h); err != nil || string(enc) != "first copy" {
+			t.Fatalf("%s: GetNode = %q, %v; want the first copy", when, enc, err)
+		}
+	}
+	check(s, "before commit")
+	if err := s.Commit(h, nil); err != nil { // the newest record
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := openT(t, dir, Options{})
+	defer s2.Close()
+	check(s2, "after reopen")
+	man, err := readManifest(filepath.Join(dir, manifestName))
+	if err != nil || man.Nodes != 3 {
+		t.Fatalf("manifest counts %d nodes (%v), want 3", man.Nodes, err)
+	}
+}
+
+// The record and manifest formats did not change when the index stopped
+// being a write-path structure: a multi-segment store written by the commit
+// before (testdata/store-at-3ab5bfc, two commits of a 24-key trie at
+// SegmentBytes 1024) opens, loads, takes more commits and reopens.
+func TestOpensAStoreWrittenByTheParentCommit(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "store-at-3ab5bfc")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := buildTrie(24, "parent")
+	root1 := want.Root()
+	want.Put(tk("parent-3"), []byte("rewritten"))
+	want.Delete(tk("parent-5"))
+
+	s := openT(t, dir, Options{SegmentBytes: 1024})
+	if got, ok := s.Root(); !ok || got != want.Root() {
+		t.Fatalf("root %x ok=%v, want %x", got[:8], ok, want.Root())
+	}
+	if string(s.Meta()) != "written at 3ab5bfc" || s.Len() != 36 {
+		t.Fatalf("meta %q, %d records; want the parent's meta and its 36 nodes", s.Meta(), s.Len())
+	}
+	if _, err := mstate.Load(s, root1); err != nil {
+		t.Fatalf("first commit of the old store: %v", err)
+	}
+	loaded, err := mstate.Load(s, want.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := loaded.Get(tk("parent-3")); !ok || string(v) != "rewritten" || loaded.Has(tk("parent-5")) || loaded.Len() != 23 {
+		t.Fatalf("loaded %d keys, parent-3 = %q", loaded.Len(), v)
+	}
+	loaded.Put(tk("written-by-the-change"), []byte("v"))
+	root3 := commit(t, loaded, s, nil)
+	s.Close()
+	s2 := openT(t, dir, Options{SegmentBytes: 1024})
+	defer s2.Close()
+	if got, _ := s2.Root(); got != root3 {
+		t.Fatalf("commit on top of the old store lost: root %x, want %x", got[:8], root3[:8])
+	}
+	if _, err := mstate.Load(s2, root3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A store that has taken a commit holds nothing per record: after Open and
+// Load, 200 churn commits grow the log by tens of thousands of records and
+// the heap not at all. (The trie is the same size throughout — same keys,
+// equal-length values — so heap growth would be the store's.)
+func TestStoreHeapFlatAcrossCommits(t *testing.T) {
+	const keys = 300
+	rewrite := func(tr *mstate.Trie, round int) {
+		for i := 0; i < keys; i++ {
+			tr.Put(tk(fmt.Sprintf("flat-%d", i)), []byte(fmt.Sprintf("round-%04d", round)))
+		}
+	}
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	tr := mstate.New()
+	rewrite(tr, 0)
+	root := commit(t, tr, s, nil)
+	s.Close()
+
+	s = openT(t, dir, Options{})
+	defer s.Close()
+	tr, err := mstate.Load(s, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heap20 uint64
+	var records20 int
+	for round := 1; round <= 200; round++ {
+		rewrite(tr, round)
+		commit(t, tr, s, nil)
+		if round == 20 {
+			heap20, records20 = heapAfterGC(), s.Len()
+		}
+	}
+	grown := int64(heapAfterGC()) - int64(heap20)
+	added := s.Len() - records20
+	if added < 180*keys {
+		t.Fatalf("180 commits added %d records, want at least %d", added, 180*keys)
+	}
+	// The index the parent kept cost ≈ 100 B per record: ≈ 7 MB here.
+	if perRecord := float64(grown) / float64(added); perRecord > 4 {
+		t.Fatalf("heap grew %d bytes over %d appended records (%.1f B/record): the store holds state per record", grown, added, perRecord)
+	}
+	runtime.KeepAlive(tr)
 }
 
 // The recovery scan reads through a fixed buffer: a log several times its
@@ -428,7 +671,11 @@ func TestBitFlippedPayloadIsTyped(t *testing.T) {
 	root := commit(t, tr, s, nil)
 	// Locate the root's record so the flip is inside a payload we will
 	// definitely read back.
-	r := s.index[root]
+	index, err := s.indexLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := index[root]
 	s.Close()
 
 	path := filepath.Join(dir, segName(r.seg))

@@ -85,7 +85,11 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer s.Close()
-		for h := range s.index {
+		index, err := s.indexLocked()
+		if err != nil {
+			t.Fatalf("index after Open: %v", err)
+		}
+		for h := range index {
 			if _, err := s.GetNode(h); err != nil && !isTyped(err) {
 				t.Fatalf("GetNode(%x): untyped error: %v", h[:8], err)
 			}

@@ -1,0 +1,304 @@
+package mstate
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+var errInjected = errors.New("injected store fault")
+
+// faultyStore is a MemStore whose next failPuts PutBatch calls keep the
+// first half of their batch and fail: what a disk that filled up mid-append
+// leaves behind.
+type faultyStore struct {
+	*MemStore
+	failPuts int
+}
+
+func (s *faultyStore) PutBatch(nodes []Node) error {
+	if s.failPuts > 0 {
+		s.failPuts--
+		if err := s.MemStore.PutBatch(nodes[:len(nodes)/2]); err != nil {
+			return err
+		}
+		return errInjected
+	}
+	return s.MemStore.PutBatch(nodes)
+}
+
+// reopened is what a fresh process would find: the same nodes behind a
+// store no trie handle has ever seen.
+func (s *faultyStore) reopened() *MemStore {
+	m := NewMemStore()
+	for h, enc := range s.nodes {
+		m.nodes[h] = enc
+	}
+	return m
+}
+
+// fuzzKey spreads one byte over a key so that keys collide on their first
+// nibbles often (splits and collapses at depths 0–2) and, when only the low
+// bits differ, all the way down to the last byte (a 62-branch chain).
+func fuzzKey(x byte) Key {
+	var k Key
+	k[0] = x & 0x33
+	k[1] = x & 0xC0
+	k[31] = x
+	return k
+}
+
+type flatModel map[Key]string
+
+func (m flatModel) clone() flatModel {
+	c := make(flatModel, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
+}
+
+// fuzzHandle is one trie handle, the flat map it must equal, and the
+// overlays currently stacked on it (each with the map it must equal).
+type fuzzHandle struct {
+	trie   *Trie
+	model  flatModel
+	ovs    []*Overlay
+	ovMods []flatModel
+}
+
+func mustEqualModel(t *testing.T, label string, tr *Trie, model flatModel) {
+	t.Helper()
+	if tr.Len() != len(model) {
+		t.Fatalf("%s: trie holds %d keys, model %d", label, tr.Len(), len(model))
+	}
+	for k, v := range model {
+		if got, ok := tr.Get(k); !ok || string(got) != v {
+			t.Fatalf("%s: key %x = %q (present %v), model says %q", label, k[31], got, ok, v)
+		}
+	}
+	// The shape is a pure function of the key set: a trie built fresh from
+	// the model must hash the same, whatever history tr went through.
+	fresh := New()
+	for k, v := range model {
+		fresh.Put(k, []byte(v))
+	}
+	if fresh.Root() != tr.Root() {
+		t.Fatalf("%s: root differs from a fresh build of the same %d keys", label, len(model))
+	}
+}
+
+// FuzzTrieCommit drives fuzzer-chosen sequences of writes, snapshots,
+// overlay fork/adopt/commit/drop, commits to either of two stores (with
+// injected PutBatch failures) and loads against a flat-map model. After
+// every successful Commit the committed root must load, from a reopened
+// view of that store alone, to exactly the model — which is what catches a
+// Commit that skipped a node the store never got.
+//
+// A program is a sequence of 3-byte instructions: opcode, a, b.
+func FuzzTrieCommit(f *testing.F) {
+	const (
+		opPut = iota
+		opDelete
+		opSnapshot
+		opCommit
+		opLoad
+		opOverlayOpen
+		opOverlayFold
+		opOverlayDrop
+		opArmFault
+		opSelect
+		numOps
+	)
+	// In-place write between two commits without a snapshot.
+	f.Add([]byte{opPut, 1, 1, opPut, 2, 1, opCommit, 0, 0, opPut, 1, 2, opCommit, 0, 0, opPut, 2, 3, opCommit, 0, 0})
+	// Split and collapse across a commit: 0x01 and 0x05 differ only in the
+	// last byte, 0x11 shares one nibble with both.
+	f.Add([]byte{opPut, 0x01, 1, opCommit, 0, 0, opPut, 0x05, 1, opPut, 0x11, 1, opCommit, 0, 0,
+		opDelete, 0x05, 0, opCommit, 0, 0, opDelete, 0x11, 0, opCommit, 0, 0})
+	// Failed PutBatch followed by a retry, then an incremental commit.
+	f.Add([]byte{opPut, 1, 1, opPut, 2, 1, opPut, 3, 1, opArmFault, 0, 0, opCommit, 0, 0, opCommit, 0, 0,
+		opPut, 4, 1, opCommit, 0, 0})
+	// A snapshot committed to the second store, then both diverge and
+	// commit crosswise; a load from the first commit rejoins.
+	f.Add([]byte{opPut, 1, 1, opPut, 0x41, 1, opCommit, 0, 0, opSnapshot, 0, 1, opSelect, 1, 0, opPut, 2, 2,
+		opCommit, 1, 1, opCommit, 1, 0, opSelect, 0, 0, opDelete, 1, 0, opCommit, 0, 1, opLoad, 0, 2,
+		opSelect, 2, 0, opPut, 9, 9, opCommit, 2, 0})
+	// Overlays: fork, write, adopt, commit to the base; fork and drop.
+	f.Add([]byte{opPut, 1, 1, opCommit, 0, 0, opOverlayOpen, 0, 0, opPut, 2, 2, opOverlayOpen, 0, 0, opPut, 3, 3,
+		opDelete, 1, 0, opOverlayFold, 0, 0, opOverlayOpen, 0, 0, opPut, 4, 4, opOverlayDrop, 0, 0,
+		opOverlayFold, 0, 0, opCommit, 0, 0})
+
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		stores := [2]*faultyStore{{MemStore: NewMemStore()}, {MemStore: NewMemStore()}}
+		var handles [4]*fuzzHandle
+		handles[0] = &fuzzHandle{trie: New(), model: flatModel{}}
+		cur := 0 // the slot Put and Delete go to
+		type commitRec struct {
+			store int
+			root  Hash
+			model flatModel
+		}
+		var commits []commitRec
+
+		for pc := 0; pc+3 <= len(prog); pc += 3 {
+			op, a, b := prog[pc]%numOps, prog[pc+1], prog[pc+2]
+			h := handles[a%4]
+			switch op {
+			case opPut, opDelete:
+				c := handles[cur]
+				if c == nil {
+					continue
+				}
+				// Writes go to the innermost open overlay: the base of a
+				// live overlay must not be mutated.
+				var dst interface {
+					Put(Key, []byte)
+					Delete(Key)
+				} = c.trie
+				model := c.model
+				if n := len(c.ovs); n > 0 {
+					dst, model = c.ovs[n-1], c.ovMods[n-1]
+				}
+				if k := fuzzKey(a); op == opPut {
+					dst.Put(k, []byte{b})
+					model[k] = string([]byte{b})
+				} else {
+					dst.Delete(k)
+					delete(model, k)
+				}
+			case opSnapshot:
+				if h != nil {
+					handles[b%4] = &fuzzHandle{trie: h.trie.Snapshot(), model: h.model.clone()}
+				}
+			case opCommit:
+				if h == nil {
+					continue
+				}
+				s := stores[b%2]
+				root, err := h.trie.Commit(s)
+				if err != nil {
+					if !errors.Is(err, errInjected) {
+						t.Fatalf("Commit: %v", err)
+					}
+					continue
+				}
+				if root != h.trie.Root() {
+					t.Fatalf("Commit returned %x, the trie's root is %x", root[:4], h.trie.Root())
+				}
+				loaded, err := Load(s.reopened(), root)
+				if err != nil {
+					t.Fatalf("instruction %d: load of the committed root from the reopened store: %v", pc/3, err)
+				}
+				mustEqualModel(t, fmt.Sprintf("instruction %d: reloaded commit", pc/3), loaded, h.model)
+				commits = append(commits, commitRec{int(b % 2), root, h.model.clone()})
+			case opLoad:
+				if len(commits) == 0 {
+					continue
+				}
+				c := commits[int(a)%len(commits)]
+				loaded, err := Load(stores[c.store], c.root)
+				if err != nil {
+					t.Fatalf("instruction %d: load of an earlier commit: %v", pc/3, err)
+				}
+				handles[b%4] = &fuzzHandle{trie: loaded, model: c.model.clone()}
+			case opOverlayOpen:
+				if h == nil {
+					continue
+				}
+				if n := len(h.ovs); n > 0 {
+					h.ovs = append(h.ovs, h.ovs[n-1].Fork())
+					h.ovMods = append(h.ovMods, h.ovMods[n-1].clone())
+				} else {
+					h.ovs = append(h.ovs, NewOverlay(h.trie))
+					h.ovMods = append(h.ovMods, h.model.clone())
+				}
+			case opOverlayFold, opOverlayDrop:
+				if h == nil || len(h.ovs) == 0 {
+					continue
+				}
+				n := len(h.ovs) - 1
+				ov, model := h.ovs[n], h.ovMods[n]
+				h.ovs, h.ovMods = h.ovs[:n], h.ovMods[:n]
+				if op == opOverlayDrop {
+					continue
+				}
+				if n > 0 {
+					h.ovs[n-1].Adopt(ov)
+					h.ovMods[n-1] = model
+				} else {
+					ov.CommitTo(h.trie)
+					h.model = model
+				}
+			case opArmFault:
+				stores[b%2].failPuts = 1
+			case opSelect:
+				cur = int(a % 4)
+			}
+		}
+		for i, h := range handles {
+			if h == nil {
+				continue
+			}
+			mustEqualModel(t, fmt.Sprintf("handle %d at the end", i), h.trie, h.model)
+			for j, ov := range h.ovs {
+				for k, v := range h.ovMods[j] {
+					if got, ok := ov.Get(k); !ok || string(got) != v {
+						t.Fatalf("handle %d overlay %d: key %x = %q (present %v), model says %q", i, j, k[31], got, ok, v)
+					}
+				}
+				if ov.Len() != len(h.ovMods[j]) {
+					t.Fatalf("handle %d overlay %d: %d keys, model %d", i, j, ov.Len(), len(h.ovMods[j]))
+				}
+			}
+		}
+	})
+}
+
+// Two snapshots of one trie share every node; each may be committed to its
+// own store from its own goroutine (run under -race).
+func TestSnapshotsCommitConcurrentlyToTwoStores(t *testing.T) {
+	tr := New()
+	for i := 0; i < 400; i++ {
+		tr.Put(k(fmt.Sprintf("shared-%d", i)), []byte{byte(i)})
+	}
+	snaps := [2]*Trie{tr.Snapshot(), tr.Snapshot()}
+	stores := [2]*MemStore{NewMemStore(), NewMemStore()}
+	var roots [2]Hash
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// The first commit hashes the shared, never-hashed nodes from
+			// both goroutines at once; the second is incremental.
+			if _, errs[i] = snaps[i].Commit(stores[i]); errs[i] != nil {
+				return
+			}
+			snaps[i].Put(k(fmt.Sprintf("own-%d", i)), []byte("x"))
+			roots[i], errs[i] = snaps[i].Commit(stores[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range snaps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		loaded, err := Load(stores[i], roots[i])
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+		if loaded.Len() != 401 || !loaded.Has(k(fmt.Sprintf("own-%d", i))) || loaded.Has(k(fmt.Sprintf("own-%d", 1-i))) {
+			t.Fatalf("store %d: loaded %d keys, or the other snapshot's write", i, loaded.Len())
+		}
+		if v, _ := loaded.Get(k("shared-7")); !bytes.Equal(v, []byte{7}) {
+			t.Fatalf("store %d: shared-7 = %x", i, v)
+		}
+	}
+	if tr.Len() != 400 {
+		t.Fatalf("the source trie saw a snapshot's write: %d keys", tr.Len())
+	}
+}

@@ -30,8 +30,12 @@ type Node struct {
 // whole commit in one buffered pass and make it durable once; every
 // method can fail, because real backends sit on files.
 //
-// Stores are idempotent: equal hashes carry equal encodings, and
-// re-putting a known hash is a no-op.
+// Equal hashes carry equal encodings, so a hash may be put more than
+// once — Trie.Commit decides what is new from the trie, not by asking
+// the store — and a store keeps whichever copy it likes (both shipped
+// stores serve the first). Commit recognises a store it has written to
+// by interface equality: implementations are pointers, or otherwise
+// comparable.
 type NodeStore interface {
 	// PutBatch stores every node in the batch. The store must not
 	// retain the Enc slices (it copies or writes them out).
@@ -40,8 +44,6 @@ type NodeStore interface {
 	// is owned by the caller. A miss satisfies
 	// errors.Is(err, ErrNodeMissing).
 	GetNode(h Hash) ([]byte, error)
-	// Has reports whether h is stored, without reading the payload.
-	Has(h Hash) (bool, error)
 	// Flush pushes buffered writes down to the backing medium. It does
 	// not guarantee durability (see diskstore.Store.Commit for that).
 	Flush() error
@@ -81,12 +83,6 @@ func (m *MemStore) GetNode(h Hash) ([]byte, error) {
 	return append([]byte(nil), enc...), nil
 }
 
-// Has implements NodeStore. It never allocates.
-func (m *MemStore) Has(h Hash) (bool, error) {
-	_, ok := m.nodes[h]
-	return ok, nil
-}
-
 // Flush implements NodeStore; MemStore has nothing buffered.
 func (m *MemStore) Flush() error { return nil }
 
@@ -101,18 +97,35 @@ func (m *MemStore) Len() int { return len(m.nodes) }
 // memory at once on top of the trie itself.
 const commitBatchSize = 4096
 
-// Commit writes every node reachable from t's root into store, in
-// batches, and returns the root hash. Shared subtrees are written once:
-// the store is content-addressed and an already-present hash
-// short-circuits its whole subtree. Commit flushes the store but does
-// not make it durable; disk backends expose a separate durability point
-// (diskstore.Store.Commit).
+// stored names a root that has been written out and the store holding it.
+// A value is never modified once built, so snapshots share it.
+type stored struct {
+	root node
+	in   NodeStore
+}
+
+// Commit writes into store every node of t that store does not hold yet,
+// in batches, and returns the root hash. What is new is read off the trie
+// itself: t is walked against the root this handle last committed to (or
+// was loaded from) the same store, and a subtree whose node is the very
+// node that sat there then is skipped whole; a store the handle has not
+// written to gets every node. Like Snapshot, Commit retires t's ownership
+// token first, so no later write can change a node in place behind a
+// pointer the base also holds. The base advances only once the store has
+// taken and flushed everything, so a failed Commit is simply retried.
+// Commit flushes the store but does not make it durable; disk backends
+// expose a separate durability point (diskstore.Store.Commit).
 func (t *Trie) Commit(store NodeStore) (Hash, error) {
 	if t.root == nil {
 		return emptyRoot, nil
 	}
+	t.own = nil
+	var old node
+	if t.base != nil && t.base.in == store {
+		old = t.base.root
+	}
 	var batch []Node // grows on demand; stays nil for a no-op re-commit
-	root, err := commitNode(t.root, store, &batch)
+	root, err := commitNode(t.root, old, store, &batch)
 	if err != nil {
 		return Hash{}, err
 	}
@@ -124,45 +137,50 @@ func (t *Trie) Commit(store NodeStore) (Hash, error) {
 	if err := store.Flush(); err != nil {
 		return Hash{}, err
 	}
+	if t.root != old {
+		t.base = &stored{root: t.root, in: store}
+	}
 	return root, nil
 }
 
-func commitNode(n node, store NodeStore, batch *[]Node) (Hash, error) {
+// commitNode appends the nodes under n that old does not share. old is the
+// node at n's position in the trie last written to the same store, nil
+// when nothing was there. Where a leaf has since been split into a branch
+// chain, that leaf stays the counterpart of everything below, so it is
+// recognised at whatever depth the split left it.
+func commitNode(n, old node, store NodeStore, batch *[]Node) (Hash, error) {
 	h := n.hash()
-	ok, err := store.Has(h)
-	if err != nil {
-		return Hash{}, err
+	if n == old {
+		return h, nil // this very subtree is what was written then
 	}
-	if ok {
-		return h, nil // whole subtree already persisted
-	}
+	var enc []byte
 	switch cur := n.(type) {
 	case *leaf:
-		enc := make([]byte, 0, 1+32+len(cur.val))
+		enc = make([]byte, 0, 1+32+len(cur.val))
 		enc = append(enc, tagLeaf)
 		enc = append(enc, cur.key[:]...)
 		enc = append(enc, cur.val...)
-		if err := appendNode(store, batch, Node{Hash: h, Enc: enc}); err != nil {
-			return Hash{}, err
-		}
 	case *branch:
 		mask := cur.mask()
-		enc := make([]byte, 0, 3+32*bits.OnesCount16(mask))
+		enc = make([]byte, 0, 3+32*bits.OnesCount16(mask))
 		enc = append(enc, tagBranch, byte(mask>>8), byte(mask))
-		for _, c := range cur.children {
-			if c != nil {
-				ch, err := commitNode(c, store, batch)
-				if err != nil {
-					return Hash{}, err
-				}
-				enc = append(enc, ch[:]...)
+		ob, _ := old.(*branch)
+		for i, c := range cur.children {
+			if c == nil {
+				continue
 			}
-		}
-		if err := appendNode(store, batch, Node{Hash: h, Enc: enc}); err != nil {
-			return Hash{}, err
+			oc := old
+			if ob != nil {
+				oc = ob.children[i]
+			}
+			ch, err := commitNode(c, oc, store, batch)
+			if err != nil {
+				return Hash{}, err
+			}
+			enc = append(enc, ch[:]...)
 		}
 	}
-	return h, nil
+	return h, appendNode(store, batch, Node{Hash: h, Enc: enc})
 }
 
 // appendNode adds n to the pending batch, draining it through PutBatch
@@ -181,7 +199,8 @@ func appendNode(store NodeStore, batch *[]Node, n Node) error {
 }
 
 // Load reconstructs the trie rooted at root from store and verifies that
-// what it built hashes to root (ErrRootMismatch otherwise). The empty root
+// what it built hashes to root (ErrRootMismatch otherwise); the result's
+// next Commit to store writes only what changed since. The empty root
 // loads as an empty trie. A node absent from the store surfaces as an
 // error wrapping ErrNodeMissing.
 func Load(store NodeStore, root Hash) (*Trie, error) {
@@ -192,7 +211,7 @@ func Load(store NodeStore, root Hash) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{root: n, count: count}
+	t := &Trie{root: n, count: count, base: &stored{root: n, in: store}}
 	if got := t.Root(); got != root {
 		return nil, fmt.Errorf("%w: got %x, want %x", ErrRootMismatch, got[:8], root[:8])
 	}

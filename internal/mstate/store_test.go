@@ -44,8 +44,14 @@ func TestMemStoreMissReturnsTypedError(t *testing.T) {
 	if _, err := store.GetNode(Hash{1}); !errors.Is(err, ErrNodeMissing) {
 		t.Fatalf("got %v, want ErrNodeMissing", err)
 	}
-	if ok, err := store.Has(Hash{1}); ok || err != nil {
-		t.Fatalf("Has on empty store = %v, %v", ok, err)
+	// A miss stays a miss, typed, once the store holds other nodes.
+	tr := New()
+	tr.Put(k("present"), []byte("v"))
+	if _, err := tr.Commit(store); err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := store.GetNode(Hash{1}); enc != nil || !errors.Is(err, ErrNodeMissing) {
+		t.Fatalf("GetNode of an absent hash = %x, %v", enc, err)
 	}
 }
 
@@ -89,9 +95,10 @@ func TestLoadRejectsWrongButWellFormedNode(t *testing.T) {
 	}
 }
 
-// The commit hot path — Has probes and re-puts of already-present
-// nodes — must not allocate on MemStore. Enforced here (not just
-// benchmarked) so a regression fails CI.
+// The commit hot path — re-committing a trie the store already holds,
+// which never reaches the store, and re-puts of already-present nodes —
+// must not allocate. Enforced here (not just benchmarked) so a regression
+// fails CI.
 func TestMemStoreHotPathNoAllocs(t *testing.T) {
 	tr := New()
 	for i := 0; i < 64; i++ {
@@ -103,17 +110,21 @@ func TestMemStoreHotPathNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := store.Len()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if ok, err := store.Has(root); !ok || err != nil {
-			t.Fatal("Has lost the root")
+		if got, err := tr.Commit(store); got != root || err != nil {
+			t.Fatal("re-commit lost the root")
 		}
 	}); allocs != 0 {
-		t.Fatalf("Has allocates %.1f objects per call", allocs)
+		t.Fatalf("no-op re-commit allocates %.1f objects per call", allocs)
+	}
+	if store.Len() != before {
+		t.Fatalf("no-op re-commit grew the store from %d to %d nodes", before, store.Len())
 	}
 
 	enc, err := store.GetNode(root)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the store lost the root: %v", err)
 	}
 	batch := []Node{{Hash: root, Enc: enc}}
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -126,8 +137,8 @@ func TestMemStoreHotPathNoAllocs(t *testing.T) {
 }
 
 // BenchmarkTrieCommitMemStore measures the full commit path (encode +
-// batch + store) and the no-op re-commit where every subtree
-// short-circuits through Has.
+// batch + store) and the no-op re-commit, which stops at the root: it is
+// the node this handle committed last.
 func BenchmarkTrieCommitMemStore(b *testing.B) {
 	tr := New()
 	for i := 0; i < 2000; i++ {

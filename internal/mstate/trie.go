@@ -9,12 +9,13 @@
 // interior branch chains exist only along shared key prefixes.
 //
 // Ownership rule: a Trie handle owns the branches it created since its
-// last Snapshot and mutates those in place; every other branch on a
-// written path is copied once and the copy becomes owned. Snapshot
-// retires the receiver's ownership, so afterwards both sides see only
-// frozen nodes and neither observes the other — a write costs one
+// last Snapshot (or Commit) and mutates those in place; every other
+// branch on a written path is copied once and the copy becomes owned.
+// Snapshot retires the receiver's ownership, so afterwards both sides see
+// only frozen nodes and neither observes the other — a write costs one
 // branch copy per distinct dirty branch between snapshots, and two
-// tries diverging by k keys still share all but O(k·depth) nodes.
+// tries diverging by k keys still share all but O(k·depth) nodes. Commit
+// retires it too: what has been written out stays what was written.
 // Ownership lives in the handle: a Trie must not be copied by value
 // (the copy would own the same branches), and Snapshot must not run
 // concurrently with the receiver's own writes.
@@ -54,6 +55,13 @@ func KeyOf(tag string, parts ...[]byte) Key {
 
 // node is either a *leaf or a *branch. Leaves are immutable once linked
 // into a trie; a branch is mutable only through the handle that owns it.
+//
+// The set is closed: hash is unexported, so no other package can add a
+// node type, and the one path that builds nodes from outside bytes —
+// loadNode — constructs only *leaf and *branch and rejects every other
+// tag with an error. The "unknown node type" panic that closes the type
+// switches of insert, remove and walk is therefore reachable by a bug in
+// this package alone, never by input.
 type node interface {
 	hash() Hash
 }
@@ -167,8 +175,11 @@ type Trie struct {
 	root  node
 	count int
 	// own is the token of the branches this handle may mutate in place;
-	// nil until the first write after New, Load or Snapshot.
+	// nil until the first write after New, Load, Snapshot or Commit.
 	own *owner
+	// base is what this handle (or the one it was snapshotted from) last
+	// wrote out or was loaded from; nil for a trie no store has seen.
+	base *stored
 }
 
 // New returns an empty trie.
@@ -180,12 +191,13 @@ func New() *Trie { return &Trie{} }
 // referenced by those branches, so no later token can compare equal to
 // it, and both handles draw a fresh one on their next write. A handle
 // already without a token is not written, so a quiescent trie may be
-// snapshotted from several goroutines.
+// snapshotted from several goroutines. The fork inherits t's commit base:
+// what t has in a store, the fork has there too.
 func (t *Trie) Snapshot() *Trie {
 	if t.own != nil {
 		t.own = nil
 	}
-	return &Trie{root: t.root, count: t.count}
+	return &Trie{root: t.root, count: t.count, base: t.base}
 }
 
 // token returns the handle's ownership token, drawing one if retired.

@@ -39,9 +39,11 @@ echo "== state layer microbenchmarks =="
 # commit: allocs/op / 2000 is the allocations one state write costs (leaf
 # and value, plus one branch copy per distinct dirty branch and layer).
 # diskstore: BenchmarkOpen is recovery of a ~200k-record log,
-# BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie.
+# BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie,
+# BenchmarkStoreResident the heap a running store keeps per record written
+# (B/record; its ns/op is not a measurement).
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
-go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
+go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
 
 echo "== consensus + telemetry microbenchmarks =="
 # What a block costs before it carries a transaction (StepEmpty: Goerli's
