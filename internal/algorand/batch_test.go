@@ -1,0 +1,192 @@
+package algorand
+
+import (
+	"runtime"
+	"testing"
+
+	"agnopol/internal/avm"
+	"agnopol/internal/chain"
+)
+
+// batchWorld is a two-shard chain whose rounds each carry one counter call
+// per user, spread over 64 applications — the shape of the soak's check-in:
+// a global read-modify-write, one log, an 8-byte return value. Groups enter
+// the pending pool as already-admitted entries: signing and signature
+// verification are the load generator's and the admission pipeline's cost,
+// not Step's, and the heap and benchmark measurements below are about Step
+// and what it leaves behind.
+type batchWorld struct {
+	c     *Chain
+	users []chain.Address
+	apps  []uint64
+	round uint64
+}
+
+func newBatchWorld(tb testing.TB, users, retention int) *batchWorld {
+	w := &batchWorld{c: NewChain(Testnet(), 7)}
+	w.c.SetShards(2)
+	w.c.SetRetention(retention)
+	cl := NewClient(w.c)
+	deployer := w.c.NewAccount(100_000_000)
+	for i := 0; i < 64; i++ {
+		_, id, err := cl.CreateApp(deployer, counterApp, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w.apps = append(w.apps, id)
+	}
+	for i := 0; i < users; i++ {
+		user := chain.AddressFromBytes([]byte{'u', byte(i), byte(i >> 8)})
+		w.c.Fund(user, 1_000_000_000)
+		w.users = append(w.users, user)
+	}
+	return w
+}
+
+// queue puts the next round's calls into the pending pool. The round number
+// rides along as an unused argument: Algorand transactions carry no nonce,
+// so without it every round would repeat the same group hashes.
+func (w *batchWorld) queue() {
+	w.round++
+	entries := make([]*chain.Pending[Group], len(w.users))
+	for i, u := range w.users {
+		entries[i] = &chain.Pending[Group]{
+			Item: Group{{
+				Type: TxAppCall, Sender: u, Fee: MinFee, AppID: w.apps[i%len(w.apps)],
+				Args: [][]byte{[]byte("bump"), avm.Itob(w.round)},
+			}},
+			Submitted: w.c.Now(),
+		}
+	}
+	w.c.pool.Restore(entries)
+}
+
+// step certifies the queued round and checks that it took every call.
+func (w *batchWorld) step(tb testing.TB) *Block {
+	blk := w.c.Step()
+	if len(blk.Groups) != len(w.users) || w.c.PendingCount() != 0 {
+		tb.Fatalf("round %d took %d of %d groups", blk.Round, len(blk.Groups), len(w.users))
+	}
+	return blk
+}
+
+func (w *batchWorld) retained() (groups int) {
+	for _, blk := range w.c.blocks {
+		groups += len(blk.Groups)
+	}
+	return groups
+}
+
+// heapAfterGC is the live heap: what is still reachable after a full
+// collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// retainedBytesPerTx is what keeping one more included group costs: two
+// worlds certify the same 2 000-call rounds, one retaining 16 rounds and one
+// retaining a single round, each is weighed by the live heap with and
+// without it reachable, and the difference — fifteen rounds of rows, index
+// entries and block bodies over the same ledger — is divided by the groups
+// it holds.
+func retainedBytesPerTx(tb testing.TB) float64 {
+	weigh := func(retention int) (bytes int64, groups int) {
+		w := newBatchWorld(tb, 2000, retention)
+		for i := 0; i < 18; i++ {
+			w.queue()
+			w.step(tb)
+		}
+		if rc, ok := w.c.Receipt(w.c.Head().Groups[0]); !ok || rc.Reverted || len(rc.ReturnValue) != 8 || len(rc.Logs) != 1 {
+			tb.Fatalf("call receipt: %v %+v", ok, rc)
+		}
+		groups = w.retained()
+		with := heapAfterGC()
+		runtime.KeepAlive(w)
+		w = nil
+		return int64(with) - int64(heapAfterGC()), groups
+	}
+	wide, wideGroups := weigh(16)
+	narrow, narrowGroups := weigh(1)
+	if wideGroups != 16*2000 || narrowGroups != 2000 {
+		tb.Fatalf("worlds retain %d and %d groups", wideGroups, narrowGroups)
+	}
+	return float64(wide-narrow) / float64(wideGroups-narrowGroups)
+}
+
+// TestRetainedBytesPerIncludedTx bounds what a node keeps per retained
+// group: its row, its index entry and its slot in the block's hash list.
+// Before the row log it was a heap-allocated receipt with its fee, log and
+// return-value objects behind a pointer map.
+func TestRetainedBytesPerIncludedTx(t *testing.T) {
+	// Measured 157 B (row 64, arena 28, hash-list slot 32, index 33); the
+	// budget is that plus 10 %.
+	const budget = 173
+	if got := retainedBytesPerTx(t); got > budget {
+		t.Fatalf("a retained group costs %.0f B, budget %d B", got, budget)
+	} else {
+		t.Logf("%.0f B per retained group", got)
+	}
+}
+
+// TestRetentionHeapFlat: once the retention window is full, certifying more
+// rounds does not grow the heap — rows, index entries and spans of pruned
+// rounds really go away.
+func TestRetentionHeapFlat(t *testing.T) {
+	w := newBatchWorld(t, 250, 16)
+	for i := 0; i < 20; i++ {
+		w.queue()
+		w.step(t)
+	}
+	before := heapAfterGC()
+	for i := 0; i < 200; i++ {
+		w.queue()
+		w.step(t)
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(w)
+	if perTx := float64(grown) / float64(w.retained()); perTx > 8 {
+		t.Fatalf("200 further rounds grew the heap by %d B (%.1f B per retained group)", grown, perTx)
+	}
+}
+
+// BenchmarkStepBatch is one sharded 2 000-call round per iteration: the
+// proposer sortition, partition, execution on two shards and the round's
+// tail. Queueing the round happens off the clock; run it at -cpu 1,2 to see
+// what the second core buys.
+func BenchmarkStepBatch(b *testing.B) {
+	w := newBatchWorld(b, 2000, 16)
+	for i := 0; i < 3; i++ {
+		w.queue()
+		w.step(b)
+	}
+	var m0, m1 runtime.MemStats
+	var bytes, allocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w.queue()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		w.step(b)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		allocs += m1.Mallocs - m0.Mallocs
+		b.StartTimer()
+	}
+	txs := float64(b.N * len(w.users))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txs, "ns/tx")
+	b.ReportMetric(float64(bytes)/txs, "B/tx")
+	b.ReportMetric(float64(allocs)/txs, "allocs/tx")
+}
+
+// BenchmarkRetainedPerTx reports the number TestRetainedBytesPerIncludedTx
+// bounds. Nothing is timed.
+func BenchmarkRetainedPerTx(b *testing.B) {
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(retainedBytesPerTx(b), "B/tx")
+}

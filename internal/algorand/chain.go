@@ -348,10 +348,11 @@ func (c *Chain) Step() *Block {
 
 	// Selection: every propagated group is included (capacity is never the
 	// bottleneck at our scale). Execution fans out across shards when the
-	// round's conflict keys allow it (roundConflictKeys); the merge then
-	// applies the deferred effects in canonical order.
-	sel := c.pool.Take(func(p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
-	receipts := make([]*chain.Receipt, len(sel))
+	// round's conflict keys allow it (roundConflictKeys); the round's tail
+	// then applies the deferred effects in its two halves, which RunSharded
+	// runs side by side when the round fanned out.
+	sel := c.pool.Take(func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
+	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]groupEffects, len(sel))
 	chain.RunSharded(&c.Sharder, len(sel), roundConflictKeys(sel),
 		func(i int) uint64 { return uint64(len(sel[i].Item)) },
@@ -363,33 +364,47 @@ func (c *Chain) Step() *Block {
 		func(st ledgerView, i int) uint64 {
 			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, sel[i].Hash, blk)
 			return receipts[i].GasUsed
-		})
-	for i, p := range sel {
-		rcpt := receipts[i]
-		rcpt.Submitted = p.Submitted
-		// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
-		// magnitude is an unambiguous encoding.
-		c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes())
-		blk.Groups = append(blk.Groups, rcpt.TxHash)
-		// The fee-sink credit and the fee counter touch state every group
-		// shares, so the executor defers them to here.
-		c.led.credit(c.feeSink, effects[i].feeSink)
-		if c.obs != nil && effects[i].fees > 0 {
-			c.obs.fees.Add(effects[i].fees)
-		}
-		if c.obs != nil {
-			c.obs.groupsIncluded.Inc()
-			c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
-			if rcpt.Reverted {
-				c.obs.groupsRejected.Inc()
-				c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
-					"round", blk.Round, "reason", rcpt.RevertMsg)
+		},
+		func() {
+			// State side. The fee-sink credit touches state every group
+			// shares, so the executor defers it to here: one credit of the
+			// round's sum, once every shard has merged, then the root.
+			var feeSink uint64
+			for i := range effects {
+				feeSink += effects[i].feeSink
 			}
-		}
-	}
+			c.led.credit(c.feeSink, feeSink)
+			blk.StateRoot = c.led.root()
+		},
+		func() {
+			// Receipt side: everything about the round that is not state.
+			if len(sel) > 0 {
+				blk.Groups = make([]chain.Hash32, len(sel))
+			}
+			for i, p := range sel {
+				rcpt := &receipts[i]
+				rcpt.Submitted = p.Submitted
+				// Fees are µAlgo uint64 amounts and cannot be negative, so
+				// the raw magnitude is an unambiguous encoding.
+				c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
+				blk.Groups[i] = rcpt.TxHash
+				if c.obs == nil {
+					continue
+				}
+				if effects[i].fees > 0 {
+					c.obs.fees.Add(effects[i].fees)
+				}
+				c.obs.groupsIncluded.Inc()
+				c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
+				c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
+				if rcpt.Reverted {
+					c.obs.groupsRejected.Inc()
+					c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
+						"round", blk.Round, "reason", rcpt.RevertMsg)
+				}
+			}
+		})
 
-	blk.StateRoot = c.led.root()
 	blk.Hash = chain.Hash32(polcrypto.Hash(blk.Seed[:], hashGroups(blk.Groups), blk.StateRoot[:]))
 
 	c.blocks = append(c.blocks, blk)
@@ -414,7 +429,7 @@ func (c *Chain) pruneRetention() {
 }
 
 func hashGroups(hs []chain.Hash32) []byte {
-	var buf []byte
+	buf := make([]byte, 0, 32*len(hs))
 	for _, h := range hs {
 		buf = append(buf, h[:]...)
 	}
@@ -424,8 +439,8 @@ func hashGroups(hs []chain.Hash32) []byte {
 
 // groupEffects carries a group's deferred globals out of the executor: the
 // fee-sink credit and the fee-counter increment touch state shared by
-// every group of the round, so Step applies them at merge time in
-// canonical order.
+// every group of the round, so Step's tail applies them once every shard
+// has finished.
 type groupEffects struct {
 	// feeSink is the µAlgo credit owed to the fee sink (the fees actually
 	// collected — on a revert, only from senders who could still pay).
@@ -442,8 +457,8 @@ type groupEffects struct {
 // group rolls back, and the fees are charged on a fresh fork (the network
 // did the work). Creations, which only reach here on the serial path,
 // additionally hand their sequence numbers back.
-func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk *Block) (*chain.Receipt, groupEffects) {
-	rcpt := &chain.Receipt{
+func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk *Block) (chain.Receipt, groupEffects) {
+	rcpt := chain.Receipt{
 		TxHash:      hash,
 		BlockNumber: blk.Round,
 		Included:    blk.Time,

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
@@ -484,5 +485,51 @@ func TestApproveAllSmoke(t *testing.T) {
 	alice := c.NewAccount(10_000_000)
 	if _, _, err := cl.CreateApp(alice, approveAll, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitAndWaitLeavesTheChainsReceiptAlone: the receipt a client hands
+// back carries the times the client observed — from the submit call to the
+// indexed read, the latency the paper's figures plot — and the chain's own
+// answer for the same hash stays what was folded into the digest: when the
+// network saw the group and when the round that took it was certified.
+func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
+	c := newTestChain(t)
+	cl := NewClient(c)
+	alice := c.NewAccount(5_000_000)
+	acc0, n0 := c.rcpts.Position()
+	start := c.Now()
+	pay := &Tx{Type: TxPay, Sender: alice.Address, Fee: MinFee, Receiver: chain.AddressFromBytes([]byte("bob")), Amount: 7}
+	pay.Sign(alice)
+	rcpt, err := cl.SubmitAndWait(Group{pay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcpt.Submitted != start || rcpt.Included != c.Now() || rcpt.Latency() != c.Now()-start {
+		t.Fatalf("client receipt spans %v–%v, the client saw %v–%v", rcpt.Submitted, rcpt.Included, start, c.Now())
+	}
+	stored, ok := c.Receipt(Group{pay}.Hash())
+	if !ok {
+		t.Fatal("chain has no receipt for the confirmed group")
+	}
+	if stored.Included != time.Duration(stored.BlockNumber)*c.cfg.RoundDuration ||
+		stored.Submitted <= start || stored.Submitted >= stored.Included || stored.Included >= rcpt.Included {
+		t.Fatalf("chain receipt spans %v–%v (round %d), client %v–%v", stored.Submitted, stored.Included, stored.BlockNumber, start, rcpt.Included)
+	}
+	// Folding the chain's answer over the accumulator from before the
+	// group must give the accumulator of now: it is what was hashed.
+	var h chain.Hasher
+	h.Bytes(acc0[:])
+	h.Bytes(stored.TxHash[:])
+	h.U64(stored.BlockNumber)
+	h.U64(stored.GasUsed)
+	h.U64(uint64(stored.Submitted))
+	h.U64(uint64(stored.Included))
+	h.U64(0) // not reverted
+	h.Bytes(nil)
+	h.Bytes(stored.ReturnValue)
+	h.Bytes(stored.Fee.Base.Bytes())
+	if acc1, n1 := c.rcpts.Position(); n1 != n0+1 || h.Sum() != acc1 || stored.Reverted {
+		t.Fatal("Receipt(h) after SubmitAndWait is not the receipt the digest folded")
 	}
 }

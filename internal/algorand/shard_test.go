@@ -147,8 +147,11 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	}
 }
 
-// runShardedRounds drives per-area app-call traffic plus peer payments and
-// returns the chain for digest comparison.
+// runShardedRounds drives per-area app-call traffic plus peer payments —
+// and among them a call the program rejects, an application created inside
+// a batch (that round runs serially) and, every round, a payment into the
+// fee sink, the account the round's tail credits — and returns the chain
+// for digest comparison.
 func runShardedRounds(t *testing.T, shards int) *Chain {
 	t.Helper()
 	c := NewChain(Testnet(), 77)
@@ -174,29 +177,59 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 
 	for round := 0; round < 8; round++ {
 		var groups []Group
+		send := func(from *Account, tx *Tx) Group {
+			tx.Sender, tx.Fee = from.Address, MinFee
+			tx.Sign(from)
+			groups = append(groups, Group{tx})
+			return Group{tx}
+		}
+		var rejected Group
 		for ui, u := range accts {
-			call := &Tx{
-				Type: TxAppCall, Sender: u.Address, Fee: MinFee,
-				AppID: apps[ui%areas], Args: [][]byte{[]byte("bump")},
-			}
-			call.Sign(u)
-			groups = append(groups, Group{call})
+			send(u, &Tx{Type: TxAppCall, AppID: apps[ui%areas], Args: [][]byte{[]byte("bump")}})
 			if round%2 == 1 {
-				pay := &Tx{
-					Type: TxPay, Sender: u.Address, Fee: MinFee,
-					Receiver: accts[ui^1].Address, Amount: 1000,
-				}
-				pay.Sign(u)
-				groups = append(groups, Group{pay})
+				send(u, &Tx{Type: TxPay, Receiver: accts[ui^1].Address, Amount: 1000})
+			}
+			switch {
+			case round == 2 && ui == 1:
+				// "boom" matches no branch: the program errs, the call rolls
+				// back, the fee stays charged.
+				rejected = send(u, &Tx{Type: TxAppCall, AppID: apps[ui%areas], Args: [][]byte{[]byte("boom")}})
+			case round == 4 && ui == 2:
+				send(u, &Tx{Type: TxAppCreate, Source: counterApp})
 			}
 		}
+		// A payment into the fee sink: a shard credits the account the
+		// round's tail credits the fees to.
+		send(accts[5], &Tx{Type: TxPay, Receiver: c.feeSink, Amount: 555 + uint64(round)})
+		before := c.Balance(c.feeSink).Base.Uint64()
+
 		_, errs := c.SubmitBatch(groups)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("round %d group %d: %v", round, i, err)
 			}
 		}
-		c.Step()
+		blk := c.Step()
+
+		want := before + 555 + uint64(round)
+		for _, h := range blk.Groups {
+			rcpt, ok := c.Receipt(h)
+			if !ok {
+				t.Fatalf("round %d: no receipt for an included group", round)
+			}
+			want += rcpt.Fee.Base.Uint64()
+		}
+		if got := c.Balance(c.feeSink).Base.Uint64(); len(blk.Groups) != len(groups) || got != want {
+			t.Fatalf("round %d took %d of %d groups and left the fee sink %d, want %d", round, len(blk.Groups), len(groups), got, want)
+		}
+		if rejected != nil {
+			if rcpt, _ := c.Receipt(rejected.Hash()); !rcpt.Reverted || rcpt.RevertMsg == "" {
+				t.Fatalf("the rejected call did not revert: %+v", rcpt)
+			}
+		}
+		if _, created := c.App(uint64(areas + 1)); created != (round >= 4) {
+			t.Fatalf("round %d: application created inside the batch exists: %v", round, created)
+		}
 	}
 	for i := 0; i < 10 && c.PendingCount() > 0; i++ {
 		c.Step()
@@ -207,30 +240,43 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 	return c
 }
 
+// TestShardedRoundBitIdentity: the same workload at every combination of
+// one, two and four cores with one to eight shards — rounds that run on the
+// canonical ledger with their tail inline, and rounds that fan out with the
+// state side and the receipt side of the tail running side by side —
+// certifies the same rounds and ends in the same digest.
 func TestShardedRoundBitIdentity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedRounds(t, 1)
 	refDigest := ref.Digest()
-	for _, shards := range []int{2, 3, 4, 8} {
-		c := runShardedRounds(t, shards)
-		if len(c.blocks) != len(ref.blocks) {
-			t.Fatalf("shards=%d: %d rounds vs %d serial", shards, len(c.blocks), len(ref.blocks))
-		}
-		for i := range ref.blocks {
-			if c.blocks[i].Hash != ref.blocks[i].Hash {
-				t.Fatalf("shards=%d: round %d hash diverges", shards, i)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 3, 4, 8} {
+			c := runShardedRounds(t, shards)
+			if len(c.blocks) != len(ref.blocks) {
+				t.Fatalf("procs=%d shards=%d: %d rounds vs %d serial", procs, shards, len(c.blocks), len(ref.blocks))
 			}
-		}
-		if d := c.Digest(); d != refDigest {
-			t.Fatalf("shards=%d: ledger digest diverges from serial run", shards)
+			for i := range ref.blocks {
+				if c.blocks[i].Hash != ref.blocks[i].Hash {
+					t.Fatalf("procs=%d shards=%d: round %d hash diverges", procs, shards, i)
+				}
+			}
+			if d := c.Digest(); d != refDigest {
+				t.Fatalf("procs=%d shards=%d: ledger digest diverges from serial run", procs, shards)
+			}
+			if stats := c.ShardStats(); (stats.ParallelBatches > 0) != (shards > 1) {
+				t.Fatalf("procs=%d shards=%d: %d rounds fanned out", procs, shards, stats.ParallelBatches)
+			}
 		}
 	}
 }
 
-// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, committee voting and
-// batch admission fan out across cores, and the rounds must not show it —
-// the same seeded chain stepped on one core and on four elects the same
-// proposers, carries the same votes in the same order with the same bytes,
-// ends in the same digest, and every certificate still verifies.
+// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, committee voting,
+// batch admission, execution and the round's tail fan out across cores, and
+// the rounds must not show it — the same seeded chain stepped on one, two
+// and four cores with one, two and four shards elects the same proposers,
+// carries the same votes in the same order with the same bytes, ends in the
+// same digest, and every certificate still verifies.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	// certifyAll asks for every round's certificate at the current
 	// GOMAXPROCS: evidence is derived on request, so the committee fan-out
@@ -242,39 +288,41 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return out
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedRounds(t, 2)
 	refCerts := certifyAll(ref)
-	runtime.GOMAXPROCS(4)
-	c := runShardedRounds(t, 2)
-	certs := certifyAll(c)
-
-	if len(c.blocks) != len(ref.blocks) {
-		t.Fatalf("%d rounds on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
-	}
-	for i, blk := range c.blocks {
-		if blk.Hash != ref.blocks[i].Hash {
-			t.Fatalf("round %d hash depends on GOMAXPROCS", i)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			c := runShardedRounds(t, shards)
+			certs := certifyAll(c)
+			if len(c.blocks) != len(ref.blocks) {
+				t.Fatalf("procs=%d shards=%d: %d rounds vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
+			}
+			for i, blk := range c.blocks {
+				if blk.Hash != ref.blocks[i].Hash {
+					t.Fatalf("procs=%d shards=%d: round %d hash depends on GOMAXPROCS", procs, shards, i)
+				}
+				if i == 0 {
+					continue // genesis is not certified
+				}
+				if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
+					t.Fatalf("procs=%d shards=%d: round %d proposer depends on GOMAXPROCS", procs, shards, i)
+				}
+				if len(certs[i].Votes) == 0 {
+					t.Fatalf("round %d has no votes", i)
+				}
+				if !reflect.DeepEqual(certs[i].Votes, refCerts[i].Votes) {
+					t.Fatalf("procs=%d shards=%d: round %d votes depend on GOMAXPROCS", procs, shards, i)
+				}
+				if err := c.VerifyCertificate(blk, certs[i]); err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+			}
+			if c.Digest() != ref.Digest() {
+				t.Fatalf("procs=%d shards=%d: digest depends on GOMAXPROCS", procs, shards)
+			}
 		}
-		if i == 0 {
-			continue // genesis is not certified
-		}
-		if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
-			t.Fatalf("round %d proposer depends on GOMAXPROCS", i)
-		}
-		if len(certs[i].Votes) == 0 {
-			t.Fatalf("round %d has no votes", i)
-		}
-		if !reflect.DeepEqual(certs[i].Votes, refCerts[i].Votes) {
-			t.Fatalf("round %d votes depend on GOMAXPROCS", i)
-		}
-		if err := c.VerifyCertificate(blk, certs[i]); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	if c.Digest() != ref.Digest() {
-		t.Fatal("digest depends on GOMAXPROCS")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 // TestRunShardedExecutesEveryIndexOnce: whatever the shard count, every
 // item executes exactly once, members of a conflict component keep their
 // canonical order on one state view, the serial path runs on the canonical
-// view and the concurrent one only on forks that are each merged once, and
+// view and the concurrent one only on forks that are each merged once, the
+// two halves of the tail run once each — the state side after every merge,
+// side by side with the receipt side only when the block fanned out — and
 // the tallies add up to what ran.
 func TestRunShardedExecutesEveryIndexOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -31,6 +34,11 @@ func TestRunShardedExecutesEveryIndexOnce(t *testing.T) {
 					canon := &view{}
 					var forks []*view
 					merged := 0
+					// What the tail saw: merges done when the state side ran, and
+					// whether the state side had finished when the receipt side
+					// started (always, when the tail runs inline).
+					var settled, recorded atomic.Int32
+					mergedAtSettle, settledAtRecord := -1, int32(-1)
 					runs := make([]int, n)
 					RunSharded(&sh, n,
 						func(i int) []ConflictKey { return []ConflictKey{AppKey(uint64(i % resources))} },
@@ -45,8 +53,14 @@ func TestRunShardedExecutesEveryIndexOnce(t *testing.T) {
 							runs[i]++
 							v.log = append(v.log, i)
 							return uint64(i)
-						})
+						},
+						func() { mergedAtSettle = merged; settled.Add(1) },
+						func() { settledAtRecord = settled.Load(); recorded.Add(1) })
 
+					if settled.Load() != 1 || recorded.Load() != 1 || mergedAtSettle != merged {
+						t.Fatalf("tail: state side ran %d times after %d of %d merges, receipt side %d times",
+							settled.Load(), mergedAtSettle, merged, recorded.Load())
+					}
 					var wantGas uint64
 					for i, got := range runs {
 						if got != 1 {
@@ -55,6 +69,9 @@ func TestRunShardedExecutesEveryIndexOnce(t *testing.T) {
 						wantGas += uint64(i)
 					}
 					parallel := shards > 1 && min(n, resources) > 1
+					if !parallel && settledAtRecord != 1 {
+						t.Fatal("a block that did not fan out must run its tail inline: state side, then receipt side")
+					}
 					if wantForks := min(shards, n, resources); !parallel {
 						if len(forks) != 0 || len(canon.log) != n {
 							t.Fatalf("serial path forked %d views and ran %d/%d items on the canonical one", len(forks), len(canon.log), n)
@@ -111,9 +128,10 @@ func TestSharderZeroValueIsSerial(t *testing.T) {
 		func(i int) []ConflictKey { return []ConflictKey{AppKey(uint64(i))} },
 		func(int) uint64 { return 1 },
 		0, func() (int, func()) { t.Fatal("forked"); return 0, nil },
-		func(int, int) uint64 { ran++; return 0 })
-	if ran != 3 {
-		t.Fatalf("ran %d of 3 items", ran)
+		func(int, int) uint64 { ran++; return 0 },
+		func() { ran += 10 }, func() { ran += 100 })
+	if ran != 113 {
+		t.Fatalf("ran %d: want 3 items and both halves of the tail", ran)
 	}
 	sh.SetShards(0)
 	if sh.Shards() != 1 || len(sh.ShardStats().Txs) != 1 {
@@ -240,8 +258,23 @@ func TestPoolSortTake(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Sort(func(a, b *Pending[poolItem]) bool { return a.Item.id%2 < b.Item.id%2 })
-	sel := p.Take(func(e *Pending[poolItem]) bool { return e.Item.id != 2 && e.Item.id != 5 })
+	// keys stays where it is: the permutation Sort returns leads from a
+	// sorted position back to the entry's key.
+	keys := []int{0, 1, 0, 1, 0, 1}
+	order := p.Sort(func(i, j int) bool { return keys[i] < keys[j] })
+	for k, e := range p.Entries() {
+		if e.Item.id != order[k] || keys[order[k]] != e.Item.id%2 {
+			t.Fatalf("after Sort, position %d holds item %d and order says %d", k, e.Item.id, order[k])
+		}
+	}
+	pos := 0
+	sel := p.Take(func(i int, e *Pending[poolItem]) bool {
+		if i != pos {
+			t.Fatalf("Take passed position %d for entry %d", i, pos)
+		}
+		pos++
+		return e.Item.id != 2 && e.Item.id != 5
+	})
 	ids := func(es []*Pending[poolItem]) (out []int) {
 		for _, e := range es {
 			out = append(out, e.Item.id)

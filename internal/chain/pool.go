@@ -130,18 +130,38 @@ func (p *Pool[T]) queue(item T, hash Hash32) (Hash32, error) {
 	return hash, nil
 }
 
-// Sort stably reorders the queue.
-func (p *Pool[T]) Sort(less func(a, b *Pending[T]) bool) {
-	sort.SliceStable(p.entries, func(i, j int) bool { return less(p.entries[i], p.entries[j]) })
+// Sort stably reorders the queue. less compares the entries at two
+// positions of the queue as it stood before the call, so a family can
+// compute per-entry sort keys once, into a slice aligned with Entries,
+// instead of per comparison; the returned permutation says where each
+// entry came from — the entry now at position k was at order[k] — which is
+// where its key still is.
+func (p *Pool[T]) Sort(less func(i, j int) bool) (order []int) {
+	order = make([]int, len(p.entries))
+	if len(order) < 2 {
+		return order
+	}
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return less(order[a], order[b]) })
+	sorted := make([]*Pending[T], len(order))
+	for k, i := range order {
+		sorted[k] = p.entries[i]
+	}
+	p.entries = sorted
+	return order
 }
 
 // Take removes and returns, in queue order, the entries pick accepts — the
 // ones going into the block being built, which for a delayed entry is the
-// recovery of its fault; the rest stay queued in order.
-func (p *Pool[T]) Take(pick func(*Pending[T]) bool) []*Pending[T] {
-	var sel, rest []*Pending[T]
-	for _, e := range p.entries {
-		if !pick(e) {
+// recovery of its fault; the rest stay queued in order. pick sees every
+// entry once, with its queue position.
+func (p *Pool[T]) Take(pick func(i int, e *Pending[T]) bool) []*Pending[T] {
+	var sel []*Pending[T]
+	rest := p.entries[:0]
+	for i, e := range p.entries {
+		if !pick(i, e) {
 			rest = append(rest, e)
 			continue
 		}
@@ -150,6 +170,7 @@ func (p *Pool[T]) Take(pick func(*Pending[T]) bool) []*Pending[T] {
 			p.flt.Recover(faults.ClassTxDelay)
 		}
 	}
+	clear(p.entries[len(rest):])
 	p.entries = rest
 	return sel
 }

@@ -1,0 +1,227 @@
+package chain
+
+import (
+	"fmt"
+	"math/big"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestReceiptViewRoundTrip: what Include is given comes back from Get field
+// for field — for both families' shapes of receipt, across chunk and block
+// boundaries — and every Get builds its own object.
+func TestReceiptViewRoundTrip(t *testing.T) {
+	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10) // > 64 bits
+	families := []struct {
+		name string
+		unit Unit
+		rows []Receipt
+	}{
+		{"eth", UnitETH, []Receipt{
+			{GasUsed: 21000, Fee: NewAmount(big.NewInt(42_000_000_000_000), UnitETH)},
+			{GasUsed: 90000, Reverted: true, RevertMsg: "out of gas: code deposit", Fee: NewAmount(big.NewInt(7), UnitETH)},
+			{GasUsed: 33782, ReturnValue: make([]byte, 32), Logs: []string{"checked in", "", strings.Repeat("x", 300)}, Fee: NewAmount(big.NewInt(1), UnitETH)},
+			{GasUsed: 1_200_000, ReturnValue: []byte{0xfe}, Fee: NewAmount(huge, UnitETH)}, // a deploy
+			{GasUsed: 21000, Fee: NewAmount(new(big.Int), UnitETH)},
+			{GasUsed: 5, Fee: NewAmount(new(big.Int).Neg(huge), UnitETH)},
+			{GasUsed: 6, Fee: NewAmount(new(big.Int).SetUint64(1<<64-1), UnitETH)},
+		}},
+		{"algorand", UnitALGO, []Receipt{
+			{GasUsed: 14, Fee: NewAmount(big.NewInt(1000), UnitALGO), Logs: []string{"bump"}},
+			{GasUsed: 3, Reverted: true, RevertMsg: "algorand: call rejected: err opcode", Fee: NewAmount(big.NewInt(2000), UnitALGO)},
+			{GasUsed: 40, ReturnValue: []byte{0, 0, 0, 0, 0, 0, 0, 9}, Fee: NewAmount(big.NewInt(1000), UnitALGO)}, // an app creation
+			{Reverted: true, RevertMsg: "insufficient balance for fee", Fee: NewAmount(new(big.Int), UnitALGO)},
+			{GasUsed: 1, Fee: NewAmount(huge, UnitALGO)},
+		}},
+	}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			var r Receipts
+			var want []Receipt
+			// Enough rows to fill several chunks, three to a block.
+			for i := 0; i < 3*rowsPerChunk+5; i++ {
+				rc := fam.rows[i%len(fam.rows)]
+				rc.TxHash = Hash32{byte(i), byte(i >> 8), 1}
+				rc.BlockNumber = uint64(100 + i/3)
+				rc.Included = time.Duration(rc.BlockNumber) * 12 * time.Second
+				rc.Submitted = rc.Included - time.Duration(i%7)*time.Second
+				var side []byte
+				if i%2 == 0 {
+					side = []byte(fmt.Sprint("side", i))
+				}
+				r.Include(&rc, rc.Fee.Base.Bytes(), side)
+				want = append(want, rc)
+			}
+			for i := range want {
+				got, ok := r.Get(want[i].TxHash)
+				if !ok {
+					t.Fatalf("row %d not found", i)
+				}
+				if !reflect.DeepEqual(*got, want[i]) {
+					t.Fatalf("row %d:\n got %+v\nwant %+v", i, *got, want[i])
+				}
+			}
+			// Two Gets share nothing a caller can write through.
+			probe := want[2%len(want)].TxHash
+			a, _ := r.Get(probe)
+			a.Submitted, a.Included, a.RevertMsg = 1, 2, "mine"
+			a.Fee.Base.SetInt64(-1)
+			if len(a.ReturnValue) > 0 {
+				a.ReturnValue[0] ^= 0xff
+			}
+			if len(a.Logs) > 0 {
+				a.Logs[0] = "mine"
+			}
+			if b, _ := r.Get(probe); !reflect.DeepEqual(*b, want[2%len(want)]) {
+				t.Fatalf("a change to one Get's receipt shows in the next:\n got %+v\nwant %+v", *b, want[2%len(want)])
+			}
+			// Each hands back the side bytes of exactly the rows that had any,
+			// oldest first, next to the same receipts.
+			next := 0
+			r.Each(func(side []byte, receipt func() *Receipt) {
+				if string(side) != fmt.Sprint("side", next) {
+					t.Fatalf("Each visited side %q, want side%d", side, next)
+				}
+				if got := receipt(); !reflect.DeepEqual(*got, want[next]) {
+					t.Fatalf("Each row %d:\n got %+v\nwant %+v", next, *got, want[next])
+				}
+				next += 2
+			})
+			if next != len(want)+len(want)%2 {
+				t.Fatalf("Each stopped at row %d of %d", next, len(want))
+			}
+		})
+	}
+}
+
+// testBlock is a block as PruneBlocks sees one.
+type testBlock struct {
+	number uint64
+	hashes []Hash32
+}
+
+// fillBlocks includes perBlock receipts into each of n further blocks
+// (every fifth block stays empty) and prunes after each, as a chain's Step
+// does.
+func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock {
+	for ; n > 0; n-- {
+		b := &testBlock{number: uint64(len(blocks)) + 1}
+		if len(blocks) > 0 {
+			b.number = blocks[len(blocks)-1].number + 1
+		}
+		for i := 0; i < perBlock && b.number%5 != 0; i++ {
+			rc := Receipt{
+				TxHash:      Hash32{byte(b.number), byte(b.number >> 8), byte(i), byte(i >> 8)},
+				BlockNumber: b.number,
+				Included:    time.Duration(b.number) * time.Second,
+				GasUsed:     uint64(i),
+				Fee:         NewAmount(big.NewInt(int64(i)), UnitALGO),
+				ReturnValue: []byte{byte(i)},
+			}
+			r.Include(&rc, nil, nil)
+			b.hashes = append(b.hashes, rc.TxHash)
+		}
+		blocks = PruneBlocks(r, append(blocks, b), func(b *testBlock) []Hash32 { return b.hashes })
+	}
+	return blocks
+}
+
+// TestReceiptsPruneWithBlocks: with a retention window exactly the retained
+// blocks' receipts are found, block number and inclusion time intact;
+// without one everything is; the digest position is the same either way;
+// and the row log holds less than a chunk more than the window.
+func TestReceiptsPruneWithBlocks(t *testing.T) {
+	const perBlock = 100 // not a divisor of rowsPerChunk: blocks straddle chunks
+	var full Receipts
+	all := fillBlocks(&full, nil, 40, perBlock)
+	if len(all) != 40 {
+		t.Fatalf("retention off dropped blocks: %d of 40 left", len(all))
+	}
+	pruned := Receipts{Retention: 6}
+	kept := fillBlocks(&pruned, nil, 40, perBlock)
+	if len(kept) != 6 || kept[0].number != 35 {
+		t.Fatalf("retention 6 keeps %d blocks from %d", len(kept), kept[0].number)
+	}
+	if accF, nF := full.Position(); true {
+		if accP, nP := pruned.Position(); accF != accP || nF != nP {
+			t.Fatal("retention changed the digest position")
+		}
+	}
+	for _, b := range all {
+		for _, h := range b.hashes {
+			want, ok := full.Get(h)
+			if !ok || want.BlockNumber != b.number || want.Included != time.Duration(b.number)*time.Second {
+				t.Fatalf("block %d: unpruned receipt %v %+v", b.number, ok, want)
+			}
+			got, ok := pruned.Get(h)
+			if retained := b.number >= kept[0].number; ok != retained {
+				t.Fatalf("block %d: Get on the pruned log says %v", b.number, ok)
+			} else if retained && !reflect.DeepEqual(got, want) {
+				t.Fatalf("block %d: pruned log returns %+v, want %+v", b.number, got, want)
+			}
+		}
+	}
+	resident := 0
+	for _, ck := range pruned.chunks {
+		resident += len(ck.rows)
+	}
+	if window := int(pruned.count - pruned.first); resident >= window+rowsPerChunk {
+		t.Fatalf("%d rows resident for a window of %d", resident, window)
+	}
+	// The index is at most half full at the window's peak — seven blocks,
+	// just before a prune — and never grew beyond that.
+	if len(pruned.spans) > 6 || pruned.indexed != int(pruned.count-pruned.first) || len(pruned.slots) > 4*7*perBlock {
+		t.Fatalf("%d spans, %d index entries in %d slots for 6 blocks of %d rows",
+			len(pruned.spans), pruned.indexed, len(pruned.slots), pruned.count-pruned.first)
+	}
+}
+
+// TestReceiptsSameHashTwice: an item included again (Algorand groups carry
+// no nonce, so the same bytes hash the same) is found at its newest row, and
+// pruning the older block does not lose it.
+func TestReceiptsSameHashTwice(t *testing.T) {
+	r := Receipts{Retention: 1}
+	h := Hash32{7}
+	var blocks []*testBlock
+	for n := uint64(1); n <= 2; n++ {
+		rc := Receipt{TxHash: h, BlockNumber: n, GasUsed: n, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
+		r.Include(&rc, nil, nil)
+		if got, ok := r.Get(h); !ok || got.BlockNumber != n {
+			t.Fatalf("after block %d Get says %v %+v", n, ok, got)
+		}
+		blocks = PruneBlocks(&r, append(blocks, &testBlock{n, []Hash32{h}}), func(b *testBlock) []Hash32 { return b.hashes })
+	}
+	if got, ok := r.Get(h); !ok || got.BlockNumber != 2 || got.GasUsed != 2 {
+		t.Fatalf("pruning block 1 lost block 2's row: %v %+v", ok, got)
+	}
+}
+
+// TestReceiptsSetPositionForgetsRows: a restored position starts an empty
+// log whose next row continues the restored count.
+func TestReceiptsSetPositionForgetsRows(t *testing.T) {
+	var r Receipts
+	blocks := fillBlocks(&r, nil, 3, 10)
+	acc, n := r.Position()
+	var restored Receipts
+	restored.SetPosition(acc, n)
+	if _, ok := restored.Get(blocks[0].hashes[0]); ok {
+		t.Fatal("a restored log cannot hold receipts")
+	}
+	restored.Each(func([]byte, func() *Receipt) { t.Fatal("a restored log has no rows to visit") })
+	rc := Receipt{TxHash: Hash32{9}, BlockNumber: 9, Fee: NewAmount(big.NewInt(1), UnitETH)}
+	r.Include(&rc, nil, []byte{1})
+	restored.Include(&rc, nil, []byte{1})
+	if a, b := r.acc, restored.acc; a != b || r.count != restored.count {
+		t.Fatal("restored log folds differently")
+	}
+	if got, ok := restored.Get(rc.TxHash); !ok || !reflect.DeepEqual(*got, rc) {
+		t.Fatalf("restored log returns %v %+v", ok, got)
+	}
+	visited := 0
+	restored.Each(func([]byte, func() *Receipt) { visited++ })
+	if visited != 1 {
+		t.Fatalf("Each visited %d rows of a one-row log", visited)
+	}
+}

@@ -156,8 +156,8 @@ func assign(components [][]int, shards int, weight func(i int) uint64) [][][]int
 	return bins
 }
 
-// ShardStats accumulates per-shard execution tallies across blocks, the raw
-// material of the utilization figures in BENCH_throughput.json.
+// ShardStats accumulates per-shard execution tallies across blocks: what
+// the benchmark's shard_util_min and parallel_batches are computed from.
 type ShardStats struct {
 	Txs []uint64 // transactions (or tx groups) executed per shard
 	Gas []uint64 // execution gas (or opcode cost) per shard
@@ -235,52 +235,71 @@ func (s *Sharder) Shards() int { return max(s.shards, 1) }
 // since SetShards, or nil when sharding was never configured.
 func (s *Sharder) ShardStats() *ShardStats { return s.stats.Clone() }
 
-// RunSharded applies one block's n selected items. exec(st, i) executes
-// item i against the state view st and returns the gas it used; it must
-// write only to st and to slot i of slices sized before the call. With
-// more than one shard configured and more than one conflict component
-// among the items, components are packed onto shards, every shard gets a
-// fork() of the state — a private view plus the function that merges it
-// back — shards run concurrently (each its components in canonical order)
-// and the forks are merged one by one; otherwise every item runs in order
-// against canon. Either way the Sharder's tallies record what ran where.
+// RunSharded applies one block's n selected items and then runs the block's
+// tail. exec(st, i) executes item i against the state view st and returns
+// the gas it used; it must write only to st and to slot i of slices sized
+// before the call. With more than one shard configured and more than one
+// conflict component among the items, components are packed onto shards,
+// every shard gets a fork() of the state — a private view plus the function
+// that merges it back — and shards run concurrently (each its components in
+// canonical order); otherwise every item runs in order against canon.
+// Either way the Sharder's tallies record what ran where.
+//
+// The tail is what a block still owes once its items have executed, in two
+// halves that share nothing: settle, the state side (the forks are merged
+// one by one just before it; it applies the block's deferred credits and
+// hashes the state root), and record, the receipt side (folding receipts,
+// the block's hash list, telemetry), which must not read the state. A
+// block that fanned out runs the two side by side; any other block — one
+// item, one component, one shard, one core — runs settle, then record, on
+// the calling goroutine.
 func RunSharded[S any](sh *Sharder, n int, keysOf func(i int) []ConflictKey, weightOf func(i int) uint64,
-	canon S, fork func() (st S, merge func()), exec func(st S, i int) uint64) {
-	if n == 0 {
-		return
-	}
+	canon S, fork func() (st S, merge func()), exec func(st S, i int) uint64, settle, record func()) {
 	var bins [][][]int
 	if sh.shards > 1 && n > 1 {
 		if comps := partition(n, keysOf); len(comps) > 1 {
 			bins = assign(comps, min(sh.shards, len(comps)), weightOf)
 		}
 	}
+	merges := make([]func(), len(bins))
 	if bins == nil {
 		var gas uint64
 		for i := 0; i < n; i++ {
 			gas += exec(canon, i)
 		}
-		sh.stats.record(0, uint64(n), gas)
-		return
-	}
-	forks := make([]S, len(bins))
-	merges := make([]func(), len(bins))
-	for si := range forks {
-		forks[si], merges[si] = fork()
-	}
-	txs := make([]uint64, len(bins))
-	gas := make([]uint64, len(bins))
-	FanOut(len(bins), len(bins), func(si int) {
-		for _, comp := range bins[si] {
-			for _, i := range comp {
-				gas[si] += exec(forks[si], i)
-				txs[si]++
-			}
+		if n > 0 {
+			sh.stats.record(0, uint64(n), gas)
 		}
-	})
-	for si, merge := range merges {
-		merge()
-		sh.stats.record(si, txs[si], gas[si])
+	} else {
+		forks := make([]S, len(bins))
+		for si := range forks {
+			forks[si], merges[si] = fork()
+		}
+		txs := make([]uint64, len(bins))
+		gas := make([]uint64, len(bins))
+		FanOut(len(bins), len(bins), func(si int) {
+			for _, comp := range bins[si] {
+				for _, i := range comp {
+					gas[si] += exec(forks[si], i)
+					txs[si]++
+				}
+			}
+		})
+		for si := range bins {
+			sh.stats.record(si, txs[si], gas[si])
+		}
+		sh.stats.ParallelBatches++
 	}
-	sh.stats.ParallelBatches++
+	// A block that ran on canon has no bins, and FanOut runs a width of
+	// zero inline.
+	FanOut(2, len(bins), func(half int) {
+		if half == 1 {
+			record()
+			return
+		}
+		for _, merge := range merges {
+			merge()
+		}
+		settle()
+	})
 }

@@ -1,0 +1,212 @@
+package eth
+
+import (
+	"math/big"
+	"runtime"
+	"testing"
+
+	"agnopol/internal/chain"
+	"agnopol/internal/evm"
+)
+
+// checkinCode counts calls per caller and returns the new count as one ABI
+// word — the shape of the soak's check-in: two storage accesses, a 32-byte
+// return value, no logs.
+func checkinCode(tb testing.TB) []byte {
+	tb.Helper()
+	a := evm.NewAssembler()
+	a.Op(evm.CALLER).Op(evm.SLOAD).PushUint(1).Op(evm.ADD)
+	a.Op(evm.DUP1).Op(evm.CALLER).Op(evm.SSTORE)
+	a.PushUint(0).Op(evm.MSTORE).PushUint(32).PushUint(0).Op(evm.RETURN)
+	code, err := a.Assemble()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return code
+}
+
+// batchWorld is a two-shard chain whose blocks each carry one check-in per
+// user, spread over 64 area contracts. Transactions enter the mempool as
+// already-admitted entries: signing and signature verification are the load
+// generator's and the admission pipeline's cost, not Step's, and the heap
+// and benchmark measurements below are about Step and what it leaves
+// behind.
+type batchWorld struct {
+	c     *Chain
+	users []chain.Address
+	areas []chain.Address
+	nonce uint64 // every user has sent this many transactions
+}
+
+const batchGasLimit = 90_000
+
+func newBatchWorld(tb testing.TB, users, retention int) *batchWorld {
+	cfg := Goerli()
+	cfg.CongestionMeanGas = 1_000_000
+	cfg.SpikeProb = 0
+	cfg.CongestionElasticity = 0 // the base fee falls to its floor; demand must not rise to meet it
+	cfg.BlockGasLimit = max(cfg.BlockGasLimit, uint64(users)*2*batchGasLimit)
+	w := &batchWorld{c: NewChain(cfg, 7)}
+	w.c.SetShards(2)
+	w.c.SetRetention(retention)
+	code := checkinCode(tb)
+	for i := 0; i < 64; i++ {
+		area := chain.AddressFromBytes([]byte{'a', byte(i)})
+		w.c.st.SetCode(area, code)
+		w.areas = append(w.areas, area)
+	}
+	for i := 0; i < users; i++ {
+		user := chain.AddressFromBytes([]byte{'u', byte(i), byte(i >> 8)})
+		w.c.Fund(user, eth(1))
+		w.users = append(w.users, user)
+	}
+	return w
+}
+
+// queue puts the next block's check-ins into the mempool.
+func (w *batchWorld) queue() {
+	tip := big.NewInt(2_000_000_000)
+	maxFee := new(big.Int).Add(new(big.Int).Mul(w.c.BaseFee(), big.NewInt(2)), tip)
+	entries := make([]*chain.Pending[*Tx], len(w.users))
+	for i, u := range w.users {
+		entries[i] = &chain.Pending[*Tx]{
+			Item: &Tx{
+				From: u, Nonce: w.nonce, To: &w.areas[i%len(w.areas)],
+				Value: new(big.Int), GasLimit: batchGasLimit, MaxFee: maxFee, MaxTip: tip,
+			},
+			Submitted: w.c.Now(),
+		}
+	}
+	w.c.pool.Restore(entries)
+	w.nonce++
+}
+
+// step seals the queued block and checks that it took every check-in.
+func (w *batchWorld) step(tb testing.TB) *Block {
+	blk := w.c.Step()
+	if len(blk.TxHashes) != len(w.users) || w.c.PendingCount() != 0 {
+		tb.Fatalf("block %d took %d of %d check-ins", blk.Number, len(blk.TxHashes), len(w.users))
+	}
+	return blk
+}
+
+func (w *batchWorld) retained() (txs int) {
+	for _, blk := range w.c.blocks {
+		txs += len(blk.TxHashes)
+	}
+	return txs
+}
+
+// heapAfterGC is the live heap: what is still reachable after a full
+// collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// retainedBytesPerTx is what keeping one more included transaction costs:
+// two worlds seal the same 2 000-check-in blocks, one retaining 16 blocks
+// and one retaining a single block, each is weighed by the live heap with
+// and without it reachable, and the difference — fifteen blocks of rows,
+// index entries and block bodies over the same state — is divided by the
+// transactions it holds.
+func retainedBytesPerTx(tb testing.TB) float64 {
+	weigh := func(retention int) (bytes int64, txs int) {
+		w := newBatchWorld(tb, 2000, retention)
+		for i := 0; i < 18; i++ {
+			w.queue()
+			w.step(tb)
+		}
+		if rc, ok := w.c.Receipt(w.c.Head().TxHashes[0]); !ok || rc.Reverted || len(rc.ReturnValue) != 32 {
+			tb.Fatalf("check-in receipt: %v %+v", ok, rc)
+		}
+		txs = w.retained()
+		with := heapAfterGC()
+		runtime.KeepAlive(w)
+		w = nil
+		return int64(with) - int64(heapAfterGC()), txs
+	}
+	wide, wideTxs := weigh(16)
+	narrow, narrowTxs := weigh(1)
+	if wideTxs != 16*2000 || narrowTxs != 2000 {
+		tb.Fatalf("worlds retain %d and %d transactions", wideTxs, narrowTxs)
+	}
+	return float64(wide-narrow) / float64(wideTxs-narrowTxs)
+}
+
+// TestRetainedBytesPerIncludedTx bounds what a node keeps per retained
+// transaction: its row (receipt and explorer columns), its index entry and
+// its slot in the block's hash list. Before the row log it was ≈ 590 B in
+// six or seven heap objects.
+func TestRetainedBytesPerIncludedTx(t *testing.T) {
+	// Measured 210 B (row 64, arena 80, hash-list slot 32, index 33); the
+	// budget is that plus 10 %.
+	const budget = 231
+	if got := retainedBytesPerTx(t); got > budget {
+		t.Fatalf("a retained transaction costs %.0f B, budget %d B", got, budget)
+	} else {
+		t.Logf("%.0f B per retained transaction", got)
+	}
+}
+
+// TestRetentionHeapFlat: once the retention window is full, sealing more
+// blocks does not grow the heap — rows, index entries and spans of pruned
+// blocks really go away.
+func TestRetentionHeapFlat(t *testing.T) {
+	w := newBatchWorld(t, 250, 16)
+	for i := 0; i < 20; i++ {
+		w.queue()
+		w.step(t)
+	}
+	before := heapAfterGC()
+	for i := 0; i < 200; i++ {
+		w.queue()
+		w.step(t)
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(w)
+	if perTx := float64(grown) / float64(w.retained()); perTx > 8 {
+		t.Fatalf("200 further blocks grew the heap by %d B (%.1f B per retained transaction)", grown, perTx)
+	}
+}
+
+// BenchmarkStepBatch is one sharded 2 000-check-in block per iteration:
+// sort, selection, partition, execution on two shards and the block's tail.
+// Queueing the block happens off the clock; run it at -cpu 1,2 to see what
+// the second core buys.
+func BenchmarkStepBatch(b *testing.B) {
+	w := newBatchWorld(b, 2000, 16)
+	for i := 0; i < 3; i++ {
+		w.queue()
+		w.step(b)
+	}
+	var m0, m1 runtime.MemStats
+	var bytes, allocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w.queue()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		w.step(b)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		allocs += m1.Mallocs - m0.Mallocs
+		b.StartTimer()
+	}
+	txs := float64(b.N * len(w.users))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txs, "ns/tx")
+	b.ReportMetric(float64(bytes)/txs, "B/tx")
+	b.ReportMetric(float64(allocs)/txs, "allocs/tx")
+}
+
+// BenchmarkRetainedPerTx reports the number TestRetainedBytesPerIncludedTx
+// bounds. Nothing is timed.
+func BenchmarkRetainedPerTx(b *testing.B) {
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(retainedBytesPerTx(b), "B/tx")
+}

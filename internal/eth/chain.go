@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
 	"time"
 
 	"agnopol/internal/chain"
@@ -107,6 +106,7 @@ type Validator struct {
 // Chain is one simulated Ethereum-family network.
 type Chain struct {
 	cfg        Config
+	tipScale   float64 // cfg.TipScale, as selection's outbid model divides by it
 	clock      *chain.Clock
 	rng        *chain.Rand
 	st         *state
@@ -124,17 +124,14 @@ type Chain struct {
 	// the recovery.
 	faultSpike bool
 
-	// history is the explorer's transaction log (Fig. 3.1), one entry per
-	// block that executed transactions, oldest first.
-	history [][]TxRecord
-
 	burned *big.Int
 	tipped *big.Int
 
 	// The family-independent half of block building lives in package
 	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
 	// the mempool with its admission pipeline, and the receipts with their
-	// rolling digest and retention window.
+	// rolling digest and retention window — one row per included
+	// transaction, which also carries the explorer's columns (explorer.go).
 	chain.Sharder
 	pool  *chain.Pool[*Tx]
 	rcpts chain.Receipts
@@ -162,13 +159,14 @@ func NewChain(cfg Config, seed uint64) *Chain {
 
 func newChain(cfg Config, seed uint64) *Chain {
 	c := &Chain{
-		cfg:     cfg,
-		clock:   chain.NewClock(),
-		rng:     chain.NewRand(seed).Fork("eth:" + cfg.Name),
-		st:      newState(),
-		baseFee: new(big.Int).Set(cfg.InitialBaseFee),
-		burned:  new(big.Int),
-		tipped:  new(big.Int),
+		cfg:      cfg,
+		tipScale: bigToFloat(cfg.TipScale),
+		clock:    chain.NewClock(),
+		rng:      chain.NewRand(seed).Fork("eth:" + cfg.Name),
+		st:       newState(),
+		baseFee:  new(big.Int).Set(cfg.InitialBaseFee),
+		burned:   new(big.Int),
+		tipped:   new(big.Int),
 	}
 	// An injected tx_delay stalls propagation for up to three slots.
 	c.pool = chain.NewPool(c.clock, "eth.mempool", 3*cfg.SlotDuration, c.admit)
@@ -349,12 +347,19 @@ func (c *Chain) Step() *Block {
 	}
 
 	// Highest tips first; FIFO within equal tips; nonces must be in order
-	// per sender.
-	c.pool.Sort(func(a, b *chain.Pending[*Tx]) bool {
-		if cmp := effectiveTip(a.Item, c.baseFee).Cmp(effectiveTip(b.Item, c.baseFee)); cmp != 0 {
+	// per sender. Every pending transaction's tip is computed once, at its
+	// position in the unsorted pool: tips[order[i]] belongs to the i-th
+	// entry of the sorted one.
+	pending := c.pool.Entries()
+	tips := make([]*big.Int, len(pending))
+	for i, p := range pending {
+		tips[i] = effectiveTip(p.Item, c.baseFee)
+	}
+	order := c.pool.Sort(func(i, j int) bool {
+		if cmp := tips[i].Cmp(tips[j]); cmp != 0 {
 			return cmp > 0
 		}
-		return a.Submitted < b.Submitted
+		return pending[i].Submitted < pending[j].Submitted
 	})
 	// Selection pass: decide the block's transaction set before executing
 	// anything. Capacity is reserved by gas limit, not actual usage, so
@@ -369,6 +374,9 @@ func (c *Chain) Step() *Block {
 		reserved  uint64
 		selNonces map[chain.Address]uint64
 		selSpend  map[chain.Address]*big.Int
+		// upfront is the candidate's cost on top of what its sender already
+		// reserved; it and gasLimit are reused from candidate to candidate.
+		upfront, gasLimit big.Int
 	)
 	nextNonce := func(a chain.Address) uint64 {
 		if n, ok := selNonces[a]; ok {
@@ -376,17 +384,17 @@ func (c *Chain) Step() *Block {
 		}
 		return c.st.Nonce(a)
 	}
-	covered := func(tx *Tx) (*big.Int, bool) {
-		upfront := new(big.Int).Mul(tx.MaxFee, new(big.Int).SetUint64(tx.GasLimit))
-		upfront.Add(upfront, tx.Value)
+	covered := func(tx *Tx) bool {
+		upfront.Mul(tx.MaxFee, gasLimit.SetUint64(tx.GasLimit))
+		upfront.Add(&upfront, tx.Value)
 		if prior, ok := selSpend[tx.From]; ok {
-			upfront.Add(upfront, prior)
+			upfront.Add(&upfront, prior)
 		}
-		return upfront, upfront.Cmp(c.st.GetBalance(tx.From)) <= 0
+		return upfront.Cmp(c.st.GetBalance(tx.From)) <= 0
 	}
-	sel := c.pool.Take(func(p *chain.Pending[*Tx]) bool {
+	sel := c.pool.Take(func(i int, p *chain.Pending[*Tx]) bool {
 		tx := p.Item
-		spend, affordable := covered(tx)
+		affordable := covered(tx)
 		switch {
 		case p.Submitted >= blockTime:
 			// Not yet propagated when the block was built.
@@ -399,15 +407,14 @@ func (c *Chain) Step() *Block {
 			// The sender's balance no longer covers every selected
 			// transaction's worst case; defer rather than overdraw.
 		default:
-			tip := effectiveTip(tx, c.baseFee)
-			outbid := demand * math.Exp(-bigToFloat(tip)/bigToFloat(c.cfg.TipScale))
+			outbid := demand * math.Exp(-bigToFloat(tips[order[i]])/c.tipScale)
 			if uint64(outbid)+reserved+tx.GasLimit <= c.cfg.BlockGasLimit {
 				if selNonces == nil {
 					selNonces = make(map[chain.Address]uint64)
 					selSpend = make(map[chain.Address]*big.Int)
 				}
 				selNonces[tx.From] = tx.Nonce + 1
-				selSpend[tx.From] = spend
+				selSpend[tx.From] = new(big.Int).Set(&upfront)
 				reserved += tx.GasLimit
 				return true
 			}
@@ -420,9 +427,11 @@ func (c *Chain) Step() *Block {
 	})
 
 	// Execution (serial or sharded — chain.RunSharded decides), then the
-	// serialized merge in canonical order: receipts, proposer tip, burn
-	// tally and explorer rows are applied exactly as the serial path would.
-	receipts := make([]*chain.Receipt, len(sel))
+	// block's tail in its two halves, which RunSharded runs side by side
+	// when the block fanned out. Shard workers leave the proposer tip, the
+	// burn tally and the explorer columns to the tail, which applies them
+	// in canonical order exactly as the serial path would.
+	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]txEffects, len(sel))
 	chain.RunSharded(&c.Sharder, len(sel),
 		func(i int) []chain.ConflictKey { return sel[i].Item.ConflictKeys() },
@@ -435,46 +444,53 @@ func (c *Chain) Step() *Block {
 		func(st execState, i int) uint64 {
 			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, sel[i].Hash, blk)
 			return receipts[i].GasUsed
+		},
+		func() {
+			// State side. Every shard has merged, and the only thing left to
+			// move is the proposer's tips: one credit of their sum leaves the
+			// same state as one credit per transaction, and nothing reads
+			// the proposer's balance between the credit and the root.
+			credit := new(big.Int)
+			for i := range effects {
+				credit.Add(credit, effects[i].tip)
+			}
+			if credit.Sign() > 0 {
+				c.st.AddBalance(blk.Proposer, credit)
+				c.tipped.Add(c.tipped, credit)
+			}
+			blk.StateRoot = c.st.Root()
+		},
+		func() {
+			// Receipt side: everything about the block that is not state.
+			var fee, side []byte
+			if len(sel) > 0 {
+				blk.TxHashes = make([]chain.Hash32, len(sel))
+			}
+			for i, p := range sel {
+				rcpt, eff := &receipts[i], &effects[i]
+				rcpt.Submitted = p.Submitted
+				fee = appendBalance(fee[:0], rcpt.Fee.Base)
+				side = appendExplorerColumns(side[:0], p.Item, eff)
+				c.rcpts.Include(rcpt, fee, side)
+				blk.TxHashes[i] = rcpt.TxHash
+				blk.GasUsed += rcpt.GasUsed
+				c.burned.Add(c.burned, eff.burn)
+				if c.obs != nil {
+					c.obs.txsIncluded.Inc()
+					c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
+					c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
+				}
+			}
 		})
-	userGas := uint64(0)
-	tips := new(big.Int)
-	rows := make([]TxRecord, 0, len(sel))
-	for i, p := range sel {
-		rcpt := receipts[i]
-		rcpt.Submitted = p.Submitted
-		c.rcpts.Include(rcpt, encodeBalance(rcpt.Fee.Base))
-		blk.TxHashes = append(blk.TxHashes, rcpt.TxHash)
-		userGas += rcpt.GasUsed
-		eff := effects[i]
-		tips.Add(tips, eff.tip)
-		c.burned.Add(c.burned, eff.burn)
-		if eff.record {
-			rows = append(rows, newTxRecord(p.Item, rcpt, eff.target, eff.isCreate))
-		}
-		if c.obs != nil {
-			c.obs.txsIncluded.Inc()
-			c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
-		}
-	}
-	// Tips were always credited after every shard finished, so nothing in
-	// the block can read the proposer's balance in between: one credit of
-	// the sum leaves the same state as one credit per transaction.
-	if tips.Sign() > 0 {
-		c.st.AddBalance(blk.Proposer, tips)
-		c.tipped.Add(c.tipped, tips)
-	}
-	if len(rows) > 0 {
-		c.history = append(c.history, rows)
-	}
 
+	// The transactions' gas, topped up with what the background demand
+	// takes of the rest of the block.
 	bg := uint64(demand)
-	if bg+userGas > c.cfg.BlockGasLimit {
-		bg = c.cfg.BlockGasLimit - userGas
+	if bg+blk.GasUsed > c.cfg.BlockGasLimit {
+		bg = c.cfg.BlockGasLimit - blk.GasUsed
 	}
-	blk.GasUsed = bg + userGas
+	blk.GasUsed += bg
 
-	blk.StateRoot = c.st.Root()
 	blk.Hash = blockHash(blk)
 	c.blocks = append(c.blocks, blk)
 	c.updateBaseFee(blk)
@@ -496,14 +512,15 @@ func (c *Chain) Step() *Block {
 }
 
 // effectiveTip is min(maxTip, maxFee - baseFee), the EIP-1559 priority fee
-// the proposer actually receives.
+// the proposer actually receives. The result is tx.MaxTip itself when that
+// is the smaller: callers only read it.
 func effectiveTip(tx *Tx, baseFee *big.Int) *big.Int {
 	headroom := new(big.Int).Sub(tx.MaxFee, baseFee)
 	if headroom.Sign() < 0 {
 		return new(big.Int)
 	}
 	if headroom.Cmp(tx.MaxTip) > 0 {
-		return new(big.Int).Set(tx.MaxTip)
+		return tx.MaxTip
 	}
 	return headroom
 }
@@ -661,7 +678,7 @@ func (c *Chain) VerifyBlock(blk *Block, atts []Attestation) error {
 }
 
 func blockHash(b *Block) chain.Hash32 {
-	var buf []byte
+	buf := make([]byte, 0, 8+32+20+32+32+32*len(b.TxHashes))
 	var n [8]byte
 	binary.BigEndian.PutUint64(n[:], b.Number)
 	buf = append(buf, n[:]...)
@@ -675,23 +692,12 @@ func blockHash(b *Block) chain.Hash32 {
 	return chain.Hash32(polcrypto.Hash(buf))
 }
 
-// pruneRetention drops receipts, explorer rows and block bodies older
-// than the retention window. Everything digest-relevant already lives in
-// the rolling accumulators, so pruning never changes Digest.
+// pruneRetention drops block bodies older than the retention window and
+// their rows: receipts and explorer columns. Everything digest-relevant
+// already lives in the rolling accumulators, so pruning never changes
+// Digest.
 func (c *Chain) pruneRetention() {
-	kept := chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.TxHashes })
-	if len(kept) == len(c.blocks) {
-		return
-	}
-	c.blocks = kept
-	cutoff := kept[0].Number
-	first := sort.Search(len(c.history), func(i int) bool {
-		return c.history[i][0].Block >= cutoff
-	})
-	// Release the dropped blocks' rows now; the outer slice sheds its dead
-	// prefix the next time append reallocates it.
-	clear(c.history[:first])
-	c.history = c.history[first:]
+	c.blocks = chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.TxHashes })
 }
 
 // updateBaseFee applies the EIP-1559 adjustment: ±1/8 of the deviation from
@@ -731,8 +737,8 @@ func (c *Chain) updateFinality() {
 
 // txEffects carries a transaction's serialized side effects out of
 // executeOn: shard workers must not touch the proposer balance, the chain's
-// burn/tip tallies or the explorer log, so those are returned and applied
-// by Step in canonical order after every shard finishes.
+// burn/tip tallies or the explorer's columns, so those are returned and
+// applied by Step's tail in canonical order after every shard finishes.
 type txEffects struct {
 	burn     *big.Int
 	tip      *big.Int
@@ -749,11 +755,11 @@ type txEffects struct {
 // executions are undone inside the EVM; fees are charged regardless, as on
 // the real network. The sender is debited on st; the burn/tip split is
 // returned for the caller to apply.
-func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (*chain.Receipt, txEffects) {
+func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
 	tip := effectiveTip(tx, blk.BaseFee)
 	price := new(big.Int).Add(blk.BaseFee, tip)
 
-	rcpt := &chain.Receipt{
+	rcpt := chain.Receipt{
 		TxHash:      hash,
 		BlockNumber: blk.Number,
 		Included:    blk.Time,
@@ -778,7 +784,7 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 		// it and runs the constructor calldata against it, charging the
 		// per-byte code deposit. The connector frames the payload as
 		// code||ctorData — see PackDeployData.
-		code, callData = SplitDeployData(tx.Data)
+		code, callData = splitDeployData(tx.Data)
 		depositGas = uint64(len(code)) * evm.GasCodeDeposit
 	}
 
@@ -789,8 +795,8 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 		rcpt.GasUsed = tx.GasLimit
 		rcpt.Reverted = true
 		rcpt.RevertMsg = "out of gas: code deposit"
-		eff.burn, eff.tip = chargeFeeOn(st, tx, rcpt.GasUsed, price, blk.BaseFee)
-		rcpt.Fee = chain.NewAmount(new(big.Int).Mul(price, new(big.Int).SetUint64(rcpt.GasUsed)), c.cfg.Unit)
+		rcpt.Fee.Base, eff.burn, eff.tip = chargeFeeOn(st, tx, rcpt.GasUsed, price, blk.BaseFee)
+		rcpt.Fee.Unit = c.cfg.Unit
 		return rcpt, eff
 	}
 	gasBudget -= depositGas
@@ -851,23 +857,23 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 	for _, l := range res.Logs {
 		rcpt.Logs = append(rcpt.Logs, string(l.Data))
 	}
-	eff.burn, eff.tip = chargeFeeOn(st, tx, gasUsed, price, blk.BaseFee)
-	rcpt.Fee = chain.NewAmount(new(big.Int).Mul(price, new(big.Int).SetUint64(gasUsed)), c.cfg.Unit)
+	rcpt.Fee.Base, eff.burn, eff.tip = chargeFeeOn(st, tx, gasUsed, price, blk.BaseFee)
+	rcpt.Fee.Unit = c.cfg.Unit
 	eff.record = true
 	return rcpt, eff
 }
 
-// chargeFeeOn debits the sender's full fee on st and returns the
+// chargeFeeOn debits the sender's full fee on st and returns it with its
 // burn/tip split. The proposer credit and the chain-wide tallies are the
 // caller's to apply: they are shared across shards, so they must happen in
-// canonical order during the merge, not inside a shard worker.
-func chargeFeeOn(st execState, tx *Tx, gasUsed uint64, price, baseFee *big.Int) (burn, tipAmt *big.Int) {
+// canonical order in the block's tail, not inside a shard worker.
+func chargeFeeOn(st execState, tx *Tx, gasUsed uint64, price, baseFee *big.Int) (fee, burn, tipAmt *big.Int) {
 	gas := new(big.Int).SetUint64(gasUsed)
-	fee := new(big.Int).Mul(price, gas)
+	fee = new(big.Int).Mul(price, gas)
 	st.SubBalance(tx.From, fee)
 	burn = new(big.Int).Mul(baseFee, gas)
 	tipAmt = new(big.Int).Sub(fee, burn)
-	return burn, tipAmt
+	return fee, burn, tipAmt
 }
 
 // deployPrefix frames code||ctorData in deployment calldata.
@@ -882,9 +888,9 @@ func PackDeployData(code, ctorData []byte) []byte {
 	return append(out, ctorData...)
 }
 
-// SplitDeployData splits a deployment payload back into code and
+// splitDeployData splits a deployment payload back into code and
 // constructor calldata.
-func SplitDeployData(data []byte) (code, ctorData []byte) {
+func splitDeployData(data []byte) (code, ctorData []byte) {
 	if len(data) < deployPrefixLen {
 		return nil, nil
 	}

@@ -377,7 +377,7 @@ func TestFinalityAdvances(t *testing.T) {
 
 func TestPackSplitDeployData(t *testing.T) {
 	err := quick.Check(func(code, ctor []byte) bool {
-		gotCode, gotCtor := SplitDeployData(PackDeployData(code, ctor))
+		gotCode, gotCtor := splitDeployData(PackDeployData(code, ctor))
 		return string(gotCode) == string(code) && string(gotCtor) == string(ctor)
 	}, nil)
 	if err != nil {

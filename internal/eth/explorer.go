@@ -12,9 +12,9 @@ import (
 
 // Explorer support — the EtherScan view of Fig. 3.1: "this exploration
 // allows everybody to look up the history of a specific wallet or contract
-// address". The chain records every executed transaction; HistoryOf
-// reconstructs the per-address table and FormatHistory renders it in the
-// figure's newest-first layout.
+// address". The chain keeps a row per executed transaction; HistoryOf
+// builds the per-address table from the retained rows and FormatHistory
+// renders it in the figure's newest-first layout.
 
 // TxRecord is one row of an address's history.
 type TxRecord struct {
@@ -30,40 +30,71 @@ type TxRecord struct {
 	Reverted bool
 }
 
-// newTxRecord is the history row of an executed transaction; Step appends
-// a block's rows to the log in canonical order.
-func newTxRecord(tx *Tx, rcpt *chain.Receipt, target chain.Address, isCreate bool) TxRecord {
-	rec := TxRecord{
-		Hash:     rcpt.TxHash,
-		Block:    rcpt.BlockNumber,
-		Time:     rcpt.Included,
-		From:     tx.From,
-		To:       target,
-		Contract: isCreate,
-		Value:    new(big.Int).Set(tx.Value),
-		Fee:      rcpt.Fee,
-		Reverted: rcpt.Reverted,
+// What the explorer needs of a transaction beyond its receipt travels with
+// the receipt's row as side bytes: sender, target, kind, selector and the
+// value's magnitude when it is not zero.
+const (
+	colFrom     = 0
+	colTo       = 20
+	colKind     = 40
+	colSelector = 41
+	colValue    = 45
+)
+
+// Kinds of explorer row.
+const (
+	kindCall = iota
+	kindCreate
+	kindTransfer
+)
+
+// appendExplorerColumns appends an executed transaction's explorer columns
+// to dst: nothing for an execution the explorer does not log.
+func appendExplorerColumns(dst []byte, tx *Tx, eff *txEffects) []byte {
+	if !eff.record {
+		return dst
 	}
-	if isCreate {
-		rec.Method = "Contract Creation"
+	kind, selector := byte(kindTransfer), [4]byte{}
+	if eff.isCreate {
+		kind = kindCreate
 	} else if len(tx.Data) >= 4 {
-		rec.Method = "0x" + hex.EncodeToString(tx.Data[:4])
-	} else {
-		rec.Method = "Transfer"
+		kind, selector = kindCall, [4]byte(tx.Data)
 	}
-	return rec
+	dst = append(append(dst, tx.From[:]...), eff.target[:]...)
+	dst = append(append(dst, kind), selector[:]...)
+	return append(dst, tx.Value.Bytes()...)
 }
 
-// HistoryOf returns every transaction touching an address, oldest first.
+// HistoryOf returns every retained transaction touching an address, oldest
+// first, built on request from the chain's rows.
 func (c *Chain) HistoryOf(addr chain.Address) []TxRecord {
 	var out []TxRecord
-	for _, rows := range c.history {
-		for _, r := range rows {
-			if r.From == addr || r.To == addr {
-				out = append(out, r)
-			}
+	c.rcpts.Each(func(cols []byte, receipt func() *chain.Receipt) {
+		from, to := chain.Address(cols[colFrom:colTo]), chain.Address(cols[colTo:colKind])
+		if from != addr && to != addr {
+			return
 		}
-	}
+		rcpt := receipt()
+		rec := TxRecord{
+			Hash:     rcpt.TxHash,
+			Method:   "Transfer",
+			Block:    rcpt.BlockNumber,
+			Time:     rcpt.Included,
+			From:     from,
+			To:       to,
+			Contract: cols[colKind] == kindCreate,
+			Value:    new(big.Int).SetBytes(cols[colValue:]),
+			Fee:      rcpt.Fee,
+			Reverted: rcpt.Reverted,
+		}
+		switch cols[colKind] {
+		case kindCreate:
+			rec.Method = "Contract Creation"
+		case kindCall:
+			rec.Method = "0x" + hex.EncodeToString(cols[colSelector:colValue])
+		}
+		out = append(out, rec)
+	})
 	return out
 }
 

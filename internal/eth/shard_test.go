@@ -141,10 +141,12 @@ func counterCode(t *testing.T) []byte {
 }
 
 // runShardedWorkload drives a mixed workload — per-area contract calls plus
-// peer-to-peer transfers — through a chain configured with the given shard
-// count and returns the chain and its end-state digest. Everything about
-// the workload is deterministic, so any digest difference across shard
-// counts is a sharding bug.
+// peer-to-peer transfers, and among them a call that runs out of gas, a
+// deployment inside a batch and transfers sent by the validator about to
+// propose the block that carries them — through a chain configured with the
+// given shard count and returns the chain. Everything about the workload is
+// deterministic, so any digest difference across shard counts or GOMAXPROCS
+// is a sharding bug.
 func runShardedWorkload(t *testing.T, shards int) *Chain {
 	t.Helper()
 	cfg := Goerli()
@@ -177,36 +179,78 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 	for round := 0; round < 10; round++ {
 		maxFee := new(big.Int).Add(new(big.Int).Mul(c.BaseFee(), big.NewInt(2)), tip)
 		var txs []*Tx
-		for ui, u := range accts {
-			to := contracts[ui%areas]
-			call := &Tx{
-				From: u.Address, Nonce: nonces[ui], To: &to,
-				Value: big.NewInt(0), GasLimit: 90000,
+		var starved *Tx
+		send := func(from *Account, nonce uint64, to *chain.Address, value int64, data []byte, gasLimit uint64) *Tx {
+			tx := &Tx{
+				From: from.Address, Nonce: nonce, To: to, Data: data,
+				Value: big.NewInt(value), GasLimit: gasLimit,
 				MaxFee: maxFee, MaxTip: tip,
 			}
-			call.Sign(u)
+			tx.Sign(from)
+			txs = append(txs, tx)
+			return tx
+		}
+		for ui, u := range accts {
+			send(u, nonces[ui], &contracts[ui%areas], 0, nil, 90000)
 			nonces[ui]++
-			txs = append(txs, call)
 			if round%2 == 0 {
 				// Pair transfers keep components small but non-trivial.
-				peer := accts[ui^1].Address
-				pay := &Tx{
-					From: u.Address, Nonce: nonces[ui], To: &peer,
-					Value: big.NewInt(1000), GasLimit: 21000,
-					MaxFee: maxFee, MaxTip: tip,
-				}
-				pay.Sign(u)
+				send(u, nonces[ui], &accts[ui^1].Address, 1000, nil, 21000)
 				nonces[ui]++
-				txs = append(txs, pay)
+			}
+			switch {
+			case round == 3 && ui == 1:
+				// Too little gas for the counter's storage write: reverts.
+				starved = send(u, nonces[ui], &contracts[ui%areas], 0, nil, 21100)
+				nonces[ui]++
+			case round == 5 && ui == 2:
+				send(u, nonces[ui], nil, 0, PackDeployData(code, nil), 300000)
+				nonces[ui]++
 			}
 		}
+		// The next block's proposer sends a transfer in it: its balance is
+		// debited by a shard and credited the block's tips by the tail.
+		next := c.pickProposer(c.Head().Hash, c.Head().Number+1)
+		proposer := &Account{Key: next.Key, Address: next.Address}
+		c.Fund(proposer.Address, eth(1))
+		own := send(proposer, c.PendingNonce(proposer.Address), &accts[3].Address, 777, nil, 21000)
+		before := c.Balance(proposer.Address).Base
+
 		_, errs := c.SubmitBatch(txs)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("round %d tx %d: %v", round, i, err)
 			}
 		}
-		c.Step()
+		blk := c.Step()
+
+		// before − (value + fee of its own transfer) + every transaction's tip.
+		want := before.Sub(before, big.NewInt(777))
+		for _, h := range blk.TxHashes {
+			rcpt, ok := c.Receipt(h)
+			if !ok {
+				t.Fatalf("round %d: no receipt for an included transaction", round)
+			}
+			if h == own.Hash() {
+				want.Sub(want, rcpt.Fee.Base)
+			}
+			burn := new(big.Int).Mul(blk.BaseFee, new(big.Int).SetUint64(rcpt.GasUsed))
+			want.Add(want, burn.Sub(rcpt.Fee.Base, burn))
+		}
+		if got := c.Balance(blk.Proposer).Base; blk.Proposer != proposer.Address || len(blk.TxHashes) != len(txs) || got.Cmp(want) != 0 {
+			t.Fatalf("round %d: proposer %s (want %s) took %d of %d transactions and holds %s, want %s",
+				round, blk.Proposer, proposer.Address, len(blk.TxHashes), len(txs), got, want)
+		}
+		if starved != nil {
+			if rcpt, _ := c.Receipt(starved.Hash()); !rcpt.Reverted || rcpt.RevertMsg == "" {
+				t.Fatalf("the starved call did not revert: %+v", rcpt)
+			}
+		}
+		if round == 5 {
+			if _, ok := c.ContractCode(chain.ContractAddress(accts[2].Address, nonces[2]-1)); !ok {
+				t.Fatal("the deployment inside the batch left no code")
+			}
+		}
 	}
 	for i := 0; i < 20 && c.PendingCount() > 0; i++ {
 		c.Step()
@@ -217,33 +261,46 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 	return c
 }
 
+// TestShardedBlockBitIdentity: the same workload at every combination of
+// one, two and four cores with one to eight shards — blocks that run on the
+// canonical state with their tail inline, and blocks that fan out with the
+// state side and the receipt side of the tail running side by side — builds
+// the same blocks and the same digest.
 func TestShardedBlockBitIdentity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedWorkload(t, 1)
 	refDigest := ref.Digest()
-	for _, shards := range []int{2, 3, 4, 8} {
-		c := runShardedWorkload(t, shards)
-		if len(c.blocks) != len(ref.blocks) {
-			t.Fatalf("shards=%d: %d blocks vs %d serial", shards, len(c.blocks), len(ref.blocks))
-		}
-		for i := range ref.blocks {
-			if c.blocks[i].Hash != ref.blocks[i].Hash {
-				t.Fatalf("shards=%d: block %d hash diverges", shards, i)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 3, 4, 8} {
+			c := runShardedWorkload(t, shards)
+			if len(c.blocks) != len(ref.blocks) {
+				t.Fatalf("procs=%d shards=%d: %d blocks vs %d serial", procs, shards, len(c.blocks), len(ref.blocks))
 			}
-			if len(c.blocks[i].TxHashes) != len(ref.blocks[i].TxHashes) {
-				t.Fatalf("shards=%d: block %d tx count diverges", shards, i)
+			for i := range ref.blocks {
+				if c.blocks[i].Hash != ref.blocks[i].Hash {
+					t.Fatalf("procs=%d shards=%d: block %d hash diverges", procs, shards, i)
+				}
+				if len(c.blocks[i].TxHashes) != len(ref.blocks[i].TxHashes) {
+					t.Fatalf("procs=%d shards=%d: block %d tx count diverges", procs, shards, i)
+				}
 			}
-		}
-		if d := c.Digest(); d != refDigest {
-			t.Fatalf("shards=%d: state digest diverges from serial run", shards)
+			if d := c.Digest(); d != refDigest {
+				t.Fatalf("procs=%d shards=%d: state digest diverges from serial run", procs, shards)
+			}
+			if stats := c.ShardStats(); (stats.ParallelBatches > 0) != (shards > 1) {
+				t.Fatalf("procs=%d shards=%d: %d blocks fanned out", procs, shards, stats.ParallelBatches)
+			}
 		}
 	}
 }
 
-// TestConsensusBitIdentityAcrossGOMAXPROCS: committee attestation and batch
-// admission fan out across cores, and the blocks must not show it — the
-// same seeded chain stepped on one core and on four carries the same
-// hashes, the same attestations in the same order, and the same digest, and
-// every block still verifies.
+// TestConsensusBitIdentityAcrossGOMAXPROCS: committee attestation, batch
+// admission, execution and the block's tail fan out across cores, and the
+// blocks must not show it — the same seeded chain stepped on one, two and
+// four cores with one, two and four shards carries the same hashes, the
+// same attestations in the same order, and the same digest, and every block
+// still verifies.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	// attestAll asks for every block's attestations at the current
 	// GOMAXPROCS: evidence is derived on request, so the fan-out under test
@@ -255,36 +312,38 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return out
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedWorkload(t, 2)
 	refAtts := attestAll(ref)
-	runtime.GOMAXPROCS(4)
-	c := runShardedWorkload(t, 2)
-	atts := attestAll(c)
-
-	if len(c.blocks) != len(ref.blocks) {
-		t.Fatalf("%d blocks on 4 cores vs %d on 1", len(c.blocks), len(ref.blocks))
-	}
-	for i, blk := range c.blocks {
-		if blk.Hash != ref.blocks[i].Hash {
-			t.Fatalf("block %d hash depends on GOMAXPROCS", i)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			c := runShardedWorkload(t, shards)
+			atts := attestAll(c)
+			if len(c.blocks) != len(ref.blocks) {
+				t.Fatalf("procs=%d shards=%d: %d blocks vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
+			}
+			for i, blk := range c.blocks {
+				if blk.Hash != ref.blocks[i].Hash {
+					t.Fatalf("procs=%d shards=%d: block %d hash depends on GOMAXPROCS", procs, shards, i)
+				}
+				if !reflect.DeepEqual(atts[i], refAtts[i]) {
+					t.Fatalf("procs=%d shards=%d: block %d attestations depend on GOMAXPROCS", procs, shards, i)
+				}
+				if i == 0 {
+					continue // genesis carries no attestations
+				}
+				if len(atts[i]) == 0 {
+					t.Fatalf("block %d has no attestations", i)
+				}
+				if err := c.VerifyBlock(blk, atts[i]); err != nil {
+					t.Fatalf("block %d: %v", i, err)
+				}
+			}
+			if c.Digest() != ref.Digest() {
+				t.Fatalf("procs=%d shards=%d: digest depends on GOMAXPROCS", procs, shards)
+			}
 		}
-		if !reflect.DeepEqual(atts[i], refAtts[i]) {
-			t.Fatalf("block %d attestations depend on GOMAXPROCS", i)
-		}
-		if i == 0 {
-			continue // genesis carries no attestations
-		}
-		if len(atts[i]) == 0 {
-			t.Fatalf("block %d has no attestations", i)
-		}
-		if err := c.VerifyBlock(blk, atts[i]); err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-	}
-	if c.Digest() != ref.Digest() {
-		t.Fatal("digest depends on GOMAXPROCS")
 	}
 }
 

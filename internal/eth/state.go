@@ -44,6 +44,11 @@ func storKey(a chain.Address, k chain.Hash32) mstate.Key {
 // AddBalance/SubBalance should make negatives unreachable; the encoding
 // is sign-explicit anyway, as defense in depth for the digest.
 func encodeBalance(b *big.Int) []byte {
+	return appendBalance(make([]byte, 0, 1+(b.BitLen()+7)/8), b)
+}
+
+// appendBalance appends encodeBalance(b) to dst.
+func appendBalance(dst []byte, b *big.Int) []byte {
 	sign := byte(0)
 	switch b.Sign() {
 	case 1:
@@ -51,7 +56,10 @@ func encodeBalance(b *big.Int) []byte {
 	case -1:
 		sign = 2
 	}
-	return append([]byte{sign}, b.Bytes()...)
+	n := (b.BitLen() + 7) / 8
+	dst = append(append(dst, sign), make([]byte, n)...)
+	b.FillBytes(dst[len(dst)-n:])
+	return dst
 }
 
 func decodeBalance(enc []byte) *big.Int {

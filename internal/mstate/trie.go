@@ -42,15 +42,14 @@ type Hash [32]byte
 // The tag keeps different column families (balances, nonces, storage...)
 // from colliding even when their raw parts coincide.
 func KeyOf(tag string, parts ...[]byte) Key {
-	h := sha256.New()
-	h.Write([]byte(tag))
-	h.Write([]byte{0})
+	// The chains' keys (tag, address, storage slot) fit the buffer, so the
+	// preimage stays on the stack; a longer one grows onto the heap.
+	buf := append(make([]byte, 0, 64), tag...)
+	buf = append(buf, 0)
 	for _, p := range parts {
-		h.Write(p)
+		buf = append(buf, p...)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return sha256.Sum256(buf)
 }
 
 // node is either a *leaf or a *branch. Leaves are immutable once linked
