@@ -54,36 +54,40 @@ type Tx struct {
 	Sig    []byte
 }
 
-func (tx *Tx) sigMessage() []byte {
-	var buf []byte
+// sigMessage is the digest the signature covers. The preimage buffer is
+// sized once: a call or payment fits the stack buffer, anything longer (a
+// creation carrying its source) gets one heap buffer of its exact size.
+func (tx *Tx) sigMessage() [32]byte {
+	need := 1 + 2*len(tx.Sender) + 5*8 + len(tx.AssetName) + len(tx.AssetUnit) + len(tx.Source)
+	for _, a := range tx.Args {
+		need += len(a)
+	}
+	buf := make([]byte, 0, 512)
+	if need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
 	buf = append(buf, byte(tx.Type))
 	buf = append(buf, tx.Sender[:]...)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], tx.Fee)
-	buf = append(buf, n[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, tx.Fee)
 	buf = append(buf, tx.Receiver[:]...)
-	binary.BigEndian.PutUint64(n[:], tx.Amount)
-	buf = append(buf, n[:]...)
-	binary.BigEndian.PutUint64(n[:], tx.AppID)
-	buf = append(buf, n[:]...)
-	binary.BigEndian.PutUint64(n[:], tx.AssetID)
-	buf = append(buf, n[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, tx.Amount)
+	buf = binary.BigEndian.AppendUint64(buf, tx.AppID)
+	buf = binary.BigEndian.AppendUint64(buf, tx.AssetID)
 	buf = append(buf, tx.AssetName...)
 	buf = append(buf, tx.AssetUnit...)
-	binary.BigEndian.PutUint64(n[:], uint64(tx.AssetDecimals))
-	buf = append(buf, n[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(tx.AssetDecimals))
 	buf = append(buf, tx.Source...)
 	for _, a := range tx.Args {
 		buf = append(buf, a...)
 	}
-	h := polcrypto.Hash(buf)
-	return h[:]
+	return polcrypto.Hash1(buf)
 }
 
 // Sign attaches the sender's signature.
 func (tx *Tx) Sign(acct *Account) {
 	tx.PubKey = acct.Key.Public
-	tx.Sig = acct.Key.Sign(tx.sigMessage())
+	msg := tx.sigMessage()
+	tx.Sig = acct.Key.Sign(msg[:])
 }
 
 // Verify checks the signature.
@@ -91,7 +95,7 @@ func (tx *Tx) Verify() error {
 	if chain.AddressFromPublicKey(tx.PubKey) != tx.Sender {
 		return errors.New("algorand: sender does not match public key")
 	}
-	if !polcrypto.Verify(tx.PubKey, tx.sigMessage(), tx.Sig) {
+	if msg := tx.sigMessage(); !polcrypto.Verify(tx.PubKey, msg[:], tx.Sig) {
 		return polcrypto.ErrBadSignature
 	}
 	return nil
@@ -110,14 +114,19 @@ func (g Group) Verify() error {
 	return nil
 }
 
-// Hash identifies the group.
+// Hash identifies the group: the digest of every member's signed message
+// and signature, appended into one buffer sized for the group.
 func (g Group) Hash() chain.Hash32 {
-	var buf []byte
+	buf := make([]byte, 0, 512)
+	if need := len(g) * (32 + ed25519.SignatureSize); need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
 	for _, tx := range g {
-		buf = append(buf, tx.sigMessage()...)
+		msg := tx.sigMessage()
+		buf = append(buf, msg[:]...)
 		buf = append(buf, tx.Sig...)
 	}
-	return chain.Hash32(polcrypto.Hash(buf))
+	return chain.Hash32(polcrypto.Hash1(buf))
 }
 
 // Block is one certified round.
@@ -354,14 +363,17 @@ func (c *Chain) Step() *Block {
 	sel := c.pool.Take(func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
 	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]groupEffects, len(sel))
+	// canon is the overlay a round that does not fan out executes in; a
+	// round that does leaves it empty.
+	canon := c.led.fork()
 	chain.RunSharded(&c.Sharder, len(sel), roundConflictKeys(sel),
 		func(i int) uint64 { return uint64(len(sel[i].Item)) },
-		ledgerView(c.led),
-		func() (ledgerView, func()) {
+		canon,
+		func() (*ledgerOverlay, func()) {
 			o := c.led.fork()
 			return o, func() { c.led.adopt(o) }
 		},
-		func(st ledgerView, i int) uint64 {
+		func(st *ledgerOverlay, i int) uint64 {
 			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, sel[i].Hash, blk)
 			return receipts[i].GasUsed
 		},
@@ -369,6 +381,7 @@ func (c *Chain) Step() *Block {
 			// State side. The fee-sink credit touches state every group
 			// shares, so the executor defers it to here: one credit of the
 			// round's sum, once every shard has merged, then the root.
+			c.led.adopt(canon)
 			var feeSink uint64
 			for i := range effects {
 				feeSink += effects[i].feeSink
@@ -451,13 +464,12 @@ type groupEffects struct {
 }
 
 // executeGroup applies one atomic group (hash is its pool-computed
-// g.Hash()) on top of parent — the canonical ledger on the serial path, a
-// shard's overlay on the concurrent one. The group runs on an overlay
-// forked off parent: on any failure that overlay is dropped, so the whole
-// group rolls back, and the fees are charged on a fresh fork (the network
-// did the work). Creations, which only reach here on the serial path,
-// additionally hand their sequence numbers back.
-func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk *Block) (chain.Receipt, groupEffects) {
+// g.Hash()) in o — the round's overlay on the serial path, a shard's on
+// the concurrent one — under a revert point: on any failure the group's
+// writes are taken back and the fees charged again on the restored state
+// (the network did the work). Creations, which only reach here on the
+// serial path, additionally hand their sequence numbers back.
+func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *Block) (chain.Receipt, groupEffects) {
 	rcpt := chain.Receipt{
 		TxHash:      hash,
 		BlockNumber: blk.Round,
@@ -470,13 +482,14 @@ func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk 
 		totalFee += tx.Fee
 	}
 
-	o := parent.fork()
+	o.ov.Mark()
 	appSeq, assetSeq := c.led.appSeq, c.led.assetSeq
 
 	// Fees first; insufficient fee balance fails the group outright.
 	for _, tx := range g {
 		bal := o.Balance(tx.Sender)
 		if bal < tx.Fee {
+			o.ov.Revert()
 			rcpt.Reverted = true
 			rcpt.RevertMsg = "insufficient balance for fee"
 			rcpt.Fee = chain.NewAmount(microToBig(0), c.cfg.Unit)
@@ -559,14 +572,14 @@ func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk 
 	}()
 
 	if err != nil {
-		// Drop the group's overlay — everything except the fees rolls
-		// back — then re-charge fees where the pre-group balance allows.
+		// Take the group's writes back — everything including the fee
+		// debits — then re-charge fees where the pre-group balance allows.
+		o.ov.Revert()
 		c.led.uncreate(appSeq, assetSeq)
 		fees := make(map[chain.Address]uint64)
 		for _, tx := range g {
 			fees[tx.Sender] += tx.Fee
 		}
-		o = parent.fork()
 		for addr, fee := range fees {
 			if bal := o.Balance(addr); bal >= fee {
 				o.setBalance(addr, bal-fee)
@@ -576,9 +589,9 @@ func (c *Chain) executeGroup(parent ledgerView, g Group, hash chain.Hash32, blk 
 		rcpt.Reverted = true
 		rcpt.RevertMsg = err.Error()
 	} else {
+		o.ov.Keep()
 		eff.feeSink = totalFee
 	}
-	parent.adopt(o)
 	rcpt.Fee = chain.NewAmount(microToBig(totalFee), c.cfg.Unit)
 	return rcpt, eff
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
@@ -266,19 +267,31 @@ func (v *ledgerKV) setBalance(addr chain.Address, val uint64) {
 
 // credit adds to a balance. A zero credit of an absent account is a
 // no-op: it must not conjure a phantom zero-balance entry into the
-// state root.
+// state root. Nothing can be reverted where credit runs (funding, the
+// round's fee-sink credit), so a balance saturates at 2⁶⁴−1 µALGO rather
+// than wrap.
 func (v *ledgerKV) credit(addr chain.Address, val uint64) {
 	if val == 0 {
 		return
 	}
-	v.setBalance(addr, v.Balance(addr)+val)
+	bal := v.Balance(addr)
+	v.setBalance(addr, bal+min(val, math.MaxUint64-bal))
 }
 
+// ErrBalanceOverflow reports a payment that would carry the receiver's
+// balance past 2⁶⁴−1 µALGO.
+var ErrBalanceOverflow = errors.New("algorand: balance overflow")
+
 // Pay implements avm.Ledger (used for inner transactions and payments).
+// It checks both ends before it writes either.
 func (v *ledgerKV) Pay(from, to chain.Address, amount uint64) error {
 	if v.Balance(from) < amount {
 		return fmt.Errorf("%w: %s has %d µALGO, needs %d",
 			avm.ErrInsufficientBalance, from, v.Balance(from), amount)
+	}
+	if have := v.Balance(to); from != to && have > math.MaxUint64-amount {
+		return fmt.Errorf("%w: %s has %d µALGO, cannot take %d",
+			ErrBalanceOverflow, to, have, amount)
 	}
 	v.setBalance(from, v.Balance(from)-amount)
 	v.setBalance(to, v.Balance(to)+amount)

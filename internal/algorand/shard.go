@@ -7,13 +7,12 @@ import (
 
 // What algorand supplies to chain.RunSharded, the block-application kernel
 // both families share: each group's conflict keys — over senders, payment
-// receivers and called applications — and a ledger view that forks into
-// copy-on-write overlays. Overlays stack: a shard's overlay over the
-// ledger, and inside it (or directly over the ledger on the serial path)
-// the per-group overlay executeGroup rolls back by dropping. Rounds
-// containing application or asset creation (which advance chain-global
-// sequence counters) run serially wholesale, so creation order is always
-// canonical.
+// receivers and called applications — and copy-on-write overlays of the
+// ledger: one per shard, or one for the whole round on the serial path.
+// executeGroup rolls a failed group back inside its overlay through the
+// overlay's revert point. Rounds containing application or asset creation
+// (which advance chain-global sequence counters) run serially wholesale,
+// so creation order is always canonical.
 
 // ConflictKeys names the state an atomic group may touch. Application calls
 // carry the app's key and its escrow account (inner payments debit it);
@@ -70,24 +69,11 @@ func roundConflictKeys(sel []*chain.Pending[Group]) func(int) []chain.ConflictKe
 	return func(i int) []chain.ConflictKey { return sel[i].Item.ConflictKeys() }
 }
 
-// ledgerView is what group execution needs from the state it runs on top
-// of: an overlay to execute in, and a way to fold that overlay back. Both
-// the canonical ledger and overlays implement it, so overlays stack.
-type ledgerView interface {
-	fork() *ledgerOverlay
-	adopt(*ledgerOverlay)
-}
-
-var (
-	_ ledgerView = (*ledger)(nil)
-	_ ledgerView = (*ledgerOverlay)(nil)
-)
-
-// ledgerOverlay is a copy-on-write view over the ledger or another
-// overlay: an mstate.Overlay absorbs reads and writes against a private
-// trie fork, and every ledger semantic — value encodings, opt-in
-// markers, pay errors — comes from the shared ledgerKV accessor layer,
-// so the overlay cannot drift from the serial path.
+// ledgerOverlay is a copy-on-write view over the ledger: an
+// mstate.Overlay absorbs reads and writes against a private trie fork,
+// and every ledger semantic — value encodings, opt-in markers, pay
+// errors — comes from the shared ledgerKV accessor layer, so the overlay
+// cannot drift from the canonical ledger.
 type ledgerOverlay struct {
 	ledgerKV
 	ov *mstate.Overlay
@@ -104,15 +90,6 @@ func (l *ledger) fork() *ledgerOverlay {
 // shards does not matter; within an overlay every key holds its final
 // value, so replay order does not matter either.
 func (l *ledger) adopt(child *ledgerOverlay) { child.ov.CommitTo(l.t) }
-
-// fork opens a nested overlay (per-group atomic rollback inside a shard).
-func (o *ledgerOverlay) fork() *ledgerOverlay {
-	ov := o.ov.Fork()
-	return &ledgerOverlay{ledgerKV{kv: ov, led: o.led}, ov}
-}
-
-// adopt folds a nested overlay's writes into this one.
-func (o *ledgerOverlay) adopt(child *ledgerOverlay) { o.ov.Adopt(child.ov) }
 
 // Digest hashes the chain's externally observable end state — head block,
 // sequence counters, the ledger's Merkle root and the rolling receipt

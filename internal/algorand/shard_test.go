@@ -1,8 +1,11 @@
 package algorand
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -127,12 +130,21 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 		t.Fatal("base opt-in leaked before commit")
 	}
 
-	// Nested overlay: rollback by discarding.
-	sub := ov.fork()
-	sub.GlobalPut(1, "k", avm.Uint64Value(77))
-	sub.setBalance(alice, 1)
-	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 9 {
-		t.Fatal("discarded nested overlay must not leak")
+	// Rollback inside the overlay: writes under a revert point are seen
+	// until it is reverted, and gone — the earlier writes back — after.
+	ov.ov.Mark()
+	ov.GlobalPut(1, "k", avm.Uint64Value(77))
+	ov.setBalance(alice, 1)
+	ov.LocalPut(1, chain.AddressFromBytes([]byte("bob")), "seen", avm.Uint64Value(1))
+	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 77 {
+		t.Fatal("overlay must serve a write under an open revert point")
+	}
+	ov.ov.Revert()
+	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 9 || ov.Balance(alice) != 60 {
+		t.Fatal("reverted writes must give way to the ones before the revert point")
+	}
+	if ov.OptedIn(1, chain.AddressFromBytes([]byte("bob"))) {
+		t.Fatal("reverted writes must not leak")
 	}
 
 	led.adopt(ov)
@@ -144,6 +156,9 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	}
 	if !led.OptedIn(1, alice) {
 		t.Fatal("commit must fold locals")
+	}
+	if led.OptedIn(1, chain.AddressFromBytes([]byte("bob"))) {
+		t.Fatal("commit replayed a reverted write")
 	}
 }
 
@@ -407,5 +422,207 @@ func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 	}
 	if serial.Digest() != sharded.Digest() {
 		t.Fatal("revert handling diverges between serial and sharded paths")
+	}
+}
+
+// stepBatch submits the groups as one batch and certifies one round.
+func stepBatch(t *testing.T, c *Chain, groups []Group) {
+	t.Helper()
+	_, errs := c.SubmitBatch(groups)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("group %d: %v", i, err)
+		}
+	}
+	if blk := c.Step(); len(blk.Groups) != len(groups) {
+		t.Fatalf("the round took %d of %d groups", len(blk.Groups), len(groups))
+	}
+}
+
+// TestFailedGroupsInterleavedOnOneShard: every third group of each app
+// fails after its app call already wrote (the trailing payment of the
+// atomic group overdraws), between groups of the same app — the same shard
+// — that succeed. The writes come back out from under the later groups:
+// the round ends at the serial path's digest and at the balances and
+// counters of a flat model, the fees charged on every group.
+func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
+	const apps, users, groupsPerRound, rounds = 2, 5, 30, 3
+	run := func(shards int) *Chain {
+		c := NewChain(Testnet(), 31)
+		c.SetShards(shards)
+		cl := NewClient(c)
+		deployer := c.NewAccount(50_000_000)
+		var ids [apps]uint64
+		for i := range ids {
+			var err error
+			if _, ids[i], err = cl.CreateApp(deployer, counterApp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each app has its own users, so the round has one component per app.
+		var accts [apps][users]*Account
+		balance := map[chain.Address]uint64{}
+		for a := range accts {
+			for u := range accts[a] {
+				accts[a][u] = c.NewAccount(10_000_000)
+				balance[accts[a][u].Address] = 10_000_000
+			}
+		}
+		var count [apps]uint64
+		sink := c.Balance(c.feeSink).Base.Uint64()
+		for round := 0; round < rounds; round++ {
+			var groups []Group
+			for i := 0; i < groupsPerRound; i++ {
+				a := i % apps
+				from := accts[a][(i/apps+round)%users]
+				call := &Tx{Type: TxAppCall, Sender: from.Address, Fee: MinFee, AppID: ids[a], Args: [][]byte{[]byte("bump")}}
+				call.Sign(from)
+				g := Group{call}
+				if (i/apps)%3 == 2 {
+					over := &Tx{Type: TxPay, Sender: from.Address, Fee: MinFee,
+						Receiver: accts[a][0].Address, Amount: 1 << 40}
+					over.Sign(from)
+					g = append(g, over)
+				} else {
+					count[a]++
+				}
+				balance[from.Address] -= uint64(len(g)) * MinFee
+				sink += uint64(len(g)) * MinFee
+				groups = append(groups, g)
+			}
+			stepBatch(t, c, groups)
+			for i, g := range groups {
+				if rcpt, _ := c.Receipt(g.Hash()); rcpt.Reverted != (len(g) == 2) {
+					t.Fatalf("shards=%d round %d group %d: reverted %v: %s", shards, round, i, rcpt.Reverted, rcpt.RevertMsg)
+				}
+			}
+		}
+		for addr, want := range balance {
+			if got := c.Balance(addr).Base.Uint64(); got != want {
+				t.Fatalf("shards=%d: %s holds %d, the model %d", shards, addr, got, want)
+			}
+		}
+		for a, id := range ids {
+			if v, _ := c.AppGlobal(id, "count"); v.Uint != count[a] {
+				t.Fatalf("shards=%d: app %d counted %d, the model %d", shards, id, v.Uint, count[a])
+			}
+		}
+		if got := c.Balance(c.feeSink).Base.Uint64(); got != sink {
+			t.Fatalf("shards=%d: fee sink holds %d, the model %d", shards, got, sink)
+		}
+		return c
+	}
+	serial, sharded := run(1), run(2)
+	if sharded.ShardStats().ParallelBatches != 3 {
+		t.Fatal("expected every round to fan out")
+	}
+	if serial.Digest() != sharded.Digest() {
+		t.Fatal("interleaved reverts diverge between the serial and the sharded path")
+	}
+}
+
+// TestInsufficientFeeRollsBackEarlierSenders: the fee loop debits sender by
+// sender, so when the second sender of a group cannot pay, the first one's
+// debit is already written — and must come back: nothing is charged.
+func TestInsufficientFeeRollsBackEarlierSenders(t *testing.T) {
+	run := func(shards int) *Chain {
+		c := NewChain(Testnet(), 13)
+		c.SetShards(shards)
+		alice, carol := c.NewAccount(10_000_000), c.NewAccount(10_000_000)
+		broke := c.NewAccount(MinFee - 1)
+		first := &Tx{Type: TxPay, Sender: alice.Address, Fee: MinFee, Receiver: broke.Address, Amount: 5_000}
+		first.Sign(alice)
+		second := &Tx{Type: TxPay, Sender: broke.Address, Fee: MinFee, Receiver: alice.Address, Amount: 1}
+		second.Sign(broke)
+		// carol's independent payment keeps the round multi-component.
+		other := &Tx{Type: TxPay, Sender: carol.Address, Fee: MinFee,
+			Receiver: chain.AddressFromBytes([]byte("elsewhere")), Amount: 5}
+		other.Sign(carol)
+		sink := c.Balance(c.feeSink).Base.Uint64()
+		stepBatch(t, c, []Group{{first, second}, {other}})
+		rcpt, _ := c.Receipt(Group{first, second}.Hash())
+		if !rcpt.Reverted || rcpt.RevertMsg != "insufficient balance for fee" || rcpt.Fee.Base.Sign() != 0 {
+			t.Fatalf("shards=%d: receipt %+v", shards, rcpt)
+		}
+		if a, b := c.Balance(alice.Address).Base.Uint64(), c.Balance(broke.Address).Base.Uint64(); a != 10_000_000 || b != MinFee-1 {
+			t.Fatalf("shards=%d: alice holds %d and the broke sender %d after a group nobody was charged for", shards, a, b)
+		}
+		if got := c.Balance(c.feeSink).Base.Uint64(); got != sink+MinFee {
+			t.Fatalf("shards=%d: fee sink took %d, want carol's fee alone", shards, got-sink)
+		}
+		return c
+	}
+	serial, sharded := run(1), run(2)
+	if sharded.ShardStats().ParallelBatches == 0 {
+		t.Fatal("expected the sharded path to engage")
+	}
+	if serial.Digest() != sharded.Digest() {
+		t.Fatal("the insufficient-fee exit diverges between the serial and the sharded path")
+	}
+}
+
+// TestPaymentPastMaxBalanceReverts: a payment that would carry the receiver
+// past 2⁶⁴−1 µALGO used to wrap the balance to almost nothing and be
+// accepted. It fails the group — only the fee is charged — while a
+// zero-amount and an exact-fit payment into a full account go through.
+func TestPaymentPastMaxBalanceReverts(t *testing.T) {
+	led := newLedger()
+	full, payer := chain.AddressFromBytes([]byte("full")), chain.AddressFromBytes([]byte("payer"))
+	led.setBalance(full, math.MaxUint64)
+	led.setBalance(payer, 10)
+	if err := led.Pay(payer, full, 1); !errors.Is(err, ErrBalanceOverflow) {
+		t.Fatalf("Pay past the maximum: %v", err)
+	}
+	if led.Balance(payer) != 10 || led.Balance(full) != math.MaxUint64 {
+		t.Fatal("a refused payment wrote a balance")
+	}
+	if err := led.Pay(full, full, math.MaxUint64); err != nil {
+		t.Fatalf("a payment to oneself cannot overflow: %v", err)
+	}
+	led.credit(full, 7)
+	if led.Balance(full) != math.MaxUint64 {
+		t.Fatal("a credit wrapped a full balance")
+	}
+
+	run := func(shards int) *Chain {
+		c := NewChain(Testnet(), 17)
+		c.SetShards(shards)
+		rich, full := c.NewAccount(math.MaxUint64), c.NewAccount(math.MaxUint64)
+		almost, payer := c.NewAccount(math.MaxUint64-5), c.NewAccount(10_000_000)
+		pay := func(from *Account, to chain.Address, amount uint64) Group {
+			tx := &Tx{Type: TxPay, Sender: from.Address, Fee: MinFee, Receiver: to, Amount: amount}
+			tx.Sign(from)
+			return Group{tx}
+		}
+		wrap := pay(rich, full.Address, 1)
+		zero := pay(payer, full.Address, 0)
+		fit := pay(payer, almost.Address, 5)
+		// A payment between two other accounts keeps the round multi-component.
+		other := pay(c.NewAccount(10_000_000), chain.AddressFromBytes([]byte("elsewhere")), 5)
+		stepBatch(t, c, []Group{wrap, zero, fit, other})
+		if rcpt, _ := c.Receipt(wrap.Hash()); !rcpt.Reverted || !strings.Contains(rcpt.RevertMsg, ErrBalanceOverflow.Error()) {
+			t.Fatalf("shards=%d: the wrapping payment's receipt: %+v", shards, rcpt)
+		}
+		for _, g := range []Group{zero, fit} {
+			if rcpt, _ := c.Receipt(g.Hash()); rcpt.Reverted {
+				t.Fatalf("shards=%d: a payment that fits reverted: %s", shards, rcpt.RevertMsg)
+			}
+		}
+		for _, w := range []struct {
+			who  *Account
+			want uint64
+		}{{rich, math.MaxUint64 - MinFee}, {full, math.MaxUint64}, {almost, math.MaxUint64}, {payer, 10_000_000 - 2*MinFee - 5}} {
+			if got := c.Balance(w.who.Address).Base.Uint64(); got != w.want {
+				t.Fatalf("shards=%d: %s holds %d, want %d", shards, w.who.Address, got, w.want)
+			}
+		}
+		return c
+	}
+	serial, sharded := run(1), run(2)
+	if sharded.ShardStats().ParallelBatches == 0 {
+		t.Fatal("expected the sharded path to engage")
+	}
+	if serial.Digest() != sharded.Digest() {
+		t.Fatal("the overflow revert diverges between the serial and the sharded path")
 	}
 }

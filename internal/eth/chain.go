@@ -32,33 +32,47 @@ type Tx struct {
 
 // Hash returns the transaction hash.
 func (tx *Tx) Hash() chain.Hash32 {
-	return chain.Hash32(polcrypto.Hash(tx.sigMessage(), tx.Sig))
+	msg := tx.sigMessage()
+	buf := append(make([]byte, 0, len(msg)+ed25519.SignatureSize), msg[:]...)
+	return chain.Hash32(polcrypto.Hash1(append(buf, tx.Sig...)))
 }
 
-func (tx *Tx) sigMessage() []byte {
-	value, maxFee, maxTip := tx.Value.Bytes(), tx.MaxFee.Bytes(), tx.MaxTip.Bytes()
-	buf := make([]byte, 0, 2*len(tx.From)+16+len(value)+len(tx.Data)+len(maxFee)+len(maxTip))
+// sigMessage is the digest the signature covers. The preimage buffer is
+// sized once: a call fits the stack buffer, anything longer (a deployment
+// carrying its code) gets one heap buffer of its exact size.
+func (tx *Tx) sigMessage() [32]byte {
+	need := 2*len(tx.From) + 16 + len(tx.Data)
+	for _, v := range [...]*big.Int{tx.Value, tx.MaxFee, tx.MaxTip} {
+		need += (v.BitLen() + 7) / 8
+	}
+	buf := make([]byte, 0, 512)
+	if need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
+	// appendBig appends what v.Bytes() holds without allocating it.
+	appendBig := func(v *big.Int) {
+		n := len(buf) + (v.BitLen()+7)/8
+		v.FillBytes(buf[len(buf):n])
+		buf = buf[:n]
+	}
 	buf = append(buf, tx.From[:]...)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], tx.Nonce)
-	buf = append(buf, n[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
 	if tx.To != nil {
 		buf = append(buf, tx.To[:]...)
 	}
-	buf = append(buf, value...)
+	appendBig(tx.Value)
 	buf = append(buf, tx.Data...)
-	binary.BigEndian.PutUint64(n[:], tx.GasLimit)
-	buf = append(buf, n[:]...)
-	buf = append(buf, maxFee...)
-	buf = append(buf, maxTip...)
-	h := polcrypto.Hash(buf)
-	return h[:]
+	buf = binary.BigEndian.AppendUint64(buf, tx.GasLimit)
+	appendBig(tx.MaxFee)
+	appendBig(tx.MaxTip)
+	return polcrypto.Hash1(buf)
 }
 
 // Sign attaches the account's signature and public key.
 func (tx *Tx) Sign(acct *Account) {
 	tx.PubKey = acct.Key.Public
-	tx.Sig = acct.Key.Sign(tx.sigMessage())
+	msg := tx.sigMessage()
+	tx.Sig = acct.Key.Sign(msg[:])
 }
 
 // Verify checks the signature and that the sender address matches the key.
@@ -66,7 +80,7 @@ func (tx *Tx) Verify() error {
 	if chain.AddressFromPublicKey(tx.PubKey) != tx.From {
 		return errors.New("eth: sender address does not match public key")
 	}
-	if !polcrypto.Verify(tx.PubKey, tx.sigMessage(), tx.Sig) {
+	if msg := tx.sigMessage(); !polcrypto.Verify(tx.PubKey, msg[:], tx.Sig) {
 		return polcrypto.ErrBadSignature
 	}
 	return nil

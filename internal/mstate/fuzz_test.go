@@ -61,12 +61,14 @@ func (m flatModel) clone() flatModel {
 }
 
 // fuzzHandle is one trie handle, the flat map it must equal, and the
-// overlays currently stacked on it (each with the map it must equal).
+// overlay currently open on it with the map that must equal and, under an
+// open mark, the map it comes back to on revert.
 type fuzzHandle struct {
 	trie   *Trie
 	model  flatModel
-	ovs    []*Overlay
-	ovMods []flatModel
+	ov     *Overlay
+	ovMod  flatModel
+	atMark flatModel
 }
 
 func mustEqualModel(t *testing.T, label string, tr *Trie, model flatModel) {
@@ -91,7 +93,7 @@ func mustEqualModel(t *testing.T, label string, tr *Trie, model flatModel) {
 }
 
 // FuzzTrieCommit drives fuzzer-chosen sequences of writes, snapshots,
-// overlay fork/adopt/commit/drop, commits to either of two stores (with
+// overlay open/mark/keep/revert/commit/drop, commits to either of two stores (with
 // injected PutBatch failures) and loads against a flat-map model. After
 // every successful Commit the committed root must load, from a reopened
 // view of that store alone, to exactly the model — which is what catches a
@@ -126,10 +128,21 @@ func FuzzTrieCommit(f *testing.F) {
 	f.Add([]byte{opPut, 1, 1, opPut, 0x41, 1, opCommit, 0, 0, opSnapshot, 0, 1, opSelect, 1, 0, opPut, 2, 2,
 		opCommit, 1, 1, opCommit, 1, 0, opSelect, 0, 0, opDelete, 1, 0, opCommit, 0, 1, opLoad, 0, 2,
 		opSelect, 2, 0, opPut, 9, 9, opCommit, 2, 0})
-	// Overlays: fork, write, adopt, commit to the base; fork and drop.
+	// Overlays: open, write, mark, write, keep; mark, write, revert; commit
+	// to the base.
 	f.Add([]byte{opPut, 1, 1, opCommit, 0, 0, opOverlayOpen, 0, 0, opPut, 2, 2, opOverlayOpen, 0, 0, opPut, 3, 3,
 		opDelete, 1, 0, opOverlayFold, 0, 0, opOverlayOpen, 0, 0, opPut, 4, 4, opOverlayDrop, 0, 0,
 		opOverlayFold, 0, 0, opCommit, 0, 0})
+	// A revert must restore the writes entries with the leaves, or the
+	// commit replays what was taken back: a fresh key, and an overwrite
+	// of a key an earlier kept group wrote.
+	f.Add([]byte{opPut, 1, 1, opOverlayOpen, 0, 0, opOverlayOpen, 0, 0, opPut, 1, 2, opOverlayFold, 0, 0,
+		opOverlayOpen, 0, 0, opPut, 2, 3, opPut, 1, 4, opDelete, 0x41, 0, opOverlayDrop, 0, 0,
+		opOverlayFold, 0, 0, opCommit, 0, 0})
+	// A keep must end its group's undo records, or the next revert takes
+	// the kept writes back as well.
+	f.Add([]byte{opOverlayOpen, 0, 0, opOverlayOpen, 0, 0, opPut, 1, 1, opDelete, 2, 0, opOverlayFold, 0, 0,
+		opOverlayOpen, 0, 0, opPut, 2, 2, opOverlayDrop, 0, 0, opOverlayFold, 0, 0, opCommit, 0, 0})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		stores := [2]*faultyStore{{MemStore: NewMemStore()}, {MemStore: NewMemStore()}}
@@ -152,15 +165,15 @@ func FuzzTrieCommit(f *testing.F) {
 				if c == nil {
 					continue
 				}
-				// Writes go to the innermost open overlay: the base of a
-				// live overlay must not be mutated.
+				// Writes go to the open overlay: the base of a live
+				// overlay must not be mutated.
 				var dst interface {
 					Put(Key, []byte)
 					Delete(Key)
 				} = c.trie
 				model := c.model
-				if n := len(c.ovs); n > 0 {
-					dst, model = c.ovs[n-1], c.ovMods[n-1]
+				if c.ov != nil {
+					dst, model = c.ov, c.ovMod
 				}
 				if k := fuzzKey(a); op == opPut {
 					dst.Put(k, []byte{b})
@@ -205,32 +218,37 @@ func FuzzTrieCommit(f *testing.F) {
 				}
 				handles[b%4] = &fuzzHandle{trie: loaded, model: c.model.clone()}
 			case opOverlayOpen:
-				if h == nil {
-					continue
+				// Opens the overlay, then a mark in it: the model
+				// snapshots at the mark.
+				switch {
+				case h == nil:
+				case h.ov == nil:
+					h.ov, h.ovMod = NewOverlay(h.trie), h.model.clone()
+				case h.atMark == nil:
+					h.ov.Mark()
+					h.atMark = h.ovMod.clone()
 				}
-				if n := len(h.ovs); n > 0 {
-					h.ovs = append(h.ovs, h.ovs[n-1].Fork())
-					h.ovMods = append(h.ovMods, h.ovMods[n-1].clone())
-				} else {
-					h.ovs = append(h.ovs, NewOverlay(h.trie))
-					h.ovMods = append(h.ovMods, h.model.clone())
+			case opOverlayFold:
+				// Keeps the open mark, else commits the overlay.
+				switch {
+				case h == nil || h.ov == nil:
+				case h.atMark != nil:
+					h.ov.Keep()
+					h.atMark = nil
+				default:
+					h.ov.CommitTo(h.trie)
+					h.model, h.ov, h.ovMod = h.ovMod, nil, nil
 				}
-			case opOverlayFold, opOverlayDrop:
-				if h == nil || len(h.ovs) == 0 {
-					continue
-				}
-				n := len(h.ovs) - 1
-				ov, model := h.ovs[n], h.ovMods[n]
-				h.ovs, h.ovMods = h.ovs[:n], h.ovMods[:n]
-				if op == opOverlayDrop {
-					continue
-				}
-				if n > 0 {
-					h.ovs[n-1].Adopt(ov)
-					h.ovMods[n-1] = model
-				} else {
-					ov.CommitTo(h.trie)
-					h.model = model
+			case opOverlayDrop:
+				// Reverts the open mark (the model restores), else drops
+				// the overlay.
+				switch {
+				case h == nil || h.ov == nil:
+				case h.atMark != nil:
+					h.ov.Revert()
+					h.ovMod, h.atMark = h.atMark, nil
+				default:
+					h.ov, h.ovMod = nil, nil
 				}
 			case opArmFault:
 				stores[b%2].failPuts = 1
@@ -243,16 +261,12 @@ func FuzzTrieCommit(f *testing.F) {
 				continue
 			}
 			mustEqualModel(t, fmt.Sprintf("handle %d at the end", i), h.trie, h.model)
-			for j, ov := range h.ovs {
-				for k, v := range h.ovMods[j] {
-					if got, ok := ov.Get(k); !ok || string(got) != v {
-						t.Fatalf("handle %d overlay %d: key %x = %q (present %v), model says %q", i, j, k[31], got, ok, v)
-					}
-				}
-				if ov.Len() != len(h.ovMods[j]) {
-					t.Fatalf("handle %d overlay %d: %d keys, model %d", i, j, ov.Len(), len(h.ovMods[j]))
-				}
+			if h.ov == nil {
+				continue
 			}
+			// The overlay's fork is a trie of its own: same contents and
+			// same root as a fresh build, whatever was kept or reverted.
+			mustEqualModel(t, fmt.Sprintf("handle %d overlay", i), h.ov.fork, h.ovMod)
 		}
 	})
 }

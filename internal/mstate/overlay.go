@@ -3,17 +3,32 @@ package mstate
 // Overlay is a speculative write set over a base trie: a private fork
 // that absorbs reads and writes, plus a journal of the final value of
 // every touched key so the whole overlay can be replayed onto the base
-// (or an ancestor overlay) in one pass at commit time. Discarding an
-// overlay is dropping the pointer — the base never saw it.
+// in one pass at commit time. Discarding an overlay is dropping the
+// pointer — the base never saw it.
 //
-// Overlays nest: Fork() opens a child whose writes fold into the parent
-// via Adopt(), which is how a per-group transaction rolls back inside a
-// per-shard overlay without disturbing the shard's other groups.
+// A part of an overlay's writes rolls back through a revert point: Mark
+// opens one, every write under it first records what it displaces, and
+// Revert puts that back — which is how a per-group transaction fails
+// inside a per-shard overlay without disturbing the shard's other groups.
 type Overlay struct {
 	fork *Trie
 	// writes journals the final state of every touched key: the leaf now
 	// in the fork, or nil for a delete.
 	writes map[Key]*leaf
+	// undo holds, oldest first, what each write since Mark displaced; it
+	// is empty whenever no mark is open, and reused from mark to mark.
+	undo   []displaced
+	marked bool
+}
+
+// displaced is what one write under a mark replaced: the leaf the fork
+// linked under the key (nil: none) and the key's writes entry (had: there
+// was one — a nil entry journals a delete).
+type displaced struct {
+	key   Key
+	leaf  *leaf
+	write *leaf
+	had   bool
 }
 
 // NewOverlay opens an overlay over base. The base must not be mutated
@@ -33,6 +48,7 @@ func (o *Overlay) Len() int { return o.fork.Len() }
 
 // Put writes k=v into the overlay only.
 func (o *Overlay) Put(k Key, v []byte) {
+	o.record(k)
 	lf := newLeaf(k, v)
 	o.fork.putLeaf(lf)
 	o.writes[k] = lf
@@ -40,22 +56,59 @@ func (o *Overlay) Put(k Key, v []byte) {
 
 // Delete removes k in the overlay only.
 func (o *Overlay) Delete(k Key) {
+	o.record(k)
 	o.fork.Delete(k)
 	o.writes[k] = nil
 }
 
-// Fork opens a child overlay whose writes are invisible to o until
-// Adopt.
-func (o *Overlay) Fork() *Overlay { return NewOverlay(o.fork) }
-
-// Adopt folds a committed child overlay's writes into o. The child must
-// have been created by o.Fork and must not be used afterwards: o takes
-// over its trie handle, and with it the branches the child wrote.
-func (o *Overlay) Adopt(child *Overlay) {
-	o.fork = child.fork
-	for k, lf := range child.writes {
-		o.writes[k] = lf
+// record notes, under an open mark, what a write to k is about to
+// displace. An overlay nobody marks pays this one branch per write.
+func (o *Overlay) record(k Key) {
+	if o.marked {
+		write, had := o.writes[k]
+		o.undo = append(o.undo, displaced{k, o.fork.leafOf(k), write, had})
 	}
+}
+
+// Mark opens a revert point: every write from here until Keep or Revert
+// can be taken back. Marks do not nest. The writes still go straight into
+// the overlay — a reader sees them before it is known whether they stay —
+// so an overlay with an open mark belongs to one goroutine, which is how a
+// shard executes its groups.
+func (o *Overlay) Mark() {
+	if o.marked {
+		panic("mstate: Mark under an open mark")
+	}
+	o.marked = true
+}
+
+// Keep closes the mark and lets the writes under it stand.
+func (o *Overlay) Keep() {
+	o.marked = false
+	o.undo = o.undo[:0]
+}
+
+// Revert closes the mark and takes back every write under it, newest
+// first: the displaced leaves are linked again — the same leaves, through
+// the fork's own token, so no branch another handle can see is written —
+// and the writes entries restored, so CommitTo replays none of it. The
+// trie's shape is a function of its key set alone: the root comes back
+// bit for bit.
+func (o *Overlay) Revert() {
+	for i := len(o.undo) - 1; i >= 0; i-- {
+		d := &o.undo[i]
+		if d.leaf != nil {
+			o.fork.putLeaf(d.leaf)
+		} else {
+			o.fork.Delete(d.key)
+		}
+		if d.had {
+			o.writes[d.key] = d.write
+		} else {
+			delete(o.writes, d.key)
+		}
+	}
+	o.Keep()
 }
 
 // CommitTo replays the journal onto dst, which is normally the base the

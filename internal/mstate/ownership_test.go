@@ -92,9 +92,9 @@ func checkRoot(t *testing.T, what string, tr *Trie, m map[Key][]byte) {
 	}
 }
 
-// TestOwnershipRandomized walks chains of Snapshot / NewOverlay / Fork /
-// Adopt / CommitTo / discard with writes on both sides of every snapshot,
-// and holds every live handle to its own model after every round.
+// TestOwnershipRandomized walks chains of Snapshot / NewOverlay / Mark /
+// Keep / Revert / CommitTo / discard with writes on both sides of every
+// snapshot, and holds every live handle to its own model after every round.
 func TestOwnershipRandomized(t *testing.T) {
 	keys := deepKeys()
 	for seed := int64(1); seed <= 20; seed++ {
@@ -129,24 +129,27 @@ func TestOwnershipRandomized(t *testing.T) {
 					snap.check(t, "discarded snapshot", keys)
 					tries[rng.Intn(len(tries))] = snap // discard an older handle
 				}
-			case 1, 2: // overlay over tr, optionally nested, committed or dropped
+			case 1, 2: // overlay over tr, with marked groups kept or reverted, committed or dropped
 				ovl := NewOverlay(tr)
 				ov := forkOf(h, ovl)
 				journal := map[Key]bool{}
 				burst(ov, journal)
 				burst(h, nil) // the base moves on under the live overlay
-				for nest := rng.Intn(3); nest > 0; nest-- {
-					childOvl := ovl.Fork()
-					child := forkOf(ov, childOvl)
-					childJournal := map[Key]bool{}
-					burst(child, childJournal)
-					ov.check(t, "overlay under a live child", keys)
+				for group := rng.Intn(3); group > 0; group-- {
+					// The model snapshots at the mark and restores on revert.
+					atMark, journalAtMark := forkOf(ov, nil).m, map[Key]bool{}
+					for k := range journal {
+						journalAtMark[k] = true
+					}
+					ovl.Mark()
+					burst(ov, journal)
+					ov.check(t, "overlay under an open mark", keys)
 					if rng.Intn(2) == 0 {
-						ovl.Adopt(childOvl)
-						ov.m = child.m
-						for k := range childJournal {
-							journal[k] = true
-						}
+						ovl.Keep()
+					} else {
+						ovl.Revert()
+						ov.m, journal = atMark, journalAtMark
+						ov.check(t, "overlay after a revert", keys)
 					}
 					burst(ov, journal)
 				}
@@ -213,6 +216,43 @@ func TestOwnedPutAllocatesNoBranch(t *testing.T) {
 	}
 	if got := tr.Root(); got != snapshotSink.Root() {
 		t.Fatal("handle and snapshot hold the same contents but hash differently")
+	}
+}
+
+// TestMarkedPutAllocatesNoBranch pins the journal's cost model: under a
+// mark a Put along a path the overlay owns still allocates the leaf and its
+// value and nothing else (the undo record goes into the reused slice), and
+// taking overwrites back links the displaced leaves into the owned branches
+// in place.
+func TestMarkedPutAllocatesNoBranch(t *testing.T) {
+	a, b := Key{0x12, 0x34, 0x50}, Key{0x12, 0x34, 0x5F}
+	base := New()
+	base.Put(a, []byte("aaaaaaaa"))
+	base.Put(b, []byte("bbbbbbbb"))
+	ov := NewOverlay(base)
+	val := []byte("cccccccc")
+	ov.Put(a, val) // the overlay owns the path from here on
+	ov.Put(b, val)
+	kept := testing.AllocsPerRun(200, func() {
+		ov.Mark()
+		ov.Put(a, val)
+		ov.Keep()
+	})
+	if kept != 2 {
+		t.Fatalf("marked Put on an owned path: %v allocations, want 2 (leaf and value)", kept)
+	}
+	root := ov.fork.Root()
+	reverted := testing.AllocsPerRun(200, func() {
+		ov.Mark()
+		ov.Put(a, val)
+		ov.Put(b, val)
+		ov.Revert()
+	})
+	if reverted != 4 {
+		t.Fatalf("two marked Puts and their revert: %v allocations, want 4 (two leaves, two values)", reverted)
+	}
+	if ov.fork.Root() != root {
+		t.Fatal("the root did not come back")
 	}
 }
 
@@ -312,6 +352,32 @@ func BenchmarkTriePutOwned(b *testing.B) {
 		for _, k := range keys {
 			tr.Put(k, val)
 		}
+	}
+}
+
+// The shape of a shard executing groups: the same 2000 writes in marked
+// groups of four, every tenth group reverted, the rest kept. Against
+// BenchmarkOverlayPutCommit the extra allocs/op are the undo slice (once)
+// and nothing per write.
+func BenchmarkOverlayMarkedPutRevert(b *testing.B) {
+	tr, keys := benchBase()
+	val := []byte("abcdefgh")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ov := NewOverlay(tr)
+		for g := 0; g < len(keys); g += 4 {
+			ov.Mark()
+			for _, k := range keys[g : g+4] {
+				ov.Put(k, val)
+			}
+			if g%40 == 0 {
+				ov.Revert()
+			} else {
+				ov.Keep()
+			}
+		}
+		ov.CommitTo(tr)
 	}
 }
 

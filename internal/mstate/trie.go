@@ -226,28 +226,31 @@ func (t *Trie) Root() Hash {
 // Get returns the stored value and whether the key is present. The
 // returned slice is owned by the trie: callers must not mutate it.
 func (t *Trie) Get(k Key) ([]byte, bool) {
-	n := t.root
-	depth := 0
-	for n != nil {
-		switch v := n.(type) {
-		case *leaf:
-			if v.key == k {
-				return v.val, true
-			}
-			return nil, false
-		case *branch:
-			n = v.children[nibble(k, depth)]
-			depth++
-		}
+	if lf := t.leafOf(k); lf != nil {
+		return lf.val, true
 	}
 	return nil, false
 }
 
-// Has reports whether k is present.
-func (t *Trie) Has(k Key) bool {
-	_, ok := t.Get(k)
-	return ok
+// leafOf returns the leaf linked under k, nil when the key is absent.
+func (t *Trie) leafOf(k Key) *leaf {
+	n := t.root
+	for depth := 0; n != nil; depth++ {
+		switch v := n.(type) {
+		case *leaf:
+			if v.key == k {
+				return v
+			}
+			return nil
+		case *branch:
+			n = v.children[nibble(k, depth)]
+		}
+	}
+	return nil
 }
+
+// Has reports whether k is present.
+func (t *Trie) Has(k Key) bool { return t.leafOf(k) != nil }
 
 // Put stores v under k, copying v so later caller-side mutation cannot
 // alias into the trie.

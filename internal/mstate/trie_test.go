@@ -149,26 +149,37 @@ func TestOverlay(t *testing.T) {
 	}
 }
 
-func TestOverlayForkAdoptAndDiscard(t *testing.T) {
+func TestOverlayMarkKeepAndRevert(t *testing.T) {
 	base := New()
 	base.Put(k("a"), []byte("1"))
 	ov := NewOverlay(base)
 	ov.Put(k("b"), []byte("2"))
 
-	// A discarded child leaves the parent untouched.
-	child := ov.Fork()
-	child.Put(k("a"), []byte("bad"))
-	child.Delete(k("b"))
+	// Reverted writes are seen while the mark is open and leave the
+	// overlay untouched afterwards.
+	ov.Mark()
+	ov.Put(k("a"), []byte("bad"))
+	ov.Delete(k("b"))
+	if got, _ := ov.Get(k("a")); !bytes.Equal(got, []byte("bad")) {
+		t.Fatalf("overlay a = %q under the open mark", got)
+	}
+	ov.Revert()
 	if got, _ := ov.Get(k("a")); !bytes.Equal(got, []byte("1")) {
-		t.Fatalf("parent overlay a = %q after child writes", got)
+		t.Fatalf("overlay a = %q after revert", got)
+	}
+	if got, _ := ov.Get(k("b")); !bytes.Equal(got, []byte("2")) {
+		t.Fatalf("overlay b = %q after revert", got)
 	}
 
-	// An adopted child's writes land in the parent and survive commit.
-	child2 := ov.Fork()
-	child2.Put(k("a"), []byte("good"))
-	ov.Adopt(child2)
+	// Kept writes stay in the overlay and survive commit.
+	ov.Mark()
+	ov.Put(k("a"), []byte("good"))
+	ov.Keep()
 	if got, _ := ov.Get(k("a")); !bytes.Equal(got, []byte("good")) {
-		t.Fatalf("parent overlay a = %q after adopt", got)
+		t.Fatalf("overlay a = %q after keep", got)
+	}
+	if got, _ := base.Get(k("a")); !bytes.Equal(got, []byte("1")) {
+		t.Fatalf("base a = %q before commit", got)
 	}
 	ov.CommitTo(base)
 	if got, _ := base.Get(k("a")); !bytes.Equal(got, []byte("good")) {
@@ -176,6 +187,114 @@ func TestOverlayForkAdoptAndDiscard(t *testing.T) {
 	}
 	if got, _ := base.Get(k("b")); !bytes.Equal(got, []byte("2")) {
 		t.Fatalf("base b = %q after commit", got)
+	}
+}
+
+// overlayState is everything a revert must bring back: the leaf linked
+// under every key of interest, the writes entries, the root and the count.
+type overlayState struct {
+	leaves map[Key]*leaf
+	writes map[Key]*leaf
+	root   Hash
+	n      int
+}
+
+func stateOf(o *Overlay, keys ...Key) overlayState {
+	st := overlayState{leaves: map[Key]*leaf{}, writes: map[Key]*leaf{}, root: o.fork.Root(), n: o.Len()}
+	for _, key := range keys {
+		st.leaves[key] = o.fork.leafOf(key)
+	}
+	for key, lf := range o.writes {
+		st.writes[key] = lf
+	}
+	return st
+}
+
+func (want overlayState) mustEqual(t *testing.T, what string, o *Overlay) {
+	t.Helper()
+	for key, lf := range want.leaves {
+		if got := o.fork.leafOf(key); got != lf {
+			t.Fatalf("%s: key %x is linked to leaf %p, was %p", what, key[:3], got, lf)
+		}
+	}
+	if len(o.writes) != len(want.writes) {
+		t.Fatalf("%s: %d writes entries, were %d", what, len(o.writes), len(want.writes))
+	}
+	for key, lf := range want.writes {
+		if got, ok := o.writes[key]; !ok || got != lf {
+			t.Fatalf("%s: writes entry of %x is %p (present %v), was %p", what, key[:3], got, ok, lf)
+		}
+	}
+	if o.fork.Root() != want.root || o.Len() != want.n {
+		t.Fatalf("%s: root or Len (%d, was %d) did not come back", what, o.Len(), want.n)
+	}
+	if len(o.undo) != 0 || o.marked {
+		t.Fatalf("%s: %d undo records left, marked %v", what, len(o.undo), o.marked)
+	}
+}
+
+// TestOverlayRevertRestoresEarlierGroups is the journal where it can go
+// wrong: the reverted group touches what an earlier, kept group wrote.
+func TestOverlayRevertRestoresEarlierGroups(t *testing.T) {
+	base := New()
+	for i := 0; i < 64; i++ {
+		base.Put(k(fmt.Sprintf("base-%d", i)), []byte{byte(i)})
+	}
+	ov := NewOverlay(base)
+	kept, created, fresh, untouched := k("base-3"), k("created"), k("fresh"), k("base-9")
+
+	ov.Mark() // the earlier group: overwrites a base key, creates one, deletes one
+	ov.Put(kept, []byte("kept"))
+	ov.Put(created, []byte("created"))
+	ov.Delete(k("base-5"))
+	ov.Keep()
+	all := []Key{kept, created, fresh, untouched, k("base-5")}
+	before := stateOf(ov, all...)
+
+	ov.Mark()
+	ov.Put(kept, []byte("overwritten"))
+	ov.Put(kept, []byte("overwritten twice"))
+	ov.Delete(created)
+	ov.Put(fresh, []byte("fresh"))
+	ov.Put(k("base-5"), []byte("back again"))
+	ov.Delete(untouched)
+	ov.Delete(k("never there"))
+	ov.Revert()
+	before.mustEqual(t, "revert over a kept group", ov)
+
+	// Two reverts in a row, the second with nothing written under it.
+	ov.Mark()
+	ov.Delete(kept)
+	ov.Put(created, []byte("again"))
+	ov.Revert()
+	before.mustEqual(t, "second revert", ov)
+	ov.Mark()
+	ov.Revert()
+	before.mustEqual(t, "revert with nothing written", ov)
+
+	// Revert of a Delete of a base key no group wrote: no writes entry stays.
+	ov.Mark()
+	ov.Delete(untouched)
+	if ov.Has(untouched) || ov.Len() != before.n-1 {
+		t.Fatal("delete under the mark is not visible")
+	}
+	ov.Revert()
+	before.mustEqual(t, "revert of a base-key delete", ov)
+
+	// CommitTo replays the kept group and nothing of the reverted ones.
+	want := New()
+	for i := 0; i < 64; i++ {
+		want.Put(k(fmt.Sprintf("base-%d", i)), []byte{byte(i)})
+	}
+	want.Put(kept, []byte("kept"))
+	want.Put(created, []byte("created"))
+	want.Delete(k("base-5"))
+	if ov.Touched() != 3 {
+		t.Fatalf("journal has %d keys, the kept group wrote 3", ov.Touched())
+	}
+	ov.CommitTo(base)
+	if base.Root() != want.Root() || base.Len() != want.Len() {
+		t.Fatal("base after commit is not the kept group over the base")
 	}
 }
 

@@ -35,9 +35,12 @@ bash scripts/loc.sh > LOC_report.txt
 tail -n 1 LOC_report.txt
 
 echo "== state layer microbenchmarks =="
-# 2000 writes over a 10k-key trie per op, straight and through an overlay
-# commit: allocs/op / 2000 is the allocations one state write costs (leaf
-# and value, plus one branch copy per distinct dirty branch and layer).
+# 2000 writes over a 10k-key trie per op, straight, through an overlay
+# commit, and through the same overlay in marked groups of four with every
+# tenth group reverted (OverlayMarkedPutRevert, the shape of an Algorand
+# shard): allocs/op / 2000 is the allocations one state write costs (leaf
+# and value, plus one branch copy per distinct dirty branch and layer) —
+# the marked line must stay at the unmarked one.
 # diskstore: BenchmarkOpen is recovery of a ~200k-record log,
 # BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie,
 # BenchmarkStoreResident the heap a running store keeps per record written
