@@ -119,7 +119,7 @@ func benchTable(b *testing.B, op string, users int) {
 
 // benchMatrix measures the experiment-matrix engine over the full Table
 // 5.1–5.4 grid. The sequential/parallel pair gives the wall-clock
-// speedup `polbench -matrix` records into BENCH_parallel.json.
+// speedup `polbench matrix` records into BENCH_parallel.json.
 func benchMatrix(b *testing.B, parallel int) {
 	b.Helper()
 	var res *sim.MatrixResult

@@ -1,28 +1,29 @@
-// Command polbench regenerates the evaluation chapter: Tables 5.1–5.4 and
-// Figures 5.1–5.5, rendered as text tables and ASCII bar charts.
+// Command polbench regenerates the evaluation chapter: Fig 5.1's
+// conservative analysis, Tables 5.1–5.4 and Figures 5.2–5.5, rendered as
+// text tables and ASCII bar charts — and runs the same grid on a worker
+// pool or under injected faults.
 //
-//	polbench -tables          # Tables 5.1–5.4
-//	polbench -figures         # Figures 5.2–5.5 (a–d)
-//	polbench -fig 5.3b        # one figure
-//	polbench -seed 7          # change the experiment seed
-//	polbench -fig 5.2 -metrics            # dump the metrics registry
-//	polbench -fig 5.2 -trace trace.json   # chrome://tracing span export
-//	polbench -tables -json                # machine-readable results
-//	polbench -matrix -parallel 4 -reps 5  # parallel cross-seed matrix run
-//	polbench -faults default -faultrate 0.2  # reliability sweep + recovery report
-//	polbench -vmbench                     # VM interpreter micro-benchmarks -> BENCH_vm.json
-//	polbench -soak -areas 8 -shards 4     # sharded soak/load harness -> BENCH_throughput.json
-//	polbench -soak -soakchain all         # cross-chain soak over every backend at once -> cross_chain section
-//	polbench -soak -statedir state/       # persisted soak: checkpoint every -checkpoint rounds -> SOAK_state.json
-//	polbench -soak -statedir state/ -resume  # continue a killed persisted soak from its manifest
-//	polbench -persist                     # kill-and-resume bit-identity benchmark -> BENCH_persist.json
-//	polbench -tables -cpuprofile cpu.out  # profile any run with pprof
+//	polbench                          # analysis + figures + tables (docs/*.txt at seed 7)
+//	polbench tables                   # Tables 5.1–5.4
+//	polbench figures                  # Figures 5.2–5.5 (a–d)
+//	polbench figures 5.3b             # one figure
+//	polbench analysis                 # Fig 5.1
+//	polbench matrix -parallel 4 -reps 5   # the grid on a worker pool -> BENCH_parallel.json
+//	polbench faults default -rate 0.2     # reliability sweep -> FAULTS_report.json
+//
+// Every subcommand takes -seed N, -json (machine-readable results),
+// -metrics (dump the registry), -trace FILE (chrome://tracing export),
+// -cpuprofile FILE and -memprofile FILE; -parallel and -reps belong to
+// matrix and faults, -benchout to matrix, -rate and -faultsout to faults.
+// The subcommand and its one argument come first. Anything else is a
+// usage error (exit 2).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -35,299 +36,253 @@ import (
 	"agnopol/internal/obs"
 	"agnopol/internal/sim"
 	"agnopol/internal/stats"
-	"agnopol/internal/vmbench"
 )
 
-func main() {
-	var (
-		tables    = flag.Bool("tables", false, "regenerate Tables 5.1–5.4")
-		figures   = flag.Bool("figures", false, "regenerate Figures 5.2–5.5")
-		analysis  = flag.Bool("analysis", false, "regenerate Fig 5.1 (conservative analysis)")
-		fig       = flag.String("fig", "", "regenerate one figure, e.g. 5.3b")
-		seed      = flag.Uint64("seed", 7, "experiment seed")
-		metrics   = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text format) after the runs")
-		tracePath = flag.String("trace", "", "write a chrome://tracing JSON export of the runs to this file")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON results instead of tables and charts")
-		matrix    = flag.Bool("matrix", false, "run the Table 5.1–5.4 grid through the parallel matrix engine")
-		parallel  = flag.Int("parallel", 0, "matrix worker count (0 = GOMAXPROCS)")
-		reps      = flag.Int("reps", 1, "seed-varied repetitions per matrix cell")
-		benchOut  = flag.String("benchout", "", "where -matrix (default BENCH_parallel.json) or -vmbench (default BENCH_vm.json) writes its record")
-		faultsPro = flag.String("faults", "", fmt.Sprintf("run a reliability sweep under a fault profile (%s)", strings.Join(faults.ProfileNames(), ", ")))
-		faultRate = flag.Float64("faultrate", 0.1, "per-draw fault probability for -faults, in [0,1]")
-		faultsOut = flag.String("faultsout", "FAULTS_report.json", "where -faults writes the recovery-rate report")
-		vmbenchF  = flag.Bool("vmbench", false, "run the VM interpreter micro-benchmarks (u256 fast path vs big.Int reference)")
-		vmbenchT  = flag.String("vmbenchtime", "1s", "testing -benchtime for -vmbench (e.g. 1s, 100x; 1x = CI smoke)")
-		vmFilter  = flag.String("vmfilter", "", "only run -vmbench workloads whose name contains this substring (e.g. proof_verify)")
-		soak      = flag.Bool("soak", false, "run the sharded soak/load harness -> BENCH_throughput.json")
-		soakChain = flag.String("soakchain", "goerli", "network preset for -soak (goerli, polygon, algorand), or all for one cross-chain soak over every backend")
-		areas     = flag.Int("areas", 8, "soak areas (M): one check-in contract each")
-		soakUsers = flag.Int("soakusers", 32, "soak users (K) issuing check-ins every round")
-		soakRound = flag.Int("soakrounds", 20, "soak rounds (T) of sustained load")
-		shards    = flag.Int("shards", 4, "execution shard count for the sharded soak run (vs the serial baseline)")
-		stateDir  = flag.String("statedir", "", "persist the -soak run's state to this directory (crash-safe checkpoints; single run, no serial baseline)")
-		checkEver = flag.Int("checkpoint", 5, "checkpoint every N rounds for -statedir and -persist runs")
-		resumeF   = flag.Bool("resume", false, "resume the -soak run from the committed checkpoint in -statedir")
-		persistF  = flag.Bool("persist", false, "run the kill-and-resume persistence benchmark on both chain families -> BENCH_persist.json")
-		serveAddr = flag.String("serve", "", "serve live telemetry (/metrics, /timeseries, /trace, /health, /debug/pprof) on this address during the run")
-		sampleInt = flag.Duration("sampleinterval", 250*time.Millisecond, "wall-clock background sampling interval for -serve")
-		serveHold = flag.Duration("servehold", 0, "keep the -serve endpoint up this long after the runs (POST /quitquitquit releases it early)")
-		healthOut = flag.String("healthout", "", "write the health monitor's flight-recorder report (JSON) to this file; requires -serve or -soak")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Flag hygiene: incoherent combinations are an error, not a silent
-	// no-op — a sweep that quietly ignored -reps would report misleading
-	// recovery statistics.
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if flag.NArg() > 0 {
-		usageErr(fmt.Sprintf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
+const synopsis = `usage: polbench [tables | figures [ID] | analysis | matrix | faults PROFILE] [flags]
+  with no subcommand: analysis, figures and tables
+`
+
+// options are the parsed flags: the shared ones every subcommand
+// registers, then the grid harnesses' (matrix, faults).
+type options struct {
+	seed                          uint64
+	json, metrics                 bool
+	trace, cpuProfile, memProfile string
+
+	parallel, reps int
+	rate           float64
+	out            string // -benchout (matrix) or -faultsout (faults)
+}
+
+// registerGrid registers the flags of the two harnesses over the grid.
+func (o *options) registerGrid(fs *flag.FlagSet) {
+	fs.IntVar(&o.parallel, "parallel", 0, "worker count (0 = GOMAXPROCS)")
+	fs.IntVar(&o.reps, "reps", 1, "seed-varied repetitions per grid cell")
+}
+
+// registerShared registers the flags every subcommand takes.
+func (o *options) registerShared(fs *flag.FlagSet) {
+	fs.Uint64Var(&o.seed, "seed", 7, "experiment seed")
+	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON results instead of tables and charts")
+	fs.BoolVar(&o.metrics, "metrics", false, "dump the metrics registry (Prometheus text format) after the runs")
+	fs.StringVar(&o.trace, "trace", "", "write a chrome://tracing JSON export of the runs to this file")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile at exit to this file")
+}
+
+// run is the whole command: it returns the exit status — 0, 1 for a
+// failed run, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var sub, arg string
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		sub, args = args[0], args[1:]
 	}
-	if msg := hygieneProblem(setFlags, hygieneFlags{
-		Tables: *tables, Figures: *figures, Analysis: *analysis, Fig: *fig,
-		Matrix: *matrix, FaultsProfile: *faultsPro, VMBench: *vmbenchF, VMFilter: *vmFilter, Soak: *soak,
-		SoakChain: *soakChain,
-		FaultRate: *faultRate, SampleInterval: *sampleInt,
-		Serve: *serveAddr, HealthOut: *healthOut,
-		StateDir: *stateDir, Checkpoint: *checkEver, Resume: *resumeF, Persist: *persistF,
-	}); msg != "" {
-		usageErr(msg)
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		arg, args = args[0], args[1:]
 	}
-	var faultPlan *faults.Plan
-	if *faultsPro != "" {
-		var err error
-		if faultPlan, err = faults.Profile(*faultsPro, *faultRate); err != nil {
-			usageErr(err.Error())
+	fs := flag.NewFlagSet("polbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprint(stderr, synopsis)
+		fs.PrintDefaults()
+	}
+	var o options
+	o.registerShared(fs)
+	switch sub {
+	case "", "tables", "figures", "analysis":
+	case "matrix":
+		o.registerGrid(fs)
+		fs.StringVar(&o.out, "benchout", "BENCH_parallel.json", "where the speedup record is written")
+	case "faults":
+		o.registerGrid(fs)
+		fs.Float64Var(&o.rate, "rate", 0.1, "per-draw fault probability, in [0,1]")
+		fs.StringVar(&o.out, "faultsout", "FAULTS_report.json", "where the recovery-rate report is written")
+	default:
+		return usageErr(fs, fmt.Sprintf("unknown subcommand %q", sub))
+	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
+		return 2 // the flag package already printed the error and usage
+	}
+	if fs.NArg() > 0 {
+		return usageErr(fs, fmt.Sprintf("unexpected arguments: %s", strings.Join(fs.Args(), " ")))
 	}
 
-	if !*tables && !*figures && !*analysis && *fig == "" && !*matrix && *faultsPro == "" && !*vmbenchF && !*soak && !*persistF {
-		*tables, *figures, *analysis = true, true, true
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "polbench: CPU profile written to %s\n", *cpuProf)
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "polbench: heap profile written to %s\n", *memProf)
-		}()
-	}
-
-	var o *obs.Obs
-	if *metrics || *tracePath != "" || *serveAddr != "" || *healthOut != "" {
-		o = obs.New()
-	}
-	var tel *obs.Telemetry
-	if *serveAddr != "" || *healthOut != "" {
-		tel = obs.NewTelemetry(o, 0, sim.DefaultSLORules())
-	}
-	var server *obs.Server
-	if *serveAddr != "" {
-		var err error
-		if server, err = obs.Serve(*serveAddr, tel); err != nil {
-			fatal(err)
-		}
-		tel.Sampler.Start(*sampleInt)
-		fmt.Fprintf(os.Stderr, "polbench: telemetry on http://%s (/metrics /timeseries /trace /health /debug/pprof)\n", server.Addr())
-	}
-	var experiments []experimentJSON
-
-	if *analysis && !*jsonOut {
-		compiled, err := core.CompilePoL()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("== Fig 5.1 — conservative analysis of the smart contract ==")
-		fmt.Print(compiled.Report)
-		fmt.Println()
-		fmt.Print(compiled.Analysis)
-		fmt.Println()
-	}
-
-	if *fig != "" {
-		found := false
+	var figs []sim.FigureSpec
+	var plan *faults.Plan
+	switch {
+	case sub == "figures" && arg != "":
 		for _, spec := range sim.FigureSpecs {
-			if strings.Contains(spec.ID, "Fig "+*fig+" ") {
-				experiments = append(experiments, runFigure(spec, *seed, o, *jsonOut))
-				found = true
+			if strings.Contains(spec.ID, "Fig "+arg+" ") {
+				figs = append(figs, spec)
 				break
 			}
 		}
-		if !found {
-			usageErr(fmt.Sprintf("unknown figure %q", *fig))
+		if figs == nil {
+			return usageErr(fs, fmt.Sprintf("unknown figure %q", arg))
 		}
+	case sub == "faults":
+		var err error
+		if plan, err = faults.Profile(arg, o.rate); err != nil {
+			return usageErr(fs, err.Error())
+		}
+	case arg != "":
+		return usageErr(fs, fmt.Sprintf("unexpected arguments: %s", arg))
+	case sub == "" || sub == "figures":
+		figs = sim.FigureSpecs
 	}
 
-	if *fig == "" && *figures {
-		for _, spec := range sim.FigureSpecs {
-			experiments = append(experiments, runFigure(spec, *seed, o, *jsonOut))
-		}
+	if err := execute(sub, o, figs, arg, plan, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "polbench: %v\n", err)
+		return 1
 	}
+	return 0
+}
 
-	if *matrix {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_parallel.json"
-		}
-		if err := runMatrixMode(*seed, *reps, *parallel, out, o, tel, *jsonOut); err != nil {
-			fatal(err)
-		}
-	}
+// usageErr rejects an invocation: message, usage, exit status 2.
+func usageErr(fs *flag.FlagSet, msg string) int {
+	fmt.Fprintf(fs.Output(), "polbench: %s\n", msg)
+	fs.Usage()
+	return 2
+}
 
-	if *vmbenchF {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_vm.json"
+// execute runs one validated invocation. The paper subcommands print in
+// the order EXPERIMENTS.md shows: Fig 5.1, the figures, then the tables.
+func execute(sub string, o options, figs []sim.FigureSpec, profile string, plan *faults.Plan, stdout, stderr io.Writer) (err error) {
+	if o.cpuProfile != "" {
+		f, cerr := os.Create(o.cpuProfile)
+		if cerr != nil {
+			return cerr
 		}
-		if err := runVMBench(*vmbenchT, *vmFilter, out, *jsonOut); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *soak {
-		out := *benchOut
-		if *soakChain == "all" {
-			if out == "" {
-				out = "BENCH_throughput.json"
-			}
-			if err := runCrossChainMode(*areas, *soakUsers, *soakRound, *shards, *seed, out, o, tel, *jsonOut); err != nil {
-				fatal(err)
-			}
-		} else if *stateDir != "" {
-			if out == "" {
-				out = "SOAK_state.json"
-			}
-			spec := persistedSoakFlags{
-				Chain: *soakChain, Areas: *areas, Users: *soakUsers, Rounds: *soakRound,
-				Shards: *shards, ShardsSet: setFlags["shards"], Seed: *seed,
-				StateDir: *stateDir, CheckpointEvery: *checkEver, Resume: *resumeF,
-			}
-			if err := runSoakPersisted(spec, out, o, tel, *jsonOut); err != nil {
-				fatal(err)
-			}
-		} else {
-			if out == "" {
-				out = "BENCH_throughput.json"
-			}
-			if err := runSoakMode(*soakChain, *areas, *soakUsers, *soakRound, *shards, *seed, out, o, tel, *jsonOut); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	if *persistF {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_persist.json"
-		}
-		if err := runPersistMode(*areas, *soakUsers, *soakRound, *shards, *seed, *checkEver, out, o, tel, *jsonOut); err != nil {
-			fatal(err)
-		}
-	}
-
-	if faultPlan != nil {
-		if err := runFaultSweep(*faultsPro, *faultRate, faultPlan, *seed, *reps, *parallel, *faultsOut, *jsonOut); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *fig == "" && *tables {
-		ts, byUsers, err := sim.RunTablesObserved(*seed, o)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			for _, users := range []int{16, 32} {
-				for _, c := range sim.AllChains {
-					if r, ok := byUsers[users][c]; ok {
-						experiments = append(experiments, resultJSON("", r))
-					}
-				}
-			}
-		} else {
-			for _, t := range ts {
-				fmt.Println(t)
-			}
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(experiments); err != nil {
-			fatal(err)
-		}
-	}
-	if o != nil {
-		o.ExportProfiles()
-	}
-	if tel != nil {
-		// Stop the wall-clock ticker, then take one final deterministic
-		// sample + rule evaluation so even sub-interval runs record state.
-		tel.Sampler.Stop()
-		tel.Tick()
-	}
-	if *healthOut != "" {
-		if err := tel.Health.WriteReportFile(*healthOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "polbench: health report written to %s\n", *healthOut)
-	}
-	if *metrics {
-		fmt.Print(o.Registry.Text())
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := o.Tracer.WriteChromeTrace(f); err != nil {
+		if cerr := pprof.StartCPUProfile(f); cerr != nil {
 			f.Close()
-			fatal(err)
+			return cerr
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "polbench: trace written to %s\n", *tracePath)
+		defer func() { // err is execute's result: a failed close surfaces
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			fmt.Fprintf(stderr, "polbench: CPU profile written to %s\n", o.cpuProfile)
+		}()
 	}
-	if server != nil {
-		if *serveHold > 0 {
-			// Scripted smokes scrape the endpoints after the (possibly
-			// sub-second) runs finish, then release the hold explicitly.
-			fmt.Fprintf(os.Stderr, "polbench: holding telemetry endpoint for %v (POST /quitquitquit to release)\n", *serveHold)
-			select {
-			case <-server.QuitRequested():
-			case <-time.After(*serveHold):
+
+	var ob *obs.Obs
+	if o.metrics || o.trace != "" {
+		ob = obs.New()
+	}
+	experiments := []experimentJSON{}
+
+	if (sub == "" || sub == "analysis") && !o.json {
+		compiled, err := core.CompilePoL()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "== Fig 5.1 — conservative analysis of the smart contract ==")
+		fmt.Fprint(stdout, compiled.Report)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, compiled.Analysis)
+		fmt.Fprintln(stdout)
+	}
+	for _, spec := range figs {
+		f, r, err := sim.RunFigureObserved(spec, o.seed, ob)
+		if err != nil {
+			return err
+		}
+		if !o.json {
+			fmt.Fprintln(stdout, f)
+		}
+		experiments = append(experiments, resultJSON(spec.ID, r))
+	}
+	switch sub {
+	case "matrix":
+		err = runMatrix(o, ob, stdout, stderr)
+	case "faults":
+		err = runFaultSweep(profile, plan, o, stdout, stderr)
+	case "", "tables":
+		err = runTables(o, ob, &experiments, stdout)
+	}
+	if err != nil {
+		return err
+	}
+	if o.json && sub != "matrix" && sub != "faults" {
+		if err := encodeJSON(stdout, experiments); err != nil {
+			return err
+		}
+	}
+
+	if ob != nil {
+		ob.ExportProfiles()
+	}
+	if o.metrics {
+		fmt.Fprint(stdout, ob.Registry.Text())
+	}
+	if o.trace != "" {
+		if err := create(o.trace, ob.Tracer.WriteChromeTrace); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "polbench: trace written to %s\n", o.trace)
+	}
+	if o.memProfile != "" {
+		runtime.GC() // settle live heap before the snapshot
+		if err := create(o.memProfile, pprof.WriteHeapProfile); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "polbench: heap profile written to %s\n", o.memProfile)
+	}
+	return nil
+}
+
+// runTables runs Tables 5.1–5.4 and prints them, or appends one JSON
+// experiment per (users, chain) cell.
+func runTables(o options, ob *obs.Obs, experiments *[]experimentJSON, stdout io.Writer) error {
+	ts, byUsers, err := sim.RunTablesObserved(o.seed, ob)
+	if err != nil {
+		return err
+	}
+	if !o.json {
+		for _, t := range ts {
+			fmt.Fprintln(stdout, t)
+		}
+		return nil
+	}
+	for _, users := range []int{16, 32} {
+		for _, c := range sim.AllChains {
+			if r, ok := byUsers[users][c]; ok {
+				*experiments = append(*experiments, resultJSON("", r))
 			}
 		}
-		server.Close()
 	}
+	return nil
+}
+
+// create writes path through write and closes it, reporting the first
+// error.
+func create(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeRecord writes v as an indented JSON record to path.
+func writeRecord(path string, v any) error {
+	return create(path, func(w io.Writer) error { return encodeJSON(w, v) })
 }
 
 // opJSON is the machine-readable aggregate of one operation series.
@@ -368,15 +323,14 @@ func resultJSON(id string, r *sim.Result) experimentJSON {
 	}
 }
 
-func runFigure(spec sim.FigureSpec, seed uint64, o *obs.Obs, jsonOut bool) experimentJSON {
-	f, r, err := sim.RunFigureObserved(spec, seed, o)
-	if err != nil {
-		fatal(err)
+// diverged is the determinism verdict both harnesses share: the run with
+// the requested worker count must reproduce the sequential baseline's
+// cross-seed summaries exactly.
+func diverged(what string, seq, par *sim.MatrixResult) error {
+	if reflect.DeepEqual(seq.Summaries, par.Summaries) {
+		return nil
 	}
-	if !jsonOut {
-		fmt.Println(f)
-	}
-	return resultJSON(spec.ID, r)
+	return fmt.Errorf("%s is not deterministic: parallel=%d summaries diverge from the sequential baseline", what, par.Parallel)
 }
 
 // cellSummaryJSON is one cross-seed aggregate of the speedup record.
@@ -396,10 +350,10 @@ type cellSummaryJSON struct {
 	AttachFeesEuro float64 `json:"attach_fees_euro"`
 }
 
-// benchParallelJSON is the machine-readable BENCH_parallel.json record:
-// sequential vs parallel wall time over the identical grid, plus the
-// cross-seed summaries (taken from the parallel run — the determinism
-// check asserts the sequential ones are equal).
+// benchParallelJSON is the BENCH_parallel.json record: sequential vs
+// parallel wall time over the identical grid, plus the cross-seed
+// summaries (taken from the parallel run — diverged asserts the sequential
+// ones are equal). It is a CI artifact, never committed.
 type benchParallelJSON struct {
 	Grid              string  `json:"grid"`
 	Cells             int     `json:"cells"`
@@ -420,33 +374,32 @@ type benchParallelJSON struct {
 	Summaries     []cellSummaryJSON `json:"summaries"`
 }
 
-// runMatrixMode fans the Table 5.1–5.4 grid out over the matrix engine:
-// first sequentially (the baseline), then with the requested worker
-// count, checks the two produce identical cross-seed summaries, prints
-// the aggregate table and writes the speedup record.
-func runMatrixMode(seed uint64, reps, parallel int, benchOut string, o *obs.Obs, tel *obs.Telemetry, jsonOut bool) error {
-	spec := sim.MatrixSpec{Reps: reps, Seed: seed, Parallel: 1, Telemetry: tel}
-	seq, err := sim.RunMatrix(spec, o)
+// runMatrix fans the Table 5.1–5.4 grid out over the matrix engine: first
+// sequentially (the baseline), then with the requested worker count,
+// checks the two produce identical cross-seed summaries, prints the
+// aggregate table and writes the speedup record.
+func runMatrix(o options, ob *obs.Obs, stdout, stderr io.Writer) error {
+	spec := sim.MatrixSpec{Reps: o.reps, Seed: o.seed, Parallel: 1}
+	seq, err := sim.RunMatrix(spec, ob)
 	if err != nil {
 		return err
 	}
-	spec.Parallel = parallel
-	par, err := sim.RunMatrix(spec, o)
+	spec.Parallel = o.parallel
+	par, err := sim.RunMatrix(spec, ob)
 	if err != nil {
 		return err
 	}
-	deterministic := reflect.DeepEqual(seq.Summaries, par.Summaries)
-	if !deterministic {
-		return fmt.Errorf("matrix is not deterministic: parallel=%d summaries diverge from the sequential baseline", par.Parallel)
+	if err := diverged("matrix", seq, par); err != nil {
+		return err
 	}
 	speedupValid := runtime.GOMAXPROCS(0) >= 2
 	if !speedupValid {
-		fmt.Fprintf(os.Stderr, "polbench: warning: GOMAXPROCS=%d — the sequential-vs-parallel speedup is not a parallelism measurement; recording speedup_valid=false\n",
+		fmt.Fprintf(stderr, "polbench: warning: GOMAXPROCS=%d — the sequential-vs-parallel speedup is not a parallelism measurement; recording speedup_valid=false\n",
 			runtime.GOMAXPROCS(0))
 	}
-	if !jsonOut {
-		fmt.Println(par)
-		fmt.Printf("speedup: sequential %v, parallel(%d) %v — %.2fx\n\n",
+	if !o.json {
+		fmt.Fprintln(stdout, par)
+		fmt.Fprintf(stdout, "speedup: sequential %v, parallel(%d) %v — %.2fx\n\n",
 			seq.Elapsed, par.Parallel, par.Elapsed,
 			seq.Elapsed.Seconds()/par.Elapsed.Seconds())
 	}
@@ -456,7 +409,7 @@ func runMatrixMode(seed uint64, reps, parallel int, benchOut string, o *obs.Obs,
 		Cells:             len(par.Cells),
 		Reps:              par.Reps,
 		RunsTotal:         len(par.Runs),
-		Seed:              seed,
+		Seed:              o.seed,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		NumCPU:            runtime.NumCPU(),
 		Parallel:          par.Parallel,
@@ -464,7 +417,7 @@ func runMatrixMode(seed uint64, reps, parallel int, benchOut string, o *obs.Obs,
 		ParallelSeconds:   par.Elapsed.Seconds(),
 		Speedup:           seq.Elapsed.Seconds() / par.Elapsed.Seconds(),
 		SpeedupValid:      speedupValid,
-		Deterministic:     deterministic,
+		Deterministic:     true,
 	}
 	for _, s := range par.Summaries {
 		rec.Summaries = append(rec.Summaries, cellSummaryJSON{
@@ -476,189 +429,10 @@ func runMatrixMode(seed uint64, reps, parallel int, benchOut string, o *obs.Obs,
 			DeployFeesEuro: s.DeployFeesEuro, AttachFeesEuro: s.AttachFeesEuro,
 		})
 	}
-	f, err := os.Create(benchOut)
-	if err != nil {
+	if err := writeRecord(o.out, rec); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "polbench: speedup record written to %s\n", benchOut)
-	return nil
-}
-
-// runVMBench runs the interpreter micro-benchmarks and writes the
-// BENCH_vm.json before/after record (u256 fast path vs big.Int reference).
-func runVMBench(benchtime, filter, out string, jsonOut bool) error {
-	rep, err := vmbench.Run(benchtime, filter)
-	if err != nil {
-		return err
-	}
-	if len(rep.Workloads) == 0 {
-		// A filter that matches nothing would write a record every gate
-		// rejects; fail loudly at the source instead.
-		return fmt.Errorf("-vmfilter %q matched no vmbench workloads", filter)
-	}
-	if !jsonOut {
-		fmt.Print(rep)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "polbench: VM benchmark record written to %s\n", out)
-	return nil
-}
-
-// soakRunJSON is one shard configuration's measurements in the throughput
-// record.
-type soakRunJSON struct {
-	Shards          int       `json:"shards"`
-	TxsSubmitted    uint64    `json:"txs_submitted"`
-	TxsIncluded     uint64    `json:"txs_included"`
-	Blocks          uint64    `json:"blocks"`
-	WallSeconds     float64   `json:"wall_seconds"`
-	SimSeconds      float64   `json:"simulated_seconds"`
-	TxsPerSecWall   float64   `json:"txs_per_sec_wall"`
-	TxsPerSecSim    float64   `json:"txs_per_sec_simulated"`
-	Utilization     []float64 `json:"per_shard_utilization"`
-	ShardTxs        []uint64  `json:"per_shard_txs"`
-	ParallelBatches uint64    `json:"parallel_batches"`
-	Digest          string    `json:"digest"`
-	StateRoot       string    `json:"state_root"`
-	HeapBytes       uint64    `json:"heap_bytes"`
-	BytesPerUser    float64   `json:"bytes_per_user"`
-}
-
-// benchThroughputJSON is the machine-readable BENCH_throughput.json record:
-// the soak grid, the serial baseline and the sharded run, and the speedup
-// between them.
-type benchThroughputJSON struct {
-	Chain      string `json:"chain"`
-	Areas      int    `json:"areas"`
-	Users      int    `json:"users"`
-	Rounds     int    `json:"rounds"`
-	Seed       uint64 `json:"seed"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// Speedup is sharded wall txs/sec over the serial baseline's.
-	Speedup float64 `json:"speedup"`
-	// SpeedupValid is false when GOMAXPROCS < 2: with one scheduler thread
-	// the shard workers cannot overlap, so the ratio measures goroutine
-	// overhead, not parallelism.
-	SpeedupValid bool `json:"speedup_valid"`
-	// Deterministic records that every run landed on the same chain digest.
-	Deterministic bool `json:"deterministic"`
-	// RootsMatch records that every run landed on the same world-state
-	// Merkle root (implied by Deterministic; recorded separately so the
-	// state gate does not depend on digest internals).
-	RootsMatch bool          `json:"roots_match"`
-	Runs       []soakRunJSON `json:"runs"`
-	// CrossChain is the -soakchain all section: one soak spread over every
-	// backend at once, with per-backend digests from both the concurrent
-	// and the sequential pass. It merges into an existing single-chain
-	// record so one file carries both the sharding and the cross-chain
-	// evidence.
-	CrossChain *crossChainJSON `json:"cross_chain,omitempty"`
-}
-
-func soakRunJSONOf(r *sim.SoakResult) soakRunJSON {
-	return soakRunJSON{
-		Shards:       r.Shards,
-		TxsSubmitted: r.Submitted, TxsIncluded: r.Included, Blocks: r.Blocks,
-		WallSeconds: r.Wall.Seconds(), SimSeconds: r.Simulated.Seconds(),
-		TxsPerSecWall: r.TxsPerSecWall(), TxsPerSecSim: r.TxsPerSecSimulated(),
-		Utilization: r.Utilization, ShardTxs: r.ShardTxs,
-		ParallelBatches: r.ParallelBatches,
-		Digest:          fmt.Sprintf("%x", r.Digest[:]),
-		StateRoot:       fmt.Sprintf("%x", r.StateRoot[:]),
-		HeapBytes:       r.HeapBytes,
-		BytesPerUser:    r.BytesPerUser,
-	}
-}
-
-// runSoakMode runs the soak harness twice — the serial baseline, then the
-// requested shard count — checks the two chains are bit-identical, prints
-// the throughput comparison and writes the BENCH_throughput.json record.
-func runSoakMode(chainName string, areas, users, rounds, shards int, seed uint64, out string, o *obs.Obs, tel *obs.Telemetry, jsonOut bool) error {
-	spec := sim.SoakSpec{
-		Chain: sim.ChainName(chainName), Areas: areas, Users: users,
-		Rounds: rounds, Shards: 1, Seed: seed, Obs: o, Telemetry: tel,
-	}
-	base, err := sim.RunSoak(spec)
-	if err != nil {
-		return fmt.Errorf("soak (serial baseline): %w", err)
-	}
-	spec.Shards = shards
-	sharded, err := sim.RunSoak(spec)
-	if err != nil {
-		return fmt.Errorf("soak: %w", err)
-	}
-	deterministic := base.Digest == sharded.Digest
-	if !deterministic {
-		return fmt.Errorf("soak is not deterministic: shards=%d digest diverges from the serial baseline", shards)
-	}
-	rootsMatch := base.StateRoot == sharded.StateRoot
-	if !rootsMatch {
-		return fmt.Errorf("soak is not deterministic: shards=%d state root diverges from the serial baseline", shards)
-	}
-	speedupValid := runtime.GOMAXPROCS(0) >= 2 && shards >= 2
-	if !speedupValid {
-		fmt.Fprintf(os.Stderr, "polbench: warning: GOMAXPROCS=%d, shards=%d — the serial-vs-sharded speedup is not a parallelism measurement; recording speedup_valid=false\n",
-			runtime.GOMAXPROCS(0), shards)
-	}
-	speedup := 0.0
-	if base.TxsPerSecWall() > 0 {
-		speedup = sharded.TxsPerSecWall() / base.TxsPerSecWall()
-	}
-	if !jsonOut {
-		fmt.Printf("Soak — %s, %d areas × %d users × %d rounds\n", chainName, areas, users, rounds)
-		fmt.Printf("  serial:    %7.0f txs/sec wall (%d txs in %v)\n",
-			base.TxsPerSecWall(), base.Included, base.Wall.Round(time.Millisecond))
-		fmt.Printf("  %d shards:  %7.0f txs/sec wall (%d txs in %v) — %.2fx, utilization %v\n",
-			shards, sharded.TxsPerSecWall(), sharded.Included,
-			sharded.Wall.Round(time.Millisecond), speedup, sharded.Utilization)
-		fmt.Printf("  deterministic: %v (digest %x, state root %x)\n", deterministic, sharded.Digest[:8], sharded.StateRoot[:8])
-		fmt.Printf("  memory: %.1f MiB heap, %.0f bytes/user\n\n",
-			float64(sharded.HeapBytes)/(1<<20), sharded.BytesPerUser)
-	}
-
-	rec := benchThroughputJSON{
-		Chain: chainName, Areas: areas, Users: users, Rounds: rounds, Seed: seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Speedup: speedup, SpeedupValid: speedupValid, Deterministic: deterministic,
-		RootsMatch: rootsMatch,
-		Runs:       []soakRunJSON{soakRunJSONOf(base), soakRunJSONOf(sharded)},
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "polbench: throughput record written to %s\n", out)
+	fmt.Fprintf(stderr, "polbench: speedup record written to %s\n", o.out)
 	return nil
 }
 
@@ -670,9 +444,9 @@ type faultClassJSON struct {
 	RecoveryRate float64 `json:"recovery_rate"`
 }
 
-// faultsReportJSON is the machine-readable FAULTS_report.json record: the
-// sweep's grid parameters plus the per-class injected/recovered tallies
-// read back from the obs registry.
+// faultsReportJSON is the FAULTS_report.json record: the sweep's grid
+// parameters plus the per-class injected/recovered tallies read back from
+// the obs registry.
 type faultsReportJSON struct {
 	Profile        string           `json:"profile"`
 	Rate           float64          `json:"rate"`
@@ -687,19 +461,19 @@ type faultsReportJSON struct {
 }
 
 // runFaultSweep drives the reliability sweep: every evaluation chain at 8
-// users under the requested fault plan, first sequentially (the baseline),
-// then with the requested worker count. The two must agree bit-for-bit —
-// fault streams are pure functions of (seed, site, sequence), so worker
+// users under the fault plan, first sequentially (the baseline), then with
+// the requested worker count. The two must agree bit-for-bit — fault
+// streams are pure functions of (seed, site, sequence), so worker
 // scheduling cannot shift a draw — and the recovery-rate report is read
 // back from the parallel run's obs registry.
-func runFaultSweep(profile string, rate float64, plan *faults.Plan, seed uint64, reps, parallel int, out string, jsonOut bool) error {
+func runFaultSweep(profile string, plan *faults.Plan, o options, stdout, stderr io.Writer) error {
 	cells := make([]sim.Cell, 0, len(sim.AllChains))
 	for _, c := range sim.AllChains {
 		cells = append(cells, sim.Cell{Chain: c, Users: 8})
 	}
 	// Verify on: the full pipeline — deploy, attach, fund, verify — so
 	// every fault class (the report fetch included) gets exercised.
-	spec := sim.MatrixSpec{Cells: cells, Reps: reps, Seed: seed, Parallel: 1, Faults: plan, Verify: true}
+	spec := sim.MatrixSpec{Cells: cells, Reps: o.reps, Seed: o.seed, Parallel: 1, Faults: plan, Verify: true}
 	seq, err := sim.RunMatrix(spec, obs.New())
 	if err != nil {
 		return fmt.Errorf("fault sweep (sequential baseline): %w", err)
@@ -707,20 +481,19 @@ func runFaultSweep(profile string, rate float64, plan *faults.Plan, seed uint64,
 	// A fresh bundle for the counted run, so the report tallies exactly
 	// one traversal of the grid.
 	fo := obs.New()
-	spec.Parallel = parallel
+	spec.Parallel = o.parallel
 	par, err := sim.RunMatrix(spec, fo)
 	if err != nil {
 		return fmt.Errorf("fault sweep: %w", err)
 	}
-	deterministic := reflect.DeepEqual(seq.Summaries, par.Summaries)
-	if !deterministic {
-		return fmt.Errorf("fault sweep is not deterministic: parallel=%d summaries diverge from the sequential baseline", par.Parallel)
+	if err := diverged("fault sweep", seq, par); err != nil {
+		return err
 	}
 
 	rec := faultsReportJSON{
-		Profile: profile, Rate: rate, Seed: seed,
+		Profile: profile, Rate: o.rate, Seed: o.seed,
 		Cells: len(par.Cells), Reps: par.Reps, RunsTotal: len(par.Runs),
-		Parallel: par.Parallel, Deterministic: deterministic,
+		Parallel: par.Parallel, Deterministic: true,
 		ElapsedSeconds: par.Elapsed.Seconds(),
 	}
 	rows := make([][]string, 0, len(faults.Classes()))
@@ -741,48 +514,14 @@ func runFaultSweep(profile string, rate float64, plan *faults.Plan, seed uint64,
 			cls, fmt.Sprint(inj), fmt.Sprint(rec2), fmt.Sprintf("%.1f%%", rr*100),
 		})
 	}
-	if !jsonOut {
-		fmt.Printf("Reliability sweep — profile %q, rate %.2f, %d runs, %d workers, %v wall\n%s\n",
-			profile, rate, len(par.Runs), par.Parallel, par.Elapsed.Round(time.Millisecond),
+	if !o.json {
+		fmt.Fprintf(stdout, "Reliability sweep — profile %q, rate %.2f, %d runs, %d workers, %v wall\n%s\n",
+			profile, o.rate, len(par.Runs), par.Parallel, par.Elapsed.Round(time.Millisecond),
 			stats.Table([]string{"Fault Class", "Injected", "Recovered", "Recovery"}, rows))
 	}
-
-	f, err := os.Create(out)
-	if err != nil {
+	if err := writeRecord(o.out, rec); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "polbench: recovery-rate report written to %s\n", out)
+	fmt.Fprintf(stderr, "polbench: recovery-rate report written to %s\n", o.out)
 	return nil
-}
-
-// boolCount counts the set flags among mutually exclusive modes.
-func boolCount(bs ...bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// usageErr rejects an incoherent flag combination: message, usage, exit 2.
-func usageErr(msg string) {
-	fmt.Fprintf(os.Stderr, "polbench: %s\n", msg)
-	flag.Usage()
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "polbench: %v\n", err)
-	os.Exit(1)
 }

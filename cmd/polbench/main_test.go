@@ -1,115 +1,148 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"agnopol/internal/sim"
 )
 
+// TestHygieneProblem: an incoherent command line exits 2 with the usage
+// text, before anything runs. The per-subcommand flag sets and the
+// positional checks refuse it; the rows named after the old single flag
+// set's combinations keep their command lines, whose modes no longer
+// exist, so the parser refuses the first flag of a deleted mode.
 func TestHygieneProblem(t *testing.T) {
-	set := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
 	cases := []struct {
 		name string
-		set  map[string]bool
-		f    hygieneFlags
-		want string // substring of the problem message, "" = coherent
+		args []string
+		want string // substring of stderr besides the usage text, "" = coherent
 	}{
-		{"bare run is coherent", set(), hygieneFlags{FaultRate: 0.1}, ""},
-		{"soak with soak flags", set("soak", "areas", "shards"), hygieneFlags{Soak: true, FaultRate: 0.1}, ""},
-		{"reps without matrix or faults", set("reps"), hygieneFlags{FaultRate: 0.1}, "-reps and -parallel"},
-		{"faultrate without faults", set("faultrate"), hygieneFlags{FaultRate: 0.5}, "require -faults"},
-		{"vmbenchtime without vmbench", set("vmbenchtime"), hygieneFlags{FaultRate: 0.1}, "requires -vmbench"},
-		{"vmfilter without vmbench", set("vmfilter"), hygieneFlags{VMFilter: "proof_verify", FaultRate: 0.1}, "-vmfilter requires -vmbench"},
-		{"vmfilter with vmbench", set("vmbench", "vmfilter"), hygieneFlags{VMBench: true, VMFilter: "proof_verify", FaultRate: 0.1}, ""},
-		{"empty vmfilter", set("vmbench", "vmfilter"), hygieneFlags{VMBench: true, VMFilter: "", FaultRate: 0.1}, "must not be empty"},
-		{"areas without soak", set("areas"), hygieneFlags{FaultRate: 0.1}, "-areas requires -soak"},
-		{"benchout without a bench mode", set("benchout"), hygieneFlags{FaultRate: 0.1}, "-benchout only applies"},
-		{"benchout ambiguous", set("benchout"), hygieneFlags{Matrix: true, Soak: true, FaultRate: 0.1}, "ambiguous"},
-		{"faultrate out of range", set("faults", "faultrate"), hygieneFlags{FaultsProfile: "default", FaultRate: 1.5}, "outside [0,1]"},
+		{"bare run is coherent", nil, ""},
+		{"unknown subcommand", []string{"soak"}, `unknown subcommand "soak"`},
+		{"another subcommand's flag", []string{"tables", "-reps", "2"}, "-reps"},
+		{"grid flag without a grid", []string{"-parallel", "4"}, "-parallel"},
+		{"matrix flag on faults", []string{"matrix", "-rate", "0.2"}, "-rate"},
+		{"faults without a profile", []string{"faults"}, `unknown profile ""`},
+		{"faults with an unknown profile", []string{"faults", "nope"}, `unknown profile "nope"`},
+		{"unknown figure", []string{"figures", "9.9"}, `unknown figure "9.9"`},
+		{"two figures", []string{"figures", "5.2", "5.3b"}, "unexpected arguments: 5.3b"},
+		{"stray argument", []string{"tables", "5.2"}, "unexpected arguments: 5.2"},
 
-		{"serve without a run mode", set("serve"), hygieneFlags{Serve: ":0", FaultRate: 0.1}, "-serve requires a run mode"},
-		{"serve with soak", set("serve", "soak"), hygieneFlags{Serve: ":0", Soak: true, FaultRate: 0.1}, ""},
-		{"serve with tables", set("serve", "tables"), hygieneFlags{Serve: ":0", Tables: true, FaultRate: 0.1}, ""},
-		{"serve with fig", set("serve", "fig"), hygieneFlags{Serve: ":0", Fig: "5.2", FaultRate: 0.1}, ""},
-		{"sampleinterval without serve", set("sampleinterval", "soak"),
-			hygieneFlags{Soak: true, SampleInterval: time.Second, FaultRate: 0.1}, "-sampleinterval requires -serve"},
-		{"sampleinterval zero", set("serve", "soak", "sampleinterval"),
-			hygieneFlags{Serve: ":0", Soak: true, SampleInterval: 0, FaultRate: 0.1}, "must be positive"},
-		{"sampleinterval negative", set("serve", "soak", "sampleinterval"),
-			hygieneFlags{Serve: ":0", Soak: true, SampleInterval: -time.Second, FaultRate: 0.1}, "must be positive"},
-		{"sampleinterval valid", set("serve", "soak", "sampleinterval"),
-			hygieneFlags{Serve: ":0", Soak: true, SampleInterval: time.Second, FaultRate: 0.1}, ""},
-		{"servehold without serve", set("servehold", "soak"), hygieneFlags{Soak: true, FaultRate: 0.1}, "-servehold requires -serve"},
-		{"servehold with serve", set("servehold", "serve", "soak"),
-			hygieneFlags{Serve: ":0", Soak: true, FaultRate: 0.1}, ""},
-		{"healthout alone", set("healthout"), hygieneFlags{HealthOut: "h.json", FaultRate: 0.1}, "-healthout requires -serve or -soak"},
-		{"healthout with tables only", set("healthout", "tables"),
-			hygieneFlags{HealthOut: "h.json", Tables: true, FaultRate: 0.1}, "-healthout requires -serve or -soak"},
-		{"healthout with soak", set("healthout", "soak"), hygieneFlags{HealthOut: "h.json", Soak: true, FaultRate: 0.1}, ""},
-		{"healthout with serve+matrix", set("healthout", "serve", "matrix"),
-			hygieneFlags{HealthOut: "h.json", Serve: ":0", Matrix: true, FaultRate: 0.1}, ""},
-
-		{"statedir without soak", set("statedir"),
-			hygieneFlags{StateDir: "s", FaultRate: 0.1}, "-statedir requires -soak"},
-		{"statedir with persist only", set("persist", "statedir"),
-			hygieneFlags{Persist: true, StateDir: "s", FaultRate: 0.1}, "-statedir requires -soak"},
-		{"statedir with soak", set("soak", "statedir"),
-			hygieneFlags{Soak: true, StateDir: "s", FaultRate: 0.1}, ""},
-		{"checkpoint without statedir or persist", set("soak", "checkpoint"),
-			hygieneFlags{Soak: true, Checkpoint: 5, FaultRate: 0.1}, "-checkpoint requires -statedir or -persist"},
-		{"checkpoint with statedir", set("soak", "statedir", "checkpoint"),
-			hygieneFlags{Soak: true, StateDir: "s", Checkpoint: 5, FaultRate: 0.1}, ""},
-		{"checkpoint with persist", set("persist", "checkpoint"),
-			hygieneFlags{Persist: true, Checkpoint: 5, FaultRate: 0.1}, ""},
-		{"checkpoint below one", set("soak", "statedir", "checkpoint"),
-			hygieneFlags{Soak: true, StateDir: "s", Checkpoint: 0, FaultRate: 0.1}, "must be >= 1"},
-		{"resume without statedir", set("soak", "resume"),
-			hygieneFlags{Soak: true, Resume: true, FaultRate: 0.1}, "-resume requires -statedir"},
-		{"resume with statedir", set("soak", "statedir", "resume"),
-			hygieneFlags{Soak: true, StateDir: "s", Resume: true, FaultRate: 0.1}, ""},
-		{"resume with explicit areas", set("soak", "statedir", "resume", "areas"),
-			hygieneFlags{Soak: true, StateDir: "s", Resume: true, FaultRate: 0.1}, "-areas conflicts with -resume"},
-		{"resume with explicit seed", set("soak", "statedir", "resume", "seed"),
-			hygieneFlags{Soak: true, StateDir: "s", Resume: true, FaultRate: 0.1}, "-seed conflicts with -resume"},
-		{"resume with explicit shards is allowed", set("soak", "statedir", "resume", "shards"),
-			hygieneFlags{Soak: true, StateDir: "s", Resume: true, FaultRate: 0.1}, ""},
-		{"persist is a run mode for serve", set("serve", "persist"),
-			hygieneFlags{Serve: ":0", Persist: true, FaultRate: 0.1}, ""},
-		{"persist with grid flags", set("persist", "areas", "soakrounds"),
-			hygieneFlags{Persist: true, FaultRate: 0.1}, ""},
-		{"soakchain with persist only", set("persist", "soakchain"),
-			hygieneFlags{Persist: true, FaultRate: 0.1}, "-soakchain requires -soak"},
-		{"benchout with persist", set("persist", "benchout"),
-			hygieneFlags{Persist: true, FaultRate: 0.1}, ""},
-		{"benchout ambiguous with soak+persist", set("soak", "persist", "benchout"),
-			hygieneFlags{Soak: true, Persist: true, FaultRate: 0.1}, "ambiguous"},
-
-		{"cross-chain soak is coherent", set("soak", "soakchain"),
-			hygieneFlags{Soak: true, SoakChain: "all", FaultRate: 0.1}, ""},
-		{"cross-chain soak with benchout", set("soak", "soakchain", "benchout"),
-			hygieneFlags{Soak: true, SoakChain: "all", FaultRate: 0.1}, ""},
-		{"cross-chain soak rejects statedir", set("soak", "soakchain", "statedir"),
-			hygieneFlags{Soak: true, SoakChain: "all", StateDir: "s", FaultRate: 0.1}, "-soakchain all does not support -statedir"},
-		{"cross-chain soak rejects resume", set("soak", "soakchain", "statedir", "resume"),
-			hygieneFlags{Soak: true, SoakChain: "all", StateDir: "s", Resume: true, FaultRate: 0.1}, "does not support -statedir/-resume"},
-		{"single-chain soak keeps statedir", set("soak", "soakchain", "statedir"),
-			hygieneFlags{Soak: true, SoakChain: "algorand", StateDir: "s", FaultRate: 0.1}, ""},
+		{"reps without matrix or faults", []string{"-reps", "2"}, "-reps"},
+		{"faultrate without faults", []string{"tables", "-rate", "0.5"}, "-rate"},
+		{"faultrate out of range", []string{"faults", "default", "-rate", "1.5"}, "outside [0,1]"},
+		{"benchout without a bench mode", []string{"tables", "-benchout", "b.json"}, "-benchout"},
+		{"benchout ambiguous", []string{"matrix", "-soak", "-benchout", "b.json"}, "-soak"},
+		{"benchout ambiguous with soak+persist", []string{"matrix", "-benchout", "b.json", "-soak", "-persist"}, "-soak"},
+		{"areas without soak", []string{"-areas", "8"}, "-areas"},
+		{"vmfilter without vmbench", []string{"-vmfilter", "proof_verify"}, "-vmfilter"},
+		{"empty vmfilter", []string{"-vmfilter="}, "-vmfilter"},
+		{"serve without a run mode", []string{"-serve", ":0"}, "-serve"},
+		{"sampleinterval without serve", []string{"-sampleinterval", "1s", "-soak"}, "-sampleinterval"},
+		{"sampleinterval zero", []string{"-sampleinterval", "0", "-serve", ":0", "-soak"}, "-sampleinterval"},
+		{"sampleinterval negative", []string{"-sampleinterval", "-1s", "-serve", ":0", "-soak"}, "-sampleinterval"},
+		{"servehold without serve", []string{"-servehold", "1s", "-soak"}, "-servehold"},
+		{"statedir without soak", []string{"-statedir", "s"}, "-statedir"},
+		{"statedir with persist only", []string{"-statedir", "s", "-persist"}, "-statedir"},
+		{"checkpoint without statedir or persist", []string{"-checkpoint", "5", "-soak"}, "-checkpoint"},
+		{"checkpoint below one", []string{"-checkpoint", "0", "-soak", "-statedir", "s"}, "-checkpoint"},
+		{"resume without statedir", []string{"-resume", "-soak"}, "-resume"},
+		{"resume with explicit areas", []string{"-resume", "-areas", "8", "-soak", "-statedir", "s"}, "-resume"},
+		{"resume with explicit seed", []string{"-seed", "9", "-resume", "-soak", "-statedir", "s"}, "-resume"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := hygieneProblem(c.set, c.f)
-			if c.want == "" && got != "" {
-				t.Fatalf("hygieneProblem = %q, want coherent", got)
+			var stdout, stderr bytes.Buffer
+			code := run(c.args, &stdout, &stderr)
+			if c.want == "" {
+				if code != 0 || stdout.Len() == 0 {
+					t.Fatalf("exit %d with %d bytes of results, want a coherent run (stderr %q)", code, stdout.Len(), stderr.String())
+				}
+				return
 			}
-			if c.want != "" && !strings.Contains(got, c.want) {
-				t.Fatalf("hygieneProblem = %q, want a message containing %q", got, c.want)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "usage: polbench") || !strings.Contains(stderr.String(), c.want) {
+				t.Fatalf("stderr %q lacks the usage text or %q", stderr.String(), c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("a usage error printed %d bytes of results", stdout.Len())
 			}
 		})
+	}
+}
+
+// TestPaperOutputsMatchDocs pins the committed renderings: what the
+// paper subcommands print at the default seed is docs/*.txt byte for byte,
+// so the files cannot go stale behind a change to the simulation.
+func TestPaperOutputsMatchDocs(t *testing.T) {
+	for sub, file := range map[string]string{
+		"tables":   "tables.txt",
+		"figures":  "figures.txt",
+		"analysis": "fig5_1_analysis.txt",
+	} {
+		t.Run(sub, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", "docs", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{sub}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("polbench %s differs from docs/%s; regenerate it with `go run ./cmd/polbench %s > docs/%s`",
+					sub, file, sub, file)
+			}
+		})
+	}
+}
+
+// TestHarnessesWriteRecords runs both grid harnesses on two workers and
+// reads their records back: each must hold its determinism verdict.
+func TestHarnessesWriteRecords(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"matrix", "-parallel", "2", "-benchout", filepath.Join(dir, "matrix.json")},
+		{"faults", "default", "-rate", "0.2", "-parallel", "2", "-faultsout", filepath.Join(dir, "faults.json")},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		data, err := os.ReadFile(args[len(args)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec struct {
+			Deterministic bool `json:"deterministic"`
+			RunsTotal     int  `json:"runs_total"`
+		}
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatalf("%s: %v", args[0], err)
+		}
+		if !rec.Deterministic || rec.RunsTotal == 0 {
+			t.Fatalf("%s record: deterministic=%v runs=%d", args[0], rec.Deterministic, rec.RunsTotal)
+		}
+	}
+}
+
+// TestDivergedSummariesFail: a parallel run whose summaries differ from
+// the sequential baseline in one field is an error, not a record.
+func TestDivergedSummariesFail(t *testing.T) {
+	seq := &sim.MatrixResult{Summaries: []sim.CellSummary{{Reps: 1, DeployFeesEuro: 1}}}
+	same := &sim.MatrixResult{Parallel: 2, Summaries: []sim.CellSummary{{Reps: 1, DeployFeesEuro: 1}}}
+	if err := diverged("matrix", seq, same); err != nil {
+		t.Fatalf("equal summaries: %v", err)
+	}
+	other := &sim.MatrixResult{Parallel: 2, Summaries: []sim.CellSummary{{Reps: 1, DeployFeesEuro: 2}}}
+	if err := diverged("matrix", seq, other); err == nil || !strings.Contains(err.Error(), "not deterministic") {
+		t.Fatalf("diverging summaries: err = %v", err)
 	}
 }

@@ -15,9 +15,9 @@ import (
 //   - it is the semantic oracle for the differential property tests that
 //     pin the u256 fast path (diff_test.go) — every opcode of the fast
 //     interpreter must agree bit-for-bit with this one;
-//   - it is the "before" engine for the vmbench record (BENCH_vm.json),
-//     so the ns/op and allocs/op deltas are measured against real code,
-//     not a remembered number.
+//   - it is the "before" engine of internal/vmbench's report, so the
+//     ns/op and allocs/op deltas are measured against real code, not a
+//     remembered number.
 //
 // It allocates a *big.Int per opcode by design; do not optimize it.
 

@@ -84,7 +84,7 @@ func Uniform(rate float64) *Plan {
 	return p
 }
 
-// Profiles are the named class subsets polbench exposes.
+// Profiles are the named class subsets `polbench faults` sweeps.
 var profiles = map[string][]string{
 	"default": Classes(),
 	"chain":   {ClassTxDrop, ClassTxDelay, ClassCongestion},

@@ -92,8 +92,8 @@ type Anomaly struct {
 	Goroutines string `json:"goroutines,omitempty"`
 }
 
-// HealthReport is the flight recorder's serialized state — written to
-// HEALTH_report.json by polbench and gated by benchgate -kind health.
+// HealthReport is the flight recorder's serialized state, as
+// HealthMonitor.WriteReportFile writes it.
 type HealthReport struct {
 	Healthy       bool         `json:"healthy"`
 	Samples       uint64       `json:"samples"`

@@ -17,7 +17,7 @@ import (
 //	GET /trace        chrome://tracing span export of the ring buffer
 //	GET /health       SLO verdict — 200 while healthy, 503 once breached
 //	GET /debug/pprof  the usual runtime profiles
-//	POST /quitquitquit release a -servehold early (scripted smoke tests)
+//	POST /quitquitquit close QuitRequested (release a held server)
 //
 // Every handler reads live state, so scraping mid-run shows the soak as
 // it evolves rather than after the fact.
@@ -58,7 +58,7 @@ func (s *Server) Addr() string {
 }
 
 // QuitRequested is closed when a POST /quitquitquit arrives — the hook
-// -servehold waits on.
+// a caller holding the server open after its run waits on.
 func (s *Server) QuitRequested() <-chan struct{} {
 	if s == nil {
 		return nil

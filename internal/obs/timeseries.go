@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultSampleCapacity is the per-series ring-buffer size a Sampler
-// keeps: at the polbench default 250 ms interval this is ~4 minutes of
+// keeps: at a 250 ms sampling interval this is ~4 minutes of
 // history per series, in bounded memory however long the soak runs.
 const DefaultSampleCapacity = 1024
 

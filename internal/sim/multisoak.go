@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/core"
@@ -22,7 +21,8 @@ import (
 // from shared mutable state — the per-backend digests are bit-identical
 // whether the backends run concurrently or one after another, at any
 // GOMAXPROCS. That interleaving-independence is the determinism contract
-// polbench re-checks and benchgate gates.
+// TestMultiSoakInterleavingInvariance checks and TestMultiSoakGoldenDigest
+// pins across commits.
 
 // MultiSoakSpec describes one soak spread across several chain backends.
 type MultiSoakSpec struct {
@@ -48,8 +48,7 @@ type MultiSoakSpec struct {
 	Obs       *obs.Obs
 	Telemetry *obs.Telemetry
 	// Sequential runs the backends one after another instead of
-	// concurrently. Results must be bit-identical either way — polbench
-	// runs both and errors on divergence.
+	// concurrently. Results must be bit-identical either way.
 	Sequential bool
 	// DiscoveryShards is the shard count of the DHT discovery phase; zero
 	// defaults to Shards. Discovery routes every area's contract lookup
@@ -79,7 +78,7 @@ type DiscoveryReport struct {
 	R      int
 	// Lookups counts sharded-mode resolutions (one per user);
 	// PerShardLookups splits them by AreaRegistry.ShardOf. The sum of the
-	// split equals Lookups — the gate checks it.
+	// split equals Lookups — TestMultiSoakDiscoveryReport checks it.
 	Lookups         uint64
 	PerShardLookups []uint64
 	// MaxHops is the longest route any lookup took, over both modes; the
@@ -103,19 +102,8 @@ type MultiSoakResult struct {
 	Backends  []BackendResult
 	Discovery DiscoveryReport
 
-	// Wall is the host wall-clock time of the backend pass — the span from
-	// starting the first backend to the last one finishing. Sequential
-	// runs accumulate; concurrent runs overlap.
-	Wall time.Duration
 	// TotalIncluded sums included user transactions over all backends.
 	TotalIncluded uint64
-	// AggregateTps is TotalIncluded per Wall second — the cross-chain
-	// headline. SlowestTps is the slowest backend's own wall throughput;
-	// SpeedupVsSlowest is their ratio, the gain from running the backends
-	// side by side instead of being bound by the slowest one.
-	AggregateTps     float64
-	SlowestTps       float64
-	SpeedupVsSlowest float64
 }
 
 // multiSoakAreaCode synthesizes the i-th global area's full Open Location
@@ -298,7 +286,6 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 		Discovery: discovery,
 	}
 	errs := make([]error, len(spec.Chains))
-	start := time.Now()
 	var wg sync.WaitGroup
 	for b, name := range spec.Chains {
 		res.Backends[b] = BackendResult{
@@ -323,26 +310,11 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 		}
 	}
 	wg.Wait()
-	res.Wall = time.Since(start)
 	for b, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("sim: backend %s: %w", spec.Chains[b], err)
 		}
-	}
-
-	for b := range res.Backends {
-		soak := res.Backends[b].Soak
-		res.TotalIncluded += soak.Included
-		tps := soak.TxsPerSecWall()
-		if b == 0 || tps < res.SlowestTps {
-			res.SlowestTps = tps
-		}
-	}
-	if res.Wall > 0 {
-		res.AggregateTps = float64(res.TotalIncluded) / res.Wall.Seconds()
-	}
-	if res.SlowestTps > 0 {
-		res.SpeedupVsSlowest = res.AggregateTps / res.SlowestTps
+		res.TotalIncluded += res.Backends[b].Soak.Included
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestMultiSoakInterleavingInvariance(t *testing.T) {
 }
 
 // TestMultiSoakPartitionAndAggregates pins the deterministic area→backend
-// assignment and the derived aggregate numbers.
+// assignment and the included total.
 func TestMultiSoakPartitionAndAggregates(t *testing.T) {
 	res, err := RunMultiSoak(multiSmokeSpec())
 	if err != nil {
@@ -93,8 +94,48 @@ func TestMultiSoakPartitionAndAggregates(t *testing.T) {
 	if res.TotalIncluded != included {
 		t.Fatalf("TotalIncluded %d != backend sum %d", res.TotalIncluded, included)
 	}
-	if res.AggregateTps <= 0 || res.SlowestTps <= 0 {
-		t.Fatalf("aggregate tps %v / slowest %v not positive", res.AggregateTps, res.SlowestTps)
+}
+
+// TestMultiSoakGoldenDigest pins the cross-chain soak across commits at
+// the shape of the committed cross-chain record PR 25 deleted (12 areas ×
+// 120 users × 10 rounds, 2 shards, seed 7): every backend's digest and
+// state root, from the concurrent and from the sequential pass. The
+// constants are that record's, re-derived on PR 24's tree before the file
+// went. If this fails, a change reached chain state.
+func TestMultiSoakGoldenDigest(t *testing.T) {
+	golden := map[ChainName]struct{ digest, root string }{
+		ChainGoerli: {
+			"33006fe050d05518dc2f9d309533fb0d1e175e444f34d6088ee969b0cee2bdfa",
+			"5c621f3704bd5a616528d3ffdb95bb3339bfecaebd6c9a0918286eb95d14d35d",
+		},
+		ChainPolygon: {
+			"c1e65504be99325449550f7ac515efc7d88a55d265c4a20629e1af80698f14f1",
+			"f4deabbdd2db4ca500169315daaeaa79b8ce69b9c5a7f8c98e0722eae579158a",
+		},
+		ChainAlgorand: {
+			"0f739fb0bb219d876154eb937005e31c60589816340f3df3c4b3ad5b1cdb62a6",
+			"45e56cb2ec835cc44323778da4938292cb09b873d63123dcbd6f2cc667e590ee",
+		},
+	}
+	spec := MultiSoakSpec{Chains: AllChains, Areas: 12, Users: 120, Rounds: 10, Shards: 2, Seed: 7}
+	for _, sequential := range []bool{false, true} {
+		spec.Sequential = sequential
+		res, err := RunMultiSoak(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Backends) != len(golden) {
+			t.Fatalf("sequential=%v: %d backends, want %d", sequential, len(res.Backends), len(golden))
+		}
+		for _, b := range res.Backends {
+			want := golden[b.Chain]
+			if got := fmt.Sprintf("%x", b.Soak.Digest[:]); got != want.digest {
+				t.Errorf("sequential=%v %s: digest = %s, want %s", sequential, b.Chain, got, want.digest)
+			}
+			if got := fmt.Sprintf("%x", b.Soak.StateRoot[:]); got != want.root {
+				t.Errorf("sequential=%v %s: state root = %s, want %s", sequential, b.Chain, got, want.root)
+			}
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ func InstrumentConnector(conn core.Connector, o *obs.Obs) {
 	}
 }
 
-// DefaultSLORules are the stock health-monitor rules polbench attaches
-// to -serve runs: a throughput floor, tail-latency ceilings, a rejection
+// DefaultSLORules are the stock health-monitor rules for a live
+// telemetry session (obs.NewTelemetry): a throughput floor, tail-latency ceilings, a rejection
 // ceiling and a fault-recovery floor. Rules for families the run never
 // touches simply never evaluate — the same set works for EVM presets,
 // Algorand and fault sweeps.

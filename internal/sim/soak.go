@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/big"
-	"runtime"
 	"time"
 
 	"agnopol/internal/chain"
@@ -78,15 +77,12 @@ type SoakResult struct {
 	// Blocks is how many blocks the run produced, drain included.
 	Blocks uint64
 
-	// Wall is the host wall-clock time of the load phase; Simulated is the
-	// chain-clock time it covered.
-	Wall      time.Duration
+	// Simulated is the chain-clock time the load phase covered.
 	Simulated time.Duration
 
 	// Utilization is each shard's share of executed transactions;
 	// ParallelBatches counts blocks that actually fanned out.
 	Utilization     []float64
-	ShardTxs        []uint64
 	ParallelBatches uint64
 
 	// Digest fingerprints the chain's end state: two runs of the same spec
@@ -106,33 +102,14 @@ type SoakResult struct {
 	FeesPaid    chain.Amount
 	MeanFeeEuro float64
 
-	// HeapBytes is the live heap after a forced GC at the end of the run;
-	// BytesPerUser divides it by Users. With block retention bounded, the
-	// quotient stays flat as users grow — memory tracks live state, not
-	// history.
-	HeapBytes    uint64
-	BytesPerUser float64
-
 	// Resumed marks a run reconstructed from a StateDir manifest rather
-	// than started fresh; ReopenWall is the wall-clock cost of rebuilding
-	// the chain from the committed root (diskstore open + trie load +
-	// checkpoint restore).
-	Resumed    bool
-	ReopenWall time.Duration
+	// than started fresh.
+	Resumed bool
 	// Stopped marks a run that checkpointed and returned early at
 	// StopAfterRounds. Submitted, Blocks, Digest and StateRoot reflect the
 	// stop point; Included stays zero — inclusion accounting is finalized
 	// by the resumed run that drains the mempool.
 	Stopped bool
-}
-
-// TxsPerSecWall is the headline throughput number: included transactions
-// per host wall-clock second.
-func (r *SoakResult) TxsPerSecWall() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Included) / r.Wall.Seconds()
 }
 
 // TxsPerSecSimulated is the included transactions per simulated
@@ -188,9 +165,9 @@ func newSoakBackend(spec SoakSpec, run *soakRun, deployer soakAccount, compiled 
 // RunSoak drives the sustained-load harness: deploy one check-in contract
 // per area, register the handles in an AreaRegistry, then have every user
 // check in to their home area every round through the chain's batched
-// submission path. The load phase is wall-clock timed; the returned digest
-// lets callers assert that shard count and scheduling never change the
-// chain's final state. Everything here is family-independent: what differs
+// submission path. The returned digest and state root let callers assert
+// that shard count, scheduling and restarts never change the chain's final
+// state; timing the run is bench/'s job. Everything here is family-independent: what differs
 // between the chain families sits behind soakBackend.
 func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	if spec.Resume {
@@ -243,14 +220,9 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	keys := soakKeyStream(spec.Seed)
 	deployer := nextSoakAccount(keys)
 
-	reopenStart := time.Now()
 	b, err := newSoakBackend(spec, run, deployer, compiled)
 	if err != nil {
 		return nil, err
-	}
-	var reopenWall time.Duration
-	if run.resumed {
-		reopenWall = time.Since(reopenStart)
 	}
 	InstrumentConnector(b.connector(), spec.Obs)
 
@@ -266,8 +238,7 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	defer sp.End()
 
 	// Deployment phase: one contract per area, registered for routing.
-	// This happens before the clock starts — the soak measures sustained
-	// load, not setup. Contract identities are a pure function of the spec
+	// Contract identities are a pure function of the spec
 	// (soakBackend.handle), so a resumed run skips deployment entirely —
 	// the contracts are already in the loaded state — and only spot-checks
 	// that the derived handles exist there.
@@ -291,23 +262,11 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	res := &SoakResult{
 		Chain: spec.Chain, Areas: spec.Areas, Users: spec.Users,
 		Rounds: spec.Rounds, Shards: spec.Shards, Seed: spec.Seed,
-		Resumed: run.resumed, ReopenWall: reopenWall,
+		Resumed: run.resumed,
 	}
 	if err := soakLoad(spec, b, keys, reg, res, run); err != nil {
 		return nil, err
 	}
-	// Live-heap measurement, outside the timed window: force a collection
-	// so HeapAlloc reflects reachable state, not garbage awaiting GC. The
-	// KeepAlives below stop liveness analysis from letting the chain and
-	// registry be collected before the reading — without them the number
-	// measures an empty process, not the world state.
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	res.HeapBytes = m.HeapAlloc
-	res.BytesPerUser = float64(m.HeapAlloc) / float64(spec.Users)
-	runtime.KeepAlive(b)
-	runtime.KeepAlive(reg)
 	return res, nil
 }
 
@@ -351,14 +310,11 @@ func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegi
 		}
 	}
 	res.Submitted = run.submitted0
-	start := time.Now()
 	finish := func() {
-		res.Wall = time.Since(start)
 		res.Simulated = b.Now() - simStart
 		res.Blocks = b.height() - blocksBefore
 		if st := b.ShardStats(); st != nil {
 			res.Utilization = st.Utilization()
-			res.ShardTxs = st.Txs
 			res.ParallelBatches = st.ParallelBatches
 		}
 		res.Digest = b.Digest()

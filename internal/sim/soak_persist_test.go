@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -54,6 +58,101 @@ func TestSoakCheckpointResumeBitIdentical(t *testing.T) {
 			if resumed.Submitted != full.Submitted || resumed.Included != full.Included {
 				t.Fatalf("resumed submitted/included %d/%d, uninterrupted %d/%d",
 					resumed.Submitted, resumed.Included, full.Submitted, full.Included)
+			}
+		})
+	}
+}
+
+// TestSoakResumesFromATornCheckpoint is the deterministic form of the
+// SIGKILL smoke scripts/check.sh ran until PR 25. A process killed while
+// writing the checkpoint after the one its MANIFEST names leaves the
+// segment cut anywhere between that manifest's offset and the end of the
+// next checkpoint's append, and a partial MANIFEST.tmp beside it. Resuming
+// a copy of such a directory must land on the uninterrupted run's digest,
+// state root and block count, on both families. TestEveryCutPointRecovers
+// covers every byte of a commit at the store level; this covers the soak
+// that resumes above it.
+func TestSoakResumesFromATornCheckpoint(t *testing.T) {
+	read := func(dir, name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	position := func(manifest []byte) (segment int, offset int64) {
+		var m struct {
+			Segment int
+			Offset  int64
+		}
+		if err := json.Unmarshal(manifest, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Segment, m.Offset
+	}
+	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
+		t.Run(string(c), func(t *testing.T) {
+			spec := SoakSpec{Chain: c, Areas: 3, Users: 6, Rounds: 6, Shards: 2, Seed: 42}
+			full, err := RunSoak(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The same run stopped after rounds 2 and 4: the first directory
+			// is the durable state a killed process leaves, the second holds
+			// the bytes of the checkpoint the killed process was appending.
+			stopped := func(rounds int) string {
+				s := spec
+				s.StateDir, s.CheckpointEvery, s.StopAfterRounds = t.TempDir(), 2, rounds
+				if _, err := RunSoak(s); err != nil {
+					t.Fatal(err)
+				}
+				return s.StateDir
+			}
+			durable, next := stopped(2), stopped(4)
+			manifest, nextManifest := read(durable, "MANIFEST"), read(next, "MANIFEST")
+			seg, from := position(manifest)
+			nextSeg, to := position(nextManifest)
+			segs, err := filepath.Glob(filepath.Join(durable, "seg-*.log"))
+			if err != nil || len(segs) != 1 || seg != 1 || nextSeg != 1 {
+				t.Fatalf("want one segment on both sides, got %v (manifests name %d and %d)", segs, seg, nextSeg)
+			}
+			if to <= from {
+				t.Fatalf("the next checkpoint appended nothing: offsets %d, %d", from, to)
+			}
+			segName := filepath.Base(segs[0])
+			log := read(next, segName)
+			if !bytes.Equal(log[:from], read(durable, segName)) {
+				t.Fatal("the two stopped runs wrote different bytes up to the first checkpoint")
+			}
+			cuts := []int64{from + 1, to - 1}
+			for k := int64(0); k <= 8; k++ {
+				cuts = append(cuts, from+(to-from)*k/8)
+			}
+			for _, cut := range cuts {
+				dir := t.TempDir()
+				for name, data := range map[string][]byte{
+					"MANIFEST":     manifest,
+					segName:        log[:cut],
+					"MANIFEST.tmp": nextManifest[:1+int(cut-from)%(len(nextManifest)-1)],
+				} {
+					if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				resumed, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
+				if err != nil {
+					t.Fatalf("cut at %d of [%d, %d]: %v", cut, from, to, err)
+				}
+				if resumed.Digest != full.Digest || resumed.StateRoot != full.StateRoot || resumed.Blocks != full.Blocks {
+					t.Fatalf("cut at %d of [%d, %d]: resumed to digest %x root %x after %d blocks, uninterrupted %x %x %d",
+						cut, from, to, resumed.Digest[:8], resumed.StateRoot[:8], resumed.Blocks,
+						full.Digest[:8], full.StateRoot[:8], full.Blocks)
+				}
+				// What the resumed run appended after the cut must reopen too.
+				again, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
+				if err != nil || again.StateRoot != full.StateRoot {
+					t.Fatalf("cut at %d: reopening the resumed run's final checkpoint: %v", cut, err)
+				}
 			}
 		})
 	}

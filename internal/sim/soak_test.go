@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -47,7 +48,8 @@ func TestRunSoakBothChains(t *testing.T) {
 }
 
 // TestSoakDeterministicAcrossShards is the soak-level bit-identity gate:
-// the same spec at any shard count must land on the same chain digest.
+// the same spec at any shard count must land on the same chain digest,
+// world-state root, block count and fee total.
 func TestSoakDeterministicAcrossShards(t *testing.T) {
 	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
 		c := c
@@ -63,6 +65,12 @@ func TestSoakDeterministicAcrossShards(t *testing.T) {
 				}
 				if r.Digest != base.Digest {
 					t.Fatalf("shards=%d digest diverges from the serial baseline", shards)
+				}
+				if r.StateRoot != base.StateRoot {
+					t.Fatalf("shards=%d state root diverges from the serial baseline", shards)
+				}
+				if r.FeesPaid.Base.Cmp(base.FeesPaid.Base) != 0 {
+					t.Fatalf("shards=%d paid %v in fees, serial %v", shards, r.FeesPaid, base.FeesPaid)
 				}
 				if r.Blocks != base.Blocks {
 					t.Fatalf("shards=%d produced %d blocks, serial %d", shards, r.Blocks, base.Blocks)
@@ -94,5 +102,41 @@ func TestSoakDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if narrow.Blocks != wide.Blocks || narrow.Included != wide.Included {
 		t.Fatalf("block/tx counts depend on GOMAXPROCS: %d/%d vs %d/%d",
 			narrow.Blocks, narrow.Included, wide.Blocks, wide.Included)
+	}
+}
+
+// TestSoakGoldenDigest pins one soak per chain family across commits, at
+// the shape scripts/check.sh smoked until PR 25 (8 areas × 32 users × 15
+// rounds, 4 shards, seed 7); the constants were captured on PR 24's tree.
+// It replaces that script's run-twice-and-grep comparison: a digest that
+// moves between commits or between processes fails here. If this fails, a
+// change reached chain state.
+func TestSoakGoldenDigest(t *testing.T) {
+	for _, g := range []struct {
+		chain        ChainName
+		digest, root string
+	}{
+		{ChainGoerli,
+			"b99fea5fa85f5f5d66da1ea2e1f090e38028c13e8a369bccc08cbd27a9149634",
+			"09d155404824c296fb55cee71668360da4b31c8c4c3b4ce762569714203f708a"},
+		{ChainAlgorand,
+			"9e58efdf9effdf05b124f4b5d1c57867ce41707d3329307f0e23e5580e79e84f",
+			"afb06f8a29fafa4c1150f6ae1ee9f0b4b01c322de66170c000479ab6fa6d8e9e"},
+	} {
+		t.Run(string(g.chain), func(t *testing.T) {
+			r, err := RunSoak(SoakSpec{Chain: g.chain, Areas: 8, Users: 32, Rounds: 15, Shards: 4, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", r.Digest[:]); got != g.digest {
+				t.Errorf("digest = %s, want %s", got, g.digest)
+			}
+			if got := fmt.Sprintf("%x", r.StateRoot[:]); got != g.root {
+				t.Errorf("state root = %s, want %s", got, g.root)
+			}
+			if r.Blocks != 15 || r.Included != 32*15 {
+				t.Errorf("blocks/included = %d/%d, want 15/480", r.Blocks, r.Included)
+			}
+		})
 	}
 }

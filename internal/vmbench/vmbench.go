@@ -2,10 +2,11 @@
 // evaluation chapter actually times: deploying the PoL contract and
 // attaching a user (one insert_data Invoke). The EVM workload runs on both
 // engines — the u256 fast path (evm.Execute) and the retained big.Int
-// reference (evm.ExecuteRef) — so BENCH_vm.json records a measured
+// reference (evm.ExecuteRef) — so a Report carries a measured
 // before/after rather than a remembered number. The AVM workload has no
 // big.Int baseline (it always computed on uint64); its record tracks the
-// pooled machine's ns/op and allocs/op.
+// pooled machine's ns/op and allocs/op. bench/'s traced pass reads the
+// evm.* and avm.* probes from Run.
 package vmbench
 
 import (
@@ -45,7 +46,7 @@ type Workload struct {
 	AllocsReduction float64 `json:"allocs_reduction,omitempty"`
 }
 
-// Report is the BENCH_vm.json record.
+// Report is one Run's record.
 type Report struct {
 	Benchtime  string     `json:"benchtime"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
@@ -56,7 +57,6 @@ type Report struct {
 	DeployAttachAllocsReduction float64 `json:"evm_deploy_attach_allocs_reduction"`
 	// Headline precompile speedups: interpreted ns/op over precompiled
 	// ns/op for the proof-verification workload (DESIGN.md §14), per VM.
-	// The benchgate -minprecompilespeedup floor reads the EVM number.
 	EVMProofVerifyNsImprovement float64 `json:"evm_proof_verify_precompile_ns_improvement"`
 	AVMProofVerifyNsImprovement float64 `json:"avm_proof_verify_precompile_ns_improvement"`
 }
