@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"os"
 
+	"agnopol/internal/algorand"
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
 	"agnopol/internal/geo"
-	"agnopol/internal/sim"
 )
+
+// evmPresets are the Ethereum-family networks -chain accepts.
+var evmPresets = map[string]func() eth.Config{"ropsten": eth.Ropsten, "goerli": eth.Goerli, "polygon": eth.PolygonMumbai}
 
 func main() {
 	var (
@@ -29,9 +32,17 @@ func main() {
 		fatal(fmt.Errorf("users must be 1..%d", core.MaxUsers))
 	}
 
-	conn, err := sim.NewConnector(sim.ChainName(*chainName), *seed)
-	if err != nil {
-		fatal(err)
+	var (
+		conn core.Connector
+		evm  *eth.Chain // an EVM preset's chain, kept for -explorer
+	)
+	if preset, ok := evmPresets[*chainName]; ok {
+		evm = eth.NewChain(preset(), *seed)
+		conn = core.NewEVMConnector(evm)
+	} else if *chainName == "algorand" {
+		conn = core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), *seed))
+	} else {
+		fatal(fmt.Errorf("unknown chain %q", *chainName))
 	}
 	sys, err := core.NewSystem(*seed)
 	if err != nil {
@@ -123,13 +134,12 @@ func main() {
 	fmt.Printf("simulated time elapsed: %.1fs\n", conn.Now().Seconds())
 
 	if *explorer {
-		evmConn, ok := conn.(*core.EVMConnector)
-		if !ok {
+		if evm == nil {
 			fmt.Println("\n(-explorer is only available on EVM chains)")
 			return
 		}
 		fmt.Println("\n== contract history (Fig 3.1, read bottom-up) ==")
-		records := evmConn.Chain().HistoryOf(handle.EVMAddr)
+		records := evm.HistoryOf(handle.EVMAddr)
 		fmt.Print(eth.FormatHistory(handle.EVMAddr, records, conn.Unit()))
 	}
 }

@@ -106,7 +106,7 @@ func main() {
 	fmt.Printf("report accepted=%v — paying the real reward in GREEN\n", ver.Accepted)
 
 	// GREEN payout: the prover opts in, the operator transfers.
-	proverAlgo := acct.Algorand()
+	proverAlgo := &acct.Account
 	if _, err := cl.OptInAsset(proverAlgo, greenID); err != nil {
 		log.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package algorand
 
 import (
 	"errors"
-	"fmt"
 
-	"agnopol/internal/avm"
 	"agnopol/internal/chain"
 )
 
@@ -58,53 +56,22 @@ func (c *Chain) OptedInAsset(addr chain.Address, assetID uint64) bool {
 // CreateAsset submits an asset-creation transaction and returns the new
 // asset ID.
 func (cl *Client) CreateAsset(acct *Account, name, unit string, total uint64, decimals uint32) (*chain.Receipt, uint64, error) {
-	tx := &Tx{
+	return cl.create(acct, &Tx{
 		Type: TxAssetCreate, Sender: acct.Address, Fee: MinFee,
 		AssetName: name, AssetUnit: unit, Amount: total, AssetDecimals: decimals,
-	}
-	tx.Sign(acct)
-	rcpt, err := cl.SubmitAndWait(Group{tx})
-	if err != nil {
-		return nil, 0, err
-	}
-	if rcpt.Reverted {
-		return rcpt, 0, fmt.Errorf("algorand: asset creation failed: %s", rcpt.RevertMsg)
-	}
-	id, err := avm.Btoi(rcpt.ReturnValue)
-	if err != nil {
-		return rcpt, 0, err
-	}
-	return rcpt, id, nil
+	}, "asset creation")
 }
 
 // OptInAsset opts the account in to an asset (a zero self-transfer on the
 // real network).
 func (cl *Client) OptInAsset(acct *Account, assetID uint64) (*chain.Receipt, error) {
-	tx := &Tx{Type: TxAssetOptIn, Sender: acct.Address, Fee: MinFee, AssetID: assetID}
-	tx.Sign(acct)
-	rcpt, err := cl.SubmitAndWait(Group{tx})
-	if err != nil {
-		return nil, err
-	}
-	if rcpt.Reverted {
-		return rcpt, fmt.Errorf("algorand: opt-in failed: %s", rcpt.RevertMsg)
-	}
-	return rcpt, nil
+	return cl.send(acct, &Tx{Type: TxAssetOptIn, Sender: acct.Address, Fee: MinFee, AssetID: assetID}, "opt-in")
 }
 
 // TransferAsset moves ASA units.
 func (cl *Client) TransferAsset(acct *Account, assetID uint64, to chain.Address, amount uint64) (*chain.Receipt, error) {
-	tx := &Tx{
+	return cl.send(acct, &Tx{
 		Type: TxAssetTransfer, Sender: acct.Address, Fee: MinFee,
 		AssetID: assetID, Receiver: to, Amount: amount,
-	}
-	tx.Sign(acct)
-	rcpt, err := cl.SubmitAndWait(Group{tx})
-	if err != nil {
-		return nil, err
-	}
-	if rcpt.Reverted {
-		return rcpt, fmt.Errorf("algorand: asset transfer failed: %s", rcpt.RevertMsg)
-	}
-	return rcpt, nil
+	}, "asset transfer")
 }

@@ -109,7 +109,7 @@ func TestASARollbackOnGroupFailure(t *testing.T) {
 	badPay := &Tx{Type: TxPay, Sender: issuer.Address, Fee: MinFee,
 		Receiver: receiver.Address, Amount: 1 << 62} // more than the balance
 	badPay.Sign(issuer)
-	rcpt, err := cl.SubmitAndWait(Group{xfer, badPay})
+	rcpt, err := cl.submitAndWait(Group{xfer, badPay})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func newBatchWorld(tb testing.TB, users, retention int) *batchWorld {
 	cl := NewClient(w.c)
 	deployer := w.c.NewAccount(100_000_000)
 	for i := 0; i < 64; i++ {
-		_, id, err := cl.CreateApp(deployer, counterApp, nil)
+		_, id, err := cl.createApp(deployer, counterApp, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}

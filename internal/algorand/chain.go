@@ -245,10 +245,9 @@ func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
 // NewAccount creates and funds an account. Funding zero is a no-op —
 // it must not create a phantom zero-balance ledger entry.
 func (c *Chain) NewAccount(microAlgos uint64) *Account {
-	kp := polcrypto.MustGenerateKeyPair(c.rng.Fork("account"))
-	addr := chain.AddressFromPublicKey(kp.Public)
-	c.led.credit(addr, microAlgos)
-	return &Account{Key: kp, Address: addr}
+	acct := chain.NewAccount(c.rng.Fork("account"))
+	c.led.credit(acct.Address, microAlgos)
+	return acct
 }
 
 // Balance returns an account balance as an Amount.
@@ -267,11 +266,6 @@ func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 
 // AppAddress returns the escrow address of an application.
 func (c *Chain) AppAddress(appID uint64) chain.Address { return c.led.AppAddress(appID) }
-
-// AppGlobal reads one global state entry of an application.
-func (c *Chain) AppGlobal(appID uint64, key string) (avm.Value, bool) {
-	return c.led.GlobalGet(appID, key)
-}
 
 // App returns a deployed application.
 func (c *Chain) App(appID uint64) (*App, bool) {
@@ -360,7 +354,7 @@ func (c *Chain) Step() *Block {
 	// round's conflict keys allow it (roundConflictKeys); the round's tail
 	// then applies the deferred effects in its two halves, which RunSharded
 	// runs side by side when the round fanned out.
-	sel := c.pool.Take(func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
+	sel := c.pool.Take(roundTime, func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
 	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]groupEffects, len(sel))
 	// canon is the overlay a round that does not fan out executes in; a
@@ -407,9 +401,6 @@ func (c *Chain) Step() *Block {
 				if effects[i].fees > 0 {
 					c.obs.fees.Add(effects[i].fees)
 				}
-				c.obs.groupsIncluded.Inc()
-				c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
-				c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
 				if rcpt.Reverted {
 					c.obs.groupsRejected.Inc()
 					c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
@@ -424,7 +415,6 @@ func (c *Chain) Step() *Block {
 	c.pruneRetention()
 	if c.obs != nil {
 		c.obs.roundsCertified.Inc()
-		c.obs.pendingDepth.Set(float64(c.pool.Len()))
 		if c.obs.log.Enabled(obs.LevelDebug) {
 			c.obs.log.Debug("round certified", "chain", c.cfg.Name,
 				"round", blk.Round, "groups", len(blk.Groups))

@@ -55,7 +55,7 @@ func TestPaymentFlow(t *testing.T) {
 	cl := NewClient(c)
 	alice := c.NewAccount(5_000_000)
 	bob := chain.AddressFromBytes([]byte("bob"))
-	rcpt, err := cl.Pay(alice, bob, 1_000_000)
+	rcpt, err := cl.pay(alice, bob, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFlatFeesIndependentOfLoad(t *testing.T) {
 	alice := c.NewAccount(50_000_000)
 	for i := 0; i < 10; i++ {
 		to := chain.AddressFromBytes([]byte{byte(i)})
-		rcpt, err := cl.Pay(alice, to, 1000)
+		rcpt, err := cl.pay(alice, to, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestAppCreateAndCall(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	rcpt, appID, err := cl.CreateApp(alice, counterApp, nil)
+	rcpt, appID, err := cl.createApp(alice, counterApp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,12 @@ func TestAppCreateAndCall(t *testing.T) {
 	if rcpt.Reverted {
 		t.Fatal("creation reverted")
 	}
-	v, ok := c.AppGlobal(appID, "count")
+	v, ok := c.led.GlobalGet(appID, "count")
 	if !ok || v.Uint != 0 {
 		t.Fatalf("count after create = %v (ok=%v)", v, ok)
 	}
 	for i := 1; i <= 3; i++ {
-		rcpt, err := cl.CallApp(alice, appID, [][]byte{[]byte("bump")}, 0, 0)
+		rcpt, err := cl.callApp(alice, appID, [][]byte{[]byte("bump")}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRejectedCallRollsBackAtomically(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	_, appID, err := cl.CreateApp(alice, `
+	_, appID, err := cl.createApp(alice, `
 txn ApplicationID
 bz create
 byte "touched"
@@ -139,14 +139,14 @@ return`, nil)
 		t.Fatal(err)
 	}
 	before := c.Balance(alice.Address).Base.Uint64()
-	rcpt, err := cl.CallApp(alice, appID, [][]byte{[]byte("x")}, 0, 0)
+	rcpt, err := cl.callApp(alice, appID, [][]byte{[]byte("x")}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rcpt.Reverted {
 		t.Fatal("call should be rejected")
 	}
-	if _, ok := c.AppGlobal(appID, "touched"); ok {
+	if _, ok := c.led.GlobalGet(appID, "touched"); ok {
 		t.Fatal("state write survived a rejected call")
 	}
 	// The fee is charged anyway.
@@ -160,7 +160,7 @@ func TestGroupPaymentRollsBackWithRejectedCall(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	_, appID, err := cl.CreateApp(alice, `
+	_, appID, err := cl.createApp(alice, `
 txn ApplicationID
 bz create
 err
@@ -171,7 +171,7 @@ return`, nil)
 		t.Fatal(err)
 	}
 	appAddr := c.AppAddress(appID)
-	rcpt, err := cl.CallApp(alice, appID, [][]byte{[]byte("x")}, 500_000, 0)
+	rcpt, err := cl.callApp(alice, appID, [][]byte{[]byte("x")}, 500_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,18 +429,18 @@ func TestSimulateDoesNotMutate(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	_, appID, err := cl.CreateApp(alice, counterApp, nil)
+	_, appID, err := cl.createApp(alice, counterApp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Simulate(appID, alice.Address, [][]byte{[]byte("bump")})
+	res, err := cl.simulate(appID, alice.Address, [][]byte{[]byte("bump")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Approved {
 		t.Fatalf("simulation rejected: %v", res.Err)
 	}
-	if v, _ := c.AppGlobal(appID, "count"); v.Uint != 0 {
+	if v, _ := c.led.GlobalGet(appID, "count"); v.Uint != 0 {
 		t.Fatalf("simulation mutated state: count = %d", v.Uint)
 	}
 }
@@ -449,7 +449,7 @@ func TestBadProgramRejectedAtCreation(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	_, _, err := cl.CreateApp(alice, "byte \"unterminated", nil)
+	_, _, err := cl.createApp(alice, "byte \"unterminated", nil)
 	if err == nil || !strings.Contains(err.Error(), "creation failed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -463,7 +463,7 @@ func TestDeterministicRuns(t *testing.T) {
 		var out []float64
 		for i := 0; i < 5; i++ {
 			to := chain.AddressFromBytes([]byte{byte(i)})
-			rcpt, err := cl.Pay(alice, to, 1000)
+			rcpt, err := cl.pay(alice, to, 1000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,7 +483,7 @@ func TestApproveAllSmoke(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
 	alice := c.NewAccount(10_000_000)
-	if _, _, err := cl.CreateApp(alice, approveAll, nil); err != nil {
+	if _, _, err := cl.createApp(alice, approveAll, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -501,7 +501,7 @@ func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
 	start := c.Now()
 	pay := &Tx{Type: TxPay, Sender: alice.Address, Fee: MinFee, Receiver: chain.AddressFromBytes([]byte("bob")), Amount: 7}
 	pay.Sign(alice)
-	rcpt, err := cl.SubmitAndWait(Group{pay})
+	rcpt, err := cl.submitAndWait(Group{pay})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algorand
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
@@ -8,6 +9,8 @@ import (
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
+	"agnopol/internal/lang"
+	"agnopol/internal/mstate"
 )
 
 // bigInt aliases keep chain.go free of math/big noise.
@@ -18,9 +21,12 @@ func newBigInt(v uint64) *big.Int { return new(big.Int).SetUint64(v) }
 // Client is the PureStake-style API view of the chain: it submits groups,
 // waits for the round that includes them, then for the indexer to catch up —
 // the pipeline whose latency the paper measures on Algorand.
+//
+// Client is also this family's side of the seam core.Connector and the
+// soak driver are written over (core.Family): contract calls in the
+// contract language's terms, batch items, state reads and persistence.
 type Client struct {
-	chain *Chain
-	rng   *chain.Rand
+	*Chain
 }
 
 // NewClient opens a client. Clients draw their simulated latencies from
@@ -28,23 +34,17 @@ type Client struct {
 // chain), so attaching one never advances the chain's own rng — a
 // restored checkpoint stays bit-exact no matter how many clients wrap
 // the chain afterwards.
-func NewClient(c *Chain) *Client {
-	return &Client{chain: c, rng: c.clientRng}
-}
-
-// Chain exposes the underlying chain.
-func (cl *Client) Chain() *Chain { return cl.chain }
+func NewClient(c *Chain) *Client { return &Client{c} }
 
 func (cl *Client) rpcLatency() time.Duration {
-	cfg := cl.chain.cfg
-	return cfg.RPCLatencyMean + time.Duration(cl.rng.Float64()*float64(cfg.RPCLatencyJitter))
+	return cl.cfg.RPCLatencyMean + time.Duration(cl.clientRng.Float64()*float64(cl.cfg.RPCLatencyJitter))
 }
 
 // Sleep advances the simulated clock by d — the client-side wait the
 // resilience layer's backoff uses between retries.
 func (cl *Client) Sleep(d time.Duration) {
 	if d > 0 {
-		cl.chain.clock.AdvanceTo(cl.chain.clock.Now() + d)
+		cl.clock.AdvanceTo(cl.clock.Now() + d)
 	}
 }
 
@@ -53,29 +53,29 @@ var ErrTimeout = errors.New("algorand: group not confirmed in time")
 
 const maxWaitRounds = 300
 
-// SubmitAndWait submits a signed group, advances rounds until it is
+// submitAndWait submits a signed group, advances rounds until it is
 // certified, then waits for the indexer lag before returning the receipt
 // with client-observed timestamps.
-func (cl *Client) SubmitAndWait(g Group) (*chain.Receipt, error) {
-	submitted := cl.chain.clock.Now()
-	cl.chain.clock.AdvanceTo(submitted + cl.rpcLatency())
-	h, err := cl.chain.Submit(g)
+func (cl *Client) submitAndWait(g Group) (*chain.Receipt, error) {
+	submitted := cl.clock.Now()
+	cl.clock.AdvanceTo(submitted + cl.rpcLatency())
+	h, err := cl.Submit(g)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < maxWaitRounds; i++ {
-		cl.chain.Step()
-		rcpt, ok := cl.chain.Receipt(h)
+		cl.Step()
+		rcpt, ok := cl.Receipt(h)
 		if !ok {
 			continue
 		}
 		// Blocks are final when certified; the client still reads effects
 		// through the indexer, which lags by IndexerSyncRounds.
-		for cl.chain.Head().Round < rcpt.BlockNumber+uint64(cl.chain.cfg.IndexerSyncRounds) {
-			cl.chain.Step()
+		for cl.Head().Round < rcpt.BlockNumber+uint64(cl.cfg.IndexerSyncRounds) {
+			cl.Step()
 		}
-		observed := cl.chain.Head().Time + cl.rpcLatency()
-		cl.chain.clock.AdvanceTo(observed)
+		observed := cl.Head().Time + cl.rpcLatency()
+		cl.clock.AdvanceTo(observed)
 		rcpt.Submitted = submitted
 		rcpt.Included = observed
 		return rcpt, nil
@@ -83,81 +83,236 @@ func (cl *Client) SubmitAndWait(g Group) (*chain.Receipt, error) {
 	return nil, fmt.Errorf("%w after %d rounds", ErrTimeout, maxWaitRounds)
 }
 
-// CreateApp deploys an application (TEAL source + creation args) and
-// returns its receipt and application ID.
-func (cl *Client) CreateApp(acct *Account, source string, args [][]byte) (*chain.Receipt, uint64, error) {
-	tx := &Tx{Type: TxAppCreate, Sender: acct.Address, Fee: MinFee, Source: source, Args: args}
+// send signs tx as acct's, submits it alone and waits for it; a rejected
+// transaction is an error naming what failed.
+func (cl *Client) send(acct *Account, tx *Tx, what string) (*chain.Receipt, error) {
 	tx.Sign(acct)
-	rcpt, err := cl.SubmitAndWait(Group{tx})
-	if err != nil {
-		return nil, 0, err
-	}
-	if rcpt.Reverted {
-		return rcpt, 0, fmt.Errorf("algorand: app creation failed: %s", rcpt.RevertMsg)
-	}
-	id, err := avm.Btoi(rcpt.ReturnValue)
-	if err != nil {
-		return rcpt, 0, err
-	}
-	return rcpt, id, nil
-}
-
-// Pay transfers µAlgos (used to fund application escrow accounts up to
-// MinBalance before first use — the extra deployment transaction the paper
-// attributes to "the design of the network").
-func (cl *Client) Pay(acct *Account, to chain.Address, amount uint64) (*chain.Receipt, error) {
-	tx := &Tx{Type: TxPay, Sender: acct.Address, Fee: MinFee, Receiver: to, Amount: amount}
-	tx.Sign(acct)
-	rcpt, err := cl.SubmitAndWait(Group{tx})
+	rcpt, err := cl.submitAndWait(Group{tx})
 	if err != nil {
 		return nil, err
 	}
 	if rcpt.Reverted {
-		return rcpt, fmt.Errorf("algorand: payment failed: %s", rcpt.RevertMsg)
+		return rcpt, fmt.Errorf("algorand: %s failed: %s", what, rcpt.RevertMsg)
 	}
 	return rcpt, nil
 }
 
-// CallApp invokes an application method. A non-zero pay amount groups a
+// create is send for a creation, which returns the new id.
+func (cl *Client) create(acct *Account, tx *Tx, what string) (*chain.Receipt, uint64, error) {
+	rcpt, err := cl.send(acct, tx, what)
+	if err != nil {
+		return rcpt, 0, err
+	}
+	id, err := avm.Btoi(rcpt.ReturnValue)
+	return rcpt, id, err
+}
+
+// createApp deploys an application (TEAL source + creation args) and
+// returns its receipt and application ID.
+func (cl *Client) createApp(acct *Account, source string, args [][]byte) (*chain.Receipt, uint64, error) {
+	return cl.create(acct, &Tx{Type: TxAppCreate, Sender: acct.Address, Fee: MinFee, Source: source, Args: args}, "app creation")
+}
+
+// pay transfers µAlgos.
+func (cl *Client) pay(acct *Account, to chain.Address, amount uint64) (*chain.Receipt, error) {
+	return cl.send(acct, &Tx{Type: TxPay, Sender: acct.Address, Fee: MinFee, Receiver: to, Amount: amount}, "payment")
+}
+
+// callApp invokes an application method. A non-zero pay amount groups a
 // payment to the app escrow in front of the call (the `gtxn 0 Amount`
 // convention the compiled programs check). A non-zero escrowFund groups a
 // further payment *after* the call that tops up the application account
-// (MinBalance activation) without counting as the API's payment.
-func (cl *Client) CallApp(acct *Account, appID uint64, args [][]byte, pay, escrowFund uint64) (*chain.Receipt, error) {
+// (MinBalance activation) without counting as the API's payment — the
+// extra deployment traffic the paper attributes to "the design of the
+// network" (§5.1.5).
+func (cl *Client) callApp(acct *Account, appID uint64, args [][]byte, pay, escrowFund uint64) (*chain.Receipt, error) {
 	var g Group
 	if pay > 0 {
-		payTx := &Tx{
-			Type: TxPay, Sender: acct.Address, Fee: MinFee,
-			Receiver: cl.chain.AppAddress(appID), Amount: pay,
-		}
-		payTx.Sign(acct)
-		g = append(g, payTx)
+		g = append(g, &Tx{Type: TxPay, Sender: acct.Address, Fee: MinFee, Receiver: cl.AppAddress(appID), Amount: pay})
 	}
-	call := &Tx{Type: TxAppCall, Sender: acct.Address, Fee: MinFee, AppID: appID, Args: args}
-	call.Sign(acct)
-	g = append(g, call)
+	g = append(g, &Tx{Type: TxAppCall, Sender: acct.Address, Fee: MinFee, AppID: appID, Args: args})
 	if escrowFund > 0 {
-		fundTx := &Tx{
-			Type: TxPay, Sender: acct.Address, Fee: MinFee,
-			Receiver: cl.chain.AppAddress(appID), Amount: escrowFund,
-		}
-		fundTx.Sign(acct)
-		g = append(g, fundTx)
+		g = append(g, &Tx{Type: TxPay, Sender: acct.Address, Fee: MinFee, Receiver: cl.AppAddress(appID), Amount: escrowFund})
 	}
-	return cl.SubmitAndWait(g)
+	for _, tx := range g {
+		tx.Sign(acct)
+	}
+	return cl.submitAndWait(g)
 }
 
-// Simulate executes an application call against an overlay without fees,
-// rounds or state effects — how the connector evaluates Views (§4.1.2:
-// views read state at no cost).
-func (cl *Client) Simulate(appID uint64, sender chain.Address, args [][]byte) (avm.Result, error) {
-	app := cl.chain.led.app(appID)
+// simulate executes an application call against an overlay without fees,
+// rounds or state effects — how views are evaluated (§4.1.2: views read
+// state at no cost).
+func (cl *Client) simulate(appID uint64, sender chain.Address, args [][]byte) (avm.Result, error) {
+	app := cl.led.app(appID)
 	if app == nil {
 		return avm.Result{}, fmt.Errorf("algorand: no application %d", appID)
 	}
 	// The overlay absorbs the call's writes and is dropped.
-	res := avm.Execute(app.Program, cl.chain.led.fork(), avm.TxContext{
+	res := avm.Execute(app.Program, cl.led.fork(), avm.TxContext{
 		Sender: sender, AppID: appID, Args: args, BudgetTxns: 4,
 	})
 	return res, nil
+}
+
+// --- core.Family ---
+
+// Name is the network preset's name.
+func (cl *Client) Name() string { return cl.cfg.Name }
+
+// Unit is the network's native currency.
+func (cl *Client) Unit() chain.Unit { return cl.cfg.Unit }
+
+// CreateAccount creates an account funded with base µAlgos; a balance past
+// 2^64-1 is refused.
+func (cl *Client) CreateAccount(base *big.Int) (*Account, error) {
+	if !base.IsUint64() {
+		return nil, fmt.Errorf("algorand: balance of %v µAlgo is out of range", base)
+	}
+	return cl.NewAccount(base.Uint64()), nil
+}
+
+// Fund is Chain.Fund for an amount that fits a µAlgo balance.
+func (cl *Client) Fund(addr chain.Address, base *big.Int) { cl.Chain.Fund(addr, base.Uint64()) }
+
+// Deploy creates the application. Its escrow account still needs its
+// MinBalance deposit before it can hold funds; that payment rides the
+// creator's first call (EscrowFunding).
+func (cl *Client) Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*chain.Receipt, chain.Contract, error) {
+	ctor, err := lang.EncodeArgsTEAL("", compiled.Program.Ctor.Params, args)
+	if err != nil {
+		return nil, chain.Contract{}, err
+	}
+	rcpt, id, err := cl.createApp(acct, compiled.TEALSource, ctor)
+	return rcpt, chain.Contract{App: id}, err
+}
+
+// Call invokes api with pay µAlgos attached and, after the call, an
+// escrow-activation payment of escrow µAlgos, and waits for the group. A
+// rejected call returns its receipt and no value.
+func (cl *Client) Call(acct *Account, at chain.Contract, _ *lang.Compiled, api *lang.API, args []lang.Value, pay, escrow uint64) (*chain.Receipt, lang.Value, error) {
+	appArgs, err := lang.EncodeArgsTEAL(api.Name, api.Params, args)
+	if err != nil {
+		return nil, lang.Value{}, err
+	}
+	rcpt, err := cl.callApp(acct, at.App, appArgs, pay, escrow)
+	if err != nil || rcpt.Reverted {
+		return rcpt, lang.Value{}, err
+	}
+	v, err := lang.DecodeReturnTEAL(api.Returns, rcpt.ReturnValue)
+	return rcpt, v, err
+}
+
+// View evaluates a view by simulation, free of charge.
+func (cl *Client) View(at chain.Contract, v lang.View) (lang.Value, error) {
+	appArgs, err := lang.EncodeArgsTEAL("view:"+v.Name, nil, nil)
+	if err != nil {
+		return lang.Value{}, err
+	}
+	res, err := cl.simulate(at.App, chain.Address{}, appArgs)
+	if err != nil {
+		return lang.Value{}, err
+	}
+	if !res.Approved {
+		return lang.Value{}, fmt.Errorf("algorand: view %q rejected: %v", v.Name, res.Err)
+	}
+	return lang.DecodeReturnTEAL(v.Type, res.Return)
+}
+
+// ReadGlobal reads a global of program p from the application's state.
+func (cl *Client) ReadGlobal(at chain.Contract, p *lang.Program, name string) (lang.Value, error) {
+	return lang.ReadGlobalTEAL(cl.state(at), p, name)
+}
+
+// ReadMap reads one entry of a map of program p from the application's
+// state.
+func (cl *Client) ReadMap(at chain.Contract, p *lang.Program, mapName string, key uint64) (lang.Value, bool, error) {
+	return lang.ReadMapTEAL(cl.state(at), p, mapName, key)
+}
+
+// state is the reader of the application's global state.
+func (cl *Client) state(at chain.Contract) func(string) (avm.Value, bool) {
+	return func(key string) (avm.Value, bool) { return cl.led.GlobalGet(at.App, key) }
+}
+
+// ContractBalance is the spendable balance of the application's escrow:
+// its balance net of the locked minimum balance, so the same number means
+// the same thing on every family.
+func (cl *Client) ContractBalance(at chain.Contract) uint64 {
+	total := cl.led.Balance(cl.AppAddress(at.App))
+	if total < MinBalance {
+		return 0
+	}
+	return total - MinBalance
+}
+
+// EscrowFunding is the deposit that activates an application's escrow
+// account: MinBalance.
+func (cl *Client) EscrowFunding() uint64 { return MinBalance }
+
+// ContractAt is the i-th application a deployer creates on a chain where
+// its creations come first — application ids are allocated from 1 — and
+// whether it exists.
+func (cl *Client) ContractAt(_ chain.Address, i uint64) (chain.Contract, bool) {
+	_, ok := cl.App(i + 1)
+	return chain.Contract{App: i + 1}, ok
+}
+
+// DeployItem builds and signs the creation of compiled as a one-member
+// group; Algorand has no nonces.
+func (cl *Client) DeployItem(acct *Account, _ uint64, compiled *lang.Compiled, args []lang.Value) (chain.Item, error) {
+	ctor, err := lang.EncodeArgsTEAL("", compiled.Program.Ctor.Params, args)
+	if err != nil {
+		return nil, err
+	}
+	tx := &Tx{Type: TxAppCreate, Sender: acct.Address, Fee: MinFee, Source: compiled.TEALSource, Args: ctor}
+	tx.Sign(acct)
+	return Group{tx}, nil
+}
+
+// CallItem builds and signs a call of api on at as a one-member group.
+func (cl *Client) CallItem(acct *Account, _ uint64, at chain.Contract, _ *lang.Compiled, api *lang.API, args []lang.Value) (chain.Item, error) {
+	appArgs, err := lang.EncodeArgsTEAL(api.Name, api.Params, args)
+	if err != nil {
+		return nil, err
+	}
+	tx := &Tx{Type: TxAppCall, Sender: acct.Address, Fee: MinFee, AppID: at.App, Args: appArgs}
+	tx.Sign(acct)
+	return Group{tx}, nil
+}
+
+// SubmitItems is SubmitBatch over items DeployItem and CallItem built.
+func (cl *Client) SubmitItems(items []chain.Item) []error {
+	gs := make([]Group, len(items))
+	for i, item := range items {
+		gs[i] = item.(Group)
+	}
+	_, errs := cl.SubmitBatch(gs)
+	return errs
+}
+
+// Seal certifies the next round.
+func (cl *Client) Seal() { cl.Step() }
+
+// Height is the head round.
+func (cl *Client) Height() uint64 { return cl.Head().Round }
+
+// MarshalCheckpoint is the JSON encoding of Checkpoint.
+func (cl *Client) MarshalCheckpoint() ([]byte, error) {
+	ck, err := cl.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(ck)
+}
+
+// Restore moves a freshly opened chain onto the ledger committed at root
+// in store and the MarshalCheckpoint blob taken with it — what Open does
+// with a store and a checkpoint.
+func (cl *Client) Restore(store mstate.NodeStore, root mstate.Hash, checkpoint []byte) error {
+	var ck Checkpoint
+	if err := json.Unmarshal(checkpoint, &ck); err != nil {
+		return fmt.Errorf("algorand: decode checkpoint: %w", err)
+	}
+	return cl.load(store, root, &ck)
 }

@@ -65,7 +65,7 @@ func runGoldenScenario(t *testing.T, shards int) *Chain {
 	deployer := c.NewAccount(50_000_000)
 	var apps []uint64
 	for i := 0; i < 3; i++ {
-		_, id, err := cl.CreateApp(deployer, counterApp, nil)
+		_, id, err := cl.createApp(deployer, counterApp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func runGoldenScenario(t *testing.T, shards int) *Chain {
 	if a, ok := c.App(5); !ok || a.Source != approveAll {
 		t.Fatal("app 5 must be the second creation that succeeded")
 	}
-	if v, _ := c.AppGlobal(4, "count"); v.Uint != 1 {
+	if v, _ := c.led.GlobalGet(4, "count"); v.Uint != 1 {
 		t.Fatalf("app 4 counted %d bumps, want 1", v.Uint)
 	}
 	if a, ok := c.Asset(2); !ok || a.Name != "KEPT" {

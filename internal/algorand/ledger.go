@@ -13,10 +13,7 @@ import (
 )
 
 // Account is an Algorand account with its signing key.
-type Account struct {
-	Key     *polcrypto.KeyPair
-	Address chain.Address
-}
+type Account = chain.Account
 
 // App is a deployed stateful application's static description. Its
 // key/value state — globals, locals, opt-in markers — lives in the state

@@ -1,7 +1,6 @@
 package algorand
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -37,50 +36,31 @@ type PendingGroup struct {
 // continue bit-identically after a restart. JSON-serializable so
 // callers can park it in a diskstore manifest's meta blob.
 type Checkpoint struct {
-	Name      string
+	chain.Position
 	HeadRound uint64
-	HeadHash  chain.Hash32
-	HeadTime  time.Duration
 	// HeadSeed feeds the next round's sortition (Step reads prev.Seed).
-	HeadSeed  chain.Hash32
-	StateRoot chain.Hash32
-	AppSeq    uint64
-	AssetSeq  uint64
-	RcptAcc   chain.Hash32
-	RcptCount uint64
-	Clock     time.Duration
-	// Rng is the chain PRNG's stream position (chain.Rand.State).
-	Rng       uint64
-	Retention int
-	Pending   []PendingGroup
+	HeadSeed chain.Hash32
+	AppSeq   uint64
+	AssetSeq uint64
+	Pending  []PendingGroup
 }
 
 // Checkpoint captures the chain's restart point. The ledger trie is not
 // included — commit it separately with CommitState — and the snapshot
 // borrows the live pending groups, so serialize it before mutating the
 // chain further. Chains with a fault injector attached refuse to
-// checkpoint: injector stream positions are not captured, so a resumed
-// run could not replay identically.
+// checkpoint (chain.Position.Mark).
 func (c *Chain) Checkpoint() (*Checkpoint, error) {
-	if c.Faults() != nil {
-		return nil, errors.New("algorand: cannot checkpoint with fault injection attached")
-	}
 	head := c.Head()
-	acc, count := c.rcpts.Position()
 	ck := &Checkpoint{
-		Name:      c.cfg.Name,
+		Position:  chain.Position{Name: c.cfg.Name, HeadHash: head.Hash, HeadTime: head.Time, StateRoot: c.led.root()},
 		HeadRound: head.Round,
-		HeadHash:  head.Hash,
-		HeadTime:  head.Time,
 		HeadSeed:  head.Seed,
-		StateRoot: c.led.root(),
 		AppSeq:    c.led.appSeq,
 		AssetSeq:  c.led.assetSeq,
-		RcptAcc:   acc,
-		RcptCount: count,
-		Clock:     c.clock.Now(),
-		Rng:       c.rng.State(),
-		Retention: c.rcpts.Retention,
+	}
+	if err := ck.Mark("algorand", c.Faults(), c.clock, c.rng, &c.rcpts); err != nil {
+		return nil, err
 	}
 	for _, p := range c.pool.Entries() {
 		ck.Pending = append(ck.Pending, PendingGroup{Group: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
@@ -105,49 +85,37 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // are a pure function of it).
 func Open(o Options) (*Chain, error) {
 	c := newChain(o.Config, o.Seed)
-	if o.Store == nil {
-		if o.Root != (mstate.Hash{}) || o.Checkpoint != nil {
-			return nil, errors.New("algorand: Open with a root or checkpoint requires a store")
-		}
-		return c, nil
-	}
-	t, err := mstate.Load(o.Store, o.Root)
-	if err != nil {
-		return nil, fmt.Errorf("algorand: load state %x: %w", o.Root[:8], err)
-	}
-	c.led.t = t
-	c.led.kv = t
-	if o.Checkpoint != nil {
-		if err := c.restore(o.Checkpoint); err != nil {
-			return nil, err
-		}
+	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Chain) restore(ck *Checkpoint) error {
-	if ck.Name != c.cfg.Name {
-		return fmt.Errorf("algorand: checkpoint is for chain %q, config says %q", ck.Name, c.cfg.Name)
+// load is Open's restart-from-root half, on a freshly built chain.
+func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) error {
+	t, err := chain.LoadState("algorand", store, root, ck != nil)
+	if t == nil {
+		return err
 	}
-	if got := c.led.root(); got != ck.StateRoot {
-		return fmt.Errorf("algorand: loaded state root %x does not match checkpoint %x", got[:8], ck.StateRoot[:8])
+	c.led.t = t
+	c.led.kv = t
+	if ck == nil {
+		return nil
 	}
-	head := &Block{
+	if err := ck.Resume("algorand", c.cfg.Name, c.led.root(), c.clock, c.rng, &c.rcpts); err != nil {
+		return err
+	}
+	c.blocks = []*Block{{
 		Round:     ck.HeadRound,
 		Time:      ck.HeadTime,
 		Seed:      ck.HeadSeed,
 		Hash:      ck.HeadHash,
 		StateRoot: ck.StateRoot,
-	}
-	c.blocks = []*Block{head}
+	}}
 	c.led.appSeq = ck.AppSeq
 	c.led.assetSeq = ck.AssetSeq
 	c.led.round = ck.HeadRound
 	c.led.time = uint64(ck.HeadTime / time.Second)
-	c.rcpts.SetPosition(ck.RcptAcc, ck.RcptCount)
-	c.rcpts.Retention = ck.Retention
-	c.clock.AdvanceTo(ck.Clock)
-	c.rng.SetState(ck.Rng)
 	pending := make([]*chain.Pending[Group], len(ck.Pending))
 	for i, p := range ck.Pending {
 		pending[i] = &chain.Pending[Group]{Item: p.Group, Submitted: p.Submitted, Delayed: p.Delayed}

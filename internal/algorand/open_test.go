@@ -10,14 +10,12 @@ import (
 	"agnopol/internal/faults"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
-	"agnopol/internal/polcrypto"
 )
 
 func fundedAccount(c *Chain, rng *chain.Rand, micro uint64) *Account {
-	kp := polcrypto.MustGenerateKeyPair(rng)
-	addr := chain.AddressFromPublicKey(kp.Public)
-	c.Fund(addr, micro)
-	return &Account{Key: kp, Address: addr}
+	acct := chain.NewAccount(rng)
+	c.Fund(acct.Address, micro)
+	return acct
 }
 
 func submitGroup(t *testing.T, c *Chain, g Group) {
@@ -151,8 +149,8 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 			if err := resumed.VerifyCertificate(resumed.Head(), cert); err != nil {
 				t.Fatal(err)
 			}
-			refCount, _ := ref.AppGlobal(appID, "count")
-			resCount, _ := resumed.AppGlobal(appID, "count")
+			refCount, _ := ref.led.GlobalGet(appID, "count")
+			resCount, _ := resumed.led.GlobalGet(appID, "count")
 			if refCount.Uint != resCount.Uint || refCount.Uint == 0 {
 				t.Fatalf("counter diverged: ref %d, resumed %d", refCount.Uint, resCount.Uint)
 			}
@@ -216,7 +214,8 @@ func TestOpenRejectsCorruptState(t *testing.T) {
 			_, err = Open(Options{
 				Config: Testnet(), Seed: 1, Store: store, Root: root,
 				Checkpoint: &Checkpoint{
-					Name: Testnet().Name, StateRoot: chain.Hash32(root), AppSeq: 1, AssetSeq: 1,
+					Position: chain.Position{Name: Testnet().Name, StateRoot: chain.Hash32(root)},
+					AppSeq:   1, AssetSeq: 1,
 				},
 			})
 			if !errors.Is(err, ErrCorruptState) {

@@ -177,7 +177,7 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 	const areas = 4
 	var apps []uint64
 	for i := 0; i < areas; i++ {
-		_, id, err := cl.CreateApp(deployer, counterApp, nil)
+		_, id, err := cl.createApp(deployer, counterApp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 		c.SetShards(shards)
 		cl := NewClient(c)
 		deployer := c.NewAccount(50_000_000)
-		_, appID, err := cl.CreateApp(deployer, counterApp, nil)
+		_, appID, err := cl.createApp(deployer, counterApp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
 		var ids [apps]uint64
 		for i := range ids {
 			var err error
-			if _, ids[i], err = cl.CreateApp(deployer, counterApp, nil); err != nil {
+			if _, ids[i], err = cl.createApp(deployer, counterApp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -503,7 +503,7 @@ func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
 			}
 		}
 		for a, id := range ids {
-			if v, _ := c.AppGlobal(id, "count"); v.Uint != count[a] {
+			if v, _ := c.led.GlobalGet(id, "count"); v.Uint != count[a] {
 				t.Fatalf("shards=%d: app %d counted %d, the model %d", shards, id, v.Uint, count[a])
 			}
 		}

@@ -50,6 +50,26 @@ func ContractAddress(creator Address, nonce uint64) Address {
 
 func (a Address) String() string { return "0x" + hex.EncodeToString(a[:]) }
 
+// Account is a signing key and the address it controls, on either family:
+// eth.Account and algorand.Account are this type.
+type Account struct {
+	Key     *polcrypto.KeyPair
+	Address Address
+}
+
+// NewAccount derives an account from the next key pair rng yields.
+func NewAccount(rng *Rand) *Account {
+	kp := polcrypto.MustGenerateKeyPair(rng)
+	return &Account{Key: kp, Address: AddressFromPublicKey(kp.Public)}
+}
+
+// Contract locates a deployed contract: by address on an Ethereum-family
+// chain, by application id on Algorand. The other field is zero.
+type Contract struct {
+	Addr Address
+	App  uint64
+}
+
 // IsZero reports whether the address is the zero address.
 func (a Address) IsZero() bool { return a == Address{} }
 

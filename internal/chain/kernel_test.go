@@ -268,7 +268,7 @@ func TestPoolSortTake(t *testing.T) {
 		}
 	}
 	pos := 0
-	sel := p.Take(func(i int, e *Pending[poolItem]) bool {
+	sel := p.Take(0, func(i int, e *Pending[poolItem]) bool {
 		if i != pos {
 			t.Fatalf("Take passed position %d for entry %d", i, pos)
 		}

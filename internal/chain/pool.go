@@ -2,6 +2,7 @@ package chain
 
 import (
 	"sort"
+	"strings"
 	"time"
 
 	"agnopol/internal/faults"
@@ -51,9 +52,10 @@ type Pool[T Item] struct {
 	entries []*Pending[T]
 	flt     *faults.Injector
 
-	submitted *obs.Counter
-	depth     *obs.Gauge
-	stall     *obs.QuantileSketch
+	submitted, included *obs.Counter
+	depth               *obs.Gauge
+	latency             *obs.Histogram
+	sketch, stall       *obs.QuantileSketch
 }
 
 // NewPool builds an empty pool on the chain's clock.
@@ -67,10 +69,30 @@ func (p *Pool[T]) SetFaults(inj *faults.Injector) { p.flt = inj }
 // Faults returns the attached fault injector, nil when off.
 func (p *Pool[T]) Faults() *faults.Injector { return p.flt }
 
-// Instrument attaches the family's admission counter, depth gauge and
-// injected-stall sketch; nil instruments are no-ops.
-func (p *Pool[T]) Instrument(submitted *obs.Counter, depth *obs.Gauge, stall *obs.QuantileSketch) {
-	p.submitted, p.depth, p.stall = submitted, depth, stall
+// Instrument registers the series both families keep on reg, each with
+// the chain's label: the admission and inclusion counters
+// <prefix>_<items>_submitted_total and <prefix>_<items>_included_total,
+// the depth gauge <prefix>_<pool>_depth, the inclusion latency as the
+// histogram <prefix>_inclusion_latency_seconds and the sketch
+// <prefix>_inclusion_latency, and the sketch of injected stalls. help
+// holds the help texts of the first four; the sketch's is derived from
+// the histogram's. A nil registry detaches the pool.
+func (p *Pool[T]) Instrument(reg *obs.Registry, label obs.Label, prefix, items, pool string, buckets []float64, help [4]string) {
+	if reg == nil {
+		p.submitted, p.included, p.depth, p.latency, p.sketch, p.stall = nil, nil, nil, nil, nil, nil
+		return
+	}
+	named := func(name, text string) string {
+		reg.Help(name, text)
+		return name
+	}
+	latency := prefix + "_inclusion_latency"
+	p.submitted = reg.Counter(named(prefix+"_"+items+"_submitted_total", help[0]), label)
+	p.included = reg.Counter(named(prefix+"_"+items+"_included_total", help[1]), label)
+	p.depth = reg.Gauge(named(prefix+"_"+pool+"_depth", help[2]), label)
+	p.latency = reg.Histogram(named(latency+"_seconds", help[3]), buckets, label)
+	p.sketch = reg.Sketch(named(latency, "Quantile sketch of "+strings.ToLower(help[3][:1])+help[3][1:]), label)
+	p.stall = reg.Sketch(named("faults_injected_delay_seconds", "Quantile sketch of injected tx_delay propagation stalls."), label)
 }
 
 // Len reports the pool depth.
@@ -154,10 +176,11 @@ func (p *Pool[T]) Sort(less func(i, j int) bool) (order []int) {
 }
 
 // Take removes and returns, in queue order, the entries pick accepts — the
-// ones going into the block being built, which for a delayed entry is the
-// recovery of its fault; the rest stay queued in order. pick sees every
-// entry once, with its queue position.
-func (p *Pool[T]) Take(pick func(i int, e *Pending[T]) bool) []*Pending[T] {
+// ones going into the block being built at time at, which counts as their
+// inclusion and, for a delayed entry, as the recovery of its fault; the
+// rest stay queued in order. pick sees every entry once, with its queue
+// position.
+func (p *Pool[T]) Take(at time.Duration, pick func(i int, e *Pending[T]) bool) []*Pending[T] {
 	var sel []*Pending[T]
 	rest := p.entries[:0]
 	for i, e := range p.entries {
@@ -169,9 +192,15 @@ func (p *Pool[T]) Take(pick func(i int, e *Pending[T]) bool) []*Pending[T] {
 		if e.Delayed {
 			p.flt.Recover(faults.ClassTxDelay)
 		}
+		if p.included != nil {
+			p.included.Inc()
+			p.latency.Observe((at - e.Submitted).Seconds())
+			p.sketch.Observe((at - e.Submitted).Seconds())
+		}
 	}
 	clear(p.entries[len(rest):])
 	p.entries = rest
+	p.depth.Set(float64(len(rest)))
 	return sel
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"time"
 
@@ -11,12 +12,15 @@ import (
 	"agnopol/internal/eth"
 	"agnopol/internal/faults"
 	"agnopol/internal/lang"
+	"agnopol/internal/mstate"
+	"agnopol/internal/obs"
 )
 
 // Connector is the blockchain-agnostic runtime interface (the role of the
 // Reach JS standard library, §2.9.3): the same compiled program and the
-// same frontend calls run against any implementation. The simulator ships
-// two — EVMConnector (Ropsten/Goerli/Polygon) and AlgorandConnector.
+// same frontend calls run against any chain. There is one implementation,
+// written once over the chain family's Family surface; NewEVMConnector
+// (Ropsten/Goerli/Polygon) and NewAlgorandConnector build it.
 type Connector interface {
 	// Name of the underlying network (e.g. "goerli").
 	Name() string
@@ -24,7 +28,8 @@ type Connector interface {
 	Unit() chain.Unit
 	// Now is the network's simulated time.
 	Now() time.Duration
-	// NewAccount creates a funded account (whole tokens).
+	// NewAccount creates a funded account (whole tokens). A negative, not
+	// finite or unrepresentable amount is an ErrBadAmount.
 	NewAccount(tokens float64) (*Account, error)
 	// Balance of an account in base units.
 	Balance(acct *Account) chain.Amount
@@ -53,41 +58,80 @@ type Connector interface {
 	// ReadGlobal and ReadMap are the free frontend state reads.
 	ReadGlobal(h *Handle, name string) (lang.Value, error)
 	ReadMap(h *Handle, mapName string, key uint64) (lang.Value, bool, error)
-	// ContractBalance is the contract's native balance in base units.
+	// ContractBalance is the contract's spendable native balance in base
+	// units.
 	ContractBalance(h *Handle) uint64
 }
 
-// Account is a chain account usable through a Connector.
-type Account struct {
-	evm  *eth.Account
-	algo *algorand.Account
+// Family is what one chain family supplies to the code written once over
+// it: the Connector, and sim's soak driver with its checkpoints.
+// *eth.Client and *algorand.Client implement it; contracts are located by
+// chain.Contract and accounts are chain.Accounts.
+type Family interface {
+	// Name, Unit, Now and Sleep are the Connector's.
+	Name() string
+	Unit() chain.Unit
+	Now() time.Duration
+	Sleep(d time.Duration)
+	// Faults and SetFaults read and attach the chain's fault injector.
+	Faults() *faults.Injector
+	SetFaults(inj *faults.Injector)
+	// Instrument attaches an observability bundle under the family's
+	// metric prefix; nil detaches it.
+	Instrument(o *obs.Obs)
+
+	// CreateAccount creates an account holding base units, its key drawn
+	// from the chain's account stream; a balance the chain cannot hold is
+	// an error.
+	CreateAccount(base *big.Int) (*chain.Account, error)
+	// Fund credits addr base units without drawing from the chain's rng.
+	Fund(addr chain.Address, base *big.Int)
+	Balance(addr chain.Address) chain.Amount
+
+	// Deploy and Call build and sign a creation or an API call, submit it
+	// and wait for its receipt. Call attaches pay, and escrow after the
+	// call, in base units, and decodes the result unless the call
+	// reverted.
+	Deploy(acct *chain.Account, compiled *lang.Compiled, args []lang.Value) (*chain.Receipt, chain.Contract, error)
+	Call(acct *chain.Account, at chain.Contract, compiled *lang.Compiled, api *lang.API, args []lang.Value, pay, escrow uint64) (*chain.Receipt, lang.Value, error)
+	// View, ReadGlobal, ReadMap, ContractBalance and EscrowFunding are the
+	// Connector's reads, on a located contract.
+	View(at chain.Contract, v lang.View) (lang.Value, error)
+	ReadGlobal(at chain.Contract, p *lang.Program, name string) (lang.Value, error)
+	ReadMap(at chain.Contract, p *lang.Program, mapName string, key uint64) (lang.Value, bool, error)
+	ContractBalance(at chain.Contract) uint64
+	EscrowFunding() uint64
+
+	// ContractAt is where a deployer's i-th contract lands, and whether
+	// one lives there.
+	ContractAt(deployer chain.Address, i uint64) (at chain.Contract, deployed bool)
+	// DeployItem and CallItem build and sign acct's nonce-th transaction
+	// for SubmitItems, the batched submission path; Seal produces one
+	// block and Height is the head's number.
+	DeployItem(acct *chain.Account, nonce uint64, compiled *lang.Compiled, args []lang.Value) (chain.Item, error)
+	CallItem(acct *chain.Account, nonce uint64, at chain.Contract, compiled *lang.Compiled, api *lang.API, args []lang.Value) (chain.Item, error)
+	SubmitItems(items []chain.Item) []error
+	Seal()
+	Height() uint64
+	PendingCount() int
+	SetShards(n int)
+	SetRetention(n int)
+	ShardStats() *chain.ShardStats
+	Digest() chain.Hash32
+	StateRoot() chain.Hash32
+
+	// MarshalCheckpoint and CommitState capture the chain's position and
+	// its state; Restore puts a freshly opened chain back on them.
+	MarshalCheckpoint() ([]byte, error)
+	CommitState(store mstate.NodeStore) (mstate.Hash, error)
+	Restore(store mstate.NodeStore, root mstate.Hash, checkpoint []byte) error
 }
 
-// EVMAccount wraps an externally-created Ethereum-family account — e.g.
-// one whose key a harness derived from its own seed stream and funded via
-// eth.Chain.Fund — for use through a Connector.
-func EVMAccount(a *eth.Account) *Account { return &Account{evm: a} }
-
-// AlgorandAccount wraps an externally-created Algorand account for use
-// through a Connector.
-func AlgorandAccount(a *algorand.Account) *Account { return &Account{algo: a} }
+// Account is a chain account usable through a Connector.
+type Account struct{ chain.Account }
 
 // Address returns the 20-byte account address.
-func (a *Account) Address() [20]byte {
-	if a.evm != nil {
-		return a.evm.Address
-	}
-	return a.algo.Address
-}
-
-// EVM returns the underlying Ethereum-family account, or nil on other
-// connectors — for callers that need chain-native operations beyond the
-// Connector interface.
-func (a *Account) EVM() *eth.Account { return a.evm }
-
-// Algorand returns the underlying Algorand account, or nil on other
-// connectors (e.g. for ASA opt-ins and transfers).
-func (a *Account) Algorand() *algorand.Account { return a.algo }
+func (a *Account) Address() [20]byte { return a.Account.Address }
 
 // Handle identifies a deployed contract on some connector — the
 // "contract id" users exchange through the hypercube (§2.2).
@@ -106,6 +150,8 @@ func (h *Handle) ID() string {
 	}
 	return fmt.Sprintf("%s/%s", h.Connector, h.EVMAddr)
 }
+
+func (h *Handle) at() chain.Contract { return chain.Contract{Addr: h.EVMAddr, App: h.AppID} }
 
 // OpResult is the measured outcome of one frontend operation — the latency
 // and fee samples the evaluation chapter aggregates. Latency spans every
@@ -138,28 +184,131 @@ type CallOpts struct {
 	Retry faults.RetryPolicy
 }
 
-// ErrAPIRejected reports an API call rejected on-chain (assume failure,
-// insufficient funds…).
-var ErrAPIRejected = errors.New("core: API call rejected")
+var (
+	// ErrAPIRejected reports an API call rejected on-chain (assume failure,
+	// insufficient funds…).
+	ErrAPIRejected = errors.New("core: API call rejected")
+	// ErrBadAmount reports a token amount NewAccount cannot credit:
+	// negative, not finite, or more than the chain's balances hold.
+	ErrBadAmount = errors.New("core: bad token amount")
+)
 
-// retrier is the connector-side surface the shared retry driver needs.
-type retrier interface {
-	Now() time.Duration
-	Sleep(d time.Duration)
-	defaultRetry() faults.RetryPolicy
-	injector() *faults.Injector
+// connector is the one Connector: a chain family plus the default retry
+// policy. It translates Accounts and Handles to the family's terms, and
+// owns the retry driver and OpResult assembly.
+type connector struct {
+	Family
+	retry faults.RetryPolicy
 }
 
-// resolveRetry merges per-call options with the connector default policy.
-func resolveRetry(c retrier, opts CallOpts) faults.RetryPolicy {
+// EVMConnector and AlgorandConnector are the connector, named after the
+// family it runs on.
+type (
+	EVMConnector      = connector
+	AlgorandConnector = connector
+)
+
+// NewConnector runs the Connector over a chain family.
+func NewConnector(f Family) Connector { return &connector{Family: f} }
+
+// NewEVMConnector wraps an Ethereum-family chain.
+func NewEVMConnector(c *eth.Chain) *EVMConnector { return &connector{Family: eth.NewClient(c)} }
+
+// NewAlgorandConnector wraps the Algorand chain.
+func NewAlgorandConnector(c *algorand.Chain) *AlgorandConnector {
+	return &connector{Family: algorand.NewClient(c)}
+}
+
+// SetResilience implements Connector.
+func (c *connector) SetResilience(pol faults.RetryPolicy) { c.retry = pol }
+
+// NewAccount implements Connector. Whole tokens convert to base units
+// exactly as chain.AmountFromTokens does.
+func (c *connector) NewAccount(tokens float64) (*Account, error) {
+	if math.IsNaN(tokens) || math.IsInf(tokens, 0) || tokens < 0 {
+		return nil, fmt.Errorf("%w: %v", ErrBadAmount, tokens)
+	}
+	a, err := c.CreateAccount(chain.AmountFromTokens(tokens, c.Unit()).Base)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v %s: %v", ErrBadAmount, tokens, c.Unit().Name, err)
+	}
+	return &Account{*a}, nil
+}
+
+// Balance implements Connector.
+func (c *connector) Balance(acct *Account) chain.Amount {
+	return c.Family.Balance(acct.Account.Address)
+}
+
+// Deploy implements Connector: the family's creation transaction,
+// resubmitted under the default resilience policy when the pool drops it.
+// On Algorand the contract's escrow still needs its activation deposit,
+// which rides the creator's first call (CallOpts.EscrowFund) — the extra
+// deployment traffic the paper attributes to "the design of the network"
+// (§5.1.5).
+func (c *connector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error) {
+	start := c.Now()
+	var (
+		rcpt *chain.Receipt
+		at   chain.Contract
+	)
+	retries, err := c.withRetry(c.retry, func() (err error) {
+		rcpt, at, err = c.Family.Deploy(&acct.Account, compiled, args)
+		return err
+	})
+	res := opResult(start, c.Now(), rcpt)
+	res.Retries = retries
+	if err != nil {
+		return nil, res, err
+	}
+	return &Handle{Connector: c.Name(), EVMAddr: at.Addr, AppID: at.App, Compiled: compiled}, res, nil
+}
+
+// Invoke implements Connector.
+func (c *connector) Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error) {
 	pol := opts.Retry
 	if pol.IsZero() {
-		pol = c.defaultRetry()
+		pol = c.retry
 	}
 	if opts.Deadline > 0 {
 		pol.Deadline = opts.Deadline
 	}
-	return pol
+	var escrow uint64
+	if opts.EscrowFund {
+		escrow = c.EscrowFunding()
+	}
+	start := c.Now()
+	var (
+		v   lang.Value
+		res *OpResult
+	)
+	retries, err := c.withRetry(pol, func() (err error) {
+		v, res, err = c.callOnce(acct, h, api, opts.Pay, escrow, args)
+		return err
+	})
+	if res != nil {
+		res.Latency = c.Now() - start
+		res.Retries = retries
+	}
+	return v, res, err
+}
+
+// callOnce is one attempt of an API call.
+func (c *connector) callOnce(acct *Account, h *Handle, api string, pay, escrow uint64, args []lang.Value) (lang.Value, *OpResult, error) {
+	start := c.Now()
+	a := h.Compiled.Program.FindAPI(api)
+	if a == nil {
+		return lang.Value{}, nil, fmt.Errorf("core: unknown API %q", api)
+	}
+	rcpt, v, err := c.Call(&acct.Account, h.at(), h.Compiled, a, args, pay, escrow)
+	res := opResult(start, c.Now(), rcpt)
+	if err == nil && rcpt.Reverted {
+		err = fmt.Errorf("%w: %s: %s", ErrAPIRejected, api, rcpt.RevertMsg)
+	}
+	if err != nil {
+		return lang.Value{}, res, err
+	}
+	return v, res, nil
 }
 
 // withRetry drives once() under a resilience policy: transient injected
@@ -167,14 +316,14 @@ func resolveRetry(c retrier, opts CallOpts) faults.RetryPolicy {
 // until the attempt or deadline budget runs out; any other error is
 // permanent. On eventual success each earlier transient failure counts as
 // recovered.
-func withRetry(c retrier, pol faults.RetryPolicy, once func() error) (retries int, err error) {
+func (c *connector) withRetry(pol faults.RetryPolicy, once func() error) (retries int, err error) {
 	start := c.Now()
 	var overcome []string
 	for attempt := 1; ; attempt++ {
 		err = once()
 		if err == nil {
 			for _, cls := range overcome {
-				c.injector().Recover(cls)
+				c.Faults().Recover(cls)
 			}
 			return attempt - 1, nil
 		}
@@ -194,184 +343,6 @@ func withRetry(c retrier, pol faults.RetryPolicy, once func() error) (retries in
 	}
 }
 
-// --- EVM connector ---
-
-// EVMConnector adapts an Ethereum-family chain.
-type EVMConnector struct {
-	client *eth.Client
-	retry  faults.RetryPolicy
-}
-
-// NewEVMConnector wraps a chain.
-func NewEVMConnector(c *eth.Chain) *EVMConnector {
-	return &EVMConnector{client: eth.NewClient(c)}
-}
-
-// Chain exposes the underlying chain.
-func (e *EVMConnector) Chain() *eth.Chain { return e.client.Chain() }
-
-var _ Connector = (*EVMConnector)(nil)
-
-// Name implements Connector.
-func (e *EVMConnector) Name() string { return e.client.Chain().Config().Name }
-
-// Unit implements Connector.
-func (e *EVMConnector) Unit() chain.Unit { return e.client.Chain().Config().Unit }
-
-// Now implements Connector.
-func (e *EVMConnector) Now() time.Duration { return e.client.Chain().Now() }
-
-// Sleep implements Connector.
-func (e *EVMConnector) Sleep(d time.Duration) { e.client.Sleep(d) }
-
-// SetResilience implements Connector.
-func (e *EVMConnector) SetResilience(pol faults.RetryPolicy) { e.retry = pol }
-
-func (e *EVMConnector) defaultRetry() faults.RetryPolicy { return e.retry }
-
-func (e *EVMConnector) injector() *faults.Injector { return e.client.Chain().Faults() }
-
-// NewAccount implements Connector.
-func (e *EVMConnector) NewAccount(tokens float64) (*Account, error) {
-	amt := chain.AmountFromTokens(tokens, e.Unit())
-	return &Account{evm: e.client.Chain().NewAccount(amt.Base)}, nil
-}
-
-// Balance implements Connector.
-func (e *EVMConnector) Balance(acct *Account) chain.Amount {
-	return e.client.Chain().Balance(acct.evm.Address)
-}
-
-// Deploy implements Connector: a single creation transaction carrying the
-// runtime code and the constructor calldata, resubmitted under the default
-// resilience policy when the mempool drops it.
-func (e *EVMConnector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error) {
-	start := e.Now()
-	ctorData, err := lang.EncodeArgsEVM(lang.CtorMethodName, compiled.Program.Ctor.Params, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	gasLimit := compiled.Analysis.EVMDeployGas + compiled.Analysis.EVMDeployGas/4
-	var (
-		rcpt *chain.Receipt
-		addr chain.Address
-	)
-	retries, err := withRetry(e, e.defaultRetry(), func() error {
-		var err error
-		rcpt, addr, err = e.client.Deploy(acct.evm, compiled.EVMCode, ctorData, nil, gasLimit)
-		return err
-	})
-	res := opResult(start, e.Now(), rcpt)
-	res.Retries = retries
-	if err != nil {
-		return nil, res, err
-	}
-	h := &Handle{Connector: e.Name(), EVMAddr: addr, Compiled: compiled}
-	return h, res, nil
-}
-
-// Invoke implements Connector.
-func (e *EVMConnector) Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error) {
-	start := e.Now()
-	var (
-		v   lang.Value
-		res *OpResult
-	)
-	retries, err := withRetry(e, resolveRetry(e, opts), func() error {
-		var err error
-		v, res, err = e.callOnce(acct, h, api, opts.Pay, args)
-		return err
-	})
-	if res != nil {
-		res.Latency = e.Now() - start
-		res.Retries = retries
-	}
-	return v, res, err
-}
-
-// callOnce is one attempt of an API call.
-func (e *EVMConnector) callOnce(acct *Account, h *Handle, api string, pay uint64, args []lang.Value) (lang.Value, *OpResult, error) {
-	start := e.Now()
-	a := h.Compiled.Program.FindAPI(api)
-	if a == nil {
-		return lang.Value{}, nil, fmt.Errorf("core: unknown API %q", api)
-	}
-	data, err := lang.EncodeArgsEVM(api, a.Params, args)
-	if err != nil {
-		return lang.Value{}, nil, err
-	}
-	var cost *analysisCost
-	for i := range h.Compiled.Analysis.Methods {
-		if h.Compiled.Analysis.Methods[i].Name == api {
-			cost = &analysisCost{gas: h.Compiled.Analysis.Methods[i].TotalEVMGas()}
-		}
-	}
-	gasLimit := uint64(eth.DefaultGasLimit)
-	if cost != nil {
-		gasLimit = cost.gas + cost.gas/4
-	}
-	rcpt, err := e.client.Call(acct.evm, h.EVMAddr, data, new(big.Int).SetUint64(pay), gasLimit)
-	if err != nil {
-		return lang.Value{}, opResult(start, e.Now(), rcpt), err
-	}
-	// The connector's event poll: Reach frontends wait for the call's
-	// effects to surface before returning.
-	e.client.APIExtraDelay()
-	res := opResult(start, e.Now(), rcpt)
-	if rcpt.Reverted {
-		return lang.Value{}, res, fmt.Errorf("%w: %s: %s", ErrAPIRejected, api, rcpt.RevertMsg)
-	}
-	v, err := lang.DecodeReturnEVM(a.Returns, rcpt.ReturnValue)
-	if err != nil {
-		return lang.Value{}, res, err
-	}
-	return v, res, nil
-}
-
-type analysisCost struct{ gas uint64 }
-
-// EscrowFunding implements Connector: EVM contracts need no activation
-// deposit.
-func (e *EVMConnector) EscrowFunding() uint64 { return 0 }
-
-// View implements Connector.
-func (e *EVMConnector) View(h *Handle, name string) (lang.Value, error) {
-	v, ok := h.Compiled.Program.FindView(name)
-	if !ok {
-		return lang.Value{}, fmt.Errorf("core: unknown view %q", name)
-	}
-	data, err := lang.EncodeArgsEVM(name, nil, nil)
-	if err != nil {
-		return lang.Value{}, err
-	}
-	out, err := e.client.View(h.EVMAddr, data)
-	if err != nil {
-		return lang.Value{}, err
-	}
-	return lang.DecodeReturnEVM(v.Type, out)
-}
-
-// ReadGlobal implements Connector.
-func (e *EVMConnector) ReadGlobal(h *Handle, name string) (lang.Value, error) {
-	get := func(key chain.Hash32) chain.Hash32 {
-		return e.client.Chain().StorageAt(h.EVMAddr, key)
-	}
-	return lang.ReadGlobalEVM(get, h.Compiled.Program, name)
-}
-
-// ReadMap implements Connector.
-func (e *EVMConnector) ReadMap(h *Handle, mapName string, key uint64) (lang.Value, bool, error) {
-	get := func(k chain.Hash32) chain.Hash32 {
-		return e.client.Chain().StorageAt(h.EVMAddr, k)
-	}
-	return lang.ReadMapEVM(get, h.Compiled.Program, mapName, key)
-}
-
-// ContractBalance implements Connector.
-func (e *EVMConnector) ContractBalance(h *Handle) uint64 {
-	return e.client.Chain().Balance(h.EVMAddr).Base.Uint64()
-}
-
 func opResult(start, end time.Duration, rcpts ...*chain.Receipt) *OpResult {
 	res := &OpResult{Latency: end - start}
 	for _, r := range rcpts {
@@ -385,203 +356,26 @@ func opResult(start, end time.Duration, rcpts ...*chain.Receipt) *OpResult {
 	return res
 }
 
-// --- Algorand connector ---
-
-// AlgorandConnector adapts the Algorand chain.
-type AlgorandConnector struct {
-	client *algorand.Client
-	retry  faults.RetryPolicy
-}
-
-// NewAlgorandConnector wraps a chain.
-func NewAlgorandConnector(c *algorand.Chain) *AlgorandConnector {
-	return &AlgorandConnector{client: algorand.NewClient(c)}
-}
-
-// Chain exposes the underlying chain.
-func (a *AlgorandConnector) Chain() *algorand.Chain { return a.client.Chain() }
-
-var _ Connector = (*AlgorandConnector)(nil)
-
-// Name implements Connector.
-func (a *AlgorandConnector) Name() string { return a.client.Chain().Config().Name }
-
-// Unit implements Connector.
-func (a *AlgorandConnector) Unit() chain.Unit { return a.client.Chain().Config().Unit }
-
-// Now implements Connector.
-func (a *AlgorandConnector) Now() time.Duration { return a.client.Chain().Now() }
-
-// Sleep implements Connector.
-func (a *AlgorandConnector) Sleep(d time.Duration) { a.client.Sleep(d) }
-
-// SetResilience implements Connector.
-func (a *AlgorandConnector) SetResilience(pol faults.RetryPolicy) { a.retry = pol }
-
-func (a *AlgorandConnector) defaultRetry() faults.RetryPolicy { return a.retry }
-
-func (a *AlgorandConnector) injector() *faults.Injector { return a.client.Chain().Faults() }
-
-// NewAccount implements Connector.
-func (a *AlgorandConnector) NewAccount(tokens float64) (*Account, error) {
-	micro := uint64(tokens * 1e6)
-	return &Account{algo: a.client.Chain().NewAccount(micro)}, nil
-}
-
-// Balance implements Connector.
-func (a *AlgorandConnector) Balance(acct *Account) chain.Amount {
-	return a.client.Chain().Balance(acct.algo.Address)
-}
-
-// Deploy implements Connector: the application-creation transaction. The
-// escrow account still needs its MinBalance deposit before it can hold
-// funds; that payment rides the creator's first call
-// (CallOpts.EscrowFund) — the extra deployment traffic the paper
-// attributes to "the design of the network" (§5.1.5).
-func (a *AlgorandConnector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error) {
-	start := a.Now()
-	ctorArgs, err := lang.EncodeArgsTEAL("", compiled.Program.Ctor.Params, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	var (
-		rcpt1 *chain.Receipt
-		appID uint64
-	)
-	retries, err := withRetry(a, a.defaultRetry(), func() error {
-		var err error
-		rcpt1, appID, err = a.client.CreateApp(acct.algo, compiled.TEALSource, ctorArgs)
-		return err
-	})
-	res := opResult(start, a.Now(), rcpt1)
-	res.Retries = retries
-	if err != nil {
-		return nil, res, err
-	}
-	h := &Handle{Connector: a.Name(), AppID: appID, Compiled: compiled}
-	return h, res, nil
-}
-
-// EscrowFunding implements Connector.
-func (a *AlgorandConnector) EscrowFunding() uint64 { return algorand.MinBalance }
-
-// Invoke implements Connector.
-func (a *AlgorandConnector) Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error) {
-	escrowFund := uint64(0)
-	if opts.EscrowFund {
-		escrowFund = algorand.MinBalance
-	}
-	start := a.Now()
-	var (
-		v   lang.Value
-		res *OpResult
-	)
-	retries, err := withRetry(a, resolveRetry(a, opts), func() error {
-		var err error
-		v, res, err = a.callOnce(acct, h, api, opts.Pay, escrowFund, args)
-		return err
-	})
-	if res != nil {
-		res.Latency = a.Now() - start
-		res.Retries = retries
-	}
-	return v, res, err
-}
-
-// callOnce is one attempt of an API call.
-func (a *AlgorandConnector) callOnce(acct *Account, h *Handle, api string, pay, escrowFund uint64, args []lang.Value) (lang.Value, *OpResult, error) {
-	start := a.Now()
-	ap := h.Compiled.Program.FindAPI(api)
-	if ap == nil {
-		return lang.Value{}, nil, fmt.Errorf("core: unknown API %q", api)
-	}
-	appArgs, err := lang.EncodeArgsTEAL(api, ap.Params, args)
-	if err != nil {
-		return lang.Value{}, nil, err
-	}
-	rcpt, err := a.client.CallApp(acct.algo, h.AppID, appArgs, pay, escrowFund)
-	if err != nil {
-		return lang.Value{}, opResult(start, a.Now(), rcpt), err
-	}
-	res := opResult(start, a.Now(), rcpt)
-	if rcpt.Reverted {
-		return lang.Value{}, res, fmt.Errorf("%w: %s: %s", ErrAPIRejected, api, rcpt.RevertMsg)
-	}
-	v, err := lang.DecodeReturnTEAL(ap.Returns, rcpt.ReturnValue)
-	if err != nil {
-		return lang.Value{}, res, err
-	}
-	return v, res, nil
-}
-
-// View implements Connector: evaluated by simulation, free of charge.
-func (a *AlgorandConnector) View(h *Handle, name string) (lang.Value, error) {
+// View implements Connector.
+func (c *connector) View(h *Handle, name string) (lang.Value, error) {
 	v, ok := h.Compiled.Program.FindView(name)
 	if !ok {
 		return lang.Value{}, fmt.Errorf("core: unknown view %q", name)
 	}
-	appArgs, err := lang.EncodeArgsTEAL("view:"+name, nil, nil)
-	if err != nil {
-		return lang.Value{}, err
-	}
-	res, err := a.client.Simulate(h.AppID, chain.Address{}, appArgs)
-	if err != nil {
-		return lang.Value{}, err
-	}
-	if !res.Approved {
-		return lang.Value{}, fmt.Errorf("core: view %q rejected: %v", name, res.Err)
-	}
-	return lang.DecodeReturnTEAL(v.Type, res.Return)
+	return c.Family.View(h.at(), v)
 }
 
 // ReadGlobal implements Connector.
-func (a *AlgorandConnector) ReadGlobal(h *Handle, name string) (lang.Value, error) {
-	gi := -1
-	for i, g := range h.Compiled.Program.Globals {
-		if g.Name == name {
-			gi = i
-		}
-	}
-	if gi < 0 {
-		return lang.Value{}, fmt.Errorf("core: unknown global %q", name)
-	}
-	v, ok := a.client.Chain().AppGlobal(h.AppID, lang.TEALGlobalKey(name))
-	if !ok {
-		return lang.Value{}, fmt.Errorf("core: global %q not set", name)
-	}
-	return lang.DecodeTEALValue(h.Compiled.Program.Globals[gi].Type, v)
+func (c *connector) ReadGlobal(h *Handle, name string) (lang.Value, error) {
+	return c.Family.ReadGlobal(h.at(), h.Compiled.Program, name)
 }
 
 // ReadMap implements Connector.
-func (a *AlgorandConnector) ReadMap(h *Handle, mapName string, key uint64) (lang.Value, bool, error) {
-	k, err := lang.TEALMapKey(h.Compiled.Program, mapName, key)
-	if err != nil {
-		return lang.Value{}, false, err
-	}
-	v, ok := a.client.Chain().AppGlobal(h.AppID, k)
-	if !ok {
-		return lang.Value{}, false, nil
-	}
-	var valType lang.Type
-	for _, m := range h.Compiled.Program.Maps {
-		if m.Name == mapName {
-			valType = m.Value
-		}
-	}
-	out, err := lang.DecodeTEALValue(valType, v)
-	if err != nil {
-		return lang.Value{}, false, err
-	}
-	return out, true, nil
+func (c *connector) ReadMap(h *Handle, mapName string, key uint64) (lang.Value, bool, error) {
+	return c.Family.ReadMap(h.at(), h.Compiled.Program, mapName, key)
 }
 
-// ContractBalance implements Connector: the spendable balance, i.e. the
-// escrow balance net of the locked minimum balance, so the same number
-// means the same thing on every connector.
-func (a *AlgorandConnector) ContractBalance(h *Handle) uint64 {
-	total := a.client.Chain().Balance(a.client.Chain().AppAddress(h.AppID)).Base.Uint64()
-	if total < algorand.MinBalance {
-		return 0
-	}
-	return total - algorand.MinBalance
-}
+// ContractBalance implements Connector. On Algorand it is the escrow's
+// balance net of the locked minimum balance, so the same number means the
+// same thing on every family.
+func (c *connector) ContractBalance(h *Handle) uint64 { return c.Family.ContractBalance(h.at()) }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"agnopol/internal/algorand"
+	"agnopol/internal/chain"
 	"agnopol/internal/eth"
 	"agnopol/internal/lang"
 )
@@ -217,5 +219,52 @@ func TestHandleID(t *testing.T) {
 	h2 := &Handle{Connector: "algorand-testnet", AppID: 7}
 	if h2.ID() != "algorand-testnet/app/7" {
 		t.Fatalf("Algorand handle ID %q", h2.ID())
+	}
+}
+
+// TestNewAccountRejectsBadAmounts pins what NewAccount credits, on both
+// families: a negative, non-finite or unrepresentable amount is an
+// ErrBadAmount and creates nothing, and every other amount is credited as
+// exactly chain.AmountFromTokens's base units. Before the one connector,
+// Algorand converted with uint64(tokens * 1e6) — NewAccount(-1) credited
+// 2^64 - 10^6 µAlgo, and NaN, ±Inf and 9.2e12 tokens or more credited 2^63
+// on amd64 — and EVM turned -1 into a zero balance without an error.
+func TestNewAccountRejectsBadAmounts(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		tokens        float64
+		evmOK, algoOK bool
+	}{
+		{"negative", -1, false, false},
+		{"NaN", math.NaN(), false, false},
+		{"+Inf", math.Inf(1), false, false},
+		{"-Inf", math.Inf(-1), false, false},
+		{"past 2^64 µAlgo", 2e13, true, false},
+		{"past 2^256 wei", 1e60, false, false},
+		{"zero", 0, true, true},
+		{"fraction", 0.5, true, true},
+		{"whole tokens", 1000, true, true},
+	} {
+		for _, conn := range connectors(t) {
+			t.Run(conn.Name()+"/"+tc.name, func(t *testing.T) {
+				want := tc.evmOK
+				if conn.Unit().Name == "ALGO" {
+					want = tc.algoOK
+				}
+				acct, err := conn.NewAccount(tc.tokens)
+				if !want {
+					if !errors.Is(err, ErrBadAmount) || acct != nil {
+						t.Fatalf("NewAccount(%v) = %v, %v; want ErrBadAmount", tc.tokens, acct, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := conn.Balance(acct).Base, chain.AmountFromTokens(tc.tokens, conn.Unit()).Base; got.Cmp(want) != 0 {
+					t.Fatalf("NewAccount(%v) credited %v base units, want %v", tc.tokens, got, want)
+				}
+			})
+		}
 	}
 }

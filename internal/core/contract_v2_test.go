@@ -22,20 +22,11 @@ func TestPoLV2CompilesAndVerifies(t *testing.T) {
 	}
 }
 
-// advance pushes a connector's simulated clock past t by producing blocks.
-func advance(t *testing.T, conn Connector, until time.Duration) {
-	t.Helper()
-	switch c := conn.(type) {
-	case *EVMConnector:
-		for c.Chain().Now() < until {
-			c.Chain().Step()
-		}
-	case *AlgorandConnector:
-		for c.Chain().Now() < until {
-			c.Chain().Step()
-		}
-	default:
-		t.Fatalf("unknown connector %T", conn)
+// advance pushes a family's simulated clock past until by producing
+// blocks.
+func advance(f Family, until time.Duration) {
+	for f.Now() < until {
+		f.Seal()
 	}
 }
 
@@ -44,12 +35,11 @@ func TestPoLV2LifecycleBothChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns := []Connector{
-		NewEVMConnector(eth.NewChain(eth.Goerli(), 31)),
-		NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), 31)),
-	}
-	for _, conn := range conns {
-		conn := conn
+	for _, f := range []Family{
+		eth.NewClient(eth.NewChain(eth.Goerli(), 31)),
+		algorand.NewClient(algorand.NewChain(algorand.Testnet(), 31)),
+	} {
+		conn := NewConnector(f)
 		t.Run(conn.Name(), func(t *testing.T) {
 			creator, err := conn.NewAccount(10)
 			if err != nil {
@@ -118,7 +108,7 @@ func TestPoLV2LifecycleBothChains(t *testing.T) {
 			}
 
 			// After the deadline: inserts rejected, anyone can close.
-			advance(t, conn, time.Duration(deadline)*time.Second+time.Minute)
+			advance(f, time.Duration(deadline)*time.Second+time.Minute)
 			if _, _, err := conn.Invoke(stranger, h, "insert_data", CallOpts{},
 				lang.BytesValue([]byte("late")), lang.Uint64Value(999)); err == nil {
 				t.Fatal("insert after deadline accepted")

@@ -32,7 +32,7 @@ func newHintWorld(t *testing.T, seed uint64, caKeys int) *hintWorld {
 	c := eth.NewChain(eth.Goerli(), seed)
 	w := &hintWorld{sys: sys, obs: obs.New(), conn: NewEVMConnector(c)}
 	sys.Instrument(w.obs)
-	c.Instrument(w.obs.Registry, nil, nil) // eth_txs_submitted_total: one admission verification each
+	c.Instrument(&obs.Obs{Registry: w.obs.Registry}) // eth_txs_submitted_total: one admission verification each
 	pad := sys.Rand.Fork("ca-padding")
 	for i := 1; i < caKeys; i++ {
 		sys.CA.RegisterWitness(polcrypto.MustGenerateKeyPair(pad).Public)

@@ -234,23 +234,14 @@ func (c *Chain) BurnedAndTipped() (burned, tipped *big.Int) {
 
 // NewAccount creates and funds an externally-owned account.
 func (c *Chain) NewAccount(balance *big.Int) *Account {
-	kp := polcrypto.MustGenerateKeyPair(c.rng.Fork("account"))
-	addr := chain.AddressFromPublicKey(kp.Public)
-	if balance != nil && balance.Sign() > 0 {
-		c.st.AddBalance(addr, balance)
-	}
-	return &Account{Key: kp, Address: addr}
+	acct := chain.NewAccount(c.rng.Fork("account"))
+	c.Fund(acct.Address, balance)
+	return acct
 }
 
 // Balance returns an address's balance as an Amount in the chain's unit.
 func (c *Chain) Balance(addr chain.Address) chain.Amount {
 	return chain.NewAmount(c.st.GetBalance(addr), c.cfg.Unit)
-}
-
-// StorageAt reads one raw storage word of a contract — the eth_getStorageAt
-// facility connectors use for free state reads.
-func (c *Chain) StorageAt(addr chain.Address, key chain.Hash32) chain.Hash32 {
-	return c.st.GetStorage(addr, key)
 }
 
 // ContractCode returns the deployed code at an address, if any.
@@ -275,6 +266,7 @@ var (
 	ErrNonceTooLow      = errors.New("eth: nonce too low")
 	ErrGasLimitTooLow   = errors.New("eth: gas limit below intrinsic cost")
 	ErrGasAboveBlockCap = errors.New("eth: gas limit exceeds block gas limit")
+	ErrNegativeAmount   = errors.New("eth: negative value or tip")
 )
 
 // Submit validates a signed transaction and queues it. The returned hash
@@ -294,8 +286,15 @@ func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
 func (c *Chain) PendingCount() int { return c.pool.Len() }
 
 // admit is the mempool's admission check for a transaction whose signature
-// already verified: gas bounds, fee floor, nonce and balance.
+// already verified: a non-negative value and tip, gas bounds, fee floor,
+// nonce and balance. A negative value would shrink the upfront cost the
+// balance check and Step's selection reserve, and a negative tip would
+// price gas below the base fee, down to a negative fee; refusing both is
+// what keeps every debit in execution covered (stateView.SubBalance).
 func (c *Chain) admit(tx *Tx) error {
+	if tx.Value.Sign() < 0 || tx.MaxTip.Sign() < 0 {
+		return ErrNegativeAmount
+	}
 	if tx.GasLimit > c.cfg.BlockGasLimit {
 		return ErrGasAboveBlockCap
 	}
@@ -406,7 +405,7 @@ func (c *Chain) Step() *Block {
 		}
 		return upfront.Cmp(c.st.GetBalance(tx.From)) <= 0
 	}
-	sel := c.pool.Take(func(i int, p *chain.Pending[*Tx]) bool {
+	sel := c.pool.Take(blockTime, func(i int, p *chain.Pending[*Tx]) bool {
 		tx := p.Item
 		affordable := covered(tx)
 		switch {
@@ -489,11 +488,6 @@ func (c *Chain) Step() *Block {
 				blk.TxHashes[i] = rcpt.TxHash
 				blk.GasUsed += rcpt.GasUsed
 				c.burned.Add(c.burned, eff.burn)
-				if c.obs != nil {
-					c.obs.txsIncluded.Inc()
-					c.obs.inclusionLatency.Observe((blk.Time - p.Submitted).Seconds())
-					c.obs.inclusionSketch.Observe((blk.Time - p.Submitted).Seconds())
-				}
 			}
 		})
 
@@ -515,7 +509,6 @@ func (c *Chain) Step() *Block {
 		c.obs.blockGasUsed.Add(blk.GasUsed)
 		bf, _ := new(big.Float).SetInt(c.baseFee).Float64()
 		c.obs.baseFee.Set(bf)
-		c.obs.mempoolDepth.Set(float64(c.pool.Len()))
 		if c.obs.log.Enabled(obs.LevelDebug) {
 			c.obs.log.Debug("block produced", "chain", c.cfg.Name,
 				"number", blk.Number, "txs", len(blk.TxHashes),

@@ -280,7 +280,7 @@ func TestContractDeployAndCallThroughChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcpt, addr, err := cl.Deploy(alice, code, nil, nil, 200000)
+	rcpt, addr, err := cl.deploy(alice, code, nil, nil, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestContractDeployAndCallThroughChain(t *testing.T) {
 		t.Fatal("code not stored at contract address")
 	}
 
-	callRcpt, err := cl.Call(alice, addr, nil, nil, 100000)
+	callRcpt, err := cl.call(alice, addr, nil, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestContractDeployAndCallThroughChain(t *testing.T) {
 
 	// Views are free and instantaneous.
 	before := c.Now()
-	out, err := cl.View(addr, nil)
+	out, err := cl.view(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestRevertedDeployKeepsNoCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr, err := cl.Deploy(alice, code, nil, nil, 100000)
+	_, addr, err := cl.deploy(alice, code, nil, nil, 100000)
 	if err == nil {
 		t.Fatal("reverting deployment succeeded")
 	}

@@ -27,17 +27,17 @@ func TestViewDoesNotMutateState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr, err := cl.Deploy(alice, code, nil, nil, 300000)
+	_, addr, err := cl.deploy(alice, code, nil, nil, 300000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Note: deployment executed the code once (ctor semantics), writing
 	// slot 1. Clear it so the view's write is observable.
 	c.st.SetStorage(addr, wordKey(1), chain.Hash32{})
-	if _, err := cl.View(addr, nil); err != nil {
+	if _, err := cl.view(addr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.StorageAt(addr, wordKey(1)) != (chain.Hash32{}) {
+	if c.st.GetStorage(addr, wordKey(1)) != (chain.Hash32{}) {
 		t.Fatal("view write leaked into chain state")
 	}
 }
@@ -102,7 +102,7 @@ func TestAPIExtraDelayAdvancesClock(t *testing.T) {
 	c := NewChain(Goerli(), 6)
 	cl := NewClient(c)
 	before := c.Now()
-	d := cl.APIExtraDelay()
+	d := cl.apiExtraDelay()
 	if d <= 0 {
 		t.Fatal("no delay sampled")
 	}
@@ -146,12 +146,12 @@ func TestRevertedCallStillChargesFees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr, err := cl.Deploy(alice, code, nil, nil, 200000)
+	_, addr, err := cl.deploy(alice, code, nil, nil, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.Balance(alice.Address).Base
-	rcpt, err := cl.Call(alice, addr, []byte{1}, nil, 100000)
+	rcpt, err := cl.call(alice, addr, []byte{1}, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ func TestExplorerHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr, err := cl.Deploy(alice, code, nil, nil, 100000)
+	_, addr, err := cl.deploy(alice, code, nil, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Call(bob, addr, []byte{0xde, 0xad, 0xbe, 0xef}, big.NewInt(5), 100000); err != nil {
+	if _, err := cl.call(bob, addr, []byte{0xde, 0xad, 0xbe, 0xef}, big.NewInt(5), 100000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,11 +75,11 @@ func TestExplorerRecordsReverted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr, err := cl.Deploy(alice, code, nil, nil, 100000)
+	_, addr, err := cl.deploy(alice, code, nil, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Call(alice, addr, []byte{1}, nil, 100000); err != nil {
+	if _, err := cl.call(alice, addr, []byte{1}, nil, 100000); err != nil {
 		t.Fatal(err)
 	}
 	records := c.HistoryOf(addr)

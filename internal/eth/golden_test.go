@@ -71,17 +71,17 @@ func runGoldenScenario(t *testing.T, shards int) *Chain {
 	deployer := c.NewAccount(eth(10))
 	var counters []chain.Address
 	for i := 0; i < 3; i++ {
-		_, addr, err := cl.Deploy(deployer, counterCode(t), nil, nil, 300000)
+		_, addr, err := cl.deploy(deployer, counterCode(t), nil, nil, 300000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		counters = append(counters, addr)
 	}
-	_, picky, err := cl.Deploy(deployer, pickyCode(t), nil, nil, 300000)
+	_, picky, err := cl.deploy(deployer, pickyCode(t), nil, nil, 300000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Deploy(deployer, pickyCode(t), []byte{1}, nil, 300000); err == nil {
+	if _, _, err := cl.deploy(deployer, pickyCode(t), []byte{1}, nil, 300000); err == nil {
 		t.Fatal("a constructor that reverts must fail the deployment")
 	}
 	// Gas covers the intrinsic cost but not the per-byte code deposit.

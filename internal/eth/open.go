@@ -1,8 +1,6 @@
 package eth
 
 import (
-	"errors"
-	"fmt"
 	"math/big"
 	"time"
 
@@ -40,12 +38,9 @@ type PendingTx struct {
 // value, as a process that never stopped. It is JSON-serializable so
 // callers can park it in a diskstore manifest's meta blob.
 type Checkpoint struct {
-	Name        string
+	chain.Position
 	HeadNumber  uint64
-	HeadHash    chain.Hash32
-	HeadTime    time.Duration
 	HeadBaseFee []byte
-	StateRoot   chain.Hash32
 	BaseFee     []byte
 	Burned      []byte
 	Tipped      []byte
@@ -54,45 +49,29 @@ type Checkpoint struct {
 	// SpikeBlocksLeft carries an in-flight congestion episode across the
 	// restart; the demand model continues it instead of resampling.
 	SpikeBlocksLeft int
-	RcptAcc         chain.Hash32
-	RcptCount       uint64
-	Clock           time.Duration
-	// Rng is the chain PRNG's stream position (chain.Rand.State).
-	Rng       uint64
-	Retention int
-	Mempool   []PendingTx
+	Mempool         []PendingTx
 }
 
 // Checkpoint captures the chain's restart point. The world state is not
 // included — commit it separately with CommitState — and the snapshot
 // borrows the live mempool transactions, so serialize it before
 // mutating the chain further. Chains with a fault injector attached
-// refuse to checkpoint: injector stream positions are not captured, so
-// a resumed run could not replay identically.
+// refuse to checkpoint (chain.Position.Mark).
 func (c *Chain) Checkpoint() (*Checkpoint, error) {
-	if c.Faults() != nil {
-		return nil, errors.New("eth: cannot checkpoint with fault injection attached")
-	}
 	head := c.Head()
-	acc, count := c.rcpts.Position()
 	ck := &Checkpoint{
-		Name:            c.cfg.Name,
+		Position:        chain.Position{Name: c.cfg.Name, HeadHash: head.Hash, HeadTime: head.Time, StateRoot: c.st.Root()},
 		HeadNumber:      head.Number,
-		HeadHash:        head.Hash,
-		HeadTime:        head.Time,
 		HeadBaseFee:     head.BaseFee.Bytes(),
-		StateRoot:       c.st.Root(),
 		BaseFee:         c.baseFee.Bytes(),
 		Burned:          c.burned.Bytes(),
 		Tipped:          c.tipped.Bytes(),
 		Justified:       c.justified,
 		Finalized:       c.finalized,
 		SpikeBlocksLeft: c.spikeBlocksLeft,
-		RcptAcc:         acc,
-		RcptCount:       count,
-		Clock:           c.clock.Now(),
-		Rng:             c.rng.State(),
-		Retention:       c.rcpts.Retention,
+	}
+	if err := ck.Mark("eth", c.Faults(), c.clock, c.rng, &c.rcpts); err != nil {
+		return nil, err
 	}
 	for _, p := range c.pool.Entries() {
 		ck.Mempool = append(ck.Mempool, PendingTx{Tx: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
@@ -116,50 +95,38 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // continues the interrupted run bit-identically.
 func Open(o Options) (*Chain, error) {
 	c := newChain(o.Config, o.Seed)
-	if o.Store == nil {
-		if o.Root != (mstate.Hash{}) || o.Checkpoint != nil {
-			return nil, errors.New("eth: Open with a root or checkpoint requires a store")
-		}
-		return c, nil
-	}
-	t, err := mstate.Load(o.Store, o.Root)
-	if err != nil {
-		return nil, fmt.Errorf("eth: load state %x: %w", o.Root[:8], err)
-	}
-	c.st = &state{stateView: stateView{kv: t}, t: t}
-	if o.Checkpoint != nil {
-		if err := c.restore(o.Checkpoint); err != nil {
-			return nil, err
-		}
+	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Chain) restore(ck *Checkpoint) error {
-	if ck.Name != c.cfg.Name {
-		return fmt.Errorf("eth: checkpoint is for chain %q, config says %q", ck.Name, c.cfg.Name)
+// load is Open's restart-from-root half, on a freshly built chain.
+func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) error {
+	t, err := chain.LoadState("eth", store, root, ck != nil)
+	if t == nil {
+		return err
 	}
-	if got := c.st.Root(); got != ck.StateRoot {
-		return fmt.Errorf("eth: loaded state root %x does not match checkpoint %x", got[:8], ck.StateRoot[:8])
+	c.st = &state{stateView: stateView{kv: t}, t: t}
+	if ck == nil {
+		return nil
 	}
-	head := &Block{
+	if err := ck.Resume("eth", c.cfg.Name, c.st.Root(), c.clock, c.rng, &c.rcpts); err != nil {
+		return err
+	}
+	c.blocks = []*Block{{
 		Number:    ck.HeadNumber,
 		Time:      ck.HeadTime,
 		Hash:      ck.HeadHash,
 		BaseFee:   new(big.Int).SetBytes(ck.HeadBaseFee),
 		StateRoot: ck.StateRoot,
-	}
-	c.blocks = []*Block{head}
+	}}
 	c.baseFee = new(big.Int).SetBytes(ck.BaseFee)
 	c.burned = new(big.Int).SetBytes(ck.Burned)
 	c.tipped = new(big.Int).SetBytes(ck.Tipped)
 	c.justified = ck.Justified
 	c.finalized = ck.Finalized
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
-	c.rcpts.SetPosition(ck.RcptAcc, ck.RcptCount)
-	c.rcpts.Retention = ck.Retention
-	c.clock.AdvanceTo(ck.Clock)
-	c.rng.SetState(ck.Rng)
 	mempool := make([]*chain.Pending[*Tx], len(ck.Mempool))
 	for i, p := range ck.Mempool {
 		mempool[i] = &chain.Pending[*Tx]{Item: p.Tx, Submitted: p.Submitted, Delayed: p.Delayed}

@@ -10,16 +10,14 @@ import (
 	"agnopol/internal/faults"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
-	"agnopol/internal/polcrypto"
 )
 
 // fundedAccount derives an account from a soak-style key stream and
 // funds it via Fund, never touching the chain rng.
 func fundedAccount(c *Chain, rng *chain.Rand, eth int64) *Account {
-	kp := polcrypto.MustGenerateKeyPair(rng)
-	addr := chain.AddressFromPublicKey(kp.Public)
-	c.Fund(addr, new(big.Int).Mul(big.NewInt(eth), big.NewInt(1e18)))
-	return &Account{Key: kp, Address: addr}
+	acct := chain.NewAccount(rng)
+	c.Fund(acct.Address, new(big.Int).Mul(big.NewInt(eth), big.NewInt(1e18)))
+	return acct
 }
 
 func transfer(t *testing.T, c *Chain, from, to *Account, nonce uint64) {

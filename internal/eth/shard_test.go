@@ -161,7 +161,7 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 	const areas = 4
 	var contracts []chain.Address
 	for i := 0; i < areas; i++ {
-		_, addr, err := cl.Deploy(deployer, code, nil, nil, 300000)
+		_, addr, err := cl.deploy(deployer, code, nil, nil, 300000)
 		if err != nil {
 			t.Fatal(err)
 		}

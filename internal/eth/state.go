@@ -17,16 +17,12 @@ import (
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
 	"agnopol/internal/mstate"
-	"agnopol/internal/polcrypto"
 )
 
 // Account is an externally-owned account with its signing key. Nonces are
 // not tracked locally: clients query the chain's pending nonce, as real
 // wallets do, so a rejected submission never wedges the account.
-type Account struct {
-	Key     *polcrypto.KeyPair
-	Address chain.Address
-}
+type Account = chain.Account
 
 // Trie key derivation. Every logical state entry — a balance, a nonce, a
 // code blob, one storage word — is one key in the Merkle trie, tagged by
@@ -111,16 +107,30 @@ func (s *stateView) AddBalance(a chain.Address, v *big.Int) {
 	b := decodeBalance(enc)
 	b.Add(b, v)
 	if b.Sign() < 0 {
+		// Unreachable: no credit is negative. Admission (Chain.admit)
+		// refuses a negative value or tip, so the value executeOn moves,
+		// the proposer's tips and the refund of a reverted transfer are all
+		// >= 0; Fund and NewAccount credit only positive amounts; the EVM
+		// moves unsigned call values.
 		panic(fmt.Sprintf("eth: balance of %x driven negative (%s)", a[:4], b))
 	}
 	s.kv.Put(k, encodeBalance(b))
 }
 
 // SubBalance debits a. Debiting an absent account is an invariant
-// violation, not an implicit account creation with a negative balance —
-// every legitimate debit (fees, value transfers) is balance-checked
-// upstream, so reaching either panic means admission or execution let an
-// overdraft through.
+// violation, not an implicit account creation with a negative balance.
+// Both panics are unreachable, because every debit is covered before it
+// happens:
+//   - a transaction's sender pays its value and fee; admission
+//     (Chain.admit: ErrInsufficientEth, ErrNegativeAmount) and Step's
+//     selection (covered) reserve maxFee×gasLimit+value of every selected
+//     transaction against the sender's balance, and a transaction never
+//     costs more, since its gas price is at most maxFee and its gas at
+//     most gasLimit;
+//   - a reverted transfer takes back from its target exactly what the
+//     target was just credited;
+//   - the EVM checks a contract's balance before a CALL moves value out
+//     of it.
 func (s *stateView) SubBalance(a chain.Address, v *big.Int) {
 	if v.Sign() == 0 {
 		return

@@ -2,6 +2,7 @@ package eth
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -66,6 +67,43 @@ func TestPhantomAccountInvariants(t *testing.T) {
 	a.AddBalance(ghost, big.NewInt(0))
 	if a.Root() != b.Root() {
 		t.Fatal("no-op credit changed the state root")
+	}
+}
+
+// TestOverdraftIsATypedRejection drives the inputs closest to the three
+// panics above through a chain: each is refused at admission with a typed
+// error, and the chain keeps producing blocks. The negative value and the
+// negative tip were admitted before: the first then panicked in Step (the
+// fee debit of an account that does not exist), the second priced gas
+// below zero and credited its sender.
+func TestOverdraftIsATypedRejection(t *testing.T) {
+	c := newTestChain(t)
+	cl := NewClient(c)
+	poor := c.NewAccount(eth(0.001))
+	ghost := chain.NewAccount(chain.NewRand(7))
+	to := chain.AddressFromBytes([]byte("to"))
+	negativeTip := &Tx{
+		From: poor.Address, To: &to, Value: new(big.Int), GasLimit: 21000,
+		MaxFee: big.NewInt(10_000_000_000), MaxTip: big.NewInt(-1e18),
+	}
+	negativeTip.Sign(poor)
+	for _, tc := range []struct {
+		name string
+		tx   *Tx
+		want error
+	}{
+		{"value + maxFee × gas past the balance", cl.NewTx(poor, &to, eth(0.001), nil, 21000), ErrInsufficientEth},
+		{"negative value from an absent account", cl.NewTx(ghost, &to, eth(-1), nil, 21000), ErrNegativeAmount},
+		{"negative tip", negativeTip, ErrNegativeAmount},
+	} {
+		if _, err := c.Submit(tc.tx); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Submit = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	before := c.Balance(poor.Address).Base
+	c.Step()
+	if c.PendingCount() != 0 || c.Balance(poor.Address).Base.Cmp(before) != 0 || c.Balance(ghost.Address).Base.Sign() != 0 {
+		t.Fatal("a refused transaction reached the chain")
 	}
 }
 

@@ -106,21 +106,40 @@ func ReadGlobalEVM(get StorageGetter, p *Program, name string) (Value, error) {
 	}
 }
 
-// TEALGlobalKey is the application global-state key of a global.
-func TEALGlobalKey(name string) string { return "g:" + name }
-
-// TEALMapKey is the application global-state key of a map entry.
-func TEALMapKey(p *Program, mapName string, key uint64) (string, error) {
+// ReadMapTEAL reads Map[key] from an application's global state, get
+// being the reader of one state key.
+func ReadMapTEAL(get func(key string) (avm.Value, bool), p *Program, mapName string, key uint64) (Value, bool, error) {
 	mi, err := p.mapIndex(mapName)
 	if err != nil {
-		return "", err
+		return Value{}, false, err
 	}
-	return "m:" + strconv.Itoa(mi) + ":" + string(avm.Itob(key)), nil
+	v, ok := get("m:" + strconv.Itoa(mi) + ":" + string(avm.Itob(key)))
+	if !ok {
+		return Value{}, false, nil
+	}
+	out, err := decodeTEALValue(p.Maps[mi].Value, v)
+	if err != nil {
+		return Value{}, false, err
+	}
+	return out, true, nil
 }
 
-// DecodeTEALValue converts an AVM state value to a language Value of the
+// ReadGlobalTEAL reads a global from an application's global state.
+func ReadGlobalTEAL(get func(key string) (avm.Value, bool), p *Program, name string) (Value, error) {
+	gi, err := p.globalIndex(name)
+	if err != nil {
+		return Value{}, err
+	}
+	v, ok := get("g:" + name)
+	if !ok {
+		return Value{}, fmt.Errorf("lang: global %q not set", name)
+	}
+	return decodeTEALValue(p.Globals[gi].Type, v)
+}
+
+// decodeTEALValue converts an AVM state value to a language Value of the
 // declared type.
-func DecodeTEALValue(t Type, v avm.Value) (Value, error) {
+func decodeTEALValue(t Type, v avm.Value) (Value, error) {
 	switch t {
 	case TUInt:
 		u, err := v.AsUint()

@@ -45,20 +45,26 @@ const (
 // AllChains lists the networks in the order the tables present them.
 var AllChains = []ChainName{ChainGoerli, ChainPolygon, ChainAlgorand}
 
-// NewConnector instantiates a fresh simulated network for an experiment.
-func NewConnector(name ChainName, seed uint64) (core.Connector, error) {
-	switch name {
-	case ChainRopsten:
-		return core.NewEVMConnector(eth.NewChain(eth.Ropsten(), seed)), nil
-	case ChainGoerli:
-		return core.NewEVMConnector(eth.NewChain(eth.Goerli(), seed)), nil
-	case ChainPolygon:
-		return core.NewEVMConnector(eth.NewChain(eth.PolygonMumbai(), seed)), nil
-	case ChainAlgorand:
-		return core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), seed)), nil
-	default:
+// evmPresets are the Ethereum-family networks among the chain names.
+var evmPresets = map[ChainName]func() eth.Config{
+	ChainRopsten: eth.Ropsten, ChainGoerli: eth.Goerli, ChainPolygon: eth.PolygonMumbai,
+}
+
+// openFamily opens a fresh simulated network behind its family's client;
+// tune, when set, adjusts an Ethereum-family preset first.
+func openFamily(name ChainName, seed uint64, tune func(*eth.Config)) (core.Family, error) {
+	if name == ChainAlgorand {
+		return algorand.NewClient(algorand.NewChain(algorand.Testnet(), seed)), nil
+	}
+	preset, ok := evmPresets[name]
+	if !ok {
 		return nil, fmt.Errorf("sim: unknown chain %q", name)
 	}
+	cfg := preset()
+	if tune != nil {
+		tune(&cfg)
+	}
+	return eth.NewClient(eth.NewChain(cfg, seed)), nil
 }
 
 // Measurement is one user's total interaction time with the contract — the
@@ -204,17 +210,18 @@ func newExperiment(spec Spec) (core.Connector, *core.System, error) {
 	if contracts := spec.Users / UsersPerContract; contracts > len(Locations) {
 		return nil, nil, fmt.Errorf("sim: %d contracts exceed the %d thesis locations", contracts, len(Locations))
 	}
-	conn, err := NewConnector(spec.Chain, spec.Seed)
+	f, err := openFamily(spec.Chain, spec.Seed, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	conn := core.NewConnector(f)
 	sys, err := core.NewSystem(spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	InstrumentConnector(conn, spec.Obs)
+	f.Instrument(spec.Obs)
 	sys.Instrument(spec.Obs)
-	applyFaults(spec, conn, sys)
+	applyFaults(spec, f, conn, sys)
 	return conn, sys, nil
 }
 
@@ -225,7 +232,7 @@ func newExperiment(spec Spec) (core.Connector, *core.System, error) {
 // the off-chain substrates via System, and both connector and actors run
 // under the default retry policy. A nil plan is a no-op, leaving the run
 // on the exact code path a fault-free build takes.
-func applyFaults(spec Spec, conn core.Connector, sys *core.System) {
+func applyFaults(spec Spec, f core.Family, conn core.Connector, sys *core.System) {
 	if spec.Faults == nil {
 		return
 	}
@@ -234,12 +241,7 @@ func applyFaults(spec Spec, conn core.Connector, sys *core.System) {
 		reg = spec.Obs.Registry
 	}
 	inj := faults.NewInjector(spec.Faults, spec.Seed, reg)
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		c.Chain().SetFaults(inj)
-	case *core.AlgorandConnector:
-		c.Chain().SetFaults(inj)
-	}
+	f.SetFaults(inj)
 	conn.SetResilience(faults.DefaultRetry)
 	sys.SetResilience(inj, faults.DefaultRetry)
 }

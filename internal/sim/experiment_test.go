@@ -49,7 +49,7 @@ func TestRunValidatesParameters(t *testing.T) {
 	if _, err := Execute(Spec{Chain: ChainGoerli, Users: 64, Seed: 1}); err == nil {
 		t.Fatal("more contracts than thesis locations accepted")
 	}
-	if _, err := NewConnector("fantasy", 1); err == nil {
+	if _, err := openFamily("fantasy", 1, nil); err == nil {
 		t.Fatal("unknown chain accepted")
 	}
 }

@@ -124,31 +124,15 @@ func multiSoakSeed(seed uint64, name ChainName) uint64 {
 	return chain.NewRand(seed).Fork("multisoak:" + string(name)).Uint64()
 }
 
-// multiSoakHandle derives the contract handle area localIdx will have on
-// its backend, without running the deployment: EVM contract addresses are
-// a pure function of the deployer key (first draw of the backend's soak
-// key stream) and the sequential nonce, and Algorand app ids are pinned to
-// 1..Areas by the deployer. The discovery phase publishes these derived
-// handles; the backend soaks later deploy the real contracts at exactly
-// these identities.
-func multiSoakHandle(name ChainName, seed uint64, localIdx int) (*core.Handle, error) {
-	switch name {
-	case ChainRopsten, ChainGoerli, ChainPolygon:
-		deployer := nextSoakAccount(soakKeyStream(seed))
-		return soakHandleEVM(string(name), deployer.Address, localIdx, nil), nil
-	case ChainAlgorand:
-		return soakHandleAlgorand(string(name), localIdx, nil), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown chain %q", name)
-	}
-}
-
 // runMultiDiscovery is the pre-load discovery phase: publish every area's
 // handle into one hypercube in both flat and sharded placement, then have
 // every user resolve their home area in both modes and check the handles
-// agree. Per-shard lookup tallies feed the report (and, through Obs, the
-// core_dht_discovery_total counters).
-func runMultiDiscovery(spec MultiSoakSpec, seeds []uint64) (DiscoveryReport, error) {
+// agree. The handles are the backend soaks' own, derived before they
+// deploy: EVM contract addresses are a pure function of the deployer key
+// and the sequential nonce, and Algorand app ids are pinned to 1..Areas by
+// the deployer. Per-shard lookup tallies feed the report (and, through
+// Obs, the core_dht_discovery_total counters).
+func runMultiDiscovery(spec MultiSoakSpec, soaks []*soak) (DiscoveryReport, error) {
 	sys, err := core.NewSystem(spec.Seed)
 	if err != nil {
 		return DiscoveryReport{}, err
@@ -170,11 +154,7 @@ func runMultiDiscovery(spec MultiSoakSpec, seeds []uint64) (DiscoveryReport, err
 	mask := uint64(1)<<uint(sys.R) - 1
 	codes := make([]string, spec.Areas)
 	for i := 0; i < spec.Areas; i++ {
-		b := i % len(spec.Chains)
-		h, err := multiSoakHandle(spec.Chains[b], seeds[b], i/len(spec.Chains))
-		if err != nil {
-			return rep, err
-		}
+		h, _ := soaks[i%len(spec.Chains)].handle(i / len(spec.Chains))
 		codes[i] = multiSoakAreaCode(i)
 		if err := reg.Register(codes[i], h); err != nil {
 			return rep, err
@@ -242,11 +222,6 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 	}
 	seen := make(map[ChainName]bool, len(spec.Chains))
 	for _, name := range spec.Chains {
-		switch name {
-		case ChainRopsten, ChainGoerli, ChainPolygon, ChainAlgorand:
-		default:
-			return nil, fmt.Errorf("sim: unknown chain %q", name)
-		}
 		if seen[name] {
 			return nil, fmt.Errorf("sim: duplicate backend %q", name)
 		}
@@ -265,11 +240,20 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 		spec.Shards = 1
 	}
 
-	seeds := make([]uint64, len(spec.Chains))
+	areasOf, usersOf := multiSoakPartition(spec)
+	soaks := make([]*soak, len(spec.Chains))
 	for b, name := range spec.Chains {
-		seeds[b] = multiSoakSeed(spec.Seed, name)
+		var err error
+		soaks[b], err = openSoak(SoakSpec{
+			Chain: name, Areas: areasOf[b], Users: usersOf[b],
+			Rounds: spec.Rounds, Shards: spec.Shards, Seed: multiSoakSeed(spec.Seed, name),
+			Obs: spec.Obs, Telemetry: spec.Telemetry,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sim: backend %s: %w", name, err)
+		}
 	}
-	discovery, err := runMultiDiscovery(spec, seeds)
+	discovery, err := runMultiDiscovery(spec, soaks)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +261,6 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 		return nil, fmt.Errorf("sim: sharded DHT discovery resolved different handles than flat discovery")
 	}
 
-	areasOf, usersOf := multiSoakPartition(spec)
 	res := &MultiSoakResult{
 		Chains: append([]ChainName(nil), spec.Chains...),
 		Areas:  spec.Areas, Users: spec.Users, Rounds: spec.Rounds,
@@ -287,17 +270,12 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 	}
 	errs := make([]error, len(spec.Chains))
 	var wg sync.WaitGroup
-	for b, name := range spec.Chains {
+	for b, s := range soaks {
 		res.Backends[b] = BackendResult{
-			Chain: name, Areas: areasOf[b], Users: usersOf[b], Seed: seeds[b],
-		}
-		sub := SoakSpec{
-			Chain: name, Areas: areasOf[b], Users: usersOf[b],
-			Rounds: spec.Rounds, Shards: spec.Shards, Seed: seeds[b],
-			Obs: spec.Obs, Telemetry: spec.Telemetry,
+			Chain: s.spec.Chain, Areas: areasOf[b], Users: usersOf[b], Seed: s.spec.Seed,
 		}
 		run := func(b int) {
-			res.Backends[b].Soak, errs[b] = RunSoak(sub)
+			res.Backends[b].Soak, errs[b] = soaks[b].drive()
 		}
 		if spec.Sequential {
 			run(b)

@@ -200,27 +200,35 @@ func TestMultiSoakAreaCodesAreValidOLC(t *testing.T) {
 }
 
 // TestMultiSoakHandleMatchesDeployment pins the discovery/deploy identity
-// contract: the handle the discovery phase derives for an area must be the
-// handle the backend soak actually deploys (sequential EVM nonces,
-// sequential Algorand app ids).
+// contract: the handle the discovery phase derives for an area, before any
+// deployment, must be where the backend soak's deployment puts the area's
+// contract (sequential EVM nonces, sequential Algorand app ids).
 func TestMultiSoakHandleMatchesDeployment(t *testing.T) {
-	seed := multiSoakSeed(42, ChainGoerli)
-	h, err := multiSoakHandle(ChainGoerli, seed, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
+		seed := multiSoakSeed(42, c)
+		s, err := openSoak(SoakSpec{Chain: c, Areas: 4, Users: 4, Rounds: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, deployed := s.handle(3)
+		if deployed {
+			t.Fatalf("%s: area 3 deployed before the soak deployed anything", c)
+		}
+		deployer := chain.NewAccount(soakKeyStream(seed))
+		if c == ChainGoerli && h.EVMAddr != chain.ContractAddress(deployer.Address, 3) {
+			t.Fatalf("derived addr %x, deployment would use %x", h.EVMAddr, chain.ContractAddress(deployer.Address, 3))
+		}
+		if c == ChainAlgorand && h.AppID != 4 {
+			t.Fatalf("derived app id %d, sequential deployment would use 4", h.AppID)
+		}
+		if err := s.deploy(4); err != nil {
+			t.Fatal(err)
+		}
+		if got, deployed := s.handle(3); !deployed || got.ID() != h.ID() {
+			t.Fatalf("%s: no contract at the derived handle %s after deployment", c, h.ID())
+		}
 	}
-	deployer := nextSoakAccount(soakKeyStream(seed))
-	if want := chain.ContractAddress(deployer.Address, 3); h.EVMAddr != want {
-		t.Fatalf("derived addr %x, deployment would use %x", h.EVMAddr, want)
-	}
-	ha, err := multiSoakHandle(ChainAlgorand, seed, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha.AppID != 4 {
-		t.Fatalf("derived app id %d, sequential deployment would use 4", ha.AppID)
-	}
-	if _, err := multiSoakHandle(ChainName("nope"), seed, 0); err == nil {
+	if _, err := openSoak(SoakSpec{Chain: "nope", Areas: 1, Users: 1, Rounds: 1}); err == nil {
 		t.Fatal("unknown chain must not derive a handle")
 	}
 }

@@ -3,25 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"agnopol/internal/core"
 	"agnopol/internal/obs"
 )
-
-// InstrumentConnector attaches an observability bundle to the connector's
-// underlying chain: metrics and logging for both families, plus the
-// matching VM opcode profiler (EVM gas, AVM budget). A nil bundle or an
-// unknown connector type is a no-op.
-func InstrumentConnector(conn core.Connector, o *obs.Obs) {
-	if o == nil {
-		return
-	}
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		c.Chain().Instrument(o.Registry, o.EVMProfile, o.Logger)
-	case *core.AlgorandConnector:
-		c.Chain().Instrument(o.Registry, o.AVMProfile, o.Logger)
-	}
-}
 
 // DefaultSLORules are the stock health-monitor rules for a live
 // telemetry session (obs.NewTelemetry): a throughput floor, tail-latency ceilings, a rejection

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"time"
 
+	"agnopol/internal/algorand"
 	"agnopol/internal/chain"
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
@@ -130,46 +131,62 @@ func soakAreaCode(i int) string { return fmt.Sprintf("7H36SOAK+%03X", i) }
 // million-user run's memory is set by live state, not by history.
 const soakRetention = 16
 
-// newSoakBackend builds the chain under soak — fresh, or reopened from the
-// run's committed root and manifest checkpoint — behind its family's
-// adapter. EVM presets get their ambient congestion traffic trimmed so the
-// measured workload — not the synthetic background — fills the blocks; the
-// congestion stream stays on, seeded, and deterministic. The block gas
-// limit scales with the user count so a round's check-ins fit a bounded
-// number of blocks — at the paper's scales (≤ a few hundred users) the
-// preset limit already dominates and nothing changes.
-func newSoakBackend(spec SoakSpec, run *soakRun, deployer soakAccount, compiled *lang.Compiled) (soakBackend, error) {
-	api := compiled.Program.FindAPI("checkin")
-	if api == nil {
-		return nil, fmt.Errorf("sim: checkin API missing from compiled contract")
-	}
-	var cfg eth.Config
-	switch spec.Chain {
-	case ChainRopsten:
-		cfg = eth.Ropsten()
-	case ChainGoerli:
-		cfg = eth.Goerli()
-	case ChainPolygon:
-		cfg = eth.PolygonMumbai()
-	case ChainAlgorand:
-		return newAlgorandSoak(spec, run, deployer, compiled, api)
-	default:
-		return nil, fmt.Errorf("sim: unknown chain %q", spec.Chain)
-	}
-	cfg.CongestionMeanGas = 1_000_000
-	cfg.SpikeProb = 0
-	cfg.BlockGasLimit = max(cfg.BlockGasLimit, uint64(spec.Users)*200_000)
-	return newEVMSoak(cfg, spec, run, deployer, compiled, api)
+// soakShape is what the soak workload sets per chain family: the funds
+// each user gets, the deployer's (deployBase plus deployPerArea per area,
+// since selection reserves each pending deployment's worst-case fee up
+// front), and how the area contracts go out — deployBatch creations per
+// SubmitItems call, or, at zero, one at a time through the connector's
+// submit-and-wait path, one creation per block.
+type soakShape struct {
+	userFunds, deployBase, deployPerArea *big.Int
+	deployBatch                          int
 }
 
-// RunSoak drives the sustained-load harness: deploy one check-in contract
-// per area, register the handles in an AreaRegistry, then have every user
-// check in to their home area every round through the chain's batched
-// submission path. The returned digest and state root let callers assert
-// that shard count, scheduling and restarts never change the chain's final
-// state; timing the run is bench/'s job. Everything here is family-independent: what differs
-// between the chain families sits behind soakBackend.
-func RunSoak(spec SoakSpec) (*SoakResult, error) {
+var (
+	// At 100k+ areas one signed deployment per block would take days of
+	// wall clock, so EVM deployments go through the batched path.
+	evmSoakShape = soakShape{
+		userFunds:     big.NewInt(1e18),
+		deployBase:    new(big.Int).Mul(big.NewInt(100), big.NewInt(1e18)),
+		deployPerArea: big.NewInt(1e18),
+		deployBatch:   4096,
+	}
+	// Algorand deploys one application per round, which is what pins the
+	// application ids to 1..areas.
+	algorandSoakShape = soakShape{
+		userFunds:     big.NewInt(10_000_000),
+		deployBase:    big.NewInt(100_000_000),
+		deployPerArea: big.NewInt(2 * algorand.MinFee),
+	}
+)
+
+// soak is one sustained-load run: the chain family under load, the
+// connector over it, and where the run stands.
+type soak struct {
+	spec     SoakSpec
+	run      *soakRun
+	store    *diskstore.Store // the state dir; nil when not persisting
+	family   core.Family
+	conn     core.Connector
+	shape    soakShape
+	compiled *lang.Compiled
+	api      *lang.API
+	// keys is the soak-owned key stream: the deployer first, then one
+	// user per index, so a resumed process re-derives the same accounts.
+	keys     *chain.Rand
+	deployer *chain.Account
+}
+
+// openSoak validates spec, opens its state dir (resolving a resume
+// against the manifest there) and the chain under soak — fresh, or
+// reopened from the committed root and checkpoint — behind its family.
+// Ethereum-family presets get their ambient congestion traffic trimmed so
+// the measured workload — not the synthetic background — fills the
+// blocks; the congestion stream stays on, seeded, and deterministic. The
+// block gas limit scales with the user count so a round's check-ins fit a
+// bounded number of blocks — at the paper's scales (≤ a few hundred
+// users) the preset limit already dominates and nothing changes.
+func openSoak(spec SoakSpec) (_ *soak, err error) {
 	if spec.Resume {
 		if spec.StateDir == "" {
 			return nil, fmt.Errorf("sim: soak resume requires StateDir")
@@ -182,50 +199,181 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		return nil, fmt.Errorf("sim: StopAfterRounds without StateDir would abandon the run unrecoverably")
 	}
 
-	run := &soakRun{}
-	if spec.StateDir != "" {
-		store, err := diskstore.Open(spec.StateDir, diskstore.Options{})
+	s := &soak{run: &soakRun{}}
+	defer func() {
 		if err != nil {
+			s.close()
+		}
+	}()
+	if spec.StateDir != "" {
+		if s.store, err = diskstore.Open(spec.StateDir, diskstore.Options{}); err != nil {
 			return nil, err
 		}
-		defer store.Close()
 		if spec.Resume {
-			spec, run, err = loadSoakManifest(store, spec)
-			if err != nil {
+			if spec, s.run, err = loadSoakManifest(s.store, spec); err != nil {
 				return nil, err
 			}
-		} else if _, committed := store.Root(); committed {
+		} else if _, committed := s.store.Root(); committed {
 			return nil, fmt.Errorf("sim: %s already holds a committed soak; set Resume or use a fresh directory", spec.StateDir)
 		}
-		run.persist = &soakPersist{store: store}
+		s.run.persist = &soakPersist{store: s.store}
 	}
 	if spec.Shards < 1 {
 		spec.Shards = 1
 	}
-	if run.persist != nil {
-		run.persist.meta = soakCheckpoint{
+	if s.run.persist != nil {
+		s.run.persist.meta = soakCheckpoint{
 			Version: soakCheckpointVersion, Chain: spec.Chain,
 			Areas: spec.Areas, Users: spec.Users, Rounds: spec.Rounds,
 			Shards: spec.Shards, Seed: spec.Seed,
 		}
 	}
+	s.spec = spec
 
-	compiled, err := core.CompileCheckin()
+	if s.compiled, err = core.CompileCheckin(); err != nil {
+		return nil, err
+	}
+	if s.api = s.compiled.Program.FindAPI("checkin"); s.api == nil {
+		return nil, fmt.Errorf("sim: checkin API missing from compiled contract")
+	}
+	s.keys = soakKeyStream(spec.Seed)
+	s.deployer = chain.NewAccount(s.keys)
+
+	s.shape = evmSoakShape
+	if spec.Chain == ChainAlgorand {
+		s.shape = algorandSoakShape
+	}
+	s.family, err = openFamily(spec.Chain, spec.Seed, func(cfg *eth.Config) {
+		cfg.CongestionMeanGas = 1_000_000
+		cfg.SpikeProb = 0
+		cfg.BlockGasLimit = max(cfg.BlockGasLimit, uint64(spec.Users)*200_000)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Every key comes from the soak-owned stream — the deployer first, then
-	// one per user index — so a resumed process re-derives the identical
-	// accounts.
-	keys := soakKeyStream(spec.Seed)
-	deployer := nextSoakAccount(keys)
+	if s.run.resumed {
+		if len(s.run.checkpoint) == 0 {
+			return nil, fmt.Errorf("sim: soak manifest for %s carries no chain checkpoint", spec.Chain)
+		}
+		if err := s.family.Restore(s.store, s.run.root, s.run.checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	s.conn = core.NewConnector(s.family)
+	s.family.Instrument(spec.Obs)
+	return s, nil
+}
 
-	b, err := newSoakBackend(spec, run, deployer, compiled)
+// close releases the run's state dir.
+func (s *soak) close() {
+	if s.store != nil {
+		s.store.Close()
+	}
+}
+
+// handle is area i's contract handle, and whether the contract is
+// deployed yet. The soak's deployment is sequential, so identities are a
+// pure function of the spec and a resumed run need not replay it.
+func (s *soak) handle(i int) (*core.Handle, bool) {
+	at, deployed := s.family.ContractAt(s.deployer.Address, uint64(i))
+	return &core.Handle{Connector: s.family.Name(), EVMAddr: at.Addr, AppID: at.App, Compiled: s.compiled}, deployed
+}
+
+// deploy publishes one check-in contract per area, area i's at handle(i).
+func (s *soak) deploy(areas int) error {
+	f := s.family
+	f.Fund(s.deployer.Address, new(big.Int).Add(s.shape.deployBase,
+		new(big.Int).Mul(big.NewInt(int64(areas)), s.shape.deployPerArea)))
+	args := func(i int) []lang.Value { return []lang.Value{lang.BytesValue([]byte(soakAreaCode(i)))} }
+	if s.shape.deployBatch == 0 {
+		deployer := &core.Account{Account: *s.deployer}
+		for i := 0; i < areas; i++ {
+			h, _, err := s.conn.Deploy(deployer, s.compiled, args(i))
+			if err != nil {
+				return fmt.Errorf("sim: deploy area %s: %w", soakAreaCode(i), err)
+			}
+			if want, _ := s.handle(i); h.ID() != want.ID() {
+				return fmt.Errorf("sim: area %s deployed as %s, want %s (resume derivation relies on sequential ids)",
+					soakAreaCode(i), h.ID(), want.ID())
+			}
+		}
+		return nil
+	}
+	items := make([]chain.Item, 0, s.shape.deployBatch)
+	for i := 0; i < areas; i++ {
+		item, err := f.DeployItem(s.deployer, uint64(i), s.compiled, args(i))
+		if err != nil {
+			return err
+		}
+		items = append(items, item)
+		if len(items) == s.shape.deployBatch || i == areas-1 {
+			if err := submitErr(f.SubmitItems(items)); err != nil {
+				return fmt.Errorf("sim: deploy: %w", err)
+			}
+			items = items[:0]
+		}
+	}
+	for i := 0; i < areas+200 && f.PendingCount() > 0; i++ {
+		f.Seal()
+	}
+	if n := f.PendingCount(); n != 0 {
+		return fmt.Errorf("sim: %d deployments never included", n)
+	}
+	for i := 0; i < areas; i++ {
+		if _, ok := s.handle(i); !ok {
+			return fmt.Errorf("sim: deployment of area %s reverted", soakAreaCode(i))
+		}
+	}
+	return nil
+}
+
+// submitErr names the first rejected submission of a batch.
+func submitErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("submission %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// submitRound builds, signs and batch-submits users[i]'s check-in to
+// targets[i] for the round. Each user submits exactly one check-in per
+// round, so an EVM user's nonce is the round number.
+func (s *soak) submitRound(round int, users []*chain.Account, targets []chain.Contract) error {
+	items := make([]chain.Item, len(users))
+	for ui, u := range users {
+		var err error
+		items[ui], err = s.family.CallItem(u, uint64(round), targets[ui], s.compiled, s.api, []lang.Value{
+			lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return submitErr(s.family.SubmitItems(items))
+}
+
+// RunSoak drives the sustained-load harness: deploy one check-in contract
+// per area, register the handles in an AreaRegistry, then have every user
+// check in to their home area every round through the chain's batched
+// submission path. The returned digest and state root let callers assert
+// that shard count, scheduling and restarts never change the chain's final
+// state; timing the run is bench/'s job. Everything here is written once
+// over core.Family; what the workload sets per family is a soakShape.
+func RunSoak(spec SoakSpec) (*SoakResult, error) {
+	s, err := openSoak(spec)
 	if err != nil {
 		return nil, err
 	}
-	InstrumentConnector(b.connector(), spec.Obs)
+	defer s.close()
+	return s.drive()
+}
 
+// drive deploys (or, resumed, spot-checks) the area contracts and runs the
+// load phase.
+func (s *soak) drive() (*SoakResult, error) {
+	spec, run := s.spec, s.run
 	var sc *obs.Scope
 	if spec.Obs != nil {
 		sc = spec.Obs.Tracer.NewScope(nil)
@@ -237,25 +385,25 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		obs.L("shards", fmt.Sprint(spec.Shards)))
 	defer sp.End()
 
-	// Deployment phase: one contract per area, registered for routing.
-	// Contract identities are a pure function of the spec
-	// (soakBackend.handle), so a resumed run skips deployment entirely —
-	// the contracts are already in the loaded state — and only spot-checks
-	// that the derived handles exist there.
-	b.SetRetention(soakRetention)
+	// Deployment phase: one contract per area, registered for routing. A
+	// resumed run skips deployment entirely — the contracts are already in
+	// the loaded state — and only spot-checks that the derived handles
+	// exist there.
+	s.family.SetRetention(soakRetention)
 	reg := core.NewAreaRegistry(spec.Shards)
 	for i := 0; i < spec.Areas; i++ {
-		if err := reg.Register(soakAreaCode(i), b.handle(i)); err != nil {
+		h, _ := s.handle(i)
+		if err := reg.Register(soakAreaCode(i), h); err != nil {
 			return nil, err
 		}
 	}
 	if run.resumed {
 		for _, i := range []int{0, spec.Areas - 1} {
-			if h := b.handle(i); !b.deployed(h) {
+			if h, ok := s.handle(i); !ok {
 				return nil, fmt.Errorf("sim: resumed state holds no contract %s for area %s", h.ID(), soakAreaCode(i))
 			}
 		}
-	} else if err := b.deploy(spec.Areas); err != nil {
+	} else if err := s.deploy(spec.Areas); err != nil {
 		return nil, err
 	}
 
@@ -264,38 +412,37 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		Rounds: spec.Rounds, Shards: spec.Shards, Seed: spec.Seed,
 		Resumed: run.resumed,
 	}
-	if err := soakLoad(spec, b, keys, reg, res, run); err != nil {
+	if err := s.load(reg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// soakLoad runs the load phase: every user checks in once per round, a
-// block is sealed per round, checkpoints are written at the configured
-// cadence, and the pool is drained at the end.
-func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegistry, res *SoakResult, run *soakRun) error {
-	b.SetShards(spec.Shards)
+// load runs the load phase: every user checks in once per round, a block
+// is sealed per round, checkpoints are written at the configured cadence,
+// and the pool is drained at the end.
+func (s *soak) load(reg *core.AreaRegistry, res *SoakResult) error {
+	spec, run, f := s.spec, s.run, s.family
+	f.SetShards(spec.Shards)
 
-	// Only a fresh run funds the users. Each user submits exactly one
-	// check-in per round, which backends rely on (an EVM user's nonce is
-	// the round number).
-	users := make([]soakAccount, spec.Users)
-	targets := make([]*core.Handle, spec.Users)
+	// Only a fresh run funds the users.
+	users := make([]*chain.Account, spec.Users)
+	targets := make([]chain.Contract, spec.Users)
 	areas := reg.Areas()
 	for ui := range users {
-		users[ui] = nextSoakAccount(keys)
+		users[ui] = chain.NewAccount(s.keys)
 		if !run.resumed {
-			b.fund(users[ui].Address)
+			f.Fund(users[ui].Address, s.shape.userFunds)
 		}
 		h, ok := reg.Lookup(areas[ui%len(areas)])
 		if !ok {
 			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
 		}
-		targets[ui] = h
+		targets[ui] = chain.Contract{Addr: h.EVMAddr, App: h.AppID}
 	}
 
-	blocksBefore := b.height()
-	simStart := b.Now()
+	blocksBefore := f.Height()
+	simStart := f.Now()
 	if run.resumed {
 		blocksBefore = run.blocksAtLoadStart
 		simStart = run.simStart
@@ -304,41 +451,41 @@ func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegi
 		run.persist.meta.BlocksAtLoadStart = blocksBefore
 		run.persist.meta.SimStart = simStart
 		if !run.resumed {
-			if err := run.persist.commit(b, 0, 0, false); err != nil {
+			if err := run.persist.commit(f, 0, 0, false); err != nil {
 				return err
 			}
 		}
 	}
 	res.Submitted = run.submitted0
 	finish := func() {
-		res.Simulated = b.Now() - simStart
-		res.Blocks = b.height() - blocksBefore
-		if st := b.ShardStats(); st != nil {
+		res.Simulated = f.Now() - simStart
+		res.Blocks = f.Height() - blocksBefore
+		if st := f.ShardStats(); st != nil {
 			res.Utilization = st.Utilization()
 			res.ParallelBatches = st.ParallelBatches
 		}
-		res.Digest = b.Digest()
-		res.StateRoot = b.StateRoot()
+		res.Digest = f.Digest()
+		res.StateRoot = f.StateRoot()
 		// Check-ins move zero value, so funding minus final balance is
 		// exactly the fees a user paid.
 		fees := new(big.Int)
 		for _, u := range users {
-			bal := b.Balance(u.Address)
-			fees.Add(fees, new(big.Int).Sub(b.funding(), bal.Base))
+			bal := f.Balance(u.Address)
+			fees.Add(fees, new(big.Int).Sub(s.shape.userFunds, bal.Base))
 			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
 		}
 	}
 	for round := run.startRound; round < spec.Rounds; round++ {
-		if err := b.submitRound(round, users, targets); err != nil {
+		if err := s.submitRound(round, users, targets); err != nil {
 			return fmt.Errorf("sim: soak round %d: %w", round, err)
 		}
 		res.Submitted += uint64(len(users))
-		b.step()
+		f.Seal()
 		spec.Telemetry.Tick()
 		roundsDone := round + 1
 		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
 		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
-			if err := run.persist.commit(b, roundsDone, res.Submitted, false); err != nil {
+			if err := run.persist.commit(f, roundsDone, res.Submitted, false); err != nil {
 				return err
 			}
 		}
@@ -348,11 +495,11 @@ func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegi
 			return nil
 		}
 	}
-	for i := 0; i < spec.Rounds*10+50 && b.PendingCount() > 0; i++ {
-		b.step()
+	for i := 0; i < spec.Rounds*10+50 && f.PendingCount() > 0; i++ {
+		f.Seal()
 	}
 	spec.Telemetry.Tick()
-	if n := b.PendingCount(); n != 0 {
+	if n := f.PendingCount(); n != 0 {
 		return fmt.Errorf("sim: soak drain incomplete: %d submissions pending", n)
 	}
 	finish()
@@ -361,7 +508,7 @@ func soakLoad(spec SoakSpec, b soakBackend, keys *chain.Rand, reg *core.AreaRegi
 		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
 	}
 	if run.persist != nil {
-		return run.persist.commit(b, spec.Rounds, res.Submitted, true)
+		return run.persist.commit(f, spec.Rounds, res.Submitted, true)
 	}
 	return nil
 }

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"time"
 
-	"agnopol/internal/algorand"
 	"agnopol/internal/chain"
-	"agnopol/internal/eth"
+	"agnopol/internal/core"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
-	"agnopol/internal/polcrypto"
 )
 
 // soakCheckpointVersion guards the manifest-meta layout; a resumed process
 // refuses manifests written by an incompatible harness.
-const soakCheckpointVersion = 1
+const soakCheckpointVersion = 2
 
 // soakCheckpoint is the JSON blob a persisted soak parks in the diskstore
 // manifest's meta field next to the committed state root: the spec that
@@ -47,9 +45,9 @@ type soakCheckpoint struct {
 	// and resuming it is a digest-preserving no-op.
 	Drained bool
 
-	// Exactly one of Eth/Algo is set, matching Chain.
-	Eth  *eth.Checkpoint      `json:",omitempty"`
-	Algo *algorand.Checkpoint `json:",omitempty"`
+	// Checkpoint is the chain's own checkpoint (core.Family's
+	// MarshalCheckpoint).
+	Checkpoint json.RawMessage
 }
 
 // soakPersist writes soak checkpoints into a diskstore: commit the trie
@@ -61,17 +59,17 @@ type soakPersist struct {
 	meta  soakCheckpoint
 }
 
-// commit captures the backend's chain checkpoint, commits its world state
-// and publishes both — with the progress fields — in one manifest write.
-func (p *soakPersist) commit(b soakBackend, roundsDone int, submitted uint64, drained bool) error {
+// commit captures the chain's checkpoint, commits its world state and
+// publishes both — with the progress fields — in one manifest write.
+func (p *soakPersist) commit(f core.Family, roundsDone int, submitted uint64, drained bool) (err error) {
 	m := p.meta
 	m.RoundsDone = roundsDone
 	m.Submitted = submitted
 	m.Drained = drained
-	if err := b.checkpoint(&m); err != nil {
+	if m.Checkpoint, err = f.MarshalCheckpoint(); err != nil {
 		return err
 	}
-	root, err := b.CommitState(p.store)
+	root, err := f.CommitState(p.store)
 	if err != nil {
 		return err
 	}
@@ -93,12 +91,10 @@ type soakRun struct {
 	blocksAtLoadStart uint64
 	simStart          time.Duration
 
-	// store/root and the chain-level checkpoint feed eth.Open /
-	// algorand.Open when resuming.
-	store *diskstore.Store
-	root  mstate.Hash
-	eth   *eth.Checkpoint
-	algo  *algorand.Checkpoint
+	// root and the chain's checkpoint are what a resumed run restores
+	// the chain onto (core.Family's Restore).
+	root       mstate.Hash
+	checkpoint json.RawMessage
 }
 
 // loadSoakManifest reads the committed soak checkpoint out of an opened
@@ -149,10 +145,8 @@ func loadSoakManifest(store *diskstore.Store, spec SoakSpec) (SoakSpec, *soakRun
 		submitted0:        ck.Submitted,
 		blocksAtLoadStart: ck.BlocksAtLoadStart,
 		simStart:          ck.SimStart,
-		store:             store,
 		root:              root,
-		eth:               ck.Eth,
-		algo:              ck.Algo,
+		checkpoint:        ck.Checkpoint,
 	}
 	return spec, run, nil
 }
@@ -162,15 +156,3 @@ func loadSoakManifest(store *diskstore.Store, spec SoakSpec) (SoakSpec, *soakRun
 // re-derive the exact same accounts without replaying the chain's stream.
 // Draw order is fixed — the deployer first, then one user per index.
 func soakKeyStream(seed uint64) *chain.Rand { return chain.NewRand(seed).Fork("soak:keys") }
-
-// soakAccount is a key pair the soak derived for itself; it converts to
-// either family's account type.
-type soakAccount struct {
-	Key     *polcrypto.KeyPair
-	Address chain.Address
-}
-
-func nextSoakAccount(rng *chain.Rand) soakAccount {
-	kp := polcrypto.MustGenerateKeyPair(rng)
-	return soakAccount{Key: kp, Address: chain.AddressFromPublicKey(kp.Public)}
-}

@@ -18,6 +18,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== family seam =="
+# Code outside the two chain families reaches them through core.Family
+# (eth.Client, algorand.Client); a type switch or assertion on a family
+# type anywhere else grows the seam back. bench/ is frozen and exempt.
+switches="$(grep -rnE --include='*.go' 'case \*(core\.)?(EVMConnector|AlgorandConnector)|case \*(eth|algorand)\.|\.\(\*(core\.)?(EVMConnector|AlgorandConnector)\)' . |
+    grep -vE '^\./(internal/eth|internal/algorand|bench)/' || true)"
+if [ -n "$switches" ]; then
+    echo "family type switch or assertion outside internal/eth and internal/algorand:" >&2
+    echo "$switches" >&2
+    exit 1
+fi
+
 echo "== vet =="
 go vet ./...
 
