@@ -1,6 +1,7 @@
 package algorand
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -158,6 +159,11 @@ type Chain struct {
 	blocks  []*Block
 	feeSink chain.Address
 
+	// nextProposers is the next round's proposer sortition, started by
+	// Step as soon as the head's seed was fixed; the next Step uses it
+	// only if its seed is the one that Step derives from its head.
+	nextProposers *vrfBatch
+
 	// The family-independent half of round building lives in package
 	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
 	// the pending pool with its admission pipeline, and the receipts with
@@ -181,7 +187,8 @@ type Chain struct {
 func NewChain(cfg Config, seed uint64) *Chain {
 	c, err := Open(Options{Config: cfg, Seed: seed})
 	if err != nil {
-		// Unreachable: the in-memory path has no failure modes.
+		// The in-memory path fails only on a Config with no participants
+		// (ErrNoParticipants), which no preset has.
 		panic("algorand: " + err.Error())
 	}
 	return c
@@ -319,9 +326,16 @@ func (c *Chain) Step() *Block {
 	c.clock.AdvanceTo(roundTime)
 	prev := c.Head()
 
-	// Leader selection by VRF sortition; lowest sub-user priority wins.
+	// Leader selection by VRF sortition; lowest sub-user priority wins. The
+	// previous Step started this sortition, unless there was none or the
+	// chain has since been restored onto another head: then the batch is
+	// for some other seed and is dropped.
 	propSeed := sortitionSeed(prev.Seed, roundNum, "propose")
-	evals := c.evaluateVRFs(propSeed)
+	props := c.nextProposers
+	if props == nil || !bytes.Equal(props.seed, propSeed) {
+		props = c.startVRFs(propSeed)
+	}
+	evals := props.wait()
 	candidates := c.selectCredentials(evals, c.cfg.ExpectedProposers)
 	if len(candidates) == 0 {
 		// Nobody drew a proposer slot at the nominal expected size (≈ e⁻⁵
@@ -329,6 +343,11 @@ func (c *Chain) Step() *Block {
 		// participant over the same VRF outputs, so the round still has a
 		// leader and carries groups like any other.
 		candidates = c.selectCredentials(evals, float64(len(c.participants)))
+	}
+	if len(candidates) == 0 {
+		// Still nobody, which only a handful of participants makes likely:
+		// at an expectation of the whole stake every sub-user is selected.
+		candidates = c.selectCredentials(evals, float64(c.totalStake))
 	}
 	leader := candidates[0]
 	best := proposalPriority(leader)
@@ -348,6 +367,10 @@ func (c *Chain) Step() *Block {
 		Proposer: leader,
 	}
 	blk.Seed = chain.Hash32(polcrypto.Hash(prev.Seed[:], leader.Output[:]))
+	// The next round's proposer seed hangs off blk.Seed alone, not off any
+	// group, so its sortition can start now: on a second core it runs while
+	// this round executes and while the caller works between Steps.
+	c.nextProposers = c.startVRFs(sortitionSeed(blk.Seed, roundNum+1, "propose"))
 
 	// Selection: every propagated group is included (capacity is never the
 	// bottleneck at our scale). Execution fans out across shards when the

@@ -1,14 +1,17 @@
 package algorand
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
+	"agnopol/internal/mstate"
 	"agnopol/internal/polcrypto"
 )
 
@@ -393,6 +396,108 @@ func TestProposerFallbackReusesEvaluations(t *testing.T) {
 		}
 		if err := c.VerifyCertificate(blk, c.Certificate(blk)); err != nil {
 			t.Fatalf("round %d: %v", blk.Round, err)
+		}
+	}
+}
+
+// TestSmallPopulationsAlwaysElectALeader: with a handful of participants
+// both the nominal and the widened proposer draw come up empty in about
+// e⁻⁵ of rounds, which used to index an empty candidate list. Step then
+// draws at an expectation of the whole stake, where everyone is selected;
+// the leader's credential verifies there, and the rounds do not depend on
+// GOMAXPROCS.
+func TestSmallPopulationsAlwaysElectALeader(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{1, 2, 3, 5} {
+		cfg := Testnet()
+		cfg.ParticipantCount = n
+		var digests []chain.Hash32
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			c := NewChain(cfg, 1)
+			lastResort := 0
+			for i := 0; i < 2000; i++ {
+				blk := c.Step()
+				if blk.Proposer.SubUsers != c.partsByAddr[blk.Proposer.Participant].Stake {
+					continue
+				}
+				lastResort++
+				seed := sortitionSeed(blk.PrevSeed, blk.Round, "propose")
+				if err := VerifyCredential(blk.Proposer, c.partsByAddr, c.totalStake, seed, float64(c.totalStake)); err != nil {
+					t.Fatalf("n=%d round %d: last-resort leader's credential: %v", n, blk.Round, err)
+				}
+			}
+			if lastResort == 0 {
+				t.Fatalf("n=%d: 2000 rounds never needed the last-resort draw", n)
+			}
+			digests = append(digests, c.Digest())
+		}
+		if digests[0] != digests[1] {
+			t.Fatalf("n=%d: digest depends on GOMAXPROCS", n)
+		}
+	}
+}
+
+// TestLookaheadDroppedOnRestore: a chain that stepped past a checkpoint has
+// the sortition of a round the checkpoint never reaches in flight. Restored
+// onto that checkpoint, it must not use it: its rounds equal those of a
+// chain that never left the checkpoint.
+func TestLookaheadDroppedOnRestore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Testnet()
+	ref, c := NewChain(cfg, 3), NewChain(cfg, 3)
+	keyRng := chain.NewRand(3).Fork("test:keys")
+	alice := chain.NewAccount(keyRng)
+	for _, x := range []*Chain{ref, c} {
+		x.Fund(alice.Address, 50_000_000)
+		for i := 0; i < 3; i++ {
+			submitGroup(t, x, Group{signedPay(alice, chain.AddressFromBytes([]byte{byte(i)}), 1_000)})
+			x.Step()
+		}
+	}
+	store := mstate.NewMemStore()
+	root, err := c.CommitState(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := NewClient(c).MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Step()
+	c.Step()
+	if err := NewClient(c).Restore(store, root, blob); err != nil {
+		t.Fatal(err)
+	}
+	head := c.Head()
+	if bytes.Equal(c.nextProposers.seed, sortitionSeed(head.Seed, head.Round+1, "propose")) {
+		t.Fatal("the restored chain's look-ahead already matches its head; nothing to drop")
+	}
+	for i := 0; i < 5; i++ {
+		got, want := c.Step(), ref.Step()
+		if got.Hash != want.Hash || !reflect.DeepEqual(got.Proposer, want.Proposer) {
+			t.Fatalf("round %d after restore: leader %s, uninterrupted %s", got.Round, got.Proposer.Participant, want.Proposer.Participant)
+		}
+	}
+	if c.Digest() != ref.Digest() {
+		t.Fatal("digest diverged after restore")
+	}
+}
+
+// TestDroppedChainLeavesNoGoroutine: the look-ahead's helper belongs to no
+// chain. A chain dropped with one in flight leaves it to finish its
+// evaluations and exit, and nothing is left running after that.
+func TestDroppedChainLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	baseline := runtime.NumGoroutine()
+	c := NewChain(Testnet(), 1)
+	for i := 0; i < 3; i++ {
+		c.Step()
+	}
+	c = nil
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after the chain was dropped, %d before it existed", runtime.NumGoroutine(), baseline)
 		}
 	}
 }

@@ -67,13 +67,34 @@ func sortitionSeed(prevSeed chain.Hash32, round uint64, role string) []byte {
 // evaluations are independent and deterministic, so they fan out across
 // cores into their slots; the result does not depend on GOMAXPROCS.
 func (c *Chain) evaluateVRFs(seed []byte) []Credential {
-	evals := make([]Credential, len(c.participants))
-	chain.FanOut(len(evals), len(evals), func(i int) {
-		p := c.participants[i]
-		out, proof := polcrypto.VRFEvaluate(p.Key, seed)
-		evals[i] = Credential{Participant: p.Address, Output: out, Proof: proof}
+	return c.startVRFs(seed).wait()
+}
+
+// vrfBatch is evaluateVRFs started but not yet joined: evals is written
+// only by the batch, and read only after wait.
+type vrfBatch struct {
+	seed  []byte
+	evals []Credential
+	run   *chain.Batch
+}
+
+// startVRFs starts evaluateVRFs on seed and returns without waiting. The
+// batch reads only the participant set, which never changes after
+// construction, so it may outlive the Step that started it.
+func (c *Chain) startVRFs(seed []byte) *vrfBatch {
+	parts := c.participants
+	evals := make([]Credential, len(parts))
+	run := chain.Start(len(parts), len(parts), func(i int) {
+		out, proof := polcrypto.VRFEvaluate(parts[i].Key, seed)
+		evals[i] = Credential{Participant: parts[i].Address, Output: out, Proof: proof}
 	})
-	return evals
+	return &vrfBatch{seed: seed, evals: evals, run: run}
+}
+
+// wait joins the batch and returns its credentials.
+func (v *vrfBatch) wait() []Credential {
+	v.run.Wait()
+	return v.evals
 }
 
 // selectCredentials runs sortition at one expected size over evaluated

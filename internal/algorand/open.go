@@ -1,6 +1,7 @@
 package algorand
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,6 +9,10 @@ import (
 	"agnopol/internal/chain"
 	"agnopol/internal/mstate"
 )
+
+// ErrNoParticipants is Open's refusal of a Config whose sortition has
+// nobody to select.
+var ErrNoParticipants = errors.New("algorand: no consensus participants")
 
 // Options configures Open. Config and Seed behave exactly as in
 // NewChain; Store/Root/Checkpoint select the restart-from-root path.
@@ -84,6 +89,9 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // from the loaded trie (the trie stores TEAL source; parsed programs
 // are a pure function of it).
 func Open(o Options) (*Chain, error) {
+	if o.Config.ParticipantCount < 1 {
+		return nil, fmt.Errorf("%w: ParticipantCount is %d", ErrNoParticipants, o.Config.ParticipantCount)
+	}
 	c := newChain(o.Config, o.Seed)
 	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
 		return nil, err

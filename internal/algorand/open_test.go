@@ -179,6 +179,13 @@ func TestOpenRejectsMisuse(t *testing.T) {
 	if _, err := Open(Options{Config: cfg, Seed: 1, Root: mstate.Hash{9}}); err == nil {
 		t.Fatal("root without store must be rejected")
 	}
+	for _, n := range []int{0, -1} {
+		empty := cfg
+		empty.ParticipantCount = n
+		if _, err := Open(Options{Config: empty, Seed: 1}); !errors.Is(err, ErrNoParticipants) {
+			t.Fatalf("ParticipantCount %d: Open returned %v, want ErrNoParticipants", n, err)
+		}
+	}
 	c := NewChain(cfg, 4)
 	c.SetFaults(faults.NewInjector(faults.Uniform(0.1), 4, nil))
 	if _, err := c.Checkpoint(); err == nil {
