@@ -529,11 +529,11 @@ func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *
 				}
 				payAmount = tx.Amount
 			case TxAppCreate:
-				prog, err := avm.Parse(tx.Source)
+				prog, err := c.led.program(tx.Source)
 				if err != nil {
 					return fmt.Errorf("algorand: approval program: %w", err)
 				}
-				id := o.createApp(tx.Sender, tx.Source, prog, blk.Round)
+				id := o.createApp(tx.Sender, prog, blk.Round)
 				res := avm.Execute(prog, o, avm.TxContext{
 					Sender: tx.Sender, AppID: id, CreateMode: true,
 					Args: tx.Args, PayAmount: payAmount, Fee: tx.Fee,

@@ -18,7 +18,8 @@ type Account = chain.Account
 // App is a deployed stateful application's static description. Its
 // key/value state — globals, locals, opt-in markers — lives in the state
 // trie; the parsed Program is cached ledger-side so calls do not
-// re-parse TEAL.
+// re-parse TEAL. Apps deployed from the same source share one Program and
+// its Source string (ledger.programs); Execute only reads a Program.
 type App struct {
 	ID       uint64
 	Creator  chain.Address
@@ -164,11 +165,16 @@ func (v *ledgerKV) app(id uint64) *App {
 		return a
 	}
 	// Cache miss: rebuild from the trie. Shard workers may run this
-	// concurrently, so parse without touching the shared cache.
+	// concurrently, so it only reads the program table, and parses a source
+	// the table lacks without recording it.
 	enc, _ := v.kv.Get(appMetaKey(id))
 	a, err := decodeAppMeta(id, enc)
 	if err != nil {
 		return nil
+	}
+	if p, ok := v.led.programs[a.Source]; ok {
+		a.Program, a.Source = p, p.Source
+		return a
 	}
 	if a.Program, err = avm.Parse(a.Source); err != nil {
 		return nil
@@ -385,12 +391,19 @@ func (v *ledgerKV) assetTransfer(id uint64, from, to chain.Address, amount uint6
 type ledger struct {
 	ledgerKV
 	t *mstate.Trie
-	// progs caches each live app's parsed Program (the trie metadata
-	// stores only the source); assets caches ASA descriptions. uncreate
-	// prunes both so a rolled-back creation never leaves a stale entry
-	// behind.
+	// progs caches each live app's description with its parsed Program
+	// (the trie metadata stores only the source); assets caches ASA
+	// descriptions. uncreate prunes both so a rolled-back creation never
+	// leaves a stale entry behind.
 	progs  map[uint64]*App
 	assets map[uint64]*Asset
+	// programs holds one parsed Program per distinct TEAL source the chain
+	// has deployed, so every app of a factory points at the same one. It
+	// is written where progs is — creation rounds, which run serially, and
+	// Open — and only read by shard workers. Nothing is evicted: a Program
+	// is a pure function of its source, and the table is bounded by the
+	// sources this chain has seen.
+	programs map[string]*avm.Program
 
 	appSeq   uint64
 	assetSeq uint64
@@ -400,12 +413,28 @@ type ledger struct {
 
 func newLedger() *ledger {
 	l := &ledger{
-		t:      mstate.New(),
-		progs:  make(map[uint64]*App),
-		assets: make(map[uint64]*Asset),
+		t:        mstate.New(),
+		progs:    make(map[uint64]*App),
+		assets:   make(map[uint64]*Asset),
+		programs: make(map[string]*avm.Program),
 	}
 	l.ledgerKV = ledgerKV{kv: l.t, led: l}
 	return l
+}
+
+// program returns the parsed form of src, parsing it the first time this
+// ledger sees it. It writes the program table, so only the serial paths —
+// a creation round's executeGroup and Open — call it.
+func (l *ledger) program(src string) (*avm.Program, error) {
+	if p, ok := l.programs[src]; ok {
+		return p, nil
+	}
+	p, err := avm.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	l.programs[p.Source] = p
+	return p, nil
 }
 
 var _ avm.Ledger = (*ledger)(nil)
@@ -418,10 +447,10 @@ func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 // counter and fill its cache even when they write through an overlay —
 // which is why groups carrying them never run concurrently (shardable) —
 // and uncreate takes both back when the group fails.
-func (v *ledgerKV) createApp(creator chain.Address, source string, prog *avm.Program, round uint64) uint64 {
+func (v *ledgerKV) createApp(creator chain.Address, prog *avm.Program, round uint64) uint64 {
 	l := v.led
 	l.appSeq++
-	a := &App{ID: l.appSeq, Creator: creator, Program: prog, Source: source, CreateAt: round}
+	a := &App{ID: l.appSeq, Creator: creator, Program: prog, Source: prog.Source, CreateAt: round}
 	v.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
 	l.progs[a.ID] = a
 	return a.ID

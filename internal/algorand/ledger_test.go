@@ -53,7 +53,7 @@ func TestSnapshotRestorePrunesCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := l.fork()
-	id := o.createApp(alice, "int 1", prog, 1)
+	id := o.createApp(alice, prog, 1)
 	o.GlobalPut(id, "k", avm.Uint64Value(9))
 	a := o.assetCreate(alice, "GREEN", "GRN", 1000, 2, 1)
 	o.setBalance(alice, 40)
@@ -103,7 +103,7 @@ func TestLedgerDifferentialOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range []*ledger{direct, overlaid} {
-		l.createApp(addrs[0], "int 1", prog, 0)
+		l.createApp(addrs[0], prog, 0)
 		l.assetCreate(addrs[0], "GREEN", "GRN", 10_000, 0, 0)
 		for _, a := range addrs[1:] {
 			l.assetOptIn(a, 1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"agnopol/internal/avm"
 	"agnopol/internal/chain"
 	"agnopol/internal/mstate"
 )
@@ -131,8 +130,9 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.pool.Restore(pending)
 	// Warm the program and asset caches so post-restart app calls do
 	// not re-parse TEAL on every execution (ledgerKV.app's fallback is
-	// correct but parses per call). The leaves come from an external
-	// store, so this is also where a malformed one is reported.
+	// correct but parses per call), each distinct source once. The leaves
+	// come from an external store, so this is also where a malformed one
+	// is reported.
 	for id := uint64(1); id <= c.led.appSeq; id++ {
 		enc, ok := c.led.kv.Get(appMetaKey(id))
 		if !ok {
@@ -145,9 +145,10 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 		if a.Deleted {
 			continue
 		}
-		if a.Program, err = avm.Parse(a.Source); err != nil {
+		if a.Program, err = c.led.program(a.Source); err != nil {
 			return fmt.Errorf("algorand: reparse app %d from state: %w", id, err)
 		}
+		a.Source = a.Program.Source
 		c.led.progs[id] = a
 	}
 	for id := uint64(1); id <= c.led.assetSeq; id++ {

@@ -104,7 +104,11 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	led := newLedger()
 	alice := chain.AddressFromBytes([]byte("alice"))
 	led.setBalance(alice, 100)
-	led.createApp(chain.Address{}, "int 1", nil, 0)
+	prog, err := avm.Parse("int 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.createApp(chain.Address{}, prog, 0)
 	led.GlobalPut(1, "k", avm.Uint64Value(5))
 
 	ov := led.fork()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -76,14 +78,10 @@ func (p *LocationProof) Verify() error {
 // (§4.2): proofHashed-proofSigned-walletAddress-nonce-cid, hex-encoded
 // fields joined with '-' exactly like the thesis frontend's concatData.
 func (p *LocationProof) ConcatData() []byte {
-	fields := []string{
-		hex.EncodeToString(p.Hash[:]),
-		hex.EncodeToString(p.Signature),
-		hex.EncodeToString(p.Request.Wallet[:]),
-		fmt.Sprintf("%d", p.Request.Nonce),
-		string(p.Request.CID),
-	}
-	return []byte(strings.Join(fields, "-"))
+	return ParsedConcat{
+		Hash: p.Hash, Signature: p.Signature, Wallet: p.Request.Wallet,
+		Nonce: p.Request.Nonce, CID: p.Request.CID,
+	}.encode()
 }
 
 // ParsedConcat is the decoded on-chain record.
@@ -95,31 +93,57 @@ type ParsedConcat struct {
 	CID       ipfs.CID
 }
 
+// encode is the one writer of the on-chain line: lower-case hex, the
+// nonce in decimal without leading zeros.
+func (p ParsedConcat) encode() []byte {
+	fields := []string{
+		hex.EncodeToString(p.Hash[:]),
+		hex.EncodeToString(p.Signature),
+		hex.EncodeToString(p.Wallet[:]),
+		strconv.FormatUint(p.Nonce, 10),
+		string(p.CID),
+	}
+	return []byte(strings.Join(fields, "-"))
+}
+
+// ErrMalformedConcat is ParseConcatData's refusal of an on-chain line that
+// is not exactly what ConcatData writes.
+var ErrMalformedConcat = errors.New("core: malformed on-chain proof record")
+
 // ParseConcatData decodes the on-chain concatenation back into its fields.
+// Only the canonical line is accepted — the one ConcatData writes for the
+// fields it decodes to — so one proof has exactly one on-chain form: an
+// upper-case hex digit, a leading zero or sign, or trailing bytes after the
+// nonce are malformed, not a second spelling of the same proof.
 func ParseConcatData(data []byte) (ParsedConcat, error) {
 	parts := strings.Split(string(data), "-")
 	if len(parts) != 5 {
-		return ParsedConcat{}, fmt.Errorf("core: concat data has %d fields, want 5", len(parts))
+		return ParsedConcat{}, fmt.Errorf("%w: %d fields, want 5", ErrMalformedConcat, len(parts))
 	}
 	var out ParsedConcat
 	h, err := hex.DecodeString(parts[0])
 	if err != nil || len(h) != 32 {
-		return ParsedConcat{}, fmt.Errorf("core: bad proof hash field: %v", err)
+		return ParsedConcat{}, fmt.Errorf("%w: proof hash field %.16q", ErrMalformedConcat, parts[0])
 	}
 	copy(out.Hash[:], h)
-	out.Signature, err = hex.DecodeString(parts[1])
-	if err != nil {
-		return ParsedConcat{}, fmt.Errorf("core: bad signature field: %w", err)
+	if out.Signature, err = hex.DecodeString(parts[1]); err != nil {
+		return ParsedConcat{}, fmt.Errorf("%w: signature field: %v", ErrMalformedConcat, err)
 	}
 	w, err := hex.DecodeString(parts[2])
 	if err != nil || len(w) != 20 {
-		return ParsedConcat{}, fmt.Errorf("core: bad wallet field: %v", err)
+		return ParsedConcat{}, fmt.Errorf("%w: wallet field %.16q", ErrMalformedConcat, parts[2])
 	}
 	copy(out.Wallet[:], w)
-	if _, err := fmt.Sscanf(parts[3], "%d", &out.Nonce); err != nil {
-		return ParsedConcat{}, fmt.Errorf("core: bad nonce field: %w", err)
+	if out.Nonce, err = strconv.ParseUint(parts[3], 10, 64); err != nil {
+		return ParsedConcat{}, fmt.Errorf("%w: nonce field %.24q", ErrMalformedConcat, parts[3])
 	}
 	out.CID = ipfs.CID(parts[4])
+	if !bytes.Equal(out.encode(), data) {
+		return ParsedConcat{}, fmt.Errorf("%w: not in canonical form", ErrMalformedConcat)
+	}
+	// A copy: the substring would keep the whole line alive for as long as
+	// the CID is held, and the hypercube holds it for good.
+	out.CID = ipfs.CID(strings.Clone(parts[4]))
 	return out, nil
 }
 

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,19 +42,120 @@ func TestConcatDataRoundTrip(t *testing.T) {
 }
 
 func TestParseConcatDataRejectsMalformed(t *testing.T) {
+	hash, wallet := strings.Repeat("ab", 32), strings.Repeat("cd", 20)
+	withNonce := func(n string) string { return hash + "-11-" + wallet + "-" + n + "-bafy" }
 	cases := []string{
 		"",
-		"a-b-c",           // too few fields
-		"zz-11-22-3-bafy", // bad hash hex
-		strings.Repeat("ab", 32) + "-zz-" + strings.Repeat("cd", 20) + "-1-bafy", // bad sig hex
-		strings.Repeat("ab", 32) + "-11-" + "aabb" + "-1-bafy",                   // short wallet
-		strings.Repeat("ab", 32) + "-11-" + strings.Repeat("cd", 20) + "-x-bafy", // bad nonce
+		"a-b-c",                            // too few fields
+		"zz-11-22-3-bafy",                  // bad hash hex
+		hash + "-zz-" + wallet + "-1-bafy", // bad sig hex
+		hash + "-11-" + "aabb" + "-1-bafy", // short wallet
+		withNonce("x"),                     // bad nonce
+		// Lines that decode to the fields of withNonce("12") but are not
+		// what ConcatData writes for them: each would be a second on-chain
+		// spelling of one proof.
+		withNonce("12abc"),
+		withNonce("012"),
+		withNonce(" 12"),
+		withNonce("+12"),
+		withNonce("1_2"),
+		withNonce("0x10"),
+		withNonce("18446744073709551616"), // 2^64
+		strings.ToUpper(hash) + "-11-" + wallet + "-12-bafy",
+		hash + "-AB-" + wallet + "-12-bafy",
+		hash + "-11-" + strings.ToUpper(wallet) + "-12-bafy",
+	}
+	if _, err := ParseConcatData([]byte(withNonce("12"))); err != nil {
+		t.Fatalf("the canonical line is refused: %v", err)
 	}
 	for _, c := range cases {
-		if _, err := ParseConcatData([]byte(c)); err == nil {
-			t.Errorf("ParseConcatData(%.30q) accepted", c)
+		if _, err := ParseConcatData([]byte(c)); !errors.Is(err, ErrMalformedConcat) {
+			t.Errorf("ParseConcatData(%.30q…%q) = %v, want ErrMalformedConcat", c, c[max(0, len(c)-20):], err)
 		}
 	}
+}
+
+// TestParseConcatDataAcceptsOnlyItsOwnEncoding: every line that parses is
+// the encoding of what it parses to, and every encoding parses. The lines
+// are canonical fields with some of them respelled — case, leading zeros
+// and signs, separators inside numbers, stray bytes — so most are one edit
+// away from a line that parses.
+func TestParseConcatDataAcceptsOnlyItsOwnEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	respell := []func(string) string{
+		strings.ToUpper,
+		func(s string) string { return "0" + s },
+		func(s string) string { return "+" + s },
+		func(s string) string { return " " + s },
+		func(s string) string { return s + " " },
+		func(s string) string { return s + "x" },
+		func(s string) string { return "0x" + s },
+		func(s string) string { return s[:len(s)/2] + "_" + s[len(s)/2:] },
+		func(s string) string { return s[:len(s)/2] },
+		func(string) string { return "" },
+	}
+	accepted := 0
+	for i := 0; i < 20000; i++ {
+		var want ParsedConcat
+		rng.Read(want.Hash[:])
+		want.Signature = make([]byte, rng.Intn(3)*32)
+		rng.Read(want.Signature)
+		rng.Read(want.Wallet[:])
+		want.Nonce = rng.Uint64() >> rng.Intn(64)
+		want.CID = ipfs.CID(fmt.Sprintf("bafy%x", rng.Uint32()))
+		fields := strings.Split(string(want.encode()), "-")
+		canonical := true
+		for f := range fields {
+			if rng.Intn(8) == 0 {
+				fields[f] = respell[rng.Intn(len(respell))](fields[f])
+				canonical = false
+			}
+		}
+		line := []byte(strings.Join(fields, "-"))
+		got, err := ParseConcatData(line)
+		switch {
+		case err == nil && !bytes.Equal(got.encode(), line):
+			t.Fatalf("%q parses to fields that encode as %q", line, got.encode())
+		case err != nil && canonical:
+			t.Fatalf("an encoding is refused: %q: %v", line, err)
+		case err == nil:
+			accepted++
+		}
+	}
+	t.Logf("%d of 20000 lines parsed", accepted)
+}
+
+// TestParsedCIDDoesNotPinTheLine: the CID ParseConcatData returns is a copy,
+// not a window into the on-chain line. The verifier stores it in the
+// hypercube for good; a substring would keep the whole line alive with it.
+// A 1 MiB signature makes the difference plain in the live heap.
+func TestParsedCIDDoesNotPinTheLine(t *testing.T) {
+	// On one P, so the readings do not count partly used allocation spans
+	// other Ps' caches hold.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	line := ParsedConcat{Signature: make([]byte, 1<<20), Nonce: 7, CID: "bafyX"}.encode()
+	parsed, err := ParseConcatData(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cid := parsed.CID
+	line, parsed = nil, ParsedConcat{}
+	with := heapAfterGC()
+	runtime.KeepAlive(cid)
+	cid = ""
+	if held := int64(with) - int64(heapAfterGC()); held > 1<<20 {
+		t.Fatalf("the parsed CID keeps %d B alive", held)
+	}
+}
+
+// heapAfterGC is the live heap: what is still reachable after a full
+// collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 func TestProofHashBindsEveryField(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 // DefaultSigCacheSize bounds a signature-verification memo. A quorum run
 // re-checks every proof in a bundle at collection, submission and
 // verification time; a few thousand entries cover the largest experiment
-// matrix while keeping the cache at ~1 MiB worst case.
+// matrix. A cache that has reached the bound holds ≈ 2.75 MiB (2 884 416 B
+// measured on linux/amd64, BenchmarkSigCacheResident); an empty one holds
+// a few hundred bytes, since the maps grow with use.
 const DefaultSigCacheSize = 4096
 
 // SigKey is the full verification input. ed25519 keys and signatures have
@@ -65,7 +67,9 @@ type SigCache struct {
 	signers map[signed]*list.Element
 }
 
-// NewSigCache returns an empty cache bounded to capacity entries.
+// NewSigCache returns an empty cache bounded to capacity entries. Nothing
+// is sized by the bound: the maps grow with the verdicts actually stored,
+// so a cache that sees a hundred signatures costs what a hundred cost.
 func NewSigCache(capacity int) *SigCache {
 	if capacity < 1 {
 		capacity = 1
@@ -73,7 +77,7 @@ func NewSigCache(capacity int) *SigCache {
 	return &SigCache{
 		cap:     capacity,
 		ll:      list.New(),
-		idx:     make(map[SigKey]*list.Element, capacity),
+		idx:     make(map[SigKey]*list.Element),
 		signers: make(map[signed]*list.Element),
 	}
 }

@@ -3,6 +3,7 @@ package polcrypto
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -125,4 +126,61 @@ func TestPutOverwriteKeepsSignerIndexConsistent(t *testing.T) {
 	if c.Len() != 1 || len(c.signers) != 1 {
 		t.Fatalf("len=%d signers=%d, want 1/1", c.Len(), len(c.signers))
 	}
+}
+
+// heapAfterGC is the live heap: what is still reachable after a full
+// collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// cacheResident is what a NewSigCache(DefaultSigCacheSize) holding n valid
+// verdicts keeps on the heap: the live heap with the cache reachable minus
+// the live heap before it was built. The keys exist before the first
+// reading, so only the cache's own memory is counted. It runs on one P, so
+// the readings do not count partly used allocation spans other Ps' caches
+// hold.
+func cacheResident(n int) int64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := make([]SigKey, n)
+	for i := range keys {
+		binary.BigEndian.PutUint64(keys[i].hash[:], uint64(i))
+		binary.BigEndian.PutUint64(keys[i].sig[:], uint64(i))
+	}
+	before := heapAfterGC()
+	c := NewSigCache(DefaultSigCacheSize)
+	for _, k := range keys {
+		c.Put(k, true)
+	}
+	with := heapAfterGC()
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(keys)
+	return int64(with) - int64(before)
+}
+
+// TestEmptySigCacheIsSmall: a cache costs what it holds, not what it may
+// hold. Every System and the precompile path build one at the default
+// bound, and most of them see a few hundred signatures at most; presized
+// to the bound, the empty cache held 1 180 176 B of map buckets.
+func TestEmptySigCacheIsSmall(t *testing.T) {
+	if got := cacheResident(0); got > 1024 {
+		t.Fatalf("an empty cache keeps %d B resident, budget 1 KiB", got)
+	} else {
+		t.Logf("an empty cache keeps %d B resident", got)
+	}
+}
+
+// BenchmarkSigCacheResident reports the heap a cache at the default bound
+// keeps empty and full (DefaultSigCacheSize valid verdicts, so the signer
+// index is full too), and the bytes one verdict costs. Nothing is timed.
+func BenchmarkSigCacheResident(b *testing.B) {
+	empty, full := cacheResident(0), cacheResident(DefaultSigCacheSize)
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(float64(empty), "B-empty")
+	b.ReportMetric(float64(full), "B-full")
+	b.ReportMetric(float64(full-empty)/DefaultSigCacheSize, "B/verdict")
 }

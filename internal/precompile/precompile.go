@@ -229,6 +229,3 @@ func All() []*Precompiled {
 	}
 	return out
 }
-
-// SigCacheLen reports the precompile signature memo's size (tests).
-func SigCacheLen() int { return sigs.Len() }

@@ -145,7 +145,7 @@ func TestEd25519VerifyAndCache(t *testing.T) {
 	if after.CacheHits != before.CacheHits+1 {
 		t.Fatalf("cache hits moved by %d, want 1", after.CacheHits-before.CacheHits)
 	}
-	if SigCacheLen() == 0 {
+	if sigs.Len() == 0 {
 		t.Fatal("precompile sigcache must hold the memoized verdict")
 	}
 

@@ -59,9 +59,12 @@ echo "== state layer microbenchmarks =="
 # diskstore: BenchmarkOpen is recovery of a ~200k-record log,
 # BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie,
 # BenchmarkStoreResident the heap a running store keeps per record written
-# (B/record; its ns/op is not a measurement).
+# (B/record; its ns/op is not a measurement). Then what a signature cache
+# keeps resident (polcrypto's SigCacheResident: bytes empty and at its 4 096
+# verdicts, B/verdict) — every core.System and the precompile path hold one.
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
 go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
+go test -run '^$' -bench 'SigCacheResident' -benchtime 1x ./internal/polcrypto | tee -a BENCH_mstate.txt
 
 echo "== consensus + telemetry microbenchmarks =="
 # What a block costs before it carries a transaction (StepEmpty: Goerli's
@@ -74,10 +77,13 @@ echo "== consensus + telemetry microbenchmarks =="
 # clock, ns/tx + B/tx + allocs/tx on one core and on two — and what it
 # leaves behind —
 # RetainedPerTx: resident B/tx of the retention window, the number
-# TestRetainedBytesPerIncludedTx bounds (its ns/op is not a measurement).
+# TestRetainedBytesPerIncludedTx bounds — and, on Algorand, AppResident:
+# the B/app one more application of an already deployed source keeps (its
+# state and description; the parsed program is shared). Neither times
+# anything, so their ns/op is not a measurement.
 # Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
 go test -run '^$' -bench 'StepEmpty|Attestations|Certificate|Tick$' -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand ./internal/sim | tee BENCH_consensus.txt
-go test -run '^$' -bench 'StepBatch|RetainedPerTx' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
+go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
 
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
