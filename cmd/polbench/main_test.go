@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,6 +103,96 @@ func TestPaperOutputsMatchDocs(t *testing.T) {
 					sub, file, sub, file)
 			}
 		})
+	}
+}
+
+// metricFamilies is every `# TYPE` line `polbench figures 5.2 -metrics`
+// prints: the registry's families after one instrumented Ropsten run.
+var metricFamilies = []string{
+	"# TYPE core_chain_op_latency_seconds histogram",
+	"# TYPE core_contracts_deployed_total counter",
+	"# TYPE core_hypercube_hops histogram",
+	"# TYPE core_phase_duration_seconds histogram",
+	"# TYPE core_proofs_attached_total counter",
+	"# TYPE core_proofs_issued_total counter",
+	"# TYPE core_sigcache_total counter",
+	"# TYPE core_verifications_total counter",
+	"# TYPE eth_base_fee_wei gauge",
+	"# TYPE eth_block_gas_used_total counter",
+	"# TYPE eth_blocks_produced_total counter",
+	"# TYPE eth_congestion_spikes_total counter",
+	"# TYPE eth_inclusion_latency_seconds histogram",
+	"# TYPE eth_mempool_depth gauge",
+	"# TYPE eth_txs_deferred_total counter",
+	"# TYPE eth_txs_included_total counter",
+	"# TYPE eth_txs_submitted_total counter",
+	"# TYPE evm_opcode_executions_total counter",
+	"# TYPE evm_opcode_gas_total counter",
+	"# TYPE faults_injected_delay_seconds histogram",
+}
+
+// TestMetricsAndTraceOutputs drives the observability surface: -metrics
+// prints exactly the pinned metric families on every run, and -trace
+// writes a chrome trace whose spans all nest — every parent id names a
+// span in the file, and every pol.* pipeline span sits under a sim.user.
+func TestMetricsAndTraceOutputs(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("trace%d.json", i))
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"figures", "5.2", "-metrics", "-trace", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		var types []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				types = append(types, line)
+			}
+		}
+		if !slices.Equal(types, metricFamilies) {
+			t.Fatalf("run %d: metric families\n%s\nwant\n%s", i, strings.Join(types, "\n"), strings.Join(metricFamilies, "\n"))
+		}
+
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &trace); err != nil {
+			t.Fatalf("trace does not decode: %v", err)
+		}
+		type span struct{ name, parent string }
+		spans := make(map[string]span, len(trace.TraceEvents))
+		for _, ev := range trace.TraceEvents {
+			spans[ev.Args["span_id"]] = span{ev.Name, ev.Args["parent_id"]}
+		}
+		pol := 0
+		for id, s := range spans {
+			if s.parent != "" {
+				if _, ok := spans[s.parent]; !ok {
+					t.Fatalf("span %s (%s) names parent %s, which is not in the trace", id, s.name, s.parent)
+				}
+			}
+			if !strings.HasPrefix(s.name, "pol.") {
+				continue
+			}
+			pol++
+			a := s
+			for a.name != "sim.user" && a.parent != "" {
+				a = spans[a.parent]
+			}
+			if a.name != "sim.user" {
+				t.Fatalf("span %s (%s) has no sim.user ancestor", id, s.name)
+			}
+		}
+		if pol == 0 {
+			t.Fatal("trace holds no pol.* spans")
+		}
 	}
 }
 

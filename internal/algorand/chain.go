@@ -426,8 +426,6 @@ func (c *Chain) Step() *Block {
 				}
 				if rcpt.Reverted {
 					c.obs.groupsRejected.Inc()
-					c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
-						"round", blk.Round, "reason", rcpt.RevertMsg)
 				}
 			}
 		})
@@ -438,10 +436,6 @@ func (c *Chain) Step() *Block {
 	c.pruneRetention()
 	if c.obs != nil {
 		c.obs.roundsCertified.Inc()
-		if c.obs.log.Enabled(obs.LevelDebug) {
-			c.obs.log.Debug("round certified", "chain", c.cfg.Name,
-				"round", blk.Round, "groups", len(blk.Groups))
-		}
 	}
 	return blk
 }

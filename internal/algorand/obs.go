@@ -17,11 +17,9 @@ type chainObs struct {
 	groupsRejected  *obs.Counter
 	fees            *obs.Counter
 	prof            obs.Profiler
-	log             *obs.Logger
 }
 
-// Instrument attaches o's registry, AVM opcode profile and logger to the
-// chain. All metrics carry a chain label with the preset name; the pending
+// Instrument attaches o's registry and AVM opcode profile to the chain. All metrics carry a chain label with the preset name; the pending
 // pool's are the series both families share (chain.Pool.Instrument). A
 // nil bundle detaches instrumentation.
 func (c *Chain) Instrument(o *obs.Obs) {
@@ -45,7 +43,6 @@ func (c *Chain) Instrument(o *obs.Obs) {
 		groupsRejected:  reg.Counter("algorand_groups_rejected_total", name),
 		fees:            reg.Counter("algorand_fees_microalgo_total", name),
 		prof:            o.AVMProfile,
-		log:             o.Logger,
 	}
 	reg.Help("algorand_rounds_certified_total", "Consensus rounds certified.")
 	reg.Help("algorand_groups_rejected_total", "Included groups whose execution was rejected and rolled back.")

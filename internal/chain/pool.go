@@ -2,7 +2,6 @@ package chain
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"agnopol/internal/faults"
@@ -54,8 +53,7 @@ type Pool[T Item] struct {
 
 	submitted, included *obs.Counter
 	depth               *obs.Gauge
-	latency             *obs.Histogram
-	sketch, stall       *obs.QuantileSketch
+	latency, stall      *obs.Histogram
 }
 
 // NewPool builds an empty pool on the chain's clock.
@@ -72,27 +70,24 @@ func (p *Pool[T]) Faults() *faults.Injector { return p.flt }
 // Instrument registers the series both families keep on reg, each with
 // the chain's label: the admission and inclusion counters
 // <prefix>_<items>_submitted_total and <prefix>_<items>_included_total,
-// the depth gauge <prefix>_<pool>_depth, the inclusion latency as the
-// histogram <prefix>_inclusion_latency_seconds and the sketch
-// <prefix>_inclusion_latency, and the sketch of injected stalls. help
-// holds the help texts of the first four; the sketch's is derived from
-// the histogram's. A nil registry detaches the pool.
+// the depth gauge <prefix>_<pool>_depth, the inclusion latency histogram
+// <prefix>_inclusion_latency_seconds, and the histogram of injected stalls
+// faults_injected_delay_seconds on the same buckets. help holds the help
+// texts of the first four. A nil registry detaches the pool.
 func (p *Pool[T]) Instrument(reg *obs.Registry, label obs.Label, prefix, items, pool string, buckets []float64, help [4]string) {
 	if reg == nil {
-		p.submitted, p.included, p.depth, p.latency, p.sketch, p.stall = nil, nil, nil, nil, nil, nil
+		p.submitted, p.included, p.depth, p.latency, p.stall = nil, nil, nil, nil, nil
 		return
 	}
 	named := func(name, text string) string {
 		reg.Help(name, text)
 		return name
 	}
-	latency := prefix + "_inclusion_latency"
 	p.submitted = reg.Counter(named(prefix+"_"+items+"_submitted_total", help[0]), label)
 	p.included = reg.Counter(named(prefix+"_"+items+"_included_total", help[1]), label)
 	p.depth = reg.Gauge(named(prefix+"_"+pool+"_depth", help[2]), label)
-	p.latency = reg.Histogram(named(latency+"_seconds", help[3]), buckets, label)
-	p.sketch = reg.Sketch(named(latency, "Quantile sketch of "+strings.ToLower(help[3][:1])+help[3][1:]), label)
-	p.stall = reg.Sketch(named("faults_injected_delay_seconds", "Quantile sketch of injected tx_delay propagation stalls."), label)
+	p.latency = reg.Histogram(named(prefix+"_inclusion_latency_seconds", help[3]), buckets, label)
+	p.stall = reg.Histogram(named("faults_injected_delay_seconds", "Injected tx_delay propagation stalls."), buckets, label)
 }
 
 // Len reports the pool depth.
@@ -195,7 +190,6 @@ func (p *Pool[T]) Take(at time.Duration, pick func(i int, e *Pending[T]) bool) [
 		if p.included != nil {
 			p.included.Inc()
 			p.latency.Observe((at - e.Submitted).Seconds())
-			p.sketch.Observe((at - e.Submitted).Seconds())
 		}
 	}
 	clear(p.entries[len(rest):])

@@ -140,10 +140,6 @@ func (w *Witness) HandleProofRequest(proverDev *geo.Device, auth did.ChallengeRe
 
 	if w.sys.obs != nil {
 		w.sys.obs.proofsIssued.Inc()
-		if w.sys.logger().Enabled(obs.LevelDebug) {
-			w.sys.logger().Debug("proof issued", "witness", string(w.DID),
-				"prover", string(req.DID), "olc", req.OLC)
-		}
 	}
 	h := req.Hash()
 	return &LocationProof{
@@ -304,10 +300,6 @@ func (p *Prover) RequestProofResilient(conn Connector, w *Witness, cid ipfs.CID,
 			return nil, err
 		}
 		p.sys.flt.RecoverN(faults.ClassWitnessDown, overcome)
-		if overcome > 0 && p.sys.obs != nil {
-			p.sys.logger().Debug("witness exchange recovered", "prover", string(p.DID),
-				"retries", overcome)
-		}
 		return proof, nil
 	}
 }
@@ -384,8 +376,6 @@ func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProv
 		if p.sys.obs != nil {
 			p.sys.obs.contractsDeployed.Inc()
 			p.sys.observeChainOp("deploy", op.Latency)
-			p.sys.logger().Info("contract deployed", "olc", code,
-				"chain", conn.Name(), "hops", hops, "gas", op.GasUsed)
 		}
 		return &SubmissionResult{Handle: handle, Deployed: true, Op: op, Hops: hops}, nil
 	}
@@ -500,7 +490,6 @@ type Verification struct {
 func (v *Verifier) rejected(prover did.DID, reason string) *Verification {
 	if v.sys.obs != nil {
 		v.sys.obs.verifRejected.Inc()
-		v.sys.logger().Warn("verification rejected", "prover", string(prover), "reason", reason)
 	}
 	return &Verification{Prover: prover, Accepted: false, Reason: reason}
 }

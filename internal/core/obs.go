@@ -19,7 +19,7 @@ const (
 )
 
 // phaseBuckets covers wall-clock phase durations from 1 µs to 100 s.
-// Literal bounds, not ExponentialBuckets(1e-6, 10, 9): 1e-6·10 is not
+// Literal bounds, not powers computed at run time: 1e-6·10 is not
 // representable as exactly 1e-5 in float64, and the drift leaks into
 // the le labels of the exposition.
 var phaseBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
@@ -36,19 +36,14 @@ var hopBuckets = []float64{0, 1, 2, 3, 4, 5, 6}
 // uninstrumented; every hook reduces to a nil check.
 type sysObs struct {
 	o *obs.Obs
-	// scope is the system's explicit span stack. A System runs one proof
-	// pipeline at a time, but many instrumented Systems may run
-	// concurrently against one shared tracer (sim.RunMatrix); parenting
-	// through a per-system scope instead of the tracer's process-wide
-	// implicit stack keeps each run's span tree correctly nested.
+	// scope is the system's span stack. A System runs one proof pipeline
+	// at a time, but many instrumented Systems may run concurrently
+	// against one shared tracer (sim.RunMatrix); a per-system scope keeps
+	// each run's span tree correctly nested.
 	scope *obs.Scope
 
-	phases   map[string]*obs.Histogram
-	chainOps map[string]*obs.Histogram
-	// chainOpSketches mirror chainOps as mergeable quantile sketches, so
-	// tail latency (p99/p999) stays answerable at soak scale where the
-	// fixed buckets saturate.
-	chainOpSketches   map[string]*obs.QuantileSketch
+	phases            map[string]*obs.Histogram
+	chainOps          map[string]*obs.Histogram
 	hops              *obs.Histogram
 	proofsIssued      *obs.Counter
 	contractsDeployed *obs.Counter
@@ -69,18 +64,16 @@ func (s *System) Instrument(o *obs.Obs) {
 	}
 	reg := o.Registry
 	so := &sysObs{
-		o:               o,
-		scope:           o.Tracer.NewScope(nil),
-		phases:          make(map[string]*obs.Histogram),
-		chainOps:        make(map[string]*obs.Histogram),
-		chainOpSketches: make(map[string]*obs.QuantileSketch),
+		o:        o,
+		scope:    o.Tracer.NewScope(nil),
+		phases:   make(map[string]*obs.Histogram),
+		chainOps: make(map[string]*obs.Histogram),
 	}
 	for _, phase := range []string{PhaseDiscover, PhaseChallenge, PhaseSign, PhaseSubmit, PhaseVerify, PhasePublish} {
 		so.phases[phase] = reg.Histogram("core_phase_duration_seconds", phaseBuckets, obs.L("phase", phase))
 	}
 	for _, op := range []string{"deploy", "attach", "verify"} {
 		so.chainOps[op] = reg.Histogram("core_chain_op_latency_seconds", chainOpBuckets, obs.L("op", op))
-		so.chainOpSketches[op] = reg.Sketch("core_chain_op_latency", obs.L("op", op))
 	}
 	so.hops = reg.Histogram("core_hypercube_hops", hopBuckets)
 	so.proofsIssued = reg.Counter("core_proofs_issued_total")
@@ -92,7 +85,6 @@ func (s *System) Instrument(o *obs.Obs) {
 	so.sigCacheMisses = reg.Counter("core_sigcache_total", obs.L("result", "miss"))
 	reg.Help("core_phase_duration_seconds", "Wall-clock duration of each proof-pipeline phase.")
 	reg.Help("core_chain_op_latency_seconds", "Simulated latency of on-chain PoL operations.")
-	reg.Help("core_chain_op_latency", "Quantile sketch of simulated on-chain PoL operation latency.")
 	reg.Help("core_hypercube_hops", "DHT routing hops per contract lookup.")
 	reg.Help("core_proofs_issued_total", "Location proofs signed by witnesses.")
 	reg.Help("core_proofs_rejected_total", "Witness-side proof request rejections by reason.")
@@ -144,7 +136,6 @@ func (s *System) endPhase(sp *obs.Span, phase string) {
 func (s *System) observeChainOp(op string, latency time.Duration) {
 	if s.obs != nil {
 		s.obs.chainOps[op].Observe(latency.Seconds())
-		s.obs.chainOpSketches[op].Observe(latency.Seconds())
 	}
 }
 
@@ -165,12 +156,4 @@ func (s *System) countSigCache(hit bool) {
 	} else {
 		s.obs.sigCacheMisses.Inc()
 	}
-}
-
-// logger returns the attached structured logger; nil-safe.
-func (s *System) logger() *obs.Logger {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.o.Logger
 }

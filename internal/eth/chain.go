@@ -509,11 +509,6 @@ func (c *Chain) Step() *Block {
 		c.obs.blockGasUsed.Add(blk.GasUsed)
 		bf, _ := new(big.Float).SetInt(c.baseFee).Float64()
 		c.obs.baseFee.Set(bf)
-		if c.obs.log.Enabled(obs.LevelDebug) {
-			c.obs.log.Debug("block produced", "chain", c.cfg.Name,
-				"number", blk.Number, "txs", len(blk.TxHashes),
-				"gas_used", blk.GasUsed, "base_fee", c.baseFee.String())
-		}
 	}
 	return blk
 }
@@ -578,8 +573,6 @@ func (c *Chain) backgroundDemand() float64 {
 		c.spikeBlocksLeft--
 		if c.obs != nil {
 			c.obs.congestionSpikes.Inc()
-			c.obs.log.Info("congestion spike started", "chain", c.cfg.Name,
-				"blocks", c.spikeBlocksLeft+1, "factor", c.cfg.SpikeFactor)
 		}
 		return d * c.cfg.SpikeFactor
 	}

@@ -20,11 +20,9 @@ type chainObs struct {
 	blockGasUsed     *obs.Counter
 	baseFee          *obs.Gauge
 	prof             obs.Profiler
-	log              *obs.Logger
 }
 
-// Instrument attaches o's registry, EVM opcode profile and logger to the
-// chain. All metrics carry a chain label with the preset name; the
+// Instrument attaches o's registry and EVM opcode profile to the chain. All metrics carry a chain label with the preset name; the
 // mempool's are the series both families share (chain.Pool.Instrument). A
 // nil bundle detaches instrumentation.
 func (c *Chain) Instrument(o *obs.Obs) {
@@ -50,7 +48,6 @@ func (c *Chain) Instrument(o *obs.Obs) {
 		blockGasUsed:     reg.Counter("eth_block_gas_used_total", name),
 		baseFee:          reg.Gauge("eth_base_fee_wei", name),
 		prof:             o.EVMProfile,
-		log:              o.Logger,
 	}
 	reg.Help("eth_blocks_produced_total", "Blocks produced by the simulated EVM chain.")
 	reg.Help("eth_txs_deferred_total", "Eligible transactions deferred past a block (priced out or waiting).")

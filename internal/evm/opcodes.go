@@ -96,21 +96,29 @@ var opNames = map[Opcode]string{
 	LOG1: "LOG1", LOG2: "LOG2", CALL: "CALL", RETURN: "RETURN", REVERT: "REVERT",
 }
 
+// opStrings is every byte's mnemonic, formatted once: the opcode profiler
+// names each executed opcode, so String must not allocate.
+var opStrings = func() (names [256]string) {
+	for i := range names {
+		op := Opcode(i)
+		switch {
+		case op >= PUSH1 && op <= PUSH32:
+			names[i] = fmt.Sprintf("PUSH%d", op-PUSH1+1)
+		case op >= DUP1 && op <= DUP16:
+			names[i] = fmt.Sprintf("DUP%d", op-DUP1+1)
+		case op >= SWAP1 && op <= SWAP16:
+			names[i] = fmt.Sprintf("SWAP%d", op-SWAP1+1)
+		case opNames[op] != "":
+			names[i] = opNames[op]
+		default:
+			names[i] = fmt.Sprintf("INVALID(0x%02x)", i)
+		}
+	}
+	return names
+}()
+
 // String renders the opcode mnemonic.
-func (op Opcode) String() string {
-	switch {
-	case op >= PUSH1 && op <= PUSH32:
-		return fmt.Sprintf("PUSH%d", op-PUSH1+1)
-	case op >= DUP1 && op <= DUP16:
-		return fmt.Sprintf("DUP%d", op-DUP1+1)
-	case op >= SWAP1 && op <= SWAP16:
-		return fmt.Sprintf("SWAP%d", op-SWAP1+1)
-	}
-	if n, ok := opNames[op]; ok {
-		return n
-	}
-	return fmt.Sprintf("INVALID(0x%02x)", byte(op))
-}
+func (op Opcode) String() string { return opStrings[op] }
 
 // IsPush reports whether op is PUSH1..PUSH32, and its immediate width.
 func (op Opcode) IsPush() (int, bool) {

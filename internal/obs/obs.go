@@ -1,12 +1,11 @@
-// Package obs is the zero-dependency observability substrate: a
+// Package obs records what a run did, for reading after it ends: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms) with Prometheus-style text exposition and a snapshot/diff
-// API, lightweight span tracing with a ring-buffer recorder and a
-// chrome://tracing JSON exporter, a pluggable leveled key=value logger,
-// and a per-opcode VM profiler hook.
+// histograms) with Prometheus-style text exposition, span tracing through
+// explicit per-strand scopes into a ring buffer with a chrome://tracing
+// JSON exporter, and a per-opcode VM profiler hook.
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Span, *Tracer or *Logger are no-ops, so instrumented code
+// *Histogram, *Span, *Scope or *Tracer are no-ops, so instrumented code
 // pays only a nil check (or nothing at all) when observability is off.
 // That keeps the hot paths of the VMs and chain simulators unaffected by
 // default — benchmarks run against the exact same code whether or not a
@@ -25,18 +24,17 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // New.
 const DefaultTraceCapacity = 16384
 
-// Obs bundles one observability session: a registry, a tracer, a logger
-// (nil = no-op) and the per-VM opcode profiles. A nil *Obs means
-// "uninstrumented" throughout the repo.
+// Obs bundles one observability session: a registry, a tracer and the
+// per-VM opcode profiles. A nil *Obs means "uninstrumented" throughout
+// the repo.
 type Obs struct {
 	Registry   *Registry
 	Tracer     *Tracer
-	Logger     *Logger
 	EVMProfile *OpcodeProfile
 	AVMProfile *OpcodeProfile
 }
 
-// New creates a fully wired observability session with a no-op logger.
+// New creates a fully wired observability session.
 func New() *Obs {
 	return &Obs{
 		Registry:   NewRegistry(),

@@ -16,29 +16,6 @@ import (
 // the Prometheus defaults: wall-clock scale from 5 ms to 10 s.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// ExponentialBuckets returns count upper bounds starting at start, each
-// factor times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		// math.Pow instead of repeated multiplication: 1e-6·10·10 drifts
-		// to 9.999999999999999e-05 and pollutes the le labels.
-		out[i] = start * math.Pow(factor, float64(i))
-	}
-	return out
-}
-
-// LinearBuckets returns count upper bounds starting at start, spaced by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // Counter is a monotonically increasing uint64 metric. The zero value is
 // ready to use; a nil *Counter is a no-op.
 type Counter struct {
@@ -163,7 +140,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type series struct {
 	name   string
 	labels string // `k="v",k2="v2"` with keys sorted, "" when unlabeled
-	kind   string // "counter" | "gauge" | "histogram" | "summary"
+	kind   string // "counter" | "gauge" | "histogram"
 }
 
 func (s series) id() string {
@@ -183,9 +160,9 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // newline (quotes are legal there).
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
-// EscapeLabelValue renders a label value for the Prometheus text
-// exposition format, shared by WriteText and the /metrics HTTP handler.
-func EscapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+// escapeLabelValue renders a label value for the Prometheus text
+// exposition format.
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
@@ -195,7 +172,7 @@ func renderLabels(labels []Label) string {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 	parts := make([]string, len(sorted))
 	for i, l := range sorted {
-		parts[i] = l.Key + `="` + EscapeLabelValue(l.Value) + `"`
+		parts[i] = l.Key + `="` + escapeLabelValue(l.Value) + `"`
 	}
 	return strings.Join(parts, ",")
 }
@@ -207,7 +184,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	sketches   map[string]*QuantileSketch
 	info       map[string]series // id -> name/labels, shared across kinds
 	help       map[string]string // family name -> HELP text
 }
@@ -218,7 +194,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		sketches:   make(map[string]*QuantileSketch),
 		info:       make(map[string]series),
 		help:       make(map[string]string),
 	}
@@ -298,41 +273,12 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	return h
 }
 
-// Sketch returns (creating on first use) the quantile sketch with the
-// given name and labels. Sketches render as Prometheus summaries (one
-// line per SketchQuantiles entry plus _sum and _count).
-func (r *Registry) Sketch(name string, labels ...Label) *QuantileSketch {
-	if r == nil {
-		return nil
-	}
-	s := series{name: name, labels: renderLabels(labels), kind: "summary"}
-	id := s.id()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sk, ok := r.sketches[id]
-	if !ok {
-		sk = NewQuantileSketch()
-		r.sketches[id] = sk
-		r.info[id] = s
-	}
-	return sk
-}
-
-// familyOf strips the label set from a series id: `name{labels}` -> name.
-func familyOf(id string) string {
-	if i := strings.IndexByte(id, '{'); i >= 0 {
-		return id[:i]
-	}
-	return id
-}
-
 // Snapshot captures every metric's current value, keyed by series id
 // (`name{labels}`).
 type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]float64
 	Histograms map[string]HistogramSnapshot
-	Sketches   map[string]SketchSnapshot
 }
 
 // Snapshot reads all metrics at once.
@@ -341,7 +287,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   make(map[string]uint64),
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]HistogramSnapshot),
-		Sketches:   make(map[string]SketchSnapshot),
 	}
 	if r == nil {
 		return s
@@ -359,10 +304,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for id, h := range r.histograms {
 		hists[id] = h
 	}
-	sketches := make(map[string]*QuantileSketch, len(r.sketches))
-	for id, sk := range r.sketches {
-		sketches[id] = sk
-	}
 	r.mu.Unlock()
 	for id, c := range counters {
 		s.Counters[id] = c.Value()
@@ -373,147 +314,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	for id, h := range hists {
 		s.Histograms[id] = h.Snapshot()
 	}
-	for id, sk := range sketches {
-		s.Sketches[id] = sk.Snapshot()
-	}
 	return s
-}
-
-// MergedSketch merges every sketch of the given family (the metric name,
-// label sets ignored) in the snapshot into one queryable snapshot — the
-// cross-shard / cross-chain view of a latency distribution. The second
-// return is false when the family has no sketches. Nil-safe.
-func (s *Snapshot) MergedSketch(family string) (SketchSnapshot, bool) {
-	if s == nil {
-		return SketchSnapshot{}, false
-	}
-	var parts []SketchSnapshot
-	for id, sk := range s.Sketches {
-		if familyOf(id) == family {
-			parts = append(parts, sk)
-		}
-	}
-	switch len(parts) {
-	case 0:
-		return SketchSnapshot{}, false
-	case 1:
-		return parts[0], true
-	}
-	merged := NewQuantileSketch()
-	for _, sk := range parts {
-		// Same package-default layout everywhere; a mismatch is impossible
-		// for registry-created sketches.
-		_ = merged.MergeSnapshot(sk)
-	}
-	return merged.Snapshot(), true
-}
-
-// Diff returns the change from earlier to s: counter and histogram/sketch
-// counts and sums are subtracted; gauges keep their latest value. Series
-// churn is handled conservatively: a series absent from the earlier
-// snapshot counts from zero, a series absent from the later snapshot is
-// dropped (it no longer exists to report on), and a series whose
-// cumulative state went backwards — a registry swap or a histogram whose
-// bucket layout drifted — is treated as freshly started rather than
-// underflowing uint64 arithmetic into garbage deltas.
-func (s *Snapshot) Diff(earlier *Snapshot) *Snapshot {
-	out := &Snapshot{
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-		Sketches:   make(map[string]SketchSnapshot, len(s.Sketches)),
-	}
-	for id, v := range s.Counters {
-		prev := uint64(0)
-		if earlier != nil {
-			prev = earlier.Counters[id]
-		}
-		if prev > v {
-			// Counter went backwards: the instrument restarted. Count from
-			// zero, Prometheus rate() style, instead of wrapping.
-			prev = 0
-		}
-		out.Counters[id] = v - prev
-	}
-	for id, v := range s.Gauges {
-		out.Gauges[id] = v
-	}
-	for id, h := range s.Histograms {
-		d := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]uint64(nil), h.Counts...),
-			Sum:    h.Sum,
-			Count:  h.Count,
-		}
-		if earlier != nil {
-			if prev, ok := earlier.Histograms[id]; ok && subtractableHistogram(prev, h) {
-				for i := range d.Counts {
-					d.Counts[i] -= prev.Counts[i]
-				}
-				d.Sum -= prev.Sum
-				d.Count -= prev.Count
-			}
-		}
-		out.Histograms[id] = d
-	}
-	for id, sk := range s.Sketches {
-		d := SketchSnapshot{
-			Gamma: sk.Gamma, MinIndex: sk.MinIndex,
-			Counts: append([]uint64(nil), sk.Counts...),
-			Count:  sk.Count, SumNanos: sk.SumNanos,
-			// Min/Max are not diffable; keep the cumulative extremes.
-			Min: sk.Min, Max: sk.Max,
-		}
-		if earlier != nil {
-			if prev, ok := earlier.Sketches[id]; ok && subtractableSketch(prev, sk) {
-				for i := range d.Counts {
-					d.Counts[i] -= prev.Counts[i]
-				}
-				d.Count -= prev.Count
-				d.SumNanos -= prev.SumNanos
-			}
-		}
-		out.Sketches[id] = d
-	}
-	return out
-}
-
-// subtractableHistogram reports whether prev can be subtracted from cur:
-// identical bucket layout (bounds, not just length — a same-length layout
-// drift would silently misattribute counts) and monotonic counts.
-func subtractableHistogram(prev, cur HistogramSnapshot) bool {
-	if len(prev.Bounds) != len(cur.Bounds) || len(prev.Counts) != len(cur.Counts) {
-		return false
-	}
-	for i := range prev.Bounds {
-		if prev.Bounds[i] != cur.Bounds[i] {
-			return false
-		}
-	}
-	if prev.Count > cur.Count {
-		return false
-	}
-	for i := range prev.Counts {
-		if prev.Counts[i] > cur.Counts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// subtractableSketch is the sketch analogue of subtractableHistogram.
-func subtractableSketch(prev, cur SketchSnapshot) bool {
-	if prev.Gamma != cur.Gamma || prev.MinIndex != cur.MinIndex ||
-		len(prev.Counts) != len(cur.Counts) ||
-		prev.Count > cur.Count || prev.SumNanos > cur.SumNanos {
-		return false
-	}
-	for i := range prev.Counts {
-		if prev.Counts[i] > cur.Counts[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteText renders the registry in the Prometheus text exposition
@@ -578,35 +379,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 			if err := writeHistogramText(w, ln.name, ln.labels, snap.Histograms[ln.id]); err != nil {
 				return err
 			}
-		case "summary":
-			if err := writeSummaryText(w, ln.name, ln.labels, snap.Sketches[ln.id]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
-}
-
-// writeSummaryText renders one quantile sketch as a Prometheus summary:
-// one line per SketchQuantiles entry plus _sum and _count.
-func writeSummaryText(w io.Writer, name, labels string, s SketchSnapshot) error {
-	for _, q := range SketchQuantiles {
-		v := s.Quantile(q)
-		if s.Count == 0 {
-			v = math.NaN()
-		}
-		if _, err := fmt.Fprintf(w, "%s{%s} %s\n", name,
-			joinLabels(labels, `quantile="`+quantileLabel(q)+`"`), formatFloat(v)); err != nil {
-			return err
-		}
-	}
-	sum := series{name: name + "_sum", labels: labels}
-	count := series{name: name + "_count", labels: labels}
-	if _, err := fmt.Fprintf(w, "%s %s\n", sum.id(), formatFloat(s.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", count.id(), s.Count)
-	return err
 }
 
 func writeHistogramText(w io.Writer, name, labels string, h HistogramSnapshot) error {

@@ -107,31 +107,45 @@ func TestExpositionGolden(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops_total")
-	h := r.Histogram("lat", []float64{1})
-	c.Add(10)
-	h.Observe(0.5)
-	before := r.Snapshot()
-	c.Add(5)
-	h.Observe(2)
-	h.Observe(0.2)
-	after := r.Snapshot()
+// TestLabelEscapingConformance pins the Prometheus text-format escaping
+// rules: exactly backslash, double-quote and newline are escaped; other
+// control characters and non-ASCII UTF-8 pass through verbatim. Go's %q
+// would turn the tab into \t and the kanji into \u sequences — both
+// undefined in the exposition format.
+func TestLabelEscapingConformance(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"plain", "plain"},
+		{`back\slash`, `back\\slash`},
+		{`qu"ote`, `qu\"ote`},
+		{"new\nline", `new\nline`},
+		{"\\\"\n", `\\\"\n`},
+		{"tab\there", "tab\there"},
+		{"héllo wörld", "héllo wörld"},
+		{"日本語", "日本語"},
+		{"mixed \\ \" \n 日本", `mixed \\ \" \n 日本`},
+	}
+	for _, c := range cases {
+		if got := escapeLabelValue(c.in); got != c.want {
+			t.Errorf("escapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
 
-	d := after.Diff(before)
-	if got := d.Counters["ops_total"]; got != 5 {
-		t.Errorf("diff counter = %d, want 5", got)
+	// End to end: the rendered exposition carries the escaped value on one
+	// line, and HELP text escapes backslash+newline (quotes legal there).
+	r := NewRegistry()
+	r.Counter("c_total", L("path", "a\\b\"c\nd"), L("utf8", "héllo")).Add(1)
+	r.Help("c_total", "Line one\nline \\two \"quoted\".")
+	text := r.Text()
+	if !strings.Contains(text, `c_total{path="a\\b\"c\nd",utf8="héllo"} 1`) {
+		t.Errorf("exposition label escaping wrong:\n%s", text)
 	}
-	dh := d.Histograms["lat"]
-	if dh.Count != 2 {
-		t.Errorf("diff hist count = %d, want 2", dh.Count)
+	if !strings.Contains(text, `# HELP c_total Line one\nline \\two "quoted".`) {
+		t.Errorf("HELP escaping wrong:\n%s", text)
 	}
-	if dh.Counts[0] != 1 || dh.Counts[1] != 1 {
-		t.Errorf("diff hist buckets = %v, want [1 1]", dh.Counts)
-	}
-	if dh.Sum != 2.2 {
-		t.Errorf("diff hist sum = %v, want 2.2", dh.Sum)
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if line == "" {
+			t.Errorf("raw newline leaked into the exposition:\n%s", text)
+		}
 	}
 }
 

@@ -22,31 +22,22 @@ type Span struct {
 	Start    time.Duration
 	Duration time.Duration
 
-	t      *Tracer
+	scope  *Scope // the scope the span was opened on
 	parent *Span
-	scope  *Scope // non-nil when the span was opened through a Scope
 	ended  bool
 }
 
 // Tracer records spans into a fixed-capacity ring buffer: when full, the
-// oldest completed spans are overwritten (and counted as dropped).
-//
-// Start/End maintain an implicit current-span stack, so simple sequential
-// code gets parent/child nesting for free: a Start between another span's
-// Start and End becomes its child. That stack is process-wide, so code
-// that may run concurrently — the PoL pipeline under sim.RunMatrix —
-// must parent explicitly instead: per-strand stacks via NewScope, or
-// one-off children via Span.StartChild.
+// oldest completed spans are overwritten. Spans are opened through a
+// Scope, which carries the parent/child nesting.
 type Tracer struct {
 	mu       sync.Mutex
 	capacity int
 	epoch    time.Time
 	seq      uint64
-	cur      *Span
 	done     []*Span
 	next     int
 	wrapped  bool
-	dropped  uint64
 }
 
 // NewTracer creates a tracer keeping at most capacity completed spans.
@@ -57,37 +48,11 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{capacity: capacity, epoch: time.Now()}
 }
 
-// Start opens a span as a child of the current span (or as a root) and
-// makes it current. Nil tracers return a nil (no-op) span.
-func (t *Tracer) Start(name string, labels ...Label) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	s := &Span{
-		ID:     t.seq,
-		Name:   name,
-		Labels: labels,
-		Start:  time.Since(t.epoch),
-		t:      t,
-		parent: t.cur,
-	}
-	if t.cur != nil {
-		s.ParentID = t.cur.ID
-	}
-	t.cur = s
-	return s
-}
-
-// Scope is an explicit current-span stack for one logical execution
-// strand (one experiment run, one goroutine). The tracer's implicit stack
-// is process-wide, so two concurrent strands pushing through it mis-parent
-// each other's spans by design; a Scope carries its own stack instead, and
-// any number of scopes can record into the same tracer at once with every
-// span tree staying correctly nested. A nil *Scope is a no-op, like every
-// other instrument.
+// Scope is the current-span stack of one logical execution strand (one
+// experiment run, one goroutine): a span opened on it becomes a child of
+// the scope's current span until that span ends. Any number of scopes can
+// record into the same tracer at once with every span tree staying
+// correctly nested. A nil *Scope is a no-op, like every other instrument.
 type Scope struct {
 	t   *Tracer
 	cur *Span
@@ -104,8 +69,7 @@ func (t *Tracer) NewScope(root *Span) *Scope {
 }
 
 // Start opens a span as a child of the scope's current span and makes it
-// the scope's current. Unlike Tracer.Start it never reads or writes the
-// tracer's implicit stack, so concurrent scopes cannot mis-parent.
+// the scope's current.
 func (sc *Scope) Start(name string, labels ...Label) *Span {
 	if sc == nil || sc.t == nil {
 		return nil
@@ -119,9 +83,8 @@ func (sc *Scope) Start(name string, labels ...Label) *Span {
 		Name:   name,
 		Labels: labels,
 		Start:  time.Since(t.epoch),
-		t:      t,
-		parent: sc.cur,
 		scope:  sc,
+		parent: sc.cur,
 	}
 	if sc.cur != nil {
 		s.ParentID = sc.cur.ID
@@ -130,45 +93,25 @@ func (sc *Scope) Start(name string, labels ...Label) *Span {
 	return s
 }
 
-// StartChild opens a span explicitly parented to s, without touching the
-// tracer's current-span stack — safe from other goroutines.
-func (s *Span) StartChild(name string, labels ...Label) *Span {
-	if s == nil || s.t == nil {
-		return nil
-	}
-	t := s.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	return &Span{
-		ID:       t.seq,
-		ParentID: s.ID,
-		Name:     name,
-		Labels:   labels,
-		Start:    time.Since(t.epoch),
-		t:        t,
-		parent:   s,
-	}
-}
-
 // Label attaches one more key=value to the span.
 func (s *Span) Label(key, value string) {
 	if s == nil {
 		return
 	}
-	s.t.mu.Lock()
+	t := s.scope.t
+	t.mu.Lock()
 	s.Labels = append(s.Labels, L(key, value))
-	s.t.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // End closes the span, records it into the ring buffer and restores the
-// span's parent as current. It returns the span's duration (0 on nil),
-// so call sites can feed the same measurement into a histogram.
+// span's parent as its scope's current. It returns the span's duration (0
+// on nil), so call sites can feed the same measurement into a histogram.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
-	t := s.t
+	t := s.scope.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s.ended {
@@ -176,10 +119,7 @@ func (s *Span) End() time.Duration {
 	}
 	s.ended = true
 	s.Duration = time.Since(t.epoch) - s.Start
-	if t.cur == s {
-		t.cur = s.parent
-	}
-	if s.scope != nil && s.scope.cur == s {
+	if s.scope.cur == s {
 		s.scope.cur = s.parent
 	}
 	if len(t.done) < t.capacity {
@@ -188,7 +128,6 @@ func (s *Span) End() time.Duration {
 		t.done[t.next] = s
 		t.next = (t.next + 1) % t.capacity
 		t.wrapped = true
-		t.dropped++
 	}
 	return s.Duration
 }
@@ -207,17 +146,6 @@ func (t *Tracer) Spans() []*Span {
 	out = append(out, t.done[t.next:]...)
 	out = append(out, t.done[:t.next]...)
 	return out
-}
-
-// Dropped reports how many completed spans were overwritten by the ring
-// buffer.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // chromeEvent is one entry of the chrome://tracing "trace event" format

@@ -9,14 +9,15 @@ import (
 
 func TestSpanParentChildNesting(t *testing.T) {
 	tr := NewTracer(64)
-	root := tr.Start("pipeline")
-	child := tr.Start("lookup") // implicit child of root
-	grand := tr.Start("hop")    // implicit child of lookup
+	sc := tr.NewScope(nil)
+	root := sc.Start("pipeline")
+	child := sc.Start("lookup") // child of root
+	grand := sc.Start("hop")    // child of lookup
 	grand.End()
-	sibling := tr.Start("hop") // back under lookup after grand ended
+	sibling := sc.Start("hop") // back under lookup after grand ended
 	sibling.End()
 	child.End()
-	after := tr.Start("submit") // under root again
+	after := sc.Start("submit") // under root again
 	after.End()
 	root.End()
 
@@ -35,6 +36,9 @@ func TestSpanParentChildNesting(t *testing.T) {
 	if root.ParentID != 0 {
 		t.Errorf("root parent = %d, want 0", root.ParentID)
 	}
+	if next := sc.Start("next"); next.ParentID != 0 {
+		t.Errorf("span after the root ended has parent %d, want 0", next.ParentID)
+	}
 
 	spans := tr.Spans()
 	if len(spans) != 5 {
@@ -49,57 +53,61 @@ func TestSpanParentChildNesting(t *testing.T) {
 	}
 }
 
+// TestSpanExplicitChildAndDoubleEnd opens a child on a scope rooted at an
+// existing span, and checks a second End neither re-records the span nor
+// pops its scope a second time.
 func TestSpanExplicitChildAndDoubleEnd(t *testing.T) {
 	tr := NewTracer(8)
-	root := tr.Start("root")
-	c := root.StartChild("worker", L("i", "0"))
+	root := tr.NewScope(nil).Start("root")
+	sc := tr.NewScope(root)
+	c := sc.Start("worker", L("i", "0"))
 	if c.ParentID != root.ID {
 		t.Fatalf("explicit child parent = %d, want %d", c.ParentID, root.ID)
 	}
 	d1 := c.End()
-	d2 := c.End() // second End must be a no-op returning the same duration
+	inner := sc.Start("inner") // the scope is back at root
+	d2 := c.End()              // second End must be a no-op returning the same duration
 	if d1 != d2 {
 		t.Errorf("double End changed duration: %v != %v", d1, d2)
 	}
+	if next := sc.Start("next"); next.ParentID != inner.ID {
+		t.Errorf("double End moved the scope: next parent = %d, want inner %d", next.ParentID, inner.ID)
+	}
+	inner.End()
 	root.End()
-	if got := len(tr.Spans()); got != 2 {
-		t.Errorf("spans = %d, want 2 (double End must not re-record)", got)
+	if got := len(tr.Spans()); got != 3 {
+		t.Errorf("spans = %d, want 3 (double End must not re-record)", got)
 	}
 }
 
-// TestScopeNesting checks a Scope reproduces the implicit stack's
-// nesting behaviour without ever touching the tracer's current span.
+// TestScopeNesting interleaves two scopes on one tracer from one
+// goroutine: each keeps its own current span, so neither parents a span
+// into the other's tree.
 func TestScopeNesting(t *testing.T) {
 	tr := NewTracer(64)
-	outer := tr.Start("outer") // implicit stack, must stay untouched
+	a, b := tr.NewScope(nil), tr.NewScope(nil)
+	ra := a.Start("a")
+	rb := b.Start("b")
+	ca := a.Start("a.child")
+	cb := b.Start("b.child")
+	ca.End()
+	a2 := a.Start("a.second")
+	cb.End()
+	rb.End()
+	b2 := b.Start("b.after")
 
-	sc := tr.NewScope(nil)
-	root := sc.Start("pipeline")
-	child := sc.Start("lookup")
-	grand := sc.Start("hop")
-	grand.End()
-	sibling := sc.Start("hop")
-	sibling.End()
-	child.End()
-	after := sc.Start("submit")
-	after.End()
-	root.End()
-
-	if root.ParentID != 0 {
-		t.Errorf("scope root parent = %d, want 0 (scopes must ignore the implicit stack)", root.ParentID)
+	if ra.ParentID != 0 || rb.ParentID != 0 {
+		t.Errorf("scope roots have parents %d,%d, want 0,0", ra.ParentID, rb.ParentID)
 	}
-	if child.ParentID != root.ID || grand.ParentID != child.ID ||
-		sibling.ParentID != child.ID || after.ParentID != root.ID {
-		t.Errorf("scope nesting broken: child→%d grand→%d sibling→%d after→%d",
-			child.ParentID, grand.ParentID, sibling.ParentID, after.ParentID)
+	if ca.ParentID != ra.ID || a2.ParentID != ra.ID {
+		t.Errorf("scope a: child→%d second→%d, want %d", ca.ParentID, a2.ParentID, ra.ID)
 	}
-	// The implicit stack must still see outer as current.
-	implicitChild := tr.Start("implicit")
-	if implicitChild.ParentID != outer.ID {
-		t.Errorf("implicit span parent = %d, want outer %d", implicitChild.ParentID, outer.ID)
+	if cb.ParentID != rb.ID {
+		t.Errorf("scope b: child→%d, want %d", cb.ParentID, rb.ID)
 	}
-	implicitChild.End()
-	outer.End()
+	if b2.ParentID != 0 {
+		t.Errorf("scope b after its root ended: parent %d, want 0", b2.ParentID)
+	}
 }
 
 // TestScopeRooted checks a scope created off an existing root parents its
@@ -202,15 +210,13 @@ func TestNilScope(t *testing.T) {
 
 func TestTracerRingBuffer(t *testing.T) {
 	tr := NewTracer(3)
+	sc := tr.NewScope(nil)
 	for i := 0; i < 5; i++ {
-		tr.Start("s").End()
+		sc.Start("s").End()
 	}
 	spans := tr.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("ring kept %d spans, want 3", len(spans))
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
 	}
 	// Oldest first: ids 3,4,5 survive.
 	for i, want := range []uint64{3, 4, 5} {
@@ -222,7 +228,7 @@ func TestTracerRingBuffer(t *testing.T) {
 
 func TestNilTracerAndSpan(t *testing.T) {
 	var tr *Tracer
-	s := tr.Start("x")
+	s := tr.NewScope(nil).Start("x")
 	if s != nil {
 		t.Fatal("nil tracer must return nil span")
 	}
@@ -230,18 +236,23 @@ func TestNilTracerAndSpan(t *testing.T) {
 	if d := s.End(); d != 0 {
 		t.Errorf("nil span End = %v, want 0", d)
 	}
-	if c := s.StartChild("y"); c != nil {
-		t.Error("nil span StartChild must return nil")
-	}
 	if tr.Spans() != nil {
 		t.Error("nil tracer Spans must be nil")
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Errorf("nil tracer export is not valid JSON: %s", buf.String())
 	}
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer(16)
-	root := tr.Start("pol.submit_proof", L("olc", "7H369F4W+Q8"))
-	lookup := tr.Start("pol.discover")
+	sc := tr.NewScope(nil)
+	root := sc.Start("pol.submit_proof", L("olc", "7H369F4W+Q8"))
+	lookup := sc.Start("pol.discover")
 	lookup.End()
 	root.End()
 

@@ -50,9 +50,6 @@ type MatrixSpec struct {
 	// the phase matters to fault sweeps, whose report-fetch fault class
 	// only fires during verification.
 	Verify bool
-	// Telemetry optionally attaches a live-telemetry session, ticked once
-	// after every completed run so fan-outs are observable mid-flight.
-	Telemetry *obs.Telemetry
 }
 
 // CellRun is one completed run of the grid.
@@ -152,7 +149,6 @@ func RunMatrix(spec MatrixSpec, o *obs.Obs) (*MatrixResult, error) {
 				}
 				runs[idx] = CellRun{Cell: cell, Rep: idx % reps, Seed: seed, Result: r}
 				errs[idx] = err
-				spec.Telemetry.Tick()
 			}
 		}()
 	}

@@ -199,9 +199,9 @@ func TestUserErrorEndsSpan(t *testing.T) {
 	}
 
 	// Subsequent spans must not orphan under the dead span: a fresh
-	// implicit span must be a root, and a whole follow-up experiment on
+	// scope's span must be a root, and a whole follow-up experiment on
 	// the same bundle must root and nest cleanly.
-	probe := o.Tracer.Start("probe")
+	probe := o.Tracer.NewScope(nil).Start("probe")
 	if probe.ParentID != 0 {
 		t.Fatalf("span after the failure parented under %d, want root", probe.ParentID)
 	}

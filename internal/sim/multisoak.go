@@ -43,10 +43,8 @@ type MultiSoakSpec struct {
 	// NewRand(Seed).Fork("multisoak:"+chain) — a pure function of (Seed,
 	// chain name), independent of backend order and of the other backends.
 	Seed uint64
-	// Obs and Telemetry are shared by all backends; both are safe under
-	// concurrent use.
-	Obs       *obs.Obs
-	Telemetry *obs.Telemetry
+	// Obs is shared by all backends; it is safe under concurrent use.
+	Obs *obs.Obs
 	// Sequential runs the backends one after another instead of
 	// concurrently. Results must be bit-identical either way.
 	Sequential bool
@@ -247,7 +245,7 @@ func RunMultiSoak(spec MultiSoakSpec) (*MultiSoakResult, error) {
 		soaks[b], err = openSoak(SoakSpec{
 			Chain: name, Areas: areasOf[b], Users: usersOf[b],
 			Rounds: spec.Rounds, Shards: spec.Shards, Seed: multiSoakSeed(spec.Seed, name),
-			Obs: spec.Obs, Telemetry: spec.Telemetry,
+			Obs: spec.Obs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sim: backend %s: %w", name, err)

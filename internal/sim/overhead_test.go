@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
+	"syscall"
 	"testing"
 	"time"
 
@@ -11,6 +13,15 @@ import (
 // fig52 is the smallest full experiment (Ropsten, 8 users) — the standard
 // workload for overhead measurements.
 var fig52 = FigureSpecs[0]
+
+func processCPU(tb testing.TB) time.Duration {
+	tb.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
 
 // cpuRun executes fig 5.2 once and returns the process CPU time it took.
 func cpuRun(tb testing.TB, o *obs.Obs) time.Duration {
@@ -60,6 +71,45 @@ func TestNoOpObservabilityOverhead(t *testing.T) {
 	if median > 1.05 {
 		t.Errorf("no-op path costs %.1f%% more CPU than the instrumented one (median of %d pairs); the allowance is 5%%",
 			100*(median-1), pairs)
+	}
+}
+
+// soakMallocs runs a 40-round sharded soak and returns the heap objects
+// allocated while it ran: the least of three runs, so a goroutine left
+// over from an earlier test cannot inflate the figure.
+func soakMallocs(t *testing.T, c ChainName, o func() *obs.Obs) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for rep := 0; rep < 3; rep++ {
+		spec := SoakSpec{Chain: c, Areas: 4, Users: 16, Rounds: 40, Shards: 2, Seed: 7, Obs: o()}
+		runtime.ReadMemStats(&before)
+		if _, err := RunSoak(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
+// TestObsOverheadOnSoak bounds what recording a soak costs: with Spec.Obs
+// attached (registry, tracer, opcode profiles) the soak may allocate at
+// most 5% more heap objects than without. Allocation counts are
+// deterministic where the CPU time of two separate soaks on a shared host
+// is not, and every per-transaction or per-opcode cost of an instrument
+// shows up in them.
+func TestObsOverheadOnSoak(t *testing.T) {
+	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
+		t.Run(string(c), func(t *testing.T) {
+			bare := soakMallocs(t, c, func() *obs.Obs { return nil })
+			observed := soakMallocs(t, c, obs.New)
+			ratio := float64(observed) / float64(bare)
+			t.Logf("soak allocations: %d bare, %d with Obs (%.3fx)", bare, observed, ratio)
+			if ratio > 1.05 {
+				t.Errorf("Obs adds %.1f%% to the soak's allocations; the budget is 5%%", 100*(ratio-1))
+			}
+		})
 	}
 }
 

@@ -35,11 +35,6 @@ type SoakSpec struct {
 	Seed uint64
 	// Obs optionally attaches an observability bundle.
 	Obs *obs.Obs
-	// Telemetry optionally attaches a live-telemetry session: the sampler
-	// is ticked — one registry sample plus an SLO evaluation — after every
-	// load round and once after the drain, so /metrics, /timeseries and
-	// /health evolve while the soak is still running.
-	Telemetry *obs.Telemetry
 
 	// StateDir, when set, persists the run into a diskstore at that path:
 	// the world state is committed and a manifest checkpoint written after
@@ -481,7 +476,6 @@ func (s *soak) load(reg *core.AreaRegistry, res *SoakResult) error {
 		}
 		res.Submitted += uint64(len(users))
 		f.Seal()
-		spec.Telemetry.Tick()
 		roundsDone := round + 1
 		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
 		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
@@ -498,7 +492,6 @@ func (s *soak) load(reg *core.AreaRegistry, res *SoakResult) error {
 	for i := 0; i < spec.Rounds*10+50 && f.PendingCount() > 0; i++ {
 		f.Seal()
 	}
-	spec.Telemetry.Tick()
 	if n := f.PendingCount(); n != 0 {
 		return fmt.Errorf("sim: soak drain incomplete: %d submissions pending", n)
 	}

@@ -66,13 +66,12 @@ echo "== state layer microbenchmarks =="
 go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
 go test -run '^$' -bench 'SigCacheResident' -benchtime 1x ./internal/polcrypto | tee -a BENCH_mstate.txt
 
-echo "== consensus + telemetry microbenchmarks =="
+echo "== consensus microbenchmarks =="
 # What a block costs before it carries a transaction (StepEmpty: Goerli's
 # proposer pick, Testnet's 60-VRF proposer sortition — on two cores mostly
 # run by the helper the previous Step started, on one inline), what asking
-# for its evidence costs (Attestations, Certificate — not paid by Step), and
-# one Telemetry.Tick on a soak's registry (bytes/op is the per-tick registry
-# copy), each on one core and on two. Then what a block costs when it is
+# for its evidence costs (Attestations, Certificate — not paid by Step),
+# each on one core and on two. Then what a block costs when it is
 # full — StepBatch: one sharded 2 000-check-in block per op, queued off the
 # clock, ns/tx + B/tx + allocs/tx on one core and on two — and what it
 # leaves behind —
@@ -82,7 +81,7 @@ echo "== consensus + telemetry microbenchmarks =="
 # state and description; the parsed program is shared). Neither times
 # anything, so their ns/op is not a measurement.
 # Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
-go test -run '^$' -bench 'StepEmpty|Attestations|Certificate|Tick$' -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand ./internal/sim | tee BENCH_consensus.txt
+go test -run '^$' -bench 'StepEmpty|Attestations|Certificate' -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand | tee BENCH_consensus.txt
 go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
 
 echo "== examples =="
