@@ -189,7 +189,7 @@ func execute(sub string, o options, figs []sim.FigureSpec, profile string, plan 
 		fmt.Fprintln(stdout)
 	}
 	for _, spec := range figs {
-		f, r, err := sim.RunFigureObserved(spec, o.seed, ob)
+		f, r, err := sim.RunFigure(spec, o.seed, ob)
 		if err != nil {
 			return err
 		}
@@ -240,7 +240,7 @@ func execute(sub string, o options, figs []sim.FigureSpec, profile string, plan 
 // runTables runs Tables 5.1–5.4 and prints them, or appends one JSON
 // experiment per (users, chain) cell.
 func runTables(o options, ob *obs.Obs, experiments *[]experimentJSON, stdout io.Writer) error {
-	ts, byUsers, err := sim.RunTablesObserved(o.seed, ob)
+	ts, byUsers, err := sim.RunTables(o.seed, ob)
 	if err != nil {
 		return err
 	}

@@ -38,6 +38,7 @@ func TestHygieneProblem(t *testing.T) {
 		{"reps without matrix or faults", []string{"-reps", "2"}, "-reps"},
 		{"faultrate without faults", []string{"tables", "-rate", "0.5"}, "-rate"},
 		{"faultrate out of range", []string{"faults", "default", "-rate", "1.5"}, "outside [0,1]"},
+		{"faultrate NaN", []string{"faults", "default", "-rate", "NaN"}, "outside [0,1]"},
 		{"benchout without a bench mode", []string{"tables", "-benchout", "b.json"}, "-benchout"},
 		{"benchout ambiguous", []string{"matrix", "-soak", "-benchout", "b.json"}, "-soak"},
 		{"benchout ambiguous with soak+persist", []string{"matrix", "-benchout", "b.json", "-soak", "-persist"}, "-soak"},

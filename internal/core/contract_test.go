@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"agnopol/contracts"
+	"agnopol/internal/algorand"
 	"agnopol/internal/eth"
 	"agnopol/internal/lang"
 	"agnopol/internal/polcrypto"
@@ -172,5 +173,64 @@ func TestVerifyCommitmentShape(t *testing.T) {
 	got := polcrypto.Hash(loc, nonce, cid)
 	if want != got {
 		t.Fatal("variadic Hash must equal Hash of the concatenation")
+	}
+}
+
+func TestCheckinContractBothChains(t *testing.T) {
+	compiled, err := CompileCheckin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled.Report.Failures != 0 {
+		t.Fatalf("checkin verification failures:\n%s", compiled.Report)
+	}
+	conns := []Connector{
+		NewEVMConnector(eth.NewChain(eth.Goerli(), 51)),
+		NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), 51)),
+	}
+	for _, conn := range conns {
+		conn := conn
+		t.Run(conn.Name(), func(t *testing.T) {
+			creator, err := conn.NewAccount(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			user, err := conn.NewAccount(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			area := "8FPHF8VV+X2"
+			h, _, err := conn.Deploy(creator, compiled, []lang.Value{
+				lang.BytesValue([]byte(area)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			v, _, err := conn.Invoke(user, h, "checkin",
+				CallOpts{EscrowFund: true},
+				lang.Uint64Value(42), lang.Uint64Value(3))
+			if err != nil {
+				t.Fatalf("checkin: %v", err)
+			}
+			if v.Uint != 1 {
+				t.Fatalf("first checkin returned %d, want 1", v.Uint)
+			}
+			v, _, err = conn.Invoke(user, h, "checkin", CallOpts{},
+				lang.Uint64Value(42), lang.Uint64Value(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Uint != 2 {
+				t.Fatalf("second checkin returned %d, want 2", v.Uint)
+			}
+
+			if got, err := conn.View(h, "getCheckins"); err != nil || got.Uint != 2 {
+				t.Fatalf("getCheckins = %+v (%v), want 2", got, err)
+			}
+			if got, _, err := conn.ReadMap(h, "last_seen", 42); err != nil || got.Uint != 4 {
+				t.Fatalf("last_seen[42] = %+v (%v), want 4", got, err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"agnopol/internal/eth"
 	"agnopol/internal/faults"
 	"agnopol/internal/lang"
+	"agnopol/internal/olc"
 )
 
 // compilePing builds the smallest contract with a paid API, so the retry
@@ -137,6 +139,61 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 	for _, s := range inj.Snapshot() {
 		if s.Class == faults.ClassTxDrop && s.Recovered != 0 {
 			t.Fatalf("single-attempt failure recorded %d recoveries", s.Recovered)
+		}
+	}
+}
+
+// churnAreaCode synthesizes the i-th valid full Open Location Code of the
+// test grid by spelling i in base 20 over the second digit quad.
+func churnAreaCode(i int) string {
+	a := olc.Alphabet
+	n := len(a)
+	return fmt.Sprintf("7H36%c%c%c%c+Q2",
+		a[(i/(n*n*n))%n], a[(i/(n*n))%n], a[(i/n)%n], a[i%n])
+}
+
+// TestLookupHopBoundUnderChurn is the property test for the resilience
+// claim on the discovery path every binary uses: with the fault engine's
+// DHT churn class injecting node failures on routing paths, contract
+// publish and lookup still resolve every area and never exceed the
+// hypercube's r-hop bound — detours flip a different differing bit, they
+// never lengthen the path.
+func TestLookupHopBoundUnderChurn(t *testing.T) {
+	plan, err := faults.Profile("cube", 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{1, 7, 99} {
+		sys, err := NewSystem(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetResilience(faults.NewInjector(plan, seed, nil), faults.RetryPolicy{})
+		areas := make([]string, 96)
+		for i := range areas {
+			areas[i] = churnAreaCode(i)
+			h := &Handle{Connector: "algorand", AppID: uint64(i) + 1}
+			if _, err := sys.PublishContract(uint64(i)%uint64(sys.Cube.Size()), areas[i], h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ui := 0; ui < 400; ui++ {
+			i := ui % len(areas)
+			via := uint64(ui*2654435761) & (1<<uint(sys.R) - 1)
+			h, hops, ok, err := sys.LookupContract(via, areas[i])
+			if err != nil || !ok {
+				t.Fatalf("seed %d: churned lookup %s: ok=%v err=%v", seed, areas[i], ok, err)
+			}
+			if hops > sys.R {
+				t.Fatalf("seed %d: lookup %s took %d hops, above the r=%d bound under churn",
+					seed, areas[i], hops, sys.R)
+			}
+			if h.AppID != uint64(i)+1 {
+				t.Fatalf("seed %d: lookup %s resolved app %d, published %d", seed, areas[i], h.AppID, i+1)
+			}
+		}
+		if st := sys.Cube.Stats(); st.Rerouted == 0 {
+			t.Fatalf("seed %d: churn at rate 0.35 never rerouted a hop — the property was not exercised", seed)
 		}
 	}
 }

@@ -113,22 +113,6 @@ func (s *System) DIDByUint(key uint64) (did.DID, bool) {
 	return d, ok
 }
 
-// RegisterHandle publishes a deployed contract handle under its ID so peers
-// that find the ID in the hypercube can attach to it.
-func (s *System) RegisterHandle(h *Handle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handles[h.ID()] = h
-}
-
-// HandleByID resolves a contract ID from the hypercube to a handle.
-func (s *System) HandleByID(id string) (*Handle, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.handles[id]
-	return h, ok
-}
-
 // NodeIDForOLC computes the hypercube node responsible for an area via the
 // dual encoding.
 func (s *System) NodeIDForOLC(code string) (uint64, error) {
@@ -159,16 +143,21 @@ func (s *System) LookupContract(via uint64, code string) (*Handle, int, bool, er
 	if err != nil || !ok {
 		return nil, hops, false, err
 	}
-	h, ok := s.HandleByID(entry.ContractID)
+	s.mu.Lock()
+	h, ok := s.handles[entry.ContractID]
+	s.mu.Unlock()
 	if !ok {
 		return nil, hops, false, fmt.Errorf("core: hypercube references unknown contract %q", entry.ContractID)
 	}
 	return h, hops, true, nil
 }
 
-// PublishContract stores a freshly deployed contract ID in the hypercube.
+// PublishContract stores a freshly deployed contract ID in the hypercube
+// and the handle under that ID, so peers that find the ID can attach to it.
 func (s *System) PublishContract(via uint64, code string, h *Handle) (int, error) {
-	s.RegisterHandle(h)
+	s.mu.Lock()
+	s.handles[h.ID()] = h
+	s.mu.Unlock()
 	target, err := s.NodeIDForOLC(code)
 	if err != nil {
 		return 0, err

@@ -109,7 +109,7 @@ func Profile(name string, rate float64) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("faults: unknown profile %q (known: %v)", name, ProfileNames())
 	}
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) { // written so that NaN is refused too
 		return nil, fmt.Errorf("faults: rate %v outside [0,1]", rate)
 	}
 	p := &Plan{Rates: make(map[string]float64)}

@@ -3,6 +3,8 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,6 +196,15 @@ func TestProfiles(t *testing.T) {
 	}
 	if _, err := Profile("default", -0.1); err == nil {
 		t.Fatal("rate -0.1 accepted")
+	}
+}
+
+// TestProfileRejectsNaN: NaN fails both `rate < 0` and `rate > 1`, and an
+// injector's `rate <= 0` / `u1 >= rate` checks are false for it too, so a
+// NaN rate let through would fire on every draw.
+func TestProfileRejectsNaN(t *testing.T) {
+	if _, err := Profile("default", math.NaN()); err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+		t.Fatalf("Profile(NaN) error = %v, want outside [0,1]", err)
 	}
 }
 

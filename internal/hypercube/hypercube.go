@@ -44,25 +44,12 @@ func (e *Entry) JSON() ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// Node is one logical hypercube vertex.
-type Node struct {
-	id      uint64
-	entries map[string]*Entry // keyword (OLC) -> content
-
-	// Stats.
-	lookupsServed uint64
-	storesServed  uint64
-	forwarded     uint64
-}
-
-// ID returns the node's integer identifier (its r-bit string).
-func (n *Node) ID() uint64 { return n.id }
-
 // Network is the complete r-dimensional hypercube.
 type Network struct {
-	mu    sync.RWMutex
-	r     int
-	nodes []*Node
+	mu sync.RWMutex
+	r  int
+	// nodes[id] is logical vertex id's content: keyword (OLC) -> entry.
+	nodes []map[string]*Entry
 
 	totalHops    uint64
 	totalLookups uint64
@@ -86,9 +73,9 @@ func New(r int) (*Network, error) {
 	if r < 1 || r > 20 {
 		return nil, fmt.Errorf("hypercube: dimension r=%d out of range (1..20)", r)
 	}
-	n := &Network{r: r, nodes: make([]*Node, 1<<uint(r))}
+	n := &Network{r: r, nodes: make([]map[string]*Entry, 1<<uint(r))}
 	for i := range n.nodes {
-		n.nodes[i] = &Node{id: uint64(i), entries: make(map[string]*Entry)}
+		n.nodes[i] = make(map[string]*Entry)
 	}
 	return n, nil
 }
@@ -139,11 +126,12 @@ func (h *Network) Route(from, to uint64) []uint64 {
 // reroutes never lengthen the path and the r-hop bound survives failures.
 // The endpoints never fail — the requester is alive and the responsible
 // node must serve, matching the paper's assumption that content
-// responsibility is re-homed out of band.
-func (h *Network) routeResilient(from, to uint64) (path []uint64, rerouted int) {
-	path = []uint64{from}
-	cur := from
-	for cur != to {
+// responsibility is re-homed out of band. It records the route — hop
+// count, and every reroute that still delivered the request as a
+// recovery — and returns the hops travelled.
+func (h *Network) routeResilient(from, to uint64) int {
+	hops, rerouted := 0, 0
+	for cur := from; cur != to; hops++ {
 		diff := cur ^ to
 		next := cur ^ (1 << uint(bits.Len64(diff)-1))
 		if next != to && h.flt.Hit(faults.ClassCubeNodeDown, "cube.route") {
@@ -151,21 +139,12 @@ func (h *Network) routeResilient(from, to uint64) (path []uint64, rerouted int) 
 			rerouted++
 		}
 		cur = next
-		path = append(path, cur)
 	}
-	return path, rerouted
-}
-
-// finishRoute records a completed fault-aware route: every reroute that
-// still delivered the request counts as a recovery.
-func (h *Network) finishRoute(rerouted int) {
+	h.totalHops += uint64(hops)
+	h.totalLookups++
 	h.rerouted += uint64(rerouted)
 	h.flt.RecoverN(faults.ClassCubeNodeDown, rerouted)
-}
-
-// Hops returns the routing distance between two node IDs.
-func (h *Network) Hops(from, to uint64) int {
-	return bits.OnesCount64(from ^ to)
+	return hops
 }
 
 func (h *Network) checkID(id uint64) error {
@@ -187,17 +166,9 @@ func (h *Network) Put(via, targetID uint64, keyword string, entry *Entry) (int, 
 	if err := h.checkID(targetID); err != nil {
 		return 0, err
 	}
-	path, rerouted := h.routeResilient(via, targetID)
-	for _, nid := range path[:len(path)-1] {
-		h.nodes[nid].forwarded++
-	}
-	node := h.nodes[targetID]
-	node.entries[keyword] = entry.Clone()
-	node.storesServed++
-	h.totalHops += uint64(len(path) - 1)
-	h.totalLookups++
-	h.finishRoute(rerouted)
-	return len(path) - 1, nil
+	hops := h.routeResilient(via, targetID)
+	h.nodes[targetID][keyword] = entry.Clone()
+	return hops, nil
 }
 
 // Get routes from 'via' to the responsible node and returns the entry for
@@ -211,17 +182,9 @@ func (h *Network) Get(via, targetID uint64, keyword string) (*Entry, int, bool, 
 	if err := h.checkID(targetID); err != nil {
 		return nil, 0, false, err
 	}
-	path, rerouted := h.routeResilient(via, targetID)
-	for _, nid := range path[:len(path)-1] {
-		h.nodes[nid].forwarded++
-	}
-	node := h.nodes[targetID]
-	node.lookupsServed++
-	h.totalHops += uint64(len(path) - 1)
-	h.totalLookups++
-	h.finishRoute(rerouted)
-	e, ok := node.entries[keyword]
-	return e.Clone(), len(path) - 1, ok, nil
+	hops := h.routeResilient(via, targetID)
+	e, ok := h.nodes[targetID][keyword]
+	return e.Clone(), hops, ok, nil
 }
 
 // AppendCID appends a validated report CID to the entry for keyword,
@@ -236,19 +199,15 @@ func (h *Network) AppendCID(via, targetID uint64, keyword, contractID, cid strin
 	if err := h.checkID(targetID); err != nil {
 		return 0, err
 	}
-	path, rerouted := h.routeResilient(via, targetID)
-	node := h.nodes[targetID]
-	e, ok := node.entries[keyword]
+	hops := h.routeResilient(via, targetID)
+	entries := h.nodes[targetID]
+	e, ok := entries[keyword]
 	if !ok {
 		e = &Entry{ContractID: contractID, OLC: keyword}
-		node.entries[keyword] = e
+		entries[keyword] = e
 	}
 	e.CIDs = append(e.CIDs, cid)
-	node.storesServed++
-	h.totalHops += uint64(len(path) - 1)
-	h.totalLookups++
-	h.finishRoute(rerouted)
-	return len(path) - 1, nil
+	return hops, nil
 }
 
 // RangeQuery implements the "complex query" of §1.3: collect every entry
@@ -262,40 +221,19 @@ func (h *Network) RangeQuery(targetID uint64, maxHops int) ([]*Entry, error) {
 		return nil, err
 	}
 	var out []*Entry
-	for _, n := range h.nodes {
-		if bits.OnesCount64(n.id^targetID) <= maxHops {
-			keys := make([]string, 0, len(n.entries))
-			for k := range n.entries {
+	for id, entries := range h.nodes {
+		if bits.OnesCount64(uint64(id)^targetID) <= maxHops {
+			keys := make([]string, 0, len(entries))
+			for k := range entries {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				out = append(out, n.entries[k].Clone())
+				out = append(out, entries[k].Clone())
 			}
 		}
 	}
 	return out, nil
-}
-
-// NodeLoad is one node's serving tally — how much discovery and storage
-// traffic it terminated (forwarding excluded).
-type NodeLoad struct {
-	ID      uint64
-	Lookups uint64
-	Stores  uint64
-}
-
-// NodeLoads returns the per-node serving tallies, indexed by node ID. The
-// sharded-discovery tests use it to show that shard-affine routing spreads
-// lookup load over a neighborhood instead of concentrating it.
-func (h *Network) NodeLoads() []NodeLoad {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]NodeLoad, len(h.nodes))
-	for i, n := range h.nodes {
-		out[i] = NodeLoad{ID: n.id, Lookups: n.lookupsServed, Stores: n.storesServed}
-	}
-	return out
 }
 
 // Stats summarizes routing behaviour for the ablation benchmarks.

@@ -216,7 +216,7 @@ func TestVerifySimilarToAttach(t *testing.T) {
 }
 
 func TestRunFigureSpec(t *testing.T) {
-	f, r, err := RunFigure(FigureSpecs[0], 7) // Fig 5.2, Ropsten, 8 users
+	f, r, err := RunFigure(FigureSpecs[0], 7, nil) // Fig 5.2, Ropsten, 8 users
 	if err != nil {
 		t.Fatal(err)
 	}

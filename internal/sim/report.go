@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agnopol/internal/obs"
 	"agnopol/internal/stats"
 )
 
@@ -152,14 +153,37 @@ var FigureSpecs = []FigureSpec{
 	{ID: "Fig 5.5d — Algorand: performances with 32 users", Chain: ChainAlgorand, Users: 32},
 }
 
-// RunFigure executes the run behind one figure spec.
-func RunFigure(spec FigureSpec, seed uint64) (*Figure, *Result, error) {
-	return RunFigureObserved(spec, seed, nil)
+// RunFigure executes the run behind one figure spec, recording into o
+// when it is not nil.
+func RunFigure(spec FigureSpec, seed uint64, o *obs.Obs) (*Figure, *Result, error) {
+	r, err := Execute(Spec{Chain: spec.Chain, Users: spec.Users, Seed: seed, Obs: o})
+	if err != nil {
+		return nil, nil, err
+	}
+	return FigureFromResult(spec.ID, r.Result), r.Result, nil
 }
 
 // RunTables executes the runs behind Tables 5.1–5.4 and returns them in
 // order (deploy16, deploy32, attach16, attach32). The same runs feed the
-// deploy and attach tables, as in the thesis.
-func RunTables(seed uint64) ([]*Table, map[int]map[ChainName]*Result, error) {
-	return RunTablesObserved(seed, nil)
+// deploy and attach tables, as in the thesis. When o is not nil every run
+// records into it; chain metrics accumulate in the shared registry,
+// distinguished by their chain label.
+func RunTables(seed uint64, o *obs.Obs) ([]*Table, map[int]map[ChainName]*Result, error) {
+	byUsers := map[int]map[ChainName]*Result{16: {}, 32: {}}
+	for _, users := range []int{16, 32} {
+		for _, c := range AllChains {
+			r, err := Execute(Spec{Chain: c, Users: users, Seed: seed, Obs: o})
+			if err != nil {
+				return nil, nil, fmt.Errorf("sim: %s/%d users: %w", c, users, err)
+			}
+			byUsers[users][c] = r.Result
+		}
+	}
+	tables := []*Table{
+		BuildTable("deploy", 16, byUsers[16]),
+		BuildTable("deploy", 32, byUsers[32]),
+		BuildTable("attach", 16, byUsers[16]),
+		BuildTable("attach", 32, byUsers[32]),
+	}
+	return tables, byUsers, nil
 }

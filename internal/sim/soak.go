@@ -350,24 +350,19 @@ func (s *soak) submitRound(round int, users []*chain.Account, targets []chain.Co
 }
 
 // RunSoak drives the sustained-load harness: deploy one check-in contract
-// per area, register the handles in an AreaRegistry, then have every user
-// check in to their home area every round through the chain's batched
-// submission path. The returned digest and state root let callers assert
-// that shard count, scheduling and restarts never change the chain's final
-// state; timing the run is bench/'s job. Everything here is written once
-// over core.Family; what the workload sets per family is a soakShape.
+// per area, then have every user check in to their home area every round
+// through the chain's batched submission path. The returned digest and
+// state root let callers assert that shard count, scheduling and restarts
+// never change the chain's final state; timing the run is bench/'s job.
+// Runs share nothing but an optional Obs, so several may run concurrently.
+// Everything here is written once over core.Family; what the workload sets
+// per family is a soakShape.
 func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	s, err := openSoak(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer s.close()
-	return s.drive()
-}
-
-// drive deploys (or, resumed, spot-checks) the area contracts and runs the
-// load phase.
-func (s *soak) drive() (*SoakResult, error) {
 	spec, run := s.spec, s.run
 	var sc *obs.Scope
 	if spec.Obs != nil {
@@ -380,18 +375,10 @@ func (s *soak) drive() (*SoakResult, error) {
 		obs.L("shards", fmt.Sprint(spec.Shards)))
 	defer sp.End()
 
-	// Deployment phase: one contract per area, registered for routing. A
-	// resumed run skips deployment entirely — the contracts are already in
-	// the loaded state — and only spot-checks that the derived handles
-	// exist there.
+	// Deployment phase: one contract per area. A resumed run skips
+	// deployment entirely — the contracts are already in the loaded state —
+	// and only spot-checks that the derived handles exist there.
 	s.family.SetRetention(soakRetention)
-	reg := core.NewAreaRegistry(spec.Shards)
-	for i := 0; i < spec.Areas; i++ {
-		h, _ := s.handle(i)
-		if err := reg.Register(soakAreaCode(i), h); err != nil {
-			return nil, err
-		}
-	}
 	if run.resumed {
 		for _, i := range []int{0, spec.Areas - 1} {
 			if h, ok := s.handle(i); !ok {
@@ -407,32 +394,29 @@ func (s *soak) drive() (*SoakResult, error) {
 		Rounds: spec.Rounds, Shards: spec.Shards, Seed: spec.Seed,
 		Resumed: run.resumed,
 	}
-	if err := s.load(reg, res); err != nil {
+	if err := s.load(res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// load runs the load phase: every user checks in once per round, a block
-// is sealed per round, checkpoints are written at the configured cadence,
-// and the pool is drained at the end.
-func (s *soak) load(reg *core.AreaRegistry, res *SoakResult) error {
+// load runs the load phase: every user checks in once per round to their
+// home area (user ui's is area ui mod Areas), a block is sealed per round,
+// checkpoints are written at the configured cadence, and the pool is
+// drained at the end.
+func (s *soak) load(res *SoakResult) error {
 	spec, run, f := s.spec, s.run, s.family
 	f.SetShards(spec.Shards)
 
 	// Only a fresh run funds the users.
 	users := make([]*chain.Account, spec.Users)
 	targets := make([]chain.Contract, spec.Users)
-	areas := reg.Areas()
 	for ui := range users {
 		users[ui] = chain.NewAccount(s.keys)
 		if !run.resumed {
 			f.Fund(users[ui].Address, s.shape.userFunds)
 		}
-		h, ok := reg.Lookup(areas[ui%len(areas)])
-		if !ok {
-			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
-		}
+		h, _ := s.handle(ui % spec.Areas)
 		targets[ui] = chain.Contract{Addr: h.EVMAddr, App: h.AppID}
 	}
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full repository check: build, vet, tests (with race detector), examples,
 # and a single pass of every benchmark. This is what CI's check job runs.
-# Determinism verdicts (soak digests across shards, interleavings and
-# restarts) are tests in internal/sim; timing is bench/'s job
+# Determinism verdicts (soak digests across shards, GOMAXPROCS, concurrent
+# soaks and restarts) are tests in internal/sim; timing is bench/'s job
 # (`bash bench/run.sh`, compared parent vs head in CI's bench job).
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,6 +48,14 @@ echo "== code size =="
 # trend line; leaves LOC_report.txt for CI to upload as an artifact.
 bash scripts/loc.sh > LOC_report.txt
 tail -n 1 LOC_report.txt
+
+echo "== code only tests run =="
+# internal functions some test binary links but no shipped binary (cmd/,
+# examples/, bench/) does — the candidates for the next deletion; leaves
+# UNREACHED_report.txt for CI to upload next to LOC_report.txt. A report,
+# not a gate.
+bash scripts/unreached.sh > UNREACHED_report.txt
+tail -n 1 UNREACHED_report.txt
 
 echo "== state layer microbenchmarks =="
 # 2000 writes over a 10k-key trie per op, straight, through an overlay
