@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"agnopol/internal/core"
@@ -29,14 +30,25 @@ func compileFile(path string) (*lang.Compiled, error) {
 	return lang.Compile(prog, lang.Options{MaxBytesLen: 512, Precompiles: true})
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the exit status — 0, 1 for a source
+// that does not compile, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("polc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		showEVM  = flag.Bool("evm", false, "print the EVM disassembly")
-		showTEAL = flag.Bool("teal", false, "print the generated TEAL source")
-		analyze  = flag.Bool("analyze", true, "print the conservative analysis (Fig 5.1)")
-		src      = flag.String("src", "", "compile a .pol source file instead of the shipped contracts/pol-report.pol")
+		showEVM  = fs.Bool("evm", false, "print the EVM disassembly")
+		showTEAL = fs.Bool("teal", false, "print the generated TEAL source")
+		analyze  = fs.Bool("analyze", true, "print the conservative analysis (Fig 5.1)")
+		src      = fs.String("src", "", "compile a .pol source file instead of the shipped contracts/pol-report.pol")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
+	}
 
 	var compiled *lang.Compiled
 	var err error
@@ -46,24 +58,21 @@ func main() {
 		compiled, err = core.CompilePoL()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "polc: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "polc: %v\n", err)
+		return 1
 	}
 
-	fmt.Print(compiled.Report)
-	fmt.Println()
-
+	fmt.Fprintln(stdout, compiled.Report)
 	if *analyze {
-		fmt.Print(compiled.Analysis)
-		fmt.Println()
+		fmt.Fprintln(stdout, compiled.Analysis)
 	}
 	if *showEVM {
-		fmt.Println("=== EVM backend ===")
-		fmt.Print(evm.Disassemble(compiled.EVMCode))
-		fmt.Println()
+		fmt.Fprintln(stdout, "=== EVM backend ===")
+		fmt.Fprintln(stdout, evm.Disassemble(compiled.EVMCode))
 	}
 	if *showTEAL {
-		fmt.Println("=== TEAL backend ===")
-		fmt.Print(compiled.TEALSource)
+		fmt.Fprintln(stdout, "=== TEAL backend ===")
+		fmt.Fprint(stdout, compiled.TEALSource)
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/ed25519"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -151,14 +152,46 @@ func (w *Witness) HandleProofRequest(proverDev *geo.Device, auth did.ChallengeRe
 	}, nil
 }
 
+// accounts is an actor's wallets, one per connector name. Prover and
+// Verifier embed it.
+type accounts map[string]*Account
+
+// EnsureAccount creates (once) and returns the actor's wallet on a
+// connector, funded with the given token amount.
+func (a accounts) EnsureAccount(conn Connector, tokens float64) (*Account, error) {
+	if acct, ok := a[conn.Name()]; ok {
+		return acct, nil
+	}
+	acct, err := conn.NewAccount(tokens)
+	if err != nil {
+		return nil, err
+	}
+	a[conn.Name()] = acct
+	return acct, nil
+}
+
+// Account returns the actor's wallet on a connector, if created.
+func (a accounts) Account(conn Connector) (*Account, bool) {
+	acct, ok := a[conn.Name()]
+	return acct, ok
+}
+
+// wallet is the account an operation on conn pays from; an actor without
+// one gets an error, never a nil account.
+func (a accounts) wallet(conn Connector) (*Account, error) {
+	if acct, ok := a[conn.Name()]; ok {
+		return acct, nil
+	}
+	return nil, fmt.Errorf("core: no account on %s", conn.Name())
+}
+
 // Prover is a mobile user who wants its reports accepted (§2.1).
 type Prover struct {
 	sys    *System
 	Key    *polcrypto.KeyPair
 	DID    did.DID
 	Device *geo.Device
-	// Accounts per connector name.
-	accounts map[string]*Account
+	accounts
 }
 
 // NewProver creates a prover at a position with a fresh DID, and registers
@@ -178,28 +211,8 @@ func NewProver(sys *System, at geo.LatLng) (*Prover, error) {
 		Key:      kp,
 		DID:      d,
 		Device:   geo.NewDevice(at),
-		accounts: make(map[string]*Account),
+		accounts: make(accounts),
 	}, nil
-}
-
-// EnsureAccount creates (once) and returns the prover's wallet on a
-// connector, funded with the given token amount.
-func (p *Prover) EnsureAccount(conn Connector, tokens float64) (*Account, error) {
-	if a, ok := p.accounts[conn.Name()]; ok {
-		return a, nil
-	}
-	a, err := conn.NewAccount(tokens)
-	if err != nil {
-		return nil, err
-	}
-	p.accounts[conn.Name()] = a
-	return a, nil
-}
-
-// Account returns the prover's wallet on a connector, if created.
-func (p *Prover) Account(conn Connector) (*Account, bool) {
-	a, ok := p.accounts[conn.Name()]
-	return a, ok
 }
 
 // ClaimedOLC encodes the device's claimed position at the default
@@ -209,16 +222,21 @@ func (p *Prover) ClaimedOLC() (string, error) {
 	return olc.Encode(pos.Lat, pos.Lng, olc.DefaultCodeLength)
 }
 
-// UploadReport serializes the report, stores it on IPFS and pins it. Pin
-// failures (the ipfs_unpin fault class) are retried immediately up to the
-// system's attempt budget: an unpinned report would be lost to the next
-// garbage collection, so the device keeps re-pinning until durable.
+// UploadReport serializes the report, stores it on IPFS and pins it.
 func (p *Prover) UploadReport(r Report) (ipfs.CID, error) {
 	r.Author = string(p.DID)
 	data, err := json.Marshal(r)
 	if err != nil {
 		return "", err
 	}
+	return p.pin(data)
+}
+
+// pin stores data on IPFS under the prover's peer and pins it. Pin
+// failures (the ipfs_unpin fault class) are retried immediately up to the
+// system's attempt budget: unpinned content would be lost to the next
+// garbage collection, so the device keeps re-pinning until durable.
+func (p *Prover) pin(data []byte) (ipfs.CID, error) {
 	cid, err := p.sys.IPFS.Add(string(p.DID), data)
 	if err != nil {
 		return "", err
@@ -230,7 +248,7 @@ func (p *Prover) UploadReport(r Report) (ipfs.CID, error) {
 			return cid, nil
 		}
 		if !faults.Transient(err) || attempt >= p.sys.retry.Attempts() {
-			return "", fmt.Errorf("core: pin report: %w", err)
+			return "", fmt.Errorf("core: pin: %w", err)
 		}
 	}
 }
@@ -316,11 +334,16 @@ type SubmissionResult struct {
 // contract up in the hypercube; deploy a new one (becoming its creator)
 // when absent, otherwise attach with insert_data.
 func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProver uint64) (*SubmissionResult, error) {
-	acct, ok := p.accounts[conn.Name()]
-	if !ok {
-		return nil, fmt.Errorf("core: prover %s has no account on %s", p.DID, conn.Name())
+	return p.stage(conn, proof.Request.OLC, proof.ConcatData(), rewardPerProver)
+}
+
+// stage is the insertion flow every record format takes: record is the
+// line stored under the prover's DID in the contract of area code.
+func (p *Prover) stage(conn Connector, code string, record []byte, rewardPerProver uint64) (*SubmissionResult, error) {
+	acct, err := p.wallet(conn)
+	if err != nil {
+		return nil, err
 	}
-	code := proof.Request.OLC
 	sp := p.sys.span("pol.submit_proof", obs.L("olc", code), obs.L("chain", conn.Name()))
 	defer sp.End()
 	via := p.sys.EntryNode(p.DID)
@@ -333,6 +356,7 @@ func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProv
 	if err != nil {
 		return nil, err
 	}
+	insert := []lang.Value{lang.BytesValue(record), lang.Uint64Value(p.DID.Uint64())}
 	if !found {
 		// Deployment is two chained operations (Fig. 3.1): the creation
 		// transaction, then the creator's own insert_data — which also
@@ -349,10 +373,7 @@ func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProv
 			return nil, fmt.Errorf("core: deploy: %w", err)
 		}
 		_, insertOp, err := conn.Invoke(acct, handle, "insert_data",
-			CallOpts{EscrowFund: true, Retry: p.sys.retry},
-			lang.BytesValue(proof.ConcatData()),
-			lang.Uint64Value(p.DID.Uint64()),
-		)
+			CallOpts{EscrowFund: true, Retry: p.sys.retry}, insert...)
 		p.sys.endPhase(depSp, PhaseSubmit)
 		if err != nil {
 			return nil, fmt.Errorf("core: creator insert: %w", err)
@@ -380,10 +401,7 @@ func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProv
 		return &SubmissionResult{Handle: handle, Deployed: true, Op: op, Hops: hops}, nil
 	}
 	aSp := p.sys.span("pol.attach")
-	_, op, err := conn.Invoke(acct, h, "insert_data", CallOpts{Retry: p.sys.retry},
-		lang.BytesValue(proof.ConcatData()),
-		lang.Uint64Value(p.DID.Uint64()),
-	)
+	_, op, err := conn.Invoke(acct, h, "insert_data", CallOpts{Retry: p.sys.retry}, insert...)
 	p.sys.endPhase(aSp, PhaseSubmit)
 	if err != nil {
 		return nil, fmt.Errorf("core: attach: %w", err)
@@ -401,10 +419,10 @@ func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProv
 // Verifier validates staged proofs and moves accepted reports into the
 // hypercube — the garbage-in gate (§2.3.1.2).
 type Verifier struct {
-	sys      *System
-	Key      *polcrypto.KeyPair
-	DID      did.DID
-	accounts map[string]*Account
+	sys *System
+	Key *polcrypto.KeyPair
+	DID did.DID
+	accounts
 }
 
 // NewVerifier creates a verifier and has the CA designate it.
@@ -419,21 +437,7 @@ func NewVerifier(sys *System) (*Verifier, error) {
 	}
 	sys.CA.DesignateVerifier(d)
 	sys.IPFS.AddPeer(string(d))
-	return &Verifier{sys: sys, Key: kp, DID: d, accounts: make(map[string]*Account)}, nil
-}
-
-// EnsureAccount creates (once) and returns the verifier's wallet on a
-// connector.
-func (v *Verifier) EnsureAccount(conn Connector, tokens float64) (*Account, error) {
-	if a, ok := v.accounts[conn.Name()]; ok {
-		return a, nil
-	}
-	a, err := conn.NewAccount(tokens)
-	if err != nil {
-		return nil, err
-	}
-	v.accounts[conn.Name()] = a
-	return a, nil
+	return &Verifier{sys: sys, Key: kp, DID: d, accounts: make(accounts)}, nil
 }
 
 // FundContract deposits reward money via insert_money.
@@ -441,9 +445,9 @@ func (v *Verifier) FundContract(conn Connector, h *Handle, amount uint64) (*OpRe
 	if !v.sys.CA.IsVerifier(v.DID) {
 		return nil, ErrNotVerifier
 	}
-	acct := v.accounts[conn.Name()]
-	if acct == nil {
-		return nil, fmt.Errorf("core: verifier has no account on %s", conn.Name())
+	acct, err := v.wallet(conn)
+	if err != nil {
+		return nil, err
 	}
 	_, op, err := conn.Invoke(acct, h, "insert_money",
 		CallOpts{Pay: amount, Retry: v.sys.retry}, lang.Uint64Value(amount))
@@ -505,12 +509,55 @@ func (v *Verifier) rejected(prover did.DID, reason string) *Verification {
 //  5. call the verify API (pays the reward, deletes the map entry);
 //  6. insert the CID into the hypercube (garbage-in).
 func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Verification, error) {
+	return v.verify(conn, h, prover, v.checkConcat)
+}
+
+// staged is what the verifier reads before any record format is checked:
+// the line stored under the prover's DID, the contract's area and the
+// prover's authentication key.
+type staged struct {
+	prover    did.DID
+	line      []byte
+	area      string
+	proverKey ed25519.PublicKey
+}
+
+// checkConcat is steps 2–3 for the single-witness record (ConcatData).
+func (v *Verifier) checkConcat(st staged) (ProofRequest, error) {
+	parsed, err := ParseConcatData(st.line)
+	if err != nil {
+		return ProofRequest{}, err
+	}
+	req := ProofRequest{DID: st.prover, OLC: st.area, Nonce: parsed.Nonce, CID: parsed.CID, Wallet: parsed.Wallet}
+	if req.Hash() != parsed.Hash {
+		return ProofRequest{}, ErrHashMismatch
+	}
+	// Locate the signing witness among the CA-registered keys; reject a
+	// proof the prover signed for itself (§2.3.1.2, footnote 12).
+	if !v.sys.witnessSigned(st.proverKey, parsed.Hash[:], parsed.Signature) {
+		// No registered witness other than the prover opened the signature.
+		// Verifying under the prover's own key only names the rejection, so
+		// it is paid here and not on the accept path.
+		if v.sys.verifySig(st.proverKey, parsed.Hash[:], parsed.Signature) {
+			return ProofRequest{}, ErrSelfSigned
+		}
+		return ProofRequest{}, ErrUnknownWitness
+	}
+	return req, nil
+}
+
+// verify is the procedure every record format shares. It reads the staged
+// line, the contract's area and the prover's key; check accepts the line
+// and names the claim it certifies, or gives the rejection reason; then the
+// claimed report is fetched and integrity-checked, the contract's verify
+// pays the reward and the report's CID enters the hypercube.
+func (v *Verifier) verify(conn Connector, h *Handle, prover did.DID, check func(staged) (ProofRequest, error)) (*Verification, error) {
 	if !v.sys.CA.IsVerifier(v.DID) {
 		return nil, ErrNotVerifier
 	}
-	acct := v.accounts[conn.Name()]
-	if acct == nil {
-		return nil, fmt.Errorf("core: verifier has no account on %s", conn.Name())
+	acct, err := v.wallet(conn)
+	if err != nil {
+		return nil, err
 	}
 	sp := v.sys.span("pol.verify", obs.L("prover", string(prover)), obs.L("chain", conn.Name()))
 	defer v.sys.endPhase(sp, PhaseVerify)
@@ -522,23 +569,10 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 	if !ok {
 		return nil, fmt.Errorf("core: no staged data for %s", prover)
 	}
-	parsed, err := ParseConcatData(raw.Bytes)
-	if err != nil {
-		return v.rejected(prover, err.Error()), nil
-	}
 	posVal, err := conn.ReadGlobal(h, PositionGlobal)
 	if err != nil {
 		return nil, err
 	}
-	code := string(posVal.Bytes)
-
-	req := ProofRequest{DID: prover, OLC: code, Nonce: parsed.Nonce, CID: parsed.CID, Wallet: parsed.Wallet}
-	if req.Hash() != parsed.Hash {
-		return v.rejected(prover, ErrHashMismatch.Error()), nil
-	}
-
-	// Locate the signing witness among the CA-registered keys; reject a
-	// proof the prover signed for itself (§2.3.1.2, footnote 12).
 	doc, err := v.sys.Registry.Resolve(prover)
 	if err != nil {
 		return nil, err
@@ -547,25 +581,20 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 	if err != nil {
 		return nil, err
 	}
-	if !v.sys.witnessSigned(proverKey, parsed.Hash[:], parsed.Signature) {
-		// No registered witness other than the prover opened the signature.
-		// Verifying under the prover's own key only names the rejection, so
-		// it is paid here and not on the accept path.
-		reason := ErrUnknownWitness
-		if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
-			reason = ErrSelfSigned
-		}
-		return v.rejected(prover, reason.Error()), nil
+	code := string(posVal.Bytes)
+	req, err := check(staged{prover: prover, line: raw.Bytes, area: code, proverKey: proverKey})
+	if err != nil {
+		return v.rejected(prover, err.Error()), nil
 	}
 
 	// Retrieve and integrity-check the report content.
 	fSp := v.sys.span("pol.ipfs_fetch")
-	data, err := v.fetchReport(conn, parsed.CID)
+	data, err := v.fetchReport(conn, req.CID)
 	fSp.End()
 	if err != nil {
 		return v.rejected(prover, err.Error()), nil
 	}
-	if !parsed.CID.Verify(data) {
+	if !req.CID.Verify(data) {
 		return v.rejected(prover, ErrReportCorrupted.Error()), nil
 	}
 	var report Report
@@ -577,7 +606,7 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 	cSp := v.sys.span("pol.chain_verify")
 	_, op, err := conn.Invoke(acct, h, "verify", CallOpts{Retry: v.sys.retry},
 		lang.Uint64Value(key),
-		lang.AddressValue(parsed.Wallet),
+		lang.AddressValue(req.Wallet),
 	)
 	cSp.End()
 	if err != nil {
@@ -594,7 +623,7 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 		pSp.End()
 		return nil, err
 	}
-	_, err = v.sys.Cube.AppendCID(v.sys.EntryNode(v.DID), target, code, h.ID(), string(parsed.CID))
+	_, err = v.sys.Cube.AppendCID(v.sys.EntryNode(v.DID), target, code, h.ID(), string(req.CID))
 	v.sys.endPhase(pSp, PhasePublish)
 	if err != nil {
 		return nil, err
@@ -604,7 +633,7 @@ func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Ver
 		v.sys.observeChainOp("verify", op.Latency)
 	}
 	return &Verification{
-		Prover: prover, Report: report, CID: parsed.CID,
+		Prover: prover, Report: report, CID: req.CID,
 		Accepted: true, Op: op,
 	}, nil
 }

@@ -76,8 +76,17 @@ func TestProverNeedsAccountOnConnector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SubmitProof(conn, proof, 100); err == nil {
-		t.Fatal("submission without a wallet accepted")
+	bundle, err := p.RequestProofQuorum([]*Witness{w}, cid, [20]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, submit := range map[string]func() (*SubmissionResult, error){
+		"single": func() (*SubmissionResult, error) { return p.SubmitProof(conn, proof, 100) },
+		"quorum": func() (*SubmissionResult, error) { return p.SubmitProofQuorum(conn, bundle, 100) },
+	} {
+		if _, err := submit(); err == nil {
+			t.Errorf("%s submission without a wallet accepted", name)
+		}
 	}
 }
 

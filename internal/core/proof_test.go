@@ -262,21 +262,6 @@ func TestWitnessRejectsBadOLCClaim(t *testing.T) {
 	}
 }
 
-func TestDIDByUint(t *testing.T) {
-	sys := newTestSystem(t)
-	p, err := NewProver(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := sys.DIDByUint(p.DID.Uint64())
-	if !ok || got != p.DID {
-		t.Fatalf("DIDByUint = %q (ok=%v)", got, ok)
-	}
-	if _, ok := sys.DIDByUint(12345); ok {
-		t.Fatal("unknown key resolved")
-	}
-}
-
 func TestProofVerifyDetectsTampering(t *testing.T) {
 	sys := newTestSystem(t)
 	w, err := NewWitness(sys, bologna)

@@ -9,7 +9,6 @@ import (
 
 	"agnopol/internal/did"
 	"agnopol/internal/ipfs"
-	"agnopol/internal/lang"
 	"agnopol/internal/polcrypto"
 )
 
@@ -22,7 +21,10 @@ import (
 //
 // The bundle of proofs lives on IPFS (it grows with q); the on-chain record
 // stores the bundle CID plus the bundle hash, prefixed "Q" so verifiers
-// know which verification procedure applies.
+// know which verification procedure applies. The quorum record is a second
+// record format on the one proof pipeline: staging is Prover.stage and
+// settlement is Verifier.verify, as for SubmitProof and VerifyProver; only
+// the format and its check live here.
 
 // ProofBundle is the prover's collection of proofs for one claim. All
 // entries certify the same DID, area, report CID and wallet; they differ in
@@ -38,37 +40,20 @@ var (
 	ErrNotQuorumRecord    = errors.New("core: on-chain record is not a quorum record")
 )
 
-// Validate checks internal consistency: every proof verifies and certifies
-// the same (DID, OLC, CID, wallet).
-func (b *ProofBundle) Validate() error {
-	if len(b.Proofs) == 0 {
-		return fmt.Errorf("%w: empty bundle", ErrBundleInconsistent)
-	}
-	first := b.Proofs[0].Request
-	for i, p := range b.Proofs {
-		if err := p.Verify(); err != nil {
-			return fmt.Errorf("core: bundle proof %d: %w", i, err)
-		}
-		r := p.Request
-		if r.DID != first.DID || r.OLC != first.OLC || r.CID != first.CID || r.Wallet != first.Wallet {
-			return fmt.Errorf("%w: proof %d", ErrBundleInconsistent, i)
-		}
-	}
-	return nil
+// wireProof is one bundle entry as stored on IPFS, byte fields in hex.
+type wireProof struct {
+	DID        string `json:"did"`
+	OLC        string `json:"olc"`
+	Nonce      uint64 `json:"nonce"`
+	CID        string `json:"cid"`
+	Wallet     string `json:"wallet"`
+	Hash       string `json:"hash"`
+	Signature  string `json:"signature"`
+	WitnessPub string `json:"witnessPub"`
 }
 
 // marshalBundle serializes the bundle for IPFS storage.
 func marshalBundle(b *ProofBundle) ([]byte, error) {
-	type wireProof struct {
-		DID        string `json:"did"`
-		OLC        string `json:"olc"`
-		Nonce      uint64 `json:"nonce"`
-		CID        string `json:"cid"`
-		Wallet     string `json:"wallet"`
-		Hash       string `json:"hash"`
-		Signature  string `json:"signature"`
-		WitnessPub string `json:"witnessPub"`
-	}
 	out := make([]wireProof, 0, len(b.Proofs))
 	for _, p := range b.Proofs {
 		out = append(out, wireProof{
@@ -88,16 +73,7 @@ func marshalBundle(b *ProofBundle) ([]byte, error) {
 // unmarshalBundle parses the wire form back.
 func unmarshalBundle(data []byte) (*ProofBundle, error) {
 	var wire struct {
-		Proofs []struct {
-			DID        string `json:"did"`
-			OLC        string `json:"olc"`
-			Nonce      uint64 `json:"nonce"`
-			CID        string `json:"cid"`
-			Wallet     string `json:"wallet"`
-			Hash       string `json:"hash"`
-			Signature  string `json:"signature"`
-			WitnessPub string `json:"witnessPub"`
-		} `json:"proofs"`
+		Proofs []wireProof `json:"proofs"`
 	}
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return nil, fmt.Errorf("core: bundle: %w", err)
@@ -132,12 +108,15 @@ func unmarshalBundle(data []byte) (*ProofBundle, error) {
 	return b, nil
 }
 
-// quorumConcat builds the on-chain record for a quorum submission.
+// quorumConcat builds the on-chain record for a quorum submission: lower-case
+// hex of the bundle hash, then the bundle CID.
 func quorumConcat(bundleCID ipfs.CID, bundleHash [32]byte) []byte {
 	return []byte("Q-" + hex.EncodeToString(bundleHash[:]) + "-" + string(bundleCID))
 }
 
-// parseQuorumConcat decodes it.
+// parseQuorumConcat decodes it. Only the line quorumConcat writes for the
+// fields it decodes to is accepted, so one quorum record has exactly one
+// on-chain form.
 func parseQuorumConcat(data []byte) (ipfs.CID, [32]byte, error) {
 	var hash [32]byte
 	parts := bytes.SplitN(data, []byte("-"), 3)
@@ -146,10 +125,14 @@ func parseQuorumConcat(data []byte) (ipfs.CID, [32]byte, error) {
 	}
 	h, err := hex.DecodeString(string(parts[1]))
 	if err != nil || len(h) != 32 {
-		return "", hash, fmt.Errorf("core: quorum record hash: %v", err)
+		return "", hash, fmt.Errorf("%w: hash field %.16q", ErrNotQuorumRecord, parts[1])
 	}
 	copy(hash[:], h)
-	return ipfs.CID(parts[2]), hash, nil
+	cid := ipfs.CID(parts[2])
+	if !bytes.Equal(quorumConcat(cid, hash), data) {
+		return "", hash, fmt.Errorf("%w: not in canonical form", ErrNotQuorumRecord)
+	}
+	return cid, hash, nil
 }
 
 // RequestProofQuorum collects proofs from q distinct witnesses (each with
@@ -170,8 +153,8 @@ func (p *Prover) RequestProofQuorum(witnesses []*Witness, cid ipfs.CID, wallet [
 }
 
 // SubmitProofQuorum stores the bundle on IPFS and stages the quorum record
-// on-chain, deploying the area contract when needed — the quorum analogue
-// of SubmitProof.
+// on-chain — SubmitProof's flow with the quorum record in place of
+// ConcatData.
 func (p *Prover) SubmitProofQuorum(conn Connector, bundle *ProofBundle, rewardPerProver uint64) (*SubmissionResult, error) {
 	if err := p.sys.validateBundle(bundle); err != nil {
 		return nil, err
@@ -180,154 +163,58 @@ func (p *Prover) SubmitProofQuorum(conn Connector, bundle *ProofBundle, rewardPe
 	if err != nil {
 		return nil, err
 	}
-	bundleCID, err := p.sys.IPFS.Add(string(p.DID), data)
+	bundleCID, err := p.pin(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.sys.IPFS.Pin(string(p.DID), bundleCID); err != nil {
-		return nil, err
-	}
-	bundleHash := polcrypto.Hash(data)
-
-	code := bundle.Proofs[0].Request.OLC
-	via := p.sys.EntryNode(p.DID)
-	record := quorumConcat(bundleCID, bundleHash)
-	h, hops, found, err := p.sys.LookupContract(via, code)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		handle, deployOp, err := conn.Deploy(p.accounts[conn.Name()], p.sys.Compiled, []lang.Value{
-			lang.BytesValue([]byte(code)),
-			lang.Uint64Value(p.DID.Uint64()),
-			lang.Uint64Value(rewardPerProver),
-		})
-		if err != nil {
-			return nil, err
-		}
-		_, insertOp, err := conn.Invoke(p.accounts[conn.Name()], handle, "insert_data",
-			CallOpts{EscrowFund: true, Retry: p.sys.retry},
-			lang.BytesValue(record), lang.Uint64Value(p.DID.Uint64()))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.sys.PublishContract(via, code, handle); err != nil {
-			return nil, err
-		}
-		op := &OpResult{
-			Latency:  deployOp.Latency + insertOp.Latency,
-			Fee:      deployOp.Fee.Add(insertOp.Fee),
-			GasUsed:  deployOp.GasUsed + insertOp.GasUsed,
-			Receipts: append(deployOp.Receipts, insertOp.Receipts...),
-		}
-		return &SubmissionResult{Handle: handle, Deployed: true, Op: op, Hops: hops}, nil
-	}
-	_, op, err := conn.Invoke(p.accounts[conn.Name()], h, "insert_data",
-		CallOpts{Retry: p.sys.retry},
-		lang.BytesValue(record), lang.Uint64Value(p.DID.Uint64()))
-	if err != nil {
-		return nil, err
-	}
-	return &SubmissionResult{Handle: h, Deployed: false, Op: op, Hops: hops}, nil
+	record := quorumConcat(bundleCID, polcrypto.Hash(data))
+	return p.stage(conn, bundle.Proofs[0].Request.OLC, record, rewardPerProver)
 }
 
-// VerifyProverQuorum runs the quorum verification: fetch the bundle, check
-// its integrity against the on-chain hash, validate every proof, and count
-// the distinct CA-registered witnesses (excluding the prover itself). Only
-// when at least `quorum` independent witnesses certified the claim does the
-// on-chain verify (reward + garbage-in) proceed.
+// VerifyProverQuorum is VerifyProver for a quorum record: fetch the bundle,
+// check its integrity against the on-chain hash, validate every proof, and
+// count the distinct CA-registered witnesses (excluding the prover itself).
+// Only when at least `quorum` independent witnesses certified the claim
+// does the report check and the on-chain verify (reward + garbage-in)
+// proceed.
 func (v *Verifier) VerifyProverQuorum(conn Connector, h *Handle, prover did.DID, quorum int) (*Verification, error) {
-	if !v.sys.CA.IsVerifier(v.DID) {
-		return nil, ErrNotVerifier
-	}
-	acct := v.accounts[conn.Name()]
-	if acct == nil {
-		return nil, fmt.Errorf("core: verifier has no account on %s", conn.Name())
-	}
-	key := prover.Uint64()
-	raw, ok, err := conn.ReadMap(h, EasyMapName, key)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: no staged data for %s", prover)
-	}
-	bundleCID, bundleHash, err := parseQuorumConcat(raw.Bytes)
-	if err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: err.Error()}, nil
-	}
-	data, err := v.fetchReport(conn, bundleCID)
-	if err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: err.Error()}, nil
-	}
-	if polcrypto.Hash(data) != bundleHash {
-		return &Verification{Prover: prover, Accepted: false, Reason: ErrHashMismatch.Error()}, nil
-	}
-	bundle, err := unmarshalBundle(data)
-	if err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: err.Error()}, nil
-	}
-	if err := v.sys.validateBundle(bundle); err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: err.Error()}, nil
-	}
-	req := bundle.Proofs[0].Request
-	if req.DID != prover {
-		return &Verification{Prover: prover, Accepted: false, Reason: ErrBundleInconsistent.Error()}, nil
-	}
-	// The contract's area must be the certified area.
-	posVal, err := conn.ReadGlobal(h, PositionGlobal)
-	if err != nil {
-		return nil, err
-	}
-	if string(posVal.Bytes) != req.OLC {
-		return &Verification{Prover: prover, Accepted: false, Reason: ErrHashMismatch.Error()}, nil
-	}
-
-	doc, err := v.sys.Registry.Resolve(prover)
-	if err != nil {
-		return nil, err
-	}
-	proverKey, err := doc.AuthenticationKey()
-	if err != nil {
-		return nil, err
-	}
-	distinct := make(map[string]bool)
-	for _, p := range bundle.Proofs {
-		if bytes.Equal(p.WitnessPub, proverKey) {
-			continue // self-signed entries never count
+	return v.verify(conn, h, prover, func(st staged) (ProofRequest, error) {
+		bundleCID, bundleHash, err := parseQuorumConcat(st.line)
+		if err != nil {
+			return ProofRequest{}, err
 		}
-		if !v.sys.CA.IsKnownWitness(p.WitnessPub) {
-			continue
+		data, err := v.fetchReport(conn, bundleCID)
+		if err != nil {
+			return ProofRequest{}, err
 		}
-		distinct[string(p.WitnessPub)] = true
-	}
-	if len(distinct) < quorum {
-		return &Verification{
-			Prover: prover, Accepted: false,
-			Reason: fmt.Sprintf("%s: %d < %d", ErrQuorumTooSmall.Error(), len(distinct), quorum),
-		}, nil
-	}
-
-	// Report integrity, then the on-chain verify and garbage-in as usual.
-	reportData, err := v.fetchReport(conn, req.CID)
-	if err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: err.Error()}, nil
-	}
-	var report Report
-	if err := json.Unmarshal(reportData, &report); err != nil {
-		return &Verification{Prover: prover, Accepted: false, Reason: "malformed report: " + err.Error()}, nil
-	}
-	_, op, err := conn.Invoke(acct, h, "verify", CallOpts{Retry: v.sys.retry},
-		lang.Uint64Value(key), lang.AddressValue(req.Wallet))
-	if err != nil {
-		return nil, err
-	}
-	target, err := v.sys.NodeIDForOLC(req.OLC)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := v.sys.Cube.AppendCID(v.sys.EntryNode(v.DID), target, req.OLC, h.ID(), string(req.CID)); err != nil {
-		return nil, err
-	}
-	return &Verification{Prover: prover, Report: report, CID: req.CID, Accepted: true, Op: op}, nil
+		if polcrypto.Hash(data) != bundleHash {
+			return ProofRequest{}, ErrHashMismatch
+		}
+		bundle, err := unmarshalBundle(data)
+		if err != nil {
+			return ProofRequest{}, err
+		}
+		if err := v.sys.validateBundle(bundle); err != nil {
+			return ProofRequest{}, err
+		}
+		req := bundle.Proofs[0].Request
+		if req.DID != st.prover {
+			return ProofRequest{}, ErrBundleInconsistent
+		}
+		// The contract's area must be the certified area.
+		if req.OLC != st.area {
+			return ProofRequest{}, ErrHashMismatch
+		}
+		distinct := make(map[string]bool)
+		for _, p := range bundle.Proofs {
+			// Self-signed entries and unregistered keys never count.
+			if !bytes.Equal(p.WitnessPub, st.proverKey) && v.sys.CA.IsKnownWitness(p.WitnessPub) {
+				distinct[string(p.WitnessPub)] = true
+			}
+		}
+		if len(distinct) < quorum {
+			return ProofRequest{}, fmt.Errorf("%w: %d < %d", ErrQuorumTooSmall, len(distinct), quorum)
+		}
+		return req, nil
+	})
 }

@@ -63,8 +63,9 @@ func (s *System) verifyProof(p *LocationProof) error {
 	return nil
 }
 
-// validateBundle is ProofBundle.Validate with cached signature checks —
-// same consistency rules, same error shapes.
+// validateBundle checks a bundle's internal consistency: every proof
+// verifies (through the signature cache) and certifies the same (DID, OLC,
+// CID, wallet).
 func (s *System) validateBundle(b *ProofBundle) error {
 	if len(b.Proofs) == 0 {
 		return fmt.Errorf("%w: empty bundle", ErrBundleInconsistent)

@@ -33,10 +33,9 @@ type System struct {
 	// R is the hypercube dimension.
 	R int
 
-	mu       sync.Mutex
-	handles  map[string]*Handle
-	didIndex map[uint64]did.DID
-	dir      witnessDirectory
+	mu      sync.Mutex
+	handles map[string]*Handle
+	dir     witnessDirectory
 
 	// sigs memoizes ed25519 signature verifications (see sigcache.go);
 	// quorum paths re-check the same proof several times per claim.
@@ -71,7 +70,6 @@ func NewSystem(seed uint64) (*System, error) {
 		Compiled: compiled,
 		R:        DefaultHypercubeDimension,
 		handles:  make(map[string]*Handle),
-		didIndex: make(map[uint64]did.DID),
 		sigs:     polcrypto.NewSigCache(defaultSigCacheSize),
 	}
 	return s, nil
@@ -90,27 +88,10 @@ func (s *System) SetResilience(inj *faults.Injector, pol faults.RetryPolicy) {
 // Faults returns the system's fault injector, nil when off.
 func (s *System) Faults() *faults.Injector { return s.flt }
 
-// RegisterDID creates a DID for a public key and indexes its UInt
-// compression, mirroring the thesis' DID-generation smart contract (§2.1)
-// plus the CA's pseudonym mapping.
+// RegisterDID creates a DID for a public key in the system's registry,
+// mirroring the thesis' DID-generation smart contract (§2.1).
 func (s *System) RegisterDID(pub ed25519.PublicKey) (did.DID, error) {
-	d, err := s.Registry.Register(pub, 0)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.didIndex[d.Uint64()] = d
-	s.mu.Unlock()
-	return d, nil
-}
-
-// DIDByUint resolves the UInt map key back to the full DID (the CA knows
-// the pseudonym mapping, §2.1).
-func (s *System) DIDByUint(key uint64) (did.DID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.didIndex[key]
-	return d, ok
+	return s.Registry.Register(pub, 0)
 }
 
 // NodeIDForOLC computes the hypercube node responsible for an area via the

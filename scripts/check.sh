@@ -99,11 +99,7 @@ for ex in quickstart crowdsensing geofence badgehunt greentoken; do
 done
 
 echo "== tools =="
-# Every shipped source must compile from its file the way core compiles the
-# embedded copy.
-for src in contracts/*.pol; do
-    go run ./cmd/polc -src "$src" > /dev/null
-done
+# polc is cmd/polc's golden test (every contracts/*.pol, byte for byte).
 go run ./cmd/polsim -chain algorand > /dev/null
 
 echo "== parallel matrix =="
