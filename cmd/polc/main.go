@@ -27,7 +27,7 @@ func compileFile(path string) (*lang.Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lang.Compile(prog, lang.Options{MaxBytesLen: 512, Precompiles: true})
+	return lang.Compile(prog, lang.Options{MaxBytesLen: 512})
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

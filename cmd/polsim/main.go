@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"agnopol/internal/algorand"
@@ -20,48 +22,67 @@ import (
 // evmPresets are the Ethereum-family networks -chain accepts.
 var evmPresets = map[string]func() eth.Config{"ropsten": eth.Ropsten, "goerli": eth.Goerli, "polygon": eth.PolygonMumbai}
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the exit status — 0, 1 for a run
+// that fails, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("polsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		chainName = flag.String("chain", "algorand", "ropsten | goerli | polygon | algorand")
-		users     = flag.Int("users", 4, "provers on the contract (max 4 per the thesis contract)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		explorer  = flag.Bool("explorer", false, "print the Fig 3.1 EtherScan-style contract history (EVM chains)")
+		chainName = fs.String("chain", "algorand", "ropsten | goerli | polygon | algorand")
+		users     = fs.Int("users", 4, "provers on the contract (max 4 per the thesis contract)")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		explorer  = fs.Bool("explorer", false, "print the Fig 3.1 EtherScan-style contract history (EVM chains)")
 	)
-	flag.Parse()
-	if *users < 1 || *users > core.MaxUsers {
-		fatal(fmt.Errorf("users must be 1..%d", core.MaxUsers))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
+	}
+	if err := simulate(stdout, *chainName, *users, *seed, *explorer); err != nil {
+		fmt.Fprintf(stderr, "polsim: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func simulate(stdout io.Writer, chainName string, users int, seed uint64, explorer bool) error {
+	if users < 1 || users > core.MaxUsers {
+		return fmt.Errorf("users must be 1..%d", core.MaxUsers)
 	}
 
 	var (
 		conn core.Connector
 		evm  *eth.Chain // an EVM preset's chain, kept for -explorer
 	)
-	if preset, ok := evmPresets[*chainName]; ok {
-		evm = eth.NewChain(preset(), *seed)
+	if preset, ok := evmPresets[chainName]; ok {
+		evm = eth.NewChain(preset(), seed)
 		conn = core.NewEVMConnector(evm)
-	} else if *chainName == "algorand" {
-		conn = core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), *seed))
+	} else if chainName == "algorand" {
+		conn = core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), seed))
 	} else {
-		fatal(fmt.Errorf("unknown chain %q", *chainName))
+		return fmt.Errorf("unknown chain %q", chainName)
 	}
-	sys, err := core.NewSystem(*seed)
+	sys, err := core.NewSystem(seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("chain: %s (%s)\n", conn.Name(), conn.Unit().Name)
-	fmt.Print(sys.Compiled.Report)
+	fmt.Fprintf(stdout, "chain: %s (%s)\n", conn.Name(), conn.Unit().Name)
+	fmt.Fprint(stdout, sys.Compiled.Report)
 
 	spot := geo.LatLng{Lat: 44.4949, Lng: 11.3426}
 	witness, err := core.NewWitness(sys, spot)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	verifier, err := core.NewVerifier(sys)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if _, err := verifier.EnsureAccount(conn, 100); err != nil {
-		fatal(err)
+		return err
 	}
 	reward := uint64(1e15)
 	if conn.Unit().Name == "ALGO" {
@@ -70,14 +91,14 @@ func main() {
 
 	var handle *core.Handle
 	var provers []*core.Prover
-	for u := 0; u < *users; u++ {
+	for u := 0; u < users; u++ {
 		p, err := core.NewProver(sys, spot)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		acct, err := p.EnsureAccount(conn, 10)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cid, err := p.UploadReport(core.Report{
 			Title:       fmt.Sprintf("report by user %d", u),
@@ -85,66 +106,61 @@ func main() {
 			Category:    "environment",
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		proof, err := p.RequestProof(witness, cid, acct.Address())
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sub, err := p.SubmitProof(conn, proof, reward)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		role := "attach"
 		if sub.Deployed {
 			role = "DEPLOY"
 			handle = sub.Handle
-			fmt.Printf("\nThe contract is deployed as %s\n", sub.Handle.ID())
+			fmt.Fprintf(stdout, "\nThe contract is deployed as %s\n", sub.Handle.ID())
 		}
-		fmt.Printf("user %d  %-6s  %6.2fs  fees %v  (hypercube lookup: %d hops)\n",
+		fmt.Fprintf(stdout, "user %d  %-6s  %6.2fs  fees %v  (hypercube lookup: %d hops)\n",
 			u, role, sub.Op.Latency.Seconds(), sub.Op.Fee, sub.Hops)
 		provers = append(provers, p)
 	}
 
 	sits, err := conn.View(handle, "getAvailableSits")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\navailable sits after inserts (free view): %d\n", sits.Uint)
+	fmt.Fprintf(stdout, "\navailable sits after inserts (free view): %d\n", sits.Uint)
 
 	fund := uint64(len(provers)) * reward
 	if _, err := verifier.FundContract(conn, handle, fund); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("verifier funded the contract with %d base units\n", fund)
+	fmt.Fprintf(stdout, "verifier funded the contract with %d base units\n", fund)
 
-	for u, p := range provers {
+	for _, p := range provers {
 		ver, err := verifier.VerifyProver(conn, handle, p.DID)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if ver.Accepted {
-			fmt.Printf("DID %d has been verified by Verifier %s\n", p.DID.Uint64(), verifier.DID[:24])
+			fmt.Fprintf(stdout, "DID %d has been verified by Verifier %s\n", p.DID.Uint64(), verifier.DID[:24])
 		} else {
-			fmt.Printf("DID %d has NOT been verified: %s\n", p.DID.Uint64(), ver.Reason)
+			fmt.Fprintf(stdout, "DID %d has NOT been verified: %s\n", p.DID.Uint64(), ver.Reason)
 		}
-		_ = u
 	}
-	fmt.Printf("contract balance after verification: %d\n", conn.ContractBalance(handle))
-	fmt.Printf("simulated time elapsed: %.1fs\n", conn.Now().Seconds())
+	fmt.Fprintf(stdout, "contract balance after verification: %d\n", conn.ContractBalance(handle))
+	fmt.Fprintf(stdout, "simulated time elapsed: %.1fs\n", conn.Now().Seconds())
 
-	if *explorer {
+	if explorer {
 		if evm == nil {
-			fmt.Println("\n(-explorer is only available on EVM chains)")
-			return
+			fmt.Fprintln(stdout, "\n(-explorer is only available on EVM chains)")
+			return nil
 		}
-		fmt.Println("\n== contract history (Fig 3.1, read bottom-up) ==")
+		fmt.Fprintln(stdout, "\n== contract history (Fig 3.1, read bottom-up) ==")
 		records := evm.HistoryOf(handle.EVMAddr)
-		fmt.Print(eth.FormatHistory(handle.EVMAddr, records, conn.Unit()))
+		fmt.Fprint(stdout, eth.FormatHistory(handle.EVMAddr, records, conn.Unit()))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "polsim: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -12,7 +12,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
@@ -22,7 +23,23 @@ import (
 	"agnopol/internal/polcrypto"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole example: it takes no arguments and returns the exit
+// status — 0, 1 for a run that fails, 2 for a stray argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintln(stderr, "usage: geofence")
+		return 2
+	}
+	if err := fence(stdout); err != nil {
+		fmt.Fprintf(stderr, "geofence: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func fence(stdout io.Writer) error {
 	// The geofence contract in the agnostic language: a map of cell
 	// hashes plus a containment check API.
 	p := lang.NewProgram("geofence")
@@ -52,20 +69,20 @@ func main() {
 
 	compiled, err := lang.Compile(p, lang.Options{MaxBytesLen: 64})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(compiled.Report)
+	fmt.Fprint(stdout, compiled.Report)
 
 	conn := core.NewEVMConnector(eth.NewChain(eth.Goerli(), 12))
 	acct, err := conn.NewAccount(50)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, deployOp, err := conn.Deploy(acct, compiled, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ngeofence contract %s deployed (gas %d, fee %s)\n",
+	fmt.Fprintf(stdout, "\ngeofence contract %s deployed (gas %d, fee %s)\n",
 		h.ID(), deployOp.GasUsed, deployOp.Fee)
 
 	// Fence a 10×10 block of OLC cells around Bologna's station.
@@ -86,34 +103,33 @@ func main() {
 			seen[id] = true
 			_, op, err := conn.Invoke(acct, h, "add_cell", core.CallOpts{}, lang.Uint64Value(id))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			totalGas += op.GasUsed
 			totalFee += op.Fee.Euros()
 			cells++
 		}
 	}
-	fmt.Printf("stored %d cells: %d gas (%.0f gas/cell), €%.2f total\n",
+	fmt.Fprintf(stdout, "stored %d cells: %d gas (%.0f gas/cell), €%.2f total\n",
 		cells, totalGas, float64(totalGas)/float64(cells), totalFee)
-	fmt.Println("(Victor et al. 2018: 20,000 gas/cell, 2,088,102 gas per 100-cell fence, $1.89 then, ~$240 by 2022)")
+	fmt.Fprintln(stdout, "(Victor et al. 2018: 20,000 gas/cell, 2,088,102 gas per 100-cell fence, $1.89 then, ~$240 by 2022)")
 
 	// Track a device: inside the fence, then out.
-	check := func(name string, at geo.LatLng) {
+	for _, at := range []geo.LatLng{center, geo.Offset(center, 2000, 0)} {
 		code := olc.MustEncode(at.Lat, at.Lng, olc.DefaultCodeLength)
 		v, _, err := conn.Invoke(acct, h, "inside", core.CallOpts{}, lang.Uint64Value(cellID(code)))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("device %-12s at %s -> inside fence: %v\n", name, code, v.Bool)
+		fmt.Fprintf(stdout, "device %-12s at %s -> inside fence: %v\n", "courier-1", code, v.Bool)
 	}
-	check("courier-1", center)
-	check("courier-1", geo.Offset(center, 2000, 0))
 
 	cnt, err := conn.View(h, "getCellCount")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("on-chain cell count (free view): %d\n", cnt.Uint)
+	fmt.Fprintf(stdout, "on-chain cell count (free view): %d\n", cnt.Uint)
+	return nil
 }
 
 // cellID compresses an OLC cell into the UInt key the contract map uses.

@@ -62,23 +62,6 @@ func TestOLCContainsOp(t *testing.T) {
 	}
 }
 
-func TestSubstring3Op(t *testing.T) {
-	src := "byte \"8FQFCXGV+XX\"\nint 0\nint 6\nsubstring3\nbyte \"8FQFCX\"\n==\nreturn"
-	res, _ := exec(t, src, TxContext{AppID: 1, BudgetTxns: 2})
-	if res.Err != nil || !res.Approved {
-		t.Fatalf("substring3 prefix extraction failed: %+v", res)
-	}
-	for _, bad := range []string{
-		"byte \"ab\"\nint 2\nint 1\nsubstring3\nreturn", // start > end
-		"byte \"ab\"\nint 0\nint 3\nsubstring3\nreturn", // end > len
-	} {
-		res, _ := exec(t, bad, TxContext{AppID: 1, BudgetTxns: 2})
-		if res.Err == nil {
-			t.Fatalf("out-of-bounds substring3 must fail: %q", bad)
-		}
-	}
-}
-
 func TestEd25519VerifyOp(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -123,7 +106,6 @@ func TestPseudoOpCosts(t *testing.T) {
 		{"ed25519verify", 1900},
 		{"keccak256", 130},
 		{"olc_contains", 20},
-		{"substring3", 1},
 		{"sha256_parts 1", 36},
 		{"sha256_parts 16", 51},
 	}

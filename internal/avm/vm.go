@@ -539,25 +539,6 @@ func (m *machine) run() (bool, error) {
 			}
 			m.push(Uint64Value(uint64(w[31])))
 
-		case "substring3":
-			// substring3: A (bytes), B (start), C (end) -> A[B:C].
-			end, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			start, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			s, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			if start > end || end > uint64(len(s)) {
-				return false, errAt(fmt.Errorf("%w: substring3 range [%d:%d] of %d bytes", ErrBadProgram, start, end, len(s)))
-			}
-			m.push(BytesValue(append([]byte(nil), s[start:end]...)))
-
 		case "dup":
 			v, err := m.pop()
 			if err != nil {

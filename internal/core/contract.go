@@ -20,8 +20,7 @@ const MaxUsers = 4
 
 // shipped is every contract core deploys: the source is the .pol file in
 // package contracts (the one definition a reader or auditor opens), and
-// maxBytesLen its Bytes bound for the conservative analysis. All of them
-// compile onto the precompiled lowering.
+// maxBytesLen its Bytes bound for the conservative analysis.
 var shipped = map[string]struct {
 	src         string
 	maxBytesLen int
@@ -41,7 +40,7 @@ func compileShipped(name string) (*lang.Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: parse %s: %w", name, err)
 	}
-	c, err := lang.Compile(prog, lang.Options{MaxBytesLen: row.maxBytesLen, Precompiles: true})
+	c, err := lang.Compile(prog, lang.Options{MaxBytesLen: row.maxBytesLen})
 	if err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, err)
 	}

@@ -1,18 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
-	"agnopol/contracts"
 	"agnopol/internal/algorand"
 	"agnopol/internal/eth"
 	"agnopol/internal/lang"
 	"agnopol/internal/polcrypto"
+	"agnopol/internal/precompile"
 )
 
 // TestShippedContractsGolden pins what the five shipped .pol sources compile
@@ -145,22 +145,44 @@ func TestVerifyProgramShape(t *testing.T) {
 			t.Errorf("missing API %q", api)
 		}
 	}
-	// The precompiled check_in must actually carry precompile CALLs: spot-
-	// check the cheap invariant that compiling the same source without
-	// Precompiles yields different code.
-	prog, err := lang.ParseSource(contracts.PoLVerify)
+	// check_in's digest and containment lower to the precompiles: pseudo-ops
+	// in the TEAL, reserved-address CALLs that move the natives' counters
+	// on the EVM.
+	for _, op := range []string{"sha256_parts 3", "olc_contains"} {
+		if !strings.Contains(c.TEALSource, op) {
+			t.Errorf("pol-verify TEAL has no %q", op)
+		}
+	}
+	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 7))
+	acct, err := conn.NewAccount(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := lang.Compile(prog, lang.Options{MaxBytesLen: 512})
+	h, _, err := conn.Deploy(acct, c, []lang.Value{lang.BytesValue([]byte("8FQFCX"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(c.EVMCode, interp.EVMCode) {
-		t.Fatal("precompiled and interpreted EVM code are identical — the lowering did not trigger")
+	loc, nonce, cid := []byte("8FQFCXGV+XX:48.8583,2.2944"), []byte("nonce-1"), []byte("bafy-cid")
+	commitment := polcrypto.Hash(loc, nonce, cid)
+	if _, _, err := conn.Invoke(acct, h, "register", CallOpts{}, lang.Uint64Value(7), lang.BytesValue(commitment[:])); err != nil {
+		t.Fatal(err)
 	}
-	if c.TEALSource == interp.TEALSource {
-		t.Fatal("precompiled and interpreted TEAL are identical — the lowering did not trigger")
+	natives := []*precompile.Precompiled{
+		precompile.ByID(precompile.IDSha256), precompile.ByID(precompile.IDBytesEqual), precompile.ByID(precompile.IDOLCContains),
+	}
+	before := make([]uint64, len(natives))
+	for i, p := range natives {
+		before[i] = p.StatsOf().Calls
+	}
+	v, _, err := conn.Invoke(acct, h, "check_in", CallOpts{}, lang.Uint64Value(7),
+		lang.BytesValue(loc), lang.BytesValue(nonce), lang.BytesValue(cid), lang.BytesValue([]byte("8FQFCXGV+XX")))
+	if err != nil || v.Uint != 1 {
+		t.Fatalf("check_in = %d, %v; want 1 verified", v.Uint, err)
+	}
+	for i, p := range natives {
+		if p.StatsOf().Calls == before[i] {
+			t.Errorf("an EVM check_in did not call the %s precompile", p.Name)
+		}
 	}
 }
 

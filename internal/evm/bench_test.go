@@ -79,7 +79,7 @@ func benchExecute(b *testing.B, code []byte, exec func(Context, []byte) Result) 
 func BenchmarkOpcodes(b *testing.B) {
 	for _, p := range benchPrograms {
 		b.Run(p.name+"/u256", func(b *testing.B) { benchExecute(b, p.code, Execute) })
-		b.Run(p.name+"/bigint", func(b *testing.B) { benchExecute(b, p.code, ExecuteRef) })
+		b.Run(p.name+"/bigint", func(b *testing.B) { benchExecute(b, p.code, executeRef) })
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"agnopol/internal/chain"
+	"agnopol/internal/precompile"
 )
 
 // cloneMemState deep-copies a MemState so the fast and reference
@@ -190,7 +191,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 
 		got := Execute(mk(stFast), code)
-		want := ExecuteRef(mk(stRef), code)
+		want := executeRef(mk(stRef), code)
 
 		if !resultsEqual(got, want) {
 			t.Fatalf("iter %d: result mismatch\ncode=%x\nfast=%+v\nref=%+v", i, code, got, want)
@@ -229,7 +230,7 @@ func TestDifferentialCallTransfer(t *testing.T) {
 			return Context{State: st, Caller: caller, Address: addr, GasLimit: 100_000}
 		}
 		got := Execute(mk(stFast), code)
-		want := ExecuteRef(mk(stRef), code)
+		want := executeRef(mk(stRef), code)
 		if !resultsEqual(got, want) {
 			t.Fatalf("bal %d: result mismatch fast=%+v ref=%+v", bal, got, want)
 		}
@@ -237,6 +238,88 @@ func TestDifferentialCallTransfer(t *testing.T) {
 			t.Fatalf("bal %d: state diverged", bal)
 		}
 	}
+}
+
+// FuzzExecuteAgainstRef runs arbitrary bytecode and calldata through both
+// engines: result, gas, refund, logs and final state must agree bit for
+// bit, and neither may panic. The seeds aim at the memory paths' overflow
+// handling — MLOAD, MSTORE, CALLDATACOPY and KECCAK256 at offsets and sizes
+// near 2^64 (both engines read an offset word's low 64 bits, then refuse
+// any range that wraps or passes 4 GiB), and precompile descriptors naming
+// ranges there — where a fast-path shortcut would part from big.Int.
+// Run with -fuzzminimizetime 2s: minimising one long input otherwise eats
+// the budget. Crashers land in testdata/fuzz/FuzzExecuteAgainstRef with
+// their fix.
+func FuzzExecuteAgainstRef(f *testing.F) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	near := []*big.Int{
+		new(big.Int).Sub(two64, big.NewInt(32)), new(big.Int).Sub(two64, big.NewInt(1)),
+		two64, new(big.Int).Add(two64, big.NewInt(5)),
+	}
+	seed := func(calldata []byte, build func(a *Assembler)) {
+		a := NewAssembler()
+		build(a)
+		a.PushUint(32).PushUint(0).Op(RETURN)
+		code, err := a.Assemble()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(code, calldata)
+	}
+	for _, v := range near {
+		seed(nil, func(a *Assembler) { a.Push(v).Op(MLOAD, POP) })
+		seed(nil, func(a *Assembler) { a.PushUint(1).Push(v).Op(MSTORE) })
+		// CALLDATACOPY pops dst, src, size; KECCAK256 pops offset, size.
+		seed(nil, func(a *Assembler) { a.PushUint(32).PushUint(0).Push(v).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.PushUint(32).Push(v).PushUint(0).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.Push(v).PushUint(0).PushUint(0).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.PushUint(32).Push(v).Op(KECCAK256, POP) })
+		seed(nil, func(a *Assembler) { a.Push(v).PushUint(0).Op(KECCAK256, POP) })
+		// A sha256 precompile CALL whose one descriptor range starts, or
+		// runs, near 2^64, and one whose output region does.
+		for _, r := range [][2]*big.Int{{v, big.NewInt(32)}, {big.NewInt(0x100), v}} {
+			seed(nil, func(a *Assembler) {
+				a.Push(r[0]).PushUint(0).Op(MSTORE)
+				a.Push(r[1]).PushUint(32).Op(MSTORE)
+				emitCall(a, precompile.IDSha256, 0, 1, 0x80, 0)
+				a.Op(POP)
+			})
+		}
+		seed(nil, func(a *Assembler) {
+			a.PushUint(0x100).PushUint(0).Op(MSTORE)
+			a.PushUint(32).PushUint(32).Op(MSTORE)
+			a.PushUint(32).Push(v).PushUint(64).PushUint(0)
+			a.PushUint(0).PushUint(uint64(precompile.IDSha256)).PushUint(0).Op(CALL, POP)
+		})
+	}
+	// Offsets read from calldata, so mutating the input moves them.
+	word := make([]byte, 32)
+	near[3].FillBytes(word)
+	seed(word, func(a *Assembler) { a.PushUint(0).Op(CALLDATALOAD, MLOAD, POP) })
+	seed(word, func(a *Assembler) { a.PushUint(32).PushUint(0).Op(CALLDATALOAD, KECCAK256, POP) })
+
+	addr, caller := chain.Address{0xaa}, chain.Address{0xbb}
+	f.Fuzz(func(t *testing.T, code, calldata []byte) {
+		base := NewMemState()
+		base.Balances[addr] = big.NewInt(1_000_000)
+		base.Balances[caller] = big.NewInt(1_000_000)
+		base.SetStorage(addr, chain.Hash32{1}, chain.Hash32{9})
+		stFast, stRef := cloneMemState(base), cloneMemState(base)
+		mk := func(st StateDB) Context {
+			// 200 000 gas bounds memory expansion at ≈ 320 KiB.
+			return Context{
+				State: st, Caller: caller, Address: addr, Value: big.NewInt(7),
+				CallData: calldata, GasLimit: 200_000, BlockNumber: 7, Timestamp: 1234567,
+			}
+		}
+		got, want := Execute(mk(stFast), code), executeRef(mk(stRef), code)
+		if !resultsEqual(got, want) {
+			t.Fatalf("result mismatch\ncode=%x\ncalldata=%x\nfast=%+v\nref=%+v", code, calldata, got, want)
+		}
+		if !memStatesEqual(stFast, stRef) {
+			t.Fatalf("state diverged\ncode=%x\ncalldata=%x", code, calldata)
+		}
+	})
 }
 
 // TestPooledInterpreterIsolation re-runs the same contract through the pool

@@ -22,9 +22,9 @@ import (
 const maxPrecompileRanges = 16
 
 // precompileHost is the engine surface the interception needs. Both the
-// u256 interpreter and the big.Int reference interpreter satisfy it, so one
-// shared implementation keeps the two engines bit-identical by
-// construction.
+// u256 interpreter and the test-only big.Int reference (ref_test.go)
+// satisfy it, so one shared implementation keeps the two engines
+// bit-identical by construction.
 type precompileHost interface {
 	useGas(amount uint64) bool
 	expandMem(off, size uint64) bool

@@ -63,7 +63,7 @@ func runBoth(t *testing.T, code []byte, gasLimit uint64) Result {
 		}
 	}
 	fast := Execute(mk(), code)
-	ref := ExecuteRef(mk(), code)
+	ref := executeRef(mk(), code)
 	if !resultsEqual(fast, ref) {
 		t.Fatalf("engines disagree on precompile path:\nfast: %+v\nref:  %+v", fast, ref)
 	}

@@ -10,14 +10,11 @@ import (
 )
 
 // This file preserves the original big.Int interpreter, verbatim, as
-// ExecuteRef. It serves two purposes:
-//
-//   - it is the semantic oracle for the differential property tests that
-//     pin the u256 fast path (diff_test.go) — every opcode of the fast
-//     interpreter must agree bit-for-bit with this one;
-//   - it is the "before" engine of internal/vmbench's report, so the
-//     ns/op and allocs/op deltas are measured against real code, not a
-//     remembered number.
+// executeRef: the semantic oracle of the tests that pin the u256 fast path
+// (diff_test.go, precompile_test.go, FuzzExecuteAgainstRef, and through
+// export_test.go the shipped-contract differential in contracts_test.go).
+// Every opcode of the fast interpreter must agree bit-for-bit with this
+// one. It is test code: no shipped binary links it.
 //
 // It allocates a *big.Int per opcode by design; do not optimize it.
 
@@ -68,9 +65,9 @@ func (in *refInterpreter) profFlush() {
 	}
 }
 
-// ExecuteRef runs code on the retained big.Int reference interpreter. Same
-// contract as Execute; used by differential tests and the vmbench baseline.
-func ExecuteRef(ctx Context, code []byte) Result {
+// executeRef runs code on the retained big.Int reference interpreter. Same
+// contract as Execute.
+func executeRef(ctx Context, code []byte) Result {
 	in := &refInterpreter{
 		ctx:       ctx,
 		state:     &journaledState{inner: ctx.State},

@@ -152,8 +152,9 @@ func (in *interpreter) profFlush() {
 // accounting covers opcode execution only; the chain layer adds intrinsic
 // transaction gas (IntrinsicGas) and code-deposit gas for deployments.
 //
-// Semantics are bit-identical to ExecuteRef (the retained big.Int reference
-// interpreter); the differential tests in diff_test.go enforce this.
+// Semantics are bit-identical to the retained big.Int reference interpreter
+// (ref_test.go); the differential tests and FuzzExecuteAgainstRef enforce
+// this.
 func Execute(ctx Context, code []byte) Result {
 	in := interpPool.Get().(*interpreter)
 	in.reset(ctx, code)

@@ -271,7 +271,10 @@ func (an *analyzer) exprGas(e Expr) uint64 {
 		case OpConcat:
 			return g + 100 + 2*an.chunks()*70
 		case OpEq, OpNe:
-			// Bytes equality hashes both sides; uint equality is cheap.
+			// Bytes equality is bounded by hashing both sides (the
+			// hash-compare lowering the bytes_equal precompile replaced,
+			// kept so published analyses do not move); uint equality is
+			// cheap.
 			return g + 2*(evm.GasKeccak256+evm.GasKeccak256Word*an.chunks()) + 10
 		default:
 			return g + 10
@@ -289,8 +292,8 @@ func (an *analyzer) exprGas(e Expr) uint64 {
 		// access and descriptor plumbing.
 		return an.exprGas(e.Pub) + an.exprGas(e.Msg) + an.exprGas(e.Sig) + 3000 + evm.GasWarmAccess + 200
 	case *CellContains:
-		// Worst of the two lowerings: the interpreted path hashes both
-		// operands like a bytes equality.
+		// Bounded like a bytes equality: both operands hashed, as the
+		// hash-compare lowering the olc_contains precompile replaced did.
 		return an.exprGas(e.Cell) + an.exprGas(e.Code) + 2*(evm.GasKeccak256+evm.GasKeccak256Word*an.chunks()) + 30
 	default:
 		return 0

@@ -91,9 +91,8 @@ type Digest struct {
 }
 
 // SigVerify checks an ed25519 signature (sigok(pub, msg, sig)). All three
-// operands are TBytes; the result is TBool. It lowers only to the VM
-// precompiles (Options.Precompiles) — there is no interpreted bytecode
-// equivalent, signature math does not belong in a contract loop.
+// operands are TBytes; the result is TBool. It lowers to the VM
+// signature precompiles: signature math does not belong in a contract loop.
 type SigVerify struct {
 	Pub, Msg, Sig Expr
 }

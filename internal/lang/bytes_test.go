@@ -2,12 +2,25 @@ package lang
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
+	"agnopol/internal/polcrypto"
 )
+
+// manyParts is digest17's operand list: the argument then 16 constants, one
+// more ++ operand than a precompile descriptor holds, so the digest takes
+// the concatenate-then-hash fallback.
+var manyParts = func() []Expr {
+	parts := []Expr{A(0)}
+	for i := 1; len(parts) <= maxDescriptorRanges; i++ {
+		parts = append(parts, Bs(fmt.Sprintf("-%d", i)))
+	}
+	return parts
+}()
 
 // bytesProgram exercises the byte-string machinery both backends must get
 // right: long constants (> one EVM word), empty strings, concatenation,
@@ -54,9 +67,26 @@ func bytesProgram(t *testing.T) *Program {
 		},
 	})
 	p.AddAPI(&API{
+		Name: "necheck", Params: []Param{{Name: "a", Type: TBytes}, {Name: "b", Type: TBytes}},
+		Returns: TBool,
+		Body: []Stmt{
+			&Return{Value: &Bin{Op: OpNe, A: A(0), B: A(1)}},
+		},
+	})
+	p.AddAPI(&API{
 		Name: "digest", Params: []Param{{Name: "a", Type: TBytes}}, Returns: TBytes,
 		Body: []Stmt{
 			&Return{Value: &Digest{A: A(0)}},
+		},
+	})
+	joined := manyParts[0]
+	for _, part := range manyParts[1:] {
+		joined = Concat(joined, part)
+	}
+	p.AddAPI(&API{
+		Name: "digest17", Params: []Param{{Name: "a", Type: TBytes}}, Returns: TBytes,
+		Body: []Stmt{
+			&Return{Value: &Digest{A: joined}},
 		},
 	})
 	p.AddView("getBlob", TBytes, G("blob"))
@@ -226,9 +256,27 @@ func TestBytesSemanticsBothBackends(t *testing.T) {
 			if !ok || ne.Bool {
 				t.Fatal("different bytes compared equal")
 			}
+			for _, c := range []struct {
+				a, b string
+				want bool
+			}{{"same", "same", false}, {"same", "diff", true}, {"same", "sam", true}} {
+				ne, ok := r.call(t, "necheck", BytesValue([]byte(c.a)), BytesValue([]byte(c.b)))
+				if !ok || ne.Bool != c.want {
+					t.Fatalf("%q != %q = %v (ok=%v), want %v", c.a, c.b, ne.Bool, ok, c.want)
+				}
+			}
 			d, ok := r.call(t, "digest", BytesValue([]byte("hash me")))
-			if !ok || len(d.Bytes) != 32 {
-				t.Fatalf("digest = %d bytes", len(d.Bytes))
+			if want := polcrypto.Hash([]byte("hash me")); !ok || !bytes.Equal(d.Bytes, want[:]) {
+				t.Fatalf("digest = %x, want %x", d.Bytes, want)
+			}
+			arg := []byte("first part")
+			parts := [][]byte{arg}
+			for _, e := range manyParts[1:] {
+				parts = append(parts, e.(*Const).Bytes)
+			}
+			d, ok = r.call(t, "digest17", BytesValue(arg))
+			if want := polcrypto.Hash(parts...); !ok || !bytes.Equal(d.Bytes, want[:]) {
+				t.Fatalf("digest over %d parts = %x, want %x", len(parts), d.Bytes, want)
 			}
 		})
 	}

@@ -33,31 +33,24 @@ type Options struct {
 	// MaxBytesLen bounds Bytes values for the conservative analysis
 	// (default 512, the thesis contract's largest Bytes annotation).
 	MaxBytesLen int
-	// SkipVerify compiles even when theorems fail; for tests that
-	// deliberately compile broken programs.
-	SkipVerify bool
-	// Precompiles lowers the verification builtins (digest over
-	// concatenations, bytes equality, contains, sigok) to the native VM
-	// precompiles (DESIGN.md §14) instead of interpreted bytecode. The
-	// interpreted lowering remains the differential oracle
-	// (differential_test.go); production contracts compile with this on.
-	Precompiles bool
 }
 
 // Compile type-checks, verifies and compiles a program for both backends.
+// The verification builtins (digest over concatenations, bytes equality,
+// contains, sigok) lower to the native VM precompiles (DESIGN.md §14).
 func Compile(p *Program, opts Options) (*Compiled, error) {
 	if err := Check(p); err != nil {
 		return nil, fmt.Errorf("lang: %w", err)
 	}
 	report := Verify(p)
-	if report.Failures > 0 && !opts.SkipVerify {
+	if report.Failures > 0 {
 		return nil, fmt.Errorf("%w:\n%s", ErrVerification, report)
 	}
-	evmCode, err := CompileEVM(p, opts)
+	evmCode, err := CompileEVM(p)
 	if err != nil {
 		return nil, err
 	}
-	tealSrc, tealProg, err := CompileTEAL(p, opts)
+	tealSrc, tealProg, err := CompileTEAL(p)
 	if err != nil {
 		return nil, err
 	}

@@ -58,14 +58,11 @@ type evmCompiler struct {
 	params []Param
 	seq    int
 	err    error
-	// pre lowers digest/equality/contains/sigok to precompile CALLs
-	// (Options.Precompiles).
-	pre bool
 }
 
 // CompileEVM lowers a checked program to EVM bytecode.
-func CompileEVM(p *Program, opts Options) ([]byte, error) {
-	c := &evmCompiler{p: p, asm: evm.NewAssembler(), pre: opts.Precompiles}
+func CompileEVM(p *Program) ([]byte, error) {
+	c := &evmCompiler{p: p, asm: evm.NewAssembler()}
 	c.emitEntry()
 	c.emitCtor()
 	for _, a := range p.APIs {
@@ -520,12 +517,12 @@ func (c *evmCompiler) expr(e Expr) {
 
 	case *Digest:
 		t := c.typeOf(e.A)
-		if parts := c.digestParts(e, t); parts != nil {
-			// Precompiled lowering with digest-over-concat fusion: hash the
-			// concatenation's operands as one multi-range sha256 descriptor
-			// CALL, skipping the concat allocations and word-copy loops
-			// entirely. polcrypto.Hash is variadic over concatenation, so
-			// the result is bit-identical to hashing the joined buffer.
+		if parts := fusedParts(e, t); parts != nil {
+			// Digest-over-concat fusion: hash the concatenation's operands
+			// as one multi-range sha256 descriptor CALL, skipping the
+			// concat allocations and word-copy loops entirely.
+			// polcrypto.Hash is variadic over concatenation, so the result
+			// is bit-identical to hashing the joined buffer.
 			for _, part := range parts {
 				c.expr(part) // [off_i, len_i] per part
 			}
@@ -547,51 +544,27 @@ func (c *evmCompiler) expr(e Expr) {
 		a.PushUint(32)   // [ptr, 32]
 
 	case *SigVerify:
-		// Precompile-only: signature math has no interpreted lowering.
-		if !c.pre {
-			c.fail("%w: sigok requires precompile lowering (Options.Precompiles)", ErrType)
-			return
-		}
 		c.expr(e.Pub)
 		c.expr(e.Msg)
 		c.expr(e.Sig) // [offP,lenP, offM,lenM, offS,lenS]
 		c.emitPrecompileCall(precompile.IDEd25519Verify, 3, false)
 
 	case *CellContains:
-		if c.pre {
-			c.expr(e.Cell)
-			c.expr(e.Code) // [offC,lenC, offD,lenD]
-			c.emitPrecompileCall(precompile.IDOLCContains, 2, false)
-			return
-		}
-		// Interpreted lowering: cell ⊆ code[:len(cell)] via the same
-		// hash-compare trick as bytes equality, guarded by a length check
-		// (a too-short code reads zero-padded memory, but the guard ANDs
-		// the comparison away).
-		c.expr(e.Cell)                 // [cOff, cLen]
-		a.Op(evm.DUP2, evm.DUP2)       // [cOff, cLen, cOff, cLen]
-		a.Op(evm.SWAP1, evm.KECCAK256) // [cOff, cLen, hCell]
-		a.Op(evm.SWAP2, evm.POP)       // [hCell, cLen]
-		c.expr(e.Code)                 // [hCell, cLen, dOff, dLen]
-		a.Op(evm.DUP3, evm.DUP2)       // [hCell, cLen, dOff, dLen, cLen, dLen]
-		a.Op(evm.LT, evm.ISZERO)       // [hCell, cLen, dOff, dLen, le]  le = cLen<=dLen
-		a.Op(evm.SWAP1, evm.POP)       // [hCell, cLen, dOff, le]
-		a.Op(evm.SWAP2)                // [hCell, le, dOff, cLen]
-		a.Op(evm.SWAP1)                // [hCell, le, cLen, dOff]
-		a.Op(evm.KECCAK256)            // [hCell, le, hPrefix]
-		a.Op(evm.SWAP1, evm.SWAP2)     // [le, hPrefix, hCell]
-		a.Op(evm.EQ, evm.AND)          // [contains]
+		c.expr(e.Cell)
+		c.expr(e.Code) // [offC,lenC, offD,lenD]
+		c.emitPrecompileCall(precompile.IDOLCContains, 2, false)
 
 	default:
 		c.fail("unknown expression %T", e)
 	}
 }
 
-// digestParts returns the flattened ++ operands of a Digest argument when
-// the precompiled sha256 lowering applies (bytes argument, precompiles on,
-// fan-in within the descriptor bound), or nil to use the interpreted path.
-func (c *evmCompiler) digestParts(e *Digest, t Type) []Expr {
-	if !c.pre || t != TBytes {
+// fusedParts returns the flattened ++ operands of a bytes Digest argument
+// when they fit one precompile descriptor (both backends hash them in one
+// call), or nil: a digest of a non-bytes value or of more operands hashes
+// the materialized value instead.
+func fusedParts(e *Digest, t Type) []Expr {
+	if t != TBytes {
 		return nil
 	}
 	parts := flattenConcat(e.A)
@@ -673,21 +646,9 @@ func (c *evmCompiler) emitBin(e *Bin) {
 		return
 	}
 	if (e.Op == OpEq || e.Op == OpNe) && ta == TBytes {
-		if c.pre {
-			c.expr(e.A)
-			c.expr(e.B) // [offA,lenA, offB,lenB]
-			c.emitPrecompileCall(precompile.IDBytesEqual, 2, false)
-			if e.Op == OpNe {
-				a.Op(evm.ISZERO)
-			}
-			return
-		}
-		c.expr(e.A)                    // [offA, lenA]
-		c.expr(e.B)                    // [offA, lenA, offB, lenB]
-		a.Op(evm.SWAP1, evm.KECCAK256) // [offA, lenA, hB]
-		a.Op(evm.SWAP2)                // [hB, lenA, offA]
-		a.Op(evm.KECCAK256)            // [hB, hA]
-		a.Op(evm.EQ)
+		c.expr(e.A)
+		c.expr(e.B) // [offA,lenA, offB,lenB]
+		c.emitPrecompileCall(precompile.IDBytesEqual, 2, false)
 		if e.Op == OpNe {
 			a.Op(evm.ISZERO)
 		}

@@ -34,23 +34,12 @@ type tealCompiler struct {
 	argBase int
 	seq     int
 	err     error
-	// pre lowers digest/contains/sigok to the precompile pseudo-ops
-	// (Options.Precompiles).
-	pre bool
 }
-
-// Scratch slots the contains() lowering borrows; generated code uses no
-// other scratch space, and both stores complete only after every operand
-// expression has been evaluated, so nesting cannot clobber them.
-const (
-	scratchSlotCode = 250
-	scratchSlotCell = 251
-)
 
 // CompileTEAL lowers a checked program to TEAL assembly source and its
 // parsed form.
-func CompileTEAL(p *Program, opts Options) (string, *avm.Program, error) {
-	c := &tealCompiler{p: p, pre: opts.Precompiles}
+func CompileTEAL(p *Program) (string, *avm.Program, error) {
+	c := &tealCompiler{p: p}
 	c.emit("// %s — generated by the agnopol compiler (TEAL backend)", p.Name)
 	c.emit("txn ApplicationID")
 	c.emit("bz on_create")
@@ -303,31 +292,24 @@ func (c *tealCompiler) expr(e Expr) {
 		c.emit("global LatestTimestamp")
 
 	case *Digest:
-		if c.pre && c.typeOf(e.A) == TBytes {
+		t := c.typeOf(e.A)
+		if parts := fusedParts(e, t); parts != nil {
 			// Digest-over-concat fusion: hash the ++ operands as one
 			// sha256_parts pseudo-op without materializing the
-			// concatenation. sha256 is variadic over concatenation, so the
-			// digest is bit-identical to the interpreted lowering.
-			if parts := flattenConcat(e.A); len(parts) <= maxDescriptorRanges {
-				for _, part := range parts {
-					c.expr(part)
-				}
-				c.emit("sha256_parts %d", len(parts))
-				return
+			// concatenation; sha256 is variadic over concatenation.
+			for _, part := range parts {
+				c.expr(part)
 			}
+			c.emit("sha256_parts %d", len(parts))
+			return
 		}
 		c.expr(e.A)
-		if c.typeOf(e.A) != TBytes && c.typeOf(e.A) != TAddress {
+		if t != TBytes && t != TAddress {
 			c.emit("itob")
 		}
 		c.emit("sha256")
 
 	case *SigVerify:
-		// Precompile-only: signature math has no interpreted lowering.
-		if !c.pre {
-			c.fail("%w: sigok requires precompile lowering (Options.Precompiles)", ErrType)
-			return
-		}
 		// TEAL argument order: data, signature, pubkey.
 		c.expr(e.Msg)
 		c.expr(e.Sig)
@@ -335,36 +317,9 @@ func (c *tealCompiler) expr(e Expr) {
 		c.emit("ed25519verify")
 
 	case *CellContains:
-		if c.pre {
-			c.expr(e.Cell)
-			c.expr(e.Code)
-			c.emit("olc_contains")
-			return
-		}
-		// Interpreted lowering: cell == code[0:len(cell)], guarded by the
-		// length comparison substring3 would otherwise fail on.
-		falseL, endL := c.label("contains_false"), c.label("contains_end")
 		c.expr(e.Cell)
 		c.expr(e.Code)
-		c.emit("store %d", scratchSlotCode)
-		c.emit("store %d", scratchSlotCell)
-		c.emit("load %d", scratchSlotCell)
-		c.emit("len")
-		c.emit("load %d", scratchSlotCode)
-		c.emit("len")
-		c.emit("<=")
-		c.emit("bz %s", falseL)
-		c.emit("load %d", scratchSlotCode)
-		c.emit("int 0")
-		c.emit("load %d", scratchSlotCell)
-		c.emit("len")
-		c.emit("substring3")
-		c.emit("load %d", scratchSlotCell)
-		c.emit("==")
-		c.emit("b %s", endL)
-		c.emit("%s:", falseL)
-		c.emit("int 0")
-		c.emit("%s:", endL)
+		c.emit("olc_contains")
 
 	default:
 		c.fail("unknown expression %T", e)

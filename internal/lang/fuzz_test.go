@@ -9,7 +9,7 @@ import (
 
 // FuzzParseSource: the textual frontend is on the production path (core
 // compiles the shipped .pol files), so for any input the pipeline
-// ParseSource → Check → Compile, under both lowerings, must not panic, and
+// ParseSource → Check → Compile must not panic, and
 // whatever it refuses it must refuse with one of the package's typed errors
 // — an untyped backend error is a hole in Check.
 func FuzzParseSource(f *testing.F) {
@@ -39,8 +39,6 @@ func FuzzParseSource(f *testing.F) {
 			return
 		}
 		_, err = Compile(prog, Options{})
-		refused("Compile (interpreted)", err)
-		_, err = Compile(prog, Options{Precompiles: true})
-		refused("Compile (precompiled)", err)
+		refused("Compile", err)
 	})
 }

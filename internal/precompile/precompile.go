@@ -131,9 +131,7 @@ func runBytesEqual(_ *Precompiled, args [][]byte) ([32]byte, bool) {
 // runOLCContains reports whether the open-location code in args[1] lies in
 // the area cell args[0]. Cells are stored as stripped even-length OLC
 // prefixes (e.g. "8FQFCX" for the 6-char cell), so containment of a full
-// code ("8FQFCXGV+XX") is exactly a byte-prefix test — the same raw
-// comparison the interpreted lowering performs, keeping the two paths
-// bit-identical.
+// code ("8FQFCXGV+XX") is exactly a byte-prefix test.
 func runOLCContains(_ *Precompiled, args [][]byte) ([32]byte, bool) {
 	if len(args) != 2 {
 		return [32]byte{}, false
@@ -144,8 +142,7 @@ func runOLCContains(_ *Precompiled, args [][]byte) ([32]byte, bool) {
 // registry indexes entries by ID. Gas schedules follow the Ethereum
 // precompile precedents where one exists (sha256 at 60+12/word per EIP-2,
 // signature verification flat like ECRECOVER's 3000); keccak matches the
-// KECCAK256 opcode so the precompiled path never costs more gas than the
-// interpreted one; the comparison entries are priced like cheap linear
+// KECCAK256 opcode; the comparison entries are priced like cheap linear
 // scans.
 var registry = [maxID + 1]*Precompiled{
 	IDEd25519Verify: {
