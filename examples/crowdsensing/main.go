@@ -13,7 +13,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"agnopol/internal/algorand"
 	"agnopol/internal/core"
@@ -27,10 +28,26 @@ type spot struct {
 	reports []core.Report
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole example: it takes no arguments and returns the exit
+// status — 0, 1 for a run that fails, 2 for a stray argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintln(stderr, "usage: crowdsensing")
+		return 2
+	}
+	if err := crowdsense(stdout); err != nil {
+		fmt.Fprintf(stderr, "crowdsensing: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func crowdsense(stdout io.Writer) error {
 	sys, err := core.NewSystem(3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	conn := core.NewAlgorandConnector(algorand.NewChain(algorand.Testnet(), 3))
 
@@ -68,109 +85,112 @@ func main() {
 
 	verifier, err := core.NewVerifier(sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := verifier.EnsureAccount(conn, 100); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	const reward = 50_000 // 0.05 ALGO
 
-	fmt.Println("== collection phase ==")
+	fmt.Fprintln(stdout, "== collection phase ==")
 	for _, s := range spots {
 		witness, err := core.NewWitness(sys, s.at)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		var handle *core.Handle
 		for i, rep := range s.reports {
 			prover, err := core.NewProver(sys, s.at)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			acct, err := prover.EnsureAccount(conn, 5)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			cid, err := prover.UploadReport(rep)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			proof, err := prover.RequestProof(witness, cid, acct.Address())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			sub, err := prover.SubmitProof(conn, proof, reward)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if sub.Deployed {
-				handle = sub.Handle
-				fmt.Printf("  %-32s contract %s deployed by report %d\n", s.name, sub.Handle.ID(), i)
+				fmt.Fprintf(stdout, "  %-32s contract %s deployed by report %d\n", s.name, sub.Handle.ID(), i)
 			}
 			if _, err := verifier.FundContract(conn, sub.Handle, reward); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			ver, err := verifier.VerifyProver(conn, sub.Handle, prover.DID)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("    %-34q accepted=%v reward=0.05 ALGO\n", rep.Title, ver.Accepted)
+			fmt.Fprintf(stdout, "    %-34q accepted=%v reward=0.05 ALGO\n", rep.Title, ver.Accepted)
 		}
-		_ = handle
 	}
 
 	// The application view (Fig. 3.2): pick an area, query the hypercube
 	// for its entry, pull the CIDs from IPFS and display.
-	fmt.Println("\n== display phase (app view) ==")
+	fmt.Fprintln(stdout, "\n== display phase (app view) ==")
 	for _, s := range spots {
-		code, target := areaOf(sys, s.at)
+		code, target, err := areaOf(sys, s.at)
+		if err != nil {
+			return err
+		}
 		entry, hops, ok, err := sys.Cube.Get(0, target, code)
 		if err != nil || !ok {
-			log.Fatalf("no hypercube entry for %s", s.name)
+			return fmt.Errorf("no hypercube entry for %s", s.name)
 		}
-		fmt.Printf("%s (%s, DHT node %d, %d hops): %d validated report(s)\n",
+		fmt.Fprintf(stdout, "%s (%s, DHT node %d, %d hops): %d validated report(s)\n",
 			s.name, code, target, hops, len(entry.CIDs))
 		for _, cidStr := range entry.CIDs {
 			data, err := sys.IPFS.Get(ipfs.CID(cidStr))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			var rep core.Report
 			if err := json.Unmarshal(data, &rep); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("   • [%s] %s — %s\n", rep.Category, rep.Title, rep.Description)
+			fmt.Fprintf(stdout, "   • [%s] %s — %s\n", rep.Category, rep.Title, rep.Description)
 		}
 	}
 
 	// Nearby search: one DHT range query collects this area and its
 	// neighbours (§1.3's complex queries).
-	fmt.Println("\n== nearby search (range query, ≤2 hops) ==")
-	_, target := areaOf(sys, spots[0].at)
+	fmt.Fprintln(stdout, "\n== nearby search (range query, ≤2 hops) ==")
+	_, target, err := areaOf(sys, spots[0].at)
+	if err != nil {
+		return err
+	}
 	entries, err := sys.Cube.RangeQuery(target, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	total := 0
 	for _, e := range entries {
 		total += len(e.CIDs)
 	}
-	fmt.Printf("found %d area(s) holding %d report(s) within 2 hops of node %d\n",
+	fmt.Fprintf(stdout, "found %d area(s) holding %d report(s) within 2 hops of node %d\n",
 		len(entries), total, target)
+	return nil
 }
 
-func areaOf(sys *core.System, at geo.LatLng) (string, uint64) {
+// areaOf is the OLC a device at a position claims and the hypercube node
+// responsible for it.
+func areaOf(sys *core.System, at geo.LatLng) (string, uint64, error) {
 	p, err := core.NewProver(sys, at)
 	if err != nil {
-		log.Fatal(err)
+		return "", 0, err
 	}
 	code, err := p.ClaimedOLC()
 	if err != nil {
-		log.Fatal(err)
+		return "", 0, err
 	}
 	target, err := sys.NodeIDForOLC(code)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return code, target
+	return code, target, err
 }

@@ -13,7 +13,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"agnopol/internal/algorand"
@@ -23,10 +24,26 @@ import (
 	"agnopol/internal/polcrypto"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole example: it takes no arguments and returns the exit
+// status — 0, 1 for a run that fails, 2 for a stray argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintln(stderr, "usage: greentoken")
+		return 2
+	}
+	if err := reward(stdout); err != nil {
+		fmt.Fprintf(stderr, "greentoken: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func reward(stdout io.Writer) error {
 	sys, err := core.NewSystem(17)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	algoChain := algorand.NewChain(algorand.Testnet(), 17)
 	conn := core.NewAlgorandConnector(algoChain)
@@ -37,96 +54,97 @@ func main() {
 	operator := algoChain.NewAccount(50_000_000)
 	_, greenID, err := cl.CreateAsset(operator, "Green Reward", "GREEN", 1_000_000, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("minted ASA %d: 10,000.00 GREEN total supply\n", greenID)
+	fmt.Fprintf(stdout, "minted ASA %d: 10,000.00 GREEN total supply\n", greenID)
 
 	// The CA gets a DID and issues a WitnessCredential to the witness.
-	caKey, caDID := mustActor(sys)
+	caKey, caDID, err := newActor(sys)
+	if err != nil {
+		return err
+	}
 	witness, err := core.NewWitness(sys, spot)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cred, err := did.IssueCredential(caKey, caDID, witness.DID, "WitnessCredential",
 		map[string]string{"role": "witness", "area": "Bologna"},
 		0, 24*time.Hour)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("CA %s… issued %s to witness %s…\n", caDID[:20], cred.Type, witness.DID[:20])
+	fmt.Fprintf(stdout, "CA %s… issued %s to witness %s…\n", caDID[:20], cred.Type, witness.DID[:20])
 
 	// A relying party (the verifier) challenges the witness to present it.
 	var nonce [32]byte
 	if _, err := sys.Rand.Read(nonce[:]); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	presentation := did.Present(witness.Key, cred, nonce)
 	if err := did.VerifyPresentation(sys.Registry, presentation, time.Hour); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("witness presented a valid WitnessCredential (holder-bound, unexpired)")
+	fmt.Fprintln(stdout, "witness presented a valid WitnessCredential (holder-bound, unexpired)")
 
 	// The normal PoL flow.
 	verifier, err := core.NewVerifier(sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := verifier.EnsureAccount(conn, 10); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prover, err := core.NewProver(sys, spot)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	acct, err := prover.EnsureAccount(conn, 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cid, err := prover.UploadReport(core.Report{
 		Title: "Cleaned riverbank", Category: "stewardship",
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	proof, err := prover.RequestProof(witness, cid, acct.Address())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sub, err := prover.SubmitProof(conn, proof, 1) // nominal 1 µAlgo on-chain reward
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := verifier.FundContract(conn, sub.Handle, 1); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ver, err := verifier.VerifyProver(conn, sub.Handle, prover.DID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("report accepted=%v — paying the real reward in GREEN\n", ver.Accepted)
+	fmt.Fprintf(stdout, "report accepted=%v — paying the real reward in GREEN\n", ver.Accepted)
 
 	// GREEN payout: the prover opts in, the operator transfers.
 	proverAlgo := &acct.Account
 	if _, err := cl.OptInAsset(proverAlgo, greenID); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := cl.TransferAsset(operator, greenID, proverAlgo.Address, 2500); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("prover GREEN balance: %d.%02d GREEN\n",
+	fmt.Fprintf(stdout, "prover GREEN balance: %d.%02d GREEN\n",
 		algoChain.AssetBalance(proverAlgo.Address, greenID)/100,
 		algoChain.AssetBalance(proverAlgo.Address, greenID)%100)
+	return nil
 }
 
-// mustActor registers a fresh DID-holding actor.
-func mustActor(sys *core.System) (*polcrypto.KeyPair, did.DID) {
+// newActor registers a fresh DID-holding actor.
+func newActor(sys *core.System) (*polcrypto.KeyPair, did.DID, error) {
 	kp, err := polcrypto.GenerateKeyPair(sys.Rand)
 	if err != nil {
-		log.Fatal(err)
+		return nil, "", err
 	}
 	d, err := sys.RegisterDID(kp.Public)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return kp, d
+	return kp, d, err
 }

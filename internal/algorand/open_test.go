@@ -187,7 +187,7 @@ func TestOpenRejectsMisuse(t *testing.T) {
 		}
 	}
 	c := NewChain(cfg, 4)
-	c.SetFaults(faults.NewInjector(faults.Uniform(0.1), 4, nil))
+	c.SetFaults(faults.NewInjector(&faults.Plan{}, 4, nil))
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with fault injection must be refused")
 	}

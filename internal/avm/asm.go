@@ -26,16 +26,12 @@ type Program struct {
 }
 
 // Parse assembles TEAL-like source text. Grammar: one instruction per line;
-// `//` comments; `name:` defines a label; string immediates use Go-style
-// double quotes.
+// `//` comments (outside string literals); `name:` defines a label; string
+// immediates use Go-style double quotes.
 func Parse(src string) (*Program, error) {
 	p := &Program{Source: src, Labels: make(map[string]int)}
 	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
@@ -54,6 +50,23 @@ func Parse(src string) (*Program, error) {
 		p.Instrs = append(p.Instrs, Instr{Op: fields[0], Args: fields[1:], Line: lineNo + 1, Cost: instrCostArgs(fields[0], fields[1:])})
 	}
 	return p, nil
+}
+
+// stripComment cuts a `//` comment off a line; a `//` inside a
+// double-quoted string is part of the string.
+func stripComment(line string) string {
+	quoted := false
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case quoted && c == '\\':
+			i++ // the escaped byte cannot end the string
+		case c == '"':
+			quoted = !quoted
+		case !quoted && strings.HasPrefix(line[i:], "//"):
+			return line[:i]
+		}
+	}
+	return line
 }
 
 // tokenize splits an instruction line, keeping double-quoted strings (with

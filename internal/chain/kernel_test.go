@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"agnopol/internal/faults"
+	"agnopol/internal/obs"
 )
 
 // TestRunShardedExecutesEveryIndexOnce: whatever the shard count, every
@@ -182,14 +183,14 @@ func TestPoolBatchMatchesOneByOne(t *testing.T) {
 		hashes  []Hash32
 		errs    []string
 		entries []Pending[poolItem]
-		faults  []faults.ClassStats
+		faults  string // the injector's registry counters
 	}
 	run := func(submit func(p *Pool[poolItem]) ([]Hash32, []error)) outcome {
 		clock := NewClock()
 		clock.Advance(5 * time.Second)
 		p := NewPool(clock, "test.pool", 9*time.Second, admitPoolItem)
-		inj := faults.NewInjector(plan, 42, nil)
-		p.SetFaults(inj)
+		reg := obs.NewRegistry()
+		p.SetFaults(faults.NewInjector(plan, 42, reg))
 		var out outcome
 		var errs []error
 		out.hashes, errs = submit(p)
@@ -205,7 +206,7 @@ func TestPoolBatchMatchesOneByOne(t *testing.T) {
 		if p.Len() != len(out.entries) {
 			t.Fatalf("Len %d, %d entries", p.Len(), len(out.entries))
 		}
-		out.faults = inj.Snapshot()
+		out.faults = reg.Text()
 		return out
 	}
 	ref := run(func(p *Pool[poolItem]) ([]Hash32, []error) {
@@ -250,9 +251,9 @@ func TestPoolBatchMatchesOneByOne(t *testing.T) {
 // queue order and keeps the rest, and taking a delayed entry is the
 // recovery of its fault.
 func TestPoolSortTake(t *testing.T) {
-	inj := faults.NewInjector(&faults.Plan{Rates: map[string]float64{faults.ClassTxDelay: 1}}, 1, nil)
+	reg := obs.NewRegistry()
 	p := NewPool(NewClock(), "test.pool", time.Second, admitPoolItem)
-	p.SetFaults(inj)
+	p.SetFaults(faults.NewInjector(&faults.Plan{Rates: map[string]float64{faults.ClassTxDelay: 1}}, 1, reg))
 	for id := 0; id < 6; id++ {
 		if _, err := p.Submit(poolItem{id: id}); err != nil {
 			t.Fatal(err)
@@ -294,9 +295,8 @@ func TestPoolSortTake(t *testing.T) {
 			t.Fatalf("restored item %d has hash %x", e.Item.id, e.Hash[:2])
 		}
 	}
-	for _, st := range inj.Snapshot() {
-		if st.Class == faults.ClassTxDelay && (st.Injected != 6 || st.Recovered != 4) {
-			t.Fatalf("tx_delay: %d injected, %d recovered; want 6 and 4", st.Injected, st.Recovered)
-		}
+	delay := obs.L("class", faults.ClassTxDelay)
+	if inj, rec := reg.Counter("faults_injected_total", delay).Value(), reg.Counter("faults_recovered_total", delay).Value(); inj != 6 || rec != 4 {
+		t.Fatalf("tx_delay: %d injected, %d recovered; want 6 and 4", inj, rec)
 	}
 }

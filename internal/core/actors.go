@@ -233,24 +233,18 @@ func (p *Prover) UploadReport(r Report) (ipfs.CID, error) {
 }
 
 // pin stores data on IPFS under the prover's peer and pins it. Pin
-// failures (the ipfs_unpin fault class) are retried immediately up to the
-// system's attempt budget: unpinned content would be lost to the next
-// garbage collection, so the device keeps re-pinning until durable.
+// failures (the ipfs_unpin fault class) are retried at once, without
+// backoff: unpinned content would be lost to the next garbage collection,
+// so the device keeps re-pinning until durable.
 func (p *Prover) pin(data []byte) (ipfs.CID, error) {
 	cid, err := p.sys.IPFS.Add(string(p.DID), data)
 	if err != nil {
 		return "", err
 	}
-	for attempt := 1; ; attempt++ {
-		err = p.sys.IPFS.Pin(string(p.DID), cid)
-		if err == nil {
-			p.sys.flt.RecoverN(faults.ClassIPFSUnpin, attempt-1)
-			return cid, nil
-		}
-		if !faults.Transient(err) || attempt >= p.sys.retry.Attempts() {
-			return "", fmt.Errorf("core: pin: %w", err)
-		}
+	if _, err := p.sys.flt.Retry(nil, func() error { return p.sys.IPFS.Pin(string(p.DID), cid) }); err != nil {
+		return "", fmt.Errorf("core: pin: %w", err)
 	}
+	return cid, nil
 }
 
 // RequestProof runs the full Bluetooth exchange with a witness: DID
@@ -290,36 +284,32 @@ func (p *Prover) RequestProof(w *Witness, cid ipfs.CID, wallet [20]byte) (*Locat
 	return proof, nil
 }
 
-// RequestProofResilient is RequestProof under the system's resilience
-// policy: when a witness does not answer the Bluetooth exchange (the
+// RequestProofResilient is RequestProof under the system's injector's
+// Retry: when a witness does not answer the Bluetooth exchange (the
 // witness_unavailable fault class — churn, the witness walked away or shut
 // down), the prover backs off on the connector's simulated clock,
 // re-scans for nearby witnesses and asks the closest responder again.
 // With no fault plan attached it reduces exactly to RequestProof.
 func (p *Prover) RequestProofResilient(conn Connector, w *Witness, cid ipfs.CID, wallet [20]byte) (*LocationProof, error) {
-	overcome := 0
-	for attempt := 1; ; attempt++ {
-		if err := p.sys.flt.Try(faults.ClassWitnessDown, "core.witness"); err != nil {
-			if attempt >= p.sys.retry.Attempts() {
-				return nil, fmt.Errorf("core: witness exchange: %w", err)
-			}
-			// Graceful degradation: wait out the churn, then re-discover.
-			// The scan is sorted by distance, so the prover converges on
-			// whichever witness answers next.
-			conn.Sleep(p.sys.retry.Backoff(attempt))
+	var proof *LocationProof
+	rescan := false
+	_, err := p.sys.flt.Retry(conn.Sleep, func() (err error) {
+		// Graceful degradation: after waiting out the churn, re-discover.
+		// The scan is sorted by distance, so the prover converges on
+		// whichever witness answers next.
+		if rescan {
 			if nearby := p.DiscoverWitnesses(); len(nearby) > 0 {
 				w = nearby[0]
 			}
-			overcome++
-			continue
 		}
-		proof, err := p.RequestProof(w, cid, wallet)
-		if err != nil {
-			return nil, err
+		rescan = true
+		if err := p.sys.flt.Try(faults.ClassWitnessDown, "core.witness"); err != nil {
+			return fmt.Errorf("core: witness exchange: %w", err)
 		}
-		p.sys.flt.RecoverN(faults.ClassWitnessDown, overcome)
-		return proof, nil
-	}
+		proof, err = p.RequestProof(w, cid, wallet)
+		return err
+	})
+	return proof, err
 }
 
 // SubmissionResult reports how a proof landed on-chain.
@@ -373,7 +363,7 @@ func (p *Prover) stage(conn Connector, code string, record []byte, rewardPerProv
 			return nil, fmt.Errorf("core: deploy: %w", err)
 		}
 		_, insertOp, err := conn.Invoke(acct, handle, "insert_data",
-			CallOpts{EscrowFund: true, Retry: p.sys.retry}, insert...)
+			CallOpts{EscrowFund: true}, insert...)
 		p.sys.endPhase(depSp, PhaseSubmit)
 		if err != nil {
 			return nil, fmt.Errorf("core: creator insert: %w", err)
@@ -401,7 +391,7 @@ func (p *Prover) stage(conn Connector, code string, record []byte, rewardPerProv
 		return &SubmissionResult{Handle: handle, Deployed: true, Op: op, Hops: hops}, nil
 	}
 	aSp := p.sys.span("pol.attach")
-	_, op, err := conn.Invoke(acct, h, "insert_data", CallOpts{Retry: p.sys.retry}, insert...)
+	_, op, err := conn.Invoke(acct, h, "insert_data", CallOpts{}, insert...)
 	p.sys.endPhase(aSp, PhaseSubmit)
 	if err != nil {
 		return nil, fmt.Errorf("core: attach: %w", err)
@@ -450,34 +440,26 @@ func (v *Verifier) FundContract(conn Connector, h *Handle, amount uint64) (*OpRe
 		return nil, err
 	}
 	_, op, err := conn.Invoke(acct, h, "insert_money",
-		CallOpts{Pay: amount, Retry: v.sys.retry}, lang.Uint64Value(amount))
+		CallOpts{Pay: amount}, lang.Uint64Value(amount))
 	return op, err
 }
 
 // fetchReport retrieves report bytes from IPFS under the system's
-// resilience policy: transient fetch faults back off on the connector's
+// injector's Retry: transient fetch faults back off on the connector's
 // simulated clock and retry. After a recovered fetch the verifier re-pins
 // the content under its own peer — the §1.5 degradation rule: content that
 // was hard to find once should gain a provider, not stay fragile.
-func (v *Verifier) fetchReport(conn Connector, cid ipfs.CID) ([]byte, error) {
-	overcome := 0
-	for attempt := 1; ; attempt++ {
-		data, err := v.sys.IPFS.Get(cid)
-		if err == nil {
-			v.sys.flt.RecoverN(faults.ClassIPFSFetch, overcome)
-			if overcome > 0 {
-				// Ignore pin errors here: the fetch succeeded and re-pinning
-				// is best-effort hardening, itself subject to injection.
-				_ = v.sys.IPFS.Pin(string(v.DID), cid)
-			}
-			return data, nil
-		}
-		if !faults.Transient(err) || attempt >= v.sys.retry.Attempts() {
-			return nil, err
-		}
-		conn.Sleep(v.sys.retry.Backoff(attempt))
-		overcome++
+func (v *Verifier) fetchReport(conn Connector, cid ipfs.CID) (data []byte, err error) {
+	retries, err := v.sys.flt.Retry(conn.Sleep, func() (err error) {
+		data, err = v.sys.IPFS.Get(cid)
+		return err
+	})
+	if err == nil && retries > 0 {
+		// Ignore pin errors here: the fetch succeeded and re-pinning is
+		// best-effort hardening, itself subject to injection.
+		_ = v.sys.IPFS.Pin(string(v.DID), cid)
 	}
+	return data, err
 }
 
 // Verification is the outcome of checking one prover.
@@ -604,7 +586,7 @@ func (v *Verifier) verify(conn Connector, h *Handle, prover did.DID, check func(
 
 	// On-chain verification: pays the reward and clears the map entry.
 	cSp := v.sys.span("pol.chain_verify")
-	_, op, err := conn.Invoke(acct, h, "verify", CallOpts{Retry: v.sys.retry},
+	_, op, err := conn.Invoke(acct, h, "verify", CallOpts{},
 		lang.Uint64Value(key),
 		lang.AddressValue(req.Wallet),
 	)

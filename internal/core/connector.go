@@ -35,21 +35,16 @@ type Connector interface {
 	Balance(acct *Account) chain.Amount
 
 	// Deploy publishes the compiled contract with constructor args,
-	// retrying transient injected faults under the connector's resilience
-	// policy.
+	// retrying transient injected faults (faults.Injector.Retry).
 	Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error)
-	// Invoke calls an API under the given options: payment, escrow
-	// funding and the resilience policy all travel in CallOpts. This is
+	// Invoke calls an API under the given options (payment and escrow
+	// funding), retrying transient injected faults like Deploy. This is
 	// the one call entry point.
 	Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error)
 	// EscrowFunding is the amount the first call after deployment must
 	// carry to activate the contract's account (Algorand's MinBalance;
 	// zero on EVM chains).
 	EscrowFunding() uint64
-	// SetResilience installs the default retry policy Invoke and Deploy
-	// apply when CallOpts carries none. The zero policy (the initial
-	// state) means a single attempt — the historical behaviour.
-	SetResilience(pol faults.RetryPolicy)
 	// Sleep advances the connector's simulated clock — the wait primitive
 	// backoff runs on.
 	Sleep(d time.Duration)
@@ -167,21 +162,14 @@ type OpResult struct {
 	Retries int
 }
 
-// CallOpts carries everything about how an API call should run: the
-// attached payment, whether the escrow activation deposit rides along, and
-// the resilience policy for transient injected faults.
+// CallOpts carries what an API call attaches: the payment and whether the
+// escrow activation deposit rides along.
 type CallOpts struct {
 	// Pay is the attached native amount in base units.
 	Pay uint64
 	// EscrowFund folds the contract-account activation deposit
 	// (EscrowFunding) into the same atomic operation.
 	EscrowFund bool
-	// Deadline bounds the call's total simulated time across retries; it
-	// overrides the retry policy's own deadline when set.
-	Deadline time.Duration
-	// Retry overrides the connector's default resilience policy for this
-	// call. The zero value defers to the connector.
-	Retry faults.RetryPolicy
 }
 
 var (
@@ -193,12 +181,11 @@ var (
 	ErrBadAmount = errors.New("core: bad token amount")
 )
 
-// connector is the one Connector: a chain family plus the default retry
-// policy. It translates Accounts and Handles to the family's terms, and
-// owns the retry driver and OpResult assembly.
+// connector is the one Connector over a chain family. It translates
+// Accounts and Handles to the family's terms, runs each submission under
+// the family's injector's Retry, and assembles the OpResult.
 type connector struct {
 	Family
-	retry faults.RetryPolicy
 }
 
 // EVMConnector and AlgorandConnector are the connector, named after the
@@ -219,9 +206,6 @@ func NewAlgorandConnector(c *algorand.Chain) *AlgorandConnector {
 	return &connector{Family: algorand.NewClient(c)}
 }
 
-// SetResilience implements Connector.
-func (c *connector) SetResilience(pol faults.RetryPolicy) { c.retry = pol }
-
 // NewAccount implements Connector. Whole tokens convert to base units
 // exactly as chain.AmountFromTokens does.
 func (c *connector) NewAccount(tokens float64) (*Account, error) {
@@ -241,7 +225,7 @@ func (c *connector) Balance(acct *Account) chain.Amount {
 }
 
 // Deploy implements Connector: the family's creation transaction,
-// resubmitted under the default resilience policy when the pool drops it.
+// resubmitted with backoff when the pool drops it.
 // On Algorand the contract's escrow still needs its activation deposit,
 // which rides the creator's first call (CallOpts.EscrowFund) — the extra
 // deployment traffic the paper attributes to "the design of the network"
@@ -252,7 +236,7 @@ func (c *connector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.V
 		rcpt *chain.Receipt
 		at   chain.Contract
 	)
-	retries, err := c.withRetry(c.retry, func() (err error) {
+	retries, err := c.Faults().Retry(c.Sleep, func() (err error) {
 		rcpt, at, err = c.Family.Deploy(&acct.Account, compiled, args)
 		return err
 	})
@@ -266,13 +250,6 @@ func (c *connector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.V
 
 // Invoke implements Connector.
 func (c *connector) Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error) {
-	pol := opts.Retry
-	if pol.IsZero() {
-		pol = c.retry
-	}
-	if opts.Deadline > 0 {
-		pol.Deadline = opts.Deadline
-	}
 	var escrow uint64
 	if opts.EscrowFund {
 		escrow = c.EscrowFunding()
@@ -282,7 +259,7 @@ func (c *connector) Invoke(acct *Account, h *Handle, api string, opts CallOpts, 
 		v   lang.Value
 		res *OpResult
 	)
-	retries, err := c.withRetry(pol, func() (err error) {
+	retries, err := c.Faults().Retry(c.Sleep, func() (err error) {
 		v, res, err = c.callOnce(acct, h, api, opts.Pay, escrow, args)
 		return err
 	})
@@ -309,38 +286,6 @@ func (c *connector) callOnce(acct *Account, h *Handle, api string, pay, escrow u
 		return lang.Value{}, res, err
 	}
 	return v, res, nil
-}
-
-// withRetry drives once() under a resilience policy: transient injected
-// faults back off (capped exponential, on the simulated clock) and retry
-// until the attempt or deadline budget runs out; any other error is
-// permanent. On eventual success each earlier transient failure counts as
-// recovered.
-func (c *connector) withRetry(pol faults.RetryPolicy, once func() error) (retries int, err error) {
-	start := c.Now()
-	var overcome []string
-	for attempt := 1; ; attempt++ {
-		err = once()
-		if err == nil {
-			for _, cls := range overcome {
-				c.Faults().Recover(cls)
-			}
-			return attempt - 1, nil
-		}
-		cls, transient := faults.ClassOf(err)
-		if !transient {
-			return attempt - 1, err
-		}
-		if attempt >= pol.Attempts() {
-			return attempt - 1, fmt.Errorf("core: giving up after %d attempts: %w", attempt, err)
-		}
-		backoff := pol.Backoff(attempt)
-		if pol.Deadline > 0 && c.Now()-start+backoff > pol.Deadline {
-			return attempt - 1, fmt.Errorf("core: deadline %v exceeded after %d attempts: %w", pol.Deadline, attempt, err)
-		}
-		overcome = append(overcome, cls)
-		c.Sleep(backoff)
-	}
 }
 
 func opResult(start, end time.Duration, rcpts ...*chain.Receipt) *OpResult {

@@ -56,7 +56,7 @@ func (a *DIDAnchor) Anchor(payer *Account, d did.DID) (*OpResult, error) {
 		return nil, err
 	}
 	_, op, err := a.conn.Invoke(payer, a.handle, "register",
-		CallOpts{EscrowFund: true, Retry: a.sys.retry},
+		CallOpts{EscrowFund: true},
 		lang.Uint64Value(d.Uint64()), lang.BytesValue(digest[:]))
 	return op, err
 }

@@ -161,7 +161,6 @@ func TestQuorumOnPipelineInstruments(t *testing.T) {
 	ch.SetFaults(faults.NewInjector(&faults.Plan{
 		Rates: map[string]float64{faults.ClassTxDrop: 1}, Burst: 2,
 	}, 7, nil))
-	conn.SetResilience(faults.DefaultRetry)
 	sub, err := prover.SubmitProofQuorum(conn, bundle, rewardFor(conn))
 	if err != nil {
 		t.Fatal(err)

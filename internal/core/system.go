@@ -46,10 +46,9 @@ type System struct {
 	obs *sysObs
 
 	// flt injects the off-chain fault classes (witness churn, IPFS,
-	// hypercube); nil when fault injection is off. retry is the policy
-	// actors apply to recover; the zero policy means single attempts.
-	flt   *faults.Injector
-	retry faults.RetryPolicy
+	// hypercube) and drives the actors' retries; nil when fault injection
+	// is off.
+	flt *faults.Injector
 }
 
 // NewSystem builds the shared substrate with a deterministic seed.
@@ -75,18 +74,14 @@ func NewSystem(seed uint64) (*System, error) {
 	return s, nil
 }
 
-// SetResilience attaches the fault injector and retry policy to the
-// system's off-chain substrates: the IPFS swarm and the hypercube consult
-// the injector directly, and the actors drive recovery under pol.
-func (s *System) SetResilience(inj *faults.Injector, pol faults.RetryPolicy) {
+// SetFaults attaches the fault injector to the system's off-chain
+// substrates: the IPFS swarm and the hypercube consult it directly, and
+// the actors retry under its Retry.
+func (s *System) SetFaults(inj *faults.Injector) {
 	s.flt = inj
-	s.retry = pol
 	s.IPFS.SetFaults(inj)
 	s.Cube.SetFaults(inj)
 }
-
-// Faults returns the system's fault injector, nil when off.
-func (s *System) Faults() *faults.Injector { return s.flt }
 
 // RegisterDID creates a DID for a public key in the system's registry,
 // mirroring the thesis' DID-generation smart contract (§2.1).

@@ -206,7 +206,7 @@ func TestOpenRejectsMisuse(t *testing.T) {
 
 func TestCheckpointRefusesFaultInjection(t *testing.T) {
 	c := NewChain(Goerli(), 3)
-	c.SetFaults(faults.NewInjector(faults.Uniform(0.1), 3, nil))
+	c.SetFaults(faults.NewInjector(&faults.Plan{}, 3, nil))
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with fault injection must be refused")
 	}

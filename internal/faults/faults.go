@@ -7,12 +7,13 @@
 // any parallelism: per-site sequence counters advance with the run's own
 // (single-threaded) operation order, never with worker scheduling.
 //
-// The package also owns the resilience side: RetryPolicy is the capped
-// exponential backoff (on simulated clocks) the connector layer and the
-// prover/witness/verifier actors apply when an injected fault surfaces as
-// a transient error. Injections and recoveries are counted per class, both
-// locally and — when an obs registry is attached — as
-// faults_injected_total / faults_recovered_total series.
+// The package also owns the resilience side: Injector.Retry is the one
+// retry driver, a capped exponential backoff on simulated clocks that the
+// connector and the prover/verifier actors run an operation under. Only an
+// injected *Fault is transient, so only a run with an injector retries.
+// Injections and recoveries are counted per class in the obs registry, as
+// faults_injected_total / faults_recovered_total series, when one is
+// attached.
 package faults
 
 import (
@@ -73,15 +74,6 @@ type Plan struct {
 	// may inject — the deterministic way tests and bounded storms say
 	// "fail twice, then behave".
 	Burst int
-}
-
-// Uniform returns a plan with every class at the same rate.
-func Uniform(rate float64) *Plan {
-	p := &Plan{Rates: make(map[string]float64)}
-	for _, c := range Classes() {
-		p.Rates[c] = rate
-	}
-	return p
 }
 
 // Profiles are the named class subsets `polbench faults` sweeps.
@@ -148,25 +140,16 @@ func ClassOf(err error) (string, bool) {
 	return "", false
 }
 
-// Transient reports whether an error is an injected fault a retry can
-// overcome.
-func Transient(err error) bool {
-	_, ok := ClassOf(err)
-	return ok
-}
-
 // Injector draws fault decisions for one run. A nil *Injector is inert:
-// every method is a no-op and every Hit/Try answers "no fault", so
-// uninstrumented code pays a single nil check.
+// every Hit/Try answers "no fault", Recover does nothing and Retry runs its
+// operation once, so uninstrumented code pays a single nil check.
 type Injector struct {
 	plan *Plan
 	seed uint64
 
-	mu        sync.Mutex
-	seq       map[string]uint64 // (class,site) -> next sequence number
-	burst     map[string]int    // (class,site) -> faults already injected
-	injected  map[string]uint64 // class -> injected count
-	recovered map[string]uint64 // class -> recovered count
+	mu    sync.Mutex
+	seq   map[string]uint64 // (class,site) -> next sequence number
+	burst map[string]int    // (class,site) -> faults already injected
 
 	// Registry counters, nil when no registry is attached.
 	injCtr map[string]*obs.Counter
@@ -184,12 +167,10 @@ func NewInjector(plan *Plan, seed uint64, reg *obs.Registry) *Injector {
 		return nil
 	}
 	inj := &Injector{
-		plan:      plan,
-		seed:      seed,
-		seq:       make(map[string]uint64),
-		burst:     make(map[string]int),
-		injected:  make(map[string]uint64),
-		recovered: make(map[string]uint64),
+		plan:  plan,
+		seed:  seed,
+		seq:   make(map[string]uint64),
+		burst: make(map[string]int),
 	}
 	if reg != nil {
 		inj.injCtr = make(map[string]*obs.Counter)
@@ -251,7 +232,6 @@ func (inj *Injector) hit(class, site string) (bool, float64) {
 		return false, 0
 	}
 	inj.burst[key]++
-	inj.injected[class]++
 	inj.mu.Unlock()
 	inj.injCtr[class].Inc()
 	return true, u2
@@ -286,96 +266,54 @@ func (inj *Injector) Recover(class string) {
 	if inj == nil {
 		return
 	}
-	inj.mu.Lock()
-	inj.recovered[class]++
-	inj.mu.Unlock()
 	inj.recCtr[class].Inc()
 }
 
-// RecoverN counts n recovered faults of a class.
-func (inj *Injector) RecoverN(class string, n int) {
-	for i := 0; i < n; i++ {
-		inj.Recover(class)
-	}
+// The retry policy Retry applies, in simulated time: attempt n+1 follows a
+// backoff of baseBackoff·2ⁿ⁻¹, capped at maxBackoff, and an operation gets
+// maxAttempts attempts in all. The seven backoffs sum to 120 s, so a retried
+// operation gives up within a few simulated minutes.
+const (
+	maxAttempts = 8
+	baseBackoff = 2 * time.Second
+	maxBackoff  = 30 * time.Second
+)
+
+// backoff is the delay before retry n (1-based: backoff(1) follows the
+// first failed attempt).
+func backoff(n int) time.Duration {
+	return min(baseBackoff<<min(n-1, 4), maxBackoff) // 2 s·2⁴ is past the cap
 }
 
-// ClassStats is one class's injection/recovery tally.
-type ClassStats struct {
-	Class     string
-	Injected  uint64
-	Recovered uint64
-}
-
-// Snapshot returns per-class tallies in Classes() order (quiet classes
-// included with zeros). A nil injector returns nil.
-func (inj *Injector) Snapshot() []ClassStats {
+// Retry runs once until it succeeds, fails with an error that is not an
+// injected *Fault, or has failed maxAttempts times, and returns how many
+// attempts failed before the last one. Between attempts it calls sleep
+// with the backoff (nil retries at once). When a later attempt succeeds,
+// every fault the earlier ones hit is counted as recovered. A nil injector
+// runs once exactly once: without one no fault surfaces.
+func (inj *Injector) Retry(sleep func(time.Duration), once func() error) (retries int, err error) {
 	if inj == nil {
-		return nil
+		return 0, once()
 	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]ClassStats, 0, len(Classes()))
-	for _, c := range Classes() {
-		out = append(out, ClassStats{Class: c, Injected: inj.injected[c], Recovered: inj.recovered[c]})
-	}
-	return out
-}
-
-// RetryPolicy is the capped-exponential-backoff resilience policy applied
-// on simulated clocks: attempt n sleeps BaseBackoff<<(n-1), capped at
-// MaxBackoff, and the whole operation gives up once Deadline of simulated
-// time has elapsed. The zero value means "no retries" — exactly one
-// attempt, no deadline — which keeps un-faulted runs on the historical
-// code path.
-type RetryPolicy struct {
-	// MaxAttempts bounds total attempts (first try included); values
-	// below 1 mean a single attempt.
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff time.Duration
-	// Deadline bounds the operation's total simulated time across
-	// attempts; 0 means unbounded.
-	Deadline time.Duration
-}
-
-// DefaultRetry is the policy the simulator wires when a fault plan is
-// active: durations are simulated time, so generous budgets cost no wall
-// clock.
-var DefaultRetry = RetryPolicy{
-	MaxAttempts: 8,
-	BaseBackoff: 2 * time.Second,
-	MaxBackoff:  30 * time.Second,
-	Deadline:    15 * time.Minute,
-}
-
-// IsZero reports whether the policy is the zero value (single attempt).
-func (p RetryPolicy) IsZero() bool { return p == RetryPolicy{} }
-
-// Attempts is MaxAttempts clamped to at least one.
-func (p RetryPolicy) Attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Backoff returns the capped exponential delay before retry n (1-based:
-// Backoff(1) follows the first failed attempt).
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	if p.BaseBackoff <= 0 {
-		return 0
-	}
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
+	var overcome []string
+	for ; ; retries++ {
+		err = once()
+		if err == nil {
+			for _, class := range overcome {
+				inj.Recover(class)
+			}
+			return retries, nil
+		}
+		class, ok := ClassOf(err)
+		if !ok {
+			return retries, err
+		}
+		if retries+1 == maxAttempts {
+			return retries, fmt.Errorf("faults: giving up after %d attempts: %w", maxAttempts, err)
+		}
+		overcome = append(overcome, class)
+		if sleep != nil {
+			sleep(backoff(retries + 1))
 		}
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
 }

@@ -11,12 +11,21 @@ import (
 	"agnopol/internal/obs"
 )
 
+// uniform is every fault class at one rate (the "default" profile).
+func uniform(rate float64) *Plan {
+	p, err := Profile("default", rate)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // TestStreamDeterminism: two injectors with the same (plan, seed) must
 // agree decision-for-decision regardless of when they were built, and the
 // interleaving of *other* sites' draws must not shift a site's stream —
 // that's the property that makes runs bit-identical at any parallelism.
 func TestStreamDeterminism(t *testing.T) {
-	plan := Uniform(0.5)
+	plan := uniform(0.5)
 	a := NewInjector(plan, 42, nil)
 	b := NewInjector(plan, 42, nil)
 
@@ -53,9 +62,10 @@ func TestStreamDeterminism(t *testing.T) {
 // TestRates: rate 0 never fires (and counts nothing), rate 1 always
 // fires, intermediate rates land near their expectation.
 func TestRates(t *testing.T) {
-	zero := NewInjector(Uniform(0), 7, nil)
-	one := NewInjector(Uniform(1), 7, nil)
-	half := NewInjector(Uniform(0.5), 7, nil)
+	o := obs.New()
+	zero := NewInjector(uniform(0), 7, o.Registry)
+	one := NewInjector(uniform(1), 7, nil)
+	half := NewInjector(uniform(0.5), 7, nil)
 	zeroHits, oneHits, halfHits := 0, 0, 0
 	for i := 0; i < 1000; i++ {
 		if zero.Hit(ClassTxDrop, "s") {
@@ -77,14 +87,14 @@ func TestRates(t *testing.T) {
 	if halfHits < 400 || halfHits > 600 {
 		t.Errorf("rate 0.5 fired %d/1000 times, implausibly far from 500", halfHits)
 	}
-	if got := zero.Snapshot()[0].Injected; got != 0 {
+	if got := o.Registry.Counter("faults_injected_total", obs.L("class", ClassTxDrop)).Value(); got != 0 {
 		t.Errorf("zero-rate injector counted %d injections", got)
 	}
 }
 
 // TestBurstCap: Burst bounds each (class, site) stream independently.
 func TestBurstCap(t *testing.T) {
-	plan := Uniform(1)
+	plan := uniform(1)
 	plan.Burst = 2
 	inj := NewInjector(plan, 9, nil)
 	hits := 0
@@ -112,27 +122,29 @@ func TestNilInjector(t *testing.T) {
 		t.Fatal("nil injector returned a fault")
 	}
 	inj.Recover(ClassTxDrop) // must not panic
-	if inj.Snapshot() != nil {
-		t.Fatal("nil injector returned a snapshot")
+	calls := 0
+	fault := &Fault{Class: ClassTxDrop, Site: "s"}
+	if n, err := inj.Retry(func(time.Duration) { t.Fatal("nil injector slept") }, func() error {
+		calls++
+		return fault
+	}); n != 0 || err != fault || calls != 1 {
+		t.Fatalf("nil injector Retry: %d retries, err %v, %d calls; want one bare attempt", n, err, calls)
 	}
 	if NewInjector(nil, 1, nil) != nil {
 		t.Fatal("nil plan did not produce a nil injector")
 	}
 }
 
-// TestFaultError: ClassOf sees through wrapping; ordinary errors are not
-// transient.
+// TestFaultError: ClassOf sees through wrapping; ordinary errors carry no
+// class.
 func TestFaultError(t *testing.T) {
 	f := &Fault{Class: ClassIPFSFetch, Site: "ipfs.get"}
 	wrapped := fmt.Errorf("fetch report: %w", f)
 	if cls, ok := ClassOf(wrapped); !ok || cls != ClassIPFSFetch {
 		t.Fatalf("ClassOf(wrapped) = %q, %v", cls, ok)
 	}
-	if !Transient(wrapped) {
-		t.Fatal("wrapped fault not transient")
-	}
-	if Transient(errors.New("genuine failure")) {
-		t.Fatal("plain error reported transient")
+	if _, ok := ClassOf(errors.New("genuine failure")); ok {
+		t.Fatal("plain error produced a class")
 	}
 	if _, ok := ClassOf(nil); ok {
 		t.Fatal("nil error produced a class")
@@ -143,7 +155,7 @@ func TestFaultError(t *testing.T) {
 // registry per class, with quiet classes pre-registered at zero.
 func TestRegistryCounters(t *testing.T) {
 	o := obs.New()
-	plan := Uniform(1)
+	plan := uniform(1)
 	plan.Burst = 3
 	inj := NewInjector(plan, 5, o.Registry)
 	for i := 0; i < 5; i++ {
@@ -160,15 +172,6 @@ func TestRegistryCounters(t *testing.T) {
 	// Quiet class present at zero (pre-registered).
 	if got := o.Registry.Counter("faults_injected_total", obs.L("class", ClassCubeNodeDown)).Value(); got != 0 {
 		t.Errorf("quiet class counted %d", got)
-	}
-	snap := inj.Snapshot()
-	if len(snap) != len(Classes()) {
-		t.Fatalf("snapshot has %d classes, want %d", len(snap), len(Classes()))
-	}
-	for _, s := range snap {
-		if s.Class == ClassTxDrop && (s.Injected != 3 || s.Recovered != 2) {
-			t.Errorf("snapshot tx_drop = %+v, want 3/2", s)
-		}
 	}
 }
 
@@ -208,24 +211,70 @@ func TestProfileRejectsNaN(t *testing.T) {
 	}
 }
 
-// TestBackoff: capped exponential growth on the retry policy.
+// TestBackoff: capped exponential growth of the retry backoff.
 func TestBackoff(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Second, MaxBackoff: 30 * time.Second}
 	want := []time.Duration{
 		2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second,
-		30 * time.Second, 30 * time.Second, 30 * time.Second,
+		30 * time.Second, 30 * time.Second, 30 * time.Second, 30 * time.Second,
 	}
 	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := backoff(i + 1); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	var zero RetryPolicy
-	if !zero.IsZero() || zero.Attempts() != 1 || zero.Backoff(3) != 0 {
-		t.Errorf("zero policy: IsZero=%v Attempts=%d Backoff=%v", zero.IsZero(), zero.Attempts(), zero.Backoff(3))
+	if got := backoff(200); got != maxBackoff {
+		t.Errorf("backoff(200) = %v, want the %v cap", got, maxBackoff)
 	}
-	uncapped := RetryPolicy{BaseBackoff: time.Second}
-	if got := uncapped.Backoff(5); got != 16*time.Second {
-		t.Errorf("uncapped Backoff(5) = %v, want 16s", got)
+}
+
+// TestRetry: faults back off and retry, a later success credits every
+// fault it overcame, a plain error ends the loop at once, and a fault on
+// every attempt gives up after maxAttempts with its class still readable.
+func TestRetry(t *testing.T) {
+	o := obs.New()
+	inj := NewInjector(&Plan{}, 1, o.Registry)
+	recovered := func(class string) uint64 {
+		return o.Registry.Counter("faults_recovered_total", obs.L("class", class)).Value()
+	}
+	var slept []time.Duration
+	sleep := func(d time.Duration) { slept = append(slept, d) }
+
+	faultsFirst := []error{&Fault{Class: ClassTxDrop}, &Fault{Class: ClassIPFSFetch}, nil}
+	n, err := inj.Retry(sleep, func() error { e := faultsFirst[0]; faultsFirst = faultsFirst[1:]; return e })
+	if n != 2 || err != nil {
+		t.Fatalf("Retry = %d, %v; want 2 retries and success", n, err)
+	}
+	if fmt.Sprint(slept) != "[2s 4s]" || recovered(ClassTxDrop) != 1 || recovered(ClassIPFSFetch) != 1 {
+		t.Fatalf("slept %v, recovered tx_drop %d ipfs_fetch %d; want [2s 4s], 1, 1",
+			slept, recovered(ClassTxDrop), recovered(ClassIPFSFetch))
+	}
+
+	plain := errors.New("genuine failure")
+	calls := 0
+	if n, err := inj.Retry(sleep, func() error { calls++; return plain }); n != 0 || err != plain || calls != 1 {
+		t.Fatalf("plain error: %d retries, err %v, %d calls; want no retry", n, err, calls)
+	}
+
+	slept, calls = nil, 0
+	n, err = inj.Retry(sleep, func() error { calls++; return &Fault{Class: ClassTxDrop} })
+	if calls != maxAttempts || n != maxAttempts-1 || len(slept) != maxAttempts-1 {
+		t.Fatalf("exhaustion: %d calls, %d retries, %d sleeps; want %d, %d, %d",
+			calls, n, len(slept), maxAttempts, maxAttempts-1, maxAttempts-1)
+	}
+	if cls, ok := ClassOf(err); !ok || cls != ClassTxDrop || !strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("exhaustion error %v lost its class or its reason", err)
+	}
+	if recovered(ClassTxDrop) != 1 {
+		t.Fatalf("an exhausted retry credited %d recoveries", recovered(ClassTxDrop)-1)
+	}
+
+	calls = 0
+	if _, err := inj.Retry(nil, func() error {
+		if calls++; calls < 3 {
+			return &Fault{Class: ClassIPFSUnpin}
+		}
+		return nil
+	}); err != nil || calls != 3 {
+		t.Fatalf("nil sleep: err %v after %d calls; want success on the third", err, calls)
 	}
 }

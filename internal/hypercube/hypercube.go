@@ -137,13 +137,13 @@ func (h *Network) routeResilient(from, to uint64) int {
 		if next != to && h.flt.Hit(faults.ClassCubeNodeDown, "cube.route") {
 			next = cur ^ (1 << uint(bits.TrailingZeros64(diff)))
 			rerouted++
+			h.flt.Recover(faults.ClassCubeNodeDown)
 		}
 		cur = next
 	}
 	h.totalHops += uint64(hops)
 	h.totalLookups++
 	h.rerouted += uint64(rerouted)
-	h.flt.RecoverN(faults.ClassCubeNodeDown, rerouted)
 	return hops
 }
 

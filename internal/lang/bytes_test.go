@@ -23,8 +23,9 @@ var manyParts = func() []Expr {
 }()
 
 // bytesProgram exercises the byte-string machinery both backends must get
-// right: long constants (> one EVM word), empty strings, concatenation,
-// digests, equality, storage round trips.
+// right: long constants (> one EVM word), constants holding `//` (TEAL's
+// comment marker), empty strings, concatenation, digests, equality, storage
+// round trips.
 func bytesProgram(t *testing.T) *Program {
 	t.Helper()
 	p := NewProgram("bytes")
@@ -51,6 +52,12 @@ func bytesProgram(t *testing.T) *Program {
 		Name: "longconst", Params: []Param{}, Returns: TBytes,
 		Body: []Stmt{
 			&Return{Value: Bs(strings.Repeat("agnopol!", 13))}, // 104 bytes
+		},
+	})
+	p.AddAPI(&API{
+		Name: "uri", Params: []Param{}, Returns: TBytes,
+		Body: []Stmt{
+			&Return{Value: Bs("ipfs://bafy")},
 		},
 	})
 	p.AddAPI(&API{
@@ -243,6 +250,10 @@ func TestBytesSemanticsBothBackends(t *testing.T) {
 			lc, ok := r.call(t, "longconst")
 			if !ok || !bytes.Equal(lc.Bytes, long) {
 				t.Fatalf("longconst = %d bytes", len(lc.Bytes))
+			}
+			uri, ok := r.call(t, "uri")
+			if !ok || string(uri.Bytes) != "ipfs://bafy" {
+				t.Fatalf("uri = %q, want %q", uri.Bytes, "ipfs://bafy")
 			}
 			empty, ok := r.call(t, "empty")
 			if !ok || len(empty.Bytes) != 0 {

@@ -160,14 +160,14 @@ func (v *verifier) walk(body []Stmt, facts []Expr, where string) {
 			facts = append(facts, s.Cond)
 		case *SetGlobal:
 			v.exprTheorems(s.Value, facts, where)
-			facts = dropFactsMentioningGlobal(facts, s.Name)
+			facts = dropFacts(facts, readsGlobal(s.Name))
 		case *MapSet:
 			v.exprTheorems(s.Key, facts, where)
 			v.exprTheorems(s.Value, facts, where)
-			facts = dropFactsMentioningMap(facts, s.Map)
+			facts = dropFacts(facts, readsMap(s.Map))
 		case *MapDel:
 			v.exprTheorems(s.Key, facts, where)
-			facts = dropFactsMentioningMap(facts, s.Map)
+			facts = dropFacts(facts, readsMap(s.Map))
 		case *Transfer:
 			v.exprTheorems(s.Amount, facts, where)
 			v.exprTheorems(s.To, facts, where)
@@ -179,7 +179,7 @@ func (v *verifier) walk(body []Stmt, facts []Expr, where string) {
 			})
 			// The transfer changes the balance: facts about balance() no
 			// longer hold.
-			facts = dropFactsMentioningBalance(facts)
+			facts = dropFacts(facts, isBalance)
 		case *If:
 			v.exprTheorems(s.Cond, facts, where)
 			v.walk(s.Then, append(append([]Expr{}, facts...), s.Cond), where)
@@ -433,101 +433,62 @@ func exprEqual(a, b Expr) bool {
 	}
 }
 
-func mentionsBalance(e Expr) bool {
-	switch e := e.(type) {
-	case *Balance:
+// mentions reports whether pred holds for e or for a subexpression of it.
+func mentions(e Expr, pred func(Expr) bool) bool {
+	if pred(e) {
 		return true
-	case *Bin:
-		return mentionsBalance(e.A) || mentionsBalance(e.B)
-	case *Not:
-		return mentionsBalance(e.A)
-	case *MapGet:
-		return mentionsBalance(e.Key)
-	case *MapHas:
-		return mentionsBalance(e.Key)
-	case *Digest:
-		return mentionsBalance(e.A)
-	case *SigVerify:
-		return mentionsBalance(e.Pub) || mentionsBalance(e.Msg) || mentionsBalance(e.Sig)
-	case *CellContains:
-		return mentionsBalance(e.Cell) || mentionsBalance(e.Code)
-	default:
-		return false
 	}
-}
-
-func mentionsGlobal(e Expr, name string) bool {
 	switch e := e.(type) {
-	case *GlobalRef:
-		return e.Name == name
 	case *Bin:
-		return mentionsGlobal(e.A, name) || mentionsGlobal(e.B, name)
+		return mentions(e.A, pred) || mentions(e.B, pred)
 	case *Not:
-		return mentionsGlobal(e.A, name)
+		return mentions(e.A, pred)
 	case *MapGet:
-		return mentionsGlobal(e.Key, name)
+		return mentions(e.Key, pred)
 	case *MapHas:
-		return mentionsGlobal(e.Key, name)
+		return mentions(e.Key, pred)
 	case *Digest:
-		return mentionsGlobal(e.A, name)
+		return mentions(e.A, pred)
 	case *SigVerify:
-		return mentionsGlobal(e.Pub, name) || mentionsGlobal(e.Msg, name) || mentionsGlobal(e.Sig, name)
+		return mentions(e.Pub, pred) || mentions(e.Msg, pred) || mentions(e.Sig, pred)
 	case *CellContains:
-		return mentionsGlobal(e.Cell, name) || mentionsGlobal(e.Code, name)
+		return mentions(e.Cell, pred) || mentions(e.Code, pred)
 	default:
 		return false
 	}
 }
 
-func mentionsMap(e Expr, name string) bool {
-	switch e := e.(type) {
-	case *MapGet:
-		return e.Map == name || mentionsMap(e.Key, name)
-	case *MapHas:
-		return e.Map == name || mentionsMap(e.Key, name)
-	case *Bin:
-		return mentionsMap(e.A, name) || mentionsMap(e.B, name)
-	case *Not:
-		return mentionsMap(e.A, name)
-	case *Digest:
-		return mentionsMap(e.A, name)
-	case *SigVerify:
-		return mentionsMap(e.Pub, name) || mentionsMap(e.Msg, name) || mentionsMap(e.Sig, name)
-	case *CellContains:
-		return mentionsMap(e.Cell, name) || mentionsMap(e.Code, name)
-	default:
+// dropFacts keeps the facts that mention nothing pred matches: a write to
+// what pred matches invalidates the others.
+func dropFacts(facts []Expr, pred func(Expr) bool) []Expr {
+	out := facts[:0:0]
+	for _, f := range facts {
+		if !mentions(f, pred) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// isBalance, readsGlobal and readsMap match the reads a write makes stale:
+// balance() after a transfer, a global after its set, a map after a set or
+// delete.
+func isBalance(e Expr) bool { _, ok := e.(*Balance); return ok }
+
+func readsGlobal(name string) func(Expr) bool {
+	return func(e Expr) bool { g, ok := e.(*GlobalRef); return ok && g.Name == name }
+}
+
+func readsMap(name string) func(Expr) bool {
+	return func(e Expr) bool {
+		switch e := e.(type) {
+		case *MapGet:
+			return e.Map == name
+		case *MapHas:
+			return e.Map == name
+		}
 		return false
 	}
-}
-
-func dropFactsMentioningBalance(facts []Expr) []Expr {
-	out := facts[:0:0]
-	for _, f := range facts {
-		if !mentionsBalance(f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func dropFactsMentioningGlobal(facts []Expr, name string) []Expr {
-	out := facts[:0:0]
-	for _, f := range facts {
-		if !mentionsGlobal(f, name) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func dropFactsMentioningMap(facts []Expr, name string) []Expr {
-	out := facts[:0:0]
-	for _, f := range facts {
-		if !mentionsMap(f, name) {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 //nolint:gocyclo // printer over every node kind.

@@ -221,18 +221,18 @@ func newExperiment(spec Spec) (core.Connector, *core.System, error) {
 	}
 	f.Instrument(spec.Obs)
 	sys.Instrument(spec.Obs)
-	applyFaults(spec, f, conn, sys)
+	applyFaults(spec, f, sys)
 	return conn, sys, nil
 }
 
 // applyFaults wires a spec's fault plan into the freshly built world: one
 // injector per run, seeded from the run seed so every fault stream is a
 // pure function of (seed, site, sequence) — worker scheduling in RunMatrix
-// can never shift a draw. The chain consults the injector at its mempool,
-// the off-chain substrates via System, and both connector and actors run
-// under the default retry policy. A nil plan is a no-op, leaving the run
-// on the exact code path a fault-free build takes.
-func applyFaults(spec Spec, f core.Family, conn core.Connector, sys *core.System) {
+// can never shift a draw. The chain consults the injector at its mempool
+// and the off-chain substrates via System; the connector and the actors
+// retry under it. A nil plan is a no-op, leaving the run on the exact code
+// path a fault-free build takes.
+func applyFaults(spec Spec, f core.Family, sys *core.System) {
 	if spec.Faults == nil {
 		return
 	}
@@ -242,8 +242,7 @@ func applyFaults(spec Spec, f core.Family, conn core.Connector, sys *core.System
 	}
 	inj := faults.NewInjector(spec.Faults, spec.Seed, reg)
 	f.SetFaults(inj)
-	conn.SetResilience(faults.DefaultRetry)
-	sys.SetResilience(inj, faults.DefaultRetry)
+	sys.SetFaults(inj)
 }
 
 // staged pairs a prover with the contract its proof landed on, for phases

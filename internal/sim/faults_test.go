@@ -1,12 +1,25 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"agnopol/internal/faults"
 	"agnopol/internal/obs"
 )
+
+// defaultProfile is every fault class at one rate.
+func defaultProfile(t *testing.T, rate float64) *faults.Plan {
+	t.Helper()
+	p, err := faults.Profile("default", rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // TestMatrixDeterministicAcrossParallelismWithFaults extends the engine's
 // core guarantee to fault injection: every run's fault stream is a pure
@@ -16,7 +29,7 @@ import (
 func TestMatrixDeterministicAcrossParallelismWithFaults(t *testing.T) {
 	spec := MatrixSpec{
 		Cells: smallGrid, Reps: 2, Seed: 11, Parallel: 1,
-		Faults: faults.Uniform(0.3), Verify: true,
+		Faults: defaultProfile(t, 0.3), Verify: true,
 	}
 	seq, err := RunMatrix(spec, nil)
 	if err != nil {
@@ -48,7 +61,7 @@ func TestZeroRateFaultPlanMatchesNoFaultRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty, err := Execute(Spec{Chain: chain, Users: 8, Seed: 21, Faults: faults.Uniform(0)})
+		faulty, err := Execute(Spec{Chain: chain, Users: 8, Seed: 21, Faults: defaultProfile(t, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +84,7 @@ func TestFaultSweepRecoversEveryRetryableClass(t *testing.T) {
 	o := obs.New()
 	_, err := RunMatrix(MatrixSpec{
 		Cells: smallGrid, Reps: 3, Seed: 7, Parallel: 4,
-		Faults: faults.Uniform(0.3), Verify: true,
+		Faults: defaultProfile(t, 0.3), Verify: true,
 	}, o)
 	if err != nil {
 		t.Fatalf("pipeline did not survive the default fault profile: %v", err)
@@ -92,13 +105,66 @@ func TestFaultSweepRecoversEveryRetryableClass(t *testing.T) {
 	}
 }
 
+// TestFaultedRunGolden pins what the resilience layer does under the
+// default profile across commits: every measurement, the verification
+// phase, the per-class injected/recovered counters and the retries the
+// pipeline's spans record, for three presets × two seeds × two rates. The
+// constant was captured before the retry loops were folded into
+// faults.Injector.Retry; if this fails, a change moved a retry, a backoff
+// or a recovery credit.
+func TestFaultedRunGolden(t *testing.T) {
+	const want = "5494948b1b59d837258ce0a5422588b15025eedc47237c50c95b46682439bfc5"
+	h := sha256.New()
+	for _, chain := range AllChains {
+		for _, seed := range []uint64{13, 29} {
+			for _, rate := range []float64{0.2, 0.4} {
+				plan, err := faults.Profile("default", rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := obs.New()
+				r, err := Execute(Spec{Chain: chain, Users: 16, Seed: seed, Verify: true, Faults: plan, Obs: o})
+				if err != nil {
+					t.Fatalf("%s seed %d rate %v: %v", chain, seed, rate, err)
+				}
+				fmt.Fprintf(h, "%s/%d/%v\n", chain, seed, rate)
+				for _, m := range r.Measurements {
+					fmt.Fprintf(h, "m %d %s %v %d %v %d\n", m.User, m.OLC, m.Deployed, m.Latency, m.Fee.Base, m.GasUsed)
+				}
+				fmt.Fprintf(h, "v %+v %v %d\n", r.VerifySummary, r.VerifyFees.Base, r.Accepted)
+				for _, cls := range faults.Classes() {
+					fmt.Fprintf(h, "c %s %d %d\n", cls,
+						o.Registry.Counter("faults_injected_total", obs.L("class", cls)).Value(),
+						o.Registry.Counter("faults_recovered_total", obs.L("class", cls)).Value())
+				}
+				retries := 0
+				for _, sp := range o.Tracer.Spans() {
+					for _, l := range sp.Labels {
+						if l.Key == "retries" {
+							n, err := strconv.Atoi(l.Value)
+							if err != nil {
+								t.Fatal(err)
+							}
+							retries += n
+						}
+					}
+				}
+				fmt.Fprintf(h, "r %d\n", retries)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("faulted-run digest = %s, want %s", got, want)
+	}
+}
+
 // TestExecuteVerifyUnderFaults pins graceful degradation end to end: with
 // every class firing at a high rate, the verify flavour must still accept
 // all provers.
 func TestExecuteVerifyUnderFaults(t *testing.T) {
 	r, err := Execute(Spec{
 		Chain: ChainAlgorand, Users: 8, Seed: 13,
-		Verify: true, Faults: faults.Uniform(0.4),
+		Verify: true, Faults: defaultProfile(t, 0.4),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full repository check: build, vet, tests (with race detector), examples,
-# and a single pass of every benchmark. This is what CI's check job runs.
+# Full repository check: build, vet, tests (with race detector; every cmd/
+# and examples/ binary runs there against its golden output), and a single
+# pass of every benchmark. This is what CI's check job runs.
 # Determinism verdicts (soak digests across shards, GOMAXPROCS, concurrent
 # soaks and restarts) are tests in internal/sim; timing is bench/'s job
 # (`bash bench/run.sh`, compared parent vs head in CI's bench job).
@@ -91,14 +92,6 @@ echo "== consensus microbenchmarks =="
 # Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
 go test -run '^$' -bench 'StepEmpty|Attestations|Certificate' -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand | tee BENCH_consensus.txt
 go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
-
-echo "== examples =="
-# polc, polsim and geofence are golden tests (their output, byte for byte);
-# the other examples still only have to exit 0.
-for ex in quickstart crowdsensing badgehunt greentoken; do
-    echo "-- examples/$ex"
-    go run "./examples/$ex" > /dev/null
-done
 
 echo "== parallel matrix =="
 # Exercises the worker-pool engine (sequential baseline + 4 workers,
