@@ -20,11 +20,6 @@ var PoLReportV2 string
 //go:embed pol-verify.pol
 var PoLVerify string
 
-// DIDRegistry is the DID anchoring contract (§2.1, §2.4).
-//
-//go:embed did-registry.pol
-var DIDRegistry string
-
 // AreaCheckin is the soak harness's per-area check-in counter.
 //
 //go:embed area-checkin.pol

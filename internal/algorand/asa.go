@@ -35,12 +35,6 @@ var (
 	ErrAlreadyOptedIn = errors.New("algorand: already opted in")
 )
 
-// Asset returns an asset's configuration.
-func (c *Chain) Asset(id uint64) (*Asset, bool) {
-	a := c.led.asset(id)
-	return a, a != nil
-}
-
 // AssetBalance returns an account's holding of an asset (0 when not opted
 // in; use OptedInAsset to distinguish).
 func (c *Chain) AssetBalance(addr chain.Address, assetID uint64) uint64 {

@@ -113,11 +113,6 @@ func (cl *Client) createApp(acct *Account, source string, args [][]byte) (*chain
 	return cl.create(acct, &Tx{Type: TxAppCreate, Sender: acct.Address, Fee: MinFee, Source: source, Args: args}, "app creation")
 }
 
-// pay transfers µAlgos.
-func (cl *Client) pay(acct *Account, to chain.Address, amount uint64) (*chain.Receipt, error) {
-	return cl.send(acct, &Tx{Type: TxPay, Sender: acct.Address, Fee: MinFee, Receiver: to, Amount: amount}, "payment")
-}
-
 // callApp invokes an application method. A non-zero pay amount groups a
 // payment to the app escrow in front of the call (the `gtxn 0 Amount`
 // convention the compiled programs check). A non-zero escrowFund groups a

@@ -245,14 +245,6 @@ func (v *ledgerKV) LocalDel(appID uint64, addr chain.Address, key string) {
 	v.kv.Delete(localKey(appID, addr, key))
 }
 
-// OptedIn implements avm.Ledger.
-func (v *ledgerKV) OptedIn(appID uint64, addr chain.Address) bool {
-	if !v.appExists(appID) {
-		return false
-	}
-	return v.kv.Has(optinKey(appID, addr))
-}
-
 // Balance implements avm.Ledger.
 func (v *ledgerKV) Balance(addr chain.Address) uint64 {
 	enc, ok := v.kv.Get(balKey(addr))
@@ -318,22 +310,6 @@ func (v *ledgerKV) Round() uint64 { return v.led.round }
 
 // LatestTimestamp implements avm.Ledger.
 func (v *ledgerKV) LatestTimestamp() uint64 { return v.led.time }
-
-// asset returns an asset's description, from the cache or the trie.
-func (v *ledgerKV) asset(id uint64) *Asset {
-	if a, ok := v.led.assets[id]; ok {
-		return a
-	}
-	enc, ok := v.kv.Get(assetMetaKey(id))
-	if !ok {
-		return nil
-	}
-	a, err := decodeAssetMeta(id, enc)
-	if err != nil {
-		return nil
-	}
-	return a
-}
 
 func (v *ledgerKV) assetExists(id uint64) bool {
 	if _, ok := v.led.assets[id]; ok {

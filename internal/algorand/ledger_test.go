@@ -9,6 +9,11 @@ import (
 	"agnopol/internal/chain"
 )
 
+// OptedIn reports whether addr has opted in to the application.
+func (v *ledgerKV) OptedIn(appID uint64, addr chain.Address) bool {
+	return v.appExists(appID) && v.kv.Has(optinKey(appID, addr))
+}
+
 // Regression: crediting zero used to materialize a balance entry for an
 // absent account — a phantom that entered the digest.
 func TestCreditZeroNoPhantom(t *testing.T) {

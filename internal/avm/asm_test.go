@@ -59,15 +59,6 @@ func TestTokenizeErrors(t *testing.T) {
 
 func TestValueHelpers(t *testing.T) {
 	v := Uint64Value(9)
-	if v.Truthy() != true {
-		t.Fatal("nonzero uint not truthy")
-	}
-	if Uint64Value(0).Truthy() {
-		t.Fatal("zero uint truthy")
-	}
-	if !BytesValue([]byte("x")).Truthy() || BytesValue(nil).Truthy() {
-		t.Fatal("bytes truthiness wrong")
-	}
 	if _, err := v.AsBytes(); err == nil {
 		t.Fatal("uint read as bytes")
 	}

@@ -15,7 +15,6 @@ type Ledger interface {
 	LocalGet(app uint64, addr chain.Address, key string) (Value, bool)
 	LocalPut(app uint64, addr chain.Address, key string, v Value)
 	LocalDel(app uint64, addr chain.Address, key string)
-	OptedIn(app uint64, addr chain.Address) bool
 	Balance(addr chain.Address) uint64
 	// Pay moves µAlgos between accounts; the VM uses it for inner payment
 	// transactions from the application account.
@@ -95,12 +94,6 @@ func (l *MemLedger) LocalPut(app uint64, addr chain.Address, key string, v Value
 // LocalDel implements Ledger.
 func (l *MemLedger) LocalDel(app uint64, addr chain.Address, key string) {
 	delete(l.Locals[app][addr], key)
-}
-
-// OptedIn implements Ledger.
-func (l *MemLedger) OptedIn(app uint64, addr chain.Address) bool {
-	_, ok := l.Locals[app][addr]
-	return ok
 }
 
 // Balance implements Ledger.

@@ -44,14 +44,6 @@ func (v Value) AsBytes() ([]byte, error) {
 	return v.Bytes, nil
 }
 
-// Truthy follows TEAL semantics: nonzero uint or nonempty bytes.
-func (v Value) Truthy() bool {
-	if v.IsBytes {
-		return len(v.Bytes) > 0
-	}
-	return v.Uint != 0
-}
-
 func (v Value) String() string {
 	if v.IsBytes {
 		return fmt.Sprintf("bytes(%q)", v.Bytes)

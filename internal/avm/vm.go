@@ -487,7 +487,7 @@ func (m *machine) run() (bool, error) {
 					return false, errAt(err)
 				}
 			}
-			h, _ := preSha256Parts.Native(c, parts...)
+			h, _ := preSha256Parts.Native(parts...)
 			m.push(BytesValue(h[:]))
 
 		case "keccak256":
@@ -497,7 +497,7 @@ func (m *machine) run() (bool, error) {
 			if err != nil {
 				return false, errAt(err)
 			}
-			h, _ := preKeccak256.Native(c, b)
+			h, _ := preKeccak256.Native(b)
 			m.push(BytesValue(h[:]))
 
 		case "ed25519verify":
@@ -516,7 +516,7 @@ func (m *machine) run() (bool, error) {
 			if err != nil {
 				return false, errAt(err)
 			}
-			w, ok := preEd25519.Native(c, pub, data, sig)
+			w, ok := preEd25519.Native(pub, data, sig)
 			if !ok {
 				return false, errAt(fmt.Errorf("%w: ed25519verify", ErrBadProgram))
 			}
@@ -533,7 +533,7 @@ func (m *machine) run() (bool, error) {
 			if err != nil {
 				return false, errAt(err)
 			}
-			w, ok := preOLCContains.Native(c, cell, code)
+			w, ok := preOLCContains.Native(cell, code)
 			if !ok {
 				return false, errAt(fmt.Errorf("%w: olc_contains", ErrBadProgram))
 			}

@@ -96,8 +96,8 @@ func TestRandRanges(t *testing.T) {
 	r := NewRand(9)
 	err := quick.Check(func(n uint16) bool {
 		m := int(n)%100 + 1
-		v := r.Intn(m)
-		return v >= 0 && v < m
+		v := r.Uint64n(uint64(m))
+		return v < uint64(m)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRandNormalMoments(t *testing.T) {
 
 func TestClock(t *testing.T) {
 	c := NewClock()
-	c.Advance(5)
+	c.AdvanceTo(5)
 	c.AdvanceTo(3) // never backwards
 	if c.Now() != 5 {
 		t.Fatalf("clock went backwards: %v", c.Now())
@@ -141,18 +141,5 @@ func TestClock(t *testing.T) {
 	c.AdvanceTo(9)
 	if c.Now() != 9 {
 		t.Fatalf("now = %v", c.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative advance did not panic")
-		}
-	}()
-	c.Advance(-1)
-}
-
-func TestReceiptLatency(t *testing.T) {
-	r := Receipt{Submitted: 100, Included: 350}
-	if r.Latency() != 250 {
-		t.Fatalf("latency = %v", r.Latency())
 	}
 }

@@ -1,9 +1,6 @@
 package chain
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Clock is the discrete-event simulation clock. Each chain owns one; it only
 // moves when the simulation advances it (block production, network delays),
@@ -17,15 +14,6 @@ func NewClock() *Clock { return &Clock{} }
 
 // Now returns the elapsed simulated time since genesis.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Advance moves simulated time forward. Negative advances are a programming
-// error and panic.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("chain.Clock: advancing by negative duration %v", d))
-	}
-	c.now += d
-}
 
 // AdvanceTo moves the clock to an absolute simulated time, never backwards.
 func (c *Clock) AdvanceTo(t time.Duration) {
@@ -55,6 +43,3 @@ type Receipt struct {
 	ReturnValue []byte
 	Logs        []string
 }
-
-// Latency is the submit-to-confirmation time of the transaction.
-func (r Receipt) Latency() time.Duration { return r.Included - r.Submitted }

@@ -187,7 +187,7 @@ func TestPoolBatchMatchesOneByOne(t *testing.T) {
 	}
 	run := func(submit func(p *Pool[poolItem]) ([]Hash32, []error)) outcome {
 		clock := NewClock()
-		clock.Advance(5 * time.Second)
+		clock.AdvanceTo(5 * time.Second)
 		p := NewPool(clock, "test.pool", 9*time.Second, admitPoolItem)
 		reg := obs.NewRegistry()
 		p.SetFaults(faults.NewInjector(plan, 42, reg))

@@ -47,14 +47,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Intn returns a uniform int in [0, n). It panics when n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("chain.Rand: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Uint64n returns a uniform uint64 in [0, n).
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
@@ -96,12 +88,4 @@ func (r *Rand) Read(p []byte) (int, error) {
 		copy(p[i:], buf[:])
 	}
 	return len(p), nil
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -195,23 +195,6 @@ func (s *ShardStats) Clone() *ShardStats {
 	}
 }
 
-// Utilization returns each shard's share of the total executed
-// transactions, or all zeros when nothing executed.
-func (s *ShardStats) Utilization() []float64 {
-	out := make([]float64, len(s.Txs))
-	var total uint64
-	for _, t := range s.Txs {
-		total += t
-	}
-	if total == 0 {
-		return out
-	}
-	for i, t := range s.Txs {
-		out[i] = float64(t) / float64(total)
-	}
-	return out
-}
-
 // Sharder is a chain's execution fan-out setting plus the tallies of what
 // each shard ran. Chains embed it, which gives them SetShards, Shards and
 // ShardStats; the zero value is the serial configuration.

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -159,21 +160,23 @@ func TestAssignFewerComponentsThanShards(t *testing.T) {
 	}
 }
 
+// TestShardStatsUtilization: record adds each shard's executed
+// transactions and gas, and Clone copies them.
 func TestShardStatsUtilization(t *testing.T) {
 	s := newShardStats(4)
 	s.record(0, 30, 300)
 	s.record(1, 10, 100)
 	s.record(1, 0, 0)
-	u := s.Utilization()
-	if u[0] != 0.75 || u[1] != 0.25 || u[2] != 0 || u[3] != 0 {
-		t.Fatalf("utilization = %v", u)
-	}
 	// Out-of-range and nil receivers are no-ops, not panics.
 	s.record(9, 1, 1)
 	var nilStats *ShardStats
 	nilStats.record(0, 1, 1)
-	empty := newShardStats(2).Utilization()
-	if empty[0] != 0 || empty[1] != 0 {
-		t.Fatalf("empty utilization = %v", empty)
+	if !slices.Equal(s.Txs, []uint64{30, 10, 0, 0}) || !slices.Equal(s.Gas, []uint64{300, 100, 0, 0}) {
+		t.Fatalf("txs %v gas %v, want [30 10 0 0] and [300 100 0 0]", s.Txs, s.Gas)
+	}
+	c := s.Clone()
+	c.Txs[0] = 0
+	if s.Txs[0] != 30 {
+		t.Fatal("Clone shares the tallies")
 	}
 }

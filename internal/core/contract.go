@@ -28,7 +28,6 @@ var shipped = map[string]struct {
 	"pol-report":    {contracts.PoLReport, 512},
 	"pol-report-v2": {contracts.PoLReportV2, 512},
 	"pol-verify":    {contracts.PoLVerify, 512},
-	"did-registry":  {contracts.DIDRegistry, 64},
 	"area-checkin":  {contracts.AreaCheckin, 512},
 }
 
@@ -57,10 +56,6 @@ func CompilePoLV2() (*lang.Compiled, error) { return compileShipped("pol-report-
 // CompileVerify compiles the proof-verification hot-path contract
 // (contracts/pol-verify.pol).
 func CompileVerify() (*lang.Compiled, error) { return compileShipped("pol-verify") }
-
-// CompileDIDRegistry compiles the DID anchoring contract
-// (contracts/did-registry.pol).
-func CompileDIDRegistry() (*lang.Compiled, error) { return compileShipped("did-registry") }
 
 // CompileCheckin compiles the soak harness's check-in contract
 // (contracts/area-checkin.pol).

@@ -10,7 +10,9 @@ import (
 
 	"agnopol/internal/algorand"
 	"agnopol/internal/eth"
+	"agnopol/internal/evm"
 	"agnopol/internal/lang"
+	"agnopol/internal/obs"
 	"agnopol/internal/polcrypto"
 	"agnopol/internal/precompile"
 )
@@ -43,10 +45,6 @@ func TestShippedContractsGolden(t *testing.T) {
 			"50acb3702c1561cccdfa6b05c2ade85f0f5cce1e470688a86e5f871b29634dcd",
 			"87ec4e586cb8d6e2305612e4b5878087de4b048bf8c2df25eb888d02eb363f84",
 			759785, []uint64{486849, 418348, 178272, 4358, 39155}},
-		{"did-registry", CompileDIDRegistry,
-			"a572b0143ccdc72031953b8760956041663d7886d322e65702e18017b6e087c6",
-			"1591f6f74f5e8cfaf5cedc1ec9f4c89b692888793def9fe39250567b1accc872",
-			149902, []uint64{77414, 122525, 4328}},
 		{"area-checkin", CompileCheckin,
 			"e1a6aa04cceb02878a72d4d85e1812d55bc6cd1d15de37575cdecb1e2f451f77",
 			"1d85f7dd2a63a5bf23357d73c383a36b04551f4d2b6721086c5e0e08d00973ea",
@@ -145,15 +143,18 @@ func TestVerifyProgramShape(t *testing.T) {
 			t.Errorf("missing API %q", api)
 		}
 	}
-	// check_in's digest and containment lower to the precompiles: pseudo-ops
-	// in the TEAL, reserved-address CALLs that move the natives' counters
-	// on the EVM.
+	// check_in's digest, comparison and containment lower to the
+	// precompiles: pseudo-ops in the TEAL, and on the EVM one
+	// reserved-address CALL each, priced by the entry's gas schedule.
 	for _, op := range []string{"sha256_parts 3", "olc_contains"} {
 		if !strings.Contains(c.TEALSource, op) {
 			t.Errorf("pol-verify TEAL has no %q", op)
 		}
 	}
-	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 7))
+	o := obs.New()
+	ch := eth.NewChain(eth.Goerli(), 7)
+	ch.Instrument(o)
+	conn := NewEVMConnector(ch)
 	acct, err := conn.NewAccount(10)
 	if err != nil {
 		t.Fatal(err)
@@ -167,22 +168,37 @@ func TestVerifyProgramShape(t *testing.T) {
 	if _, _, err := conn.Invoke(acct, h, "register", CallOpts{}, lang.Uint64Value(7), lang.BytesValue(commitment[:])); err != nil {
 		t.Fatal(err)
 	}
-	natives := []*precompile.Precompiled{
-		precompile.ByID(precompile.IDSha256), precompile.ByID(precompile.IDBytesEqual), precompile.ByID(precompile.IDOLCContains),
+	code := []byte("8FQFCXGV+XX")
+	calls := func() (n, gas uint64) {
+		o.ExportProfiles()
+		op := obs.L("op", "CALL")
+		return o.Registry.Counter("evm_opcode_executions_total", op).Value(), o.Registry.Counter("evm_opcode_gas_total", op).Value()
 	}
-	before := make([]uint64, len(natives))
-	for i, p := range natives {
-		before[i] = p.StatsOf().Calls
-	}
+	n0, gas0 := calls()
 	v, _, err := conn.Invoke(acct, h, "check_in", CallOpts{}, lang.Uint64Value(7),
-		lang.BytesValue(loc), lang.BytesValue(nonce), lang.BytesValue(cid), lang.BytesValue([]byte("8FQFCXGV+XX")))
+		lang.BytesValue(loc), lang.BytesValue(nonce), lang.BytesValue(cid), lang.BytesValue(code))
 	if err != nil || v.Uint != 1 {
 		t.Fatalf("check_in = %d, %v; want 1 verified", v.Uint, err)
 	}
-	for i, p := range natives {
-		if p.StatsOf().Calls == before[i] {
-			t.Errorf("an EVM check_in did not call the %s precompile", p.Name)
-		}
+	n1, gas1 := calls()
+	if n1-n0 != 3 {
+		t.Errorf("an EVM check_in made %d CALLs, want 3: sha256, bytes_equal and olc_contains", n1-n0)
+	}
+	// Each CALL pays the warm access plus its entry's schedule over the
+	// bytes it reads (memory expansion comes on top).
+	var want uint64
+	for _, in := range []struct {
+		id    byte
+		bytes int
+	}{
+		{precompile.IDSha256, len(loc) + len(nonce) + len(cid)},
+		{precompile.IDBytesEqual, 2 * len(commitment)},
+		{precompile.IDOLCContains, len("8FQFCX") + len(code)},
+	} {
+		want += evm.GasWarmAccess + precompile.ByID(in.id).Gas(uint64(in.bytes))
+	}
+	if got := gas1 - gas0; got < want {
+		t.Errorf("check_in's CALLs cost %d gas, below the %d the three precompiles charge", got, want)
 	}
 }
 

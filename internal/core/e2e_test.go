@@ -405,12 +405,9 @@ func TestUnpinnedReportDisappearsBeforeVerification(t *testing.T) {
 	if _, err := prover.SubmitProof(conn, proof, rewardFor(conn)); err != nil {
 		t.Fatal(err)
 	}
-	// The prover unpins; garbage collection drops the only copy (§1.5's
-	// availability caveat) before the verifier gets to it.
-	if err := sys.IPFS.Unpin(string(prover.DID), cid); err != nil {
-		t.Fatal(err)
-	}
-	sys.IPFS.GarbageCollect()
+	// Every copy of the report is lost (§1.5's availability caveat: content
+	// nobody pins is garbage-collected) before the verifier gets to it.
+	sys.IPFS = ipfs.NewNetwork()
 	h, _, _, err := sys.LookupContract(0, proof.Request.OLC)
 	if err != nil || h == nil {
 		t.Fatalf("contract lookup failed: %v", err)

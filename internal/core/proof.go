@@ -63,17 +63,6 @@ type LocationProof struct {
 
 // Verify checks formula 2.2: the signature opens to the proof hash under
 // the witness public key, and the hash matches the request fields.
-func (p *LocationProof) Verify() error {
-	want := p.Request.Hash()
-	if want != p.Hash {
-		return errors.New("core: proof hash does not match request fields")
-	}
-	if !polcrypto.Verify(p.WitnessPub, p.Hash[:], p.Signature) {
-		return fmt.Errorf("core: %w", polcrypto.ErrBadSignature)
-	}
-	return nil
-}
-
 // ConcatData is the "concatenation of values" stored in the contract map
 // (§4.2): proofHashed-proofSigned-walletAddress-nonce-cid, hex-encoded
 // fields joined with '-' exactly like the thesis frontend's concatData.

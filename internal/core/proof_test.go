@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,21 @@ func TestParseConcatDataRejectsMalformed(t *testing.T) {
 	}
 }
 
+// concatRespellings rewrite one field of a canonical on-chain line: case,
+// leading zeros and signs, separators inside numbers, stray bytes.
+var concatRespellings = []func(string) string{
+	strings.ToUpper,
+	func(s string) string { return "0" + s },
+	func(s string) string { return "+" + s },
+	func(s string) string { return " " + s },
+	func(s string) string { return s + " " },
+	func(s string) string { return s + "x" },
+	func(s string) string { return "0x" + s },
+	func(s string) string { return s[:len(s)/2] + "_" + s[len(s)/2:] },
+	func(s string) string { return s[:len(s)/2] },
+	func(string) string { return "" },
+}
+
 // TestParseConcatDataAcceptsOnlyItsOwnEncoding: every line that parses is
 // the encoding of what it parses to, and every encoding parses. The lines
 // are canonical fields with some of them respelled — case, leading zeros
@@ -82,18 +98,7 @@ func TestParseConcatDataRejectsMalformed(t *testing.T) {
 // away from a line that parses.
 func TestParseConcatDataAcceptsOnlyItsOwnEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	respell := []func(string) string{
-		strings.ToUpper,
-		func(s string) string { return "0" + s },
-		func(s string) string { return "+" + s },
-		func(s string) string { return " " + s },
-		func(s string) string { return s + " " },
-		func(s string) string { return s + "x" },
-		func(s string) string { return "0x" + s },
-		func(s string) string { return s[:len(s)/2] + "_" + s[len(s)/2:] },
-		func(s string) string { return s[:len(s)/2] },
-		func(string) string { return "" },
-	}
+	respell := concatRespellings
 	accepted := 0
 	for i := 0; i < 20000; i++ {
 		var want ParsedConcat
@@ -123,6 +128,39 @@ func TestParseConcatDataAcceptsOnlyItsOwnEncoding(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 20000 lines parsed", accepted)
+}
+
+// FuzzParseConcatData: ParseConcatData never panics, refuses with
+// ErrMalformedConcat, and whatever it accepts re-encodes to exactly its
+// input — the invariant of TestParseConcatDataAcceptsOnlyItsOwnEncoding.
+// Seeds are a canonical line and every respelling of each of its fields.
+// Crashers are committed with their fix under
+// testdata/fuzz/FuzzParseConcatData.
+func FuzzParseConcatData(f *testing.F) {
+	want := ParsedConcat{Signature: []byte{0x11, 0x22}, Nonce: 12, CID: "bafy12"}
+	want.Hash[0], want.Wallet[19] = 0xab, 0xcd
+	line := string(want.encode())
+	f.Add([]byte(line))
+	fields := strings.Split(line, "-")
+	for i := range fields {
+		for _, respell := range concatRespellings {
+			g := slices.Clone(fields)
+			g[i] = respell(g[i])
+			f.Add([]byte(strings.Join(g, "-")))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ParseConcatData(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedConcat) {
+				t.Fatalf("refusal %v is not ErrMalformedConcat", err)
+			}
+			return
+		}
+		if enc := got.encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("%q parsed, but re-encodes to %q", data, enc)
+		}
+	})
 }
 
 // TestParsedCIDDoesNotPinTheLine: the CID ParseConcatData returns is a copy,
@@ -280,18 +318,18 @@ func TestProofVerifyDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proof.Verify(); err != nil {
+	if err := sys.verifyProof(proof); err != nil {
 		t.Fatal(err)
 	}
 	tampered := *proof
 	tampered.Request.CID = ipfs.CID("bafy-other")
-	if err := tampered.Verify(); err == nil {
+	if err := sys.verifyProof(&tampered); err == nil {
 		t.Fatal("hash/request mismatch not detected")
 	}
 	tampered2 := *proof
 	tampered2.Signature = append([]byte(nil), proof.Signature...)
 	tampered2.Signature[0] ^= 1
-	if err := tampered2.Verify(); err == nil {
+	if err := sys.verifyProof(&tampered2); err == nil {
 		t.Fatal("signature tampering not detected")
 	}
 }

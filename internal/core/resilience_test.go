@@ -146,12 +146,13 @@ func TestLookupHopBoundUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetFaults(faults.NewInjector(plan, seed, nil))
+		reg := obs.NewRegistry()
+		sys.SetFaults(faults.NewInjector(plan, seed, reg))
 		areas := make([]string, 96)
 		for i := range areas {
 			areas[i] = churnAreaCode(i)
 			h := &Handle{Connector: "algorand", AppID: uint64(i) + 1}
-			if _, err := sys.PublishContract(uint64(i)%uint64(sys.Cube.Size()), areas[i], h); err != nil {
+			if _, err := sys.PublishContract(uint64(i)%(1<<uint(sys.R)), areas[i], h); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,7 +171,7 @@ func TestLookupHopBoundUnderChurn(t *testing.T) {
 				t.Fatalf("seed %d: lookup %s resolved app %d, published %d", seed, areas[i], h.AppID, i+1)
 			}
 		}
-		if st := sys.Cube.Stats(); st.Rerouted == 0 {
+		if reg.Counter("faults_recovered_total", obs.L("class", faults.ClassCubeNodeDown)).Value() == 0 {
 			t.Fatalf("seed %d: churn at rate 0.35 never rerouted a hop — the property was not exercised", seed)
 		}
 	}

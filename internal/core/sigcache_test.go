@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/ed25519"
+	"errors"
 	"testing"
 
 	"agnopol/internal/chain"
@@ -124,8 +125,21 @@ func TestSigCacheEviction(t *testing.T) {
 	}
 }
 
+// verifyUncached is the oracle for System.verifyProof: the proof hash must
+// match the request fields and the witness signature must verify, with no
+// cache in between.
+func verifyUncached(p *LocationProof) error {
+	if p.Request.Hash() != p.Hash {
+		return errors.New("proof hash does not match request fields")
+	}
+	if !polcrypto.Verify(p.WitnessPub, p.Hash[:], p.Signature) {
+		return polcrypto.ErrBadSignature
+	}
+	return nil
+}
+
 // TestVerifyProofCachedMatchesUncached: the cached path agrees with the
-// public LocationProof.Verify on both accept and reject.
+// uncached check, verifyUncached, on both accept and reject.
 func TestVerifyProofCachedMatchesUncached(t *testing.T) {
 	sys, err := NewSystem(3)
 	if err != nil {
@@ -141,16 +155,16 @@ func TestVerifyProofCachedMatchesUncached(t *testing.T) {
 	proof.Signature = kp.Sign(proof.Hash[:])
 
 	for round := 0; round < 2; round++ {
-		pubErr, sysErr := proof.Verify(), sys.verifyProof(proof)
+		pubErr, sysErr := verifyUncached(proof), sys.verifyProof(proof)
 		if (pubErr == nil) != (sysErr == nil) {
-			t.Fatalf("round %d: Verify=%v verifyProof=%v", round, pubErr, sysErr)
+			t.Fatalf("round %d: verifyUncached=%v verifyProof=%v", round, pubErr, sysErr)
 		}
 	}
 	proof.Signature[3] ^= 0x40
 	for round := 0; round < 2; round++ {
-		pubErr, sysErr := proof.Verify(), sys.verifyProof(proof)
+		pubErr, sysErr := verifyUncached(proof), sys.verifyProof(proof)
 		if pubErr == nil || sysErr == nil {
-			t.Fatalf("round %d: tampered proof accepted: Verify=%v verifyProof=%v", round, pubErr, sysErr)
+			t.Fatalf("round %d: tampered proof accepted: verifyUncached=%v verifyProof=%v", round, pubErr, sysErr)
 		}
 	}
 	// Tampered request: rejected before any signature math, so the cache is

@@ -12,10 +12,8 @@ package did
 
 import (
 	"crypto/ed25519"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,19 +31,6 @@ type DID string
 // New derives a fresh DID from the controller's public key.
 func New(pub ed25519.PublicKey) DID {
 	return DID(fmt.Sprintf("did:%s:%s", Method, polcrypto.HashHex(pub)))
-}
-
-// Valid reports whether the string has the did:agno:<64 hex> shape.
-func (d DID) Valid() bool {
-	parts := strings.SplitN(string(d), ":", 3)
-	if len(parts) != 3 || parts[0] != "did" || parts[1] != Method {
-		return false
-	}
-	if len(parts[2]) != 64 {
-		return false
-	}
-	_, err := hex.DecodeString(parts[2])
-	return err == nil
 }
 
 // Uint64 compresses the DID into the UInt the thesis contract uses as the
@@ -96,17 +81,14 @@ func (doc *Document) AuthenticationKey() (ed25519.PublicKey, error) {
 var (
 	// ErrNotFound reports a DID with no document in the registry.
 	ErrNotFound = errors.New("did: not found")
-	// ErrNotController rejects updates signed by a key that does not
-	// control the document.
-	ErrNotController = errors.New("did: caller does not control document")
 	// ErrDuplicate rejects re-registration of an existing DID.
 	ErrDuplicate = errors.New("did: already registered")
 )
 
 // Registry is the verifiable data registry DID resolution reads from. The
 // paper stores it on a blockchain; the in-memory registry preserves the two
-// interface properties the protocol uses: anyone can resolve, and only the
-// controller can update.
+// interface properties the protocol uses: anyone can resolve, and a DID is
+// registered once.
 type Registry struct {
 	mu   sync.RWMutex
 	docs map[DID]*Document
@@ -154,43 +136,4 @@ func (r *Registry) Resolve(d DID) (*Document, error) {
 	cp.VerificationMethod = append([]VerificationMethod(nil), doc.VerificationMethod...)
 	cp.Authentication = append([]string(nil), doc.Authentication...)
 	return &cp, nil
-}
-
-// Rotate replaces the authentication key. The request must be signed by the
-// current authentication key (proof of control), otherwise ErrNotController.
-func (r *Registry) Rotate(d DID, newPub ed25519.PublicKey, sig []byte, now time.Duration) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	doc, ok := r.docs[d]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, d)
-	}
-	curKey, err := doc.AuthenticationKey()
-	if err != nil {
-		return err
-	}
-	msg := rotateMessage(d, newPub)
-	if !polcrypto.Verify(curKey, msg, sig) {
-		return ErrNotController
-	}
-	vmID := fmt.Sprintf("%s#key-%d", d, len(doc.VerificationMethod)+1)
-	doc.VerificationMethod = append(doc.VerificationMethod, VerificationMethod{
-		ID:         vmID,
-		Type:       "Ed25519VerificationKey2020",
-		Controller: d,
-		PublicKey:  append(ed25519.PublicKey(nil), newPub...),
-	})
-	doc.Authentication = []string{vmID}
-	doc.Updated = now
-	return nil
-}
-
-// RotateMessage returns the canonical bytes a controller signs to authorize
-// a key rotation.
-func RotateMessage(d DID, newPub ed25519.PublicKey) []byte {
-	return rotateMessage(d, newPub)
-}
-
-func rotateMessage(d DID, newPub ed25519.PublicKey) []byte {
-	return append([]byte("did-rotate:"+string(d)+":"), newPub...)
 }

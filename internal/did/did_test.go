@@ -1,11 +1,23 @@
 package did
 
 import (
+	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"agnopol/internal/polcrypto"
 )
+
+// valid reports whether d has the did:agno:<64 hex> shape New promises.
+func valid(d DID) bool {
+	parts := strings.SplitN(string(d), ":", 3)
+	if len(parts) != 3 || parts[0] != "did" || parts[1] != Method || len(parts[2]) != 64 {
+		return false
+	}
+	_, err := hex.DecodeString(parts[2])
+	return err == nil
+}
 
 type detRand struct{ state uint64 }
 
@@ -29,7 +41,7 @@ func TestRegisterAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Valid() {
+	if !valid(d) {
 		t.Fatalf("generated DID %q is not valid", d)
 	}
 	doc, err := reg.Resolve(d)
@@ -68,12 +80,12 @@ func TestResolveUnknown(t *testing.T) {
 
 func TestDIDValidation(t *testing.T) {
 	kp := newKP(t, 3)
-	if d := New(kp.Public); !d.Valid() {
+	if d := New(kp.Public); !valid(d) {
 		t.Fatalf("New produced invalid DID %q", d)
 	}
 	bad := []DID{"", "did:agno", "did:other:" + New(kp.Public)[9:], "did:agno:xyz", "did:agno:zz" + New(kp.Public)[11:]}
 	for _, d := range bad {
-		if d.Valid() {
+		if valid(d) {
 			t.Errorf("Valid(%q) = true", d)
 		}
 	}
@@ -88,43 +100,6 @@ func TestUint64IsStable(t *testing.T) {
 	other := New(newKP(t, 5).Public)
 	if d.Uint64() == other.Uint64() {
 		t.Fatal("two DIDs compressed to the same UInt")
-	}
-}
-
-func TestRotateRequiresControl(t *testing.T) {
-	reg := NewRegistry()
-	owner := newKP(t, 6)
-	attacker := newKP(t, 7)
-	newKey := newKP(t, 8)
-	d, err := reg.Register(owner.Public, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Attacker-signed rotation must fail.
-	sig := attacker.Sign(RotateMessage(d, newKey.Public))
-	if err := reg.Rotate(d, newKey.Public, sig, 1); !errors.Is(err, ErrNotController) {
-		t.Fatalf("attacker rotation: err = %v, want ErrNotController", err)
-	}
-
-	// Owner-signed rotation succeeds and switches the auth key.
-	sig = owner.Sign(RotateMessage(d, newKey.Public))
-	if err := reg.Rotate(d, newKey.Public, sig, 1); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := reg.Resolve(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := doc.AuthenticationKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(key) != string(newKey.Public) {
-		t.Fatal("rotation did not switch the authentication key")
-	}
-	if len(doc.VerificationMethod) != 2 {
-		t.Fatalf("verification methods = %d, want 2 (history kept)", len(doc.VerificationMethod))
 	}
 }
 

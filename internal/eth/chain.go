@@ -224,14 +224,6 @@ func (c *Chain) BaseFee() *big.Int { return new(big.Int).Set(c.baseFee) }
 // Head returns the latest block.
 func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
 
-// FinalizedBlock returns the number of the last finalized checkpoint block.
-func (c *Chain) FinalizedBlock() uint64 { return c.finalized }
-
-// BurnedAndTipped reports the cumulative burned base fees and proposer tips.
-func (c *Chain) BurnedAndTipped() (burned, tipped *big.Int) {
-	return new(big.Int).Set(c.burned), new(big.Int).Set(c.tipped)
-}
-
 // NewAccount creates and funds an externally-owned account.
 func (c *Chain) NewAccount(balance *big.Int) *Account {
 	acct := chain.NewAccount(c.rng.Fork("account"))
@@ -635,7 +627,10 @@ func (c *Chain) committee(parentHash chain.Hash32, slot uint64) []*Validator {
 	for i := range idx {
 		idx[i] = i
 	}
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	for i := len(idx) - 1; i > 0; i-- { // Fisher–Yates
+		j := int(rng.Uint64n(uint64(i + 1)))
+		idx[i], idx[j] = idx[j], idx[i]
+	}
 	n := c.cfg.CommitteeSize
 	if n > len(idx) {
 		n = len(idx)

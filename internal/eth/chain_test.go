@@ -45,7 +45,7 @@ func TestSimplePaymentFlow(t *testing.T) {
 	if got := c.Balance(bobAddr).Base.Int64(); got != 12345 {
 		t.Fatalf("bob balance %d", got)
 	}
-	if rcpt.Latency() <= 0 {
+	if (rcpt.Included - rcpt.Submitted) <= 0 {
 		t.Fatal("latency must be positive")
 	}
 	// Sender paid value + fee.
@@ -258,7 +258,7 @@ func TestFeesBurnedAndTipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burned, tipped := c.BurnedAndTipped()
+	burned, tipped := c.burned, c.tipped
 	sum := new(big.Int).Add(burned, tipped)
 	if sum.Cmp(rcpt.Fee.Base) != 0 {
 		t.Fatalf("burned+tipped = %s, fee = %s", sum, rcpt.Fee.Base)
@@ -353,7 +353,7 @@ func TestCongestionDelaysInclusion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum += rcpt.Latency().Seconds()
+			sum += (rcpt.Included - rcpt.Submitted).Seconds()
 		}
 		return sum / 10
 	}
@@ -367,10 +367,10 @@ func TestFinalityAdvances(t *testing.T) {
 	for i := 0; i < 2*c.cfg.SlotsPerEpoch+1; i++ {
 		c.Step()
 	}
-	if c.FinalizedBlock() == 0 {
+	if c.finalized == 0 {
 		t.Fatal("finality never advanced")
 	}
-	if c.FinalizedBlock() >= c.Head().Number {
+	if c.finalized >= c.Head().Number {
 		t.Fatal("finalized beyond head")
 	}
 }
@@ -397,7 +397,7 @@ func TestDeterministicRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, rcpt.Latency().Seconds())
+			out = append(out, (rcpt.Included - rcpt.Submitted).Seconds())
 		}
 		return out
 	}

@@ -86,7 +86,7 @@ func TestPolygonCheaperAndFasterThanGoerli(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rcpt.Latency().Seconds(), rcpt.Fee.Base
+		return (rcpt.Included - rcpt.Submitted).Seconds(), rcpt.Fee.Base
 	}
 	gLat, gFee := run(Goerli())
 	pLat, pFee := run(PolygonMumbai())
@@ -208,7 +208,7 @@ func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcpt.Submitted != start || rcpt.Included != c.Now() || rcpt.Latency() != c.Now()-start {
+	if rcpt.Submitted != start || rcpt.Included != c.Now() || (rcpt.Included-rcpt.Submitted) != c.Now()-start {
 		t.Fatalf("client receipt spans %v–%v, the client saw %v–%v", rcpt.Submitted, rcpt.Included, start, c.Now())
 	}
 	stored, ok := c.Receipt(tx.Hash())

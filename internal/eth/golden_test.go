@@ -44,7 +44,7 @@ func evidenceHash(c *Chain) string {
 func pickyCode(t *testing.T) []byte {
 	t.Helper()
 	a := evm.NewAssembler()
-	a.Op(evm.CALLDATASIZE).JumpI("boom").Op(evm.STOP)
+	a.Op(evm.CALLDATASIZE).PushLabel("boom").Op(evm.JUMPI).Op(evm.STOP)
 	a.Label("boom").PushUint(0).PushUint(0).Op(evm.REVERT)
 	code, err := a.Assemble()
 	if err != nil {

@@ -148,12 +148,6 @@ func (s *stateView) SubBalance(a chain.Address, v *big.Int) {
 	s.kv.Put(k, encodeBalance(b))
 }
 
-// setBalance force-writes a balance without invariant checks. Test hook:
-// the sign-digest regression test needs to plant a negative balance.
-func (s *stateView) setBalance(a chain.Address, b *big.Int) {
-	s.kv.Put(balKey(a), encodeBalance(b))
-}
-
 func (s *stateView) GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32 {
 	enc, ok := s.kv.Get(storKey(addr, key))
 	var v chain.Hash32

@@ -136,6 +136,12 @@ func TestSetCodeDefensiveCopy(t *testing.T) {
 	}
 }
 
+// setBalance force-writes a balance without invariant checks, so the
+// sign-digest regression test can plant a negative balance.
+func (s *stateView) setBalance(a chain.Address, b *big.Int) {
+	s.kv.Put(balKey(a), encodeBalance(b))
+}
+
 // Regression: the digest used big.Int.Bytes(), which drops the sign — a
 // balance of -5 hashed identically to +5. Balances are now encoded with
 // an explicit sign byte, so sign flips reach the root and the digest.

@@ -92,12 +92,6 @@ func (a *Assembler) Jump(name string) *Assembler {
 	return a.PushLabel(name).Op(JUMP)
 }
 
-// JumpI emits a conditional jump (consumes the condition already on the
-// stack under the pushed destination).
-func (a *Assembler) JumpI(name string) *Assembler {
-	return a.PushLabel(name).Op(JUMPI)
-}
-
 func (a *Assembler) fail(err error) {
 	if a.err == nil {
 		a.err = err

@@ -15,6 +15,9 @@ import (
 	"agnopol/internal/polcrypto"
 )
 
+// intn is a uniform int in [0, n) from r.
+func intn(r *chain.Rand, n int) int { return int(r.Uint64n(uint64(n))) }
+
 // The shipped-contract differential. Every contracts/*.pol program is
 // compiled once and driven through a scripted happy path plus randomized
 // calls in three universes: the u256 engine, the big.Int reference engine
@@ -193,17 +196,17 @@ func sameAcrossFamilies(t *testing.T, label string, ret lang.Type, e evm.Result,
 func randValue(rng *chain.Rand, ty lang.Type) lang.Value {
 	switch ty {
 	case lang.TUInt:
-		return lang.Uint64Value(uint64(rng.Intn(12)))
+		return lang.Uint64Value(uint64(intn(rng, 12)))
 	case lang.TBytes:
-		b := make([]byte, rng.Intn(48))
+		b := make([]byte, intn(rng, 48))
 		for i := range b {
-			b[i] = byte(rng.Intn(256))
+			b[i] = byte(intn(rng, 256))
 		}
 		return lang.BytesValue(b)
 	case lang.TAddress:
 		var a [8]byte
 		for i := range a {
-			a[i] = byte(rng.Intn(256))
+			a[i] = byte(intn(rng, 256))
 		}
 		return lang.AddressValue(chain.AddressFromBytes(a[:]))
 	default:
@@ -258,17 +261,6 @@ func script(t *testing.T, name string) []step {
 			{method: "check_in", args: []lang.Value{u(7), loc, nonce, cid, lang.BytesValue([]byte("9FXXXXXX+XX"))}}, // outside area
 			{method: "check_in", args: []lang.Value{u(8), loc, nonce, cid, code}},                                   // unknown DID
 		}
-	case "did-registry":
-		anchor := lang.BytesValue(func() []byte {
-			h := polcrypto.Hash([]byte("did:pol:prover"), []byte("authentication-key"))
-			return h[:]
-		}())
-		return []step{
-			{method: ctor, mustPass: true},
-			{method: "register", args: []lang.Value{u(7), anchor}, mustPass: true},
-			{method: "register", args: []lang.Value{u(7), anchor}}, // DID already anchored
-			{method: "register", args: []lang.Value{u(8), anchor}, mustPass: true},
-		}
 	case "area-checkin":
 		return []step{
 			{method: ctor, args: []lang.Value{lang.BytesValue([]byte("8FQFCX"))}, mustPass: true},
@@ -315,7 +307,7 @@ func TestShippedContractsAcrossEngines(t *testing.T) {
 					}
 					var pay uint64
 					if api.Pay != nil {
-						pay = uint64(rng.Intn(40))
+						pay = uint64(intn(rng, 40))
 					}
 					steps = append(steps, step{method: api.Name, pay: pay, args: args})
 				}

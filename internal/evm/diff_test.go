@@ -244,9 +244,11 @@ func TestDifferentialCallTransfer(t *testing.T) {
 // engines: result, gas, refund, logs and final state must agree bit for
 // bit, and neither may panic. The seeds aim at the memory paths' overflow
 // handling — MLOAD, MSTORE, CALLDATACOPY and KECCAK256 at offsets and sizes
-// near 2^64 (both engines read an offset word's low 64 bits, then refuse
-// any range that wraps or passes 4 GiB), and precompile descriptors naming
-// ranges there — where a fast-path shortcut would part from big.Int.
+// near 2^64 (each engine applies its own reading of a word of 2^64 or more,
+// and both refuse any range that wraps or passes 4 GiB), precompile
+// descriptors naming ranges there, and every row of
+// TestWordsOf2To64AndAbove — where a fast-path shortcut would part from
+// big.Int.
 // Run with -fuzzminimizetime 2s: minimising one long input otherwise eats
 // the budget. Crashers land in testdata/fuzz/FuzzExecuteAgainstRef with
 // their fix.
@@ -297,6 +299,15 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 	near[3].FillBytes(word)
 	seed(word, func(a *Assembler) { a.PushUint(0).Op(CALLDATALOAD, MLOAD, POP) })
 	seed(word, func(a *Assembler) { a.PushUint(32).PushUint(0).Op(CALLDATALOAD, KECCAK256, POP) })
+	for _, row := range wordRangeRows() {
+		a := NewAssembler()
+		row.build(a)
+		code, err := a.Assemble()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(code, row.calldata)
+	}
 
 	addr, caller := chain.Address{0xaa}, chain.Address{0xbb}
 	f.Fuzz(func(t *testing.T, code, calldata []byte) {

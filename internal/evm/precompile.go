@@ -85,7 +85,7 @@ func runPrecompile(h precompileHost, p *precompile.Precompiled, valueZero bool, 
 	for i := uint64(0); i < pairs; i++ {
 		args[i] = h.memSlice(offs[i], lens[i])
 	}
-	res, ok := p.Native(cost, args...)
+	res, ok := p.Native(args...)
 	if !ok {
 		return false, false
 	}

@@ -18,7 +18,41 @@ import (
 //
 // It allocates a *big.Int per opcode by design; do not optimize it.
 
-var two256 = new(big.Int).Lsh(big.NewInt(1), 256)
+var (
+	two64  = new(big.Int).Lsh(big.NewInt(1), 64)
+	two256 = new(big.Int).Lsh(big.NewInt(1), 256)
+)
+
+// refMemRange is the reference reading of a memory (offset, size) operand
+// pair, in big.Int arithmetic: a zero size touches nothing, and any other
+// range that ends at 2^64 or beyond cannot be paid for (ok = false: the
+// caller halts out of gas).
+func refMemRange(off, size *big.Int) (o, s uint64, ok bool) {
+	if size.Sign() == 0 {
+		return 0, 0, true
+	}
+	if new(big.Int).Add(off, size).Cmp(two64) >= 0 {
+		return 0, 0, false
+	}
+	return off.Uint64(), size.Uint64(), true
+}
+
+// refCalldata is the calldata from offset off on: empty once off is at or
+// past its end, whatever the width of off.
+func refCalldata(data []byte, off *big.Int) []byte {
+	if off.Cmp(big.NewInt(int64(len(data)))) >= 0 {
+		return nil
+	}
+	return data[off.Int64():]
+}
+
+// refJumpDest is the jump destination a word names, if it names a JUMPDEST.
+func (in *refInterpreter) refJumpDest(w *big.Int) (uint64, bool) {
+	if w.Cmp(two64) >= 0 {
+		return 0, false
+	}
+	return w.Uint64(), in.jumpdests[w.Uint64()]
+}
 
 type refInterpreter struct {
 	ctx   Context
@@ -397,7 +431,10 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off, size := args[0].Uint64(), args[1].Uint64()
+			off, size, ok := refMemRange(args[0], args[1])
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
 			words := (size + 31) / 32
 			if !in.useGas(GasKeccak256 + GasKeccak256Word*words) {
 				return fail(ErrOutOfGas)
@@ -458,13 +495,8 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off := a.Uint64()
 			var buf [32]byte
-			for i := uint64(0); i < 32; i++ {
-				if off+i < uint64(len(in.ctx.CallData)) {
-					buf[i] = in.ctx.CallData[off+i]
-				}
-			}
+			copy(buf[:], refCalldata(in.ctx.CallData, a))
 			if err := in.push(new(big.Int).SetBytes(buf[:])); err != nil {
 				return fail(err)
 			}
@@ -477,7 +509,10 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			dst, off, size := vals[0].Uint64(), vals[1].Uint64(), vals[2].Uint64()
+			dst, size, ok := refMemRange(vals[0], vals[2])
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
 			words := (size + 31) / 32
 			if !in.useGas(GasVeryLow + GasCopy*words) {
 				return fail(ErrOutOfGas)
@@ -486,14 +521,7 @@ func (in *refInterpreter) run() Result {
 				return fail(ErrOutOfGas)
 			}
 			mem := in.memSlice(dst, size)
-			data := in.ctx.CallData
-			for i := uint64(0); i < size; i++ {
-				if src := off + i; src >= off && src < uint64(len(data)) {
-					mem[i] = data[src]
-				} else {
-					mem[i] = 0
-				}
-			}
+			clear(mem[copy(mem, refCalldata(in.ctx.CallData, vals[1])):])
 
 		case POP:
 			if _, err := in.pop(); err != nil {
@@ -508,8 +536,8 @@ func (in *refInterpreter) run() Result {
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
-			off := a.Uint64()
-			if !in.expandMem(off, 32) {
+			off, _, ok := refMemRange(a, big.NewInt(32))
+			if !ok || !in.expandMem(off, 32) {
 				return fail(ErrOutOfGas)
 			}
 			if err := in.push(new(big.Int).SetBytes(in.memSlice(off, 32))); err != nil {
@@ -523,8 +551,8 @@ func (in *refInterpreter) run() Result {
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
-			off := args[0].Uint64()
-			if !in.expandMem(off, 32) {
+			off, _, ok := refMemRange(args[0], big.NewInt(32))
+			if !ok || !in.expandMem(off, 32) {
 				return fail(ErrOutOfGas)
 			}
 			args[1].FillBytes(in.mem[off : off+32])
@@ -582,8 +610,8 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			dest := a.Uint64()
-			if !in.jumpdests[dest] {
+			dest, ok := in.refJumpDest(a)
+			if !ok {
 				return fail(ErrInvalidJump)
 			}
 			pc = dest
@@ -594,8 +622,8 @@ func (in *refInterpreter) run() Result {
 				return fail(err)
 			}
 			if args[1].Sign() != 0 {
-				dest := args[0].Uint64()
-				if !in.jumpdests[dest] {
+				dest, ok := in.refJumpDest(args[0])
+				if !ok {
 					return fail(ErrInvalidJump)
 				}
 				pc = dest
@@ -623,7 +651,10 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off, size := args[0].Uint64(), args[1].Uint64()
+			off, size, ok := refMemRange(args[0], args[1])
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
 			if !in.useGas(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size) {
 				return fail(ErrOutOfGas)
 			}
@@ -646,8 +677,12 @@ func (in *refInterpreter) run() Result {
 			}
 			to := refWordToAddress(args[1])
 			if p := precompile.ByAddress(to); p != nil {
-				ok, oog := runPrecompile(in, p, args[2].Sign() == 0,
-					args[3].Uint64(), args[4].Uint64(), args[5].Uint64(), args[6].Uint64())
+				inOff, inSize, inOK := refMemRange(args[3], args[4])
+				outOff, outSize, outOK := refMemRange(args[5], args[6])
+				if !inOK || !outOK {
+					return fail(ErrOutOfGas)
+				}
+				ok, oog := runPrecompile(in, p, args[2].Sign() == 0, inOff, inSize, outOff, outSize)
 				if oog {
 					return fail(ErrOutOfGas)
 				}
@@ -693,8 +728,8 @@ func (in *refInterpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off, size := args[0].Uint64(), args[1].Uint64()
-			if !in.expandMem(off, size) {
+			off, size, ok := refMemRange(args[0], args[1])
+			if !ok || !in.expandMem(off, size) {
 				return fail(ErrOutOfGas)
 			}
 			data := append([]byte(nil), in.memSlice(off, size)...)

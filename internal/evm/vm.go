@@ -3,6 +3,7 @@ package evm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 
@@ -364,10 +365,40 @@ func (in *interpreter) originalSlot(addr chain.Address, key chain.Hash32) chain.
 	return v
 }
 
-// validJump reports whether dest is a JUMPDEST (64-bit truncated, matching
-// big.Int.Uint64 in the reference interpreter).
-func (in *interpreter) validJump(dest uint64) bool {
-	return dest < uint64(len(in.jumpdests)) && in.jumpdests[dest]
+// Operand words that name a place become indices by one rule per class
+// (Yellow Paper, §9.4 and Appendix H); a word of 2^64 or more is never cut
+// to its low 64 bits.
+
+// memRange reads a memory (offset, size) operand pair. A size of zero
+// touches nothing, whatever the offset. Otherwise an offset or size of 2^64
+// or more cannot be paid for: ok is false and the caller halts with
+// ErrOutOfGas, as expandMem does for a range whose end overflows.
+func memRange(off, size u256.Word) (o, s uint64, ok bool) {
+	if size.IsZero() {
+		return 0, 0, true
+	}
+	if !off.IsUint64() || !size.IsUint64() {
+		return 0, 0, false
+	}
+	return off.Uint64(), size.Uint64(), true
+}
+
+// word32 is the size of an MLOAD or MSTORE range.
+var word32 = u256.FromUint64(32)
+
+// dataOffset reads a calldata offset. An offset of 2^64 or more lies past
+// any calldata, so it saturates there and every byte read from it is zero.
+func dataOffset(w u256.Word) uint64 {
+	if !w.IsUint64() {
+		return math.MaxUint64
+	}
+	return w.Uint64()
+}
+
+// validJump reports whether the jump destination word names a JUMPDEST; a
+// destination of 2^64 or more names none.
+func (in *interpreter) validJump(dest u256.Word) bool {
+	return dest.IsUint64() && dest.Uint64() < uint64(len(in.jumpdests)) && in.jumpdests[dest.Uint64()]
 }
 
 //nolint:gocyclo // a bytecode interpreter is one big dispatch by nature.
@@ -517,7 +548,10 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off, size := a.Uint64(), b.Uint64()
+			off, size, ok := memRange(a, b)
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
 			words := (size + 31) / 32
 			if !in.useGas(GasKeccak256 + GasKeccak256Word*words) {
 				return fail(ErrOutOfGas)
@@ -578,11 +612,11 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off := a.Uint64()
+			off := dataOffset(a)
 			var buf [32]byte
 			for i := uint64(0); i < 32; i++ {
-				if off+i < uint64(len(in.ctx.CallData)) {
-					buf[i] = in.ctx.CallData[off+i]
+				if src := off + i; src >= off && src < uint64(len(in.ctx.CallData)) {
+					buf[i] = in.ctx.CallData[src]
 				}
 			}
 			if err := in.push(u256.SetBytes(buf[:])); err != nil {
@@ -601,7 +635,11 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			dst, off, size := a.Uint64(), b.Uint64(), c.Uint64()
+			dst, size, ok := memRange(a, c)
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
+			off := dataOffset(b)
 			words := (size + 31) / 32
 			if !in.useGas(GasVeryLow + GasCopy*words) {
 				return fail(ErrOutOfGas)
@@ -632,8 +670,8 @@ func (in *interpreter) run() Result {
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
-			off := a.Uint64()
-			if !in.expandMem(off, 32) {
+			off, _, ok := memRange(a, word32)
+			if !ok || !in.expandMem(off, 32) {
 				return fail(ErrOutOfGas)
 			}
 			if err := in.push(u256.SetBytes(in.memSlice(off, 32))); err != nil {
@@ -647,8 +685,8 @@ func (in *interpreter) run() Result {
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
-			off := a.Uint64()
-			if !in.expandMem(off, 32) {
+			off, _, ok := memRange(a, word32)
+			if !ok || !in.expandMem(off, 32) {
 				return fail(ErrOutOfGas)
 			}
 			b.PutBytes32(in.mem[off : off+32])
@@ -706,11 +744,10 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			dest := a.Uint64()
-			if !in.validJump(dest) {
+			if !in.validJump(a) {
 				return fail(ErrInvalidJump)
 			}
-			pc = dest
+			pc = a.Uint64()
 			continue
 		case JUMPI:
 			a, b, err := in.pop2()
@@ -718,11 +755,10 @@ func (in *interpreter) run() Result {
 				return fail(err)
 			}
 			if !b.IsZero() {
-				dest := a.Uint64()
-				if !in.validJump(dest) {
+				if !in.validJump(a) {
 					return fail(ErrInvalidJump)
 				}
-				pc = dest
+				pc = a.Uint64()
 				continue
 			}
 
@@ -748,7 +784,10 @@ func (in *interpreter) run() Result {
 			if err := in.popN(args); err != nil {
 				return fail(err)
 			}
-			off, size := args[0].Uint64(), args[1].Uint64()
+			off, size, ok := memRange(args[0], args[1])
+			if !ok {
+				return fail(ErrOutOfGas)
+			}
 			if !in.useGas(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size) {
 				return fail(ErrOutOfGas)
 			}
@@ -771,8 +810,12 @@ func (in *interpreter) run() Result {
 			}
 			to := wordToAddr(argbuf[1])
 			if p := precompile.ByAddress(to); p != nil {
-				ok, oog := runPrecompile(in, p, argbuf[2].IsZero(),
-					argbuf[3].Uint64(), argbuf[4].Uint64(), argbuf[5].Uint64(), argbuf[6].Uint64())
+				inOff, inSize, inOK := memRange(argbuf[3], argbuf[4])
+				outOff, outSize, outOK := memRange(argbuf[5], argbuf[6])
+				if !inOK || !outOK {
+					return fail(ErrOutOfGas)
+				}
+				ok, oog := runPrecompile(in, p, argbuf[2].IsZero(), inOff, inSize, outOff, outSize)
 				if oog {
 					return fail(ErrOutOfGas)
 				}
@@ -816,8 +859,8 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			off, size := a.Uint64(), b.Uint64()
-			if !in.expandMem(off, size) {
+			off, size, ok := memRange(a, b)
+			if !ok || !in.expandMem(off, size) {
 				return fail(ErrOutOfGas)
 			}
 			data := append([]byte(nil), in.memSlice(off, size)...)

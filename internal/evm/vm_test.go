@@ -132,7 +132,7 @@ func TestInvalidJump(t *testing.T) {
 
 func TestJumpFlow(t *testing.T) {
 	res := run(t, func(a *Assembler) {
-		a.PushUint(1).JumpI("skip")
+		a.PushUint(1).PushLabel("skip").Op(JUMPI)
 		a.PushUint(111) // skipped
 		returnTop(a)
 		a.Label("skip")

@@ -24,11 +24,6 @@ func (p LatLng) String() string {
 	return fmt.Sprintf("(%.6f,%.6f)", p.Lat, p.Lng)
 }
 
-// Valid reports whether the coordinates are inside the WGS84 domain.
-func (p LatLng) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lng >= -180 && p.Lng <= 180
-}
-
 const earthRadiusMeters = 6371008.8
 
 // DistanceMeters returns the great-circle (haversine) distance between two

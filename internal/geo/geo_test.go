@@ -82,22 +82,3 @@ func TestMoveToKeepsHonestyInvariant(t *testing.T) {
 		t.Fatal("spoofing device must keep its fake claim after moving")
 	}
 }
-
-func TestValid(t *testing.T) {
-	cases := []struct {
-		p  LatLng
-		ok bool
-	}{
-		{LatLng{0, 0}, true},
-		{LatLng{90, 180}, true},
-		{LatLng{-90, -180}, true},
-		{LatLng{91, 0}, false},
-		{LatLng{0, 181}, false},
-		{LatLng{-90.01, 0}, false},
-	}
-	for _, c := range cases {
-		if got := c.p.Valid(); got != c.ok {
-			t.Errorf("Valid(%v) = %v, want %v", c.p, got, c.ok)
-		}
-	}
-}

@@ -11,7 +11,6 @@
 package hypercube
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -38,22 +37,12 @@ func (e *Entry) Clone() *Entry {
 	return cp
 }
 
-// JSON renders the entry as the JSON document a real node serves (the
-// format in Fig. 2.9).
-func (e *Entry) JSON() ([]byte, error) {
-	return json.Marshal(e)
-}
-
 // Network is the complete r-dimensional hypercube.
 type Network struct {
 	mu sync.RWMutex
 	r  int
 	// nodes[id] is logical vertex id's content: keyword (OLC) -> entry.
 	nodes []map[string]*Entry
-
-	totalHops    uint64
-	totalLookups uint64
-	rerouted     uint64
 
 	// flt injects node failures on routing paths; nil when fault
 	// injection is off.
@@ -89,61 +78,28 @@ func MustNew(r int) *Network {
 	return n
 }
 
-// Dimension returns r.
-func (h *Network) Dimension() int { return h.r }
-
-// Size returns the number of logical nodes, 2^r.
-func (h *Network) Size() int { return len(h.nodes) }
-
-// Neighbors returns the IDs adjacent to id (differing in exactly one bit).
-func (h *Network) Neighbors(id uint64) []uint64 {
-	out := make([]uint64, 0, h.r)
-	for b := h.r - 1; b >= 0; b-- {
-		out = append(out, id^(1<<uint(b)))
-	}
-	return out
-}
-
-// Route walks greedily from 'from' to 'to', flipping the most significant
-// differing bit at each hop, and returns the path including both endpoints.
-// Path length is the Hamming distance, hence at most r.
-func (h *Network) Route(from, to uint64) []uint64 {
-	path := []uint64{from}
-	cur := from
-	for cur != to {
-		diff := cur ^ to
-		b := bits.Len64(diff) - 1
-		cur ^= 1 << uint(b)
-		path = append(path, cur)
-	}
-	return path
-}
-
-// routeResilient walks greedily from 'from' to 'to' like Route, but
-// consults the fault injector at every intermediate hop: when the greedy
-// next-hop node is down, the walk detours via the least significant
-// differing bit instead. Any differing bit closes the Hamming distance, so
-// reroutes never lengthen the path and the r-hop bound survives failures.
-// The endpoints never fail — the requester is alive and the responsible
-// node must serve, matching the paper's assumption that content
-// responsibility is re-homed out of band. It records the route — hop
-// count, and every reroute that still delivered the request as a
-// recovery — and returns the hops travelled.
+// routeResilient walks greedily from 'from' to 'to', flipping the most
+// significant differing bit at each hop, so the path length is the Hamming
+// distance, hence at most r. It consults the fault injector at every
+// intermediate hop: when the greedy next-hop node is down, the walk detours
+// via the least significant differing bit instead. Any differing bit closes
+// the Hamming distance, so reroutes never lengthen the path and the r-hop
+// bound survives failures. The endpoints never fail — the requester is
+// alive and the responsible node must serve, matching the paper's
+// assumption that content responsibility is re-homed out of band. Every
+// reroute that still delivered the request counts as a recovery. It
+// returns the hops travelled.
 func (h *Network) routeResilient(from, to uint64) int {
-	hops, rerouted := 0, 0
+	hops := 0
 	for cur := from; cur != to; hops++ {
 		diff := cur ^ to
 		next := cur ^ (1 << uint(bits.Len64(diff)-1))
 		if next != to && h.flt.Hit(faults.ClassCubeNodeDown, "cube.route") {
 			next = cur ^ (1 << uint(bits.TrailingZeros64(diff)))
-			rerouted++
 			h.flt.Recover(faults.ClassCubeNodeDown)
 		}
 		cur = next
 	}
-	h.totalHops += uint64(hops)
-	h.totalLookups++
-	h.rerouted += uint64(rerouted)
 	return hops
 }
 
@@ -234,25 +190,4 @@ func (h *Network) RangeQuery(targetID uint64, maxHops int) ([]*Entry, error) {
 		}
 	}
 	return out, nil
-}
-
-// Stats summarizes routing behaviour for the ablation benchmarks.
-type Stats struct {
-	Lookups uint64
-	AvgHops float64
-	MaxHops int
-	// Rerouted counts hops detoured around injected node failures.
-	Rerouted uint64
-}
-
-// Stats returns aggregate routing statistics. MaxHops is the theoretical
-// bound r (greedy routing can never exceed it).
-func (h *Network) Stats() Stats {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s := Stats{Lookups: h.totalLookups, MaxHops: h.r, Rerouted: h.rerouted}
-	if h.totalLookups > 0 {
-		s.AvgHops = float64(h.totalHops) / float64(h.totalLookups)
-	}
-	return s
 }

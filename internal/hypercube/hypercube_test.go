@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"encoding/json"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -16,45 +17,42 @@ func TestNewValidatesDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Size() != 64 {
-		t.Fatalf("size %d, want 64", n.Size())
+	if _, err := n.Put(0, 63, "k", &Entry{}); err != nil {
+		t.Fatalf("node 63 of 2^6: %v", err)
+	}
+	if _, err := n.Put(0, 64, "k", &Entry{}); err == nil {
+		t.Fatal("node 64 of 2^6 accepted")
 	}
 }
 
+// TestNeighborsDifferByOneBit: a node reaches each of its r neighbours,
+// the IDs one bit away, in exactly one hop.
 func TestNeighborsDifferByOneBit(t *testing.T) {
-	n := MustNew(5)
-	for id := uint64(0); id < uint64(n.Size()); id += 7 {
-		neigh := n.Neighbors(id)
-		if len(neigh) != 5 {
-			t.Fatalf("node %d has %d neighbors, want 5", id, len(neigh))
-		}
-		for _, m := range neigh {
-			if bits.OnesCount64(id^m) != 1 {
-				t.Fatalf("nodes %d and %d differ in %d bits", id, m, bits.OnesCount64(id^m))
+	const r = 5
+	n := MustNew(r)
+	for id := uint64(0); id < 1<<r; id += 7 {
+		for b := 0; b < r; b++ {
+			_, hops, _, err := n.Get(id, id^1<<b, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hops != 1 {
+				t.Fatalf("node %d reached its neighbour %d in %d hops, want 1", id, id^1<<b, hops)
 			}
 		}
 	}
 }
 
-// TestRouteIsGreedyAndBounded: the path length equals the Hamming distance,
-// hence is at most r, and every hop flips exactly one bit (§1.3).
+// TestRouteIsGreedyAndBounded: every hop flips one bit, so a request
+// travels the Hamming distance between entry and target node, hence at
+// most r hops (§1.3).
 func TestRouteIsGreedyAndBounded(t *testing.T) {
-	n := MustNew(8)
+	const r = 8
+	n := MustNew(r)
 	err := quick.Check(func(a, b uint8) bool {
 		from, to := uint64(a), uint64(b)
-		path := n.Route(from, to)
-		if path[0] != from || path[len(path)-1] != to {
-			return false
-		}
-		if len(path)-1 != bits.OnesCount64(from^to) {
-			return false
-		}
-		for i := 1; i < len(path); i++ {
-			if bits.OnesCount64(path[i-1]^path[i]) != 1 {
-				return false
-			}
-		}
-		return len(path)-1 <= n.Dimension()
+		_, hops, _, err := n.Get(from, to, "k")
+		return err == nil && hops == bits.OnesCount64(from^to) && hops <= r
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,29 +156,31 @@ func TestRangeQueryHammingBall(t *testing.T) {
 	}
 }
 
+// TestStatsAverageHops: the antipodal node is the r-hop worst case and the
+// responsible node itself is zero hops away, so the two average r/2.
 func TestStatsAverageHops(t *testing.T) {
 	n := MustNew(6)
-	if _, err := n.Put(0, 63, "a", &Entry{}); err != nil { // 6 hops
+	put, err := n.Put(0, 63, "a", &Entry{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := n.Get(63, 63, "a"); err != nil { // 0 hops
+	_, get, _, err := n.Get(63, 63, "a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := n.Stats()
-	if s.Lookups != 2 {
-		t.Fatalf("lookups %d, want 2", s.Lookups)
+	if put != 6 || get != 0 {
+		t.Fatalf("hops put %d, get %d; want 6 and 0", put, get)
 	}
-	if s.AvgHops != 3 {
-		t.Fatalf("avg hops %v, want 3", s.AvgHops)
-	}
-	if s.MaxHops != 6 {
-		t.Fatalf("max hops %d, want 6", s.MaxHops)
+	if avg := float64(put+get) / 2; avg != 3 {
+		t.Fatalf("avg hops %v, want 3", avg)
 	}
 }
 
+// TestEntryJSONMatchesThesisShape: the struct tags give the JSON document
+// a node serves the field names of Fig. 2.9.
 func TestEntryJSONMatchesThesisShape(t *testing.T) {
 	e := &Entry{ContractID: "app/5", OLC: "8FPH+XX", CIDs: []string{"bafy1", "bafy2"}}
-	data, err := e.JSON()
+	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}

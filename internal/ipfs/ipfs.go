@@ -1,14 +1,14 @@
 // Package ipfs simulates the InterPlanetary File System as the paper uses
 // it: a content-addressed peer-to-peer store. Objects get a CID derived from
-// hashing their content (SHA-256, as IPFS does); a DHT maps each CID to the
-// peers providing it; and — reproducing the availability caveat in §1.5 —
-// content that nobody pins can disappear from the network.
+// hashing their content (SHA-256, as IPFS does), any registered peer can
+// add content, and every fetch is checked against its CID. Pinning is the
+// RPC that makes a copy durable (§1.5); the model keeps every object, so
+// what a pin can do here is fail, which the fault injector draws.
 package ipfs
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"agnopol/internal/faults"
@@ -38,17 +38,11 @@ var (
 	ErrNoPeer = errors.New("ipfs: unknown peer")
 )
 
-type object struct {
-	data   []byte
-	pinned map[string]bool // peer -> pinned
-	cached map[string]bool // peer -> has a (gc-able) copy
-}
-
 // Network is the simulated IPFS swarm.
 type Network struct {
 	mu      sync.RWMutex
 	peers   map[string]bool
-	objects map[CID]*object
+	objects map[CID][]byte
 
 	// flt injects fetch and pin failures; nil when fault injection is off.
 	flt *faults.Injector
@@ -65,7 +59,7 @@ func (n *Network) SetFaults(inj *faults.Injector) {
 func NewNetwork() *Network {
 	return &Network{
 		peers:   make(map[string]bool),
-		objects: make(map[CID]*object),
+		objects: make(map[CID][]byte),
 	}
 }
 
@@ -76,8 +70,9 @@ func (n *Network) AddPeer(name string) {
 	n.peers[name] = true
 }
 
-// Add stores data from the given peer and returns its CID. The uploading
-// peer holds a cached (unpinned) copy; call Pin to make it durable.
+// Add stores data from the given peer and returns its CID; the same
+// content from another peer is the same object. Call Pin to make it
+// durable.
 func (n *Network) Add(peer string, data []byte) (CID, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -85,50 +80,26 @@ func (n *Network) Add(peer string, data []byte) (CID, error) {
 		return "", fmt.Errorf("%w: %q", ErrNoPeer, peer)
 	}
 	cid := ComputeCID(data)
-	obj, ok := n.objects[cid]
-	if !ok {
-		obj = &object{
-			data:   append([]byte(nil), data...),
-			pinned: make(map[string]bool),
-			cached: make(map[string]bool),
-		}
-		n.objects[cid] = obj
+	if _, ok := n.objects[cid]; !ok {
+		n.objects[cid] = append([]byte(nil), data...)
 	}
-	obj.cached[peer] = true
 	return cid, nil
 }
 
-// Pin makes the peer a durable provider of the content.
+// Pin asks the peer to become a durable provider of the content. The peer
+// must be registered and the content known before the pin RPC is tried.
 func (n *Network) Pin(peer string, cid CID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.peers[peer] {
 		return fmt.Errorf("%w: %q", ErrNoPeer, peer)
 	}
-	obj, ok := n.objects[cid]
-	if !ok {
+	if _, ok := n.objects[cid]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, cid)
 	}
-	if err := n.flt.Try(faults.ClassIPFSUnpin, "ipfs.pin"); err != nil {
-		// The pin RPC fails, leaving the content at GC risk until the
-		// caller re-pins.
-		return err
-	}
-	obj.pinned[peer] = true
-	obj.cached[peer] = true
-	return nil
-}
-
-// Unpin releases the peer's pin; the copy survives as cache until GC.
-func (n *Network) Unpin(peer string, cid CID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	obj, ok := n.objects[cid]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, cid)
-	}
-	delete(obj.pinned, peer)
-	return nil
+	// An injected failure is the pin RPC failing, which would leave the
+	// content at GC risk until the caller re-pins.
+	return n.flt.Try(faults.ClassIPFSUnpin, "ipfs.pin")
 }
 
 // Get fetches the content by CID from any provider, verifying integrity
@@ -141,77 +112,12 @@ func (n *Network) Get(cid CID) ([]byte, error) {
 		// find one.
 		return nil, err
 	}
-	obj, ok := n.objects[cid]
-	if !ok || (len(obj.pinned) == 0 && len(obj.cached) == 0) {
+	data, ok := n.objects[cid]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, cid)
 	}
-	if !cid.Verify(obj.data) {
+	if !cid.Verify(data) {
 		return nil, fmt.Errorf("ipfs: integrity failure for %s", cid)
 	}
-	return append([]byte(nil), obj.data...), nil
-}
-
-// Providers returns the sorted peers currently holding the content.
-func (n *Network) Providers(cid CID) []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	obj, ok := n.objects[cid]
-	if !ok {
-		return nil
-	}
-	seen := make(map[string]bool)
-	for p := range obj.pinned {
-		seen[p] = true
-	}
-	for p := range obj.cached {
-		seen[p] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GarbageCollect drops all unpinned cached copies, the §1.5 failure mode:
-// content with no pinning provider disappears from the network. It returns
-// the CIDs that became unavailable.
-func (n *Network) GarbageCollect() []CID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var lost []CID
-	for cid, obj := range n.objects {
-		for p := range obj.cached {
-			if !obj.pinned[p] {
-				delete(obj.cached, p)
-			}
-		}
-		if len(obj.pinned) == 0 && len(obj.cached) == 0 {
-			lost = append(lost, cid)
-			delete(n.objects, cid)
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	return lost
-}
-
-// Stats describes swarm contents.
-type Stats struct {
-	Peers   int
-	Objects int
-	Pinned  int
-}
-
-// Stats returns current swarm statistics.
-func (n *Network) Stats() Stats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s := Stats{Peers: len(n.peers), Objects: len(n.objects)}
-	for _, obj := range n.objects {
-		if len(obj.pinned) > 0 {
-			s.Pinned++
-		}
-	}
-	return s
+	return append([]byte(nil), data...), nil
 }

@@ -10,6 +10,9 @@ import (
 	"agnopol/internal/evm"
 )
 
+// intn is a uniform int in [0, n) from r.
+func intn(r *chain.Rand, n int) int { return int(r.Uint64n(uint64(n))) }
+
 // Differential testing of the two backends: randomly generated expression
 // trees are compiled to EVM and TEAL and must either fail identically
 // (division by zero, uint64 overflow semantics differ — see below) or
@@ -30,18 +33,18 @@ type exprGen struct {
 // gen produces a random TUInt expression with values bounded to avoid the
 // overflow divergence; depth limits recursion.
 func (g *exprGen) gen(depth int) Expr {
-	if depth <= 0 || g.rng.Intn(4) == 0 {
-		switch g.rng.Intn(3) {
+	if depth <= 0 || intn(g.rng, 4) == 0 {
+		switch intn(g.rng, 3) {
 		case 0:
-			return U(uint64(g.rng.Intn(1000)))
+			return U(uint64(intn(g.rng, 1000)))
 		case 1:
-			return A(g.rng.Intn(len(g.args)))
+			return A(intn(g.rng, len(g.args)))
 		default:
-			return U(uint64(g.rng.Intn(7))) // small constants hit div/mod paths
+			return U(uint64(intn(g.rng, 7))) // small constants hit div/mod paths
 		}
 	}
 	a, b := g.gen(depth-1), g.gen(depth-1)
-	switch g.rng.Intn(8) {
+	switch intn(g.rng, 8) {
 	case 0:
 		return Add(a, b)
 	case 1:
@@ -122,7 +125,7 @@ func TestBackendsAgreeOnRandomPrograms(t *testing.T) {
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		g := &exprGen{rng: rng.Fork(fmt.Sprintf("t%d", trial)), args: []uint64{
-			uint64(rng.Intn(500)), uint64(rng.Intn(500)), uint64(rng.Intn(10)),
+			uint64(intn(rng, 500)), uint64(intn(rng, 500)), uint64(intn(rng, 10)),
 		}}
 		p := NewProgram(fmt.Sprintf("diff%d", trial))
 		p.SetConstructor(nil)

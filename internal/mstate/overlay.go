@@ -125,6 +125,3 @@ func (o *Overlay) CommitTo(dst *Trie) {
 		}
 	}
 }
-
-// Touched returns the number of distinct keys written or deleted.
-func (o *Overlay) Touched() int { return len(o.writes) }

@@ -154,8 +154,8 @@ func TestOwnershipRandomized(t *testing.T) {
 					burst(ov, journal)
 				}
 				ov.check(t, "overlay", keys)
-				if ovl.Touched() != len(journal) {
-					t.Fatalf("overlay journal has %d keys, wrote %d", ovl.Touched(), len(journal))
+				if len(ovl.writes) != len(journal) {
+					t.Fatalf("overlay journal has %d keys, wrote %d", len(ovl.writes), len(journal))
 				}
 				if rng.Intn(3) != 0 {
 					ovl.CommitTo(tr)

@@ -133,8 +133,8 @@ func TestOverlay(t *testing.T) {
 	if got, _ := base.Get(k("a")); !bytes.Equal(got, []byte("1")) {
 		t.Fatalf("base a = %q before commit", got)
 	}
-	if ov.Touched() != 3 {
-		t.Fatalf("touched = %d, want 3", ov.Touched())
+	if len(ov.writes) != 3 {
+		t.Fatalf("touched = %d, want 3", len(ov.writes))
 	}
 
 	ov.CommitTo(base)
@@ -289,8 +289,8 @@ func TestOverlayRevertRestoresEarlierGroups(t *testing.T) {
 	want.Put(kept, []byte("kept"))
 	want.Put(created, []byte("created"))
 	want.Delete(k("base-5"))
-	if ov.Touched() != 3 {
-		t.Fatalf("journal has %d keys, the kept group wrote 3", ov.Touched())
+	if len(ov.writes) != 3 {
+		t.Fatalf("journal has %d keys, the kept group wrote 3", len(ov.writes))
 	}
 	ov.CommitTo(base)
 	if base.Root() != want.Root() || base.Len() != want.Len() {

@@ -49,20 +49,6 @@ func (p *OpcodeProfile) Op(name string, cost uint64) {
 	p.mu.Unlock()
 }
 
-// Snapshot copies the per-opcode stats.
-func (p *OpcodeProfile) Snapshot() map[string]OpStat {
-	out := make(map[string]OpStat)
-	if p == nil {
-		return out
-	}
-	p.mu.Lock()
-	for name, st := range p.ops {
-		out[name] = *st
-	}
-	p.mu.Unlock()
-	return out
-}
-
 // Export flushes the profile into a registry as
 // `{vm}_opcode_executions_total{op=...}` and
 // `{vm}_opcode_{costUnit}_total{op=...}` counters (e.g. vm="evm",

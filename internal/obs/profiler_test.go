@@ -6,16 +6,25 @@ import (
 	"testing"
 )
 
+// stat reads op's accumulated execution count and cost.
+func stat(p *OpcodeProfile, op string) OpStat {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if st := p.ops[op]; st != nil {
+		return *st
+	}
+	return OpStat{}
+}
+
 func TestOpcodeProfileAccumulates(t *testing.T) {
 	p := NewOpcodeProfile()
 	p.Op("SSTORE", 20000)
 	p.Op("SSTORE", 2900)
 	p.Op("ADD", 3)
-	snap := p.Snapshot()
-	if st := snap["SSTORE"]; st.Count != 2 || st.Cost != 22900 {
+	if st := stat(p, "SSTORE"); st.Count != 2 || st.Cost != 22900 {
 		t.Errorf("SSTORE = %+v, want {2 22900}", st)
 	}
-	if st := snap["ADD"]; st.Count != 1 || st.Cost != 3 {
+	if st := stat(p, "ADD"); st.Count != 1 || st.Cost != 3 {
 		t.Errorf("ADD = %+v, want {1 3}", st)
 	}
 }
@@ -45,10 +54,11 @@ func TestOpcodeProfileExportIncremental(t *testing.T) {
 func TestNilProfileIsNoOp(t *testing.T) {
 	var p *OpcodeProfile
 	p.Op("ADD", 1) // must not panic
-	if len(p.Snapshot()) != 0 {
-		t.Error("nil profile snapshot must be empty")
+	r := NewRegistry()
+	p.Export(r, "evm", "gas")
+	if txt := r.Text(); txt != "" {
+		t.Errorf("nil profile exported %q", txt)
 	}
-	p.Export(NewRegistry(), "evm", "gas")
 }
 
 func TestOpcodeProfileConcurrency(t *testing.T) {
@@ -64,7 +74,7 @@ func TestOpcodeProfileConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := p.Snapshot()["MUL"]; st.Count != 8000 || st.Cost != 40000 {
+	if st := stat(p, "MUL"); st.Count != 8000 || st.Cost != 40000 {
 		t.Errorf("MUL = %+v, want {8000 40000}", st)
 	}
 }

@@ -57,19 +57,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adds delta (atomically, via CAS).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value reads the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -26,19 +26,6 @@ func (b BitString) Uint64() uint64 {
 	return v
 }
 
-// String renders the bits as a binary string, e.g. "110100".
-func (b BitString) String() string {
-	var sb strings.Builder
-	for _, bit := range b.Bits {
-		if bit {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
 // Segments splits a full code into the zero-padded pieces the dual encoding
 // hashes (Fig. 1.3): for "6PH57VP3+PR" it returns
 // ["6P00000000" "00H5000000" "00007V0000" "000000P300" "00000000PR"].
@@ -85,18 +72,4 @@ func ToBitString(code string, r int) (BitString, error) {
 		bits[idx] = !bits[idx] // XOR accumulate
 	}
 	return BitString{Bits: bits}, nil
-}
-
-// NodeID is a convenience wrapper returning the integer hypercube node ID
-// for a coordinate at the default code length.
-func NodeID(lat, lng float64, r int) (uint64, error) {
-	code, err := Encode(lat, lng, DefaultCodeLength)
-	if err != nil {
-		return 0, err
-	}
-	bs, err := ToBitString(code, r)
-	if err != nil {
-		return 0, err
-	}
-	return bs.Uint64(), nil
 }

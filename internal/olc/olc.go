@@ -273,12 +273,6 @@ func CheckFull(code string) error {
 	return nil
 }
 
-// IsValid reports whether the code passes syntax checks.
-func IsValid(code string) bool { return Check(code) == nil }
-
-// IsFull reports whether the code is a valid full code.
-func IsFull(code string) bool { return CheckFull(code) == nil }
-
 // stripped returns the upper-cased digits of the code without separator and
 // padding.
 func stripped(code string) string {

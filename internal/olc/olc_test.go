@@ -106,8 +106,8 @@ func TestValidation(t *testing.T) {
 		"WC2345+G6G", "2345+G6",
 	}
 	for _, c := range valid {
-		if !IsValid(c) {
-			t.Errorf("IsValid(%q) = false, want true", c)
+		if err := Check(c); err != nil {
+			t.Errorf("Check(%q) = %v, want nil", c, err)
 		}
 	}
 	invalid := []string{
@@ -115,19 +115,19 @@ func TestValidation(t *testing.T) {
 		"8FWC2300+G6", "2300+", "+", "0000+",
 	}
 	for _, c := range invalid {
-		if IsValid(c) {
-			t.Errorf("IsValid(%q) = true, want false", c)
+		if Check(c) == nil {
+			t.Errorf("Check(%q) accepted", c)
 		}
 	}
 }
 
 func TestIsFull(t *testing.T) {
-	if !IsFull("8FWC2345+G6") {
-		t.Error("full code rejected")
+	if err := CheckFull("8FWC2345+G6"); err != nil {
+		t.Errorf("full code rejected: %v", err)
 	}
 	for _, c := range []string{"2345+G6", "WC2345+G6", "X2GG8FWC+"} {
-		if IsFull(c) {
-			t.Errorf("IsFull(%q) = true, want false", c)
+		if CheckFull(c) == nil {
+			t.Errorf("CheckFull(%q) accepted", c)
 		}
 	}
 }

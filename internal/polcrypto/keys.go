@@ -55,12 +55,6 @@ func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.private, msg)
 }
 
-// PublicHex returns the public key as lower-case hex, used as a pseudonym in
-// witness lists and DID documents.
-func (k *KeyPair) PublicHex() string {
-	return hex.EncodeToString(k.Public)
-}
-
 // Verify reports whether sig is a valid signature of msg under pub.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {

@@ -10,14 +10,12 @@
 // of (offset, length) memory ranges zero-copy, charges the entry's gas
 // schedule and writes a 32-byte result word. The AVM exposes the same
 // natives as pseudo-ops with fixed Instr.Cost. Both routes funnel through
-// (*Precompiled).Native so the per-precompile obs counters (calls, gas,
-// cache hits) see every invocation regardless of VM.
+// (*Precompiled).Native, so each function has one implementation.
 package precompile
 
 import (
 	"bytes"
 
-	"agnopol/internal/obs"
 	"agnopol/internal/polcrypto"
 )
 
@@ -57,39 +55,18 @@ type Precompiled struct {
 	AVMOp   string
 	AVMCost uint64
 
-	run func(p *Precompiled, args [][]byte) ([32]byte, bool)
-
-	// Telemetry: every Native invocation counts one call and its gas/cost;
-	// the ed25519 entry additionally counts signature-cache hits.
-	calls     obs.Counter
-	gasUsed   obs.Counter
-	cacheHits obs.Counter
+	run func(args [][]byte) ([32]byte, bool)
 }
 
-// Native runs the precompile over already-resolved arguments, counting the
-// invocation and cost against the entry's counters. Both VM engines and the
-// AVM pseudo-ops route through here.
-func (p *Precompiled) Native(cost uint64, args ...[]byte) ([32]byte, bool) {
-	p.calls.Inc()
-	p.gasUsed.Add(cost)
-	return p.run(p, args)
+// Native runs the precompile over already-resolved arguments. Both VM
+// engines and the AVM pseudo-ops route through here.
+func (p *Precompiled) Native(args ...[]byte) ([32]byte, bool) {
+	return p.run(args)
 }
 
 // Gas returns the EVM gas charge for inputBytes of referenced input.
 func (p *Precompiled) Gas(inputBytes uint64) uint64 {
 	return p.GasBase + p.GasWord*((inputBytes+31)/32)
-}
-
-// Stats is a point-in-time snapshot of one entry's counters.
-type Stats struct {
-	Calls     uint64
-	Gas       uint64
-	CacheHits uint64
-}
-
-// StatsOf snapshots the entry's telemetry.
-func (p *Precompiled) StatsOf() Stats {
-	return Stats{Calls: p.calls.Value(), Gas: p.gasUsed.Value(), CacheHits: p.cacheHits.Value()}
 }
 
 // sigs memoizes ed25519 verdicts for the precompile path. It shares the
@@ -106,22 +83,19 @@ func boolWord(b bool) [32]byte {
 	return w
 }
 
-func runEd25519(p *Precompiled, args [][]byte) ([32]byte, bool) {
+func runEd25519(args [][]byte) ([32]byte, bool) {
 	if len(args) != 3 {
 		return [32]byte{}, false
 	}
-	ok, hit := sigs.Verify(args[0], args[1], args[2])
-	if hit {
-		p.cacheHits.Inc()
-	}
+	ok, _ := sigs.Verify(args[0], args[1], args[2])
 	return boolWord(ok), true
 }
 
-func runHash(_ *Precompiled, args [][]byte) ([32]byte, bool) {
+func runHash(args [][]byte) ([32]byte, bool) {
 	return polcrypto.Hash(args...), true
 }
 
-func runBytesEqual(_ *Precompiled, args [][]byte) ([32]byte, bool) {
+func runBytesEqual(args [][]byte) ([32]byte, bool) {
 	if len(args) != 2 {
 		return [32]byte{}, false
 	}
@@ -132,7 +106,7 @@ func runBytesEqual(_ *Precompiled, args [][]byte) ([32]byte, bool) {
 // the area cell args[0]. Cells are stored as stripped even-length OLC
 // prefixes (e.g. "8FQFCX" for the 6-char cell), so containment of a full
 // code ("8FQFCXGV+XX") is exactly a byte-prefix test.
-func runOLCContains(_ *Precompiled, args [][]byte) ([32]byte, bool) {
+func runOLCContains(args [][]byte) ([32]byte, bool) {
 	if len(args) != 2 {
 		return [32]byte{}, false
 	}
@@ -186,13 +160,6 @@ var avmOps = func() map[string]*Precompiled {
 	}
 	return m
 }()
-
-// Address returns the reserved 20-byte EVM address of entry id.
-func Address(id byte) [20]byte {
-	var a [20]byte
-	a[19] = id
-	return a
-}
 
 // ByID returns the entry with the given ID, or nil.
 func ByID(id byte) *Precompiled {

@@ -76,9 +76,7 @@ type SoakResult struct {
 	// Simulated is the chain-clock time the load phase covered.
 	Simulated time.Duration
 
-	// Utilization is each shard's share of executed transactions;
 	// ParallelBatches counts blocks that actually fanned out.
-	Utilization     []float64
 	ParallelBatches uint64
 
 	// Digest fingerprints the chain's end state: two runs of the same spec
@@ -440,7 +438,6 @@ func (s *soak) load(res *SoakResult) error {
 		res.Simulated = f.Now() - simStart
 		res.Blocks = f.Height() - blocksBefore
 		if st := f.ShardStats(); st != nil {
-			res.Utilization = st.Utilization()
 			res.ParallelBatches = st.ParallelBatches
 		}
 		res.Digest = f.Digest()

@@ -38,9 +38,6 @@ func TestRunSoakBothChains(t *testing.T) {
 			if r.TxsPerSecSimulated() <= 0 {
 				t.Fatal("simulated throughput must be positive")
 			}
-			if len(r.Utilization) != 4 {
-				t.Fatalf("utilization has %d entries, want 4", len(r.Utilization))
-			}
 			if r.ParallelBatches == 0 {
 				t.Fatal("disjoint-area soak must fan out at least once")
 			}

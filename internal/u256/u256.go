@@ -115,19 +115,6 @@ func (x Word) IsZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
 // Eq reports x == y.
 func (x Word) Eq(y Word) bool { return x == y }
 
-// Cmp returns -1, 0 or +1.
-func (x Word) Cmp(y Word) int {
-	for i := 3; i >= 0; i-- {
-		if x[i] < y[i] {
-			return -1
-		}
-		if x[i] > y[i] {
-			return 1
-		}
-	}
-	return 0
-}
-
 // Lt reports x < y.
 func (x Word) Lt(y Word) bool {
 	_, borrow := sub(x, y)
