@@ -12,7 +12,6 @@ import (
 	"math/big"
 	"testing"
 
-	"agnopol/internal/baseline"
 	"agnopol/internal/chain"
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
@@ -307,54 +306,6 @@ func BenchmarkAblation_CongestionSweep(b *testing.B) {
 			b.ReportMetric(float64(saturated), "timed_out_txs")
 		})
 	}
-}
-
-// BenchmarkAblation_CentralizedVsDecentralized contrasts APPLAUS-style
-// verification throughput (with its single point of failure) against the
-// thesis pipeline's verification — the architectural trade-off of §1.7.
-func BenchmarkAblation_CentralizedVsDecentralized(b *testing.B) {
-	b.Run("applaus-centralized", func(b *testing.B) {
-		rng := chain.NewRand(5)
-		ca := baseline.NewCentralAuthority()
-		server := baseline.NewAPPLAUSServer()
-		at := geo.LatLng{Lat: 44.49, Lng: 11.34}
-		prover, err := baseline.NewAPPLAUSUser("alice", at, 3, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		witness, err := baseline.NewAPPLAUSUser("bob", geo.Offset(at, 2, 2), 3, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ca.RegisterUser(prover)
-		ca.RegisterUser(witness)
-		proof, err := baseline.GenerateProof(prover, witness, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := server.Upload(proof); err != nil {
-			b.Fatal(err)
-		}
-		v := &baseline.APPLAUSVerifier{CA: ca, Server: server}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ok, err := v.VerifyVisit("alice", at, 50)
-			if err != nil || !ok {
-				b.Fatalf("verify: ok=%v err=%v", ok, err)
-			}
-		}
-	})
-	b.Run("agnopol-decentralized", func(b *testing.B) {
-		var mean float64
-		for i := 0; i < b.N; i++ {
-			r, err := sim.Execute(sim.Spec{Chain: sim.ChainAlgorand, Users: 8, Seed: uint64(77 + i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mean = r.AttachSummary.Mean
-		}
-		b.ReportMetric(mean, "attach_latency_s")
-	})
 }
 
 // BenchmarkAblation_QuorumSize sweeps the multi-witness quorum (the

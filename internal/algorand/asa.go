@@ -36,15 +36,9 @@ var (
 )
 
 // AssetBalance returns an account's holding of an asset (0 when not opted
-// in; use OptedInAsset to distinguish).
+// in).
 func (c *Chain) AssetBalance(addr chain.Address, assetID uint64) uint64 {
 	return c.led.holding(addr, assetID)
-}
-
-// OptedInAsset reports whether an account holds (possibly zero of) the
-// asset.
-func (c *Chain) OptedInAsset(addr chain.Address, assetID uint64) bool {
-	return c.led.assetOptedIn(addr, assetID)
 }
 
 // CreateAsset submits an asset-creation transaction and returns the new

@@ -70,9 +70,6 @@ type Contract struct {
 	App  uint64
 }
 
-// IsZero reports whether the address is the zero address.
-func (a Address) IsZero() bool { return a == Address{} }
-
 // Hash32 is a 32-byte hash (block hashes, tx hashes, storage keys).
 type Hash32 [32]byte
 

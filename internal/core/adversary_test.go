@@ -1,106 +1,493 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"agnopol/internal/algorand"
+	"agnopol/internal/chain"
+	"agnopol/internal/did"
 	"agnopol/internal/eth"
+	"agnopol/internal/geo"
+	"agnopol/internal/ipfs"
 	"agnopol/internal/lang"
+	"agnopol/internal/olc"
+	"agnopol/internal/polcrypto"
+)
+
+var (
+	// home is where the table's attackers really stand: 4.9 km from
+	// bologna, the area their check-ins claim.
+	home  = geo.Offset(bologna, 4200, -2600)
+	milan = geo.LatLng{Lat: 45.4642, Lng: 9.19}
 )
 
 // attackWorld is one deployment of the paper's contract, pol-report.pol,
-// with a report attached and the reward pool funded: the state each
-// adversary row starts from.
+// for the area around bologna — published in the hypercube, with a report
+// attached and the reward pool funded — plus a CA-registered witness
+// standing in that area and a designated verifier: the state each row's
+// cell for this system starts from.
 type attackWorld struct {
-	conn    Connector
-	h       *Handle
-	did     uint64
-	reward  uint64
-	creator *Account
+	sys      *System
+	conn     Connector
+	witness  *Witness
+	verifier *Verifier
+	h        *Handle
+	did      uint64
+	reward   uint64
 }
 
-func newAttackWorld(t *testing.T, f Family) *attackWorld {
-	t.Helper()
-	compiled, err := CompilePoL()
+func newAttackWorld(tb testing.TB, f Family) *attackWorld {
+	tb.Helper()
+	sys, err := NewSystem(42)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	w := &attackWorld{conn: NewConnector(f), did: 111}
+	w := &attackWorld{sys: sys, conn: NewConnector(f), did: 111}
 	w.reward = rewardFor(w.conn)
-	if w.creator, err = w.conn.NewAccount(10); err != nil {
-		t.Fatal(err)
+	if w.witness, err = NewWitness(sys, bologna); err != nil {
+		tb.Fatal(err)
+	}
+	if w.verifier, err = NewVerifier(sys); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := w.verifier.EnsureAccount(w.conn, 10); err != nil {
+		tb.Fatal(err)
+	}
+	creator, err := w.conn.NewAccount(10)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	funder, err := w.conn.NewAccount(10)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if w.h, _, err = w.conn.Deploy(w.creator, compiled, []lang.Value{
-		lang.BytesValue([]byte("8FPHF8VV+X2")), lang.Uint64Value(w.did), lang.Uint64Value(w.reward),
+	code, err := olc.Encode(bologna.Lat, bologna.Lng, olc.DefaultCodeLength)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if w.h, _, err = w.conn.Deploy(creator, sys.Compiled, []lang.Value{
+		lang.BytesValue([]byte(code)), lang.Uint64Value(w.did), lang.Uint64Value(w.reward),
 	}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, _, err := w.conn.Invoke(w.creator, w.h, "insert_data", CallOpts{EscrowFund: true},
+	if _, _, err := w.conn.Invoke(creator, w.h, "insert_data", CallOpts{EscrowFund: true},
 		lang.BytesValue([]byte("report")), lang.Uint64Value(w.did)); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, _, err := w.conn.Invoke(funder, w.h, "insert_money", CallOpts{Pay: MaxUsers * w.reward},
 		lang.Uint64Value(MaxUsers*w.reward)); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	if _, err := sys.PublishContract(0, code, w.h); err != nil {
+		tb.Fatal(err)
 	}
 	return w
 }
 
-// TestAdversaryTable is the table of attack classes ROADMAP item 1 asks
-// for, written once over Family and run on both families. Each row states
-// the outcome the code has today; a fix flips its row's accepted flag
-// rather than adding a test.
-func TestAdversaryTable(t *testing.T) {
-	for _, row := range []struct {
-		name string
-		// attack runs against a fresh world and reports whether the chain
-		// accepted it.
-		attack   func(t *testing.T, w *attackWorld) bool
-		accepted bool
-	}{{
-		// ROADMAP item 1, "a gap the table will show first": verify(did,
-		// wallet) in pol-report.pol checks neither the caller nor the
-		// witness signature, and ErrNotVerifier is raised only by the Go
-		// client core.Verifier. So a stranger — funded, never designated
-		// as verifier by the CA — can call verify directly through
-		// Connector.Invoke and point the reward at its own wallet. Today
-		// the chain accepts that and pays the stranger; the fix belongs in
-		// pol-report-v2.pol (pol-report.pol is the paper's artefact).
-		name: "stranger releases the reward to itself",
-		attack: func(t *testing.T, w *attackWorld) bool {
-			stranger, err := w.conn.NewAccount(10)
+// prover is a new prover standing at at, with a funded wallet.
+func (w *attackWorld) prover(tb testing.TB, at geo.LatLng) *Prover {
+	tb.Helper()
+	p, err := NewProver(w.sys, at)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.EnsureAccount(w.conn, 10); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+func (w *attackWorld) report(tb testing.TB, p *Prover) ipfs.CID {
+	tb.Helper()
+	cid, err := p.UploadReport(Report{Title: "check-in", Category: "loyalty"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cid
+}
+
+// claim is the proof request p sends for its claimed area: a fresh report
+// and p's wallet, under nonce.
+func (w *attackWorld) claim(tb testing.TB, p *Prover, nonce uint64) ProofRequest {
+	tb.Helper()
+	code, err := p.ClaimedOLC()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	acct, _ := p.Account(w.conn)
+	return ProofRequest{DID: p.DID, OLC: code, Nonce: nonce, CID: w.report(tb, p), Wallet: acct.Address()}
+}
+
+// signed is req's location proof signed with kp, whatever kp's holder
+// checked before signing.
+func signed(kp *polcrypto.KeyPair, req ProofRequest) *LocationProof {
+	h := req.Hash()
+	return &LocationProof{Request: req, Hash: h, Signature: kp.Sign(h[:]), WitnessPub: kp.Public}
+}
+
+// request runs p's Bluetooth exchange with the world's witness.
+func (w *attackWorld) request(tb testing.TB, p *Prover) (*LocationProof, error) {
+	tb.Helper()
+	acct, _ := p.Account(w.conn)
+	return p.RequestProof(w.witness, w.report(tb, p), acct.Address())
+}
+
+// verify stages proof on the world's contract and has the verifier check
+// p.
+func (w *attackWorld) verify(tb testing.TB, p *Prover, proof *LocationProof) *Verification {
+	tb.Helper()
+	sub, err := p.SubmitProof(w.conn, proof, w.reward)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sub.Handle != w.h {
+		tb.Fatalf("the proof for %s went to a new contract, not the world's", proof.Request.OLC)
+	}
+	ver, err := w.verifier.VerifyProver(w.conn, w.h, p.DID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ver
+}
+
+// verdict is a verification as a cell's outcome: nil when accepted, else
+// its Reason, which errors.Is matches against the error of the same text.
+func verdict(ver *Verification) error {
+	if ver.Accepted {
+		return nil
+	}
+	return reason(ver.Reason)
+}
+
+type reason string
+
+func (r reason) Error() string        { return string(r) }
+func (r reason) Is(target error) bool { return target.Error() == string(r) }
+
+// A cell is one column of a row: run plays the row's scenario against
+// that column's system and returns nil when it accepts, or the error it
+// rejects with; want is the outcome the row requires (nil: accepted),
+// matched with errors.Is. This system's cell runs in a fresh attack world
+// on each family.
+type (
+	coreCell struct {
+		want error
+		run  func(t *testing.T, w *attackWorld) error
+	}
+	schemeCell struct {
+		want error
+		run  func(t *testing.T) error
+	}
+)
+
+// adversaryRows is ROADMAP item 1's attack table with the related-work
+// schemes as its comparison column. A nil cell is "n/a": that column's
+// system does not model the attack. The honest row comes first, with
+// every column accepting, so a model that rejects everything cannot pass
+// the attack rows.
+var adversaryRows = []struct {
+	name                        string
+	core                        *coreCell
+	applaus, pasport, brambilla *schemeCell
+}{{
+	name: "honest check-in",
+	core: &coreCell{run: func(t *testing.T, w *attackWorld) error {
+		p := w.prover(t, bologna)
+		proof, err := w.request(t, p)
+		if err != nil {
+			return err
+		}
+		return verdict(w.verify(t, p, proof))
+	}},
+	applaus: &schemeCell{run: func(t *testing.T) error {
+		a, err := applausCheckIn(t, bologna, geo.Offset(bologna, 3, 3))
+		if err != nil {
+			return err
+		}
+		return a.verifyVisit("prover", bologna, 50)
+	}},
+	pasport: &schemeCell{run: func(t *testing.T) error {
+		v, prover, _ := pasportWorld(t, geo.Offset(bologna, 3, 3))
+		a, witness, err := v.assign(prover, 0)
+		if err != nil {
+			return err
+		}
+		proof, err := pasportCertify(witness, prover, a)
+		if err != nil {
+			return err
+		}
+		return v.validate(proof, 2*time.Second)
+	}},
+	brambilla: &schemeCell{run: func(t *testing.T) error {
+		rng := chain.NewRand(7)
+		prover := newPeer(t, rng, bologna)
+		c, err := p2pCheckIn(prover, newPeer(t, rng, geo.Offset(bologna, 3, 3)))
+		if err != nil {
+			return err
+		}
+		return c.proofFor(prover.key.Public, bologna, 50)
+	}},
+}, {
+	// The prover claims the witness's area from somewhere else.
+	name: "teleported prover",
+	core: &coreCell{want: ErrNotInRange, run: func(t *testing.T, w *attackWorld) error {
+		// Beside the witness, claiming Milan: the witness refuses the
+		// claim (the Foursquare/Uber attack of §1.1).
+		liar := w.prover(t, geo.Offset(bologna, 4, 0))
+		liar.Device.ClaimedPosition = milan
+		if _, err := w.request(t, liar); !errors.Is(err, ErrLocationClaim) {
+			t.Fatalf("claiming Milan beside the witness: err = %v, want %v", err, ErrLocationClaim)
+		}
+		// At home, claiming the witness's area: Bluetooth cannot reach.
+		p := w.prover(t, home)
+		p.Device.ClaimedPosition = bologna
+		_, err := w.request(t, p)
+		return err
+	}},
+	applaus: &schemeCell{want: errOutOfRange, run: func(t *testing.T) error {
+		// A stored proof from bologna does not place the prover in Milan ...
+		a, err := applausCheckIn(t, bologna, geo.Offset(bologna, 3, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.verifyVisit("prover", milan, 50); !errors.Is(err, errNoProof) {
+			t.Fatalf("visit to Milan: err = %v, want %v", err, errNoProof)
+		}
+		// ... and a prover at home gets none from the witness in bologna.
+		_, err = applausCheckIn(t, home, bologna)
+		return err
+	}},
+	pasport: &schemeCell{want: errOutOfRange, run: func(t *testing.T) error {
+		v, prover, _ := pasportWorld(t, home)
+		// Claiming a place no registered witness stands in.
+		prover.dev.ClaimedPosition = milan
+		if _, _, err := v.assign(prover, 0); !errors.Is(err, errNoWitnessNearby) {
+			t.Fatalf("claiming Milan: err = %v, want %v", err, errNoWitnessNearby)
+		}
+		// Claiming bologna: the assigned witness there cannot reach home.
+		prover.dev.ClaimedPosition = bologna
+		a, witness, err := v.assign(prover, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = pasportCertify(witness, prover, a)
+		return err
+	}},
+}, {
+	name: "replayed proof",
+	core: &coreCell{want: ErrBadNonce, run: func(t *testing.T, w *attackWorld) error {
+		// The raw protocol: the prover sends the same request, nonce
+		// included, in two authenticated exchanges.
+		p := w.prover(t, bologna)
+		req := w.claim(t, p, w.witness.IssueNonce(p.DID))
+		exchange := func() error {
+			ch, err := w.witness.BeginAuth(p.DID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := w.conn.Balance(stranger).Base.Uint64()
-			v, op, err := w.conn.Invoke(stranger, w.h, "verify", CallOpts{},
-				lang.Uint64Value(w.did), lang.AddressValue(stranger.Address()))
-			if err != nil {
-				return false
-			}
-			if v.Addr != stranger.Address() {
-				t.Fatalf("verify returned wallet %x, want the stranger's", v.Addr)
-			}
-			if got, want := w.conn.Balance(stranger).Base.Uint64(), before-op.Fee.Base.Uint64()+w.reward; got != want {
-				t.Fatalf("stranger holds %d after verify, want %d: the reward did not reach its wallet", got, want)
-			}
-			return true
-		},
-		accepted: true,
-	}} {
-		for _, f := range []Family{
-			eth.NewClient(eth.NewChain(eth.Goerli(), 71)),
-			algorand.NewClient(algorand.NewChain(algorand.Testnet(), 71)),
-		} {
-			t.Run(row.name+"/"+f.Name(), func(t *testing.T) {
-				if got := row.attack(t, newAttackWorld(t, f)); got != row.accepted {
-					t.Fatalf("attack accepted = %v, want %v", got, row.accepted)
-				}
-			})
+			_, err = w.witness.HandleProofRequest(p.Device, did.SignChallenge(p.Key, ch), req)
+			return err
+		}
+		if err := exchange(); err != nil {
+			t.Fatalf("first exchange: %v", err)
+		}
+		return exchange()
+	}},
+	pasport: &schemeCell{want: errAssignmentExpired, run: func(t *testing.T) error {
+		v, prover, _ := pasportWorld(t, geo.Offset(bologna, 3, 3))
+		a, witness, err := v.assign(prover, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := pasportCertify(witness, prover, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.validate(proof, time.Hour)
+	}},
+	brambilla: &schemeCell{want: errDuplicate, run: func(t *testing.T) error {
+		rng := chain.NewRand(8)
+		c, err := p2pCheckIn(newPeer(t, rng, bologna), newPeer(t, rng, bologna))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.submit(c.blocks[0][0])
+	}},
+}, {
+	// §2.3.1.2 footnote 12: the prover registers as a witness too and
+	// signs its own proof.
+	name: "forged or self-signed witness",
+	core: &coreCell{want: ErrSelfSigned, run: func(t *testing.T, w *attackWorld) error {
+		p := w.prover(t, bologna)
+		w.sys.CA.RegisterWitness(p.Key.Public)
+		req := w.claim(t, p, 99)
+		outcome := verdict(w.verify(t, p, signed(p.Key, req)))
+		// Garbage-in: a rejected report never reaches the hypercube.
+		target, err := w.sys.NodeIDForOLC(req.OLC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, _, ok, err := w.sys.Cube.Get(0, target, req.OLC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && len(entry.CIDs) > 0 {
+			t.Fatal("rejected report leaked into the hypercube")
+		}
+		return outcome
+	}},
+	brambilla: &schemeCell{want: polcrypto.ErrBadSignature, run: func(t *testing.T) error {
+		// The prover moves the witness's position after it signed.
+		rng := chain.NewRand(8)
+		r := p2pExchange(newPeer(t, rng, bologna), newPeer(t, rng, bologna))
+		r.at = geo.Offset(bologna, 999, 0)
+		c := &p2pChain{seen: make(map[[32]byte]bool)}
+		return c.submit(r)
+	}},
+}, {
+	// ROADMAP item 1 leaves this open: the prover at home sends its request over the
+	// internet to an accomplice, a CA-registered witness 4.9 km away in
+	// the claimed area, who signs it without any Bluetooth exchange. The
+	// single-witness contract accepts; remote collusion is future work,
+	// as in the thesis §2.
+	name: "prover-witness collusion",
+	core: &coreCell{run: func(t *testing.T, w *attackWorld) error {
+		accomplice, err := NewWitness(w.sys, bologna)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := w.prover(t, home)
+		p.Device.ClaimedPosition = bologna
+		return verdict(w.verify(t, p, signed(accomplice.Key, w.claim(t, p, accomplice.IssueNonce(p.DID)))))
+	}},
+	pasport: &schemeCell{want: polcrypto.ErrBadSignature, run: func(t *testing.T) error {
+		v, prover, rng := pasportWorld(t, home)
+		prover.dev.ClaimedPosition = bologna
+		accomplice := newPeer(t, rng, bologna)
+		a, _, err := v.assign(prover, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The verifier assigned its own witness, so the accomplice's
+		// honest client refuses ...
+		if _, err := pasportCertify(accomplice, prover, a); !errors.Is(err, errWrongWitness) {
+			t.Fatalf("accomplice certify: err = %v, want %v", err, errWrongWitness)
+		}
+		// ... and its countersignature over the assignment does not open
+		// under the assigned witness's key.
+		forged := pasportProof{assignment: a, at: bologna}
+		forged.sig = accomplice.key.Sign(forged.message())
+		return v.validate(forged, time.Second)
+	}},
+	brambilla: &schemeCell{run: func(t *testing.T) error {
+		rng := chain.NewRand(9)
+		mallory := newPeer(t, rng, home)
+		mallory.dev.ClaimedPosition = bologna
+		c, err := p2pCheckIn(mallory, newPeer(t, rng, bologna))
+		if err != nil {
+			return err
+		}
+		return c.proofFor(mallory.key.Public, bologna, 50)
+	}},
+}, {
+	// A reward is released without a valid proof. Here: verify(did,
+	// wallet) in pol-report.pol checks neither the caller nor the witness
+	// signature, and ErrNotVerifier is raised only by the Go client
+	// core.Verifier. So a stranger — funded, never designated as verifier
+	// by the CA — can call verify directly through Connector.Invoke and
+	// point the reward at its own wallet. Today the chain accepts that and
+	// pays the stranger; the fix belongs in pol-report-v2.pol
+	// (pol-report.pol is the paper's artefact).
+	name: "stranger releases the reward to itself",
+	core: &coreCell{run: func(t *testing.T, w *attackWorld) error {
+		stranger, err := w.conn.NewAccount(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := w.conn.Balance(stranger).Base.Uint64()
+		v, op, err := w.conn.Invoke(stranger, w.h, "verify", CallOpts{},
+			lang.Uint64Value(w.did), lang.AddressValue(stranger.Address()))
+		if err != nil {
+			return err
+		}
+		if v.Addr != stranger.Address() {
+			t.Fatalf("verify returned wallet %x, want the stranger's", v.Addr)
+		}
+		if got, want := w.conn.Balance(stranger).Base.Uint64(), before-op.Fee.Base.Uint64()+w.reward; got != want {
+			t.Fatalf("stranger holds %d after verify, want %d: the reward did not reach its wallet", got, want)
+		}
+		return nil
+	}},
+	// PASPORT's verifier assigns a witness key it controls, countersigns
+	// for it, and its own validation accepts the forgery.
+	pasport: &schemeCell{run: func(t *testing.T) error {
+		v, prover, rng := pasportWorld(t, bologna)
+		puppet := newPeer(t, rng, milan)
+		a := pasportAssignment{prover: prover.key.Public, witness: puppet.key.Public, expires: 2 * time.Minute}
+		a.sig = v.key.Sign(a.message())
+		forged := pasportProof{assignment: a, at: milan}
+		forged.sig = puppet.key.Sign(forged.message())
+		// Only its own validation accepts: another verifier's does not.
+		other := &pasport{key: newPeer(t, rng, bologna).key}
+		if err := other.validate(forged, time.Second); !errors.Is(err, polcrypto.ErrBadSignature) {
+			t.Fatalf("another verifier: err = %v, want %v", err, polcrypto.ErrBadSignature)
+		}
+		return v.validate(forged, time.Second)
+	}},
+}, {
+	name: "the one server is down",
+	applaus: &schemeCell{want: errServerDown, run: func(t *testing.T) error {
+		a, err := applausCheckIn(t, bologna, bologna)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.down = true
+		if err := a.upload(applausProof{}); !errors.Is(err, errServerDown) {
+			t.Fatalf("upload while down: err = %v, want %v", err, errServerDown)
+		}
+		return a.verifyVisit("prover", bologna, 50)
+	}},
+}}
+
+// TestAdversaryTable runs every row: this system's cell on both families,
+// then each comparison scheme that models the attack. Each cell states
+// the outcome the code has today; a fix flips its cell's want rather than
+// adding a test.
+func TestAdversaryTable(t *testing.T) {
+	check := func(t *testing.T, got, want error) {
+		t.Helper()
+		if !errors.Is(got, want) {
+			t.Fatalf("outcome %v, want %v", outcome(got), outcome(want))
 		}
 	}
+	for _, row := range adversaryRows {
+		if row.core != nil {
+			for _, f := range []Family{
+				eth.NewClient(eth.NewChain(eth.Goerli(), 71)),
+				algorand.NewClient(algorand.NewChain(algorand.Testnet(), 71)),
+			} {
+				t.Run(row.name+"/"+f.Name(), func(t *testing.T) {
+					check(t, row.core.run(t, newAttackWorld(t, f)), row.core.want)
+				})
+			}
+		}
+		for _, s := range []struct {
+			name string
+			cell *schemeCell
+		}{{"APPLAUS", row.applaus}, {"PASPORT", row.pasport}, {"Brambilla", row.brambilla}} {
+			if s.cell != nil {
+				t.Run(row.name+"/"+s.name, func(t *testing.T) { check(t, s.cell.run(t), s.cell.want) })
+			}
+		}
+	}
+}
+
+// outcome names a cell's result for a failure message.
+func outcome(err error) string {
+	if err == nil {
+		return "accepted"
+	}
+	return "rejected (" + err.Error() + ")"
 }

@@ -67,8 +67,6 @@ func CompileCheckin() (*lang.Compiled, error) { return compileShipped("area-chec
 const (
 	EasyMapName      = "easy_map"
 	PositionGlobal   = "position"
-	SitsGlobal       = "availableSits"
 	RewardGlobal     = "reward"
-	CreatorGlobal    = "creator"
 	CreatorDidGlobal = "creatorDid"
 )

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"agnopol/internal/algorand"
-	"agnopol/internal/did"
 	"agnopol/internal/eth"
 	"agnopol/internal/geo"
 	"agnopol/internal/ipfs"
@@ -174,148 +173,6 @@ func TestFullPipelineBothChains(t *testing.T) {
 				t.Fatalf("creator close: %v", err)
 			}
 		})
-	}
-}
-
-func TestSpoofedLocationRejectedByWitness(t *testing.T) {
-	sys := newTestSystem(t)
-	witness, err := NewWitness(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover, err := NewProver(sys, geo.Offset(bologna, 4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The attacker claims to be in Milan while standing in Bologna — the
-	// Foursquare/Uber attack of §1.1.
-	prover.Device.Spoof(geo.LatLng{Lat: 45.4642, Lng: 9.19})
-	cid, err := prover.UploadReport(Report{Title: "fake", Category: "spam"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = prover.RequestProof(witness, cid, [20]byte{1})
-	if err == nil {
-		t.Fatal("witness must refuse to certify a spoofed location")
-	}
-	if !strings.Contains(err.Error(), ErrLocationClaim.Error()) {
-		t.Fatalf("unexpected rejection reason: %v", err)
-	}
-}
-
-func TestOutOfRangeProverRejected(t *testing.T) {
-	sys := newTestSystem(t)
-	witness, err := NewWitness(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 500 m away: the claimed position is honest, but Bluetooth cannot
-	// reach, so no proof exchange can even happen.
-	prover, err := NewProver(sys, geo.Offset(bologna, 500, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cid, err := prover.UploadReport(Report{Title: "far", Category: "noise"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = prover.RequestProof(witness, cid, [20]byte{1})
-	if err == nil || !strings.Contains(err.Error(), ErrNotInRange.Error()) {
-		t.Fatalf("want Bluetooth range rejection, got %v", err)
-	}
-}
-
-func TestReplayNonceRejected(t *testing.T) {
-	sys := newTestSystem(t)
-	witness, err := NewWitness(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover, err := NewProver(sys, geo.Offset(bologna, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cid, err := prover.UploadReport(Report{Title: "r", Category: "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, _ := prover.ClaimedOLC()
-	ch, err := witness.BeginAuth(prover.DID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := did.SignChallenge(prover.Key, ch)
-	nonce := witness.IssueNonce(prover.DID)
-	req := ProofRequest{DID: prover.DID, OLC: code, Nonce: nonce, CID: cid, Wallet: [20]byte{1}}
-	if _, err := witness.HandleProofRequest(prover.Device, resp, req); err != nil {
-		t.Fatalf("first request should pass: %v", err)
-	}
-	// Replaying the same nonce must fail.
-	if _, err := witness.HandleProofRequest(prover.Device, resp, req); err == nil {
-		t.Fatal("replayed nonce must be rejected")
-	}
-}
-
-func TestSelfSignedProofRejectedByVerifier(t *testing.T) {
-	sys := newTestSystem(t)
-	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 9))
-	verifier, err := NewVerifier(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := verifier.EnsureAccount(conn, 10); err != nil {
-		t.Fatal(err)
-	}
-	// The malicious prover registers as a witness too, then signs its own
-	// proof.
-	prover, err := NewProver(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct, err := prover.EnsureAccount(conn, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.CA.RegisterWitness(prover.Key.Public)
-
-	cid, err := prover.UploadReport(Report{Title: "self", Category: "fraud"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, _ := prover.ClaimedOLC()
-	req := ProofRequest{DID: prover.DID, OLC: code, Nonce: 99, CID: cid, Wallet: acct.Address()}
-	h := req.Hash()
-	proof := &LocationProof{
-		Request:    req,
-		Hash:       h,
-		Signature:  prover.Key.Sign(h[:]),
-		WitnessPub: prover.Key.Public,
-	}
-	res, err := prover.SubmitProof(conn, proof, rewardFor(conn))
-	if err != nil {
-		t.Fatalf("staging the forged proof on-chain should succeed: %v", err)
-	}
-	ver, err := verifier.VerifyProver(conn, res.Handle, prover.DID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver.Accepted {
-		t.Fatal("self-signed proof must be rejected")
-	}
-	if ver.Reason != ErrSelfSigned.Error() {
-		t.Fatalf("rejection reason %q, want self-signed", ver.Reason)
-	}
-	// Garbage-in: the rejected CID must not be in the hypercube.
-	target, err := sys.NodeIDForOLC(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, _, ok, err := sys.Cube.Get(0, target, code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok && len(entry.CIDs) > 0 {
-		t.Fatal("rejected report leaked into the hypercube")
 	}
 }
 

@@ -95,14 +95,6 @@ func (s *System) Instrument(o *obs.Obs) {
 	s.obs = so
 }
 
-// Obs returns the attached observability bundle, or nil.
-func (s *System) Obs() *obs.Obs {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.o
-}
-
 // TraceScope returns the explicit span stack the system's pol.* spans
 // record under, or nil when uninstrumented. Harnesses that drive the
 // system open their own spans on the same scope, so the pipeline spans

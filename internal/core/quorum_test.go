@@ -401,7 +401,7 @@ func TestDiscovery(t *testing.T) {
 		t.Fatal("discovery not distance-ordered")
 	}
 	// A spoofing prover scans from where it really is.
-	prover.Device.Spoof(geo.Offset(bologna, 5000, 0))
+	prover.Device.ClaimedPosition = geo.Offset(bologna, 5000, 0)
 	if len(prover.DiscoverWitnesses()) != 2 {
 		t.Fatal("spoofed claim changed the physical scan result")
 	}

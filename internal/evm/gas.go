@@ -17,7 +17,6 @@ const (
 	GasSReset        = 2900
 	RefundSClear     = 15000
 	GasCallValue     = 9000
-	GasCallStipend   = 2300
 	GasNewAccount    = 25000
 	GasExp           = 10
 	GasExpByte       = 50

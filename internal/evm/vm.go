@@ -22,7 +22,6 @@ var (
 	ErrStackOverflow  = errors.New("evm: stack overflow")
 	ErrInvalidJump    = errors.New("evm: invalid jump destination")
 	ErrInvalidOpcode  = errors.New("evm: invalid opcode")
-	ErrWriteProtect   = errors.New("evm: balance underflow")
 )
 
 const stackLimit = 1024

@@ -70,12 +70,6 @@ func NewDevice(at LatLng) *Device {
 	return &Device{TruePosition: at, ClaimedPosition: at}
 }
 
-// Spoof makes the device claim a position different from its true one,
-// modelling the Uber/Foursquare attacks from the paper's introduction.
-func (d *Device) Spoof(claimed LatLng) {
-	d.ClaimedPosition = claimed
-}
-
 // MoveTo physically relocates the device; an honest device also updates its
 // claim.
 func (d *Device) MoveTo(at LatLng) {

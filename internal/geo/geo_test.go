@@ -49,24 +49,6 @@ func TestBluetoothRange(t *testing.T) {
 	}
 }
 
-func TestSpoofDoesNotMoveDevice(t *testing.T) {
-	shop := LatLng{Lat: 44.49, Lng: 11.34}
-	home := Offset(shop, 5000, 0)
-	d := NewDevice(home)
-	d.Spoof(shop)
-	if d.TruePosition != home {
-		t.Fatal("spoofing moved the physical device")
-	}
-	if d.ClaimedPosition != shop {
-		t.Fatal("spoofed claim not recorded")
-	}
-	// Bluetooth reachability uses the true position.
-	other := NewDevice(shop)
-	if d.CanReach(other) {
-		t.Fatal("spoofed device must not be reachable at the claimed spot")
-	}
-}
-
 func TestMoveToKeepsHonestyInvariant(t *testing.T) {
 	a := LatLng{Lat: 44, Lng: 11}
 	b := LatLng{Lat: 45, Lng: 12}
@@ -76,7 +58,7 @@ func TestMoveToKeepsHonestyInvariant(t *testing.T) {
 		t.Fatal("honest device should update its claim on move")
 	}
 	liar := NewDevice(a)
-	liar.Spoof(LatLng{Lat: 50, Lng: 1})
+	liar.ClaimedPosition = LatLng{Lat: 50, Lng: 1}
 	liar.MoveTo(b)
 	if liar.ClaimedPosition == b {
 		t.Fatal("spoofing device must keep its fake claim after moving")

@@ -20,16 +20,6 @@ func ParseSource(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParseSource panics on error; for source literals in tests and
-// examples.
-func MustParseSource(src string) *Program {
-	p, err := ParseSource(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -138,9 +138,6 @@ func (p *Program) mapIndex(name string) (int, error) {
 // U is a TUInt literal.
 func U(v uint64) *Const { return &Const{Type: TUInt, Uint: v} }
 
-// B is a TBytes literal.
-func B(b []byte) *Const { return &Const{Type: TBytes, Bytes: b} }
-
 // Bs is a TBytes literal from a string.
 func Bs(s string) *Const { return &Const{Type: TBytes, Bytes: []byte(s)} }
 

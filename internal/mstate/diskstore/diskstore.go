@@ -506,9 +506,6 @@ func (s *Store) Len() int {
 	return s.records
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close implements mstate.NodeStore: flushes buffered appends and
 // closes every segment file. Staged-but-uncommitted records are not
 // made durable — reopen recovers the last Commit.

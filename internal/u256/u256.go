@@ -112,9 +112,6 @@ func (x Word) IsUint64() bool { return x[1]|x[2]|x[3] == 0 }
 // IsZero reports x == 0.
 func (x Word) IsZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
 
-// Eq reports x == y.
-func (x Word) Eq(y Word) bool { return x == y }
-
 // Lt reports x < y.
 func (x Word) Lt(y Word) bool {
 	_, borrow := sub(x, y)
