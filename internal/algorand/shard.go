@@ -7,7 +7,7 @@ import (
 
 // What algorand supplies to chain.RunSharded, the block-application kernel
 // both families share: each group's conflict keys — over senders, payment
-// receivers and called applications — and copy-on-write overlays of the
+// receivers and called applications — and write-buffer overlays of the
 // ledger: one per shard, or one for the whole round on the serial path.
 // executeGroup rolls a failed group back inside its overlay through the
 // overlay's revert point. Rounds containing application or asset creation
@@ -69,23 +69,24 @@ func roundConflictKeys(sel []*chain.Pending[Group]) func(int) []chain.ConflictKe
 	return func(i int) []chain.ConflictKey { return sel[i].Item.ConflictKeys() }
 }
 
-// ledgerOverlay is a copy-on-write view over the ledger: an
-// mstate.Overlay absorbs reads and writes against a private trie fork,
-// and every ledger semantic — value encodings, opt-in markers, pay
-// errors — comes from the shared ledgerKV accessor layer, so the overlay
-// cannot drift from the canonical ledger.
+// ledgerOverlay is a write-buffer view over the ledger: an mstate.Overlay
+// buffers its writes and reads the rest from the canonical trie, and every
+// ledger semantic — value encodings, opt-in markers, pay errors — comes
+// from the shared ledgerKV accessor layer, so the overlay cannot drift
+// from the canonical ledger.
 type ledgerOverlay struct {
 	ledgerKV
 	ov *mstate.Overlay
 }
 
-// fork opens a copy-on-write overlay over the canonical ledger.
+// fork opens a write-buffer overlay over the canonical ledger, which must
+// not be written while the overlay is read (mstate.NewOverlay).
 func (l *ledger) fork() *ledgerOverlay {
 	ov := mstate.NewOverlay(l.t)
 	return &ledgerOverlay{ledgerKV{kv: ov, led: l}, ov}
 }
 
-// adopt replays an overlay's journal onto the canonical trie. Overlays
+// adopt replays an overlay's buffered writes onto the canonical trie. Overlays
 // from different shards hold disjoint key sets, so commit order across
 // shards does not matter; within an overlay every key holds its final
 // value, so replay order does not matter either.

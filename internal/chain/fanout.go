@@ -14,7 +14,9 @@ import (
 // callers get scheduling-independent results by having fn(i) write only
 // slot i of a slice sized before the call and by drawing no randomness,
 // fault or telemetry state inside fn. Both chain families use it for
-// consensus signing and for batch signature admission.
+// batch signature admission, for sharded execution (RunSharded) and for
+// the consensus evidence derived on request; eth's Step also reads what
+// its selection needs of the pending pool through it.
 func FanOut(n, limit int, fn func(i int)) {
 	if min(limit, runtime.GOMAXPROCS(0), n) <= 1 {
 		for i := 0; i < n; i++ {

@@ -352,16 +352,21 @@ func (c *Chain) Step() *Block {
 	}
 
 	// Highest tips first; FIFO within equal tips; nonces must be in order
-	// per sender. Every pending transaction's tip is computed once, at its
-	// position in the unsorted pool: tips[order[i]] belongs to the i-th
-	// entry of the sorted one.
+	// per sender. What selection reads of each pending transaction — its
+	// tip, the tip as a float, its sender's nonce and balance — is read
+	// once, at its position in the unsorted pool, and at the pool's width:
+	// state does not change until selection is over, so reading it ahead
+	// is exact. reads[order[i]] belongs to the i-th entry of the sorted
+	// pool.
 	pending := c.pool.Entries()
-	tips := make([]*big.Int, len(pending))
-	for i, p := range pending {
-		tips[i] = effectiveTip(p.Item, c.baseFee)
-	}
+	reads := make([]pendingRead, len(pending))
+	chain.FanOut(len(pending), c.Shards(), func(i int) {
+		tx := pending[i].Item
+		tip := effectiveTip(tx, c.baseFee)
+		reads[i] = pendingRead{tip, bigToFloat(tip), c.st.Nonce(tx.From), c.st.GetBalance(tx.From)}
+	})
 	order := c.pool.Sort(func(i, j int) bool {
-		if cmp := tips[i].Cmp(tips[j]); cmp != 0 {
+		if cmp := reads[i].tip.Cmp(reads[j].tip); cmp != 0 {
 			return cmp > 0
 		}
 		return pending[i].Submitted < pending[j].Submitted
@@ -383,36 +388,36 @@ func (c *Chain) Step() *Block {
 		// reserved; it and gasLimit are reused from candidate to candidate.
 		upfront, gasLimit big.Int
 	)
-	nextNonce := func(a chain.Address) uint64 {
-		if n, ok := selNonces[a]; ok {
+	nextNonce := func(tx *Tx, r *pendingRead) uint64 {
+		if n, ok := selNonces[tx.From]; ok {
 			return n
 		}
-		return c.st.Nonce(a)
+		return r.nonce
 	}
-	covered := func(tx *Tx) bool {
+	covered := func(tx *Tx, r *pendingRead) bool {
 		upfront.Mul(tx.MaxFee, gasLimit.SetUint64(tx.GasLimit))
 		upfront.Add(&upfront, tx.Value)
 		if prior, ok := selSpend[tx.From]; ok {
 			upfront.Add(&upfront, prior)
 		}
-		return upfront.Cmp(c.st.GetBalance(tx.From)) <= 0
+		return upfront.Cmp(r.balance) <= 0
 	}
 	sel := c.pool.Take(blockTime, func(i int, p *chain.Pending[*Tx]) bool {
-		tx := p.Item
-		affordable := covered(tx)
+		tx, r := p.Item, &reads[order[i]]
+		affordable := covered(tx, r)
 		switch {
 		case p.Submitted >= blockTime:
 			// Not yet propagated when the block was built.
 			return false
 		case tx.MaxFee.Cmp(c.baseFee) < 0:
 			// Base fee above the cap: wait for it to drop.
-		case tx.Nonce != nextNonce(tx.From):
+		case tx.Nonce != nextNonce(tx, r):
 			// Nonce gap: wait for the earlier transaction.
 		case !affordable:
 			// The sender's balance no longer covers every selected
 			// transaction's worst case; defer rather than overdraw.
 		default:
-			outbid := demand * math.Exp(-bigToFloat(tips[order[i]])/c.tipScale)
+			outbid := demand * math.Exp(-r.tipFloat/c.tipScale)
 			if uint64(outbid)+reserved+tx.GasLimit <= c.cfg.BlockGasLimit {
 				if selNonces == nil {
 					selNonces = make(map[chain.Address]uint64)
@@ -503,6 +508,16 @@ func (c *Chain) Step() *Block {
 		c.obs.baseFee.Set(bf)
 	}
 	return blk
+}
+
+// pendingRead is what Step's selection reads of one pending transaction:
+// its effective tip, that tip as bigToFloat renders it, and its sender's
+// state nonce and balance.
+type pendingRead struct {
+	tip      *big.Int
+	tipFloat float64
+	nonce    uint64
+	balance  *big.Int
 }
 
 // effectiveTip is min(maxTip, maxFee - baseFee), the EIP-1559 priority fee

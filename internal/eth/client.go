@@ -148,7 +148,7 @@ func (cl *Client) call(acct *Account, contract chain.Address, data []byte, value
 
 // view executes a read-only call against current state: free, no
 // transaction, no time advance beyond the RPC hop (§4.1.2: views have no
-// cost). It runs on a copy-on-write overlay of the state that is dropped
+// cost). It runs on a write-buffer overlay of the state that is dropped
 // afterwards, the same overlay a shard executes on, so whatever the code
 // writes never reaches the chain.
 func (cl *Client) view(contract chain.Address, data []byte) ([]byte, error) {

@@ -8,7 +8,7 @@ import (
 
 // What eth supplies to chain.RunSharded, the block-application kernel both
 // families share: each transaction's conflict keys, and an executor over a
-// state view that is either the canonical state or a copy-on-write overlay
+// state view that is either the canonical state or a write-buffer overlay
 // of it. Overlays touch disjoint state by construction, so committing them
 // and then applying the serialized effects (proposer tip, burn tally,
 // explorer rows) in canonical order yields a block bit-identical to the
@@ -53,9 +53,10 @@ var (
 	_ execState = (*shardState)(nil)
 )
 
-// shardState is a copy-on-write overlay over the canonical state: a
-// private trie fork absorbs reads and writes, and a journal of final key
-// values replays onto the canonical trie at commit. All state semantics
+// shardState is a write-buffer overlay over the canonical state: its own
+// writes are buffered as final key values and read before the canonical
+// trie, which stands still while the overlay is read, and the buffer
+// replays onto the canonical trie at commit. All state semantics
 // (delete-on-zero storage, phantom-account and negative-balance
 // invariants, code copying) come from the shared stateView, so the
 // overlay cannot drift from the serial path.
@@ -70,7 +71,7 @@ func newShardState(base *state) *shardState {
 	return &shardState{stateView: stateView{kv: ov}, ov: ov, base: base}
 }
 
-// commit replays the overlay's journal onto the base trie. Overlays from
+// commit replays the overlay's buffered writes onto the base trie. Overlays from
 // different shards hold disjoint key sets, so commit order across shards
 // does not matter; within an overlay every key holds its final value, so
 // replay order does not matter either.

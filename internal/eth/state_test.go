@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"agnopol/internal/chain"
+	"agnopol/internal/mstate"
 )
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -187,8 +188,9 @@ func newStateModel() *stateModel {
 
 // TestDifferentialStateBackends drives one randomized op sequence through
 // the flat model, the canonical state, a periodically-committed shard
-// overlay, and a trie snapshot fork — and demands identical reads along
-// the way and identical state roots at the end.
+// overlay, and a state whose trie is periodically committed to a store
+// (which freezes its branches, so later writes copy them) — and demands
+// identical reads along the way and identical state roots at the end.
 func TestDifferentialStateBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	addrs := make([]chain.Address, 8)
@@ -201,11 +203,9 @@ func TestDifferentialStateBackends(t *testing.T) {
 	flat := newState()
 	ovBase := newState()
 	ov := newShardState(ovBase)
-	snapBase := newState()
-	snapTrie := snapBase.t.Snapshot() // fork immediately; mutate the fork only
-	snap := &state{stateView: stateView{kv: snapTrie}, t: snapTrie}
+	stored, store := newState(), mstate.NewMemStore()
 
-	targets := []execState{flat, ov, snap}
+	targets := []execState{flat, ov, stored}
 
 	apply := func(fn func(execState)) {
 		for _, st := range targets {
@@ -299,6 +299,11 @@ func TestDifferentialStateBackends(t *testing.T) {
 			ov = newShardState(ovBase)
 			targets[1] = ov
 		}
+		if step%300 == 299 {
+			if _, err := stored.t.Commit(store); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	ov.commit()
 
@@ -306,10 +311,14 @@ func TestDifferentialStateBackends(t *testing.T) {
 	if ovBase.Root() != flatRoot {
 		t.Fatal("overlay-committed state root diverges from flat state")
 	}
-	if snap.Root() != flatRoot {
-		t.Fatal("snapshot-fork state root diverges from flat state")
+	if stored.Root() != flatRoot {
+		t.Fatal("periodically committed state root diverges from flat state")
 	}
-	if snapBase.Root() != (newState()).Root() {
-		t.Fatal("mutating a snapshot fork leaked into its base")
+	root, err := stored.t.Commit(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := mstate.Load(store, root); err != nil || chain.Hash32(loaded.Root()) != flatRoot {
+		t.Fatalf("the committed state does not load back to the flat root: %v", err)
 	}
 }

@@ -28,8 +28,12 @@ func cloneMemState(s *MemState) *MemState {
 	return c
 }
 
+// memStatesEqual compares balances and storage words. An absent and an
+// empty per-address storage map hold the same words: the reference engine
+// leaves an empty map behind when it undoes a reverted write, the fast
+// engine never writes one.
 func memStatesEqual(a, b *MemState) bool {
-	if len(a.Balances) != len(b.Balances) || len(a.Storage) != len(b.Storage) {
+	if len(a.Balances) != len(b.Balances) {
 		return false
 	}
 	for addr, ba := range a.Balances {
@@ -38,6 +42,11 @@ func memStatesEqual(a, b *MemState) bool {
 			return false
 		}
 	}
+	return storageWithin(a, b) && storageWithin(b, a)
+}
+
+// storageWithin reports whether every storage word of a is in b.
+func storageWithin(a, b *MemState) bool {
 	for addr, ma := range a.Storage {
 		mb := b.Storage[addr]
 		if len(ma) != len(mb) {

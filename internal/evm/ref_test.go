@@ -54,9 +54,26 @@ func (in *refInterpreter) refJumpDest(w *big.Int) (uint64, bool) {
 	return w.Uint64(), in.jumpdests[w.Uint64()]
 }
 
+// refState is the reference interpreter's state: the fast VM's balance
+// journal plus a journal of every storage write, which the reference
+// undoes on a revert where the fast VM's slot table simply never writes.
+type refState struct {
+	journaledState
+}
+
+func (s *refState) GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32 {
+	return s.inner.GetStorage(addr, key)
+}
+
+func (s *refState) SetStorage(addr chain.Address, key, value chain.Hash32) {
+	prev := s.inner.GetStorage(addr, key)
+	s.inner.SetStorage(addr, key, value)
+	s.j.record(func() { s.inner.SetStorage(addr, key, prev) })
+}
+
 type refInterpreter struct {
 	ctx   Context
-	state *journaledState
+	state *refState
 	code  []byte
 
 	stack  []*big.Int
@@ -104,7 +121,7 @@ func (in *refInterpreter) profFlush() {
 func executeRef(ctx Context, code []byte) Result {
 	in := &refInterpreter{
 		ctx:       ctx,
-		state:     &journaledState{inner: ctx.State},
+		state:     &refState{journaledState{inner: ctx.State}},
 		code:      code,
 		gas:       ctx.GasLimit,
 		warmAddrs: map[chain.Address]bool{ctx.Address: true, ctx.Caller: true},

@@ -111,8 +111,9 @@ func (j *journal) revert() {
 	j.entries = nil
 }
 
-// journaledState wraps a StateDB with undo logging for the duration of a
-// transaction.
+// journaledState wraps a StateDB with undo logging of balance moves for the
+// duration of a transaction. Storage needs none: the interpreter's slot
+// table holds every write until the execution has succeeded.
 type journaledState struct {
 	inner StateDB
 	j     journal
@@ -130,16 +131,6 @@ func (s *journaledState) SubBalance(a chain.Address, v *big.Int) {
 	amount := new(big.Int).Set(v)
 	s.inner.SubBalance(a, amount)
 	s.j.record(func() { s.inner.AddBalance(a, amount) })
-}
-
-func (s *journaledState) GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32 {
-	return s.inner.GetStorage(addr, key)
-}
-
-func (s *journaledState) SetStorage(addr chain.Address, key, value chain.Hash32) {
-	prev := s.inner.GetStorage(addr, key)
-	s.inner.SetStorage(addr, key, value)
-	s.j.record(func() { s.inner.SetStorage(addr, key, prev) })
 }
 
 func (s *journaledState) AccountExists(a chain.Address) bool { return s.inner.AccountExists(a) }

@@ -77,20 +77,22 @@ func init() {
 	}
 }
 
-// slotRef keys the flat warm/original-value storage maps. The interpreter
-// only ever touches slots of the executing contract plus value-transfer
-// targets, so one flat map replaces the per-address nested maps of the
-// reference implementation.
-type slotRef struct {
-	addr chain.Address
-	key  chain.Hash32
+// slot is one storage slot of the executing contract that the execution
+// has touched: its value when the execution began (orig) and now (cur) —
+// the two values the EIP-2200/2929 SSTORE rules price a write by, geth's
+// committed and current state. A slot is warm from its first touch, so the
+// table of touched slots is also the warm set.
+type slot struct {
+	key       chain.Hash32
+	orig, cur chain.Hash32
 }
 
 // interpreter is the pooled per-execution state of the fast VM: a fixed
-// value-typed u256 stack, reusable byte memory, flat access-list maps and a
-// jumpdest bitmap. Everything that does not escape into the Result is
-// recycled through interpPool, so a warm Execute allocates only what the
-// program itself materializes (logs, return data, journal entries).
+// value-typed u256 stack, reusable byte memory, the warm address map, the
+// slot table and a jumpdest bitmap. Everything that does not escape into
+// the Result is recycled through interpPool, so a warm Execute allocates
+// only what the program itself materializes (logs, return data, journal
+// entries).
 type interpreter struct {
 	ctx       Context
 	state     journaledState
@@ -105,8 +107,12 @@ type interpreter struct {
 	logs   []Log
 
 	warmAddrs map[chain.Address]bool
-	warmSlots map[slotRef]bool
-	origSlots map[slotRef]chain.Hash32
+	// slots is the slot table in first-touch order and slotIdx its index.
+	// SLOAD and SSTORE run on it alone: the state sees one GetStorage per
+	// touched slot, and one SetStorage per slot whose value changed, once
+	// the execution has succeeded.
+	slots   []slot
+	slotIdx map[chain.Hash32]int
 
 	// jumpdests is the valid-destination bitmap for code. scannedPtr/
 	// scannedLen identify the code slice it was built from, so repeated
@@ -161,6 +167,12 @@ func Execute(ctx Context, code []byte) Result {
 	res := in.run()
 	if res.Err != nil || res.Reverted {
 		in.state.j.revert()
+	} else {
+		for i := range in.slots {
+			if s := &in.slots[i]; s.cur != s.orig {
+				ctx.State.SetStorage(ctx.Address, s.key, s.cur)
+			}
+		}
 	}
 	res.Logs = in.logs
 	in.release()
@@ -181,8 +193,7 @@ func (in *interpreter) reset(ctx Context, code []byte) {
 	in.logs = nil // escapes into Result, never pooled
 	if in.warmAddrs == nil {
 		in.warmAddrs = make(map[chain.Address]bool, 8)
-		in.warmSlots = make(map[slotRef]bool, 16)
-		in.origSlots = make(map[slotRef]chain.Hash32, 16)
+		in.slotIdx = make(map[chain.Hash32]int, 16)
 	}
 	in.warmAddrs[ctx.Address] = true
 	in.warmAddrs[ctx.Caller] = true
@@ -200,8 +211,8 @@ func (in *interpreter) release() {
 	in.logs = nil
 	clear(in.pcArgs[:]) // may reference superseded memory backing arrays
 	clear(in.warmAddrs)
-	clear(in.warmSlots)
-	clear(in.origSlots)
+	in.slots = in.slots[:0]
+	clear(in.slotIdx)
 }
 
 // scanJumpdests rebuilds the valid-destination bitmap over code, reusing the
@@ -345,23 +356,17 @@ func wordToAddr(v u256.Word) chain.Address {
 	return a
 }
 
-func (in *interpreter) slotWarm(addr chain.Address, key chain.Hash32) bool {
-	ref := slotRef{addr, key}
-	if in.warmSlots[ref] {
-		return true
+// slot returns the executing contract's slot key from the slot table,
+// reading it from the state on its first touch, which cold reports. The
+// pointer is valid until the next call.
+func (in *interpreter) slot(key chain.Hash32) (s *slot, cold bool) {
+	if i, ok := in.slotIdx[key]; ok {
+		return &in.slots[i], false
 	}
-	in.warmSlots[ref] = true
-	return false
-}
-
-func (in *interpreter) originalSlot(addr chain.Address, key chain.Hash32) chain.Hash32 {
-	ref := slotRef{addr, key}
-	if v, ok := in.origSlots[ref]; ok {
-		return v
-	}
-	v := in.state.GetStorage(addr, key)
-	in.origSlots[ref] = v
-	return v
+	v := in.ctx.State.GetStorage(in.ctx.Address, key)
+	in.slotIdx[key] = len(in.slots)
+	in.slots = append(in.slots, slot{key: key, orig: v, cur: v})
+	return &in.slots[len(in.slots)-1], true
 }
 
 // Operand words that name a place become indices by one rule per class
@@ -695,15 +700,15 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			key := wordToHash32(a)
-			cost := uint64(GasColdSLoad)
-			if in.slotWarm(in.ctx.Address, key) {
-				cost = GasWarmAccess
+			s, cold := in.slot(wordToHash32(a))
+			cost := uint64(GasWarmAccess)
+			if cold {
+				cost = GasColdSLoad
 			}
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			if err := in.push(hash32ToWord(in.state.GetStorage(in.ctx.Address, key))); err != nil {
+			if err := in.push(hash32ToWord(s.cur)); err != nil {
 				return fail(err)
 			}
 
@@ -712,14 +717,13 @@ func (in *interpreter) run() Result {
 			if err != nil {
 				return fail(err)
 			}
-			key := wordToHash32(a)
 			value := wordToHash32(b)
+			s, cold := in.slot(wordToHash32(a))
 			cost := uint64(0)
-			if !in.slotWarm(in.ctx.Address, key) {
+			if cold {
 				cost += GasColdSLoad
 			}
-			current := in.state.GetStorage(in.ctx.Address, key)
-			original := in.originalSlot(in.ctx.Address, key)
+			current, original := s.cur, s.orig
 			switch {
 			case current == value:
 				cost += GasWarmAccess
@@ -736,7 +740,7 @@ func (in *interpreter) run() Result {
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			in.state.SetStorage(in.ctx.Address, key, value)
+			s.cur = value
 
 		case JUMP:
 			a, err := in.pop()

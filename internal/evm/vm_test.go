@@ -469,3 +469,69 @@ func TestAssemblerErrors(t *testing.T) {
 		t.Fatal("duplicate label accepted")
 	}
 }
+
+// countingState is a MemState that counts the storage writes it receives.
+type countingState struct {
+	*MemState
+	sets map[chain.Hash32]int
+}
+
+func (s *countingState) SetStorage(addr chain.Address, key, value chain.Hash32) {
+	s.sets[key]++
+	s.MemState.SetStorage(addr, key, value)
+}
+
+// TestStorageWrittenOncePerDirtySlot: SLOAD and SSTORE run on the
+// interpreter's slot table, and the state sees the table's outcome only.
+// A successful execution writes every slot whose value changed once, with
+// its final value, and no other; a reverted, failed or out-of-gas one
+// writes nothing.
+func TestStorageWrittenOncePerDirtySlot(t *testing.T) {
+	stores := func(a *Assembler) {
+		a.PushUint(7).PushUint(1).Op(SSTORE) // slot 1: 0 → 7
+		a.PushUint(8).PushUint(2).Op(SSTORE) // slot 2: 0 → 8
+		a.PushUint(9).PushUint(1).Op(SSTORE) // slot 1 again: → 9
+		a.PushUint(0).PushUint(3).Op(SSTORE) // slot 3: 0 → 0, unchanged
+		a.PushUint(6).PushUint(4).Op(SSTORE) // slot 4: 4 → 6 …
+		a.PushUint(4).PushUint(4).Op(SSTORE) // … → 4, back to its original
+		a.PushUint(5).Op(SLOAD, POP)         // slot 5: read only
+	}
+	cases := []struct {
+		name string
+		end  func(a *Assembler)
+		gas  uint64
+		want map[chain.Hash32]int
+	}{
+		{"success", func(a *Assembler) { a.Op(STOP) }, 1_000_000, map[chain.Hash32]int{wordKey(1): 1, wordKey(2): 1}},
+		{"revert", func(a *Assembler) { a.PushUint(0).PushUint(0).Op(REVERT) }, 1_000_000, map[chain.Hash32]int{}},
+		{"failed", func(a *Assembler) { a.Op(POP) }, 1_000_000, map[chain.Hash32]int{}},
+		{"out of gas", func(a *Assembler) { a.Op(STOP) }, 50_000, map[chain.Hash32]int{}},
+	}
+	for _, tc := range cases {
+		a := NewAssembler()
+		stores(a)
+		tc.end(a)
+		code, err := a.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &countingState{MemState: NewMemState(), sets: map[chain.Hash32]int{}}
+		st.MemState.SetStorage(chain.Address{}, wordKey(4), wordKey(4))
+		res := Execute(Context{State: st, GasLimit: tc.gas, Value: new(big.Int)}, code)
+		if failed := res.Err != nil || res.Reverted; failed != (tc.name != "success") {
+			t.Fatalf("%s: err %v, reverted %v", tc.name, res.Err, res.Reverted)
+		}
+		if len(st.sets) != len(tc.want) {
+			t.Fatalf("%s: SetStorage per slot %v, want %v", tc.name, st.sets, tc.want)
+		}
+		for key, n := range tc.want {
+			if st.sets[key] != n {
+				t.Fatalf("%s: SetStorage per slot %v, want %v", tc.name, st.sets, tc.want)
+			}
+		}
+		if tc.name == "success" && (st.GetStorage(chain.Address{}, wordKey(1)) != wordKey(9) ||
+			st.GetStorage(chain.Address{}, wordKey(4)) != wordKey(4)) {
+			t.Fatalf("%s: slot 1 or slot 4 does not hold its final value", tc.name)
+		}
+	}
+}

@@ -131,7 +131,7 @@ func TestStagedButUncommittedTailIsDiscarded(t *testing.T) {
 
 	// Stage more nodes, flush them to the OS, but never Commit — as if
 	// the process died between Trie.Commit and Store.Commit.
-	tr2 := tr.Snapshot()
+	tr2 := tr // Commit froze what tr wrote; the handle writes on
 	tr2.Put(tk("uncommitted"), []byte("lost"))
 	root2, err := tr2.Commit(s)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestRandomizedCrashPointRecovery(t *testing.T) {
 		activeSeg := s.active
 		durable := s.curOff
 
-		tr2 := tr.Snapshot()
+		tr2 := tr // Commit froze what tr wrote; the handle writes on
 		for j := 0; j < 30+rng.Intn(50); j++ {
 			tr2.Put(tk(fmt.Sprintf("crash-%d-%d", iter, j)), []byte("staged"))
 		}
@@ -214,7 +214,7 @@ func TestRandomizedCrashPointRecovery(t *testing.T) {
 			t.Fatalf("iter %d: recovered trie root mismatch", iter)
 		}
 		// Recovery must leave a store that keeps working.
-		tr3 := loaded.Snapshot()
+		tr3 := loaded
 		tr3.Put(tk("after-recovery"), []byte("ok"))
 		root3 := commit(t, tr3, s2, nil)
 		s2.Close()
@@ -290,7 +290,7 @@ func TestEveryCutPointRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2 := tr.Snapshot()
+	tr2 := tr // Commit froze what tr wrote; the handle writes on
 	tr2.Put(tk("staged-0"), []byte("staged"))
 	tr2.Put(tk("staged-1"), []byte("staged"))
 	root2 := commit(t, tr2, s, []byte("next"))

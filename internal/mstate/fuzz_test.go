@@ -264,9 +264,16 @@ func FuzzTrieCommit(f *testing.F) {
 			if h.ov == nil {
 				continue
 			}
-			// The overlay's fork is a trie of its own: same contents and
-			// same root as a fresh build, whatever was kept or reverted.
-			mustEqualModel(t, fmt.Sprintf("handle %d overlay", i), h.ov.fork, h.ovMod)
+			// The overlay reads its model, and committed onto a snapshot of
+			// its base it is a trie of the same contents and root as a fresh
+			// build, whatever was kept or reverted.
+			for x := 0; x < 256; x++ {
+				v, ok := h.ov.Get(fuzzKey(byte(x)))
+				if want, in := h.ovMod[fuzzKey(byte(x))]; ok != in || string(v) != want {
+					t.Fatalf("handle %d overlay: key %x = %q (present %v), model says %q", i, x, v, ok, want)
+				}
+			}
+			mustEqualModel(t, fmt.Sprintf("handle %d overlay", i), committed(h.ov), h.ovMod)
 		}
 	})
 }

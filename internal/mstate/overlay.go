@@ -1,72 +1,89 @@
 package mstate
 
-// Overlay is a speculative write set over a base trie: a private fork
-// that absorbs reads and writes, plus a journal of the final value of
-// every touched key so the whole overlay can be replayed onto the base
-// in one pass at commit time. Discarding an overlay is dropping the
-// pointer — the base never saw it.
+// Overlay is a speculative write set over a base trie: a write buffer that
+// holds the final value of every key it touched and reads everything else
+// from the base, so the whole overlay replays onto the base in one pass at
+// commit time. A Put or Delete is a map write and copies no branch;
+// discarding an overlay is dropping the pointer — the base never saw it.
 //
 // A part of an overlay's writes rolls back through a revert point: Mark
-// opens one, every write under it first records what it displaces, and
-// Revert puts that back — which is how a per-group transaction fails
-// inside a per-shard overlay without disturbing the shard's other groups.
+// opens one, every write under it first records the buffer entry it
+// displaces, and Revert puts that back — which is how a per-group
+// transaction fails inside a per-shard overlay without disturbing the
+// shard's other groups.
 type Overlay struct {
-	fork *Trie
-	// writes journals the final state of every touched key: the leaf now
-	// in the fork, or nil for a delete.
+	base *Trie
+	// gen is the base's write generation when the overlay was opened; a
+	// read that finds the base past it panics (NewOverlay states the rule).
+	gen uint64
+	// writes holds the final state of every touched key: its leaf, or nil
+	// for a delete.
 	writes map[Key]*leaf
-	// undo holds, oldest first, what each write since Mark displaced; it
-	// is empty whenever no mark is open, and reused from mark to mark.
+	// undo holds, oldest first, the writes entry each write since Mark
+	// displaced; it is empty whenever no mark is open, and reused from
+	// mark to mark.
 	undo   []displaced
 	marked bool
 }
 
-// displaced is what one write under a mark replaced: the leaf the fork
-// linked under the key (nil: none) and the key's writes entry (had: there
-// was one — a nil entry journals a delete).
+// displaced is the writes entry one write under a mark replaced (had:
+// there was one — a nil entry buffers a delete).
 type displaced struct {
 	key   Key
-	leaf  *leaf
 	write *leaf
 	had   bool
 }
 
-// NewOverlay opens an overlay over base. The base must not be mutated
-// while the overlay is live (snapshot it first if needed).
+// NewOverlay opens an overlay over base. The overlay reads the live base,
+// not a snapshot of it, so the rule is: once base is written (Put, Delete,
+// or another overlay's CommitTo), an overlay opened before that write must
+// not be read again — Get and Has panic — though it may still be committed
+// or dropped. Overlays over one base may be read and written from
+// goroutines of their own while the base stands still.
 func NewOverlay(base *Trie) *Overlay {
-	return &Overlay{fork: base.Snapshot(), writes: make(map[Key]*leaf)}
+	return &Overlay{base: base, gen: base.gen, writes: make(map[Key]*leaf)}
 }
 
 // Get reads through the overlay (own writes shadow the base).
-func (o *Overlay) Get(k Key) ([]byte, bool) { return o.fork.Get(k) }
+func (o *Overlay) Get(k Key) ([]byte, bool) {
+	if lf := o.leafOf(k); lf != nil {
+		return lf.val, true
+	}
+	return nil, false
+}
 
 // Has reads through the overlay.
-func (o *Overlay) Has(k Key) bool { return o.fork.Has(k) }
+func (o *Overlay) Has(k Key) bool { return o.leafOf(k) != nil }
 
-// Len is the number of live keys seen through the overlay.
-func (o *Overlay) Len() int { return o.fork.Len() }
+// leafOf is the leaf the overlay sees under k, nil when the key is absent.
+func (o *Overlay) leafOf(k Key) *leaf {
+	if o.base.gen != o.gen {
+		panic("mstate: overlay read after its base was written; an overlay must not be read once its base has been written")
+	}
+	if lf, ok := o.writes[k]; ok {
+		return lf
+	}
+	return o.base.leafOf(k)
+}
 
 // Put writes k=v into the overlay only.
 func (o *Overlay) Put(k Key, v []byte) {
 	o.record(k)
-	lf := newLeaf(k, v)
-	o.fork.putLeaf(lf)
-	o.writes[k] = lf
+	o.writes[k] = newLeaf(k, v)
 }
 
 // Delete removes k in the overlay only.
 func (o *Overlay) Delete(k Key) {
 	o.record(k)
-	o.fork.Delete(k)
 	o.writes[k] = nil
 }
 
-// record notes, under an open mark, what a write to k is about to
-// displace. An overlay nobody marks pays this one branch per write.
+// record notes, under an open mark, the writes entry a write to k is about
+// to displace. An overlay nobody marks pays this one branch per write.
 func (o *Overlay) record(k Key) {
 	if o.marked {
 		write, had := o.writes[k]
-		o.undo = append(o.undo, displaced{k, o.fork.leafOf(k), write, had})
+		o.undo = append(o.undo, displaced{k, write, had})
 	}
 }
 
@@ -89,19 +106,11 @@ func (o *Overlay) Keep() {
 }
 
 // Revert closes the mark and takes back every write under it, newest
-// first: the displaced leaves are linked again — the same leaves, through
-// the fork's own token, so no branch another handle can see is written —
-// and the writes entries restored, so CommitTo replays none of it. The
-// trie's shape is a function of its key set alone: the root comes back
-// bit for bit.
+// first, by restoring the writes entries it displaced, so CommitTo replays
+// none of it.
 func (o *Overlay) Revert() {
 	for i := len(o.undo) - 1; i >= 0; i-- {
 		d := &o.undo[i]
-		if d.leaf != nil {
-			o.fork.putLeaf(d.leaf)
-		} else {
-			o.fork.Delete(d.key)
-		}
 		if d.had {
 			o.writes[d.key] = d.write
 		} else {
@@ -111,11 +120,12 @@ func (o *Overlay) Revert() {
 	o.Keep()
 }
 
-// CommitTo replays the journal onto dst, which is normally the base the
-// overlay was opened on (after any sibling overlays were checked for
-// disjointness). Replay order does not matter: the journal holds final
-// values, one entry per key — and dst links the journaled leaves
-// themselves, so a committed value is copied once, at Put.
+// CommitTo replays the buffered writes onto dst, which is normally the
+// base the overlay was opened on (after any sibling overlays were checked
+// for disjointness). Replay order does not matter: the buffer holds final
+// values, one entry per key — and dst links the buffered leaves
+// themselves, so a committed value is copied once, at Put, and a base
+// that owns its branches rewrites them in place.
 func (o *Overlay) CommitTo(dst *Trie) {
 	for k, lf := range o.writes {
 		if lf == nil {

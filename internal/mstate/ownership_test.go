@@ -34,7 +34,6 @@ type kvHandle interface {
 	Get(Key) ([]byte, bool)
 	Put(Key, []byte)
 	Delete(Key)
-	Len() int
 }
 
 // modeled pairs a handle with the map it must equal.
@@ -68,8 +67,8 @@ func (h *modeled) write(rng *rand.Rand, keys []Key) Key {
 
 func (h *modeled) check(t *testing.T, what string, keys []Key) {
 	t.Helper()
-	if h.kv.Len() != len(h.m) {
-		t.Fatalf("%s: Len %d, model has %d", what, h.kv.Len(), len(h.m))
+	if tr, ok := h.kv.(*Trie); ok && tr.Len() != len(h.m) {
+		t.Fatalf("%s: Len %d, model has %d", what, tr.Len(), len(h.m))
 	}
 	for _, k := range keys {
 		got, ok := h.kv.Get(k)
@@ -134,26 +133,35 @@ func TestOwnershipRandomized(t *testing.T) {
 				ov := forkOf(h, ovl)
 				journal := map[Key]bool{}
 				burst(ov, journal)
-				burst(h, nil) // the base moves on under the live overlay
-				for group := rng.Intn(3); group > 0; group-- {
-					// The model snapshots at the mark and restores on revert.
-					atMark, journalAtMark := forkOf(ov, nil).m, map[Key]bool{}
-					for k := range journal {
-						journalAtMark[k] = true
+				if rng.Intn(4) == 0 {
+					// The base moves on under the live overlay: the
+					// overlay may no longer be read, only committed or
+					// dropped.
+					burst(h, nil)
+					h.kv.Put(keys[0], []byte("moved"))
+					h.m[keys[0]] = []byte("moved")
+					mustPanic(t, "overlay read after its base moved", func() { ovl.Get(keys[0]) })
+				} else {
+					for group := rng.Intn(3); group > 0; group-- {
+						// The model snapshots at the mark and restores on revert.
+						atMark, journalAtMark := forkOf(ov, nil).m, map[Key]bool{}
+						for k := range journal {
+							journalAtMark[k] = true
+						}
+						ovl.Mark()
+						burst(ov, journal)
+						ov.check(t, "overlay under an open mark", keys)
+						if rng.Intn(2) == 0 {
+							ovl.Keep()
+						} else {
+							ovl.Revert()
+							ov.m, journal = atMark, journalAtMark
+							ov.check(t, "overlay after a revert", keys)
+						}
+						burst(ov, journal)
 					}
-					ovl.Mark()
-					burst(ov, journal)
-					ov.check(t, "overlay under an open mark", keys)
-					if rng.Intn(2) == 0 {
-						ovl.Keep()
-					} else {
-						ovl.Revert()
-						ov.m, journal = atMark, journalAtMark
-						ov.check(t, "overlay after a revert", keys)
-					}
-					burst(ov, journal)
+					ov.check(t, "overlay", keys)
 				}
-				ov.check(t, "overlay", keys)
 				if len(ovl.writes) != len(journal) {
 					t.Fatalf("overlay journal has %d keys, wrote %d", len(ovl.writes), len(journal))
 				}
@@ -219,11 +227,10 @@ func TestOwnedPutAllocatesNoBranch(t *testing.T) {
 	}
 }
 
-// TestMarkedPutAllocatesNoBranch pins the journal's cost model: under a
-// mark a Put along a path the overlay owns still allocates the leaf and its
-// value and nothing else (the undo record goes into the reused slice), and
-// taking overwrites back links the displaced leaves into the owned branches
-// in place.
+// TestMarkedPutAllocatesNoBranch pins the write buffer's cost model: under
+// a mark a Put of a key the overlay already holds allocates the leaf and
+// its value and nothing else (the undo record goes into the reused slice),
+// and a revert restores the displaced entries without allocating.
 func TestMarkedPutAllocatesNoBranch(t *testing.T) {
 	a, b := Key{0x12, 0x34, 0x50}, Key{0x12, 0x34, 0x5F}
 	base := New()
@@ -231,7 +238,7 @@ func TestMarkedPutAllocatesNoBranch(t *testing.T) {
 	base.Put(b, []byte("bbbbbbbb"))
 	ov := NewOverlay(base)
 	val := []byte("cccccccc")
-	ov.Put(a, val) // the overlay owns the path from here on
+	ov.Put(a, val) // the buffer holds both keys from here on
 	ov.Put(b, val)
 	kept := testing.AllocsPerRun(200, func() {
 		ov.Mark()
@@ -239,9 +246,9 @@ func TestMarkedPutAllocatesNoBranch(t *testing.T) {
 		ov.Keep()
 	})
 	if kept != 2 {
-		t.Fatalf("marked Put on an owned path: %v allocations, want 2 (leaf and value)", kept)
+		t.Fatalf("marked Put of a buffered key: %v allocations, want 2 (leaf and value)", kept)
 	}
-	root := ov.fork.Root()
+	before := stateOf(ov, a, b)
 	reverted := testing.AllocsPerRun(200, func() {
 		ov.Mark()
 		ov.Put(a, val)
@@ -251,9 +258,45 @@ func TestMarkedPutAllocatesNoBranch(t *testing.T) {
 	if reverted != 4 {
 		t.Fatalf("two marked Puts and their revert: %v allocations, want 4 (two leaves, two values)", reverted)
 	}
-	if ov.fork.Root() != root {
-		t.Fatal("the root did not come back")
+	before.mustEqual(t, "after the reverts", ov)
+}
+
+// TestCommitToOwnedBaseAllocatesNoBranch: opening an overlay takes no
+// snapshot, so a base that owns its branches keeps owning them, and
+// merging an overlay into it rewrites them in place — the merge allocates
+// nothing, where a base whose token the overlay had retired would copy
+// every branch on the path.
+func TestCommitToOwnedBaseAllocatesNoBranch(t *testing.T) {
+	a, b := Key{0x12, 0x34, 0x50}, Key{0x12, 0x34, 0x5F} // a chain of six branches
+	base := New()
+	base.Put(a, []byte("aaaaaaaa"))
+	base.Put(b, []byte("bbbbbbbb"))
+	val := []byte("cccccccc")
+	write := func() *Overlay {
+		ov := NewOverlay(base)
+		ov.Put(a, val)
+		ov.Put(b, val)
+		return ov
 	}
+	opened := testing.AllocsPerRun(200, func() { write() })
+	merged := testing.AllocsPerRun(200, func() { write().CommitTo(base) })
+	if merged != opened {
+		t.Fatalf("open, write, merge: %v allocations, open and write alone %v: the merge allocated", merged, opened)
+	}
+	if v, _ := base.Get(a); !bytes.Equal(v, val) {
+		t.Fatalf("base a = %q after the merges", v)
+	}
+}
+
+// mustPanic runs f and fails unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+	}()
+	f()
 }
 
 // TestBranchSizeClass: the owner pointer must not push a branch out of the
@@ -265,9 +308,9 @@ func TestBranchSizeClass(t *testing.T) {
 }
 
 // TestConcurrentOverlaysOverOneBase is the sharded block shape under the
-// race detector: overlays opened over one base are written from their own
-// goroutines — reading shared frozen nodes, copying and then owning their
-// own — and are committed to the base one after the other.
+// race detector: overlays opened over one base are read and written from
+// their own goroutines — reading the base, which stands still, and writing
+// their own buffers — and are committed to the base one after the other.
 func TestConcurrentOverlaysOverOneBase(t *testing.T) {
 	const shards, perShard = 8, 400
 	base := New()
@@ -324,8 +367,10 @@ func TestConcurrentOverlaysOverOneBase(t *testing.T) {
 // The two write shapes of a sharded block, 2000 writes over a 10k-key
 // base per op: a handle rewriting paths it owns after one snapshot, and an
 // overlay written and then committed. allocs/op ÷ 2000 is the number to
-// watch: leaf and value per write, plus one branch copy per distinct dirty
-// branch per layer.
+// watch: a handle after a snapshot pays leaf and value per write plus one
+// branch copy per distinct dirty branch, an overlay leaf and value per
+// write plus its buffer's growth, and its merge into a base that owns its
+// branches nothing.
 const (
 	benchBaseKeys = 10000
 	benchWrites   = 2000
@@ -392,5 +437,32 @@ func BenchmarkOverlayPutCommit(b *testing.B) {
 			ov.Put(k, val)
 		}
 		ov.CommitTo(tr)
+	}
+}
+
+// BenchmarkTrieRootRound is the state root of a soak round, and only that:
+// ≈ 6 000 rewritten keys of an ≈ 8 800-node trie (6 300 keys), written
+// off the clock. On two cores Root hashes the root branch's two halves side
+// by side; -cpu 1,2 shows what the second core buys.
+func BenchmarkTrieRootRound(b *testing.B) {
+	const keys, writes = 6300, 6000
+	tr := New()
+	ks := make([]Key, keys)
+	for i := range ks {
+		ks[i] = KeyOf("bench", []byte{byte(i), byte(i >> 8)})
+		tr.Put(ks[i], []byte("12345678"))
+	}
+	tr.Root()
+	val := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		val[0] = byte(i)
+		for _, k := range ks[:writes] {
+			tr.Put(k, val)
+		}
+		b.StartTimer()
+		tr.Root()
 	}
 }

@@ -98,7 +98,7 @@ func (m *MemStore) Len() int { return len(m.nodes) }
 const commitBatchSize = 4096
 
 // stored names a root that has been written out and the store holding it.
-// A value is never modified once built, so snapshots share it.
+// A value is never modified once built, so handles may share it.
 type stored struct {
 	root node
 	in   NodeStore
@@ -109,10 +109,10 @@ type stored struct {
 // itself: t is walked against the root this handle last committed to (or
 // was loaded from) the same store, and a subtree whose node is the very
 // node that sat there then is skipped whole; a store the handle has not
-// written to gets every node. Like Snapshot, Commit retires t's ownership
-// token first, so no later write can change a node in place behind a
-// pointer the base also holds. The base advances only once the store has
-// taken and flushed everything, so a failed Commit is simply retried.
+// written to gets every node. Commit retires t's ownership token first,
+// so no later write can change a node in place behind a pointer the base
+// also holds. The base advances only once the store has taken and flushed
+// everything, so a failed Commit is simply retried.
 // Commit flushes the store but does not make it durable; disk backends
 // expose a separate durability point (diskstore.Store.Commit).
 func (t *Trie) Commit(store NodeStore) (Hash, error) {

@@ -1,7 +1,7 @@
-// Package mstate is the Merkle snapshot state layer: a copy-on-write
-// trie over 32-byte hashed keys that gives every chain backend O(1)
-// snapshots, an authenticated state root per block, and a disk-shaped
-// persistence seam (NodeStore).
+// Package mstate is the Merkle state layer: a trie over 32-byte hashed
+// keys that gives every chain backend an authenticated state root per
+// block, write buffers (Overlay) for speculative execution, and a
+// disk-shaped persistence seam (NodeStore).
 //
 // The trie is a 16-ary radix tree over the nibbles of the (already
 // hashed, uniformly distributed) key. Leaves store the full key and
@@ -9,16 +9,19 @@
 // interior branch chains exist only along shared key prefixes.
 //
 // Ownership rule: a Trie handle owns the branches it created since its
-// last Snapshot (or Commit) and mutates those in place; every other
-// branch on a written path is copied once and the copy becomes owned.
-// Snapshot retires the receiver's ownership, so afterwards both sides see
-// only frozen nodes and neither observes the other — a write costs one
-// branch copy per distinct dirty branch between snapshots, and two
-// tries diverging by k keys still share all but O(k·depth) nodes. Commit
-// retires it too: what has been written out stays what was written.
-// Ownership lives in the handle: a Trie must not be copied by value
-// (the copy would own the same branches), and Snapshot must not run
-// concurrently with the receiver's own writes.
+// last Commit and mutates those in place; every other branch on a written
+// path is copied once and the copy becomes owned. Commit retires the
+// handle's ownership, so what has been written out stays what was
+// written: a write after it costs one branch copy per distinct dirty
+// branch until the next Commit. Ownership lives in the handle: a Trie
+// must not be copied by value (the copy would own the same branches).
+//
+// An Overlay takes no snapshot: it buffers its writes in a map and reads
+// the live base, so the base keeps its token and a commit rewrites the
+// branches the base owns in place. The price is a rule — a base that has
+// been written must not be read through an overlay opened before the
+// write — which every Trie write enforces by advancing a generation that
+// the overlay's reads compare against.
 //
 // The structure — and therefore the root hash — is a pure function of
 // the key/value set, independent of insertion or deletion order:
@@ -28,6 +31,8 @@ package mstate
 
 import (
 	"crypto/sha256"
+	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -167,37 +172,26 @@ func nibble(k Key, depth int) int {
 }
 
 // Trie is one version of the state. The zero value is not usable; call
-// New. A Trie is not safe for concurrent mutation, but any number of
-// snapshots may be read (and hashed) concurrently because all shared
-// nodes are frozen.
+// New. A Trie is not safe for concurrent mutation, but while nobody
+// writes it any number of goroutines may read (and hash) it.
 type Trie struct {
 	root  node
 	count int
 	// own is the token of the branches this handle may mutate in place;
-	// nil until the first write after New, Load, Snapshot or Commit.
+	// nil until the first write after New, Load or Commit.
 	own *owner
-	// base is what this handle (or the one it was snapshotted from) last
-	// wrote out or was loaded from; nil for a trie no store has seen.
+	// base is what this handle last wrote out or was loaded from; nil for
+	// a trie no store has seen.
 	base *stored
+	// gen counts the Puts and Deletes applied through this handle; rootGen
+	// is gen as of the last Root, which Root may run concurrently with
+	// itself, hence the atomic.
+	gen     uint64
+	rootGen atomic.Uint64
 }
 
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
-
-// Snapshot returns an independent fork sharing all nodes with t. Both
-// sides may continue to mutate; neither observes the other. O(1). It
-// drops t's token, which freezes every branch t owned: the token stays
-// referenced by those branches, so no later token can compare equal to
-// it, and both handles draw a fresh one on their next write. A handle
-// already without a token is not written, so a quiescent trie may be
-// snapshotted from several goroutines. The fork inherits t's commit base:
-// what t has in a store, the fork has there too.
-func (t *Trie) Snapshot() *Trie {
-	if t.own != nil {
-		t.own = nil
-	}
-	return &Trie{root: t.root, count: t.count, base: t.base}
-}
 
 // token returns the handle's ownership token, drawing one if retired.
 func (t *Trie) token() *owner {
@@ -213,14 +207,43 @@ func (t *Trie) Len() int { return t.count }
 // emptyRoot is the root hash of the empty trie.
 var emptyRoot = Hash{}
 
+// parallelRootWrites is how many writes since the last Root make the next
+// one hash the root branch's children on two goroutines. A soak round
+// writes 2 048–8 191 keys and a lifecycle block 4–31: below the threshold
+// the second goroutine costs more than the hashing it takes over.
+const parallelRootWrites = 512
+
 // Root returns the Merkle root of the current contents. Hashing is
 // memoized per node, so after the first call only newly written paths
-// cost anything.
+// cost anything. After parallelRootWrites writes, and when a second core
+// is there to take it, the root branch's upper eight children are hashed
+// on a goroutine of their own while the caller hashes the lower eight.
 func (t *Trie) Root() Hash {
 	if t.root == nil {
 		return emptyRoot
 	}
+	if t.gen-t.rootGen.Swap(t.gen) >= parallelRootWrites && runtime.GOMAXPROCS(0) > 1 {
+		if br, ok := t.root.(*branch); ok {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hashChildren(br.children[8:])
+			}()
+			hashChildren(br.children[:8])
+			wg.Wait()
+		}
+	}
 	return t.root.hash()
+}
+
+// hashChildren fills the hash caches of the non-nil nodes in children.
+func hashChildren(children []node) {
+	for _, c := range children {
+		if c != nil {
+			c.hash()
+		}
+	}
 }
 
 // Get returns the stored value and whether the key is present. The
@@ -259,6 +282,7 @@ func (t *Trie) Put(k Key, v []byte) { t.putLeaf(newLeaf(k, v)) }
 // putLeaf links lf, which the caller must never modify again, under its
 // key. Leaves are immutable, so one leaf may sit in several tries.
 func (t *Trie) putLeaf(lf *leaf) {
+	t.gen++
 	var added bool
 	t.root, added = insert(t.root, lf, 0, t.token())
 	if added {
@@ -304,6 +328,7 @@ func splitLeaf(a, b *leaf, depth int, own *owner) node {
 
 // Delete removes k if present.
 func (t *Trie) Delete(k Key) {
+	t.gen++
 	root, removed := remove(t.root, k, 0, t.token())
 	t.root = root
 	if removed {

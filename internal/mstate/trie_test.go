@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -190,19 +192,28 @@ func TestOverlayMarkKeepAndRevert(t *testing.T) {
 	}
 }
 
-// overlayState is everything a revert must bring back: the leaf linked
-// under every key of interest, the writes entries, the root and the count.
+// overlayState is everything a revert must bring back: what the overlay
+// reads under every key of interest, the writes entries, and the root and
+// key count of the base with the overlay committed onto a snapshot of it.
 type overlayState struct {
-	leaves map[Key]*leaf
+	reads  map[Key]*leaf
 	writes map[Key]*leaf
 	root   Hash
 	n      int
 }
 
+// committed is a snapshot of o's base with o's writes replayed onto it.
+func committed(o *Overlay) *Trie {
+	tr := o.base.Snapshot()
+	o.CommitTo(tr)
+	return tr
+}
+
 func stateOf(o *Overlay, keys ...Key) overlayState {
-	st := overlayState{leaves: map[Key]*leaf{}, writes: map[Key]*leaf{}, root: o.fork.Root(), n: o.Len()}
+	tr := committed(o)
+	st := overlayState{reads: map[Key]*leaf{}, writes: map[Key]*leaf{}, root: tr.Root(), n: tr.Len()}
 	for _, key := range keys {
-		st.leaves[key] = o.fork.leafOf(key)
+		st.reads[key] = o.leafOf(key)
 	}
 	for key, lf := range o.writes {
 		st.writes[key] = lf
@@ -212,9 +223,9 @@ func stateOf(o *Overlay, keys ...Key) overlayState {
 
 func (want overlayState) mustEqual(t *testing.T, what string, o *Overlay) {
 	t.Helper()
-	for key, lf := range want.leaves {
-		if got := o.fork.leafOf(key); got != lf {
-			t.Fatalf("%s: key %x is linked to leaf %p, was %p", what, key[:3], got, lf)
+	for key, lf := range want.reads {
+		if got := o.leafOf(key); got != lf {
+			t.Fatalf("%s: key %x reads leaf %p, was %p", what, key[:3], got, lf)
 		}
 	}
 	if len(o.writes) != len(want.writes) {
@@ -225,8 +236,8 @@ func (want overlayState) mustEqual(t *testing.T, what string, o *Overlay) {
 			t.Fatalf("%s: writes entry of %x is %p (present %v), was %p", what, key[:3], got, ok, lf)
 		}
 	}
-	if o.fork.Root() != want.root || o.Len() != want.n {
-		t.Fatalf("%s: root or Len (%d, was %d) did not come back", what, o.Len(), want.n)
+	if tr := committed(o); tr.Root() != want.root || tr.Len() != want.n {
+		t.Fatalf("%s: committed root or Len (%d, was %d) did not come back", what, tr.Len(), want.n)
 	}
 	if len(o.undo) != 0 || o.marked {
 		t.Fatalf("%s: %d undo records left, marked %v", what, len(o.undo), o.marked)
@@ -275,7 +286,7 @@ func TestOverlayRevertRestoresEarlierGroups(t *testing.T) {
 	// Revert of a Delete of a base key no group wrote: no writes entry stays.
 	ov.Mark()
 	ov.Delete(untouched)
-	if ov.Has(untouched) || ov.Len() != before.n-1 {
+	if ov.Has(untouched) || committed(ov).Len() != before.n-1 {
 		t.Fatal("delete under the mark is not visible")
 	}
 	ov.Revert()
@@ -438,5 +449,76 @@ func TestConcurrentRootHashing(t *testing.T) {
 		if roots[i] != roots[0] {
 			t.Fatalf("snapshot %d root diverged", i)
 		}
+	}
+}
+
+// TestOverlayReadAfterBaseWritePanics: an overlay reads the live base, so
+// once the base is written a read through an overlay opened before the
+// write would mix two versions of the state. It panics instead, naming
+// the rule; committing the overlay is still allowed.
+func TestOverlayReadAfterBaseWritePanics(t *testing.T) {
+	base := New()
+	base.Put(k("a"), []byte("1"))
+	ov := NewOverlay(base)
+	ov.Put(k("b"), []byte("2"))
+	if !ov.Has(k("a")) {
+		t.Fatal("overlay does not see the base")
+	}
+	base.Put(k("c"), []byte("3"))
+	for name, read := range map[string]func(){
+		"Get": func() { ov.Get(k("b")) },
+		"Has": func() { ov.Has(k("a")) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "must not be read once its base has been written") {
+					t.Fatalf("%s after a base write: recovered %q, want the overlay rule", name, msg)
+				}
+			}()
+			read()
+		}()
+	}
+	ov.CommitTo(base)
+	if v, _ := base.Get(k("b")); !bytes.Equal(v, []byte("2")) || !base.Has(k("c")) {
+		t.Fatal("commit after the base moved lost a write")
+	}
+}
+
+// TestParallelRootMatchesSerialBuild: a Root after parallelRootWrites or
+// more writes hashes the root's children on two goroutines when it may; on
+// one core and on two it must equal the root of a fresh trie of the same
+// keys hashed on one. Run under -race.
+func TestParallelRootMatchesSerialBuild(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(int64(procs)))
+		tr := New()
+		model := map[Key][]byte{}
+		for round := 0; round < 3; round++ {
+			for i := 0; i < parallelRootWrites+rng.Intn(4*parallelRootWrites); i++ {
+				key := KeyOf("par", []byte{byte(rng.Intn(40))}, []byte{byte(rng.Intn(256))})
+				if rng.Intn(5) == 0 {
+					tr.Delete(key)
+					delete(model, key)
+					continue
+				}
+				v := []byte(fmt.Sprintf("r%d/%d", round, i))
+				tr.Put(key, v)
+				model[key] = v
+			}
+			got := tr.Root()
+			runtime.GOMAXPROCS(1)
+			fresh := New()
+			for key, v := range model {
+				fresh.Put(key, v)
+			}
+			want := fresh.Root()
+			runtime.GOMAXPROCS(procs)
+			if got != want {
+				t.Fatalf("GOMAXPROCS %d, round %d: root of %d keys differs from a serial fresh build", procs, round, len(model))
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

@@ -61,12 +61,17 @@ bash scripts/unreached.sh -gate > UNREACHED_report.txt
 tail -n 1 UNREACHED_report.txt
 
 echo "== state layer microbenchmarks =="
-# 2000 writes over a 10k-key trie per op, straight, through an overlay
-# commit, and through the same overlay in marked groups of four with every
-# tenth group reverted (OverlayMarkedPutRevert, the shape of an Algorand
-# shard): allocs/op / 2000 is the allocations one state write costs (leaf
-# and value, plus one branch copy per distinct dirty branch and layer) —
-# the marked line must stay at the unmarked one.
+# 2000 writes over a 10k-key trie per op, straight after a snapshot,
+# through an overlay commit, and through the same overlay in marked groups
+# of four with every tenth group reverted (OverlayMarkedPutRevert, the
+# shape of an Algorand shard): allocs/op / 2000 is the allocations one
+# state write costs — after a snapshot leaf and value plus one branch copy
+# per distinct dirty branch; through an overlay's write buffer leaf and
+# value plus the buffer's growth, and nothing for the merge into a base
+# that owns its branches — and the marked line must stay at the unmarked
+# one. TrieRootRound is a soak round's state root alone (≈ 6 000 writes
+# over an ≈ 8 800-node trie), on one core and on two: what the second
+# goroutine Root hashes with buys.
 # diskstore: BenchmarkOpen is recovery of a ~200k-record log,
 # BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie,
 # BenchmarkStoreResident the heap a running store keeps per record written
@@ -74,7 +79,7 @@ echo "== state layer microbenchmarks =="
 # keeps resident (polcrypto's SigCacheResident: bytes empty and at its 4 096
 # verdicts, B/verdict) — every core.System and the precompile path hold one.
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
-go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x ./internal/mstate/... | tee BENCH_mstate.txt
+go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x -cpu 1,2 ./internal/mstate/... | tee BENCH_mstate.txt
 go test -run '^$' -bench 'SigCacheResident' -benchtime 1x ./internal/polcrypto | tee -a BENCH_mstate.txt
 
 echo "== consensus microbenchmarks =="
