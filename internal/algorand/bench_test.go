@@ -13,18 +13,3 @@ func BenchmarkStepEmpty(b *testing.B) {
 		c.Step()
 	}
 }
-
-var benchCertificate *Certificate
-
-// BenchmarkCertificate is what asking for one round's evidence costs: the
-// committee sortition of every BA step run plus the selected members'
-// vote signatures, fanned out.
-func BenchmarkCertificate(b *testing.B) {
-	c := NewChain(Testnet(), 1)
-	blk := c.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCertificate = c.Certificate(blk)
-	}
-}

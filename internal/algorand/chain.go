@@ -153,7 +153,6 @@ type Chain struct {
 	led   *ledger
 
 	participants []*Participant
-	partsByAddr  map[chain.Address]*Participant
 	totalStake   uint64
 
 	blocks  []*Block
@@ -196,12 +195,11 @@ func NewChain(cfg Config, seed uint64) *Chain {
 
 func newChain(cfg Config, seed uint64) *Chain {
 	c := &Chain{
-		cfg:         cfg,
-		clock:       chain.NewClock(),
-		rng:         chain.NewRand(seed).Fork("algorand:" + cfg.Name),
-		led:         newLedger(),
-		partsByAddr: make(map[chain.Address]*Participant),
-		feeSink:     chain.AddressFromBytes([]byte("algorand-fee-sink")),
+		cfg:     cfg,
+		clock:   chain.NewClock(),
+		rng:     chain.NewRand(seed).Fork("algorand:" + cfg.Name),
+		led:     newLedger(),
+		feeSink: chain.AddressFromBytes([]byte("algorand-fee-sink")),
 	}
 	// An injected tx_delay stalls propagation for up to three rounds.
 	c.pool = chain.NewPool(c.clock, "algorand.pending", 3*cfg.RoundDuration, admit)
@@ -224,7 +222,6 @@ func newChain(cfg Config, seed uint64) *Chain {
 			Stake: 1000 + stakeRng.Uint64n(9000),
 		}
 		c.participants = append(c.participants, p)
-		c.partsByAddr[p.Address] = p
 		c.totalStake += p.Stake
 	}
 	genesis := &Block{Round: 0, Time: 0}
@@ -318,8 +315,7 @@ func (c *Chain) Receipt(h chain.Hash32) (*chain.Receipt, bool) { return c.rcpts.
 // Step runs one consensus round: sortition selects the proposer, whose VRF
 // output advances the seed chain, the proposer assembles the block from all
 // propagated groups (capacity is never the bottleneck at our scale), and the
-// block is final immediately. The committee's certificate is evidence
-// derived from the block on request (Certificate); Step does not wait on it.
+// block is final immediately.
 func (c *Chain) Step() *Block {
 	roundNum := c.Head().Round + 1
 	roundTime := time.Duration(roundNum) * c.cfg.RoundDuration

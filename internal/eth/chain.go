@@ -86,15 +86,6 @@ func (tx *Tx) Verify() error {
 	return nil
 }
 
-// Attestation is a committee member's vote on a block.
-type Attestation struct {
-	Validator chain.Address
-	Signature []byte
-}
-
-// ErrBadAttestations is wrapped by every VerifyBlock failure.
-var ErrBadAttestations = errors.New("eth: bad attestations")
-
 // Block is a produced block.
 type Block struct {
 	Number     uint64
@@ -332,9 +323,7 @@ func (c *Chain) nextSlotTime() time.Duration {
 
 // Step produces the next block: selects the proposer, fills the block with
 // background demand plus the queued client transactions that outbid it,
-// executes them and updates the base fee. The slot committee's attestations
-// are evidence derived from the block on request (Attestations); Step does
-// not wait on them.
+// executes them and updates the base fee.
 func (c *Chain) Step() *Block {
 	blockTime := c.nextSlotTime()
 	c.clock.AdvanceTo(blockTime)
@@ -606,85 +595,6 @@ func (c *Chain) pickProposer(parentHash chain.Hash32, slot uint64) *Validator {
 		}
 	}
 	return c.validators[len(c.validators)-1]
-}
-
-// Attestations produces the slot committee's signatures over the hash of a
-// block this chain produced. The simulator's validators are honest, so a
-// supermajority always attests; the signatures are real and checked by
-// VerifyBlock. It is a pure function of the validator set and the block —
-// Step does not wait on it and nothing is cached — and members sign
-// concurrently into their committee-order slot with deterministic ed25519,
-// so the same block yields the same bytes whenever and at whatever
-// GOMAXPROCS it is asked for. Blocks the chain did not produce (genesis, a
-// checkpoint-restored head) have no attestations.
-func (c *Chain) Attestations(blk *Block) []Attestation {
-	if blk.Proposer == (chain.Address{}) {
-		return nil
-	}
-	committee := c.committee(blk.ParentHash, blk.Number)
-	out := make([]Attestation, len(committee))
-	chain.FanOut(len(committee), len(committee), func(i int) {
-		v := committee[i]
-		out[i] = Attestation{
-			Validator: v.Address,
-			Signature: v.Key.Sign(blk.Hash[:]),
-		}
-	})
-	return out
-}
-
-func (c *Chain) committee(parentHash chain.Hash32, slot uint64) []*Validator {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], slot)
-	h := polcrypto.Hash([]byte("committee"), parentHash[:], buf[:])
-	rng := chain.NewRand(binary.BigEndian.Uint64(h[:8]))
-	idx := make([]int, len(c.validators))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := len(idx) - 1; i > 0; i-- { // Fisher–Yates
-		j := int(rng.Uint64n(uint64(i + 1)))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	n := c.cfg.CommitteeSize
-	if n > len(idx) {
-		n = len(idx)
-	}
-	out := make([]*Validator, 0, n)
-	for _, i := range idx[:n] {
-		out = append(out, c.validators[i])
-	}
-	return out
-}
-
-// VerifyBlock checks attestations against the block they claim to vote
-// for: every one is a valid signature over its hash by a member of its slot
-// committee, no member attests twice, and at least 2/3 of the committee
-// attested. Failures wrap ErrBadAttestations.
-func (c *Chain) VerifyBlock(blk *Block, atts []Attestation) error {
-	committee := c.committee(blk.ParentHash, blk.Number)
-	// A member's entry goes nil once its attestation is counted.
-	byAddr := make(map[chain.Address]*Validator, len(committee))
-	for _, v := range committee {
-		byAddr[v.Address] = v
-	}
-	for _, at := range atts {
-		v, ok := byAddr[at.Validator]
-		if !ok {
-			return fmt.Errorf("%w: from non-committee validator %s", ErrBadAttestations, at.Validator)
-		}
-		if v == nil {
-			return fmt.Errorf("%w: %s attests twice", ErrBadAttestations, at.Validator)
-		}
-		if !polcrypto.Verify(v.Key.Public, blk.Hash[:], at.Signature) {
-			return fmt.Errorf("%w: from %s: %w", ErrBadAttestations, at.Validator, polcrypto.ErrBadSignature)
-		}
-		byAddr[at.Validator] = nil
-	}
-	if len(atts)*3 < len(committee)*2 {
-		return fmt.Errorf("%w: only %d/%d of the committee", ErrBadAttestations, len(atts), len(committee))
-	}
-	return nil
 }
 
 func blockHash(b *Block) chain.Hash32 {

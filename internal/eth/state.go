@@ -1,12 +1,11 @@
 // Package eth is a discrete-event simulator of the Ethereum-family chains
 // the paper evaluates on (Ropsten, Goerli, Polygon Mumbai): EIP-1559 base
 // fee dynamics, a priority-fee-ordered mempool competing with background
-// traffic, 12-second proof-of-stake slots with proposer/committee selection,
-// contract execution through the EVM (package evm), and a client layer whose
-// submit-to-confirmation latency is what the paper's figures plot. Producing
-// a block (Step) computes what the hash chain needs; the slot committee's
-// attestations are evidence anyone can ask for afterwards (Attestations) and
-// check against the block (VerifyBlock).
+// traffic, 12-second proof-of-stake slots with stake-weighted proposer
+// selection, contract execution through the EVM (package evm), and a client
+// layer whose submit-to-confirmation latency is what the paper's figures
+// plot. As in the paper, a client trusts its node provider's receipt:
+// blocks carry no committee attestations.
 package eth
 
 import (

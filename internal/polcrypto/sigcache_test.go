@@ -163,9 +163,9 @@ func cacheResident(n int) int64 {
 }
 
 // TestEmptySigCacheIsSmall: a cache costs what it holds, not what it may
-// hold. Every System and the precompile path build one at the default
-// bound, and most of them see a few hundred signatures at most; presized
-// to the bound, the empty cache held 1 180 176 B of map buckets.
+// hold. Every System builds one at the default bound, and most of them see
+// a few hundred signatures at most; presized to the bound, the empty cache
+// held 1 180 176 B of map buckets.
 func TestEmptySigCacheIsSmall(t *testing.T) {
 	if got := cacheResident(0); got > 1024 {
 		t.Fatalf("an empty cache keeps %d B resident, budget 1 KiB", got)

@@ -1,18 +1,17 @@
 package polcrypto
 
 import (
-	"bytes"
-	"crypto/ed25519"
 	"encoding/binary"
 	"math"
 )
 
 // VRFOutput is the pseudorandom output of a VRF evaluation. Algorand's
-// cryptographic sortition hashes it into [0,1) to weight committee selection.
+// cryptographic sortition maps it into [0,1) to weight proposer selection.
 type VRFOutput [32]byte
 
-// VRFProof lets third parties verify that a VRFOutput was honestly computed
-// from a seed by the holder of a private key.
+// VRFProof is the signature a VRFOutput is the hash of; with the public key
+// it shows the output was honestly computed from a seed by the holder of
+// the private key.
 //
 // Construction: proof = Sign(sk, "vrf"||seed); output = SHA-256(proof).
 // ed25519 signatures are deterministic ("unique signatures"), which gives the
@@ -28,17 +27,6 @@ func VRFEvaluate(kp *KeyPair, seed []byte) (VRFOutput, VRFProof) {
 	proof := kp.Sign(msg)
 	out := Hash(proof)
 	return VRFOutput(out), VRFProof(proof)
-}
-
-// VRFVerify checks that (output, proof) is the unique valid evaluation of
-// seed under pub.
-func VRFVerify(pub ed25519.PublicKey, seed []byte, output VRFOutput, proof VRFProof) bool {
-	msg := append(append([]byte{}, vrfDomain...), seed...)
-	if !Verify(pub, msg, proof) {
-		return false
-	}
-	want := Hash(proof)
-	return bytes.Equal(want[:], output[:])
 }
 
 // Fraction maps the VRF output to a float in [0,1) with 52 bits of the

@@ -69,12 +69,6 @@ func (p *Precompiled) Gas(inputBytes uint64) uint64 {
 	return p.GasBase + p.GasWord*((inputBytes+31)/32)
 }
 
-// sigs memoizes ed25519 verdicts for the precompile path. It shares the
-// implementation (and the bounded-LRU semantics) with core's system cache
-// but is a separate instance: contract-visible verification and off-chain
-// quorum checks have disjoint working sets.
-var sigs = polcrypto.NewSigCache(polcrypto.DefaultSigCacheSize)
-
 func boolWord(b bool) [32]byte {
 	var w [32]byte
 	if b {
@@ -87,8 +81,7 @@ func runEd25519(args [][]byte) ([32]byte, bool) {
 	if len(args) != 3 {
 		return [32]byte{}, false
 	}
-	ok, _ := sigs.Verify(args[0], args[1], args[2])
-	return boolWord(ok), true
+	return boolWord(polcrypto.Verify(args[0], args[1], args[2])), true
 }
 
 func runHash(args [][]byte) ([32]byte, bool) {

@@ -77,7 +77,7 @@ echo "== state layer microbenchmarks =="
 # BenchmarkStoreResident the heap a running store keeps per record written
 # (B/record; its ns/op is not a measurement). Then what a signature cache
 # keeps resident (polcrypto's SigCacheResident: bytes empty and at its 4 096
-# verdicts, B/verdict) — every core.System and the precompile path hold one.
+# verdicts, B/verdict) — every core.System holds one.
 # Leaves BENCH_mstate.txt for CI to upload next to LOC_report.txt.
 go test -run '^$' -bench 'Trie|Overlay|Open|CommitRound|StoreResident' -benchmem -benchtime 50x -cpu 1,2 ./internal/mstate/... | tee BENCH_mstate.txt
 go test -run '^$' -bench 'SigCacheResident' -benchtime 1x ./internal/polcrypto | tee -a BENCH_mstate.txt
@@ -85,9 +85,8 @@ go test -run '^$' -bench 'SigCacheResident' -benchtime 1x ./internal/polcrypto |
 echo "== consensus microbenchmarks =="
 # What a block costs before it carries a transaction (StepEmpty: Goerli's
 # proposer pick, Testnet's 60-VRF proposer sortition — on two cores mostly
-# run by the helper the previous Step started, on one inline), what asking
-# for its evidence costs (Attestations, Certificate — not paid by Step),
-# each on one core and on two. Then what a block costs when it is
+# run by the helper the previous Step started, on one inline), on one core
+# and on two. Then what a block costs when it is
 # full — StepBatch: one sharded 2 000-check-in block per op, queued off the
 # clock, ns/tx + B/tx + allocs/tx on one core and on two — and what it
 # leaves behind —
@@ -97,7 +96,7 @@ echo "== consensus microbenchmarks =="
 # state and description; the parsed program is shared). Neither times
 # anything, so their ns/op is not a measurement.
 # Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
-go test -run '^$' -bench 'StepEmpty|Attestations|Certificate' -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand | tee BENCH_consensus.txt
+go test -run '^$' -bench StepEmpty -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand | tee BENCH_consensus.txt
 go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
 
 echo "== parallel matrix =="
