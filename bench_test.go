@@ -165,7 +165,7 @@ func BenchmarkAblation_GeofenceGas(b *testing.B) {
 	var total uint64
 	for i := 0; i < b.N; i++ {
 		st := evm.NewMemState()
-		res := evm.Execute(evm.Context{State: st, GasLimit: 5_000_000, Value: new(big.Int)}, code)
+		res := evm.Execute(evm.Context{State: st, GasLimit: 5_000_000}, code)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkAblation_WarmColdStorage(b *testing.B) {
 	var gas uint64
 	for i := 0; i < b.N; i++ {
 		st := evm.NewMemState()
-		res := evm.Execute(evm.Context{State: st, GasLimit: 100000, Value: new(big.Int)}, code)
+		res := evm.Execute(evm.Context{State: st, GasLimit: 100000}, code)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}

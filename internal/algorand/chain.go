@@ -108,6 +108,9 @@ type Group []*Tx
 // Verify checks every member's signature.
 func (g Group) Verify() error {
 	for _, tx := range g {
+		if tx == nil {
+			return errors.New("algorand: empty group member")
+		}
 		if err := tx.Verify(); err != nil {
 			return err
 		}

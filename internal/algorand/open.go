@@ -86,7 +86,10 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // is given — repositions the chain so the next Step continues the
 // interrupted run bit-identically. Program and asset caches are warmed
 // from the loaded trie (the trie stores TEAL source; parsed programs
-// are a pure function of it).
+// are a pure function of it). A checkpointed pending group whose
+// signatures do not verify fails Open with an error wrapping Verify's;
+// nothing else of admission re-runs, so the resumed chain includes what
+// the uninterrupted one would.
 func Open(o Options) (*Chain, error) {
 	if o.Config.ParticipantCount < 1 {
 		return nil, fmt.Errorf("%w: ParticipantCount is %d", ErrNoParticipants, o.Config.ParticipantCount)
@@ -125,6 +128,9 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.led.time = uint64(ck.HeadTime / time.Second)
 	pending := make([]*chain.Pending[Group], len(ck.Pending))
 	for i, p := range ck.Pending {
+		if err := p.Group.Verify(); err != nil {
+			return fmt.Errorf("algorand: checkpointed pending group %d: %w", i, err)
+		}
 		pending[i] = &chain.Pending[Group]{Item: p.Group, Submitted: p.Submitted, Delayed: p.Delayed}
 	}
 	c.pool.Restore(pending)

@@ -9,6 +9,7 @@ import (
 	"agnopol/internal/faults"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
+	"agnopol/internal/polcrypto"
 )
 
 func fundedAccount(c *Chain, rng *chain.Rand, micro uint64) *Account {
@@ -217,5 +218,48 @@ func TestOpenRejectsCorruptState(t *testing.T) {
 				t.Fatalf("Open returned %v, want ErrCorruptState", err)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesTamperedPending: a checkpointed pending group is
+// re-verified on the way back in, and a tampered one fails Open with the
+// member's typed error instead of being executed on the resumed chain.
+func TestOpenRefusesTamperedPending(t *testing.T) {
+	cfg := Testnet()
+	c := NewChain(cfg, 5)
+	keyRng := chain.NewRand(5).Fork("test:keys")
+	alice := fundedAccount(c, keyRng, 50_000_000)
+	bob := fundedAccount(c, keyRng, 50_000_000)
+	submitGroup(t, c, Group{signedPay(alice, bob.Address, 1_000)})
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := mstate.NewMemStore()
+	root, err := c.CommitState(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(tamper func(*Checkpoint)) error {
+		var ck Checkpoint
+		if err := json.Unmarshal(blob, &ck); err != nil {
+			t.Fatal(err)
+		}
+		tamper(&ck)
+		_, err := Open(Options{Config: cfg, Seed: 5, Store: store, Root: root, Checkpoint: &ck})
+		return err
+	}
+	if err := open(func(*Checkpoint) {}); err != nil {
+		t.Fatalf("untampered checkpoint: %v", err)
+	}
+	if err := open(func(ck *Checkpoint) { ck.Pending[0].Group[0].Amount = 50_000_000 }); !errors.Is(err, polcrypto.ErrBadSignature) {
+		t.Fatalf("rewritten amount: Open returned %v, want ErrBadSignature", err)
+	}
+	if err := open(func(ck *Checkpoint) { ck.Pending[0].Group[0] = nil }); err == nil {
+		t.Fatal("a null group member was restored")
 	}
 }

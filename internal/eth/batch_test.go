@@ -152,6 +152,37 @@ func TestRetainedBytesPerIncludedTx(t *testing.T) {
 	}
 }
 
+// TestStepAllocsPerIncludedTx bounds what Step allocates per included
+// check-in on batchWorld's sharded 2 000-check-in block: trie leaves and
+// their hashes, the encoded balances, the nonce and storage writes, the
+// receipt's fee and the interpreter's return data. With amounts on big.Int
+// it was 36.5; on 256-bit words it measures 18.5, and the budget is 20.
+func TestStepAllocsPerIncludedTx(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const budget, blocks = 20, 4
+	w := newBatchWorld(t, 2000, 16)
+	for i := 0; i < 3; i++ {
+		w.queue()
+		w.step(t)
+	}
+	var m0, m1 runtime.MemStats
+	var allocs uint64
+	for i := 0; i < blocks; i++ {
+		w.queue()
+		runtime.ReadMemStats(&m0)
+		w.step(t)
+		runtime.ReadMemStats(&m1)
+		allocs += m1.Mallocs - m0.Mallocs
+	}
+	if got := float64(allocs) / float64(blocks*len(w.users)); got > budget {
+		t.Fatalf("Step allocates %.2f times per included check-in, budget %d", got, budget)
+	} else {
+		t.Logf("%.2f allocations per included check-in", got)
+	}
+}
+
 // TestRetentionHeapFlat: once the retention window is full, sealing more
 // blocks does not grow the heap — rows, index entries and spans of pruned
 // blocks really go away.

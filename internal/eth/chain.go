@@ -1,6 +1,7 @@
 package eth
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -14,9 +15,12 @@ import (
 	"agnopol/internal/faults"
 	"agnopol/internal/obs"
 	"agnopol/internal/polcrypto"
+	"agnopol/internal/u256"
 )
 
-// Tx is an EIP-1559-style transaction.
+// Tx is an EIP-1559-style transaction. Its amounts are big integers, the
+// form it is signed and serialized in; the chain reads them once, as
+// 256-bit words, through amounts.
 type Tx struct {
 	From     chain.Address
 	Nonce    uint64
@@ -43,14 +47,21 @@ func (tx *Tx) Hash() chain.Hash32 {
 func (tx *Tx) sigMessage() [32]byte {
 	need := 2*len(tx.From) + 16 + len(tx.Data)
 	for _, v := range [...]*big.Int{tx.Value, tx.MaxFee, tx.MaxTip} {
-		need += (v.BitLen() + 7) / 8
+		if v != nil {
+			need += (v.BitLen() + 7) / 8
+		}
 	}
 	buf := make([]byte, 0, 512)
 	if need > cap(buf) {
 		buf = make([]byte, 0, need)
 	}
-	// appendBig appends what v.Bytes() holds without allocating it.
+	// appendBig appends what v.Bytes() holds without allocating it; a nil
+	// amount contributes what zero does, nothing. Such a transaction signs
+	// and hashes, and admission refuses it (amounts).
 	appendBig := func(v *big.Int) {
+		if v == nil {
+			return
+		}
 		n := len(buf) + (v.BitLen()+7)/8
 		v.FillBytes(buf[len(buf):n])
 		buf = buf[:n]
@@ -75,7 +86,8 @@ func (tx *Tx) Sign(acct *Account) {
 	tx.Sig = acct.Key.Sign(msg[:])
 }
 
-// Verify checks the signature and that the sender address matches the key.
+// Verify is admission's stateless half: the sender address matches the
+// key, the signature verifies, and the amounts are 256-bit words (amounts).
 func (tx *Tx) Verify() error {
 	if chain.AddressFromPublicKey(tx.PubKey) != tx.From {
 		return errors.New("eth: sender address does not match public key")
@@ -83,7 +95,8 @@ func (tx *Tx) Verify() error {
 	if msg := tx.sigMessage(); !polcrypto.Verify(tx.PubKey, msg[:], tx.Sig) {
 		return polcrypto.ErrBadSignature
 	}
-	return nil
+	_, err := tx.amounts()
+	return err
 }
 
 // Block is a produced block.
@@ -93,7 +106,7 @@ type Block struct {
 	ParentHash chain.Hash32
 	Hash       chain.Hash32
 	Proposer   chain.Address
-	BaseFee    *big.Int
+	BaseFee    u256.Word
 	GasUsed    uint64
 	// StateRoot is the Merkle root of the world state after executing
 	// this block; it is part of the block hash.
@@ -117,7 +130,7 @@ type Chain struct {
 	st         *state
 	blocks     []*Block
 	validators []*Validator
-	baseFee    *big.Int
+	baseFee    u256.Word
 
 	justified uint64
 	finalized uint64
@@ -129,8 +142,10 @@ type Chain struct {
 	// the recovery.
 	faultSpike bool
 
-	burned *big.Int
-	tipped *big.Int
+	// burned and tipped are the fee tallies: every base fee burned, every
+	// tip credited to a proposer. Like every amount they are words: a
+	// tally past 2^256-1 wei would wrap.
+	burned, tipped u256.Word
 
 	// The family-independent half of block building lives in package
 	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
@@ -165,13 +180,11 @@ func NewChain(cfg Config, seed uint64) *Chain {
 func newChain(cfg Config, seed uint64) *Chain {
 	c := &Chain{
 		cfg:      cfg,
-		tipScale: bigToFloat(cfg.TipScale),
+		tipScale: weiFloat(u256.FromBig(cfg.TipScale)),
 		clock:    chain.NewClock(),
 		rng:      chain.NewRand(seed).Fork("eth:" + cfg.Name),
 		st:       newState(),
-		baseFee:  new(big.Int).Set(cfg.InitialBaseFee),
-		burned:   new(big.Int),
-		tipped:   new(big.Int),
+		baseFee:  u256.FromBig(cfg.InitialBaseFee),
 	}
 	// An injected tx_delay stalls propagation for up to three slots.
 	c.pool = chain.NewPool(c.clock, "eth.mempool", 3*cfg.SlotDuration, c.admit)
@@ -191,7 +204,7 @@ func newChain(cfg Config, seed uint64) *Chain {
 			Stake:   32, // every validator stakes exactly 32 ETH
 		})
 	}
-	genesis := &Block{Number: 0, Time: 0, BaseFee: new(big.Int).Set(cfg.InitialBaseFee)}
+	genesis := &Block{Number: 0, Time: 0, BaseFee: c.baseFee}
 	genesis.Hash = chain.Hash32(polcrypto.Hash([]byte("genesis:" + cfg.Name)))
 	c.blocks = append(c.blocks, genesis)
 	return c
@@ -210,7 +223,7 @@ func (c *Chain) Faults() *faults.Injector { return c.pool.Faults() }
 func (c *Chain) Now() time.Duration { return c.clock.Now() }
 
 // BaseFee returns the current base fee per gas in wei.
-func (c *Chain) BaseFee() *big.Int { return new(big.Int).Set(c.baseFee) }
+func (c *Chain) BaseFee() *big.Int { return c.baseFee.ToBig() }
 
 // Head returns the latest block.
 func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
@@ -224,7 +237,7 @@ func (c *Chain) NewAccount(balance *big.Int) *Account {
 
 // Balance returns an address's balance as an Amount in the chain's unit.
 func (c *Chain) Balance(addr chain.Address) chain.Amount {
-	return chain.NewAmount(c.st.GetBalance(addr), c.cfg.Unit)
+	return chain.Amount{Base: c.st.GetBalance(addr).ToBig(), Unit: c.cfg.Unit}
 }
 
 // ContractCode returns the deployed code at an address, if any.
@@ -249,8 +262,58 @@ var (
 	ErrNonceTooLow      = errors.New("eth: nonce too low")
 	ErrGasLimitTooLow   = errors.New("eth: gas limit below intrinsic cost")
 	ErrGasAboveBlockCap = errors.New("eth: gas limit exceeds block gas limit")
-	ErrNegativeAmount   = errors.New("eth: negative value or tip")
+	ErrNegativeAmount   = errors.New("eth: negative amount")
+	ErrMissingAmount    = errors.New("eth: missing amount")
+	ErrAmountTooLarge   = errors.New("eth: amount past 2^256-1")
 )
+
+// txAmounts is what the chain reads of a transaction's Value, MaxFee and
+// MaxTip.
+type txAmounts struct {
+	value, maxFee, maxTip u256.Word
+}
+
+// amounts is the one place the chain reads a transaction's amounts. It
+// refuses what no 256-bit word holds: a nil, a negative or a 2^256-and-up
+// amount.
+func (tx *Tx) amounts() (txAmounts, error) {
+	value, errValue := amountWord(tx.Value)
+	maxFee, errFee := amountWord(tx.MaxFee)
+	maxTip, errTip := amountWord(tx.MaxTip)
+	return txAmounts{value, maxFee, maxTip}, cmp.Or(errValue, errFee, errTip)
+}
+
+func amountWord(v *big.Int) (u256.Word, error) {
+	switch {
+	case v == nil:
+		return u256.Zero, ErrMissingAmount
+	case v.Sign() < 0:
+		return u256.Zero, ErrNegativeAmount
+	case v.BitLen() > 256:
+		return u256.Zero, ErrAmountTooLarge
+	}
+	return u256.FromBig(v), nil
+}
+
+// upfront is maxFee×gasLimit+value, the most a transaction can cost its
+// sender; ok is false when that passes 2^256-1, which no balance covers.
+func (a *txAmounts) upfront(gasLimit uint64) (cost u256.Word, ok bool) {
+	cost, mulOver := a.maxFee.MulOverflow(u256.FromUint64(gasLimit))
+	cost, addOver := cost.AddOverflow(a.value)
+	return cost, !mulOver && !addOver
+}
+
+// effectiveTip is min(maxTip, maxFee - baseFee), the EIP-1559 priority fee
+// the proposer actually receives, or zero when maxFee is below baseFee.
+func (a *txAmounts) effectiveTip(baseFee u256.Word) u256.Word {
+	if a.maxFee.Lt(baseFee) {
+		return u256.Zero
+	}
+	if headroom := a.maxFee.Sub(baseFee); headroom.Lt(a.maxTip) {
+		return headroom
+	}
+	return a.maxTip
+}
 
 // Submit validates a signed transaction and queues it. The returned hash
 // identifies the eventual receipt.
@@ -268,16 +331,13 @@ func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
 // PendingCount reports the mempool depth.
 func (c *Chain) PendingCount() int { return c.pool.Len() }
 
-// admit is the mempool's admission check for a transaction whose signature
-// already verified: a non-negative value and tip, gas bounds, fee floor,
-// nonce and balance. A negative value would shrink the upfront cost the
-// balance check and Step's selection reserve, and a negative tip would
-// price gas below the base fee, down to a negative fee; refusing both is
-// what keeps every debit in execution covered (stateView.SubBalance).
+// admit is the mempool's admission check for a transaction that passed
+// Verify: gas bounds, fee floor, nonce and balance. Amounts are words,
+// never negative, so the upfront cost the balance check and Step's
+// selection reserve is the most execution can debit
+// (stateView.SubBalance).
 func (c *Chain) admit(tx *Tx) error {
-	if tx.Value.Sign() < 0 || tx.MaxTip.Sign() < 0 {
-		return ErrNegativeAmount
-	}
+	a, _ := tx.amounts() // Verify refused amounts that do not convert
 	if tx.GasLimit > c.cfg.BlockGasLimit {
 		return ErrGasAboveBlockCap
 	}
@@ -285,15 +345,13 @@ func (c *Chain) admit(tx *Tx) error {
 	if tx.GasLimit < intrinsic {
 		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasLimitTooLow, tx.GasLimit, intrinsic)
 	}
-	if tx.MaxFee.Cmp(c.cfg.MinBaseFee) < 0 {
+	if a.maxFee.Lt(u256.FromBig(c.cfg.MinBaseFee)) {
 		return ErrUnderpriced
 	}
 	if n := c.st.Nonce(tx.From); tx.Nonce < n {
 		return fmt.Errorf("%w: %d < %d", ErrNonceTooLow, tx.Nonce, n)
 	}
-	upfront := new(big.Int).Mul(tx.MaxFee, new(big.Int).SetUint64(tx.GasLimit))
-	upfront.Add(upfront, tx.Value)
-	if c.st.GetBalance(tx.From).Cmp(upfront) < 0 {
+	if upfront, ok := a.upfront(tx.GasLimit); !ok || c.st.GetBalance(tx.From).Lt(upfront) {
 		return ErrInsufficientEth
 	}
 	return nil
@@ -337,59 +395,66 @@ func (c *Chain) Step() *Block {
 		Time:       blockTime,
 		ParentHash: parent.Hash,
 		Proposer:   proposer.Address,
-		BaseFee:    new(big.Int).Set(c.baseFee),
+		BaseFee:    c.baseFee,
 	}
 
 	// Highest tips first; FIFO within equal tips; nonces must be in order
 	// per sender. What selection reads of each pending transaction — its
-	// tip, the tip as a float, its sender's nonce and balance — is read
-	// once, at its position in the unsorted pool, and at the pool's width:
-	// state does not change until selection is over, so reading it ahead
-	// is exact. reads[order[i]] belongs to the i-th entry of the sorted
-	// pool.
+	// amounts, tip and upfront cost, its sender's nonce and balance — is
+	// read once, at its position in the unsorted pool, and at the pool's
+	// width: state does not change until selection is over, so reading it
+	// ahead is exact. reads[order[i]] belongs to the i-th entry of the
+	// sorted pool.
 	pending := c.pool.Entries()
 	reads := make([]pendingRead, len(pending))
 	chain.FanOut(len(pending), c.Shards(), func(i int) {
 		tx := pending[i].Item
-		tip := effectiveTip(tx, c.baseFee)
-		reads[i] = pendingRead{tip, bigToFloat(tip), c.st.Nonce(tx.From), c.st.GetBalance(tx.From)}
+		// Every entry passed Verify at admission or restore; one whose
+		// amounts a caller changed since is never affordable.
+		a, err := tx.amounts()
+		cost, ok := a.upfront(tx.GasLimit)
+		tip := a.effectiveTip(c.baseFee)
+		reads[i] = pendingRead{a, tip, cost, weiFloat(tip), ok && err == nil, c.st.Nonce(tx.From), c.st.GetBalance(tx.From)}
 	})
 	order := c.pool.Sort(func(i, j int) bool {
-		if cmp := reads[i].tip.Cmp(reads[j].tip); cmp != 0 {
-			return cmp > 0
+		if ti, tj := reads[i].tip, reads[j].tip; ti != tj {
+			return tj.Lt(ti)
 		}
 		return pending[i].Submitted < pending[j].Submitted
 	})
 	// Selection pass: decide the block's transaction set before executing
 	// anything. Capacity is reserved by gas limit, not actual usage, so
 	// selection never depends on execution results and the set is the same
-	// whether execution later runs serially or sharded. selNonces tracks
-	// nonces consumed by earlier selections in this block; selSpend tracks
-	// each sender's reserved upfront cost (maxFee·gasLimit + value) so a
-	// sender whose balance shrank since admission — or who queued more
-	// transactions than the balance covers — is deferred instead of being
-	// executed into an overdraft.
+	// whether execution later runs serially or sharded. senders tracks,
+	// per sender selected earlier in this block, the next nonce and the
+	// reserved upfront cost (maxFee·gasLimit + value), so a sender whose
+	// balance shrank since admission — or who queued more transactions than
+	// the balance covers — is deferred instead of being executed into an
+	// overdraft.
+	type senderSel struct {
+		nonce uint64
+		spent u256.Word
+	}
 	var (
-		reserved  uint64
-		selNonces map[chain.Address]uint64
-		selSpend  map[chain.Address]*big.Int
+		reserved uint64
+		senders  map[chain.Address]senderSel
 		// upfront is the candidate's cost on top of what its sender already
-		// reserved; it and gasLimit are reused from candidate to candidate.
-		upfront, gasLimit big.Int
+		// reserved.
+		upfront u256.Word
+		// picked holds the amounts of the selected transactions, in
+		// selection order.
+		picked []*txAmounts
 	)
 	nextNonce := func(tx *Tx, r *pendingRead) uint64 {
-		if n, ok := selNonces[tx.From]; ok {
-			return n
+		if s, ok := senders[tx.From]; ok {
+			return s.nonce
 		}
 		return r.nonce
 	}
 	covered := func(tx *Tx, r *pendingRead) bool {
-		upfront.Mul(tx.MaxFee, gasLimit.SetUint64(tx.GasLimit))
-		upfront.Add(&upfront, tx.Value)
-		if prior, ok := selSpend[tx.From]; ok {
-			upfront.Add(&upfront, prior)
-		}
-		return upfront.Cmp(r.balance) <= 0
+		var overflow bool
+		upfront, overflow = r.cost.AddOverflow(senders[tx.From].spent)
+		return r.costOK && !overflow && !r.balance.Lt(upfront)
 	}
 	sel := c.pool.Take(blockTime, func(i int, p *chain.Pending[*Tx]) bool {
 		tx, r := p.Item, &reads[order[i]]
@@ -398,7 +463,7 @@ func (c *Chain) Step() *Block {
 		case p.Submitted >= blockTime:
 			// Not yet propagated when the block was built.
 			return false
-		case tx.MaxFee.Cmp(c.baseFee) < 0:
+		case r.maxFee.Lt(c.baseFee):
 			// Base fee above the cap: wait for it to drop.
 		case tx.Nonce != nextNonce(tx, r):
 			// Nonce gap: wait for the earlier transaction.
@@ -408,13 +473,12 @@ func (c *Chain) Step() *Block {
 		default:
 			outbid := demand * math.Exp(-r.tipFloat/c.tipScale)
 			if uint64(outbid)+reserved+tx.GasLimit <= c.cfg.BlockGasLimit {
-				if selNonces == nil {
-					selNonces = make(map[chain.Address]uint64)
-					selSpend = make(map[chain.Address]*big.Int)
+				if senders == nil {
+					senders = make(map[chain.Address]senderSel)
 				}
-				selNonces[tx.From] = tx.Nonce + 1
-				selSpend[tx.From] = new(big.Int).Set(&upfront)
+				senders[tx.From] = senderSel{tx.Nonce + 1, upfront}
 				reserved += tx.GasLimit
+				picked = append(picked, &r.txAmounts)
 				return true
 			}
 		}
@@ -441,7 +505,7 @@ func (c *Chain) Step() *Block {
 			return ss, ss.commit
 		},
 		func(st execState, i int) uint64 {
-			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, sel[i].Hash, blk)
+			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, picked[i], sel[i].Hash, blk)
 			return receipts[i].GasUsed
 		},
 		func() {
@@ -449,13 +513,13 @@ func (c *Chain) Step() *Block {
 			// move is the proposer's tips: one credit of their sum leaves the
 			// same state as one credit per transaction, and nothing reads
 			// the proposer's balance between the credit and the root.
-			credit := new(big.Int)
+			var credit u256.Word
 			for i := range effects {
-				credit.Add(credit, effects[i].tip)
+				credit = credit.Add(effects[i].tip)
 			}
-			if credit.Sign() > 0 {
+			if !credit.IsZero() {
 				c.st.AddBalance(blk.Proposer, credit)
-				c.tipped.Add(c.tipped, credit)
+				c.tipped = c.tipped.Add(credit)
 			}
 			blk.StateRoot = c.st.Root()
 		},
@@ -468,12 +532,12 @@ func (c *Chain) Step() *Block {
 			for i, p := range sel {
 				rcpt, eff := &receipts[i], &effects[i]
 				rcpt.Submitted = p.Submitted
-				fee = appendBalance(fee[:0], rcpt.Fee.Base)
-				side = appendExplorerColumns(side[:0], p.Item, eff)
+				fee = appendBalance(fee[:0], eff.burn.Add(eff.tip))
+				side = appendExplorerColumns(side[:0], p.Item, picked[i].value, eff)
 				c.rcpts.Include(rcpt, fee, side)
 				blk.TxHashes[i] = rcpt.TxHash
 				blk.GasUsed += rcpt.GasUsed
-				c.burned.Add(c.burned, eff.burn)
+				c.burned = c.burned.Add(eff.burn)
 			}
 		})
 
@@ -493,41 +557,31 @@ func (c *Chain) Step() *Block {
 	if c.obs != nil {
 		c.obs.blocksProduced.Inc()
 		c.obs.blockGasUsed.Add(blk.GasUsed)
-		bf, _ := new(big.Float).SetInt(c.baseFee).Float64()
-		c.obs.baseFee.Set(bf)
+		c.obs.baseFee.Set(weiFloat(c.baseFee))
 	}
 	return blk
 }
 
 // pendingRead is what Step's selection reads of one pending transaction:
-// its effective tip, that tip as bigToFloat renders it, and its sender's
-// state nonce and balance.
+// its amounts, effective tip (also as weiFloat renders it) and upfront cost
+// (costOK is false when that passes 2^256-1 or the amounts no longer
+// convert), and its sender's state nonce and balance.
 type pendingRead struct {
-	tip      *big.Int
-	tipFloat float64
-	nonce    uint64
-	balance  *big.Int
+	txAmounts
+	tip, cost u256.Word
+	tipFloat  float64
+	costOK    bool
+	nonce     uint64
+	balance   u256.Word
 }
 
-// effectiveTip is min(maxTip, maxFee - baseFee), the EIP-1559 priority fee
-// the proposer actually receives. The result is tx.MaxTip itself when that
-// is the smaller: callers only read it.
-func effectiveTip(tx *Tx, baseFee *big.Int) *big.Int {
-	headroom := new(big.Int).Sub(tx.MaxFee, baseFee)
-	if headroom.Sign() < 0 {
-		return new(big.Int)
+// weiFloat is w rounded to the nearest float64, with zero read as 1 wei:
+// the fee-market model divides by it.
+func weiFloat(w u256.Word) float64 {
+	if w.IsUint64() {
+		return max(float64(w.Uint64()), 1)
 	}
-	if headroom.Cmp(tx.MaxTip) > 0 {
-		return tx.MaxTip
-	}
-	return headroom
-}
-
-func bigToFloat(v *big.Int) float64 {
-	f, _ := new(big.Float).SetInt(v).Float64()
-	if f <= 0 {
-		return 1
-	}
+	f, _ := new(big.Float).SetInt(w.ToBig()).Float64()
 	return f
 }
 
@@ -537,7 +591,7 @@ func bigToFloat(v *big.Int) float64 {
 func (c *Chain) backgroundDemand() float64 {
 	mean := c.cfg.CongestionMeanGas
 	if c.cfg.CongestionElasticity > 0 {
-		ratio := bigToFloat(c.cfg.InitialBaseFee) / bigToFloat(c.baseFee)
+		ratio := weiFloat(u256.FromBig(c.cfg.InitialBaseFee)) / weiFloat(c.baseFee)
 		mean *= math.Pow(ratio, c.cfg.CongestionElasticity)
 	}
 	d := mean * math.Exp(c.cfg.CongestionSigma*c.rng.NormFloat64()-c.cfg.CongestionSigma*c.cfg.CongestionSigma/2)
@@ -604,7 +658,7 @@ func blockHash(b *Block) chain.Hash32 {
 	buf = append(buf, n[:]...)
 	buf = append(buf, b.ParentHash[:]...)
 	buf = append(buf, b.Proposer[:]...)
-	buf = append(buf, b.BaseFee.Bytes()...)
+	buf = b.BaseFee.AppendBytes(buf)
 	buf = append(buf, b.StateRoot[:]...)
 	for _, h := range b.TxHashes {
 		buf = append(buf, h[:]...)
@@ -622,23 +676,32 @@ func (c *Chain) pruneRetention() {
 
 // updateBaseFee applies the EIP-1559 adjustment: ±1/8 of the deviation from
 // the gas target per block, at most 12.5%.
+//
+// The change is baseFee×diff/(8×target), rounded down, computed as
+// q×diff + r×diff/(8×target) for baseFee = q×(8×target) + r: no term
+// passes 2^256, since the change is at most an eighth of the base fee and
+// r×diff is below 2^128. A base fee the change would take past 2^256-1
+// stays at 2^256-1.
 func (c *Chain) updateBaseFee(blk *Block) {
 	target := c.cfg.BlockGasLimit / 2
 	used := blk.GasUsed
-	delta := new(big.Int).Set(c.baseFee)
+	diff := target - used
 	if used > target {
-		diff := used - target
-		delta.Mul(delta, new(big.Int).SetUint64(diff))
-		delta.Div(delta, new(big.Int).SetUint64(target*8))
-		c.baseFee.Add(c.baseFee, delta)
-	} else {
-		diff := target - used
-		delta.Mul(delta, new(big.Int).SetUint64(diff))
-		delta.Div(delta, new(big.Int).SetUint64(target*8))
-		c.baseFee.Sub(c.baseFee, delta)
+		diff = used - target
 	}
-	if c.baseFee.Cmp(c.cfg.MinBaseFee) < 0 {
-		c.baseFee.Set(c.cfg.MinBaseFee)
+	d, n := u256.FromUint64(target*8), u256.FromUint64(diff)
+	q, r := c.baseFee.DivMod(d)
+	delta := q.Mul(n).Add(r.Mul(n).Div(d))
+	if used > target {
+		var overflow bool
+		if c.baseFee, overflow = c.baseFee.AddOverflow(delta); overflow {
+			c.baseFee = u256.Zero.Not()
+		}
+	} else {
+		c.baseFee = c.baseFee.Sub(delta)
+	}
+	if floor := u256.FromBig(c.cfg.MinBaseFee); c.baseFee.Lt(floor) {
+		c.baseFee = floor
 	}
 }
 
@@ -660,10 +723,9 @@ func (c *Chain) updateFinality() {
 // burn/tip tallies or the explorer's columns, so those are returned and
 // applied by Step's tail in canonical order after every shard finishes.
 type txEffects struct {
-	burn     *big.Int
-	tip      *big.Int
-	target   chain.Address
-	isCreate bool
+	burn, tip u256.Word // together, the fee
+	target    chain.Address
+	isCreate  bool
 	// record is false for executions the explorer does not log (deploys
 	// that die on the code deposit before reaching the EVM).
 	record bool
@@ -675,9 +737,8 @@ type txEffects struct {
 // executions are undone inside the EVM; fees are charged regardless, as on
 // the real network. The sender is debited on st; the burn/tip split is
 // returned for the caller to apply.
-func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
-	tip := effectiveTip(tx, blk.BaseFee)
-	price := new(big.Int).Add(blk.BaseFee, tip)
+func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
+	price := blk.BaseFee.Add(a.effectiveTip(blk.BaseFee))
 
 	rcpt := chain.Receipt{
 		TxHash:      hash,
@@ -715,18 +776,15 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 		rcpt.GasUsed = tx.GasLimit
 		rcpt.Reverted = true
 		rcpt.RevertMsg = "out of gas: code deposit"
-		rcpt.Fee.Base, eff.burn, eff.tip = chargeFeeOn(st, tx, rcpt.GasUsed, price, blk.BaseFee)
-		rcpt.Fee.Unit = c.cfg.Unit
+		c.chargeFeeOn(st, tx, price, blk.BaseFee, &rcpt, &eff)
 		return rcpt, eff
 	}
 	gasBudget -= depositGas
 
 	// Credit the call value before execution; undo if it fails.
-	valueMoved := false
-	if tx.Value.Sign() > 0 {
-		st.SubBalance(tx.From, tx.Value)
-		st.AddBalance(target, tx.Value)
-		valueMoved = true
+	if !a.value.IsZero() {
+		st.SubBalance(tx.From, a.value)
+		st.AddBalance(target, a.value)
 	}
 	if isCreate {
 		st.SetCode(target, code)
@@ -740,7 +798,7 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 		State:       st,
 		Caller:      tx.From,
 		Address:     target,
-		Value:       tx.Value,
+		Value:       a.value,
 		CallData:    callData,
 		GasLimit:    gasBudget,
 		BlockNumber: blk.Number,
@@ -757,9 +815,9 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 		}
 		gasUsed -= refund
 	} else {
-		if valueMoved {
-			st.AddBalance(tx.From, tx.Value)
-			st.SubBalance(target, tx.Value)
+		if !a.value.IsZero() {
+			st.AddBalance(tx.From, a.value)
+			st.SubBalance(target, a.value)
 		}
 		if isCreate {
 			st.DeleteCode(target)
@@ -777,23 +835,25 @@ func (c *Chain) executeOn(st execState, tx *Tx, hash chain.Hash32, blk *Block) (
 	for _, l := range res.Logs {
 		rcpt.Logs = append(rcpt.Logs, string(l.Data))
 	}
-	rcpt.Fee.Base, eff.burn, eff.tip = chargeFeeOn(st, tx, gasUsed, price, blk.BaseFee)
-	rcpt.Fee.Unit = c.cfg.Unit
+	c.chargeFeeOn(st, tx, price, blk.BaseFee, &rcpt, &eff)
 	eff.record = true
 	return rcpt, eff
 }
 
-// chargeFeeOn debits the sender's full fee on st and returns it with its
-// burn/tip split. The proposer credit and the chain-wide tallies are the
-// caller's to apply: they are shared across shards, so they must happen in
-// canonical order in the block's tail, not inside a shard worker.
-func chargeFeeOn(st execState, tx *Tx, gasUsed uint64, price, baseFee *big.Int) (fee, burn, tipAmt *big.Int) {
-	gas := new(big.Int).SetUint64(gasUsed)
-	fee = new(big.Int).Mul(price, gas)
+// chargeFeeOn debits the sender's fee for rcpt.GasUsed at price on st,
+// records it on the receipt and splits it into eff's burn and tip. The
+// proposer credit and the chain-wide tallies are the caller's to apply:
+// they are shared across shards, so they must happen in canonical order in
+// the block's tail, not inside a shard worker. No product wraps: price is
+// at most maxFee and the gas at most gasLimit, whose product selection
+// checked.
+func (c *Chain) chargeFeeOn(st execState, tx *Tx, price, baseFee u256.Word, rcpt *chain.Receipt, eff *txEffects) {
+	gas := u256.FromUint64(rcpt.GasUsed)
+	fee := price.Mul(gas)
 	st.SubBalance(tx.From, fee)
-	burn = new(big.Int).Mul(baseFee, gas)
-	tipAmt = new(big.Int).Sub(fee, burn)
-	return fee, burn, tipAmt
+	eff.burn = baseFee.Mul(gas)
+	eff.tip = fee.Sub(eff.burn)
+	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}
 }
 
 // deployPrefix frames code||ctorData in deployment calldata.

@@ -180,11 +180,10 @@ func TestFeesBurnedAndTipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	burned, tipped := c.burned, c.tipped
-	sum := new(big.Int).Add(burned, tipped)
-	if sum.Cmp(rcpt.Fee.Base) != 0 {
+	if sum := burned.Add(tipped); sum.ToBig().Cmp(rcpt.Fee.Base) != 0 {
 		t.Fatalf("burned+tipped = %s, fee = %s", sum, rcpt.Fee.Base)
 	}
-	if burned.Sign() <= 0 || tipped.Sign() <= 0 {
+	if burned.IsZero() || tipped.IsZero() {
 		t.Fatalf("burned=%s tipped=%s, both must be positive", burned, tipped)
 	}
 }

@@ -110,7 +110,7 @@ func (cl *Client) NewTx(acct *Account, to *chain.Address, value *big.Int, data [
 	if gasLimit == 0 {
 		gasLimit = DefaultGasLimit
 	}
-	maxFee := new(big.Int).Mul(cl.baseFee, big.NewInt(2))
+	maxFee := new(big.Int).Mul(cl.BaseFee(), big.NewInt(2))
 	maxFee.Add(maxFee, cl.cfg.DefaultTip)
 	tx := &Tx{
 		From:     acct.Address,
@@ -160,7 +160,6 @@ func (cl *Client) view(contract chain.Address, data []byte) ([]byte, error) {
 		State:       newShardState(cl.st),
 		Caller:      chain.Address{},
 		Address:     contract,
-		Value:       new(big.Int),
 		CallData:    data,
 		GasLimit:    DefaultGasLimit,
 		BlockNumber: cl.Head().Number,
@@ -299,7 +298,7 @@ var batchTip = big.NewInt(2_000_000_000)
 func (cl *Client) batchTx(acct *Account, nonce uint64, to *chain.Address, data []byte, gas uint64, headroom int64) *Tx {
 	tx := &Tx{
 		From: acct.Address, Nonce: nonce, To: to, Value: big.NewInt(0), Data: data, GasLimit: gas,
-		MaxFee: new(big.Int).Add(new(big.Int).Mul(cl.baseFee, big.NewInt(headroom)), batchTip),
+		MaxFee: new(big.Int).Add(new(big.Int).Mul(cl.BaseFee(), big.NewInt(headroom)), batchTip),
 		MaxTip: batchTip,
 	}
 	tx.Sign(acct)

@@ -7,6 +7,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
+	"agnopol/internal/u256"
 )
 
 func wordKey(v uint64) chain.Hash32 {
@@ -231,7 +232,7 @@ func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
 	h.U64(0) // not reverted
 	h.Bytes(nil)
 	h.Bytes(stored.ReturnValue)
-	h.Bytes(encodeBalance(stored.Fee.Base))
+	h.Bytes(encodeBalance(u256.FromBig(stored.Fee.Base)))
 	if acc1, n1 := c.rcpts.Position(); n1 != n0+1 || h.Sum() != acc1 || stored.Reverted {
 		t.Fatal("Receipt(h) after SubmitAndWait is not the receipt the digest folded")
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"agnopol/internal/chain"
+	"agnopol/internal/u256"
 )
 
 // Explorer support — the EtherScan view of Fig. 3.1: "this exploration
@@ -48,9 +49,9 @@ const (
 	kindTransfer
 )
 
-// appendExplorerColumns appends an executed transaction's explorer columns
-// to dst: nothing for an execution the explorer does not log.
-func appendExplorerColumns(dst []byte, tx *Tx, eff *txEffects) []byte {
+// appendExplorerColumns appends the explorer columns of tx, executed with
+// value, to dst: nothing for an execution the explorer does not log.
+func appendExplorerColumns(dst []byte, tx *Tx, value u256.Word, eff *txEffects) []byte {
 	if !eff.record {
 		return dst
 	}
@@ -62,7 +63,7 @@ func appendExplorerColumns(dst []byte, tx *Tx, eff *txEffects) []byte {
 	}
 	dst = append(append(dst, tx.From[:]...), eff.target[:]...)
 	dst = append(append(dst, kind), selector[:]...)
-	return append(dst, tx.Value.Bytes()...)
+	return value.AppendBytes(dst)
 }
 
 // HistoryOf returns every retained transaction touching an address, oldest

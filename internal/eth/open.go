@@ -1,11 +1,13 @@
 package eth
 
 import (
+	"fmt"
 	"math/big"
 	"time"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/mstate"
+	"agnopol/internal/u256"
 )
 
 // Options configures Open. Config and Seed behave exactly as in
@@ -36,7 +38,9 @@ type PendingTx struct {
 // continue bit-identically after a restart: restoring it next to the
 // state trie makes Step produce the same blocks, and Digest the same
 // value, as a process that never stopped. It is JSON-serializable so
-// callers can park it in a diskstore manifest's meta blob.
+// callers can park it in a diskstore manifest's meta blob. The fee
+// figures are minimal big-endian bytes, never nil: zero is an empty slice,
+// as big.Int.Bytes returns it, so it serializes as "" and not null.
 type Checkpoint struct {
 	chain.Position
 	HeadNumber  uint64
@@ -62,10 +66,10 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Position:        chain.Position{Name: c.cfg.Name, HeadHash: head.Hash, HeadTime: head.Time, StateRoot: c.st.Root()},
 		HeadNumber:      head.Number,
-		HeadBaseFee:     head.BaseFee.Bytes(),
-		BaseFee:         c.baseFee.Bytes(),
-		Burned:          c.burned.Bytes(),
-		Tipped:          c.tipped.Bytes(),
+		HeadBaseFee:     head.BaseFee.AppendBytes([]byte{}),
+		BaseFee:         c.baseFee.AppendBytes([]byte{}),
+		Burned:          c.burned.AppendBytes([]byte{}),
+		Tipped:          c.tipped.AppendBytes([]byte{}),
 		Justified:       c.justified,
 		Finalized:       c.finalized,
 		SpikeBlocksLeft: c.spikeBlocksLeft,
@@ -92,7 +96,12 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // over this path). With a Store it reconstructs the world state from
 // the committed Root instead of replaying blocks, and — when a
 // Checkpoint is given — repositions the chain so the next Step
-// continues the interrupted run bit-identically.
+// continues the interrupted run bit-identically. A checkpointed mempool
+// entry runs through admission's stateless half, Verify, again, and one
+// that fails it fails Open with an error wrapping Verify's. The stateful
+// half, nonce and balance, does not re-run: an entry admitted against an
+// earlier state may fail it now, and the resumed chain must include what
+// the uninterrupted one would.
 func Open(o Options) (*Chain, error) {
 	c := newChain(o.Config, o.Seed)
 	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
@@ -118,17 +127,23 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 		Number:    ck.HeadNumber,
 		Time:      ck.HeadTime,
 		Hash:      ck.HeadHash,
-		BaseFee:   new(big.Int).SetBytes(ck.HeadBaseFee),
+		BaseFee:   u256.SetBytes(ck.HeadBaseFee),
 		StateRoot: ck.StateRoot,
 	}}
-	c.baseFee = new(big.Int).SetBytes(ck.BaseFee)
-	c.burned = new(big.Int).SetBytes(ck.Burned)
-	c.tipped = new(big.Int).SetBytes(ck.Tipped)
+	c.baseFee = u256.SetBytes(ck.BaseFee)
+	c.burned = u256.SetBytes(ck.Burned)
+	c.tipped = u256.SetBytes(ck.Tipped)
 	c.justified = ck.Justified
 	c.finalized = ck.Finalized
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
 	mempool := make([]*chain.Pending[*Tx], len(ck.Mempool))
 	for i, p := range ck.Mempool {
+		if p.Tx == nil {
+			return fmt.Errorf("eth: checkpointed mempool entry %d is empty", i)
+		}
+		if err := p.Tx.Verify(); err != nil {
+			return fmt.Errorf("eth: checkpointed mempool entry %d: %w", i, err)
+		}
 		mempool[i] = &chain.Pending[*Tx]{Item: p.Tx, Submitted: p.Submitted, Delayed: p.Delayed}
 	}
 	c.pool.Restore(mempool)
@@ -138,9 +153,11 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 // Fund credits addr out of thin air, like a genesis allocation. Soak
 // harnesses use it with keys they derive themselves, so account setup
 // never consumes the chain's own rng stream — which a resumed run could
-// not replay.
+// not replay. An amount no 256-bit word holds — nil, negative, 2^256 or
+// more — credits nothing, and one that would take addr's balance past
+// 2^256-1 panics (stateView.AddBalance).
 func (c *Chain) Fund(addr chain.Address, amount *big.Int) {
-	if amount != nil && amount.Sign() > 0 {
-		c.st.AddBalance(addr, amount)
+	if v, err := amountWord(amount); err == nil {
+		c.st.AddBalance(addr, v)
 	}
 }

@@ -2,6 +2,7 @@ package eth
 
 import (
 	"encoding/json"
+	"errors"
 	"math/big"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"agnopol/internal/faults"
 	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
+	"agnopol/internal/polcrypto"
 )
 
 // fundedAccount derives an account from a soak-style key stream and
@@ -197,5 +199,69 @@ func TestCheckpointRefusesFaultInjection(t *testing.T) {
 	c.SetFaults(faults.NewInjector(&faults.Plan{}, 3, nil))
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with fault injection must be refused")
+	}
+}
+
+// TestOpenRefusesTamperedMempool: a checkpointed mempool entry passes
+// admission's stateless half again on the way back in — its signature and
+// its amounts — and a tampered one fails Open with the entry's typed
+// error. A null Value used to panic in Open, and a Value rewritten to -5
+// used to be restored and executed as a successful transaction.
+func TestOpenRefusesTamperedMempool(t *testing.T) {
+	cfg := Goerli()
+	c := NewChain(cfg, 9)
+	keyRng := chain.NewRand(9).Fork("test:keys")
+	alice := fundedAccount(c, keyRng, 10)
+	bob := fundedAccount(c, keyRng, 10)
+	// Entry i sends value[i]: the zero value signs the bytes a null one
+	// does, and 5 those of -5, so neither tamper breaks its signature.
+	values := []int64{0, 5, 1_000}
+	for nonce, v := range values {
+		tx := &Tx{
+			From: alice.Address, Nonce: uint64(nonce), To: &bob.Address, Value: big.NewInt(v), GasLimit: 50_000,
+			MaxFee: new(big.Int).Mul(c.BaseFee(), big.NewInt(3)), MaxTip: big.NewInt(2_000_000_000),
+		}
+		tx.Sign(alice)
+		if _, err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := mstate.NewMemStore()
+	root, err := c.CommitState(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		entry int
+		value string // the JSON the entry's Value is rewritten to
+		want  error
+	}{
+		{"untampered", 0, "0", nil},
+		{"null value", 0, "null", ErrMissingAmount},
+		{"5 rewritten to -5", 1, "-5", ErrNegativeAmount},
+		{"1000 rewritten to -5", 2, "-5", polcrypto.ErrBadSignature},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ck Checkpoint
+			if err := json.Unmarshal(blob, &ck); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal([]byte(tc.value), &ck.Mempool[tc.entry].Tx.Value); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(Options{Config: cfg, Seed: 9, Store: store, Root: root, Checkpoint: &ck})
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Open = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -88,16 +88,15 @@ func (s *shardState) commit() {
 // the accumulator at inclusion time in canonical block order, so Digest
 // is O(1) instead of a full-world sort-and-hash — which also makes it
 // independent of how much pruned history (SetRetention) is still held.
-// Fee components of a receipt are folded with an explicit sign byte
-// (encodeBalance) so a sign flip can never digest identically.
+// A receipt's fee is folded in encodeBalance's layout.
 func (c *Chain) Digest() chain.Hash32 {
 	var h chain.Hasher
 	head := c.Head()
 	h.Bytes(head.Hash[:])
 	h.U64(head.Number)
-	h.Bytes(c.baseFee.Bytes())
-	h.Bytes(c.burned.Bytes())
-	h.Bytes(c.tipped.Bytes())
+	h.Bytes(c.baseFee.AppendBytes(nil))
+	h.Bytes(c.burned.AppendBytes(nil))
+	h.Bytes(c.tipped.AppendBytes(nil))
 	root := c.st.Root()
 	h.Bytes(root[:])
 	c.rcpts.Digest(&h)

@@ -7,6 +7,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
+	"agnopol/internal/u256"
 )
 
 func TestTxConflictKeysTable(t *testing.T) {
@@ -77,27 +78,27 @@ func TestShardStateOverlay(t *testing.T) {
 	alice := chain.AddressFromBytes([]byte("alice"))
 	bob := chain.AddressFromBytes([]byte("bob"))
 	key := chain.Hash32{1}
-	base.AddBalance(alice, big.NewInt(100))
+	base.AddBalance(alice, u256.FromUint64(100))
 	base.SetNonce(alice, 5)
 	base.SetCode(bob, []byte{0x01})
 	base.SetStorage(bob, key, chain.Hash32{9})
 
 	ov := newShardState(base)
-	if ov.GetBalance(alice).Int64() != 100 || ov.Nonce(alice) != 5 {
+	if ov.GetBalance(alice) != u256.FromUint64(100) || ov.Nonce(alice) != 5 {
 		t.Fatal("overlay must read through to base")
 	}
-	ov.SubBalance(alice, big.NewInt(30))
+	ov.SubBalance(alice, u256.FromUint64(30))
 	ov.SetNonce(alice, 6)
 	ov.SetStorage(bob, key, chain.Hash32{})
 	ov.SetStorage(alice, key, chain.Hash32{7})
 	ov.DeleteCode(bob)
-	if base.GetBalance(alice).Int64() != 100 {
+	if base.GetBalance(alice) != u256.FromUint64(100) {
 		t.Fatal("overlay writes must not touch base before commit")
 	}
 	if _, ok := base.Code(bob); !ok {
 		t.Fatal("base code deleted before commit")
 	}
-	if ov.GetBalance(alice).Int64() != 70 || ov.Nonce(alice) != 6 {
+	if ov.GetBalance(alice) != u256.FromUint64(70) || ov.Nonce(alice) != 6 {
 		t.Fatal("overlay must serve its own writes")
 	}
 	if ov.GetStorage(bob, key) != (chain.Hash32{}) {
@@ -111,7 +112,7 @@ func TestShardStateOverlay(t *testing.T) {
 	}
 
 	ov.commit()
-	if base.GetBalance(alice).Int64() != 70 || base.Nonce(alice) != 6 {
+	if base.GetBalance(alice) != u256.FromUint64(70) || base.Nonce(alice) != 6 {
 		t.Fatal("commit must fold balances and nonces into base")
 	}
 	if base.kv.Has(storKey(bob, key)) {
@@ -233,7 +234,7 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 			if h == own.Hash() {
 				want.Sub(want, rcpt.Fee.Base)
 			}
-			burn := new(big.Int).Mul(blk.BaseFee, new(big.Int).SetUint64(rcpt.GasUsed))
+			burn := new(big.Int).Mul(blk.BaseFee.ToBig(), new(big.Int).SetUint64(rcpt.GasUsed))
 			want.Add(want, burn.Sub(rcpt.Fee.Base, burn))
 		}
 		if got := c.Balance(blk.Proposer).Base; blk.Proposer != proposer.Address || len(blk.TxHashes) != len(txs) || got.Cmp(want) != 0 {

@@ -11,11 +11,11 @@ package eth
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
 	"agnopol/internal/mstate"
+	"agnopol/internal/u256"
 )
 
 // Account is an externally-owned account with its signing key. Nonces are
@@ -33,40 +33,24 @@ func storKey(a chain.Address, k chain.Hash32) mstate.Key {
 	return mstate.KeyOf("eth/stor", a[:], k[:])
 }
 
-// encodeBalance renders a balance with an explicit sign byte so that a
-// negative value can never hash identically to its positive counterpart
-// (the sign-blind big.Int.Bytes() bug). The invariant checks in
-// AddBalance/SubBalance should make negatives unreachable; the encoding
-// is sign-explicit anyway, as defense in depth for the digest.
-func encodeBalance(b *big.Int) []byte {
-	return appendBalance(make([]byte, 0, 1+(b.BitLen()+7)/8), b)
+// encodeBalance renders a balance — and, in the receipt fold, a fee — as a
+// sign byte, 1 or 0 for zero, then the minimal big-endian magnitude. The
+// sign byte dates from signed balances, whose negatives it kept from
+// hashing like their magnitudes (encoded 2); amounts are unsigned words
+// now, and the layout stays so that no state root or digest moves.
+func encodeBalance(b u256.Word) []byte {
+	return appendBalance(make([]byte, 0, 1+b.ByteLen()), b)
 }
 
 // appendBalance appends encodeBalance(b) to dst.
-func appendBalance(dst []byte, b *big.Int) []byte {
-	sign := byte(0)
-	switch b.Sign() {
-	case 1:
-		sign = 1
-	case -1:
-		sign = 2
-	}
-	n := (b.BitLen() + 7) / 8
-	dst = append(append(dst, sign), make([]byte, n)...)
-	b.FillBytes(dst[len(dst)-n:])
-	return dst
+func appendBalance(dst []byte, b u256.Word) []byte {
+	sign := min(b.ByteLen(), 1) // 1, or 0 for zero
+	return b.AppendBytes(append(dst, byte(sign)))
 }
 
-func decodeBalance(enc []byte) *big.Int {
-	if len(enc) == 0 {
-		return new(big.Int)
-	}
-	b := new(big.Int).SetBytes(enc[1:])
-	if enc[0] == 2 {
-		b.Neg(b)
-	}
-	return b
-}
+// decodeBalance reads the magnitude past the sign byte; an absent balance
+// is zero.
+func decodeBalance(enc []byte) u256.Word { return u256.SetBytes(enc[min(len(enc), 1):]) }
 
 // stateKV is the key/value surface the accessor layer runs on — the
 // canonical trie and the shard overlay both implement it, so the state
@@ -89,29 +73,26 @@ type stateView struct {
 	kv stateKV
 }
 
-func (s *stateView) GetBalance(a chain.Address) *big.Int {
+func (s *stateView) GetBalance(a chain.Address) u256.Word {
 	enc, _ := s.kv.Get(balKey(a))
 	return decodeBalance(enc)
 }
 
 // AddBalance credits a. A zero credit to an absent account is a no-op:
 // it must not conjure a phantom account entry (which would flip
-// AccountExists and enter the state root).
-func (s *stateView) AddBalance(a chain.Address, v *big.Int) {
+// AccountExists and enter the state root). A credit past 2^256-1 panics.
+// Every credit but Fund's moves wei that some balance held (a value, a
+// tip, the refund of a reverted transfer), so none passes 2^256-1 while
+// the wei Fund minted in total stays below it, as in every harness.
+func (s *stateView) AddBalance(a chain.Address, v u256.Word) {
 	k := balKey(a)
 	enc, ok := s.kv.Get(k)
-	if !ok && v.Sign() == 0 {
+	if !ok && v.IsZero() {
 		return
 	}
-	b := decodeBalance(enc)
-	b.Add(b, v)
-	if b.Sign() < 0 {
-		// Unreachable: no credit is negative. Admission (Chain.admit)
-		// refuses a negative value or tip, so the value executeOn moves,
-		// the proposer's tips and the refund of a reverted transfer are all
-		// >= 0; Fund and NewAccount credit only positive amounts; the EVM
-		// moves unsigned call values.
-		panic(fmt.Sprintf("eth: balance of %x driven negative (%s)", a[:4], b))
+	b, overflow := decodeBalance(enc).AddOverflow(v)
+	if overflow {
+		panic(fmt.Sprintf("eth: balance of %x passes 2^256-1", a[:4]))
 	}
 	s.kv.Put(k, encodeBalance(b))
 }
@@ -121,17 +102,16 @@ func (s *stateView) AddBalance(a chain.Address, v *big.Int) {
 // Both panics are unreachable, because every debit is covered before it
 // happens:
 //   - a transaction's sender pays its value and fee; admission
-//     (Chain.admit: ErrInsufficientEth, ErrNegativeAmount) and Step's
-//     selection (covered) reserve maxFee×gasLimit+value of every selected
-//     transaction against the sender's balance, and a transaction never
-//     costs more, since its gas price is at most maxFee and its gas at
-//     most gasLimit;
+//     (Chain.admit: ErrInsufficientEth) and Step's selection (covered)
+//     reserve maxFee×gasLimit+value of every selected transaction against
+//     the sender's balance, and a transaction never costs more, since its
+//     gas price is at most maxFee and its gas at most gasLimit;
 //   - a reverted transfer takes back from its target exactly what the
 //     target was just credited;
 //   - the EVM checks a contract's balance before a CALL moves value out
 //     of it.
-func (s *stateView) SubBalance(a chain.Address, v *big.Int) {
-	if v.Sign() == 0 {
+func (s *stateView) SubBalance(a chain.Address, v u256.Word) {
+	if v.IsZero() {
 		return
 	}
 	k := balKey(a)
@@ -140,11 +120,10 @@ func (s *stateView) SubBalance(a chain.Address, v *big.Int) {
 		panic(fmt.Sprintf("eth: debit of absent account %x", a[:4]))
 	}
 	b := decodeBalance(enc)
-	b.Sub(b, v)
-	if b.Sign() < 0 {
-		panic(fmt.Sprintf("eth: balance of %x driven negative (%s)", a[:4], b))
+	if b.Lt(v) {
+		panic(fmt.Sprintf("eth: debit of %s from %x overdraws its %s", v, a[:4], b))
 	}
-	s.kv.Put(k, encodeBalance(b))
+	s.kv.Put(k, encodeBalance(b.Sub(v)))
 }
 
 func (s *stateView) GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32 {

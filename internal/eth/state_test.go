@@ -9,6 +9,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/mstate"
+	"agnopol/internal/u256"
 )
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -33,61 +34,74 @@ func execStates() map[string]func() execState {
 
 // Regression: SubBalance/AddBalance used to materialize entries for
 // accounts that did not exist — flipping AccountExists, entering the
-// digest, and allowing negative balances to accrue silently.
+// digest, and allowing negative balances to accrue silently. Balances are
+// unsigned words now: the panic that refused a negative credit refuses a
+// credit past 2^256-1.
 func TestPhantomAccountInvariants(t *testing.T) {
 	ghost := chain.AddressFromBytes([]byte("ghost"))
 	funded := chain.AddressFromBytes([]byte("funded"))
 	for name, mk := range execStates() {
 		t.Run(name, func(t *testing.T) {
 			st := mk()
-			st.AddBalance(ghost, big.NewInt(0))
+			st.AddBalance(ghost, u256.Zero)
 			if st.AccountExists(ghost) {
 				t.Fatal("zero credit of an absent account must not create it")
 			}
 			mustPanic(t, "debit of absent account", func() {
-				st.SubBalance(ghost, big.NewInt(1))
+				st.SubBalance(ghost, u256.One)
 			})
 			if st.AccountExists(ghost) {
 				t.Fatal("failed debit must not create the account")
 			}
-			mustPanic(t, "negative credit of absent account", func() {
-				st.AddBalance(ghost, big.NewInt(-1))
+			st.AddBalance(funded, u256.FromUint64(10))
+			mustPanic(t, "credit past 2^256-1", func() {
+				st.AddBalance(funded, u256.Zero.Sub(u256.FromUint64(10)))
 			})
-			st.AddBalance(funded, big.NewInt(10))
 			mustPanic(t, "overdraft", func() {
-				st.SubBalance(funded, big.NewInt(11))
+				st.SubBalance(funded, u256.FromUint64(11))
 			})
-			st.SubBalance(funded, big.NewInt(0)) // zero debit of existing: fine
-			if st.GetBalance(funded).Int64() != 10 {
+			st.SubBalance(funded, u256.Zero) // zero debit of existing: fine
+			if st.GetBalance(funded) != u256.FromUint64(10) {
 				t.Fatal("balance disturbed by failed operations")
 			}
 		})
 	}
 	// Phantom entries must also stay out of the state root.
 	a, b := newState(), newState()
-	a.AddBalance(ghost, big.NewInt(0))
+	a.AddBalance(ghost, u256.Zero)
 	if a.Root() != b.Root() {
 		t.Fatal("no-op credit changed the state root")
 	}
 }
 
 // TestOverdraftIsATypedRejection drives the inputs closest to the three
-// panics above through a chain: each is refused at admission with a typed
-// error, and the chain keeps producing blocks. The negative value and the
-// negative tip were admitted before: the first then panicked in Step (the
-// fee debit of an account that does not exist), the second priced gas
-// below zero and credited its sender.
+// panics above, and every amount no 256-bit word holds, through a chain:
+// each is refused at admission with a typed error, through Submit and
+// through SubmitBatch alike, and the chain keeps producing blocks. The
+// negative value and the negative tip were admitted before: the first then
+// panicked in Step (the fee debit of an account that does not exist), the
+// second priced gas below zero and credited its sender. A nil amount
+// panicked in Sign, and in SubmitBatch's verification fan-out on a worker
+// goroutine, where no caller could recover; a tip of 2^256 or more was
+// admitted.
 func TestOverdraftIsATypedRejection(t *testing.T) {
 	c := newTestChain(t)
+	c.SetShards(2)
 	cl := NewClient(c)
 	poor := c.NewAccount(eth(0.001))
 	ghost := chain.NewAccount(chain.NewRand(7))
 	to := chain.AddressFromBytes([]byte("to"))
-	negativeTip := &Tx{
-		From: poor.Address, To: &to, Value: new(big.Int), GasLimit: 21000,
-		MaxFee: big.NewInt(10_000_000_000), MaxTip: big.NewInt(-1e18),
+	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
+	// edited is an affordable transfer from poor with one field changed.
+	edited := func(edit func(*Tx)) *Tx {
+		tx := &Tx{
+			From: poor.Address, To: &to, Value: big.NewInt(1), GasLimit: 21000,
+			MaxFee: big.NewInt(10_000_000_000), MaxTip: big.NewInt(1_000_000_000),
+		}
+		edit(tx)
+		tx.Sign(poor)
+		return tx
 	}
-	negativeTip.Sign(poor)
 	for _, tc := range []struct {
 		name string
 		tx   *Tx
@@ -95,10 +109,23 @@ func TestOverdraftIsATypedRejection(t *testing.T) {
 	}{
 		{"value + maxFee × gas past the balance", cl.NewTx(poor, &to, eth(0.001), nil, 21000), ErrInsufficientEth},
 		{"negative value from an absent account", cl.NewTx(ghost, &to, eth(-1), nil, 21000), ErrNegativeAmount},
-		{"negative tip", negativeTip, ErrNegativeAmount},
+		{"negative tip", edited(func(tx *Tx) { tx.MaxTip = big.NewInt(-1e18) }), ErrNegativeAmount},
+		{"negative fee cap", edited(func(tx *Tx) { tx.MaxFee = big.NewInt(-1) }), ErrNegativeAmount},
+		{"nil value", edited(func(tx *Tx) { tx.Value = nil }), ErrMissingAmount},
+		{"nil fee cap", edited(func(tx *Tx) { tx.MaxFee = nil }), ErrMissingAmount},
+		{"nil tip", edited(func(tx *Tx) { tx.MaxTip = nil }), ErrMissingAmount},
+		{"value of 2^256", edited(func(tx *Tx) { tx.Value = two256 }), ErrAmountTooLarge},
+		{"fee cap of 2^256", edited(func(tx *Tx) { tx.MaxFee = two256 }), ErrAmountTooLarge},
+		{"tip of 2^256", edited(func(tx *Tx) { tx.MaxTip = two256 }), ErrAmountTooLarge},
+		{"fee cap × gas just past 2^256", edited(func(tx *Tx) {
+			tx.MaxFee = new(big.Int).Add(new(big.Int).Div(two256, big.NewInt(21000)), big.NewInt(1))
+		}), ErrInsufficientEth},
 	} {
 		if _, err := c.Submit(tc.tx); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Submit = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, errs := c.SubmitBatch([]*Tx{tc.tx}); !errors.Is(errs[0], tc.want) {
+			t.Errorf("%s: SubmitBatch = %v, want %v", tc.name, errs[0], tc.want)
 		}
 	}
 	before := c.Balance(poor.Address).Base
@@ -137,33 +164,35 @@ func TestSetCodeDefensiveCopy(t *testing.T) {
 	}
 }
 
-// setBalance force-writes a balance without invariant checks, so the
-// sign-digest regression test can plant a negative balance.
-func (s *stateView) setBalance(a chain.Address, b *big.Int) {
-	s.kv.Put(balKey(a), encodeBalance(b))
-}
-
 // Regression: the digest used big.Int.Bytes(), which drops the sign — a
-// balance of -5 hashed identically to +5. Balances are now encoded with
-// an explicit sign byte, so sign flips reach the root and the digest.
+// balance of -5 hashed identically to +5. Balances were then encoded with
+// an explicit sign byte (2 for a negative). They are unsigned words now,
+// and the layout is kept so that no state root moves: a positive balance
+// still encodes as 1 then its magnitude, zero as a lone 0, and a planted
+// negative — what a signed balance encoded as — still reaches the root
+// and the digest apart from its magnitude.
 func TestDigestSignSensitivity(t *testing.T) {
+	if got := encodeBalance(u256.FromUint64(0x1234)); !bytes.Equal(got, []byte{1, 0x12, 0x34}) {
+		t.Fatalf("encodeBalance(0x1234) = %x, want 011234", got)
+	}
+	if got := encodeBalance(u256.Zero); !bytes.Equal(got, []byte{0}) {
+		t.Fatalf("encodeBalance(0) = %x, want 00", got)
+	}
 	addr := chain.AddressFromBytes([]byte("signy"))
+	plant := func(s *stateView, enc []byte) { s.kv.Put(balKey(addr), enc) }
 	pos, neg := newState(), newState()
-	pos.setBalance(addr, big.NewInt(5))
-	neg.setBalance(addr, big.NewInt(-5))
+	plant(&pos.stateView, encodeBalance(u256.FromUint64(5)))
+	plant(&neg.stateView, []byte{2, 5})
 	if pos.Root() == neg.Root() {
 		t.Fatal("sign-differing balances must produce different state roots")
 	}
-	if bytes.Equal(encodeBalance(big.NewInt(5)), encodeBalance(big.NewInt(-5))) {
-		t.Fatal("encodeBalance is sign-blind")
-	}
 
-	mk := func(v int64) chain.Hash32 {
+	mk := func(enc []byte) chain.Hash32 {
 		c := newTestChain(t)
-		c.st.setBalance(addr, big.NewInt(v))
+		plant(&c.st.stateView, enc)
 		return c.Digest()
 	}
-	if mk(5) == mk(-5) {
+	if mk(encodeBalance(u256.FromUint64(5))) == mk([]byte{2, 5}) {
 		t.Fatal("sign-differing states must digest differently")
 	}
 }
@@ -171,7 +200,7 @@ func TestDigestSignSensitivity(t *testing.T) {
 // stateModel is the flat reference implementation the differential test
 // compares the trie backends against.
 type stateModel struct {
-	bal   map[chain.Address]*big.Int
+	bal   map[chain.Address]u256.Word
 	nonce map[chain.Address]uint64
 	code  map[chain.Address][]byte
 	stor  map[chain.Address]map[chain.Hash32]chain.Hash32
@@ -179,7 +208,7 @@ type stateModel struct {
 
 func newStateModel() *stateModel {
 	return &stateModel{
-		bal:   make(map[chain.Address]*big.Int),
+		bal:   make(map[chain.Address]u256.Word),
 		nonce: make(map[chain.Address]uint64),
 		code:  make(map[chain.Address][]byte),
 		stor:  make(map[chain.Address]map[chain.Hash32]chain.Hash32),
@@ -217,25 +246,20 @@ func TestDifferentialStateBackends(t *testing.T) {
 		a := addrs[rng.Intn(len(addrs))]
 		switch rng.Intn(7) {
 		case 0: // credit
-			v := big.NewInt(rng.Int63n(1000))
+			v := u256.FromUint64(uint64(rng.Int63n(1000)))
 			apply(func(st execState) { st.AddBalance(a, v) })
-			cur, ok := model.bal[a]
-			if !ok {
-				cur = new(big.Int)
-			}
-			next := new(big.Int).Add(cur, v)
-			if ok || v.Sign() != 0 {
-				model.bal[a] = next
+			if cur, ok := model.bal[a]; ok || !v.IsZero() {
+				model.bal[a] = cur.Add(v)
 			}
 		case 1: // debit within balance, only when the account exists
 			cur, ok := model.bal[a]
-			if !ok || cur.Sign() == 0 {
+			if !ok || cur.IsZero() {
 				continue
 			}
-			v := big.NewInt(rng.Int63n(cur.Int64() + 1))
+			v := u256.FromUint64(uint64(rng.Int63n(int64(cur.Uint64()) + 1)))
 			apply(func(st execState) { st.SubBalance(a, v) })
-			if v.Sign() != 0 {
-				model.bal[a] = new(big.Int).Sub(cur, v)
+			if !v.IsZero() {
+				model.bal[a] = cur.Sub(v)
 			}
 		case 2: // nonce
 			n := rng.Uint64() % 1000
@@ -266,12 +290,9 @@ func TestDifferentialStateBackends(t *testing.T) {
 			}
 		case 6: // read checks against the model
 			wantBal, ok := model.bal[a]
-			if !ok {
-				wantBal = new(big.Int)
-			}
 			wantCode, wantHasCode := model.code[a]
 			for _, st := range targets {
-				if st.GetBalance(a).Cmp(wantBal) != 0 {
+				if st.GetBalance(a) != wantBal {
 					t.Fatalf("step %d: balance mismatch for %x", step, a[:2])
 				}
 				if st.Nonce(a) != model.nonce[a] {

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"agnopol/internal/u256"
 )
 
 func TestAssemblerPushSizes(t *testing.T) {
@@ -87,17 +89,12 @@ func TestMemStateAccounting(t *testing.T) {
 	if s.AccountExists(a) {
 		t.Fatal("fresh state has accounts")
 	}
-	s.AddBalance(a, big.NewInt(10))
+	s.AddBalance(a, u256.FromUint64(10))
 	if !s.AccountExists(a) {
 		t.Fatal("credited account missing")
 	}
-	s.SubBalance(a, big.NewInt(4))
-	if got := s.GetBalance(a).Int64(); got != 6 {
-		t.Fatalf("balance %d", got)
-	}
-	// Returned balances are copies.
-	s.GetBalance(a).SetInt64(999)
-	if got := s.GetBalance(a).Int64(); got != 6 {
-		t.Fatal("balance aliased")
+	s.SubBalance(a, u256.FromUint64(4))
+	if got := s.GetBalance(a); got != u256.FromUint64(6) {
+		t.Fatalf("balance %s", got)
 	}
 }

@@ -2,7 +2,6 @@ package evm_test
 
 import (
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"agnopol/internal/evm"
 	"agnopol/internal/lang"
 	"agnopol/internal/polcrypto"
+	"agnopol/internal/u256"
 )
 
 // intn is a uniform int in [0, n) from r.
@@ -64,7 +64,7 @@ type evmUniverse struct {
 
 func newEVMUniverse(exec func(evm.Context, []byte) evm.Result, code []byte) *evmUniverse {
 	st := evm.NewMemState()
-	st.AddBalance(alice, big.NewInt(1_000_000))
+	st.AddBalance(alice, u256.FromUint64(1_000_000))
 	return &evmUniverse{exec: exec, code: code, state: st}
 }
 
@@ -75,7 +75,7 @@ func (u *evmUniverse) call(t *testing.T, c *lang.Compiled, s step) evm.Result {
 	if err != nil {
 		t.Fatalf("encode %s: %v", s.method, err)
 	}
-	v := new(big.Int).SetUint64(s.pay)
+	v := u256.FromUint64(s.pay)
 	if s.pay > 0 {
 		u.state.SubBalance(alice, v)
 		u.state.AddBalance(contract, v)
@@ -102,7 +102,7 @@ func (u *evmUniverse) view(t *testing.T, name string) evm.Result {
 		t.Fatal(err)
 	}
 	return u.exec(evm.Context{
-		State: u.state, Caller: alice, Address: contract, Value: new(big.Int),
+		State: u.state, Caller: alice, Address: contract,
 		CallData: data, GasLimit: 10_000_000, BlockNumber: 1, Timestamp: 1000,
 	}, u.code)
 }

@@ -9,6 +9,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/precompile"
+	"agnopol/internal/u256"
 )
 
 // cloneMemState deep-copies a MemState so the fast and reference
@@ -16,7 +17,7 @@ import (
 func cloneMemState(s *MemState) *MemState {
 	c := NewMemState()
 	for a, b := range s.Balances {
-		c.Balances[a] = new(big.Int).Set(b)
+		c.Balances[a] = b
 	}
 	for a, m := range s.Storage {
 		cm := make(map[chain.Hash32]chain.Hash32, len(m))
@@ -38,7 +39,7 @@ func memStatesEqual(a, b *MemState) bool {
 	}
 	for addr, ba := range a.Balances {
 		bb, ok := b.Balances[addr]
-		if !ok || ba.Cmp(bb) != 0 {
+		if !ok || ba != bb {
 			return false
 		}
 	}
@@ -176,22 +177,22 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		rng.Read(calldata)
 
 		base := NewMemState()
-		base.Balances[addr] = big.NewInt(int64(rng.Intn(1_000_000)))
-		base.Balances[caller] = big.NewInt(1_000_000)
+		base.Balances[addr] = u256.FromUint64(uint64(rng.Intn(1_000_000)))
+		base.Balances[caller] = u256.FromUint64(1_000_000)
 		if rng.Intn(2) == 0 {
 			base.SetStorage(addr, chain.Hash32{1}, chain.Hash32{9})
 		}
 		stFast := cloneMemState(base)
 		stRef := cloneMemState(base)
 
-		value := big.NewInt(int64(rng.Intn(1000)))
+		value := u256.FromUint64(uint64(rng.Intn(1000)))
 		gas := uint64(20_000 + rng.Intn(200_000))
 		mk := func(st StateDB) Context {
 			return Context{
 				State:       st,
 				Caller:      caller,
 				Address:     addr,
-				Value:       new(big.Int).Set(value),
+				Value:       value,
 				CallData:    calldata,
 				GasLimit:    gas,
 				BlockNumber: 7,
@@ -230,9 +231,9 @@ func TestDifferentialCallTransfer(t *testing.T) {
 	code = append(code, toWord[:]...)
 	code = append(code, byte(PUSH1), 0, byte(CALL), byte(STOP))
 
-	for _, bal := range []int64{0, 255, 256, 100000} {
+	for _, bal := range []uint64{0, 255, 256, 100000} {
 		base := NewMemState()
-		base.Balances[addr] = big.NewInt(bal)
+		base.Balances[addr] = u256.FromUint64(bal)
 		stFast := cloneMemState(base)
 		stRef := cloneMemState(base)
 		mk := func(st StateDB) Context {
@@ -321,14 +322,14 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 	addr, caller := chain.Address{0xaa}, chain.Address{0xbb}
 	f.Fuzz(func(t *testing.T, code, calldata []byte) {
 		base := NewMemState()
-		base.Balances[addr] = big.NewInt(1_000_000)
-		base.Balances[caller] = big.NewInt(1_000_000)
+		base.Balances[addr] = u256.FromUint64(1_000_000)
+		base.Balances[caller] = u256.FromUint64(1_000_000)
 		base.SetStorage(addr, chain.Hash32{1}, chain.Hash32{9})
 		stFast, stRef := cloneMemState(base), cloneMemState(base)
 		mk := func(st StateDB) Context {
 			// 200 000 gas bounds memory expansion at ≈ 320 KiB.
 			return Context{
-				State: st, Caller: caller, Address: addr, Value: big.NewInt(7),
+				State: st, Caller: caller, Address: addr, Value: u256.FromUint64(7),
 				CallData: calldata, GasLimit: 200_000, BlockNumber: 7, Timestamp: 1234567,
 			}
 		}

@@ -81,7 +81,7 @@ func run2(t *testing.T, build func(a *Assembler), opts ...func(*Context)) Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := Context{State: NewMemState(), GasLimit: 1_000_000, Value: new(big.Int)}
+	ctx := Context{State: NewMemState(), GasLimit: 1_000_000}
 	for _, o := range opts {
 		o(&ctx)
 	}

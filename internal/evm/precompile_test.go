@@ -58,7 +58,7 @@ func runBoth(t *testing.T, code []byte, gasLimit uint64) Result {
 	self := chain.AddressFromBytes([]byte("precompile-test"))
 	mk := func() Context {
 		return Context{
-			State: NewMemState(), Address: self, Value: new(big.Int),
+			State: NewMemState(), Address: self,
 			GasLimit: gasLimit, BlockNumber: 1, Timestamp: 1,
 		}
 	}

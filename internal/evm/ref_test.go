@@ -7,6 +7,7 @@ import (
 	"agnopol/internal/chain"
 	"agnopol/internal/polcrypto"
 	"agnopol/internal/precompile"
+	"agnopol/internal/u256"
 )
 
 // This file preserves the original big.Int interpreter, verbatim, as
@@ -128,9 +129,6 @@ func executeRef(ctx Context, code []byte) Result {
 		warmSlots: make(map[chain.Address]map[chain.Hash32]bool),
 		origSlots: make(map[chain.Address]map[chain.Hash32]chain.Hash32),
 		jumpdests: scanJumpdestMap(code),
-	}
-	if ctx.Value == nil {
-		in.ctx.Value = new(big.Int)
 	}
 	res := in.run()
 	if res.Err != nil || res.Reverted {
@@ -473,7 +471,7 @@ func (in *refInterpreter) run() Result {
 				return fail(err)
 			}
 		case CALLVALUE:
-			if err := in.push(new(big.Int).Set(in.ctx.Value)); err != nil {
+			if err := in.push(in.ctx.Value.ToBig()); err != nil {
 				return fail(err)
 			}
 		case TIMESTAMP:
@@ -485,7 +483,7 @@ func (in *refInterpreter) run() Result {
 				return fail(err)
 			}
 		case SELFBALANCE:
-			if err := in.push(in.state.GetBalance(in.ctx.Address)); err != nil {
+			if err := in.push(in.state.GetBalance(in.ctx.Address).ToBig()); err != nil {
 				return fail(err)
 			}
 
@@ -503,7 +501,7 @@ func (in *refInterpreter) run() Result {
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			if err := in.push(in.state.GetBalance(addr)); err != nil {
+			if err := in.push(in.state.GetBalance(addr).ToBig()); err != nil {
 				return fail(err)
 			}
 
@@ -728,13 +726,15 @@ func (in *refInterpreter) run() Result {
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			if in.state.GetBalance(in.ctx.Address).Cmp(value) < 0 {
+			// The balances are words: the oracle converts at its own
+			// StateDB boundary.
+			if in.state.GetBalance(in.ctx.Address).ToBig().Cmp(value) < 0 {
 				if err := in.push(new(big.Int)); err != nil {
 					return fail(err)
 				}
 			} else {
-				in.state.SubBalance(in.ctx.Address, value)
-				in.state.AddBalance(to, value)
+				in.state.SubBalance(in.ctx.Address, u256.FromBig(value))
+				in.state.AddBalance(to, u256.FromBig(value))
 				if err := in.push(big.NewInt(1)); err != nil {
 					return fail(err)
 				}

@@ -1,32 +1,34 @@
 package evm
 
 import (
-	"math/big"
-
 	"agnopol/internal/chain"
+	"agnopol/internal/u256"
 )
 
 // StateDB is the world-state interface the VM mutates. The Ethereum-family
 // chain simulator provides the implementation; tests use MemState.
+// Balances are 256-bit words, the VM's own word type.
 type StateDB interface {
-	GetBalance(chain.Address) *big.Int
-	AddBalance(chain.Address, *big.Int)
-	SubBalance(chain.Address, *big.Int)
+	GetBalance(chain.Address) u256.Word
+	AddBalance(chain.Address, u256.Word)
+	SubBalance(chain.Address, u256.Word)
 	GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32
 	SetStorage(addr chain.Address, key, value chain.Hash32)
 	AccountExists(chain.Address) bool
 }
 
 // MemState is an in-memory StateDB for unit tests and standalone VM use.
+// Its balances wrap modulo 2^256 like any VM word; the chain's state is
+// the one that refuses an overdraft.
 type MemState struct {
-	Balances map[chain.Address]*big.Int
+	Balances map[chain.Address]u256.Word
 	Storage  map[chain.Address]map[chain.Hash32]chain.Hash32
 }
 
 // NewMemState returns an empty state.
 func NewMemState() *MemState {
 	return &MemState{
-		Balances: make(map[chain.Address]*big.Int),
+		Balances: make(map[chain.Address]u256.Word),
 		Storage:  make(map[chain.Address]map[chain.Hash32]chain.Hash32),
 	}
 }
@@ -34,32 +36,13 @@ func NewMemState() *MemState {
 var _ StateDB = (*MemState)(nil)
 
 // GetBalance implements StateDB.
-func (s *MemState) GetBalance(a chain.Address) *big.Int {
-	if b, ok := s.Balances[a]; ok {
-		return new(big.Int).Set(b)
-	}
-	return new(big.Int)
-}
+func (s *MemState) GetBalance(a chain.Address) u256.Word { return s.Balances[a] }
 
 // AddBalance implements StateDB.
-func (s *MemState) AddBalance(a chain.Address, v *big.Int) {
-	b, ok := s.Balances[a]
-	if !ok {
-		b = new(big.Int)
-		s.Balances[a] = b
-	}
-	b.Add(b, v)
-}
+func (s *MemState) AddBalance(a chain.Address, v u256.Word) { s.Balances[a] = s.Balances[a].Add(v) }
 
 // SubBalance implements StateDB.
-func (s *MemState) SubBalance(a chain.Address, v *big.Int) {
-	b, ok := s.Balances[a]
-	if !ok {
-		b = new(big.Int)
-		s.Balances[a] = b
-	}
-	b.Sub(b, v)
-}
+func (s *MemState) SubBalance(a chain.Address, v u256.Word) { s.Balances[a] = s.Balances[a].Sub(v) }
 
 // GetStorage implements StateDB.
 func (s *MemState) GetStorage(addr chain.Address, key chain.Hash32) chain.Hash32 {
@@ -89,26 +72,18 @@ func (s *MemState) AccountExists(a chain.Address) bool {
 	return ok
 }
 
-// journalEntry records a reversible state change so REVERT restores the
-// pre-call world state.
-type journalEntry struct {
-	undo func()
-}
+// journal is the undo log of one execution: every reversible change
+// records its inverse, and revert runs them newest first, so REVERT
+// restores the pre-call world state.
+type journal []func()
 
-// journal collects changes applied during one execution frame.
-type journal struct {
-	entries []journalEntry
-}
-
-func (j *journal) record(undo func()) {
-	j.entries = append(j.entries, journalEntry{undo: undo})
-}
+func (j *journal) record(undo func()) { *j = append(*j, undo) }
 
 func (j *journal) revert() {
-	for i := len(j.entries) - 1; i >= 0; i-- {
-		j.entries[i].undo()
+	for i := len(*j) - 1; i >= 0; i-- {
+		(*j)[i]()
 	}
-	j.entries = nil
+	*j = nil
 }
 
 // journaledState wraps a StateDB with undo logging of balance moves for the
@@ -119,18 +94,16 @@ type journaledState struct {
 	j     journal
 }
 
-func (s *journaledState) GetBalance(a chain.Address) *big.Int { return s.inner.GetBalance(a) }
+func (s *journaledState) GetBalance(a chain.Address) u256.Word { return s.inner.GetBalance(a) }
 
-func (s *journaledState) AddBalance(a chain.Address, v *big.Int) {
-	amount := new(big.Int).Set(v)
-	s.inner.AddBalance(a, amount)
-	s.j.record(func() { s.inner.SubBalance(a, amount) })
+func (s *journaledState) AddBalance(a chain.Address, v u256.Word) {
+	s.inner.AddBalance(a, v)
+	s.j.record(func() { s.inner.SubBalance(a, v) })
 }
 
-func (s *journaledState) SubBalance(a chain.Address, v *big.Int) {
-	amount := new(big.Int).Set(v)
-	s.inner.SubBalance(a, amount)
-	s.j.record(func() { s.inner.AddBalance(a, amount) })
+func (s *journaledState) SubBalance(a chain.Address, v u256.Word) {
+	s.inner.SubBalance(a, v)
+	s.j.record(func() { s.inner.AddBalance(a, v) })
 }
 
 func (s *journaledState) AccountExists(a chain.Address) bool { return s.inner.AccountExists(a) }

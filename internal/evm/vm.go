@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"sync"
 
 	"agnopol/internal/chain"
@@ -38,7 +37,7 @@ type Context struct {
 	State       StateDB
 	Caller      chain.Address
 	Address     chain.Address
-	Value       *big.Int
+	Value       u256.Word
 	CallData    []byte
 	GasLimit    uint64
 	BlockNumber uint64
@@ -94,10 +93,9 @@ type slot struct {
 // only what the program itself materializes (logs, return data, journal
 // entries).
 type interpreter struct {
-	ctx       Context
-	state     journaledState
-	code      []byte
-	callValue u256.Word
+	ctx   Context
+	state journaledState
+	code  []byte
 
 	stack  [stackLimit]u256.Word
 	sp     int
@@ -185,7 +183,6 @@ func (in *interpreter) reset(ctx Context, code []byte) {
 	in.ctx = ctx
 	in.state = journaledState{inner: ctx.State}
 	in.code = code
-	in.callValue = u256.FromBig(ctx.Value)
 	in.sp = 0
 	in.mem = in.mem[:0]
 	in.gas = ctx.GasLimit
@@ -577,7 +574,7 @@ func (in *interpreter) run() Result {
 				return fail(err)
 			}
 		case CALLVALUE:
-			if err := in.push(in.callValue); err != nil {
+			if err := in.push(in.ctx.Value); err != nil {
 				return fail(err)
 			}
 		case TIMESTAMP:
@@ -589,7 +586,7 @@ func (in *interpreter) run() Result {
 				return fail(err)
 			}
 		case SELFBALANCE:
-			if err := in.push(u256.FromBig(in.state.GetBalance(in.ctx.Address))); err != nil {
+			if err := in.push(in.state.GetBalance(in.ctx.Address)); err != nil {
 				return fail(err)
 			}
 
@@ -607,7 +604,7 @@ func (in *interpreter) run() Result {
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			if err := in.push(u256.FromBig(in.state.GetBalance(addr))); err != nil {
+			if err := in.push(in.state.GetBalance(addr)); err != nil {
 				return fail(err)
 			}
 
@@ -843,15 +840,13 @@ func (in *interpreter) run() Result {
 			if !in.useGas(cost) {
 				return fail(ErrOutOfGas)
 			}
-			// Balance movement stays on big.Int: the StateDB boundary.
-			valueBig := value.ToBig()
-			if in.state.GetBalance(in.ctx.Address).Cmp(valueBig) < 0 {
+			if in.state.GetBalance(in.ctx.Address).Lt(value) {
 				if err := in.push(u256.Zero); err != nil {
 					return fail(err)
 				}
 			} else {
-				in.state.SubBalance(in.ctx.Address, valueBig)
-				in.state.AddBalance(to, valueBig)
+				in.state.SubBalance(in.ctx.Address, value)
+				in.state.AddBalance(to, value)
 				if err := in.push(u256.One); err != nil {
 					return fail(err)
 				}

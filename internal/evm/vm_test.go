@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"agnopol/internal/chain"
+	"agnopol/internal/u256"
 )
 
 func run(t *testing.T, build func(a *Assembler), opts ...func(*Context)) Result {
@@ -20,7 +21,6 @@ func run(t *testing.T, build func(a *Assembler), opts ...func(*Context)) Result 
 	ctx := Context{
 		State:    NewMemState(),
 		GasLimit: 1_000_000,
-		Value:    new(big.Int),
 	}
 	for _, o := range opts {
 		o(&ctx)
@@ -124,7 +124,7 @@ func TestInvalidJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = Execute(Context{State: NewMemState(), GasLimit: 100000, Value: new(big.Int)}, code)
+	res = Execute(Context{State: NewMemState(), GasLimit: 100000}, code)
 	if !errors.Is(res.Err, ErrInvalidJump) {
 		t.Fatalf("jump into push data: err = %v", res.Err)
 	}
@@ -154,7 +154,7 @@ func TestStorageAndRefunds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Execute(Context{State: st, GasLimit: 100000, Value: new(big.Int)}, code)
+	res := Execute(Context{State: st, GasLimit: 100000}, code)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -213,7 +213,7 @@ func TestRevertRestoresState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Execute(Context{State: st, GasLimit: 100000, Value: new(big.Int)}, code)
+	res := Execute(Context{State: st, GasLimit: 100000}, code)
 	if !res.Reverted {
 		t.Fatal("expected revert")
 	}
@@ -242,7 +242,7 @@ func TestCallTransfersValue(t *testing.T) {
 	st := NewMemState()
 	self := chain.AddressFromBytes([]byte("self"))
 	to := chain.AddressFromBytes([]byte("to"))
-	st.AddBalance(self, big.NewInt(100))
+	st.AddBalance(self, u256.FromUint64(100))
 	a := NewAssembler()
 	a.PushUint(0).PushUint(0).PushUint(0).PushUint(0) // out/in
 	a.PushUint(40)                                    // value
@@ -253,12 +253,12 @@ func TestCallTransfersValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Execute(Context{State: st, Address: self, GasLimit: 100000, Value: new(big.Int)}, code)
+	res := Execute(Context{State: st, Address: self, GasLimit: 100000}, code)
 	wantReturn(t, res, 1)
-	if st.GetBalance(to).Int64() != 40 {
+	if st.GetBalance(to) != u256.FromUint64(40) {
 		t.Fatalf("recipient balance %s", st.GetBalance(to))
 	}
-	if st.GetBalance(self).Int64() != 60 {
+	if st.GetBalance(self) != u256.FromUint64(60) {
 		t.Fatalf("sender balance %s", st.GetBalance(self))
 	}
 }
@@ -276,7 +276,7 @@ func TestCallInsufficientBalanceReturnsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Execute(Context{State: st, Address: self, GasLimit: 100000, Value: new(big.Int)}, code)
+	res := Execute(Context{State: st, Address: self, GasLimit: 100000}, code)
 	wantReturn(t, res, 0)
 }
 
@@ -287,7 +287,7 @@ func TestOutOfGas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Execute(Context{State: NewMemState(), GasLimit: 1000, Value: new(big.Int)}, code)
+	res := Execute(Context{State: NewMemState(), GasLimit: 1000}, code)
 	if !errors.Is(res.Err, ErrOutOfGas) {
 		t.Fatalf("err = %v, want out of gas", res.Err)
 	}
@@ -411,7 +411,7 @@ func TestGasMonotonicInDataSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Execute(Context{State: NewMemState(), GasLimit: 10_000_000, Value: new(big.Int)}, code)
+		res := Execute(Context{State: NewMemState(), GasLimit: 10_000_000}, code)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -517,7 +517,7 @@ func TestStorageWrittenOncePerDirtySlot(t *testing.T) {
 		}
 		st := &countingState{MemState: NewMemState(), sets: map[chain.Hash32]int{}}
 		st.MemState.SetStorage(chain.Address{}, wordKey(4), wordKey(4))
-		res := Execute(Context{State: st, GasLimit: tc.gas, Value: new(big.Int)}, code)
+		res := Execute(Context{State: st, GasLimit: tc.gas}, code)
 		if failed := res.Err != nil || res.Reverted; failed != (tc.name != "success") {
 			t.Fatalf("%s: err %v, reverted %v", tc.name, res.Err, res.Reverted)
 		}

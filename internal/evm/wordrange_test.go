@@ -164,7 +164,7 @@ func TestWordsOf2To64AndAbove(t *testing.T) {
 				name string
 				exec func(Context, []byte) Result
 			}{{"u256", Execute}, {"reference", executeRef}} {
-				res := e.exec(Context{State: NewMemState(), GasLimit: gas, Value: new(big.Int), CallData: row.calldata}, code)
+				res := e.exec(Context{State: NewMemState(), GasLimit: gas, CallData: row.calldata}, code)
 				if row.err != nil {
 					if !errors.Is(res.Err, row.err) || res.GasUsed != gas {
 						t.Fatalf("%s: err %v with %d gas used, want %v using all %d", e.name, res.Err, res.GasUsed, row.err, gas)

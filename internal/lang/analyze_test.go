@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"math/big"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -124,8 +123,8 @@ func TestAnalysisDeployGasCoversActualDeployment(t *testing.T) {
 	st := evm.NewMemState()
 	res := evm.Execute(evm.Context{
 		State: st, Caller: chain.AddressFromBytes([]byte("d")),
-		Address: chain.AddressFromBytes([]byte("c")),
-		Value:   new(big.Int), CallData: ctorData, GasLimit: 10_000_000,
+		Address:  chain.AddressFromBytes([]byte("c")),
+		CallData: ctorData, GasLimit: 10_000_000,
 	}, c.EVMCode)
 	if res.Err != nil || res.Reverted {
 		t.Fatalf("ctor exec failed: %+v", res)

@@ -1,12 +1,12 @@
 package lang
 
 import (
-	"math/big"
 	"testing"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
+	"agnopol/internal/u256"
 )
 
 // counterProgram is a small contract exercising globals, maps (uint and
@@ -120,7 +120,7 @@ func newEVMHarness(t *testing.T, c *Compiled) *evmHarness {
 		self:  chain.AddressFromBytes([]byte("contract")),
 		from:  chain.AddressFromBytes([]byte("alice")),
 	}
-	h.state.AddBalance(h.from, big.NewInt(1_000_000))
+	h.state.AddBalance(h.from, u256.FromUint64(1_000_000))
 	return h
 }
 
@@ -130,7 +130,7 @@ func (h *evmHarness) call(method string, params []Param, value uint64, args ...V
 	if err != nil {
 		h.t.Fatalf("encode %s: %v", method, err)
 	}
-	v := new(big.Int).SetUint64(value)
+	v := u256.FromUint64(value)
 	if value > 0 {
 		h.state.SubBalance(h.from, v)
 		h.state.AddBalance(h.self, v)
@@ -251,7 +251,7 @@ func TestEVMBackendEndToEnd(t *testing.T) {
 	viewData, _ := EncodeArgsEVM("getCount", nil, nil)
 	vres := evm.Execute(evm.Context{
 		State: h.state, Caller: h.from, Address: h.self,
-		Value: new(big.Int), CallData: viewData, GasLimit: 1_000_000,
+		CallData: viewData, GasLimit: 1_000_000,
 	}, h.code)
 	if vres.Err != nil || vres.Reverted {
 		t.Fatalf("view failed: %+v", vres)

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -166,7 +165,7 @@ func TestBackendsAgreeOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := evm.Execute(evm.Context{State: st, Address: self, Value: new(big.Int), CallData: ctorData, GasLimit: 5_000_000}, evmCode)
+		res := evm.Execute(evm.Context{State: st, Address: self, CallData: ctorData, GasLimit: 5_000_000}, evmCode)
 		if res.Err != nil || res.Reverted {
 			t.Fatalf("trial %d: EVM ctor failed: %+v", trial, res)
 		}
@@ -174,7 +173,7 @@ func TestBackendsAgreeOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evmRes := evm.Execute(evm.Context{State: st, Address: self, Value: new(big.Int), CallData: callData, GasLimit: 5_000_000}, evmCode)
+		evmRes := evm.Execute(evm.Context{State: st, Address: self, CallData: callData, GasLimit: 5_000_000}, evmCode)
 		evmFailed := evmRes.Err != nil || evmRes.Reverted
 		var evmVal uint64
 		if !evmFailed {

@@ -2,13 +2,15 @@
 // machines compute on. A Word is four little-endian uint64 limbs held by
 // value, so the interpreter hot path never touches the heap: every
 // arithmetic, comparison and bit operation works in registers and returns
-// a new value. math/big is kept strictly at the boundaries — calldata and
-// state encoding, chain.Hash32 conversion, account balances — through
+// a new value. math/big is kept strictly at the boundaries through
 // FromBig/ToBig.
 //
 // Semantics match the EVM's modulo-2^256 unsigned arithmetic, and are
 // pinned to the math/big reference by the differential property tests in
-// this package and in internal/evm.
+// this package and in internal/evm. A Word is also eth's amount type:
+// balances, fees and upfront costs use AddOverflow and MulOverflow, which
+// report a result past 2^256-1 instead of wrapping it, and AppendBytes,
+// the minimal big-endian form big.Int.Bytes produces.
 package u256
 
 import (
@@ -50,6 +52,13 @@ func SetBytes(b []byte) Word {
 		z[i/8] |= uint64(b[pos]) << (8 * (i % 8))
 	}
 	return z
+}
+
+// AppendBytes appends the minimal big-endian form of x to dst: what
+// big.Int.Bytes returns, so zero appends nothing.
+func (x Word) AppendBytes(dst []byte) []byte {
+	b := x.Bytes32()
+	return append(dst, b[32-x.ByteLen():]...)
 }
 
 // Bytes32 renders the word as a 32-byte big-endian array.
@@ -169,9 +178,20 @@ func (x Word) Add(y Word) Word { z, _ := add(x, y); return z }
 // Sub is x - y mod 2^256.
 func (x Word) Sub(y Word) Word { z, _ := sub(x, y); return z }
 
-// Mul is x · y mod 2^256 (schoolbook over 64-bit limbs, truncated).
-func (x Word) Mul(y Word) Word {
-	var p [8]uint64
+// AddOverflow is x + y mod 2^256 and whether the sum reached 2^256.
+func (x Word) AddOverflow(y Word) (Word, bool) { z, c := add(x, y); return z, c != 0 }
+
+// Mul is x · y mod 2^256.
+func (x Word) Mul(y Word) Word { p := mul(x, y); return Word{p[0], p[1], p[2], p[3]} }
+
+// MulOverflow is x · y mod 2^256 and whether the product reached 2^256.
+func (x Word) MulOverflow(y Word) (Word, bool) {
+	p := mul(x, y)
+	return Word{p[0], p[1], p[2], p[3]}, p[4]|p[5]|p[6]|p[7] != 0
+}
+
+// mul is the full 512-bit product x · y, schoolbook over 64-bit limbs.
+func mul(x, y Word) (p [8]uint64) {
 	for i := 0; i < 4; i++ {
 		var carry uint64
 		for j := 0; j < 4; j++ {
@@ -184,7 +204,7 @@ func (x Word) Mul(y Word) Word {
 		}
 		p[i+4] += carry
 	}
-	return Word{p[0], p[1], p[2], p[3]}
+	return p
 }
 
 // DivMod returns (x/y, x%y); both are zero when y is zero, the EVM's DIV

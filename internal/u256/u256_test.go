@@ -1,6 +1,7 @@
 package u256
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -190,6 +191,17 @@ func TestBigEquivalenceProperty(t *testing.T) {
 		check("add", x.Add(y), mod(new(big.Int).Add(bx, by)))
 		check("sub", x.Sub(y), mod(new(big.Int).Sub(bx, by)))
 		check("mul", x.Mul(y), mod(new(big.Int).Mul(bx, by)))
+		checkedOp := func(op string, got Word, overflow bool, want *big.Int) {
+			t.Helper()
+			check(op, got, mod(want))
+			if overflow != (want.Cmp(two256) >= 0) {
+				t.Fatalf("iter %d: %s(%s, %s) overflow = %v, true value %s", i, op, bx, by, overflow, want)
+			}
+		}
+		sum, over := x.AddOverflow(y)
+		checkedOp("addOverflow", sum, over, new(big.Int).Add(bx, by))
+		prod, over := x.MulOverflow(y)
+		checkedOp("mulOverflow", prod, over, new(big.Int).Mul(bx, by))
 		if !y.IsZero() {
 			check("div", x.Div(y), new(big.Int).Div(bx, by))
 			check("mod", x.Mod(y), new(big.Int).Mod(bx, by))
@@ -235,6 +247,9 @@ func TestBigEquivalenceProperty(t *testing.T) {
 		b := x.Bytes32()
 		if SetBytes(b[:]) != x {
 			t.Fatalf("iter %d: SetBytes(Bytes32) not identity", i)
+		}
+		if got := x.AppendBytes([]byte{0xee}); !bytes.Equal(got, append([]byte{0xee}, bx.Bytes()...)) {
+			t.Fatalf("iter %d: AppendBytes = %x, want ee||%x", i, got, bx.Bytes())
 		}
 	}
 }

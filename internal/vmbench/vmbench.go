@@ -10,7 +10,6 @@ package vmbench
 import (
 	"flag"
 	"fmt"
-	"math/big"
 	"runtime"
 	"strings"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"agnopol/internal/evm"
 	"agnopol/internal/lang"
 	"agnopol/internal/polcrypto"
+	"agnopol/internal/u256"
 )
 
 // Engine is one workload's measurement.
@@ -130,7 +130,7 @@ func newEVMWorkload(compiled *lang.Compiled) (func(), error) {
 	from := chain.AddressFromBytes([]byte("vmbench-caller"))
 	run := func() (deploy, attach evm.Result) {
 		st := evm.NewMemState()
-		st.AddBalance(from, big.NewInt(1_000_000))
+		st.AddBalance(from, u256.FromUint64(1_000_000))
 		ctx := evm.Context{
 			State: st, Caller: from, Address: self,
 			GasLimit: 10_000_000, BlockNumber: 1, Timestamp: 1000,
