@@ -8,8 +8,8 @@ import (
 	"agnopol/internal/chain"
 )
 
-// batchWorld is a two-shard chain whose rounds each carry one counter call
-// per user, spread over 64 applications — the shape of the soak's check-in:
+// batchWorld is a chain of fan-out width two whose rounds each carry one
+// counter call per user, spread over 64 applications — the shape of the soak's check-in:
 // a global read-modify-write, one log, an 8-byte return value. Groups enter
 // the pending pool as already-admitted entries: signing and signature
 // verification are the load generator's and the admission pipeline's cost,
@@ -132,14 +132,43 @@ func TestRetainedBytesPerIncludedTx(t *testing.T) {
 	}
 }
 
+// TestStepAllocsPerIncludedTx bounds what Step allocates per included
+// call on batchWorld's 2 000-call round, executed in canonical order in
+// one overlay. It measures 27.5, and the budget is 29.
+func TestStepAllocsPerIncludedTx(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const budget, rounds = 29, 4
+	w := newBatchWorld(t, 2000, 16)
+	for i := 0; i < 3; i++ {
+		w.queue()
+		w.step(t)
+	}
+	var m0, m1 runtime.MemStats
+	var allocs uint64
+	for i := 0; i < rounds; i++ {
+		w.queue()
+		runtime.ReadMemStats(&m0)
+		w.step(t)
+		runtime.ReadMemStats(&m1)
+		allocs += m1.Mallocs - m0.Mallocs
+	}
+	if got := float64(allocs) / float64(rounds*len(w.users)); got > budget {
+		t.Fatalf("Step allocates %.2f times per included call, budget %d", got, budget)
+	} else {
+		t.Logf("%.2f allocations per included call", got)
+	}
+}
+
 // TestRetentionHeapFlat: once the retention window is full, certifying more
 // rounds does not grow the heap — rows, index entries and spans of pruned
 // rounds really go away.
 func TestRetentionHeapFlat(t *testing.T) {
 	// On one P: with more, the readings also count whatever partly used
-	// allocation spans the other Ps' caches hold, since shards and the next
-	// round's sortition run there, and the second ran up to 16 KB (half
-	// this bound) above its usual value.
+	// allocation spans the other Ps' caches hold, since the next round's
+	// sortition runs there, and the second ran up to 16 KB (half this
+	// bound) above its usual value.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := newBatchWorld(t, 250, 16)
 	for i := 0; i < 20; i++ {
@@ -158,10 +187,11 @@ func TestRetentionHeapFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkStepBatch is one sharded 2 000-call round per iteration: the
-// proposer sortition, partition, execution on two shards and the round's
-// tail. Queueing the round happens off the clock; run it at -cpu 1,2 to see
-// what the second core buys.
+// BenchmarkStepBatch is one 2 000-call round per iteration: the proposer
+// sortition (the next round's on a second core, when there is one),
+// execution in canonical order in the round's overlay and the round's
+// tail. Queueing the round happens off the clock; run it at -cpu 1,2 to
+// see what the second core buys.
 func BenchmarkStepBatch(b *testing.B) {
 	w := newBatchWorld(b, 2000, 16)
 	for i := 0; i < 3; i++ {

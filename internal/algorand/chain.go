@@ -167,9 +167,9 @@ type Chain struct {
 	nextProposers *vrfBatch
 
 	// The family-independent half of round building lives in package
-	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
-	// the pending pool with its admission pipeline, and the receipts with
-	// their rolling digest and retention window.
+	// chain: the fan-out width and execution tallies (SetShards, Shards,
+	// ShardStats), the pending pool with its admission pipeline, and the
+	// receipts with their rolling digest and retention window.
 	chain.Sharder
 	pool  *chain.Pool[Group]
 	rcpts chain.Receipts
@@ -265,6 +265,29 @@ func (c *Chain) Balance(addr chain.Address) chain.Amount {
 // StateRoot returns the current Merkle root of the ledger.
 func (c *Chain) StateRoot() chain.Hash32 { return c.led.root() }
 
+// Digest hashes the chain's externally observable end state — head block,
+// sequence counters, the ledger's Merkle root and the rolling receipt
+// accumulator — into one value. The determinism gates compare digests
+// across fan-out widths and GOMAXPROCS settings: equal digests mean
+// bit-identical rounds and state. The whole ledger (balances, app
+// key/value state, assets, holdings) enters through the state root, and
+// receipts fold into the accumulator at inclusion time in canonical round
+// order, so Digest is O(1) instead of a full-world sort-and-hash — which
+// also makes it independent of how much pruned history (SetRetention) is
+// still held.
+func (c *Chain) Digest() chain.Hash32 {
+	var h chain.Hasher
+	head := c.Head()
+	h.Bytes(head.Hash[:])
+	h.U64(head.Round)
+	h.U64(c.led.appSeq)
+	h.U64(c.led.assetSeq)
+	root := c.led.root()
+	h.Bytes(root[:])
+	c.rcpts.Digest(&h)
+	return h.Sum()
+}
+
 // SetRetention bounds how many certified rounds (blocks plus their
 // receipts) stay resident; n <= 0 keeps everything. Digest is unaffected:
 // receipts fold into a rolling accumulator at inclusion time and the
@@ -287,12 +310,12 @@ func (c *Chain) App(appID uint64) (*App, bool) {
 func (c *Chain) Submit(g Group) (chain.Hash32, error) { return c.pool.Submit(g) }
 
 // SubmitBatch validates and queues a batch of signed groups in one call:
-// signatures verify concurrently when sharding is configured, admission
+// signatures verify concurrently at the SetShards width, admission
 // stays serial in slice order, so the pending pool and fault streams are
 // identical to len(gs) Submit calls. Result slot i is the hash or error
 // for gs[i].
 func (c *Chain) SubmitBatch(gs []Group) ([]chain.Hash32, []error) {
-	return c.pool.SubmitBatch(gs, c.Shards())
+	return c.pool.SubmitBatch(gs, &c.Sharder)
 }
 
 // PendingCount reports the pending-pool depth.
@@ -372,62 +395,50 @@ func (c *Chain) Step() *Block {
 	c.nextProposers = c.startVRFs(sortitionSeed(blk.Seed, roundNum+1, "propose"))
 
 	// Selection: every propagated group is included (capacity is never the
-	// bottleneck at our scale). Execution fans out across shards when the
-	// round's conflict keys allow it (roundConflictKeys); the round's tail
-	// then applies the deferred effects in its two halves, which RunSharded
-	// runs side by side when the round fanned out.
+	// bottleneck at our scale). Execution runs the groups in canonical order
+	// in one overlay of the ledger, inside which a failed group rolls back
+	// (executeGroup).
 	sel := c.pool.Take(roundTime, func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
 	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]groupEffects, len(sel))
-	// canon is the overlay a round that does not fan out executes in; a
-	// round that does leaves it empty.
-	canon := c.led.fork()
-	chain.RunSharded(&c.Sharder, len(sel), roundConflictKeys(sel),
-		func(i int) uint64 { return uint64(len(sel[i].Item)) },
-		canon,
-		func() (*ledgerOverlay, func()) {
-			o := c.led.fork()
-			return o, func() { c.led.adopt(o) }
-		},
-		func(st *ledgerOverlay, i int) uint64 {
-			receipts[i], effects[i] = c.executeGroup(st, sel[i].Item, sel[i].Hash, blk)
-			return receipts[i].GasUsed
-		},
-		func() {
-			// State side. The fee-sink credit touches state every group
-			// shares, so the executor defers it to here: one credit of the
-			// round's sum, once every shard has merged, then the root.
-			c.led.adopt(canon)
-			var feeSink uint64
-			for i := range effects {
-				feeSink += effects[i].feeSink
-			}
-			c.led.credit(c.feeSink, feeSink)
-			blk.StateRoot = c.led.root()
-		},
-		func() {
-			// Receipt side: everything about the round that is not state.
-			if len(sel) > 0 {
-				blk.Groups = make([]chain.Hash32, len(sel))
-			}
-			for i, p := range sel {
-				rcpt := &receipts[i]
-				rcpt.Submitted = p.Submitted
-				// Fees are µAlgo uint64 amounts and cannot be negative, so
-				// the raw magnitude is an unambiguous encoding.
-				c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
-				blk.Groups[i] = rcpt.TxHash
-				if c.obs == nil {
-					continue
-				}
-				if effects[i].fees > 0 {
-					c.obs.fees.Add(effects[i].fees)
-				}
-				if rcpt.Reverted {
-					c.obs.groupsRejected.Inc()
-				}
-			}
-		})
+	o := c.led.fork()
+	for i, p := range sel {
+		receipts[i], effects[i] = c.executeGroup(o, p.Item, p.Hash, blk)
+	}
+	// The tail's state side: the overlay's writes, then one credit of the
+	// round's fees to the fee sink, then the root.
+	c.led.adopt(o)
+	var feeSink uint64
+	for i := range effects {
+		feeSink += effects[i].feeSink
+	}
+	c.led.credit(c.feeSink, feeSink)
+	blk.StateRoot = c.led.root()
+	// The tail's receipt side: everything about the round that is not
+	// state.
+	if len(sel) > 0 {
+		blk.Groups = make([]chain.Hash32, len(sel))
+	}
+	var cost uint64
+	for i, p := range sel {
+		rcpt := &receipts[i]
+		rcpt.Submitted = p.Submitted
+		// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
+		// magnitude is an unambiguous encoding.
+		c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
+		blk.Groups[i] = rcpt.TxHash
+		cost += rcpt.GasUsed
+		if c.obs == nil {
+			continue
+		}
+		if effects[i].fees > 0 {
+			c.obs.fees.Add(effects[i].fees)
+		}
+		if rcpt.Reverted {
+			c.obs.groupsRejected.Inc()
+		}
+	}
+	c.Record(uint64(len(sel)), cost)
 
 	blk.Hash = chain.Hash32(polcrypto.Hash(blk.Seed[:], hashGroups(blk.Groups), blk.StateRoot[:]))
 
@@ -456,10 +467,9 @@ func hashGroups(hs []chain.Hash32) []byte {
 	return sum[:]
 }
 
-// groupEffects carries a group's deferred globals out of the executor: the
-// fee-sink credit and the fee-counter increment touch state shared by
-// every group of the round, so Step's tail applies them once every shard
-// has finished.
+// groupEffects carries what a group owes the round's tail out of the
+// executor: the fee-sink credit, which the tail sums into one, and the
+// fee-counter increment.
 type groupEffects struct {
 	// feeSink is the µAlgo credit owed to the fee sink (the fees actually
 	// collected — on a revert, only from senders who could still pay).
@@ -470,11 +480,10 @@ type groupEffects struct {
 }
 
 // executeGroup applies one atomic group (hash is its pool-computed
-// g.Hash()) in o — the round's overlay on the serial path, a shard's on
-// the concurrent one — under a revert point: on any failure the group's
-// writes are taken back and the fees charged again on the restored state
-// (the network did the work). Creations, which only reach here on the
-// serial path, additionally hand their sequence numbers back.
+// g.Hash()) in the round's overlay o under a revert point: on any failure
+// the group's writes are taken back and the fees charged again on the
+// restored state (the network did the work). Creations additionally hand
+// their sequence numbers back.
 func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *Block) (chain.Receipt, groupEffects) {
 	rcpt := chain.Receipt{
 		TxHash:      hash,

@@ -132,7 +132,7 @@ func decodeAssetMeta(id uint64, enc []byte) (*Asset, error) {
 }
 
 // stateKV is the key/value surface the accessor layer runs on — the
-// canonical trie and shard overlays both implement it, so the ledger
+// canonical trie and the round's overlay both implement it, so the ledger
 // semantics below exist exactly once.
 type stateKV interface {
 	Get(mstate.Key) ([]byte, bool)
@@ -143,8 +143,8 @@ type stateKV interface {
 
 // ledgerKV implements the avm.Ledger surface (plus app and asset
 // accessors) over any stateKV. The back-pointer to the canonical ledger
-// serves the program/asset caches and the round clock — all of which
-// shard workers only read during concurrent execution.
+// serves the program/asset caches, the sequence counters and the round
+// clock.
 type ledgerKV struct {
 	kv  stateKV
 	led *ledger
@@ -164,9 +164,8 @@ func (v *ledgerKV) app(id uint64) *App {
 	if a, ok := v.led.progs[id]; ok {
 		return a
 	}
-	// Cache miss: rebuild from the trie. Shard workers may run this
-	// concurrently, so it only reads the program table, and parses a source
-	// the table lacks without recording it.
+	// Cache miss: rebuild from the trie. It only reads the program table,
+	// and parses a source the table lacks without recording it.
 	enc, _ := v.kv.Get(appMetaKey(id))
 	a, err := decodeAppMeta(id, enc)
 	if err != nil {
@@ -293,16 +292,11 @@ func (v *ledgerKV) Pay(from, to chain.Address, amount uint64) error {
 	return nil
 }
 
-// appEscrowAddress derives the escrow address of an application — a pure
-// function of the ID, shared by the ledger and its shard overlays.
-func appEscrowAddress(appID uint64) chain.Address {
+// AppAddress implements avm.Ledger: the application escrow address, a
+// pure function of the ID.
+func (v *ledgerKV) AppAddress(appID uint64) chain.Address {
 	h := polcrypto.Hash([]byte(fmt.Sprintf("appID:%d", appID)))
 	return chain.AddressFromBytes(h[:])
-}
-
-// AppAddress implements avm.Ledger: the application escrow address.
-func (v *ledgerKV) AppAddress(appID uint64) chain.Address {
-	return appEscrowAddress(appID)
 }
 
 // Round implements avm.Ledger.
@@ -375,10 +369,9 @@ type ledger struct {
 	assets map[uint64]*Asset
 	// programs holds one parsed Program per distinct TEAL source the chain
 	// has deployed, so every app of a factory points at the same one. It
-	// is written where progs is — creation rounds, which run serially, and
-	// Open — and only read by shard workers. Nothing is evicted: a Program
-	// is a pure function of its source, and the table is bounded by the
-	// sources this chain has seen.
+	// is written where progs is — creations and Open. Nothing is evicted:
+	// a Program is a pure function of its source, and the table is bounded
+	// by the sources this chain has seen.
 	programs map[string]*avm.Program
 
 	appSeq   uint64
@@ -399,8 +392,7 @@ func newLedger() *ledger {
 }
 
 // program returns the parsed form of src, parsing it the first time this
-// ledger sees it. It writes the program table, so only the serial paths —
-// a creation round's executeGroup and Open — call it.
+// ledger sees it: executeGroup for a creation, and Open.
 func (l *ledger) program(src string) (*avm.Program, error) {
 	if p, ok := l.programs[src]; ok {
 		return p, nil
@@ -415,14 +407,34 @@ func (l *ledger) program(src string) (*avm.Program, error) {
 
 var _ avm.Ledger = (*ledger)(nil)
 
+// ledgerOverlay is a write-buffer view over the ledger: an mstate.Overlay
+// buffers its writes and reads the rest from the canonical trie, and every
+// ledger semantic — value encodings, opt-in markers, pay errors — comes
+// from the shared ledgerKV accessor layer, so the overlay cannot drift
+// from the canonical ledger.
+type ledgerOverlay struct {
+	ledgerKV
+	ov *mstate.Overlay
+}
+
+// fork opens a write-buffer overlay over the canonical ledger, which must
+// not be written while the overlay is read (mstate.NewOverlay).
+func (l *ledger) fork() *ledgerOverlay {
+	ov := mstate.NewOverlay(l.t)
+	return &ledgerOverlay{ledgerKV{kv: ov, led: l}, ov}
+}
+
+// adopt replays an overlay's buffered writes onto the canonical trie;
+// every key holds its final value, so replay order does not matter.
+func (l *ledger) adopt(child *ledgerOverlay) { child.ov.CommitTo(l.t) }
+
 // root is the Merkle root of the ledger state.
 func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 
 // createApp registers a new application and returns its ID; assetCreate
 // below mints an asset. Both advance the canonical ledger's sequence
-// counter and fill its cache even when they write through an overlay —
-// which is why groups carrying them never run concurrently (shardable) —
-// and uncreate takes both back when the group fails.
+// counter and fill its cache even when they write through an overlay, and
+// uncreate takes both back when the group fails.
 func (v *ledgerKV) createApp(creator chain.Address, prog *avm.Program, round uint64) uint64 {
 	l := v.led
 	l.appSeq++
@@ -450,8 +462,7 @@ func (v *ledgerKV) assetCreate(creator chain.Address, name, unit string, total u
 // uncreate rewinds the sequence counters to an earlier reading and drops
 // the cache entries of the creations in between: their trie entries went
 // with the failed group's overlay, and a later creation reusing an ID may
-// carry different source. It writes nothing when no creation happened, so
-// concurrent shard workers — whose groups never create — may call it.
+// carry different source. It writes nothing when no creation happened.
 func (l *ledger) uncreate(appSeq, assetSeq uint64) {
 	for ; l.appSeq > appSeq; l.appSeq-- {
 		delete(l.progs, l.appSeq)

@@ -12,94 +12,6 @@ import (
 	"agnopol/internal/chain"
 )
 
-func TestGroupConflictKeysTable(t *testing.T) {
-	sender := chain.AddressFromBytes([]byte("sender"))
-	receiver := chain.AddressFromBytes([]byte("receiver"))
-	cases := []struct {
-		name string
-		g    Group
-		want []chain.ConflictKey
-	}{
-		{
-			name: "payment keys sender and receiver accounts",
-			g:    Group{{Type: TxPay, Sender: sender, Receiver: receiver}},
-			want: []chain.ConflictKey{
-				chain.AccountKey(sender),
-				chain.AccountKey(receiver),
-			},
-		},
-		{
-			name: "app call keys the app and its escrow",
-			g:    Group{{Type: TxAppCall, Sender: sender, AppID: 7}},
-			want: []chain.ConflictKey{
-				chain.AccountKey(sender),
-				chain.AppKey(7),
-				chain.AccountKey(appEscrowAddress(7)),
-			},
-		},
-		{
-			name: "creation carries the global key",
-			g:    Group{{Type: TxAppCreate, Sender: sender}},
-			want: []chain.ConflictKey{
-				chain.AccountKey(sender),
-				chain.GlobalKey(),
-			},
-		},
-		{
-			name: "asset transfer keys asset and receiver",
-			g:    Group{{Type: TxAssetTransfer, Sender: sender, Receiver: receiver, AssetID: 3}},
-			want: []chain.ConflictKey{
-				chain.AccountKey(sender),
-				chain.AssetKey(3),
-				chain.AccountKey(receiver),
-			},
-		},
-		{
-			name: "group concatenates member keys",
-			g: Group{
-				{Type: TxPay, Sender: sender, Receiver: receiver},
-				{Type: TxAppCall, Sender: sender, AppID: 2},
-			},
-			want: []chain.ConflictKey{
-				chain.AccountKey(sender),
-				chain.AccountKey(receiver),
-				chain.AccountKey(sender),
-				chain.AppKey(2),
-				chain.AccountKey(appEscrowAddress(2)),
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.g.ConflictKeys()
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %d keys, want %d: %+v", len(got), len(tc.want), got)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("key[%d] = %+v, want %+v", i, got[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestGroupShardable(t *testing.T) {
-	pay := &Tx{Type: TxPay}
-	call := &Tx{Type: TxAppCall}
-	if !(Group{pay, call}).shardable() {
-		t.Fatal("pay+call groups are shardable")
-	}
-	for _, tx := range []*Tx{
-		{Type: TxAppCreate}, {Type: TxAssetCreate},
-		{Type: TxAssetOptIn}, {Type: TxAssetTransfer},
-	} {
-		if (Group{pay, tx}).shardable() {
-			t.Fatalf("type %d must force the serial path", tx.Type)
-		}
-	}
-}
-
 func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	led := newLedger()
 	alice := chain.AddressFromBytes([]byte("alice"))
@@ -168,9 +80,9 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 
 // runShardedRounds drives per-area app-call traffic plus peer payments —
 // and among them a call the program rejects, an application created inside
-// a batch (that round runs serially) and, every round, a payment into the
-// fee sink, the account the round's tail credits — and returns the chain
-// for digest comparison.
+// a batch and, every round, a payment into the fee sink, the account the
+// round's tail credits — through a chain of the given fan-out width, and
+// returns the chain for digest comparison.
 func runShardedRounds(t *testing.T, shards int) *Chain {
 	t.Helper()
 	c := NewChain(Testnet(), 77)
@@ -217,7 +129,7 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 				send(u, &Tx{Type: TxAppCreate, Source: counterApp})
 			}
 		}
-		// A payment into the fee sink: a shard credits the account the
+		// A payment into the fee sink: execution credits the account the
 		// round's tail credits the fees to.
 		send(accts[5], &Tx{Type: TxPay, Receiver: c.feeSink, Amount: 555 + uint64(round)})
 		before := c.Balance(c.feeSink).Base.Uint64()
@@ -260,10 +172,8 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 }
 
 // TestShardedRoundBitIdentity: the same workload at every combination of
-// one, two and four cores with one to eight shards — rounds that run on the
-// canonical ledger with their tail inline, and rounds that fan out with the
-// state side and the receipt side of the tail running side by side —
-// certifies the same rounds and ends in the same digest.
+// one, two and four cores with a fan-out width of one to eight certifies
+// the same rounds and ends in the same digest.
 func TestShardedRoundBitIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedRounds(t, 1)
@@ -283,18 +193,15 @@ func TestShardedRoundBitIdentity(t *testing.T) {
 			if d := c.Digest(); d != refDigest {
 				t.Fatalf("procs=%d shards=%d: ledger digest diverges from serial run", procs, shards)
 			}
-			if stats := c.ShardStats(); (stats.ParallelBatches > 0) != (shards > 1) {
-				t.Fatalf("procs=%d shards=%d: %d rounds fanned out", procs, shards, stats.ParallelBatches)
-			}
 		}
 	}
 }
 
-// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition, batch admission,
-// execution and the round's tail fan out across cores, and the rounds must
-// not show it — the same seeded chain stepped on one, two and four cores
-// with one, two and four shards elects the same proposers, carries the
-// same hashes and ends in the same digest.
+// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition and batch admission
+// fan out across cores, and the rounds must not show it — the same seeded
+// chain stepped on one, two and four cores at widths one, two and four
+// elects the same proposers, carries the same hashes and ends in the same
+// digest.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := runShardedRounds(t, 2)
@@ -320,23 +227,32 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestShardedRoundRecordsStats: the tallies count every included group and
+// its opcode cost on the one lane, and ParallelBatches counts the
+// workload's eight SubmitBatch calls when two cores admit them, none on one.
 func TestShardedRoundRecordsStats(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := runShardedRounds(t, 4).ShardStats().ParallelBatches; got != 0 {
+		t.Fatalf("%d parallel batches on one core", got)
+	}
+	runtime.GOMAXPROCS(2)
 	c := runShardedRounds(t, 4)
 	stats := c.ShardStats()
-	if stats == nil || stats.ParallelBatches == 0 {
-		t.Fatalf("disjoint-area rounds must fan out (stats=%+v)", stats)
-	}
-	busy := 0
-	for _, n := range stats.Txs {
-		if n > 0 {
-			busy++
+	var groups, cost uint64
+	for _, blk := range c.blocks {
+		for _, h := range blk.Groups {
+			rcpt, _ := c.Receipt(h)
+			groups++
+			cost += rcpt.GasUsed
 		}
 	}
-	if busy < 2 {
-		t.Fatalf("only %d shards did work (txs=%v)", busy, stats.Txs)
+	if stats == nil || len(stats.Txs) != 1 || stats.Txs[0] != groups || stats.Gas[0] != cost || stats.ParallelBatches != 8 {
+		t.Fatalf("stats %+v; want one lane of %d groups and %d cost, 8 parallel batches", stats, groups, cost)
 	}
 }
 
+// TestCreationRoundFallsBackToSerial: a round mixing an application
+// creation with a payment at width four executes both.
 func TestCreationRoundFallsBackToSerial(t *testing.T) {
 	c := NewChain(Testnet(), 5)
 	c.SetShards(4)
@@ -354,18 +270,14 @@ func TestCreationRoundFallsBackToSerial(t *testing.T) {
 		}
 	}
 	c.Step()
-	stats := c.ShardStats()
-	if stats.ParallelBatches != 0 {
-		t.Fatal("a round containing a creation must take the serial path")
-	}
 	if _, ok := c.App(1); !ok {
-		t.Fatal("creation did not execute on the fallback path")
+		t.Fatal("the creation did not execute")
 	}
 }
 
 func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 	// A rejected app call must roll back its writes and still charge the
-	// fee — on the sharded path exactly as on the serial one.
+	// fee, at every fan-out width alike.
 	run := func(shards int) *Chain {
 		c := NewChain(Testnet(), 9)
 		c.SetShards(shards)
@@ -378,7 +290,7 @@ func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 		alice := c.NewAccount(10_000_000)
 		bob := c.NewAccount(10_000_000)
 		// "boom" matches no branch, so the program errs and the call rolls
-		// back; bob's independent payment keeps the round multi-component.
+		// back; bob's independent payment shares the round.
 		bad := &Tx{Type: TxAppCall, Sender: alice.Address, Fee: MinFee,
 			AppID: appID, Args: [][]byte{[]byte("boom")}}
 		bad.Sign(alice)
@@ -394,13 +306,8 @@ func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 		c.Step()
 		return c
 	}
-	serial := run(1)
-	sharded := run(4)
-	if sharded.ShardStats().ParallelBatches == 0 {
-		t.Fatal("expected the sharded path to engage")
-	}
-	if serial.Digest() != sharded.Digest() {
-		t.Fatal("revert handling diverges between serial and sharded paths")
+	if run(1).Digest() != run(4).Digest() {
+		t.Fatal("revert handling diverges between fan-out widths")
 	}
 }
 
@@ -420,10 +327,10 @@ func stepBatch(t *testing.T, c *Chain, groups []Group) {
 
 // TestFailedGroupsInterleavedOnOneShard: every third group of each app
 // fails after its app call already wrote (the trailing payment of the
-// atomic group overdraws), between groups of the same app — the same shard
-// — that succeed. The writes come back out from under the later groups:
-// the round ends at the serial path's digest and at the balances and
-// counters of a flat model, the fees charged on every group.
+// atomic group overdraws), between groups of the same app that succeed,
+// all in the round's one overlay. The writes come back out from under the
+// later groups: the round ends at the width-1 run's digest and at the
+// balances and counters of a flat model, the fees charged on every group.
 func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
 	const apps, users, groupsPerRound, rounds = 2, 5, 30, 3
 	run := func(shards int) *Chain {
@@ -438,7 +345,7 @@ func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Each app has its own users, so the round has one component per app.
+		// Each app has its own users.
 		var accts [apps][users]*Account
 		balance := map[chain.Address]uint64{}
 		for a := range accts {
@@ -491,12 +398,8 @@ func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
 		}
 		return c
 	}
-	serial, sharded := run(1), run(2)
-	if sharded.ShardStats().ParallelBatches != 3 {
-		t.Fatal("expected every round to fan out")
-	}
-	if serial.Digest() != sharded.Digest() {
-		t.Fatal("interleaved reverts diverge between the serial and the sharded path")
+	if run(1).Digest() != run(2).Digest() {
+		t.Fatal("interleaved reverts diverge between fan-out widths")
 	}
 }
 
@@ -513,7 +416,7 @@ func TestInsufficientFeeRollsBackEarlierSenders(t *testing.T) {
 		first.Sign(alice)
 		second := &Tx{Type: TxPay, Sender: broke.Address, Fee: MinFee, Receiver: alice.Address, Amount: 1}
 		second.Sign(broke)
-		// carol's independent payment keeps the round multi-component.
+		// carol's independent payment shares the round.
 		other := &Tx{Type: TxPay, Sender: carol.Address, Fee: MinFee,
 			Receiver: chain.AddressFromBytes([]byte("elsewhere")), Amount: 5}
 		other.Sign(carol)
@@ -531,12 +434,8 @@ func TestInsufficientFeeRollsBackEarlierSenders(t *testing.T) {
 		}
 		return c
 	}
-	serial, sharded := run(1), run(2)
-	if sharded.ShardStats().ParallelBatches == 0 {
-		t.Fatal("expected the sharded path to engage")
-	}
-	if serial.Digest() != sharded.Digest() {
-		t.Fatal("the insufficient-fee exit diverges between the serial and the sharded path")
+	if run(1).Digest() != run(2).Digest() {
+		t.Fatal("the insufficient-fee exit diverges between fan-out widths")
 	}
 }
 
@@ -576,7 +475,7 @@ func TestPaymentPastMaxBalanceReverts(t *testing.T) {
 		wrap := pay(rich, full.Address, 1)
 		zero := pay(payer, full.Address, 0)
 		fit := pay(payer, almost.Address, 5)
-		// A payment between two other accounts keeps the round multi-component.
+		// A payment between two other accounts shares the round.
 		other := pay(c.NewAccount(10_000_000), chain.AddressFromBytes([]byte("elsewhere")), 5)
 		stepBatch(t, c, []Group{wrap, zero, fit, other})
 		if rcpt, _ := c.Receipt(wrap.Hash()); !rcpt.Reverted || !strings.Contains(rcpt.RevertMsg, ErrBalanceOverflow.Error()) {
@@ -597,11 +496,7 @@ func TestPaymentPastMaxBalanceReverts(t *testing.T) {
 		}
 		return c
 	}
-	serial, sharded := run(1), run(2)
-	if sharded.ShardStats().ParallelBatches == 0 {
-		t.Fatal("expected the sharded path to engage")
-	}
-	if serial.Digest() != sharded.Digest() {
-		t.Fatal("the overflow revert diverges between the serial and the sharded path")
+	if run(1).Digest() != run(2).Digest() {
+		t.Fatal("the overflow revert diverges between fan-out widths")
 	}
 }

@@ -105,13 +105,14 @@ func (p *Pool[T]) Submit(item T) (Hash32, error) {
 }
 
 // SubmitBatch is Submit for a batch: signature verification — the dominant
-// per-item cost — and hashing fan out over up to width goroutines, then
+// per-item cost — and hashing fan out at sh's width, which counts the batch
+// in its ParallelBatches when it runs on more than one goroutine, then
 // admission runs serially in slice order. Result slot i is the hash or
 // error of items[i].
-func (p *Pool[T]) SubmitBatch(items []T, width int) ([]Hash32, []error) {
+func (p *Pool[T]) SubmitBatch(items []T, sh *Sharder) ([]Hash32, []error) {
 	hashes := make([]Hash32, len(items))
 	errs := make([]error, len(items))
-	FanOut(len(items), width, func(i int) {
+	FanOut(len(items), sh.batchWidth(len(items)), func(i int) {
 		if errs[i] = items[i].Verify(); errs[i] == nil {
 			hashes[i] = items[i].Hash()
 		}

@@ -111,7 +111,6 @@ type Family interface {
 	PendingCount() int
 	SetShards(n int)
 	SetRetention(n int)
-	ShardStats() *chain.ShardStats
 	Digest() chain.Hash32
 	StateRoot() chain.Hash32
 

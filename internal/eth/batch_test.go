@@ -25,8 +25,8 @@ func checkinCode(tb testing.TB) []byte {
 	return code
 }
 
-// batchWorld is a two-shard chain whose blocks each carry one check-in per
-// user, spread over 64 area contracts. Transactions enter the mempool as
+// batchWorld is a chain of fan-out width two whose blocks each carry one
+// check-in per user, spread over 64 area contracts. Transactions enter the mempool as
 // already-admitted entries: signing and signature verification are the load
 // generator's and the admission pipeline's cost, not Step's, and the heap
 // and benchmark measurements below are about Step and what it leaves
@@ -153,15 +153,15 @@ func TestRetainedBytesPerIncludedTx(t *testing.T) {
 }
 
 // TestStepAllocsPerIncludedTx bounds what Step allocates per included
-// check-in on batchWorld's sharded 2 000-check-in block: trie leaves and
-// their hashes, the encoded balances, the nonce and storage writes, the
-// receipt's fee and the interpreter's return data. With amounts on big.Int
-// it was 36.5; on 256-bit words it measures 18.5, and the budget is 20.
+// check-in on batchWorld's 2 000-check-in block: trie leaves and their
+// hashes, the encoded balances, the nonce and storage writes, the
+// receipt's fee and the interpreter's return data. It measures 17.2, and
+// the budget is 18.
 func TestStepAllocsPerIncludedTx(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const budget, blocks = 20, 4
+	const budget, blocks = 18, 4
 	w := newBatchWorld(t, 2000, 16)
 	for i := 0; i < 3; i++ {
 		w.queue()
@@ -204,10 +204,10 @@ func TestRetentionHeapFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkStepBatch is one sharded 2 000-check-in block per iteration:
-// sort, selection, partition, execution on two shards and the block's tail.
-// Queueing the block happens off the clock; run it at -cpu 1,2 to see what
-// the second core buys.
+// BenchmarkStepBatch is one 2 000-check-in block per iteration: the
+// selection reads (on up to two cores), sort, selection, execution in
+// canonical order and the block's tail. Queueing the block happens off the
+// clock; run it at -cpu 1,2 to see what the second core buys.
 func BenchmarkStepBatch(b *testing.B) {
 	w := newBatchWorld(b, 2000, 16)
 	for i := 0; i < 3; i++ {

@@ -148,10 +148,11 @@ type Chain struct {
 	burned, tipped u256.Word
 
 	// The family-independent half of block building lives in package
-	// chain: the shard setting and tallies (SetShards, Shards, ShardStats),
-	// the mempool with its admission pipeline, and the receipts with their
-	// rolling digest and retention window — one row per included
-	// transaction, which also carries the explorer's columns (explorer.go).
+	// chain: the fan-out width and execution tallies (SetShards, Shards,
+	// ShardStats), the mempool with its admission pipeline, and the
+	// receipts with their rolling digest and retention window — one row
+	// per included transaction, which also carries the explorer's columns
+	// (explorer.go).
 	chain.Sharder
 	pool  *chain.Pool[*Tx]
 	rcpts chain.Receipts
@@ -248,6 +249,30 @@ func (c *Chain) ContractCode(addr chain.Address) ([]byte, bool) {
 // StateRoot returns the Merkle root of the current world state.
 func (c *Chain) StateRoot() chain.Hash32 { return c.st.Root() }
 
+// Digest hashes the chain's externally observable end state — head block,
+// fee accounting, the world-state Merkle root and the rolling receipt
+// accumulator — into one value. The determinism gates compare digests
+// across fan-out widths and GOMAXPROCS settings: equal digests mean
+// bit-identical blocks and state. The world state enters through the
+// state root (every entry is a trie leaf) and receipts are folded into
+// the accumulator at inclusion time in canonical block order, so Digest
+// is O(1) instead of a full-world sort-and-hash — which also makes it
+// independent of how much pruned history (SetRetention) is still held.
+// A receipt's fee is folded in encodeBalance's layout.
+func (c *Chain) Digest() chain.Hash32 {
+	var h chain.Hasher
+	head := c.Head()
+	h.Bytes(head.Hash[:])
+	h.U64(head.Number)
+	h.Bytes(c.baseFee.AppendBytes(nil))
+	h.Bytes(c.burned.AppendBytes(nil))
+	h.Bytes(c.tipped.AppendBytes(nil))
+	root := c.st.Root()
+	h.Bytes(root[:])
+	c.rcpts.Digest(&h)
+	return h.Sum()
+}
+
 // SetRetention keeps receipts, explorer history and block bodies only for
 // the most recent n blocks; n <= 0 (the default) retains everything.
 // Long soaks set a small window so memory is bounded by live state, not
@@ -320,12 +345,12 @@ func (a *txAmounts) effectiveTip(baseFee u256.Word) u256.Word {
 func (c *Chain) Submit(tx *Tx) (chain.Hash32, error) { return c.pool.Submit(tx) }
 
 // SubmitBatch validates and queues a batch of signed transactions in one
-// call: signatures verify concurrently when sharding is configured,
+// call: signatures verify concurrently at the SetShards width,
 // admission stays serial in slice order, so the mempool and fault streams
 // are identical to len(txs) Submit calls. Result slot i is the hash or
 // error for txs[i].
 func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
-	return c.pool.SubmitBatch(txs, c.Shards())
+	return c.pool.SubmitBatch(txs, &c.Sharder)
 }
 
 // PendingCount reports the mempool depth.
@@ -335,7 +360,7 @@ func (c *Chain) PendingCount() int { return c.pool.Len() }
 // Verify: gas bounds, fee floor, nonce and balance. Amounts are words,
 // never negative, so the upfront cost the balance check and Step's
 // selection reserve is the most execution can debit
-// (stateView.SubBalance).
+// (state.SubBalance).
 func (c *Chain) admit(tx *Tx) error {
 	a, _ := tx.amounts() // Verify refused amounts that do not convert
 	if tx.GasLimit > c.cfg.BlockGasLimit {
@@ -424,8 +449,7 @@ func (c *Chain) Step() *Block {
 	})
 	// Selection pass: decide the block's transaction set before executing
 	// anything. Capacity is reserved by gas limit, not actual usage, so
-	// selection never depends on execution results and the set is the same
-	// whether execution later runs serially or sharded. senders tracks,
+	// selection never depends on execution results. senders tracks,
 	// per sender selected earlier in this block, the next nonce and the
 	// reserved upfront cost (maxFee·gasLimit + value), so a sender whose
 	// balance shrank since admission — or who queued more transactions than
@@ -489,57 +513,42 @@ func (c *Chain) Step() *Block {
 		return false
 	})
 
-	// Execution (serial or sharded — chain.RunSharded decides), then the
-	// block's tail in its two halves, which RunSharded runs side by side
-	// when the block fanned out. Shard workers leave the proposer tip, the
-	// burn tally and the explorer columns to the tail, which applies them
-	// in canonical order exactly as the serial path would.
+	// Execution, in canonical order on the state. The proposer's tips, the
+	// burn tally and the explorer columns wait for the block's tail.
 	receipts := make([]chain.Receipt, len(sel))
 	effects := make([]txEffects, len(sel))
-	chain.RunSharded(&c.Sharder, len(sel),
-		func(i int) []chain.ConflictKey { return sel[i].Item.ConflictKeys() },
-		func(i int) uint64 { return sel[i].Item.GasLimit },
-		execState(c.st),
-		func() (execState, func()) {
-			ss := newShardState(c.st)
-			return ss, ss.commit
-		},
-		func(st execState, i int) uint64 {
-			receipts[i], effects[i] = c.executeOn(st, sel[i].Item, picked[i], sel[i].Hash, blk)
-			return receipts[i].GasUsed
-		},
-		func() {
-			// State side. Every shard has merged, and the only thing left to
-			// move is the proposer's tips: one credit of their sum leaves the
-			// same state as one credit per transaction, and nothing reads
-			// the proposer's balance between the credit and the root.
-			var credit u256.Word
-			for i := range effects {
-				credit = credit.Add(effects[i].tip)
-			}
-			if !credit.IsZero() {
-				c.st.AddBalance(blk.Proposer, credit)
-				c.tipped = c.tipped.Add(credit)
-			}
-			blk.StateRoot = c.st.Root()
-		},
-		func() {
-			// Receipt side: everything about the block that is not state.
-			var fee, side []byte
-			if len(sel) > 0 {
-				blk.TxHashes = make([]chain.Hash32, len(sel))
-			}
-			for i, p := range sel {
-				rcpt, eff := &receipts[i], &effects[i]
-				rcpt.Submitted = p.Submitted
-				fee = appendBalance(fee[:0], eff.burn.Add(eff.tip))
-				side = appendExplorerColumns(side[:0], p.Item, picked[i].value, eff)
-				c.rcpts.Include(rcpt, fee, side)
-				blk.TxHashes[i] = rcpt.TxHash
-				blk.GasUsed += rcpt.GasUsed
-				c.burned = c.burned.Add(eff.burn)
-			}
-		})
+	for i, p := range sel {
+		receipts[i], effects[i] = c.execute(p.Item, picked[i], p.Hash, blk)
+	}
+	// The tail's state side: one credit of the tips' sum leaves the same
+	// state as one credit per transaction, and nothing reads the
+	// proposer's balance between the credit and the root.
+	var credit u256.Word
+	for i := range effects {
+		credit = credit.Add(effects[i].tip)
+	}
+	if !credit.IsZero() {
+		c.st.AddBalance(blk.Proposer, credit)
+		c.tipped = c.tipped.Add(credit)
+	}
+	blk.StateRoot = c.st.Root()
+	// The tail's receipt side: everything about the block that is not
+	// state.
+	var fee, side []byte
+	if len(sel) > 0 {
+		blk.TxHashes = make([]chain.Hash32, len(sel))
+	}
+	for i, p := range sel {
+		rcpt, eff := &receipts[i], &effects[i]
+		rcpt.Submitted = p.Submitted
+		fee = appendBalance(fee[:0], eff.burn.Add(eff.tip))
+		side = appendExplorerColumns(side[:0], p.Item, picked[i].value, eff)
+		c.rcpts.Include(rcpt, fee, side)
+		blk.TxHashes[i] = rcpt.TxHash
+		blk.GasUsed += rcpt.GasUsed
+		c.burned = c.burned.Add(eff.burn)
+	}
+	c.Record(uint64(len(sel)), blk.GasUsed)
 
 	// The transactions' gas, topped up with what the background demand
 	// takes of the rest of the block.
@@ -718,10 +727,9 @@ func (c *Chain) updateFinality() {
 	c.justified = head
 }
 
-// txEffects carries a transaction's serialized side effects out of
-// executeOn: shard workers must not touch the proposer balance, the chain's
-// burn/tip tallies or the explorer's columns, so those are returned and
-// applied by Step's tail in canonical order after every shard finishes.
+// txEffects carries what a transaction owes the block's tail out of
+// execute: its burn and tip, which the tail adds to the proposer's credit
+// and the chain's tallies, and the explorer's columns.
 type txEffects struct {
 	burn, tip u256.Word // together, the fee
 	target    chain.Address
@@ -731,13 +739,12 @@ type txEffects struct {
 	record bool
 }
 
-// executeOn runs a transaction (hash is its pool-computed tx.Hash())
-// against st — the canonical state on the serial path, a shard overlay on
-// the parallel one — and builds its receipt. State changes of reverted
-// executions are undone inside the EVM; fees are charged regardless, as on
-// the real network. The sender is debited on st; the burn/tip split is
-// returned for the caller to apply.
-func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
+// execute runs a transaction (hash is its pool-computed tx.Hash()) on the
+// state and builds its receipt. State changes of reverted executions are
+// undone inside the EVM; fees are charged regardless, as on the real
+// network. The sender is debited here; the burn/tip split is returned for
+// the block's tail to apply.
+func (c *Chain) execute(tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
 	price := blk.BaseFee.Add(a.effectiveTip(blk.BaseFee))
 
 	rcpt := chain.Receipt{
@@ -755,10 +762,10 @@ func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32,
 		target = *tx.To
 	}
 	eff := txEffects{target: target, isCreate: isCreate}
-	st.SetNonce(tx.From, tx.Nonce+1)
+	c.st.SetNonce(tx.From, tx.Nonce+1)
 
 	depositGas := uint64(0)
-	code, _ := st.Code(target)
+	code, _ := c.st.Code(target)
 	callData := tx.Data
 	if isCreate {
 		// Our compiler produces runtime code directly; deployment stores
@@ -776,18 +783,18 @@ func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32,
 		rcpt.GasUsed = tx.GasLimit
 		rcpt.Reverted = true
 		rcpt.RevertMsg = "out of gas: code deposit"
-		c.chargeFeeOn(st, tx, price, blk.BaseFee, &rcpt, &eff)
+		c.chargeFee(tx, price, blk.BaseFee, &rcpt, &eff)
 		return rcpt, eff
 	}
 	gasBudget -= depositGas
 
 	// Credit the call value before execution; undo if it fails.
 	if !a.value.IsZero() {
-		st.SubBalance(tx.From, a.value)
-		st.AddBalance(target, a.value)
+		c.st.SubBalance(tx.From, a.value)
+		c.st.AddBalance(target, a.value)
 	}
 	if isCreate {
-		st.SetCode(target, code)
+		c.st.SetCode(target, code)
 	}
 
 	var prof obs.Profiler
@@ -795,7 +802,7 @@ func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32,
 		prof = c.obs.prof
 	}
 	res := evm.Execute(evm.Context{
-		State:       st,
+		State:       c.st,
 		Caller:      tx.From,
 		Address:     target,
 		Value:       a.value,
@@ -816,11 +823,11 @@ func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32,
 		gasUsed -= refund
 	} else {
 		if !a.value.IsZero() {
-			st.AddBalance(tx.From, a.value)
-			st.SubBalance(target, a.value)
+			c.st.AddBalance(tx.From, a.value)
+			c.st.SubBalance(target, a.value)
 		}
 		if isCreate {
-			st.DeleteCode(target)
+			c.st.DeleteCode(target)
 		}
 	}
 
@@ -835,22 +842,20 @@ func (c *Chain) executeOn(st execState, tx *Tx, a *txAmounts, hash chain.Hash32,
 	for _, l := range res.Logs {
 		rcpt.Logs = append(rcpt.Logs, string(l.Data))
 	}
-	c.chargeFeeOn(st, tx, price, blk.BaseFee, &rcpt, &eff)
+	c.chargeFee(tx, price, blk.BaseFee, &rcpt, &eff)
 	eff.record = true
 	return rcpt, eff
 }
 
-// chargeFeeOn debits the sender's fee for rcpt.GasUsed at price on st,
-// records it on the receipt and splits it into eff's burn and tip. The
-// proposer credit and the chain-wide tallies are the caller's to apply:
-// they are shared across shards, so they must happen in canonical order in
-// the block's tail, not inside a shard worker. No product wraps: price is
-// at most maxFee and the gas at most gasLimit, whose product selection
-// checked.
-func (c *Chain) chargeFeeOn(st execState, tx *Tx, price, baseFee u256.Word, rcpt *chain.Receipt, eff *txEffects) {
+// chargeFee debits the sender's fee for rcpt.GasUsed at price, records it
+// on the receipt and splits it into eff's burn and tip. The proposer
+// credit and the chain-wide tallies are the block tail's to apply. No
+// product wraps: price is at most maxFee and the gas at most gasLimit,
+// whose product selection checked.
+func (c *Chain) chargeFee(tx *Tx, price, baseFee u256.Word, rcpt *chain.Receipt, eff *txEffects) {
 	gas := u256.FromUint64(rcpt.GasUsed)
 	fee := price.Mul(gas)
-	st.SubBalance(tx.From, fee)
+	c.st.SubBalance(tx.From, fee)
 	eff.burn = baseFee.Mul(gas)
 	eff.tip = fee.Sub(eff.burn)
 	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}

@@ -149,15 +149,14 @@ func (cl *Client) call(acct *Account, contract chain.Address, data []byte, value
 // view executes a read-only call against current state: free, no
 // transaction, no time advance beyond the RPC hop (§4.1.2: views have no
 // cost). It runs on a write-buffer overlay of the state that is dropped
-// afterwards, the same overlay a shard executes on, so whatever the code
-// writes never reaches the chain.
+// afterwards, so whatever the code writes never reaches the chain.
 func (cl *Client) view(contract chain.Address, data []byte) ([]byte, error) {
 	code, ok := cl.st.Code(contract)
 	if !ok {
 		return nil, fmt.Errorf("eth: no contract at %s", contract)
 	}
 	res := evm.Execute(evm.Context{
-		State:       newShardState(cl.st),
+		State:       &stateView{kv: mstate.NewOverlay(cl.st.t)},
 		Caller:      chain.Address{},
 		Address:     contract,
 		CallData:    data,

@@ -52,9 +52,9 @@ func payoutCode(tb testing.TB) []byte {
 }
 
 // FuzzTxAmounts sends fuzzer-chosen Value, MaxFee and MaxTip through Sign,
-// SubmitBatch and Step on a two-shard chain: a call of a contract that
-// pays out, and a transfer between two funded accounts, both carrying the
-// fuzzed amounts. Nothing may panic, every refusal must be one of eth's
+// SubmitBatch and Step on a chain of fan-out width two: a call of a
+// contract that pays out, and a transfer between two funded accounts, both
+// carrying the fuzzed amounts. Nothing may panic, every refusal must be one of eth's
 // typed errors, and after every block the wei Fund minted must all be
 // somewhere — in a funded account, the contract or a validator, or burned.
 // The sum is the test's own: the chain keeps no supply figure.

@@ -53,8 +53,9 @@ func appendBalance(dst []byte, b u256.Word) []byte {
 func decodeBalance(enc []byte) u256.Word { return u256.SetBytes(enc[min(len(enc), 1):]) }
 
 // stateKV is the key/value surface the accessor layer runs on — the
-// canonical trie and the shard overlay both implement it, so the state
-// semantics below exist exactly once.
+// canonical trie and the write-buffer overlay a view runs on
+// (Client.view) both implement it, so the state semantics below exist
+// exactly once.
 type stateKV interface {
 	Get(mstate.Key) ([]byte, bool)
 	Put(mstate.Key, []byte)
@@ -148,7 +149,6 @@ func (s *stateView) AccountExists(a chain.Address) bool {
 	return s.kv.Has(balKey(a)) || s.kv.Has(codeKey(a))
 }
 
-// Nonce implements execState.
 func (s *stateView) Nonce(a chain.Address) uint64 {
 	enc, ok := s.kv.Get(nonceKey(a))
 	if !ok {
@@ -157,27 +157,25 @@ func (s *stateView) Nonce(a chain.Address) uint64 {
 	return binary.BigEndian.Uint64(enc)
 }
 
-// SetNonce implements execState.
 func (s *stateView) SetNonce(a chain.Address, n uint64) {
 	var enc [8]byte
 	binary.BigEndian.PutUint64(enc[:], n)
 	s.kv.Put(nonceKey(a), enc[:])
 }
 
-// Code implements execState. The returned slice is state-owned; callers
-// must not mutate it.
+// Code returns a's contract code. The returned slice is state-owned;
+// callers must not mutate it.
 func (s *stateView) Code(a chain.Address) ([]byte, bool) {
 	return s.kv.Get(codeKey(a))
 }
 
-// SetCode implements execState. The trie copies on Put, so the state
+// SetCode stores a's contract code. The trie copies on Put, so the state
 // never aliases the caller's slice — mutating `code` after SetCode must
 // not change stored contract code.
 func (s *stateView) SetCode(a chain.Address, code []byte) {
 	s.kv.Put(codeKey(a), code)
 }
 
-// DeleteCode implements execState.
 func (s *stateView) DeleteCode(a chain.Address) {
 	s.kv.Delete(codeKey(a))
 }

@@ -22,13 +22,17 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// execStates returns each backend under test with a fresh world: the
-// canonical trie-backed state and a shard overlay over one. Every state
+// newView is the state a view runs on (Client.view): the accessors over a
+// write-buffer overlay of base.
+func newView(base *state) *stateView { return &stateView{kv: mstate.NewOverlay(base.t)} }
+
+// stateBackends returns each backend under test with a fresh world: the
+// canonical trie-backed state and a view's overlay over one. Every state
 // semantic must hold identically on both.
-func execStates() map[string]func() execState {
-	return map[string]func() execState{
-		"state":      func() execState { return newState() },
-		"shardState": func() execState { return newShardState(newState()) },
+func stateBackends() map[string]func() *stateView {
+	return map[string]func() *stateView{
+		"state": func() *stateView { return &newState().stateView },
+		"view":  func() *stateView { return newView(newState()) },
 	}
 }
 
@@ -40,7 +44,7 @@ func execStates() map[string]func() execState {
 func TestPhantomAccountInvariants(t *testing.T) {
 	ghost := chain.AddressFromBytes([]byte("ghost"))
 	funded := chain.AddressFromBytes([]byte("funded"))
-	for name, mk := range execStates() {
+	for name, mk := range stateBackends() {
 		t.Run(name, func(t *testing.T) {
 			st := mk()
 			st.AddBalance(ghost, u256.Zero)
@@ -139,7 +143,7 @@ func TestOverdraftIsATypedRejection(t *testing.T) {
 // buffer after deployment silently rewrote stored contract code.
 func TestSetCodeDefensiveCopy(t *testing.T) {
 	addr := chain.AddressFromBytes([]byte("contract"))
-	for name, mk := range execStates() {
+	for name, mk := range stateBackends() {
 		t.Run(name, func(t *testing.T) {
 			st := mk()
 			code := []byte{0x60, 0x01, 0x60, 0x02}
@@ -150,17 +154,6 @@ func TestSetCodeDefensiveCopy(t *testing.T) {
 				t.Fatalf("stored code aliased the caller's buffer: %x", got)
 			}
 		})
-	}
-	// The overlay's copy must survive commit un-aliased too.
-	base := newState()
-	ov := newShardState(base)
-	code := []byte{0xAA, 0xBB}
-	ov.SetCode(addr, code)
-	code[1] = 0x00
-	ov.commit()
-	got, _ := base.Code(addr)
-	if !bytes.Equal(got, []byte{0xAA, 0xBB}) {
-		t.Fatalf("committed code aliased the caller's buffer: %x", got)
 	}
 }
 
@@ -216,10 +209,11 @@ func newStateModel() *stateModel {
 }
 
 // TestDifferentialStateBackends drives one randomized op sequence through
-// the flat model, the canonical state, a periodically-committed shard
-// overlay, and a state whose trie is periodically committed to a store
-// (which freezes its branches, so later writes copy them) — and demands
-// identical reads along the way and identical state roots at the end.
+// the flat model, the canonical state, a view's overlay (folded into its
+// base now and then, so that the root can be compared), and a state whose
+// trie is periodically committed to a store (which freezes its branches,
+// so later writes copy them) — and demands identical reads along the way
+// and identical state roots at the end.
 func TestDifferentialStateBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	addrs := make([]chain.Address, 8)
@@ -231,12 +225,13 @@ func TestDifferentialStateBackends(t *testing.T) {
 	model := newStateModel()
 	flat := newState()
 	ovBase := newState()
-	ov := newShardState(ovBase)
+	ov := newView(ovBase)
 	stored, store := newState(), mstate.NewMemStore()
 
-	targets := []execState{flat, ov, stored}
+	targets := []*stateView{&flat.stateView, ov, &stored.stateView}
+	commit := func() { ov.kv.(*mstate.Overlay).CommitTo(ovBase.t) }
 
-	apply := func(fn func(execState)) {
+	apply := func(fn func(*stateView)) {
 		for _, st := range targets {
 			fn(st)
 		}
@@ -247,7 +242,7 @@ func TestDifferentialStateBackends(t *testing.T) {
 		switch rng.Intn(7) {
 		case 0: // credit
 			v := u256.FromUint64(uint64(rng.Int63n(1000)))
-			apply(func(st execState) { st.AddBalance(a, v) })
+			apply(func(st *stateView) { st.AddBalance(a, v) })
 			if cur, ok := model.bal[a]; ok || !v.IsZero() {
 				model.bal[a] = cur.Add(v)
 			}
@@ -257,21 +252,21 @@ func TestDifferentialStateBackends(t *testing.T) {
 				continue
 			}
 			v := u256.FromUint64(uint64(rng.Int63n(int64(cur.Uint64()) + 1)))
-			apply(func(st execState) { st.SubBalance(a, v) })
+			apply(func(st *stateView) { st.SubBalance(a, v) })
 			if !v.IsZero() {
 				model.bal[a] = cur.Sub(v)
 			}
 		case 2: // nonce
 			n := rng.Uint64() % 1000
-			apply(func(st execState) { st.SetNonce(a, n) })
+			apply(func(st *stateView) { st.SetNonce(a, n) })
 			model.nonce[a] = n
 		case 3: // code
 			code := make([]byte, 1+rng.Intn(16))
 			rng.Read(code)
-			apply(func(st execState) { st.SetCode(a, code) })
+			apply(func(st *stateView) { st.SetCode(a, code) })
 			model.code[a] = append([]byte(nil), code...)
 		case 4: // delete code
-			apply(func(st execState) { st.DeleteCode(a) })
+			apply(func(st *stateView) { st.DeleteCode(a) })
 			delete(model.code, a)
 		case 5: // storage write (zero value deletes)
 			k := keys[rng.Intn(len(keys))]
@@ -279,7 +274,7 @@ func TestDifferentialStateBackends(t *testing.T) {
 			if rng.Intn(3) != 0 {
 				v[0] = byte(rng.Intn(255) + 1)
 			}
-			apply(func(st execState) { st.SetStorage(a, k, v) })
+			apply(func(st *stateView) { st.SetStorage(a, k, v) })
 			if v == (chain.Hash32{}) {
 				delete(model.stor[a], k)
 			} else {
@@ -316,8 +311,8 @@ func TestDifferentialStateBackends(t *testing.T) {
 		// Periodically fold the overlay into its base and stack a new one,
 		// exercising commit mid-sequence rather than only at the end.
 		if step%500 == 499 {
-			ov.commit()
-			ov = newShardState(ovBase)
+			commit()
+			ov = newView(ovBase)
 			targets[1] = ov
 		}
 		if step%300 == 299 {
@@ -326,7 +321,7 @@ func TestDifferentialStateBackends(t *testing.T) {
 			}
 		}
 	}
-	ov.commit()
+	commit()
 
 	flatRoot := flat.Root()
 	if ovBase.Root() != flatRoot {

@@ -8,9 +8,9 @@ package mstate
 //
 // A part of an overlay's writes rolls back through a revert point: Mark
 // opens one, every write under it first records the buffer entry it
-// displaces, and Revert puts that back — which is how a per-group
-// transaction fails inside a per-shard overlay without disturbing the
-// shard's other groups.
+// displaces, and Revert puts that back — which is how an Algorand group
+// fails inside its round's overlay without disturbing the round's other
+// groups.
 type Overlay struct {
 	base *Trie
 	// gen is the base's write generation when the overlay was opened; a
@@ -91,7 +91,7 @@ func (o *Overlay) record(k Key) {
 // can be taken back. Marks do not nest. The writes still go straight into
 // the overlay — a reader sees them before it is known whether they stay —
 // so an overlay with an open mark belongs to one goroutine, which is how a
-// shard executes its groups.
+// round executes its groups.
 func (o *Overlay) Mark() {
 	if o.marked {
 		panic("mstate: Mark under an open mark")
@@ -121,8 +121,7 @@ func (o *Overlay) Revert() {
 }
 
 // CommitTo replays the buffered writes onto dst, which is normally the
-// base the overlay was opened on (after any sibling overlays were checked
-// for disjointness). Replay order does not matter: the buffer holds final
+// base the overlay was opened on. Replay order does not matter: the buffer holds final
 // values, one entry per key — and dst links the buffered leaves
 // themselves, so a committed value is copied once, at Put, and a base
 // that owns its branches rewrites them in place.

@@ -74,7 +74,7 @@ func TestNoOpObservabilityOverhead(t *testing.T) {
 	}
 }
 
-// soakMallocs runs a 40-round sharded soak and returns the heap objects
+// soakMallocs runs a 40-round soak and returns the heap objects
 // allocated while it ran: the least of three runs, so a goroutine left
 // over from an earlier test cannot inflate the figure.
 func soakMallocs(t *testing.T, c ChainName, o func() *obs.Obs) uint64 {

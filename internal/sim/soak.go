@@ -15,10 +15,9 @@ import (
 )
 
 // SoakSpec describes a sustained-load run: M areas × K users × T rounds of
-// simulated time, executed on a chain partitioned into Shards. Every user
-// checks in to their home area every round, so the workload is dominated by
-// disjoint per-area contract traffic — the case the sharded block builder
-// is designed to parallelize.
+// simulated time. Every user checks in to their home area every round, so
+// the workload is dominated by per-area contract traffic in batches of K
+// transactions.
 type SoakSpec struct {
 	// Chain selects the network preset (see AllChains).
 	Chain ChainName
@@ -29,7 +28,9 @@ type SoakSpec struct {
 	// Rounds (T) is how many blocks of sustained load to drive; the drain
 	// phase afterwards runs until the mempool is empty.
 	Rounds int
-	// Shards partitions block execution; 1 is the serial baseline.
+	// Shards is the chain's fan-out width (SetShards): how many goroutines
+	// batch admission verifies signatures on. Blocks execute serially at
+	// every width.
 	Shards int
 	// Seed drives every random stream of the run.
 	Seed uint64
@@ -75,9 +76,6 @@ type SoakResult struct {
 
 	// Simulated is the chain-clock time the load phase covered.
 	Simulated time.Duration
-
-	// ParallelBatches counts blocks that actually fanned out.
-	ParallelBatches uint64
 
 	// Digest fingerprints the chain's end state: two runs of the same spec
 	// must produce the same digest regardless of Shards or GOMAXPROCS.
@@ -350,7 +348,7 @@ func (s *soak) submitRound(round int, users []*chain.Account, targets []chain.Co
 // RunSoak drives the sustained-load harness: deploy one check-in contract
 // per area, then have every user check in to their home area every round
 // through the chain's batched submission path. The returned digest and
-// state root let callers assert that shard count, scheduling and restarts
+// state root let callers assert that fan-out width, scheduling and restarts
 // never change the chain's final state; timing the run is bench/'s job.
 // Runs share nothing but an optional Obs, so several may run concurrently.
 // Everything here is written once over core.Family; what the workload sets
@@ -437,9 +435,6 @@ func (s *soak) load(res *SoakResult) error {
 	finish := func() {
 		res.Simulated = f.Now() - simStart
 		res.Blocks = f.Height() - blocksBefore
-		if st := f.ShardStats(); st != nil {
-			res.ParallelBatches = st.ParallelBatches
-		}
 		res.Digest = f.Digest()
 		res.StateRoot = f.StateRoot()
 		// Check-ins move zero value, so funding minus final balance is

@@ -102,7 +102,7 @@ type soakRun struct {
 // authoritative for the workload shape (chain, areas, users, rounds,
 // seed), and any non-zero caller value that contradicts it is an error
 // rather than a silently different workload. Shards may be overridden —
-// the digest is shard-invariant by construction.
+// the fan-out width does not reach the digest.
 func loadSoakManifest(store *diskstore.Store, spec SoakSpec) (SoakSpec, *soakRun, error) {
 	root, ok := store.Root()
 	if !ok {

@@ -12,7 +12,7 @@ import (
 // at the harness level: a soak stopped mid-run and resumed from its
 // diskstore checkpoint must land on exactly the digest, state root and
 // block count of a soak that never stopped — on both chain families, and
-// even when the resumed process picks a different shard count.
+// even when the resumed process picks a different fan-out width.
 func TestSoakCheckpointResumeBitIdentical(t *testing.T) {
 	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
 		c := c

@@ -2,8 +2,8 @@
 # Full repository check: build, vet, tests (with race detector; every cmd/
 # and examples/ binary runs there against its golden output), and a single
 # pass of every benchmark. This is what CI's check job runs.
-# Determinism verdicts (soak digests across shards, GOMAXPROCS, concurrent
-# soaks and restarts) are tests in internal/sim; timing is bench/'s job
+# Determinism verdicts (soak digests across fan-out widths, GOMAXPROCS,
+# concurrent soaks and restarts) are tests in internal/sim; timing is bench/'s job
 # (`bash bench/run.sh`, compared parent vs head in CI's bench job).
 set -eu
 cd "$(dirname "$0")/.."
@@ -64,7 +64,7 @@ echo "== state layer microbenchmarks =="
 # 2000 writes over a 10k-key trie per op, straight after a snapshot,
 # through an overlay commit, and through the same overlay in marked groups
 # of four with every tenth group reverted (OverlayMarkedPutRevert, the
-# shape of an Algorand shard): allocs/op / 2000 is the allocations one
+# shape of an Algorand round): allocs/op / 2000 is the allocations one
 # state write costs — after a snapshot leaf and value plus one branch copy
 # per distinct dirty branch; through an overlay's write buffer leaf and
 # value plus the buffer's growth, and nothing for the merge into a base
@@ -87,8 +87,9 @@ echo "== consensus microbenchmarks =="
 # proposer pick, Testnet's 60-VRF proposer sortition — on two cores mostly
 # run by the helper the previous Step started, on one inline), on one core
 # and on two. Then what a block costs when it is
-# full — StepBatch: one sharded 2 000-check-in block per op, queued off the
-# clock, ns/tx + B/tx + allocs/tx on one core and on two — and what it
+# full — StepBatch: one 2 000-check-in block per op, executed in canonical
+# order and queued off the clock, ns/tx + B/tx + allocs/tx on one core and
+# on two — and what it
 # leaves behind —
 # RetainedPerTx: resident B/tx of the retention window, the number
 # TestRetainedBytesPerIncludedTx bounds — and, on Algorand, AppResident:
