@@ -13,8 +13,7 @@ import (
 // and pay provers in it.
 //
 // Asset descriptions and holdings live in the state trie (see ledger.go:
-// assetMetaKey / holdKey); the ledger keeps a description cache so hot
-// reads do not re-decode.
+// assetMetaKey / holdKey).
 
 // Asset is an ASA's immutable configuration.
 type Asset struct {

@@ -5,12 +5,8 @@ import (
 	"testing"
 )
 
-// Asset returns an asset's configuration, read the way a transaction
-// would: from the ledger's cache or the trie.
+// Asset returns an asset's configuration, read from the trie.
 func (c *Chain) Asset(id uint64) (*Asset, bool) {
-	if a, ok := c.led.assets[id]; ok {
-		return a, true
-	}
 	enc, ok := c.led.kv.Get(assetMetaKey(id))
 	if !ok {
 		return nil, false

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/big"
 	"time"
 
 	"agnopol/internal/avm"
@@ -259,7 +260,7 @@ func (c *Chain) NewAccount(microAlgos uint64) *Account {
 
 // Balance returns an account balance as an Amount.
 func (c *Chain) Balance(addr chain.Address) chain.Amount {
-	return chain.NewAmount(microToBig(c.led.Balance(addr)), c.cfg.Unit)
+	return chain.NewAmount(new(big.Int).SetUint64(c.led.Balance(addr)), c.cfg.Unit)
 }
 
 // StateRoot returns the current Merkle root of the ledger.
@@ -399,45 +400,22 @@ func (c *Chain) Step() *Block {
 	// in one overlay of the ledger, inside which a failed group rolls back
 	// (executeGroup).
 	sel := c.pool.Take(roundTime, func(_ int, p *chain.Pending[Group]) bool { return p.Submitted < roundTime })
-	receipts := make([]chain.Receipt, len(sel))
-	effects := make([]groupEffects, len(sel))
-	o := c.led.fork()
-	for i, p := range sel {
-		receipts[i], effects[i] = c.executeGroup(o, p.Item, p.Hash, blk)
-	}
-	// The tail's state side: the overlay's writes, then one credit of the
-	// round's fees to the fee sink, then the root.
-	c.led.adopt(o)
-	var feeSink uint64
-	for i := range effects {
-		feeSink += effects[i].feeSink
-	}
-	c.led.credit(c.feeSink, feeSink)
-	blk.StateRoot = c.led.root()
-	// The tail's receipt side: everything about the round that is not
-	// state.
 	if len(sel) > 0 {
 		blk.Groups = make([]chain.Hash32, len(sel))
 	}
-	var cost uint64
+	var feeSink, cost uint64
+	o := c.led.fork()
 	for i, p := range sel {
-		rcpt := &receipts[i]
-		rcpt.Submitted = p.Submitted
-		// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
-		// magnitude is an unambiguous encoding.
-		c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
-		blk.Groups[i] = rcpt.TxHash
-		cost += rcpt.GasUsed
-		if c.obs == nil {
-			continue
-		}
-		if effects[i].fees > 0 {
-			c.obs.fees.Add(effects[i].fees)
-		}
-		if rcpt.Reverted {
-			c.obs.groupsRejected.Inc()
-		}
+		sink, gas := c.executeGroup(o, p, blk)
+		feeSink += sink
+		cost += gas
+		blk.Groups[i] = p.Hash
 	}
+	// The overlay's writes, then one credit of the round's fees to the fee
+	// sink, then the root.
+	c.led.adopt(o)
+	c.led.credit(c.feeSink, feeSink)
+	blk.StateRoot = c.led.root()
 	c.Record(uint64(len(sel)), cost)
 
 	blk.Hash = chain.Hash32(polcrypto.Hash(blk.Seed[:], hashGroups(blk.Groups), blk.StateRoot[:]))
@@ -467,30 +445,22 @@ func hashGroups(hs []chain.Hash32) []byte {
 	return sum[:]
 }
 
-// groupEffects carries what a group owes the round's tail out of the
-// executor: the fee-sink credit, which the tail sums into one, and the
-// fee-counter increment.
-type groupEffects struct {
-	// feeSink is the µAlgo credit owed to the fee sink (the fees actually
-	// collected — on a revert, only from senders who could still pay).
-	feeSink uint64
-	// fees is the group's total fee for the obs counter; zero when the
-	// initial fee debit failed and nothing was charged.
-	fees uint64
-}
-
-// executeGroup applies one atomic group (hash is its pool-computed
+// executeGroup applies one atomic group (p.Hash is its pool-computed
 // g.Hash()) in the round's overlay o under a revert point: on any failure
 // the group's writes are taken back and the fees charged again on the
 // restored state (the network did the work). Creations additionally hand
-// their sequence numbers back.
-func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *Block) (chain.Receipt, groupEffects) {
+// their sequence numbers back. It includes the group's receipt and returns
+// what the group owes the round: the fee-sink credit (the fees actually
+// collected — on a revert, only from senders who could still pay) and the
+// gas its programs spent.
+func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Block) (feeSink, gas uint64) {
+	g := p.Item
 	rcpt := chain.Receipt{
-		TxHash:      hash,
+		TxHash:      p.Hash,
 		BlockNumber: blk.Round,
+		Submitted:   p.Submitted,
 		Included:    blk.Time,
 	}
-	var eff groupEffects
 
 	totalFee := uint64(0)
 	for _, tx := range g {
@@ -507,12 +477,12 @@ func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *
 			o.ov.Revert()
 			rcpt.Reverted = true
 			rcpt.RevertMsg = "insufficient balance for fee"
-			rcpt.Fee = chain.NewAmount(microToBig(0), c.cfg.Unit)
-			return rcpt, eff
+			rcpt.Fee = chain.NewAmount(new(big.Int), c.cfg.Unit)
+			c.include(&rcpt, 0)
+			return 0, 0
 		}
 		o.setBalance(tx.Sender, bal-tx.Fee)
 	}
-	eff.fees = totalFee
 
 	// The group's payment (if any) feeds `gtxn 0 Amount`.
 	payAmount := uint64(0)
@@ -546,7 +516,7 @@ func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *
 				if !res.Approved {
 					return fmt.Errorf("algorand: creation rejected: %w", errOf(res))
 				}
-				rcpt.ReturnValue = appIDBytes(id)
+				rcpt.ReturnValue = avm.Itob(id)
 			case TxAssetCreate:
 				a := o.assetCreate(tx.Sender, tx.AssetName, tx.AssetUnit, tx.Amount, tx.AssetDecimals, blk.Round)
 				rcpt.ReturnValue = avm.Itob(a.ID)
@@ -598,17 +568,35 @@ func (c *Chain) executeGroup(o *ledgerOverlay, g Group, hash chain.Hash32, blk *
 		for addr, fee := range fees {
 			if bal := o.Balance(addr); bal >= fee {
 				o.setBalance(addr, bal-fee)
-				eff.feeSink += fee
+				feeSink += fee
 			}
 		}
 		rcpt.Reverted = true
 		rcpt.RevertMsg = err.Error()
 	} else {
 		o.ov.Keep()
-		eff.feeSink = totalFee
+		feeSink = totalFee
 	}
-	rcpt.Fee = chain.NewAmount(microToBig(totalFee), c.cfg.Unit)
-	return rcpt, eff
+	rcpt.Fee = chain.NewAmount(new(big.Int).SetUint64(totalFee), c.cfg.Unit)
+	c.include(&rcpt, totalFee)
+	return feeSink, rcpt.GasUsed
+}
+
+// include folds a group's receipt into the chain's receipts and counts the
+// fees charged — zero when the fee debit failed — and a rejection.
+func (c *Chain) include(rcpt *chain.Receipt, charged uint64) {
+	// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
+	// magnitude is an unambiguous encoding.
+	c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
+	if c.obs == nil {
+		return
+	}
+	if charged > 0 {
+		c.obs.fees.Add(charged)
+	}
+	if rcpt.Reverted {
+		c.obs.groupsRejected.Inc()
+	}
 }
 
 func errOf(res avm.Result) error {
@@ -617,9 +605,3 @@ func errOf(res avm.Result) error {
 	}
 	return avm.ErrRejected
 }
-
-func appIDBytes(id uint64) []byte {
-	return avm.Itob(id)
-}
-
-func microToBig(v uint64) *bigInt { return newBigInt(v) }

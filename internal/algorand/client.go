@@ -13,11 +13,6 @@ import (
 	"agnopol/internal/mstate"
 )
 
-// bigInt aliases keep chain.go free of math/big noise.
-type bigInt = big.Int
-
-func newBigInt(v uint64) *big.Int { return new(big.Int).SetUint64(v) }
-
 // Client is the PureStake-style API view of the chain: it submits groups,
 // waits for the round that includes them, then for the indexer to catch up —
 // the pipeline whose latency the paper measures on Algorand.
@@ -167,8 +162,13 @@ func (cl *Client) CreateAccount(base *big.Int) (*Account, error) {
 	return cl.NewAccount(base.Uint64()), nil
 }
 
-// Fund is Chain.Fund for an amount that fits a µAlgo balance.
-func (cl *Client) Fund(addr chain.Address, base *big.Int) { cl.Chain.Fund(addr, base.Uint64()) }
+// Fund is Chain.Fund for an amount that fits a µAlgo balance; any other
+// amount — nil, negative, 2^64 or more — credits nothing.
+func (cl *Client) Fund(addr chain.Address, base *big.Int) {
+	if base != nil && base.IsUint64() {
+		cl.Chain.Fund(addr, base.Uint64())
+	}
+}
 
 // Deploy creates the application. Its escrow account still needs its
 // MinBalance deposit before it can hold funds; that payment rides the

@@ -143,8 +143,7 @@ type stateKV interface {
 
 // ledgerKV implements the avm.Ledger surface (plus app and asset
 // accessors) over any stateKV. The back-pointer to the canonical ledger
-// serves the program/asset caches, the sequence counters and the round
-// clock.
+// serves the program cache, the sequence counters and the round clock.
 type ledgerKV struct {
 	kv  stateKV
 	led *ledger
@@ -305,12 +304,7 @@ func (v *ledgerKV) Round() uint64 { return v.led.round }
 // LatestTimestamp implements avm.Ledger.
 func (v *ledgerKV) LatestTimestamp() uint64 { return v.led.time }
 
-func (v *ledgerKV) assetExists(id uint64) bool {
-	if _, ok := v.led.assets[id]; ok {
-		return true
-	}
-	return v.kv.Has(assetMetaKey(id))
-}
+func (v *ledgerKV) assetExists(id uint64) bool { return v.kv.Has(assetMetaKey(id)) }
 
 // holding returns addr's balance of an asset (0 when not opted in; use
 // assetOptedIn to distinguish).
@@ -356,17 +350,15 @@ func (v *ledgerKV) assetTransfer(id uint64, from, to chain.Address, amount uint6
 }
 
 // ledger is the on-chain state: a Merkle trie over balances, application
-// state and asset holdings, plus ledger-side caches of parsed programs
-// and asset descriptions. It implements avm.Ledger.
+// state and assets, plus a ledger-side cache of parsed programs. It
+// implements avm.Ledger.
 type ledger struct {
 	ledgerKV
 	t *mstate.Trie
 	// progs caches each live app's description with its parsed Program
-	// (the trie metadata stores only the source); assets caches ASA
-	// descriptions. uncreate prunes both so a rolled-back creation never
-	// leaves a stale entry behind.
-	progs  map[uint64]*App
-	assets map[uint64]*Asset
+	// (the trie metadata stores only the source). uncreate prunes it so a
+	// rolled-back creation never leaves a stale entry behind.
+	progs map[uint64]*App
 	// programs holds one parsed Program per distinct TEAL source the chain
 	// has deployed, so every app of a factory points at the same one. It
 	// is written where progs is — creations and Open. Nothing is evicted:
@@ -384,7 +376,6 @@ func newLedger() *ledger {
 	l := &ledger{
 		t:        mstate.New(),
 		progs:    make(map[uint64]*App),
-		assets:   make(map[uint64]*Asset),
 		programs: make(map[string]*avm.Program),
 	}
 	l.ledgerKV = ledgerKV{kv: l.t, led: l}
@@ -433,8 +424,8 @@ func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 
 // createApp registers a new application and returns its ID; assetCreate
 // below mints an asset. Both advance the canonical ledger's sequence
-// counter and fill its cache even when they write through an overlay, and
-// uncreate takes both back when the group fails.
+// counter even when they write through an overlay (createApp also fills
+// the program cache), and uncreate takes both back when the group fails.
 func (v *ledgerKV) createApp(creator chain.Address, prog *avm.Program, round uint64) uint64 {
 	l := v.led
 	l.appSeq++
@@ -454,20 +445,18 @@ func (v *ledgerKV) assetCreate(creator chain.Address, name, unit string, total u
 		Total: total, Decimals: decimals, CreateAt: round,
 	}
 	v.kv.Put(assetMetaKey(a.ID), encodeAssetMeta(a))
-	l.assets[a.ID] = a
 	v.setHolding(creator, a.ID, total)
 	return a
 }
 
 // uncreate rewinds the sequence counters to an earlier reading and drops
-// the cache entries of the creations in between: their trie entries went
-// with the failed group's overlay, and a later creation reusing an ID may
-// carry different source. It writes nothing when no creation happened.
+// the program cache entries of the apps created in between: their trie
+// entries went with the failed group's overlay, and a later creation
+// reusing an ID may carry different source. It writes nothing when no
+// creation happened.
 func (l *ledger) uncreate(appSeq, assetSeq uint64) {
 	for ; l.appSeq > appSeq; l.appSeq-- {
 		delete(l.progs, l.appSeq)
 	}
-	for ; l.assetSeq > assetSeq; l.assetSeq-- {
-		delete(l.assets, l.assetSeq)
-	}
+	l.assetSeq = assetSeq
 }

@@ -84,9 +84,9 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // over this path). With a Store it reconstructs the ledger from the
 // committed Root instead of replaying rounds, and — when a Checkpoint
 // is given — repositions the chain so the next Step continues the
-// interrupted run bit-identically. Program and asset caches are warmed
-// from the loaded trie (the trie stores TEAL source; parsed programs
-// are a pure function of it). A checkpointed pending group whose
+// interrupted run bit-identically. The program cache is warmed from
+// the loaded trie (the trie stores TEAL source; parsed programs are a
+// pure function of it). A checkpointed pending group whose
 // signatures do not verify fails Open with an error wrapping Verify's;
 // nothing else of admission re-runs, so the resumed chain includes what
 // the uninterrupted one would.
@@ -134,10 +134,10 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 		pending[i] = &chain.Pending[Group]{Item: p.Group, Submitted: p.Submitted, Delayed: p.Delayed}
 	}
 	c.pool.Restore(pending)
-	// Warm the program and asset caches so post-restart app calls do
-	// not re-parse TEAL on every execution (ledgerKV.app's fallback is
-	// correct but parses per call), each distinct source once. The leaves
-	// come from an external store, so this is also where a malformed one
+	// Warm the program cache so post-restart app calls do not re-parse
+	// TEAL on every execution (ledgerKV.app's fallback is correct but
+	// parses per call), each distinct source once. The leaves come from an
+	// external store, so this is also where a malformed app or asset leaf
 	// is reported.
 	for id := uint64(1); id <= c.led.appSeq; id++ {
 		enc, ok := c.led.kv.Get(appMetaKey(id))
@@ -158,15 +158,11 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 		c.led.progs[id] = a
 	}
 	for id := uint64(1); id <= c.led.assetSeq; id++ {
-		enc, ok := c.led.kv.Get(assetMetaKey(id))
-		if !ok {
-			continue
+		if enc, ok := c.led.kv.Get(assetMetaKey(id)); ok {
+			if _, err := decodeAssetMeta(id, enc); err != nil {
+				return err
+			}
 		}
-		a, err := decodeAssetMeta(id, enc)
-		if err != nil {
-			return err
-		}
-		c.led.assets[id] = a
 	}
 	return nil
 }

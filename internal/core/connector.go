@@ -80,6 +80,8 @@ type Family interface {
 	// an error.
 	CreateAccount(base *big.Int) (*chain.Account, error)
 	// Fund credits addr base units without drawing from the chain's rng.
+	// An amount no balance of the family holds — nil, negative, or past
+	// its balance word (2^256-1 wei, 2^64-1 µAlgo) — credits nothing.
 	Fund(addr chain.Address, base *big.Int)
 	Balance(addr chain.Address) chain.Amount
 

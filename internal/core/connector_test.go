@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/big"
 	"testing"
 
 	"agnopol/internal/algorand"
@@ -263,6 +264,56 @@ func TestNewAccountRejectsBadAmounts(t *testing.T) {
 				}
 				if got, want := conn.Balance(acct).Base, chain.AmountFromTokens(tc.tokens, conn.Unit()).Base; got.Cmp(want) != 0 {
 					t.Fatalf("NewAccount(%v) credited %v base units, want %v", tc.tokens, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestFundCreditsOnlyHoldableAmounts pins Family.Fund's amount rule on
+// both families: an amount no balance of the family holds — nil,
+// negative, or past its balance word — credits nothing, and every other
+// amount is credited exactly. Algorand used to credit such an amount
+// modulo 2^64 (2^64+5 credited 5, -7 credited 7) and panic on nil.
+func TestFundCreditsOnlyHoldableAmounts(t *testing.T) {
+	pow2 := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
+	plus := func(a *big.Int, d int64) *big.Int { return new(big.Int).Add(a, big.NewInt(d)) }
+	for _, f := range []struct {
+		fam  Family
+		bits uint // a balance is below 2^bits
+	}{
+		{eth.NewClient(eth.NewChain(eth.Goerli(), 7)), 256},
+		{algorand.NewClient(algorand.NewChain(algorand.Testnet(), 7)), 64},
+	} {
+		for i, tc := range []struct {
+			name   string
+			amount *big.Int
+		}{
+			{"nil", nil},
+			{"negative", big.NewInt(-7)},
+			{"zero", new(big.Int)},
+			{"1000", big.NewInt(1000)},
+			{"2^64-1", plus(pow2(64), -1)},
+			{"2^64+5", plus(pow2(64), 5)},
+			{"2^256-1", plus(pow2(256), -1)},
+			{"2^256", pow2(256)},
+		} {
+			t.Run(f.fam.Name()+"/"+tc.name, func(t *testing.T) {
+				addr := chain.AddressFromBytes([]byte{'f', byte(i)})
+				want := new(big.Int)
+				if tc.amount != nil && tc.amount.Sign() >= 0 && tc.amount.BitLen() <= int(f.bits) {
+					want = tc.amount
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Fund(%v) panicked: %v", tc.amount, r)
+						}
+					}()
+					f.fam.Fund(addr, tc.amount)
+				}()
+				if got := f.fam.Balance(addr).Base; got.Cmp(want) != 0 {
+					t.Fatalf("Fund(%v) credited %v base units, want %v", tc.amount, got, want)
 				}
 			})
 		}

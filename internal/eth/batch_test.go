@@ -205,9 +205,10 @@ func TestRetentionHeapFlat(t *testing.T) {
 }
 
 // BenchmarkStepBatch is one 2 000-check-in block per iteration: the
-// selection reads (on up to two cores), sort, selection, execution in
-// canonical order and the block's tail. Queueing the block happens off the
-// clock; run it at -cpu 1,2 to see what the second core buys.
+// selection reads (on up to two cores), sort, selection, execution and
+// inclusion in canonical order, the proposer credit and the state root.
+// Queueing the block happens off the clock; run it at -cpu 1,2 to see what
+// the second core buys.
 func BenchmarkStepBatch(b *testing.B) {
 	w := newBatchWorld(b, 2000, 16)
 	for i := 0; i < 3; i++ {

@@ -132,9 +132,6 @@ type Chain struct {
 	validators []*Validator
 	baseFee    u256.Word
 
-	justified uint64
-	finalized uint64
-
 	// spikeBlocksLeft tracks the remaining blocks of an ongoing
 	// congestion episode.
 	spikeBlocksLeft int
@@ -513,41 +510,23 @@ func (c *Chain) Step() *Block {
 		return false
 	})
 
-	// Execution, in canonical order on the state. The proposer's tips, the
-	// burn tally and the explorer columns wait for the block's tail.
-	receipts := make([]chain.Receipt, len(sel))
-	effects := make([]txEffects, len(sel))
-	for i, p := range sel {
-		receipts[i], effects[i] = c.execute(p.Item, picked[i], p.Hash, blk)
+	// Execution, in canonical order on the state: each transaction runs,
+	// pays its fee and is included where it stands. One credit of the
+	// tips' sum leaves the same state as one credit per transaction, and
+	// nothing reads the proposer's balance between the credit and the root.
+	if len(sel) > 0 {
+		blk.TxHashes = make([]chain.Hash32, len(sel))
 	}
-	// The tail's state side: one credit of the tips' sum leaves the same
-	// state as one credit per transaction, and nothing reads the
-	// proposer's balance between the credit and the root.
 	var credit u256.Word
-	for i := range effects {
-		credit = credit.Add(effects[i].tip)
+	for i, p := range sel {
+		credit = credit.Add(c.execute(p, picked[i], blk))
+		blk.TxHashes[i] = p.Hash
 	}
 	if !credit.IsZero() {
 		c.st.AddBalance(blk.Proposer, credit)
 		c.tipped = c.tipped.Add(credit)
 	}
 	blk.StateRoot = c.st.Root()
-	// The tail's receipt side: everything about the block that is not
-	// state.
-	var fee, side []byte
-	if len(sel) > 0 {
-		blk.TxHashes = make([]chain.Hash32, len(sel))
-	}
-	for i, p := range sel {
-		rcpt, eff := &receipts[i], &effects[i]
-		rcpt.Submitted = p.Submitted
-		fee = appendBalance(fee[:0], eff.burn.Add(eff.tip))
-		side = appendExplorerColumns(side[:0], p.Item, picked[i].value, eff)
-		c.rcpts.Include(rcpt, fee, side)
-		blk.TxHashes[i] = rcpt.TxHash
-		blk.GasUsed += rcpt.GasUsed
-		c.burned = c.burned.Add(eff.burn)
-	}
 	c.Record(uint64(len(sel)), blk.GasUsed)
 
 	// The transactions' gas, topped up with what the background demand
@@ -561,7 +540,6 @@ func (c *Chain) Step() *Block {
 	blk.Hash = blockHash(blk)
 	c.blocks = append(c.blocks, blk)
 	c.updateBaseFee(blk)
-	c.updateFinality()
 	c.pruneRetention()
 	if c.obs != nil {
 		c.obs.blocksProduced.Inc()
@@ -714,42 +692,19 @@ func (c *Chain) updateBaseFee(blk *Block) {
 	}
 }
 
-// updateFinality advances the justified/finalized checkpoints at epoch
-// boundaries (simplified Casper FFG: with an honest supermajority every
-// epoch justifies, and the previous justified checkpoint finalizes).
-func (c *Chain) updateFinality() {
-	head := c.Head().Number
-	epoch := uint64(c.cfg.SlotsPerEpoch)
-	if epoch == 0 || head%epoch != 0 {
-		return
-	}
-	c.finalized = c.justified
-	c.justified = head
-}
-
-// txEffects carries what a transaction owes the block's tail out of
-// execute: its burn and tip, which the tail adds to the proposer's credit
-// and the chain's tallies, and the explorer's columns.
-type txEffects struct {
-	burn, tip u256.Word // together, the fee
-	target    chain.Address
-	isCreate  bool
-	// record is false for executions the explorer does not log (deploys
-	// that die on the code deposit before reaching the EVM).
-	record bool
-}
-
-// execute runs a transaction (hash is its pool-computed tx.Hash()) on the
-// state and builds its receipt. State changes of reverted executions are
-// undone inside the EVM; fees are charged regardless, as on the real
-// network. The sender is debited here; the burn/tip split is returned for
-// the block's tail to apply.
-func (c *Chain) execute(tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (chain.Receipt, txEffects) {
+// execute runs one selected transaction (p.Hash is its pool-computed
+// tx.Hash()) on the state, charges its fee and includes its receipt.
+// State changes of reverted executions are undone inside the EVM; fees are
+// charged regardless, as on the real network. It returns the tip, which
+// Step credits to the proposer with the block's other tips.
+func (c *Chain) execute(p *chain.Pending[*Tx], a *txAmounts, blk *Block) (tip u256.Word) {
+	tx := p.Item
 	price := blk.BaseFee.Add(a.effectiveTip(blk.BaseFee))
 
 	rcpt := chain.Receipt{
-		TxHash:      hash,
+		TxHash:      p.Hash,
 		BlockNumber: blk.Number,
+		Submitted:   p.Submitted,
 		Included:    blk.Time,
 	}
 
@@ -761,7 +716,6 @@ func (c *Chain) execute(tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (ch
 	} else {
 		target = *tx.To
 	}
-	eff := txEffects{target: target, isCreate: isCreate}
 	c.st.SetNonce(tx.From, tx.Nonce+1)
 
 	depositGas := uint64(0)
@@ -779,12 +733,11 @@ func (c *Chain) execute(tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (ch
 	gasBudget := tx.GasLimit - intrinsic
 	if depositGas > gasBudget {
 		// Cannot afford the code deposit: the deployment fails consuming
-		// everything.
+		// everything, before reaching the EVM, so the explorer logs no row.
 		rcpt.GasUsed = tx.GasLimit
 		rcpt.Reverted = true
 		rcpt.RevertMsg = "out of gas: code deposit"
-		c.chargeFee(tx, price, blk.BaseFee, &rcpt, &eff)
-		return rcpt, eff
+		return c.settle(tx, price, blk, &rcpt, nil)
 	}
 	gasBudget -= depositGas
 
@@ -842,23 +795,27 @@ func (c *Chain) execute(tx *Tx, a *txAmounts, hash chain.Hash32, blk *Block) (ch
 	for _, l := range res.Logs {
 		rcpt.Logs = append(rcpt.Logs, string(l.Data))
 	}
-	c.chargeFee(tx, price, blk.BaseFee, &rcpt, &eff)
-	eff.record = true
-	return rcpt, eff
+	var cols [explorerColumnsLen]byte
+	return c.settle(tx, price, blk, &rcpt, appendExplorerColumns(cols[:0], tx, target, a.value))
 }
 
-// chargeFee debits the sender's fee for rcpt.GasUsed at price, records it
-// on the receipt and splits it into eff's burn and tip. The proposer
-// credit and the chain-wide tallies are the block tail's to apply. No
-// product wraps: price is at most maxFee and the gas at most gasLimit,
-// whose product selection checked.
-func (c *Chain) chargeFee(tx *Tx, price, baseFee u256.Word, rcpt *chain.Receipt, eff *txEffects) {
+// settle debits the sender's fee for rcpt.GasUsed at price, records it
+// on the receipt and includes the receipt with the explorer columns side
+// (none when side is empty). The gas goes to the block, the burn to the
+// chain's tally, and the tip is returned. No product wraps: price is at
+// most maxFee and the gas at most gasLimit, whose product selection
+// checked.
+func (c *Chain) settle(tx *Tx, price u256.Word, blk *Block, rcpt *chain.Receipt, side []byte) (tip u256.Word) {
 	gas := u256.FromUint64(rcpt.GasUsed)
 	fee := price.Mul(gas)
+	burn := blk.BaseFee.Mul(gas)
 	c.st.SubBalance(tx.From, fee)
-	eff.burn = baseFee.Mul(gas)
-	eff.tip = fee.Sub(eff.burn)
 	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}
+	var enc [1 + 32]byte
+	c.rcpts.Include(rcpt, appendBalance(enc[:0], fee), side)
+	blk.GasUsed += rcpt.GasUsed
+	c.burned = c.burned.Add(burn)
+	return fee.Sub(burn)
 }
 
 // deployPrefix frames code||ctorData in deployment calldata.

@@ -282,19 +282,6 @@ func TestCongestionDelaysInclusion(t *testing.T) {
 	}
 }
 
-func TestFinalityAdvances(t *testing.T) {
-	c := newTestChain(t)
-	for i := 0; i < 2*c.cfg.SlotsPerEpoch+1; i++ {
-		c.Step()
-	}
-	if c.finalized == 0 {
-		t.Fatal("finality never advanced")
-	}
-	if c.finalized >= c.Head().Number {
-		t.Fatal("finalized beyond head")
-	}
-}
-
 func TestPackSplitDeployData(t *testing.T) {
 	err := quick.Check(func(code, ctor []byte) bool {
 		gotCode, gotCtor := splitDeployData(PackDeployData(code, ctor))

@@ -61,8 +61,6 @@ type Config struct {
 
 	// Proof-of-stake parameters.
 	ValidatorCount int
-	// SlotsPerEpoch for checkpoint finality.
-	SlotsPerEpoch int
 }
 
 func gwei(f float64) *big.Int {
@@ -95,7 +93,6 @@ func Goerli() Config {
 		APIExtraDelayMean:    10 * time.Second,
 		APIExtraDelayJitter:  4 * time.Second,
 		ValidatorCount:       64,
-		SlotsPerEpoch:        32,
 	}
 }
 
@@ -138,6 +135,5 @@ func PolygonMumbai() Config {
 		APIExtraDelayMean:    11 * time.Second,
 		APIExtraDelayJitter:  2 * time.Second,
 		ValidatorCount:       32,
-		SlotsPerEpoch:        64,
 	}
 }

@@ -49,19 +49,19 @@ const (
 	kindTransfer
 )
 
-// appendExplorerColumns appends the explorer columns of tx, executed with
-// value, to dst: nothing for an execution the explorer does not log.
-func appendExplorerColumns(dst []byte, tx *Tx, value u256.Word, eff *txEffects) []byte {
-	if !eff.record {
-		return dst
-	}
+// explorerColumnsLen is the most the columns take: a value of 32 bytes.
+const explorerColumnsLen = colValue + 32
+
+// appendExplorerColumns appends the explorer columns of tx, executed
+// against target with value, to dst.
+func appendExplorerColumns(dst []byte, tx *Tx, target chain.Address, value u256.Word) []byte {
 	kind, selector := byte(kindTransfer), [4]byte{}
-	if eff.isCreate {
+	if tx.To == nil {
 		kind = kindCreate
 	} else if len(tx.Data) >= 4 {
 		kind, selector = kindCall, [4]byte(tx.Data)
 	}
-	dst = append(append(dst, tx.From[:]...), eff.target[:]...)
+	dst = append(append(dst, tx.From[:]...), target[:]...)
 	dst = append(append(dst, kind), selector[:]...)
 	return value.AppendBytes(dst)
 }

@@ -139,3 +139,62 @@ func TestExplorerHistoryPrunesWholeBlocks(t *testing.T) {
 		t.Fatalf("explorer holds %d blocks of rows with retention %d", len(held), retention)
 	}
 }
+
+// TestExplorerRowsOfFailedDeployments: a deployment that dies on the code
+// deposit never reaches the EVM and leaves no explorer row, while one
+// whose constructor reverts does leave one — both in the same block.
+func TestExplorerRowsOfFailedDeployments(t *testing.T) {
+	c := newTestChain(t)
+	cl := NewClient(c)
+	alice, bob := c.NewAccount(eth(1)), c.NewAccount(eth(1))
+
+	// Alice's code costs more to deposit than her gas limit leaves.
+	payload := PackDeployData(make([]byte, 1000), nil)
+	starved := cl.NewTx(alice, nil, nil, payload, evm.IntrinsicGas(payload, true)+1000)
+	// Bob's constructor reverts.
+	a := evm.NewAssembler()
+	a.PushUint(0).PushUint(0).Op(evm.REVERT)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reverting := cl.NewTx(bob, nil, nil, PackDeployData(code, nil), 200_000)
+	var hashes []chain.Hash32
+	for _, tx := range []*Tx{starved, reverting} {
+		h, err := c.Submit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, h)
+	}
+	var rcpts []*chain.Receipt
+	for i := 0; i < 5 && len(rcpts) < 2; i++ {
+		c.Step()
+		rcpts = rcpts[:0]
+		for _, h := range hashes {
+			if r, ok := c.Receipt(h); ok {
+				rcpts = append(rcpts, r)
+			}
+		}
+	}
+	if len(rcpts) != 2 || rcpts[0].BlockNumber != rcpts[1].BlockNumber {
+		t.Fatalf("both deployments must land in one block: %+v", rcpts)
+	}
+	if !rcpts[0].Reverted || rcpts[0].RevertMsg != "out of gas: code deposit" || !rcpts[1].Reverted {
+		t.Fatalf("receipts %+v, %+v", rcpts[0], rcpts[1])
+	}
+
+	starvedAt := chain.ContractAddress(alice.Address, starved.Nonce)
+	if got := c.HistoryOf(starvedAt); len(got) != 0 {
+		t.Fatalf("a deployment that died on the code deposit left rows: %+v", got)
+	}
+	if got := c.HistoryOf(alice.Address); len(got) != 0 {
+		t.Fatalf("alice's history has %d rows, want none", len(got))
+	}
+	revertedAt := chain.ContractAddress(bob.Address, reverting.Nonce)
+	got := c.HistoryOf(revertedAt)
+	if len(got) != 1 || got[0].Method != "Contract Creation" || !got[0].Contract ||
+		!got[0].Reverted || got[0].From != bob.Address || got[0].Hash != hashes[1] {
+		t.Fatalf("reverted deployment's history %+v, want its one creation row", got)
+	}
+}

@@ -48,8 +48,6 @@ type Checkpoint struct {
 	BaseFee     []byte
 	Burned      []byte
 	Tipped      []byte
-	Justified   uint64
-	Finalized   uint64
 	// SpikeBlocksLeft carries an in-flight congestion episode across the
 	// restart; the demand model continues it instead of resampling.
 	SpikeBlocksLeft int
@@ -70,8 +68,6 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		BaseFee:         c.baseFee.AppendBytes([]byte{}),
 		Burned:          c.burned.AppendBytes([]byte{}),
 		Tipped:          c.tipped.AppendBytes([]byte{}),
-		Justified:       c.justified,
-		Finalized:       c.finalized,
 		SpikeBlocksLeft: c.spikeBlocksLeft,
 	}
 	if err := ck.Mark("eth", c.Faults(), c.clock, c.rng, &c.rcpts); err != nil {
@@ -133,8 +129,6 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.baseFee = u256.SetBytes(ck.BaseFee)
 	c.burned = u256.SetBytes(ck.Burned)
 	c.tipped = u256.SetBytes(ck.Tipped)
-	c.justified = ck.Justified
-	c.finalized = ck.Finalized
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
 	mempool := make([]*chain.Pending[*Tx], len(ck.Mempool))
 	for i, p := range ck.Mempool {
