@@ -61,8 +61,6 @@ type LocationProof struct {
 	IssuedAt   time.Duration
 }
 
-// Verify checks formula 2.2: the signature opens to the proof hash under
-// the witness public key, and the hash matches the request fields.
 // ConcatData is the "concatenation of values" stored in the contract map
 // (§4.2): proofHashed-proofSigned-walletAddress-nonce-cid, hex-encoded
 // fields joined with '-' exactly like the thesis frontend's concatData.

@@ -49,9 +49,10 @@ func (s *System) witnessSigned(proverKey ed25519.PublicKey, hash, sig []byte) bo
 	return false
 }
 
-// verifyProof is LocationProof.Verify routed through the signature cache.
-// The public Verify stays self-contained (callers without a System keep
-// working); every in-system verification path goes through here.
+// verifyProof checks formula 2.2: the proof hash matches the request
+// fields, and the signature opens to that hash under the witness public
+// key, checked through the signature cache. The prover's certificate
+// check and validateBundle call it.
 func (s *System) verifyProof(p *LocationProof) error {
 	if p.Request.Hash() != p.Hash {
 		return errors.New("core: proof hash does not match request fields")

@@ -27,6 +27,9 @@ func FuzzParseSource(f *testing.F) {
 	for _, tc := range namespaceClashes {
 		f.Add(tc.src)
 	}
+	for _, tc := range parseErrorCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		refused := func(stage string, err error) bool {
 			if err != nil && !errors.Is(err, ErrSyntax) && !errors.Is(err, ErrType) && !errors.Is(err, ErrVerification) {

@@ -6,26 +6,30 @@ import (
 
 // ParseSource parses the textual contract syntax into a Program (see
 // lexer.go for the grammar sketch). The result is the same AST the embedded
-// builder produces, so Check/Verify/Compile apply unchanged.
+// builder produces, so Check/Verify/Compile apply unchanged. Unparseable
+// source fails with the first syntax error, at its line and column.
 func ParseSource(src string) (*Program, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	prog, err := p.contract()
-	if err != nil {
-		return nil, err
+	if prog := p.contract(); p.err == nil {
+		return prog, nil
 	}
-	return prog, nil
+	return nil, p.err
 }
 
+// parser is a recursive-descent parser that keeps its first error, as the
+// code generators do: fail records it and moves to the final EOF token, so
+// every production after it fails without effect and the parse unwinds.
 type parser struct {
 	toks []token
 	pos  int
 	prog *Program
 	// params of the declaration being parsed; nil outside bodies.
 	params []Param
+	err    error
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -38,34 +42,42 @@ func (p *parser) advance() token {
 	return t
 }
 
-func (p *parser) errf(t token, format string, args ...any) error {
-	return fmt.Errorf("%w: %d:%d: %s", ErrSyntax, t.line, t.col, fmt.Sprintf(format, args...))
+// fail records the first syntax error, at t, and skips to end of input.
+func (p *parser) fail(t token, format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("%w: %d:%d: %s", ErrSyntax, t.line, t.col, fmt.Sprintf(format, args...))
+		p.pos = len(p.toks) - 1
+	}
+}
+
+// until reports whether a list closed by the given punctuation goes on:
+// the closer is not next and no error is recorded.
+func (p *parser) until(closing string) bool {
+	return p.err == nil && !p.isPunct(closing)
 }
 
 // expectPunct consumes the given punctuation or fails.
-func (p *parser) expectPunct(text string) error {
+func (p *parser) expectPunct(text string) {
 	t := p.advance()
 	if t.kind != tokPunct || t.text != text {
-		return p.errf(t, "expected %q, got %s", text, t)
+		p.fail(t, "expected %q, got %s", text, t)
 	}
-	return nil
 }
 
 // expectKeyword consumes the given identifier keyword.
-func (p *parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) {
 	t := p.advance()
 	if t.kind != tokIdent || t.text != kw {
-		return p.errf(t, "expected %q, got %s", kw, t)
+		p.fail(t, "expected %q, got %s", kw, t)
 	}
-	return nil
 }
 
-func (p *parser) expectIdent() (string, error) {
+func (p *parser) expectIdent() string {
 	t := p.advance()
 	if t.kind != tokIdent {
-		return "", p.errf(t, "expected identifier, got %s", t)
+		p.fail(t, "expected identifier, got %s", t)
 	}
-	return t.text, nil
+	return t.text
 }
 
 func (p *parser) isPunct(text string) bool {
@@ -78,421 +90,235 @@ func (p *parser) isKeyword(kw string) bool {
 	return t.kind == tokIdent && t.text == kw
 }
 
-func (p *parser) parseType() (Type, error) {
-	name, err := p.expectIdent()
-	if err != nil {
-		return TInvalid, err
-	}
-	switch name {
+func (p *parser) parseType() Type {
+	t := p.peek()
+	switch name := p.expectIdent(); name {
 	case "UInt":
-		return TUInt, nil
+		return TUInt
 	case "Bytes":
-		return TBytes, nil
+		return TBytes
 	case "Bool":
-		return TBool, nil
+		return TBool
 	case "Address":
-		return TAddress, nil
+		return TAddress
 	default:
-		return TInvalid, p.errf(p.toks[p.pos-1], "unknown type %q", name)
+		p.fail(t, "unknown type %q", name)
+		return TInvalid
 	}
 }
 
-func (p *parser) contract() (*Program, error) {
-	if err := p.expectKeyword("contract"); err != nil {
-		return nil, err
-	}
+func (p *parser) contract() *Program {
+	p.expectKeyword("contract")
 	name := p.advance()
 	if name.kind != tokString {
-		return nil, p.errf(name, "expected contract name string, got %s", name)
+		p.fail(name, "expected contract name string, got %s", name)
 	}
 	p.prog = NewProgram(name.str)
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
+	p.expectPunct("{")
 	sawCtor := false
-	for !p.isPunct("}") {
+	for p.until("}") {
 		t := p.peek()
-		if t.kind == tokEOF {
-			return nil, p.errf(t, "unterminated contract body")
-		}
 		switch {
+		case t.kind == tokEOF:
+			p.fail(t, "unterminated contract body")
 		case p.isKeyword("global"):
-			if err := p.globalDecl(); err != nil {
-				return nil, err
-			}
+			p.globalDecl()
 		case p.isKeyword("map"):
-			if err := p.mapDecl(); err != nil {
-				return nil, err
-			}
+			p.mapDecl()
 		case p.isKeyword("ctor"):
 			if sawCtor {
-				return nil, p.errf(t, "duplicate ctor")
+				p.fail(t, "duplicate ctor")
 			}
 			sawCtor = true
-			if err := p.ctorDecl(); err != nil {
-				return nil, err
-			}
+			p.ctorDecl()
 		case p.isKeyword("api"):
-			if err := p.apiDecl(); err != nil {
-				return nil, err
-			}
+			p.apiDecl()
 		case p.isKeyword("view"):
-			if err := p.viewDecl(); err != nil {
-				return nil, err
-			}
+			p.viewDecl()
 		default:
-			return nil, p.errf(t, "expected a declaration, got %s", t)
+			p.fail(t, "expected a declaration, got %s", t)
 		}
 	}
-	if err := p.expectPunct("}"); err != nil {
-		return nil, err
-	}
+	p.expectPunct("}")
 	if end := p.peek(); end.kind != tokEOF {
-		return nil, p.errf(end, "trailing input after contract: %s", end)
+		p.fail(end, "trailing input after contract: %s", end)
 	}
-	return p.prog, nil
+	return p.prog
 }
 
-func (p *parser) globalDecl() error {
-	if err := p.expectKeyword("global"); err != nil {
-		return err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct(":"); err != nil {
-		return err
-	}
-	t, err := p.parseType()
-	if err != nil {
-		return err
-	}
-	p.prog.DeclareGlobal(name, t)
-	return nil
+func (p *parser) globalDecl() {
+	p.expectKeyword("global")
+	name := p.expectIdent()
+	p.expectPunct(":")
+	p.prog.DeclareGlobal(name, p.parseType())
 }
 
-func (p *parser) mapDecl() error {
-	if err := p.expectKeyword("map"); err != nil {
-		return err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct(":"); err != nil {
-		return err
-	}
-	key, err := p.parseType()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct("->"); err != nil {
-		return err
-	}
-	val, err := p.parseType()
-	if err != nil {
-		return err
-	}
-	p.prog.DeclareMap(name, key, val)
-	return nil
+func (p *parser) mapDecl() {
+	p.expectKeyword("map")
+	name := p.expectIdent()
+	p.expectPunct(":")
+	key := p.parseType()
+	p.expectPunct("->")
+	p.prog.DeclareMap(name, key, p.parseType())
 }
 
-func (p *parser) paramList() ([]Param, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
+func (p *parser) paramList() []Param {
+	p.expectPunct("(")
 	var out []Param
-	for !p.isPunct(")") {
+	for p.until(")") {
 		if len(out) > 0 {
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
+			p.expectPunct(",")
 		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(":"); err != nil {
-			return nil, err
-		}
-		t, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Param{Name: name, Type: t})
+		name := p.expectIdent()
+		p.expectPunct(":")
+		out = append(out, Param{Name: name, Type: p.parseType()})
 	}
-	return out, p.expectPunct(")")
+	p.expectPunct(")")
+	return out
 }
 
-func (p *parser) ctorDecl() error {
-	if err := p.expectKeyword("ctor"); err != nil {
-		return err
-	}
-	params, err := p.paramList()
-	if err != nil {
-		return err
-	}
+func (p *parser) ctorDecl() {
+	p.expectKeyword("ctor")
+	params := p.paramList()
 	p.params = params
-	body, err := p.block()
+	body := p.block()
 	p.params = nil
-	if err != nil {
-		return err
-	}
 	p.prog.SetConstructor(params, body...)
-	return nil
 }
 
-func (p *parser) apiDecl() error {
-	if err := p.expectKeyword("api"); err != nil {
-		return err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	params, err := p.paramList()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct(":"); err != nil {
-		return err
-	}
-	ret, err := p.parseType()
-	if err != nil {
-		return err
-	}
+func (p *parser) apiDecl() {
+	p.expectKeyword("api")
+	name := p.expectIdent()
+	params := p.paramList()
+	p.expectPunct(":")
+	ret := p.parseType()
 	p.params = params
 	defer func() { p.params = nil }()
 	var pay Expr
 	if p.isKeyword("pay") {
 		p.advance()
-		if err := p.expectPunct("("); err != nil {
-			return err
-		}
-		pay, err = p.expr()
-		if err != nil {
-			return err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return err
-		}
+		p.expectPunct("(")
+		pay = p.expr()
+		p.expectPunct(")")
 	}
-	body, err := p.block()
-	if err != nil {
-		return err
-	}
+	body := p.block()
 	p.prog.AddAPI(&API{Name: name, Params: params, Returns: ret, Pay: pay, Body: body})
-	return nil
 }
 
-func (p *parser) viewDecl() error {
-	if err := p.expectKeyword("view"); err != nil {
-		return err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct(":"); err != nil {
-		return err
-	}
-	t, err := p.parseType()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct("="); err != nil {
-		return err
-	}
-	e, err := p.expr()
-	if err != nil {
-		return err
-	}
-	p.prog.AddView(name, t, e)
-	return nil
+func (p *parser) viewDecl() {
+	p.expectKeyword("view")
+	name := p.expectIdent()
+	p.expectPunct(":")
+	t := p.parseType()
+	p.expectPunct("=")
+	p.prog.AddView(name, t, p.expr())
 }
 
-func (p *parser) block() ([]Stmt, error) {
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
+func (p *parser) block() []Stmt {
+	p.expectPunct("{")
 	var out []Stmt
-	for !p.isPunct("}") {
+	for p.until("}") {
 		if p.peek().kind == tokEOF {
-			return nil, p.errf(p.peek(), "unterminated block")
+			p.fail(p.peek(), "unterminated block")
 		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.stmt())
 	}
-	return out, p.expectPunct("}")
+	p.expectPunct("}")
+	return out
 }
 
 //nolint:gocyclo // one case per statement form.
-func (p *parser) stmt() (Stmt, error) {
+func (p *parser) stmt() Stmt {
 	t := p.peek()
 	switch {
 	case p.isKeyword("assume"), p.isKeyword("require"):
 		kw := p.advance().text
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
+		p.expectPunct("(")
+		cond := p.expr()
 		msg := ""
 		if p.isPunct(",") {
 			p.advance()
 			mt := p.advance()
 			if mt.kind != tokString {
-				return nil, p.errf(mt, "expected message string, got %s", mt)
+				p.fail(mt, "expected message string, got %s", mt)
 			}
 			msg = mt.str
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
+		p.expectPunct(")")
 		if kw == "assume" {
-			return &Assume{Cond: cond, Msg: msg}, nil
+			return &Assume{Cond: cond, Msg: msg}
 		}
-		return &Require{Cond: cond, Msg: msg}, nil
+		return &Require{Cond: cond, Msg: msg}
 
 	case p.isKeyword("set"):
 		p.advance()
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
+		name := p.expectIdent()
 		if p.paramIndex(name) >= 0 {
-			return nil, p.errf(t, "cannot assign parameter %q (set targets globals)", name)
+			p.fail(t, "cannot assign parameter %q (set targets globals)", name)
 		}
 		if _, err := p.prog.globalIndex(name); err != nil {
-			return nil, p.errf(t, "set: %v", err)
+			p.fail(t, "set: %v", err)
 		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &SetGlobal{Name: name, Value: v}, nil
+		p.expectPunct("=")
+		return &SetGlobal{Name: name, Value: p.expr()}
 
 	case p.isKeyword("delete"):
 		p.advance()
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		key, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		return &MapDel{Map: name, Key: key}, nil
+		name := p.expectIdent()
+		p.expectPunct("[")
+		key := p.expr()
+		p.expectPunct("]")
+		return &MapDel{Map: name, Key: key}
 
 	case p.isKeyword("transfer"):
 		p.advance()
-		amount, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("to"); err != nil {
-			return nil, err
-		}
-		to, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &Transfer{Amount: amount, To: to}, nil
+		amount := p.expr()
+		p.expectKeyword("to")
+		return &Transfer{Amount: amount, To: p.expr()}
 
 	case p.isKeyword("if"):
 		p.advance()
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		then, err := p.block()
-		if err != nil {
-			return nil, err
-		}
+		cond := p.expr()
+		then := p.block()
 		var els []Stmt
 		if p.isKeyword("else") {
 			p.advance()
 			if p.isKeyword("if") {
 				// else-if chains: the nested if becomes the else block.
-				nested, err := p.stmt()
-				if err != nil {
-					return nil, err
-				}
-				els = []Stmt{nested}
+				els = []Stmt{p.stmt()}
 			} else {
-				els, err = p.block()
-				if err != nil {
-					return nil, err
-				}
+				els = p.block()
 			}
 		}
-		return &If{Cond: cond, Then: then, Else: els}, nil
+		return &If{Cond: cond, Then: then, Else: els}
 
 	case p.isKeyword("emit"):
 		p.advance()
-		event, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &Emit{Event: event, Value: v}, nil
+		event := p.expectIdent()
+		p.expectPunct("(")
+		v := p.expr()
+		p.expectPunct(")")
+		return &Emit{Event: event, Value: v}
 
 	case p.isKeyword("return"):
 		p.advance()
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &Return{Value: v}, nil
+		return &Return{Value: p.expr()}
 
 	case t.kind == tokIdent:
 		// Map assignment: name[key] = value.
 		name := p.advance().text
-		if err := p.expectPunct("["); err != nil {
-			return nil, p.errf(t, "expected a statement; %q starts none (map writes are name[key] = value)", name)
+		if !p.isPunct("[") {
+			p.fail(t, "expected a statement; %q starts none (map writes are name[key] = value)", name)
 		}
-		key, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &MapSet{Map: name, Key: key, Value: v}, nil
+		p.advance()
+		key := p.expr()
+		p.expectPunct("]")
+		p.expectPunct("=")
+		return &MapSet{Map: name, Key: key, Value: p.expr()}
 
 	default:
-		return nil, p.errf(t, "expected a statement, got %s", t)
+		p.fail(t, "expected a statement, got %s", t)
+		return nil
 	}
 }
 
@@ -507,109 +333,69 @@ func (p *parser) paramIndex(name string) int {
 
 // Expression parsing, precedence climbing.
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+func (p *parser) expr() Expr { return p.orExpr() }
 
-func (p *parser) orExpr() (Expr, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) orExpr() Expr {
+	left := p.andExpr()
 	for p.isPunct("||") {
 		p.advance()
-		right, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = Or(left, right)
+		left = Or(left, p.andExpr())
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	left, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) andExpr() Expr {
+	left := p.cmpExpr()
 	for p.isPunct("&&") {
 		p.advance()
-		right, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = And(left, right)
+		left = And(left, p.cmpExpr())
 	}
-	return left, nil
+	return left
 }
 
 var cmpOps = map[string]BinOp{
 	"==": OpEq, "!=": OpNe, "<": OpLt, ">": OpGt, "<=": OpLe, ">=": OpGe,
 }
 
-func (p *parser) cmpExpr() (Expr, error) {
-	left, err := p.concatExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) cmpExpr() Expr {
+	left := p.concatExpr()
 	if t := p.peek(); t.kind == tokPunct {
 		if op, ok := cmpOps[t.text]; ok {
 			p.advance()
-			right, err := p.concatExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Bin{Op: op, A: left, B: right}, nil
+			return &Bin{Op: op, A: left, B: p.concatExpr()}
 		}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) concatExpr() (Expr, error) {
-	left, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) concatExpr() Expr {
+	left := p.addExpr()
 	for p.isPunct("++") {
 		p.advance()
-		right, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = Concat(left, right)
+		left = Concat(left, p.addExpr())
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	left, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) addExpr() Expr {
+	left := p.mulExpr()
 	for p.isPunct("+") || p.isPunct("-") {
 		op := p.advance().text
-		right, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
+		right := p.mulExpr()
 		if op == "+" {
 			left = Add(left, right)
 		} else {
 			left = Sub(left, right)
 		}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) mulExpr() (Expr, error) {
-	left, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) mulExpr() Expr {
+	left := p.unaryExpr()
 	for p.isPunct("*") || p.isPunct("/") || p.isPunct("%") {
 		op := p.advance().text
-		right, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
+		right := p.unaryExpr()
 		switch op {
 		case "*":
 			left = Mul(left, right)
@@ -619,157 +405,106 @@ func (p *parser) mulExpr() (Expr, error) {
 			left = Mod(left, right)
 		}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) unaryExpr() (Expr, error) {
+func (p *parser) unaryExpr() Expr {
 	if p.isPunct("!") {
 		p.advance()
-		inner, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Not{A: inner}, nil
+		return &Not{A: p.unaryExpr()}
 	}
 	return p.primary()
 }
 
 //nolint:gocyclo // one case per primary form.
-func (p *parser) primary() (Expr, error) {
+func (p *parser) primary() Expr {
 	t := p.advance()
 	switch {
 	case t.kind == tokNumber:
-		return U(t.num), nil
+		return U(t.num)
 	case t.kind == tokString:
-		return Bs(t.str), nil
+		return Bs(t.str)
 	case t.kind == tokPunct && t.text == "(":
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return e, p.expectPunct(")")
+		e := p.expr()
+		p.expectPunct(")")
+		return e
 
 	case t.kind == tokIdent:
 		switch t.text {
 		case "true":
-			return True, nil
+			return True
 		case "false":
-			return False, nil
+			return False
 		case "balance":
-			if err := p.emptyCall(); err != nil {
-				return nil, err
-			}
-			return &Balance{}, nil
+			p.emptyCall()
+			return &Balance{}
 		case "caller":
-			if err := p.emptyCall(); err != nil {
-				return nil, err
-			}
-			return &Caller{}, nil
+			p.emptyCall()
+			return &Caller{}
 		case "paid":
-			if err := p.emptyCall(); err != nil {
-				return nil, err
-			}
-			return &Paid{}, nil
+			p.emptyCall()
+			return &Paid{}
 		case "now":
-			if err := p.emptyCall(); err != nil {
-				return nil, err
-			}
-			return &Now{}, nil
+			p.emptyCall()
+			return &Now{}
 		case "digest":
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return &Digest{A: e}, nil
+			p.expectPunct("(")
+			e := p.expr()
+			p.expectPunct(")")
+			return &Digest{A: e}
 		case "sigok":
-			args, err := p.callArgs(3)
-			if err != nil {
-				return nil, err
-			}
-			return &SigVerify{Pub: args[0], Msg: args[1], Sig: args[2]}, nil
+			args := p.callArgs(3)
+			return &SigVerify{Pub: args[0], Msg: args[1], Sig: args[2]}
 		case "contains":
-			args, err := p.callArgs(2)
-			if err != nil {
-				return nil, err
-			}
-			return &CellContains{Cell: args[0], Code: args[1]}, nil
+			args := p.callArgs(2)
+			return &CellContains{Cell: args[0], Code: args[1]}
 		case "has":
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
-			key, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return &MapHas{Map: name, Key: key}, nil
+			p.expectPunct("(")
+			name := p.expectIdent()
+			p.expectPunct(",")
+			key := p.expr()
+			p.expectPunct(")")
+			return &MapHas{Map: name, Key: key}
 		}
 		// Map get: name[key].
 		if p.isPunct("[") {
 			p.advance()
-			key, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			return &MapGet{Map: t.text, Key: key}, nil
+			key := p.expr()
+			p.expectPunct("]")
+			return &MapGet{Map: t.text, Key: key}
 		}
 		// Parameter (shadows globals) or global.
 		if i := p.paramIndex(t.text); i >= 0 {
-			return A(i), nil
+			return A(i)
 		}
 		if _, err := p.prog.globalIndex(t.text); err == nil {
-			return G(t.text), nil
+			return G(t.text)
 		}
-		return nil, p.errf(t, "undefined name %q", t.text)
+		p.fail(t, "undefined name %q", t.text)
+		return nil
 
 	default:
-		return nil, p.errf(t, "expected an expression, got %s", t)
+		p.fail(t, "expected an expression, got %s", t)
+		return nil
 	}
 }
 
-func (p *parser) emptyCall() error {
-	if err := p.expectPunct("("); err != nil {
-		return err
-	}
-	return p.expectPunct(")")
+func (p *parser) emptyCall() {
+	p.expectPunct("(")
+	p.expectPunct(")")
 }
 
 // callArgs parses a parenthesized, comma-separated list of exactly n
 // expression arguments.
-func (p *parser) callArgs(n int) ([]Expr, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
+func (p *parser) callArgs(n int) []Expr {
+	p.expectPunct("(")
 	args := make([]Expr, 0, n)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			if err := p.expectPunct(","); err != nil {
-				return nil, err
-			}
+			p.expectPunct(",")
 		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, e)
+		args = append(args, p.expr())
 	}
-	return args, p.expectPunct(")")
+	p.expectPunct(")")
+	return args
 }

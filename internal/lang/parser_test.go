@@ -2,6 +2,7 @@ package lang
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -225,22 +226,38 @@ contract "prec" {
 	}
 }
 
+// parseErrorCases pins ParseSource's first error for one source per
+// failure site of the lexer and parser; FuzzParseSource seeds from it too.
+var parseErrorCases = []struct{ name, src, want string }{
+	{"missing contract", `global x: UInt`, `1:1: expected "contract", got "global"`},
+	{"bad type", `contract "x" { global g: Float ctor() {} }`, `1:26: unknown type "Float"`},
+	{"undefined name", `contract "x" { ctor() {} api f(): UInt { return zzz } }`, `1:49: undefined name "zzz"`},
+	{"assign param", `contract "x" { ctor(a: UInt) { set a = 1 } }`, `1:32: cannot assign parameter "a" (set targets globals)`},
+	{"unterminated", `contract "x" { ctor() {`, `1:24: unterminated block`},
+	{"duplicate ctor", `contract "x" { ctor() {} ctor() {} }`, `1:26: duplicate ctor`},
+	{"trailing garbage", `contract "x" { ctor() {} } extra`, `1:28: trailing input after contract: "extra"`},
+	{"unknown statement", `contract "x" { ctor() { frobnicate } }`, `1:25: expected a statement; "frobnicate" starts none (map writes are name[key] = value)`},
+	{"set unknown", `contract "x" { ctor() { set ghost = 1 } }`, `1:25: set: lang: undefined global "ghost"`},
+	{"bad string", `contract "x { ctor() {} }`, `1:10: unterminated string`},
+	{"unterminated body", `contract "x" { ctor() {}`, `1:25: unterminated contract body`},
+	{"unterminated nested block", `contract "x" { ctor() {} api f(): UInt { if true { return 1 }`, `1:62: unterminated block`},
+	{"non-string assume message", `contract "x" { ctor() { assume(true, 7) } }`, `1:38: expected message string, got "7"`},
+	{"map write without bracket", `contract "x" { map m: UInt -> UInt ctor() { m = 1 } }`, `1:45: expected a statement; "m" starts none (map writes are name[key] = value)`},
+	{"unknown param type", `contract "x" { ctor() {} api f(a: Word): UInt { return 1 } }`, `1:35: unknown type "Word"`},
+	{"not a declaration", `contract "x" { ctor() {} fn f() {} }`, `1:26: expected a declaration, got "fn"`},
+	{"not an expression", `contract "x" { ctor() {} api f(): UInt { return ) } }`, `1:49: expected an expression, got ")"`},
+	{"unquoted contract name", `contract x { ctor() {} }`, `1:10: expected contract name string, got "x"`},
+	{"number as statement", `contract "x" { ctor() { 5 } }`, `1:25: expected a statement, got "5"`},
+	{"number as name", `contract "x" { global 5: UInt ctor() {} }`, `1:23: expected identifier, got "5"`},
+	{"missing comma", `contract "x" { ctor() {} api f(a: UInt b: UInt): UInt { return a } }`, `1:40: expected ",", got "b"`},
+	{"transfer without to", `contract "x" { ctor() {} api f(): UInt { transfer 1 from caller() return 1 } }`, `1:53: expected "to", got "from"`},
+}
+
 func TestParseErrorsSurface(t *testing.T) {
-	cases := map[string]string{
-		"missing contract":  `global x: UInt`,
-		"bad type":          `contract "x" { global g: Float ctor() {} }`,
-		"undefined name":    `contract "x" { ctor() {} api f(): UInt { return zzz } }`,
-		"assign param":      `contract "x" { ctor(a: UInt) { set a = 1 } }`,
-		"unterminated":      `contract "x" { ctor() {`,
-		"duplicate ctor":    `contract "x" { ctor() {} ctor() {} }`,
-		"trailing garbage":  `contract "x" { ctor() {} } extra`,
-		"unknown statement": `contract "x" { ctor() { frobnicate } }`,
-		"set unknown":       `contract "x" { ctor() { set ghost = 1 } }`,
-		"bad string":        `contract "x { ctor() {} }`,
-	}
-	for name, src := range cases {
-		if _, err := ParseSource(src); err == nil {
-			t.Errorf("%s: accepted:\n%s", name, src)
+	for _, tc := range parseErrorCases {
+		_, err := ParseSource(tc.src)
+		if !errors.Is(err, ErrSyntax) || err.Error() != ErrSyntax.Error()+": "+tc.want {
+			t.Errorf("%s: got %v, want %s: %s", tc.name, err, ErrSyntax, tc.want)
 		}
 	}
 }

@@ -17,37 +17,27 @@ type Theorem struct {
 	Note  string
 }
 
-// Mode is a verification pass, matching the three passes Reach prints.
-type Mode string
-
-// Verification passes.
-const (
-	ModeGeneric    Mode = "generic connector"
-	ModeAllHonest  Mode = "ALL participants are honest"
-	ModeNoneHonest Mode = "NO participants are honest"
-)
-
-// Report aggregates the theorems of all passes.
+// Report lists the theorems of one verification walk.
 type Report struct {
-	Passes   map[Mode][]Theorem
+	Theorems []Theorem
 	Checked  int
 	Failures int
 }
 
-// Failed returns every failed theorem across passes.
+// Failed returns every failed theorem.
 func (r *Report) Failed() []Theorem {
 	var out []Theorem
-	for _, mode := range []Mode{ModeGeneric, ModeAllHonest, ModeNoneHonest} {
-		for _, t := range r.Passes[mode] {
-			if !t.OK {
-				out = append(out, t)
-			}
+	for _, t := range r.Theorems {
+		if !t.OK {
+			out = append(out, t)
 		}
 	}
 	return out
 }
 
-// String renders the report in the Reach compiler's output style.
+// String renders the report in the Reach compiler's output style. The
+// header keeps Reach's three pass lines, but the program is walked once:
+// Checked counts each theorem once.
 func (r *Report) String() string {
 	var sb strings.Builder
 	sb.WriteString("Verifying knowledge assertions\n")
@@ -65,26 +55,17 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Verify runs the static verification passes over a type-correct program.
+// Verify runs the static verifier over a type-correct program.
 func Verify(p *Program) *Report {
-	r := &Report{Passes: make(map[Mode][]Theorem)}
-	for _, mode := range []Mode{ModeGeneric, ModeAllHonest, ModeNoneHonest} {
-		v := &verifier{p: p, mode: mode}
-		v.program()
-		r.Passes[mode] = v.theorems
-		for _, t := range v.theorems {
-			r.Checked++
-			if !t.OK {
-				r.Failures++
-			}
-		}
-	}
+	v := &verifier{p: p}
+	v.program()
+	r := &Report{Theorems: v.theorems, Checked: len(v.theorems)}
+	r.Failures = len(r.Failed())
 	return r
 }
 
 type verifier struct {
 	p        *Program
-	mode     Mode
 	theorems []Theorem
 }
 

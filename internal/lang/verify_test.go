@@ -233,3 +233,21 @@ func TestReportRendering(t *testing.T) {
 		t.Fatalf("failure report format:\n%s", rb)
 	}
 }
+
+func TestVerifyReportsEachTheoremOnce(t *testing.T) {
+	prog, err := ParseSource(`contract "x" { map m: UInt -> UInt ctor() {} api f(k: UInt): UInt { return m[k] } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	r := Verify(prog)
+	out := r.String()
+	if r.Checked != 1 || r.Failures != 1 || strings.Count(out, "FAIL [map-get-guarded]") != 1 {
+		t.Fatalf("Checked=%d Failures=%d, want one failed theorem reported once:\n%s", r.Checked, r.Failures, out)
+	}
+	if !strings.Contains(out, "Checked 1 theorems; 1 FAILURES:") {
+		t.Fatalf("summary line:\n%s", out)
+	}
+}
