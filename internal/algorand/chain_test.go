@@ -446,6 +446,43 @@ func TestBadProgramRejectedAtCreation(t *testing.T) {
 	}
 }
 
+// TestMalformedCreationsRevert: a creation whose source lacks an immediate
+// is a reverted receipt naming avm.ErrBadProgram, and the chain steps on.
+// Parse used to accept these sources and the interpreter then panicked
+// inside Step.
+func TestMalformedCreationsRevert(t *testing.T) {
+	c := newTestChain(t)
+	alice := c.NewAccount(10_000_000)
+	srcs := []string{
+		"int\nreturn", "byte\nreturn", "txn\nreturn", "store\nreturn", "b\nreturn",
+		"gtxn 0\nreturn", "txna ApplicationArgs\nreturn", "itxn_begin\nitxn_field\nreturn",
+	}
+	var groups []Group
+	for i, src := range append(srcs, approveAll) {
+		g := signedCreate(alice, src, uint64(i))
+		if _, err := c.Submit(g); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		groups = append(groups, g)
+	}
+	c.Step()
+	for i, src := range srcs {
+		rcpt, ok := c.Receipt(groups[i].Hash())
+		if !ok || !rcpt.Reverted || !strings.Contains(rcpt.RevertMsg, avm.ErrBadProgram.Error()) {
+			t.Fatalf("%q: included %v, receipt %+v", src, ok, rcpt)
+		}
+	}
+	// The well-formed creation behind them runs, and the chain goes on.
+	if rcpt, ok := c.Receipt(groups[len(srcs)].Hash()); !ok || rcpt.Reverted {
+		t.Fatalf("well-formed creation: included %v, receipt %+v", ok, rcpt)
+	}
+	round := c.Head().Round
+	c.Step()
+	if c.Head().Round != round+1 {
+		t.Fatalf("chain stopped at round %d", round)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []float64 {
 		c := NewChain(Testnet(), 42)

@@ -1,35 +1,187 @@
 package avm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Instr is one parsed TEAL instruction.
+// Instr is one decoded TEAL instruction. Parse decodes every immediate and
+// resolves every label once, so the interpreter reads operands and never
+// parses text.
 type Instr struct {
-	Op   string
-	Args []string
+	// Op is the mnemonic as written, for error messages and the opcode
+	// profile.
+	Op string
 	// Line is the 1-based source line, for error messages.
 	Line int
-	// Cost is the opcode's budget cost, precomputed at parse time so the
-	// interpreter loop skips the cost-table lookup. Zero means "not
-	// precomputed" and the interpreter falls back to the table.
+	// Cost is the instruction's budget cost, sha256_parts' per-part charge
+	// included.
 	Cost uint64
+
+	code opcode
+	// arg is the decoded numeric immediate: an int constant, an
+	// ApplicationArgs index, a scratch slot, a sha256_parts count or a
+	// branch target's instruction index.
+	arg uint64
+	// data is the decoded byte-string immediate. Its capacity equals its
+	// length, so a value pushed from it never shares an append.
+	data []byte
 }
 
 // Program is a parsed TEAL program ready for execution.
 type Program struct {
 	Source string
 	Instrs []Instr
-	Labels map[string]int // label -> instruction index
+}
+
+// opcode is what the interpreter dispatches on. A field-taking mnemonic
+// (txn, global, itxn_field) decodes to one opcode per field. The zero
+// opcode is an instruction Parse did not decode.
+type opcode uint8
+
+const (
+	opInt opcode = iota + 1
+	opBytes
+	opTxnSender
+	opTxnApplicationID
+	opTxnNumAppArgs
+	opTxnOnCompletion
+	opTxnFee
+	opTxnaArg
+	opGtxnAmount
+	opGlobalLatestTimestamp
+	opGlobalRound
+	opGlobalCurrentApplicationID
+	opGlobalCurrentApplicationAddress
+	opGlobalZeroAddress
+	opGlobalMinTxnFee
+	opGlobalMinBalance
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opLt
+	opGt
+	opLe
+	opGe
+	opAnd
+	opOr
+	opEq
+	opNe
+	opNot
+	opItob
+	opBtoi
+	opConcat
+	opLen
+	opSha256
+	opSha256Parts
+	opKeccak256
+	opEd25519Verify
+	opOLCContains
+	opDup
+	opPop
+	opSwap
+	opSelect
+	opStore
+	opLoad
+	opB
+	opBnz
+	opBz
+	opCallsub
+	opRetsub
+	opAssert
+	opErr
+	opReturn
+	opLog
+	opAppGlobalGet
+	opAppGlobalGetEx
+	opAppGlobalPut
+	opAppGlobalDel
+	opAppLocalGet
+	opAppLocalPut
+	opAppLocalDel
+	opBalance
+	opItxnBegin
+	opItxnReceiver
+	opItxnAmount
+	opItxnTypeEnum
+	opItxnSubmit
+)
+
+// immediate is the shape of an instruction's operands.
+type immediate uint8
+
+const (
+	immNone   immediate = iota
+	immUint             // a decimal uint64
+	immBytes            // a quoted string or a bare word
+	immField            // a field name, looked up in fields
+	immArg              // ApplicationArgs i
+	immAmount           // 0 Amount
+	immSlot             // a scratch slot below 256
+	immParts            // a part count from 1 to 16
+	immLabel            // a label
+)
+
+// ops maps each mnemonic to its opcode and the immediates it takes.
+var ops = map[string]struct {
+	code opcode
+	imm  immediate
+}{
+	"int": {opInt, immUint}, "pushint": {opInt, immUint},
+	"byte": {opBytes, immBytes}, "pushbytes": {opBytes, immBytes}, "addr": {opBytes, immBytes},
+	"txn": {imm: immField}, "global": {imm: immField}, "itxn_field": {imm: immField},
+	"txna": {opTxnaArg, immArg}, "gtxn": {opGtxnAmount, immAmount},
+	"+": {opAdd, immNone}, "-": {opSub, immNone}, "*": {opMul, immNone},
+	"/": {opDiv, immNone}, "%": {opMod, immNone},
+	"<": {opLt, immNone}, ">": {opGt, immNone}, "<=": {opLe, immNone}, ">=": {opGe, immNone},
+	"&&": {opAnd, immNone}, "||": {opOr, immNone},
+	"==": {opEq, immNone}, "!=": {opNe, immNone}, "!": {opNot, immNone},
+	"itob": {opItob, immNone}, "btoi": {opBtoi, immNone},
+	"concat": {opConcat, immNone}, "len": {opLen, immNone},
+	"sha256": {opSha256, immNone}, "sha256_parts": {opSha256Parts, immParts},
+	"keccak256": {opKeccak256, immNone}, "ed25519verify": {opEd25519Verify, immNone},
+	"olc_contains": {opOLCContains, immNone}, "select": {opSelect, immNone},
+	"dup": {opDup, immNone}, "pop": {opPop, immNone}, "swap": {opSwap, immNone},
+	"store": {opStore, immSlot}, "load": {opLoad, immSlot},
+	"b": {opB, immLabel}, "bnz": {opBnz, immLabel}, "bz": {opBz, immLabel},
+	"callsub": {opCallsub, immLabel}, "retsub": {opRetsub, immNone},
+	"assert": {opAssert, immNone}, "err": {opErr, immNone},
+	"return": {opReturn, immNone}, "log": {opLog, immNone},
+	"app_global_get": {opAppGlobalGet, immNone}, "app_global_get_ex": {opAppGlobalGetEx, immNone},
+	"app_global_put": {opAppGlobalPut, immNone}, "app_global_del": {opAppGlobalDel, immNone},
+	"app_local_get": {opAppLocalGet, immNone}, "app_local_put": {opAppLocalPut, immNone},
+	"app_local_del": {opAppLocalDel, immNone}, "balance": {opBalance, immNone},
+	"itxn_begin": {opItxnBegin, immNone}, "itxn_submit": {opItxnSubmit, immNone},
+}
+
+// fields gives the opcode of each field of a field-taking mnemonic.
+var fields = map[string]map[string]opcode{
+	"txn": {
+		"Sender": opTxnSender, "ApplicationID": opTxnApplicationID,
+		"NumAppArgs": opTxnNumAppArgs, "OnCompletion": opTxnOnCompletion, "Fee": opTxnFee,
+	},
+	"global": {
+		"LatestTimestamp": opGlobalLatestTimestamp, "Round": opGlobalRound,
+		"CurrentApplicationID": opGlobalCurrentApplicationID, "MinTxnFee": opGlobalMinTxnFee,
+		"CurrentApplicationAddress": opGlobalCurrentApplicationAddress, "MinBalance": opGlobalMinBalance,
+		"ZeroAddress": opGlobalZeroAddress,
+	},
+	"itxn_field": {"Receiver": opItxnReceiver, "Amount": opItxnAmount, "TypeEnum": opItxnTypeEnum},
 }
 
 // Parse assembles TEAL-like source text. Grammar: one instruction per line;
 // `//` comments (outside string literals); `name:` defines a label; string
-// immediates use Go-style double quotes.
+// immediates use Go-style double quotes. Every instruction is checked: an
+// unknown opcode or field, a missing, extra or malformed immediate and an
+// undefined label are ErrBadProgram errors naming the line.
 func Parse(src string) (*Program, error) {
-	p := &Program{Source: src, Labels: make(map[string]int)}
+	p := &Program{Source: src}
+	labels := make(map[string]int)
+	var args [][]string
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
@@ -37,19 +189,86 @@ func Parse(src string) (*Program, error) {
 		}
 		if strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t") {
 			label := strings.TrimSuffix(line, ":")
-			if _, dup := p.Labels[label]; dup {
-				return nil, fmt.Errorf("avm: line %d: duplicate label %q", lineNo+1, label)
+			if _, dup := labels[label]; dup {
+				return nil, fmt.Errorf("%w: line %d: duplicate label %q", ErrBadProgram, lineNo+1, label)
 			}
-			p.Labels[label] = len(p.Instrs)
+			labels[label] = len(p.Instrs)
 			continue
 		}
-		fields, err := tokenize(line)
+		toks, err := tokenize(line)
 		if err != nil {
-			return nil, fmt.Errorf("avm: line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadProgram, lineNo+1, err)
 		}
-		p.Instrs = append(p.Instrs, Instr{Op: fields[0], Args: fields[1:], Line: lineNo + 1, Cost: instrCostArgs(fields[0], fields[1:])})
+		p.Instrs = append(p.Instrs, Instr{Op: toks[0], Line: lineNo + 1})
+		args = append(args, toks[1:])
+	}
+	for i := range p.Instrs {
+		ins := &p.Instrs[i]
+		if err := ins.decode(args[i], labels); err != nil {
+			return nil, fmt.Errorf("%w: line %d (%s): %v", ErrBadProgram, ins.Line, ins.Op, err)
+		}
 	}
 	return p, nil
+}
+
+// decode sets ins's opcode, cost and immediates from its operand tokens.
+func (ins *Instr) decode(args []string, labels map[string]int) error {
+	spec, ok := ops[ins.Op]
+	if !ok {
+		return errors.New("unknown opcode")
+	}
+	want := 1
+	switch spec.imm {
+	case immNone:
+		want = 0
+	case immArg, immAmount:
+		want = 2
+	}
+	if len(args) != want {
+		return fmt.Errorf("takes %d immediates, has %d", want, len(args))
+	}
+	ins.code, ins.Cost = spec.code, max(opCost[ins.Op], 1)
+	var err error
+	switch spec.imm {
+	case immUint:
+		ins.arg, err = argUint(args[0])
+	case immBytes:
+		s := argString(args[0])
+		ins.data = []byte(s)[:len(s):len(s)]
+	case immField:
+		if ins.code, ok = fields[ins.Op][args[0]]; !ok {
+			return fmt.Errorf("unknown field %q", args[0])
+		}
+	case immArg:
+		if args[0] != "ApplicationArgs" {
+			return fmt.Errorf("unknown field %q", args[0])
+		}
+		ins.arg, err = argUint(args[1])
+	case immAmount:
+		// Group index 0 is by convention the payment transaction the
+		// connector groups in front of a paying API call.
+		if argString(args[0]) != "0" || args[1] != "Amount" {
+			return fmt.Errorf("only gtxn 0 Amount is supported, have %q %q", args[0], args[1])
+		}
+	case immSlot:
+		if ins.arg, err = argUint(args[0]); err == nil && ins.arg >= 256 {
+			return fmt.Errorf("scratch slot %d ≥ 256", ins.arg)
+		}
+	case immParts:
+		if ins.arg, err = argUint(args[0]); err == nil && (ins.arg < 1 || ins.arg > 16) {
+			return fmt.Errorf("part count %d outside 1–16", ins.arg)
+		}
+		// One unit per hashed part, as the EVM precompile charges per
+		// referenced range.
+		ins.Cost += ins.arg
+	case immLabel:
+		target, ok := labels[args[0]]
+		if !ok {
+			return fmt.Errorf("undefined label %q", args[0])
+		}
+		ins.arg = uint64(target)
+	}
+	return err
 }
 
 // stripComment cuts a `//` comment off a line; a `//` inside a

@@ -1,6 +1,8 @@
 package avm
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -23,12 +25,58 @@ return
 	if len(p.Instrs) != 5 {
 		t.Fatalf("instrs = %d", len(p.Instrs))
 	}
-	if p.Labels["skip"] != 3 {
-		t.Fatalf("label skip at %d", p.Labels["skip"])
+	// The branch is resolved to the instruction after its label.
+	if p.Instrs[1].code != opBnz || p.Instrs[1].arg != 3 {
+		t.Fatalf("bnz skip decoded to %+v, want a branch to instruction 3", p.Instrs[1])
 	}
 	// Lines are tracked for diagnostics.
 	if p.Instrs[0].Line != 3 {
 		t.Fatalf("first instr line %d", p.Instrs[0].Line)
+	}
+}
+
+// parseErrorCases pins what Parse rejects: one source per decode failure,
+// and the line the error must name.
+var parseErrorCases = []struct {
+	name, src string
+	line      int
+}{
+	{"unterminated-string", "byte \"unterminated", 1},
+	{"duplicate-label", "x:\nx:\nint 1\nreturn", 2},
+	{"unknown-opcode", "frobnicate\nint 1\nreturn", 1},
+	{"missing-immediate", "int 1\nint\nreturn", 2},
+	{"missing-second-immediate", "txna ApplicationArgs\nreturn", 1},
+	{"extra-immediate", "int 1 2\nreturn", 1},
+	{"immediate-on-plain-op", "int 1\nreturn 1", 2},
+	{"non-decimal-uint", "int 0x10\nreturn", 1},
+	{"uint-overflow", "int 18446744073709551616\nreturn", 1},
+	{"unknown-txn-field", "txn Mystery\nint 1\nreturn", 1},
+	{"unknown-global-field", "global Mystery\nint 1\nreturn", 1},
+	{"unknown-itxn-field", "itxn_begin\nitxn_field Mystery\nint 1\nreturn", 2},
+	{"txna-field", "txna Mystery 0\nint 1\nreturn", 1},
+	{"txna-index", "txna ApplicationArgs first\nint 1\nreturn", 1},
+	{"gtxn-group-index", "gtxn 1 Amount\nint 1\nreturn", 1},
+	{"gtxn-field", "gtxn 0 Fee\nint 1\nreturn", 1},
+	{"scratch-slot-256", "int 1\nstore 256\nint 1\nreturn", 2},
+	{"scratch-slot-300", "load 300\nint 1\nreturn", 1},
+	{"sha256-parts-0", "byte \"x\"\nsha256_parts 0\nreturn", 2},
+	{"sha256-parts-17", "byte \"x\"\nsha256_parts 17\nreturn", 2},
+	{"undefined-label", "int 1\nb nowhere\nint 1\nreturn", 2},
+	{"undefined-callsub", "callsub nowhere\nint 1\nreturn", 1},
+}
+
+func TestParseErrors(t *testing.T) {
+	for _, c := range parseErrorCases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Parse(c.src)
+			if !errors.Is(err, ErrBadProgram) {
+				t.Fatalf("Parse = %+v, %v; want ErrBadProgram", p, err)
+			}
+			line := fmt.Sprintf("line %d", c.line)
+			if msg := err.Error(); !strings.Contains(msg, line+":") && !strings.Contains(msg, line+" (") {
+				t.Fatalf("err = %q, want it to name %s", msg, line)
+			}
+		})
 	}
 }
 
@@ -95,17 +143,6 @@ func TestStackUnderflowReported(t *testing.T) {
 	}
 }
 
-func TestScratchSlotBounds(t *testing.T) {
-	p, err := Parse("int 1\nstore 300\nint 1\nreturn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Execute(p, NewMemLedger(), TxContext{AppID: 1})
-	if res.Err == nil {
-		t.Fatal("out-of-range scratch slot accepted")
-	}
-}
-
 func TestTxnArgsOutOfRange(t *testing.T) {
 	p, err := Parse("txna ApplicationArgs 3\nint 1\nreturn")
 	if err != nil {
@@ -114,25 +151,6 @@ func TestTxnArgsOutOfRange(t *testing.T) {
 	res := Execute(p, NewMemLedger(), TxContext{AppID: 1, Args: [][]byte{[]byte("a")}})
 	if res.Err == nil {
 		t.Fatal("out-of-range ApplicationArgs accepted")
-	}
-}
-
-func TestUnknownFields(t *testing.T) {
-	for _, src := range []string{
-		"txn Mystery\nint 1\nreturn",
-		"global Mystery\nint 1\nreturn",
-		"txna Mystery 0\nint 1\nreturn",
-		"gtxn 1 Amount\nint 1\nreturn",
-		"itxn_field Mystery\nint 1\nreturn",
-	} {
-		p, err := Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Execute(p, NewMemLedger(), TxContext{AppID: 1})
-		if res.Err == nil {
-			t.Fatalf("accepted: %s", src)
-		}
 	}
 }
 

@@ -21,18 +21,6 @@ func TestSha256PartsOp(t *testing.T) {
 	}
 }
 
-func TestSha256PartsBadCount(t *testing.T) {
-	for _, src := range []string{
-		"byte \"x\"\nsha256_parts 0\nreturn",
-		"byte \"x\"\nsha256_parts 17\nreturn",
-	} {
-		res, _ := exec(t, src, TxContext{AppID: 1, BudgetTxns: 2})
-		if res.Err == nil {
-			t.Fatalf("out-of-range part count must fail: %q", src)
-		}
-	}
-}
-
 func TestKeccak256OpIsSystemHash(t *testing.T) {
 	// The system digest is SHA-256 throughout; keccak256 is an alias at
 	// keccak's op cost.

@@ -28,10 +28,16 @@ func BytesValue(b []byte) Value { return Value{IsBytes: true, Bytes: b} }
 // ErrTypeMismatch reports a stack value of the wrong TEAL type.
 var ErrTypeMismatch = errors.New("avm: type mismatch")
 
+// The two type mismatches, built once so the accessors stay inlinable.
+var (
+	errWantUint  = fmt.Errorf("%w: want uint64, have bytes", ErrTypeMismatch)
+	errWantBytes = fmt.Errorf("%w: want bytes, have uint64", ErrTypeMismatch)
+)
+
 // AsUint returns the uint64 content or ErrTypeMismatch.
 func (v Value) AsUint() (uint64, error) {
 	if v.IsBytes {
-		return 0, fmt.Errorf("%w: want uint64, have bytes", ErrTypeMismatch)
+		return 0, errWantUint
 	}
 	return v.Uint, nil
 }
@@ -39,7 +45,7 @@ func (v Value) AsUint() (uint64, error) {
 // AsBytes returns the byte content or ErrTypeMismatch.
 func (v Value) AsBytes() ([]byte, error) {
 	if !v.IsBytes {
-		return nil, fmt.Errorf("%w: want bytes, have uint64", ErrTypeMismatch)
+		return nil, errWantBytes
 	}
 	return v.Bytes, nil
 }

@@ -70,7 +70,7 @@ var (
 )
 
 // opCost gives non-unit opcode costs; everything else costs 1. Parse bakes
-// these into Instr.Cost so the interpreter loop never consults the map.
+// these into Instr.Cost, so the interpreter never consults the map.
 // Precompile pseudo-ops (ed25519verify, keccak256, sha256_parts,
 // olc_contains) register their fixed costs from the shared registry at init
 // so the two stay in lockstep.
@@ -94,27 +94,6 @@ var (
 	preSha256Parts = precompile.ByAVMOp("sha256_parts")
 	preOLCContains = precompile.ByAVMOp("olc_contains")
 )
-
-// instrCost is the budget cost of op (≥ 1).
-func instrCost(op string) uint64 {
-	if c := opCost[op]; c != 0 {
-		return c
-	}
-	return 1
-}
-
-// instrCostArgs is instrCost made argument-aware: sha256_parts charges its
-// base cost plus one per hashed part, mirroring how the EVM precompile
-// charges per referenced range.
-func instrCostArgs(op string, args []string) uint64 {
-	c := instrCost(op)
-	if op == "sha256_parts" && len(args) == 1 {
-		if n, err := argUint(args[0]); err == nil {
-			c += n
-		}
-	}
-	return c
-}
 
 // machine is the pooled per-call interpreter state. The AVM already
 // computes on uint64 values, so the analogue of the EVM's u256 rewrite is
@@ -181,7 +160,8 @@ func (m *machine) release() {
 
 // Execute runs a parsed program as an application call. State mutations go
 // straight to the ledger; the chain simulator is responsible for snapshot/
-// rollback when a call is rejected.
+// rollback when a call is rejected. Every fault of a program Parse built is
+// returned in Result.Err; Execute itself does not panic.
 func Execute(prog *Program, ledger Ledger, tx TxContext) Result {
 	if tx.BudgetTxns < 1 {
 		tx.BudgetTxns = 1
@@ -201,487 +181,335 @@ func Execute(prog *Program, ledger Ledger, tx TxContext) Result {
 	return res
 }
 
+// fault carries an instruction's error from m.fail to run's recover.
+type fault struct{ err error }
+
+// fail aborts the running instruction with err. It unwinds to run, which
+// returns err tagged with the instruction's line: the bailout go/parser
+// uses, so the dispatch code reads straight through.
+func (m *machine) fail(err error) { panic(fault{err}) }
+
 func (m *machine) push(v Value) { m.stack = append(m.stack, v) }
 
-func (m *machine) pop() (Value, error) {
+// errEmptyStack is built once so pop stays inlinable.
+var errEmptyStack = fmt.Errorf("%w: pop on empty stack", ErrStack)
+
+func (m *machine) pop() Value {
 	if len(m.stack) == 0 {
-		return Value{}, fmt.Errorf("%w: pop on empty stack", ErrStack)
+		m.fail(errEmptyStack)
 	}
 	v := m.stack[len(m.stack)-1]
 	m.stack = m.stack[:len(m.stack)-1]
-	return v, nil
+	return v
 }
 
-func (m *machine) pop2() (Value, Value, error) {
-	b, err := m.pop()
-	if err != nil {
-		return Value{}, Value{}, err
-	}
-	a, err := m.pop()
-	if err != nil {
-		return Value{}, Value{}, err
-	}
-	return a, b, nil
+// pop2 pops b then a and returns them in push order.
+func (m *machine) pop2() (Value, Value) {
+	b := m.pop()
+	return m.pop(), b
 }
 
-func (m *machine) popUint() (uint64, error) {
-	v, err := m.pop()
+func (m *machine) asUint(v Value) uint64 {
+	x, err := v.AsUint()
 	if err != nil {
-		return 0, err
+		m.fail(err)
 	}
-	return v.AsUint()
+	return x
 }
 
-func (m *machine) popBytes() ([]byte, error) {
-	v, err := m.pop()
+func (m *machine) asBytes(v Value) []byte {
+	b, err := v.AsBytes()
 	if err != nil {
-		return nil, err
+		m.fail(err)
 	}
-	return v.AsBytes()
+	return b
 }
 
+func (m *machine) popUint() uint64 { return m.asUint(m.pop()) }
+
+func (m *machine) popBytes() []byte { return m.asBytes(m.pop()) }
+
+// popAccount pops an account reference: bytes are a raw address.
+func (m *machine) popAccount() chain.Address {
+	v := m.pop()
+	if v.IsBytes {
+		return chain.AddressFromBytes(v.Bytes)
+	}
+	// Numeric account references index the Accounts array; 0 is the sender.
+	if v.Uint == 0 {
+		return m.tx.Sender
+	}
+	i := v.Uint - 1
+	if i >= uint64(len(m.tx.Accounts)) {
+		m.fail(fmt.Errorf("%w: account index %d", ErrBadProgram, v.Uint))
+	}
+	return m.tx.Accounts[i]
+}
+
+// run interprets the program. An instruction that fails calls m.fail; the
+// deferred recover turns that into the returned error, and re-raises any
+// other panic.
+//
 //nolint:gocyclo // the interpreter is a single large dispatch by design.
-func (m *machine) run() (bool, error) {
+func (m *machine) run() (approved bool, err error) {
+	instrs := m.prog.Instrs
 	pc := 0
-	for pc < len(m.prog.Instrs) {
-		ins := m.prog.Instrs[pc]
-		c := ins.Cost
-		if c == 0 { // program not built by Parse
-			c = instrCostArgs(ins.Op, ins.Args)
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(fault)
+			if !ok {
+				panic(r)
+			}
+			approved, err = false, fmt.Errorf("line %d (%s): %w", instrs[pc].Line, instrs[pc].Op, f.err)
 		}
-		m.cost += c
+	}()
+	for pc < len(instrs) {
+		ins := &instrs[pc]
+		m.cost += ins.Cost
 		if m.tx.Profiler != nil {
-			m.tx.Profiler.Op(ins.Op, c)
+			m.tx.Profiler.Op(ins.Op, ins.Cost)
 		}
 		if m.cost > m.budget {
 			return false, fmt.Errorf("%w: %d > %d at line %d", ErrBudgetExceeded, m.cost, m.budget, ins.Line)
 		}
 
-		errAt := func(err error) error {
-			return fmt.Errorf("line %d (%s): %w", ins.Line, ins.Op, err)
-		}
+		switch ins.code {
+		case opInt:
+			m.push(Uint64Value(ins.arg))
+		case opBytes:
+			m.push(BytesValue(ins.data))
 
-		switch ins.Op {
-		case "int", "pushint":
-			v, err := argUint(ins.Args[0])
-			if err != nil {
-				return false, errAt(err)
+		case opTxnSender:
+			// Copy out of the machine struct: the pushed value can escape
+			// into the ledger (e.g. a stored creator address), and a slice
+			// aliasing the pooled machine's tx field would be rewritten by
+			// the next call that reuses the machine.
+			sender := m.tx.Sender
+			m.push(BytesValue(sender[:]))
+		case opTxnApplicationID:
+			if m.tx.CreateMode {
+				m.push(Uint64Value(0))
+			} else {
+				m.push(Uint64Value(m.tx.AppID))
 			}
-			m.push(Uint64Value(v))
-
-		case "byte", "pushbytes":
-			m.push(BytesValue([]byte(argString(ins.Args[0]))))
-
-		case "addr":
-			// The assembler writes raw 20-byte addresses as hex with 0x.
-			s := argString(ins.Args[0])
-			m.push(BytesValue([]byte(s)))
-
-		case "txn":
-			switch ins.Args[0] {
-			case "Sender":
-				// Copy out of the machine struct: the pushed value can
-				// escape into the ledger (e.g. a stored creator address),
-				// and a slice aliasing the pooled machine's tx field would
-				// be rewritten by the next call that reuses the machine.
-				sender := m.tx.Sender
-				m.push(BytesValue(sender[:]))
-			case "ApplicationID":
-				if m.tx.CreateMode {
-					m.push(Uint64Value(0))
-				} else {
-					m.push(Uint64Value(m.tx.AppID))
-				}
-			case "NumAppArgs":
-				m.push(Uint64Value(uint64(len(m.tx.Args))))
-			case "OnCompletion":
-				m.push(Uint64Value(m.tx.OnCompletion))
-			case "Fee":
-				m.push(Uint64Value(m.tx.Fee))
-			default:
-				return false, errAt(fmt.Errorf("%w: txn field %q", ErrBadProgram, ins.Args[0]))
+		case opTxnNumAppArgs:
+			m.push(Uint64Value(uint64(len(m.tx.Args))))
+		case opTxnOnCompletion:
+			m.push(Uint64Value(m.tx.OnCompletion))
+		case opTxnFee:
+			m.push(Uint64Value(m.tx.Fee))
+		case opTxnaArg:
+			if ins.arg >= uint64(len(m.tx.Args)) {
+				m.fail(fmt.Errorf("%w: ApplicationArgs index %d of %d", ErrBadProgram, ins.arg, len(m.tx.Args)))
 			}
-
-		case "txna":
-			if ins.Args[0] != "ApplicationArgs" {
-				return false, errAt(fmt.Errorf("%w: txna field %q", ErrBadProgram, ins.Args[0]))
-			}
-			i, err := argUint(ins.Args[1])
-			if err != nil {
-				return false, errAt(err)
-			}
-			if i >= uint64(len(m.tx.Args)) {
-				return false, errAt(fmt.Errorf("%w: ApplicationArgs index %d of %d", ErrBadProgram, i, len(m.tx.Args)))
-			}
-			m.push(BytesValue(m.tx.Args[i]))
-
-		case "gtxn":
-			// Group index 0 is by convention the payment transaction the
-			// connector groups in front of a paying API call.
-			if argString(ins.Args[0]) != "0" || ins.Args[1] != "Amount" {
-				return false, errAt(fmt.Errorf("%w: gtxn %v", ErrBadProgram, ins.Args))
-			}
+			m.push(BytesValue(m.tx.Args[ins.arg]))
+		case opGtxnAmount:
 			m.push(Uint64Value(m.tx.PayAmount))
 
-		case "global":
-			switch ins.Args[0] {
-			case "LatestTimestamp":
-				m.push(Uint64Value(m.ledger.LatestTimestamp()))
-			case "Round":
-				m.push(Uint64Value(m.ledger.Round()))
-			case "CurrentApplicationID":
-				m.push(Uint64Value(m.tx.AppID))
-			case "CurrentApplicationAddress":
-				a := m.ledger.AppAddress(m.tx.AppID)
-				m.push(BytesValue(a[:]))
-			case "ZeroAddress":
-				var z chain.Address
-				m.push(BytesValue(z[:]))
-			case "MinTxnFee":
-				m.push(Uint64Value(1000))
-			case "MinBalance":
-				m.push(Uint64Value(MinBalanceValue))
-			default:
-				return false, errAt(fmt.Errorf("%w: global field %q", ErrBadProgram, ins.Args[0]))
-			}
+		case opGlobalLatestTimestamp:
+			m.push(Uint64Value(m.ledger.LatestTimestamp()))
+		case opGlobalRound:
+			m.push(Uint64Value(m.ledger.Round()))
+		case opGlobalCurrentApplicationID:
+			m.push(Uint64Value(m.tx.AppID))
+		case opGlobalCurrentApplicationAddress:
+			a := m.ledger.AppAddress(m.tx.AppID)
+			m.push(BytesValue(a[:]))
+		case opGlobalZeroAddress:
+			var z chain.Address
+			m.push(BytesValue(z[:]))
+		case opGlobalMinTxnFee:
+			m.push(Uint64Value(1000))
+		case opGlobalMinBalance:
+			m.push(Uint64Value(MinBalanceValue))
 
-		case "+", "-", "*", "/", "%", "<", ">", "<=", ">=", "&&", "||":
-			a, b, err := m.pop2()
-			if err != nil {
-				return false, errAt(err)
-			}
-			x, err := a.AsUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			y, err := b.AsUint()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opAdd, opSub, opMul, opDiv, opMod, opLt, opGt, opLe, opGe, opAnd, opOr:
+			a, b := m.pop2()
+			x, y := m.asUint(a), m.asUint(b)
 			var out uint64
-			switch ins.Op {
-			case "+":
+			switch ins.code {
+			case opAdd:
 				out = x + y
 				if out < x {
-					return false, errAt(fmt.Errorf("%w: + overflow", ErrBadProgram))
+					m.fail(fmt.Errorf("%w: + overflow", ErrBadProgram))
 				}
-			case "-":
+			case opSub:
 				if y > x {
-					return false, errAt(fmt.Errorf("%w: - underflow", ErrBadProgram))
+					m.fail(fmt.Errorf("%w: - underflow", ErrBadProgram))
 				}
 				out = x - y
-			case "*":
+			case opMul:
 				if x != 0 && (x*y)/x != y {
-					return false, errAt(fmt.Errorf("%w: * overflow", ErrBadProgram))
+					m.fail(fmt.Errorf("%w: * overflow", ErrBadProgram))
 				}
 				out = x * y
-			case "/":
+			case opDiv:
 				if y == 0 {
-					return false, errAt(fmt.Errorf("%w: divide by zero", ErrBadProgram))
+					m.fail(fmt.Errorf("%w: divide by zero", ErrBadProgram))
 				}
 				out = x / y
-			case "%":
+			case opMod:
 				if y == 0 {
-					return false, errAt(fmt.Errorf("%w: modulo by zero", ErrBadProgram))
+					m.fail(fmt.Errorf("%w: modulo by zero", ErrBadProgram))
 				}
 				out = x % y
-			case "<":
+			case opLt:
 				out = b2u(x < y)
-			case ">":
+			case opGt:
 				out = b2u(x > y)
-			case "<=":
+			case opLe:
 				out = b2u(x <= y)
-			case ">=":
+			case opGe:
 				out = b2u(x >= y)
-			case "&&":
+			case opAnd:
 				out = b2u(x != 0 && y != 0)
-			case "||":
+			case opOr:
 				out = b2u(x != 0 || y != 0)
 			}
 			m.push(Uint64Value(out))
 
-		case "==", "!=":
-			a, b, err := m.pop2()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opEq, opNe:
+			a, b := m.pop2()
 			if a.IsBytes != b.IsBytes {
-				return false, errAt(ErrTypeMismatch)
+				m.fail(ErrTypeMismatch)
 			}
-			eq := false
+			eq := a.Uint == b.Uint
 			if a.IsBytes {
 				eq = string(a.Bytes) == string(b.Bytes)
-			} else {
-				eq = a.Uint == b.Uint
 			}
-			if ins.Op == "!=" {
-				eq = !eq
-			}
-			m.push(Uint64Value(b2u(eq)))
+			m.push(Uint64Value(b2u(eq == (ins.code == opEq))))
 
-		case "!":
-			x, err := m.popUint()
+		case opNot:
+			m.push(Uint64Value(b2u(m.popUint() == 0)))
+		case opItob:
+			m.push(BytesValue(Itob(m.popUint())))
+		case opBtoi:
+			v, err := Btoi(m.popBytes())
 			if err != nil {
-				return false, errAt(err)
-			}
-			m.push(Uint64Value(b2u(x == 0)))
-
-		case "itob":
-			x, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.push(BytesValue(Itob(x)))
-
-		case "btoi":
-			b, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			v, err := Btoi(b)
-			if err != nil {
-				return false, errAt(err)
+				m.fail(err)
 			}
 			m.push(Uint64Value(v))
-
-		case "concat":
-			a, b, err := m.pop2()
-			if err != nil {
-				return false, errAt(err)
-			}
-			x, err := a.AsBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			y, err := b.AsBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opConcat:
+			a, b := m.pop2()
+			x, y := m.asBytes(a), m.asBytes(b)
 			m.push(BytesValue(append(append([]byte(nil), x...), y...)))
-
-		case "len":
-			b, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.push(Uint64Value(uint64(len(b))))
-
-		case "sha256":
-			b, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			h := polcrypto.Hash1(b)
+		case opLen:
+			m.push(Uint64Value(uint64(len(m.popBytes()))))
+		case opSha256:
+			h := polcrypto.Hash1(m.popBytes())
 			m.push(BytesValue(h[:]))
 
-		case "sha256_parts":
+		case opSha256Parts:
 			// Precompile pseudo-op: sha256 over the concatenation of the
 			// top N stack values without materializing the concatenation.
-			n, err := argUint(ins.Args[0])
-			if err != nil || n < 1 || n > 16 {
-				return false, errAt(fmt.Errorf("%w: sha256_parts count", ErrBadProgram))
-			}
-			parts := make([][]byte, n)
-			for i := int(n) - 1; i >= 0; i-- {
-				if parts[i], err = m.popBytes(); err != nil {
-					return false, errAt(err)
-				}
+			parts := make([][]byte, ins.arg)
+			for i := len(parts) - 1; i >= 0; i-- {
+				parts[i] = m.popBytes()
 			}
 			h, _ := preSha256Parts.Native(parts...)
 			m.push(BytesValue(h[:]))
 
-		case "keccak256":
+		case opKeccak256:
 			// Precompile pseudo-op; the system hash is SHA-256 throughout
 			// (DESIGN.md §14), so this is sha256 at keccak's op cost.
-			b, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			h, _ := preKeccak256.Native(b)
+			h, _ := preKeccak256.Native(m.popBytes())
 			m.push(BytesValue(h[:]))
 
-		case "ed25519verify":
+		case opEd25519Verify:
 			// Precompile pseudo-op: pops pubkey, signature, data (TEAL
-			// argument order data/sig/pubkey) and pushes the verdict. Routed
-			// through the shared LRU signature cache.
-			pub, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			sig, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			data, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
+			// argument order data/sig/pubkey) and pushes the verdict of
+			// polcrypto.Verify.
+			pub := m.popBytes()
+			sig := m.popBytes()
+			data := m.popBytes()
 			w, ok := preEd25519.Native(pub, data, sig)
 			if !ok {
-				return false, errAt(fmt.Errorf("%w: ed25519verify", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: ed25519verify", ErrBadProgram))
 			}
 			m.push(Uint64Value(uint64(w[31])))
 
-		case "olc_contains":
+		case opOLCContains:
 			// Precompile pseudo-op: pops code, cell and pushes whether the
 			// open-location code lies in the (stripped-prefix) area cell.
-			code, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			cell, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
+			code := m.popBytes()
+			cell := m.popBytes()
 			w, ok := preOLCContains.Native(cell, code)
 			if !ok {
-				return false, errAt(fmt.Errorf("%w: olc_contains", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: olc_contains", ErrBadProgram))
 			}
 			m.push(Uint64Value(uint64(w[31])))
 
-		case "dup":
-			v, err := m.pop()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opDup:
+			v := m.pop()
 			m.push(v)
 			m.push(v)
-
-		case "pop":
-			if _, err := m.pop(); err != nil {
-				return false, errAt(err)
-			}
-
-		case "swap":
-			a, b, err := m.pop2()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opPop:
+			m.pop()
+		case opSwap:
+			a, b := m.pop2()
 			m.push(b)
 			m.push(a)
-
-		case "select":
+		case opSelect:
 			// select: A B C -> (C != 0 ? B : A)
-			c, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			a, b, err := m.pop2()
-			if err != nil {
-				return false, errAt(err)
-			}
+			c := m.popUint()
+			a, b := m.pop2()
 			if c != 0 {
 				m.push(b)
 			} else {
 				m.push(a)
 			}
 
-		case "store":
-			i, err := argUint(ins.Args[0])
-			if err != nil || i >= 256 {
-				return false, errAt(fmt.Errorf("%w: scratch slot", ErrBadProgram))
-			}
-			v, err := m.pop()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.scratch[i] = v
-			m.scratchDirty = append(m.scratchDirty, uint16(i))
+		case opStore:
+			m.scratch[ins.arg] = m.pop()
+			m.scratchDirty = append(m.scratchDirty, uint16(ins.arg))
+		case opLoad:
+			m.push(m.scratch[ins.arg])
 
-		case "load":
-			i, err := argUint(ins.Args[0])
-			if err != nil || i >= 256 {
-				return false, errAt(fmt.Errorf("%w: scratch slot", ErrBadProgram))
-			}
-			m.push(m.scratch[i])
-
-		case "b", "bnz", "bz":
-			target, ok := m.prog.Labels[ins.Args[0]]
-			if !ok {
-				return false, errAt(fmt.Errorf("%w: undefined label %q", ErrBadProgram, ins.Args[0]))
-			}
-			take := true
-			if ins.Op != "b" {
-				x, err := m.popUint()
-				if err != nil {
-					return false, errAt(err)
-				}
-				take = (ins.Op == "bnz") == (x != 0)
-			}
-			if take {
-				pc = target
+		case opB, opBnz, opBz:
+			if ins.code == opB || (ins.code == opBnz) == (m.popUint() != 0) {
+				pc = int(ins.arg)
 				continue
 			}
-
-		case "callsub":
-			target, ok := m.prog.Labels[ins.Args[0]]
-			if !ok {
-				return false, errAt(fmt.Errorf("%w: undefined label %q", ErrBadProgram, ins.Args[0]))
-			}
+		case opCallsub:
 			m.callers = append(m.callers, pc+1)
-			pc = target
+			pc = int(ins.arg)
 			continue
-
-		case "retsub":
+		case opRetsub:
 			if len(m.callers) == 0 {
-				return false, errAt(fmt.Errorf("%w: retsub without callsub", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: retsub without callsub", ErrBadProgram))
 			}
 			pc = m.callers[len(m.callers)-1]
 			m.callers = m.callers[:len(m.callers)-1]
 			continue
 
-		case "assert":
-			x, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
+		case opAssert:
+			if m.popUint() == 0 {
+				m.fail(fmt.Errorf("%w: assert failed", ErrRejected))
 			}
-			if x == 0 {
-				return false, errAt(fmt.Errorf("%w: assert failed", ErrRejected))
-			}
+		case opErr:
+			m.fail(ErrRejected)
+		case opReturn:
+			return m.popUint() != 0, nil
 
-		case "err":
-			return false, errAt(ErrRejected)
-
-		case "return":
-			x, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
-			return x != 0, nil
-
-		case "log":
-			b, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
+		case opLog:
+			b := m.popBytes()
 			m.logs = append(m.logs, string(b))
 			const retPrefix = "return:"
 			if len(b) >= len(retPrefix) && string(b[:len(retPrefix)]) == retPrefix {
 				m.ret = append([]byte(nil), b[len(retPrefix):]...)
 			}
 
-		case "app_global_get":
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			v, ok := m.ledger.GlobalGet(m.tx.AppID, string(key))
+		case opAppGlobalGet:
+			v, ok := m.ledger.GlobalGet(m.tx.AppID, string(m.popBytes()))
 			if !ok {
 				v = Uint64Value(0)
 			}
 			m.push(v)
-
-		case "app_global_get_ex":
+		case opAppGlobalGetEx:
 			// Pops key then app id (0 = current app); pushes value and a
 			// did-exist flag, as on the real AVM.
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			app, err := m.popUint()
-			if err != nil {
-				return false, errAt(err)
-			}
+			key := m.popBytes()
+			app := m.popUint()
 			if app == 0 {
 				app = m.tx.AppID
 			}
@@ -691,118 +519,60 @@ func (m *machine) run() (bool, error) {
 			}
 			m.push(v)
 			m.push(Uint64Value(b2u(ok)))
+		case opAppGlobalPut:
+			v := m.pop()
+			m.ledger.GlobalPut(m.tx.AppID, string(m.popBytes()), v)
+		case opAppGlobalDel:
+			m.ledger.GlobalDel(m.tx.AppID, string(m.popBytes()))
 
-		case "app_global_put":
-			v, err := m.pop()
-			if err != nil {
-				return false, errAt(err)
-			}
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.ledger.GlobalPut(m.tx.AppID, string(key), v)
-
-		case "app_global_del":
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.ledger.GlobalDel(m.tx.AppID, string(key))
-
-		case "app_local_get":
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			acct, err := m.popAccount()
-			if err != nil {
-				return false, errAt(err)
-			}
-			v, ok := m.ledger.LocalGet(m.tx.AppID, acct, string(key))
+		case opAppLocalGet:
+			key := m.popBytes()
+			v, ok := m.ledger.LocalGet(m.tx.AppID, m.popAccount(), string(key))
 			if !ok {
 				v = Uint64Value(0)
 			}
 			m.push(v)
+		case opAppLocalPut:
+			v := m.pop()
+			key := m.popBytes()
+			m.ledger.LocalPut(m.tx.AppID, m.popAccount(), string(key), v)
+		case opAppLocalDel:
+			key := m.popBytes()
+			m.ledger.LocalDel(m.tx.AppID, m.popAccount(), string(key))
+		case opBalance:
+			m.push(Uint64Value(m.ledger.Balance(m.popAccount())))
 
-		case "app_local_put":
-			v, err := m.pop()
-			if err != nil {
-				return false, errAt(err)
-			}
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			acct, err := m.popAccount()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.ledger.LocalPut(m.tx.AppID, acct, string(key), v)
-
-		case "app_local_del":
-			key, err := m.popBytes()
-			if err != nil {
-				return false, errAt(err)
-			}
-			acct, err := m.popAccount()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.ledger.LocalDel(m.tx.AppID, acct, string(key))
-
-		case "balance":
-			acct, err := m.popAccount()
-			if err != nil {
-				return false, errAt(err)
-			}
-			m.push(Uint64Value(m.ledger.Balance(acct)))
-
-		case "itxn_begin":
+		case opItxnBegin:
 			if m.itxnOpen {
-				return false, errAt(fmt.Errorf("%w: nested itxn_begin", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: nested itxn_begin", ErrBadProgram))
 			}
 			m.itxnOpen = true
 			m.itxnReceiver = chain.Address{}
 			m.itxnAmount = 0
-
-		case "itxn_field":
+		case opItxnReceiver, opItxnAmount, opItxnTypeEnum:
 			if !m.itxnOpen {
-				return false, errAt(fmt.Errorf("%w: itxn_field outside group", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: itxn_field outside group", ErrBadProgram))
 			}
-			switch ins.Args[0] {
-			case "Receiver":
-				b, err := m.popBytes()
-				if err != nil {
-					return false, errAt(err)
-				}
-				m.itxnReceiver = chain.AddressFromBytes(b)
-			case "Amount":
-				v, err := m.popUint()
-				if err != nil {
-					return false, errAt(err)
-				}
-				m.itxnAmount = v
-			case "TypeEnum":
-				if _, err := m.pop(); err != nil { // only "pay" supported
-					return false, errAt(err)
-				}
+			switch ins.code {
+			case opItxnReceiver:
+				m.itxnReceiver = chain.AddressFromBytes(m.popBytes())
+			case opItxnAmount:
+				m.itxnAmount = m.popUint()
 			default:
-				return false, errAt(fmt.Errorf("%w: itxn field %q", ErrBadProgram, ins.Args[0]))
+				m.pop() // TypeEnum: only "pay" is supported
 			}
-
-		case "itxn_submit":
+		case opItxnSubmit:
 			if !m.itxnOpen {
-				return false, errAt(fmt.Errorf("%w: itxn_submit outside group", ErrBadProgram))
+				m.fail(fmt.Errorf("%w: itxn_submit outside group", ErrBadProgram))
 			}
 			m.itxnOpen = false
-			from := m.ledger.AppAddress(m.tx.AppID)
-			if err := m.ledger.Pay(from, m.itxnReceiver, m.itxnAmount); err != nil {
-				return false, errAt(err)
+			if err := m.ledger.Pay(m.ledger.AppAddress(m.tx.AppID), m.itxnReceiver, m.itxnAmount); err != nil {
+				m.fail(err)
 			}
 
 		default:
-			return false, errAt(fmt.Errorf("%w: unknown opcode %q", ErrBadProgram, ins.Op))
+			// Only an Instr that Parse did not decode gets here.
+			m.fail(fmt.Errorf("%w: unknown opcode %q", ErrBadProgram, ins.Op))
 		}
 		pc++
 	}
@@ -810,26 +580,6 @@ func (m *machine) run() (bool, error) {
 	// (which requires a final stack value; our compiler always emits an
 	// explicit return).
 	return false, fmt.Errorf("%w: program ended without return", ErrBadProgram)
-}
-
-// popAccount pops an account reference: bytes are a raw address.
-func (m *machine) popAccount() (chain.Address, error) {
-	v, err := m.pop()
-	if err != nil {
-		return chain.Address{}, err
-	}
-	if v.IsBytes {
-		return chain.AddressFromBytes(v.Bytes), nil
-	}
-	// Numeric account references index the Accounts array; 0 is the sender.
-	if v.Uint == 0 {
-		return m.tx.Sender, nil
-	}
-	i := v.Uint - 1
-	if i >= uint64(len(m.tx.Accounts)) {
-		return chain.Address{}, fmt.Errorf("%w: account index %d", ErrBadProgram, v.Uint)
-	}
-	return m.tx.Accounts[i], nil
 }
 
 func b2u(b bool) uint64 {

@@ -392,23 +392,6 @@ return`
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	if _, err := Parse("byte \"unterminated"); err == nil {
-		t.Fatal("unterminated string accepted")
-	}
-	if _, err := Parse("x:\nx:\nint 1\nreturn"); err == nil {
-		t.Fatal("duplicate label accepted")
-	}
-	res, _ := exec(t, "frobnicate\nint 1\nreturn", TxContext{AppID: 1})
-	if res.Err == nil {
-		t.Fatal("unknown opcode accepted")
-	}
-	res, _ = exec(t, "b nowhere\nint 1\nreturn", TxContext{AppID: 1})
-	if res.Err == nil {
-		t.Fatal("undefined branch target accepted")
-	}
-}
-
 func TestSelectAndSwap(t *testing.T) {
 	src := `
 int 10
