@@ -573,6 +573,7 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 		}
 		rcpt.Reverted = true
 		rcpt.RevertMsg = err.Error()
+		rcpt.Logs = nil // a failed group logs nothing, as a failed EVM call
 	} else {
 		o.ov.Keep()
 		feeSink = totalFee

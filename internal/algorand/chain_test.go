@@ -139,6 +139,8 @@ bz create
 byte "touched"
 int 1
 app_global_put
+byte "trace"
+log
 err
 create:
 int 1
@@ -153,6 +155,9 @@ return`, nil)
 	}
 	if !rcpt.Reverted {
 		t.Fatal("call should be rejected")
+	}
+	if len(rcpt.Logs) != 0 {
+		t.Fatalf("rejected call left logs %q", rcpt.Logs)
 	}
 	if _, ok := c.led.GlobalGet(appID, "touched"); ok {
 		t.Fatal("state write survived a rejected call")

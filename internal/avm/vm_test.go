@@ -74,6 +74,33 @@ func TestArithmeticFaults(t *testing.T) {
 	}
 }
 
+// brokenLedger is a Ledger whose global writes panic: a defect outside the
+// program, which must not pass for the program's fault.
+type brokenLedger struct{ *MemLedger }
+
+var errLedgerBroken = errors.New("ledger backend failed")
+
+func (brokenLedger) GlobalPut(uint64, string, Value) { panic(errLedgerBroken) }
+
+// TestForeignPanicEscapes: run's recover turns only the VM's own faults
+// into Result.Err and re-raises any other panic unchanged. A pooled
+// machine still runs the next program correctly.
+func TestForeignPanicEscapes(t *testing.T) {
+	prog := mustParse(t, "byte \"k\"\nint 1\napp_global_put\nint 1\nreturn")
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		Execute(prog, brokenLedger{NewMemLedger()}, TxContext{AppID: 1})
+		return nil
+	}()
+	if r != errLedgerBroken {
+		t.Fatalf("Execute panicked with %v, want the ledger's panic", r)
+	}
+	res, led := exec(t, "byte \"k\"\nint 6\nint 7\n*\napp_global_put\nint 1\nreturn", TxContext{AppID: 1})
+	if v, ok := led.GlobalGet(1, "k"); !res.Approved || !ok || v.Uint != 42 {
+		t.Fatalf("after the panic: approved %v, err %v, k = %v", res.Approved, res.Err, v)
+	}
+}
+
 func TestBytesOps(t *testing.T) {
 	src := `
 byte "foo"

@@ -253,6 +253,38 @@ func TestRevertedDeployKeepsNoCode(t *testing.T) {
 	}
 }
 
+// TestFailedCallKeepsNoLogs: a call that emits a log and then reverts, or
+// halts exceptionally, leaves no log on its receipt; Ethereum drops the
+// logs of a failed frame.
+func TestFailedCallKeepsNoLogs(t *testing.T) {
+	c := newTestChain(t)
+	cl := NewClient(c)
+	alice := c.NewAccount(eth(1))
+	for _, end := range []evm.Opcode{evm.REVERT, evm.Opcode(0xfe)} {
+		// Deployment runs with no calldata and stops; a call with calldata
+		// logs, then ends with end.
+		a := evm.NewAssembler()
+		a.Op(evm.CALLDATASIZE).PushLabel("call").Op(evm.JUMPI, evm.STOP)
+		a.Label("call").PushUint(0).PushUint(0).Op(evm.LOG0)
+		a.PushUint(0).PushUint(0).Op(end)
+		code, err := a.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, addr, err := cl.deploy(alice, code, nil, nil, 200000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcpt, err := cl.call(alice, addr, []byte{1}, nil, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rcpt.Reverted || len(rcpt.Logs) != 0 {
+			t.Fatalf("%s: reverted %v with logs %q, want reverted with none", end, rcpt.Reverted, rcpt.Logs)
+		}
+	}
+}
+
 func TestCongestionDelaysInclusion(t *testing.T) {
 	busy := Goerli()
 	busy.CongestionMeanGas = 40_000_000

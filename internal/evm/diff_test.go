@@ -257,8 +257,9 @@ func TestDifferentialCallTransfer(t *testing.T) {
 // near 2^64 (each engine applies its own reading of a word of 2^64 or more,
 // and both refuse any range that wraps or passes 4 GiB), precompile
 // descriptors naming ranges there, and every row of
-// TestWordsOf2To64AndAbove — where a fast-path shortcut would part from
-// big.Int.
+// TestWordsOf2To64AndAbove (value-transfer CALL ranges among them) — where
+// a fast-path shortcut would part from big.Int — then the two stack
+// overflows of TestStackErrors.
 // Run with -fuzzminimizetime 2s: minimising one long input otherwise eats
 // the budget. Crashers land in testdata/fuzz/FuzzExecuteAgainstRef with
 // their fix.
@@ -318,6 +319,9 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 		}
 		f.Add(code, row.calldata)
 	}
+	// The stack limit, which random inputs never get near.
+	f.Add(pushed(stackLimit+1), []byte(nil))
+	f.Add(pushed(stackLimit, DUP1), []byte(nil))
 
 	addr, caller := chain.Address{0xaa}, chain.Address{0xbb}
 	f.Fuzz(func(t *testing.T, code, calldata []byte) {
@@ -333,6 +337,11 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 				CallData: calldata, GasLimit: 200_000, BlockNumber: 7, Timestamp: 1234567,
 			}
 		}
+		// The fuzzing engine rewrites its input buffer in place between
+		// calls, and Execute may reuse the jump destinations of code it has
+		// run by the slice's identity: contract code never changes once
+		// stored.
+		code = bytes.Clone(code)
 		got, want := Execute(mk(stFast), code), executeRef(mk(stRef), code)
 		if !resultsEqual(got, want) {
 			t.Fatalf("result mismatch\ncode=%x\ncalldata=%x\nfast=%+v\nref=%+v", code, calldata, got, want)

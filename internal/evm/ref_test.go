@@ -133,8 +133,9 @@ func executeRef(ctx Context, code []byte) Result {
 	res := in.run()
 	if res.Err != nil || res.Reverted {
 		in.state.j.revert()
+	} else {
+		res.Logs = in.logs
 	}
-	res.Logs = in.logs
 	return res
 }
 
@@ -685,18 +686,19 @@ func (in *refInterpreter) run() Result {
 		case CALL:
 			// Value-transfer call (the contract language only transfers to
 			// externally-owned accounts; nested contract execution is not
-			// part of the compiled programs).
+			// part of the compiled programs). Either kind pays memory
+			// expansion for its input and output ranges.
 			args, err := in.popN(7)
 			if err != nil {
 				return fail(err)
 			}
 			to := refWordToAddress(args[1])
+			inOff, inSize, inOK := refMemRange(args[3], args[4])
+			outOff, outSize, outOK := refMemRange(args[5], args[6])
+			if !inOK || !outOK {
+				return fail(ErrOutOfGas)
+			}
 			if p := precompile.ByAddress(to); p != nil {
-				inOff, inSize, inOK := refMemRange(args[3], args[4])
-				outOff, outSize, outOK := refMemRange(args[5], args[6])
-				if !inOK || !outOK {
-					return fail(ErrOutOfGas)
-				}
 				ok, oog := runPrecompile(in, p, args[2].Sign() == 0, inOff, inSize, outOff, outSize)
 				if oog {
 					return fail(ErrOutOfGas)
@@ -724,6 +726,9 @@ func (in *refInterpreter) run() Result {
 				}
 			}
 			if !in.useGas(cost) {
+				return fail(ErrOutOfGas)
+			}
+			if !in.expandMem(inOff, inSize) || !in.expandMem(outOff, outSize) {
 				return fail(ErrOutOfGas)
 			}
 			// The balances are words: the oracle converts at its own

@@ -56,7 +56,9 @@ type Result struct {
 	Reverted   bool
 	RevertMsg  string
 	ReturnData []byte
-	Logs       []Log
+	// Logs are the events of a successful execution; a reverted or
+	// failed one emits none.
+	Logs []Log
 	// Err is non-nil for exceptional halts (out of gas, bad jump…); those
 	// consume the full gas limit.
 	Err error
@@ -155,6 +157,8 @@ func (in *interpreter) profFlush() {
 // Execute runs code in the given context and returns the result. Gas
 // accounting covers opcode execution only; the chain layer adds intrinsic
 // transaction gas (IntrinsicGas) and code-deposit gas for deployments.
+// code must not change once run: a later Execute of the same slice may
+// reuse the jump destinations found in it.
 //
 // Semantics are bit-identical to the retained big.Int reference interpreter
 // (ref_test.go); the differential tests and FuzzExecuteAgainstRef enforce
@@ -171,8 +175,8 @@ func Execute(ctx Context, code []byte) Result {
 				ctx.State.SetStorage(ctx.Address, s.key, s.cur)
 			}
 		}
+		res.Logs = in.logs
 	}
-	res.Logs = in.logs
 	in.release()
 	interpPool.Put(in)
 	return res
@@ -258,45 +262,58 @@ func (in *interpreter) useGas(amount uint64) bool {
 	return true
 }
 
-func (in *interpreter) push(v u256.Word) error {
+// fault carries an exceptional halt from in.fail to run's recover.
+type fault struct{ err error }
+
+// fail halts the execution with err. It unwinds to run's recover, which
+// consumes all gas and returns err, so each opcode reads straight through;
+// the AVM faults the same way.
+func (in *interpreter) fail(err error) { panic(fault{err}) }
+
+// charge takes amount gas, halting out of gas when too little is left.
+func (in *interpreter) charge(amount uint64) {
+	if !in.useGas(amount) {
+		in.fail(ErrOutOfGas)
+	}
+}
+
+func (in *interpreter) push(v u256.Word) {
 	if in.sp >= stackLimit {
-		return ErrStackOverflow
+		in.fail(ErrStackOverflow)
 	}
 	in.stack[in.sp] = v
 	in.sp++
-	return nil
 }
 
-func (in *interpreter) pop() (u256.Word, error) {
+func (in *interpreter) pop() u256.Word {
 	if in.sp == 0 {
-		return u256.Word{}, ErrStackUnderflow
+		in.fail(ErrStackUnderflow)
 	}
 	in.sp--
-	return in.stack[in.sp], nil
+	return in.stack[in.sp]
 }
 
 // pop2 removes the two topmost words; a was the top of the stack.
-func (in *interpreter) pop2() (a, b u256.Word, err error) {
+func (in *interpreter) pop2() (a, b u256.Word) {
 	if in.sp < 2 {
-		return a, b, ErrStackUnderflow
+		in.fail(ErrStackUnderflow)
 	}
 	in.sp -= 2
-	return in.stack[in.sp+1], in.stack[in.sp], nil
+	return in.stack[in.sp+1], in.stack[in.sp]
 }
 
 // popN copies the topmost len(dst) words into dst in pop order (dst[0] was
 // the top). Callers pass a fixed-size local array slice, so nothing heap-
 // allocates.
-func (in *interpreter) popN(dst []u256.Word) error {
+func (in *interpreter) popN(dst []u256.Word) {
 	n := len(dst)
 	if in.sp < n {
-		return ErrStackUnderflow
+		in.fail(ErrStackUnderflow)
 	}
 	for i := 0; i < n; i++ {
 		dst[i] = in.stack[in.sp-1-i]
 	}
 	in.sp -= n
-	return nil
 }
 
 // expandMem charges and grows memory to cover [off, off+size). Pooled memory
@@ -372,16 +389,24 @@ func (in *interpreter) slot(key chain.Hash32) (s *slot, cold bool) {
 
 // memRange reads a memory (offset, size) operand pair. A size of zero
 // touches nothing, whatever the offset. Otherwise an offset or size of 2^64
-// or more cannot be paid for: ok is false and the caller halts with
-// ErrOutOfGas, as expandMem does for a range whose end overflows.
-func memRange(off, size u256.Word) (o, s uint64, ok bool) {
+// or more cannot be paid for, so execution halts with ErrOutOfGas, as grow
+// does for a range whose end overflows.
+func (in *interpreter) memRange(off, size u256.Word) (o, s uint64) {
 	if size.IsZero() {
-		return 0, 0, true
+		return 0, 0
 	}
 	if !off.IsUint64() || !size.IsUint64() {
-		return 0, 0, false
+		in.fail(ErrOutOfGas)
 	}
-	return off.Uint64(), size.Uint64(), true
+	return off.Uint64(), size.Uint64()
+}
+
+// grow expands memory over [off, off+size), halting out of gas when the
+// expansion cannot be paid for.
+func (in *interpreter) grow(off, size uint64) {
+	if !in.expandMem(off, size) {
+		in.fail(ErrOutOfGas)
+	}
 }
 
 // word32 is the size of an MLOAD or MSTORE range.
@@ -396,19 +421,32 @@ func dataOffset(w u256.Word) uint64 {
 	return w.Uint64()
 }
 
-// validJump reports whether the jump destination word names a JUMPDEST; a
-// destination of 2^64 or more names none.
-func (in *interpreter) validJump(dest u256.Word) bool {
-	return dest.IsUint64() && dest.Uint64() < uint64(len(in.jumpdests)) && in.jumpdests[dest.Uint64()]
+// jumpDest returns the destination a jump word names, halting with
+// ErrInvalidJump unless it names a JUMPDEST; a destination of 2^64 or more
+// names none.
+func (in *interpreter) jumpDest(dest u256.Word) uint64 {
+	if !dest.IsUint64() || dest.Uint64() >= uint64(len(in.jumpdests)) || !in.jumpdests[dest.Uint64()] {
+		in.fail(ErrInvalidJump)
+	}
+	return dest.Uint64()
 }
 
+// run interprets the code. A failing opcode calls in.fail; the deferred
+// recover turns that into an exceptional halt that consumes all gas, and
+// re-raises any other panic.
+//
 //nolint:gocyclo // a bytecode interpreter is one big dispatch by nature.
-func (in *interpreter) run() Result {
-	fail := func(err error) Result {
-		// Exceptional halt: consume everything.
-		in.profFlush()
-		return Result{GasUsed: in.ctx.GasLimit, Err: err}
-	}
+func (in *interpreter) run() (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(fault)
+			if !ok {
+				panic(r)
+			}
+			in.profFlush()
+			res = Result{GasUsed: in.ctx.GasLimit, Err: f.err}
+		}
+	}()
 	var pc uint64
 	for pc < uint64(len(in.code)) {
 		op := Opcode(in.code[pc])
@@ -417,48 +455,36 @@ func (in *interpreter) run() Result {
 		}
 
 		if hasConstGas[op] {
-			if !in.useGas(constGasTab[op]) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(constGasTab[op])
 		}
 
 		switch {
 		case op >= PUSH1 && op <= PUSH32:
-			if !in.useGas(GasVeryLow) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(GasVeryLow)
 			n := uint64(op-PUSH1) + 1
 			end := pc + 1 + n
 			if end > uint64(len(in.code)) {
 				end = uint64(len(in.code))
 			}
-			if err := in.push(u256.SetBytes(in.code[pc+1 : end])); err != nil {
-				return fail(err)
-			}
+			in.push(u256.SetBytes(in.code[pc+1 : end]))
 			pc += n + 1
 			continue
 
 		case op >= DUP1 && op <= DUP16:
-			if !in.useGas(GasVeryLow) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(GasVeryLow)
 			n := int(op-DUP1) + 1
 			if in.sp < n {
-				return fail(ErrStackUnderflow)
+				in.fail(ErrStackUnderflow)
 			}
-			if err := in.push(in.stack[in.sp-n]); err != nil {
-				return fail(err)
-			}
+			in.push(in.stack[in.sp-n])
 			pc++
 			continue
 
 		case op >= SWAP1 && op <= SWAP16:
-			if !in.useGas(GasVeryLow) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(GasVeryLow)
 			n := int(op-SWAP1) + 1
 			if in.sp < n+1 {
-				return fail(ErrStackUnderflow)
+				in.fail(ErrStackUnderflow)
 			}
 			top := in.sp - 1
 			in.stack[top], in.stack[top-n] = in.stack[top-n], in.stack[top]
@@ -472,10 +498,7 @@ func (in *interpreter) run() Result {
 			return Result{GasUsed: in.ctx.GasLimit - in.gas, Refund: in.refund}
 
 		case ADD, MUL, SUB, DIV, MOD, AND, OR, XOR, LT, GT, EQ, SHL, SHR, BYTE:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
+			a, b := in.pop2()
 			var v u256.Word
 			switch op {
 			case ADD:
@@ -513,141 +536,66 @@ func (in *interpreter) run() Result {
 					v = b.Byte(a.Uint64())
 				}
 			}
-			if err := in.push(v); err != nil {
-				return fail(err)
-			}
+			in.push(v)
 
 		case EXP:
-			base, exp, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
-			if !in.useGas(GasExp + GasExpByte*uint64(exp.ByteLen())) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(base.Exp(exp)); err != nil {
-				return fail(err)
-			}
+			base, exp := in.pop2()
+			in.charge(GasExp + GasExpByte*uint64(exp.ByteLen()))
+			in.push(base.Exp(exp))
 
-		case ISZERO, NOT:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			var v u256.Word
-			if op == ISZERO {
-				v = u256.FromBool(a.IsZero())
-			} else {
-				v = a.Not()
-			}
-			if err := in.push(v); err != nil {
-				return fail(err)
-			}
+		case ISZERO:
+			in.push(u256.FromBool(in.pop().IsZero()))
+		case NOT:
+			in.push(in.pop().Not())
 
 		case KECCAK256:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
-			off, size, ok := memRange(a, b)
-			if !ok {
-				return fail(ErrOutOfGas)
-			}
-			words := (size + 31) / 32
-			if !in.useGas(GasKeccak256 + GasKeccak256Word*words) {
-				return fail(ErrOutOfGas)
-			}
-			if !in.expandMem(off, size) {
-				return fail(ErrOutOfGas)
-			}
+			off, size := in.memRange(in.pop2())
+			in.charge(GasKeccak256 + GasKeccak256Word*((size+31)/32))
+			in.grow(off, size)
 			h := polcrypto.Hash1(in.memSlice(off, size))
-			if err := in.push(u256.SetBytes(h[:])); err != nil {
-				return fail(err)
-			}
+			in.push(u256.SetBytes(h[:]))
 
 		case ADDRESS:
-			if err := in.push(u256.SetBytes(in.ctx.Address[:])); err != nil {
-				return fail(err)
-			}
+			in.push(u256.SetBytes(in.ctx.Address[:]))
 		case CALLER:
-			if err := in.push(u256.SetBytes(in.ctx.Caller[:])); err != nil {
-				return fail(err)
-			}
+			in.push(u256.SetBytes(in.ctx.Caller[:]))
 		case CALLVALUE:
-			if err := in.push(in.ctx.Value); err != nil {
-				return fail(err)
-			}
+			in.push(in.ctx.Value)
 		case TIMESTAMP:
-			if err := in.push(u256.FromUint64(in.ctx.Timestamp)); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(in.ctx.Timestamp))
 		case NUMBER:
-			if err := in.push(u256.FromUint64(in.ctx.BlockNumber)); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(in.ctx.BlockNumber))
 		case SELFBALANCE:
-			if err := in.push(in.state.GetBalance(in.ctx.Address)); err != nil {
-				return fail(err)
-			}
+			in.push(in.state.GetBalance(in.ctx.Address))
 
 		case BALANCE:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			addr := wordToAddr(a)
+			addr := wordToAddr(in.pop())
 			cost := uint64(GasColdAccount)
 			if in.warmAddrs[addr] {
 				cost = GasWarmAccess
 			}
 			in.warmAddrs[addr] = true
-			if !in.useGas(cost) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(in.state.GetBalance(addr)); err != nil {
-				return fail(err)
-			}
+			in.charge(cost)
+			in.push(in.state.GetBalance(addr))
 
 		case CALLDATALOAD:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			off := dataOffset(a)
+			off := dataOffset(in.pop())
 			var buf [32]byte
 			for i := uint64(0); i < 32; i++ {
 				if src := off + i; src >= off && src < uint64(len(in.ctx.CallData)) {
 					buf[i] = in.ctx.CallData[src]
 				}
 			}
-			if err := in.push(u256.SetBytes(buf[:])); err != nil {
-				return fail(err)
-			}
+			in.push(u256.SetBytes(buf[:]))
 		case CALLDATASIZE:
-			if err := in.push(u256.FromUint64(uint64(len(in.ctx.CallData)))); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(uint64(len(in.ctx.CallData))))
 		case CALLDATACOPY:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
-			c, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			dst, size, ok := memRange(a, c)
-			if !ok {
-				return fail(ErrOutOfGas)
-			}
-			off := dataOffset(b)
-			words := (size + 31) / 32
-			if !in.useGas(GasVeryLow + GasCopy*words) {
-				return fail(ErrOutOfGas)
-			}
-			if !in.expandMem(dst, size) {
-				return fail(ErrOutOfGas)
-			}
+			var args [3]u256.Word
+			in.popN(args[:])
+			dst, size := in.memRange(args[0], args[2])
+			off := dataOffset(args[1])
+			in.charge(GasVeryLow + GasCopy*((size+31)/32))
+			in.grow(dst, size)
 			mem := in.memSlice(dst, size)
 			data := in.ctx.CallData
 			for i := uint64(0); i < size; i++ {
@@ -659,61 +607,32 @@ func (in *interpreter) run() Result {
 			}
 
 		case POP:
-			if _, err := in.pop(); err != nil {
-				return fail(err)
-			}
+			in.pop()
 
 		case MLOAD:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			if !in.useGas(GasVeryLow) {
-				return fail(ErrOutOfGas)
-			}
-			off, _, ok := memRange(a, word32)
-			if !ok || !in.expandMem(off, 32) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(u256.SetBytes(in.memSlice(off, 32))); err != nil {
-				return fail(err)
-			}
+			a := in.pop()
+			in.charge(GasVeryLow)
+			off, _ := in.memRange(a, word32)
+			in.grow(off, 32)
+			in.push(u256.SetBytes(in.memSlice(off, 32)))
 		case MSTORE:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
-			if !in.useGas(GasVeryLow) {
-				return fail(ErrOutOfGas)
-			}
-			off, _, ok := memRange(a, word32)
-			if !ok || !in.expandMem(off, 32) {
-				return fail(ErrOutOfGas)
-			}
+			a, b := in.pop2()
+			in.charge(GasVeryLow)
+			off, _ := in.memRange(a, word32)
+			in.grow(off, 32)
 			b.PutBytes32(in.mem[off : off+32])
 
 		case SLOAD:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			s, cold := in.slot(wordToHash32(a))
+			s, cold := in.slot(wordToHash32(in.pop()))
 			cost := uint64(GasWarmAccess)
 			if cold {
 				cost = GasColdSLoad
 			}
-			if !in.useGas(cost) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(hash32ToWord(s.cur)); err != nil {
-				return fail(err)
-			}
+			in.charge(cost)
+			in.push(hash32ToWord(s.cur))
 
 		case SSTORE:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
+			a, b := in.pop2()
 			value := wordToHash32(b)
 			s, cold := in.slot(wordToHash32(a))
 			cost := uint64(0)
@@ -734,46 +653,25 @@ func (in *interpreter) run() Result {
 			if current != value && value == (chain.Hash32{}) && current != (chain.Hash32{}) {
 				in.refund += RefundSClear
 			}
-			if !in.useGas(cost) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(cost)
 			s.cur = value
 
 		case JUMP:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			if !in.validJump(a) {
-				return fail(ErrInvalidJump)
-			}
-			pc = a.Uint64()
+			pc = in.jumpDest(in.pop())
 			continue
 		case JUMPI:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
+			a, b := in.pop2()
 			if !b.IsZero() {
-				if !in.validJump(a) {
-					return fail(ErrInvalidJump)
-				}
-				pc = a.Uint64()
+				pc = in.jumpDest(a)
 				continue
 			}
 
 		case PC:
-			if err := in.push(u256.FromUint64(pc)); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(pc))
 		case MSIZE:
-			if err := in.push(u256.FromUint64(uint64(len(in.mem)))); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(uint64(len(in.mem))))
 		case GAS:
-			if err := in.push(u256.FromUint64(in.gas)); err != nil {
-				return fail(err)
-			}
+			in.push(u256.FromUint64(in.gas))
 		case JUMPDEST:
 			// cost charged via constGas; no effect.
 
@@ -781,19 +679,10 @@ func (in *interpreter) run() Result {
 			topicCount := int(op - LOG0)
 			var argbuf [4]u256.Word
 			args := argbuf[:2+topicCount]
-			if err := in.popN(args); err != nil {
-				return fail(err)
-			}
-			off, size, ok := memRange(args[0], args[1])
-			if !ok {
-				return fail(ErrOutOfGas)
-			}
-			if !in.useGas(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size) {
-				return fail(ErrOutOfGas)
-			}
-			if !in.expandMem(off, size) {
-				return fail(ErrOutOfGas)
-			}
+			in.popN(args)
+			off, size := in.memRange(args[0], args[1])
+			in.charge(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size)
+			in.grow(off, size)
 			log := Log{Address: in.ctx.Address, Data: append([]byte(nil), in.memSlice(off, size)...)}
 			for i := 0; i < topicCount; i++ {
 				log.Topics = append(log.Topics, wordToHash32(args[2+i]))
@@ -803,29 +692,23 @@ func (in *interpreter) run() Result {
 		case CALL:
 			// Value-transfer call (the contract language only transfers to
 			// externally-owned accounts; nested contract execution is not
-			// part of the compiled programs).
-			var argbuf [7]u256.Word
-			if err := in.popN(argbuf[:]); err != nil {
-				return fail(err)
-			}
-			to := wordToAddr(argbuf[1])
+			// part of the compiled programs). Either kind pays memory
+			// expansion for its input and output ranges.
+			var args [7]u256.Word
+			in.popN(args[:])
+			to := wordToAddr(args[1])
+			inOff, inSize := in.memRange(args[3], args[4])
+			outOff, outSize := in.memRange(args[5], args[6])
 			if p := precompile.ByAddress(to); p != nil {
-				inOff, inSize, inOK := memRange(argbuf[3], argbuf[4])
-				outOff, outSize, outOK := memRange(argbuf[5], argbuf[6])
-				if !inOK || !outOK {
-					return fail(ErrOutOfGas)
-				}
-				ok, oog := runPrecompile(in, p, argbuf[2].IsZero(), inOff, inSize, outOff, outSize)
+				ok, oog := runPrecompile(in, p, args[2].IsZero(), inOff, inSize, outOff, outSize)
 				if oog {
-					return fail(ErrOutOfGas)
+					in.fail(ErrOutOfGas)
 				}
-				if err := in.push(u256.FromBool(ok)); err != nil {
-					return fail(err)
-				}
+				in.push(u256.FromBool(ok))
 				pc++
 				continue
 			}
-			value := argbuf[2]
+			value := args[2]
 			cost := uint64(GasColdAccount)
 			if in.warmAddrs[to] {
 				cost = GasWarmAccess
@@ -837,33 +720,23 @@ func (in *interpreter) run() Result {
 					cost += GasNewAccount
 				}
 			}
-			if !in.useGas(cost) {
-				return fail(ErrOutOfGas)
-			}
+			in.charge(cost)
+			in.grow(inOff, inSize)
+			in.grow(outOff, outSize)
 			if in.state.GetBalance(in.ctx.Address).Lt(value) {
-				if err := in.push(u256.Zero); err != nil {
-					return fail(err)
-				}
+				in.push(u256.Zero)
 			} else {
 				in.state.SubBalance(in.ctx.Address, value)
 				in.state.AddBalance(to, value)
-				if err := in.push(u256.One); err != nil {
-					return fail(err)
-				}
+				in.push(u256.One)
 			}
 
 		case RETURN, REVERT:
-			a, b, err := in.pop2()
-			if err != nil {
-				return fail(err)
-			}
-			off, size, ok := memRange(a, b)
-			if !ok || !in.expandMem(off, size) {
-				return fail(ErrOutOfGas)
-			}
+			off, size := in.memRange(in.pop2())
+			in.grow(off, size)
 			data := append([]byte(nil), in.memSlice(off, size)...)
 			in.profFlush()
-			res := Result{
+			res = Result{
 				GasUsed:    in.ctx.GasLimit - in.gas,
 				Refund:     in.refund,
 				ReturnData: data,
@@ -876,7 +749,7 @@ func (in *interpreter) run() Result {
 			return res
 
 		default:
-			return fail(fmt.Errorf("%w: %s at pc=%d", ErrInvalidOpcode, op, pc))
+			in.fail(fmt.Errorf("%w: %s at pc=%d", ErrInvalidOpcode, op, pc))
 		}
 		pc++
 	}

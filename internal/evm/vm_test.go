@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"testing"
@@ -100,14 +101,63 @@ func TestArithmeticWrapsAt256Bits(t *testing.T) {
 	}
 }
 
+// pushed is n PUSH1s followed by ops: with n at the stack limit, the
+// smallest programs that overflow the stack.
+func pushed(n int, ops ...Opcode) []byte {
+	code := bytes.Repeat([]byte{byte(PUSH1), 1}, n)
+	for _, op := range ops {
+		code = append(code, byte(op))
+	}
+	return code
+}
+
 func TestStackErrors(t *testing.T) {
-	res := run(t, func(a *Assembler) { a.Op(ADD) })
-	if !errors.Is(res.Err, ErrStackUnderflow) {
-		t.Fatalf("err = %v, want underflow", res.Err)
+	const gas = 1_000_000
+	for _, c := range []struct {
+		name string
+		code []byte
+		err  error
+	}{
+		{"ADD on an empty stack", pushed(0, ADD), ErrStackUnderflow},
+		{"1025 pushes", pushed(stackLimit + 1), ErrStackOverflow},
+		{"DUP1 on a full stack", pushed(stackLimit, DUP1), ErrStackOverflow},
+	} {
+		for _, e := range []struct {
+			name string
+			exec func(Context, []byte) Result
+		}{{"u256", Execute}, {"reference", executeRef}} {
+			res := e.exec(Context{State: NewMemState(), GasLimit: gas}, c.code)
+			if !errors.Is(res.Err, c.err) || res.GasUsed != gas {
+				t.Fatalf("%s, %s: err %v with %d gas used, want %v using all %d", c.name, e.name, res.Err, res.GasUsed, c.err, gas)
+			}
+		}
 	}
-	if res.GasUsed != 1_000_000 {
-		t.Fatal("exceptional halt must consume all gas")
+}
+
+// brokenState is a StateDB whose storage reads panic: a defect outside the
+// program, which must not pass for an exceptional halt.
+type brokenState struct{ *MemState }
+
+var errStateBroken = errors.New("state backend failed")
+
+func (brokenState) GetStorage(chain.Address, chain.Hash32) chain.Hash32 { panic(errStateBroken) }
+
+// TestForeignPanicEscapes: run's recover turns only the interpreter's own
+// faults into Result.Err and re-raises any other panic unchanged. A pooled
+// interpreter still runs the next program correctly.
+func TestForeignPanicEscapes(t *testing.T) {
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		Execute(Context{State: brokenState{NewMemState()}, GasLimit: 100_000}, []byte{byte(PUSH1), 0, byte(SLOAD)})
+		return nil
+	}()
+	if r != errStateBroken {
+		t.Fatalf("Execute panicked with %v, want the state's panic", r)
 	}
+	wantReturn(t, run(t, func(a *Assembler) {
+		a.PushUint(6).PushUint(7).Op(MUL)
+		returnTop(a)
+	}), 42)
 }
 
 func TestInvalidJump(t *testing.T) {
@@ -260,6 +310,23 @@ func TestCallTransfersValue(t *testing.T) {
 	}
 	if st.GetBalance(self) != u256.FromUint64(60) {
 		t.Fatalf("sender balance %s", st.GetBalance(self))
+	}
+}
+
+// TestCallTransferExpandsMemory: a value-transfer CALL pays memory
+// expansion up to the end of its output range, as the Yellow Paper's
+// μ_i′ for CALL requires.
+func TestCallTransferExpandsMemory(t *testing.T) {
+	a := NewAssembler()
+	a.PushUint(1024).PushUint(0).PushUint(0).PushUint(0) // out size, out offset, in size, in offset
+	a.PushUint(0).PushUint(0xdead).PushUint(0).Op(CALL, POP, MSIZE)
+	returnTop(a)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exec := range []func(Context, []byte) Result{Execute, executeRef} {
+		wantReturn(t, exec(Context{State: NewMemState(), GasLimit: 100_000}, code), 1024)
 	}
 }
 

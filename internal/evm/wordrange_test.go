@@ -47,6 +47,15 @@ func wordRangeRows() []wordRangeRow {
 			returnTop(a)
 		}
 	}
+	// transferCall moves no value to an ordinary account with the given
+	// input and output ranges, then returns its success word.
+	transferCall := func(inOff, inSize, outOff, outSize *big.Int) func(a *Assembler) {
+		return func(a *Assembler) {
+			a.Push(outSize).Push(outOff).Push(inSize).Push(inOff)
+			a.PushUint(0).PushUint(0xbeef).PushUint(0).Op(CALL)
+			returnTop(a)
+		}
+	}
 	one := big.NewInt(1)
 	word := func(v uint64) []byte { return new(big.Int).SetUint64(v).FillBytes(make([]byte, 32)) }
 	emptySHA := sha256.Sum256(nil)
@@ -144,6 +153,12 @@ func wordRangeRows() []wordRangeRow {
 			a.PushUint(0).PushUint(uint64(precompile.IDSha256)).PushUint(0).Op(CALL, POP)
 			returnMem(a)
 		}, ret: emptySHA[:]},
+		{name: "CALL transfer input offset 2^64", build: transferCall(two64, big.NewInt(32), new(big.Int), new(big.Int)),
+			err: ErrOutOfGas},
+		{name: "CALL transfer output offset 2^64", build: transferCall(new(big.Int), new(big.Int), two64, big.NewInt(32)),
+			err: ErrOutOfGas},
+		{name: "CALL transfer input offset 2^64 size 0", build: transferCall(two64, new(big.Int), new(big.Int), new(big.Int)),
+			ret: word(1)},
 	}
 }
 
