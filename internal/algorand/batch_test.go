@@ -20,10 +20,14 @@ type batchWorld struct {
 	users []chain.Address
 	apps  []uint64
 	round uint64
+
+	// recent is the last retention+1 rounds step certified, oldest first:
+	// the window and the round just before it (retained).
+	recent []*Block
 }
 
 func newBatchWorld(tb testing.TB, users, retention int) *batchWorld {
-	w := &batchWorld{c: NewChain(Testnet(), 7)}
+	w := &batchWorld{c: NewChain(Testnet(), 7), recent: make([]*Block, 0, retention+1)}
 	w.c.SetShards(2)
 	w.c.SetRetention(retention)
 	cl := NewClient(w.c)
@@ -67,12 +71,23 @@ func (w *batchWorld) step(tb testing.TB) *Block {
 	if len(blk.Groups) != len(w.users) || w.c.PendingCount() != 0 {
 		tb.Fatalf("round %d took %d of %d groups", blk.Round, len(blk.Groups), len(w.users))
 	}
+	if len(w.recent) == cap(w.recent) {
+		copy(w.recent, w.recent[1:])
+		w.recent = w.recent[:len(w.recent)-1]
+	}
+	w.recent = append(w.recent, blk)
 	return blk
 }
 
+// retained counts the groups of the recent rounds whose receipts the chain
+// still holds: the window's, and none of the round before it.
 func (w *batchWorld) retained() (groups int) {
-	for _, blk := range w.c.blocks {
-		groups += len(blk.Groups)
+	for _, blk := range w.recent {
+		for _, h := range blk.Groups {
+			if _, ok := w.c.Receipt(h); ok {
+				groups++
+			}
+		}
 	}
 	return groups
 }
@@ -90,9 +105,10 @@ func heapAfterGC() uint64 {
 // retainedBytesPerTx is what keeping one more included group costs: two
 // worlds certify the same 2 000-call rounds, one retaining 16 rounds and one
 // retaining a single round, each is weighed by the live heap with and
-// without it reachable, and the difference — fifteen rounds of rows, index
-// entries and block bodies over the same ledger — is divided by the groups
-// it holds.
+// without it reachable, and the difference — fifteen rounds of rows and
+// index entries over the same ledger — is divided by the groups it holds.
+// The world's own record of recent rounds is dropped before the weighing:
+// the chain keeps no round but its head.
 func retainedBytesPerTx(tb testing.TB) float64 {
 	weigh := func(retention int) (bytes int64, groups int) {
 		w := newBatchWorld(tb, 2000, retention)
@@ -104,6 +120,7 @@ func retainedBytesPerTx(tb testing.TB) float64 {
 			tb.Fatalf("call receipt: %v %+v", ok, rc)
 		}
 		groups = w.retained()
+		w.recent = nil
 		with := heapAfterGC()
 		runtime.KeepAlive(w)
 		w = nil
@@ -118,13 +135,13 @@ func retainedBytesPerTx(tb testing.TB) float64 {
 }
 
 // TestRetainedBytesPerIncludedTx bounds what a node keeps per retained
-// group: its row, its index entry and its slot in the block's hash list.
-// Before the row log it was a heap-allocated receipt with its fee, log and
-// return-value objects behind a pointer map.
+// group: its row and its index entry. Before the row log it was a
+// heap-allocated receipt with its fee, log and return-value objects behind
+// a pointer map, and 157 B while every round kept a 32-byte slot per group.
 func TestRetainedBytesPerIncludedTx(t *testing.T) {
-	// Measured 157 B (row 64, arena 28, hash-list slot 32, index 33); the
-	// budget is that plus 10 %.
-	const budget = 173
+	// Measured 124 B (row 64, arena 28, index 33); the budget is that plus
+	// 10 %.
+	const budget = 137
 	if got := retainedBytesPerTx(t); got > budget {
 		t.Fatalf("a retained group costs %.0f B, budget %d B", got, budget)
 	} else {
@@ -184,6 +201,30 @@ func TestRetentionHeapFlat(t *testing.T) {
 	runtime.KeepAlive(w)
 	if perTx := float64(grown) / float64(w.retained()); perTx > 8 {
 		t.Fatalf("200 further rounds grew the heap by %d B (%.1f B per retained group)", grown, perTx)
+	}
+}
+
+// TestEmptyRoundsKeepNoHistory: with retention off, the chain still keeps
+// only its head round, so certifying empty rounds leaves the live heap
+// where it was. Keeping every round cost ≈ 276 B a round.
+func TestEmptyRoundsKeepNoHistory(t *testing.T) {
+	// On one P, for TestRetentionHeapFlat's reason.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds, budget = 500, 32
+	c := newTestChain(t)
+	for i := 0; i < 10; i++ {
+		c.Step()
+	}
+	before := heapAfterGC()
+	for i := 0; i < rounds; i++ {
+		c.Step()
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(c)
+	if per := float64(grown) / rounds; per >= budget {
+		t.Fatalf("%d empty rounds grew the heap by %d B (%.1f B a round, budget %d)", rounds, grown, per, budget)
+	} else {
+		t.Logf("%.1f B per empty round", per)
 	}
 }
 

@@ -159,7 +159,10 @@ type Chain struct {
 	participants []*Participant
 	totalStake   uint64
 
-	blocks  []*Block
+	// head is the latest certified round. Earlier rounds are not kept:
+	// what is read of them is their receipts, which rcpts holds for the
+	// retention window.
+	head    *Block
 	feeSink chain.Address
 
 	// nextProposers is the next round's proposer sortition, started by
@@ -231,7 +234,7 @@ func newChain(cfg Config, seed uint64) *Chain {
 	genesis := &Block{Round: 0, Time: 0}
 	genesis.Seed = chain.Hash32(polcrypto.Hash([]byte("algorand-genesis:" + cfg.Name)))
 	genesis.Hash = genesis.Seed
-	c.blocks = append(c.blocks, genesis)
+	c.head = genesis
 	return c
 }
 
@@ -248,7 +251,7 @@ func (c *Chain) Faults() *faults.Injector { return c.pool.Faults() }
 func (c *Chain) Now() time.Duration { return c.clock.Now() }
 
 // Head returns the latest certified block.
-func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
+func (c *Chain) Head() *Block { return c.head }
 
 // NewAccount creates and funds an account. Funding zero is a no-op —
 // it must not create a phantom zero-balance ledger entry.
@@ -289,10 +292,11 @@ func (c *Chain) Digest() chain.Hash32 {
 	return h.Sum()
 }
 
-// SetRetention bounds how many certified rounds (blocks plus their
-// receipts) stay resident; n <= 0 keeps everything. Digest is unaffected:
-// receipts fold into a rolling accumulator at inclusion time and the
-// world state enters through the Merkle root.
+// SetRetention bounds how many recent rounds keep their receipts
+// resident; n <= 0 keeps everything. No round body is kept either way:
+// the chain holds its head alone. Digest is unaffected: receipts fold
+// into a rolling accumulator at inclusion time and the world state enters
+// through the Merkle root.
 func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 
 // AppAddress returns the escrow address of an application.
@@ -420,20 +424,12 @@ func (c *Chain) Step() *Block {
 
 	blk.Hash = chain.Hash32(polcrypto.Hash(blk.Seed[:], hashGroups(blk.Groups), blk.StateRoot[:]))
 
-	c.blocks = append(c.blocks, blk)
-	c.pruneRetention()
+	c.head = blk
+	c.rcpts.Prune(blk.Round)
 	if c.obs != nil {
 		c.obs.roundsCertified.Inc()
 	}
 	return blk
-}
-
-// pruneRetention drops certified rounds (and their receipts) beyond the
-// retention window. The ledger itself is untouched — live state is in the
-// trie — so memory is bounded by live accounts and app state, not by how
-// long the chain has run.
-func (c *Chain) pruneRetention() {
-	c.blocks = chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.Groups })
 }
 
 func hashGroups(hs []chain.Hash32) []byte {

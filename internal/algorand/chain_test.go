@@ -220,11 +220,12 @@ func TestSignatureValidation(t *testing.T) {
 func TestImmediateFinalityNoForks(t *testing.T) {
 	// Block N's parent seed matches block N-1: a single, final chain.
 	c := newTestChain(t)
+	blocks := []*Block{c.Head()}
 	for i := 0; i < 20; i++ {
-		c.Step()
+		blocks = append(blocks, c.Step())
 	}
-	for i := 1; i < len(c.blocks); i++ {
-		if c.blocks[i].PrevSeed != c.blocks[i-1].Seed {
+	for i := 1; i < len(blocks); i++ {
+		if blocks[i].PrevSeed != blocks[i-1].Seed {
 			t.Fatalf("block %d not chained to parent", i)
 		}
 	}

@@ -115,13 +115,13 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	if err := ck.Resume("algorand", c.cfg.Name, c.led.root(), c.clock, c.rng, &c.rcpts); err != nil {
 		return err
 	}
-	c.blocks = []*Block{{
+	c.head = &Block{
 		Round:     ck.HeadRound,
 		Time:      ck.HeadTime,
 		Seed:      ck.HeadSeed,
 		Hash:      ck.HeadHash,
 		StateRoot: ck.StateRoot,
-	}}
+	}
 	c.led.appSeq = ck.AppSeq
 	c.led.assetSeq = ck.AssetSeq
 	c.led.round = ck.HeadRound

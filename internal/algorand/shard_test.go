@@ -81,9 +81,11 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 // runShardedRounds drives per-area app-call traffic plus peer payments —
 // and among them a call the program rejects, an application created inside
 // a batch and, every round, a payment into the fee sink, the account the
-// round's tail credits — through a chain of the given fan-out width, and
-// returns the chain for digest comparison.
-func runShardedRounds(t *testing.T, shards int) *Chain {
+// round's tail credits — through a chain of the given fan-out width. It
+// returns the chain for digest comparison, the rounds the workload stepped,
+// and the receipts of the creations before them, whose rounds the client
+// certified.
+func runShardedRounds(t *testing.T, shards int) (*Chain, []*Block, []*chain.Receipt) {
 	t.Helper()
 	c := NewChain(Testnet(), 77)
 	c.SetShards(shards)
@@ -92,13 +94,16 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 	deployer := c.NewAccount(50_000_000)
 	const areas = 4
 	var apps []uint64
+	var creations []*chain.Receipt
 	for i := 0; i < areas; i++ {
-		_, id, err := cl.createApp(deployer, counterApp, nil)
+		rcpt, id, err := cl.createApp(deployer, counterApp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		apps = append(apps, id)
+		creations = append(creations, rcpt)
 	}
+	var blocks []*Block
 
 	const users = 12
 	accts := make([]*Account, users)
@@ -141,6 +146,7 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 			}
 		}
 		blk := c.Step()
+		blocks = append(blocks, blk)
 
 		want := before + 555 + uint64(round)
 		for _, h := range blk.Groups {
@@ -163,12 +169,12 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 		}
 	}
 	for i := 0; i < 10 && c.PendingCount() > 0; i++ {
-		c.Step()
+		blocks = append(blocks, c.Step())
 	}
 	if c.PendingCount() != 0 {
 		t.Fatalf("%d groups never included", c.PendingCount())
 	}
-	return c
+	return c, blocks, creations
 }
 
 // TestShardedRoundBitIdentity: the same workload at every combination of
@@ -176,17 +182,24 @@ func runShardedRounds(t *testing.T, shards int) *Chain {
 // the same rounds and ends in the same digest.
 func TestShardedRoundBitIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref := runShardedRounds(t, 1)
+	ref, refBlocks, refCreations := runShardedRounds(t, 1)
 	refDigest := ref.Digest()
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 3, 4, 8} {
-			c := runShardedRounds(t, shards)
-			if len(c.blocks) != len(ref.blocks) {
-				t.Fatalf("procs=%d shards=%d: %d rounds vs %d serial", procs, shards, len(c.blocks), len(ref.blocks))
+			c, blocks, creations := runShardedRounds(t, shards)
+			if len(blocks) != len(refBlocks) || c.Head().Round != ref.Head().Round {
+				t.Fatalf("procs=%d shards=%d: %d rounds to %d vs %d to %d serial",
+					procs, shards, len(blocks), c.Head().Round, len(refBlocks), ref.Head().Round)
 			}
-			for i := range ref.blocks {
-				if c.blocks[i].Hash != ref.blocks[i].Hash {
+			// The client certified the creations' rounds.
+			for i, rcpt := range creations {
+				if rcpt.BlockNumber != refCreations[i].BlockNumber {
+					t.Fatalf("procs=%d shards=%d: creation %d in round %d, serially %d", procs, shards, i, rcpt.BlockNumber, refCreations[i].BlockNumber)
+				}
+			}
+			for i := range refBlocks {
+				if blocks[i].Hash != refBlocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: round %d hash diverges", procs, shards, i)
 				}
 			}
@@ -204,19 +217,20 @@ func TestShardedRoundBitIdentity(t *testing.T) {
 // digest.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref := runShardedRounds(t, 2)
+	ref, refBlocks, _ := runShardedRounds(t, 2)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4} {
-			c := runShardedRounds(t, shards)
-			if len(c.blocks) != len(ref.blocks) {
-				t.Fatalf("procs=%d shards=%d: %d rounds vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
+			c, blocks, _ := runShardedRounds(t, shards)
+			if len(blocks) != len(refBlocks) || c.Head().Round != ref.Head().Round {
+				t.Fatalf("procs=%d shards=%d: %d rounds to %d vs %d to %d on one core",
+					procs, shards, len(blocks), c.Head().Round, len(refBlocks), ref.Head().Round)
 			}
-			for i, blk := range c.blocks {
-				if blk.Hash != ref.blocks[i].Hash {
+			for i, blk := range blocks {
+				if blk.Hash != refBlocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: round %d hash depends on GOMAXPROCS", procs, shards, i)
 				}
-				if !reflect.DeepEqual(blk.Proposer, ref.blocks[i].Proposer) {
+				if !reflect.DeepEqual(blk.Proposer, refBlocks[i].Proposer) {
 					t.Fatalf("procs=%d shards=%d: round %d proposer depends on GOMAXPROCS", procs, shards, i)
 				}
 			}
@@ -232,14 +246,19 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 // workload's eight SubmitBatch calls when two cores admit them, none on one.
 func TestShardedRoundRecordsStats(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if got := runShardedRounds(t, 4).ShardStats().ParallelBatches; got != 0 {
-		t.Fatalf("%d parallel batches on one core", got)
+	if c, _, _ := runShardedRounds(t, 4); c.ShardStats().ParallelBatches != 0 {
+		t.Fatalf("%d parallel batches on one core", c.ShardStats().ParallelBatches)
 	}
 	runtime.GOMAXPROCS(2)
-	c := runShardedRounds(t, 4)
+	c, blocks, creations := runShardedRounds(t, 4)
 	stats := c.ShardStats()
+	// The creations' rounds carry nothing else.
 	var groups, cost uint64
-	for _, blk := range c.blocks {
+	for _, rcpt := range creations {
+		groups++
+		cost += rcpt.GasUsed
+	}
+	for _, blk := range blocks {
 		for _, h := range blk.Groups {
 			rcpt, _ := c.Receipt(h)
 			groups++

@@ -35,7 +35,7 @@ func (h *Hasher) Sum() Hash32 { return Hash32(polcrypto.Hash(h.buf)) }
 // Receipts holds what a chain keeps of every included item and the rolling
 // hash of every receipt ever included, folded in canonical block order.
 // The hash and count are what a chain's Digest reads, so the rows
-// themselves can be pruned (PruneBlocks) without changing it. The zero
+// themselves can be pruned (Prune) without changing it. The zero
 // value is ready to use.
 //
 // An included item is kept once, as a pointer-free row of an append-only
@@ -361,18 +361,19 @@ func (r *Receipts) Digest(h *Hasher) {
 	h.U64(r.count)
 }
 
-// PruneBlocks returns the newest r.Retention of blocks (all of them when
-// retention is off) and forgets the rows of the ones it drops: hashes names
-// a block's included items, one row each, and blocks lists every block
-// whose rows are retained, oldest first.
-func PruneBlocks[B any](r *Receipts, blocks []B, hashes func(B) []Hash32) []B {
-	if r.Retention <= 0 || len(blocks) <= r.Retention {
-		return blocks
+// Prune forgets the rows of every block numbered head - r.Retention or
+// lower, so that the newest r.Retention blocks up to head keep theirs; with
+// retention off it forgets nothing. Block numbers are consecutive, so the
+// window is the same whether or not its oldest blocks had rows.
+func (r *Receipts) Prune(head uint64) {
+	if r.Retention <= 0 || head < uint64(r.Retention) || len(r.chunks) == 0 {
+		return
 	}
-	drop := len(blocks) - r.Retention
-	cut := r.first
-	for _, b := range blocks[:drop] {
-		cut += uint64(len(hashes(b)))
+	last := head - uint64(r.Retention) // the newest block that loses its rows
+	n := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].number > last })
+	cut := r.count
+	if n < len(r.spans) {
+		cut = r.spans[n].first
 	}
 	for seq := r.first; seq < cut; seq++ {
 		r.unindexRow(seq)
@@ -385,8 +386,5 @@ func PruneBlocks[B any](r *Receipts, blocks []B, hashes func(B) []Hash32) []B {
 	}
 	// The outer slices shed their dead prefixes the next time append
 	// reallocates them.
-	for len(r.spans) > 1 && r.spans[1].first <= cut {
-		r.spans = r.spans[1:]
-	}
-	return append([]B(nil), blocks[drop:]...)
+	r.spans = r.spans[n:]
 }

@@ -96,18 +96,19 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 	}
 }
 
-// testBlock is a block as PruneBlocks sees one.
+// testBlock is a block's number and the hashes of its items.
 type testBlock struct {
 	number uint64
 	hashes []Hash32
 }
 
-// fillBlocks includes perBlock receipts into each of n further blocks
-// (every fifth block stays empty) and prunes after each, as a chain's Step
-// does.
+// fillBlocks includes perBlock receipts into each of n blocks numbered on
+// from the last of blocks (every fifth block stays empty) and prunes after
+// each, as a chain's Step does. It returns blocks with the new ones
+// appended.
 func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock {
 	for ; n > 0; n-- {
-		b := &testBlock{number: uint64(len(blocks)) + 1}
+		b := &testBlock{number: 1}
 		if len(blocks) > 0 {
 			b.number = blocks[len(blocks)-1].number + 1
 		}
@@ -123,59 +124,115 @@ func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock 
 			r.Include(&rc, nil, nil)
 			b.hashes = append(b.hashes, rc.TxHash)
 		}
-		blocks = PruneBlocks(r, append(blocks, b), func(b *testBlock) []Hash32 { return b.hashes })
+		r.Prune(b.number)
+		blocks = append(blocks, b)
 	}
 	return blocks
 }
 
+// checkWindow: the items of exactly the blocks after the first block that
+// must lose its rows are found (retained == 0 means every block keeps
+// them), block number and inclusion time intact; nothing older is; and the
+// index and the row log hold no more than the window needs.
+func checkWindow(t *testing.T, r *Receipts, blocks []*testBlock, retained int) {
+	t.Helper()
+	head := blocks[len(blocks)-1].number
+	window := 0
+	for _, b := range blocks {
+		keep := retained <= 0 || b.number+uint64(retained) > head
+		if keep {
+			window += len(b.hashes)
+		}
+		for _, h := range b.hashes {
+			got, ok := r.Get(h)
+			if ok != keep {
+				t.Fatalf("head %d, retention %d: Get of a block-%d item says %v", head, retained, b.number, ok)
+			}
+			if ok && (got.BlockNumber != b.number || got.Included != time.Duration(b.number)*time.Second) {
+				t.Fatalf("block %d: Get returns %+v", b.number, got)
+			}
+		}
+	}
+	resident, live := 0, 0
+	for _, ck := range r.chunks {
+		resident += len(ck.rows)
+	}
+	if resident > 0 {
+		live = int(r.count - r.first)
+	}
+	if r.indexed != window || live != window || resident >= window+rowsPerChunk {
+		t.Fatalf("head %d, retention %d: %d index entries, %d rows past the cut, %d resident for a window of %d",
+			head, retained, r.indexed, live, resident, window)
+	}
+}
+
 // TestReceiptsPruneWithBlocks: with a retention window exactly the retained
 // blocks' receipts are found, block number and inclusion time intact;
-// without one everything is; the digest position is the same either way;
-// and the row log holds less than a chunk more than the window.
+// without one, or with one longer than the chain, everything is; the digest
+// position is the same either way; and the row log holds less than a chunk
+// more than the window.
 func TestReceiptsPruneWithBlocks(t *testing.T) {
 	const perBlock = 100 // not a divisor of rowsPerChunk: blocks straddle chunks
 	var full Receipts
 	all := fillBlocks(&full, nil, 40, perBlock)
-	if len(all) != 40 {
-		t.Fatalf("retention off dropped blocks: %d of 40 left", len(all))
-	}
+	checkWindow(t, &full, all, 0)
 	pruned := Receipts{Retention: 6}
-	kept := fillBlocks(&pruned, nil, 40, perBlock)
-	if len(kept) != 6 || kept[0].number != 35 {
-		t.Fatalf("retention 6 keeps %d blocks from %d", len(kept), kept[0].number)
-	}
-	if accF, nF := full.Position(); true {
-		if accP, nP := pruned.Position(); accF != accP || nF != nP {
-			t.Fatal("retention changed the digest position")
+	fillBlocks(&pruned, nil, 40, perBlock)
+	checkWindow(t, &pruned, all, 6)
+	long := Receipts{Retention: 50}
+	fillBlocks(&long, nil, 40, perBlock)
+	checkWindow(t, &long, all, 0)
+	for _, r := range []*Receipts{&pruned, &long} {
+		if accF, nF := full.Position(); true {
+			if accP, nP := r.Position(); accF != accP || nF != nP {
+				t.Fatal("retention changed the digest position")
+			}
 		}
 	}
 	for _, b := range all {
 		for _, h := range b.hashes {
-			want, ok := full.Get(h)
-			if !ok || want.BlockNumber != b.number || want.Included != time.Duration(b.number)*time.Second {
-				t.Fatalf("block %d: unpruned receipt %v %+v", b.number, ok, want)
-			}
-			got, ok := pruned.Get(h)
-			if retained := b.number >= kept[0].number; ok != retained {
-				t.Fatalf("block %d: Get on the pruned log says %v", b.number, ok)
-			} else if retained && !reflect.DeepEqual(got, want) {
+			want, _ := full.Get(h)
+			if got, ok := pruned.Get(h); ok && !reflect.DeepEqual(got, want) {
 				t.Fatalf("block %d: pruned log returns %+v, want %+v", b.number, got, want)
 			}
 		}
 	}
-	resident := 0
-	for _, ck := range pruned.chunks {
-		resident += len(ck.rows)
-	}
-	if window := int(pruned.count - pruned.first); resident >= window+rowsPerChunk {
-		t.Fatalf("%d rows resident for a window of %d", resident, window)
-	}
 	// The index is at most half full at the window's peak — seven blocks,
 	// just before a prune — and never grew beyond that.
-	if len(pruned.spans) > 6 || pruned.indexed != int(pruned.count-pruned.first) || len(pruned.slots) > 4*7*perBlock {
-		t.Fatalf("%d spans, %d index entries in %d slots for 6 blocks of %d rows",
-			len(pruned.spans), pruned.indexed, len(pruned.slots), pruned.count-pruned.first)
+	if len(pruned.spans) > 6 || len(pruned.slots) > 4*7*perBlock {
+		t.Fatalf("%d spans, %d slots for 6 blocks of %d rows", len(pruned.spans), len(pruned.slots), perBlock)
 	}
+}
+
+// TestReceiptsPruneAcrossEmptyBlocks: empty blocks count toward the window
+// like any other, so a run of them longer than the window leaves no rows,
+// and the log takes rows again after it.
+func TestReceiptsPruneAcrossEmptyBlocks(t *testing.T) {
+	r := Receipts{Retention: 3}
+	blocks := fillBlocks(&r, nil, 4, 10)
+	for n := blocks[len(blocks)-1].number + 1; n <= 12; n++ {
+		r.Prune(n)
+		blocks = append(blocks, &testBlock{number: n})
+		checkWindow(t, &r, blocks, 3)
+	}
+	if r.indexed != 0 || len(r.spans) != 0 {
+		t.Fatalf("%d index entries and %d spans after a window of empty blocks", r.indexed, len(r.spans))
+	}
+	blocks = fillBlocks(&r, blocks, 6, 10)
+	checkWindow(t, &r, blocks, 3)
+}
+
+// TestReceiptsRetentionSwitchedOn: a log that kept everything drops all
+// but the window at the first prune after retention is switched on.
+func TestReceiptsRetentionSwitchedOn(t *testing.T) {
+	var r Receipts
+	blocks := fillBlocks(&r, nil, 12, 30)
+	checkWindow(t, &r, blocks, 0)
+	r.Retention = 4
+	blocks = fillBlocks(&r, blocks, 1, 30)
+	checkWindow(t, &r, blocks, 4)
+	blocks = fillBlocks(&r, blocks, 7, 30)
+	checkWindow(t, &r, blocks, 4)
 }
 
 // TestReceiptsSameHashTwice: an item included again (Algorand groups carry
@@ -184,17 +241,19 @@ func TestReceiptsPruneWithBlocks(t *testing.T) {
 func TestReceiptsSameHashTwice(t *testing.T) {
 	r := Receipts{Retention: 1}
 	h := Hash32{7}
-	var blocks []*testBlock
 	for n := uint64(1); n <= 2; n++ {
 		rc := Receipt{TxHash: h, BlockNumber: n, GasUsed: n, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
 		r.Include(&rc, nil, nil)
 		if got, ok := r.Get(h); !ok || got.BlockNumber != n {
 			t.Fatalf("after block %d Get says %v %+v", n, ok, got)
 		}
-		blocks = PruneBlocks(&r, append(blocks, &testBlock{n, []Hash32{h}}), func(b *testBlock) []Hash32 { return b.hashes })
+		r.Prune(n)
 	}
 	if got, ok := r.Get(h); !ok || got.BlockNumber != 2 || got.GasUsed != 2 {
 		t.Fatalf("pruning block 1 lost block 2's row: %v %+v", ok, got)
+	}
+	if r.indexed != 1 || r.count-r.first != 1 {
+		t.Fatalf("%d index entries for %d rows, want one of each", r.indexed, r.count-r.first)
 	}
 }
 
@@ -223,5 +282,29 @@ func TestReceiptsSetPositionForgetsRows(t *testing.T) {
 	restored.Each(func([]byte, func() *Receipt) { visited++ })
 	if visited != 1 {
 		t.Fatalf("Each visited %d rows of a one-row log", visited)
+	}
+}
+
+// TestReceiptsPruneAfterSetPosition: a log restored with retention on
+// holds no rows, so pruning it through empty blocks is a no-op, and the
+// rows it takes afterwards keep the usual window.
+func TestReceiptsPruneAfterSetPosition(t *testing.T) {
+	var r Receipts
+	blocks := fillBlocks(&r, nil, 9, 10)
+	acc, n := r.Position()
+	restored := Receipts{Retention: 2}
+	restored.SetPosition(acc, n)
+	head := blocks[len(blocks)-1].number
+	resumed := []*testBlock{{number: head}}
+	for i := 0; i < 5; i++ {
+		head++
+		restored.Prune(head)
+		resumed = append(resumed, &testBlock{number: head})
+	}
+	checkWindow(t, &restored, resumed, 2)
+	resumed = fillBlocks(&restored, resumed, 8, 10)
+	checkWindow(t, &restored, resumed, 2)
+	if _, count := restored.Position(); count != n+6*10 {
+		t.Fatalf("restored log counts %d receipts, want %d", count, n+6*10)
 	}
 }

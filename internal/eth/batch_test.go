@@ -36,6 +36,10 @@ type batchWorld struct {
 	users []chain.Address
 	areas []chain.Address
 	nonce uint64 // every user has sent this many transactions
+
+	// recent is the last retention+1 blocks step sealed, oldest first:
+	// the window and the block just before it (retained).
+	recent []*Block
 }
 
 const batchGasLimit = 90_000
@@ -46,7 +50,7 @@ func newBatchWorld(tb testing.TB, users, retention int) *batchWorld {
 	cfg.SpikeProb = 0
 	cfg.CongestionElasticity = 0 // the base fee falls to its floor; demand must not rise to meet it
 	cfg.BlockGasLimit = max(cfg.BlockGasLimit, uint64(users)*2*batchGasLimit)
-	w := &batchWorld{c: NewChain(cfg, 7)}
+	w := &batchWorld{c: NewChain(cfg, 7), recent: make([]*Block, 0, retention+1)}
 	w.c.SetShards(2)
 	w.c.SetRetention(retention)
 	code := checkinCode(tb)
@@ -87,12 +91,23 @@ func (w *batchWorld) step(tb testing.TB) *Block {
 	if len(blk.TxHashes) != len(w.users) || w.c.PendingCount() != 0 {
 		tb.Fatalf("block %d took %d of %d check-ins", blk.Number, len(blk.TxHashes), len(w.users))
 	}
+	if len(w.recent) == cap(w.recent) {
+		copy(w.recent, w.recent[1:])
+		w.recent = w.recent[:len(w.recent)-1]
+	}
+	w.recent = append(w.recent, blk)
 	return blk
 }
 
+// retained counts the transactions of the recent blocks whose receipts the
+// chain still holds: the window's, and none of the block before it.
 func (w *batchWorld) retained() (txs int) {
-	for _, blk := range w.c.blocks {
-		txs += len(blk.TxHashes)
+	for _, blk := range w.recent {
+		for _, h := range blk.TxHashes {
+			if _, ok := w.c.Receipt(h); ok {
+				txs++
+			}
+		}
 	}
 	return txs
 }
@@ -110,9 +125,10 @@ func heapAfterGC() uint64 {
 // retainedBytesPerTx is what keeping one more included transaction costs:
 // two worlds seal the same 2 000-check-in blocks, one retaining 16 blocks
 // and one retaining a single block, each is weighed by the live heap with
-// and without it reachable, and the difference — fifteen blocks of rows,
-// index entries and block bodies over the same state — is divided by the
-// transactions it holds.
+// and without it reachable, and the difference — fifteen blocks of rows
+// and index entries over the same state — is divided by the transactions
+// it holds. The world's own record of recent blocks is dropped before
+// the weighing: the chain keeps no block but its head.
 func retainedBytesPerTx(tb testing.TB) float64 {
 	weigh := func(retention int) (bytes int64, txs int) {
 		w := newBatchWorld(tb, 2000, retention)
@@ -124,6 +140,7 @@ func retainedBytesPerTx(tb testing.TB) float64 {
 			tb.Fatalf("check-in receipt: %v %+v", ok, rc)
 		}
 		txs = w.retained()
+		w.recent = nil
 		with := heapAfterGC()
 		runtime.KeepAlive(w)
 		w = nil
@@ -138,13 +155,13 @@ func retainedBytesPerTx(tb testing.TB) float64 {
 }
 
 // TestRetainedBytesPerIncludedTx bounds what a node keeps per retained
-// transaction: its row (receipt and explorer columns), its index entry and
-// its slot in the block's hash list. Before the row log it was ≈ 590 B in
-// six or seven heap objects.
+// transaction: its row (receipt and explorer columns) and its index entry.
+// Before the row log it was ≈ 590 B in six or seven heap objects, and
+// 210 B while every block body kept a 32-byte slot per transaction.
 func TestRetainedBytesPerIncludedTx(t *testing.T) {
-	// Measured 210 B (row 64, arena 80, hash-list slot 32, index 33); the
-	// budget is that plus 10 %.
-	const budget = 231
+	// Measured 177 B (row 64, arena 80, index 33); the budget is that plus
+	// 10 %.
+	const budget = 195
 	if got := retainedBytesPerTx(t); got > budget {
 		t.Fatalf("a retained transaction costs %.0f B, budget %d B", got, budget)
 	} else {
@@ -201,6 +218,28 @@ func TestRetentionHeapFlat(t *testing.T) {
 	runtime.KeepAlive(w)
 	if perTx := float64(grown) / float64(w.retained()); perTx > 8 {
 		t.Fatalf("200 further blocks grew the heap by %d B (%.1f B per retained transaction)", grown, perTx)
+	}
+}
+
+// TestEmptyBlocksKeepNoHistory: with retention off, the chain still keeps
+// only its head block, so sealing empty blocks leaves the live heap where
+// it was. Keeping every block body cost ≈ 218 B a block.
+func TestEmptyBlocksKeepNoHistory(t *testing.T) {
+	const blocks, budget = 4000, 32
+	c := newTestChain(t)
+	for i := 0; i < 10; i++ {
+		c.Step()
+	}
+	before := heapAfterGC()
+	for i := 0; i < blocks; i++ {
+		c.Step()
+	}
+	grown := int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(c)
+	if per := float64(grown) / blocks; per >= budget {
+		t.Fatalf("%d empty blocks grew the heap by %d B (%.1f B a block, budget %d)", blocks, grown, per, budget)
+	} else {
+		t.Logf("%.1f B per empty block", per)
 	}
 }
 

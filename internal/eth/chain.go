@@ -128,9 +128,13 @@ type Chain struct {
 	clock      *chain.Clock
 	rng        *chain.Rand
 	st         *state
-	blocks     []*Block
 	validators []*Validator
 	baseFee    u256.Word
+
+	// head is the latest block. Earlier blocks are not kept: what is read
+	// of them is their receipts, which rcpts holds for the retention
+	// window.
+	head *Block
 
 	// spikeBlocksLeft tracks the remaining blocks of an ongoing
 	// congestion episode.
@@ -204,7 +208,7 @@ func newChain(cfg Config, seed uint64) *Chain {
 	}
 	genesis := &Block{Number: 0, Time: 0, BaseFee: c.baseFee}
 	genesis.Hash = chain.Hash32(polcrypto.Hash([]byte("genesis:" + cfg.Name)))
-	c.blocks = append(c.blocks, genesis)
+	c.head = genesis
 	return c
 }
 
@@ -224,7 +228,7 @@ func (c *Chain) Now() time.Duration { return c.clock.Now() }
 func (c *Chain) BaseFee() *big.Int { return c.baseFee.ToBig() }
 
 // Head returns the latest block.
-func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
+func (c *Chain) Head() *Block { return c.head }
 
 // NewAccount creates and funds an externally-owned account.
 func (c *Chain) NewAccount(balance *big.Int) *Account {
@@ -270,11 +274,12 @@ func (c *Chain) Digest() chain.Hash32 {
 	return h.Sum()
 }
 
-// SetRetention keeps receipts, explorer history and block bodies only for
-// the most recent n blocks; n <= 0 (the default) retains everything.
-// Long soaks set a small window so memory is bounded by live state, not
-// by rounds: the digest is unaffected because receipts fold into the
-// rolling accumulator at inclusion time.
+// SetRetention keeps receipts and explorer history only for the most
+// recent n blocks; n <= 0 (the default) retains everything. No block body
+// is kept either way: the chain holds its head alone. Long soaks set a
+// small window so memory is bounded by live state, not by rounds: the
+// digest is unaffected because receipts fold into the rolling accumulator
+// at inclusion time.
 func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 
 // Submit errors.
@@ -538,9 +543,9 @@ func (c *Chain) Step() *Block {
 	blk.GasUsed += bg
 
 	blk.Hash = blockHash(blk)
-	c.blocks = append(c.blocks, blk)
+	c.head = blk
 	c.updateBaseFee(blk)
-	c.pruneRetention()
+	c.rcpts.Prune(blk.Number)
 	if c.obs != nil {
 		c.obs.blocksProduced.Inc()
 		c.obs.blockGasUsed.Add(blk.GasUsed)
@@ -651,14 +656,6 @@ func blockHash(b *Block) chain.Hash32 {
 		buf = append(buf, h[:]...)
 	}
 	return chain.Hash32(polcrypto.Hash(buf))
-}
-
-// pruneRetention drops block bodies older than the retention window and
-// their rows: receipts and explorer columns. Everything digest-relevant
-// already lives in the rolling accumulators, so pruning never changes
-// Digest.
-func (c *Chain) pruneRetention() {
-	c.blocks = chain.PruneBlocks(&c.rcpts, c.blocks, func(b *Block) []chain.Hash32 { return b.TxHashes })
 }
 
 // updateBaseFee applies the EIP-1559 adjustment: ±1/8 of the deviation from

@@ -119,13 +119,13 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	if err := ck.Resume("eth", c.cfg.Name, c.st.Root(), c.clock, c.rng, &c.rcpts); err != nil {
 		return err
 	}
-	c.blocks = []*Block{{
+	c.head = &Block{
 		Number:    ck.HeadNumber,
 		Time:      ck.HeadTime,
 		Hash:      ck.HeadHash,
 		BaseFee:   u256.SetBytes(ck.HeadBaseFee),
 		StateRoot: ck.StateRoot,
-	}}
+	}
 	c.baseFee = u256.SetBytes(ck.BaseFee)
 	c.burned = u256.SetBytes(ck.Burned)
 	c.tipped = u256.SetBytes(ck.Tipped)

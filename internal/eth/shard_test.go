@@ -27,10 +27,11 @@ func counterCode(t *testing.T) []byte {
 // peer-to-peer transfers, and among them a call that runs out of gas, a
 // deployment inside a batch and transfers sent by the validator about to
 // propose the block that carries them — through a chain configured with the
-// given fan-out width and returns the chain. Everything about the workload
-// is deterministic, so any digest difference across widths or GOMAXPROCS
-// is a scheduling bug.
-func runShardedWorkload(t *testing.T, shards int) *Chain {
+// given fan-out width. It returns the chain, the blocks the workload
+// stepped, and the receipts of the deployments before them, whose blocks
+// the client sealed. Everything about the workload is deterministic, so
+// any digest difference across widths or GOMAXPROCS is a scheduling bug.
+func runShardedWorkload(t *testing.T, shards int) (*Chain, []*Block, []*chain.Receipt) {
 	t.Helper()
 	cfg := Goerli()
 	cfg.CongestionMeanGas = 1_000_000
@@ -43,13 +44,16 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 	code := counterCode(t)
 	const areas = 4
 	var contracts []chain.Address
+	var deploys []*chain.Receipt
 	for i := 0; i < areas; i++ {
-		_, addr, err := cl.deploy(deployer, code, nil, nil, 300000)
+		rcpt, addr, err := cl.deploy(deployer, code, nil, nil, 300000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		contracts = append(contracts, addr)
+		deploys = append(deploys, rcpt)
 	}
+	var blocks []*Block
 
 	const users = 16
 	accts := make([]*Account, users)
@@ -106,6 +110,7 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 			}
 		}
 		blk := c.Step()
+		blocks = append(blocks, blk)
 
 		// before − (value + fee of its own transfer) + every transaction's tip.
 		want := before.Sub(before, big.NewInt(777))
@@ -136,12 +141,12 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 		}
 	}
 	for i := 0; i < 20 && c.PendingCount() > 0; i++ {
-		c.Step()
+		blocks = append(blocks, c.Step())
 	}
 	if c.PendingCount() != 0 {
 		t.Fatalf("%d transactions never included", c.PendingCount())
 	}
-	return c
+	return c, blocks, deploys
 }
 
 // TestShardedBlockBitIdentity: the same workload at every combination of
@@ -149,20 +154,23 @@ func runShardedWorkload(t *testing.T, shards int) *Chain {
 // same blocks and the same digest.
 func TestShardedBlockBitIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref := runShardedWorkload(t, 1)
+	ref, refBlocks, _ := runShardedWorkload(t, 1)
 	refDigest := ref.Digest()
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 3, 4, 8} {
-			c := runShardedWorkload(t, shards)
-			if len(c.blocks) != len(ref.blocks) {
-				t.Fatalf("procs=%d shards=%d: %d blocks vs %d serial", procs, shards, len(c.blocks), len(ref.blocks))
+			c, blocks, _ := runShardedWorkload(t, shards)
+			if len(blocks) != len(refBlocks) || c.Head().Number != ref.Head().Number {
+				t.Fatalf("procs=%d shards=%d: %d blocks to %d vs %d to %d serial",
+					procs, shards, len(blocks), c.Head().Number, len(refBlocks), ref.Head().Number)
 			}
-			for i := range ref.blocks {
-				if c.blocks[i].Hash != ref.blocks[i].Hash {
+			// Each hash covers its parent's, so the blocks the client
+			// sealed are compared too.
+			for i := range refBlocks {
+				if blocks[i].Hash != refBlocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: block %d hash diverges", procs, shards, i)
 				}
-				if len(c.blocks[i].TxHashes) != len(ref.blocks[i].TxHashes) {
+				if len(blocks[i].TxHashes) != len(refBlocks[i].TxHashes) {
 					t.Fatalf("procs=%d shards=%d: block %d tx count diverges", procs, shards, i)
 				}
 			}
@@ -179,16 +187,17 @@ func TestShardedBlockBitIdentity(t *testing.T) {
 // two and four carries the same hashes and the same digest.
 func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref := runShardedWorkload(t, 2)
+	ref, refBlocks, _ := runShardedWorkload(t, 2)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4} {
-			c := runShardedWorkload(t, shards)
-			if len(c.blocks) != len(ref.blocks) {
-				t.Fatalf("procs=%d shards=%d: %d blocks vs %d on one core", procs, shards, len(c.blocks), len(ref.blocks))
+			c, blocks, _ := runShardedWorkload(t, shards)
+			if len(blocks) != len(refBlocks) || c.Head().Number != ref.Head().Number {
+				t.Fatalf("procs=%d shards=%d: %d blocks to %d vs %d to %d on one core",
+					procs, shards, len(blocks), c.Head().Number, len(refBlocks), ref.Head().Number)
 			}
-			for i, blk := range c.blocks {
-				if blk.Hash != ref.blocks[i].Hash {
+			for i, blk := range blocks {
+				if blk.Hash != refBlocks[i].Hash {
 					t.Fatalf("procs=%d shards=%d: block %d hash depends on GOMAXPROCS", procs, shards, i)
 				}
 			}
@@ -204,17 +213,22 @@ func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
 // workload's ten SubmitBatch calls when two cores admit them, none on one.
 func TestShardStatsRecordParallelWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if got := runShardedWorkload(t, 4).ShardStats().ParallelBatches; got != 0 {
-		t.Fatalf("%d parallel batches on one core", got)
+	if c, _, _ := runShardedWorkload(t, 4); c.ShardStats().ParallelBatches != 0 {
+		t.Fatalf("%d parallel batches on one core", c.ShardStats().ParallelBatches)
 	}
 	runtime.GOMAXPROCS(2)
-	c := runShardedWorkload(t, 4)
+	c, blocks, deploys := runShardedWorkload(t, 4)
 	stats := c.ShardStats()
 	if stats == nil {
 		t.Fatal("stats must exist after SetShards")
 	}
+	// The deployments' blocks carry nothing else.
 	var txs, gas uint64
-	for _, blk := range c.blocks {
+	for _, rcpt := range deploys {
+		txs++
+		gas += rcpt.GasUsed
+	}
+	for _, blk := range blocks {
 		for _, h := range blk.TxHashes {
 			rcpt, _ := c.Receipt(h)
 			txs++

@@ -21,8 +21,9 @@ func intn(r *chain.Rand, n int) int { return int(r.Uint64n(uint64(n))) }
 // One semantic divergence is real and excluded by construction: the EVM
 // computes modulo 2^256 while the AVM faults on uint64 overflow. The
 // generator therefore keeps intermediate values small, mirroring the type
-// checker's implicit UInt contract (the verifier's overflow theorems exist
-// for exactly this reason).
+// checker's implicit UInt contract. Nothing else guards it: the verifier's
+// arithmetic theorems are `sub-underflow` and `div-nonzero`, and none is
+// about overflow.
 
 type exprGen struct {
 	rng  *chain.Rand
