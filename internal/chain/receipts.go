@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/big"
 	"math/bits"
@@ -41,12 +42,14 @@ func (h *Hasher) Sum() Hash32 { return Hash32(polcrypto.Hash(h.buf)) }
 // An included item is kept once, as a pointer-free row of an append-only
 // log cut into chunks of rowsPerChunk: the fixed-width fields in the row,
 // the rare variable ones (revert message, return value, logs, a fee beyond
-// one word, the family's side bytes) in the chunk's byte arena. A row's
-// sequence number is the count of receipts folded before it. What is the
-// same for every row of a block — its number and inclusion time — is stored
-// once per block that has rows (span), the currency unit once per chain.
-// Get and Each build a fresh Receipt from a row, so a caller owns what it
-// is handed.
+// one word, the family's side bytes) in the chunk's byte arena. A return
+// value is stored without its leading zero bytes, which a count in front of
+// it restores: an ABI word holding a small count costs four arena bytes,
+// not 33. A row's sequence number is the count of receipts folded before
+// it. What is the same for every row of a block — its number and inclusion
+// time — is stored once per block that has rows (span), the currency unit
+// once per chain. Get and Each build a fresh Receipt from a row, so a
+// caller owns what it is handed.
 type Receipts struct {
 	// Retention caps how many recent blocks keep their receipts; <= 0
 	// retains everything.
@@ -66,9 +69,10 @@ type Receipts struct {
 	// table of sequence numbers plus one (zero is an empty slot), probed
 	// linearly from the hash's home slot. The key is the row's own hash,
 	// read back through the log, so an entry is one word and points
-	// nowhere. Deletion closes the gap it leaves instead of leaving a
-	// tombstone: a window that slides forever keeps the table at the size
-	// the window needs, which a built-in map under the same churn does not.
+	// nowhere. The table doubles before it would be more than ¾ full.
+	// Deletion closes the gap it leaves instead of leaving a tombstone: a
+	// window that slides forever keeps the table at the size the window
+	// needs, which a built-in map under the same churn does not.
 	slots   []uint64
 	indexed int
 }
@@ -92,8 +96,10 @@ type row struct {
 	flags     uint8
 }
 
-// Row flags. Each of the last five says a length-prefixed field is present
-// in the row's tail; the fields are stored in this order.
+// Row flags. Each of rowSide to rowLogs says a length-prefixed field is
+// present in the row's tail; the fields are stored in this order.
+// rowReturnTrimmed says the return value lost leading zero bytes, counted
+// by a varint in front of its field.
 const (
 	rowReverted = 1 << iota
 	rowFeeNegative
@@ -102,6 +108,7 @@ const (
 	rowRevertMsg
 	rowReturn
 	rowLogs
+	rowReturnTrimmed
 )
 
 // span is the rows of one block.
@@ -182,9 +189,14 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 		rw.flags |= rowRevertMsg
 		ck.arena = appendField(ck.arena, rc.RevertMsg)
 	}
-	if len(rc.ReturnValue) > 0 {
+	if v := rc.ReturnValue; len(v) > 0 {
 		rw.flags |= rowReturn
-		ck.arena = appendField(ck.arena, rc.ReturnValue)
+		if z := len(v) - len(bytes.TrimLeft(v, "\x00")); z > 0 {
+			rw.flags |= rowReturnTrimmed
+			ck.arena = binary.AppendUvarint(ck.arena, uint64(z))
+			v = v[z:]
+		}
+		ck.arena = appendField(ck.arena, v)
 	}
 	if len(rc.Logs) > 0 {
 		rw.flags |= rowLogs
@@ -218,9 +230,9 @@ func (r *Receipts) find(h *Hash32) int {
 }
 
 // indexRow points the index at row seq, in place of an older row of the
-// same hash. The table doubles before it would be more than half full.
+// same hash.
 func (r *Receipts) indexRow(seq uint64) {
-	if 2*(r.indexed+1) > len(r.slots) {
+	if 4*(r.indexed+1) > 3*len(r.slots) {
 		old := r.slots
 		r.slots = make([]uint64, max(16, 2*len(old)))
 		for _, s := range old {
@@ -301,8 +313,14 @@ func (r *Receipts) view(seq uint64) *Receipt {
 		rc.RevertMsg = string(f)
 	}
 	if rw.flags&rowReturn != 0 {
+		var z uint64
+		if rw.flags&rowReturnTrimmed != 0 {
+			var w int
+			z, w = binary.Uvarint(tail)
+			tail = tail[w:]
+		}
 		f, tail = field(tail)
-		rc.ReturnValue = append([]byte(nil), f...)
+		rc.ReturnValue = append(make([]byte, z, int(z)+len(f)), f...)
 	}
 	if rw.flags&rowLogs != 0 {
 		n, w := binary.Uvarint(tail)

@@ -1,9 +1,11 @@
 package chain
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,13 +13,24 @@ import (
 
 // TestReceiptViewRoundTrip: what Include is given comes back from Get field
 // for field — for both families' shapes of receipt, across chunk and block
-// boundaries — and every Get builds its own object.
+// boundaries, whatever leading zeros a return value has — and every Get
+// builds its own object. The rolling hash over the rows is pinned: how a
+// row is stored may change, what Include folds may not.
 func TestReceiptViewRoundTrip(t *testing.T) {
 	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10) // > 64 bits
+	// leadingZeros is a value of width bytes whose last n are 0x5a.
+	leadingZeros := func(width, n int) []byte {
+		v := make([]byte, width)
+		for i := width - n; i < width; i++ {
+			v[i] = 0x5a
+		}
+		return v
+	}
 	families := []struct {
-		name string
-		unit Unit
-		rows []Receipt
+		name   string
+		unit   Unit
+		rows   []Receipt
+		digest string // the rolling hash after every row, hex
 	}{
 		{"eth", UnitETH, []Receipt{
 			{GasUsed: 21000, Fee: NewAmount(big.NewInt(42_000_000_000_000), UnitETH)},
@@ -27,14 +40,21 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 			{GasUsed: 21000, Fee: NewAmount(new(big.Int), UnitETH)},
 			{GasUsed: 5, Fee: NewAmount(new(big.Int).Neg(huge), UnitETH)},
 			{GasUsed: 6, Fee: NewAmount(new(big.Int).SetUint64(1<<64-1), UnitETH)},
-		}},
+			{GasUsed: 33782, ReturnValue: leadingZeros(32, 2), Fee: NewAmount(big.NewInt(3), UnitETH)}, // a check-in's count
+			{GasUsed: 7, ReturnValue: bytes.Repeat([]byte{0x80}, 32), Fee: NewAmount(big.NewInt(3), UnitETH)},
+			{GasUsed: 8, ReturnValue: leadingZeros(31, 5), Fee: NewAmount(big.NewInt(3), UnitETH)},
+			{GasUsed: 9, ReturnValue: leadingZeros(33, 1), Fee: NewAmount(big.NewInt(3), UnitETH)},
+			{GasUsed: 10, ReturnValue: []byte{}, Fee: NewAmount(big.NewInt(3), UnitETH)}, // comes back nil
+		}, "4d99a8da0be76ede70d8f5d70adc80d8bcdb3a190f8dad099071cb4283065ff5"},
 		{"algorand", UnitALGO, []Receipt{
 			{GasUsed: 14, Fee: NewAmount(big.NewInt(1000), UnitALGO), Logs: []string{"bump"}},
 			{GasUsed: 3, Reverted: true, RevertMsg: "algorand: call rejected: err opcode", Fee: NewAmount(big.NewInt(2000), UnitALGO)},
 			{GasUsed: 40, ReturnValue: []byte{0, 0, 0, 0, 0, 0, 0, 9}, Fee: NewAmount(big.NewInt(1000), UnitALGO)}, // an app creation
 			{Reverted: true, RevertMsg: "insufficient balance for fee", Fee: NewAmount(new(big.Int), UnitALGO)},
 			{GasUsed: 1, Fee: NewAmount(huge, UnitALGO)},
-		}},
+			{GasUsed: 2, ReturnValue: make([]byte, 8), Fee: NewAmount(big.NewInt(1000), UnitALGO)}, // Itob(0)
+			{GasUsed: 4, ReturnValue: []byte{0xff, 0, 0, 0, 0, 0, 0, 1}, Fee: NewAmount(big.NewInt(1000), UnitALGO)},
+		}, "8a6216d810fe1e4bc21130f70f607e3ee05cc54eea2bcf3a403ad3d13248a055"},
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
@@ -52,7 +72,13 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 					side = []byte(fmt.Sprint("side", i))
 				}
 				r.Include(&rc, rc.Fee.Base.Bytes(), side)
+				if len(rc.ReturnValue) == 0 {
+					rc.ReturnValue = nil
+				}
 				want = append(want, rc)
+			}
+			if acc, _ := r.Position(); fmt.Sprintf("%x", acc[:]) != fam.digest {
+				t.Errorf("rolling hash %x, want %s", acc[:], fam.digest)
 			}
 			for i := range want {
 				got, ok := r.Get(want[i].TxHash)
@@ -197,10 +223,39 @@ func TestReceiptsPruneWithBlocks(t *testing.T) {
 			}
 		}
 	}
-	// The index is at most half full at the window's peak — seven blocks,
-	// just before a prune — and never grew beyond that.
+	// The log keeps a span per retained block, and the index never grew
+	// beyond the window's peak — seven blocks, just before a prune.
+	// TestReceiptsIndexLoad pins its exact size.
 	if len(pruned.spans) > 6 || len(pruned.slots) > 4*7*perBlock {
 		t.Fatalf("%d spans, %d slots for 6 blocks of %d rows", len(pruned.spans), len(pruned.slots), perBlock)
+	}
+}
+
+// TestReceiptsIndexLoad: a window sliding over many blocks keeps every
+// retained hash findable and no pruned one, and its slot table is the
+// smallest power of two that holds the window's peak — the retained blocks
+// and the head, just before a prune — at no more than ¾ load. At ½ load
+// the table would be twice that size.
+func TestReceiptsIndexLoad(t *testing.T) {
+	const retention, perBlock = 6, 100
+	r := Receipts{Retention: retention}
+	var blocks []*testBlock
+	peak := 0
+	for i := 0; i < 60; i++ {
+		blocks = fillBlocks(&r, blocks, 1, perBlock)
+		checkWindow(t, &r, blocks, retention)
+		rows := 0
+		for _, b := range blocks[max(0, len(blocks)-retention-1):] {
+			rows += len(b.hashes)
+		}
+		peak = max(peak, rows)
+	}
+	want := 16
+	for 4*peak > 3*want {
+		want *= 2
+	}
+	if len(r.slots) != want {
+		t.Fatalf("%d slots for a peak of %d rows, want %d", len(r.slots), peak, want)
 	}
 }
 
@@ -306,5 +361,151 @@ func TestReceiptsPruneAfterSetPosition(t *testing.T) {
 	checkWindow(t, &restored, resumed, 2)
 	if _, count := restored.Position(); count != n+6*10 {
 		t.Fatalf("restored log counts %d receipts, want %d", count, n+6*10)
+	}
+}
+
+// FuzzReceiptLog drives a log through fuzzer-chosen Include, Prune and
+// SetPosition calls against a model: the retained rows in order and the
+// newest retained row of each hash. After every step Get must return the
+// model's row field for field for every hash ever included, and nothing
+// for one whose rows were all pruned; Each must visit exactly the retained
+// rows with side bytes, oldest first; and the rolling hash must be that of
+// a log that never prunes.
+//
+// The first byte picks the retention (0 keeps everything); each step reads
+// an opcode and then as many bytes as it needs, zero once the input ends.
+func FuzzReceiptLog(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 5, 1})
+	f.Add([]byte{1, 0, 3, 7, 1, 9, 32, 30, 1, 2, 2, 1, 'a', 3, 4, 5, 6, 0, 3, 7, 1, 9, 33, 1, 1, 1, 5, 1, 7})
+	f.Add([]byte{0, 0, 3, 7, 1, 9, 8, 7, 9, 0, 1, 0, 7, 0, 3, 8, 0, 0, 40, 40, 0, 0, 3, 0})
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 31, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		type entry struct {
+			rc   Receipt
+			side []byte
+		}
+		r := Receipts{Retention: int(next() % 5)}
+		var shadow Receipts // never prunes
+		var rows []entry    // retained, oldest first
+		newest := map[Hash32]entry{}
+		var hashes []Hash32 // every hash ever included
+		block := uint64(1)  // the block the next Include goes into
+		for len(in) > 0 {
+			switch op := next() % 8; {
+			case op < 5:
+				rc := Receipt{
+					TxHash:      Hash32{next() % 16},
+					BlockNumber: block,
+					GasUsed:     uint64(next()) << (next() % 57),
+					Included:    time.Duration(block) * time.Second,
+					Reverted:    next()%2 == 1,
+					RevertMsg:   strings.Repeat("m", int(next()%3)),
+				}
+				rc.Submitted = rc.Included - time.Duration(next())*time.Millisecond
+				// A value of width bytes whose first zeros bytes are zero;
+				// the rest come from the input and may be zero too.
+				if width := int(next() % 41); width > 0 {
+					zeros := int(next()) % (width + 1)
+					rc.ReturnValue = make([]byte, width)
+					for i := zeros; i < width; i++ {
+						rc.ReturnValue[i] = next()
+					}
+				}
+				for n := next() % 3; n > 0; n-- {
+					rc.Logs = append(rc.Logs, strings.Repeat("l", int(next()%4)))
+				}
+				fee := new(big.Int).SetUint64(uint64(next()))
+				switch next() % 4 {
+				case 1:
+					fee.Lsh(fee, 64+uint(next()%200)) // beyond one word
+				case 2:
+					fee.Lsh(fee, 64).Neg(fee)
+				}
+				rc.Fee = NewAmount(fee, UnitETH)
+				var side []byte
+				for n := next() % 4; n > 0; n-- {
+					side = append(side, next())
+				}
+				r.Include(&rc, fee.Bytes(), side)
+				shadow.Include(&rc, fee.Bytes(), side)
+				if _, ok := newest[rc.TxHash]; !ok {
+					hashes = append(hashes, rc.TxHash)
+				}
+				e := entry{rc, side}
+				rows = append(rows, e)
+				newest[rc.TxHash] = e
+			case op < 7:
+				head := block + uint64(next()%3)
+				r.Prune(head)
+				if r.Retention > 0 && head >= uint64(r.Retention) {
+					cut := head - uint64(r.Retention)
+					for len(rows) > 0 && rows[0].rc.BlockNumber <= cut {
+						rows = rows[1:]
+					}
+					for h, e := range newest {
+						if e.rc.BlockNumber <= cut {
+							delete(newest, h)
+						}
+					}
+				}
+				block = head + 1
+			default:
+				acc, n := r.Position()
+				r.SetPosition(acc, n)
+				shadow.SetPosition(acc, n)
+				rows, newest = nil, map[Hash32]entry{}
+			}
+
+			for _, h := range hashes {
+				got, ok := r.Get(h)
+				want, kept := newest[h]
+				if ok != kept {
+					t.Fatalf("Get(%v) finds a row: %v, want %v", h, ok, kept)
+				}
+				if ok {
+					sameReceipt(t, got, &want.rc)
+				}
+			}
+			i := 0
+			r.Each(func(side []byte, receipt func() *Receipt) {
+				for i < len(rows) && len(rows[i].side) == 0 {
+					i++
+				}
+				if i == len(rows) || !bytes.Equal(side, rows[i].side) {
+					t.Fatalf("Each visits side %x, not the next retained row's", side)
+				}
+				sameReceipt(t, receipt(), &rows[i].rc)
+				i++
+			})
+			for ; i < len(rows); i++ {
+				if len(rows[i].side) > 0 {
+					t.Fatalf("Each skipped the row of %v", rows[i].rc.TxHash)
+				}
+			}
+			if a, b := r.acc, shadow.acc; a != b || r.count != shadow.count {
+				t.Fatal("pruning changed the rolling hash")
+			}
+		}
+	})
+}
+
+// sameReceipt fails unless got holds want's fields: amounts compare by
+// value, and an empty return value or log list is nil.
+func sameReceipt(t *testing.T, got, want *Receipt) {
+	t.Helper()
+	if got.TxHash != want.TxHash || got.BlockNumber != want.BlockNumber || got.GasUsed != want.GasUsed ||
+		got.Submitted != want.Submitted || got.Included != want.Included || got.Reverted != want.Reverted ||
+		got.RevertMsg != want.RevertMsg || got.Fee.Unit != want.Fee.Unit || got.Fee.Base.Cmp(want.Fee.Base) != 0 ||
+		!bytes.Equal(got.ReturnValue, want.ReturnValue) || len(got.ReturnValue) != len(want.ReturnValue) ||
+		(got.ReturnValue == nil) != (len(want.ReturnValue) == 0) || !slices.Equal(got.Logs, want.Logs) {
+		t.Fatalf("receipt of %v:\n got %+v\nwant %+v", want.TxHash, *got, *want)
 	}
 }

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -762,6 +764,10 @@ func EncodeArgsEVM(method string, params []Param, args []Value) ([]byte, error) 
 	return out, nil
 }
 
+// ErrReturnOverflow reports a UInt return word of 2^64 or more: UInt is
+// 64-bit, and such a word has no UInt value.
+var ErrReturnOverflow = errors.New("lang: UInt return word exceeds 64 bits")
+
 // DecodeReturnEVM parses the return data of a call according to the
 // declared return type.
 func DecodeReturnEVM(t Type, data []byte) (Value, error) {
@@ -770,7 +776,10 @@ func DecodeReturnEVM(t Type, data []byte) (Value, error) {
 		if len(data) < 32 {
 			return Value{}, fmt.Errorf("lang: short return data (%d bytes)", len(data))
 		}
-		return Uint64Value(new(big.Int).SetBytes(data[:32]).Uint64()), nil
+		if [24]byte(data) != [24]byte{} {
+			return Value{}, fmt.Errorf("%w: %x", ErrReturnOverflow, data[:32])
+		}
+		return Uint64Value(binary.BigEndian.Uint64(data[24:32])), nil
 	case TBool:
 		if len(data) < 32 {
 			return Value{}, fmt.Errorf("lang: short return data (%d bytes)", len(data))

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"errors"
+	"math/big"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -424,5 +426,28 @@ func TestTEALBackendEndToEnd(t *testing.T) {
 	cv, _ := DecodeReturnTEAL(TUInt, r.Return)
 	if cv.Uint != 8 {
 		t.Fatalf("getCount view = %d, want 8", cv.Uint)
+	}
+}
+
+// TestDecodeReturnEVMRefusesWideUInt: a UInt return word is read as its low
+// eight bytes only when the other 24 are zero; a word of 2^64 or more is an
+// ErrReturnOverflow, never its low 64 bits.
+func TestDecodeReturnEVMRefusesWideUInt(t *testing.T) {
+	word := func(v *big.Int) []byte { return v.FillBytes(make([]byte, 32)) }
+	one := big.NewInt(1)
+	for _, tc := range []struct {
+		name string
+		word []byte
+		want uint64
+		err  error
+	}{
+		{"2^64-1", word(new(big.Int).Sub(new(big.Int).Lsh(one, 64), one)), 1<<64 - 1, nil},
+		{"2^64", word(new(big.Int).Lsh(one, 64)), 0, ErrReturnOverflow},
+		{"2^256-1", word(new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)), 0, ErrReturnOverflow},
+	} {
+		v, err := DecodeReturnEVM(TUInt, tc.word)
+		if !errors.Is(err, tc.err) || (err == nil && v.Uint != tc.want) {
+			t.Errorf("%s: got %d, %v; want %d, %v", tc.name, v.Uint, err, tc.want, tc.err)
+		}
 	}
 }
