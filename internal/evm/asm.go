@@ -1,8 +1,9 @@
 package evm
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/big"
+	"math/bits"
 	"strings"
 )
 
@@ -33,28 +34,12 @@ func (a *Assembler) Op(ops ...Opcode) *Assembler {
 	return a
 }
 
-// Push appends the smallest PUSHn that fits v.
-func (a *Assembler) Push(v *big.Int) *Assembler {
-	if v.Sign() < 0 {
-		a.fail(fmt.Errorf("evm: cannot push negative %s", v))
-		return a
-	}
-	b := v.Bytes()
-	if len(b) == 0 {
-		b = []byte{0}
-	}
-	if len(b) > 32 {
-		a.fail(fmt.Errorf("evm: push value exceeds 32 bytes"))
-		return a
-	}
-	a.code = append(a.code, byte(PUSH1)+byte(len(b)-1))
-	a.code = append(a.code, b...)
-	return a
-}
-
-// PushUint is Push for uint64 immediates.
+// PushUint appends the smallest PUSHn that fits v: its minimal big-endian
+// bytes, PUSH1 0x00 for zero.
 func (a *Assembler) PushUint(v uint64) *Assembler {
-	return a.Push(new(big.Int).SetUint64(v))
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	return a.PushBytes(b[min(7, bits.LeadingZeros64(v)/8):])
 }
 
 // PushBytes pushes up to 32 literal bytes (left-padded semantics of PUSH).

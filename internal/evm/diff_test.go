@@ -280,20 +280,20 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 		f.Add(code, calldata)
 	}
 	for _, v := range near {
-		seed(nil, func(a *Assembler) { a.Push(v).Op(MLOAD, POP) })
-		seed(nil, func(a *Assembler) { a.PushUint(1).Push(v).Op(MSTORE) })
+		seed(nil, func(a *Assembler) { a.PushBytes(v.Bytes()).Op(MLOAD, POP) })
+		seed(nil, func(a *Assembler) { a.PushUint(1).PushBytes(v.Bytes()).Op(MSTORE) })
 		// CALLDATACOPY pops dst, src, size; KECCAK256 pops offset, size.
-		seed(nil, func(a *Assembler) { a.PushUint(32).PushUint(0).Push(v).Op(CALLDATACOPY) })
-		seed(nil, func(a *Assembler) { a.PushUint(32).Push(v).PushUint(0).Op(CALLDATACOPY) })
-		seed(nil, func(a *Assembler) { a.Push(v).PushUint(0).PushUint(0).Op(CALLDATACOPY) })
-		seed(nil, func(a *Assembler) { a.PushUint(32).Push(v).Op(KECCAK256, POP) })
-		seed(nil, func(a *Assembler) { a.Push(v).PushUint(0).Op(KECCAK256, POP) })
+		seed(nil, func(a *Assembler) { a.PushUint(32).PushUint(0).PushBytes(v.Bytes()).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.PushUint(32).PushBytes(v.Bytes()).PushUint(0).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.PushBytes(v.Bytes()).PushUint(0).PushUint(0).Op(CALLDATACOPY) })
+		seed(nil, func(a *Assembler) { a.PushUint(32).PushBytes(v.Bytes()).Op(KECCAK256, POP) })
+		seed(nil, func(a *Assembler) { a.PushBytes(v.Bytes()).PushUint(0).Op(KECCAK256, POP) })
 		// A sha256 precompile CALL whose one descriptor range starts, or
 		// runs, near 2^64, and one whose output region does.
 		for _, r := range [][2]*big.Int{{v, big.NewInt(32)}, {big.NewInt(0x100), v}} {
 			seed(nil, func(a *Assembler) {
-				a.Push(r[0]).PushUint(0).Op(MSTORE)
-				a.Push(r[1]).PushUint(32).Op(MSTORE)
+				a.PushBytes(r[0].Bytes()).PushUint(0).Op(MSTORE)
+				a.PushBytes(r[1].Bytes()).PushUint(32).Op(MSTORE)
 				emitCall(a, precompile.IDSha256, 0, 1, 0x80, 0)
 				a.Op(POP)
 			})
@@ -301,7 +301,7 @@ func FuzzExecuteAgainstRef(f *testing.F) {
 		seed(nil, func(a *Assembler) {
 			a.PushUint(0x100).PushUint(0).Op(MSTORE)
 			a.PushUint(32).PushUint(32).Op(MSTORE)
-			a.PushUint(32).Push(v).PushUint(64).PushUint(0)
+			a.PushUint(32).PushBytes(v.Bytes()).PushUint(64).PushUint(0)
 			a.PushUint(0).PushUint(uint64(precompile.IDSha256)).PushUint(0).Op(CALL, POP)
 		})
 	}

@@ -30,7 +30,7 @@ func TestKeccakGasScalesWithWords(t *testing.T) {
 func TestExpGasScalesWithExponentBytes(t *testing.T) {
 	gasFor := func(exp *big.Int) uint64 {
 		res := run2(t, func(a *Assembler) {
-			a.Push(exp).PushUint(2).Op(EXP, POP, STOP)
+			a.PushBytes(exp.Bytes()).PushUint(2).Op(EXP, POP, STOP)
 		})
 		if res.Err != nil {
 			t.Fatal(res.Err)

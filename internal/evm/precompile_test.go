@@ -232,7 +232,7 @@ func TestPrecompileMalformedDescriptors(t *testing.T) {
 		{"huge-descriptor-word", func(a *Assembler) {
 			// Offset word with a bit above 2^64 must be rejected, not
 			// truncated.
-			a.Push(new(big.Int).Lsh(big.NewInt(1), 64)).PushUint(0).Op(MSTORE)
+			a.PushBytes(new(big.Int).Lsh(big.NewInt(1), 64).Bytes()).PushUint(0).Op(MSTORE)
 			a.PushUint(4).PushUint(32).Op(MSTORE)
 			emitCall(a, precompile.IDSha256, 0x00, 1, 0x180, 0)
 		}},

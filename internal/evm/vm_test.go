@@ -82,7 +82,7 @@ func TestArithmetic(t *testing.T) {
 func TestArithmeticWrapsAt256Bits(t *testing.T) {
 	maxWord := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
 	res := run(t, func(a *Assembler) {
-		a.PushUint(1).Push(maxWord).Op(ADD)
+		a.PushUint(1).PushBytes(maxWord.Bytes()).Op(ADD)
 		returnTop(a)
 	})
 	if res.Err != nil {
@@ -296,7 +296,7 @@ func TestCallTransfersValue(t *testing.T) {
 	a := NewAssembler()
 	a.PushUint(0).PushUint(0).PushUint(0).PushUint(0) // out/in
 	a.PushUint(40)                                    // value
-	a.Push(new(big.Int).SetBytes(to[:]))              // to
+	a.PushBytes(new(big.Int).SetBytes(to[:]).Bytes()) // to
 	a.PushUint(0).Op(CALL)                            // gas
 	returnTop(a)
 	code, err := a.Assemble()

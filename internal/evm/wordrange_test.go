@@ -37,12 +37,22 @@ func wordRangeRows() []wordRangeRow {
 	returnMem := func(a *Assembler) { a.PushUint(32).PushUint(0).Op(RETURN) }
 	// returnTop returns the top of the stack as one word.
 	returnTop := func(a *Assembler) { a.PushUint(0).Op(MSTORE); returnMem(a) }
+	// pushAll pushes each value in its fewest bytes, zero as PUSH1 0x00.
+	pushAll := func(a *Assembler, vs ...*big.Int) {
+		for _, v := range vs {
+			if v.Sign() == 0 {
+				a.PushUint(0)
+			} else {
+				a.PushBytes(v.Bytes())
+			}
+		}
+	}
 	// sha256Call calls the sha256 precompile with the given input and
 	// output ranges, then returns its success word. CALL pops gas, to,
 	// value, in offset, in size, out offset, out size.
 	sha256Call := func(inOff, inSize, outOff, outSize *big.Int) func(a *Assembler) {
 		return func(a *Assembler) {
-			a.Push(outSize).Push(outOff).Push(inSize).Push(inOff)
+			pushAll(a, outSize, outOff, inSize, inOff)
 			a.PushUint(0).PushUint(uint64(precompile.IDSha256)).PushUint(0).Op(CALL)
 			returnTop(a)
 		}
@@ -51,7 +61,7 @@ func wordRangeRows() []wordRangeRow {
 	// input and output ranges, then returns its success word.
 	transferCall := func(inOff, inSize, outOff, outSize *big.Int) func(a *Assembler) {
 		return func(a *Assembler) {
-			a.Push(outSize).Push(outOff).Push(inSize).Push(inOff)
+			pushAll(a, outSize, outOff, inSize, inOff)
 			a.PushUint(0).PushUint(0xbeef).PushUint(0).Op(CALL)
 			returnTop(a)
 		}
@@ -63,83 +73,83 @@ func wordRangeRows() []wordRangeRow {
 	return []wordRangeRow{
 		// PUSH9 2^64+11 is bytes 0–9, JUMP byte 10, JUMPDEST byte 11.
 		{name: "JUMP 2^64+11 onto a JUMPDEST", build: func(a *Assembler) {
-			a.Push(plus(11)).Op(JUMP, JUMPDEST)
+			a.PushBytes(plus(11).Bytes()).Op(JUMP, JUMPDEST)
 			returnTop(a)
 		}, err: ErrInvalidJump},
 		// PUSH1 1 is bytes 0–1, PUSH9 bytes 2–11, JUMPI byte 12, JUMPDEST 13.
 		{name: "JUMPI 2^64+13 onto a JUMPDEST", build: func(a *Assembler) {
-			a.PushUint(1).Push(plus(13)).Op(JUMPI, JUMPDEST)
+			a.PushUint(1).PushBytes(plus(13).Bytes()).Op(JUMPI, JUMPDEST)
 			a.PushUint(7)
 			returnTop(a)
 		}, err: ErrInvalidJump},
 		{name: "JUMPI 2^64 not taken", build: func(a *Assembler) {
-			a.PushUint(0).Push(two64).Op(JUMPI)
+			a.PushUint(0).PushBytes(two64.Bytes()).Op(JUMPI)
 			a.PushUint(7)
 			returnTop(a)
 		}, ret: word(7)},
 		{name: "CALLDATALOAD 2^64", calldata: ones, build: func(a *Assembler) {
-			a.Push(two64).Op(CALLDATALOAD)
+			a.PushBytes(two64.Bytes()).Op(CALLDATALOAD)
 			returnTop(a)
 		}, ret: zero32},
 		{name: "CALLDATALOAD 2^64-1", calldata: ones, build: func(a *Assembler) {
-			a.Push(new(big.Int).Sub(two64, one)).Op(CALLDATALOAD)
+			a.PushBytes(new(big.Int).Sub(two64, one).Bytes()).Op(CALLDATALOAD)
 			returnTop(a)
 		}, ret: zero32},
 		// CALLDATACOPY pops destination, source, size.
 		{name: "CALLDATACOPY source 2^64", calldata: ones, build: func(a *Assembler) {
-			a.PushUint(32).Push(two64).PushUint(0).Op(CALLDATACOPY)
+			a.PushUint(32).PushBytes(two64.Bytes()).PushUint(0).Op(CALLDATACOPY)
 			returnMem(a)
 		}, ret: zero32},
 		{name: "CALLDATACOPY destination 2^64", calldata: ones, build: func(a *Assembler) {
-			a.PushUint(1).PushUint(0).Push(two64).Op(CALLDATACOPY)
+			a.PushUint(1).PushUint(0).PushBytes(two64.Bytes()).Op(CALLDATACOPY)
 			returnMem(a)
 		}, err: ErrOutOfGas},
 		{name: "CALLDATACOPY size 2^64", calldata: ones, build: func(a *Assembler) {
-			a.Push(two64).PushUint(0).PushUint(0).Op(CALLDATACOPY)
+			a.PushBytes(two64.Bytes()).PushUint(0).PushUint(0).Op(CALLDATACOPY)
 			returnMem(a)
 		}, err: ErrOutOfGas},
 		{name: "CALLDATACOPY destination 2^64 size 0", calldata: ones, build: func(a *Assembler) {
-			a.PushUint(0).PushUint(0).Push(two64).Op(CALLDATACOPY)
+			a.PushUint(0).PushUint(0).PushBytes(two64.Bytes()).Op(CALLDATACOPY)
 			returnMem(a)
 		}, ret: zero32},
 		{name: "MLOAD 2^64+5", build: func(a *Assembler) {
-			a.Push(plus(5)).Op(MLOAD)
+			a.PushBytes(plus(5).Bytes()).Op(MLOAD)
 			returnTop(a)
 		}, err: ErrOutOfGas},
 		{name: "MSTORE 2^64", build: func(a *Assembler) {
-			a.PushUint(1).Push(two64).Op(MSTORE)
+			a.PushUint(1).PushBytes(two64.Bytes()).Op(MSTORE)
 			returnMem(a)
 		}, err: ErrOutOfGas},
 		// KECCAK256, LOG, RETURN and REVERT pop offset, then size.
 		{name: "KECCAK256 offset 2^64", build: func(a *Assembler) {
-			a.PushUint(1).Push(two64).Op(KECCAK256)
+			a.PushUint(1).PushBytes(two64.Bytes()).Op(KECCAK256)
 			returnTop(a)
 		}, err: ErrOutOfGas},
 		{name: "KECCAK256 size 2^64", build: func(a *Assembler) {
-			a.Push(two64).PushUint(0).Op(KECCAK256)
+			a.PushBytes(two64.Bytes()).PushUint(0).Op(KECCAK256)
 			returnTop(a)
 		}, err: ErrOutOfGas},
 		{name: "KECCAK256 offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(0).Push(two64).Op(KECCAK256)
+			a.PushUint(0).PushBytes(two64.Bytes()).Op(KECCAK256)
 			returnTop(a)
 		}, ret: emptyHash[:]},
 		{name: "LOG0 offset 2^64", build: func(a *Assembler) {
-			a.PushUint(1).Push(two64).Op(LOG0, STOP)
+			a.PushUint(1).PushBytes(two64.Bytes()).Op(LOG0, STOP)
 		}, err: ErrOutOfGas},
 		{name: "LOG0 offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(0).Push(two64).Op(LOG0, STOP)
+			a.PushUint(0).PushBytes(two64.Bytes()).Op(LOG0, STOP)
 		}, logs: 1},
 		{name: "RETURN offset 2^64", build: func(a *Assembler) {
-			a.PushUint(1).Push(two64).Op(RETURN)
+			a.PushUint(1).PushBytes(two64.Bytes()).Op(RETURN)
 		}, err: ErrOutOfGas},
 		{name: "RETURN offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(0).Push(two64).Op(RETURN)
+			a.PushUint(0).PushBytes(two64.Bytes()).Op(RETURN)
 		}},
 		{name: "REVERT size 2^64", build: func(a *Assembler) {
-			a.Push(two64).PushUint(0).Op(REVERT)
+			a.PushBytes(two64.Bytes()).PushUint(0).Op(REVERT)
 		}, err: ErrOutOfGas},
 		{name: "REVERT offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(0).Push(two64).Op(REVERT)
+			a.PushUint(0).PushBytes(two64.Bytes()).Op(REVERT)
 		}, reverted: true},
 		{name: "CALL sha256 input offset 2^64", build: sha256Call(two64, big.NewInt(64), new(big.Int), big.NewInt(32)),
 			err: ErrOutOfGas},
@@ -149,7 +159,7 @@ func wordRangeRows() []wordRangeRow {
 			ret: word(1)},
 		// No descriptor ranges: the digest of nothing, written at 0.
 		{name: "CALL sha256 input offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(32).PushUint(0).PushUint(0).Push(two64)
+			a.PushUint(32).PushUint(0).PushUint(0).PushBytes(two64.Bytes())
 			a.PushUint(0).PushUint(uint64(precompile.IDSha256)).PushUint(0).Op(CALL, POP)
 			returnMem(a)
 		}, ret: emptySHA[:]},

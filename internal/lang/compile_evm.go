@@ -1,10 +1,7 @@
 package lang
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math/big"
 
 	"agnopol/internal/evm"
 	"agnopol/internal/polcrypto"
@@ -97,7 +94,7 @@ func (c *evmCompiler) globalSlot(name string) uint64 {
 		c.fail("%v", err)
 		return 0
 	}
-	return uint64(1 + gi)
+	return evmGlobalSlot(gi)
 }
 
 func (c *evmCompiler) typeOf(e Expr) Type {
@@ -715,86 +712,4 @@ func (c *evmCompiler) emitConcat(e *Bin) {
 	a.Op(evm.SWAP5, evm.POP) // [ptr, lenA, offB, lenB, total]
 	a.Op(evm.SWAP3, evm.POP) // [ptr, total, offB, lenB]
 	a.Op(evm.POP, evm.POP)   // [ptr, total]
-}
-
-// EncodeArgsEVM builds the calldata for a method call: 4-byte selector +
-// head/tail ABI encoding of args.
-func EncodeArgsEVM(method string, params []Param, args []Value) ([]byte, error) {
-	if len(args) != len(params) {
-		return nil, fmt.Errorf("lang: %s wants %d args, got %d", method, len(params), len(args))
-	}
-	sel := Selector(method)
-	head := make([]byte, 0, 32*len(args))
-	var tail []byte
-	tailStart := 32 * len(args)
-	for i, arg := range args {
-		if arg.Type != params[i].Type {
-			return nil, fmt.Errorf("lang: %s arg %d: want %s, got %s", method, i, params[i].Type, arg.Type)
-		}
-		var w [32]byte
-		switch arg.Type {
-		case TUInt:
-			new(big.Int).SetUint64(arg.Uint).FillBytes(w[:])
-		case TBool:
-			if arg.Bool {
-				w[31] = 1
-			}
-		case TAddress:
-			copy(w[12:], arg.Addr[:])
-		case TBytes:
-			new(big.Int).SetUint64(uint64(tailStart + len(tail))).FillBytes(w[:])
-			var lw [32]byte
-			new(big.Int).SetUint64(uint64(len(arg.Bytes))).FillBytes(lw[:])
-			tail = append(tail, lw[:]...)
-			padded := len(arg.Bytes)
-			if rem := padded % 32; rem != 0 {
-				padded += 32 - rem
-			}
-			data := make([]byte, padded)
-			copy(data, arg.Bytes)
-			tail = append(tail, data...)
-		default:
-			return nil, fmt.Errorf("lang: unsupported arg type %s", arg.Type)
-		}
-		head = append(head, w[:]...)
-	}
-	out := append([]byte{}, sel[:]...)
-	out = append(out, head...)
-	out = append(out, tail...)
-	return out, nil
-}
-
-// ErrReturnOverflow reports a UInt return word of 2^64 or more: UInt is
-// 64-bit, and such a word has no UInt value.
-var ErrReturnOverflow = errors.New("lang: UInt return word exceeds 64 bits")
-
-// DecodeReturnEVM parses the return data of a call according to the
-// declared return type.
-func DecodeReturnEVM(t Type, data []byte) (Value, error) {
-	switch t {
-	case TUInt:
-		if len(data) < 32 {
-			return Value{}, fmt.Errorf("lang: short return data (%d bytes)", len(data))
-		}
-		if [24]byte(data) != [24]byte{} {
-			return Value{}, fmt.Errorf("%w: %x", ErrReturnOverflow, data[:32])
-		}
-		return Uint64Value(binary.BigEndian.Uint64(data[24:32])), nil
-	case TBool:
-		if len(data) < 32 {
-			return Value{}, fmt.Errorf("lang: short return data (%d bytes)", len(data))
-		}
-		return BoolValue(data[31] != 0), nil
-	case TAddress:
-		if len(data) < 32 {
-			return Value{}, fmt.Errorf("lang: short return data (%d bytes)", len(data))
-		}
-		var a [20]byte
-		copy(a[:], data[12:32])
-		return AddressValue(a), nil
-	case TBytes:
-		return BytesValue(append([]byte(nil), data...)), nil
-	default:
-		return Value{}, fmt.Errorf("lang: unsupported return type %s", t)
-	}
 }
