@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,21 +36,22 @@ func (h *Hasher) Sum() Hash32 { return Hash32(polcrypto.Hash(h.buf)) }
 
 // Receipts holds what a chain keeps of every included item and the rolling
 // hash of every receipt ever included, folded in canonical block order.
-// The hash and count are what a chain's Digest reads, so the rows
-// themselves can be pruned (Prune) without changing it. The zero
-// value is ready to use.
+// The hash and count are what a chain's Digest reads, so the records
+// themselves can be pruned (Prune) without changing it. The zero value is
+// ready to use.
 //
-// An included item is kept once, as a pointer-free row of an append-only
-// log cut into chunks of rowsPerChunk: the fixed-width fields in the row,
-// the rare variable ones (revert message, return value, logs, a fee beyond
-// one word, the family's side bytes) in the chunk's byte arena. A return
-// value is stored without its leading zero bytes, which a count in front of
-// it restores: an ABI word holding a small count costs four arena bytes,
-// not 33. A row's sequence number is the count of receipts folded before
-// it. What is the same for every row of a block — its number and inclusion
-// time — is stored once per block that has rows (span), the currency unit
-// once per chain. Get and Each build a fresh Receipt from a row, so a
-// caller owns what it is handed.
+// An included item is kept once, as one pointer-free byte record in an
+// append-only log cut into chunks: its hash, a flag byte, varints for gas,
+// the submit time against its block's inclusion time and a fee that fits a
+// word, then the rare variable fields (the family's side bytes, a fee
+// beyond one word, revert message, return value, logs), each only when
+// present. A return value is stored without its leading zero bytes, which
+// a count in front of it restores: an ABI word holding a small count costs
+// four bytes, not 33. A record's sequence number is the count of receipts
+// folded before it. What is the same for every record of a block — its
+// number and inclusion time — is stored once per block that has records
+// (span), the currency unit once per chain. Get and Each build a fresh
+// Receipt from a record, so a caller owns what it is handed.
 type Receipts struct {
 	// Retention caps how many recent blocks keep their receipts; <= 0
 	// retains everything.
@@ -57,47 +59,40 @@ type Receipts struct {
 
 	acc   Hash32
 	count uint64
-	pre   Hasher // Include's preimage buffer
+	pre   Hasher // Include's preimage buffer, then the record's
 
 	unit   Unit
-	chunks []chunk // chunks[k] starts at sequence number base + k*rowsPerChunk
-	base   uint64
-	first  uint64 // oldest retained row; the ones before it are pruned
+	chunks []chunk
+	first  uint64 // oldest retained record; the ones before it are pruned
 	spans  []span
 
-	// The lookup index, item hash → its newest row: an open-addressing
-	// table of sequence numbers plus one (zero is an empty slot), probed
-	// linearly from the hash's home slot. The key is the row's own hash,
-	// read back through the log, so an entry is one word and points
-	// nowhere. The table doubles before it would be more than ¾ full.
-	// Deletion closes the gap it leaves instead of leaving a tombstone: a
-	// window that slides forever keeps the table at the size the window
-	// needs, which a built-in map under the same churn does not.
-	slots   []uint64
+	// The lookup index, item hash → its newest record: an open-addressing
+	// table of slots (slotOf; zero is an empty slot), probed linearly from
+	// the hash's home slot. The key is the record's own hash, read back
+	// through the log, so an entry is four bytes and points nowhere. The
+	// table doubles before it would be more than ¾ full. Deletion closes
+	// the gap it leaves instead of leaving a tombstone: a window that
+	// slides forever keeps the table at the size the window needs, which a
+	// built-in map under the same churn does not.
+	slots   []uint32
 	indexed int
 }
 
-// rowsPerChunk sizes a chunk (16 KiB of rows). Pruning frees whole chunks,
-// so less than one chunk of rows older than the window stays resident, and
-// a chain that includes one item pays for one chunk.
-const rowsPerChunk = 256
+// chunkBytes is a chunk's arena capacity, one of the allocator's size
+// classes, so that no byte of it is rounding slop; a record longer than
+// that gets a chunk of its own. Pruning frees whole chunks but the newest,
+// so at most one chunk of records older than the window stays resident,
+// and a chain that includes one item pays for one chunk.
+const chunkBytes = 16 << 10
 
 type chunk struct {
-	rows  []row
+	first uint64   // sequence number of its first record
+	recs  []uint32 // where each record starts in the arena, and the last ends
 	arena []byte
 }
 
-type row struct {
-	hash      Hash32
-	gas       uint64
-	submitted time.Duration
-	fee       uint64 // the magnitude, unless rowFeeBytes
-	tail      uint32 // where the row's variable fields start in the arena
-	flags     uint8
-}
-
-// Row flags. Each of rowSide to rowLogs says a length-prefixed field is
-// present in the row's tail; the fields are stored in this order.
+// Record flags. Each of rowSide to rowLogs says a length-prefixed field is
+// present in the record's tail; the fields are stored in this order.
 // rowReturnTrimmed says the return value lost leading zero bytes, counted
 // by a varint in front of its field.
 const (
@@ -111,24 +106,49 @@ const (
 	rowReturnTrimmed
 )
 
-// span is the rows of one block.
+// span is the records of one block.
 type span struct {
-	first    uint64 // sequence number of the block's first row
+	first    uint64 // sequence number of the block's first record
 	number   uint64
 	included time.Duration
 }
 
-func appendField[T ~string | ~[]byte](arena []byte, f T) []byte {
-	return append(binary.AppendUvarint(arena, uint64(len(f))), f...)
+func appendField[T ~string | ~[]byte](b []byte, f T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(f))), f...)
 }
 
-// field splits the leading length-prefixed field off a row's tail.
+func uvarint(b []byte) (uint64, []byte) {
+	v, w := binary.Uvarint(b)
+	return v, b[w:]
+}
+
+// field splits the leading length-prefixed field off a record's tail.
 func field(tail []byte) (f, rest []byte) {
-	n, w := binary.Uvarint(tail)
-	return tail[w : w+int(n)], tail[w+int(n):]
+	n, tail := uvarint(tail)
+	return tail[:n], tail[n:]
 }
 
-// Include folds a receipt into the rolling hash and keeps it as a row,
+// record is a stored receipt's fixed fields, decoded, and its tail.
+type record struct {
+	flags    byte
+	gas, fee uint64        // fee unless rowFeeBytes
+	late     time.Duration // Submitted − Included
+	tail     []byte
+}
+
+func decode(b []byte) (rec record) {
+	rec.flags = b[len(Hash32{})]
+	rec.gas, b = uvarint(b[len(Hash32{})+1:])
+	late, w := binary.Varint(b)
+	rec.late, b = time.Duration(late), b[w:]
+	if rec.flags&rowFeeBytes == 0 {
+		rec.fee, b = uvarint(b)
+	}
+	rec.tail = b
+	return rec
+}
+
+// Include folds a receipt into the rolling hash and keeps it as a record,
 // found again under its TxHash. fee is the family's encoding of the fee
 // magnitude for the fold; side is whatever else the family wants back per
 // item (Each), empty for nothing. The receipt is only read.
@@ -152,15 +172,66 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 	p.Bytes(fee)
 	r.acc = p.Sum()
 
-	if n := len(r.chunks); n == 0 {
-		r.base, r.first = r.count, r.count
-		r.chunks = append(r.chunks, chunk{rows: make([]row, 0, rowsPerChunk)})
-	} else if last := &r.chunks[n-1]; len(last.rows) == rowsPerChunk {
-		// A chain's items resemble each other: the chunk just filled says
-		// how big an arena the next one needs.
+	var flags byte
+	if rc.Reverted {
+		flags = rowReverted
+	}
+	b := append(p.buf[:0], rc.TxHash[:]...)
+	b = append(b, 0) // the flags, known at the end
+	b = binary.AppendUvarint(b, rc.GasUsed)
+	// Wrapping is harmless: view adds the difference back modulo 2^64 too.
+	b = binary.AppendVarint(b, int64(rc.Submitted-rc.Included))
+	if f := rc.Fee.Base; f.IsUint64() {
+		b = binary.AppendUvarint(b, f.Uint64())
+	} else {
+		flags |= rowFeeBytes
+		if f.Sign() < 0 {
+			flags |= rowFeeNegative
+		}
+	}
+	if len(side) > 0 {
+		flags |= rowSide
+		b = appendField(b, side)
+	}
+	if flags&rowFeeBytes != 0 {
+		b = appendField(b, rc.Fee.Base.Bytes())
+	}
+	if rc.RevertMsg != "" {
+		flags |= rowRevertMsg
+		b = appendField(b, rc.RevertMsg)
+	}
+	if v := rc.ReturnValue; len(v) > 0 {
+		flags |= rowReturn
+		if z := len(v) - len(bytes.TrimLeft(v, "\x00")); z > 0 {
+			flags |= rowReturnTrimmed
+			b = binary.AppendUvarint(b, uint64(z))
+			v = v[z:]
+		}
+		b = appendField(b, v)
+	}
+	if len(rc.Logs) > 0 {
+		flags |= rowLogs
+		b = binary.AppendUvarint(b, uint64(len(rc.Logs)))
+		for _, l := range rc.Logs {
+			b = appendField(b, l)
+		}
+	}
+	b[len(Hash32{})] = flags
+	p.buf = b
+
+	n := len(r.chunks)
+	if n == 0 || len(r.chunks[n-1].recs) == cap(r.chunks[n-1].recs) ||
+		len(r.chunks[n-1].arena)+len(b) > cap(r.chunks[n-1].arena) {
+		// A chain's items resemble each other: the chunk before says how
+		// many records fit in this one, unless it is a long record's own.
+		rows := chunkBytes / 64
+		if n > 0 && cap(r.chunks[n-1].arena) == chunkBytes {
+			rows = len(r.chunks[n-1].recs)*chunkBytes/len(r.chunks[n-1].arena) + 1
+		}
 		r.chunks = append(r.chunks, chunk{
-			rows:  make([]row, 0, rowsPerChunk),
-			arena: make([]byte, 0, len(last.arena)),
+			first: r.count,
+			recs:  append(slices.Grow([]uint32(nil), rows), 0),
+			arena: make([]byte, 0, max(chunkBytes, len(b))),
 		})
 	}
 	if n := len(r.spans); n == 0 || r.spans[n-1].number != rc.BlockNumber || r.spans[n-1].included != rc.Included {
@@ -168,47 +239,28 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 	}
 	r.unit = rc.Fee.Unit
 	ck := &r.chunks[len(r.chunks)-1]
-	rw := row{hash: rc.TxHash, gas: rc.GasUsed, submitted: rc.Submitted, tail: uint32(len(ck.arena))}
-	if rc.Reverted {
-		rw.flags |= rowReverted
-	}
-	if len(side) > 0 {
-		rw.flags |= rowSide
-		ck.arena = appendField(ck.arena, side)
-	}
-	if b := rc.Fee.Base; b.IsUint64() {
-		rw.fee = b.Uint64()
-	} else {
-		rw.flags |= rowFeeBytes
-		if b.Sign() < 0 {
-			rw.flags |= rowFeeNegative
-		}
-		ck.arena = appendField(ck.arena, b.Bytes())
-	}
-	if rc.RevertMsg != "" {
-		rw.flags |= rowRevertMsg
-		ck.arena = appendField(ck.arena, rc.RevertMsg)
-	}
-	if v := rc.ReturnValue; len(v) > 0 {
-		rw.flags |= rowReturn
-		if z := len(v) - len(bytes.TrimLeft(v, "\x00")); z > 0 {
-			rw.flags |= rowReturnTrimmed
-			ck.arena = binary.AppendUvarint(ck.arena, uint64(z))
-			v = v[z:]
-		}
-		ck.arena = appendField(ck.arena, v)
-	}
-	if len(rc.Logs) > 0 {
-		rw.flags |= rowLogs
-		ck.arena = binary.AppendUvarint(ck.arena, uint64(len(rc.Logs)))
-		for _, l := range rc.Logs {
-			ck.arena = appendField(ck.arena, l)
-		}
-	}
-	ck.rows = append(ck.rows, rw)
-	r.indexRow(r.count)
+	ck.arena = append(ck.arena, b...)
+	ck.recs = append(ck.recs, uint32(len(ck.arena)))
+	r.index(&rc.TxHash, r.count)
 	r.count++
 }
+
+// slotMod bounds what an index slot keeps of a sequence number: slotOf
+// stores it modulo 2^32 − 1, plus one, so that zero is free to mark an
+// empty slot. That is exact because the retained records always span far
+// fewer than 2^32 − 1 sequence numbers (at tens of bytes a record, that
+// many would take over a hundred GiB), so seqOf can read a slot back as
+// the one retained sequence number with that residue.
+const slotMod = 1<<32 - 1
+
+func slotOf(seq uint64) uint32 { return uint32(seq%slotMod) + 1 }
+
+func (r *Receipts) seqOf(s uint32) uint64 {
+	return r.first + (uint64(s)+slotMod-uint64(slotOf(r.first)))%slotMod
+}
+
+// hashAt is the item hash of the record that slot s points at.
+func (r *Receipts) hashAt(s uint32) *Hash32 { return (*Hash32)(r.at(r.seqOf(s))) }
 
 // home is where the probe for a hash starts: the top bits of a
 // multiplicative hash of its first word. Item hashes are uniform already;
@@ -217,46 +269,40 @@ func (r *Receipts) home(h *Hash32) int {
 	return int(binary.LittleEndian.Uint64(h[:]) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(r.slots)))))
 }
 
-// find returns the slot holding the newest row of h, or the empty slot
+// find returns the slot holding the newest record of h, or the empty slot
 // that ends its probe sequence.
 func (r *Receipts) find(h *Hash32) int {
 	i := r.home(h)
-	for ; r.slots[i] != 0; i = (i + 1) & (len(r.slots) - 1) {
-		if rw, _ := r.at(r.slots[i] - 1); rw.hash == *h {
-			break
-		}
+	for ; r.slots[i] != 0 && *r.hashAt(r.slots[i]) != *h; i = (i + 1) & (len(r.slots) - 1) {
 	}
 	return i
 }
 
-// indexRow points the index at row seq, in place of an older row of the
-// same hash.
-func (r *Receipts) indexRow(seq uint64) {
+// index points the index at record seq of hash h, in place of an older
+// record of the same hash.
+func (r *Receipts) index(h *Hash32, seq uint64) {
 	if 4*(r.indexed+1) > 3*len(r.slots) {
 		old := r.slots
-		r.slots = make([]uint64, max(16, 2*len(old)))
+		r.slots = make([]uint32, max(16, 2*len(old)))
 		for _, s := range old {
 			if s != 0 {
-				rw, _ := r.at(s - 1)
-				r.slots[r.find(&rw.hash)] = s
+				r.slots[r.find(r.hashAt(s))] = s
 			}
 		}
 	}
-	rw, _ := r.at(seq)
-	i := r.find(&rw.hash)
+	i := r.find(h)
 	if r.slots[i] == 0 {
 		r.indexed++
 	}
-	r.slots[i] = seq + 1
+	r.slots[i] = slotOf(seq)
 }
 
-// unindexRow forgets row seq, unless the index has moved on to a newer row
-// of the same hash, and moves the entries probing past the freed slot back
-// so that every probe sequence stays unbroken.
-func (r *Receipts) unindexRow(seq uint64) {
-	rw, _ := r.at(seq)
-	i := r.find(&rw.hash)
-	if r.slots[i] != seq+1 {
+// unindex forgets record seq, unless the index has moved on to a newer
+// record of the same hash, and moves the entries probing past the freed
+// slot back so that every probe sequence stays unbroken.
+func (r *Receipts) unindex(seq uint64) {
+	i := r.find((*Hash32)(r.at(seq)))
+	if r.slots[i] != slotOf(seq) {
 		return
 	}
 	r.indexed--
@@ -264,67 +310,62 @@ func (r *Receipts) unindexRow(seq uint64) {
 	for j := (i + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
 		// The entry at j may fill the gap at i unless its home lies
 		// cyclically in (i, j]: then it would land before its home.
-		moved, _ := r.at(r.slots[j] - 1)
-		if k := r.home(&moved.hash); (j-k)&mask >= (j-i)&mask {
+		if k := r.home(r.hashAt(r.slots[j])); (j-k)&mask >= (j-i)&mask {
 			r.slots[i], i = r.slots[j], j
 		}
 	}
 	r.slots[i] = 0
 }
 
-// at locates a retained row and its tail.
-func (r *Receipts) at(seq uint64) (*row, []byte) {
-	ck := &r.chunks[(seq-r.base)/rowsPerChunk]
-	i := int((seq - r.base) % rowsPerChunk)
-	end := len(ck.arena)
-	if i+1 < len(ck.rows) {
-		end = int(ck.rows[i+1].tail)
-	}
-	return &ck.rows[i], ck.arena[ck.rows[i].tail:end]
+// at returns the record of a retained sequence number: its chunk is the
+// last one starting at or before it.
+func (r *Receipts) at(seq uint64) []byte {
+	ck := &r.chunks[sort.Search(len(r.chunks), func(k int) bool { return r.chunks[k].first > seq })-1]
+	i := seq - ck.first
+	return ck.arena[ck.recs[i]:ck.recs[i+1]]
 }
 
-// view builds the receipt of a retained row.
+// view builds the receipt of a retained record.
 func (r *Receipts) view(seq uint64) *Receipt {
-	rw, tail := r.at(seq)
+	b := r.at(seq)
+	rec := decode(b)
 	sp := r.spans[sort.Search(len(r.spans), func(i int) bool { return r.spans[i].first > seq })-1]
 	rc := &Receipt{
-		TxHash:      rw.hash,
+		TxHash:      Hash32(b[:len(Hash32{})]),
 		BlockNumber: sp.number,
-		GasUsed:     rw.gas,
-		Submitted:   rw.submitted,
+		GasUsed:     rec.gas,
+		Submitted:   sp.included + rec.late,
 		Included:    sp.included,
-		Reverted:    rw.flags&rowReverted != 0,
+		Reverted:    rec.flags&rowReverted != 0,
 	}
-	var f []byte
-	if rw.flags&rowSide != 0 {
+	f, tail := []byte(nil), rec.tail
+	if rec.flags&rowSide != 0 {
 		_, tail = field(tail)
 	}
-	fee := new(big.Int).SetUint64(rw.fee)
-	if rw.flags&rowFeeBytes != 0 {
+	fee := new(big.Int).SetUint64(rec.fee)
+	if rec.flags&rowFeeBytes != 0 {
 		f, tail = field(tail)
 		fee.SetBytes(f)
-		if rw.flags&rowFeeNegative != 0 {
+		if rec.flags&rowFeeNegative != 0 {
 			fee.Neg(fee)
 		}
 	}
 	rc.Fee = Amount{Base: fee, Unit: r.unit}
-	if rw.flags&rowRevertMsg != 0 {
+	if rec.flags&rowRevertMsg != 0 {
 		f, tail = field(tail)
 		rc.RevertMsg = string(f)
 	}
-	if rw.flags&rowReturn != 0 {
+	if rec.flags&rowReturn != 0 {
 		var z uint64
-		if rw.flags&rowReturnTrimmed != 0 {
-			var w int
-			z, w = binary.Uvarint(tail)
-			tail = tail[w:]
+		if rec.flags&rowReturnTrimmed != 0 {
+			z, tail = uvarint(tail)
 		}
 		f, tail = field(tail)
 		rc.ReturnValue = append(make([]byte, z, int(z)+len(f)), f...)
 	}
-	if rw.flags&rowLogs != 0 {
-		n, w := binary.Uvarint(tail)
-		tail = tail[w:]
+	if rec.flags&rowLogs != 0 {
+		var n uint64
+		n, tail = uvarint(tail)
 		rc.Logs = make([]string, n)
 		for i := range rc.Logs {
 			f, tail = field(tail)
@@ -344,19 +385,16 @@ func (r *Receipts) Get(h Hash32) (*Receipt, bool) {
 	if s == 0 {
 		return nil, false
 	}
-	return r.view(s - 1), true
+	return r.view(r.seqOf(s)), true
 }
 
-// Each visits, oldest first, every retained row that was included with
+// Each visits, oldest first, every retained record that was included with
 // side bytes: side is what Include was given (valid during the call only)
-// and receipt builds the row's receipt when the visitor wants it.
+// and receipt builds the record's receipt when the visitor wants it.
 func (r *Receipts) Each(visit func(side []byte, receipt func() *Receipt)) {
-	if len(r.chunks) == 0 {
-		return
-	}
 	for seq := r.first; seq < r.count; seq++ {
-		if rw, tail := r.at(seq); rw.flags&rowSide != 0 {
-			side, _ := field(tail)
+		if rec := decode(r.at(seq)); rec.flags&rowSide != 0 {
+			side, _ := field(rec.tail)
 			visit(side, func() *Receipt { return r.view(seq) })
 		}
 	}
@@ -366,10 +404,10 @@ func (r *Receipts) Each(visit func(side []byte, receipt func() *Receipt)) {
 // it; SetPosition restores them on a chain reopened from a checkpoint.
 func (r *Receipts) Position() (acc Hash32, count uint64) { return r.acc, r.count }
 
-// SetPosition restores a Position. A checkpoint carries no rows, so the
+// SetPosition restores a Position. A checkpoint carries no records, so the
 // restored chain retains none of the receipts folded before it.
 func (r *Receipts) SetPosition(acc Hash32, count uint64) {
-	r.acc, r.count = acc, count
+	r.acc, r.count, r.first = acc, count, count
 	r.chunks, r.spans, r.slots, r.indexed = nil, nil, nil, 0
 }
 
@@ -379,28 +417,27 @@ func (r *Receipts) Digest(h *Hasher) {
 	h.U64(r.count)
 }
 
-// Prune forgets the rows of every block numbered head - r.Retention or
+// Prune forgets the records of every block numbered head - r.Retention or
 // lower, so that the newest r.Retention blocks up to head keep theirs; with
 // retention off it forgets nothing. Block numbers are consecutive, so the
-// window is the same whether or not its oldest blocks had rows.
+// window is the same whether or not its oldest blocks had records.
 func (r *Receipts) Prune(head uint64) {
-	if r.Retention <= 0 || head < uint64(r.Retention) || len(r.chunks) == 0 {
+	if r.Retention <= 0 || head < uint64(r.Retention) || r.first == r.count {
 		return
 	}
-	last := head - uint64(r.Retention) // the newest block that loses its rows
+	last := head - uint64(r.Retention) // the newest block that loses its records
 	n := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].number > last })
 	cut := r.count
 	if n < len(r.spans) {
 		cut = r.spans[n].first
 	}
 	for seq := r.first; seq < cut; seq++ {
-		r.unindexRow(seq)
+		r.unindex(seq)
 	}
 	r.first = cut
-	for r.first-r.base >= rowsPerChunk {
+	for len(r.chunks) > 1 && r.chunks[1].first <= cut {
 		r.chunks[0] = chunk{}
 		r.chunks = r.chunks[1:]
-		r.base += rowsPerChunk
 	}
 	// The outer slices shed their dead prefixes the next time append
 	// reallocates them.

@@ -60,8 +60,9 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			var r Receipts
 			var want []Receipt
-			// Enough rows to fill several chunks, three to a block.
-			for i := 0; i < 3*rowsPerChunk+5; i++ {
+			// Enough rows to fill several chunks, three to a block; the
+			// pinned hashes are over this many.
+			for i := 0; i < 773; i++ {
 				rc := fam.rows[i%len(fam.rows)]
 				rc.TxHash = Hash32{byte(i), byte(i >> 8), 1}
 				rc.BlockNumber = uint64(100 + i/3)
@@ -79,6 +80,9 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 			}
 			if acc, _ := r.Position(); fmt.Sprintf("%x", acc[:]) != fam.digest {
 				t.Errorf("rolling hash %x, want %s", acc[:], fam.digest)
+			}
+			if len(r.chunks) < 3 {
+				t.Fatalf("%d rows fill %d chunks, want several", len(want), len(r.chunks))
 			}
 			for i := range want {
 				got, ok := r.Get(want[i].TxHash)
@@ -179,16 +183,12 @@ func checkWindow(t *testing.T, r *Receipts, blocks []*testBlock, retained int) {
 			}
 		}
 	}
-	resident, live := 0, 0
-	for _, ck := range r.chunks {
-		resident += len(ck.rows)
-	}
-	if resident > 0 {
-		live = int(r.count - r.first)
-	}
-	if r.indexed != window || live != window || resident >= window+rowsPerChunk {
-		t.Fatalf("head %d, retention %d: %d index entries, %d rows past the cut, %d resident for a window of %d",
-			head, retained, r.indexed, live, resident, window)
+	live := int(r.count - r.first)
+	// Only the oldest chunk may hold pruned rows, and the newest chunk is
+	// kept even when all of its rows are pruned.
+	if r.indexed != window || live != window || len(r.chunks) > 1 && r.chunks[1].first <= r.first {
+		t.Fatalf("head %d, retention %d: %d index entries, %d rows past the cut for a window of %d, a whole chunk before it resident: %v",
+			head, retained, r.indexed, live, window, len(r.chunks) > 1 && r.chunks[1].first <= r.first)
 	}
 }
 
@@ -198,7 +198,7 @@ func checkWindow(t *testing.T, r *Receipts, blocks []*testBlock, retained int) {
 // position is the same either way; and the row log holds less than a chunk
 // more than the window.
 func TestReceiptsPruneWithBlocks(t *testing.T) {
-	const perBlock = 100 // not a divisor of rowsPerChunk: blocks straddle chunks
+	const perBlock = 100 // blocks straddle chunks
 	var full Receipts
 	all := fillBlocks(&full, nil, 40, perBlock)
 	checkWindow(t, &full, all, 0)
@@ -364,13 +364,82 @@ func TestReceiptsPruneAfterSetPosition(t *testing.T) {
 	}
 }
 
+// TestReceiptsIndexAcrossUint32Wrap: an index slot keeps a sequence
+// number in 32 bits, so a log restored just below 2^32 receipts, whose
+// window then slides across 2^32 − 1 and 2^32, still finds every retained
+// item field for field, and no pruned one.
+func TestReceiptsIndexAcrossUint32Wrap(t *testing.T) {
+	const retention, perBlock, blocks = 4, 50, 12
+	r := Receipts{Retention: retention}
+	r.SetPosition(Hash32{}, 1<<32-300)
+	var all []Receipt
+	for n := uint64(1); n <= blocks; n++ {
+		for i := 0; i < perBlock; i++ {
+			rc := Receipt{
+				TxHash:      Hash32{byte(n), byte(i), 0xee},
+				BlockNumber: n,
+				GasUsed:     n<<40 | uint64(i),
+				Submitted:   time.Duration(n)*time.Second - time.Duration(i)*time.Millisecond,
+				Included:    time.Duration(n) * time.Second,
+				ReturnValue: []byte{0, byte(n), byte(i)},
+				Fee:         NewAmount(big.NewInt(int64(1000*i)), UnitALGO),
+			}
+			r.Include(&rc, nil, nil)
+			all = append(all, rc)
+		}
+		r.Prune(n)
+		for i := range all {
+			got, ok := r.Get(all[i].TxHash)
+			if kept := all[i].BlockNumber+retention > n; ok != kept {
+				t.Fatalf("head %d: Get of a block-%d item says %v", n, all[i].BlockNumber, ok)
+			}
+			if ok {
+				sameReceipt(t, got, &all[i])
+			}
+		}
+	}
+	if _, count := r.Position(); count != 1<<32+300 {
+		t.Fatalf("the log counts %d receipts, want 2^32 + 300", count)
+	}
+}
+
+// TestReceiptsRecordLongerThanChunk: a record longer than a chunk's arena
+// gets a chunk of its own and comes back whole, and the chunks after it
+// are sized for the short records again.
+func TestReceiptsRecordLongerThanChunk(t *testing.T) {
+	var r Receipts
+	var want []Receipt
+	for i := 0; i < 3000; i++ {
+		rc := Receipt{TxHash: Hash32{byte(i), byte(i >> 8), 2}, BlockNumber: uint64(i), Fee: NewAmount(big.NewInt(1), UnitETH)}
+		if i == 1000 {
+			rc.ReturnValue = bytes.Repeat([]byte{0xc0}, 3*chunkBytes)
+		}
+		r.Include(&rc, nil, nil)
+		want = append(want, rc)
+	}
+	for i := range want {
+		got, ok := r.Get(want[i].TxHash)
+		if !ok {
+			t.Fatalf("row %d not found", i)
+		}
+		sameReceipt(t, got, &want[i])
+	}
+	for k, ck := range r.chunks {
+		if rows := len(ck.recs) - 1; (ck.first == 1000) != (rows == 1) {
+			t.Fatalf("chunk %d of %d from row %d holds %d rows in %d bytes", k, len(r.chunks), ck.first, rows, len(ck.arena))
+		}
+	}
+}
+
 // FuzzReceiptLog drives a log through fuzzer-chosen Include, Prune and
 // SetPosition calls against a model: the retained rows in order and the
 // newest retained row of each hash. After every step Get must return the
 // model's row field for field for every hash ever included, and nothing
 // for one whose rows were all pruned; Each must visit exactly the retained
 // rows with side bytes, oldest first; and the rolling hash must be that of
-// a log that never prunes.
+// a log that never prunes. Rows include a submit time after the inclusion
+// time (a negative delay), gas of 2^64 − 1, and fees of 2^64 − 1 and 2^64:
+// the widest one-word fee and the narrowest that is not one.
 //
 // The first byte picks the retention (0 keeps everything); each step reads
 // an opcode and then as many bytes as it needs, zero once the input ends.
@@ -379,6 +448,7 @@ func FuzzReceiptLog(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 7, 1, 9, 32, 30, 1, 2, 2, 1, 'a', 3, 4, 5, 6, 0, 3, 7, 1, 9, 33, 1, 1, 1, 5, 1, 7})
 	f.Add([]byte{0, 0, 3, 7, 1, 9, 8, 7, 9, 0, 1, 0, 7, 0, 3, 8, 0, 0, 40, 40, 0, 0, 3, 0})
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 31, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1})
+	f.Add([]byte{2, 0, 1, 0xff, 56, 0, 0, 0x80, 0, 0, 1, 3, 0, 1, 2, 1, 0, 0, 0, 0xff, 0, 0, 0, 4, 1, 7, 5, 1, 2, 1, 0xff, 56, 1, 1, 0xf6, 2, 0, 7, 1, 1, 3, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		next := func() byte {
 			if len(in) == 0 {
@@ -409,7 +479,11 @@ func FuzzReceiptLog(f *testing.F) {
 					Reverted:    next()%2 == 1,
 					RevertMsg:   strings.Repeat("m", int(next()%3)),
 				}
-				rc.Submitted = rc.Included - time.Duration(next())*time.Millisecond
+				if rc.GasUsed == 0xff<<56 {
+					rc.GasUsed = 1<<64 - 1 // the widest gas varint
+				}
+				// Up to 128 ms before inclusion, or up to 127 ms after it.
+				rc.Submitted = rc.Included - time.Duration(int8(next()))*time.Millisecond
 				// A value of width bytes whose first zeros bytes are zero;
 				// the rest come from the input and may be zero too.
 				if width := int(next() % 41); width > 0 {
@@ -423,11 +497,15 @@ func FuzzReceiptLog(f *testing.F) {
 					rc.Logs = append(rc.Logs, strings.Repeat("l", int(next()%4)))
 				}
 				fee := new(big.Int).SetUint64(uint64(next()))
-				switch next() % 4 {
+				switch next() % 6 {
 				case 1:
 					fee.Lsh(fee, 64+uint(next()%200)) // beyond one word
 				case 2:
 					fee.Lsh(fee, 64).Neg(fee)
+				case 3:
+					fee.SetUint64(1<<64 - 1)
+				case 4:
+					fee.Lsh(big.NewInt(1), 64)
 				}
 				rc.Fee = NewAmount(fee, UnitETH)
 				var side []byte
