@@ -155,12 +155,12 @@ func TestRetainedBytesPerIncludedTx(t *testing.T) {
 
 // TestStepAllocsPerIncludedTx bounds what Step allocates per included
 // call on batchWorld's 2 000-call round, executed in canonical order in
-// one overlay. It measures 27.5, and the budget is 29.
+// one overlay. It measures 22.53, and the budget is that plus ≈ 5 %.
 func TestStepAllocsPerIncludedTx(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const budget, rounds = 29, 4
+	const budget, rounds = 24, 4
 	w := newBatchWorld(t, 2000, 16)
 	for i := 0; i < 3; i++ {
 		w.queue()

@@ -40,10 +40,9 @@ type Tx struct {
 	Amount   uint64
 
 	// Application fields.
-	AppID        uint64 // 0 for create
-	Source       string // TEAL source, for create
-	Args         [][]byte
-	OnCompletion uint64
+	AppID  uint64 // 0 for create
+	Source string // TEAL source, for create
+	Args   [][]byte
 
 	// Asset fields (ASA extension, §2.8). Amount doubles as the asset
 	// amount for transfers and the total supply for creation.
@@ -384,7 +383,6 @@ func (c *Chain) Step() *Block {
 		}
 	}
 
-	c.led.round = roundNum
 	c.led.time = uint64(roundTime / time.Second)
 
 	blk := &Block{
@@ -504,7 +502,7 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 				id := o.createApp(tx.Sender, prog, blk.Round)
 				res := avm.Execute(prog, o, avm.TxContext{
 					Sender: tx.Sender, AppID: id, CreateMode: true,
-					Args: tx.Args, PayAmount: payAmount, Fee: tx.Fee,
+					Args: tx.Args, PayAmount: payAmount,
 					BudgetTxns: len(g), Profiler: prof,
 				})
 				rcpt.GasUsed += res.Cost
@@ -535,8 +533,7 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 				}
 				res := avm.Execute(app.Program, o, avm.TxContext{
 					Sender: tx.Sender, AppID: tx.AppID,
-					Args: tx.Args, OnCompletion: tx.OnCompletion,
-					PayAmount: payAmount, Fee: tx.Fee,
+					Args: tx.Args, PayAmount: payAmount,
 					BudgetTxns: len(g), Profiler: prof,
 				})
 				rcpt.GasUsed += res.Cost

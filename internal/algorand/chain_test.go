@@ -250,7 +250,7 @@ func checkLeader(c *Chain, blk *Block, expected float64) error {
 	if p == nil {
 		return fmt.Errorf("unknown participant %s", cred.Participant)
 	}
-	out, _ := polcrypto.VRFEvaluate(p.Key, sortitionSeed(blk.PrevSeed, blk.Round, "propose"))
+	out := polcrypto.VRFEvaluate(p.Key, sortitionSeed(blk.PrevSeed, blk.Round, "propose"))
 	if out != cred.Output {
 		return fmt.Errorf("%s's VRF output is not its key's evaluation of the seed", cred.Participant)
 	}

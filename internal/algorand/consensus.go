@@ -52,7 +52,7 @@ func (c *Chain) startVRFs(seed []byte) *vrfBatch {
 	parts := c.participants
 	evals := make([]Credential, len(parts))
 	run := chain.Start(len(parts), len(parts), func(i int) {
-		out, _ := polcrypto.VRFEvaluate(parts[i].Key, seed)
+		out := polcrypto.VRFEvaluate(parts[i].Key, seed)
 		evals[i] = Credential{Participant: parts[i].Address, Output: out}
 	})
 	return &vrfBatch{seed: seed, evals: evals, run: run}

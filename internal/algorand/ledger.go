@@ -16,10 +16,10 @@ import (
 type Account = chain.Account
 
 // App is a deployed stateful application's static description. Its
-// key/value state — globals, locals, opt-in markers — lives in the state
-// trie; the parsed Program is cached ledger-side so calls do not
-// re-parse TEAL. Apps deployed from the same source share one Program and
-// its Source string (ledger.programs); Execute only reads a Program.
+// key/value state — its globals — lives in the state trie; the parsed
+// Program is cached ledger-side so calls do not re-parse TEAL. Apps
+// deployed from the same source share one Program and its Source string
+// (ledger.programs); Execute only reads a Program.
 type App struct {
 	ID       uint64
 	Creator  chain.Address
@@ -30,8 +30,8 @@ type App struct {
 }
 
 // Trie key derivation. Every logical ledger entry — a balance, an app's
-// metadata, one global, one local, an opt-in marker, an asset holding —
-// is one key in the Merkle trie, tagged by column family.
+// metadata, one global, an asset's metadata, an asset holding — is one key
+// in the Merkle trie, tagged by column family.
 func u64b(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
@@ -42,12 +42,6 @@ func balKey(addr chain.Address) mstate.Key { return mstate.KeyOf("algo/bal", add
 func appMetaKey(id uint64) mstate.Key      { return mstate.KeyOf("algo/app", u64b(id)) }
 func globalKey(id uint64, key string) mstate.Key {
 	return mstate.KeyOf("algo/g", u64b(id), []byte(key))
-}
-func localKey(id uint64, addr chain.Address, key string) mstate.Key {
-	return mstate.KeyOf("algo/l", u64b(id), addr[:], []byte(key))
-}
-func optinKey(id uint64, addr chain.Address) mstate.Key {
-	return mstate.KeyOf("algo/optin", u64b(id), addr[:])
 }
 func assetMetaKey(id uint64) mstate.Key { return mstate.KeyOf("algo/asset", u64b(id)) }
 func holdKey(addr chain.Address, id uint64) mstate.Key {
@@ -208,41 +202,6 @@ func (v *ledgerKV) GlobalDel(appID uint64, key string) {
 	v.kv.Delete(globalKey(appID, key))
 }
 
-// LocalGet implements avm.Ledger.
-func (v *ledgerKV) LocalGet(appID uint64, addr chain.Address, key string) (avm.Value, bool) {
-	if !v.appExists(appID) {
-		return avm.Value{}, false
-	}
-	enc, ok := v.kv.Get(localKey(appID, addr, key))
-	if !ok {
-		return avm.Value{}, false
-	}
-	return decodeValue(enc), true
-}
-
-// LocalPut implements avm.Ledger. The first local write opts the account
-// in (mirroring the map backend, where creating the per-address local
-// map was what OptedIn tested); the marker survives deletes of
-// individual keys.
-func (v *ledgerKV) LocalPut(appID uint64, addr chain.Address, key string, val avm.Value) {
-	if !v.appExists(appID) {
-		return
-	}
-	mk := optinKey(appID, addr)
-	if !v.kv.Has(mk) {
-		v.kv.Put(mk, []byte{1})
-	}
-	v.kv.Put(localKey(appID, addr, key), encodeValue(val))
-}
-
-// LocalDel implements avm.Ledger.
-func (v *ledgerKV) LocalDel(appID uint64, addr chain.Address, key string) {
-	if !v.appExists(appID) {
-		return
-	}
-	v.kv.Delete(localKey(appID, addr, key))
-}
-
 // Balance implements avm.Ledger.
 func (v *ledgerKV) Balance(addr chain.Address) uint64 {
 	enc, ok := v.kv.Get(balKey(addr))
@@ -297,9 +256,6 @@ func (v *ledgerKV) AppAddress(appID uint64) chain.Address {
 	h := polcrypto.Hash([]byte(fmt.Sprintf("appID:%d", appID)))
 	return chain.AddressFromBytes(h[:])
 }
-
-// Round implements avm.Ledger.
-func (v *ledgerKV) Round() uint64 { return v.led.round }
 
 // LatestTimestamp implements avm.Ledger.
 func (v *ledgerKV) LatestTimestamp() uint64 { return v.led.time }
@@ -368,7 +324,6 @@ type ledger struct {
 
 	appSeq   uint64
 	assetSeq uint64
-	round    uint64
 	time     uint64
 }
 

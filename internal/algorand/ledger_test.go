@@ -9,11 +9,6 @@ import (
 	"agnopol/internal/chain"
 )
 
-// OptedIn reports whether addr has opted in to the application.
-func (v *ledgerKV) OptedIn(appID uint64, addr chain.Address) bool {
-	return v.appExists(appID) && v.kv.Has(optinKey(appID, addr))
-}
-
 // Regression: crediting zero used to materialize a balance entry for an
 // absent account — a phantom that entered the digest.
 func TestCreditZeroNoPhantom(t *testing.T) {
@@ -118,6 +113,8 @@ func TestLedgerDifferentialOverlay(t *testing.T) {
 			a := addrs[rng.Intn(len(addrs))]
 			b := addrs[rng.Intn(len(addrs))]
 			key := fmt.Sprintf("k%d", rng.Intn(4))
+			// A second key space, one key per account.
+			akey := fmt.Sprintf("a%x", a[:4])
 			amt := uint64(rng.Intn(500))
 			ops := []func(v avm.Ledger){
 				func(v avm.Ledger) {
@@ -129,8 +126,8 @@ func TestLedgerDifferentialOverlay(t *testing.T) {
 				},
 				func(v avm.Ledger) { v.GlobalPut(1, key, avm.Uint64Value(amt)) },
 				func(v avm.Ledger) { v.GlobalDel(1, key) },
-				func(v avm.Ledger) { v.LocalPut(1, a, key, avm.Uint64Value(amt)) },
-				func(v avm.Ledger) { v.LocalDel(1, a, key) },
+				func(v avm.Ledger) { v.GlobalPut(1, akey, avm.BytesValue([]byte(key))) },
+				func(v avm.Ledger) { v.GlobalDel(1, akey) },
 			}
 			op := rng.Intn(len(ops))
 			// Same op through the overlay and against the canonical
@@ -149,8 +146,11 @@ func TestLedgerDifferentialOverlay(t *testing.T) {
 		if direct.Balance(a) != overlaid.Balance(a) {
 			t.Fatal("balances diverge")
 		}
-		if direct.OptedIn(1, a) != overlaid.OptedIn(1, a) {
-			t.Fatal("opt-ins diverge")
+		akey := fmt.Sprintf("a%x", a[:4])
+		dv, dok := direct.GlobalGet(1, akey)
+		ov, ook := overlaid.GlobalGet(1, akey)
+		if dok != ook || dv.String() != ov.String() {
+			t.Fatalf("global %s diverges: %v/%v against %v/%v", akey, dv, dok, ov, ook)
 		}
 	}
 }

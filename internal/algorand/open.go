@@ -124,7 +124,6 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	}
 	c.led.appSeq = ck.AppSeq
 	c.led.assetSeq = ck.AssetSeq
-	c.led.round = ck.HeadRound
 	c.led.time = uint64(ck.HeadTime / time.Second)
 	pending := make([]*chain.Pending[Group], len(ck.Pending))
 	for i, p := range ck.Pending {

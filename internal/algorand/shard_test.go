@@ -29,7 +29,7 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	}
 	ov.setBalance(alice, 60)
 	ov.GlobalPut(1, "k", avm.Uint64Value(9))
-	ov.LocalPut(1, alice, "seen", avm.Uint64Value(1))
+	ov.GlobalPut(1, "seen", avm.Uint64Value(1))
 	if led.Balance(alice) != 100 {
 		t.Fatal("base balance changed before commit")
 	}
@@ -39,11 +39,11 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 9 {
 		t.Fatal("overlay must serve its own global write")
 	}
-	if !ov.OptedIn(1, alice) {
-		t.Fatal("overlay local write must imply opt-in")
+	if _, ok := ov.GlobalGet(1, "seen"); !ok {
+		t.Fatal("overlay must serve a key it created")
 	}
-	if led.OptedIn(1, alice) {
-		t.Fatal("base opt-in leaked before commit")
+	if _, ok := led.GlobalGet(1, "seen"); ok {
+		t.Fatal("a key created in the overlay leaked into the base before commit")
 	}
 
 	// Rollback inside the overlay: writes under a revert point are seen
@@ -51,7 +51,7 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	ov.ov.Mark()
 	ov.GlobalPut(1, "k", avm.Uint64Value(77))
 	ov.setBalance(alice, 1)
-	ov.LocalPut(1, chain.AddressFromBytes([]byte("bob")), "seen", avm.Uint64Value(1))
+	ov.GlobalPut(1, "bob", avm.Uint64Value(1))
 	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 77 {
 		t.Fatal("overlay must serve a write under an open revert point")
 	}
@@ -59,7 +59,7 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	if v, _ := ov.GlobalGet(1, "k"); v.Uint != 9 || ov.Balance(alice) != 60 {
 		t.Fatal("reverted writes must give way to the ones before the revert point")
 	}
-	if ov.OptedIn(1, chain.AddressFromBytes([]byte("bob"))) {
+	if _, ok := ov.GlobalGet(1, "bob"); ok {
 		t.Fatal("reverted writes must not leak")
 	}
 
@@ -70,10 +70,10 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	if v, _ := led.GlobalGet(1, "k"); v.Uint != 9 {
 		t.Fatal("commit must fold app state")
 	}
-	if !led.OptedIn(1, alice) {
-		t.Fatal("commit must fold locals")
+	if _, ok := led.GlobalGet(1, "seen"); !ok {
+		t.Fatal("commit must fold created keys")
 	}
-	if led.OptedIn(1, chain.AddressFromBytes([]byte("bob"))) {
+	if _, ok := led.GlobalGet(1, "bob"); ok {
 		t.Fatal("commit replayed a reverted write")
 	}
 }

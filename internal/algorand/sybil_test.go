@@ -46,10 +46,10 @@ func TestSortitionSybilResistance(t *testing.T) {
 	whaleWeight, sybilWeight := 0.0, 0.0
 	for round := 0; round < rounds; round++ {
 		seed := []byte(fmt.Sprintf("round-%d", round))
-		out, _ := polcrypto.VRFEvaluate(whale, seed)
+		out := polcrypto.VRFEvaluate(whale, seed)
 		whaleWeight += float64(polcrypto.Sortition(out, 10_000, totalStake, expected))
 		for _, s := range sybils {
-			out, _ := polcrypto.VRFEvaluate(s, seed)
+			out := polcrypto.VRFEvaluate(s, seed)
 			sybilWeight += float64(polcrypto.Sortition(out, 200, totalStake, expected))
 		}
 	}

@@ -22,8 +22,8 @@ type Instr struct {
 
 	code opcode
 	// arg is the decoded numeric immediate: an int constant, an
-	// ApplicationArgs index, a scratch slot, a sha256_parts count or a
-	// branch target's instruction index.
+	// ApplicationArgs index, a sha256_parts count or a branch target's
+	// instruction index.
 	arg uint64
 	// data is the decoded byte-string immediate. Its capacity equals its
 	// length, so a value pushed from it never shares an append.
@@ -46,17 +46,10 @@ const (
 	opBytes
 	opTxnSender
 	opTxnApplicationID
-	opTxnNumAppArgs
-	opTxnOnCompletion
-	opTxnFee
 	opTxnaArg
 	opGtxnAmount
 	opGlobalLatestTimestamp
-	opGlobalRound
-	opGlobalCurrentApplicationID
 	opGlobalCurrentApplicationAddress
-	opGlobalZeroAddress
-	opGlobalMinTxnFee
 	opGlobalMinBalance
 	opAdd
 	opSub
@@ -75,23 +68,15 @@ const (
 	opItob
 	opBtoi
 	opConcat
-	opLen
 	opSha256
 	opSha256Parts
-	opKeccak256
 	opEd25519Verify
 	opOLCContains
-	opDup
 	opPop
 	opSwap
-	opSelect
-	opStore
-	opLoad
 	opB
 	opBnz
 	opBz
-	opCallsub
-	opRetsub
 	opAssert
 	opErr
 	opReturn
@@ -100,9 +85,6 @@ const (
 	opAppGlobalGetEx
 	opAppGlobalPut
 	opAppGlobalDel
-	opAppLocalGet
-	opAppLocalPut
-	opAppLocalDel
 	opBalance
 	opItxnBegin
 	opItxnReceiver
@@ -121,18 +103,18 @@ const (
 	immField            // a field name, looked up in fields
 	immArg              // ApplicationArgs i
 	immAmount           // 0 Amount
-	immSlot             // a scratch slot below 256
 	immParts            // a part count from 1 to 16
 	immLabel            // a label
 )
 
-// ops maps each mnemonic to its opcode and the immediates it takes.
+// ops maps each mnemonic to its opcode and the immediates it takes. It holds
+// exactly what the TEAL backend (lang.CompileTEAL) emits; the avm_test
+// guard keeps the two equal.
 var ops = map[string]struct {
 	code opcode
 	imm  immediate
 }{
-	"int": {opInt, immUint}, "pushint": {opInt, immUint},
-	"byte": {opBytes, immBytes}, "pushbytes": {opBytes, immBytes}, "addr": {opBytes, immBytes},
+	"int": {opInt, immUint}, "byte": {opBytes, immBytes},
 	"txn": {imm: immField}, "global": {imm: immField}, "itxn_field": {imm: immField},
 	"txna": {opTxnaArg, immArg}, "gtxn": {opGtxnAmount, immAmount},
 	"+": {opAdd, immNone}, "-": {opSub, immNone}, "*": {opMul, immNone},
@@ -140,44 +122,35 @@ var ops = map[string]struct {
 	"<": {opLt, immNone}, ">": {opGt, immNone}, "<=": {opLe, immNone}, ">=": {opGe, immNone},
 	"&&": {opAnd, immNone}, "||": {opOr, immNone},
 	"==": {opEq, immNone}, "!=": {opNe, immNone}, "!": {opNot, immNone},
-	"itob": {opItob, immNone}, "btoi": {opBtoi, immNone},
-	"concat": {opConcat, immNone}, "len": {opLen, immNone},
+	"itob": {opItob, immNone}, "btoi": {opBtoi, immNone}, "concat": {opConcat, immNone},
 	"sha256": {opSha256, immNone}, "sha256_parts": {opSha256Parts, immParts},
-	"keccak256": {opKeccak256, immNone}, "ed25519verify": {opEd25519Verify, immNone},
-	"olc_contains": {opOLCContains, immNone}, "select": {opSelect, immNone},
-	"dup": {opDup, immNone}, "pop": {opPop, immNone}, "swap": {opSwap, immNone},
-	"store": {opStore, immSlot}, "load": {opLoad, immSlot},
+	"ed25519verify": {opEd25519Verify, immNone}, "olc_contains": {opOLCContains, immNone},
+	"pop": {opPop, immNone}, "swap": {opSwap, immNone},
 	"b": {opB, immLabel}, "bnz": {opBnz, immLabel}, "bz": {opBz, immLabel},
-	"callsub": {opCallsub, immLabel}, "retsub": {opRetsub, immNone},
 	"assert": {opAssert, immNone}, "err": {opErr, immNone},
 	"return": {opReturn, immNone}, "log": {opLog, immNone},
 	"app_global_get": {opAppGlobalGet, immNone}, "app_global_get_ex": {opAppGlobalGetEx, immNone},
 	"app_global_put": {opAppGlobalPut, immNone}, "app_global_del": {opAppGlobalDel, immNone},
-	"app_local_get": {opAppLocalGet, immNone}, "app_local_put": {opAppLocalPut, immNone},
-	"app_local_del": {opAppLocalDel, immNone}, "balance": {opBalance, immNone},
-	"itxn_begin": {opItxnBegin, immNone}, "itxn_submit": {opItxnSubmit, immNone},
+	"balance": {opBalance, immNone}, "itxn_begin": {opItxnBegin, immNone},
+	"itxn_submit": {opItxnSubmit, immNone},
 }
 
 // fields gives the opcode of each field of a field-taking mnemonic.
 var fields = map[string]map[string]opcode{
-	"txn": {
-		"Sender": opTxnSender, "ApplicationID": opTxnApplicationID,
-		"NumAppArgs": opTxnNumAppArgs, "OnCompletion": opTxnOnCompletion, "Fee": opTxnFee,
-	},
+	"txn": {"Sender": opTxnSender, "ApplicationID": opTxnApplicationID},
 	"global": {
-		"LatestTimestamp": opGlobalLatestTimestamp, "Round": opGlobalRound,
-		"CurrentApplicationID": opGlobalCurrentApplicationID, "MinTxnFee": opGlobalMinTxnFee,
-		"CurrentApplicationAddress": opGlobalCurrentApplicationAddress, "MinBalance": opGlobalMinBalance,
-		"ZeroAddress": opGlobalZeroAddress,
+		"LatestTimestamp": opGlobalLatestTimestamp, "MinBalance": opGlobalMinBalance,
+		"CurrentApplicationAddress": opGlobalCurrentApplicationAddress,
 	},
 	"itxn_field": {"Receiver": opItxnReceiver, "Amount": opItxnAmount, "TypeEnum": opItxnTypeEnum},
 }
 
-// Parse assembles TEAL-like source text. Grammar: one instruction per line;
-// `//` comments (outside string literals); `name:` defines a label; string
-// immediates use Go-style double quotes. Every instruction is checked: an
-// unknown opcode or field, a missing, extra or malformed immediate and an
-// undefined label are ErrBadProgram errors naming the line.
+// Parse assembles the TEAL subset the contract language compiles to.
+// Grammar: one instruction per line; `//` comments (outside string
+// literals); `name:` defines a label; string immediates use Go-style double
+// quotes. Every instruction is checked: an unknown opcode or field, a
+// missing, extra or malformed immediate and an undefined label are
+// ErrBadProgram errors naming the line.
 func Parse(src string) (*Program, error) {
 	p := &Program{Source: src}
 	labels := make(map[string]int)
@@ -249,10 +222,6 @@ func (ins *Instr) decode(args []string, labels map[string]int) error {
 		// connector groups in front of a paying API call.
 		if argString(args[0]) != "0" || args[1] != "Amount" {
 			return fmt.Errorf("only gtxn 0 Amount is supported, have %q %q", args[0], args[1])
-		}
-	case immSlot:
-		if ins.arg, err = argUint(args[0]); err == nil && ins.arg >= 256 {
-			return fmt.Errorf("scratch slot %d ≥ 256", ins.arg)
 		}
 	case immParts:
 		if ins.arg, err = argUint(args[0]); err == nil && (ins.arg < 1 || ins.arg > 16) {

@@ -57,12 +57,31 @@ var parseErrorCases = []struct {
 	{"txna-index", "txna ApplicationArgs first\nint 1\nreturn", 1},
 	{"gtxn-group-index", "gtxn 1 Amount\nint 1\nreturn", 1},
 	{"gtxn-field", "gtxn 0 Fee\nint 1\nreturn", 1},
-	{"scratch-slot-256", "int 1\nstore 256\nint 1\nreturn", 2},
-	{"scratch-slot-300", "load 300\nint 1\nreturn", 1},
 	{"sha256-parts-0", "byte \"x\"\nsha256_parts 0\nreturn", 2},
 	{"sha256-parts-17", "byte \"x\"\nsha256_parts 17\nreturn", 2},
 	{"undefined-label", "int 1\nb nowhere\nint 1\nreturn", 2},
-	{"undefined-callsub", "callsub nowhere\nint 1\nreturn", 1},
+	// General TEAL that the contract language never emits.
+	{"unemitted-store", "int 1\nf:\nstore 0\nreturn", 3},
+	{"unemitted-load", "int 1\nf:\nload 0\nreturn", 3},
+	{"unemitted-callsub", "int 1\nf:\ncallsub f\nreturn", 3},
+	{"unemitted-retsub", "int 1\nf:\nretsub\nreturn", 3},
+	{"unemitted-app_local_get", "int 1\nf:\napp_local_get\nreturn", 3},
+	{"unemitted-app_local_put", "int 1\nf:\napp_local_put\nreturn", 3},
+	{"unemitted-app_local_del", "int 1\nf:\napp_local_del\nreturn", 3},
+	{"unemitted-dup", "int 1\nf:\ndup\nreturn", 3},
+	{"unemitted-select", "int 1\nf:\nselect\nreturn", 3},
+	{"unemitted-len", "int 1\nf:\nlen\nreturn", 3},
+	{"unemitted-keccak256", "int 1\nf:\nkeccak256\nreturn", 3},
+	{"unemitted-pushint", "int 1\nf:\npushint 1\nreturn", 3},
+	{"unemitted-pushbytes", "int 1\nf:\npushbytes \"x\"\nreturn", 3},
+	{"unemitted-addr", "int 1\nf:\naddr X\nreturn", 3},
+	{"unemitted-txn-NumAppArgs", "int 1\nf:\ntxn NumAppArgs\nreturn", 3},
+	{"unemitted-txn-OnCompletion", "int 1\nf:\ntxn OnCompletion\nreturn", 3},
+	{"unemitted-txn-Fee", "int 1\nf:\ntxn Fee\nreturn", 3},
+	{"unemitted-global-Round", "int 1\nf:\nglobal Round\nreturn", 3},
+	{"unemitted-global-CurrentApplicationID", "int 1\nf:\nglobal CurrentApplicationID\nreturn", 3},
+	{"unemitted-global-ZeroAddress", "int 1\nf:\nglobal ZeroAddress\nreturn", 3},
+	{"unemitted-global-MinTxnFee", "int 1\nf:\nglobal MinTxnFee\nreturn", 3},
 }
 
 func TestParseErrors(t *testing.T) {
@@ -171,37 +190,19 @@ func TestItxnProtocolErrors(t *testing.T) {
 	}
 }
 
-func TestAccountIndexing(t *testing.T) {
-	// Numeric account reference 0 = sender; 1 = Accounts[0]; out of range
-	// errors.
+// TestBalanceTakesAnAddress: balance reads the account whose address bytes
+// it pops; a uint is a type mismatch, not an index into the call's
+// accounts.
+func TestBalanceTakesAnAddress(t *testing.T) {
 	led := NewMemLedger()
-	sender := mustAddr("sender")
-	other := mustAddr("other")
+	sender := chain.AddressFromBytes([]byte("sender"))
 	led.Balances[sender] = 11
-	led.Balances[other] = 22
-	p, err := Parse("int 0\nbalance\nint 11\n==\nassert\nint 1\nbalance\nint 22\n==\nreturn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Execute(p, led, TxContext{AppID: 1, Sender: sender, Accounts: []chainAddr{other}})
+	res := Execute(mustParse(t, "txn Sender\nbalance\nint 11\n==\nreturn"), led, TxContext{AppID: 1, Sender: sender})
 	if !res.Approved {
-		t.Fatalf("account indexing failed: %v", res.Err)
+		t.Fatalf("balance of the sender: %v", res.Err)
 	}
-	p2, err := Parse("int 5\nbalance\npop\nint 1\nreturn")
-	if err != nil {
-		t.Fatal(err)
+	res = Execute(mustParse(t, "int 0\nbalance\nreturn"), led, TxContext{AppID: 1, Sender: sender})
+	if !errors.Is(res.Err, ErrTypeMismatch) {
+		t.Fatalf("balance of a uint: err = %v, want a type mismatch", res.Err)
 	}
-	res = Execute(p2, led, TxContext{AppID: 1, Sender: sender})
-	if res.Err == nil {
-		t.Fatal("out-of-range account index accepted")
-	}
-}
-
-// small helpers for the tests above.
-type chainAddr = chain.Address
-
-func mustAddr(s string) chainAddr {
-	var a chainAddr
-	copy(a[:], s)
-	return a
 }

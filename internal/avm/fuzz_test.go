@@ -17,17 +17,18 @@ func FuzzParse(f *testing.F) {
 	f.Add("byte \"a\\\"//b\"", []byte{0, 0xff, '/', '/'})
 	// Instructions without their immediates, which Parse used to accept.
 	for _, src := range []string{
-		"int\nreturn", "byte\nreturn", "txn\nreturn", "store\nreturn", "b\nreturn",
+		"int\nreturn", "byte\nreturn", "txn\nreturn", "bz\nreturn", "b\nreturn",
 		"gtxn 0\nreturn", "txna ApplicationArgs\nreturn", "itxn_begin\nitxn_field\nreturn",
 	} {
 		f.Add(src, []byte("arg"))
 	}
-	// Programs that run: argument reads, branches, subroutines, scratch,
-	// inner payments and the precompile pseudo-ops.
-	f.Add("txna ApplicationArgs 0\nbtoi\ncallsub f\nreturn\nf:\nint 1\n+\nretsub", []byte{7})
-	f.Add("txna ApplicationArgs 0\nstore 255\nload 255\nsha256_parts 1\nlen\nreturn", []byte("x"))
-	f.Add("itxn_begin\ntxn Sender\nitxn_field Receiver\nint 1\nitxn_field Amount\nitxn_submit\nint 1\nreturn", []byte{})
-	f.Add("txna ApplicationArgs 0\ndup\ndup\ned25519verify\nreturn", []byte("k"))
+	// Programs that run: argument reads, branches, state reads, inner
+	// payments and the precompile pseudo-ops.
+	f.Add("txna ApplicationArgs 0\nbtoi\nbnz yes\nint 0\nb done\nyes:\nint 1\ndone:\nreturn", []byte{7})
+	f.Add("int 0\ntxna ApplicationArgs 0\napp_global_get_ex\nbz miss\nreturn\nmiss:\npop\nint 1\nreturn", []byte("k"))
+	f.Add("itxn_begin\nint 1\nitxn_field TypeEnum\ntxn Sender\nitxn_field Receiver\nint 1\nitxn_field Amount\nitxn_submit\nint 1\nreturn", []byte{})
+	f.Add("txna ApplicationArgs 0\ntxna ApplicationArgs 0\nsha256_parts 2\ntxna ApplicationArgs 0\nolc_contains\nreturn", []byte("x"))
+	f.Add("txna ApplicationArgs 0\ntxna ApplicationArgs 0\ntxna ApplicationArgs 0\ned25519verify\nreturn", []byte("k"))
 	f.Fuzz(func(t *testing.T, src string, b []byte) {
 		if p, err := Parse(src); err == nil {
 			Execute(p, NewMemLedger(), TxContext{AppID: 1, Args: [][]byte{b}, BudgetTxns: 2})

@@ -12,17 +12,13 @@ type Ledger interface {
 	GlobalGet(app uint64, key string) (Value, bool)
 	GlobalPut(app uint64, key string, v Value)
 	GlobalDel(app uint64, key string)
-	LocalGet(app uint64, addr chain.Address, key string) (Value, bool)
-	LocalPut(app uint64, addr chain.Address, key string, v Value)
-	LocalDel(app uint64, addr chain.Address, key string)
 	Balance(addr chain.Address) uint64
 	// Pay moves µAlgos between accounts; the VM uses it for inner payment
 	// transactions from the application account.
 	Pay(from, to chain.Address, amount uint64) error
 	// AppAddress is the escrow address of an application.
 	AppAddress(app uint64) chain.Address
-	// Round and LatestTimestamp feed the `global` opcode.
-	Round() uint64
+	// LatestTimestamp feeds `global LatestTimestamp`.
 	LatestTimestamp() uint64
 }
 
@@ -32,9 +28,7 @@ var ErrInsufficientBalance = errors.New("avm: insufficient balance")
 // MemLedger is an in-memory Ledger for unit tests.
 type MemLedger struct {
 	Globals   map[uint64]map[string]Value
-	Locals    map[uint64]map[chain.Address]map[string]Value
 	Balances  map[chain.Address]uint64
-	CurRound  uint64
 	Timestamp uint64
 }
 
@@ -42,7 +36,6 @@ type MemLedger struct {
 func NewMemLedger() *MemLedger {
 	return &MemLedger{
 		Globals:  make(map[uint64]map[string]Value),
-		Locals:   make(map[uint64]map[chain.Address]map[string]Value),
 		Balances: make(map[chain.Address]uint64),
 	}
 }
@@ -70,32 +63,6 @@ func (l *MemLedger) GlobalDel(app uint64, key string) {
 	delete(l.Globals[app], key)
 }
 
-// LocalGet implements Ledger.
-func (l *MemLedger) LocalGet(app uint64, addr chain.Address, key string) (Value, bool) {
-	v, ok := l.Locals[app][addr][key]
-	return v, ok
-}
-
-// LocalPut implements Ledger.
-func (l *MemLedger) LocalPut(app uint64, addr chain.Address, key string, v Value) {
-	apps, ok := l.Locals[app]
-	if !ok {
-		apps = make(map[chain.Address]map[string]Value)
-		l.Locals[app] = apps
-	}
-	m, ok := apps[addr]
-	if !ok {
-		m = make(map[string]Value)
-		apps[addr] = m
-	}
-	m[key] = v
-}
-
-// LocalDel implements Ledger.
-func (l *MemLedger) LocalDel(app uint64, addr chain.Address, key string) {
-	delete(l.Locals[app][addr], key)
-}
-
 // Balance implements Ledger.
 func (l *MemLedger) Balance(addr chain.Address) uint64 { return l.Balances[addr] }
 
@@ -114,9 +81,6 @@ func (l *MemLedger) AppAddress(app uint64) chain.Address {
 	return chain.AddressFromBytes([]byte{byte(app >> 56), byte(app >> 48), byte(app >> 40),
 		byte(app >> 32), byte(app >> 24), byte(app >> 16), byte(app >> 8), byte(app), 'a', 'p', 'p'})
 }
-
-// Round implements Ledger.
-func (l *MemLedger) Round() uint64 { return l.CurRound }
 
 // LatestTimestamp implements Ledger.
 func (l *MemLedger) LatestTimestamp() uint64 { return l.Timestamp }

@@ -1,19 +1,21 @@
 package avm
 
 import (
+	"errors"
 	"testing"
 
 	"agnopol/internal/chain"
 )
 
-// TestPooledScratchIsolation: a program that stores into scratch must not
-// leak the value into a later call that only loads — the dirty-list clear
-// in release() is what keeps pooled machines indistinguishable from fresh
-// ones.
-func TestPooledScratchIsolation(t *testing.T) {
+// TestPooledStackIsolation: a call that returns with values still on its
+// stack, or that logged, must leave nothing a later call on the recycled
+// machine can pop or read — emptying the stack and the logs between calls
+// is what keeps pooled machines indistinguishable from fresh ones.
+func TestPooledStackIsolation(t *testing.T) {
 	writer, err := Parse(`
+byte "left behind"
+log
 int 77
-store 9
 int 1
 return
 `)
@@ -21,9 +23,7 @@ return
 		t.Fatal(err)
 	}
 	reader, err := Parse(`
-load 9
-itob
-log
+pop
 int 1
 return
 `)
@@ -32,15 +32,15 @@ return
 	}
 	led := NewMemLedger()
 	for i := 0; i < 20; i++ {
-		if res := Execute(writer, led, TxContext{AppID: 1}); res.Err != nil {
-			t.Fatal(res.Err)
+		if res := Execute(writer, led, TxContext{AppID: 1}); res.Err != nil || len(res.Logs) != 1 {
+			t.Fatalf("writer: logs %q, err %v", res.Logs, res.Err)
 		}
 		res := Execute(reader, led, TxContext{AppID: 1})
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if !errors.Is(res.Err, ErrStack) {
+			t.Fatalf("round %d: a value left on the stack leaked across pooled calls: err = %v", i, res.Err)
 		}
-		if v, err := Btoi([]byte(res.Logs[0])); err != nil || v != 0 {
-			t.Fatalf("round %d: scratch leaked across pooled calls: got %d", i, v)
+		if len(res.Logs) != 0 {
+			t.Fatalf("round %d: logs leaked across pooled calls: %q", i, res.Logs)
 		}
 	}
 }
@@ -93,8 +93,6 @@ func TestPooledMachineConcurrent(t *testing.T) {
 int 6
 int 7
 *
-store 3
-load 3
 itob
 log
 int 1
@@ -163,14 +161,18 @@ return
 
 func BenchmarkExecuteLoop(b *testing.B) {
 	prog, err := Parse(`
+byte "n"
 int 50
-store 0
+app_global_put
 loop:
-load 0
+byte "n"
+byte "n"
+app_global_get
 int 1
 -
-store 0
-load 0
+app_global_put
+byte "n"
+app_global_get
 bnz loop
 int 1
 return
@@ -182,7 +184,7 @@ return
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := Execute(prog, led, TxContext{AppID: 1}); res.Err != nil {
+		if res := Execute(prog, led, TxContext{AppID: 1, BudgetTxns: 2}); res.Err != nil {
 			b.Fatal(res.Err)
 		}
 	}

@@ -21,16 +21,6 @@ func TestSha256PartsOp(t *testing.T) {
 	}
 }
 
-func TestKeccak256OpIsSystemHash(t *testing.T) {
-	// The system digest is SHA-256 throughout; keccak256 is an alias at
-	// keccak's op cost.
-	src := "byte \"payload\"\nkeccak256\nbyte \"payload\"\nsha256\n==\nreturn"
-	res, _ := exec(t, src, TxContext{AppID: 1, BudgetTxns: 2})
-	if res.Err != nil || !res.Approved {
-		t.Fatalf("keccak256 != sha256: %+v", res)
-	}
-}
-
 func TestOLCContainsOp(t *testing.T) {
 	cases := []struct {
 		cell, code string
@@ -92,7 +82,6 @@ func TestPseudoOpCosts(t *testing.T) {
 		want uint64
 	}{
 		{"ed25519verify", 1900},
-		{"keccak256", 130},
 		{"olc_contains", 20},
 		{"sha256_parts 1", 36},
 		{"sha256_parts 16", 51},

@@ -1,8 +1,8 @@
 // Package avm implements the Algorand Virtual Machine subset the
 // blockchain-agnostic contract language compiles to: a TEAL-like assembly
 // language (Fig. 1.7 of the thesis), its parser, and a stack interpreter
-// with Algorand's per-call opcode budget, global/local application state and
-// inner payment transactions. The Algorand chain simulator executes
+// with Algorand's per-call opcode budget, global application state and inner
+// payment transactions. The Algorand chain simulator executes
 // application calls through this VM.
 package avm
 

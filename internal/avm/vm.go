@@ -18,26 +18,15 @@ const DefaultBudget = 700
 // (surfaced by `global MinBalance`).
 const MinBalanceValue = 100_000
 
-// OnCompletion values of an application call.
-const (
-	OnNoOp      uint64 = 0
-	OnOptIn     uint64 = 1
-	OnCloseOut  uint64 = 2
-	OnDeleteApp uint64 = 5
-)
-
 // TxContext is the transaction an application call executes under.
 type TxContext struct {
 	Sender chain.Address
 	// AppID is the application whose state the call mutates. During
 	// creation the ledger has already allocated it, but the program sees
 	// ApplicationID == 0 (set CreateMode), as on the real AVM.
-	AppID        uint64
-	CreateMode   bool
-	Args         [][]byte
-	Accounts     []chain.Address
-	OnCompletion uint64
-	Fee          uint64
+	AppID      uint64
+	CreateMode bool
+	Args       [][]byte
 	// PayAmount is the µAlgo amount of the payment transaction grouped in
 	// front of this application call (0 when the group has no payment).
 	// The program reads it with `gtxn 0 Amount`.
@@ -71,9 +60,9 @@ var (
 
 // opCost gives non-unit opcode costs; everything else costs 1. Parse bakes
 // these into Instr.Cost, so the interpreter never consults the map.
-// Precompile pseudo-ops (ed25519verify, keccak256, sha256_parts,
-// olc_contains) register their fixed costs from the shared registry at init
-// so the two stay in lockstep.
+// Precompile pseudo-ops (ed25519verify, sha256_parts, olc_contains)
+// register their fixed costs from the shared registry at init so the two
+// stay in lockstep.
 var opCost = map[string]uint64{
 	"sha256": 35,
 }
@@ -90,30 +79,24 @@ func init() {
 // registry map.
 var (
 	preEd25519     = precompile.ByAVMOp("ed25519verify")
-	preKeccak256   = precompile.ByAVMOp("keccak256")
 	preSha256Parts = precompile.ByAVMOp("sha256_parts")
 	preOLCContains = precompile.ByAVMOp("olc_contains")
 )
 
 // machine is the pooled per-call interpreter state. The AVM already
 // computes on uint64 values, so the analogue of the EVM's u256 rewrite is
-// recycling the machine itself: the 256-slot scratch space (~10 KB) and the
-// stack/call-stack slices dominate per-Execute allocation. Scratch slots
-// are cleared lazily via a dirty list — a call that writes three slots pays
-// for three, not 256.
+// recycling the machine itself: its stack keeps its capacity from call to
+// call.
 type machine struct {
 	prog   *Program
 	ledger Ledger
 	tx     TxContext
 
-	stack        []Value
-	scratch      [256]Value
-	scratchDirty []uint16
-	callers      []int
-	cost         uint64
-	budget       uint64
-	logs         []string
-	ret          []byte
+	stack  []Value
+	cost   uint64
+	budget uint64
+	logs   []string
+	ret    []byte
 
 	itxnOpen     bool
 	itxnReceiver chain.Address
@@ -128,7 +111,6 @@ func (m *machine) reset(prog *Program, ledger Ledger, tx TxContext) {
 	m.ledger = ledger
 	m.tx = tx
 	m.stack = m.stack[:0]
-	m.callers = m.callers[:0]
 	m.cost = 0
 	m.budget = uint64(tx.BudgetTxns) * DefaultBudget
 	m.logs = nil // escapes into Result, never pooled
@@ -139,16 +121,12 @@ func (m *machine) reset(prog *Program, ledger Ledger, tx TxContext) {
 }
 
 // release drops every reference before the machine returns to the pool:
-// dirty scratch slots, any values left on the stack's backing array, and
-// the borrowed program/ledger.
+// any values left on the stack's backing array, and the borrowed
+// program/ledger.
 func (m *machine) release() {
 	m.prog = nil
 	m.ledger = nil
 	m.tx = TxContext{}
-	for _, i := range m.scratchDirty {
-		m.scratch[i] = Value{}
-	}
-	m.scratchDirty = m.scratchDirty[:0]
 	full := m.stack[:cap(m.stack)]
 	for i := range full {
 		full[i] = Value{}
@@ -229,23 +207,6 @@ func (m *machine) popUint() uint64 { return m.asUint(m.pop()) }
 
 func (m *machine) popBytes() []byte { return m.asBytes(m.pop()) }
 
-// popAccount pops an account reference: bytes are a raw address.
-func (m *machine) popAccount() chain.Address {
-	v := m.pop()
-	if v.IsBytes {
-		return chain.AddressFromBytes(v.Bytes)
-	}
-	// Numeric account references index the Accounts array; 0 is the sender.
-	if v.Uint == 0 {
-		return m.tx.Sender
-	}
-	i := v.Uint - 1
-	if i >= uint64(len(m.tx.Accounts)) {
-		m.fail(fmt.Errorf("%w: account index %d", ErrBadProgram, v.Uint))
-	}
-	return m.tx.Accounts[i]
-}
-
 // run interprets the program. An instruction that fails calls m.fail; the
 // deferred recover turns that into the returned error, and re-raises any
 // other panic.
@@ -292,12 +253,6 @@ func (m *machine) run() (approved bool, err error) {
 			} else {
 				m.push(Uint64Value(m.tx.AppID))
 			}
-		case opTxnNumAppArgs:
-			m.push(Uint64Value(uint64(len(m.tx.Args))))
-		case opTxnOnCompletion:
-			m.push(Uint64Value(m.tx.OnCompletion))
-		case opTxnFee:
-			m.push(Uint64Value(m.tx.Fee))
 		case opTxnaArg:
 			if ins.arg >= uint64(len(m.tx.Args)) {
 				m.fail(fmt.Errorf("%w: ApplicationArgs index %d of %d", ErrBadProgram, ins.arg, len(m.tx.Args)))
@@ -308,18 +263,9 @@ func (m *machine) run() (approved bool, err error) {
 
 		case opGlobalLatestTimestamp:
 			m.push(Uint64Value(m.ledger.LatestTimestamp()))
-		case opGlobalRound:
-			m.push(Uint64Value(m.ledger.Round()))
-		case opGlobalCurrentApplicationID:
-			m.push(Uint64Value(m.tx.AppID))
 		case opGlobalCurrentApplicationAddress:
 			a := m.ledger.AppAddress(m.tx.AppID)
 			m.push(BytesValue(a[:]))
-		case opGlobalZeroAddress:
-			var z chain.Address
-			m.push(BytesValue(z[:]))
-		case opGlobalMinTxnFee:
-			m.push(Uint64Value(1000))
 		case opGlobalMinBalance:
 			m.push(Uint64Value(MinBalanceValue))
 
@@ -393,8 +339,6 @@ func (m *machine) run() (approved bool, err error) {
 			a, b := m.pop2()
 			x, y := m.asBytes(a), m.asBytes(b)
 			m.push(BytesValue(append(append([]byte(nil), x...), y...)))
-		case opLen:
-			m.push(Uint64Value(uint64(len(m.popBytes()))))
 		case opSha256:
 			h := polcrypto.Hash1(m.popBytes())
 			m.push(BytesValue(h[:]))
@@ -407,12 +351,6 @@ func (m *machine) run() (approved bool, err error) {
 				parts[i] = m.popBytes()
 			}
 			h, _ := preSha256Parts.Native(parts...)
-			m.push(BytesValue(h[:]))
-
-		case opKeccak256:
-			// Precompile pseudo-op; the system hash is SHA-256 throughout
-			// (DESIGN.md §14), so this is sha256 at keccak's op cost.
-			h, _ := preKeccak256.Native(m.popBytes())
 			m.push(BytesValue(h[:]))
 
 		case opEd25519Verify:
@@ -439,48 +377,18 @@ func (m *machine) run() (approved bool, err error) {
 			}
 			m.push(Uint64Value(uint64(w[31])))
 
-		case opDup:
-			v := m.pop()
-			m.push(v)
-			m.push(v)
 		case opPop:
 			m.pop()
 		case opSwap:
 			a, b := m.pop2()
 			m.push(b)
 			m.push(a)
-		case opSelect:
-			// select: A B C -> (C != 0 ? B : A)
-			c := m.popUint()
-			a, b := m.pop2()
-			if c != 0 {
-				m.push(b)
-			} else {
-				m.push(a)
-			}
-
-		case opStore:
-			m.scratch[ins.arg] = m.pop()
-			m.scratchDirty = append(m.scratchDirty, uint16(ins.arg))
-		case opLoad:
-			m.push(m.scratch[ins.arg])
 
 		case opB, opBnz, opBz:
 			if ins.code == opB || (ins.code == opBnz) == (m.popUint() != 0) {
 				pc = int(ins.arg)
 				continue
 			}
-		case opCallsub:
-			m.callers = append(m.callers, pc+1)
-			pc = int(ins.arg)
-			continue
-		case opRetsub:
-			if len(m.callers) == 0 {
-				m.fail(fmt.Errorf("%w: retsub without callsub", ErrBadProgram))
-			}
-			pc = m.callers[len(m.callers)-1]
-			m.callers = m.callers[:len(m.callers)-1]
-			continue
 
 		case opAssert:
 			if m.popUint() == 0 {
@@ -525,22 +433,8 @@ func (m *machine) run() (approved bool, err error) {
 		case opAppGlobalDel:
 			m.ledger.GlobalDel(m.tx.AppID, string(m.popBytes()))
 
-		case opAppLocalGet:
-			key := m.popBytes()
-			v, ok := m.ledger.LocalGet(m.tx.AppID, m.popAccount(), string(key))
-			if !ok {
-				v = Uint64Value(0)
-			}
-			m.push(v)
-		case opAppLocalPut:
-			v := m.pop()
-			key := m.popBytes()
-			m.ledger.LocalPut(m.tx.AppID, m.popAccount(), string(key), v)
-		case opAppLocalDel:
-			key := m.popBytes()
-			m.ledger.LocalDel(m.tx.AppID, m.popAccount(), string(key))
 		case opBalance:
-			m.push(Uint64Value(m.ledger.Balance(m.popAccount())))
+			m.push(Uint64Value(m.ledger.Balance(chain.AddressFromBytes(m.popBytes()))))
 
 		case opItxnBegin:
 			if m.itxnOpen {

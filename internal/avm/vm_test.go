@@ -1,6 +1,7 @@
 package avm
 
 import (
+	"crypto/sha256"
 	"errors"
 	"strings"
 	"testing"
@@ -114,9 +115,14 @@ return`
 		t.Fatalf("concat/== failed: %v", res.Err)
 	}
 
-	res, _ = exec(t, "byte \"hello\"\nlen\nint 5\n==\nreturn", TxContext{AppID: 1})
+	res, _ = exec(t, "byte \"foo\"\nbyte \"bar\"\n!=\nreturn", TxContext{AppID: 1})
 	if !res.Approved {
-		t.Fatal("len failed")
+		t.Fatalf("!= of unequal bytes failed: %v", res.Err)
+	}
+
+	res, _ = exec(t, "int 258\nitob\nbyte \"\\x00\\x00\\x00\\x00\\x00\\x00\\x01\\x02\"\n==\nreturn", TxContext{AppID: 1})
+	if !res.Approved {
+		t.Fatalf("itob is not 8 big-endian bytes: %v", res.Err)
 	}
 }
 
@@ -195,62 +201,30 @@ return`
 	}
 }
 
-func TestLocalState(t *testing.T) {
-	sender := chain.AddressFromBytes([]byte("sender"))
+func TestBranching(t *testing.T) {
 	src := `
 int 0
-byte "score"
-int 9
-app_local_put
-int 0
-byte "score"
-app_local_get
-int 9
-==
-return`
-	res, led := exec(t, src, TxContext{AppID: 3, Sender: sender})
-	if !res.Approved {
-		t.Fatalf("rejected: %v", res.Err)
-	}
-	if v, ok := led.LocalGet(3, sender, "score"); !ok || v.Uint != 9 {
-		t.Fatalf("local score = %v", v)
-	}
-}
-
-func TestBranchingAndSubroutines(t *testing.T) {
-	src := `
-int 5
-callsub double
-int 10
-==
-bnz ok
+bz zero
 err
-ok:
+zero:
+int 5
+bnz five
+err
+five:
+b done
+err
+done:
 int 1
-return
-double:
-int 2
-*
-retsub`
-	res, _ := exec(t, src, TxContext{AppID: 1})
-	if !res.Approved {
-		t.Fatalf("rejected: %v", res.Err)
-	}
-}
-
-func TestScratchSlots(t *testing.T) {
-	src := `
-int 7
-store 3
-load 3
-load 3
-+
-int 14
-==
 return`
 	res, _ := exec(t, src, TxContext{AppID: 1})
 	if !res.Approved {
 		t.Fatalf("rejected: %v", res.Err)
+	}
+	// A branch to a label after the last instruction ends the program
+	// without a return, which rejects.
+	res, _ = exec(t, "b end\nint 1\nreturn\nend:", TxContext{AppID: 1})
+	if res.Err == nil {
+		t.Fatal("a branch past the last instruction returned")
 	}
 }
 
@@ -258,24 +232,31 @@ func TestTxnFields(t *testing.T) {
 	sender := chain.AddressFromBytes([]byte("abc"))
 	src := `
 txn Sender
-len
-int 20
+txna ApplicationArgs 1
 ==
 assert
 txna ApplicationArgs 0
 byte "method"
 ==
 assert
-txn NumAppArgs
-int 2
+txn ApplicationID
+int 1
 ==
 return`
 	res, _ := exec(t, src, TxContext{
 		AppID: 1, Sender: sender,
-		Args: [][]byte{[]byte("method"), []byte("arg")},
+		Args: [][]byte{[]byte("method"), sender[:]},
 	})
 	if !res.Approved {
 		t.Fatalf("rejected: %v", res.Err)
+	}
+	stranger := chain.AddressFromBytes([]byte("def"))
+	res, _ = exec(t, src, TxContext{
+		AppID: 1, Sender: stranger,
+		Args: [][]byte{[]byte("method"), sender[:]},
+	})
+	if res.Approved {
+		t.Fatal("txn Sender read an address other than the sender's")
 	}
 }
 
@@ -377,7 +358,9 @@ func TestBudgetEnforced(t *testing.T) {
 }
 
 func TestSha256Cost(t *testing.T) {
-	res, _ := exec(t, "byte \"x\"\nsha256\nlen\nint 32\n==\nreturn", TxContext{AppID: 1})
+	want := sha256.Sum256([]byte("x"))
+	res, _ := exec(t, "byte \"x\"\nsha256\ntxna ApplicationArgs 0\n==\nreturn",
+		TxContext{AppID: 1, Args: [][]byte{want[:]}})
 	if !res.Approved {
 		t.Fatalf("rejected: %v", res.Err)
 	}
@@ -419,17 +402,17 @@ return`
 	}
 }
 
-func TestSelectAndSwap(t *testing.T) {
+func TestSwap(t *testing.T) {
 	src := `
 int 10
-int 20
-int 1
-select
+int 30
+swap
+-
 int 20
 ==
 return`
 	res, _ := exec(t, src, TxContext{AppID: 1})
 	if !res.Approved {
-		t.Fatalf("select: %v", res.Err)
+		t.Fatalf("swap: %v", res.Err)
 	}
 }

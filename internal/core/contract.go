@@ -18,28 +18,20 @@ import (
 // pol-report-v2.pol (TestPoLProgramShape holds the two together).
 const MaxUsers = 4
 
-// shipped is every contract core deploys: the source is the .pol file in
-// package contracts (the one definition a reader or auditor opens), and
-// maxBytesLen its Bytes bound for the conservative analysis.
-var shipped = map[string]struct {
-	src         string
-	maxBytesLen int
-}{
-	"pol-report":    {contracts.PoLReport, 512},
-	"pol-report-v2": {contracts.PoLReportV2, 512},
-	"pol-verify":    {contracts.PoLVerify, 512},
-	"area-checkin":  {contracts.AreaCheckin, 512},
-}
+// maxBytesLen bounds the Bytes values of every shipped contract for the
+// conservative analysis.
+const maxBytesLen = 512
 
-// compileShipped parses and compiles one row of shipped for both backends;
-// the single compiled artifact drives every connector.
-func compileShipped(name string) (*lang.Compiled, error) {
-	row := shipped[name]
-	prog, err := lang.ParseSource(row.src)
+// compileShipped parses and compiles one contract core deploys for both
+// backends: src is its .pol file in package contracts (the one definition
+// a reader or auditor opens), and the single compiled artifact drives
+// every connector.
+func compileShipped(name, src string) (*lang.Compiled, error) {
+	prog, err := lang.ParseSource(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse %s: %w", name, err)
 	}
-	c, err := lang.Compile(prog, lang.Options{MaxBytesLen: row.maxBytesLen})
+	c, err := lang.Compile(prog, lang.Options{MaxBytesLen: maxBytesLen})
 	if err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, err)
 	}
@@ -47,19 +39,25 @@ func compileShipped(name string) (*lang.Compiled, error) {
 }
 
 // CompilePoL compiles the thesis PoL contract (contracts/pol-report.pol).
-func CompilePoL() (*lang.Compiled, error) { return compileShipped("pol-report") }
+func CompilePoL() (*lang.Compiled, error) { return compileShipped("pol-report", contracts.PoLReport) }
 
 // CompilePoLV2 compiles the extended contract with a deadline and witness
 // rewards (contracts/pol-report-v2.pol).
-func CompilePoLV2() (*lang.Compiled, error) { return compileShipped("pol-report-v2") }
+func CompilePoLV2() (*lang.Compiled, error) {
+	return compileShipped("pol-report-v2", contracts.PoLReportV2)
+}
 
 // CompileVerify compiles the proof-verification hot-path contract
 // (contracts/pol-verify.pol).
-func CompileVerify() (*lang.Compiled, error) { return compileShipped("pol-verify") }
+func CompileVerify() (*lang.Compiled, error) {
+	return compileShipped("pol-verify", contracts.PoLVerify)
+}
 
 // CompileCheckin compiles the soak harness's check-in contract
 // (contracts/area-checkin.pol).
-func CompileCheckin() (*lang.Compiled, error) { return compileShipped("area-checkin") }
+func CompileCheckin() (*lang.Compiled, error) {
+	return compileShipped("area-checkin", contracts.AreaCheckin)
+}
 
 // Map and global indices for off-chain state reads (Reach frontends read
 // contract state through the node; the connectors mirror that via

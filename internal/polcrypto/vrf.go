@@ -9,24 +9,18 @@ import (
 // cryptographic sortition maps it into [0,1) to weight proposer selection.
 type VRFOutput [32]byte
 
-// VRFProof is the signature a VRFOutput is the hash of; with the public key
-// it shows the output was honestly computed from a seed by the holder of
-// the private key.
-//
-// Construction: proof = Sign(sk, "vrf"||seed); output = SHA-256(proof).
-// ed25519 signatures are deterministic ("unique signatures"), which gives the
-// uniqueness property a VRF needs: there is exactly one valid output per
-// (key, seed) pair.
-type VRFProof []byte
-
 var vrfDomain = []byte("agnopol/vrf/v1")
 
-// VRFEvaluate computes the VRF output and proof for seed under the key pair.
-func VRFEvaluate(kp *KeyPair, seed []byte) (VRFOutput, VRFProof) {
+// VRFEvaluate computes the VRF output for seed under the key pair.
+//
+// Construction: output = SHA-256(Sign(sk, domain||seed)). ed25519
+// signatures are deterministic ("unique signatures"), which gives the
+// uniqueness property a VRF needs: there is exactly one valid output per
+// (key, seed) pair. No caller checks another participant's evaluation, so
+// the signature, the VRF's proof, is not returned.
+func VRFEvaluate(kp *KeyPair, seed []byte) VRFOutput {
 	msg := append(append([]byte{}, vrfDomain...), seed...)
-	proof := kp.Sign(msg)
-	out := Hash(proof)
-	return VRFOutput(out), VRFProof(proof)
+	return VRFOutput(Hash(kp.Sign(msg)))
 }
 
 // Fraction maps the VRF output to a float in [0,1) with 52 bits of the

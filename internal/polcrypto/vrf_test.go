@@ -8,8 +8,8 @@ import (
 
 func TestVRFUniqueness(t *testing.T) {
 	kp := MustGenerateKeyPair(&detRand{state: 13})
-	a, _ := VRFEvaluate(kp, []byte("s"))
-	b, _ := VRFEvaluate(kp, []byte("s"))
+	a := VRFEvaluate(kp, []byte("s"))
+	b := VRFEvaluate(kp, []byte("s"))
 	if a != b {
 		t.Fatal("VRF output not unique per (key, seed)")
 	}
@@ -18,7 +18,7 @@ func TestVRFUniqueness(t *testing.T) {
 func TestVRFFractionInUnitInterval(t *testing.T) {
 	err := quick.Check(func(seed []byte) bool {
 		kp := MustGenerateKeyPair(&detRand{state: 99})
-		out, _ := VRFEvaluate(kp, seed)
+		out := VRFEvaluate(kp, seed)
 		f := out.Fraction()
 		return f >= 0 && f < 1
 	}, nil)
@@ -44,7 +44,7 @@ func TestSortitionNeverExceedsStake(t *testing.T) {
 	err := quick.Check(func(seedByte uint8, stake16 uint16) bool {
 		stake := uint64(stake16)%1000 + 1
 		kp := MustGenerateKeyPair(&detRand{state: uint64(seedByte) + 1})
-		out, _ := VRFEvaluate(kp, []byte{seedByte})
+		out := VRFEvaluate(kp, []byte{seedByte})
 		j := Sortition(out, stake, 10000, 50)
 		return j <= stake
 	}, nil)
@@ -65,7 +65,7 @@ func TestSortitionExpectation(t *testing.T) {
 	)
 	sum := 0.0
 	for i := 0; i < rounds; i++ {
-		out, _ := VRFEvaluate(kp, []byte{byte(i), byte(i >> 8)})
+		out := VRFEvaluate(kp, []byte{byte(i), byte(i >> 8)})
 		sum += float64(Sortition(out, stake, totalStake, expected))
 	}
 	mean := sum / rounds
@@ -82,7 +82,7 @@ func TestSortitionProportionalToStake(t *testing.T) {
 	count := func(stake uint64) float64 {
 		sum := 0.0
 		for i := 0; i < 3000; i++ {
-			out, _ := VRFEvaluate(kp, []byte{byte(i), byte(i >> 8), byte(stake)})
+			out := VRFEvaluate(kp, []byte{byte(i), byte(i >> 8), byte(stake)})
 			sum += float64(Sortition(out, stake, 10000, 100))
 		}
 		return sum

@@ -1,6 +1,6 @@
 // Package precompile is the shared registry of native contract functions
 // reachable from both VMs: fixed-cost implementations of the proof-of-
-// location verification hot path (ed25519 signature checks, keccak/sha256
+// location verification hot path (ed25519 signature checks, sha256
 // digests, bytes equality, OLC cell containment) that the language backends
 // can target instead of interpreted bytecode.
 //
@@ -21,10 +21,10 @@ import (
 
 // Reserved precompile IDs. The EVM address of entry id is the 20-byte
 // address whose last byte is id (0x0000…01 … 0x0000…05), mirroring the
-// Ethereum convention of precompiles at low addresses.
+// Ethereum convention of precompiles at low addresses. ID 0x02 is
+// unassigned, so its address is an ordinary account.
 const (
 	IDEd25519Verify = 0x01
-	IDKeccak256     = 0x02
 	IDSha256        = 0x03
 	IDBytesEqual    = 0x04
 	IDOLCContains   = 0x05
@@ -108,21 +108,14 @@ func runOLCContains(args [][]byte) ([32]byte, bool) {
 
 // registry indexes entries by ID. Gas schedules follow the Ethereum
 // precompile precedents where one exists (sha256 at 60+12/word per EIP-2,
-// signature verification flat like ECRECOVER's 3000); keccak matches the
-// KECCAK256 opcode; the comparison entries are priced like cheap linear
-// scans.
+// signature verification flat like ECRECOVER's 3000); the comparison
+// entries are priced like cheap linear scans.
 var registry = [maxID + 1]*Precompiled{
 	IDEd25519Verify: {
 		ID: IDEd25519Verify, Name: "ed25519_verify", Arity: 3,
 		GasBase: 3000, GasWord: 0,
 		AVMOp: "ed25519verify", AVMCost: 1900,
 		run: runEd25519,
-	},
-	IDKeccak256: {
-		ID: IDKeccak256, Name: "keccak256", Arity: Variadic,
-		GasBase: 30, GasWord: 6,
-		AVMOp: "keccak256", AVMCost: 130,
-		run: runHash,
 	},
 	IDSha256: {
 		ID: IDSha256, Name: "sha256", Arity: Variadic,
