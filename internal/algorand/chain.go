@@ -301,13 +301,11 @@ func (c *Chain) SetRetention(n int) { c.rcpts.Retention = n }
 // AppAddress returns the escrow address of an application.
 func (c *Chain) AppAddress(appID uint64) chain.Address { return c.led.AppAddress(appID) }
 
-// App returns a deployed application.
-func (c *Chain) App(appID uint64) (*App, bool) {
-	a := c.led.app(appID)
-	if a == nil {
-		return nil, false
-	}
-	return a, true
+// App returns a deployed application's parsed program. Apps deployed from
+// one source share it.
+func (c *Chain) App(appID uint64) (*avm.Program, bool) {
+	p, ok := c.led.apps[appID]
+	return p, ok
 }
 
 // Submit queues a signed group for the next round.
@@ -527,11 +525,11 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 					return err
 				}
 			case TxAppCall:
-				app := o.app(tx.AppID)
-				if app == nil {
+				prog := o.app(tx.AppID)
+				if prog == nil {
 					return fmt.Errorf("algorand: no application %d", tx.AppID)
 				}
-				res := avm.Execute(app.Program, o, avm.TxContext{
+				res := avm.Execute(prog, o, avm.TxContext{
 					Sender: tx.Sender, AppID: tx.AppID,
 					Args: tx.Args, PayAmount: payAmount,
 					BudgetTxns: len(g), Profiler: prof,

@@ -134,12 +134,12 @@ func (cl *Client) callApp(acct *Account, appID uint64, args [][]byte, pay, escro
 // rounds or state effects — how views are evaluated (§4.1.2: views read
 // state at no cost).
 func (cl *Client) simulate(appID uint64, sender chain.Address, args [][]byte) (avm.Result, error) {
-	app := cl.led.app(appID)
-	if app == nil {
+	prog := cl.led.app(appID)
+	if prog == nil {
 		return avm.Result{}, fmt.Errorf("algorand: no application %d", appID)
 	}
 	// The overlay absorbs the call's writes and is dropped.
-	res := avm.Execute(app.Program, cl.led.fork(), avm.TxContext{
+	res := avm.Execute(prog, cl.led.fork(), avm.TxContext{
 		Sender: sender, AppID: appID, Args: args, BudgetTxns: 4,
 	})
 	return res, nil

@@ -15,20 +15,6 @@ import (
 // Account is an Algorand account with its signing key.
 type Account = chain.Account
 
-// App is a deployed stateful application's static description. Its
-// key/value state — its globals — lives in the state trie; the parsed
-// Program is cached ledger-side so calls do not re-parse TEAL. Apps
-// deployed from the same source share one Program and its Source string
-// (ledger.programs); Execute only reads a Program.
-type App struct {
-	ID       uint64
-	Creator  chain.Address
-	Program  *avm.Program
-	Source   string
-	Deleted  bool
-	CreateAt uint64 // round
-}
-
 // Trie key derivation. Every logical ledger entry — a balance, an app's
 // metadata, one global, an asset's metadata, an asset holding — is one key
 // in the Merkle trie, tagged by column family.
@@ -66,33 +52,31 @@ func decodeValue(enc []byte) avm.Value {
 	return avm.Value{Uint: binary.BigEndian.Uint64(enc[1:])}
 }
 
-// encodeAppMeta renders an app's static description. The deleted flag
-// leads so existence checks read one byte.
-func encodeAppMeta(a *App) []byte {
-	enc := make([]byte, 0, 1+20+8+len(a.Source))
-	del := byte(0)
-	if a.Deleted {
-		del = 1
-	}
-	enc = append(enc, del)
-	enc = append(enc, a.Creator[:]...)
-	enc = append(enc, u64b(a.CreateAt)...)
-	return append(enc, a.Source...)
+// encodeAppMeta renders an app's metadata leaf: a zero byte, the creator,
+// the creation round and the TEAL source. Apps are never deleted, so the
+// leading byte is always 0.
+func encodeAppMeta(creator chain.Address, round uint64, source string) []byte {
+	enc := make([]byte, 0, 1+20+8+len(source))
+	enc = append(enc, 0)
+	enc = append(enc, creator[:]...)
+	enc = append(enc, u64b(round)...)
+	return append(enc, source...)
 }
 
-// ErrCorruptState reports a ledger leaf — loaded from an external node
-// store — that is too short for the entry its key says it holds.
+// ErrCorruptState reports ledger state loaded from an external node store
+// that does not hold what its keys, or the checkpoint beside it, say: a
+// malformed leaf, or app leaves that do not run from 1 to AppSeq.
 var ErrCorruptState = errors.New("algorand: corrupt ledger state")
 
-func decodeAppMeta(id uint64, enc []byte) (*App, error) {
+// decodeAppMeta returns the TEAL source of app id's metadata leaf.
+func decodeAppMeta(id uint64, enc []byte) (string, error) {
 	if len(enc) < 29 {
-		return nil, fmt.Errorf("%w: app %d metadata is %d bytes", ErrCorruptState, id, len(enc))
+		return "", fmt.Errorf("%w: app %d metadata is %d bytes", ErrCorruptState, id, len(enc))
 	}
-	a := &App{ID: id, Deleted: enc[0] == 1}
-	copy(a.Creator[:], enc[1:21])
-	a.CreateAt = binary.BigEndian.Uint64(enc[21:29])
-	a.Source = string(enc[29:])
-	return a, nil
+	if enc[0] != 0 {
+		return "", fmt.Errorf("%w: app %d metadata leads with %d", ErrCorruptState, id, enc[0])
+	}
+	return string(enc[29:]), nil
 }
 
 func encodeAssetMeta(a *Asset) []byte {
@@ -137,46 +121,18 @@ type stateKV interface {
 
 // ledgerKV implements the avm.Ledger surface (plus app and asset
 // accessors) over any stateKV. The back-pointer to the canonical ledger
-// serves the program cache, the sequence counters and the round clock.
+// serves the app table, the sequence counters and the round clock.
 type ledgerKV struct {
 	kv  stateKV
 	led *ledger
 }
 
-// appExists reports whether the app is present and not deleted, without
-// materializing the metadata.
-func (v *ledgerKV) appExists(id uint64) bool {
-	enc, ok := v.kv.Get(appMetaKey(id))
-	return ok && len(enc) > 0 && enc[0] == 0
-}
-
-func (v *ledgerKV) app(id uint64) *App {
-	if !v.appExists(id) {
-		return nil
-	}
-	if a, ok := v.led.progs[id]; ok {
-		return a
-	}
-	// Cache miss: rebuild from the trie. It only reads the program table,
-	// and parses a source the table lacks without recording it.
-	enc, _ := v.kv.Get(appMetaKey(id))
-	a, err := decodeAppMeta(id, enc)
-	if err != nil {
-		return nil
-	}
-	if p, ok := v.led.programs[a.Source]; ok {
-		a.Program, a.Source = p, p.Source
-		return a
-	}
-	if a.Program, err = avm.Parse(a.Source); err != nil {
-		return nil
-	}
-	return a
-}
+// app returns the program of application id, nil when there is none.
+func (v *ledgerKV) app(id uint64) *avm.Program { return v.led.apps[id] }
 
 // GlobalGet implements avm.Ledger.
 func (v *ledgerKV) GlobalGet(appID uint64, key string) (avm.Value, bool) {
-	if !v.appExists(appID) {
+	if v.app(appID) == nil {
 		return avm.Value{}, false
 	}
 	enc, ok := v.kv.Get(globalKey(appID, key))
@@ -188,7 +144,7 @@ func (v *ledgerKV) GlobalGet(appID uint64, key string) (avm.Value, bool) {
 
 // GlobalPut implements avm.Ledger.
 func (v *ledgerKV) GlobalPut(appID uint64, key string, val avm.Value) {
-	if !v.appExists(appID) {
+	if v.app(appID) == nil {
 		return
 	}
 	v.kv.Put(globalKey(appID, key), encodeValue(val))
@@ -196,7 +152,7 @@ func (v *ledgerKV) GlobalPut(appID uint64, key string, val avm.Value) {
 
 // GlobalDel implements avm.Ledger.
 func (v *ledgerKV) GlobalDel(appID uint64, key string) {
-	if !v.appExists(appID) {
+	if v.app(appID) == nil {
 		return
 	}
 	v.kv.Delete(globalKey(appID, key))
@@ -306,18 +262,20 @@ func (v *ledgerKV) assetTransfer(id uint64, from, to chain.Address, amount uint6
 }
 
 // ledger is the on-chain state: a Merkle trie over balances, application
-// state and assets, plus a ledger-side cache of parsed programs. It
-// implements avm.Ledger.
+// state and assets, plus the table of applications with their parsed
+// programs. It implements avm.Ledger.
 type ledger struct {
 	ledgerKV
 	t *mstate.Trie
-	// progs caches each live app's description with its parsed Program
-	// (the trie metadata stores only the source). uncreate prunes it so a
-	// rolled-back creation never leaves a stale entry behind.
-	progs map[uint64]*App
+	// apps maps every application to its parsed Program (the trie's
+	// metadata leaf stores only the source): it is the one record of which
+	// apps exist. createApp adds an entry with the leaf, uncreate drops the
+	// entries of a rolled-back group, and Open fills it from the loaded
+	// leaves, so it always matches the trie.
+	apps map[uint64]*avm.Program
 	// programs holds one parsed Program per distinct TEAL source the chain
 	// has deployed, so every app of a factory points at the same one. It
-	// is written where progs is — creations and Open. Nothing is evicted:
+	// is written where apps is — creations and Open. Nothing is evicted:
 	// a Program is a pure function of its source, and the table is bounded
 	// by the sources this chain has seen.
 	programs map[string]*avm.Program
@@ -330,7 +288,7 @@ type ledger struct {
 func newLedger() *ledger {
 	l := &ledger{
 		t:        mstate.New(),
-		progs:    make(map[uint64]*App),
+		apps:     make(map[uint64]*avm.Program),
 		programs: make(map[string]*avm.Program),
 	}
 	l.ledgerKV = ledgerKV{kv: l.t, led: l}
@@ -380,14 +338,13 @@ func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 // createApp registers a new application and returns its ID; assetCreate
 // below mints an asset. Both advance the canonical ledger's sequence
 // counter even when they write through an overlay (createApp also fills
-// the program cache), and uncreate takes both back when the group fails.
+// the app table), and uncreate takes both back when the group fails.
 func (v *ledgerKV) createApp(creator chain.Address, prog *avm.Program, round uint64) uint64 {
 	l := v.led
 	l.appSeq++
-	a := &App{ID: l.appSeq, Creator: creator, Program: prog, Source: prog.Source, CreateAt: round}
-	v.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
-	l.progs[a.ID] = a
-	return a.ID
+	v.kv.Put(appMetaKey(l.appSeq), encodeAppMeta(creator, round, prog.Source))
+	l.apps[l.appSeq] = prog
+	return l.appSeq
 }
 
 // assetCreate mints a new asset; the creator holds the entire supply and
@@ -405,13 +362,13 @@ func (v *ledgerKV) assetCreate(creator chain.Address, name, unit string, total u
 }
 
 // uncreate rewinds the sequence counters to an earlier reading and drops
-// the program cache entries of the apps created in between: their trie
+// the app table entries of the apps created in between: their trie
 // entries went with the failed group's overlay, and a later creation
 // reusing an ID may carry different source. It writes nothing when no
 // creation happened.
 func (l *ledger) uncreate(appSeq, assetSeq uint64) {
 	for ; l.appSeq > appSeq; l.appSeq-- {
-		delete(l.progs, l.appSeq)
+		delete(l.apps, l.appSeq)
 	}
 	l.assetSeq = assetSeq
 }

@@ -37,7 +37,7 @@ func TestCreditZeroNoPhantom(t *testing.T) {
 // TestSnapshotRestorePrunesCaches pins rollback of a failed group ("snapshot"
 // is the fork, "restore" is dropping it + uncreate): a group's creations
 // write through an overlay but advance the ledger's own sequence counters
-// and program cache, so dropping the overlay and calling uncreate — what
+// and app table, so dropping the overlay and calling uncreate — what
 // executeGroup does for a failed group — must leave the ledger exactly as
 // it was.
 func TestSnapshotRestorePrunesCaches(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSnapshotRestorePrunesCaches(t *testing.T) {
 	o.GlobalPut(id, "k", avm.Uint64Value(9))
 	a := o.assetCreate(alice, "GREEN", "GRN", 1000, 2, 1)
 	o.setBalance(alice, 40)
-	if !o.appExists(id) || !o.assetExists(a.ID) || l.appSeq != appSeq+1 || l.assetSeq != assetSeq+1 {
+	if o.app(id) != prog || !o.assetExists(a.ID) || l.appSeq != appSeq+1 || l.assetSeq != assetSeq+1 {
 		t.Fatal("creations must be visible through the overlay and counted on the ledger")
 	}
 
@@ -68,11 +68,8 @@ func TestSnapshotRestorePrunesCaches(t *testing.T) {
 	if l.Balance(alice) != 100 {
 		t.Fatal("a dropped fork's balance write reached the ledger")
 	}
-	if l.appExists(id) || l.app(id) != nil {
-		t.Fatal("app still visible after fork drop + uncreate")
-	}
-	if _, cached := l.progs[id]; cached {
-		t.Fatal("uncreate left the app's program in the cache")
+	if _, listed := l.apps[id]; listed {
+		t.Fatal("uncreate left the app in the app table")
 	}
 	if l.assetExists(a.ID) {
 		t.Fatal("asset still visible after fork drop + uncreate")

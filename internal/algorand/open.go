@@ -3,6 +3,7 @@ package algorand
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"agnopol/internal/chain"
@@ -19,21 +20,16 @@ type Options struct {
 	Config Config
 	Seed   uint64
 	// Store supplies committed trie nodes (e.g. a diskstore.Store). Nil
-	// means the purely in-memory path: Open degenerates to NewChain.
+	// means the purely in-memory path: Open degenerates to NewChain. A
+	// Store needs a Checkpoint.
 	Store mstate.NodeStore
 	// Root is the committed ledger root to load from Store. The zero
 	// root loads an empty ledger.
 	Root mstate.Hash
 	// Checkpoint restores the non-state chain position captured by
-	// Chain.Checkpoint. Nil opens a fresh chain over the loaded ledger.
+	// Chain.Checkpoint with the ledger at Root. It is required with a
+	// Store and refused without one.
 	Checkpoint *Checkpoint
-}
-
-// PendingGroup is one pending-pool entry inside a Checkpoint.
-type PendingGroup struct {
-	Group     Group
-	Submitted time.Duration
-	Delayed   bool
 }
 
 // Checkpoint is everything besides the ledger trie a chain needs to
@@ -46,7 +42,7 @@ type Checkpoint struct {
 	HeadSeed chain.Hash32
 	AppSeq   uint64
 	AssetSeq uint64
-	Pending  []PendingGroup
+	Pending  []*chain.Pending[Group]
 }
 
 // Checkpoint captures the chain's restart point. The ledger trie is not
@@ -62,12 +58,10 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		HeadSeed:  head.Seed,
 		AppSeq:    c.led.appSeq,
 		AssetSeq:  c.led.assetSeq,
+		Pending:   slices.Clone(c.pool.Entries()),
 	}
 	if err := ck.Mark("algorand", c.Faults(), c.clock, c.rng, &c.rcpts); err != nil {
 		return nil, err
-	}
-	for _, p := range c.pool.Entries() {
-		ck.Pending = append(ck.Pending, PendingGroup{Group: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
 	}
 	return ck, nil
 }
@@ -81,15 +75,14 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 
 // Open builds a chain per Options. With no Store it is exactly
 // NewChain: a fresh in-memory chain (NewChain itself is a thin wrapper
-// over this path). With a Store it reconstructs the ledger from the
-// committed Root instead of replaying rounds, and — when a Checkpoint
-// is given — repositions the chain so the next Step continues the
-// interrupted run bit-identically. The program cache is warmed from
-// the loaded trie (the trie stores TEAL source; parsed programs are a
-// pure function of it). A checkpointed pending group whose
-// signatures do not verify fails Open with an error wrapping Verify's;
-// nothing else of admission re-runs, so the resumed chain includes what
-// the uninterrupted one would.
+// over this path). With a Store and its Checkpoint it reconstructs the
+// ledger from the committed Root instead of replaying rounds and
+// repositions the chain so the next Step continues the interrupted run
+// bit-identically. The app table is rebuilt from the loaded trie (the
+// trie stores TEAL source; parsed programs are a pure function of it). A
+// checkpointed pending group runs through admission again — Verify, then
+// the non-empty and fee-floor checks, none of which reads the ledger — and
+// one that fails it fails Open with that check's error.
 func Open(o Options) (*Chain, error) {
 	if o.Config.ParticipantCount < 1 {
 		return nil, fmt.Errorf("%w: ParticipantCount is %d", ErrNoParticipants, o.Config.ParticipantCount)
@@ -109,9 +102,6 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	}
 	c.led.t = t
 	c.led.kv = t
-	if ck == nil {
-		return nil
-	}
 	if err := ck.Resume("algorand", c.cfg.Name, c.led.root(), c.clock, c.rng, &c.rcpts); err != nil {
 		return err
 	}
@@ -125,36 +115,41 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.led.appSeq = ck.AppSeq
 	c.led.assetSeq = ck.AssetSeq
 	c.led.time = uint64(ck.HeadTime / time.Second)
-	pending := make([]*chain.Pending[Group], len(ck.Pending))
 	for i, p := range ck.Pending {
-		if err := p.Group.Verify(); err != nil {
+		if p == nil {
+			return fmt.Errorf("algorand: checkpointed pending group %d is null", i)
+		}
+		if err := p.Item.Verify(); err != nil {
 			return fmt.Errorf("algorand: checkpointed pending group %d: %w", i, err)
 		}
-		pending[i] = &chain.Pending[Group]{Item: p.Group, Submitted: p.Submitted, Delayed: p.Delayed}
+		if err := admit(p.Item); err != nil {
+			return fmt.Errorf("algorand: checkpointed pending group %d: %w", i, err)
+		}
 	}
-	c.pool.Restore(pending)
-	// Warm the program cache so post-restart app calls do not re-parse
-	// TEAL on every execution (ledgerKV.app's fallback is correct but
-	// parses per call), each distinct source once. The leaves come from an
-	// external store, so this is also where a malformed app or asset leaf
-	// is reported.
+	c.pool.Restore(ck.Pending)
+	// Rebuild the app table, parsing each distinct source once. The leaves
+	// come from an external store, so this is also where a malformed app or
+	// asset leaf is reported. Apps take ids 1, 2, … in turn and a failed
+	// creation hands its id back, so there is a leaf for every id up to
+	// AppSeq and none past it; an AppSeq short of the leaves would let the
+	// next creation take a live app's id and globals.
 	for id := uint64(1); id <= c.led.appSeq; id++ {
 		enc, ok := c.led.kv.Get(appMetaKey(id))
 		if !ok {
-			continue
+			return fmt.Errorf("%w: app %d of %d has no metadata", ErrCorruptState, id, c.led.appSeq)
 		}
-		a, err := decodeAppMeta(id, enc)
+		src, err := decodeAppMeta(id, enc)
 		if err != nil {
 			return err
 		}
-		if a.Deleted {
-			continue
-		}
-		if a.Program, err = c.led.program(a.Source); err != nil {
+		p, err := c.led.program(src)
+		if err != nil {
 			return fmt.Errorf("algorand: reparse app %d from state: %w", id, err)
 		}
-		a.Source = a.Program.Source
-		c.led.progs[id] = a
+		c.led.apps[id] = p
+	}
+	if c.led.kv.Has(appMetaKey(c.led.appSeq + 1)) {
+		return fmt.Errorf("%w: app %d exists past the checkpoint's AppSeq", ErrCorruptState, c.led.appSeq+1)
 	}
 	for id := uint64(1); id <= c.led.assetSeq; id++ {
 		if enc, ok := c.led.kv.Get(assetMetaKey(id)); ok {

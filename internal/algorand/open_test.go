@@ -115,9 +115,9 @@ func TestOpenContinuesBitIdentically(t *testing.T) {
 					t.Fatalf("restored pending group %d carries hash %x", i, p.Hash[:8])
 				}
 			}
-			// The warm cache must hold the app's re-parsed program.
-			if a, ok := resumed.App(appID); !ok || a.Program == nil {
-				t.Fatal("program cache not warmed on open")
+			// The app table must hold the app's re-parsed program.
+			if p, ok := resumed.App(appID); !ok || p == nil {
+				t.Fatal("app table not rebuilt on open")
 			}
 
 			for i := 0; i < 4; i++ {
@@ -168,6 +168,21 @@ func TestOpenRejectsMisuse(t *testing.T) {
 	if _, err := Open(Options{Config: cfg, Seed: 1, Root: mstate.Hash{9}}); err == nil {
 		t.Fatal("root without store must be rejected")
 	}
+	// A store without its checkpoint: the app table and the sequence
+	// counters would start empty, and the next creation would take id 1
+	// over app 1's globals.
+	c := NewChain(cfg, 4)
+	if _, _, err := NewClient(c).createApp(fundedAccount(c, chain.NewRand(4).Fork("test:keys"), 10_000_000), counterApp, nil); err != nil {
+		t.Fatal(err)
+	}
+	store := mstate.NewMemStore()
+	root, err := c.CommitState(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Config: cfg, Seed: 4, Store: store, Root: root}); err == nil {
+		t.Fatal("store without checkpoint must be rejected")
+	}
 	for _, n := range []int{0, -1} {
 		empty := cfg
 		empty.ParticipantCount = n
@@ -175,7 +190,6 @@ func TestOpenRejectsMisuse(t *testing.T) {
 			t.Fatalf("ParticipantCount %d: Open returned %v, want ErrNoParticipants", n, err)
 		}
 	}
-	c := NewChain(cfg, 4)
 	c.SetFaults(faults.NewInjector(&faults.Plan{}, 4, nil))
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with fault injection must be refused")
@@ -185,18 +199,26 @@ func TestOpenRejectsMisuse(t *testing.T) {
 // TestOpenRejectsCorruptState: app and asset metadata leaves come out of an
 // external node store; one that is too short for its layout must surface
 // as ErrCorruptState from Open, not as an index-out-of-range panic while
-// the caches warm.
+// the app table is rebuilt, and so must an app leaf not led by 0 (it used
+// to hide the app) and app leaves that do not run from 1 to the
+// checkpoint's AppSeq (an AppSeq of 0 used to let the next creation take
+// app 1's id and globals).
 func TestOpenRejectsCorruptState(t *testing.T) {
-	goodApp := encodeAppMeta(&App{ID: 1, Source: approveAll})
+	goodApp := encodeAppMeta(chain.Address{}, 0, approveAll)
+	deletedApp := append([]byte{1}, goodApp[1:]...)
 	goodAsset := encodeAssetMeta(&Asset{ID: 1, Name: "GREEN", UnitName: "GRN"})
 	for _, tc := range []struct {
 		name       string
 		app, asset []byte
+		appSeq     uint64 // the checkpoint's
 	}{
-		{"empty app leaf", []byte{}, goodAsset},
-		{"truncated app leaf", goodApp[:20], goodAsset},
-		{"truncated asset leaf", goodApp, goodAsset[:30]},
-		{"asset name length past the leaf", goodApp, goodAsset[:45]},
+		{"empty app leaf", []byte{}, goodAsset, 1},
+		{"truncated app leaf", goodApp[:20], goodAsset, 1},
+		{"app leaf leading with 1", deletedApp, goodAsset, 1},
+		{"truncated asset leaf", goodApp, goodAsset[:30], 1},
+		{"asset name length past the leaf", goodApp, goodAsset[:45], 1},
+		{"app leaf past AppSeq", goodApp, goodAsset, 0},
+		{"AppSeq past the app leaves", goodApp, goodAsset, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trie := mstate.New()
@@ -211,7 +233,7 @@ func TestOpenRejectsCorruptState(t *testing.T) {
 				Config: Testnet(), Seed: 1, Store: store, Root: root,
 				Checkpoint: &Checkpoint{
 					Position: chain.Position{Name: Testnet().Name, StateRoot: chain.Hash32(root)},
-					AppSeq:   1, AssetSeq: 1,
+					AppSeq:   tc.appSeq, AssetSeq: 1,
 				},
 			})
 			if !errors.Is(err, ErrCorruptState) {
@@ -222,8 +244,10 @@ func TestOpenRejectsCorruptState(t *testing.T) {
 }
 
 // TestOpenRefusesTamperedPending: a checkpointed pending group is
-// re-verified on the way back in, and a tampered one fails Open with the
-// member's typed error instead of being executed on the resumed chain.
+// re-verified and re-admitted on the way back in, and a tampered one fails
+// Open with the member's typed error instead of being executed on the
+// resumed chain. An empty group used to be restored and included as a
+// successful zero-fee receipt.
 func TestOpenRefusesTamperedPending(t *testing.T) {
 	cfg := Testnet()
 	c := NewChain(cfg, 5)
@@ -256,10 +280,17 @@ func TestOpenRefusesTamperedPending(t *testing.T) {
 	if err := open(func(*Checkpoint) {}); err != nil {
 		t.Fatalf("untampered checkpoint: %v", err)
 	}
-	if err := open(func(ck *Checkpoint) { ck.Pending[0].Group[0].Amount = 50_000_000 }); !errors.Is(err, polcrypto.ErrBadSignature) {
+	if err := open(func(ck *Checkpoint) { ck.Pending[0].Item[0].Amount = 50_000_000 }); !errors.Is(err, polcrypto.ErrBadSignature) {
 		t.Fatalf("rewritten amount: Open returned %v, want ErrBadSignature", err)
 	}
-	if err := open(func(ck *Checkpoint) { ck.Pending[0].Group[0] = nil }); err == nil {
+	if err := open(func(ck *Checkpoint) { ck.Pending[0].Item[0] = nil }); err == nil {
 		t.Fatal("a null group member was restored")
+	}
+	if err := open(func(ck *Checkpoint) { ck.Pending[0] = nil }); err == nil {
+		t.Fatal("a null pending entry was restored")
+	}
+	// An empty group has no signature to break, and Submit refuses it.
+	if err := open(func(ck *Checkpoint) { ck.Pending[0].Item = Group{} }); err == nil {
+		t.Fatal("an empty group was restored")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"agnopol/internal/avm"
 	"agnopol/internal/chain"
@@ -46,27 +45,23 @@ func counted(t *testing.T, c *Chain, g Group) uint64 {
 	return n
 }
 
-// sharesProgram fails unless every listed app points at prog and at the
-// very bytes of its source.
+// sharesProgram fails unless every listed app points at prog.
 func sharesProgram(t *testing.T, what string, c *Chain, prog *avm.Program, ids ...uint64) {
 	t.Helper()
 	for _, id := range ids {
-		a := c.led.app(id)
-		if a == nil {
+		p, ok := c.App(id)
+		if !ok {
 			t.Fatalf("%s: app %d missing", what, id)
 		}
-		if a.Program != prog {
+		if p != prog {
 			t.Fatalf("%s: app %d has a program of its own", what, id)
-		}
-		if unsafe.StringData(a.Source) != unsafe.StringData(prog.Source) {
-			t.Fatalf("%s: app %d keeps its own copy of the source", what, id)
 		}
 	}
 }
 
 // TestAppsShareOneProgram: apps deployed from one TEAL source point at one
-// parsed program — after SubmitBatch, on ledgerKV.app's miss path and after
-// Open from a checkpoint — while another source gets its own, a creation
+// parsed program — after SubmitBatch and after Open from a checkpoint —
+// while another source gets its own, a creation
 // rolled back and redone from another source runs the new program, and
 // two apps sharing a program run in one round.
 func TestAppsShareOneProgram(t *testing.T) {
@@ -86,7 +81,7 @@ func TestAppsShareOneProgram(t *testing.T) {
 	}
 	groups = append(groups, signedCreate(deployer, tenCounter, k))
 	stepBatch(t, c, groups)
-	counter, ten := c.led.progs[1].Program, c.led.progs[k+1].Program
+	counter, ten := c.led.apps[1], c.led.apps[k+1]
 	if counter == ten || counter.Source != counterApp || ten.Source != tenCounter {
 		t.Fatal("the two sources must have a program each")
 	}
@@ -95,10 +90,6 @@ func TestAppsShareOneProgram(t *testing.T) {
 	if len(c.led.programs) != 2 {
 		t.Fatalf("the program table holds %d programs for 2 sources", len(c.led.programs))
 	}
-
-	// The miss path rebuilds the app from the trie and reads the table.
-	delete(c.led.progs, 2)
-	sharesProgram(t, "on the miss path", c, counter, 2)
 
 	// A creation rolled back by the overdraft behind it hands id k+2 back;
 	// the next creation takes the id with the other source, and its calls
@@ -120,7 +111,7 @@ func TestAppsShareOneProgram(t *testing.T) {
 		t.Fatalf("app %d counted %d, want the second source's 10", k+2, n)
 	}
 
-	// Apps 1 and 2 (the latter through the miss path) in one round.
+	// Apps 1 and 2 in one round.
 	for round := uint64(1); round <= 3; round++ {
 		a, b := signedBump(alice, 1, round), signedBump(bob, 2, round)
 		stepBatch(t, c, []Group{a, b})
@@ -154,7 +145,7 @@ func TestAppsShareOneProgram(t *testing.T) {
 	if len(resumed.led.programs) != 2 {
 		t.Fatalf("Open parsed %d programs for 2 sources", len(resumed.led.programs))
 	}
-	rCounter, rTen := resumed.led.progs[1].Program, resumed.led.progs[k+1].Program
+	rCounter, rTen := resumed.led.apps[1], resumed.led.apps[k+1]
 	if rCounter == rTen || rCounter.Source != counterApp || rTen.Source != tenCounter {
 		t.Fatal("after Open the two sources must have a program each")
 	}
@@ -173,7 +164,7 @@ func TestAppsShareOneProgram(t *testing.T) {
 // has pruned that round's receipts (retention 1), minus the live heap
 // before, is divided by 256. What is left is the app's own state: its
 // metadata leaf (which carries its source, as on Algorand), its counter,
-// the trie branches above them and its cached description. Nothing is
+// the trie branches above them and its app table entry. Nothing is
 // timed.
 func BenchmarkAppResident(b *testing.B) {
 	const apps = 256

@@ -453,7 +453,11 @@ func (m *machine) run() (approved bool, err error) {
 			case opItxnAmount:
 				m.itxnAmount = m.popUint()
 			default:
-				m.pop() // TypeEnum: only "pay" is supported
+				// Only pay (1) exists here: any other type would still move
+				// ALGO at itxn_submit.
+				if t := m.popUint(); t != 1 {
+					m.fail(fmt.Errorf("%w: itxn TypeEnum %d, only 1 (pay) is supported", ErrBadProgram, t))
+				}
 			}
 		case opItxnSubmit:
 			if !m.itxnOpen {

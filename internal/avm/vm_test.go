@@ -317,6 +317,38 @@ return`)
 	}
 }
 
+// TestInnerTxnTypeIsPay: an inner transaction of any type but pay (1) is
+// refused and moves nothing. An asset transfer (4) used to pay ALGO.
+func TestInnerTxnTypeIsPay(t *testing.T) {
+	for push, want := range map[string]error{
+		"int 0":      ErrBadProgram,
+		"int 4":      ErrBadProgram,
+		"int 6":      ErrBadProgram,
+		`byte "pay"`: ErrTypeMismatch,
+	} {
+		led := NewMemLedger()
+		app := uint64(4)
+		led.Balances[led.AppAddress(app)] = 1000
+		to := chain.AddressFromBytes([]byte("rcpt"))
+		prog := mustParse(t, "itxn_begin\n"+push+`
+itxn_field TypeEnum
+txn Sender
+itxn_field Receiver
+int 300
+itxn_field Amount
+itxn_submit
+int 1
+return`)
+		res := Execute(prog, led, TxContext{AppID: app, Sender: to})
+		if res.Approved || !errors.Is(res.Err, want) {
+			t.Fatalf("%s: approved %v, err %v, want %v", push, res.Approved, res.Err, want)
+		}
+		if led.Balances[to] != 0 || led.Balances[led.AppAddress(app)] != 1000 {
+			t.Fatalf("%s moved ALGO: %d sent, %d kept", push, led.Balances[to], led.Balances[led.AppAddress(app)])
+		}
+	}
+}
+
 func TestInnerPaymentInsufficient(t *testing.T) {
 	led := NewMemLedger()
 	prog := mustParse(t, `

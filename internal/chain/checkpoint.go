@@ -60,13 +60,18 @@ func (p *Position) Resume(family, name string, root Hash32, clock *Clock, rng *R
 
 // LoadState is the first half of both families' Open. Without a store the
 // chain stays in memory — nil trie, nil error — and a root or checkpoint
-// is an error; with one, the state committed at root is loaded from it.
+// is an error. A store comes with its checkpoint: the state committed at
+// root is loaded from it only when checkpoint is set, so a loaded chain is
+// always also repositioned.
 func LoadState(family string, store mstate.NodeStore, root mstate.Hash, checkpoint bool) (*mstate.Trie, error) {
 	if store == nil {
 		if root != (mstate.Hash{}) || checkpoint {
 			return nil, errors.New(family + ": Open with a root or checkpoint requires a store")
 		}
 		return nil, nil
+	}
+	if !checkpoint {
+		return nil, errors.New(family + ": Open with a store requires a checkpoint")
 	}
 	t, err := mstate.Load(store, root)
 	if err != nil {

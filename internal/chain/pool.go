@@ -22,8 +22,9 @@ type Item interface {
 type Pending[T Item] struct {
 	Item T
 	// Hash is Item.Hash(), computed once at submission (or Restore) so
-	// that block building never re-hashes the item.
-	Hash Hash32
+	// that block building never re-hashes the item. A checkpoint does not
+	// carry it: Restore computes it again.
+	Hash Hash32 `json:"-"`
 	// Submitted is when the item becomes includable: its admission time,
 	// pushed back by any injected propagation stall.
 	Submitted time.Duration

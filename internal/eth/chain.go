@@ -114,22 +114,17 @@ type Block struct {
 	TxHashes  []chain.Hash32
 }
 
-// Validator is a staked consensus participant.
-type Validator struct {
-	Key     *polcrypto.KeyPair
-	Address chain.Address
-	Stake   uint64
-}
-
 // Chain is one simulated Ethereum-family network.
 type Chain struct {
-	cfg        Config
-	tipScale   float64 // cfg.TipScale, as selection's outbid model divides by it
-	clock      *chain.Clock
-	rng        *chain.Rand
-	st         *state
-	validators []*Validator
-	baseFee    u256.Word
+	cfg      Config
+	tipScale float64 // cfg.TipScale, as selection's outbid model divides by it
+	clock    *chain.Clock
+	rng      *chain.Rand
+	st       *state
+	// proposers are the validators' addresses. Every validator stakes the
+	// same 32 ETH, so each is equally likely to propose.
+	proposers []chain.Address
+	baseFee   u256.Word
 
 	// head is the latest block. Earlier blocks are not kept: what is read
 	// of them is their receipts, which rcpts holds for the retention
@@ -200,11 +195,7 @@ func newChain(cfg Config, seed uint64) *Chain {
 	keyRng := c.rng.Fork("validators")
 	for i := 0; i < cfg.ValidatorCount; i++ {
 		kp := polcrypto.MustGenerateKeyPair(keyRng)
-		c.validators = append(c.validators, &Validator{
-			Key:     kp,
-			Address: chain.AddressFromPublicKey(kp.Public),
-			Stake:   32, // every validator stakes exactly 32 ETH
-		})
+		c.proposers = append(c.proposers, chain.AddressFromPublicKey(kp.Public))
 	}
 	genesis := &Block{Number: 0, Time: 0, BaseFee: c.baseFee}
 	genesis.Hash = chain.Hash32(polcrypto.Hash([]byte("genesis:" + cfg.Name)))
@@ -358,13 +349,11 @@ func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
 // PendingCount reports the mempool depth.
 func (c *Chain) PendingCount() int { return c.pool.Len() }
 
-// admit is the mempool's admission check for a transaction that passed
-// Verify: gas bounds, fee floor, nonce and balance. Amounts are words,
-// never negative, so the upfront cost the balance check and Step's
-// selection reserve is the most execution can debit
-// (state.SubBalance).
-func (c *Chain) admit(tx *Tx) error {
-	a, _ := tx.amounts() // Verify refused amounts that do not convert
+// limits is the half of admission that reads no state, for a transaction
+// that passed Verify: a gas limit between the intrinsic cost and the block
+// cap, and a fee cap at or above the floor. admit runs it, and so does Open
+// on every restored mempool entry.
+func (c *Chain) limits(tx *Tx) error {
 	if tx.GasLimit > c.cfg.BlockGasLimit {
 		return ErrGasAboveBlockCap
 	}
@@ -372,9 +361,22 @@ func (c *Chain) admit(tx *Tx) error {
 	if tx.GasLimit < intrinsic {
 		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasLimitTooLow, tx.GasLimit, intrinsic)
 	}
-	if a.maxFee.Lt(u256.FromBig(c.cfg.MinBaseFee)) {
+	if maxFee, _ := amountWord(tx.MaxFee); maxFee.Lt(u256.FromBig(c.cfg.MinBaseFee)) {
 		return ErrUnderpriced
 	}
+	return nil
+}
+
+// admit is the mempool's admission check for a transaction that passed
+// Verify: limits, then nonce and balance. Amounts are words,
+// never negative, so the upfront cost the balance check and Step's
+// selection reserve is the most execution can debit
+// (state.SubBalance).
+func (c *Chain) admit(tx *Tx) error {
+	if err := c.limits(tx); err != nil {
+		return err
+	}
+	a, _ := tx.amounts() // Verify refused amounts that do not convert
 	if n := c.st.Nonce(tx.From); tx.Nonce < n {
 		return fmt.Errorf("%w: %d < %d", ErrNonceTooLow, tx.Nonce, n)
 	}
@@ -421,7 +423,7 @@ func (c *Chain) Step() *Block {
 		Number:     parent.Number + 1,
 		Time:       blockTime,
 		ParentHash: parent.Hash,
-		Proposer:   proposer.Address,
+		Proposer:   proposer,
 		BaseFee:    c.baseFee,
 	}
 
@@ -621,26 +623,16 @@ func (c *Chain) backgroundDemand() float64 {
 	return d
 }
 
-// pickProposer performs the stake-weighted RANDAO-style proposer selection
-// for a slot.
-func (c *Chain) pickProposer(parentHash chain.Hash32, slot uint64) *Validator {
+// pickProposer performs the RANDAO-style proposer selection for a slot:
+// a seed drawn from the parent hash and the slot picks one 32-ETH stake
+// unit out of all of them, and its validator proposes.
+func (c *Chain) pickProposer(parentHash chain.Hash32, slot uint64) chain.Address {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], slot)
 	h := polcrypto.Hash(parentHash[:], buf[:])
 	seed := binary.BigEndian.Uint64(h[:8])
-	total := uint64(0)
-	for _, v := range c.validators {
-		total += v.Stake
-	}
-	target := seed % total
-	acc := uint64(0)
-	for _, v := range c.validators {
-		acc += v.Stake
-		if target < acc {
-			return v
-		}
-	}
-	return c.validators[len(c.validators)-1]
+	n := uint64(len(c.proposers))
+	return c.proposers[seed%(32*n)/32]
 }
 
 func blockHash(b *Block) chain.Hash32 {

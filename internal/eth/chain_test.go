@@ -163,7 +163,7 @@ func TestProposerSelectionIsStakeWeightedAndDeterministic(t *testing.T) {
 	// Different slots usually give different proposers over many slots.
 	seen := map[chain.Address]bool{}
 	for s := uint64(0); s < 64; s++ {
-		seen[c.pickProposer(c.Head().Hash, s).Address] = true
+		seen[c.pickProposer(c.Head().Hash, s)] = true
 	}
 	if len(seen) < 10 {
 		t.Fatalf("only %d distinct proposers over 64 slots", len(seen))

@@ -131,9 +131,7 @@ func FuzzTxAmounts(f *testing.F) {
 		for _, a := range accts {
 			holders = append(holders, a.Address)
 		}
-		for _, v := range c.validators {
-			holders = append(holders, v.Address)
-		}
+		holders = append(holders, c.proposers...)
 		conserved := func(when string) {
 			sum := c.burned.ToBig()
 			for _, h := range holders {

@@ -3,7 +3,7 @@ package eth
 import (
 	"fmt"
 	"math/big"
-	"time"
+	"slices"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/mstate"
@@ -16,22 +16,17 @@ type Options struct {
 	Config Config
 	Seed   uint64
 	// Store supplies committed trie nodes (e.g. a diskstore.Store). Nil
-	// means the purely in-memory path: Open degenerates to NewChain.
+	// means the purely in-memory path: Open degenerates to NewChain. A
+	// Store needs a Checkpoint.
 	Store mstate.NodeStore
 	// Root is the committed state root to load from Store. The zero
 	// root loads an empty state.
 	Root mstate.Hash
 	// Checkpoint restores the non-state chain position (head block, fee
-	// accounting, clock, rng, mempool) captured by Chain.Checkpoint. Nil
-	// opens a fresh chain over the loaded state.
+	// accounting, clock, rng, mempool) captured by Chain.Checkpoint with
+	// the state at Root. It is required with a Store and refused without
+	// one.
 	Checkpoint *Checkpoint
-}
-
-// PendingTx is one mempool entry inside a Checkpoint.
-type PendingTx struct {
-	Tx        *Tx
-	Submitted time.Duration
-	Delayed   bool
 }
 
 // Checkpoint is everything besides the world state a chain needs to
@@ -51,7 +46,7 @@ type Checkpoint struct {
 	// SpikeBlocksLeft carries an in-flight congestion episode across the
 	// restart; the demand model continues it instead of resampling.
 	SpikeBlocksLeft int
-	Mempool         []PendingTx
+	Mempool         []*chain.Pending[*Tx]
 }
 
 // Checkpoint captures the chain's restart point. The world state is not
@@ -69,12 +64,10 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Burned:          c.burned.AppendBytes([]byte{}),
 		Tipped:          c.tipped.AppendBytes([]byte{}),
 		SpikeBlocksLeft: c.spikeBlocksLeft,
+		Mempool:         slices.Clone(c.pool.Entries()),
 	}
 	if err := ck.Mark("eth", c.Faults(), c.clock, c.rng, &c.rcpts); err != nil {
 		return nil, err
-	}
-	for _, p := range c.pool.Entries() {
-		ck.Mempool = append(ck.Mempool, PendingTx{Tx: p.Item, Submitted: p.Submitted, Delayed: p.Delayed})
 	}
 	return ck, nil
 }
@@ -89,15 +82,15 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 
 // Open builds a chain per Options. With no Store it is exactly
 // NewChain: a fresh in-memory chain (NewChain itself is a thin wrapper
-// over this path). With a Store it reconstructs the world state from
-// the committed Root instead of replaying blocks, and — when a
-// Checkpoint is given — repositions the chain so the next Step
-// continues the interrupted run bit-identically. A checkpointed mempool
-// entry runs through admission's stateless half, Verify, again, and one
-// that fails it fails Open with an error wrapping Verify's. The stateful
-// half, nonce and balance, does not re-run: an entry admitted against an
-// earlier state may fail it now, and the resumed chain must include what
-// the uninterrupted one would.
+// over this path). With a Store and its Checkpoint it reconstructs the
+// world state from the committed Root instead of replaying blocks and
+// repositions the chain so the next Step continues the interrupted run
+// bit-identically. A checkpointed mempool entry runs through admission's
+// stateless half again — Verify, then the gas-limit bounds and the fee
+// floor — and one that fails it fails Open with that check's error. The
+// stateful half, nonce and balance, does not re-run: an entry admitted
+// against an earlier state may fail it now, and the resumed chain must
+// include what the uninterrupted one would.
 func Open(o Options) (*Chain, error) {
 	c := newChain(o.Config, o.Seed)
 	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
@@ -113,9 +106,6 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 		return err
 	}
 	c.st = &state{stateView: stateView{kv: t}, t: t}
-	if ck == nil {
-		return nil
-	}
 	if err := ck.Resume("eth", c.cfg.Name, c.st.Root(), c.clock, c.rng, &c.rcpts); err != nil {
 		return err
 	}
@@ -130,17 +120,18 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.burned = u256.SetBytes(ck.Burned)
 	c.tipped = u256.SetBytes(ck.Tipped)
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
-	mempool := make([]*chain.Pending[*Tx], len(ck.Mempool))
 	for i, p := range ck.Mempool {
-		if p.Tx == nil {
+		if p == nil || p.Item == nil {
 			return fmt.Errorf("eth: checkpointed mempool entry %d is empty", i)
 		}
-		if err := p.Tx.Verify(); err != nil {
+		if err := p.Item.Verify(); err != nil {
 			return fmt.Errorf("eth: checkpointed mempool entry %d: %w", i, err)
 		}
-		mempool[i] = &chain.Pending[*Tx]{Item: p.Tx, Submitted: p.Submitted, Delayed: p.Delayed}
+		if err := c.limits(p.Item); err != nil {
+			return fmt.Errorf("eth: checkpointed mempool entry %d: %w", i, err)
+		}
 	}
-	c.pool.Restore(mempool)
+	c.pool.Restore(ck.Mempool)
 	return nil
 }
 

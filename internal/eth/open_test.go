@@ -180,6 +180,9 @@ func TestOpenRejectsMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Open(Options{Config: cfg, Seed: 1, Store: store, Root: root}); err == nil {
+		t.Fatal("store without checkpoint must be rejected")
+	}
 	// Checkpoint for a different chain name.
 	bad := *ck
 	bad.Name = "not-this-chain"
@@ -203,10 +206,12 @@ func TestCheckpointRefusesFaultInjection(t *testing.T) {
 }
 
 // TestOpenRefusesTamperedMempool: a checkpointed mempool entry passes
-// admission's stateless half again on the way back in — its signature and
-// its amounts — and a tampered one fails Open with the entry's typed
-// error. A null Value used to panic in Open, and a Value rewritten to -5
-// used to be restored and executed as a successful transaction.
+// admission's stateless half again on the way back in — its signature, its
+// amounts, its gas limit and its fee floor — and a tampered one fails Open
+// with the entry's typed error. A null Value used to panic in Open, a
+// Value rewritten to -5 used to be restored and executed as a successful
+// transaction, and a signed gas limit of 100 used to be restored and
+// charged 21 000 gas.
 func TestOpenRefusesTamperedMempool(t *testing.T) {
 	cfg := Goerli()
 	c := NewChain(cfg, 9)
@@ -226,6 +231,12 @@ func TestOpenRefusesTamperedMempool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Signed by alice, but with a gas limit Submit refuses.
+	lowGas := &Tx{
+		From: alice.Address, To: &bob.Address, Value: big.NewInt(0), GasLimit: 100,
+		MaxFee: new(big.Int).Mul(c.BaseFee(), big.NewInt(3)), MaxTip: big.NewInt(2_000_000_000),
+	}
+	lowGas.Sign(alice)
 	ck, err := c.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -243,19 +254,23 @@ func TestOpenRefusesTamperedMempool(t *testing.T) {
 		name  string
 		entry int
 		value string // the JSON the entry's Value is rewritten to
+		item  *Tx    // else the entry is replaced by item
 		want  error
 	}{
-		{"untampered", 0, "0", nil},
-		{"null value", 0, "null", ErrMissingAmount},
-		{"5 rewritten to -5", 1, "-5", ErrNegativeAmount},
-		{"1000 rewritten to -5", 2, "-5", polcrypto.ErrBadSignature},
+		{"untampered", 0, "0", nil, nil},
+		{"null value", 0, "null", nil, ErrMissingAmount},
+		{"5 rewritten to -5", 1, "-5", nil, ErrNegativeAmount},
+		{"1000 rewritten to -5", 2, "-5", nil, polcrypto.ErrBadSignature},
+		{"signed gas limit of 100", 0, "", lowGas, ErrGasLimitTooLow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ck Checkpoint
 			if err := json.Unmarshal(blob, &ck); err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal([]byte(tc.value), &ck.Mempool[tc.entry].Tx.Value); err != nil {
+			if tc.item != nil {
+				ck.Mempool[tc.entry].Item = tc.item
+			} else if err := json.Unmarshal([]byte(tc.value), &ck.Mempool[tc.entry].Item.Value); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Open(Options{Config: cfg, Seed: 9, Store: store, Root: root, Checkpoint: &ck})

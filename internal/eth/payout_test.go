@@ -94,9 +94,7 @@ func payTwoWallets(t *testing.T, shards int, shared bool) chain.Hash32 {
 		tx.Sign(user)
 		txs = append(txs, tx)
 	}
-	for _, v := range c.validators {
-		holders = append(holders, v.Address)
-	}
+	holders = append(holders, c.proposers...)
 
 	_, errs := c.SubmitBatch(txs)
 	for i, err := range errs {

@@ -7,6 +7,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
+	"agnopol/internal/polcrypto"
 )
 
 // counterCode increments a per-caller storage slot on every call — enough
@@ -23,6 +24,22 @@ func counterCode(t *testing.T) []byte {
 	return code
 }
 
+// validatorAccounts re-derives the validators' keys from the chain's
+// validators stream, as newChain does to derive their addresses, so that a
+// test can sign as the proposer.
+func validatorAccounts(cfg Config, seed uint64) map[chain.Address]*Account {
+	rng := chain.NewRand(seed).Fork("eth:" + cfg.Name)
+	rng.Fork("client")
+	keyRng := rng.Fork("validators")
+	accts := make(map[chain.Address]*Account, cfg.ValidatorCount)
+	for i := 0; i < cfg.ValidatorCount; i++ {
+		kp := polcrypto.MustGenerateKeyPair(keyRng)
+		addr := chain.AddressFromPublicKey(kp.Public)
+		accts[addr] = &Account{Key: kp, Address: addr}
+	}
+	return accts
+}
+
 // runShardedWorkload drives a mixed workload — per-area contract calls plus
 // peer-to-peer transfers, and among them a call that runs out of gas, a
 // deployment inside a batch and transfers sent by the validator about to
@@ -37,6 +54,7 @@ func runShardedWorkload(t *testing.T, shards int) (*Chain, []*Block, []*chain.Re
 	cfg.CongestionMeanGas = 1_000_000
 	cfg.SpikeProb = 0
 	c := NewChain(cfg, 1234)
+	validators := validatorAccounts(cfg, 1234)
 	c.SetShards(shards)
 	cl := NewClient(c)
 
@@ -97,8 +115,10 @@ func runShardedWorkload(t *testing.T, shards int) (*Chain, []*Block, []*chain.Re
 		}
 		// The next block's proposer sends a transfer in it: its balance is
 		// debited by execution and credited the block's tips by the tail.
-		next := c.pickProposer(c.Head().Hash, c.Head().Number+1)
-		proposer := &Account{Key: next.Key, Address: next.Address}
+		proposer := validators[c.pickProposer(c.Head().Hash, c.Head().Number+1)]
+		if proposer == nil {
+			t.Fatal("the proposer is not one of the re-derived validators")
+		}
 		c.Fund(proposer.Address, eth(1))
 		own := send(proposer, c.PendingNonce(proposer.Address), &accts[3].Address, 777, nil, 21000)
 		before := c.Balance(proposer.Address).Base

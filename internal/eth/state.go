@@ -1,8 +1,8 @@
 // Package eth is a discrete-event simulator of the Ethereum-family chains
 // the paper evaluates on (Ropsten, Goerli, Polygon Mumbai): EIP-1559 base
 // fee dynamics, a priority-fee-ordered mempool competing with background
-// traffic, 12-second proof-of-stake slots with stake-weighted proposer
-// selection, contract execution through the EVM (package evm), and a client
+// traffic, 12-second proof-of-stake slots whose proposer a RANDAO-style
+// draw picks among validators of equal stake, contract execution through the EVM (package evm), and a client
 // layer whose submit-to-confirmation latency is what the paper's figures
 // plot. As in the paper, a client trusts its node provider's receipt:
 // blocks carry no committee attestations.

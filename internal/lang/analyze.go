@@ -34,7 +34,6 @@ type MethodCost struct {
 	EVMGas       uint64 // execution gas, excluding intrinsic
 	EVMIntrinsic uint64 // 21000 + worst-case calldata
 	AVMCost      uint64 // opcode budget
-	AVMBudget    int    // grouped transactions needed (ceil cost/700)
 	StorageSlots int    // worst-case storage slots written
 }
 
@@ -85,7 +84,7 @@ func Analyze(p *Program, evmCode []byte, tealSrc string, maxBytesLen int) *Analy
 	a.Methods = append(a.Methods, MethodCost{
 		Name: "ctor", Kind: "constructor",
 		EVMGas: ctorGas, EVMIntrinsic: ctorIntrinsic,
-		AVMCost: ctorCost, AVMBudget: budgetTxns(ctorCost), StorageSlots: ctorSlots + 1,
+		AVMCost: ctorCost, StorageSlots: ctorSlots + 1,
 	})
 	// Deployment: intrinsic (with create surcharge), the calldata cost of
 	// shipping the runtime code itself, the per-byte code deposit, and
@@ -100,7 +99,7 @@ func Analyze(p *Program, evmCode []byte, tealSrc string, maxBytesLen int) *Analy
 		a.Methods = append(a.Methods, MethodCost{
 			Name: api.Name, Kind: "api",
 			EVMGas: gas, EVMIntrinsic: an.intrinsic(api.Params, false),
-			AVMCost: cost, AVMBudget: budgetTxns(cost), StorageSlots: slots,
+			AVMCost: cost, StorageSlots: slots,
 		})
 	}
 	for _, v := range p.Views {
@@ -109,18 +108,10 @@ func Analyze(p *Program, evmCode []byte, tealSrc string, maxBytesLen int) *Analy
 		a.Methods = append(a.Methods, MethodCost{
 			Name: v.Name, Kind: "view",
 			EVMGas: gas, EVMIntrinsic: 0, // views are free (§4.1.2)
-			AVMCost: cost, AVMBudget: budgetTxns(cost),
+			AVMCost: cost,
 		})
 	}
 	return a
-}
-
-func budgetTxns(cost uint64) int {
-	n := int((cost + 699) / 700)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // intrinsic is the worst-case intrinsic transaction gas: base cost plus
