@@ -168,7 +168,8 @@ type Chain struct {
 func NewChain(cfg Config, seed uint64) *Chain {
 	c, err := Open(Options{Config: cfg, Seed: seed})
 	if err != nil {
-		// Unreachable: the in-memory path has no failure modes.
+		// The in-memory path fails only on a Config with no validators
+		// (ErrNoValidators), which no preset has.
 		panic("eth: " + err.Error())
 	}
 	return c

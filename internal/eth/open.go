@@ -1,6 +1,7 @@
 package eth
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"slices"
@@ -9,6 +10,10 @@ import (
 	"agnopol/internal/mstate"
 	"agnopol/internal/u256"
 )
+
+// ErrNoValidators is Open's refusal of a Config with no validator to
+// propose a block.
+var ErrNoValidators = errors.New("eth: no validators")
 
 // Options configures Open. Config and Seed behave exactly as in
 // NewChain; Store/Root/Checkpoint select the restart-from-root path.
@@ -90,8 +95,12 @@ func (c *Chain) CommitState(store mstate.NodeStore) (mstate.Hash, error) {
 // floor — and one that fails it fails Open with that check's error. The
 // stateful half, nonce and balance, does not re-run: an entry admitted
 // against an earlier state may fail it now, and the resumed chain must
-// include what the uninterrupted one would.
+// include what the uninterrupted one would. A Config with no validators
+// is refused (ErrNoValidators): no block would have a proposer.
 func Open(o Options) (*Chain, error) {
+	if o.Config.ValidatorCount < 1 {
+		return nil, fmt.Errorf("%w: ValidatorCount is %d", ErrNoValidators, o.Config.ValidatorCount)
+	}
 	c := newChain(o.Config, o.Seed)
 	if err := c.load(o.Store, o.Root, o.Checkpoint); err != nil {
 		return nil, err

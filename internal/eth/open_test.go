@@ -195,6 +195,14 @@ func TestOpenRejectsMisuse(t *testing.T) {
 	if _, err := Open(Options{Config: cfg, Seed: 1, Store: store, Root: root, Checkpoint: &bad}); err == nil {
 		t.Fatal("state-root mismatch must be rejected")
 	}
+	// A Config with no validator has no proposer for the first block.
+	for _, n := range []int{0, -1} {
+		empty := cfg
+		empty.ValidatorCount = n
+		if _, err := Open(Options{Config: empty, Seed: 1}); !errors.Is(err, ErrNoValidators) {
+			t.Fatalf("ValidatorCount %d: Open returned %v, want ErrNoValidators", n, err)
+		}
+	}
 }
 
 func TestCheckpointRefusesFaultInjection(t *testing.T) {

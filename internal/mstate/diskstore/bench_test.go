@@ -18,9 +18,9 @@ const (
 	benchRounds = 25
 )
 
-// churn rewrites every value of the benchmark trie for the given round.
-func churn(tr *mstate.Trie, round int) {
-	for i := 0; i < benchKeys; i++ {
+// churn rewrites every value of a trie of keys leaves for the given round.
+func churn(tr *mstate.Trie, keys, round int) {
+	for i := 0; i < keys; i++ {
 		tr.Put(tk(fmt.Sprintf("bench-%d", i)), []byte(fmt.Sprintf("round-%d-value-%d", round, i)))
 	}
 }
@@ -32,7 +32,7 @@ func BenchmarkOpen(b *testing.B) {
 	s := openT(b, dir, Options{})
 	tr := mstate.New()
 	for round := 0; round < benchRounds; round++ {
-		churn(tr, round)
+		churn(tr, benchKeys, round)
 		commit(b, tr, s, nil)
 	}
 	records := s.Len()
@@ -56,13 +56,13 @@ func BenchmarkCommitRound(b *testing.B) {
 	s := openT(b, b.TempDir(), Options{})
 	defer s.Close()
 	tr := mstate.New()
-	churn(tr, 0)
+	churn(tr, benchKeys, 0)
 	commit(b, tr, s, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		churn(tr, i+1)
+		churn(tr, benchKeys, i+1)
 		tr.Root() // hashing is the trie's cost, paid before any store sees the nodes
 		b.StartTimer()
 		commit(b, tr, s, nil)
@@ -72,14 +72,14 @@ func BenchmarkCommitRound(b *testing.B) {
 // BenchmarkStoreResident reports what a store that has been running keeps
 // on the heap per record it wrote: the live heap with only the store
 // reachable minus the live heap without it, after the same 25 churn rounds,
-// over the records in the log. The fixed part is the 1 MiB append buffer
-// (≈ 5 B/record here); anything per record shows as tens of bytes. Nothing
-// is timed.
+// over the records in the log. The fixed part is the 64 KiB append buffer
+// (≈ 0.3 B/record here); anything per record shows as tens of bytes.
+// Nothing is timed.
 func BenchmarkStoreResident(b *testing.B) {
 	s := openT(b, b.TempDir(), Options{})
 	tr := mstate.New()
 	for round := 0; round < benchRounds; round++ {
-		churn(tr, round)
+		churn(tr, benchKeys, round)
 		commit(b, tr, s, nil)
 	}
 	records := s.Len()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -419,12 +420,13 @@ func TestDuplicateRecordsKeepTheFirstCopy(t *testing.T) {
 	// Same hash, told apart by payload: GetNode checks framing and CRC, the
 	// content address is Load's to verify.
 	h := mstate.Hash{0xD0}
-	other := mstate.Node{Hash: mstate.Hash{0x07}, Enc: []byte("between")}
-	if err := s.PutBatch([]mstate.Node{{Hash: h, Enc: []byte("first copy")}, other}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutBatch([]mstate.Node{{Hash: h, Enc: []byte("second copy")}}); err != nil {
-		t.Fatal(err)
+	for _, put := range []struct {
+		h   mstate.Hash
+		enc string
+	}{{h, "first copy"}, {mstate.Hash{0x07}, "between"}, {h, "second copy"}} {
+		if err := s.Put(put.h, []byte(put.enc)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check := func(s *Store, when string) {
 		t.Helper()
@@ -547,6 +549,46 @@ func TestStoreHeapFlatAcrossCommits(t *testing.T) {
 		t.Fatalf("heap grew %d bytes over %d appended records (%.1f B/record): the store holds state per record", grown, added, perRecord)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// A commit round allocates a constant number of objects, whatever the size
+// of the trie: Trie.Commit encodes every node into one buffer and Put frames
+// it in the store's own, so what is left is the new commit base and the
+// manifest. BenchmarkCommitRound's fully rewritten trie (≈ 8 k nodes) and
+// one a tenth its size both stay under the bound; one allocation per node
+// would be thousands. The least of three rounds is taken, so an allocation
+// the runtime makes on the side does not count.
+func TestCommitRoundAllocsConstant(t *testing.T) {
+	mallocs := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs
+	}
+	for _, keys := range []int{benchKeys / 10, benchKeys} {
+		s := openT(t, t.TempDir(), Options{})
+		tr := mstate.New()
+		churn(tr, keys, 0)
+		commit(t, tr, s, nil)
+		least := uint64(math.MaxUint64)
+		for round := 1; round <= 3; round++ {
+			churn(tr, keys, round)
+			tr.Root() // hashing is the trie's cost, paid before the commit
+			before := mallocs()
+			root, err := tr.Commit(s)
+			if err == nil {
+				err = s.Commit(root, nil)
+			}
+			least = min(least, mallocs()-before)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		if least > 64 {
+			t.Errorf("%d keys: a commit round allocates %d objects, want at most 64", keys, least)
+		}
+		t.Logf("%d keys: %d allocations a commit round", keys, least)
+	}
 }
 
 // The recovery scan reads through a fixed buffer: a log several times its
@@ -735,8 +777,8 @@ func TestClosedStoreIsTyped(t *testing.T) {
 	if _, err := s.GetNode(root); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GetNode after close: %v", err)
 	}
-	if err := s.PutBatch([]mstate.Node{{}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PutBatch after close: %v", err)
+	if err := s.Put(root, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after close: %v", err)
 	}
 	if err := s.Commit(root, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Commit after close: %v", err)

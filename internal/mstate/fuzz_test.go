@@ -10,23 +10,21 @@ import (
 
 var errInjected = errors.New("injected store fault")
 
-// faultyStore is a MemStore whose next failPuts PutBatch calls keep the
-// first half of their batch and fail: what a disk that filled up mid-append
-// leaves behind.
+// faultyStore is a MemStore whose failAt-th Put from the arming on fails
+// and stores nothing: a disk that filled up mid-append, which cuts a
+// commit's node stream after whatever nodes it had taken.
 type faultyStore struct {
 	*MemStore
-	failPuts int
+	failAt int // 0: disarmed
 }
 
-func (s *faultyStore) PutBatch(nodes []Node) error {
-	if s.failPuts > 0 {
-		s.failPuts--
-		if err := s.MemStore.PutBatch(nodes[:len(nodes)/2]); err != nil {
-			return err
+func (s *faultyStore) Put(h Hash, enc []byte) error {
+	if s.failAt > 0 {
+		if s.failAt--; s.failAt == 0 {
+			return errInjected
 		}
-		return errInjected
 	}
-	return s.MemStore.PutBatch(nodes)
+	return s.MemStore.Put(h, enc)
 }
 
 // reopened is what a fresh process would find: the same nodes behind a
@@ -93,11 +91,13 @@ func mustEqualModel(t *testing.T, label string, tr *Trie, model flatModel) {
 }
 
 // FuzzTrieCommit drives fuzzer-chosen sequences of writes, snapshots,
-// overlay open/mark/keep/revert/commit/drop, commits to either of two stores (with
-// injected PutBatch failures) and loads against a flat-map model. After
-// every successful Commit the committed root must load, from a reopened
-// view of that store alone, to exactly the model — which is what catches a
-// Commit that skipped a node the store never got.
+// overlay open/mark/keep/revert/commit/drop, commits to either of two stores
+// (with an injected failure at a fuzzer-chosen Put, which the commit that
+// meets it must report and the next commit must retry whole) and loads
+// against a flat-map model. After every successful Commit the committed
+// root must load, from a reopened view of that store alone, to exactly the
+// model — which is what catches a Commit that skipped a node the store
+// never got.
 //
 // A program is a sequence of 3-byte instructions: opcode, a, b.
 func FuzzTrieCommit(f *testing.F) {
@@ -120,9 +120,14 @@ func FuzzTrieCommit(f *testing.F) {
 	// last byte, 0x11 shares one nibble with both.
 	f.Add([]byte{opPut, 0x01, 1, opCommit, 0, 0, opPut, 0x05, 1, opPut, 0x11, 1, opCommit, 0, 0,
 		opDelete, 0x05, 0, opCommit, 0, 0, opDelete, 0x11, 0, opCommit, 0, 0})
-	// Failed PutBatch followed by a retry, then an incremental commit.
+	// A commit failed at its first Put and retried, then an incremental
+	// commit.
 	f.Add([]byte{opPut, 1, 1, opPut, 2, 1, opPut, 3, 1, opArmFault, 0, 0, opCommit, 0, 0, opCommit, 0, 0,
 		opPut, 4, 1, opCommit, 0, 0})
+	// An incremental commit cut after its third Put, partway up the branch
+	// chain that splitting 0x01 from 0x05 builds, then retried.
+	f.Add([]byte{opPut, 0x01, 1, opPut, 0x41, 1, opCommit, 0, 0, opPut, 0x05, 2, opPut, 0x11, 2,
+		opArmFault, 3, 0, opCommit, 0, 0, opPut, 0x41, 3, opCommit, 0, 0})
 	// A snapshot committed to the second store, then both diverge and
 	// commit crosswise; a load from the first commit rejoins.
 	f.Add([]byte{opPut, 1, 1, opPut, 0x41, 1, opCommit, 0, 0, opSnapshot, 0, 1, opSelect, 1, 0, opPut, 2, 2,
@@ -192,11 +197,13 @@ func FuzzTrieCommit(f *testing.F) {
 				}
 				s := stores[b%2]
 				root, err := h.trie.Commit(s)
+				if errors.Is(err, errInjected) {
+					// The stream was cut mid-commit; the retry must
+					// write whatever the cut left out.
+					root, err = h.trie.Commit(s)
+				}
 				if err != nil {
-					if !errors.Is(err, errInjected) {
-						t.Fatalf("Commit: %v", err)
-					}
-					continue
+					t.Fatalf("instruction %d: Commit: %v", pc/3, err)
 				}
 				if root != h.trie.Root() {
 					t.Fatalf("Commit returned %x, the trie's root is %x", root[:4], h.trie.Root())
@@ -251,7 +258,7 @@ func FuzzTrieCommit(f *testing.F) {
 					h.ov, h.ovMod = nil, nil
 				}
 			case opArmFault:
-				stores[b%2].failPuts = 1
+				stores[b%2].failAt = 1 + int(a)
 			case opSelect:
 				cur = int(a % 4)
 			}

@@ -18,17 +18,11 @@ var ErrNodeMissing = errors.New("mstate: node missing")
 // address.
 var ErrRootMismatch = errors.New("mstate: loaded trie does not hash to the requested root")
 
-// Node is one content-addressed trie node ready for persistence: Enc is
-// the self-contained encoding and Hash its sha256 content address.
-type Node struct {
-	Hash Hash
-	Enc  []byte
-}
-
 // NodeStore is the persistence seam: content-addressed node storage,
-// keyed by node hash. Writes are batched so disk backends can append a
-// whole commit in one buffered pass and make it durable once; every
-// method can fail, because real backends sit on files.
+// keyed by node hash. Trie.Commit streams each new node through Put and
+// flushes once, so disk backends append a whole commit through one buffer
+// and make it durable once; every method can fail, because real backends
+// sit on files.
 //
 // Equal hashes carry equal encodings, so a hash may be put more than
 // once — Trie.Commit decides what is new from the trie, not by asking
@@ -37,9 +31,9 @@ type Node struct {
 // by interface equality: implementations are pointers, or otherwise
 // comparable.
 type NodeStore interface {
-	// PutBatch stores every node in the batch. The store must not
-	// retain the Enc slices (it copies or writes them out).
-	PutBatch(nodes []Node) error
+	// Put stores enc under h. The store must not retain enc (it copies
+	// or writes it out): the caller reuses it for the next node.
+	Put(h Hash, enc []byte) error
 	// GetNode returns the encoding stored under h. The returned slice
 	// is owned by the caller. A miss satisfies
 	// errors.Is(err, ErrNodeMissing).
@@ -60,15 +54,10 @@ type MemStore struct {
 // NewMemStore returns an empty MemStore.
 func NewMemStore() *MemStore { return &MemStore{nodes: make(map[Hash][]byte)} }
 
-// PutBatch implements NodeStore. Encodings are copied.
-func (m *MemStore) PutBatch(nodes []Node) error {
-	for _, n := range nodes {
-		if _, ok := m.nodes[n.Hash]; ok {
-			continue
-		}
-		cp := make([]byte, len(n.Enc))
-		copy(cp, n.Enc)
-		m.nodes[n.Hash] = cp
+// Put implements NodeStore. The encoding is copied.
+func (m *MemStore) Put(h Hash, enc []byte) error {
+	if _, ok := m.nodes[h]; !ok {
+		m.nodes[h] = append(make([]byte, 0, len(enc)), enc...)
 	}
 	return nil
 }
@@ -92,11 +81,6 @@ func (m *MemStore) Close() error { return nil }
 // Len is the number of stored nodes.
 func (m *MemStore) Len() int { return len(m.nodes) }
 
-// commitBatchSize bounds how many nodes a single PutBatch carries, so a
-// first-ever commit of a huge trie does not hold every encoding in
-// memory at once on top of the trie itself.
-const commitBatchSize = 4096
-
 // stored names a root that has been written out and the store holding it.
 // A value is never modified once built, so handles may share it.
 type stored struct {
@@ -105,9 +89,9 @@ type stored struct {
 }
 
 // Commit writes into store every node of t that store does not hold yet,
-// in batches, and returns the root hash. What is new is read off the trie
-// itself: t is walked against the root this handle last committed to (or
-// was loaded from) the same store, and a subtree whose node is the very
+// one Put per node, and returns the root hash. What is new is read off the
+// trie itself: t is walked against the root this handle last committed to
+// (or was loaded from) the same store, and a subtree whose node is the very
 // node that sat there then is skipped whole; a store the handle has not
 // written to gets every node. Commit retires t's ownership token first,
 // so no later write can change a node in place behind a pointer the base
@@ -124,15 +108,10 @@ func (t *Trie) Commit(store NodeStore) (Hash, error) {
 	if t.base != nil && t.base.in == store {
 		old = t.base.root
 	}
-	var batch []Node // grows on demand; stays nil for a no-op re-commit
-	root, err := commitNode(t.root, old, store, &batch)
+	var enc []byte // every node's encoding, in turn; nil for a no-op re-commit
+	root, err := commitNode(t.root, old, store, &enc)
 	if err != nil {
 		return Hash{}, err
-	}
-	if len(batch) > 0 {
-		if err := store.PutBatch(batch); err != nil {
-			return Hash{}, err
-		}
 	}
 	if err := store.Flush(); err != nil {
 		return Hash{}, err
@@ -143,28 +122,26 @@ func (t *Trie) Commit(store NodeStore) (Hash, error) {
 	return root, nil
 }
 
-// commitNode appends the nodes under n that old does not share. old is the
-// node at n's position in the trie last written to the same store, nil
-// when nothing was there. Where a leaf has since been split into a branch
-// chain, that leaf stays the counterpart of everything below, so it is
-// recognised at whatever depth the split left it.
-func commitNode(n, old node, store NodeStore, batch *[]Node) (Hash, error) {
+// commitNode puts the nodes under n that old does not share, children
+// before their parent, so any durable prefix of the stream is closed under
+// reachability once its subtrees complete. old is the node at n's position
+// in the trie last written to the same store, nil when nothing was there.
+// Where a leaf has since been split into a branch chain, that leaf stays
+// the counterpart of everything below, so it is recognised at whatever
+// depth the split left it. Each node is encoded into *enc, which the store
+// does not keep.
+func commitNode(n, old node, store NodeStore, enc *[]byte) (Hash, error) {
 	h := n.hash()
 	if n == old {
 		return h, nil // this very subtree is what was written then
 	}
-	var enc []byte
 	switch cur := n.(type) {
 	case *leaf:
-		enc = make([]byte, 0, 1+32+len(cur.val))
-		enc = append(enc, tagLeaf)
-		enc = append(enc, cur.key[:]...)
-		enc = append(enc, cur.val...)
+		*enc = append(append(append((*enc)[:0], tagLeaf), cur.key[:]...), cur.val...)
 	case *branch:
-		mask := cur.mask()
-		enc = make([]byte, 0, 3+32*bits.OnesCount16(mask))
-		enc = append(enc, tagBranch, byte(mask>>8), byte(mask))
 		ob, _ := old.(*branch)
+		var kids [16]Hash
+		k := 0
 		for i, c := range cur.children {
 			if c == nil {
 				continue
@@ -173,29 +150,19 @@ func commitNode(n, old node, store NodeStore, batch *[]Node) (Hash, error) {
 			if ob != nil {
 				oc = ob.children[i]
 			}
-			ch, err := commitNode(c, oc, store, batch)
-			if err != nil {
+			var err error
+			if kids[k], err = commitNode(c, oc, store, enc); err != nil {
 				return Hash{}, err
 			}
-			enc = append(enc, ch[:]...)
+			k++
+		}
+		mask := cur.mask()
+		*enc = append((*enc)[:0], tagBranch, byte(mask>>8), byte(mask))
+		for _, ch := range kids[:k] {
+			*enc = append(*enc, ch[:]...)
 		}
 	}
-	return h, appendNode(store, batch, Node{Hash: h, Enc: enc})
-}
-
-// appendNode adds n to the pending batch, draining it through PutBatch
-// whenever it fills. Children are appended before their parents, so any
-// durable prefix of the node stream is closed under reachability once
-// its subtrees complete.
-func appendNode(store NodeStore, batch *[]Node, n Node) error {
-	*batch = append(*batch, n)
-	if len(*batch) >= commitBatchSize {
-		if err := store.PutBatch(*batch); err != nil {
-			return err
-		}
-		*batch = (*batch)[:0]
-	}
-	return nil
+	return h, store.Put(h, *enc)
 }
 
 // Load reconstructs the trie rooted at root from store and verifies that

@@ -126,18 +126,17 @@ func TestMemStoreHotPathNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the store lost the root: %v", err)
 	}
-	batch := []Node{{Hash: root, Enc: enc}}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := store.PutBatch(batch); err != nil {
+		if err := store.Put(root, enc); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("idempotent PutBatch allocates %.1f objects per call", allocs)
+		t.Fatalf("idempotent Put allocates %.1f objects per call", allocs)
 	}
 }
 
 // BenchmarkTrieCommitMemStore measures the full commit path (encode +
-// batch + store) and the no-op re-commit, which stops at the root: it is
+// store) and the no-op re-commit, which stops at the root: it is
 // the node this handle committed last.
 func BenchmarkTrieCommitMemStore(b *testing.B) {
 	tr := New()
