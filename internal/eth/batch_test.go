@@ -161,12 +161,14 @@ func retainedBytesPerTx(tb testing.TB) float64 {
 // entry. Before the row log it was ≈ 590 B in six or seven heap objects,
 // 210 B while every block body kept a 32-byte slot per transaction, 177 B
 // while the log stored a check-in's return word with its 30 leading zero
-// bytes and its index doubled at half load, and 132 B while each row was a
-// fixed 64-byte struct and each index slot eight bytes.
+// bytes and its index doubled at half load, 132 B while each row was a
+// fixed 64-byte struct and each index slot eight bytes, and 110 B while
+// the explorer columns held sender and target as raw 20-byte addresses.
 func TestRetainedBytesPerIncludedTx(t *testing.T) {
-	// Measured 110 B (record 97, its offset 4, index 8, chunk slop 1); the
-	// budget is that plus 10 %.
-	const budget = 121
+	// Measured 72 B (record 60, of it 9 explorer columns with a two-byte
+	// user id and a one-byte area id; its offset 4, index 8); the budget
+	// is that plus 10 %.
+	const budget = 79
 	if got := retainedBytesPerTx(t); got > budget {
 		t.Fatalf("a retained transaction costs %.0f B, budget %d B", got, budget)
 	} else {
@@ -241,7 +243,9 @@ func fillGoroutineFreeLists() {
 
 // TestRetentionHeapFlat: once the retention window is full, sealing more
 // blocks does not grow the heap — records, index entries and spans of
-// pruned blocks really go away.
+// pruned blocks really go away. The explorer's address table, which is
+// not pruned, holds each sender and target once: it grows with the
+// accounts, not with the blocks.
 func TestRetentionHeapFlat(t *testing.T) {
 	fillGoroutineFreeLists()
 	w := newBatchWorld(t, 250, 16)
@@ -256,6 +260,9 @@ func TestRetentionHeapFlat(t *testing.T) {
 	}
 	grown := int64(w.lowHeap(t, 8)) - int64(before)
 	runtime.KeepAlive(w)
+	if got, want := len(w.c.addrs.addrs), len(w.users)+len(w.areas); got != want {
+		t.Fatalf("the address table holds %d addresses after 236 blocks, want the %d senders and targets", got, want)
+	}
 	if perTx := float64(grown) / float64(w.retained()); perTx > 8 {
 		t.Fatalf("200 further blocks grew the heap by %d B (%.1f B per retained transaction)", grown, perTx)
 	} else {

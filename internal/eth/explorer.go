@@ -1,6 +1,7 @@
 package eth
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/big"
@@ -15,7 +16,9 @@ import (
 // allows everybody to look up the history of a specific wallet or contract
 // address". The chain keeps a row per executed transaction; HistoryOf
 // builds the per-address table from the retained rows and FormatHistory
-// renders it in the figure's newest-first layout.
+// renders it in the figure's newest-first layout. A row names its sender
+// and target by their ids in the chain's address table, so the 20-byte
+// addresses are kept once per address, not once per row.
 
 // TxRecord is one row of an address's history.
 type TxRecord struct {
@@ -31,16 +34,27 @@ type TxRecord struct {
 	Reverted bool
 }
 
-// What the explorer needs of a transaction beyond its receipt travels with
-// the receipt's row as side bytes: sender, target, kind, selector and the
-// value's magnitude when it is not zero.
-const (
-	colFrom     = 0
-	colTo       = 20
-	colKind     = 40
-	colSelector = 41
-	colValue    = 45
-)
+// addrTable names every address a row has mentioned by a dense id, handed
+// out in order of first inclusion. It only grows: an id stays valid for as
+// long as any row may carry it.
+type addrTable struct {
+	addrs []chain.Address
+	ids   map[chain.Address]uint32
+}
+
+// id returns the id of a, giving it the next one if it has none.
+func (t *addrTable) id(a chain.Address) uint32 {
+	id, ok := t.ids[a]
+	if !ok {
+		if t.ids == nil {
+			t.ids = make(map[chain.Address]uint32)
+		}
+		id = uint32(len(t.addrs))
+		t.addrs = append(t.addrs, a)
+		t.ids[a] = id
+	}
+	return id
+}
 
 // Kinds of explorer row.
 const (
@@ -49,30 +63,55 @@ const (
 	kindTransfer
 )
 
-// explorerColumnsLen is the most the columns take: a value of 32 bytes.
-const explorerColumnsLen = colValue + 32
+// What the explorer needs of a transaction beyond its receipt travels with
+// the receipt's row as side bytes: the sender's and the target's ids as
+// varints, then the kind, the selector and the value's magnitude when it
+// is not zero. explorerColumnsLen is the most they take: two five-byte
+// ids and a value of 32 bytes.
+const explorerColumnsLen = 2*binary.MaxVarintLen32 + 1 + 4 + 32
 
-// appendExplorerColumns appends the explorer columns of tx, executed
-// against target with value, to dst.
-func appendExplorerColumns(dst []byte, tx *Tx, target chain.Address, value u256.Word) []byte {
+// appendExplorerColumns appends the explorer columns of a transaction of
+// the given kind and selector from the address with id from to the one
+// with id to, carrying value, to dst.
+func appendExplorerColumns(dst []byte, from, to uint32, kind byte, selector [4]byte, value u256.Word) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(from)), uint64(to))
+	dst = append(append(dst, kind), selector[:]...)
+	return value.AppendBytes(dst)
+}
+
+// explorerIDs splits a row's columns into the sender's and the target's
+// ids and the rest: kind, selector and value.
+func explorerIDs(cols []byte) (from, to uint64, rest []byte) {
+	from, n := binary.Uvarint(cols)
+	to, m := binary.Uvarint(cols[n:])
+	return from, to, cols[n+m:]
+}
+
+// explorerColumns returns the explorer columns of tx, executed against
+// target with value, naming both addresses in the chain's table.
+func (c *Chain) explorerColumns(dst []byte, tx *Tx, target chain.Address, value u256.Word) []byte {
 	kind, selector := byte(kindTransfer), [4]byte{}
 	if tx.To == nil {
 		kind = kindCreate
 	} else if len(tx.Data) >= 4 {
 		kind, selector = kindCall, [4]byte(tx.Data)
 	}
-	dst = append(append(dst, tx.From[:]...), target[:]...)
-	dst = append(append(dst, kind), selector[:]...)
-	return value.AppendBytes(dst)
+	return appendExplorerColumns(dst, c.addrs.id(tx.From), c.addrs.id(target), kind, selector, value)
 }
 
 // HistoryOf returns every retained transaction touching an address, oldest
-// first, built on request from the chain's rows.
+// first, built on request from the chain's rows. An address no row ever
+// named has no id and no history; otherwise rows are matched by id, and
+// only a matching row's addresses are looked up.
 func (c *Chain) HistoryOf(addr chain.Address) []TxRecord {
+	id, ok := c.addrs.ids[addr]
+	if !ok {
+		return nil
+	}
 	var out []TxRecord
 	c.rcpts.Each(func(cols []byte, receipt func() *chain.Receipt) {
-		from, to := chain.Address(cols[colFrom:colTo]), chain.Address(cols[colTo:colKind])
-		if from != addr && to != addr {
+		from, to, rest := explorerIDs(cols)
+		if from != uint64(id) && to != uint64(id) {
 			return
 		}
 		rcpt := receipt()
@@ -81,18 +120,18 @@ func (c *Chain) HistoryOf(addr chain.Address) []TxRecord {
 			Method:   "Transfer",
 			Block:    rcpt.BlockNumber,
 			Time:     rcpt.Included,
-			From:     from,
-			To:       to,
-			Contract: cols[colKind] == kindCreate,
-			Value:    new(big.Int).SetBytes(cols[colValue:]),
+			From:     c.addrs.addrs[from],
+			To:       c.addrs.addrs[to],
+			Contract: rest[0] == kindCreate,
+			Value:    new(big.Int).SetBytes(rest[5:]),
 			Fee:      rcpt.Fee,
 			Reverted: rcpt.Reverted,
 		}
-		switch cols[colKind] {
+		switch rest[0] {
 		case kindCreate:
 			rec.Method = "Contract Creation"
 		case kindCall:
-			rec.Method = "0x" + hex.EncodeToString(cols[colSelector:colValue])
+			rec.Method = "0x" + hex.EncodeToString(rest[1:5])
 		}
 		out = append(out, rec)
 	})

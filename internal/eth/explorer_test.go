@@ -1,6 +1,10 @@
 package eth
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/big"
 	"reflect"
 	"strings"
@@ -8,6 +12,7 @@ import (
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
+	"agnopol/internal/u256"
 )
 
 func TestExplorerHistory(t *testing.T) {
@@ -197,4 +202,209 @@ func TestExplorerRowsOfFailedDeployments(t *testing.T) {
 		!got[0].Reverted || got[0].From != bob.Address || got[0].Hash != hashes[1] {
 		t.Fatalf("reverted deployment's history %+v, want its one creation row", got)
 	}
+}
+
+// TestExplorerIDWidths: an id takes one byte up to 127, two up to 16 383
+// and three from 16 384, and every width reads back with the columns
+// behind it intact, as sender and as target.
+func TestExplorerIDWidths(t *testing.T) {
+	value := u256.FromUint64(0x0102)
+	for _, tc := range []struct {
+		from, to uint32
+		idBytes  int // both ids' varints
+	}{
+		{0, 127, 2}, {127, 128, 3}, {128, 127, 3}, {16_383, 16_384, 5}, {16_384, 16_383, 5}, {math.MaxUint32, 0, 6},
+	} {
+		cols := appendExplorerColumns(nil, tc.from, tc.to, kindCall, [4]byte{0xde, 0xad, 0xbe, 0xef}, value)
+		if want := tc.idBytes + 1 + 4 + 2; len(cols) != want {
+			t.Fatalf("ids %d, %d take %d bytes of columns, want %d", tc.from, tc.to, len(cols), want)
+		}
+		from, to, rest := explorerIDs(cols)
+		if from != uint64(tc.from) || to != uint64(tc.to) || string(rest) != "\x00\xde\xad\xbe\xef\x01\x02" {
+			t.Fatalf("ids %d, %d read back as %d, %d with rest %x", tc.from, tc.to, from, to, rest)
+		}
+	}
+}
+
+// TestHistoryMatchesModel drives a seeded mix of transactions from 160
+// senders under a retention window: transfers (some of no value to
+// addresses nothing else names), calls that succeed and calls that
+// revert, creations that succeed, creations whose constructor reverts and
+// deployments that die on the code deposit. After every block, the
+// history of every address the mix touched must equal a model built from
+// the submitted transactions and the receipts the chain retains, and an
+// address nothing touched has none. More than 128 addresses get ids, so
+// retained rows carry one- and two-byte ids.
+func TestHistoryMatchesModel(t *testing.T) {
+	const senders, blocks, perBlock, retention = 160, 24, 24, 6
+	c := newTestChain(t)
+	c.SetRetention(retention)
+	cl := NewClient(c)
+	rng := chain.NewRand(29)
+	users := make([]*Account, senders)
+	for i := range users {
+		users[i] = c.NewAccount(eth(1))
+	}
+	okAt := chain.AddressFromBytes([]byte("model-ok"))
+	revertAt := chain.AddressFromBytes([]byte("model-revert"))
+	okCode := checkinCode(t)
+	a := evm.NewAssembler()
+	a.PushUint(0).PushUint(0).Op(evm.REVERT)
+	revertCode, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.st.SetCode(okAt, okCode)
+	c.st.SetCode(revertAt, revertCode)
+
+	submitted := map[chain.Hash32]*Tx{}
+	starved := map[chain.Hash32]bool{}
+	touched := map[chain.Address]bool{}
+	shapes := map[string]bool{} // what kinds of row the model has held
+	var sealed []*Block
+	for b := 0; b < blocks+8; b++ {
+		for i := 0; b < blocks && i < perBlock; i++ {
+			from := users[rng.Uint64n(senders)]
+			var to *chain.Address
+			var data []byte
+			var gas uint64 = 200_000
+			value := big.NewInt(int64(rng.Uint64n(3)) * 1_000)
+			switch rng.Uint64n(7) {
+			case 0: // a transfer to another user
+				to = &users[rng.Uint64n(senders)].Address
+			case 1: // a transfer, often of nothing, to an address nothing else names
+				fresh := chain.AddressFromBytes([]byte{'f', byte(b), byte(i)})
+				to = &fresh
+			case 2: // a call that succeeds
+				to, data = &okAt, []byte{1, 2, 3, 4, byte(i)}
+			case 3: // a call that reverts
+				to, data = &revertAt, []byte{9, 8, 7, byte(b)}
+			case 4: // a call with no full selector
+				to, data = &okAt, []byte{1}
+			case 5: // a creation, whose constructor reverts about half the time
+				code := okCode
+				if rng.Uint64n(2) == 0 {
+					code = revertCode
+				}
+				data = PackDeployData(code, nil)
+			case 6: // a deployment that cannot pay its code deposit
+				data = PackDeployData(make([]byte, 1000), nil)
+				gas = evm.IntrinsicGas(data, true) + 1000
+			}
+			tx := cl.NewTx(from, to, value, data, gas)
+			h, err := c.Submit(tx)
+			if err != nil {
+				t.Fatalf("block %d tx %d: %v", b, i, err)
+			}
+			submitted[h] = tx
+			if gas < 200_000 {
+				starved[h] = true
+				continue
+			}
+			touched[tx.From] = true
+			touched[explorerTarget(tx)] = true
+		}
+		sealed = append(sealed, c.Step())
+
+		model := map[chain.Address][]TxRecord{}
+		for _, blk := range sealed {
+			for _, h := range blk.TxHashes {
+				rcpt, ok := c.Receipt(h)
+				if !ok {
+					shapes["pruned"] = true
+					continue
+				}
+				if starved[h] {
+					if rcpt.RevertMsg != "out of gas: code deposit" {
+						t.Fatalf("starved deployment %s: %+v", h, rcpt)
+					}
+					continue
+				}
+				row := modelRow(submitted[h], rcpt)
+				shapes[fmt.Sprintf("%.8s reverted=%v", row.Method, row.Reverted)] = true
+				model[row.From] = append(model[row.From], row)
+				if row.To != row.From {
+					model[row.To] = append(model[row.To], row)
+				}
+			}
+		}
+		for addr := range touched {
+			if got := c.HistoryOf(addr); !sameHistory(got, model[addr]) {
+				t.Fatalf("after block %d, %s has history\n%+v\nwant\n%+v", len(sealed), addr, got, model[addr])
+			}
+		}
+		if got := c.HistoryOf(chain.AddressFromBytes([]byte("untouched"))); got != nil {
+			t.Fatalf("an address nothing touched has history %+v", got)
+		}
+		if b == blocks-1 {
+			// Ids up to 127 take one byte, from 128 on two: the retained
+			// rows carry senders of both widths.
+			widths := map[int]bool{}
+			c.rcpts.Each(func(cols []byte, _ func() *chain.Receipt) {
+				_, n := binary.Uvarint(cols)
+				widths[n] = true
+			})
+			if !widths[1] || !widths[2] {
+				t.Fatalf("retained rows carry sender ids of widths %v, want 1 and 2", widths)
+			}
+		}
+	}
+	if c.PendingCount() != 0 {
+		t.Fatalf("%d transactions never included", c.PendingCount())
+	}
+	if len(c.addrs.addrs) != len(touched) {
+		t.Fatalf("address table holds %d addresses, the mix touched %d", len(c.addrs.addrs), len(touched))
+	}
+	for _, shape := range []string{"pruned", "Transfer reverted=false", "0x010203 reverted=false",
+		"0x090807 reverted=true", "Contract reverted=false", "Contract reverted=true"} {
+		if !shapes[shape] {
+			t.Errorf("the mix never produced a row of shape %q: %v", shape, shapes)
+		}
+	}
+}
+
+// explorerTarget is the address a transaction's row names as its target.
+func explorerTarget(tx *Tx) chain.Address {
+	if tx.To == nil {
+		return chain.ContractAddress(tx.From, tx.Nonce)
+	}
+	return *tx.To
+}
+
+// modelRow is the explorer row of a submitted transaction and its receipt.
+func modelRow(tx *Tx, rcpt *chain.Receipt) TxRecord {
+	row := TxRecord{
+		Hash:     rcpt.TxHash,
+		Method:   "Transfer",
+		Block:    rcpt.BlockNumber,
+		Time:     rcpt.Included,
+		From:     tx.From,
+		To:       explorerTarget(tx),
+		Contract: tx.To == nil,
+		Value:    tx.Value,
+		Fee:      rcpt.Fee,
+		Reverted: rcpt.Reverted,
+	}
+	if tx.To == nil {
+		row.Method = "Contract Creation"
+	} else if len(tx.Data) >= 4 {
+		row.Method = "0x" + hex.EncodeToString(tx.Data[:4])
+	}
+	return row
+}
+
+// sameHistory compares two histories field by field, amounts by value.
+func sameHistory(got, want []TxRecord) bool {
+	if len(got) != len(want) || (got == nil) != (want == nil) {
+		return false
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Hash != w.Hash || g.Method != w.Method || g.Block != w.Block || g.Time != w.Time ||
+			g.From != w.From || g.To != w.To || g.Contract != w.Contract || g.Reverted != w.Reverted ||
+			g.Value.Cmp(w.Value) != 0 || g.Fee.Base.Cmp(w.Fee.Base) != 0 || g.Fee.Unit != w.Fee.Unit {
+			return false
+		}
+	}
+	return true
 }

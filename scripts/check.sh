@@ -37,6 +37,11 @@ go vet ./...
 echo "== tests (race, shuffled) =="
 go test -race -shuffle=on ./...
 
+echo "== mutants =="
+# The mutant catalogue: every bug in scripts/mutants.txt, planted in a
+# throwaway copy of the tree, must fail the regression test its row names.
+bash scripts/mutants.sh
+
 echo "== benchmark module tests =="
 # bench/ is a nested module (replace agnopol => ../) that ./... skips. Its
 # tests drive every workload at 1 % scale through the same public functions
