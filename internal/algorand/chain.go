@@ -578,8 +578,9 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 // fees charged — zero when the fee debit failed — and a rejection.
 func (c *Chain) include(rcpt *chain.Receipt, charged uint64) {
 	// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
-	// magnitude is an unambiguous encoding.
-	c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil)
+	// magnitude is an unambiguous encoding. A call's return line is kept
+	// as its return value alone.
+	c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil, avm.ReturnPrefix)
 	if c.obs == nil {
 		return
 	}

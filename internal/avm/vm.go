@@ -18,6 +18,10 @@ const DefaultBudget = 700
 // (surfaced by `global MinBalance`).
 const MinBalanceValue = 100_000
 
+// ReturnPrefix starts the log line through which a method returns its
+// value: the contract-language ABI's convention, which Result.Return reads.
+const ReturnPrefix = "return:"
+
 // TxContext is the transaction an application call executes under.
 type TxContext struct {
 	Sender chain.Address
@@ -44,8 +48,8 @@ type Result struct {
 	Approved bool
 	Cost     uint64
 	Logs     []string
-	// Return carries the bytes of the last `log` prefixed with "return:",
-	// the convention the contract-language ABI uses for API return values.
+	// Return carries the bytes of the last `log` prefixed with
+	// ReturnPrefix.
 	Return []byte
 	Err    error
 }
@@ -402,9 +406,8 @@ func (m *machine) run() (approved bool, err error) {
 		case opLog:
 			b := m.popBytes()
 			m.logs = append(m.logs, string(b))
-			const retPrefix = "return:"
-			if len(b) >= len(retPrefix) && string(b[:len(retPrefix)]) == retPrefix {
-				m.ret = append([]byte(nil), b[len(retPrefix):]...)
+			if len(b) >= len(ReturnPrefix) && string(b[:len(ReturnPrefix)]) == ReturnPrefix {
+				m.ret = append([]byte(nil), b[len(ReturnPrefix):]...)
 			}
 
 		case opAppGlobalGet:

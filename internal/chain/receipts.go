@@ -42,16 +42,21 @@ func (h *Hasher) Sum() Hash32 { return Hash32(polcrypto.Hash(h.buf)) }
 //
 // An included item is kept once, as one pointer-free byte record in an
 // append-only log cut into chunks: its hash, a flag byte, varints for gas,
-// the submit time against its block's inclusion time and a fee that fits a
-// word, then the rare variable fields (the family's side bytes, a fee
-// beyond one word, revert message, return value, logs), each only when
-// present. A return value is stored without its leading zero bytes, which
-// a count in front of it restores: an ABI word holding a small count costs
-// four bytes, not 33. A record's sequence number is the count of receipts
-// folded before it. What is the same for every record of a block — its
-// number and inclusion time — is stored once per block that has records
-// (span), the currency unit once per chain. Get and Each build a fresh
-// Receipt from a record, so a caller owns what it is handed.
+// the submit delay and a fee that fits a word, then the rare variable
+// fields (the family's side bytes, a fee beyond one word, revert message,
+// return value, logs), each only when present. A return value is stored
+// without its leading zero bytes, which a count in front of it restores:
+// an ABI word holding a small count costs four bytes, not 33. A last log
+// line that is the family's return-log prefix followed by the return value
+// is not stored but rebuilt from them, so an Algorand call does not keep
+// its return value twice. A record's sequence number is the count of
+// receipts folded before it. What is the same for every record of a block
+// — its number and inclusion time — is stored once per block that has
+// records (span), the currency unit and return-log prefix once per chain.
+// A block's first record keeps its delay Submitted − Included, the others
+// only their difference from it: items submitted together cost one byte
+// for it, not five. Get and Each build a fresh Receipt from a record, so a
+// caller owns what it is handed.
 type Receipts struct {
 	// Retention caps how many recent blocks keep their receipts; <= 0
 	// retains everything.
@@ -62,9 +67,11 @@ type Receipts struct {
 	pre   Hasher // Include's preimage buffer, then the record's
 
 	unit   Unit
+	ret    string // the return-log prefix
 	chunks []chunk
 	first  uint64 // oldest retained record; the ones before it are pruned
 	spans  []span
+	lead   time.Duration // the delay of the newest span's first record
 
 	// The lookup index, item hash → its newest record: an open-addressing
 	// table of slots (slotOf; zero is an empty slot), probed linearly from
@@ -132,7 +139,7 @@ func field(tail []byte) (f, rest []byte) {
 type record struct {
 	flags    byte
 	gas, fee uint64        // fee unless rowFeeBytes
-	late     time.Duration // Submitted − Included
+	late     time.Duration // Submitted − Included, less its span's lead unless first
 	tail     []byte
 }
 
@@ -151,8 +158,9 @@ func decode(b []byte) (rec record) {
 // Include folds a receipt into the rolling hash and keeps it as a record,
 // found again under its TxHash. fee is the family's encoding of the fee
 // magnitude for the fold; side is whatever else the family wants back per
-// item (Each), empty for nothing. The receipt is only read.
-func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
+// item (Each), empty for nothing; ret is the family's return-log prefix,
+// the same on every call. The receipt is only read.
+func (r *Receipts) Include(rc *Receipt, fee, side []byte, ret string) {
 	p := &r.pre
 	p.buf = p.buf[:0]
 	p.Bytes(r.acc[:])
@@ -176,11 +184,18 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 	if rc.Reverted {
 		flags = rowReverted
 	}
+	late := rc.Submitted - rc.Included
+	if n := len(r.spans); n == 0 || r.spans[n-1].number != rc.BlockNumber || r.spans[n-1].included != rc.Included {
+		r.spans = append(r.spans, span{first: r.count, number: rc.BlockNumber, included: rc.Included})
+		r.lead = late
+	} else {
+		late -= r.lead
+	}
 	b := append(p.buf[:0], rc.TxHash[:]...)
 	b = append(b, 0) // the flags, known at the end
 	b = binary.AppendUvarint(b, rc.GasUsed)
-	// Wrapping is harmless: view adds the difference back modulo 2^64 too.
-	b = binary.AppendVarint(b, int64(rc.Submitted-rc.Included))
+	// Wrapping is harmless: view adds the differences back modulo 2^64 too.
+	b = binary.AppendVarint(b, int64(late))
 	if f := rc.Fee.Base; f.IsUint64() {
 		b = binary.AppendUvarint(b, f.Uint64())
 	} else {
@@ -209,10 +224,16 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 		}
 		b = appendField(b, v)
 	}
-	if len(rc.Logs) > 0 {
+	if logs := rc.Logs; len(logs) > 0 {
 		flags |= rowLogs
-		b = binary.AppendUvarint(b, uint64(len(rc.Logs)))
-		for _, l := range rc.Logs {
+		// The count's low bit says the last line is ret and the return
+		// value, left for view to rebuild.
+		n := 2 * uint64(len(logs))
+		if l, v := logs[len(logs)-1], rc.ReturnValue; len(l) == len(ret)+len(v) && l[:len(ret)] == ret && l[len(ret):] == string(v) {
+			logs, n = logs[:len(logs)-1], n-1
+		}
+		b = binary.AppendUvarint(b, n)
+		for _, l := range logs {
 			b = appendField(b, l)
 		}
 	}
@@ -234,10 +255,7 @@ func (r *Receipts) Include(rc *Receipt, fee, side []byte) {
 			arena: make([]byte, 0, max(chunkBytes, len(b))),
 		})
 	}
-	if n := len(r.spans); n == 0 || r.spans[n-1].number != rc.BlockNumber || r.spans[n-1].included != rc.Included {
-		r.spans = append(r.spans, span{first: r.count, number: rc.BlockNumber, included: rc.Included})
-	}
-	r.unit = rc.Fee.Unit
+	r.unit, r.ret = rc.Fee.Unit, ret
 	ck := &r.chunks[len(r.chunks)-1]
 	ck.arena = append(ck.arena, b...)
 	ck.recs = append(ck.recs, uint32(len(ck.arena)))
@@ -330,6 +348,9 @@ func (r *Receipts) view(seq uint64) *Receipt {
 	b := r.at(seq)
 	rec := decode(b)
 	sp := r.spans[sort.Search(len(r.spans), func(i int) bool { return r.spans[i].first > seq })-1]
+	if seq != sp.first {
+		rec.late += decode(r.at(sp.first)).late
+	}
 	rc := &Receipt{
 		TxHash:      Hash32(b[:len(Hash32{})]),
 		BlockNumber: sp.number,
@@ -366,10 +387,13 @@ func (r *Receipts) view(seq uint64) *Receipt {
 	if rec.flags&rowLogs != 0 {
 		var n uint64
 		n, tail = uvarint(tail)
-		rc.Logs = make([]string, n)
-		for i := range rc.Logs {
+		rc.Logs = make([]string, n/2+n%2)
+		for i := range rc.Logs[:n/2] {
 			f, tail = field(tail)
 			rc.Logs[i] = string(f)
+		}
+		if n%2 != 0 {
+			rc.Logs[n/2] = r.ret + string(rc.ReturnValue)
 		}
 	}
 	return rc

@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/big"
 	"reflect"
 	"slices"
@@ -72,7 +73,7 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 				if i%2 == 0 {
 					side = []byte(fmt.Sprint("side", i))
 				}
-				r.Include(&rc, rc.Fee.Base.Bytes(), side)
+				r.Include(&rc, rc.Fee.Base.Bytes(), side, "")
 				if len(rc.ReturnValue) == 0 {
 					rc.ReturnValue = nil
 				}
@@ -151,7 +152,7 @@ func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock 
 				Fee:         NewAmount(big.NewInt(int64(i)), UnitALGO),
 				ReturnValue: []byte{byte(i)},
 			}
-			r.Include(&rc, nil, nil)
+			r.Include(&rc, nil, nil, "")
 			b.hashes = append(b.hashes, rc.TxHash)
 		}
 		r.Prune(b.number)
@@ -298,7 +299,7 @@ func TestReceiptsSameHashTwice(t *testing.T) {
 	h := Hash32{7}
 	for n := uint64(1); n <= 2; n++ {
 		rc := Receipt{TxHash: h, BlockNumber: n, GasUsed: n, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
-		r.Include(&rc, nil, nil)
+		r.Include(&rc, nil, nil, "")
 		if got, ok := r.Get(h); !ok || got.BlockNumber != n {
 			t.Fatalf("after block %d Get says %v %+v", n, ok, got)
 		}
@@ -325,8 +326,8 @@ func TestReceiptsSetPositionForgetsRows(t *testing.T) {
 	}
 	restored.Each(func([]byte, func() *Receipt) { t.Fatal("a restored log has no rows to visit") })
 	rc := Receipt{TxHash: Hash32{9}, BlockNumber: 9, Fee: NewAmount(big.NewInt(1), UnitETH)}
-	r.Include(&rc, nil, []byte{1})
-	restored.Include(&rc, nil, []byte{1})
+	r.Include(&rc, nil, []byte{1}, "")
+	restored.Include(&rc, nil, []byte{1}, "")
 	if a, b := r.acc, restored.acc; a != b || r.count != restored.count {
 		t.Fatal("restored log folds differently")
 	}
@@ -384,7 +385,7 @@ func TestReceiptsIndexAcrossUint32Wrap(t *testing.T) {
 				ReturnValue: []byte{0, byte(n), byte(i)},
 				Fee:         NewAmount(big.NewInt(int64(1000*i)), UnitALGO),
 			}
-			r.Include(&rc, nil, nil)
+			r.Include(&rc, nil, nil, "")
 			all = append(all, rc)
 		}
 		r.Prune(n)
@@ -414,7 +415,7 @@ func TestReceiptsRecordLongerThanChunk(t *testing.T) {
 		if i == 1000 {
 			rc.ReturnValue = bytes.Repeat([]byte{0xc0}, 3*chunkBytes)
 		}
-		r.Include(&rc, nil, nil)
+		r.Include(&rc, nil, nil, "")
 		want = append(want, rc)
 	}
 	for i := range want {
@@ -431,6 +432,105 @@ func TestReceiptsRecordLongerThanChunk(t *testing.T) {
 	}
 }
 
+// TestReceiptsRebuildReturnLine: a last log line that is the return-log
+// prefix followed by the return value is not stored — the record is that
+// line and its length byte shorter — and Get and Each give it back whole.
+// A line that is not last, or is a byte away from the return line, is
+// stored as it is.
+func TestReceiptsRebuildReturnLine(t *testing.T) {
+	const ret = "return:"
+	itob := "\x00\x00\x00\x00\x00\x00\x01\x02"
+	for _, c := range []struct {
+		name    string
+		value   string
+		logs    []string
+		dropped bool
+	}{
+		{"return line", itob, []string{"bump", ret + itob}, true},
+		{"empty value, prefix alone", "", []string{ret}, true},
+		{"value of leading zeros", "\x00\x00", []string{ret + "\x00\x00"}, true},
+		{"return line not last", itob, []string{ret + itob, "after"}, false},
+		{"prefix alone, a value", itob, []string{ret}, false},
+		{"a byte short", itob, []string{ret + itob[:7]}, false},
+		{"a byte long", itob, []string{ret + itob + "\x00"}, false},
+		{"prefix byte changed", itob, []string{"Return:" + itob}, false},
+		{"value byte changed", itob, []string{ret + itob[:7] + "\x03"}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rc := Receipt{TxHash: Hash32{1}, BlockNumber: 1, Logs: c.logs, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
+			if c.value != "" {
+				rc.ReturnValue = []byte(c.value)
+			}
+			var r, kept Receipts
+			r.Include(&rc, nil, []byte{1}, ret)
+			kept.Include(&rc, nil, []byte{1}, "no such prefix")
+			saved := 0
+			if c.dropped {
+				saved = 1 + len(c.logs[len(c.logs)-1])
+			}
+			if got := len(kept.at(0)) - len(r.at(0)); got != saved {
+				t.Fatalf("the record is %d B shorter than with every line stored, want %d", got, saved)
+			}
+			got, ok := r.Get(rc.TxHash)
+			if !ok {
+				t.Fatal("row not found")
+			}
+			if !slices.Equal(got.Logs, rc.Logs) {
+				t.Fatalf("Get returns logs %q, want %q", got.Logs, rc.Logs)
+			}
+			sameReceipt(t, got, &rc)
+			r.Each(func(_ []byte, receipt func() *Receipt) { sameReceipt(t, receipt(), &rc) })
+		})
+	}
+}
+
+// TestReceiptsBlockDelayKeptOnce: a block's first record keeps its submit
+// delay and the others only their difference from it, so items submitted
+// together store one byte for it, not five; and Get and Each give back
+// each item's own submit time whatever the delays of a block are, as
+// tx_delay stalls make them, even where the difference wraps.
+func TestReceiptsBlockDelayKeptOnce(t *testing.T) {
+	blocks := [][]time.Duration{
+		{12 * time.Second, 12 * time.Second, 12 * time.Second},
+		{3 * time.Second, 9 * time.Second, -time.Millisecond, 3 * time.Second},
+		{7 * time.Second},
+		{math.MaxInt64, math.MinInt64, 0},
+	}
+	var r Receipts
+	var want []Receipt
+	for n, delays := range blocks {
+		for i, d := range delays {
+			rc := Receipt{
+				TxHash:      Hash32{byte(n), byte(i), 3},
+				BlockNumber: uint64(n + 1),
+				Included:    time.Duration(n+1) * time.Second,
+				Fee:         NewAmount(big.NewInt(1000), UnitALGO),
+			}
+			rc.Submitted = rc.Included + d
+			r.Include(&rc, nil, []byte{1}, "")
+			want = append(want, rc)
+		}
+	}
+	if first, next := len(r.at(0)), len(r.at(1)); first-next != 4 {
+		t.Fatalf("a record submitted with its block's first takes %d B, the first %d B; want 4 B less", next, first)
+	}
+	for i := range want {
+		got, ok := r.Get(want[i].TxHash)
+		if !ok {
+			t.Fatalf("row %d not found", i)
+		}
+		sameReceipt(t, got, &want[i])
+	}
+	i := 0
+	r.Each(func(_ []byte, receipt func() *Receipt) {
+		sameReceipt(t, receipt(), &want[i])
+		i++
+	})
+	if i != len(want) {
+		t.Fatalf("Each visited %d of %d rows", i, len(want))
+	}
+}
+
 // FuzzReceiptLog drives a log through fuzzer-chosen Include, Prune and
 // SetPosition calls against a model: the retained rows in order and the
 // newest retained row of each hash. After every step Get must return the
@@ -438,17 +538,57 @@ func TestReceiptsRecordLongerThanChunk(t *testing.T) {
 // for one whose rows were all pruned; Each must visit exactly the retained
 // rows with side bytes, oldest first; and the rolling hash must be that of
 // a log that never prunes. Rows include a submit time after the inclusion
-// time (a negative delay), gas of 2^64 − 1, and fees of 2^64 − 1 and 2^64:
-// the widest one-word fee and the narrowest that is not one.
+// time (a negative delay), rows of one block submitted at different times,
+// gas of 2^64 − 1, and fees of 2^64 − 1 and 2^64: the widest one-word fee
+// and the narrowest that is not one. A log line may be the return line
+// (the log's return-log prefix and the row's return value), the prefix
+// alone, or a line one byte shorter or longer than the return line or one
+// byte off it, in any position.
 //
-// The first byte picks the retention (0 keeps everything); each step reads
-// an opcode and then as many bytes as it needs, zero once the input ends.
+// The first byte picks the retention (0 keeps everything) and the
+// return-log prefix: Algorand's for an even first byte / 5, none (eth's)
+// for an odd one. Each step reads an opcode and then as many bytes as it
+// needs, zero once the input ends.
 func FuzzReceiptLog(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 5, 1})
 	f.Add([]byte{1, 0, 3, 7, 1, 9, 32, 30, 1, 2, 2, 1, 'a', 3, 4, 5, 6, 0, 3, 7, 1, 9, 33, 1, 1, 1, 5, 1, 7})
 	f.Add([]byte{0, 0, 3, 7, 1, 9, 8, 7, 9, 0, 1, 0, 7, 0, 3, 8, 0, 0, 40, 40, 0, 0, 3, 0})
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 31, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1})
 	f.Add([]byte{2, 0, 1, 0xff, 56, 0, 0, 0x80, 0, 0, 1, 3, 0, 1, 2, 1, 0, 0, 0, 0xff, 0, 0, 0, 4, 1, 7, 5, 1, 2, 1, 0xff, 56, 1, 1, 0xf6, 2, 0, 7, 1, 1, 3, 0})
+	// An Include step's bytes, in the order read: op, hash, gas, gas
+	// shift, reverted, revert message, delay, width, then (if width > 0)
+	// zeros and the value's bytes after them, line count, each line's kind
+	// (and position, for kind 7), fee, fee kind, side count and side.
+	for _, seed := range [][]byte{
+		// The return line of an 8-byte value, twice in one block, the rows
+		// submitted 3 ms before and 56 ms after inclusion.
+		{1, 0, 1, 9, 0, 0, 0, 3, 8, 7, 42, 1, 4, 10, 0, 0,
+			0, 2, 9, 0, 0, 0, 200, 8, 6, 1, 2, 1, 4, 10, 0, 0},
+		// Last lines one byte away from the return line: one short, one
+		// long, one with a prefix byte and one with a value byte changed.
+		{1, 0, 1, 1, 0, 0, 0, 0, 3, 0, 9, 9, 9, 1, 5, 1, 0, 0,
+			0, 2, 1, 0, 0, 0, 0, 3, 0, 9, 9, 9, 1, 6, 1, 0, 0,
+			0, 3, 1, 0, 0, 0, 0, 3, 0, 9, 9, 9, 1, 7, 2, 1, 0, 0,
+			0, 4, 1, 0, 0, 0, 0, 3, 0, 9, 9, 9, 1, 7, 9, 1, 0, 0},
+		// An empty return value and a line that is the prefix alone, last
+		// and then not last; a value of leading zeros only, its return
+		// line not last and last.
+		{1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 3, 1, 0, 0,
+			0, 2, 1, 0, 0, 0, 0, 0, 2, 3, 1, 1, 0, 0,
+			0, 3, 1, 0, 0, 0, 0, 4, 4, 2, 4, 4, 1, 0, 0},
+		// No prefix (an eth-shaped log): a last line equal to the return
+		// value, or empty with an empty value, in a block of rows submitted
+		// 1 ms before, 128 ms after and 127 ms before inclusion; a prune,
+		// a row in the next block, and a prune that drops the first.
+		{6, 0, 1, 1, 0, 0, 0, 1, 2, 0, 0xab, 0xcd, 1, 4, 10, 0, 1, 7,
+			0, 2, 1, 0, 0, 0, 0x80, 0, 1, 4, 10, 0, 0,
+			0, 3, 1, 0, 0, 0, 0x7f, 1, 0, 5, 2, 4, 4, 10, 0, 0,
+			5, 0,
+			0, 4, 1, 0, 0, 0, 0xf0, 1, 0, 1, 1, 4, 10, 0, 0,
+			5, 0},
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		next := func() byte {
 			if len(in) == 0 {
@@ -462,7 +602,12 @@ func FuzzReceiptLog(f *testing.F) {
 			rc   Receipt
 			side []byte
 		}
-		r := Receipts{Retention: int(next() % 5)}
+		first := next()
+		r := Receipts{Retention: int(first % 5)}
+		ret := "return:"
+		if first/5%2 == 1 {
+			ret = ""
+		}
 		var shadow Receipts // never prunes
 		var rows []entry    // retained, oldest first
 		newest := map[Hash32]entry{}
@@ -493,8 +638,26 @@ func FuzzReceiptLog(f *testing.F) {
 						rc.ReturnValue[i] = next()
 					}
 				}
-				for n := next() % 3; n > 0; n-- {
-					rc.Logs = append(rc.Logs, strings.Repeat("l", int(next()%4)))
+				for n := next() % 4; n > 0; n-- {
+					line := ret + string(rc.ReturnValue)
+					switch k := next() % 8; k {
+					case 3:
+						line = ret
+					case 4:
+					case 5:
+						line = line[:max(len(line)-1, 0)]
+					case 6:
+						line += "l"
+					case 7:
+						if i := int(next()); len(line) > 0 {
+							b := []byte(line)
+							b[i%len(b)]++
+							line = string(b)
+						}
+					default:
+						line = strings.Repeat("l", int(k))
+					}
+					rc.Logs = append(rc.Logs, line)
 				}
 				fee := new(big.Int).SetUint64(uint64(next()))
 				switch next() % 6 {
@@ -512,8 +675,8 @@ func FuzzReceiptLog(f *testing.F) {
 				for n := next() % 4; n > 0; n-- {
 					side = append(side, next())
 				}
-				r.Include(&rc, fee.Bytes(), side)
-				shadow.Include(&rc, fee.Bytes(), side)
+				r.Include(&rc, fee.Bytes(), side, ret)
+				shadow.Include(&rc, fee.Bytes(), side, ret)
 				if _, ok := newest[rc.TxHash]; !ok {
 					hashes = append(hashes, rc.TxHash)
 				}

@@ -810,7 +810,7 @@ func (c *Chain) settle(tx *Tx, price u256.Word, blk *Block, rcpt *chain.Receipt,
 	c.st.SubBalance(tx.From, fee)
 	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}
 	var enc [1 + 32]byte
-	c.rcpts.Include(rcpt, appendBalance(enc[:0], fee), side)
+	c.rcpts.Include(rcpt, appendBalance(enc[:0], fee), side, "")
 	blk.GasUsed += rcpt.GasUsed
 	c.burned = c.burned.Add(burn)
 	return fee.Sub(burn)
