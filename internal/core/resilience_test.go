@@ -158,7 +158,7 @@ func TestLookupHopBoundUnderChurn(t *testing.T) {
 		}
 		for ui := 0; ui < 400; ui++ {
 			i := ui % len(areas)
-			via := uint64(ui*2654435761) & (1<<uint(sys.R) - 1)
+			via := uint64(ui) * 2654435761 & (1<<uint(sys.R) - 1)
 			h, hops, ok, err := sys.LookupContract(via, areas[i])
 			if err != nil || !ok {
 				t.Fatalf("seed %d: churned lookup %s: ok=%v err=%v", seed, areas[i], ok, err)

@@ -753,15 +753,14 @@ func (c *Chain) execute(p *chain.Pending[*Tx], a *txAmounts, blk *Block) (tip u2
 		prof = c.obs.prof
 	}
 	res := evm.Execute(evm.Context{
-		State:       c.st,
-		Caller:      tx.From,
-		Address:     target,
-		Value:       a.value,
-		CallData:    callData,
-		GasLimit:    gasBudget,
-		BlockNumber: blk.Number,
-		Timestamp:   uint64(blk.Time / time.Second),
-		Profiler:    prof,
+		State:     c.st,
+		Caller:    tx.From,
+		Address:   target,
+		Value:     a.value,
+		CallData:  callData,
+		GasLimit:  gasBudget,
+		Timestamp: uint64(blk.Time / time.Second),
+		Profiler:  prof,
 	}, code)
 
 	gasUsed := intrinsic + depositGas + res.GasUsed

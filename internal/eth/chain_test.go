@@ -265,7 +265,7 @@ func TestFailedCallKeepsNoLogs(t *testing.T) {
 		// logs, then ends with end.
 		a := evm.NewAssembler()
 		a.Op(evm.CALLDATASIZE).PushLabel("call").Op(evm.JUMPI, evm.STOP)
-		a.Label("call").PushUint(0).PushUint(0).Op(evm.LOG0)
+		a.Label("call").PushUint(0).PushUint(0).PushUint(0).Op(evm.LOG1)
 		a.PushUint(0).PushUint(0).Op(end)
 		code, err := a.Assemble()
 		if err != nil {

@@ -156,13 +156,12 @@ func (cl *Client) view(contract chain.Address, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("eth: no contract at %s", contract)
 	}
 	res := evm.Execute(evm.Context{
-		State:       &stateView{kv: mstate.NewOverlay(cl.st.t)},
-		Caller:      chain.Address{},
-		Address:     contract,
-		CallData:    data,
-		GasLimit:    DefaultGasLimit,
-		BlockNumber: cl.Head().Number,
-		Timestamp:   uint64(cl.Head().Time / time.Second),
+		State:     &stateView{kv: mstate.NewOverlay(cl.st.t)},
+		Caller:    chain.Address{},
+		Address:   contract,
+		CallData:  data,
+		GasLimit:  DefaultGasLimit,
+		Timestamp: uint64(cl.Head().Time / time.Second),
 	}, code)
 	if res.Err != nil {
 		return nil, res.Err

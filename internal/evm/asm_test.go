@@ -55,7 +55,7 @@ func TestAssemblerCodeSizeLimit(t *testing.T) {
 func TestOpcodeNames(t *testing.T) {
 	cases := map[Opcode]string{
 		ADD: "ADD", PUSH1: "PUSH1", PUSH32: "PUSH32",
-		DUP1: "DUP1", DUP16: "DUP16", SWAP3: "SWAP3",
+		DUP1: "DUP1", DUP6: "DUP6", SWAP3: "SWAP3",
 		Opcode(0xfe): "INVALID(0xfe)",
 	}
 	for op, want := range cases {

@@ -37,7 +37,7 @@ var benchPrograms = []struct {
 		byte(DUP1), byte(PUSH1), 7, byte(MOD), byte(POP), byte(POP), byte(POP),
 	})},
 	{"bitops", loopProgram(1000, []byte{
-		byte(DUP1), byte(NOT), byte(DUP1), byte(AND), byte(PUSH1), 3,
+		byte(DUP1), byte(DUP1), byte(OR), byte(DUP1), byte(AND), byte(PUSH1), 3,
 		byte(SHL), byte(PUSH1), 2, byte(SHR), byte(POP),
 	})},
 	{"memory", loopProgram(500, []byte{
@@ -50,9 +50,6 @@ var benchPrograms = []struct {
 	{"storage", loopProgram(100, []byte{
 		byte(DUP1), byte(PUSH1), 5, byte(SSTORE),
 		byte(PUSH1), 5, byte(SLOAD), byte(POP),
-	})},
-	{"exp", loopProgram(100, []byte{
-		byte(DUP1), byte(PUSH1), 3, byte(EXP), byte(POP),
 	})},
 }
 

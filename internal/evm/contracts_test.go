@@ -86,7 +86,7 @@ func (u *evmUniverse) call(t *testing.T, c *lang.Compiled, s step) evm.Result {
 	}
 	res := u.exec(evm.Context{
 		State: u.state, Caller: alice, Address: contract, Value: v,
-		CallData: data, GasLimit: 10_000_000, BlockNumber: 1, Timestamp: ts,
+		CallData: data, GasLimit: 10_000_000, Timestamp: ts,
 	}, u.code)
 	if (res.Err != nil || res.Reverted) && s.pay > 0 {
 		u.state.AddBalance(alice, v)
@@ -103,7 +103,7 @@ func (u *evmUniverse) view(t *testing.T, name string) evm.Result {
 	}
 	return u.exec(evm.Context{
 		State: u.state, Caller: alice, Address: contract,
-		CallData: data, GasLimit: 10_000_000, BlockNumber: 1, Timestamp: 1000,
+		CallData: data, GasLimit: 10_000_000, Timestamp: 1000,
 	}, u.code)
 }
 

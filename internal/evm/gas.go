@@ -18,8 +18,6 @@ const (
 	RefundSClear     = 15000
 	GasCallValue     = 9000
 	GasNewAccount    = 25000
-	GasExp           = 10
-	GasExpByte       = 50
 	GasMemory        = 3
 	GasTxCreate      = 32000
 	GasCodeDeposit   = 200
@@ -59,7 +57,7 @@ func memoryGas(words uint64) uint64 {
 }
 
 // constGas maps opcodes with flat costs. Dynamic opcodes (SSTORE, SLOAD,
-// KECCAK256, EXP, LOG, CALL, memory ops) are charged in the interpreter.
+// KECCAK256, LOG1, CALL, memory ops) are charged in the interpreter.
 var constGas = map[Opcode]uint64{
 	STOP:         GasZero,
 	ADD:          GasVeryLow,
@@ -73,24 +71,16 @@ var constGas = map[Opcode]uint64{
 	ISZERO:       GasVeryLow,
 	AND:          GasVeryLow,
 	OR:           GasVeryLow,
-	XOR:          GasVeryLow,
-	NOT:          GasVeryLow,
-	BYTE:         GasVeryLow,
 	SHL:          GasVeryLow,
 	SHR:          GasVeryLow,
-	ADDRESS:      GasBase,
 	CALLER:       GasBase,
 	CALLVALUE:    GasBase,
 	CALLDATALOAD: GasVeryLow,
 	CALLDATASIZE: GasBase,
 	TIMESTAMP:    GasBase,
-	NUMBER:       GasBase,
 	SELFBALANCE:  GasLow,
 	POP:          GasBase,
 	JUMP:         GasMid,
 	JUMPI:        GasHigh,
-	PC:           GasBase,
-	MSIZE:        GasBase,
-	GAS:          GasBase,
 	JUMPDEST:     GasJumpdest,
 }

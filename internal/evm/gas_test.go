@@ -27,20 +27,24 @@ func TestKeccakGasScalesWithWords(t *testing.T) {
 	}
 }
 
-func TestExpGasScalesWithExponentBytes(t *testing.T) {
-	gasFor := func(exp *big.Int) uint64 {
+func TestCopyGasScalesWithWords(t *testing.T) {
+	gasFor := func(size uint64) uint64 {
 		res := run2(t, func(a *Assembler) {
-			a.PushBytes(exp.Bytes()).PushUint(2).Op(EXP, POP, STOP)
+			a.PushUint(size).PushUint(0).PushUint(0).Op(CALLDATACOPY, STOP)
 		})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
 		return res.GasUsed
 	}
-	oneByte := gasFor(big.NewInt(0xff))
-	twoBytes := gasFor(big.NewInt(0xffff))
-	if twoBytes-oneByte != GasExpByte {
-		t.Fatalf("exp byte delta = %d, want %d", twoBytes-oneByte, GasExpByte)
+	// 33 bytes are two words, 32 bytes one: +3 gas per copied word, plus
+	// one extra memory word of expansion.
+	if d := gasFor(33) - gasFor(32); d != GasCopy+GasMemory {
+		t.Fatalf("copy word delta = %d, want %d", d, GasCopy+GasMemory)
+	}
+	// A zero-size copy still pays the flat 3: three pushes, CALLDATACOPY.
+	if g0 := gasFor(0); g0 != 4*GasVeryLow {
+		t.Fatalf("empty copy gas = %d", g0)
 	}
 }
 
@@ -59,15 +63,22 @@ func TestCalldataLoadBeyondEndIsZeroPadded(t *testing.T) {
 }
 
 func TestLogGasIncludesTopicsAndData(t *testing.T) {
-	log0 := run2(t, func(a *Assembler) {
-		a.PushUint(8).PushUint(0).Op(LOG0, STOP)
-	}).GasUsed
-	log2 := run2(t, func(a *Assembler) {
-		a.PushUint(1).PushUint(2).PushUint(8).PushUint(0).Op(LOG2, STOP)
-	}).GasUsed
-	wantDelta := 2*GasLogTopic + 2*GasVeryLow // two extra topics + their pushes
-	if log2-log0 != uint64(wantDelta) {
-		t.Fatalf("LOG2-LOG0 delta = %d, want %d", log2-log0, wantDelta)
+	gasFor := func(size uint64) uint64 {
+		res := run2(t, func(a *Assembler) {
+			a.PushUint(1).PushUint(size).PushUint(0).Op(LOG1, STOP)
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res.GasUsed
+	}
+	// Three pushes, then LOG1: the flat log cost and its one topic.
+	if g0, want := gasFor(0), uint64(3*GasVeryLow+GasLog+GasLogTopic); g0 != want {
+		t.Fatalf("empty LOG1 gas = %d, want %d", g0, want)
+	}
+	// Eight data bytes: 8 gas each, plus one memory word of expansion.
+	if d := gasFor(8) - gasFor(0); d != 8*GasLogData+GasMemory {
+		t.Fatalf("LOG1 data delta = %d, want %d", d, 8*GasLogData+GasMemory)
 	}
 }
 

@@ -6,31 +6,30 @@ import (
 )
 
 // TestOpcodeStringNames pins the mnemonic of every byte — the names the
-// opcode profiler exports as evm_opcode_*{op=...} labels — and that
+// opcode profiler exports as evm_opcode_*{op=...} labels, and INVALID for
+// each byte Execute does not run — and that
 // rendering one does not allocate: the profiler calls String once per
 // executed opcode.
 func TestOpcodeStringNames(t *testing.T) {
 	named := map[byte]string{
 		0x00: "STOP", 0x01: "ADD", 0x02: "MUL", 0x03: "SUB", 0x04: "DIV",
-		0x06: "MOD", 0x0a: "EXP", 0x10: "LT", 0x11: "GT", 0x14: "EQ",
-		0x15: "ISZERO", 0x16: "AND", 0x17: "OR", 0x18: "XOR", 0x19: "NOT",
-		0x1a: "BYTE", 0x1b: "SHL", 0x1c: "SHR", 0x20: "KECCAK256",
-		0x30: "ADDRESS", 0x31: "BALANCE", 0x33: "CALLER", 0x34: "CALLVALUE",
-		0x35: "CALLDATALOAD", 0x36: "CALLDATASIZE", 0x37: "CALLDATACOPY",
-		0x42: "TIMESTAMP", 0x43: "NUMBER", 0x47: "SELFBALANCE", 0x50: "POP",
-		0x51: "MLOAD", 0x52: "MSTORE", 0x54: "SLOAD", 0x55: "SSTORE",
-		0x56: "JUMP", 0x57: "JUMPI", 0x58: "PC", 0x59: "MSIZE", 0x5a: "GAS",
-		0x5b: "JUMPDEST", 0xa0: "LOG0", 0xa1: "LOG1", 0xa2: "LOG2",
-		0xf1: "CALL", 0xf3: "RETURN", 0xfd: "REVERT",
+		0x06: "MOD", 0x10: "LT", 0x11: "GT", 0x14: "EQ", 0x15: "ISZERO",
+		0x16: "AND", 0x17: "OR", 0x1b: "SHL", 0x1c: "SHR", 0x20: "KECCAK256",
+		0x33: "CALLER", 0x34: "CALLVALUE", 0x35: "CALLDATALOAD",
+		0x36: "CALLDATASIZE", 0x37: "CALLDATACOPY", 0x42: "TIMESTAMP",
+		0x47: "SELFBALANCE", 0x50: "POP", 0x51: "MLOAD", 0x52: "MSTORE",
+		0x54: "SLOAD", 0x55: "SSTORE", 0x56: "JUMP", 0x57: "JUMPI",
+		0x5b: "JUMPDEST", 0xa1: "LOG1", 0xf1: "CALL", 0xf3: "RETURN",
+		0xfd: "REVERT",
 	}
 	for i := 0; i < 256; i++ {
 		var want string
 		switch {
 		case i >= 0x60 && i <= 0x7f:
 			want = fmt.Sprint("PUSH", i-0x5f)
-		case i >= 0x80 && i <= 0x8f:
+		case i >= 0x80 && i <= 0x85:
 			want = fmt.Sprint("DUP", i-0x7f)
-		case i >= 0x90 && i <= 0x9f:
+		case i >= 0x90 && i <= 0x94:
 			want = fmt.Sprint("SWAP", i-0x8f)
 		case named[byte(i)] != "":
 			want = named[byte(i)]
@@ -42,7 +41,7 @@ func TestOpcodeStringNames(t *testing.T) {
 		}
 	}
 	for op, want := range map[Opcode]string{
-		PUSH1: "PUSH1", PUSH32: "PUSH32", DUP16: "DUP16", SWAP1: "SWAP1",
+		PUSH1: "PUSH1", PUSH32: "PUSH32", DUP6: "DUP6", SWAP1: "SWAP1",
 		KECCAK256: "KECCAK256", Opcode(0xfe): "INVALID(0xfe)",
 	} {
 		if got := op.String(); got != want {

@@ -59,7 +59,7 @@ func runBoth(t *testing.T, code []byte, gasLimit uint64) Result {
 	mk := func() Context {
 		return Context{
 			State: NewMemState(), Address: self,
-			GasLimit: gasLimit, BlockNumber: 1, Timestamp: 1,
+			GasLimit: gasLimit, Timestamp: 1,
 		}
 	}
 	fast := Execute(mk(), code)

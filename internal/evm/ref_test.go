@@ -317,7 +317,7 @@ func (in *refInterpreter) run() Result {
 			pc += n + 1
 			continue
 
-		case op >= DUP1 && op <= DUP16:
+		case op >= DUP1 && op <= DUP6:
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
@@ -331,7 +331,7 @@ func (in *refInterpreter) run() Result {
 			pc++
 			continue
 
-		case op >= SWAP1 && op <= SWAP16:
+		case op >= SWAP1 && op <= SWAP5:
 			if !in.useGas(GasVeryLow) {
 				return fail(ErrOutOfGas)
 			}
@@ -350,7 +350,7 @@ func (in *refInterpreter) run() Result {
 			in.profFlush()
 			return Result{GasUsed: in.ctx.GasLimit - in.gas, Refund: in.refund}
 
-		case ADD, MUL, SUB, DIV, MOD, AND, OR, XOR, LT, GT, EQ, SHL, SHR, BYTE:
+		case ADD, MUL, SUB, DIV, MOD, AND, OR, LT, GT, EQ, SHL, SHR:
 			args, err := in.popN(2)
 			if err != nil {
 				return fail(err)
@@ -380,8 +380,6 @@ func (in *refInterpreter) run() Result {
 				v = new(big.Int).And(a, b)
 			case OR:
 				v = new(big.Int).Or(a, b)
-			case XOR:
-				v = new(big.Int).Xor(a, b)
 			case LT:
 				v = refBoolWord(a.Cmp(b) < 0)
 			case GT:
@@ -400,45 +398,17 @@ func (in *refInterpreter) run() Result {
 				} else {
 					v = new(big.Int).Rsh(b, uint(a.Uint64()))
 				}
-			case BYTE:
-				if a.Cmp(big.NewInt(32)) >= 0 {
-					v = new(big.Int)
-				} else {
-					var buf [32]byte
-					b.FillBytes(buf[:])
-					v = big.NewInt(int64(buf[a.Uint64()]))
-				}
 			}
 			if err := in.push(v); err != nil {
 				return fail(err)
 			}
 
-		case EXP:
-			args, err := in.popN(2)
-			if err != nil {
-				return fail(err)
-			}
-			base, exp := args[0], args[1]
-			expBytes := uint64((exp.BitLen() + 7) / 8)
-			if !in.useGas(GasExp + GasExpByte*expBytes) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(new(big.Int).Exp(base, exp, two256)); err != nil {
-				return fail(err)
-			}
-
-		case ISZERO, NOT:
+		case ISZERO:
 			a, err := in.pop()
 			if err != nil {
 				return fail(err)
 			}
-			var v *big.Int
-			if op == ISZERO {
-				v = refBoolWord(a.Sign() == 0)
-			} else {
-				v = new(big.Int).Sub(new(big.Int).Sub(two256, big.NewInt(1)), a)
-			}
-			if err := in.push(v); err != nil {
+			if err := in.push(refBoolWord(a.Sign() == 0)); err != nil {
 				return fail(err)
 			}
 
@@ -463,10 +433,6 @@ func (in *refInterpreter) run() Result {
 				return fail(err)
 			}
 
-		case ADDRESS:
-			if err := in.push(new(big.Int).SetBytes(in.ctx.Address[:])); err != nil {
-				return fail(err)
-			}
 		case CALLER:
 			if err := in.push(new(big.Int).SetBytes(in.ctx.Caller[:])); err != nil {
 				return fail(err)
@@ -479,30 +445,8 @@ func (in *refInterpreter) run() Result {
 			if err := in.push(new(big.Int).SetUint64(in.ctx.Timestamp)); err != nil {
 				return fail(err)
 			}
-		case NUMBER:
-			if err := in.push(new(big.Int).SetUint64(in.ctx.BlockNumber)); err != nil {
-				return fail(err)
-			}
 		case SELFBALANCE:
 			if err := in.push(in.state.GetBalance(in.ctx.Address).ToBig()); err != nil {
-				return fail(err)
-			}
-
-		case BALANCE:
-			a, err := in.pop()
-			if err != nil {
-				return fail(err)
-			}
-			addr := refWordToAddress(a)
-			cost := uint64(GasColdAccount)
-			if in.warmAddrs[addr] {
-				cost = GasWarmAccess
-			}
-			in.warmAddrs[addr] = true
-			if !in.useGas(cost) {
-				return fail(ErrOutOfGas)
-			}
-			if err := in.push(in.state.GetBalance(addr).ToBig()); err != nil {
 				return fail(err)
 			}
 
@@ -646,24 +590,11 @@ func (in *refInterpreter) run() Result {
 				continue
 			}
 
-		case PC:
-			if err := in.push(new(big.Int).SetUint64(pc)); err != nil {
-				return fail(err)
-			}
-		case MSIZE:
-			if err := in.push(big.NewInt(int64(len(in.mem)))); err != nil {
-				return fail(err)
-			}
-		case GAS:
-			if err := in.push(new(big.Int).SetUint64(in.gas)); err != nil {
-				return fail(err)
-			}
 		case JUMPDEST:
 			// cost charged via constGas; no effect.
 
-		case LOG0, LOG1, LOG2:
-			topicCount := int(op - LOG0)
-			args, err := in.popN(2 + topicCount)
+		case LOG1:
+			args, err := in.popN(3)
 			if err != nil {
 				return fail(err)
 			}
@@ -671,17 +602,17 @@ func (in *refInterpreter) run() Result {
 			if !ok {
 				return fail(ErrOutOfGas)
 			}
-			if !in.useGas(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size) {
+			if !in.useGas(GasLog + GasLogTopic + GasLogData*size) {
 				return fail(ErrOutOfGas)
 			}
 			if !in.expandMem(off, size) {
 				return fail(ErrOutOfGas)
 			}
-			log := Log{Address: in.ctx.Address, Data: append([]byte(nil), in.memSlice(off, size)...)}
-			for i := 0; i < topicCount; i++ {
-				log.Topics = append(log.Topics, refWordToHash(args[2+i]))
-			}
-			in.logs = append(in.logs, log)
+			in.logs = append(in.logs, Log{
+				Address: in.ctx.Address,
+				Topics:  []chain.Hash32{refWordToHash(args[2])},
+				Data:    append([]byte(nil), in.memSlice(off, size)...),
+			})
 
 		case CALL:
 			// Value-transfer call (the contract language only transfers to

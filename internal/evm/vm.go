@@ -34,13 +34,12 @@ type Log struct {
 
 // Context carries everything one contract execution needs.
 type Context struct {
-	State       StateDB
-	Caller      chain.Address
-	Address     chain.Address
-	Value       u256.Word
-	CallData    []byte
-	GasLimit    uint64
-	BlockNumber uint64
+	State    StateDB
+	Caller   chain.Address
+	Address  chain.Address
+	Value    u256.Word
+	CallData []byte
+	GasLimit uint64
 	// Timestamp is the block timestamp in seconds.
 	Timestamp uint64
 	// Profiler, when non-nil, receives every executed opcode with the
@@ -470,7 +469,7 @@ func (in *interpreter) run() (res Result) {
 			pc += n + 1
 			continue
 
-		case op >= DUP1 && op <= DUP16:
+		case op >= DUP1 && op <= DUP6:
 			in.charge(GasVeryLow)
 			n := int(op-DUP1) + 1
 			if in.sp < n {
@@ -480,7 +479,7 @@ func (in *interpreter) run() (res Result) {
 			pc++
 			continue
 
-		case op >= SWAP1 && op <= SWAP16:
+		case op >= SWAP1 && op <= SWAP5:
 			in.charge(GasVeryLow)
 			n := int(op-SWAP1) + 1
 			if in.sp < n+1 {
@@ -497,7 +496,7 @@ func (in *interpreter) run() (res Result) {
 			in.profFlush()
 			return Result{GasUsed: in.ctx.GasLimit - in.gas, Refund: in.refund}
 
-		case ADD, MUL, SUB, DIV, MOD, AND, OR, XOR, LT, GT, EQ, SHL, SHR, BYTE:
+		case ADD, MUL, SUB, DIV, MOD, AND, OR, LT, GT, EQ, SHL, SHR:
 			a, b := in.pop2()
 			var v u256.Word
 			switch op {
@@ -515,8 +514,6 @@ func (in *interpreter) run() (res Result) {
 				v = a.And(b)
 			case OR:
 				v = a.Or(b)
-			case XOR:
-				v = a.Xor(b)
 			case LT:
 				v = u256.FromBool(a.Lt(b))
 			case GT:
@@ -531,22 +528,11 @@ func (in *interpreter) run() (res Result) {
 				if a.IsUint64() && a.Uint64() < 256 {
 					v = b.Rsh(uint(a.Uint64()))
 				}
-			case BYTE:
-				if a.IsUint64() {
-					v = b.Byte(a.Uint64())
-				}
 			}
 			in.push(v)
 
-		case EXP:
-			base, exp := in.pop2()
-			in.charge(GasExp + GasExpByte*uint64(exp.ByteLen()))
-			in.push(base.Exp(exp))
-
 		case ISZERO:
 			in.push(u256.FromBool(in.pop().IsZero()))
-		case NOT:
-			in.push(in.pop().Not())
 
 		case KECCAK256:
 			off, size := in.memRange(in.pop2())
@@ -555,28 +541,14 @@ func (in *interpreter) run() (res Result) {
 			h := polcrypto.Hash1(in.memSlice(off, size))
 			in.push(u256.SetBytes(h[:]))
 
-		case ADDRESS:
-			in.push(u256.SetBytes(in.ctx.Address[:]))
 		case CALLER:
 			in.push(u256.SetBytes(in.ctx.Caller[:]))
 		case CALLVALUE:
 			in.push(in.ctx.Value)
 		case TIMESTAMP:
 			in.push(u256.FromUint64(in.ctx.Timestamp))
-		case NUMBER:
-			in.push(u256.FromUint64(in.ctx.BlockNumber))
 		case SELFBALANCE:
 			in.push(in.state.GetBalance(in.ctx.Address))
-
-		case BALANCE:
-			addr := wordToAddr(in.pop())
-			cost := uint64(GasColdAccount)
-			if in.warmAddrs[addr] {
-				cost = GasWarmAccess
-			}
-			in.warmAddrs[addr] = true
-			in.charge(cost)
-			in.push(in.state.GetBalance(addr))
 
 		case CALLDATALOAD:
 			off := dataOffset(in.pop())
@@ -666,28 +638,20 @@ func (in *interpreter) run() (res Result) {
 				continue
 			}
 
-		case PC:
-			in.push(u256.FromUint64(pc))
-		case MSIZE:
-			in.push(u256.FromUint64(uint64(len(in.mem))))
-		case GAS:
-			in.push(u256.FromUint64(in.gas))
 		case JUMPDEST:
 			// cost charged via constGas; no effect.
 
-		case LOG0, LOG1, LOG2:
-			topicCount := int(op - LOG0)
-			var argbuf [4]u256.Word
-			args := argbuf[:2+topicCount]
-			in.popN(args)
+		case LOG1:
+			var args [3]u256.Word
+			in.popN(args[:])
 			off, size := in.memRange(args[0], args[1])
-			in.charge(GasLog + GasLogTopic*uint64(topicCount) + GasLogData*size)
+			in.charge(GasLog + GasLogTopic + GasLogData*size)
 			in.grow(off, size)
-			log := Log{Address: in.ctx.Address, Data: append([]byte(nil), in.memSlice(off, size)...)}
-			for i := 0; i < topicCount; i++ {
-				log.Topics = append(log.Topics, wordToHash32(args[2+i]))
-			}
-			in.logs = append(in.logs, log)
+			in.logs = append(in.logs, Log{
+				Address: in.ctx.Address,
+				Topics:  []chain.Hash32{wordToHash32(args[2])},
+				Data:    append([]byte(nil), in.memSlice(off, size)...),
+			})
 
 		case CALL:
 			// Value-transfer call (the contract language only transfers to

@@ -120,7 +120,8 @@ func wordRangeRows() []wordRangeRow {
 			a.PushUint(1).PushBytes(two64.Bytes()).Op(MSTORE)
 			returnMem(a)
 		}, err: ErrOutOfGas},
-		// KECCAK256, LOG, RETURN and REVERT pop offset, then size.
+		// KECCAK256, LOG1, RETURN and REVERT pop offset, then size; LOG1
+		// then its topic.
 		{name: "KECCAK256 offset 2^64", build: func(a *Assembler) {
 			a.PushUint(1).PushBytes(two64.Bytes()).Op(KECCAK256)
 			returnTop(a)
@@ -133,11 +134,11 @@ func wordRangeRows() []wordRangeRow {
 			a.PushUint(0).PushBytes(two64.Bytes()).Op(KECCAK256)
 			returnTop(a)
 		}, ret: emptyHash[:]},
-		{name: "LOG0 offset 2^64", build: func(a *Assembler) {
-			a.PushUint(1).PushBytes(two64.Bytes()).Op(LOG0, STOP)
+		{name: "LOG1 offset 2^64", build: func(a *Assembler) {
+			a.PushUint(7).PushUint(1).PushBytes(two64.Bytes()).Op(LOG1, STOP)
 		}, err: ErrOutOfGas},
-		{name: "LOG0 offset 2^64 size 0", build: func(a *Assembler) {
-			a.PushUint(0).PushBytes(two64.Bytes()).Op(LOG0, STOP)
+		{name: "LOG1 offset 2^64 size 0", build: func(a *Assembler) {
+			a.PushUint(7).PushUint(0).PushBytes(two64.Bytes()).Op(LOG1, STOP)
 		}, logs: 1},
 		{name: "RETURN offset 2^64", build: func(a *Assembler) {
 			a.PushUint(1).PushBytes(two64.Bytes()).Op(RETURN)

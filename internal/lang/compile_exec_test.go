@@ -140,7 +140,7 @@ func (h *evmHarness) call(method string, params []Param, value uint64, args ...V
 	res := evm.Execute(evm.Context{
 		State: h.state, Caller: h.from, Address: h.self,
 		Value: v, CallData: data, GasLimit: 10_000_000,
-		BlockNumber: 1, Timestamp: 1000,
+		Timestamp: 1000,
 	}, h.code)
 	if (res.Err != nil || res.Reverted) && value > 0 {
 		h.state.AddBalance(h.from, v)

@@ -140,8 +140,8 @@ func (x Word) BitLen() int {
 	return 0
 }
 
-// ByteLen is the minimal number of bytes to represent x — the EXP gas
-// formula's exponent length.
+// ByteLen is the minimal number of bytes to represent x: the length of
+// AppendBytes' form.
 func (x Word) ByteLen() int { return (x.BitLen() + 7) / 8 }
 
 // Bit reports bit i (0 = least significant).
@@ -251,21 +251,7 @@ func (x Word) Div(y Word) Word { q, _ := x.DivMod(y); return q }
 // Mod is x % y, zero when y is zero.
 func (x Word) Mod(y Word) Word { _, r := x.DivMod(y); return r }
 
-// Exp is x^e mod 2^256 by square-and-multiply (x^0 = 1, including 0^0).
-func (x Word) Exp(e Word) Word {
-	result := One
-	base := x
-	n := e.BitLen()
-	for i := 0; i < n; i++ {
-		if e.Bit(i) {
-			result = result.Mul(base)
-		}
-		base = base.Mul(base)
-	}
-	return result
-}
-
-// And, Or, Xor, Not are the bitwise operations.
+// And is x & y.
 func (x Word) And(y Word) Word {
 	return Word{x[0] & y[0], x[1] & y[1], x[2] & y[2], x[3] & y[3]}
 }
@@ -273,11 +259,6 @@ func (x Word) And(y Word) Word {
 // Or is x | y.
 func (x Word) Or(y Word) Word {
 	return Word{x[0] | y[0], x[1] | y[1], x[2] | y[2], x[3] | y[3]}
-}
-
-// Xor is x ^ y.
-func (x Word) Xor(y Word) Word {
-	return Word{x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2], x[3] ^ y[3]}
 }
 
 // Not is ^x (equivalently 2^256 - 1 - x).
@@ -324,17 +305,6 @@ func (x Word) Rsh(n uint) Word {
 		}
 	}
 	return z
-}
-
-// Byte is the EVM BYTE opcode: byte i of the big-endian form (0 is the
-// most significant); i ≥ 32 yields zero.
-func (x Word) Byte(i uint64) Word {
-	if i >= 32 {
-		return Word{}
-	}
-	// Big-endian byte i lives in limb 3-i/8 at shift 56-8*(i%8).
-	limb := x[3-i/8]
-	return FromUint64(limb >> (56 - 8*(i%8)) & 0xff)
 }
 
 // String renders the word in decimal (debug/boundary use; allocates).

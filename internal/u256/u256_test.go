@@ -9,15 +9,6 @@ import (
 
 var two256 = new(big.Int).Lsh(big.NewInt(1), 256)
 
-func fromHexOrPanic(t *testing.T, s string) *big.Int {
-	t.Helper()
-	v, ok := new(big.Int).SetString(s, 16)
-	if !ok {
-		t.Fatalf("bad hex %q", s)
-	}
-	return v
-}
-
 // randWord draws structured random operands: uniform bytes, small values,
 // and boundary patterns — the mix division and shifting care about.
 func randWord(rng *rand.Rand) Word {
@@ -73,33 +64,6 @@ func TestDivModByZero(t *testing.T) {
 	}
 }
 
-func TestExpEdges(t *testing.T) {
-	if got := Zero.Exp(Zero); got != One {
-		t.Fatalf("0^0 = %s, want 1", got)
-	}
-	if got := FromUint64(7).Exp(Zero); got != One {
-		t.Fatalf("7^0 = %s, want 1", got)
-	}
-	if got := Zero.Exp(FromUint64(9)); !got.IsZero() {
-		t.Fatalf("0^9 = %s, want 0", got)
-	}
-	// 2^256 wraps to zero; 2^255 stays.
-	if got := FromUint64(2).Exp(FromUint64(256)); !got.IsZero() {
-		t.Fatalf("2^256 = %s, want 0", got)
-	}
-	if got := FromUint64(2).Exp(FromUint64(255)); got != One.Lsh(255) {
-		t.Fatalf("2^255 = %s", got)
-	}
-	// Large exponent: matches big.Int.Exp(base, exp, 2^256). An odd base
-	// cycles in the multiplicative group mod 2^256.
-	base := FromUint64(3)
-	exp := maxWord()
-	want := FromBig(new(big.Int).Exp(big.NewInt(3), exp.ToBig(), two256))
-	if got := base.Exp(exp); got != want {
-		t.Fatalf("3^max = %s, want %s", got, want)
-	}
-}
-
 func TestSetBytesLengths(t *testing.T) {
 	// Short input.
 	if got := SetBytes([]byte{0x01, 0x02}); got != FromUint64(0x0102) {
@@ -141,19 +105,6 @@ func TestFromBigNegativeAndOverflow(t *testing.T) {
 	}
 	if got := FromBig(nil); !got.IsZero() {
 		t.Fatalf("FromBig(nil) = %s", got)
-	}
-}
-
-func TestByteOpcode(t *testing.T) {
-	w := FromBig(fromHexOrPanic(t, "0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20"))
-	for i := uint64(0); i < 32; i++ {
-		want := FromUint64(i + 1)
-		if got := w.Byte(i); got != want {
-			t.Fatalf("Byte(%d) = %s, want %s", i, got, want)
-		}
-	}
-	if got := w.Byte(32); !got.IsZero() {
-		t.Fatal("Byte(32) must be zero")
 	}
 }
 
@@ -208,7 +159,6 @@ func TestBigEquivalenceProperty(t *testing.T) {
 		}
 		check("and", x.And(y), new(big.Int).And(bx, by))
 		check("or", x.Or(y), new(big.Int).Or(bx, by))
-		check("xor", x.Xor(y), new(big.Int).Xor(bx, by))
 		check("not", x.Not(), new(big.Int).Sub(new(big.Int).Sub(two256, big.NewInt(1)), bx))
 
 		sh := uint(rng.Intn(300))
@@ -220,14 +170,6 @@ func TestBigEquivalenceProperty(t *testing.T) {
 			check("lsh", x.Lsh(sh), mod(new(big.Int).Lsh(bx, sh)))
 			check("rsh", x.Rsh(sh), new(big.Int).Rsh(bx, sh))
 		}
-
-		// Exponent kept small enough for big.Exp to stay fast, plus the
-		// occasional full-width one.
-		e := FromUint64(rng.Uint64() % 5000)
-		if i%97 == 0 {
-			e = y
-		}
-		check("exp", x.Exp(e), new(big.Int).Exp(bx, e.ToBig(), two256))
 
 		// Comparisons.
 		if x.Lt(y) != (bx.Cmp(by) < 0) || x.Gt(y) != (bx.Cmp(by) > 0) {

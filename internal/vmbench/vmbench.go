@@ -133,7 +133,7 @@ func newEVMWorkload(compiled *lang.Compiled) (func(), error) {
 		st.AddBalance(from, u256.FromUint64(1_000_000))
 		ctx := evm.Context{
 			State: st, Caller: from, Address: self,
-			GasLimit: 10_000_000, BlockNumber: 1, Timestamp: 1000,
+			GasLimit: 10_000_000, Timestamp: 1000,
 		}
 		ctx.CallData = ctorData
 		deploy = evm.Execute(ctx, compiled.EVMCode)
@@ -248,7 +248,7 @@ func newPVEVMWorkload(compiled *lang.Compiled) (func(), error) {
 		return func() evm.Result {
 			return evm.Execute(evm.Context{
 				State: state, Caller: from, Address: self,
-				CallData: data, GasLimit: 10_000_000, BlockNumber: 1, Timestamp: 1000,
+				CallData: data, GasLimit: 10_000_000, Timestamp: 1000,
 			}, compiled.EVMCode)
 		}, nil
 	}

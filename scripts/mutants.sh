@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Replays the mutant catalogue, scripts/mutants.txt (its header gives the
 # row format). The tree, as git sees it with untracked files included, is
-# copied once into a temporary directory. For each row, the named tests
+# copied once into a temporary directory. Each go test run writes its
+# output to a file there, which the script greps: a captured output with
+# NUL bytes in it would make bash warn. For each row, the named tests
 # must first pass there unmutated; then the fragment is replaced, the
 # tests must fail (a "--- FAIL" line: a mutant that does not compile
 # proves nothing), and the file is restored. Exits 1 naming every row
@@ -15,8 +17,11 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 catalogue="$root/scripts/mutants.txt"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+tree="$work/tree"
+log="$work/go-test.log"
+mkdir "$tree"
 (cd "$root" && git ls-files -z -co --exclude-standard |
-    tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -xf - -C "$work"
+    tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -xf - -C "$tree"
 
 rows=0 bad=0
 while IFS= read -r line || [ -n "$line" ]; do
@@ -34,12 +39,12 @@ while IFS= read -r line || [ -n "$line" ]; do
     frag="${frag%x}"
     repl="$(printf '%bx' "$repl")"
     repl="${repl%x}"
-    if [ ! -f "$work/$file" ]; then
+    if [ ! -f "$tree/$file" ]; then
         echo "FAIL $name: no such file" >&2
         bad=$((bad + 1))
         continue
     fi
-    content="$(cat "$work/$file"; printf x)"
+    content="$(cat "$tree/$file"; printf x)"
     content="${content%x}"
     stripped="${content//"$frag"/}"
     if [ $(((${#content} - ${#stripped}) / ${#frag})) -ne 1 ]; then
@@ -47,20 +52,20 @@ while IFS= read -r line || [ -n "$line" ]; do
         bad=$((bad + 1))
         continue
     fi
-    if ! out="$(cd "$work" && go test -count=1 -v -run "$run" "$pkg" 2>&1)" || ! grep -q -- '--- PASS' <<<"$out"; then
+    if ! (cd "$tree" && go test -count=1 -v -run "$run" "$pkg") >"$log" 2>&1 || ! grep -q -- '--- PASS' "$log"; then
         echo "FAIL $name: the tests do not pass, or run nothing, unmutated" >&2
-        tail -n 20 <<<"$out" >&2
+        tail -n 20 "$log" >&2
         bad=$((bad + 1))
         continue
     fi
-    printf '%s' "${content/"$frag"/"$repl"}" >"$work/$file"
-    out="$(cd "$work" && go test -count=1 -run "$run" "$pkg" 2>&1)" || true
-    printf '%s' "$content" >"$work/$file"
-    if killer="$(grep -m 1 -- '--- FAIL' <<<"$out")"; then
+    printf '%s' "${content/"$frag"/"$repl"}" >"$tree/$file"
+    (cd "$tree" && go test -count=1 -run "$run" "$pkg") >"$log" 2>&1 || true
+    printf '%s' "$content" >"$tree/$file"
+    if killer="$(grep -a -m 1 -- '--- FAIL' "$log")"; then
         echo "killed   $name: ${killer#*--- }"
     else
         echo "SURVIVED $name" >&2
-        tail -n 20 <<<"$out" >&2
+        tail -n 20 "$log" >&2
         bad=$((bad + 1))
     fi
 done <"$catalogue"
