@@ -117,13 +117,13 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.led.time = uint64(ck.HeadTime / time.Second)
 	for i, p := range ck.Pending {
 		if p == nil {
-			return fmt.Errorf("algorand: checkpointed pending group %d is null", i)
+			return fmt.Errorf("%w: algorand: pending group %d is null", chain.ErrBadCheckpoint, i)
 		}
 		if err := p.Item.Verify(); err != nil {
-			return fmt.Errorf("algorand: checkpointed pending group %d: %w", i, err)
+			return fmt.Errorf("%w: algorand: pending group %d: %w", chain.ErrBadCheckpoint, i, err)
 		}
 		if err := admit(p.Item); err != nil {
-			return fmt.Errorf("algorand: checkpointed pending group %d: %w", i, err)
+			return fmt.Errorf("%w: algorand: pending group %d: %w", chain.ErrBadCheckpoint, i, err)
 		}
 	}
 	c.pool.Restore(ck.Pending)

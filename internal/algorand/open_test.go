@@ -18,7 +18,7 @@ func fundedAccount(c *Chain, rng *chain.Rand, micro uint64) *Account {
 	return acct
 }
 
-func submitGroup(t *testing.T, c *Chain, g Group) {
+func submitGroup(t testing.TB, c *Chain, g Group) {
 	t.Helper()
 	if _, err := c.Submit(g); err != nil {
 		t.Fatal(err)
@@ -293,4 +293,54 @@ func TestOpenRefusesTamperedPending(t *testing.T) {
 	if err := open(func(ck *Checkpoint) { ck.Pending[0].Item = Group{} }); err == nil {
 		t.Fatal("an empty group was restored")
 	}
+}
+
+// FuzzOpenCheckpoint opens a chain from a committed store with a mutated
+// checkpoint: the seed is the valid checkpoint of that store, with an app
+// deployed and a group in flight. Whatever JSON decodes into a Checkpoint,
+// Open must return a chain or a typed error, and two Steps on a chain it
+// returns must not panic.
+func FuzzOpenCheckpoint(f *testing.F) {
+	cfg := Testnet()
+	const seed = 99
+	ref := NewChain(cfg, seed)
+	keyRng := chain.NewRand(seed).Fork("test:keys")
+	alice := fundedAccount(ref, keyRng, 50_000_000)
+	bob := fundedAccount(ref, keyRng, 50_000_000)
+	create := &Tx{Type: TxAppCreate, Sender: alice.Address, Fee: MinFee, Source: counterApp}
+	create.Sign(alice)
+	submitGroup(f, ref, Group{create})
+	ref.Step()
+	submitGroup(f, ref, Group{signedCall(alice, 1, "bump")})
+	ref.Step()
+	submitGroup(f, ref, Group{signedPay(bob, alice.Address, 1_000)})
+	ck, err := ref.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	store := mstate.NewMemStore()
+	root, err := ref.CommitState(store)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var ck Checkpoint
+		if json.Unmarshal(blob, &ck) != nil {
+			return
+		}
+		c, err := Open(Options{Config: cfg, Seed: seed, Store: store, Root: root, Checkpoint: &ck})
+		if err != nil {
+			if !errors.Is(err, chain.ErrBadCheckpoint) && !errors.Is(err, ErrCorruptState) {
+				t.Fatalf("Open: untyped error: %v", err)
+			}
+			return
+		}
+		c.Step()
+		c.Step()
+	})
 }

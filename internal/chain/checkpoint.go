@@ -9,6 +9,12 @@ import (
 	"agnopol/internal/mstate"
 )
 
+// ErrBadCheckpoint is the class of every refusal of a checkpoint that does
+// not fit the chain it is opened on: another chain's name, another state
+// root, or a pending entry that is empty or fails admission's state-free
+// checks. An error of this class may wrap the entry's own typed error too.
+var ErrBadCheckpoint = errors.New("chain: checkpoint refused")
+
 // Position is the part of a checkpoint both families share: which chain
 // it is, the head block's hash and time, the state root, the receipt
 // accumulator, the clock, the rng's stream position and the retention
@@ -46,10 +52,10 @@ func (p *Position) Mark(family string, flt *faults.Injector, clock *Clock, rng *
 // where p left them.
 func (p *Position) Resume(family, name string, root Hash32, clock *Clock, rng *Rand, rcpts *Receipts) error {
 	if p.Name != name {
-		return fmt.Errorf("%s: checkpoint is for chain %q, config says %q", family, p.Name, name)
+		return fmt.Errorf("%w: %s: checkpoint is for chain %q, config says %q", ErrBadCheckpoint, family, p.Name, name)
 	}
 	if root != p.StateRoot {
-		return fmt.Errorf("%s: loaded state root %x does not match checkpoint %x", family, root[:8], p.StateRoot[:8])
+		return fmt.Errorf("%w: %s: loaded state root %x does not match checkpoint %x", ErrBadCheckpoint, family, root[:8], p.StateRoot[:8])
 	}
 	rcpts.SetPosition(p.RcptAcc, p.RcptCount)
 	rcpts.Retention = p.Retention

@@ -131,13 +131,13 @@ func (c *Chain) load(store mstate.NodeStore, root mstate.Hash, ck *Checkpoint) e
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
 	for i, p := range ck.Mempool {
 		if p == nil || p.Item == nil {
-			return fmt.Errorf("eth: checkpointed mempool entry %d is empty", i)
+			return fmt.Errorf("%w: eth: mempool entry %d is empty", chain.ErrBadCheckpoint, i)
 		}
 		if err := p.Item.Verify(); err != nil {
-			return fmt.Errorf("eth: checkpointed mempool entry %d: %w", i, err)
+			return fmt.Errorf("%w: eth: mempool entry %d: %w", chain.ErrBadCheckpoint, i, err)
 		}
 		if err := c.limits(p.Item); err != nil {
-			return fmt.Errorf("eth: checkpointed mempool entry %d: %w", i, err)
+			return fmt.Errorf("%w: eth: mempool entry %d: %w", chain.ErrBadCheckpoint, i, err)
 		}
 	}
 	c.pool.Restore(ck.Mempool)

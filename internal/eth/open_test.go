@@ -21,7 +21,7 @@ func fundedAccount(c *Chain, rng *chain.Rand, eth int64) *Account {
 	return acct
 }
 
-func transfer(t *testing.T, c *Chain, from, to *Account, nonce uint64) {
+func transfer(t testing.TB, c *Chain, from, to *Account, nonce uint64) {
 	t.Helper()
 	tx := &Tx{
 		From:     from.Address,
@@ -287,4 +287,52 @@ func TestOpenRefusesTamperedMempool(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzOpenCheckpoint opens a chain from a committed store with a mutated
+// checkpoint: the seed is the valid checkpoint of that store, with a
+// transaction in flight. Whatever JSON decodes into a Checkpoint, Open must
+// return a chain or a typed error, and two Steps on a chain it returns must
+// not panic.
+func FuzzOpenCheckpoint(f *testing.F) {
+	cfg := Goerli()
+	const seed = 77
+	ref := NewChain(cfg, seed)
+	keyRng := chain.NewRand(seed).Fork("test:keys")
+	alice := fundedAccount(ref, keyRng, 1000)
+	bob := fundedAccount(ref, keyRng, 1000)
+	for nonce := uint64(0); nonce < 3; nonce++ {
+		transfer(f, ref, alice, bob, nonce)
+		ref.Step()
+	}
+	transfer(f, ref, alice, bob, 3)
+	ck, err := ref.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	store := mstate.NewMemStore()
+	root, err := ref.CommitState(store)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var ck Checkpoint
+		if json.Unmarshal(blob, &ck) != nil {
+			return
+		}
+		c, err := Open(Options{Config: cfg, Seed: seed, Store: store, Root: root, Checkpoint: &ck})
+		if err != nil {
+			if !errors.Is(err, chain.ErrBadCheckpoint) {
+				t.Fatalf("Open: untyped error: %v", err)
+			}
+			return
+		}
+		c.Step()
+		c.Step()
+	})
 }

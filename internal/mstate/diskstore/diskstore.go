@@ -1,31 +1,43 @@
 // Package diskstore is the disk-backed mstate.NodeStore: an append-only,
-// content-addressed node log with crash-safe commits.
+// content-addressed node log with crash-safe commits, compacted by
+// generations.
 //
 // Layout of a store directory:
 //
-//	seg-000001.log   append-only segment: 8-byte magic, then records
-//	seg-000002.log   ... (a new segment starts once the previous one
-//	                 crosses Options.SegmentBytes)
-//	MANIFEST         commit manifest: (root, segment, offset, meta),
-//	                 written atomically (temp + fsync + rename) only
-//	                 after the nodes it references are durable
+//	seg-000007.log   segment: 8-byte magic, then records. A generation is
+//	seg-000008.log   a run of segments (a new one starts once the active
+//	                 one crosses Options.SegmentBytes); the manifest
+//	                 names its first
+//	MANIFEST         commit manifest: (root, generation, segment, offset,
+//	                 meta), written atomically (temp + fsync + rename)
+//	                 only after the nodes it references are durable
 //
 // Each record is
 //
 //	len(payload) uint32 BE | hash [32]byte | payload | crc32 uint32 BE
 //
-// with the CRC (IEEE) taken over len‖hash‖payload. Records are never
-// rewritten; the hash is the content address (sha256 of the payload per
-// the mstate node encoding). The log does not deduplicate — a writer
-// (mstate.Trie.Commit) appends what is new to it — so equal nodes may
-// appear more than once, and reads serve the first copy.
+// with the CRC (IEEE) taken over len‖hash‖payload. A record is never
+// rewritten in place; the hash is the content address (sha256 of the
+// payload per the mstate node encoding). The log does not deduplicate — a
+// writer (mstate.Trie.Commit) appends what is new to it — so equal nodes
+// may appear more than once, and reads serve the first copy.
+//
+// Compaction is a commit. When another commit the size of the last one
+// would take the records appended since the generation's first commit past
+// the records of that first commit, so that more than half the generation
+// could be dead, Commit starts a new segment as a new generation.
+// Generation reports it, so the next Trie.Commit writes every live node
+// again; the commit of that root names the new generation, and only then
+// are the old generation's segments removed.
 //
 // Durability protocol: Put appends a record to the active segment through
 // a 64 KiB append buffer; Commit flushes, fsyncs the segment, and
-// only then replaces MANIFEST with one pointing at (root, segment,
-// offset). A crash between those steps leaves a torn tail past the
-// manifest offset, which Open truncates away; the store always reopens
-// at the last committed root, never a partial one.
+// only then replaces MANIFEST with one pointing at (root, generation,
+// segment, offset). A crash between those steps leaves a torn tail past
+// the manifest offset, which Open truncates away, and maybe segments past
+// the manifest's (an uncommitted generation) or below its generation (a
+// retired one whose removal was cut short), which Open removes; the store
+// always reopens at the last committed root, never a partial one.
 package diskstore
 
 import (
@@ -53,8 +65,8 @@ var (
 	// ErrCorruptManifest: MANIFEST exists but fails parsing, its
 	// checksum, or its magic.
 	ErrCorruptManifest = errors.New("diskstore: corrupt manifest")
-	// ErrMissingSegment: the manifest references a segment that is not
-	// on disk (or the numbering has a gap below it).
+	// ErrMissingSegment: a segment of the manifest's generation, up to
+	// the one the manifest references, is not on disk.
 	ErrMissingSegment = errors.New("diskstore: missing segment")
 	// ErrTruncatedRecord: the durable region promised by the manifest
 	// ends mid-record, or a sealed segment does.
@@ -79,6 +91,11 @@ const (
 	// ≈ 1 MB reaches the file in ≈ 15 writes, and the buffer is all the
 	// heap the write path keeps.
 	appendBufBytes = 64 << 10
+	// deadShare is the compaction rule's one constant: a new generation
+	// starts once another commit like the last would leave more than
+	// 1/deadShare of the generation's records appended after its first
+	// commit — at most half the log is dead.
+	deadShare = 2
 )
 
 // Options tunes a Store. The zero value picks sensible defaults.
@@ -126,22 +143,30 @@ type Store struct {
 	w      *bufio.Writer    // buffers appends to files[active]
 	curOff int64            // logical end of the active segment
 
+	// gen is the first segment of the generation appends go to. It runs
+	// ahead of man.Gen from the commit that starts a generation to the
+	// commit that names it; until then retired counts the records of the
+	// old generation, which the log still holds.
+	gen     int
+	retired int
+	first   int // records of gen's first commit
+	sealed  int // records at the last commit
+
 	// Put's record framing. Held here, not on Put's stack: a local
 	// passed to w.Write escapes, one allocation per record.
 	hdr  [recHeaderLen]byte
 	tail [recTrailerLen]byte
 
-	root    mstate.Hash
-	hasRoot bool
-	meta    []byte
+	man *manifest // the last committed manifest; nil for a fresh store
 
 	closed bool
 }
 
 // Open opens (or creates) the store in dir, recovering to the last
-// committed manifest: the index is built by scanning segments up to
-// the manifest's (segment, offset), any torn tail past it is truncated,
-// and uncommitted newer segments are removed. An empty or absent dir
+// committed manifest: the index is built by scanning the manifest's
+// generation up to its (segment, offset), any torn tail past it is
+// truncated, and segments outside the generation — uncommitted newer ones,
+// retired older ones — are removed. An empty or absent dir
 // initialises a fresh store; segments without a manifest are corruption
 // (ErrMissingManifest).
 func Open(dir string, opts Options) (*Store, error) {
@@ -172,29 +197,32 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err := s.startSegment(1); err != nil {
 			return nil, err
 		}
+		s.gen = 1
 		return s, nil
 	}
 
-	// Committed state exists: every segment 1..man.Segment must be
-	// present; anything newer was never committed and is dropped.
+	// Committed state exists: every segment man.Gen..man.Segment must be
+	// present; anything newer was never committed, anything older belongs
+	// to a retired generation, and both are dropped.
 	present := make(map[int]bool, len(segs))
 	for _, n := range segs {
 		present[n] = true
 	}
-	for n := 1; n <= man.Segment; n++ {
+	for n := man.Gen; n <= man.Segment; n++ {
 		if !present[n] {
 			return nil, fmt.Errorf("%w: %s referenced by manifest", ErrMissingSegment, segName(n))
 		}
 	}
 	for _, n := range segs {
-		if n > man.Segment {
+		if n < man.Gen || n > man.Segment {
 			if err := os.Remove(filepath.Join(dir, segName(n))); err != nil {
-				return nil, fmt.Errorf("diskstore: drop uncommitted %s: %w", segName(n), err)
+				return nil, fmt.Errorf("diskstore: drop %s outside generation %d: %w", segName(n), man.Gen, err)
 			}
 		}
 	}
 
-	for n := 1; n <= man.Segment; n++ {
+	s.gen, s.man = man.Gen, man
+	for n := man.Gen; n <= man.Segment; n++ {
 		f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_RDWR, 0o644)
 		if err != nil {
 			s.closeFiles()
@@ -221,42 +249,44 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.active = man.Segment
 	s.curOff = end
 	s.w = bufio.NewWriterSize(f, appendBufBytes)
-	s.root = man.Root
-	s.hasRoot = true
-	s.meta = man.Meta
+	s.first, s.sealed = man.First, s.records
 	return s, nil
 }
 
 // loadIndex builds the index, the record count and the newest hash with one
-// sequential pass over segments 1..last: sealed ones to their full size,
-// the last one up to limit. It returns the offset where that region ends.
-// hint pre-sizes the map; the bytes to scan bound how many records there
-// can be, so a wrong hint cannot over-allocate. On failure the store keeps
-// no index rather than half of one.
+// sequential pass over the segments the store keeps, up to last: sealed
+// ones to their full size, the last one up to limit. It returns the offset
+// where that region ends. hint pre-sizes the map; the bytes to scan bound
+// how many records there can be, so a wrong hint cannot over-allocate. On
+// failure the store keeps no index rather than half of one.
 func (s *Store) loadIndex(last int, limit int64, hint int) (int64, error) {
-	sizes := make([]int64, last+1)
+	from := s.gen
+	if s.man != nil {
+		from = s.man.Gen // a retiring generation is still read
+	}
+	sizes := make([]int64, last-from+1)
 	var durable int64
-	for n := 1; n <= last; n++ {
+	for n := from; n <= last; n++ {
 		st, err := s.files[n].Stat()
 		if err != nil {
 			return 0, fmt.Errorf("diskstore: stat %s: %w", segName(n), err)
 		}
-		sizes[n] = st.Size()
-		durable += sizes[n]
+		sizes[n-from] = st.Size()
+		durable += sizes[n-from]
 	}
-	durable -= max(0, sizes[last]-limit) // the tail past limit is not scanned
+	durable -= max(0, sizes[last-from]-limit) // the tail past limit is not scanned
 	records, newest := s.records, s.last
 	s.index = make(map[mstate.Hash]ref, max(0, min(int64(hint), durable/(recHeaderLen+recTrailerLen))))
 	s.records = 0
 	br := bufio.NewReaderSize(nil, int(min(scanBufBytes, durable)))
 	var end int64
-	for n := 1; n <= last; n++ {
-		to := sizes[n]
+	for n := from; n <= last; n++ {
+		to := sizes[n-from]
 		if n == last {
 			to = limit
 		}
 		var err error
-		if end, err = s.scanSegment(n, br, sizes[n], to); err != nil {
+		if end, err = s.scanSegment(n, br, sizes[n-from], to); err != nil {
 			s.index, s.records, s.last = nil, records, newest
 			return 0, err
 		}
@@ -315,7 +345,8 @@ func (s *Store) scanSegment(n int, br *bufio.Reader, size, limit int64) (int64, 
 	return off, nil
 }
 
-// startSegment creates segment n with its header and makes it active.
+// startSegment creates segment n with its header and makes it active,
+// appending through the same buffer as the segment before it.
 func (s *Store) startSegment(n int) error {
 	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -327,7 +358,11 @@ func (s *Store) startSegment(n int) error {
 	}
 	s.files[n] = f
 	s.active = n
-	s.w = bufio.NewWriterSize(f, appendBufBytes)
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(f, appendBufBytes)
+	} else {
+		s.w.Reset(f)
+	}
 	s.curOff = segHeaderLen
 	return nil
 }
@@ -398,6 +433,13 @@ func (s *Store) GetNode(h mstate.Hash) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
+	if s.man != nil && s.gen != s.man.Gen {
+		// A read before the new generation is committed: the node may sit
+		// in the old generation only, and a reader would take it for the
+		// new one's (Generation). The new segments join the old generation
+		// instead, and a later commit starts another.
+		s.gen, s.retired = s.man.Gen, 0
+	}
 	index, err := s.indexLocked()
 	if err != nil {
 		return nil, err
@@ -453,13 +495,21 @@ func (s *Store) flushLocked() error {
 // exactly to this point. A non-empty root must be the newest record (a
 // Trie.Commit appends its root last) or the root already committed:
 // anything else is a root this log was not just given.
+//
+// Commit also compacts. In a settled generation it applies the rule
+// (deadShare) and may start the next generation. The manifest names a new
+// generation once the generation holds root — the empty root, or the
+// newest record appended there — and only after that manifest is
+// published are the old generation's segments closed and removed (Open
+// removes what a crash or an error leaves of them); until then the
+// manifest keeps naming the old generation.
 func (s *Store) Commit(root mstate.Hash, meta []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if root != (mstate.Hash{}) && root != s.last && !(s.hasRoot && root == s.root) {
+	if root != (mstate.Hash{}) && root != s.last && !(s.man != nil && root == s.man.Root) {
 		return fmt.Errorf("diskstore: commit of root %x, which is neither the newest record nor the committed root", root[:8])
 	}
 	if err := s.flushLocked(); err != nil {
@@ -470,36 +520,91 @@ func (s *Store) Commit(root mstate.Hash, meta []byte) error {
 	}
 	man := &manifest{
 		Root:    root,
+		Gen:     s.gen,
 		Segment: s.active,
 		Offset:  s.curOff,
-		Nodes:   s.records,
-		Meta:    meta,
+		Nodes:   s.records - s.retired,
+		First:   s.first,
 	}
+	moving := s.man != nil && s.gen != s.man.Gen
+	switch {
+	case s.man == nil || moving && (root == mstate.Hash{} || root == s.last && s.records > s.retired):
+		man.First = man.Nodes // the generation's first commit
+	case moving:
+		*man = *s.man // the new generation does not hold root yet
+		man.Root = root
+	}
+	man.Meta = append([]byte(nil), meta...)
 	if err := writeManifest(s.dir, man, s.opts.NoSync); err != nil {
 		return err
 	}
-	s.root = root
-	s.hasRoot = true
-	s.meta = append([]byte(nil), meta...)
+	old := s.man
+	s.man = man
+	written := s.records - s.sealed
+	s.sealed = s.records
+	if moving {
+		if man.Gen == s.gen {
+			return s.retire(old.Gen)
+		}
+		return nil
+	}
+	s.first = man.First
+	if deadShare*(s.records-s.first+written) > s.records+written {
+		if err := s.startSegment(s.active + 1); err != nil {
+			return err
+		}
+		s.gen, s.retired = s.active, s.records
+	}
 	return nil
+}
+
+// retire closes and removes segments from..gen-1, the old generation, once
+// a published manifest names the new one, and settles the counts on it.
+func (s *Store) retire(from int) error {
+	s.records -= s.retired
+	s.first, s.sealed, s.retired = s.records, s.records, 0
+	s.index = nil // it may point into the removed segments
+	for n := from; n < s.gen; n++ {
+		s.files[n].Close()
+		delete(s.files, n)
+		if err := os.Remove(filepath.Join(s.dir, segName(n))); err != nil {
+			return fmt.Errorf("diskstore: remove retired %s: %w", segName(n), err)
+		}
+	}
+	return nil
+}
+
+// Generation is the first segment of the generation appends go to: the
+// optional method of an mstate.NodeStore that drops old nodes.
+func (s *Store) Generation() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen
 }
 
 // Root returns the last committed root, and whether one exists.
 func (s *Store) Root() (mstate.Hash, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.root, s.hasRoot
+	if s.man == nil {
+		return mstate.Hash{}, false
+	}
+	return s.man.Root, true
 }
 
 // Meta returns a copy of the meta blob from the last commit.
 func (s *Store) Meta() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]byte(nil), s.meta...)
+	if s.man == nil {
+		return nil
+	}
+	return append([]byte(nil), s.man.Meta...)
 }
 
 // Len is the number of records in the log (committed or staged), a node
-// appended twice counted twice.
+// appended twice counted twice. A generation's records leave the count when
+// it is retired.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

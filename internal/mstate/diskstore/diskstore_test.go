@@ -507,9 +507,11 @@ func TestOpensAStoreWrittenByTheParentCommit(t *testing.T) {
 }
 
 // A store that has taken a commit holds nothing per record: after Open and
-// Load, 200 churn commits grow the log by tens of thousands of records and
-// the heap not at all. (The trie is the same size throughout — same keys,
-// equal-length values — so heap growth would be the store's.)
+// Load, 200 churn commits append tens of thousands of records and grow the
+// heap not at all. (The trie is the same size throughout — same keys,
+// equal-length values — so heap growth would be the store's.) The log
+// compacts, so Len stays near the live trie: the appended records are
+// counted around each Trie.Commit, before Commit retires a generation.
 func TestStoreHeapFlatAcrossCommits(t *testing.T) {
 	const keys = 300
 	rewrite := func(tr *mstate.Trie, round int) {
@@ -531,16 +533,25 @@ func TestStoreHeapFlatAcrossCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var heap20 uint64
-	var records20 int
+	added := 0
 	for round := 1; round <= 200; round++ {
 		rewrite(tr, round)
-		commit(t, tr, s, nil)
+		before := s.Len()
+		root, err := tr.Commit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round > 20 {
+			added += s.Len() - before
+		}
+		if err := s.Commit(root, nil); err != nil {
+			t.Fatal(err)
+		}
 		if round == 20 {
-			heap20, records20 = heapAfterGC(), s.Len()
+			heap20 = heapAfterGC()
 		}
 	}
 	grown := int64(heapAfterGC()) - int64(heap20)
-	added := s.Len() - records20
 	if added < 180*keys {
 		t.Fatalf("180 commits added %d records, want at least %d", added, 180*keys)
 	}
@@ -556,38 +567,58 @@ func TestStoreHeapFlatAcrossCommits(t *testing.T) {
 // it in the store's own, so what is left is the new commit base and the
 // manifest. BenchmarkCommitRound's fully rewritten trie (≈ 8 k nodes) and
 // one a tenth its size both stay under the bound; one allocation per node
-// would be thousands. The least of three rounds is taken, so an allocation
+// would be thousands. On this shape the rounds alternate: one starts a
+// generation (a new segment, which appends through the same buffer: well
+// under its 64 KiB), the next writes the trie into it and removes the old
+// one. The least of three rounds of each kind is taken, so an allocation
 // the runtime makes on the side does not count.
 func TestCommitRoundAllocsConstant(t *testing.T) {
-	mallocs := func() uint64 {
+	allocs := func() (uint64, uint64) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.Mallocs
+		return m.Mallocs, m.TotalAlloc
 	}
 	for _, keys := range []int{benchKeys / 10, benchKeys} {
 		s := openT(t, t.TempDir(), Options{})
 		tr := mstate.New()
 		churn(tr, keys, 0)
 		commit(t, tr, s, nil)
-		least := uint64(math.MaxUint64)
-		for round := 1; round <= 3; round++ {
+		// least[kind]: objects and bytes; kind 1 is a round that starts a
+		// generation, kind 0 one that names it.
+		var least [2][2]uint64
+		for kind := range least {
+			least[kind] = [2]uint64{math.MaxUint64, math.MaxUint64}
+		}
+		for round := 1; round <= 6; round++ {
 			churn(tr, keys, round)
 			tr.Root() // hashing is the trie's cost, paid before the commit
-			before := mallocs()
+			gen := s.gen
+			objects, bytes := allocs()
 			root, err := tr.Commit(s)
 			if err == nil {
 				err = s.Commit(root, nil)
 			}
-			least = min(least, mallocs()-before)
+			objectsAfter, bytesAfter := allocs()
 			if err != nil {
 				t.Fatal(err)
 			}
+			kind := 0
+			if s.gen != gen && s.gen != s.man.Gen {
+				kind = 1
+			}
+			least[kind][0] = min(least[kind][0], objectsAfter-objects)
+			least[kind][1] = min(least[kind][1], bytesAfter-bytes)
 		}
 		s.Close()
-		if least > 64 {
-			t.Errorf("%d keys: a commit round allocates %d objects, want at most 64", keys, least)
+		for kind, what := range []string{"names a generation", "starts a generation"} {
+			if least[kind][0] > 64 {
+				t.Errorf("%d keys: a commit round that %s allocates %d objects, want at most 64", keys, what, least[kind][0])
+			}
+			t.Logf("%d keys: %d allocations, %d B a commit round that %s", keys, least[kind][0], least[kind][1], what)
 		}
-		t.Logf("%d keys: %d allocations a commit round", keys, least)
+		if least[1][1] >= appendBufBytes/2 {
+			t.Errorf("%d keys: a commit round that starts a generation allocates %d B: a new append buffer", keys, least[1][1])
+		}
 	}
 }
 

@@ -12,17 +12,27 @@ import (
 	"agnopol/internal/mstate"
 )
 
-const manifestMagic = "POLMAN1"
+// manifestMagic versions the manifest. POLMAN1, written before stores
+// compacted, has no generation fields and reads as generation 1 whose
+// first commit holds every record.
+const (
+	manifestMagic   = "POLMAN2"
+	manifestMagicV1 = "POLMAN1"
+)
 
-// manifest is the commit record: the committed root, how far into
-// which segment the durable log extends, and an opaque caller blob
-// (chains store their checkpoint here). It is only ever replaced
-// atomically, after the bytes it points at are fsynced.
+// manifest is the commit record: the committed root, the generation that
+// holds it (its first segment), how far into which segment the durable log
+// extends, the records of the generation up to there and of its first
+// commit, and an opaque caller blob (chains store their checkpoint here).
+// It is only ever replaced atomically, after the bytes it points at are
+// fsynced.
 type manifest struct {
 	Root    mstate.Hash
+	Gen     int
 	Segment int
 	Offset  int64
 	Nodes   int
+	First   int
 	Meta    []byte
 }
 
@@ -32,15 +42,20 @@ type manifest struct {
 type manifestJSON struct {
 	Magic   string `json:"magic"`
 	Root    string `json:"root"`
+	Gen     int    `json:"generation"`
 	Segment int    `json:"segment"`
 	Offset  int64  `json:"offset"`
 	Nodes   int    `json:"nodes"`
+	First   int    `json:"first"`
 	Meta    []byte `json:"meta,omitempty"`
 	CRC     uint32 `json:"crc"`
 }
 
-func (m *manifest) checksum() uint32 {
-	s := fmt.Sprintf("%s|%x|%d|%d|%d|%x", manifestMagic, m.Root[:], m.Segment, m.Offset, m.Nodes, m.Meta)
+func (m *manifest) checksum(magic string) uint32 {
+	s := fmt.Sprintf("%s|%x|%d|%d|%d|%x", magic, m.Root[:], m.Segment, m.Offset, m.Nodes, m.Meta)
+	if magic != manifestMagicV1 {
+		s += fmt.Sprintf("|%d|%d", m.Gen, m.First)
+	}
 	return crc32.ChecksumIEEE([]byte(s))
 }
 
@@ -58,20 +73,23 @@ func readManifest(path string) (*manifest, error) {
 	if err := json.Unmarshal(data, &mj); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
 	}
-	if mj.Magic != manifestMagic {
+	if mj.Magic != manifestMagic && mj.Magic != manifestMagicV1 {
 		return nil, fmt.Errorf("%w: magic %q", ErrCorruptManifest, mj.Magic)
 	}
 	rootBytes, err := hex.DecodeString(mj.Root)
 	if err != nil || len(rootBytes) != len(mstate.Hash{}) {
 		return nil, fmt.Errorf("%w: bad root %q", ErrCorruptManifest, mj.Root)
 	}
-	m := &manifest{Segment: mj.Segment, Offset: mj.Offset, Nodes: mj.Nodes, Meta: mj.Meta}
+	m := &manifest{Gen: mj.Gen, Segment: mj.Segment, Offset: mj.Offset, Nodes: mj.Nodes, First: mj.First, Meta: mj.Meta}
 	copy(m.Root[:], rootBytes)
-	if mj.CRC != m.checksum() {
-		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorruptManifest, mj.CRC, m.checksum())
+	if want := m.checksum(mj.Magic); mj.CRC != want {
+		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorruptManifest, mj.CRC, want)
 	}
-	if m.Segment < 1 || m.Offset < segHeaderLen {
-		return nil, fmt.Errorf("%w: impossible position seg=%d off=%d", ErrCorruptManifest, m.Segment, m.Offset)
+	if mj.Magic == manifestMagicV1 {
+		m.Gen, m.First = 1, m.Nodes
+	}
+	if m.Gen < 1 || m.Segment < m.Gen || m.Offset < segHeaderLen {
+		return nil, fmt.Errorf("%w: impossible position gen=%d seg=%d off=%d", ErrCorruptManifest, m.Gen, m.Segment, m.Offset)
 	}
 	return m, nil
 }
@@ -82,11 +100,13 @@ func writeManifest(dir string, m *manifest, noSync bool) error {
 	mj := manifestJSON{
 		Magic:   manifestMagic,
 		Root:    hex.EncodeToString(m.Root[:]),
+		Gen:     m.Gen,
 		Segment: m.Segment,
 		Offset:  m.Offset,
 		Nodes:   m.Nodes,
+		First:   m.First,
 		Meta:    m.Meta,
-		CRC:     m.checksum(),
+		CRC:     m.checksum(manifestMagic),
 	}
 	data, err := json.Marshal(&mj)
 	if err != nil {

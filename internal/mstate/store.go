@@ -30,6 +30,13 @@ var ErrRootMismatch = errors.New("mstate: loaded trie does not hash to the reque
 // stores serve the first). Commit recognises a store it has written to
 // by interface equality: implementations are pointers, or otherwise
 // comparable.
+//
+// A store that drops old nodes also has a method Generation() int
+// (diskstore.Store does). It names the set of nodes the store keeps
+// together: the store moves new nodes to a new generation before it drops
+// the old one, and a node GetNode has returned is held by the generation
+// Generation reports after the call. A store without the method keeps
+// every node, in generation 0.
 type NodeStore interface {
 	// Put stores enc under h. The store must not retain enc (it copies
 	// or writes it out): the caller reuses it for the next node.
@@ -44,6 +51,14 @@ type NodeStore interface {
 	// Close releases the store's resources. The store is unusable
 	// afterwards.
 	Close() error
+}
+
+// generation is store's generation (see NodeStore).
+func generation(store NodeStore) int {
+	if g, ok := store.(interface{ Generation() int }); ok {
+		return g.Generation()
+	}
+	return 0
 }
 
 // MemStore is the in-memory NodeStore.
@@ -81,19 +96,22 @@ func (m *MemStore) Close() error { return nil }
 // Len is the number of stored nodes.
 func (m *MemStore) Len() int { return len(m.nodes) }
 
-// stored names a root that has been written out and the store holding it.
-// A value is never modified once built, so handles may share it.
+// stored names a root that has been written out, the store holding it and
+// the store's generation that holds every node under it. A value is never
+// modified once built, so handles may share it.
 type stored struct {
 	root node
 	in   NodeStore
+	gen  int
 }
 
 // Commit writes into store every node of t that store does not hold yet,
 // one Put per node, and returns the root hash. What is new is read off the
 // trie itself: t is walked against the root this handle last committed to
-// (or was loaded from) the same store, and a subtree whose node is the very
-// node that sat there then is skipped whole; a store the handle has not
-// written to gets every node. Commit retires t's ownership token first,
+// (or was loaded from) the same store in the same generation, and a subtree
+// whose node is the very node that sat there then is skipped whole; a store
+// the handle has not written to, or has since moved to a new generation,
+// gets every node. Commit retires t's ownership token first,
 // so no later write can change a node in place behind a pointer the base
 // also holds. The base advances only once the store has taken and flushed
 // everything, so a failed Commit is simply retried.
@@ -105,7 +123,8 @@ func (t *Trie) Commit(store NodeStore) (Hash, error) {
 	}
 	t.own = nil
 	var old node
-	if t.base != nil && t.base.in == store {
+	gen := generation(store)
+	if t.base != nil && t.base.in == store && t.base.gen == gen {
 		old = t.base.root
 	}
 	var enc []byte // every node's encoding, in turn; nil for a no-op re-commit
@@ -117,7 +136,7 @@ func (t *Trie) Commit(store NodeStore) (Hash, error) {
 		return Hash{}, err
 	}
 	if t.root != old {
-		t.base = &stored{root: t.root, in: store}
+		t.base = &stored{root: t.root, in: store, gen: gen}
 	}
 	return root, nil
 }
@@ -178,7 +197,7 @@ func Load(store NodeStore, root Hash) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{root: n, count: count, base: &stored{root: n, in: store}}
+	t := &Trie{root: n, count: count, base: &stored{root: n, in: store, gen: generation(store)}}
 	if got := t.Root(); got != root {
 		return nil, fmt.Errorf("%w: got %x, want %x", ErrRootMismatch, got[:8], root[:8])
 	}

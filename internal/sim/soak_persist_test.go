@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,12 +67,15 @@ func TestSoakCheckpointResumeBitIdentical(t *testing.T) {
 // TestSoakResumesFromATornCheckpoint is the deterministic form of the
 // SIGKILL smoke scripts/check.sh ran until PR 25. A process killed while
 // writing the checkpoint after the one its MANIFEST names leaves the
-// segment cut anywhere between that manifest's offset and the end of the
-// next checkpoint's append, and a partial MANIFEST.tmp beside it. Resuming
-// a copy of such a directory must land on the uninterrupted run's digest,
-// state root and block count, on both families. TestEveryCutPointRecovers
-// covers every byte of a commit at the store level; this covers the soak
-// that resumes above it.
+// segment that checkpoint appends to cut anywhere in its append, and a
+// partial MANIFEST.tmp beside it. The checkpoint after round 2 starts a new
+// store generation, so the one after round 4 writes the live trie into the
+// new generation's first segment (a compacting commit); the one after round
+// 6 appends to that segment behind round 4's. Resuming a copy of either
+// torn directory must land on the uninterrupted run's digest, state root
+// and block count, on both families. TestEveryCutPointRecovers and
+// TestEveryCutPointOfACompactionRecovers cover every byte of a commit at
+// the store level; this covers the soak that resumes above it.
 func TestSoakResumesFromATornCheckpoint(t *testing.T) {
 	read := func(dir, name string) []byte {
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -80,26 +84,28 @@ func TestSoakResumesFromATornCheckpoint(t *testing.T) {
 		}
 		return data
 	}
-	position := func(manifest []byte) (segment int, offset int64) {
+	position := func(manifest []byte) (generation, segment int, offset int64) {
 		var m struct {
-			Segment int
-			Offset  int64
+			Generation int
+			Segment    int
+			Offset     int64
 		}
 		if err := json.Unmarshal(manifest, &m); err != nil {
 			t.Fatal(err)
 		}
-		return m.Segment, m.Offset
+		return m.Generation, m.Segment, m.Offset
 	}
 	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
 		t.Run(string(c), func(t *testing.T) {
-			spec := SoakSpec{Chain: c, Areas: 3, Users: 6, Rounds: 6, Shards: 2, Seed: 42}
+			spec := SoakSpec{Chain: c, Areas: 3, Users: 6, Rounds: 8, Shards: 2, Seed: 42}
 			full, err := RunSoak(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The same run stopped after rounds 2 and 4: the first directory
-			// is the durable state a killed process leaves, the second holds
-			// the bytes of the checkpoint the killed process was appending.
+			// The same run stopped after a number of rounds: the first
+			// directory of a pair is the durable state a killed process
+			// leaves, the second holds the bytes of the checkpoint the killed
+			// process was writing.
 			stopped := func(rounds int) string {
 				s := spec
 				s.StateDir, s.CheckpointEvery, s.StopAfterRounds = t.TempDir(), 2, rounds
@@ -108,50 +114,67 @@ func TestSoakResumesFromATornCheckpoint(t *testing.T) {
 				}
 				return s.StateDir
 			}
-			durable, next := stopped(2), stopped(4)
-			manifest, nextManifest := read(durable, "MANIFEST"), read(next, "MANIFEST")
-			seg, from := position(manifest)
-			nextSeg, to := position(nextManifest)
-			segs, err := filepath.Glob(filepath.Join(durable, "seg-*.log"))
-			if err != nil || len(segs) != 1 || seg != 1 || nextSeg != 1 {
-				t.Fatalf("want one segment on both sides, got %v (manifests name %d and %d)", segs, seg, nextSeg)
-			}
-			if to <= from {
-				t.Fatalf("the next checkpoint appended nothing: offsets %d, %d", from, to)
-			}
-			segName := filepath.Base(segs[0])
-			log := read(next, segName)
-			if !bytes.Equal(log[:from], read(durable, segName)) {
-				t.Fatal("the two stopped runs wrote different bytes up to the first checkpoint")
-			}
-			cuts := []int64{from + 1, to - 1}
-			for k := int64(0); k <= 8; k++ {
-				cuts = append(cuts, from+(to-from)*k/8)
-			}
-			for _, cut := range cuts {
-				dir := t.TempDir()
-				for name, data := range map[string][]byte{
-					"MANIFEST":     manifest,
-					segName:        log[:cut],
-					"MANIFEST.tmp": nextManifest[:1+int(cut-from)%(len(nextManifest)-1)],
-				} {
-					if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-						t.Fatal(err)
-					}
+			for _, pair := range [][2]int{{2, 4}, {4, 6}} {
+				durable, next := stopped(pair[0]), stopped(pair[1])
+				manifest, nextManifest := read(durable, "MANIFEST"), read(next, "MANIFEST")
+				gen, seg, from := position(manifest)
+				nextGen, nextSeg, to := position(nextManifest)
+				compacting := pair[0] == 2
+				switch {
+				case compacting && (gen != 1 || nextGen != seg+1 || nextSeg != nextGen):
+					t.Fatalf("rounds %v: want generation 1 ending in segment %d, then generation %d; manifests name %d/%d and %d/%d",
+						pair, seg, seg+1, gen, seg, nextGen, nextSeg)
+				case compacting:
+					from = int64(len("POLSEG1\n")) // the new generation's first segment holds only its header
+				case nextGen != gen || nextSeg != seg:
+					t.Fatalf("rounds %v: want one segment on both sides, manifests name %d/%d and %d/%d",
+						pair, gen, seg, nextGen, nextSeg)
 				}
-				resumed, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
+				if to <= from {
+					t.Fatalf("rounds %v: the next checkpoint appended nothing: offsets %d, %d", pair, from, to)
+				}
+				segName := fmt.Sprintf("seg-%06d.log", nextSeg)
+				log := read(next, segName)
+				if !bytes.Equal(log[:from], read(durable, segName)) {
+					t.Fatalf("rounds %v: the two stopped runs wrote different bytes up to the first checkpoint", pair)
+				}
+				segs, err := filepath.Glob(filepath.Join(durable, "seg-*.log"))
 				if err != nil {
-					t.Fatalf("cut at %d of [%d, %d]: %v", cut, from, to, err)
+					t.Fatal(err)
 				}
-				if resumed.Digest != full.Digest || resumed.StateRoot != full.StateRoot || resumed.Blocks != full.Blocks {
-					t.Fatalf("cut at %d of [%d, %d]: resumed to digest %x root %x after %d blocks, uninterrupted %x %x %d",
-						cut, from, to, resumed.Digest[:8], resumed.StateRoot[:8], resumed.Blocks,
-						full.Digest[:8], full.StateRoot[:8], full.Blocks)
+				cuts := []int64{from + 1, to - 1}
+				for k := int64(0); k <= 8; k++ {
+					cuts = append(cuts, from+(to-from)*k/8)
 				}
-				// What the resumed run appended after the cut must reopen too.
-				again, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
-				if err != nil || again.StateRoot != full.StateRoot {
-					t.Fatalf("cut at %d: reopening the resumed run's final checkpoint: %v", cut, err)
+				for _, cut := range cuts {
+					dir := t.TempDir()
+					files := map[string][]byte{
+						"MANIFEST":     manifest,
+						"MANIFEST.tmp": nextManifest[:1+int(cut-from)%(len(nextManifest)-1)],
+					}
+					for _, path := range segs {
+						files[filepath.Base(path)] = read(durable, filepath.Base(path))
+					}
+					files[segName] = log[:cut]
+					for name, data := range files {
+						if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					resumed, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
+					if err != nil {
+						t.Fatalf("rounds %v, cut at %d of [%d, %d]: %v", pair, cut, from, to, err)
+					}
+					if resumed.Digest != full.Digest || resumed.StateRoot != full.StateRoot || resumed.Blocks != full.Blocks {
+						t.Fatalf("rounds %v, cut at %d of [%d, %d]: resumed to digest %x root %x after %d blocks, uninterrupted %x %x %d",
+							pair, cut, from, to, resumed.Digest[:8], resumed.StateRoot[:8], resumed.Blocks,
+							full.Digest[:8], full.StateRoot[:8], full.Blocks)
+					}
+					// What the resumed run appended after the cut must reopen too.
+					again, err := RunSoak(SoakSpec{StateDir: dir, Resume: true})
+					if err != nil || again.StateRoot != full.StateRoot {
+						t.Fatalf("rounds %v, cut at %d: reopening the resumed run's final checkpoint: %v", pair, cut, err)
+					}
 				}
 			}
 		})
