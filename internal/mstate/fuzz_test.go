@@ -39,11 +39,16 @@ func (s *faultyStore) reopened() *MemStore {
 
 // fuzzKey spreads one byte over a key so that keys collide on their first
 // nibbles often (splits and collapses at depths 0–2) and, when only the low
-// bits differ, all the way down to the last byte (a 62-branch chain).
+// bits differ, all the way down to the last byte (a 62-branch chain). The
+// bytes 0xF0–0xFF differ in the second nibble alone: they are the sixteen
+// keys of the branch under the root's slot F, which no other byte reaches.
 func fuzzKey(x byte) Key {
 	var k Key
 	k[0] = x & 0x33
 	k[1] = x & 0xC0
+	if x >= 0xF0 {
+		k[0], k[1] = x, 0
+	}
 	k[31] = x
 	return k
 }
@@ -148,6 +153,37 @@ func FuzzTrieCommit(f *testing.F) {
 	// the kept writes back as well.
 	f.Add([]byte{opOverlayOpen, 0, 0, opOverlayOpen, 0, 0, opPut, 1, 1, opDelete, 2, 0, opOverlayFold, 0, 0,
 		opOverlayOpen, 0, 0, opPut, 2, 2, opOverlayDrop, 0, 0, opOverlayFold, 0, 0, opCommit, 0, 0})
+	// One branch, the one under the root's slot F, grows from one key to
+	// sixteen children and shrinks back to one key through deletes, taking
+	// and giving up a child at the front, the back and in between. Owned,
+	// it moves to a larger room at the third and ninth key; a commit at four
+	// keys makes the fifth insert copy it into a larger room, and commits
+	// at eight, four and three keys left make the next delete copy it into
+	// a smaller one. At sixteen a snapshot and a load of the commit keep
+	// every slot while the handle empties the branch to a leaf; the loaded
+	// handle then empties its copy in the opposite order and commits to
+	// the other store.
+	fill := []byte{0xF8, 0xF0, 0xFF, 0xF4, 0xFC, 0xF2, 0xFA, 0xF6, 0xFE, 0xF1, 0xF9, 0xF5, 0xFD, 0xF3, 0xFB, 0xF7}
+	drop := []byte{0xF0, 0xFF, 0xF8, 0xF7, 0xF1, 0xFE, 0xF4, 0xFB, 0xF2, 0xFD, 0xF5, 0xFA, 0xF3, 0xFC, 0xF9}
+	fan := []byte{opPut, 0x01, 1}
+	for i, x := range fill {
+		fan = append(fan, opPut, x, byte(i))
+		if i == 0 || i == 3 {
+			fan = append(fan, opCommit, 0, 0)
+		}
+	}
+	fan = append(fan, opSnapshot, 0, 1, opCommit, 0, 0, opLoad, 2, 2)
+	for i, x := range drop {
+		fan = append(fan, opDelete, x, 0)
+		if i == 7 || i == 11 || i == 12 {
+			fan = append(fan, opCommit, 0, 0)
+		}
+	}
+	fan = append(fan, opCommit, 0, 0, opSelect, 2, 0)
+	for i := len(drop) - 1; i >= 0; i-- {
+		fan = append(fan, opDelete, drop[i], 0)
+	}
+	f.Add(append(fan, opCommit, 2, 1))
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		stores := [2]*faultyStore{{MemStore: NewMemStore()}, {MemStore: NewMemStore()}}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -203,7 +204,7 @@ func TestOwnedPutAllocatesNoBranch(t *testing.T) {
 		if !ok {
 			break
 		}
-		n = br.children[nibble(a, branches)]
+		n = br.child(nibble(a, branches))
 	}
 	if branches != depth {
 		t.Fatalf("path to the key has %d branches, want %d", branches, depth)
@@ -299,12 +300,61 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestBranchSizeClass: the owner pointer must not push a branch out of the
-// 288-byte allocation class it was in before, or live heap grows.
+// TestBranchSizeClass: a branch with room for two children, half of all
+// branches, must stay in the 80-byte allocation class. While every branch
+// held a fixed array of sixteen child slots it took 288 bytes.
 func TestBranchSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(branch{}); sz > 288 {
-		t.Fatalf("branch is %d bytes; more than 288 moves it to the next size class", sz)
+	if sz := unsafe.Sizeof(branch2{}); sz > 80 {
+		t.Fatalf("a two-child branch is %d bytes; more than 80 moves it to the next size class", sz)
 	}
+}
+
+// liveHeap is the live heap: what is still reachable after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// residentBytesPerKey is the live heap a trie keeps per key: 8 200
+// SHA-256-derived keys with 8-byte values, its root taken, so that every
+// node holds its cached hash.
+func residentBytesPerKey() float64 {
+	const keys = 8200
+	before := liveHeap()
+	tr := New()
+	for i := 0; i < keys; i++ {
+		tr.Put(KeyOf("resident", []byte{byte(i), byte(i >> 8)}), []byte("12345678"))
+	}
+	tr.Root()
+	after := liveHeap()
+	runtime.KeepAlive(tr)
+	return float64(int64(after)-int64(before)) / keys
+}
+
+// TestTrieResidentBytesPerKey bounds what the state trie keeps per key:
+// its leaf, value and cached hash, and its share of the branches above.
+// It was ≈ 230 B while every branch held sixteen child slots (288 B
+// whatever its fill).
+func TestTrieResidentBytesPerKey(t *testing.T) {
+	// Measured 161.7 B on amd64 (leaf, value and hash ≈ 104, branches with
+	// their hashes ≈ 58); the budget is that plus 10 %.
+	const budget = 178
+	if got := residentBytesPerKey(); got > budget {
+		t.Fatalf("the trie keeps %.1f B per key, budget %d B", got, budget)
+	} else {
+		t.Logf("%.1f B per key", got)
+	}
+}
+
+// BenchmarkTrieResident reports the number TestTrieResidentBytesPerKey
+// bounds. Nothing is timed.
+func BenchmarkTrieResident(b *testing.B) {
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(residentBytesPerKey(), "B/key")
 }
 
 // TestConcurrentOverlaysOverOneBase is the sharded block shape under the

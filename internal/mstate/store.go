@@ -160,24 +160,20 @@ func commitNode(n, old node, store NodeStore, enc *[]byte) (Hash, error) {
 	case *branch:
 		ob, _ := old.(*branch)
 		var kids [16]Hash
-		k := 0
-		for i, c := range cur.children {
-			if c == nil {
-				continue
-			}
+		slots := cur.mask // the slots still to walk, lowest first
+		for j, c := range cur.kids {
 			oc := old
 			if ob != nil {
-				oc = ob.children[i]
+				oc = ob.child(bits.TrailingZeros16(slots))
 			}
+			slots &= slots - 1
 			var err error
-			if kids[k], err = commitNode(c, oc, store, enc); err != nil {
+			if kids[j], err = commitNode(c, oc, store, enc); err != nil {
 				return Hash{}, err
 			}
-			k++
 		}
-		mask := cur.mask()
-		*enc = append((*enc)[:0], tagBranch, byte(mask>>8), byte(mask))
-		for _, ch := range kids[:k] {
+		*enc = append((*enc)[:0], tagBranch, byte(cur.mask>>8), byte(cur.mask))
+		for _, ch := range kids[:len(cur.kids)] {
 			*enc = append(*enc, ch[:]...)
 		}
 	}
@@ -230,21 +226,15 @@ func loadNode(store NodeStore, h Hash) (node, int, error) {
 		if len(enc) != want {
 			return nil, 0, fmt.Errorf("mstate: branch encoding for %x has %d bytes, want %d", h[:8], len(enc), want)
 		}
-		b := &branch{}
-		off := 3
+		b := newBranch(bits.OnesCount16(mask), nil)
+		b.mask = mask
 		count := 0
-		for i := 0; i < 16; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			var ch Hash
-			copy(ch[:], enc[off:off+32])
-			off += 32
-			child, n, err := loadNode(store, ch)
+		for j := range b.kids {
+			child, n, err := loadNode(store, Hash(enc[3+32*j:]))
 			if err != nil {
 				return nil, 0, err
 			}
-			b.children[i] = child
+			b.kids[j] = child
 			count += n
 		}
 		return b, count, nil

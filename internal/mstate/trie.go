@@ -6,7 +6,8 @@
 // The trie is a 16-ary radix tree over the nibbles of the (already
 // hashed, uniformly distributed) key. Leaves store the full key and
 // value, so lookups terminate as soon as the path is unambiguous;
-// interior branch chains exist only along shared key prefixes.
+// interior branch chains exist only along shared key prefixes, and a
+// branch holds only the children it has.
 //
 // Ownership rule: a Trie handle owns the branches it created since its
 // last Commit and mutates those in place; every other branch on a written
@@ -31,6 +32,7 @@ package mstate
 
 import (
 	"crypto/sha256"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -87,14 +89,64 @@ func newLeaf(k Key, v []byte) *leaf {
 // that every live token has an address of its own.
 type owner struct{ _ byte }
 
-// branch fans out on one nibble of the key. children[i] covers keys
-// whose nibble at this depth is i. owner is the token of the handle that
-// created the branch and is never rewritten; the handle may mutate the
-// branch in place for as long as it still holds that token.
+// branch fans out on one nibble of the key and holds only the children it
+// has: bit i of mask is set when a key below has nibble i at this depth,
+// and kids holds those children in slot order, so slot i's child is
+// kids[popcount(mask below bit i)] (slot). owner is the token of the
+// handle that created the branch and is never rewritten; the handle may
+// mutate the branch in place for as long as it still holds that token.
 type branch struct {
-	children [16]node
-	cached   atomic.Pointer[Hash]
-	owner    *owner
+	mask   uint16
+	kids   []node
+	cached atomic.Pointer[Hash]
+	owner  *owner
+}
+
+// A branch is allocated together with room for its children, so that it
+// and its children are one allocation: kids is a slice of the room behind
+// it. The rooms take 80, 112, 176 and 304 bytes on a 64-bit platform,
+// the first three a Go size class each and the last in the 320-byte
+// class; half of the branches over a random key set have two children.
+type (
+	branch2 struct {
+		branch
+		room [2]node
+	}
+	branch4 struct {
+		branch
+		room [4]node
+	}
+	branch8 struct {
+		branch
+		room [8]node
+	}
+	branch16 struct {
+		branch
+		room [16]node
+	}
+)
+
+// newBranch returns a branch owned by own with n (≤ 16) children in kids,
+// all nil, in the smallest room that holds them; the caller sets mask.
+func newBranch(n int, own *owner) *branch {
+	var b *branch
+	var room []node
+	switch {
+	case n <= 2:
+		r := new(branch2)
+		b, room = &r.branch, r.room[:]
+	case n <= 4:
+		r := new(branch4)
+		b, room = &r.branch, r.room[:]
+	case n <= 8:
+		r := new(branch8)
+		b, room = &r.branch, r.room[:]
+	default:
+		r := new(branch16)
+		b, room = &r.branch, r.room[:]
+	}
+	b.kids, b.owner = room[:n], own
+	return b
 }
 
 // Node-encoding tags, shared by hashing and persistence so that a
@@ -123,16 +175,11 @@ func (b *branch) hash() Hash {
 		return *h
 	}
 	hs := sha256.New()
-	var hdr [3]byte
-	hdr[0] = tagBranch
-	mask := b.mask()
-	hdr[1], hdr[2] = byte(mask>>8), byte(mask)
+	hdr := [3]byte{tagBranch, byte(b.mask >> 8), byte(b.mask)}
 	hs.Write(hdr[:])
-	for _, c := range b.children {
-		if c != nil {
-			ch := c.hash()
-			hs.Write(ch[:])
-		}
+	for _, c := range b.kids {
+		ch := c.hash()
+		hs.Write(ch[:])
 	}
 	var h Hash
 	hs.Sum(h[:0])
@@ -140,26 +187,64 @@ func (b *branch) hash() Hash {
 	return h
 }
 
-// mask is the bitmap of occupied child slots, bit i for children[i].
-func (b *branch) mask() uint16 {
-	var m uint16
-	for i, c := range b.children {
-		if c != nil {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
+// slot returns where slot i's child sits in kids and whether slot i is
+// occupied; when it is not, that is where a child for it would go.
+func (b *branch) slot(i int) (int, bool) {
+	bit := uint16(1) << i
+	return bits.OnesCount16(b.mask & (bit - 1)), b.mask&bit != 0
 }
 
-// mutable returns the branch to write through on behalf of the handle
-// holding own (non-nil): b itself with its hash cache cleared when that
-// handle created it, otherwise a copy that the handle now owns.
-func (b *branch) mutable(own *owner) *branch {
-	if b.owner != own {
-		return &branch{children: b.children, owner: own}
+// child returns the node in slot i, nil when the slot is empty.
+func (b *branch) child(i int) node {
+	if j, ok := b.slot(i); ok {
+		return b.kids[j]
 	}
-	b.cached.Store(nil)
-	return b
+	return nil
+}
+
+// set returns the branch to write through on behalf of the handle holding
+// own (non-nil), with slot i holding n; a nil n empties the slot, which
+// must be occupied. That is b itself with its hash cache cleared when that
+// handle created it and its room holds the children, otherwise a copy
+// that the handle now owns.
+func (b *branch) set(own *owner, i int, n node) *branch {
+	j, had := b.slot(i)
+	old, size := b.kids, len(b.kids)
+	switch {
+	case n == nil:
+		size--
+	case !had:
+		size++
+	}
+	nb := b
+	if b.owner == own && size <= cap(old) {
+		b.cached.Store(nil)
+		if size != len(old) { // a rewritten child leaves the header alone: no write barrier
+			b.kids = old[:size]
+		}
+	} else {
+		nb = newBranch(size, own)
+		nb.mask = b.mask
+		copy(nb.kids, old[:j])
+	}
+	bit := uint16(1) << i
+	switch {
+	case n == nil: // close the slot's place
+		copy(nb.kids[j:], old[j+1:])
+		if nb == b {
+			old[size] = nil // the vacated last place keeps nothing alive
+		}
+		nb.mask &^= bit
+	case !had: // open a place for the slot
+		copy(nb.kids[j+1:], old[j:])
+		nb.mask |= bit
+	case nb != b:
+		copy(nb.kids[j+1:], old[j+1:])
+	}
+	if n != nil {
+		nb.kids[j] = n
+	}
+	return nb
 }
 
 // nibble returns the depth-th nibble of k, high nibble first.
@@ -208,41 +293,41 @@ func (t *Trie) Len() int { return t.count }
 var emptyRoot = Hash{}
 
 // parallelRootWrites is how many writes since the last Root make the next
-// one hash the root branch's children on two goroutines. A soak round
-// writes 2 048–8 191 keys and a lifecycle block 4–31: below the threshold
-// the second goroutine costs more than the hashing it takes over.
+// one hash the two halves of the root branch's children on two
+// goroutines. A soak round writes 2 048–8 191 keys and a lifecycle block
+// 4–31: below the threshold the second goroutine costs more than the
+// hashing it takes over.
 const parallelRootWrites = 512
 
 // Root returns the Merkle root of the current contents. Hashing is
 // memoized per node, so after the first call only newly written paths
 // cost anything. After parallelRootWrites writes, and when a second core
-// is there to take it, the root branch's upper eight children are hashed
-// on a goroutine of their own while the caller hashes the lower eight.
+// is there to take it, the upper half of the root branch's children is
+// hashed on a goroutine of its own while the caller hashes the lower half.
 func (t *Trie) Root() Hash {
 	if t.root == nil {
 		return emptyRoot
 	}
 	if t.gen-t.rootGen.Swap(t.gen) >= parallelRootWrites && runtime.GOMAXPROCS(0) > 1 {
 		if br, ok := t.root.(*branch); ok {
+			half := len(br.kids) / 2
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				hashChildren(br.children[8:])
+				hashChildren(br.kids[half:])
 			}()
-			hashChildren(br.children[:8])
+			hashChildren(br.kids[:half])
 			wg.Wait()
 		}
 	}
 	return t.root.hash()
 }
 
-// hashChildren fills the hash caches of the non-nil nodes in children.
+// hashChildren fills the hash caches of children.
 func hashChildren(children []node) {
 	for _, c := range children {
-		if c != nil {
-			c.hash()
-		}
+		c.hash()
 	}
 }
 
@@ -266,7 +351,7 @@ func (t *Trie) leafOf(k Key) *leaf {
 			}
 			return nil
 		case *branch:
-			n = v.children[nibble(k, depth)]
+			n = v.child(nibble(k, depth))
 		}
 	}
 	return nil
@@ -303,11 +388,9 @@ func insert(n node, lf *leaf, depth int, own *owner) (node, bool) {
 		// Grow a branch chain down to the first diverging nibble.
 		return splitLeaf(cur, lf, depth, own), true
 	case *branch:
-		nb := cur.mutable(own)
 		idx := nibble(lf.key, depth)
-		var added bool
-		nb.children[idx], added = insert(nb.children[idx], lf, depth+1, own)
-		return nb, added
+		child, added := insert(cur.child(idx), lf, depth+1, own)
+		return cur.set(own, idx, child), added
 	}
 	panic("mstate: unknown node type")
 }
@@ -316,13 +399,16 @@ func insert(n node, lf *leaf, depth int, own *owner) (node, bool) {
 // share a prefix from depth onward.
 func splitLeaf(a, b *leaf, depth int, own *owner) node {
 	ia, ib := nibble(a.key, depth), nibble(b.key, depth)
-	br := &branch{owner: own}
 	if ia == ib {
-		br.children[ia] = splitLeaf(a, b, depth+1, own)
-	} else {
-		br.children[ia] = a
-		br.children[ib] = b
+		br := newBranch(1, own)
+		br.mask, br.kids[0] = 1<<ia, splitLeaf(a, b, depth+1, own)
+		return br
 	}
+	if ia > ib {
+		a, b, ia, ib = b, a, ib, ia
+	}
+	br := newBranch(2, own)
+	br.mask, br.kids[0], br.kids[1] = 1<<ia|1<<ib, a, b
 	return br
 }
 
@@ -350,26 +436,17 @@ func remove(n node, k Key, depth int, own *owner) (node, bool) {
 		return cur, false
 	case *branch:
 		idx := nibble(k, depth)
-		child, removed := remove(cur.children[idx], k, depth+1, own)
+		child, removed := remove(cur.child(idx), k, depth+1, own)
 		if !removed {
 			return cur, false
 		}
-		nb := cur.mutable(own)
-		nb.children[idx] = child
-		// Collapse: count survivors; a lone leaf replaces the branch.
-		var only node
-		cnt := 0
-		for _, c := range nb.children {
-			if c != nil {
-				only = c
-				cnt++
-			}
-		}
-		switch {
-		case cnt == 0:
+		nb := cur.set(own, idx, child)
+		// Collapse: no child left, or a lone leaf, replaces the branch.
+		switch len(nb.kids) {
+		case 0:
 			return nil, true
-		case cnt == 1:
-			if lf, ok := only.(*leaf); ok {
+		case 1:
+			if lf, ok := nb.kids[0].(*leaf); ok {
 				return lf, true
 			}
 		}

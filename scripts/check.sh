@@ -74,9 +74,13 @@ echo "== state layer microbenchmarks =="
 # per distinct dirty branch; through an overlay's write buffer leaf and
 # value plus the buffer's growth, and nothing for the merge into a base
 # that owns its branches — and the marked line must stay at the unmarked
-# one. TrieRootRound is a soak round's state root alone (≈ 6 000 writes
+# one. A branch copy is one allocation sized to the branch's children:
+# 80 B for a two-child branch, half of all branches (288 B for any branch
+# while each held sixteen slots; TriePutOwned read 711 KB/op then, ≈ 410 KB
+# since). TrieRootRound is a soak round's state root alone (≈ 6 000 writes
 # over an ≈ 8 800-node trie), on one core and on two: what the second
-# goroutine Root hashes with buys.
+# goroutine Root hashes with buys. TrieResident is the heap a trie of
+# 8 200 keys keeps per key (B/key; its ns/op is not a measurement).
 # diskstore: BenchmarkOpen is recovery of a ~200k-record log,
 # BenchmarkCommitRound one commit of a fully rewritten ~8k-node trie,
 # BenchmarkStoreResident the heap a running store keeps per record written
