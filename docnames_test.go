@@ -52,9 +52,9 @@ func TestDocNameGuardCatchesStaleNames(t *testing.T) {
 	}
 	for _, name := range []string{
 		"internal/chain/receipts.go", "chain/receipts_test.go",
-		"chain.Receipts", "chain.Receipts.Prune", "(*chain.Receipts).Prune", "chain.Pool[T]",
+		"chain.Receipts", "chain.Receipts.Begin", "(*chain.Receipts).Begin", "chain.Pool[T]",
 		"eth.Chain.SetShards", "core.Compile*", "evm.*", "chain.TestReceiptsSameHashTwice",
-		"Prune", "Receipts.Prune", "Digest()", "big.Gone", "sim.user", "go test ./...",
+		"Begin", "Receipts.Begin", "Digest()", "big.Gone", "sim.user", "go test ./...",
 	} {
 		if got := ix.stale("a `" + name + "` b"); len(got) != 0 {
 			t.Errorf("`%s`: the guard reports %q, want it resolved", name, got)

@@ -2,7 +2,9 @@ package algorand
 
 import (
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"agnopol/internal/avm"
@@ -91,6 +93,55 @@ func (w *batchWorld) retained() (groups int) {
 		}
 	}
 	return groups
+}
+
+// TestFoldAheadMatchesInline: a round whose receipts a helper goroutine
+// folds while the round executes is the same round as one whose receipts
+// are folded inline. Four rounds of 100 calls (above the helper's
+// threshold: a full batch of its ring and a partial one) with a retention
+// of two, so that the window is pruned, are certified at GOMAXPROCS 1 and
+// 2. Every round's digest and state root, every receipt of every round
+// (the pruned ones absent on both sides) and what Each visits, in order,
+// must agree: nothing, since Algorand keeps no side bytes.
+func TestFoldAheadMatchesInline(t *testing.T) {
+	type certified struct {
+		digests, roots []chain.Hash32
+		receipts       []*chain.Receipt // of every round's calls, nil once pruned
+		sides          [][]byte
+	}
+	certify := func(procs int) (s certified) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		w := newBatchWorld(t, 100, 2)
+		var hashes []chain.Hash32
+		for i := 0; i < 4; i++ {
+			w.queue()
+			blk := w.step(t)
+			s.digests = append(s.digests, w.c.Digest())
+			s.roots = append(s.roots, blk.StateRoot)
+			hashes = append(hashes, blk.Groups...)
+		}
+		for _, h := range hashes {
+			rc, _ := w.c.Receipt(h)
+			s.receipts = append(s.receipts, rc)
+		}
+		w.c.rcpts.Each(func(side []byte, _ func() *chain.Receipt) { s.sides = append(s.sides, slices.Clone(side)) })
+		return s
+	}
+	inline, folded := certify(1), certify(2)
+	if !slices.Equal(inline.digests, folded.digests) || !slices.Equal(inline.roots, folded.roots) {
+		t.Fatalf("digests %x / roots %x inline, %x / %x folded ahead", inline.digests, inline.roots, folded.digests, folded.roots)
+	}
+	if held := slices.IndexFunc(inline.receipts, func(rc *chain.Receipt) bool { return rc != nil }); held != 200 {
+		t.Fatalf("the first retained receipt is the %dth, want the 200th: the window was not pruned", held)
+	}
+	for i := range inline.receipts {
+		if !reflect.DeepEqual(inline.receipts[i], folded.receipts[i]) {
+			t.Fatalf("receipt %d: inline %+v, folded ahead %+v", i, inline.receipts[i], folded.receipts[i])
+		}
+	}
+	if len(inline.sides) != 0 || len(folded.sides) != 0 {
+		t.Fatalf("Each visits %d rows inline, %d folded ahead", len(inline.sides), len(folded.sides))
+	}
 }
 
 // heapAfterGC is the live heap: what is still reachable after a full

@@ -403,6 +403,7 @@ func (c *Chain) Step() *Block {
 	if len(sel) > 0 {
 		blk.Groups = make([]chain.Hash32, len(sel))
 	}
+	c.rcpts.Begin(blk.Round, len(sel))
 	var feeSink, cost uint64
 	o := c.led.fork()
 	for i, p := range sel {
@@ -418,10 +419,10 @@ func (c *Chain) Step() *Block {
 	blk.StateRoot = c.led.root()
 	c.Record(uint64(len(sel)), cost)
 
+	c.rcpts.End()
 	blk.Hash = chain.Hash32(polcrypto.Hash(blk.Seed[:], hashGroups(blk.Groups), blk.StateRoot[:]))
 
 	c.head = blk
-	c.rcpts.Prune(blk.Round)
 	if c.obs != nil {
 		c.obs.roundsCertified.Inc()
 	}
@@ -580,7 +581,7 @@ func (c *Chain) include(rcpt *chain.Receipt, charged uint64) {
 	// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
 	// magnitude is an unambiguous encoding. A call's return line is kept
 	// as its return value alone.
-	c.rcpts.Include(rcpt, rcpt.Fee.Base.Bytes(), nil, avm.ReturnPrefix)
+	c.rcpts.Add(rcpt, rcpt.Fee.Base.Bytes(), nil, avm.ReturnPrefix)
 	if c.obs == nil {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -37,8 +38,12 @@ func (h *Hasher) Sum() Hash32 { return Hash32(polcrypto.Hash(h.buf)) }
 // Receipts holds what a chain keeps of every included item and the rolling
 // hash of every receipt ever included, folded in canonical block order.
 // The hash and count are what a chain's Digest reads, so the records
-// themselves can be pruned (Prune) without changing it. The zero value is
-// ready to use.
+// themselves can be pruned without changing it. The zero value is ready to
+// use.
+//
+// A chain hands over a block's receipts between Begin and End: Begin
+// prunes the window, Add takes each receipt in canonical order, and the
+// block is folded once End returns. Nothing reads the receipts in between.
 //
 // An included item is kept once, as one pointer-free byte record in an
 // append-only log cut into chunks: its hash, a flag byte, varints for gas,
@@ -64,7 +69,7 @@ type Receipts struct {
 
 	acc   Hash32
 	count uint64
-	pre   Hasher // Include's preimage buffer, then the record's
+	pre   Hasher // include's preimage buffer, then the record's
 
 	unit   Unit
 	ret    string // the return-log prefix
@@ -83,6 +88,11 @@ type Receipts struct {
 	// built-in map under the same churn does not.
 	slots   []uint32
 	indexed int
+
+	open bool       // between Begin and End
+	fold *blockFold // the helper's ring; in use while folding
+	// folding says the open block's receipts go to a helper goroutine.
+	folding bool
 }
 
 // chunkBytes is a chunk's arena capacity, one of the allocator's size
@@ -155,12 +165,138 @@ func decode(b []byte) (rec record) {
 	return rec
 }
 
-// Include folds a receipt into the rolling hash and keeps it as a record,
-// found again under its TxHash. fee is the family's encoding of the fee
-// magnitude for the fold; side is whatever else the family wants back per
-// item (Each), empty for nothing; ret is the family's return-log prefix,
-// the same on every call. The receipt is only read.
-func (r *Receipts) Include(rc *Receipt, fee, side []byte, ret string) {
+// foldAheadMin is the fewest receipts a block must announce to Begin for
+// them to be folded on a helper goroutine while the block executes, when a
+// second core is there to run it. Below it, as in a block of a proof
+// lifecycle, starting the helper costs more than it takes off the caller.
+const foldAheadMin = 64
+
+// The helper's ring: foldBatches batches of foldBatchLen receipts, each
+// filled by Add and then handed over whole, so that the two goroutines
+// meet once a batch, not once a receipt. The ring holds what Add queues
+// while the helper prunes at the start of a block; it stays resident, so
+// it is no larger than that.
+const (
+	foldBatchLen = 64
+	foldBatches  = 3
+)
+
+// blockFold is the ring between Add and the helper. A batch belongs to Add
+// from its receipt on free until its send on full, then to the helper
+// until it is back on free.
+type blockFold struct {
+	batches [foldBatches]foldBatch
+	cur     int      // the batch Add fills, -1 for none
+	full    chan int // filled batches in order; -1 ends the block
+	free    chan int
+	done    chan struct{}
+}
+
+type foldBatch struct {
+	n    int
+	ret  string
+	rows [foldBatchLen]struct {
+		rc        Receipt
+		fee, side []byte
+	}
+}
+
+// Begin opens block head, which will include about n receipts, and prunes
+// the window to end at head: the newest r.Retention blocks up to head keep
+// their records (all of them with retention off).
+func (r *Receipts) Begin(head uint64, n int) {
+	if r.open {
+		panic("chain: Receipts.Begin before the last block's End")
+	}
+	r.open = true
+	if n < foldAheadMin || runtime.GOMAXPROCS(0) == 1 {
+		r.prune(head)
+		return
+	}
+	if r.fold == nil {
+		r.fold = &blockFold{full: make(chan int, foldBatches+1), free: make(chan int, foldBatches), done: make(chan struct{})}
+		for b := range foldBatches {
+			r.fold.free <- b
+		}
+	}
+	r.fold.cur, r.folding = -1, true
+	go r.foldBlock(r.fold, head)
+}
+
+// foldBlock is the helper: it prunes, then includes every batch it is
+// handed, in order, until End.
+func (r *Receipts) foldBlock(f *blockFold, head uint64) {
+	r.prune(head)
+	for b := <-f.full; b >= 0; b = <-f.full {
+		fb := &f.batches[b]
+		for i := range fb.rows[:fb.n] {
+			row := &fb.rows[i]
+			r.include(&row.rc, row.fee, row.side, fb.ret)
+			row.rc = Receipt{} // keeps nothing of it alive
+		}
+		f.free <- b
+	}
+	f.done <- struct{}{}
+}
+
+// Add includes a receipt of the open block: it folds it into the rolling
+// hash and keeps it as a record, found again under its TxHash. fee is the
+// family's encoding of the fee magnitude for the fold; side is whatever
+// else the family wants back per item (Each), empty for nothing; ret is
+// the family's return-log prefix, the same on every call. fee and side are
+// copied. The receipt must not change until End returns, and nor must
+// what it points at.
+func (r *Receipts) Add(rc *Receipt, fee, side []byte, ret string) {
+	if !r.folding {
+		r.include(rc, fee, side, ret)
+		return
+	}
+	f := r.fold
+	if f.cur < 0 {
+		f.cur = <-f.free
+		f.batches[f.cur].n = 0
+	}
+	fb := &f.batches[f.cur]
+	row := &fb.rows[fb.n]
+	row.rc = *rc
+	row.fee = append(row.fee[:0], fee...)
+	row.side = append(row.side[:0], side...)
+	fb.ret = ret
+	if fb.n++; fb.n == foldBatchLen {
+		f.send()
+	}
+}
+
+func (f *blockFold) send() {
+	f.full <- f.cur
+	f.cur = -1
+}
+
+// End closes the open block once every receipt Add took is folded in.
+func (r *Receipts) End() {
+	r.open = false
+	if !r.folding {
+		return
+	}
+	r.folding = false
+	if r.fold.cur >= 0 {
+		r.fold.send()
+	}
+	r.fold.full <- -1
+	<-r.fold.done
+}
+
+// settled panics inside an open block: its receipts may still be on their
+// way in.
+func (r *Receipts) settled() {
+	if r.open {
+		panic("chain: receipts read inside an open block")
+	}
+}
+
+// include folds a receipt into the rolling hash and keeps it as a record,
+// found again under its TxHash (see Add). The receipt is only read.
+func (r *Receipts) include(rc *Receipt, fee, side []byte, ret string) {
 	p := &r.pre
 	p.buf = p.buf[:0]
 	p.Bytes(r.acc[:])
@@ -402,6 +538,7 @@ func (r *Receipts) view(seq uint64) *Receipt {
 // Get returns the receipt of an included item while it is retained. The
 // receipt is built for the call: it is the caller's to keep or change.
 func (r *Receipts) Get(h Hash32) (*Receipt, bool) {
+	r.settled()
 	if r.indexed == 0 {
 		return nil, false
 	}
@@ -413,9 +550,10 @@ func (r *Receipts) Get(h Hash32) (*Receipt, bool) {
 }
 
 // Each visits, oldest first, every retained record that was included with
-// side bytes: side is what Include was given (valid during the call only)
+// side bytes: side is what Add was given (valid during the call only)
 // and receipt builds the record's receipt when the visitor wants it.
 func (r *Receipts) Each(visit func(side []byte, receipt func() *Receipt)) {
+	r.settled()
 	for seq := r.first; seq < r.count; seq++ {
 		if rec := decode(r.at(seq)); rec.flags&rowSide != 0 {
 			side, _ := field(rec.tail)
@@ -426,7 +564,10 @@ func (r *Receipts) Each(visit func(side []byte, receipt func() *Receipt)) {
 
 // Position returns the rolling hash and the number of receipts folded into
 // it; SetPosition restores them on a chain reopened from a checkpoint.
-func (r *Receipts) Position() (acc Hash32, count uint64) { return r.acc, r.count }
+func (r *Receipts) Position() (acc Hash32, count uint64) {
+	r.settled()
+	return r.acc, r.count
+}
 
 // SetPosition restores a Position. A checkpoint carries no records, so the
 // restored chain retains none of the receipts folded before it.
@@ -437,15 +578,16 @@ func (r *Receipts) SetPosition(acc Hash32, count uint64) {
 
 // Digest appends the rolling hash and count to a chain digest.
 func (r *Receipts) Digest(h *Hasher) {
+	r.settled()
 	h.Bytes(r.acc[:])
 	h.U64(r.count)
 }
 
-// Prune forgets the records of every block numbered head - r.Retention or
+// prune forgets the records of every block numbered head - r.Retention or
 // lower, so that the newest r.Retention blocks up to head keep theirs; with
 // retention off it forgets nothing. Block numbers are consecutive, so the
 // window is the same whether or not its oldest blocks had records.
-func (r *Receipts) Prune(head uint64) {
+func (r *Receipts) prune(head uint64) {
 	if r.Retention <= 0 || head < uint64(r.Retention) || r.first == r.count {
 		return
 	}

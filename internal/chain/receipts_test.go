@@ -6,17 +6,18 @@ import (
 	"math"
 	"math/big"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestReceiptViewRoundTrip: what Include is given comes back from Get field
+// TestReceiptViewRoundTrip: what include is given comes back from Get field
 // for field — for both families' shapes of receipt, across chunk and block
 // boundaries, whatever leading zeros a return value has — and every Get
 // builds its own object. The rolling hash over the rows is pinned: how a
-// row is stored may change, what Include folds may not.
+// row is stored may change, what include folds may not.
 func TestReceiptViewRoundTrip(t *testing.T) {
 	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10) // > 64 bits
 	// leadingZeros is a value of width bytes whose last n are 0x5a.
@@ -73,7 +74,7 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 				if i%2 == 0 {
 					side = []byte(fmt.Sprint("side", i))
 				}
-				r.Include(&rc, rc.Fee.Base.Bytes(), side, "")
+				r.include(&rc, rc.Fee.Base.Bytes(), side, "")
 				if len(rc.ReturnValue) == 0 {
 					rc.ReturnValue = nil
 				}
@@ -152,10 +153,10 @@ func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock 
 				Fee:         NewAmount(big.NewInt(int64(i)), UnitALGO),
 				ReturnValue: []byte{byte(i)},
 			}
-			r.Include(&rc, nil, nil, "")
+			r.include(&rc, nil, nil, "")
 			b.hashes = append(b.hashes, rc.TxHash)
 		}
-		r.Prune(b.number)
+		r.prune(b.number)
 		blocks = append(blocks, b)
 	}
 	return blocks
@@ -267,7 +268,7 @@ func TestReceiptsPruneAcrossEmptyBlocks(t *testing.T) {
 	r := Receipts{Retention: 3}
 	blocks := fillBlocks(&r, nil, 4, 10)
 	for n := blocks[len(blocks)-1].number + 1; n <= 12; n++ {
-		r.Prune(n)
+		r.prune(n)
 		blocks = append(blocks, &testBlock{number: n})
 		checkWindow(t, &r, blocks, 3)
 	}
@@ -299,11 +300,11 @@ func TestReceiptsSameHashTwice(t *testing.T) {
 	h := Hash32{7}
 	for n := uint64(1); n <= 2; n++ {
 		rc := Receipt{TxHash: h, BlockNumber: n, GasUsed: n, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
-		r.Include(&rc, nil, nil, "")
+		r.include(&rc, nil, nil, "")
 		if got, ok := r.Get(h); !ok || got.BlockNumber != n {
 			t.Fatalf("after block %d Get says %v %+v", n, ok, got)
 		}
-		r.Prune(n)
+		r.prune(n)
 	}
 	if got, ok := r.Get(h); !ok || got.BlockNumber != 2 || got.GasUsed != 2 {
 		t.Fatalf("pruning block 1 lost block 2's row: %v %+v", ok, got)
@@ -326,8 +327,8 @@ func TestReceiptsSetPositionForgetsRows(t *testing.T) {
 	}
 	restored.Each(func([]byte, func() *Receipt) { t.Fatal("a restored log has no rows to visit") })
 	rc := Receipt{TxHash: Hash32{9}, BlockNumber: 9, Fee: NewAmount(big.NewInt(1), UnitETH)}
-	r.Include(&rc, nil, []byte{1}, "")
-	restored.Include(&rc, nil, []byte{1}, "")
+	r.include(&rc, nil, []byte{1}, "")
+	restored.include(&rc, nil, []byte{1}, "")
 	if a, b := r.acc, restored.acc; a != b || r.count != restored.count {
 		t.Fatal("restored log folds differently")
 	}
@@ -354,7 +355,7 @@ func TestReceiptsPruneAfterSetPosition(t *testing.T) {
 	resumed := []*testBlock{{number: head}}
 	for i := 0; i < 5; i++ {
 		head++
-		restored.Prune(head)
+		restored.prune(head)
 		resumed = append(resumed, &testBlock{number: head})
 	}
 	checkWindow(t, &restored, resumed, 2)
@@ -385,10 +386,10 @@ func TestReceiptsIndexAcrossUint32Wrap(t *testing.T) {
 				ReturnValue: []byte{0, byte(n), byte(i)},
 				Fee:         NewAmount(big.NewInt(int64(1000*i)), UnitALGO),
 			}
-			r.Include(&rc, nil, nil, "")
+			r.include(&rc, nil, nil, "")
 			all = append(all, rc)
 		}
-		r.Prune(n)
+		r.prune(n)
 		for i := range all {
 			got, ok := r.Get(all[i].TxHash)
 			if kept := all[i].BlockNumber+retention > n; ok != kept {
@@ -415,7 +416,7 @@ func TestReceiptsRecordLongerThanChunk(t *testing.T) {
 		if i == 1000 {
 			rc.ReturnValue = bytes.Repeat([]byte{0xc0}, 3*chunkBytes)
 		}
-		r.Include(&rc, nil, nil, "")
+		r.include(&rc, nil, nil, "")
 		want = append(want, rc)
 	}
 	for i := range want {
@@ -462,8 +463,8 @@ func TestReceiptsRebuildReturnLine(t *testing.T) {
 				rc.ReturnValue = []byte(c.value)
 			}
 			var r, kept Receipts
-			r.Include(&rc, nil, []byte{1}, ret)
-			kept.Include(&rc, nil, []byte{1}, "no such prefix")
+			r.include(&rc, nil, []byte{1}, ret)
+			kept.include(&rc, nil, []byte{1}, "no such prefix")
 			saved := 0
 			if c.dropped {
 				saved = 1 + len(c.logs[len(c.logs)-1])
@@ -507,7 +508,7 @@ func TestReceiptsBlockDelayKeptOnce(t *testing.T) {
 				Fee:         NewAmount(big.NewInt(1000), UnitALGO),
 			}
 			rc.Submitted = rc.Included + d
-			r.Include(&rc, nil, []byte{1}, "")
+			r.include(&rc, nil, []byte{1}, "")
 			want = append(want, rc)
 		}
 	}
@@ -531,16 +532,19 @@ func TestReceiptsBlockDelayKeptOnce(t *testing.T) {
 	}
 }
 
-// FuzzReceiptLog drives a log through fuzzer-chosen Include, Prune and
-// SetPosition calls against a model: the retained rows in order and the
-// newest retained row of each hash. After every step Get must return the
-// model's row field for field for every hash ever included, and nothing
-// for one whose rows were all pruned; Each must visit exactly the retained
-// rows with side bytes, oldest first; and the rolling hash must be that of
-// a log that never prunes. Rows include a submit time after the inclusion
-// time (a negative delay), rows of one block submitted at different times,
-// gas of 2^64 − 1, and fees of 2^64 − 1 and 2^64: the widest one-word fee
-// and the narrowest that is not one. A log line may be the return line
+// FuzzReceiptLog drives a log through fuzzer-chosen blocks (Begin, Add
+// and End) and SetPosition calls against a model: the retained rows in
+// order and the newest retained row of each hash. A row step may add up to
+// 94 rows, so blocks fall on both sides of foldAheadMin and their receipts
+// are folded inline or on the helper, which has a second core to run on.
+// After every step Get must return the model's row field for field for
+// every hash ever included, and nothing for one whose rows were all
+// pruned; Each must visit exactly the retained rows with side bytes,
+// oldest first; and the rolling hash must be that of a log that never
+// prunes. Rows include a submit time after the inclusion time (a negative
+// delay), rows of one block submitted at different times, gas of
+// 2^64 − 1, and fees of 2^64 − 1 and 2^64: the widest one-word fee and
+// the narrowest that is not one. A log line may be the return line
 // (the log's return-log prefix and the row's return value), the prefix
 // alone, or a line one byte shorter or longer than the return line or one
 // byte off it, in any position.
@@ -548,14 +552,20 @@ func TestReceiptsBlockDelayKeptOnce(t *testing.T) {
 // The first byte picks the retention (0 keeps everything) and the
 // return-log prefix: Algorand's for an even first byte / 5, none (eth's)
 // for an odd one. Each step reads an opcode and then as many bytes as it
-// needs, zero once the input ends.
+// needs, zero once the input ends. A row step adds 1 + 3·(op >> 3) rows,
+// the copies of the first differing in their hash's second byte; rows wait
+// for the next block step, which seals them as one block (as does the
+// input's end).
 func FuzzReceiptLog(f *testing.F) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 5, 1})
 	f.Add([]byte{1, 0, 3, 7, 1, 9, 32, 30, 1, 2, 2, 1, 'a', 3, 4, 5, 6, 0, 3, 7, 1, 9, 33, 1, 1, 1, 5, 1, 7})
 	f.Add([]byte{0, 0, 3, 7, 1, 9, 8, 7, 9, 0, 1, 0, 7, 0, 3, 8, 0, 0, 40, 40, 0, 0, 3, 0})
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 31, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1})
 	f.Add([]byte{2, 0, 1, 0xff, 56, 0, 0, 0x80, 0, 0, 1, 3, 0, 1, 2, 1, 0, 0, 0, 0xff, 0, 0, 0, 4, 1, 7, 5, 1, 2, 1, 0xff, 56, 1, 1, 0xf6, 2, 0, 7, 1, 1, 3, 0})
-	// An Include step's bytes, in the order read: op, hash, gas, gas
+	// A row step's bytes, in the order read: op, hash, gas, gas
 	// shift, reverted, revert message, delay, width, then (if width > 0)
 	// zeros and the value's bytes after them, line count, each line's kind
 	// (and position, for kind 7), fee, fee kind, side count and side.
@@ -586,6 +596,12 @@ func FuzzReceiptLog(f *testing.F) {
 			5, 0,
 			0, 4, 1, 0, 0, 0, 0xf0, 1, 0, 1, 1, 4, 10, 0, 0,
 			5, 0},
+		// Blocks of 94 (0xf8), 70 (0xb8) and 94 rows, each a full batch of
+		// the helper's ring and a partial one, with side bytes and
+		// retention 2, so that the third block's Begin prunes the first.
+		{2, 0xf8, 1, 9, 0, 0, 0, 0, 0, 0, 3, 0, 1, 7, 5, 0,
+			0xb8, 2, 9, 0, 0, 0, 0, 0, 0, 3, 0, 1, 7, 5, 0,
+			0xf8, 3, 9, 0, 0, 0, 0, 0, 0, 3, 0, 1, 7, 5, 1},
 	} {
 		f.Add(seed)
 	}
@@ -612,10 +628,44 @@ func FuzzReceiptLog(f *testing.F) {
 		var rows []entry    // retained, oldest first
 		newest := map[Hash32]entry{}
 		var hashes []Hash32 // every hash ever included
-		block := uint64(1)  // the block the next Include goes into
-		for len(in) > 0 {
-			switch op := next() % 8; {
-			case op < 5:
+		block := uint64(1)  // the block the next rows go into
+		var pending []entry // its rows so far
+		seal := func() {
+			r.Begin(block, len(pending))
+			shadow.Begin(block, len(pending))
+			for _, e := range pending {
+				r.Add(&e.rc, e.rc.Fee.Base.Bytes(), e.side, ret)
+				shadow.Add(&e.rc, e.rc.Fee.Base.Bytes(), e.side, ret)
+			}
+			r.End()
+			shadow.End()
+			if r.Retention > 0 && block >= uint64(r.Retention) {
+				cut := block - uint64(r.Retention)
+				for len(rows) > 0 && rows[0].rc.BlockNumber <= cut {
+					rows = rows[1:]
+				}
+				for h, e := range newest {
+					if e.rc.BlockNumber <= cut {
+						delete(newest, h)
+					}
+				}
+			}
+			for _, e := range pending {
+				if _, ok := newest[e.rc.TxHash]; !ok {
+					hashes = append(hashes, e.rc.TxHash)
+				}
+				rows = append(rows, e)
+				newest[e.rc.TxHash] = e
+			}
+			pending = nil
+		}
+		for len(in) > 0 || len(pending) > 0 {
+			op := byte(5) // the input's end seals the last rows
+			if len(in) > 0 {
+				op = next()
+			}
+			switch {
+			case op%8 < 5:
 				rc := Receipt{
 					TxHash:      Hash32{next() % 16},
 					BlockNumber: block,
@@ -675,29 +725,18 @@ func FuzzReceiptLog(f *testing.F) {
 				for n := next() % 4; n > 0; n-- {
 					side = append(side, next())
 				}
-				r.Include(&rc, fee.Bytes(), side, ret)
-				shadow.Include(&rc, fee.Bytes(), side, ret)
-				if _, ok := newest[rc.TxHash]; !ok {
-					hashes = append(hashes, rc.TxHash)
+				for i := range 1 + 3*int(op>>3) {
+					rc.TxHash[1] = byte(i)
+					pending = append(pending, entry{rc, side})
 				}
-				e := entry{rc, side}
-				rows = append(rows, e)
-				newest[rc.TxHash] = e
-			case op < 7:
-				head := block + uint64(next()%3)
-				r.Prune(head)
-				if r.Retention > 0 && head >= uint64(r.Retention) {
-					cut := head - uint64(r.Retention)
-					for len(rows) > 0 && rows[0].rc.BlockNumber <= cut {
-						rows = rows[1:]
-					}
-					for h, e := range newest {
-						if e.rc.BlockNumber <= cut {
-							delete(newest, h)
-						}
-					}
+			case op%8 < 7:
+				seal()
+				// Empty blocks after it still move the window.
+				for gap := next() % 3; gap > 0; gap-- {
+					block++
+					seal()
 				}
-				block = head + 1
+				block++
 			default:
 				acc, n := r.Position()
 				r.SetPosition(acc, n)

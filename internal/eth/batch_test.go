@@ -3,7 +3,9 @@ package eth
 import (
 	"math"
 	"math/big"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -205,6 +207,59 @@ func TestStepAllocsPerIncludedTx(t *testing.T) {
 		t.Fatalf("Step allocates %.2f times per included check-in, budget %d", got, budget)
 	} else {
 		t.Logf("%.2f allocations per included check-in", got)
+	}
+}
+
+// TestFoldAheadMatchesInline: a block whose receipts a helper goroutine
+// folds while the block executes is the same block as one whose receipts
+// are folded inline. Four blocks of 100 check-ins (above the helper's
+// threshold: a full batch of its ring and a partial one) with a retention
+// of two, so that the window is pruned, are sealed at GOMAXPROCS 1 and 2.
+// Every block's digest and state root, every receipt of every block (the
+// pruned ones absent on both sides) and the explorer rows, in order, with
+// their columns, must agree.
+func TestFoldAheadMatchesInline(t *testing.T) {
+	type sealed struct {
+		digests, roots []chain.Hash32
+		receipts       []*chain.Receipt // of every block's check-ins, nil once pruned
+		cols           [][]byte
+		rows           []*chain.Receipt
+	}
+	seal := func(procs int) (s sealed) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		w := newBatchWorld(t, 100, 2)
+		var hashes []chain.Hash32
+		for i := 0; i < 4; i++ {
+			w.queue()
+			blk := w.step(t)
+			s.digests = append(s.digests, w.c.Digest())
+			s.roots = append(s.roots, blk.StateRoot)
+			hashes = append(hashes, blk.TxHashes...)
+		}
+		for _, h := range hashes {
+			rc, _ := w.c.Receipt(h)
+			s.receipts = append(s.receipts, rc)
+		}
+		w.c.rcpts.Each(func(cols []byte, receipt func() *chain.Receipt) {
+			s.cols = append(s.cols, slices.Clone(cols))
+			s.rows = append(s.rows, receipt())
+		})
+		return s
+	}
+	inline, folded := seal(1), seal(2)
+	if !slices.Equal(inline.digests, folded.digests) || !slices.Equal(inline.roots, folded.roots) {
+		t.Fatalf("digests %x / roots %x inline, %x / %x folded ahead", inline.digests, inline.roots, folded.digests, folded.roots)
+	}
+	if held := slices.IndexFunc(inline.receipts, func(rc *chain.Receipt) bool { return rc != nil }); held != 200 {
+		t.Fatalf("the first retained receipt is the %dth, want the 200th: the window was not pruned", held)
+	}
+	for i := range inline.receipts {
+		if !reflect.DeepEqual(inline.receipts[i], folded.receipts[i]) {
+			t.Fatalf("receipt %d: inline %+v, folded ahead %+v", i, inline.receipts[i], folded.receipts[i])
+		}
+	}
+	if len(inline.rows) != 200 || !reflect.DeepEqual(inline.cols, folded.cols) || !reflect.DeepEqual(inline.rows, folded.rows) {
+		t.Fatalf("explorer rows: %d inline, %d folded ahead, or they differ", len(inline.rows), len(folded.rows))
 	}
 }
 

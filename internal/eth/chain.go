@@ -533,6 +533,7 @@ func (c *Chain) Step() *Block {
 	if len(sel) > 0 {
 		blk.TxHashes = make([]chain.Hash32, len(sel))
 	}
+	c.rcpts.Begin(blk.Number, len(sel))
 	var credit u256.Word
 	for i, p := range sel {
 		credit = credit.Add(c.execute(p, picked[i], blk))
@@ -553,10 +554,10 @@ func (c *Chain) Step() *Block {
 	}
 	blk.GasUsed += bg
 
+	c.rcpts.End()
 	blk.Hash = blockHash(blk)
 	c.head = blk
 	c.updateBaseFee(blk)
-	c.rcpts.Prune(blk.Number)
 	if c.obs != nil {
 		c.obs.blocksProduced.Inc()
 		c.obs.blockGasUsed.Add(blk.GasUsed)
@@ -809,7 +810,7 @@ func (c *Chain) settle(tx *Tx, price u256.Word, blk *Block, rcpt *chain.Receipt,
 	c.st.SubBalance(tx.From, fee)
 	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}
 	var enc [1 + 32]byte
-	c.rcpts.Include(rcpt, appendBalance(enc[:0], fee), side, "")
+	c.rcpts.Add(rcpt, appendBalance(enc[:0], fee), side, "")
 	blk.GasUsed += rcpt.GasUsed
 	c.burned = c.burned.Add(burn)
 	return fee.Sub(burn)

@@ -228,6 +228,33 @@ func TestOwnedPutAllocatesNoBranch(t *testing.T) {
 	}
 }
 
+// TestRemoveCollapseAllocatesNoBranch: a Delete that leaves each branch
+// on its path with one leaf below it collapses the path to that leaf, and
+// the branches the handle does not own are not copied on the way, only to
+// be dropped.
+func TestRemoveCollapseAllocatesNoBranch(t *testing.T) {
+	a, b := Key{0x12, 0x34, 0x50}, Key{0x12, 0x34, 0x5F} // six branches deep
+	tr := New()
+	tr.Put(a, []byte("aaaaaaaa"))
+	tr.Put(b, []byte("bbbbbbbb"))
+	only := New()
+	only.Put(b, []byte("bbbbbbbb"))
+	allocs := testing.AllocsPerRun(200, func() {
+		snapshotSink = tr.Snapshot()
+		snapshotSink.Delete(a)
+	})
+	// The snapshot handle and its token, and no branch copy.
+	if allocs != 2 {
+		t.Fatalf("Delete collapsing a frozen path: %v allocations, want 2 (handle and token)", allocs)
+	}
+	if _, ok := snapshotSink.root.(*leaf); !ok || snapshotSink.Root() != only.Root() || snapshotSink.Len() != 1 {
+		t.Fatal("the path did not collapse to the surviving leaf")
+	}
+	if v, ok := tr.Get(a); !ok || string(v) != "aaaaaaaa" || tr.Len() != 2 {
+		t.Fatal("a Delete through the snapshot changed the original")
+	}
+}
+
 // TestMarkedPutAllocatesNoBranch pins the write buffer's cost model: under
 // a mark a Put of a key the overlay already holds allocates the leaf and
 // its value and nothing else (the undo record goes into the reused slice),

@@ -440,17 +440,26 @@ func remove(n node, k Key, depth int, own *owner) (node, bool) {
 		if !removed {
 			return cur, false
 		}
-		nb := cur.set(own, idx, child)
 		// Collapse: no child left, or a lone leaf, replaces the branch.
-		switch len(nb.kids) {
+		// The mask decides it before set, which would copy a branch the
+		// handle does not own only for the copy to be dropped.
+		mask := cur.mask
+		if child == nil {
+			mask &^= 1 << idx
+		}
+		switch bits.OnesCount16(mask) {
 		case 0:
 			return nil, true
 		case 1:
-			if lf, ok := nb.kids[0].(*leaf); ok {
+			lone := child
+			if lone == nil {
+				lone = cur.child(bits.TrailingZeros16(mask))
+			}
+			if lf, ok := lone.(*leaf); ok {
 				return lf, true
 			}
 		}
-		return nb, true
+		return cur.set(own, idx, child), true
 	}
 	panic("mstate: unknown node type")
 }
