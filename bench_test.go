@@ -16,7 +16,6 @@ import (
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
 	"agnopol/internal/evm"
-	"agnopol/internal/geo"
 	"agnopol/internal/hypercube"
 	"agnopol/internal/lang"
 	"agnopol/internal/olc"
@@ -304,69 +303,6 @@ func BenchmarkAblation_CongestionSweep(b *testing.B) {
 			}
 			b.ReportMetric(lat, "tx_latency_s")
 			b.ReportMetric(float64(saturated), "timed_out_txs")
-		})
-	}
-}
-
-// BenchmarkAblation_QuorumSize sweeps the multi-witness quorum (the
-// collusion-mitigation extension) and reports bundle size and verification
-// cost: the security/overhead trade-off a deployment would tune.
-func BenchmarkAblation_QuorumSize(b *testing.B) {
-	for _, q := range []int{1, 2, 3, 5} {
-		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
-			var bundleBytes int
-			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(uint64(50 + i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				conn := core.NewEVMConnector(eth.NewChain(eth.PolygonMumbai(), uint64(50+i)))
-				spot := geo.LatLng{Lat: 44.4949, Lng: 11.3426}
-				prover, err := core.NewProver(sys, spot)
-				if err != nil {
-					b.Fatal(err)
-				}
-				acct, err := prover.EnsureAccount(conn, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				verifier, err := core.NewVerifier(sys)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := verifier.EnsureAccount(conn, 10); err != nil {
-					b.Fatal(err)
-				}
-				var witnesses []*core.Witness
-				for w := 0; w < q; w++ {
-					wit, err := core.NewWitness(sys, geo.Offset(spot, float64(w), 0))
-					if err != nil {
-						b.Fatal(err)
-					}
-					witnesses = append(witnesses, wit)
-				}
-				cid, err := prover.UploadReport(core.Report{Title: "q", Category: "env"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bundle, err := prover.RequestProofQuorum(witnesses, cid, acct.Address())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sub, err := prover.SubmitProofQuorum(conn, bundle, 1000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := verifier.FundContract(conn, sub.Handle, 1000); err != nil {
-					b.Fatal(err)
-				}
-				ver, err := verifier.VerifyProverQuorum(conn, sub.Handle, prover.DID, q)
-				if err != nil || !ver.Accepted {
-					b.Fatalf("quorum verify failed: %v %+v", err, ver)
-				}
-				bundleBytes = len(bundle.Proofs)
-			}
-			b.ReportMetric(float64(bundleBytes), "proofs_per_bundle")
 		})
 	}
 }

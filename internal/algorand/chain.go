@@ -470,8 +470,7 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 			o.ov.Revert()
 			rcpt.Reverted = true
 			rcpt.RevertMsg = "insufficient balance for fee"
-			rcpt.Fee = chain.NewAmount(new(big.Int), c.cfg.Unit)
-			c.include(&rcpt, 0)
+			c.include(&rcpt, 0, 0)
 			return 0, 0
 		}
 		o.setBalance(tx.Sender, bal-tx.Fee)
@@ -570,18 +569,22 @@ func (c *Chain) executeGroup(o *ledgerOverlay, p *chain.Pending[Group], blk *Blo
 		o.ov.Keep()
 		feeSink = totalFee
 	}
-	rcpt.Fee = chain.NewAmount(new(big.Int).SetUint64(totalFee), c.cfg.Unit)
-	c.include(&rcpt, totalFee)
+	c.include(&rcpt, totalFee, totalFee)
 	return feeSink, rcpt.GasUsed
 }
 
-// include folds a group's receipt into the chain's receipts and counts the
-// fees charged — zero when the fee debit failed — and a rejection.
-func (c *Chain) include(rcpt *chain.Receipt, charged uint64) {
+// include folds a group's receipt, with its fee, into the chain's receipts
+// and counts the fees charged — zero when the fee debit failed — and a
+// rejection.
+func (c *Chain) include(rcpt *chain.Receipt, fee, charged uint64) {
 	// Fees are µAlgo uint64 amounts and cannot be negative, so the raw
-	// magnitude is an unambiguous encoding. A call's return line is kept
-	// as its return value alone.
-	c.rcpts.Add(rcpt, rcpt.Fee.Base.Bytes(), nil, avm.ReturnPrefix)
+	// magnitude is an unambiguous encoding, for the fold and the record
+	// alike. A call's return line is kept as its return value alone.
+	var enc [8]byte
+	binary.BigEndian.PutUint64(enc[:], fee)
+	mag := bytes.TrimLeft(enc[:], "\x00")
+	rcpt.Fee.Unit = c.cfg.Unit
+	c.rcpts.Add(rcpt, mag, mag, nil, avm.ReturnPrefix)
 	if c.obs == nil {
 		return
 	}

@@ -114,7 +114,7 @@ type chunk struct {
 // by a varint in front of its field.
 const (
 	rowReverted = 1 << iota
-	rowFeeNegative
+	_           // unused, so that the flags after it keep their bits
 	rowSide
 	rowFeeBytes
 	rowRevertMsg
@@ -196,8 +196,8 @@ type foldBatch struct {
 	n    int
 	ret  string
 	rows [foldBatchLen]struct {
-		rc        Receipt
-		fee, side []byte
+		rc              Receipt
+		fold, fee, side []byte
 	}
 }
 
@@ -231,7 +231,7 @@ func (r *Receipts) foldBlock(f *blockFold, head uint64) {
 		fb := &f.batches[b]
 		for i := range fb.rows[:fb.n] {
 			row := &fb.rows[i]
-			r.include(&row.rc, row.fee, row.side, fb.ret)
+			r.include(&row.rc, row.fold, row.fee, row.side, fb.ret)
 			row.rc = Receipt{} // keeps nothing of it alive
 		}
 		f.free <- b
@@ -240,15 +240,17 @@ func (r *Receipts) foldBlock(f *blockFold, head uint64) {
 }
 
 // Add includes a receipt of the open block: it folds it into the rolling
-// hash and keeps it as a record, found again under its TxHash. fee is the
-// family's encoding of the fee magnitude for the fold; side is whatever
-// else the family wants back per item (Each), empty for nothing; ret is
-// the family's return-log prefix, the same on every call. fee and side are
-// copied. The receipt must not change until End returns, and nor must
+// hash and keeps it as a record, found again under its TxHash. fold is the
+// family's encoding of the fee for the rolling hash, and fee the fee's
+// big-endian magnitude without leading zeros, which the record keeps in
+// place of rc.Fee.Base (not read; rc.Fee.Unit is); side is whatever else
+// the family wants back per item (Each), empty for nothing; ret is the
+// family's return-log prefix, the same on every call. fold, fee and side
+// are copied. The receipt must not change until End returns, and nor must
 // what it points at.
-func (r *Receipts) Add(rc *Receipt, fee, side []byte, ret string) {
+func (r *Receipts) Add(rc *Receipt, fold, fee, side []byte, ret string) {
 	if !r.folding {
-		r.include(rc, fee, side, ret)
+		r.include(rc, fold, fee, side, ret)
 		return
 	}
 	f := r.fold
@@ -259,6 +261,7 @@ func (r *Receipts) Add(rc *Receipt, fee, side []byte, ret string) {
 	fb := &f.batches[f.cur]
 	row := &fb.rows[fb.n]
 	row.rc = *rc
+	row.fold = append(row.fold[:0], fold...)
 	row.fee = append(row.fee[:0], fee...)
 	row.side = append(row.side[:0], side...)
 	fb.ret = ret
@@ -296,7 +299,7 @@ func (r *Receipts) settled() {
 
 // include folds a receipt into the rolling hash and keeps it as a record,
 // found again under its TxHash (see Add). The receipt is only read.
-func (r *Receipts) include(rc *Receipt, fee, side []byte, ret string) {
+func (r *Receipts) include(rc *Receipt, fold, fee, side []byte, ret string) {
 	p := &r.pre
 	p.buf = p.buf[:0]
 	p.Bytes(r.acc[:])
@@ -313,7 +316,7 @@ func (r *Receipts) include(rc *Receipt, fee, side []byte, ret string) {
 	p.U64(uint64(len(rc.RevertMsg)))
 	p.buf = append(p.buf, rc.RevertMsg...)
 	p.Bytes(rc.ReturnValue)
-	p.Bytes(fee)
+	p.Bytes(fold)
 	r.acc = p.Sum()
 
 	var flags byte
@@ -332,20 +335,21 @@ func (r *Receipts) include(rc *Receipt, fee, side []byte, ret string) {
 	b = binary.AppendUvarint(b, rc.GasUsed)
 	// Wrapping is harmless: view adds the differences back modulo 2^64 too.
 	b = binary.AppendVarint(b, int64(late))
-	if f := rc.Fee.Base; f.IsUint64() {
-		b = binary.AppendUvarint(b, f.Uint64())
+	if len(fee) <= 8 {
+		var w uint64
+		for _, c := range fee {
+			w = w<<8 | uint64(c)
+		}
+		b = binary.AppendUvarint(b, w)
 	} else {
 		flags |= rowFeeBytes
-		if f.Sign() < 0 {
-			flags |= rowFeeNegative
-		}
 	}
 	if len(side) > 0 {
 		flags |= rowSide
 		b = appendField(b, side)
 	}
 	if flags&rowFeeBytes != 0 {
-		b = appendField(b, rc.Fee.Base.Bytes())
+		b = appendField(b, fee)
 	}
 	if rc.RevertMsg != "" {
 		flags |= rowRevertMsg
@@ -503,9 +507,6 @@ func (r *Receipts) view(seq uint64) *Receipt {
 	if rec.flags&rowFeeBytes != 0 {
 		f, tail = field(tail)
 		fee.SetBytes(f)
-		if rec.flags&rowFeeNegative != 0 {
-			fee.Neg(fee)
-		}
 	}
 	rc.Fee = Amount{Base: fee, Unit: r.unit}
 	if rec.flags&rowRevertMsg != 0 {

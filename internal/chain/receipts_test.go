@@ -40,7 +40,7 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 			{GasUsed: 33782, ReturnValue: make([]byte, 32), Logs: []string{"checked in", "", strings.Repeat("x", 300)}, Fee: NewAmount(big.NewInt(1), UnitETH)},
 			{GasUsed: 1_200_000, ReturnValue: []byte{0xfe}, Fee: NewAmount(huge, UnitETH)}, // a deploy
 			{GasUsed: 21000, Fee: NewAmount(new(big.Int), UnitETH)},
-			{GasUsed: 5, Fee: NewAmount(new(big.Int).Neg(huge), UnitETH)},
+			{GasUsed: 5, Fee: NewAmount(huge, UnitETH)},
 			{GasUsed: 6, Fee: NewAmount(new(big.Int).SetUint64(1<<64-1), UnitETH)},
 			{GasUsed: 33782, ReturnValue: leadingZeros(32, 2), Fee: NewAmount(big.NewInt(3), UnitETH)}, // a check-in's count
 			{GasUsed: 7, ReturnValue: bytes.Repeat([]byte{0x80}, 32), Fee: NewAmount(big.NewInt(3), UnitETH)},
@@ -74,7 +74,7 @@ func TestReceiptViewRoundTrip(t *testing.T) {
 				if i%2 == 0 {
 					side = []byte(fmt.Sprint("side", i))
 				}
-				r.include(&rc, rc.Fee.Base.Bytes(), side, "")
+				r.include(&rc, rc.Fee.Base.Bytes(), rc.Fee.Base.Bytes(), side, "")
 				if len(rc.ReturnValue) == 0 {
 					rc.ReturnValue = nil
 				}
@@ -153,7 +153,7 @@ func fillBlocks(r *Receipts, blocks []*testBlock, n, perBlock int) []*testBlock 
 				Fee:         NewAmount(big.NewInt(int64(i)), UnitALGO),
 				ReturnValue: []byte{byte(i)},
 			}
-			r.include(&rc, nil, nil, "")
+			r.include(&rc, nil, rc.Fee.Base.Bytes(), nil, "")
 			b.hashes = append(b.hashes, rc.TxHash)
 		}
 		r.prune(b.number)
@@ -300,7 +300,7 @@ func TestReceiptsSameHashTwice(t *testing.T) {
 	h := Hash32{7}
 	for n := uint64(1); n <= 2; n++ {
 		rc := Receipt{TxHash: h, BlockNumber: n, GasUsed: n, Fee: NewAmount(big.NewInt(1000), UnitALGO)}
-		r.include(&rc, nil, nil, "")
+		r.include(&rc, nil, rc.Fee.Base.Bytes(), nil, "")
 		if got, ok := r.Get(h); !ok || got.BlockNumber != n {
 			t.Fatalf("after block %d Get says %v %+v", n, ok, got)
 		}
@@ -327,8 +327,8 @@ func TestReceiptsSetPositionForgetsRows(t *testing.T) {
 	}
 	restored.Each(func([]byte, func() *Receipt) { t.Fatal("a restored log has no rows to visit") })
 	rc := Receipt{TxHash: Hash32{9}, BlockNumber: 9, Fee: NewAmount(big.NewInt(1), UnitETH)}
-	r.include(&rc, nil, []byte{1}, "")
-	restored.include(&rc, nil, []byte{1}, "")
+	r.include(&rc, nil, rc.Fee.Base.Bytes(), []byte{1}, "")
+	restored.include(&rc, nil, rc.Fee.Base.Bytes(), []byte{1}, "")
 	if a, b := r.acc, restored.acc; a != b || r.count != restored.count {
 		t.Fatal("restored log folds differently")
 	}
@@ -386,7 +386,7 @@ func TestReceiptsIndexAcrossUint32Wrap(t *testing.T) {
 				ReturnValue: []byte{0, byte(n), byte(i)},
 				Fee:         NewAmount(big.NewInt(int64(1000*i)), UnitALGO),
 			}
-			r.include(&rc, nil, nil, "")
+			r.include(&rc, nil, rc.Fee.Base.Bytes(), nil, "")
 			all = append(all, rc)
 		}
 		r.prune(n)
@@ -416,7 +416,7 @@ func TestReceiptsRecordLongerThanChunk(t *testing.T) {
 		if i == 1000 {
 			rc.ReturnValue = bytes.Repeat([]byte{0xc0}, 3*chunkBytes)
 		}
-		r.include(&rc, nil, nil, "")
+		r.include(&rc, nil, rc.Fee.Base.Bytes(), nil, "")
 		want = append(want, rc)
 	}
 	for i := range want {
@@ -463,8 +463,8 @@ func TestReceiptsRebuildReturnLine(t *testing.T) {
 				rc.ReturnValue = []byte(c.value)
 			}
 			var r, kept Receipts
-			r.include(&rc, nil, []byte{1}, ret)
-			kept.include(&rc, nil, []byte{1}, "no such prefix")
+			r.include(&rc, nil, rc.Fee.Base.Bytes(), []byte{1}, ret)
+			kept.include(&rc, nil, rc.Fee.Base.Bytes(), []byte{1}, "no such prefix")
 			saved := 0
 			if c.dropped {
 				saved = 1 + len(c.logs[len(c.logs)-1])
@@ -508,7 +508,7 @@ func TestReceiptsBlockDelayKeptOnce(t *testing.T) {
 				Fee:         NewAmount(big.NewInt(1000), UnitALGO),
 			}
 			rc.Submitted = rc.Included + d
-			r.include(&rc, nil, []byte{1}, "")
+			r.include(&rc, nil, rc.Fee.Base.Bytes(), []byte{1}, "")
 			want = append(want, rc)
 		}
 	}
@@ -634,8 +634,9 @@ func FuzzReceiptLog(f *testing.F) {
 			r.Begin(block, len(pending))
 			shadow.Begin(block, len(pending))
 			for _, e := range pending {
-				r.Add(&e.rc, e.rc.Fee.Base.Bytes(), e.side, ret)
-				shadow.Add(&e.rc, e.rc.Fee.Base.Bytes(), e.side, ret)
+				fee := e.rc.Fee.Base.Bytes()
+				r.Add(&e.rc, fee, fee, e.side, ret)
+				shadow.Add(&e.rc, fee, fee, e.side, ret)
 			}
 			r.End()
 			shadow.End()
@@ -714,7 +715,7 @@ func FuzzReceiptLog(f *testing.F) {
 				case 1:
 					fee.Lsh(fee, 64+uint(next()%200)) // beyond one word
 				case 2:
-					fee.Lsh(fee, 64).Neg(fee)
+					fee.Lsh(fee, 248) // up to a full 256-bit word
 				case 3:
 					fee.SetUint64(1<<64 - 1)
 				case 4:

@@ -324,16 +324,11 @@ type SubmissionResult struct {
 // contract up in the hypercube; deploy a new one (becoming its creator)
 // when absent, otherwise attach with insert_data.
 func (p *Prover) SubmitProof(conn Connector, proof *LocationProof, rewardPerProver uint64) (*SubmissionResult, error) {
-	return p.stage(conn, proof.Request.OLC, proof.ConcatData(), rewardPerProver)
-}
-
-// stage is the insertion flow every record format takes: record is the
-// line stored under the prover's DID in the contract of area code.
-func (p *Prover) stage(conn Connector, code string, record []byte, rewardPerProver uint64) (*SubmissionResult, error) {
 	acct, err := p.wallet(conn)
 	if err != nil {
 		return nil, err
 	}
+	code := proof.Request.OLC
 	sp := p.sys.span("pol.submit_proof", obs.L("olc", code), obs.L("chain", conn.Name()))
 	defer sp.End()
 	via := p.sys.EntryNode(p.DID)
@@ -346,7 +341,7 @@ func (p *Prover) stage(conn Connector, code string, record []byte, rewardPerProv
 	if err != nil {
 		return nil, err
 	}
-	insert := []lang.Value{lang.BytesValue(record), lang.Uint64Value(p.DID.Uint64())}
+	insert := []lang.Value{lang.BytesValue(proof.ConcatData()), lang.Uint64Value(p.DID.Uint64())}
 	if !found {
 		// Deployment is two chained operations (Fig. 3.1): the creation
 		// transaction, then the creator's own insert_data — which also
@@ -491,49 +486,6 @@ func (v *Verifier) rejected(prover did.DID, reason string) *Verification {
 //  5. call the verify API (pays the reward, deletes the map entry);
 //  6. insert the CID into the hypercube (garbage-in).
 func (v *Verifier) VerifyProver(conn Connector, h *Handle, prover did.DID) (*Verification, error) {
-	return v.verify(conn, h, prover, v.checkConcat)
-}
-
-// staged is what the verifier reads before any record format is checked:
-// the line stored under the prover's DID, the contract's area and the
-// prover's authentication key.
-type staged struct {
-	prover    did.DID
-	line      []byte
-	area      string
-	proverKey ed25519.PublicKey
-}
-
-// checkConcat is steps 2–3 for the single-witness record (ConcatData).
-func (v *Verifier) checkConcat(st staged) (ProofRequest, error) {
-	parsed, err := ParseConcatData(st.line)
-	if err != nil {
-		return ProofRequest{}, err
-	}
-	req := ProofRequest{DID: st.prover, OLC: st.area, Nonce: parsed.Nonce, CID: parsed.CID, Wallet: parsed.Wallet}
-	if req.Hash() != parsed.Hash {
-		return ProofRequest{}, ErrHashMismatch
-	}
-	// Locate the signing witness among the CA-registered keys; reject a
-	// proof the prover signed for itself (§2.3.1.2, footnote 12).
-	if !v.sys.witnessSigned(st.proverKey, parsed.Hash[:], parsed.Signature) {
-		// No registered witness other than the prover opened the signature.
-		// Verifying under the prover's own key only names the rejection, so
-		// it is paid here and not on the accept path.
-		if v.sys.verifySig(st.proverKey, parsed.Hash[:], parsed.Signature) {
-			return ProofRequest{}, ErrSelfSigned
-		}
-		return ProofRequest{}, ErrUnknownWitness
-	}
-	return req, nil
-}
-
-// verify is the procedure every record format shares. It reads the staged
-// line, the contract's area and the prover's key; check accepts the line
-// and names the claim it certifies, or gives the rejection reason; then the
-// claimed report is fetched and integrity-checked, the contract's verify
-// pays the reward and the report's CID enters the hypercube.
-func (v *Verifier) verify(conn Connector, h *Handle, prover did.DID, check func(staged) (ProofRequest, error)) (*Verification, error) {
 	if !v.sys.CA.IsVerifier(v.DID) {
 		return nil, ErrNotVerifier
 	}
@@ -564,7 +516,7 @@ func (v *Verifier) verify(conn Connector, h *Handle, prover did.DID, check func(
 		return nil, err
 	}
 	code := string(posVal.Bytes)
-	req, err := check(staged{prover: prover, line: raw.Bytes, area: code, proverKey: proverKey})
+	req, err := v.checkConcat(prover, raw.Bytes, code, proverKey)
 	if err != nil {
 		return v.rejected(prover, err.Error()), nil
 	}
@@ -618,4 +570,30 @@ func (v *Verifier) verify(conn Connector, h *Handle, prover did.DID, check func(
 		Prover: prover, Report: report, CID: req.CID,
 		Accepted: true, Op: op,
 	}, nil
+}
+
+// checkConcat is steps 2–3: line, the record staged under the prover's DID,
+// certifies the claim it names for the contract's area, signed by a
+// registered witness other than the prover.
+func (v *Verifier) checkConcat(prover did.DID, line []byte, area string, proverKey ed25519.PublicKey) (ProofRequest, error) {
+	parsed, err := ParseConcatData(line)
+	if err != nil {
+		return ProofRequest{}, err
+	}
+	req := ProofRequest{DID: prover, OLC: area, Nonce: parsed.Nonce, CID: parsed.CID, Wallet: parsed.Wallet}
+	if req.Hash() != parsed.Hash {
+		return ProofRequest{}, ErrHashMismatch
+	}
+	// Locate the signing witness among the CA-registered keys; reject a
+	// proof the prover signed for itself (§2.3.1.2, footnote 12).
+	if !v.sys.witnessSigned(proverKey, parsed.Hash[:], parsed.Signature) {
+		// No registered witness other than the prover opened the signature.
+		// Verifying under the prover's own key only names the rejection, so
+		// it is paid here and not on the accept path.
+		if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
+			return ProofRequest{}, ErrSelfSigned
+		}
+		return ProofRequest{}, ErrUnknownWitness
+	}
+	return req, nil
 }

@@ -6,8 +6,10 @@ import (
 
 	"agnopol/internal/algorand"
 	"agnopol/internal/eth"
+	"agnopol/internal/faults"
 	"agnopol/internal/geo"
 	"agnopol/internal/ipfs"
+	"agnopol/internal/obs"
 )
 
 // bologna is the reference location of the thesis' examples.
@@ -278,5 +280,97 @@ func TestUnpinnedReportDisappearsBeforeVerification(t *testing.T) {
 	}
 	if !strings.Contains(ver.Reason, ipfs.ErrNotFound.Error()) {
 		t.Fatalf("rejection reason %q, want content-not-found", ver.Reason)
+	}
+}
+
+// TestProofPipelineInstruments: a deploy is counted and reports the
+// retries it took, and a rejection and an acceptance are each counted in
+// core_verifications_total under a pol.verify span.
+func TestProofPipelineInstruments(t *testing.T) {
+	ch := eth.NewChain(eth.Goerli(), 41)
+	conn := NewEVMConnector(ch)
+	sys := newTestSystem(t)
+	o := obs.New()
+	sys.Instrument(o)
+	witness, err := NewWitness(sys, geo.Offset(bologna, 1, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier, err := NewVerifier(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifier.EnsureAccount(conn, 10); err != nil {
+		t.Fatal(err)
+	}
+	proofFor := func(p *Prover) *LocationProof {
+		t.Helper()
+		acct, err := p.EnsureAccount(conn, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cid, err := p.UploadReport(Report{Title: "q", Category: "waste"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := p.RequestProof(witness, cid, acct.Address())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proof
+	}
+	honest, err := NewProver(sys, bologna)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forger, err := NewProver(sys, bologna)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, forged := proofFor(honest), proofFor(forger)
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[7] ^= 0x01
+
+	// The mempool drops the next two transactions; the deploy retries
+	// through both.
+	ch.SetFaults(faults.NewInjector(&faults.Plan{
+		Rates: map[string]float64{faults.ClassTxDrop: 1}, Burst: 2,
+	}, 7, nil))
+	sub, err := honest.SubmitProof(conn, proof, rewardFor(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sub.Deployed || sub.Op.Retries != 2 {
+		t.Errorf("deployed=%v retries=%d, want a deploy that retried twice", sub.Deployed, sub.Op.Retries)
+	}
+	if got := o.Registry.Counter("core_contracts_deployed_total").Value(); got != 1 {
+		t.Errorf("core_contracts_deployed_total = %d, want 1", got)
+	}
+	if _, err := forger.SubmitProof(conn, forged, rewardFor(conn)); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := verifier.FundContract(conn, sub.Handle, 2*rewardFor(conn)); err != nil {
+		t.Fatal(err)
+	}
+	if ver, err := verifier.VerifyProver(conn, sub.Handle, forger.DID); err != nil || ver.Accepted {
+		t.Fatalf("forged signature: err=%v", err)
+	}
+	if ver, err := verifier.VerifyProver(conn, sub.Handle, honest.DID); err != nil || !ver.Accepted {
+		t.Fatalf("honest proof rejected: err=%v", err)
+	}
+	for _, result := range []string{"accepted", "rejected"} {
+		if got := o.Registry.Counter("core_verifications_total", obs.L("result", result)).Value(); got != 1 {
+			t.Errorf("core_verifications_total{result=%q} = %d, want 1", result, got)
+		}
+	}
+	spans := 0
+	for _, sp := range o.Tracer.Spans() {
+		if sp.Name == "pol.verify" {
+			spans++
+		}
+	}
+	if spans != 2 {
+		t.Errorf("%d pol.verify spans, want one per verification (2)", spans)
 	}
 }

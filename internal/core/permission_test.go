@@ -52,9 +52,6 @@ func TestUndesignatedVerifierRejected(t *testing.T) {
 	if _, err := rogue.VerifyProver(conn, sub.Handle, p.DID); !errors.Is(err, ErrNotVerifier) {
 		t.Fatalf("VerifyProver err = %v, want ErrNotVerifier", err)
 	}
-	if _, err := rogue.VerifyProverQuorum(conn, sub.Handle, p.DID, 1); !errors.Is(err, ErrNotVerifier) {
-		t.Fatalf("VerifyProverQuorum err = %v, want ErrNotVerifier", err)
-	}
 }
 
 func TestProverNeedsAccountOnConnector(t *testing.T) {
@@ -76,17 +73,8 @@ func TestProverNeedsAccountOnConnector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := p.RequestProofQuorum([]*Witness{w}, cid, [20]byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, submit := range map[string]func() (*SubmissionResult, error){
-		"single": func() (*SubmissionResult, error) { return p.SubmitProof(conn, proof, 100) },
-		"quorum": func() (*SubmissionResult, error) { return p.SubmitProofQuorum(conn, bundle, 100) },
-	} {
-		if _, err := submit(); err == nil {
-			t.Errorf("%s submission without a wallet accepted", name)
-		}
+	if _, err := p.SubmitProof(conn, proof, 100); err == nil {
+		t.Error("submission without a wallet accepted")
 	}
 }
 

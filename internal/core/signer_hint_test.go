@@ -326,3 +326,101 @@ func TestWitnessListKeepsRegistrationOrder(t *testing.T) {
 		t.Fatalf("same seed, different signature-cache counters: hit %d/%d miss %d/%d", h1, h2, m1, m2)
 	}
 }
+
+// TestMemoEmptyOnceEveryProofIsSettled follows sim.Execute: every proof is
+// collected (certificate checked, staged on chain) before any is verified.
+// The certificate verdicts must survive the whole collection phase, so the
+// verification phase runs no real verification, and each is forgotten once
+// its proof is accepted, so the settled system keeps none of them.
+func TestMemoEmptyOnceEveryProofIsSettled(t *testing.T) {
+	const areas = 16
+	sys, err := NewSystem(67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	sys.Instrument(o)
+	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 67))
+	verifier, err := NewVerifier(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifier.EnsureAccount(conn, 100); err != nil {
+		t.Fatal(err)
+	}
+	// One witness per area, 200 m apart: out of each other's range, and
+	// each area's provers stand where its witness does.
+	var witnesses []*Witness
+	var provers []*Prover
+	for g := 0; g < areas; g++ {
+		at := geo.Offset(bologna, 0, 200*float64(g))
+		w, err := NewWitness(sys, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		witnesses = append(witnesses, w)
+		for k := 0; k < MaxUsers; k++ {
+			p, err := NewProver(sys, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.EnsureAccount(conn, 10); err != nil {
+				t.Fatal(err)
+			}
+			provers = append(provers, p)
+		}
+	}
+	// Collection: every area's deployer first, then the attachers.
+	var order []int
+	for u := 0; u < len(provers); u += MaxUsers {
+		order = append(order, u)
+	}
+	for u := range provers {
+		if u%MaxUsers != 0 {
+			order = append(order, u)
+		}
+	}
+	handles := make([]*Handle, len(provers))
+	for _, u := range order {
+		p := provers[u]
+		cid, err := p.UploadReport(Report{Title: fmt.Sprint("report-", u), Category: "noise"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acct, _ := p.Account(conn)
+		proof, err := p.RequestProof(witnesses[u/MaxUsers], cid, acct.Address())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := p.SubmitProof(conn, proof, rewardFor(conn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[u] = sub.Handle
+	}
+	if n := sys.sigs.Len(); n != len(provers) {
+		t.Fatalf("after collection the memo holds %d verdicts, want one per proof (%d)", n, len(provers))
+	}
+	for u := 0; u < len(provers); u += MaxUsers {
+		if _, err := verifier.FundContract(conn, handles[u], MaxUsers*rewardFor(conn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Verification, in user order.
+	_, before := sigCacheCounters(t, o)
+	for u, p := range provers {
+		ver, err := verifier.VerifyProver(conn, handles[u], p.DID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ver.Accepted {
+			t.Fatalf("user %d rejected: %s", u, ver.Reason)
+		}
+	}
+	if _, after := sigCacheCounters(t, o); after != before {
+		t.Errorf("verification phase ran %d real verifications, want none", after-before)
+	}
+	if n := sys.sigs.Len(); n != 0 {
+		t.Errorf("the settled system's memo holds %d verdicts, want none", n)
+	}
+}

@@ -37,8 +37,9 @@ type System struct {
 	handles map[string]*Handle
 	dir     witnessDirectory
 
-	// sigs memoizes ed25519 signature verifications (see sigcache.go);
-	// quorum paths re-check the same proof several times per claim.
+	// sigs memoizes ed25519 signature verifications (see sigcache.go): it
+	// carries each certificate verdict from RequestProof to the verifier's
+	// witness lookup, which forgets it once the proof is accepted.
 	sigs *polcrypto.SigCache
 
 	// obs holds the proof-pipeline instrumentation (see obs.go); nil when

@@ -808,9 +808,12 @@ func (c *Chain) settle(tx *Tx, price u256.Word, blk *Block, rcpt *chain.Receipt,
 	fee := price.Mul(gas)
 	burn := blk.BaseFee.Mul(gas)
 	c.st.SubBalance(tx.From, fee)
-	rcpt.Fee = chain.Amount{Base: fee.ToBig(), Unit: c.cfg.Unit}
+	rcpt.Fee.Unit = c.cfg.Unit
+	// The fold takes the fee in its balance encoding, the record its
+	// magnitude: the same bytes past the sign byte.
 	var enc [1 + 32]byte
-	c.rcpts.Add(rcpt, appendBalance(enc[:0], fee), side, "")
+	fold := appendBalance(enc[:0], fee)
+	c.rcpts.Add(rcpt, fold, fold[1:], side, "")
 	blk.GasUsed += rcpt.GasUsed
 	c.burned = c.burned.Add(burn)
 	return fee.Sub(burn)

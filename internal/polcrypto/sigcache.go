@@ -6,12 +6,10 @@ import (
 	"sync"
 )
 
-// DefaultSigCacheSize bounds a signature-verification memo. A quorum run
-// re-checks every proof in a bundle at collection, submission and
-// verification time; a few thousand entries cover the largest experiment
-// matrix. A cache that has reached the bound holds ≈ 2.75 MiB (2 884 416 B
-// measured on linux/amd64, BenchmarkSigCacheResident); an empty one holds
-// a few hundred bytes, since the maps grow with use.
+// DefaultSigCacheSize bounds a signature-verification memo. The verifier
+// forgets each valid verdict once it accepted a proof with it, so the memo
+// holds proofs awaiting their verifier plus negative verdicts, and the bound
+// caps those. Full, it holds ≈ 2.75 MiB (BenchmarkSigCacheResident, amd64).
 const DefaultSigCacheSize = 4096
 
 // SigKey is the full verification input. ed25519 keys and signatures have
@@ -60,10 +58,9 @@ type SigCache struct {
 	cap int
 	ll  *list.List
 	idx map[SigKey]*list.Element
-	// signers maps (hash, sig) to the valid entry that carries it. Only
-	// entries with ok == true appear, each removed together with its LRU
-	// element, so the index never outgrows cap and never names a key whose
-	// cached verdict is negative.
+	// signers maps (hash, sig) to the valid entry that carries it and loses
+	// the slot with the entry, so it never outgrows cap and never names a
+	// key whose cached verdict is negative.
 	signers map[signed]*list.Element
 }
 
@@ -71,9 +68,6 @@ type SigCache struct {
 // is sized by the bound: the maps grow with the verdicts actually stored,
 // so a cache that sees a hundred signatures costs what a hundred cost.
 func NewSigCache(capacity int) *SigCache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &SigCache{
 		cap:     capacity,
 		ll:      list.New(),
@@ -94,43 +88,34 @@ func (c *SigCache) Get(k SigKey) (ok, hit bool) {
 	return el.Value.(*sigEntry).ok, true
 }
 
-// Put records a verdict, evicting the least-recently-used entry at capacity.
-// Overwriting an existing key's verdict moves it into or out of the signer
-// index accordingly.
+// Put records a verdict as the most recently used, replacing the key's
+// earlier verdict if any, and evicts the least-recently-used entry beyond
+// capacity. Only a valid verdict enters the signer index.
 func (c *SigCache) Put(k SigKey, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.idx[k]; found {
-		c.unindexSigner(el)
-		el.Value.(*sigEntry).ok = ok
-		c.indexSigner(el)
-		c.ll.MoveToFront(el)
-		return
+		c.remove(el)
 	}
 	el := c.ll.PushFront(&sigEntry{key: k, ok: ok})
 	c.idx[k] = el
-	c.indexSigner(el)
+	if ok {
+		c.signers[signed{k.hash, k.sig}] = el
+	}
 	if c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.unindexSigner(back)
-		c.ll.Remove(back)
-		delete(c.idx, back.Value.(*sigEntry).key)
+		c.remove(c.ll.Back())
 	}
 }
 
-// indexSigner makes a valid entry findable by its (hash, signature).
-func (c *SigCache) indexSigner(el *list.Element) {
-	if e := el.Value.(*sigEntry); e.ok {
-		c.signers[signed{e.key.hash, e.key.sig}] = el
-	}
-}
-
-// unindexSigner drops the signer-index slot that points at el, if any.
-func (c *SigCache) unindexSigner(el *list.Element) {
-	e := el.Value.(*sigEntry)
-	if s := (signed{e.key.hash, e.key.sig}); c.signers[s] == el {
+// remove drops an entry from the LRU, the verdict index and, if the entry
+// is the one it names, the signer index.
+func (c *SigCache) remove(el *list.Element) {
+	k := el.Value.(*sigEntry).key
+	if s := (signed{k.hash, k.sig}); c.signers[s] == el {
 		delete(c.signers, s)
 	}
+	c.ll.Remove(el)
+	delete(c.idx, k)
 }
 
 // Signer returns the public key under which sig is already known to be a
@@ -139,20 +124,35 @@ func (c *SigCache) unindexSigner(el *list.Element) {
 // key to try, not a verification: callers that restrict who may sign check
 // the key against their own registry and confirm with Verify (a cache hit).
 func (c *SigCache) Signer(msg, sig []byte) (ed25519.PublicKey, bool) {
-	if len(msg) != 32 || len(sig) != ed25519.SignatureSize {
-		return nil, false
-	}
-	var s signed
-	copy(s.hash[:], msg)
-	copy(s.sig[:], sig)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.signers[s]
-	if !found {
+	el := c.signerOf(msg, sig)
+	if el == nil {
 		return nil, false
 	}
 	pub := el.Value.(*sigEntry).key.pub
 	return pub[:], true
+}
+
+// Forget drops the verdict Signer would name for (msg, sig): the caller
+// has accepted what it certified and will not ask again.
+func (c *SigCache) Forget(msg, sig []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.signerOf(msg, sig); el != nil {
+		c.remove(el)
+	}
+}
+
+// signerOf is the signer-index entry for (msg, sig), or nil; c.mu is held.
+func (c *SigCache) signerOf(msg, sig []byte) *list.Element {
+	var s signed
+	if len(msg) != len(s.hash) || len(sig) != len(s.sig) {
+		return nil
+	}
+	copy(s.hash[:], msg)
+	copy(s.sig[:], sig)
+	return c.signers[s]
 }
 
 // Len reports the number of cached verdicts.
