@@ -9,12 +9,17 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The documents whose backticked names must exist.
-var namedDocs = []string{"DESIGN.md", "README.md", "docs/LANGUAGE.md"}
+// The documents whose backticked names must exist, and the scripts whose
+// go test patterns must name declared tests.
+var (
+	namedDocs    = []string{"DESIGN.md", "README.md", "docs/LANGUAGE.md"}
+	patternFiles = []string{".github/workflows/ci.yml", "scripts/check.sh"}
+)
 
 // TestDocsNameOnlyWhatExists: every backticked `path/file.go` in the docs
 // exists, every `pkg.Exported` or `pkg.Exported.Member` naming an internal
@@ -31,6 +36,24 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		for _, name := range ix.stale(string(text)) {
 			t.Errorf("%s names `%s`, which does not exist", doc, name)
+		}
+	}
+}
+
+// TestScriptsRunOnlyDeclaredTests: every Test, Fuzz or Benchmark name in a
+// -run, -fuzz or -bench pattern of CI or check.sh, or in a fuzz job's
+// target, is declared in some _test.go file. A pattern that matches
+// nothing passes silently, so a moved or renamed test would otherwise
+// drop out of the step that names it.
+func TestScriptsRunOnlyDeclaredTests(t *testing.T) {
+	ix := indexCode(t)
+	for _, script := range patternFiles {
+		text, err := os.ReadFile(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ix.staleTests(string(text)) {
+			t.Errorf("%s runs %s, which no _test.go file declares", script, name)
 		}
 	}
 }
@@ -64,12 +87,26 @@ func TestDocNameGuardCatchesStaleNames(t *testing.T) {
 	if got := ix.stale("```go\nchain.PruneBlocks(r, b, f)\n```\n"); len(got) != 0 {
 		t.Errorf("the guard reads a fenced block: %q", got)
 	}
+	// A test pattern naming a test no file declares.
+	for script, want := range map[string][]string{
+		"go test -race -cpu 1,2 -run '^(TestFoldAheadMatchesInline|TestGoneAway)$' ./internal/chain": {"TestGoneAway"},
+		"go test -run=^TestGoneAway$/^eth$ ./internal/chain":                                         {"TestGoneAway"},
+		"go test -run '^$' -bench 'BenchmarkGone|StepBatch' ./internal/chain":                        {"BenchmarkGone"},
+		"          target: FuzzGone":                                                                 {"FuzzGone"},
+		"go test -run '^TestFoldAheadMatchesInline$/^eth$' -fuzz FuzzReceiptLog ./internal/chain":    nil,
+		"# TestGoneAway is named in a comment, not a pattern":                                        nil,
+	} {
+		if got := ix.staleTests(script); !slices.Equal(got, want) {
+			t.Errorf("%q: the guard reports %q, want %q", script, got, want)
+		}
+	}
 }
 
 // codeIndex is what the repository's Go code declares and mentions.
 type codeIndex struct {
 	words map[string]bool           // identifiers, and words in string literals
 	pkgs  map[string]*declaredNames // internal packages by name
+	tests map[string]bool           // functions _test.go files declare
 }
 
 // declaredNames is one package's declarations: its package-level names, the
@@ -89,7 +126,7 @@ const guardFile = "docnames_test.go"
 
 func indexCode(t *testing.T) *codeIndex {
 	t.Helper()
-	ix := &codeIndex{words: map[string]bool{}, pkgs: map[string]*declaredNames{}}
+	ix := &codeIndex{words: map[string]bool{}, pkgs: map[string]*declaredNames{}, tests: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -98,12 +135,26 @@ func indexCode(t *testing.T) *codeIndex {
 		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || path == guardFile {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					ix.tests[fn.Name.Name] = true
+				}
+			}
+		}
+		if path == guardFile {
+			return nil
 		}
 		var s scanner.Scanner
 		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
@@ -239,6 +290,26 @@ var (
 	qualifiedRE = regexp.MustCompile(`^(?:internal/)?([a-z][a-z0-9]*)\.([A-Z]\w*\*?|\*)(?:\.(\w+))?$`)
 	bareRE      = regexp.MustCompile(`^[A-Z]\w*(\.[A-Z]\w*)*$`) // T, or T.M with M exported
 )
+
+var (
+	patternRE  = regexp.MustCompile(`-(?:run|fuzz|bench)[ =]('[^']*'|"[^"]*"|\S+)|\btarget: (\S+)`)
+	testNameRE = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)\w*`)
+)
+
+// staleTests returns the Test, Fuzz and Benchmark names in a script's test
+// patterns and fuzz targets that no _test.go file declares, in the order
+// they appear.
+func (ix *codeIndex) staleTests(script string) []string {
+	var out []string
+	for _, m := range patternRE.FindAllStringSubmatch(script, -1) {
+		for _, name := range testNameRE.FindAllString(m[1]+m[2], -1) {
+			if !ix.tests[name] {
+				out = append(out, name)
+			}
+		}
+	}
+	return out
+}
 
 // stale returns the backticked names in a document that resolve to
 // nothing, in the order they appear.

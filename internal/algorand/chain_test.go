@@ -58,30 +58,6 @@ log
 int 1
 return`
 
-func TestPaymentFlow(t *testing.T) {
-	c := newTestChain(t)
-	cl := NewClient(c)
-	alice := c.NewAccount(5_000_000)
-	bob := chain.AddressFromBytes([]byte("bob"))
-	rcpt, err := cl.pay(alice, bob, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (rcpt.Included - rcpt.Submitted) <= 0 {
-		t.Fatal("latency must be positive")
-	}
-	if got := c.Balance(bob).Base.Uint64(); got != 1_000_000 {
-		t.Fatalf("bob balance %d", got)
-	}
-	// Alice paid the amount plus the flat min fee.
-	if got := c.Balance(alice.Address).Base.Uint64(); got != 5_000_000-1_000_000-MinFee {
-		t.Fatalf("alice balance %d", got)
-	}
-	if rcpt.Fee.Base.Uint64() != MinFee {
-		t.Fatalf("fee %s, want flat %d µALGO", rcpt.Fee.Base, MinFee)
-	}
-}
-
 func TestFlatFeesIndependentOfLoad(t *testing.T) {
 	// Unlike EIP-1559 chains, fees never move with congestion.
 	c := newTestChain(t)
@@ -345,7 +321,9 @@ func TestLookaheadDroppedOnRestore(t *testing.T) {
 	for _, x := range []*Chain{ref, c} {
 		x.Fund(alice.Address, 50_000_000)
 		for i := 0; i < 3; i++ {
-			submitGroup(t, x, Group{signedPay(alice, chain.AddressFromBytes([]byte{byte(i)}), 1_000)})
+			if _, err := x.Submit(Group{signedPay(alice, chain.AddressFromBytes([]byte{byte(i)}), 1_000)}); err != nil {
+				t.Fatal(err)
+			}
 			x.Step()
 		}
 	}
@@ -489,30 +467,6 @@ func TestMalformedCreationsRevert(t *testing.T) {
 	}
 }
 
-func TestDeterministicRuns(t *testing.T) {
-	run := func() []float64 {
-		c := NewChain(Testnet(), 42)
-		cl := NewClient(c)
-		alice := c.NewAccount(50_000_000)
-		var out []float64
-		for i := 0; i < 5; i++ {
-			to := chain.AddressFromBytes([]byte{byte(i)})
-			rcpt, err := cl.pay(alice, to, 1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, (rcpt.Included - rcpt.Submitted).Seconds())
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run diverged at tx %d", i)
-		}
-	}
-}
-
 func TestApproveAllSmoke(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
@@ -522,48 +476,25 @@ func TestApproveAllSmoke(t *testing.T) {
 	}
 }
 
-// TestSubmitAndWaitLeavesTheChainsReceiptAlone: the receipt a client hands
-// back carries the times the client observed — from the submit call to the
-// indexed read, the latency the paper's figures plot — and the chain's own
-// answer for the same hash stays what was folded into the digest: when the
-// network saw the group and when the round that took it was certified.
-func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
-	c := newTestChain(t)
-	cl := NewClient(c)
-	alice := c.NewAccount(5_000_000)
-	acc0, n0 := c.rcpts.Position()
-	start := c.Now()
-	pay := &Tx{Type: TxPay, Sender: alice.Address, Fee: MinFee, Receiver: chain.AddressFromBytes([]byte("bob")), Amount: 7}
-	pay.Sign(alice)
-	rcpt, err := cl.submitAndWait(Group{pay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcpt.Submitted != start || rcpt.Included != c.Now() || (rcpt.Included-rcpt.Submitted) != c.Now()-start {
-		t.Fatalf("client receipt spans %v–%v, the client saw %v–%v", rcpt.Submitted, rcpt.Included, start, c.Now())
-	}
-	stored, ok := c.Receipt(Group{pay}.Hash())
-	if !ok {
-		t.Fatal("chain has no receipt for the confirmed group")
-	}
-	if stored.Included != time.Duration(stored.BlockNumber)*c.cfg.RoundDuration ||
-		stored.Submitted <= start || stored.Submitted >= stored.Included || stored.Included >= rcpt.Included {
-		t.Fatalf("chain receipt spans %v–%v (round %d), client %v–%v", stored.Submitted, stored.Included, stored.BlockNumber, start, rcpt.Included)
-	}
-	// Folding the chain's answer over the accumulator from before the
-	// group must give the accumulator of now: it is what was hashed.
-	var h chain.Hasher
-	h.Bytes(acc0[:])
-	h.Bytes(stored.TxHash[:])
-	h.U64(stored.BlockNumber)
-	h.U64(stored.GasUsed)
-	h.U64(uint64(stored.Submitted))
-	h.U64(uint64(stored.Included))
-	h.U64(0) // not reverted
-	h.Bytes(nil)
-	h.Bytes(stored.ReturnValue)
-	h.Bytes(stored.Fee.Base.Bytes())
-	if acc1, n1 := c.rcpts.Position(); n1 != n0+1 || h.Sum() != acc1 || stored.Reverted {
-		t.Fatal("Receipt(h) after SubmitAndWait is not the receipt the digest folded")
+// TestReceiptsKeepNoSideBytes: Algorand keeps nothing beside a receipt's
+// record (eth keeps its explorer columns there), whether a round's 100
+// receipts are folded inline, at GOMAXPROCS 1, or on the receipt helper.
+func TestReceiptsKeepNoSideBytes(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c := newTestChain(t)
+			alice := c.NewAccount(1_000_000_000)
+			groups := make([]Group, 100)
+			for i := range groups {
+				groups[i] = Group{signedPay(alice, chain.AddressFromBytes([]byte{byte(i)}), 1)}
+			}
+			stepBatch(t, c, groups)
+			visited := 0
+			c.rcpts.Each(func([]byte, func() *chain.Receipt) { visited++ })
+			if visited != 0 {
+				t.Fatalf("GOMAXPROCS %d: Each visits %d rows", procs, visited)
+			}
+		}()
 	}
 }

@@ -167,9 +167,17 @@ func TestAppsShareOneProgram(t *testing.T) {
 // the trie branches above them and its app table entry. Nothing is
 // timed.
 func BenchmarkAppResident(b *testing.B) {
+	heapAfterGC := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first cycle may still be sweeping finalizer-held blocks
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
 	const apps = 256
 	// On one P: with more, the readings also count whatever partly used
-	// allocation spans the other Ps' caches hold (see TestRetentionHeapFlat).
+	// allocation spans the other Ps' caches hold, since the next round's
+	// sortition runs there.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := NewChain(Testnet(), 7)
 	c.SetRetention(1)

@@ -3,8 +3,6 @@ package algorand
 import (
 	"errors"
 	"math"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -78,201 +76,9 @@ func TestLedgerOverlayCopyOnWrite(t *testing.T) {
 	}
 }
 
-// runShardedRounds drives per-area app-call traffic plus peer payments —
-// and among them a call the program rejects, an application created inside
-// a batch and, every round, a payment into the fee sink, the account the
-// round's tail credits — through a chain of the given fan-out width. It
-// returns the chain for digest comparison, the rounds the workload stepped,
-// and the receipts of the creations before them, whose rounds the client
-// certified.
-func runShardedRounds(t *testing.T, shards int) (*Chain, []*Block, []*chain.Receipt) {
-	t.Helper()
-	c := NewChain(Testnet(), 77)
-	c.SetShards(shards)
-	cl := NewClient(c)
-
-	deployer := c.NewAccount(50_000_000)
-	const areas = 4
-	var apps []uint64
-	var creations []*chain.Receipt
-	for i := 0; i < areas; i++ {
-		rcpt, id, err := cl.createApp(deployer, counterApp, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, id)
-		creations = append(creations, rcpt)
-	}
-	var blocks []*Block
-
-	const users = 12
-	accts := make([]*Account, users)
-	for i := range accts {
-		accts[i] = c.NewAccount(10_000_000)
-	}
-
-	for round := 0; round < 8; round++ {
-		var groups []Group
-		send := func(from *Account, tx *Tx) Group {
-			tx.Sender, tx.Fee = from.Address, MinFee
-			tx.Sign(from)
-			groups = append(groups, Group{tx})
-			return Group{tx}
-		}
-		var rejected Group
-		for ui, u := range accts {
-			send(u, &Tx{Type: TxAppCall, AppID: apps[ui%areas], Args: [][]byte{[]byte("bump")}})
-			if round%2 == 1 {
-				send(u, &Tx{Type: TxPay, Receiver: accts[ui^1].Address, Amount: 1000})
-			}
-			switch {
-			case round == 2 && ui == 1:
-				// "boom" matches no branch: the program errs, the call rolls
-				// back, the fee stays charged.
-				rejected = send(u, &Tx{Type: TxAppCall, AppID: apps[ui%areas], Args: [][]byte{[]byte("boom")}})
-			case round == 4 && ui == 2:
-				send(u, &Tx{Type: TxAppCreate, Source: counterApp})
-			}
-		}
-		// A payment into the fee sink: execution credits the account the
-		// round's tail credits the fees to.
-		send(accts[5], &Tx{Type: TxPay, Receiver: c.feeSink, Amount: 555 + uint64(round)})
-		before := c.Balance(c.feeSink).Base.Uint64()
-
-		_, errs := c.SubmitBatch(groups)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d group %d: %v", round, i, err)
-			}
-		}
-		blk := c.Step()
-		blocks = append(blocks, blk)
-
-		want := before + 555 + uint64(round)
-		for _, h := range blk.Groups {
-			rcpt, ok := c.Receipt(h)
-			if !ok {
-				t.Fatalf("round %d: no receipt for an included group", round)
-			}
-			want += rcpt.Fee.Base.Uint64()
-		}
-		if got := c.Balance(c.feeSink).Base.Uint64(); len(blk.Groups) != len(groups) || got != want {
-			t.Fatalf("round %d took %d of %d groups and left the fee sink %d, want %d", round, len(blk.Groups), len(groups), got, want)
-		}
-		if rejected != nil {
-			if rcpt, _ := c.Receipt(rejected.Hash()); !rcpt.Reverted || rcpt.RevertMsg == "" {
-				t.Fatalf("the rejected call did not revert: %+v", rcpt)
-			}
-		}
-		if _, created := c.App(uint64(areas + 1)); created != (round >= 4) {
-			t.Fatalf("round %d: application created inside the batch exists: %v", round, created)
-		}
-	}
-	for i := 0; i < 10 && c.PendingCount() > 0; i++ {
-		blocks = append(blocks, c.Step())
-	}
-	if c.PendingCount() != 0 {
-		t.Fatalf("%d groups never included", c.PendingCount())
-	}
-	return c, blocks, creations
-}
-
-// TestShardedRoundBitIdentity: the same workload at every combination of
-// one, two and four cores with a fan-out width of one to eight certifies
-// the same rounds and ends in the same digest.
-func TestShardedRoundBitIdentity(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref, refBlocks, refCreations := runShardedRounds(t, 1)
-	refDigest := ref.Digest()
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 3, 4, 8} {
-			c, blocks, creations := runShardedRounds(t, shards)
-			if len(blocks) != len(refBlocks) || c.Head().Round != ref.Head().Round {
-				t.Fatalf("procs=%d shards=%d: %d rounds to %d vs %d to %d serial",
-					procs, shards, len(blocks), c.Head().Round, len(refBlocks), ref.Head().Round)
-			}
-			// The client certified the creations' rounds.
-			for i, rcpt := range creations {
-				if rcpt.BlockNumber != refCreations[i].BlockNumber {
-					t.Fatalf("procs=%d shards=%d: creation %d in round %d, serially %d", procs, shards, i, rcpt.BlockNumber, refCreations[i].BlockNumber)
-				}
-			}
-			for i := range refBlocks {
-				if blocks[i].Hash != refBlocks[i].Hash {
-					t.Fatalf("procs=%d shards=%d: round %d hash diverges", procs, shards, i)
-				}
-			}
-			if d := c.Digest(); d != refDigest {
-				t.Fatalf("procs=%d shards=%d: ledger digest diverges from serial run", procs, shards)
-			}
-		}
-	}
-}
-
-// TestConsensusBitIdentityAcrossGOMAXPROCS: sortition and batch admission
-// fan out across cores, and the rounds must not show it — the same seeded
-// chain stepped on one, two and four cores at widths one, two and four
-// elects the same proposers, carries the same hashes and ends in the same
-// digest.
-func TestConsensusBitIdentityAcrossGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref, refBlocks, _ := runShardedRounds(t, 2)
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 4} {
-			c, blocks, _ := runShardedRounds(t, shards)
-			if len(blocks) != len(refBlocks) || c.Head().Round != ref.Head().Round {
-				t.Fatalf("procs=%d shards=%d: %d rounds to %d vs %d to %d on one core",
-					procs, shards, len(blocks), c.Head().Round, len(refBlocks), ref.Head().Round)
-			}
-			for i, blk := range blocks {
-				if blk.Hash != refBlocks[i].Hash {
-					t.Fatalf("procs=%d shards=%d: round %d hash depends on GOMAXPROCS", procs, shards, i)
-				}
-				if !reflect.DeepEqual(blk.Proposer, refBlocks[i].Proposer) {
-					t.Fatalf("procs=%d shards=%d: round %d proposer depends on GOMAXPROCS", procs, shards, i)
-				}
-			}
-			if c.Digest() != ref.Digest() {
-				t.Fatalf("procs=%d shards=%d: digest depends on GOMAXPROCS", procs, shards)
-			}
-		}
-	}
-}
-
-// TestShardedRoundRecordsStats: the tallies count every included group and
-// its opcode cost on the one lane, and ParallelBatches counts the
-// workload's eight SubmitBatch calls when two cores admit them, none on one.
-func TestShardedRoundRecordsStats(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if c, _, _ := runShardedRounds(t, 4); c.ShardStats().ParallelBatches != 0 {
-		t.Fatalf("%d parallel batches on one core", c.ShardStats().ParallelBatches)
-	}
-	runtime.GOMAXPROCS(2)
-	c, blocks, creations := runShardedRounds(t, 4)
-	stats := c.ShardStats()
-	// The creations' rounds carry nothing else.
-	var groups, cost uint64
-	for _, rcpt := range creations {
-		groups++
-		cost += rcpt.GasUsed
-	}
-	for _, blk := range blocks {
-		for _, h := range blk.Groups {
-			rcpt, _ := c.Receipt(h)
-			groups++
-			cost += rcpt.GasUsed
-		}
-	}
-	if stats == nil || len(stats.Txs) != 1 || stats.Txs[0] != groups || stats.Gas[0] != cost || stats.ParallelBatches != 8 {
-		t.Fatalf("stats %+v; want one lane of %d groups and %d cost, 8 parallel batches", stats, groups, cost)
-	}
-}
-
-// TestCreationRoundFallsBackToSerial: a round mixing an application
+// TestCreationAndPaymentShareARound: a round mixing an application
 // creation with a payment at width four executes both.
-func TestCreationRoundFallsBackToSerial(t *testing.T) {
+func TestCreationAndPaymentShareARound(t *testing.T) {
 	c := NewChain(Testnet(), 5)
 	c.SetShards(4)
 	alice := c.NewAccount(10_000_000)
@@ -344,13 +150,13 @@ func stepBatch(t *testing.T, c *Chain, groups []Group) {
 	}
 }
 
-// TestFailedGroupsInterleavedOnOneShard: every third group of each app
+// TestFailedGroupsInterleavedInOneOverlay: every third group of each app
 // fails after its app call already wrote (the trailing payment of the
 // atomic group overdraws), between groups of the same app that succeed,
 // all in the round's one overlay. The writes come back out from under the
 // later groups: the round ends at the width-1 run's digest and at the
 // balances and counters of a flat model, the fees charged on every group.
-func TestFailedGroupsInterleavedOnOneShard(t *testing.T) {
+func TestFailedGroupsInterleavedInOneOverlay(t *testing.T) {
 	const apps, users, groupsPerRound, rounds = 2, 5, 30, 3
 	run := func(shards int) *Chain {
 		c := NewChain(Testnet(), 31)

@@ -1,5 +1,5 @@
 //go:build !race
 
-package algorand
+package chain_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package eth
+package chain_test
 
 // raceEnabled reports whether the race detector is instrumenting this
 // build; allocation-count assertions are skipped under it because the

@@ -590,7 +590,7 @@ func (v *Verifier) checkConcat(prover did.DID, line []byte, area string, proverK
 		// No registered witness other than the prover opened the signature.
 		// Verifying under the prover's own key only names the rejection, so
 		// it is paid here and not on the accept path.
-		if v.sys.verifySig(proverKey, parsed.Hash[:], parsed.Signature) {
+		if v.sys.verifyUnmemoized(proverKey, parsed.Hash[:], parsed.Signature) {
 			return ProofRequest{}, ErrSelfSigned
 		}
 		return ProofRequest{}, ErrUnknownWitness

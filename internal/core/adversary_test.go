@@ -347,6 +347,21 @@ var adversaryRows = []struct {
 		return c.submit(r)
 	}},
 }, {
+	// §2.3.1.1: after the witness signed, the prover swaps in a report
+	// the witness never attested, under a new CID.
+	name: "substituted report",
+	core: &coreCell{want: ErrHashMismatch, run: func(t *testing.T, w *attackWorld) error {
+		p := w.prover(t, bologna)
+		proof, err := w.request(t, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proof.Request.CID, err = w.sys.IPFS.Add(string(p.DID), []byte(`{"title":"propaganda"}`)); err != nil {
+			t.Fatal(err)
+		}
+		return verdict(w.verify(t, p, proof))
+	}},
+}, {
 	// ROADMAP item 1 leaves this open: the prover at home sends its request over the
 	// internet to an accomplice, a CA-registered witness 4.9 km away in
 	// the claimed area, who signs it without any Bluetooth exchange. The

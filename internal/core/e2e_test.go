@@ -178,59 +178,6 @@ func TestFullPipelineBothChains(t *testing.T) {
 	}
 }
 
-func TestCIDSubstitutionDetected(t *testing.T) {
-	sys := newTestSystem(t)
-	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 10))
-	verifier, err := NewVerifier(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := verifier.EnsureAccount(conn, 10); err != nil {
-		t.Fatal(err)
-	}
-	witness, err := NewWitness(sys, bologna)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover, err := NewProver(sys, geo.Offset(bologna, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct, err := prover.EnsureAccount(conn, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cid, err := prover.UploadReport(Report{Title: "honest", Category: "waste"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := prover.RequestProof(witness, cid, acct.Address())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After obtaining the proof the prover swaps in different content — a
-	// new CID the witness never attested (§2.3.1.1).
-	evil, err := sys.IPFS.Add(string(prover.DID), []byte(`{"title":"propaganda"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof.Request.CID = evil
-	res, err := prover.SubmitProof(conn, proof, rewardFor(conn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ver, err := verifier.VerifyProver(conn, res.Handle, prover.DID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver.Accepted {
-		t.Fatal("CID substitution must be rejected")
-	}
-	if ver.Reason != ErrHashMismatch.Error() {
-		t.Fatalf("rejection reason %q, want hash mismatch", ver.Reason)
-	}
-}
-
 func TestUnpinnedReportDisappearsBeforeVerification(t *testing.T) {
 	sys := newTestSystem(t)
 	conn := NewEVMConnector(eth.NewChain(eth.Goerli(), 11))

@@ -28,6 +28,13 @@ func (s *System) verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ok
 }
 
+// verifyUnmemoized is polcrypto.Verify counted as a miss in
+// core_sigcache_total, for a check whose verdict nothing reads again.
+func (s *System) verifyUnmemoized(pub ed25519.PublicKey, msg, sig []byte) bool {
+	s.countSigCache(false)
+	return polcrypto.Verify(pub, msg, sig)
+}
+
 // witnessSigned reports whether sig opens hash under a CA-registered
 // witness key other than the prover's own. The signature cache is asked
 // first which key it already saw the signature verify under — the prover's
@@ -47,13 +54,16 @@ func (s *System) witnessSigned(proverKey ed25519.PublicKey, hash, sig []byte) bo
 }
 
 // findWitness is witnessSigned's lookup: the hinted key, then the scan.
+// The scan checks each key outside the memo: a key that fails leaves no
+// verdict behind, and one that opens the signature needs none, since
+// witnessSigned would forget it at once.
 func (s *System) findWitness(proverKey ed25519.PublicKey, hash, sig []byte) bool {
 	if pub, ok := s.sigs.Signer(hash, sig); ok && !bytes.Equal(pub, proverKey) &&
 		s.CA.IsKnownWitness(pub) && s.verifySig(pub, hash, sig) {
 		return true
 	}
 	for _, pub := range s.CA.WitnessList() {
-		if !bytes.Equal(pub, proverKey) && s.verifySig(pub, hash, sig) {
+		if !bytes.Equal(pub, proverKey) && s.verifyUnmemoized(pub, hash, sig) {
 			return true
 		}
 	}

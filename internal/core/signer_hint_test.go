@@ -223,6 +223,46 @@ func TestVerifyProverRejectionReasonsUnchanged(t *testing.T) {
 	}
 }
 
+// TestRejectedProofsLeaveNoVerdict: a proof no registered witness signed
+// is checked under every CA key and then under the prover's own, and none
+// of those verdicts is read again, so none may stay in the memo.
+func TestRejectedProofsLeaveNoVerdict(t *testing.T) {
+	for name, tamper := range map[string]func(w *hintWorld, p *LocationProof){
+		"forged signature": func(w *hintWorld, p *LocationProof) {
+			p.Signature = append([]byte(nil), p.Signature...)
+			p.Signature[5] ^= 0x01
+		},
+		"prover-signed": func(w *hintWorld, p *LocationProof) {
+			p.WitnessPub = w.prover.Key.Public
+			p.Signature = w.prover.Key.Sign(p.Hash[:])
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newHintWorld(t, 65, 8)
+			proof := w.witnessedProof(t)
+			tamper(w, proof)
+			res, err := w.prover.SubmitProof(w.conn, proof, rewardFor(w.conn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.verifier.FundContract(w.conn, res.Handle, rewardFor(w.conn)); err != nil {
+				t.Fatal(err)
+			}
+			before := w.sys.sigs.Len()
+			ver, err := w.verifier.VerifyProver(w.conn, res.Handle, w.prover.DID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ver.Accepted {
+				t.Fatal("a proof no witness signed was accepted")
+			}
+			if after := w.sys.sigs.Len(); after != before {
+				t.Fatalf("rejecting the proof left %d verdicts in the memo, %d before", after, before)
+			}
+		})
+	}
+}
+
 // TestRealVerificationsPerAcceptedProof states what one accepted proof costs
 // in ed25519 verifications, phase by phase, and that nothing is verified
 // twice. Three places verify: did.Authenticator.VerifyResponse (the

@@ -24,37 +24,6 @@ func eth(f float64) *big.Int {
 	return v
 }
 
-func TestSimplePaymentFlow(t *testing.T) {
-	c := newTestChain(t)
-	cl := NewClient(c)
-	alice := c.NewAccount(eth(1))
-	bobAddr := chain.AddressFromBytes([]byte("bob"))
-	tx := cl.NewTx(alice, &bobAddr, big.NewInt(12345), nil, 21000)
-	rcpt, err := cl.SubmitAndWait(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcpt.Reverted {
-		t.Fatalf("payment reverted: %s", rcpt.RevertMsg)
-	}
-	if rcpt.GasUsed != 21000 {
-		t.Fatalf("gas = %d, want 21000", rcpt.GasUsed)
-	}
-	if got := c.Balance(bobAddr).Base.Int64(); got != 12345 {
-		t.Fatalf("bob balance %d", got)
-	}
-	if (rcpt.Included - rcpt.Submitted) <= 0 {
-		t.Fatal("latency must be positive")
-	}
-	// Sender paid value + fee.
-	fee := rcpt.Fee.Base
-	want := new(big.Int).Sub(eth(1), big.NewInt(12345))
-	want.Sub(want, fee)
-	if got := c.Balance(alice.Address).Base; got.Cmp(want) != 0 {
-		t.Fatalf("alice balance %s, want %s", got, want)
-	}
-}
-
 func TestSubmitValidation(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
@@ -321,29 +290,5 @@ func TestPackSplitDeployData(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDeterministicRuns(t *testing.T) {
-	runOnce := func() []float64 {
-		c := NewChain(Goerli(), 42)
-		cl := NewClient(c)
-		alice := c.NewAccount(eth(10))
-		var out []float64
-		for i := 0; i < 5; i++ {
-			to := chain.AddressFromBytes([]byte{byte(i)})
-			rcpt, err := cl.SubmitAndWait(cl.NewTx(alice, &to, big.NewInt(1), nil, 21000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, (rcpt.Included - rcpt.Submitted).Seconds())
-		}
-		return out
-	}
-	a, b := runOnce(), runOnce()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run diverged at tx %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }

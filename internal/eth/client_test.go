@@ -3,11 +3,9 @@ package eth
 import (
 	"math/big"
 	"testing"
-	"time"
 
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
-	"agnopol/internal/u256"
 )
 
 func wordKey(v uint64) chain.Hash32 {
@@ -189,51 +187,5 @@ func TestUnderpricedTxWaitsForBaseFeeDrop(t *testing.T) {
 	// Base fee halves in ≥ log(2)/log(1.125) ≈ 6 blocks of decay.
 	if rcpt.BlockNumber < 4 {
 		t.Fatalf("capped tx included at block %d, expected to wait for decay", rcpt.BlockNumber)
-	}
-}
-
-// TestSubmitAndWaitLeavesTheChainsReceiptAlone: the receipt a client hands
-// back carries the times the client observed — from the submit call to the
-// confirmed read, the latency the paper's figures plot — and the chain's own
-// answer for the same hash stays what was folded into the digest: when the
-// network saw the transaction and when the block that took it was produced.
-func TestSubmitAndWaitLeavesTheChainsReceiptAlone(t *testing.T) {
-	c := newTestChain(t)
-	cl := NewClient(c)
-	alice := c.NewAccount(eth(1))
-	bob := chain.AddressFromBytes([]byte("bob"))
-	acc0, n0 := c.rcpts.Position()
-	start := c.Now()
-	tx := cl.NewTx(alice, &bob, big.NewInt(5), nil, 21000)
-	rcpt, err := cl.SubmitAndWait(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcpt.Submitted != start || rcpt.Included != c.Now() || (rcpt.Included-rcpt.Submitted) != c.Now()-start {
-		t.Fatalf("client receipt spans %v–%v, the client saw %v–%v", rcpt.Submitted, rcpt.Included, start, c.Now())
-	}
-	stored, ok := c.Receipt(tx.Hash())
-	if !ok {
-		t.Fatal("chain has no receipt for the confirmed transaction")
-	}
-	if stored.Included != time.Duration(stored.BlockNumber)*c.cfg.SlotDuration ||
-		stored.Submitted <= start || stored.Submitted >= stored.Included || stored.Included >= rcpt.Included {
-		t.Fatalf("chain receipt spans %v–%v (block %d), client %v–%v", stored.Submitted, stored.Included, stored.BlockNumber, start, rcpt.Included)
-	}
-	// Folding the chain's answer over the accumulator from before the
-	// transaction must give the accumulator of now: it is what was hashed.
-	var h chain.Hasher
-	h.Bytes(acc0[:])
-	h.Bytes(stored.TxHash[:])
-	h.U64(stored.BlockNumber)
-	h.U64(stored.GasUsed)
-	h.U64(uint64(stored.Submitted))
-	h.U64(uint64(stored.Included))
-	h.U64(0) // not reverted
-	h.Bytes(nil)
-	h.Bytes(stored.ReturnValue)
-	h.Bytes(encodeBalance(u256.FromBig(stored.Fee.Base)))
-	if acc1, n1 := c.rcpts.Position(); n1 != n0+1 || h.Sum() != acc1 || stored.Reverted {
-		t.Fatal("Receipt(h) after SubmitAndWait is not the receipt the digest folded")
 	}
 }

@@ -15,6 +15,16 @@ import (
 	"agnopol/internal/u256"
 )
 
+func transfer(t testing.TB, c *Chain, from, to *Account, nonce uint64) {
+	t.Helper()
+	tx := &Tx{From: from.Address, Nonce: nonce, To: &to.Address, Value: big.NewInt(1_000), GasLimit: 50_000,
+		MaxFee: new(big.Int).Mul(c.BaseFee(), big.NewInt(3)), MaxTip: big.NewInt(2_000_000_000)}
+	tx.Sign(from)
+	if _, err := c.Submit(tx); err != nil {
+		t.Fatalf("submit nonce %d: %v", nonce, err)
+	}
+}
+
 func TestExplorerHistory(t *testing.T) {
 	c := newTestChain(t)
 	cl := NewClient(c)
@@ -143,6 +153,11 @@ func TestExplorerHistoryPrunesWholeBlocks(t *testing.T) {
 	if len(held) > retention {
 		t.Fatalf("explorer holds %d blocks of rows with retention %d", len(held), retention)
 	}
+	// The address table, which is not pruned, holds each sender and
+	// target once: it grows with the accounts, not with the blocks.
+	if n := len(pruned.addrs.addrs); n != 3 {
+		t.Fatalf("the address table holds %d addresses, want alice, carol and bob", n)
+	}
 }
 
 // TestExplorerRowsOfFailedDeployments: a deployment that dies on the code
@@ -247,8 +262,16 @@ func TestHistoryMatchesModel(t *testing.T) {
 	}
 	okAt := chain.AddressFromBytes([]byte("model-ok"))
 	revertAt := chain.AddressFromBytes([]byte("model-revert"))
-	okCode := checkinCode(t)
+	// A check-in: the caller's counter, bumped and returned as one word.
 	a := evm.NewAssembler()
+	a.Op(evm.CALLER).Op(evm.SLOAD).PushUint(1).Op(evm.ADD)
+	a.Op(evm.DUP1).Op(evm.CALLER).Op(evm.SSTORE)
+	a.PushUint(0).Op(evm.MSTORE).PushUint(32).PushUint(0).Op(evm.RETURN)
+	okCode, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = evm.NewAssembler()
 	a.PushUint(0).PushUint(0).Op(evm.REVERT)
 	revertCode, err := a.Assemble()
 	if err != nil {

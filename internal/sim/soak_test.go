@@ -42,10 +42,10 @@ func TestRunSoakBothChains(t *testing.T) {
 	}
 }
 
-// TestSoakDeterministicAcrossShards is the soak-level bit-identity gate
+// TestSoakDeterministicAcrossFanOutWidths is the soak-level bit-identity gate
 // across fan-out widths: the same spec at any Shards value must land on
 // the same chain digest, world-state root, block count and fee total.
-func TestSoakDeterministicAcrossShards(t *testing.T) {
+func TestSoakDeterministicAcrossFanOutWidths(t *testing.T) {
 	for _, c := range []ChainName{ChainGoerli, ChainAlgorand} {
 		c := c
 		t.Run(string(c), func(t *testing.T) {

@@ -106,8 +106,8 @@ echo "== consensus microbenchmarks =="
 # state and description; the parsed program is shared). Neither times
 # anything, so their ns/op is not a measurement.
 # Leaves BENCH_consensus.txt for CI to upload next to BENCH_mstate.
-go test -run '^$' -bench StepEmpty -benchmem -benchtime 500x -cpu 1,2 ./internal/eth ./internal/algorand | tee BENCH_consensus.txt
-go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/eth ./internal/algorand | tee -a BENCH_consensus.txt
+go test -run '^$' -bench StepEmpty -benchmem -benchtime 500x -cpu 1,2 ./internal/chain | tee BENCH_consensus.txt
+go test -run '^$' -bench 'StepBatch|RetainedPerTx|AppResident' -benchtime 20x -cpu 1,2 ./internal/chain ./internal/algorand | tee -a BENCH_consensus.txt
 
 echo "== parallel matrix =="
 # Exercises the worker-pool engine (sequential baseline + 4 workers,
